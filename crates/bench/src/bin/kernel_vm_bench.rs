@@ -1,8 +1,9 @@
 //! Kernel-engine throughput benchmark: AST interpreter vs batched bytecode
 //! VM vs the closure-compiled native tier.
 //!
-//! Runs the four generated skeleton kernel shapes (map, zip, reduce, scan)
-//! over 1M elements through all three engines and emits
+//! Runs the five generated skeleton kernel shapes (map, zip, reduce, scan,
+//! and the MapOverlap heat stencil on 1000-wide rows) over 1M elements
+//! through all three engines and emits
 //! `BENCH_kernel_vm.json` with elements/sec per engine and the speedups, so
 //! future PRs have a perf trajectory to compare against.
 //!
@@ -71,6 +72,22 @@ const SCAN_SRC: &str = r#"
     }
 "#;
 
+/// The `SKELCL_MAP_OVERLAP` template around the 5-point heat step: load and
+/// store at `gid + halo·w`, four `get(dx, dy)` neighbour reads.
+const HEAT_STENCIL_SRC: &str = r#"
+    float func(float u) { return u + 0.2f * (get(0, -1) + get(0, 1) + get(-1, 0) + get(1, 0) - 4.0f * u); }
+    __kernel void SKELCL_MAP_OVERLAP(__global float* skelcl_stencil_in, __global float* skelcl_out, int skelcl_n, int skelcl_stencil_w, int skelcl_stencil_halo, int skelcl_stencil_policy, float skelcl_stencil_oob) {
+        int skelcl_gid = get_global_id(0);
+        if (skelcl_gid < skelcl_n) {
+            int skelcl_idx = (skelcl_gid / skelcl_stencil_w + skelcl_stencil_halo) * skelcl_stencil_w + skelcl_gid % skelcl_stencil_w;
+            skelcl_out[skelcl_idx] = func(skelcl_stencil_in[skelcl_idx]);
+        }
+    }
+"#;
+
+/// Row width of the heat-stencil workload (divides both element counts).
+const STENCIL_WIDTH: usize = 1000;
+
 struct Workload {
     name: &'static str,
     src: &'static str,
@@ -79,6 +96,8 @@ struct Workload {
     inputs: usize,
     /// Extra scalar args appended after `n`.
     extra: &'static [Value],
+    /// Elements every buffer holds beyond `n` (the stencil's halo rows).
+    pad: usize,
     /// Work-items per launch given `n` elements (1 for the sequential
     /// reduce/scan kernels).
     items: fn(usize) -> usize,
@@ -91,6 +110,7 @@ const WORKLOADS: &[Workload] = &[
         kernel: "SKELCL_MAP",
         inputs: 1,
         extra: &[],
+        pad: 0,
         items: |n| n,
     },
     Workload {
@@ -99,6 +119,7 @@ const WORKLOADS: &[Workload] = &[
         kernel: "SKELCL_ZIP",
         inputs: 2,
         extra: &[Value::Float(2.5)],
+        pad: 0,
         items: |n| n,
     },
     Workload {
@@ -107,6 +128,7 @@ const WORKLOADS: &[Workload] = &[
         kernel: "SKELCL_REDUCE",
         inputs: 1,
         extra: &[],
+        pad: 0,
         items: |_| 1,
     },
     Workload {
@@ -115,7 +137,23 @@ const WORKLOADS: &[Workload] = &[
         kernel: "SKELCL_SCAN",
         inputs: 1,
         extra: &[],
+        pad: 0,
         items: |_| 1,
+    },
+    Workload {
+        name: "heat_stencil",
+        src: HEAT_STENCIL_SRC,
+        kernel: "SKELCL_MAP_OVERLAP",
+        inputs: 1,
+        // width, halo 1, clamp policy, out-of-bound value
+        extra: &[
+            Value::Int(STENCIL_WIDTH as i32),
+            Value::Int(1),
+            Value::Int(0),
+            Value::Float(0.0),
+        ],
+        pad: 2 * STENCIL_WIDTH,
+        items: |n| n,
     },
 ];
 
@@ -138,9 +176,13 @@ fn time_engine(w: &Workload, n: usize, reps: usize, engine: Engine) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..reps {
         let mut bufs: Vec<Vec<f32>> = (0..w.inputs)
-            .map(|b| (0..n).map(|i| ((i + b) % 97) as f32 * 0.25 + 0.5).collect())
+            .map(|b| {
+                (0..n + w.pad)
+                    .map(|i| ((i + b) % 97) as f32 * 0.25 + 0.5)
+                    .collect()
+            })
             .collect();
-        bufs.push(vec![0.0f32; n]);
+        bufs.push(vec![0.0f32; n + w.pad]);
         let mut args: Vec<ArgBinding<'_>> = bufs
             .iter_mut()
             .map(|b| ArgBinding::Buffer(BufferView::F32(b)))
@@ -186,7 +228,7 @@ fn main() {
         let speedup = vm_eps / interp_eps;
         let native_vs_vm = native_eps / vm_eps;
         println!(
-            "{:<8} n={n:>8}  interp {:>11.0} elem/s  vm {:>11.0} elem/s  native {:>11.0} elem/s  native/vm {:>5.1}x",
+            "{:<12} n={n:>8}  interp {:>11.0} elem/s  vm {:>11.0} elem/s  native {:>11.0} elem/s  native/vm {:>5.1}x",
             w.name, interp_eps, vm_eps, native_eps, native_vs_vm
         );
         rows.push((

@@ -891,6 +891,7 @@ impl PlanGraph {
             self.policy
         );
         let _ = writeln!(out, "Kernel tier: {}", self.runtime.kernel_tier_summary());
+        let _ = writeln!(out, "{}", self.runtime.exec_trace().tier_line());
         for (i, node) in self.nodes.iter().enumerate() {
             let line = match node {
                 PlanNode::Source { source, ty } => format!(
@@ -1824,6 +1825,7 @@ impl<'a> MatPlan<'a> {
             self.policy
         );
         let _ = writeln!(out, "Kernel tier: {}", self.runtime.kernel_tier_summary());
+        let _ = writeln!(out, "{}", self.runtime.exec_trace().tier_line());
         for (i, node) in self.nodes.iter().enumerate() {
             let line = match node {
                 PlanNode::Source { .. } => format!(

@@ -156,6 +156,33 @@ impl ExecTrace {
         self.devices.iter().map(|d| d.native_compile_ns).sum()
     }
 
+    /// Total lane batches the native tier rolled back and replayed through
+    /// the scalar VM.
+    pub fn replayed_batches(&self) -> u64 {
+        self.devices.iter().map(|d| d.replayed_batches).sum()
+    }
+
+    /// Total launches a replayed batch took off the native tier.
+    pub fn bailed_launches(&self) -> usize {
+        self.devices.iter().map(|d| d.bailed_launches).sum()
+    }
+
+    /// One line saying which engines ran the launches so far and what the
+    /// native tier gave back to the VM (rendered by `Plan::explain` and the
+    /// stencil examples).
+    pub fn tier_line(&self) -> String {
+        format!(
+            "Kernel launches: {} native, {} batched, {} scalar, {} interp; \
+             {} replayed batch(es), {} bailed launch(es)",
+            self.native_launches(),
+            self.batched_launches(),
+            self.scalar_launches(),
+            self.interp_launches(),
+            self.replayed_batches(),
+            self.bailed_launches()
+        )
+    }
+
     /// Total commands that failed asynchronously and latched a deferred
     /// error on their queue, across all devices.
     pub fn deferred_errors(&self) -> usize {
@@ -189,6 +216,13 @@ pub struct DeviceTrace {
     pub native_compiles: usize,
     /// Nanoseconds spent compiling kernels to the native tier on this device.
     pub native_compile_ns: u64,
+    /// Lane batches the native tier rolled back and replayed through the
+    /// scalar VM on this device (divergence, hazards, runtime errors).
+    pub replayed_batches: u64,
+    /// Launches on this device that a replayed batch took off the native
+    /// tier for their remainder; one that bailed on its very first batch
+    /// counts under `batched_launches`, not `native_launches`.
+    pub bailed_launches: usize,
     /// Commands on this device's queue that failed asynchronously and
     /// latched a deferred error (see
     /// [`oclsim::CommandQueue::take_deferred_error`]).
@@ -374,6 +408,8 @@ impl SkelCl {
                     native_launches: tiers.native_launches,
                     native_compiles: tiers.native_compiles,
                     native_compile_ns: tiers.native_compile_ns,
+                    replayed_batches: tiers.replayed_batches,
+                    bailed_launches: tiers.bailed_launches,
                     deferred_errors: self.queues[d].deferred_error_count(),
                 }
             })

@@ -1,11 +1,14 @@
 //! End-to-end checks of the kernel-tier plumbing: `SkelCl::set_kernel_tier`
 //! reaches already-cached programs, per-device tier counters surface in
-//! `ExecTrace`, results are identical across tiers, and `Plan::explain`
-//! renders the tier decision.
+//! `ExecTrace` (launches per tier, replayed batches, bailed launches),
+//! results are identical across tiers, and `Plan::explain` renders the tier
+//! decision and the counters.
 
-use skelcl::skeletons::Map;
+use skelcl::oclsim::KernelArg;
+use skelcl::skeletons::{Map, MapOverlap};
 use skelcl::vector::Vector;
 use skelcl::Tier;
+use skelcl::{Boundary, Matrix};
 
 const SQUARE: &str = "float func(float x) { return x * x; }";
 
@@ -80,6 +83,73 @@ fn interp_tier_pin_and_per_device_counters() {
     }
 }
 
+/// The generated MapOverlap kernel stays on the native tier: its shifted
+/// load/store are lane-private spans and its `get`s are row slices.
+#[test]
+fn heat_stencil_sweeps_run_natively_without_replays() {
+    let rt = skelcl::init_gpus(1);
+    let heat = MapOverlap::<f32, f32>::from_source(
+        "float func(float u) { return u + 0.2f * (get(0, -1) + get(0, 1) + get(-1, 0) + get(1, 0) - 4.0f * u); }",
+    )
+    .with_halo(1)
+    .with_boundary(Boundary::Clamp);
+    let plate = Matrix::from_fn(&rt, 192, 192, |r, c| ((r * 31 + c * 7) % 64) as f32);
+    heat.run(&plate).run_iter(4).unwrap().to_vec().unwrap();
+    let t = rt.exec_trace();
+    assert_eq!(t.native_launches(), 4, "{}", t.tier_line());
+    assert_eq!(t.batched_launches(), 0, "{}", t.tier_line());
+    assert_eq!(t.replayed_batches(), 0, "{}", t.tier_line());
+    assert_eq!(t.bailed_launches(), 0, "{}", t.tier_line());
+}
+
+/// Launch `src`'s kernel `k(v, n)` over 10 000 work-items on device 0.
+fn launch_raw(rt: &skelcl::SkelCl, src: &str) {
+    let n = 10_000;
+    let program = rt.context().build_program(src).unwrap();
+    let kernel = program.kernel("k").unwrap();
+    let buf = rt.context().create_buffer::<f32>(0, n + 1).unwrap();
+    rt.queue(0)
+        .enqueue_kernel(
+            &kernel,
+            n,
+            &[KernelArg::Buffer(buf), KernelArg::i32(n as i32)],
+        )
+        .unwrap()
+        .wait()
+        .unwrap();
+}
+
+#[test]
+fn hazardous_launches_are_counted_as_bailed_not_native() {
+    // An in-place shift crosses lanes in the very first batch: nothing ran
+    // natively, so the launch counts as a batched one.
+    let rt = skelcl::init_gpus(1);
+    launch_raw(
+        &rt,
+        "__kernel void k(__global float* v, int n) { int i = get_global_id(0); v[i + 1] = v[i]; }",
+    );
+    let t = rt.exec_trace();
+    assert_eq!(t.native_launches(), 0, "{}", t.tier_line());
+    assert_eq!(t.batched_launches(), 1, "{}", t.tier_line());
+    assert_eq!(t.replayed_batches(), 1, "{}", t.tier_line());
+    assert_eq!(t.bailed_launches(), 1, "{}", t.tier_line());
+    assert_eq!(t.devices[0].bailed_launches, 1);
+
+    // Lanes diverge into two stores in the second batch: the first batch is
+    // native, the second replays, the rest finishes on the batched VM.
+    launch_raw(
+        &rt,
+        "__kernel void k(__global float* v, int n) {
+            int i = get_global_id(0);
+            if (i < 100) { v[i] = 1.0f; } else { v[i] = 2.0f; }
+        }",
+    );
+    let t = rt.exec_trace();
+    assert_eq!(t.native_launches(), 1, "{}", t.tier_line());
+    assert_eq!(t.replayed_batches(), 2, "{}", t.tier_line());
+    assert_eq!(t.bailed_launches(), 2, "{}", t.tier_line());
+}
+
 #[test]
 fn explain_renders_tier_decision() {
     let rt = skelcl::init_gpus(1);
@@ -92,6 +162,11 @@ fn explain_renders_tier_decision() {
         "default explain shows the auto heuristic:\n{text}"
     );
     assert!(text.contains("8192"), "thresholds are spelled out:\n{text}");
+    assert!(
+        text.contains("Kernel launches: 0 native, 0 batched")
+            && text.contains("0 replayed batch(es), 0 bailed launch(es)"),
+        "the tier counters are rendered:\n{text}"
+    );
 
     rt.set_kernel_tier(Tier::Native);
     let text = plan.explain().unwrap();

@@ -2,14 +2,16 @@
 //! kernel that `kernelgen` emits (map, index map, zip, reduce, chunked
 //! reduce, scan + scan offset) runs through both the bytecode VM and the
 //! AST-interpreter oracle, asserting identical results and identical
-//! measured ExecStats.
+//! measured ExecStats. The MapOverlap template additionally runs on every
+//! engine (interpreter ≡ scalar ≡ batched ≡ native) over a grid of shapes,
+//! and must never replay a batch on the native tier.
 
 use proptest::prelude::*;
 
 use skelcl::kernelgen::{self, UdfInfo};
 use skelcl_kernel::interp::{ArgBinding, BufferView};
 use skelcl_kernel::value::Value;
-use skelcl_kernel::Program;
+use skelcl_kernel::{Program, Tier};
 
 /// Run `kernel_src` through both engines on identical f32 buffers and
 /// assert bit-identical buffers and stats.
@@ -256,4 +258,116 @@ fn skeleton_pipeline_end_to_end_through_vm() {
     let result = v.map(&square).unwrap().reduce(&sum).unwrap();
     let expected: f32 = data.iter().map(|x| x * x).sum();
     assert_eq!(result, expected);
+}
+
+// ---------------------------------------------------------------------------
+// The MapOverlap template on every engine
+// ---------------------------------------------------------------------------
+
+const HEAT_UDF: &str =
+    "float func(float u) { return u + 0.2f * (get(0, -1) + get(0, 1) + get(-1, 0) + get(1, 0) - 4.0f * u); }";
+const GAUSSIAN_UDF: &str = r#"
+    float func(float x) {
+        float acc = 4.0f * x;
+        acc += 2.0f * (get(-1, 0) + get(1, 0) + get(0, -1) + get(0, 1));
+        acc += get(-1, -1) + get(1, -1) + get(-1, 1) + get(1, 1);
+        return acc / 16.0f;
+    }
+"#;
+
+/// A vertical box filter over the full declared halo.
+fn vertical_box_udf(halo: usize) -> String {
+    let taps: String = (1..=halo)
+        .map(|dy| format!(" + get(0, -{dy}) + get(0, {dy})"))
+        .collect();
+    format!(
+        "float func(float x) {{ return (x{taps}) / {}.0f; }}",
+        2 * halo + 1
+    )
+}
+
+/// Launch the generated MapOverlap kernel for `udf` on all four engines:
+/// `n` core elements of a `w`-wide part with `halo` padding rows, over
+/// `global` work-items. Every engine must match the interpreter bit for bit
+/// (output buffer and `ExecStats`), and the native run must complete every
+/// batch natively.
+fn assert_map_overlap_on_all_engines(
+    udf: &str,
+    w: usize,
+    halo: usize,
+    policy: i32,
+    n: usize,
+    global: usize,
+) {
+    let info = UdfInfo::analyze(udf, 1).unwrap();
+    let src = kernelgen::map_overlap_kernel(&info).unwrap();
+    let p = Program::build(&src).expect("generated kernels always build");
+    let k = p.kernel(kernelgen::MAP_OVERLAP_KERNEL).unwrap();
+    let padded = (n.div_ceil(w) + 2 * halo) * w;
+    let input: Vec<f32> = (0..padded)
+        .map(|i| ((i * 53 + 11 * w + halo) % 97) as f32 * 0.5 - 24.0)
+        .collect();
+    let what = format!("w={w} halo={halo} policy={policy} n={n} global={global}\n{udf}");
+
+    let run = |tier: Tier| {
+        p.set_tier(tier);
+        let mut input = input.clone();
+        let mut out = vec![-1.0f32; padded];
+        let mut args = vec![
+            ArgBinding::Buffer(BufferView::F32(&mut input)),
+            ArgBinding::Buffer(BufferView::F32(&mut out)),
+            ArgBinding::Scalar(Value::Int(n as i32)),
+            ArgBinding::Scalar(Value::Int(w as i32)),
+            ArgBinding::Scalar(Value::Int(halo as i32)),
+            ArgBinding::Scalar(Value::Int(policy)),
+            ArgBinding::Scalar(Value::Float(-1.5)),
+        ];
+        let (stats, trace) = p
+            .run_ndrange_traced(&k, global, &mut args)
+            .unwrap_or_else(|e| panic!("{tier} failed: {e}\n{what}"));
+        drop(args);
+        let bits: Vec<u32> = out.iter().map(|x| x.to_bits()).collect();
+        (bits, stats, trace)
+    };
+
+    let (oracle_bits, oracle_stats, _) = run(Tier::Interp);
+    for tier in [Tier::Scalar, Tier::Batched, Tier::Native] {
+        let (bits, stats, trace) = run(tier);
+        assert_eq!(bits, oracle_bits, "output diverged on {tier}: {what}");
+        assert_eq!(stats, oracle_stats, "ExecStats diverged on {tier}: {what}");
+        if tier == Tier::Native {
+            assert_eq!(trace.tier, Tier::Native, "{what}");
+            assert_eq!(trace.fallback, None, "{what}");
+            assert_eq!(trace.replayed_batches, 0, "native replayed: {what}");
+            assert!(!trace.bailed, "native bailed: {what}");
+            assert_eq!(trace.native_batches as usize, global.div_ceil(64), "{what}");
+        }
+    }
+}
+
+/// Batches inside a row, spanning rows and wider than a row; both halos;
+/// clamp / wrap / constant columns; launches that end on a ragged batch and
+/// launches with more work-items than elements (suffix lanes retire through
+/// the guard before the store).
+#[test]
+fn generated_map_overlap_kernel_is_native_on_every_shape() {
+    let rows = 5;
+    for w in [1usize, 7, 63, 64, 65, 192, 200] {
+        for halo in [1usize, 2] {
+            let udfs = [
+                HEAT_UDF.to_string(),
+                GAUSSIAN_UDF.to_string(),
+                vertical_box_udf(halo),
+            ];
+            for policy in 0..3 {
+                for udf in &udfs {
+                    let n = rows * w;
+                    assert_map_overlap_on_all_engines(udf, w, halo, policy, n, n);
+                    // A partial last row, a ragged last batch, idle lanes.
+                    let n = n.saturating_sub(3).max(1);
+                    assert_map_overlap_on_all_engines(udf, w, halo, policy, n, n + 9);
+                }
+            }
+        }
+    }
 }

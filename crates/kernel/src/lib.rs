@@ -121,6 +121,11 @@ pub struct LaunchTrace {
     /// Lane batches the native tier aborted and replayed through the scalar
     /// VM (divergence, hazards, or runtime errors).
     pub replayed_batches: u64,
+    /// Whether a replayed batch retired the native tier for the rest of the
+    /// launch (a cross-lane hazard or unsupported divergence: the remaining
+    /// batches ran on the batched VM). A launch that bails before completing
+    /// a single native batch reports [`Tier::Batched`].
+    pub bailed: bool,
     /// Why the kernel fell back to the batched VM despite a native request
     /// (the bytecode shape is ineligible), if it did.
     pub fallback: Option<String>,
@@ -404,13 +409,12 @@ impl Program {
         let mut native_stats = interp::ExecStats::default();
         let mut items = [WorkItem::linear(0, global_size); vm::BATCH_LANES];
         let mut gid = 0;
-        let mut bailed = false;
         while gid < global_size {
             let n = (global_size - gid).min(vm::BATCH_LANES);
             for (k, slot) in items.iter_mut().enumerate().take(n) {
                 *slot = WorkItem::linear(gid + k, global_size);
             }
-            if bailed {
+            if trace.bailed {
                 vm.run_batch(&items[..n], args)?;
             } else {
                 match exec.execute_batch(
@@ -432,7 +436,10 @@ impl Program {
                             // this kernel shape won't batch; finish the
                             // launch on the VM (which has its own finer
                             // rollback machinery).
-                            bailed = true;
+                            trace.bailed = true;
+                            if trace.native_batches == 0 {
+                                trace.tier = Tier::Batched;
+                            }
                         }
                     }
                 }

@@ -29,10 +29,56 @@
 //! batched VM does: every buffer store is rolled back through an undo log
 //! and the batch is replayed through the scalar engine, which is the
 //! authoritative semantics — results, [`crate::interp::ExecStats`] and error
-//! messages included. Single-lane batches skip the cross-lane hazard
-//! discipline entirely (sequential order is trivially preserved), which
-//! makes single-work-item reduce/scan loops native-eligible with arbitrary
+//! messages included.
+//!
+//! # Cross-lane hazards: the lane-private-base rule
+//!
+//! A batch runs its lanes in lockstep, instruction by instruction; the
+//! oracle runs the work-items one after another. The two orders agree as
+//! long as no lane observes another lane's store, which the executor
+//! enforces per buffer slot and per batch:
+//!
+//! * an access is *private at base `b`* when lane ℓ touches exactly element
+//!   `b + ℓ`. The slot's first private access fixes its base; own-index
+//!   accesses (`v[gid]`) are the case `b = gid₀`, and the MapOverlap
+//!   template's `out[gid + halo·w]` is the case `b = gid₀ + halo·w`;
+//! * any other access — a private pattern at a second base, a gather, a
+//!   stencil neighbour read — is *foreign*. Foreign loads are fine while the
+//!   slot has no store in the batch; a foreign store bails;
+//! * a slot with any store must have only private accesses: a store after a
+//!   foreign load, or a foreign load after a store, bails.
+//!
+//! So a slot is either read-only within the batch or lane-private, and
+//! `v[i + 1] = v[i]`, two stores at different bases, or an in-place stencil
+//! all bail, roll back and replay. Single-lane batches skip the discipline
+//! entirely (sequential order is trivially preserved), which makes
+//! single-work-item reduce/scan loops native-eligible with arbitrary
 //! addresses.
+//!
+//! Iota-typed addresses are private by construction. Every other `i32`
+//! address row into a `float` buffer is tested at runtime
+//! (`addr[ℓ] = addr[0] + ℓ`, one vectorisable compare): when it holds, the
+//! access takes the same bounds-checked span copy (+ undo-log span) as the
+//! iota path; when it does not — or the row starts negative — it goes lane
+//! by lane through the dynamically-typed path.
+//!
+//! # `get(dx, dy)`: row slices
+//!
+//! `Op::StencilGet` is a foreign load of the stencil input. When `dx` and
+//! `dy` are the same in every lane and the batch's global ids are linear,
+//! the batch is split into matrix-row segments; `dy` is checked against the
+//! halo once, and within a segment the lanes whose column `col + dx` stays
+//! inside the row are one bounds-checked slice copy from input row
+//! `row + halo + dy`. The ≤ |dx| lanes per segment that leave the row, and
+//! every non-uniform or non-linear batch, go through the engines' shared
+//! `interp::stencil_get`, so the clamp / wrap / constant policies
+//! and every error message live in one place. Any failed check aborts the
+//! batch and the scalar replay reports the exact error.
+//!
+//! The kernelgen template was deliberately left alone: virtual time is
+//! charged from `ExecStats`, so "simplifying" its index expression would
+//! change every stencil's simulated cost. The native tier adapts to the
+//! bytecode, not the other way round.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -415,11 +461,61 @@ pub(crate) struct ExecCtx<'a, 'b> {
     args: &'a mut [ArgBinding<'b>],
     stencil: Option<StencilCtx>,
     undo: &'a mut UndoLog,
-    slot_stored: &'a mut [bool],
-    slot_foreign_load: &'a mut [bool],
+    slots: &'a mut [SlotHazard],
     /// Cross-lane hazard checks; off for single-lane batches, whose
     /// sequential order is trivially preserved.
     hazards: bool,
+    /// Whether lane ℓ's global id is `items[0].global_id + ℓ` (what the
+    /// launch loops always produce; verified per batch).
+    linear: bool,
+}
+
+/// Per-batch cross-lane hazard state of one buffer slot. Lockstep execution
+/// equals the sequential item order as long as no lane observes another
+/// lane's store, which holds when every slot is either read-only within the
+/// batch or *lane-private*: lane ℓ touches only element `base + ℓ`.
+#[derive(Debug, Clone, Copy, Default)]
+struct SlotHazard {
+    /// Lane 0's address of the slot's first private access.
+    base: Option<usize>,
+    stored: bool,
+    foreign_load: bool,
+}
+
+impl SlotHazard {
+    /// Whether an access whose lane-0 address is `base` is lane-private
+    /// (`None`: the access has no such base, e.g. a stencil neighbour read).
+    /// The slot's first private access fixes its base.
+    fn is_private(&mut self, base: Option<usize>) -> bool {
+        match (self.base, base) {
+            (_, None) => false,
+            (None, Some(_)) => {
+                self.base = base;
+                true
+            }
+            (Some(a), Some(b)) => a == b,
+        }
+    }
+
+    /// Admit a load: foreign loads are fine until the slot is stored to.
+    fn load(&mut self, base: Option<usize>) -> Result<(), NativeAbort> {
+        if !self.is_private(base) {
+            if self.stored {
+                return Err(NativeAbort::Bail);
+            }
+            self.foreign_load = true;
+        }
+        Ok(())
+    }
+
+    /// Admit a store: a stored slot must have only private accesses.
+    fn store(&mut self, base: Option<usize>) -> Result<(), NativeAbort> {
+        if !self.is_private(base) || self.foreign_load {
+            return Err(NativeAbort::Bail);
+        }
+        self.stored = true;
+        Ok(())
+    }
 }
 
 type StepFn =
@@ -573,8 +669,7 @@ pub(crate) struct NativeExec {
     kernel: Arc<NativeKernel>,
     regs: RegFile,
     undo: UndoLog,
-    slot_stored: Vec<bool>,
-    slot_foreign_load: Vec<bool>,
+    slots: Vec<SlotHazard>,
 }
 
 impl NativeExec {
@@ -587,8 +682,7 @@ impl NativeExec {
             kernel,
             regs,
             undo: UndoLog::default(),
-            slot_stored: Vec::new(),
-            slot_foreign_load: Vec::new(),
+            slots: Vec::new(),
         }
     }
 
@@ -607,22 +701,22 @@ impl NativeExec {
         let lanes = items.len();
         debug_assert!((1..=BATCH_LANES).contains(&lanes));
         let kernel = Arc::clone(&self.kernel);
+        let gid0 = items[0].global_id;
+        let linear = items
+            .iter()
+            .enumerate()
+            .all(|(l, it)| it.global_id == gid0 + l);
         if kernel.uses_iota {
-            let gid0 = items[0].global_id;
-            let ok = items
-                .iter()
-                .enumerate()
-                .all(|(l, it)| it.global_id == gid0 + l && it.local_id == it.global_id)
+            let ok = linear
+                && items.iter().all(|it| it.local_id == it.global_id)
                 && items[lanes - 1].global_id <= i32::MAX as usize;
             if !ok {
                 return Err(NativeAbort::Bail);
             }
         }
         self.undo.clear();
-        self.slot_stored.clear();
-        self.slot_stored.resize(args.len(), false);
-        self.slot_foreign_load.clear();
-        self.slot_foreign_load.resize(args.len(), false);
+        self.slots.clear();
+        self.slots.resize(args.len(), SlotHazard::default());
         for &(slot, declared) in &kernel.scalar_params {
             if let ArgBinding::Scalar(v) = &args[slot] {
                 broadcast(&mut self.regs, slot * BATCH_LANES, v.convert_to(declared));
@@ -643,9 +737,9 @@ impl NativeExec {
             args,
             stencil,
             undo: &mut self.undo,
-            slot_stored: &mut self.slot_stored,
-            slot_foreign_load: &mut self.slot_foreign_load,
+            slots: &mut self.slots,
             hazards: lanes >= 2,
+            linear,
         };
         loop {
             let b = &kernel.blocks[block];
@@ -1376,6 +1470,244 @@ fn build_cmp_step(
     }))
 }
 
+/// The common lane-0 address of an `i32` address row whose active lanes
+/// hold `addr[ℓ] = addr[0] + ℓ` (checked at runtime, one vectorisable
+/// compare), or `None` when the row is not contiguous — or is negative, so
+/// the per-lane path reports the error. Single-lane batches stay on the
+/// per-lane path too: a one-element span is no faster.
+#[inline]
+fn contiguous_base(cx: &ExecCtx<'_, '_>, idx_row: usize) -> Option<usize> {
+    if !cx.hazards {
+        return None;
+    }
+    let addrs = &cx.regs.i32s[idx_row..idx_row + cx.n_active];
+    let a0 = addrs[0];
+    // The range bound keeps `a0 + ℓ` from wrapping.
+    if !(0..=i32::MAX - BATCH_LANES as i32).contains(&a0) {
+        return None;
+    }
+    let mut ok = true;
+    for (l, a) in addrs.iter().enumerate() {
+        ok &= *a == a0 + l as i32;
+    }
+    ok.then_some(a0 as usize)
+}
+
+/// Load `buf[start + ℓ]` into every active lane ℓ of row `d`: one hazard
+/// admission and one bounds check cover the batch.
+fn load_f32_span(
+    cx: &mut ExecCtx<'_, '_>,
+    slot: usize,
+    d: usize,
+    start: usize,
+) -> Result<(), NativeAbort> {
+    let n = cx.n_active;
+    if cx.hazards {
+        cx.slots[slot].load(Some(start))?;
+    }
+    let ArgBinding::Buffer(BufferView::F32(buf)) = &cx.args[slot] else {
+        return Err(NativeAbort::Error);
+    };
+    let Some(src) = buf.get(start..start + n) else {
+        return Err(NativeAbort::Error);
+    };
+    cx.regs.f32s[d..d + n].copy_from_slice(src);
+    Ok(())
+}
+
+/// Store every active lane ℓ of row `s` to `buf[start + ℓ]`, logging the
+/// overwritten span for rollback.
+fn store_f32_span(
+    cx: &mut ExecCtx<'_, '_>,
+    slot: u16,
+    sk: NKind,
+    s: usize,
+    start: usize,
+) -> Result<(), NativeAbort> {
+    let n = cx.n_active;
+    if cx.hazards {
+        cx.slots[slot as usize].store(Some(start))?;
+    }
+    // Convert the source row exactly like `BufferView::store`
+    // (`as_f64() as f32`).
+    let mut vals = [0.0f32; BATCH_LANES];
+    match sk {
+        NKind::F32 => vals[..n].copy_from_slice(&cx.regs.f32s[s..s + n]),
+        NKind::F64 => {
+            for (v, x) in vals[..n].iter_mut().zip(&cx.regs.f64s[s..s + n]) {
+                *v = *x as f32;
+            }
+        }
+        NKind::I32 => {
+            for (v, x) in vals[..n].iter_mut().zip(&cx.regs.i32s[s..s + n]) {
+                *v = (*x as f64) as f32;
+            }
+        }
+        NKind::Bool => {
+            for (v, x) in vals[..n].iter_mut().zip(&cx.regs.bools[s..s + n]) {
+                *v = if *x { 1.0 } else { 0.0 };
+            }
+        }
+    }
+    let ArgBinding::Buffer(BufferView::F32(buf)) = &mut cx.args[slot as usize] else {
+        return Err(NativeAbort::Error);
+    };
+    let Some(dst) = buf.get_mut(start..start + n) else {
+        return Err(NativeAbort::Error);
+    };
+    cx.undo.push_span(slot, start, dst);
+    dst.copy_from_slice(&vals[..n]);
+    Ok(())
+}
+
+/// Per-lane buffer load through the dynamically-typed path: any address
+/// kind, any pointee, any address pattern.
+fn load_lanes(
+    cx: &mut ExecCtx<'_, '_>,
+    slot: usize,
+    pk: NKind,
+    ik: NKind,
+    i: usize,
+    d: usize,
+) -> Result<(), NativeAbort> {
+    for li in 0..cx.n_active {
+        let addr = addr_of(cx.regs, ik, i, li);
+        if addr < 0 {
+            return Err(NativeAbort::Error);
+        }
+        let addr = addr as usize;
+        if cx.hazards {
+            cx.slots[slot].load(addr.checked_sub(li))?;
+        }
+        let ArgBinding::Buffer(view) = &cx.args[slot] else {
+            return Err(NativeAbort::Error);
+        };
+        match view {
+            BufferView::F32(buf) => match buf.get(addr) {
+                Some(v) => cx.regs.f32s[d + li] = *v,
+                None => return Err(NativeAbort::Error),
+            },
+            other => match other.load(addr) {
+                Some(v) => write_value(cx.regs, pk, d, li, v),
+                None => return Err(NativeAbort::Error),
+            },
+        }
+    }
+    Ok(())
+}
+
+/// Per-lane buffer store, the twin of [`load_lanes`].
+fn store_lanes(
+    cx: &mut ExecCtx<'_, '_>,
+    slot: u16,
+    ik: NKind,
+    i: usize,
+    sk: NKind,
+    s: usize,
+) -> Result<(), NativeAbort> {
+    let slot_us = slot as usize;
+    for li in 0..cx.n_active {
+        let addr = addr_of(cx.regs, ik, i, li);
+        if addr < 0 {
+            return Err(NativeAbort::Error);
+        }
+        let addr = addr as usize;
+        if cx.hazards {
+            cx.slots[slot_us].store(addr.checked_sub(li))?;
+        }
+        let v = read_value(cx.regs, sk, s, li);
+        let ArgBinding::Buffer(view) = &mut cx.args[slot_us] else {
+            return Err(NativeAbort::Error);
+        };
+        match view {
+            BufferView::F32(buf) => {
+                let Some(p) = buf.get_mut(addr) else {
+                    return Err(NativeAbort::Error);
+                };
+                cx.undo.push_elem(slot, addr, Value::Float(*p));
+                *p = v.as_f64() as f32;
+            }
+            other => {
+                let Some(old) = other.load(addr) else {
+                    return Err(NativeAbort::Error);
+                };
+                cx.undo.push_elem(slot, addr, old);
+                if !other.store(addr, v) {
+                    return Err(NativeAbort::Error);
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// `get(dx, dy)` for one lane through the engines' shared [`stencil_get`]
+/// (column policies and every error live there).
+#[inline]
+fn stencil_get_lane(
+    cx: &mut ExecCtx<'_, '_>,
+    ctx: StencilCtx,
+    d: usize,
+    li: usize,
+    dx: i64,
+    dy: i64,
+) -> Result<(), NativeAbort> {
+    match stencil_get(ctx, cx.args, cx.items[li].global_id, dx, dy) {
+        Ok(v) => {
+            write_value(cx.regs, NKind::F32, d, li, v);
+            Ok(())
+        }
+        Err(_) => Err(NativeAbort::Error),
+    }
+}
+
+/// `get(dx, dy)` with lane-uniform offsets over linear global ids: the batch
+/// splits into matrix-row segments, and within a segment the lanes whose
+/// column `col + dx` stays inside the row read one contiguous slice of the
+/// input row `row + halo + dy`. Only the ≤ |dx| lanes per segment that leave
+/// the row go through [`stencil_get`], which owns the boundary policies.
+fn stencil_get_rows(
+    cx: &mut ExecCtx<'_, '_>,
+    ctx: StencilCtx,
+    d: usize,
+    dx: i64,
+    dy: i64,
+) -> Result<(), NativeAbort> {
+    if dy < -ctx.halo || dy > ctx.halo {
+        // "exceeds the declared halo" at replay
+        return Err(NativeAbort::Error);
+    }
+    let n = cx.n_active;
+    let gid0 = cx.items[0].global_id;
+    let w = ctx.width as usize;
+    let mut lane = 0;
+    while lane < n {
+        let row = (gid0 + lane) / w;
+        let col = (gid0 + lane) % w;
+        let seg = (w - col).min(n - lane);
+        // Segment lanes `lo..hi` (relative to `lane`) stay inside the row.
+        let lo = (-dx - col as i64).clamp(0, seg as i64) as usize;
+        let hi = (ctx.width - dx - col as i64).clamp(lo as i64, seg as i64) as usize;
+        if lo < hi {
+            // Non-negative: `dy >= -halo` and `col + lo + dx >= 0`.
+            let start =
+                ((row as i64 + ctx.halo + dy) * ctx.width + (col + lo) as i64 + dx) as usize;
+            let ArgBinding::Buffer(BufferView::F32(buf)) = &cx.args[ctx.in_slot] else {
+                return Err(NativeAbort::Error);
+            };
+            let Some(src) = buf.get(start..start + (hi - lo)) else {
+                return Err(NativeAbort::Error);
+            };
+            cx.regs.f32s[d + lane + lo..d + lane + hi].copy_from_slice(src);
+        }
+        for li in (lane..lane + lo).chain(lane + hi..lane + seg) {
+            stencil_get_lane(cx, ctx, d, li, dx, dy)?;
+        }
+        lane += seg;
+    }
+    Ok(())
+}
+
 /// Compile one non-control instruction into a step closure, using the typing
 /// state `st` at its program point. Returns the step plus a listing
 /// annotation for the fast-path shapes.
@@ -1716,60 +2048,24 @@ fn build_step(
             let (ik, iota) = read_kind(st, *idx)?;
             let d = row(*dst);
             let i = row(*idx);
-            let slot_us = slot as usize;
+            let slot = slot as usize;
             if iota && pointee == ScalarType::Float {
                 *uses_iota = true;
                 (
-                    step(move |cx| {
-                        let n = cx.n_active;
-                        // Iota ⇒ lane ℓ's address is `start + ℓ` and owns its
-                        // element, so one bounds check covers the batch and
-                        // no hazard flags change (every access is own-index).
-                        let start = cx.regs.i32s[i] as usize;
-                        let ArgBinding::Buffer(BufferView::F32(buf)) = &cx.args[slot_us] else {
-                            return Err(NativeAbort::Error);
-                        };
-                        let Some(src) = buf.get(start..start + n) else {
-                            return Err(NativeAbort::Error);
-                        };
-                        cx.regs.f32s[d..d + n].copy_from_slice(src);
-                        Ok(())
-                    }),
+                    // Iota ⇒ lane ℓ's address is `start + ℓ`.
+                    step(move |cx| load_f32_span(cx, slot, d, cx.regs.i32s[i] as usize)),
                     " ; iota f32 span",
                 )
-            } else {
+            } else if ik == NKind::I32 && pointee == ScalarType::Float {
                 (
-                    step(move |cx| {
-                        for li in 0..cx.n_active {
-                            let addr = addr_of(cx.regs, ik, i, li);
-                            if addr < 0 {
-                                return Err(NativeAbort::Error);
-                            }
-                            let addr = addr as usize;
-                            if cx.hazards && addr != cx.items[li].global_id {
-                                cx.slot_foreign_load[slot_us] = true;
-                                if cx.slot_stored[slot_us] {
-                                    return Err(NativeAbort::Bail);
-                                }
-                            }
-                            let ArgBinding::Buffer(view) = &cx.args[slot_us] else {
-                                return Err(NativeAbort::Error);
-                            };
-                            match view {
-                                BufferView::F32(buf) => match buf.get(addr) {
-                                    Some(v) => cx.regs.f32s[d + li] = *v,
-                                    None => return Err(NativeAbort::Error),
-                                },
-                                other => match other.load(addr) {
-                                    Some(v) => write_value(cx.regs, pk, d, li, v),
-                                    None => return Err(NativeAbort::Error),
-                                },
-                            }
-                        }
-                        Ok(())
+                    step(move |cx| match contiguous_base(cx, i) {
+                        Some(start) => load_f32_span(cx, slot, d, start),
+                        None => load_lanes(cx, slot, pk, ik, i, d),
                     }),
-                    "",
+                    " ; f32 span when contiguous",
                 )
+            } else {
+                (step(move |cx| load_lanes(cx, slot, pk, ik, i, d)), "")
             }
         }
         Op::BufStore { name, idx, src } => {
@@ -1778,92 +2074,22 @@ fn build_step(
             let (sk, _) = read_kind(st, *src)?;
             let i = row(*idx);
             let s = row(*src);
-            let slot_us = slot as usize;
             if iota && pointee == ScalarType::Float {
                 *uses_iota = true;
                 (
-                    step(move |cx| {
-                        let n = cx.n_active;
-                        if cx.hazards && cx.slot_foreign_load[slot_us] {
-                            return Err(NativeAbort::Bail);
-                        }
-                        let start = cx.regs.i32s[i] as usize;
-                        // Convert the source row exactly like
-                        // `BufferView::store` (`as_f64() as f32`).
-                        let mut vals = [0.0f32; BATCH_LANES];
-                        match sk {
-                            NKind::F32 => vals[..n].copy_from_slice(&cx.regs.f32s[s..s + n]),
-                            NKind::F64 => {
-                                for (v, x) in vals[..n].iter_mut().zip(&cx.regs.f64s[s..s + n]) {
-                                    *v = *x as f32;
-                                }
-                            }
-                            NKind::I32 => {
-                                for (v, x) in vals[..n].iter_mut().zip(&cx.regs.i32s[s..s + n]) {
-                                    *v = (*x as f64) as f32;
-                                }
-                            }
-                            NKind::Bool => {
-                                for (v, x) in vals[..n].iter_mut().zip(&cx.regs.bools[s..s + n]) {
-                                    *v = if *x { 1.0 } else { 0.0 };
-                                }
-                            }
-                        }
-                        let ArgBinding::Buffer(BufferView::F32(buf)) = &mut cx.args[slot_us] else {
-                            return Err(NativeAbort::Error);
-                        };
-                        let Some(dst) = buf.get_mut(start..start + n) else {
-                            return Err(NativeAbort::Error);
-                        };
-                        cx.undo.push_span(slot, start, dst);
-                        dst.copy_from_slice(&vals[..n]);
-                        cx.slot_stored[slot_us] = true;
-                        Ok(())
-                    }),
+                    step(move |cx| store_f32_span(cx, slot, sk, s, cx.regs.i32s[i] as usize)),
                     " ; iota f32 span",
                 )
-            } else {
+            } else if ik == NKind::I32 && pointee == ScalarType::Float {
                 (
-                    step(move |cx| {
-                        for li in 0..cx.n_active {
-                            let addr = addr_of(cx.regs, ik, i, li);
-                            if addr < 0 {
-                                return Err(NativeAbort::Error);
-                            }
-                            let addr = addr as usize;
-                            if cx.hazards
-                                && (addr != cx.items[li].global_id || cx.slot_foreign_load[slot_us])
-                            {
-                                return Err(NativeAbort::Bail);
-                            }
-                            let v = read_value(cx.regs, sk, s, li);
-                            let ArgBinding::Buffer(view) = &mut cx.args[slot_us] else {
-                                return Err(NativeAbort::Error);
-                            };
-                            match view {
-                                BufferView::F32(buf) => {
-                                    let Some(p) = buf.get_mut(addr) else {
-                                        return Err(NativeAbort::Error);
-                                    };
-                                    cx.undo.push_elem(slot, addr, Value::Float(*p));
-                                    *p = v.as_f64() as f32;
-                                }
-                                other => {
-                                    let Some(old) = other.load(addr) else {
-                                        return Err(NativeAbort::Error);
-                                    };
-                                    cx.undo.push_elem(slot, addr, old);
-                                    if !other.store(addr, v) {
-                                        return Err(NativeAbort::Error);
-                                    }
-                                }
-                            }
-                        }
-                        cx.slot_stored[slot_us] = true;
-                        Ok(())
+                    step(move |cx| match contiguous_base(cx, i) {
+                        Some(start) => store_f32_span(cx, slot, sk, s, start),
+                        None => store_lanes(cx, slot, ik, i, sk, s),
                     }),
-                    "",
+                    " ; f32 span when contiguous",
                 )
+            } else {
+                (step(move |cx| store_lanes(cx, slot, ik, i, sk, s)), "")
             }
         }
         Op::CallBuiltin {
@@ -2001,28 +2227,38 @@ fn build_step(
             let d = row(*dst);
             let dx_row = row(*args);
             let dy_row = row(*args + 1);
+            let int_offsets = dxk == NKind::I32 && dyk == NKind::I32;
             (
                 step(move |cx| {
                     let Some(ctx) = cx.stencil else {
                         return Err(NativeAbort::Error);
                     };
                     if cx.hazards {
-                        if cx.slot_stored[ctx.in_slot] {
-                            return Err(NativeAbort::Bail);
-                        }
-                        cx.slot_foreign_load[ctx.in_slot] = true;
+                        // Neighbour reads cross lanes by design.
+                        cx.slots[ctx.in_slot].load(None)?;
                     }
-                    for li in 0..cx.n_active {
+                    let n = cx.n_active;
+                    if int_offsets && cx.linear {
+                        let dx = cx.regs.i32s[dx_row];
+                        let dy = cx.regs.i32s[dy_row];
+                        let uniform = cx.regs.i32s[dx_row..dx_row + n].iter().all(|v| *v == dx)
+                            & cx.regs.i32s[dy_row..dy_row + n].iter().all(|v| *v == dy);
+                        if uniform {
+                            return stencil_get_rows(cx, ctx, d, i64::from(dx), i64::from(dy));
+                        }
+                    }
+                    for li in 0..n {
                         let dx = addr_of(cx.regs, dxk, dx_row, li);
                         let dy = addr_of(cx.regs, dyk, dy_row, li);
-                        match stencil_get(ctx, cx.args, cx.items[li].global_id, dx, dy) {
-                            Ok(v) => write_value(cx.regs, NKind::F32, d, li, v),
-                            Err(_) => return Err(NativeAbort::Error),
-                        }
+                        stencil_get_lane(cx, ctx, d, li, dx, dy)?;
                     }
                     Ok(())
                 }),
-                "",
+                if int_offsets {
+                    " ; row slices when uniform"
+                } else {
+                    ""
+                },
             )
         }
         other => return Err(format!("unsupported instruction {other:?}")),
@@ -2118,5 +2354,62 @@ mod tests {
         let idx = p.kernel("k").unwrap().index();
         let nk = compile_kernel(p.compiled(), idx).unwrap();
         assert!(nk.listing().contains("back edge"));
+    }
+
+    #[test]
+    fn slot_hazards_admit_read_only_and_lane_private_slots() {
+        use NativeAbort::Bail;
+        // Read-only: any mix of bases, gathers and neighbour reads.
+        let mut s = SlotHazard::default();
+        assert_eq!(s.load(Some(64)), Ok(()));
+        assert_eq!(s.load(Some(65)), Ok(()));
+        assert_eq!(s.load(None), Ok(()));
+        // ... but never a store afterwards, not even at the slot's base.
+        assert_eq!(s.store(Some(64)), Err(Bail));
+
+        // Lane-private: loads and stores at the one base the first access
+        // fixed, own-index or shifted alike.
+        let mut s = SlotHazard::default();
+        assert_eq!(s.load(Some(256)), Ok(()));
+        assert_eq!(s.store(Some(256)), Ok(()));
+        assert_eq!(s.load(Some(256)), Ok(()));
+        assert_eq!(s.store(Some(256)), Ok(()));
+        // A second base or a neighbour read now crosses lanes.
+        assert_eq!(s.store(Some(257)), Err(Bail));
+        assert_eq!(s.load(Some(255)), Err(Bail));
+        assert_eq!(s.load(None), Err(Bail));
+
+        // A store as the first access fixes the base too; a store with no
+        // lane-private shape always bails.
+        let mut s = SlotHazard::default();
+        assert_eq!(s.store(Some(7)), Ok(()));
+        assert_eq!(s.store(Some(8)), Err(Bail));
+        assert_eq!(SlotHazard::default().store(None), Err(Bail));
+    }
+
+    #[test]
+    fn shifted_index_stencil_kernel_compiles_with_span_and_row_paths() {
+        let p = Program::build(
+            r#"
+            float func(float u) { return u + get(-1, 0) + get(0, 1); }
+            __kernel void SKELCL_MAP_OVERLAP(__global float* skelcl_stencil_in,
+                __global float* skelcl_out, int skelcl_n, int skelcl_stencil_w,
+                int skelcl_stencil_halo, int skelcl_stencil_policy, float skelcl_stencil_oob) {
+                int gid = get_global_id(0);
+                if (gid < skelcl_n) {
+                    int idx = (gid / skelcl_stencil_w + skelcl_stencil_halo) * skelcl_stencil_w
+                        + gid % skelcl_stencil_w;
+                    skelcl_out[idx] = func(skelcl_stencil_in[idx]);
+                }
+            }
+        "#,
+        )
+        .unwrap();
+        let idx = p.kernel("SKELCL_MAP_OVERLAP").unwrap().index();
+        let nk = compile_kernel(p.compiled(), idx).unwrap();
+        let listing = nk.listing();
+        assert_eq!(listing.matches("f32 span when contiguous").count(), 2);
+        assert_eq!(listing.matches("row slices when uniform").count(), 2);
+        assert!(!listing.contains("iota f32 span"));
     }
 }

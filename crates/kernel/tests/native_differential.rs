@@ -9,9 +9,12 @@ use proptest::prelude::*;
 
 use skelcl_kernel::interp::{ArgBinding, BufferView, ExecStats};
 use skelcl_kernel::value::Value;
-use skelcl_kernel::{Program, Tier};
+use skelcl_kernel::{LaunchTrace, Program, Tier};
 
-type Outcome = Result<(Vec<Vec<f32>>, ExecStats), String>;
+/// Final buffer contents (also after a failed launch: the items before the
+/// failing one have run) plus the measured stats and launch trace (default
+/// off the native tier) or the error message.
+type Outcome = (Vec<Vec<f32>>, Result<(ExecStats, LaunchTrace), String>);
 
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Engine {
@@ -44,21 +47,56 @@ fn run_engine(
     for s in scalars {
         args.push(ArgBinding::Scalar(*s));
     }
-    let stats = match engine {
-        Engine::Interp => p.run_ndrange_measured_interp(&k, global_size, &mut args),
-        Engine::Scalar => p.run_ndrange_measured_scalar(&k, global_size, &mut args),
-        Engine::Batched => p.run_ndrange_measured_batched(&k, global_size, &mut args),
-        Engine::Native => p.run_ndrange_measured(&k, global_size, &mut args),
+    let untraced = |stats| (stats, LaunchTrace::default());
+    let result = match engine {
+        Engine::Interp => p
+            .run_ndrange_measured_interp(&k, global_size, &mut args)
+            .map(untraced),
+        Engine::Scalar => p
+            .run_ndrange_measured_scalar(&k, global_size, &mut args)
+            .map(untraced),
+        Engine::Batched => p
+            .run_ndrange_measured_batched(&k, global_size, &mut args)
+            .map(untraced),
+        Engine::Native => p.run_ndrange_traced(&k, global_size, &mut args),
     };
     drop(args);
-    match stats {
-        Ok(s) => Ok((bufs, s)),
-        Err(e) => Err(e.message),
-    }
+    (bufs, result.map_err(|e| e.message))
 }
 
 /// Assert every tier produces the interpreter oracle's outcome exactly:
-/// bit-identical buffers, identical stats, identical error messages.
+/// bit-identical buffers (after a failed launch too: every aborted native
+/// batch is fully rolled back before its replay), identical stats, identical
+/// error messages. Returns the agreed stats or error.
+fn agreed_outcome(
+    src: &str,
+    kernel: &str,
+    buffers: &[Vec<f32>],
+    scalars: &[Value],
+    global_size: usize,
+) -> Result<ExecStats, String> {
+    let (oracle_bufs, oracle) =
+        run_engine(src, kernel, buffers, scalars, global_size, Engine::Interp);
+    let oracle = oracle.map(|(stats, _)| stats);
+    for engine in ENGINES {
+        let (bufs, got) = run_engine(src, kernel, buffers, scalars, global_size, engine);
+        let got = got.map(|(stats, _)| stats);
+        assert_eq!(
+            got, oracle,
+            "stats / error diverged on {engine:?} for kernel:\n{src}"
+        );
+        for (i, (g, o)) in bufs.iter().zip(&oracle_bufs).enumerate() {
+            let gbits: Vec<u32> = g.iter().map(|x| x.to_bits()).collect();
+            let obits: Vec<u32> = o.iter().map(|x| x.to_bits()).collect();
+            assert_eq!(
+                gbits, obits,
+                "buffer {i} diverged on {engine:?} for kernel:\n{src}"
+            );
+        }
+    }
+    oracle
+}
+
 fn assert_tiers_agree(
     src: &str,
     kernel: &str,
@@ -66,35 +104,19 @@ fn assert_tiers_agree(
     scalars: &[Value],
     global_size: usize,
 ) {
-    let oracle = run_engine(src, kernel, buffers, scalars, global_size, Engine::Interp);
-    for engine in ENGINES {
-        let got = run_engine(src, kernel, buffers, scalars, global_size, engine);
-        match (&got, &oracle) {
-            (Ok((gb, gs)), Ok((ob, os))) => {
-                for (i, (g, o)) in gb.iter().zip(ob).enumerate() {
-                    let gbits: Vec<u32> = g.iter().map(|x| x.to_bits()).collect();
-                    let obits: Vec<u32> = o.iter().map(|x| x.to_bits()).collect();
-                    assert_eq!(
-                        gbits, obits,
-                        "buffer {i} diverged on {engine:?} for kernel:\n{src}"
-                    );
-                }
-                assert_eq!(
-                    gs, os,
-                    "ExecStats diverged on {engine:?} for kernel:\n{src}"
-                );
-            }
-            (Err(ge), Err(oe)) => {
-                assert_eq!(ge, oe, "errors diverged on {engine:?} for kernel:\n{src}");
-            }
-            _ => panic!(
-                "{engine:?} disagrees with the oracle on success for kernel:\n{src}\n\
-                 engine: {:?}\noracle: {:?}",
-                got.as_ref().map(|(_, s)| s),
-                oracle.as_ref().map(|(_, s)| s)
-            ),
-        }
-    }
+    let _ = agreed_outcome(src, kernel, buffers, scalars, global_size);
+}
+
+/// What the native tier did on one pinned-native launch of `kernel`.
+fn native_trace(
+    src: &str,
+    kernel: &str,
+    buffers: &[Vec<f32>],
+    scalars: &[Value],
+    global_size: usize,
+) -> LaunchTrace {
+    let (_, result) = run_engine(src, kernel, buffers, scalars, global_size, Engine::Native);
+    result.expect("traced launches succeed").1
 }
 
 proptest! {
@@ -349,6 +371,291 @@ fn sequential_fold_kernels_agree_across_all_tiers() {
     let data: Vec<f32> = (0..200).map(|i| (i % 17) as f32 * 0.25 - 2.0).collect();
     let out = vec![0.0f32; 1];
     assert_tiers_agree(src, "SKELCL_REDUCE", &[data, out], &[Value::Int(200)], 1);
+}
+
+// ---------------------------------------------------------------------------
+// The lane-private hazard discipline
+// ---------------------------------------------------------------------------
+
+const LANES: usize = skelcl_kernel::vm::BATCH_LANES;
+
+/// The exact kernel text `skelcl::kernelgen::map_overlap_kernel` wraps
+/// around a unary UDF (the core crate's `vm_oracle` suite runs the generator
+/// itself): load and store go to `gid + halo·w`, not to `gid`.
+fn map_overlap_src(udf: &str) -> String {
+    format!(
+        "{udf}\n\
+         __kernel void SKELCL_MAP_OVERLAP(__global float* skelcl_stencil_in, __global float* skelcl_out, \
+         int skelcl_n, int skelcl_stencil_w, int skelcl_stencil_halo, int skelcl_stencil_policy, \
+         float skelcl_stencil_oob) {{\n\
+         \x20   int skelcl_gid = get_global_id(0);\n\
+         \x20   if (skelcl_gid < skelcl_n) {{\n\
+         \x20       int skelcl_idx = (skelcl_gid / skelcl_stencil_w + skelcl_stencil_halo) * skelcl_stencil_w + skelcl_gid % skelcl_stencil_w;\n\
+         \x20       skelcl_out[skelcl_idx] = func(skelcl_stencil_in[skelcl_idx]);\n\
+         \x20   }}\n\
+         }}\n"
+    )
+}
+
+fn stencil_scalars(n: usize, w: usize, halo: usize, policy: i32) -> Vec<Value> {
+    vec![
+        Value::Int(n as i32),
+        Value::Int(w as i32),
+        Value::Int(halo as i32),
+        Value::Int(policy),
+        Value::Float(-1.5),
+    ]
+}
+
+fn ramp(len: usize) -> Vec<f32> {
+    (0..len)
+        .map(|i| (i * 37 % 101) as f32 * 0.5 - 20.0)
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Load at `gid + a`, store at `gid + b`, load at `gid + c` of the same
+    /// buffer. Lane-private (no replay) exactly when the three bases agree;
+    /// every other combination is a cross-lane dependency — the in-place
+    /// shift `v[i + 1] = v[i]` among them — and must bail and replay.
+    #[test]
+    fn shifted_load_store_load_agrees_across_all_tiers(
+        a in 0i32..4, b in 0i32..4, c in 0i32..4,
+        n in 1usize..200,
+        idle in 0usize..70,
+    ) {
+        let src = r#"
+            __kernel void k(__global float* v, __global float* out, int n, int a, int b, int c) {
+                int gid = get_global_id(0);
+                if (gid < n) {
+                    float x = v[gid + a];
+                    v[gid + b] = x * 2.0f + 1.0f;
+                    out[gid] = v[gid + c];
+                }
+            }
+        "#;
+        let bufs = [ramp(n + 4), vec![0.0f32; n]];
+        let scalars = [Value::Int(n as i32), Value::Int(a), Value::Int(b), Value::Int(c)];
+        // `idle` extra work-items retire through the guard before the stores.
+        assert_tiers_agree(src, "k", &bufs, &scalars, n + idle);
+        let trace = native_trace(src, "k", &bufs, &scalars, n + idle);
+        if a == b && b == c {
+            prop_assert_eq!(trace.replayed_batches, 0, "lane-private at one base");
+            prop_assert!(trace.native_batches > 0);
+        } else if n >= 2 {
+            prop_assert!(trace.bailed, "bases {a}/{b}/{c} cross lanes");
+        }
+    }
+
+    /// Store, foreign load, second store — all on one slot: two stores at
+    /// different bases, and a private store followed by a foreign load.
+    #[test]
+    fn shifted_store_load_store_agrees_across_all_tiers(
+        a in 0i32..4, b in 0i32..4, c in 0i32..4,
+        n in 2usize..200,
+    ) {
+        let src = r#"
+            __kernel void k(__global float* v, int n, int a, int b, int c) {
+                int gid = get_global_id(0);
+                v[gid + a] = (float) gid;
+                float y = v[gid + b];
+                v[gid + c] = y + 0.5f;
+            }
+        "#;
+        let bufs = [ramp(n + 4)];
+        let scalars = [Value::Int(n as i32), Value::Int(a), Value::Int(b), Value::Int(c)];
+        assert_tiers_agree(src, "k", &bufs, &scalars, n);
+        let trace = native_trace(src, "k", &bufs, &scalars, n);
+        prop_assert_eq!(trace.bailed, !(a == b && b == c));
+    }
+
+    /// `get(dx, dy)` with per-lane (data-dependent) offsets cannot be row
+    /// sliced; the per-lane path must produce the same values and errors.
+    #[test]
+    fn data_dependent_stencil_offsets_agree_across_all_tiers(
+        rows in 1usize..5,
+        w in 1usize..80,
+        halo in 1usize..3,
+        policy in 0i32..3,
+    ) {
+        let src = map_overlap_src(
+            "float func(float u) { int k = (int) u; return u + get(k % 3, 0) + get(0, k % 2) + get(1 - k % 3, -(k % 2)); }",
+        );
+        let n = rows * w;
+        let padded = (rows + 2 * halo) * w;
+        assert_tiers_agree(
+            &src, "SKELCL_MAP_OVERLAP",
+            &[ramp(padded), vec![0.0f32; padded]],
+            &stencil_scalars(n, w, halo, policy), n,
+        );
+    }
+}
+
+/// The generated MapOverlap shape runs natively end to end: the shifted
+/// `gid + halo·w` load and store are lane-private spans and uniform `get`s
+/// are row slices, so nothing replays.
+#[test]
+fn map_overlap_shape_never_replays() {
+    let src = map_overlap_src(
+        "float func(float u) { return u + 0.2f * (get(0, -1) + get(0, 1) + get(-1, 0) + get(1, 0) - 4.0f * u); }",
+    );
+    for (rows, w) in [(3, 200), (9, 7), (2, 64), (70, 1)] {
+        let n = rows * w;
+        let padded = (rows + 2) * w;
+        let bufs = [ramp(padded), vec![0.0f32; padded]];
+        let scalars = stencil_scalars(n, w, 1, 0);
+        assert_tiers_agree(&src, "SKELCL_MAP_OVERLAP", &bufs, &scalars, n);
+        let trace = native_trace(&src, "SKELCL_MAP_OVERLAP", &bufs, &scalars, n);
+        assert_eq!(trace.tier, Tier::Native);
+        assert_eq!(trace.replayed_batches, 0, "{rows}x{w}");
+        assert_eq!(trace.native_batches as usize, n.div_ceil(LANES));
+    }
+}
+
+/// Own-index (iota) accesses take part in the discipline: an in-place shift
+/// in either direction mixes the iota base with a shifted one.
+#[test]
+fn in_place_shifts_bail_and_replay_exactly() {
+    for body in [
+        "v[gid + 1] = v[gid];",
+        "v[gid] = v[gid + 1];",
+        "float x = v[gid]; v[gid] = x + 1.0f; v[gid + 1] = x;",
+    ] {
+        let src = format!(
+            "__kernel void k(__global float* v, int n) {{ int gid = get_global_id(0); {body} }}"
+        );
+        let n = 2 * LANES + 9;
+        let bufs = [ramp(n + 1)];
+        assert_tiers_agree(&src, "k", &bufs, &[Value::Int(n as i32)], n);
+        let trace = native_trace(&src, "k", &bufs, &[Value::Int(n as i32)], n);
+        assert!(trace.bailed, "{body}");
+    }
+}
+
+/// A stencil kernel that writes the buffer its neighbours are read from.
+#[test]
+fn in_place_stencil_bails_and_replays_exactly() {
+    let src = r#"
+        __kernel void SKELCL_MAP_OVERLAP(__global float* skelcl_stencil_in, int skelcl_n,
+            int skelcl_stencil_w, int skelcl_stencil_halo, int skelcl_stencil_policy,
+            float skelcl_stencil_oob) {
+            int gid = get_global_id(0);
+            int idx = gid + skelcl_stencil_halo * skelcl_stencil_w;
+            skelcl_stencil_in[idx] = 0.5f * (get(-1, 0) + get(1, 0));
+            skelcl_stencil_in[idx] += get(0, -1);
+        }
+    "#;
+    let (rows, w) = (4, 50);
+    let bufs = [ramp((rows + 2) * w)];
+    let scalars = stencil_scalars(rows * w, w, 1, 1);
+    assert_tiers_agree(src, "SKELCL_MAP_OVERLAP", &bufs, &scalars, rows * w);
+    let trace = native_trace(src, "SKELCL_MAP_OVERLAP", &bufs, &scalars, rows * w);
+    assert!(trace.bailed);
+    assert_eq!(trace.tier, Tier::Batched, "no batch completed natively");
+    assert_eq!((trace.native_batches, trace.replayed_batches), (0, 1));
+}
+
+// ---------------------------------------------------------------------------
+// Error parity when the failing lane sits inside a span
+// ---------------------------------------------------------------------------
+
+/// `get(0, 2)` under halo 1: uniform (the row-sliced path's one `dy` check)
+/// and data-dependent (first failing item in the middle of the third batch).
+#[test]
+fn halo_overrun_errors_agree_across_all_tiers() {
+    let (rows, w) = (3, 100);
+    let mut input = vec![1.0f32; (rows + 2) * w];
+    let bufs = [input.clone(), vec![0.0f32; (rows + 2) * w]];
+    let scalars = stencil_scalars(rows * w, w, 1, 0);
+    let src = map_overlap_src("float func(float u) { return u + get(0, 2); }");
+    let err = agreed_outcome(&src, "SKELCL_MAP_OVERLAP", &bufs, &scalars, rows * w).unwrap_err();
+    assert_eq!(
+        err,
+        "stencil access dy=2 exceeds the declared halo of 1 row(s)"
+    );
+
+    // Item 150 (input index 250) is the first to ask for dy = 2: items
+    // 0..150 must have stored, nothing after them.
+    input[w + 2 * LANES + 22] = 2.0;
+    let bufs = [input, vec![0.0f32; (rows + 2) * w]];
+    let src = map_overlap_src("float func(float u) { return u + get(0, (int) u); }");
+    let err = agreed_outcome(&src, "SKELCL_MAP_OVERLAP", &bufs, &scalars, rows * w).unwrap_err();
+    assert_eq!(
+        err,
+        "stencil access dy=2 exceeds the declared halo of 1 row(s)"
+    );
+}
+
+/// A stencil input shorter than the padded part: the row slice of `get(0,
+/// 1)` runs off the end in the middle of a batch.
+#[test]
+fn truncated_stencil_input_errors_agree_across_all_tiers() {
+    let (rows, w) = (3, 200);
+    let padded = (rows + 2) * w;
+    let src = map_overlap_src("float func(float u) { return u + get(1, 0) + get(0, 1); }");
+    for missing in [1, 30, w + 17] {
+        let bufs = [ramp(padded - missing), vec![0.0f32; padded]];
+        let err = agreed_outcome(
+            &src,
+            "SKELCL_MAP_OVERLAP",
+            &bufs,
+            &stencil_scalars(rows * w, w, 1, 2),
+            rows * w,
+        )
+        .unwrap_err();
+        assert!(
+            err.contains("is out of bounds for the stencil input")
+                || err.contains("out of bounds for buffer"),
+            "unexpected error: {err}"
+        );
+    }
+}
+
+/// A computed store index that is negative for the first work-items of a
+/// contiguous span, and one that turns negative in the middle of a batch.
+#[test]
+fn negative_store_index_errors_agree_across_all_tiers() {
+    let shifted = r#"
+        __kernel void k(__global float* v, __global float* out, int n, int off) {
+            int gid = get_global_id(0);
+            if (gid < n) { out[gid + off] = v[gid] + 1.0f; }
+        }
+    "#;
+    let n = 3 * LANES;
+    for off in [-1, -30, -(LANES as i32) - 5] {
+        let bufs = [ramp(n), vec![0.0f32; n]];
+        let err = agreed_outcome(
+            shifted,
+            "k",
+            &bufs,
+            &[Value::Int(n as i32), Value::Int(off)],
+            n,
+        )
+        .unwrap_err();
+        assert!(err.contains("negative"), "unexpected error: {err}");
+    }
+    let mid_batch = r#"
+        __kernel void k(__global float* v, __global float* out, int n, int bad) {
+            int gid = get_global_id(0);
+            int idx = gid;
+            if (gid == bad) { idx = -7; }
+            out[idx] = v[gid] + 1.0f;
+        }
+    "#;
+    for bad in [0, 40, LANES + 13] {
+        let bufs = [ramp(n), vec![0.0f32; n]];
+        let err = agreed_outcome(
+            mid_batch,
+            "k",
+            &bufs,
+            &[Value::Int(n as i32), Value::Int(bad as i32)],
+            n,
+        )
+        .unwrap_err();
+        assert!(err.contains("negative"), "unexpected error: {err}");
+    }
 }
 
 // ---------------------------------------------------------------------------

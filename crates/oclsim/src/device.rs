@@ -182,11 +182,14 @@ struct TierCounters {
     native: AtomicUsize,
     compiles: AtomicUsize,
     compile_ns: AtomicU64,
+    replayed_batches: AtomicU64,
+    bailed_launches: AtomicUsize,
 }
 
 /// Snapshot of one device's kernel-tier telemetry (see
 /// [`Device::kernel_tiers`]). Native launches that fall back to the batched
-/// VM because the kernel is ineligible count as batched launches.
+/// VM — because the kernel is ineligible, or because the very first batch
+/// bailed — count as batched launches.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TierSnapshot {
     /// DSL launches executed by the AST interpreter.
@@ -201,6 +204,12 @@ pub struct TierSnapshot {
     pub native_compiles: usize,
     /// Total wall-clock nanoseconds spent in native-tier compilation.
     pub native_compile_ns: u64,
+    /// Lane batches the native tier aborted, rolled back and replayed
+    /// through the scalar VM (divergence, hazards, runtime errors).
+    pub replayed_batches: u64,
+    /// Launches a replayed batch took off the native tier for their
+    /// remainder (a cross-lane hazard or unsupported divergence).
+    pub bailed_launches: usize,
 }
 
 /// A simulated OpenCL device: a performance profile plus its dedicated
@@ -364,6 +373,12 @@ impl Device {
                 .compile_ns
                 .fetch_add(trace.native_compile_ns, Ordering::Relaxed);
         }
+        self.tiers
+            .replayed_batches
+            .fetch_add(trace.replayed_batches, Ordering::Relaxed);
+        if trace.bailed {
+            self.tiers.bailed_launches.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Snapshot this device's kernel-tier launch counters.
@@ -375,6 +390,8 @@ impl Device {
             native_launches: self.tiers.native.load(Ordering::Relaxed),
             native_compiles: self.tiers.compiles.load(Ordering::Relaxed),
             native_compile_ns: self.tiers.compile_ns.load(Ordering::Relaxed),
+            replayed_batches: self.tiers.replayed_batches.load(Ordering::Relaxed),
+            bailed_launches: self.tiers.bailed_launches.load(Ordering::Relaxed),
         }
     }
 

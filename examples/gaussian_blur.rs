@@ -63,5 +63,13 @@ fn main() -> Result<()> {
         cols * 4,
     );
     println!("virtual time: {:?}", rt.now());
+
+    // The generated stencil kernel must stay on the native tier: a replayed
+    // batch means it fell back to scalar speed (CI runs this example).
+    println!("{}", trace.tier_line());
+    if trace.replayed_batches() > 0 || trace.bailed_launches() > 0 {
+        eprintln!("error: a stencil launch replayed or bailed off the native tier");
+        std::process::exit(1);
+    }
     Ok(())
 }
