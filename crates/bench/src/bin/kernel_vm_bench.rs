@@ -1,9 +1,11 @@
 //! Kernel-engine throughput benchmark: AST interpreter vs batched bytecode
 //! VM vs the closure-compiled native tier.
 //!
-//! Runs the five generated skeleton kernel shapes (map, zip, reduce, scan,
-//! and the MapOverlap heat stencil on 1000-wide rows) over 1M elements
-//! through all three engines and emits
+//! Runs the generated skeleton kernel shapes (map, zip, reduce, scan, the
+//! MapOverlap heat stencil on 1000-wide rows, and the two divergent
+//! application kernels: the OSEM update `Zip` with `c <= 0` in a random half
+//! of the lanes, and the Mandelbrot index map over the default view) over
+//! 1M elements through all three engines and emits
 //! `BENCH_kernel_vm.json` with elements/sec per engine and the speedups, so
 //! future PRs have a perf trajectory to compare against.
 //!
@@ -17,7 +19,8 @@
 
 use std::time::Instant;
 
-use skelcl_kernel::interp::{ArgBinding, BufferView};
+use skelcl::kernelgen::{self, UdfInfo};
+use skelcl_kernel::interp::ArgBinding;
 use skelcl_kernel::value::Value;
 use skelcl_kernel::{Program, Tier};
 
@@ -88,14 +91,41 @@ const HEAT_STENCIL_SRC: &str = r#"
 /// Row width of the heat-stencil workload (divides both element counts).
 const STENCIL_WIDTH: usize = 1000;
 
+/// List-mode OSEM's `zipUpdate`.
+const OSEM_UPDATE_UDF: &str =
+    "float func(float f, float c) { if (c > 0.0f) { return f * c; } return f; }";
+
+/// Image width of the Mandelbrot workload (divides both element counts).
+const MANDELBROT_WIDTH: usize = 1000;
+
+/// The positive ramp every straight-line workload reads.
+fn ramp(buffer: usize, i: usize) -> f32 {
+    ((i + buffer) % 97) as f32 * 0.25 + 0.5
+}
+
+/// The ramp, with the correction image (buffer 1) non-positive at a
+/// pseudo-random half of the positions.
+fn half_non_positive(buffer: usize, i: usize) -> f32 {
+    let v = ramp(buffer, i);
+    if buffer == 1 && (i.wrapping_mul(2_654_435_761) >> 7).is_multiple_of(2) {
+        0.5 - v
+    } else {
+        v
+    }
+}
+
 struct Workload {
     name: &'static str,
-    src: &'static str,
+    src: fn() -> String,
     kernel: &'static str,
     /// Number of input buffers before the single output buffer.
     inputs: usize,
-    /// Extra scalar args appended after `n`.
-    extra: &'static [Value],
+    /// Element `i` of input buffer `b`.
+    input: fn(usize, usize) -> f32,
+    /// Whether the output buffer holds `int`s.
+    int_out: bool,
+    /// Extra scalar args appended after `n`, given `n`.
+    extra: fn(usize) -> Vec<Value>,
     /// Elements every buffer holds beyond `n` (the stencil's halo rows).
     pad: usize,
     /// Work-items per launch given `n` elements (1 for the sequential
@@ -106,60 +136,113 @@ struct Workload {
 const WORKLOADS: &[Workload] = &[
     Workload {
         name: "map",
-        src: MAP_SRC,
+        src: || MAP_SRC.to_string(),
         kernel: "SKELCL_MAP",
         inputs: 1,
-        extra: &[],
+        input: ramp,
+        int_out: false,
+        extra: |_| vec![],
         pad: 0,
         items: |n| n,
     },
     Workload {
         name: "zip",
-        src: ZIP_SRC,
+        src: || ZIP_SRC.to_string(),
         kernel: "SKELCL_ZIP",
         inputs: 2,
-        extra: &[Value::Float(2.5)],
+        input: ramp,
+        int_out: false,
+        extra: |_| vec![Value::Float(2.5)],
         pad: 0,
         items: |n| n,
     },
     Workload {
         name: "reduce",
-        src: REDUCE_SRC,
+        src: || REDUCE_SRC.to_string(),
         kernel: "SKELCL_REDUCE",
         inputs: 1,
-        extra: &[],
+        input: ramp,
+        int_out: false,
+        extra: |_| vec![],
         pad: 0,
         items: |_| 1,
     },
     Workload {
         name: "scan",
-        src: SCAN_SRC,
+        src: || SCAN_SRC.to_string(),
         kernel: "SKELCL_SCAN",
         inputs: 1,
-        extra: &[],
+        input: ramp,
+        int_out: false,
+        extra: |_| vec![],
         pad: 0,
         items: |_| 1,
     },
     Workload {
         name: "heat_stencil",
-        src: HEAT_STENCIL_SRC,
+        src: || HEAT_STENCIL_SRC.to_string(),
         kernel: "SKELCL_MAP_OVERLAP",
         inputs: 1,
+        input: ramp,
+        int_out: false,
         // width, halo 1, clamp policy, out-of-bound value
-        extra: &[
-            Value::Int(STENCIL_WIDTH as i32),
-            Value::Int(1),
-            Value::Int(0),
-            Value::Float(0.0),
-        ],
+        extra: |_| {
+            vec![
+                Value::Int(STENCIL_WIDTH as i32),
+                Value::Int(1),
+                Value::Int(0),
+                Value::Float(0.0),
+            ]
+        },
         pad: 2 * STENCIL_WIDTH,
+        items: |n| n,
+    },
+    Workload {
+        name: "branchy_zip",
+        src: || {
+            let udf = UdfInfo::analyze(OSEM_UPDATE_UDF, 2).expect("update UDF analyzes");
+            kernelgen::zip_kernel(&udf).expect("zip template")
+        },
+        kernel: kernelgen::ZIP_KERNEL,
+        inputs: 2,
+        input: half_non_positive,
+        int_out: false,
+        extra: |_| vec![],
+        pad: 0,
+        items: |n| n,
+    },
+    Workload {
+        name: "mandelbrot",
+        src: || {
+            let udf =
+                UdfInfo::analyze(mandelbrot::MANDELBROT_UDF, 1).expect("mandelbrot UDF analyzes");
+            kernelgen::map_index_kernel(&udf).expect("index-map template")
+        },
+        kernel: kernelgen::MAP_INDEX_KERNEL,
+        inputs: 0,
+        input: ramp,
+        int_out: true,
+        // offset, then the default view over a MANDELBROT_WIDTH-wide image
+        extra: |n| {
+            let view = mandelbrot::MandelbrotConfig::test_scale();
+            vec![
+                Value::Int(0),
+                Value::Int(MANDELBROT_WIDTH as i32),
+                Value::Int((n / MANDELBROT_WIDTH) as i32),
+                Value::Float(view.center_re),
+                Value::Float(view.center_im),
+                Value::Float(view.view_width),
+                Value::Int(view.max_iterations as i32),
+            ]
+        },
+        pad: 0,
         items: |n| n,
     },
 ];
 
 /// Best-of-`reps` wall-clock seconds for one engine over one workload.
 fn time_engine(w: &Workload, n: usize, reps: usize, engine: Engine) -> f64 {
-    let program = Program::build(w.src).expect("benchmark kernels build");
+    let program = Program::build(&(w.src)()).expect("benchmark kernels build");
     if engine == Engine::Native {
         program.set_tier(Tier::Native);
         // Compile outside the timed region: launches amortize it in
@@ -176,19 +259,19 @@ fn time_engine(w: &Workload, n: usize, reps: usize, engine: Engine) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..reps {
         let mut bufs: Vec<Vec<f32>> = (0..w.inputs)
-            .map(|b| {
-                (0..n + w.pad)
-                    .map(|i| ((i + b) % 97) as f32 * 0.25 + 0.5)
-                    .collect()
-            })
+            .map(|b| (0..n + w.pad).map(|i| (w.input)(b, i)).collect())
             .collect();
-        bufs.push(vec![0.0f32; n + w.pad]);
-        let mut args: Vec<ArgBinding<'_>> = bufs
-            .iter_mut()
-            .map(|b| ArgBinding::Buffer(BufferView::F32(b)))
-            .collect();
+        let mut out_f32 = vec![0.0f32; if w.int_out { 0 } else { n + w.pad }];
+        let mut out_i32 = vec![0i32; if w.int_out { n + w.pad } else { 0 }];
+        let mut args: Vec<ArgBinding<'_>> =
+            bufs.iter_mut().map(|b| ArgBinding::buffer_f32(b)).collect();
+        args.push(if w.int_out {
+            ArgBinding::buffer_i32(&mut out_i32)
+        } else {
+            ArgBinding::buffer_f32(&mut out_f32)
+        });
         args.push(ArgBinding::Scalar(Value::Int(n as i32)));
-        args.extend(w.extra.iter().map(|v| ArgBinding::Scalar(*v)));
+        args.extend((w.extra)(n).into_iter().map(ArgBinding::Scalar));
 
         let start = Instant::now();
         let stats = match engine {

@@ -156,6 +156,12 @@ impl ExecTrace {
         self.devices.iter().map(|d| d.native_compile_ns).sum()
     }
 
+    /// Total native lane batches whose lanes diverged and ran under partial
+    /// lane masks.
+    pub fn masked_batches(&self) -> u64 {
+        self.devices.iter().map(|d| d.masked_batches).sum()
+    }
+
     /// Total lane batches the native tier rolled back and replayed through
     /// the scalar VM.
     pub fn replayed_batches(&self) -> u64 {
@@ -167,19 +173,20 @@ impl ExecTrace {
         self.devices.iter().map(|d| d.bailed_launches).sum()
     }
 
-    /// One line saying which engines ran the launches so far and what the
-    /// native tier gave back to the VM (rendered by `Plan::explain` and the
-    /// stencil examples).
+    /// One line saying which engines ran the launches so far, what the
+    /// native tier gave back to the VM and how many of its batches diverged
+    /// (rendered by `Plan::explain` and the guarded examples).
     pub fn tier_line(&self) -> String {
         format!(
             "Kernel launches: {} native, {} batched, {} scalar, {} interp; \
-             {} replayed batch(es), {} bailed launch(es)",
+             {} replayed batch(es), {} bailed launch(es), {} masked batch(es)",
             self.native_launches(),
             self.batched_launches(),
             self.scalar_launches(),
             self.interp_launches(),
             self.replayed_batches(),
-            self.bailed_launches()
+            self.bailed_launches(),
+            self.masked_batches()
         )
     }
 
@@ -216,8 +223,11 @@ pub struct DeviceTrace {
     pub native_compiles: usize,
     /// Nanoseconds spent compiling kernels to the native tier on this device.
     pub native_compile_ns: u64,
+    /// Native lane batches on this device whose lanes diverged and ran under
+    /// partial lane masks.
+    pub masked_batches: u64,
     /// Lane batches the native tier rolled back and replayed through the
-    /// scalar VM on this device (divergence, hazards, runtime errors).
+    /// scalar VM on this device (hazards, runtime errors, loop budget).
     pub replayed_batches: u64,
     /// Launches on this device that a replayed batch took off the native
     /// tier for their remainder; one that bailed on its very first batch
@@ -408,6 +418,7 @@ impl SkelCl {
                     native_launches: tiers.native_launches,
                     native_compiles: tiers.native_compiles,
                     native_compile_ns: tiers.native_compile_ns,
+                    masked_batches: tiers.masked_batches,
                     replayed_batches: tiers.replayed_batches,
                     bailed_launches: tiers.bailed_launches,
                     deferred_errors: self.queues[d].deferred_error_count(),

@@ -1,6 +1,6 @@
 //! End-to-end checks of the kernel-tier plumbing: `SkelCl::set_kernel_tier`
 //! reaches already-cached programs, per-device tier counters surface in
-//! `ExecTrace` (launches per tier, replayed batches, bailed launches),
+//! `ExecTrace` (launches per tier, replayed, bailed and masked batches),
 //! results are identical across tiers, and `Plan::explain` renders the tier
 //! decision and the counters.
 
@@ -100,6 +100,7 @@ fn heat_stencil_sweeps_run_natively_without_replays() {
     assert_eq!(t.batched_launches(), 0, "{}", t.tier_line());
     assert_eq!(t.replayed_batches(), 0, "{}", t.tier_line());
     assert_eq!(t.bailed_launches(), 0, "{}", t.tier_line());
+    assert_eq!(t.masked_batches(), 0, "straight-line: {}", t.tier_line());
 }
 
 /// Launch `src`'s kernel `k(v, n)` over 10 000 work-items on device 0.
@@ -135,8 +136,8 @@ fn hazardous_launches_are_counted_as_bailed_not_native() {
     assert_eq!(t.bailed_launches(), 1, "{}", t.tier_line());
     assert_eq!(t.devices[0].bailed_launches, 1);
 
-    // Lanes diverge into two stores in the second batch: the first batch is
-    // native, the second replays, the rest finishes on the batched VM.
+    // Lanes diverge into two stores in the second batch: divergence is not
+    // a hazard, so the launch stays native and only that batch runs masked.
     launch_raw(
         &rt,
         "__kernel void k(__global float* v, int n) {
@@ -146,8 +147,42 @@ fn hazardous_launches_are_counted_as_bailed_not_native() {
     );
     let t = rt.exec_trace();
     assert_eq!(t.native_launches(), 1, "{}", t.tier_line());
-    assert_eq!(t.replayed_batches(), 2, "{}", t.tier_line());
-    assert_eq!(t.bailed_launches(), 2, "{}", t.tier_line());
+    assert_eq!(t.replayed_batches(), 1, "{}", t.tier_line());
+    assert_eq!(t.bailed_launches(), 1, "{}", t.tier_line());
+    assert_eq!(t.masked_batches(), 1, "{}", t.tier_line());
+    assert_eq!(t.devices[0].masked_batches, 1);
+}
+
+/// The paper's two applications end to end: the OSEM subset's branchy
+/// update `Zip` and the Mandelbrot escape loop diverge in (nearly) every
+/// batch and still never leave the native tier.
+#[test]
+fn osem_subset_and_mandelbrot_render_run_masked_without_replays() {
+    use osem::{sequential, ReconstructionConfig, SkelclOsem};
+
+    let rt = skelcl::init_gpus(2);
+    rt.set_kernel_tier(Tier::Native);
+    let config = ReconstructionConfig::test_scale();
+    let subsets = sequential::generate_subsets(&config);
+    let osem = SkelclOsem::new(rt.clone(), config.clone());
+    let mut f = Vector::filled(&rt, config.volume.voxel_count(), 1.0f32);
+    osem.process_subset(&subsets[0], &mut f).unwrap();
+    let t = rt.exec_trace();
+    assert_eq!(t.native_launches(), 2, "update Zip: {}", t.tier_line());
+    assert_eq!(t.replayed_batches(), 0, "{}", t.tier_line());
+    assert_eq!(t.bailed_launches(), 0, "{}", t.tier_line());
+    assert!(t.masked_batches() > 0, "{}", t.tier_line());
+
+    let rt = skelcl::init_gpus(1);
+    rt.set_kernel_tier(Tier::Native);
+    let view = mandelbrot::MandelbrotConfig::test_scale();
+    let image = mandelbrot::render_skelcl(&rt, &view).unwrap();
+    assert_eq!(image, mandelbrot::render_sequential(&view));
+    let t = rt.exec_trace();
+    assert_eq!(t.native_launches(), 1, "{}", t.tier_line());
+    assert_eq!(t.replayed_batches(), 0, "{}", t.tier_line());
+    assert_eq!(t.bailed_launches(), 0, "{}", t.tier_line());
+    assert!(t.masked_batches() > 0, "{}", t.tier_line());
 }
 
 #[test]
@@ -164,7 +199,7 @@ fn explain_renders_tier_decision() {
     assert!(text.contains("8192"), "thresholds are spelled out:\n{text}");
     assert!(
         text.contains("Kernel launches: 0 native, 0 batched")
-            && text.contains("0 replayed batch(es), 0 bailed launch(es)"),
+            && text.contains("0 replayed batch(es), 0 bailed launch(es), 0 masked batch(es)"),
         "the tier counters are rendered:\n{text}"
     );
 

@@ -4,7 +4,9 @@
 //! AST-interpreter oracle, asserting identical results and identical
 //! measured ExecStats. The MapOverlap template additionally runs on every
 //! engine (interpreter ≡ scalar ≡ batched ≡ native) over a grid of shapes,
-//! and must never replay a batch on the native tier.
+//! and must never replay a batch on the native tier; so do the divergent
+//! kernels of the paper's two applications (the OSEM update `Zip`, the
+//! Mandelbrot index map) and a fused plan kernel with a branchy stage.
 
 use proptest::prelude::*;
 
@@ -261,8 +263,75 @@ fn skeleton_pipeline_end_to_end_through_vm() {
 }
 
 // ---------------------------------------------------------------------------
-// The MapOverlap template on every engine
+// Generated kernels on every engine: the MapOverlap template
 // ---------------------------------------------------------------------------
+
+/// A kernel argument buffer of either element type the generated kernels
+/// store to.
+#[derive(Clone)]
+enum Buf {
+    F32(Vec<f32>),
+    I32(Vec<i32>),
+}
+
+impl Buf {
+    fn bits(&self) -> Vec<u32> {
+        match self {
+            Buf::F32(v) => v.iter().map(|x| x.to_bits()).collect(),
+            Buf::I32(v) => v.iter().map(|x| *x as u32).collect(),
+        }
+    }
+}
+
+/// Launch a generated kernel on all four engines; every engine must match
+/// the interpreter bit for bit (every buffer and `ExecStats`), and the
+/// native run must complete every batch natively. Returns the native run's
+/// masked-batch count.
+fn assert_stays_native_on_all_engines(
+    src: &str,
+    kernel: &str,
+    buffers: &[Buf],
+    scalars: &[Value],
+    global: usize,
+    what: &str,
+) -> u64 {
+    let p = Program::build(src).expect("generated kernels always build");
+    let k = p.kernel(kernel).unwrap();
+    let run = |tier: Tier| {
+        p.set_tier(tier);
+        let mut bufs = buffers.to_vec();
+        let mut args: Vec<ArgBinding<'_>> = bufs
+            .iter_mut()
+            .map(|b| match b {
+                Buf::F32(v) => ArgBinding::buffer_f32(v),
+                Buf::I32(v) => ArgBinding::buffer_i32(v),
+            })
+            .collect();
+        args.extend(scalars.iter().map(|s| ArgBinding::Scalar(*s)));
+        let (stats, trace) = p
+            .run_ndrange_traced(&k, global, &mut args)
+            .unwrap_or_else(|e| panic!("{tier} failed: {e}\n{what}"));
+        drop(args);
+        let bits: Vec<Vec<u32>> = bufs.iter().map(Buf::bits).collect();
+        (bits, stats, trace)
+    };
+    let (oracle_bits, oracle_stats, _) = run(Tier::Interp);
+    let mut masked = 0;
+    for tier in [Tier::Scalar, Tier::Batched, Tier::Native] {
+        let (bits, stats, trace) = run(tier);
+        assert_eq!(bits, oracle_bits, "output diverged on {tier}: {what}");
+        assert_eq!(stats, oracle_stats, "ExecStats diverged on {tier}: {what}");
+        if tier == Tier::Native {
+            assert_eq!(trace.tier, Tier::Native, "{what}");
+            assert_eq!(trace.fallback, None, "{what}");
+            assert_eq!(trace.replayed_batches, 0, "native replayed: {what}");
+            assert!(!trace.bailed, "native bailed: {what}");
+            assert_eq!(trace.native_batches as usize, global.div_ceil(64), "{what}");
+            masked = trace.masked_batches;
+        }
+    }
+    masked
+}
 
 const HEAT_UDF: &str =
     "float func(float u) { return u + 0.2f * (get(0, -1) + get(0, 1) + get(-1, 0) + get(1, 0) - 4.0f * u); }";
@@ -288,9 +357,7 @@ fn vertical_box_udf(halo: usize) -> String {
 
 /// Launch the generated MapOverlap kernel for `udf` on all four engines:
 /// `n` core elements of a `w`-wide part with `halo` padding rows, over
-/// `global` work-items. Every engine must match the interpreter bit for bit
-/// (output buffer and `ExecStats`), and the native run must complete every
-/// batch natively.
+/// `global` work-items (see [`assert_stays_native_on_all_engines`]).
 fn assert_map_overlap_on_all_engines(
     udf: &str,
     w: usize,
@@ -301,48 +368,26 @@ fn assert_map_overlap_on_all_engines(
 ) {
     let info = UdfInfo::analyze(udf, 1).unwrap();
     let src = kernelgen::map_overlap_kernel(&info).unwrap();
-    let p = Program::build(&src).expect("generated kernels always build");
-    let k = p.kernel(kernelgen::MAP_OVERLAP_KERNEL).unwrap();
     let padded = (n.div_ceil(w) + 2 * halo) * w;
     let input: Vec<f32> = (0..padded)
         .map(|i| ((i * 53 + 11 * w + halo) % 97) as f32 * 0.5 - 24.0)
         .collect();
     let what = format!("w={w} halo={halo} policy={policy} n={n} global={global}\n{udf}");
-
-    let run = |tier: Tier| {
-        p.set_tier(tier);
-        let mut input = input.clone();
-        let mut out = vec![-1.0f32; padded];
-        let mut args = vec![
-            ArgBinding::Buffer(BufferView::F32(&mut input)),
-            ArgBinding::Buffer(BufferView::F32(&mut out)),
-            ArgBinding::Scalar(Value::Int(n as i32)),
-            ArgBinding::Scalar(Value::Int(w as i32)),
-            ArgBinding::Scalar(Value::Int(halo as i32)),
-            ArgBinding::Scalar(Value::Int(policy)),
-            ArgBinding::Scalar(Value::Float(-1.5)),
-        ];
-        let (stats, trace) = p
-            .run_ndrange_traced(&k, global, &mut args)
-            .unwrap_or_else(|e| panic!("{tier} failed: {e}\n{what}"));
-        drop(args);
-        let bits: Vec<u32> = out.iter().map(|x| x.to_bits()).collect();
-        (bits, stats, trace)
-    };
-
-    let (oracle_bits, oracle_stats, _) = run(Tier::Interp);
-    for tier in [Tier::Scalar, Tier::Batched, Tier::Native] {
-        let (bits, stats, trace) = run(tier);
-        assert_eq!(bits, oracle_bits, "output diverged on {tier}: {what}");
-        assert_eq!(stats, oracle_stats, "ExecStats diverged on {tier}: {what}");
-        if tier == Tier::Native {
-            assert_eq!(trace.tier, Tier::Native, "{what}");
-            assert_eq!(trace.fallback, None, "{what}");
-            assert_eq!(trace.replayed_batches, 0, "native replayed: {what}");
-            assert!(!trace.bailed, "native bailed: {what}");
-            assert_eq!(trace.native_batches as usize, global.div_ceil(64), "{what}");
-        }
-    }
+    let masked = assert_stays_native_on_all_engines(
+        &src,
+        kernelgen::MAP_OVERLAP_KERNEL,
+        &[Buf::F32(input), Buf::F32(vec![-1.0; padded])],
+        &[
+            Value::Int(n as i32),
+            Value::Int(w as i32),
+            Value::Int(halo as i32),
+            Value::Int(policy),
+            Value::Float(-1.5),
+        ],
+        global,
+        &what,
+    );
+    assert_eq!(masked, 0, "straight-line stencil ran masked: {what}");
 }
 
 /// Batches inside a row, spanning rows and wider than a row; both halos;
@@ -366,6 +411,164 @@ fn generated_map_overlap_kernel_is_native_on_every_shape() {
                     // A partial last row, a ragged last batch, idle lanes.
                     let n = n.saturating_sub(3).max(1);
                     assert_map_overlap_on_all_engines(udf, w, halo, policy, n, n + 9);
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Divergent generated kernels on every engine
+// ---------------------------------------------------------------------------
+
+const SIZES: [usize; 5] = [1, 63, 64, 65, 1000];
+
+/// Which elements take the branch: all, none, every other one, a fixed
+/// pseudo-random half, or everything before the last third.
+const PATTERNS: [&str; 5] = ["all", "none", "alternating", "random", "suffix"];
+
+fn takes_branch(pattern: &str, i: usize, n: usize) -> bool {
+    match pattern {
+        "all" => true,
+        "none" => false,
+        "alternating" => i.is_multiple_of(2),
+        "random" => (i.wrapping_mul(2_654_435_761) >> 7).is_multiple_of(2),
+        _ => i < n - n / 3,
+    }
+}
+
+const OSEM_UPDATE_UDF: &str =
+    "float func(float f, float c) { if (c > 0.0f) { return f * c; } return f; }";
+
+/// The paper's two divergent application kernels, and a fused plan kernel
+/// with a branchy stage, stay on the native tier under lane masks: no
+/// replay, no bail, interpreter-identical output and `ExecStats`.
+#[test]
+fn generated_divergent_kernels_stay_native() {
+    // List-mode OSEM's `zipUpdate`, through the Zip template.
+    let info = UdfInfo::analyze(OSEM_UPDATE_UDF, 2).unwrap();
+    let src = kernelgen::zip_kernel(&info).unwrap();
+    for n in SIZES {
+        for pattern in PATTERNS {
+            let f: Vec<f32> = (0..n).map(|i| (i % 23) as f32 * 0.5 + 0.25).collect();
+            let c: Vec<f32> = (0..n)
+                .map(|i| {
+                    let mag = (i % 7) as f32 * 0.125 + 0.5;
+                    if takes_branch(pattern, i, n) {
+                        mag
+                    } else {
+                        0.5 - mag
+                    }
+                })
+                .collect();
+            let what = format!("osem update, n={n}, {pattern}");
+            let masked = assert_stays_native_on_all_engines(
+                &src,
+                kernelgen::ZIP_KERNEL,
+                &[Buf::F32(f), Buf::F32(c), Buf::F32(vec![-1.0; n])],
+                &[Value::Int(n as i32)],
+                n + 3,
+                &what,
+            );
+            let uniform = n == 1 || pattern == "all" || pattern == "none";
+            assert_eq!(masked == 0, uniform, "{what}");
+        }
+    }
+
+    // The Mandelbrot escape loop, through the index-map template: views
+    // where every pixel runs to the limit, none iterates, and mixed ones.
+    let info = UdfInfo::analyze(mandelbrot::MANDELBROT_UDF, 1).unwrap();
+    let src = kernelgen::map_index_kernel(&info).unwrap();
+    let views = [
+        ("inside", -0.1f32, 0.0f32, 0.05f32, 30),
+        ("no iterations", -0.5, 0.0, 3.0, 0),
+        ("default view", -0.5, 0.0, 3.0, 40),
+        ("edge", -0.75, 0.1, 0.4, 60),
+    ];
+    for n in SIZES {
+        for (name, center_re, center_im, view_width, max_iter) in views {
+            let (width, height) = (40, 25);
+            let what = format!("mandelbrot, n={n}, {name}");
+            let masked = assert_stays_native_on_all_engines(
+                &src,
+                kernelgen::MAP_INDEX_KERNEL,
+                &[Buf::I32(vec![-1; n])],
+                &[
+                    Value::Int(n as i32),
+                    Value::Int(0),
+                    Value::Int(width),
+                    Value::Int(height),
+                    Value::Float(center_re),
+                    Value::Float(center_im),
+                    Value::Float(view_width),
+                    Value::Int(max_iter),
+                ],
+                n,
+                &what,
+            );
+            if name == "inside" || name == "no iterations" {
+                assert_eq!(masked, 0, "{what}");
+            } else if n == 1000 {
+                assert!(masked > 0, "{what}");
+            }
+        }
+    }
+
+    // A fused plan kernel whose first stage is the branchy update: every
+    // tier runs the same fused launch, so outputs and the launch's virtual
+    // duration (charged from `ExecStats`) must agree across tiers.
+    let branchy = skelcl::skeletons::Map::<f32, f32>::from_source(
+        "float func(float c) { if (c > 0.0f) { return c * 1.5f; } return 0.25f - c; }",
+    );
+    let shift =
+        skelcl::skeletons::Map::<f32, f32>::from_source("float func(float x) { return x + 1.0f; }");
+    for n in SIZES {
+        for pattern in PATTERNS {
+            let data: Vec<f32> = (0..n)
+                .map(|i| {
+                    let mag = (i % 11) as f32 * 0.25 + 0.5;
+                    if takes_branch(pattern, i, n) {
+                        mag
+                    } else {
+                        -mag
+                    }
+                })
+                .collect();
+            let run = |tier: Tier| {
+                let rt = skelcl::init_gpus(1);
+                rt.set_kernel_tier(tier);
+                let v = skelcl::vector::Vector::from_vec(&rt, data.clone());
+                let out = v
+                    .lazy()
+                    .policy(skelcl::FusionPolicy::Always)
+                    .map(&branchy)
+                    .map(&shift)
+                    .collect()
+                    .unwrap();
+                let kernel_time: Vec<_> = rt
+                    .queue(0)
+                    .events()
+                    .iter()
+                    .filter(|e| e.is_kernel())
+                    .map(|e| e.duration())
+                    .collect();
+                let bits: Vec<u32> = out.iter().map(|x| x.to_bits()).collect();
+                (bits, kernel_time, rt.exec_trace())
+            };
+            let what = format!("fused plan, n={n}, {pattern}");
+            let (oracle_bits, oracle_time, _) = run(Tier::Interp);
+            assert_eq!(oracle_time.len(), 1, "one fused launch: {what}");
+            for tier in [Tier::Scalar, Tier::Batched, Tier::Native] {
+                let (bits, time, trace) = run(tier);
+                assert_eq!(bits, oracle_bits, "output diverged on {tier}: {what}");
+                assert_eq!(time, oracle_time, "virtual time diverged on {tier}: {what}");
+                if tier == Tier::Native {
+                    assert_eq!(trace.kernels_fused, 1, "{what}");
+                    assert_eq!(trace.native_launches(), 1, "{}: {what}", trace.tier_line());
+                    assert_eq!(trace.replayed_batches(), 0, "{}: {what}", trace.tier_line());
+                    assert_eq!(trace.bailed_launches(), 0, "{}: {what}", trace.tier_line());
+                    let uniform = n == 1 || pattern == "all" || pattern == "none";
+                    assert_eq!(trace.masked_batches() == 0, uniform, "{what}");
                 }
             }
         }

@@ -118,13 +118,21 @@ pub struct LaunchTrace {
     pub native_compile_ns: u64,
     /// Lane batches completed by the native tier.
     pub native_batches: u64,
-    /// Lane batches the native tier aborted and replayed through the scalar
-    /// VM (divergence, hazards, or runtime errors).
+    /// Of those, the batches whose lanes diverged: at least one block ran
+    /// under a partial lane mask (a suffix retiring through the
+    /// `if (gid < n)` tail guard does not count). Zero for straight-line
+    /// kernels.
+    pub masked_batches: u64,
+    /// Lane batches the native tier aborted, rolled back and replayed
+    /// through the scalar VM: a cross-lane hazard, a runtime error in an
+    /// active lane, or an exhausted batch-level loop budget. Divergent
+    /// control flow alone never replays.
     pub replayed_batches: u64,
     /// Whether a replayed batch retired the native tier for the rest of the
-    /// launch (a cross-lane hazard or unsupported divergence: the remaining
-    /// batches ran on the batched VM). A launch that bails before completing
-    /// a single native batch reports [`Tier::Batched`].
+    /// launch: a cross-lane hazard, or a batch of non-linear global ids
+    /// under a kernel using the iota fast paths (the remaining batches ran
+    /// on the batched VM). A launch that bails before completing a single
+    /// native batch reports [`Tier::Batched`].
     pub bailed: bool,
     /// Why the kernel fell back to the batched VM despite a native request
     /// (the bytecode shape is ineligible), if it did.
@@ -377,9 +385,6 @@ impl Program {
 
     /// Run a launch on the native tier, falling back to the batched VM when
     /// the kernel's bytecode is ineligible (recorded in `trace.fallback`).
-    /// Aborted batches (divergence, hazards, runtime errors) are rolled back
-    /// and replayed through the scalar VM, which is authoritative for
-    /// results, stats and error messages.
     fn run_ndrange_native(
         &self,
         kernel: &KernelHandle,
@@ -402,7 +407,23 @@ impl Program {
             }
         };
         trace.tier = Tier::Native;
-        let mut vm = Vm::new(&self.compiled);
+        let vm = Vm::new(&self.compiled);
+        self.run_native_batches(nk, vm, kernel, global_size, args, trace)
+    }
+
+    /// The native launch loop. Aborted batches (hazards, runtime errors, an
+    /// exhausted loop budget) are rolled back and replayed through `vm`'s
+    /// scalar engine, which is authoritative for results, stats and error
+    /// messages — and whose `max_loop_iterations` is the launch's budget.
+    fn run_native_batches(
+        &self,
+        nk: Arc<native::NativeKernel>,
+        mut vm: Vm<'_>,
+        kernel: &KernelHandle,
+        global_size: usize,
+        args: &mut [ArgBinding<'_>],
+        trace: &mut LaunchTrace,
+    ) -> Result<interp::ExecStats, KernelError> {
         vm.bind_kernel(kernel.index, args)?;
         let stencil = vm.stencil();
         let mut exec = native::NativeExec::new(nk);
@@ -424,7 +445,10 @@ impl Program {
                     vm.max_loop_iterations,
                     &mut native_stats,
                 ) {
-                    Ok(()) => trace.native_batches += 1,
+                    Ok(diverged) => {
+                        trace.native_batches += 1;
+                        trace.masked_batches += u64::from(diverged);
+                    }
                     Err(abort) => {
                         exec.rollback(args);
                         trace.replayed_batches += 1;
@@ -432,10 +456,10 @@ impl Program {
                             vm.run_item(*item, args)?;
                         }
                         if abort == native::NativeAbort::Bail {
-                            // Cross-lane hazard or unsupported divergence:
-                            // this kernel shape won't batch; finish the
-                            // launch on the VM (which has its own finer
-                            // rollback machinery).
+                            // Cross-lane hazard (or non-linear ids): this
+                            // kernel shape won't batch; finish the launch
+                            // on the VM (which has its own finer rollback
+                            // machinery).
                             trace.bailed = true;
                             if trace.native_batches == 0 {
                                 trace.tier = Tier::Batched;
@@ -581,6 +605,70 @@ mod tests {
         ];
         p.run_ndrange(&k, 4, &mut args).unwrap();
         assert_eq!(out, vec![8.0, 12.0, 16.0, 20.0]);
+    }
+
+    /// The loop budget is per work-item and shared by all of the item's
+    /// loops. Even lanes spend theirs in the first loop, odd lanes in the
+    /// second, so a native batch takes `2 × trips` back edges while no item
+    /// takes more than `trips`: the batch-level counter may run out early,
+    /// but only the scalar replay may turn that into an error.
+    #[test]
+    fn native_loop_budget_never_errors_where_the_scalar_vm_does_not() {
+        let src = r#"
+            __kernel void k(__global float* v, int trips) {
+                int gid = get_global_id(0);
+                int a = 0;
+                int b = 0;
+                if (gid % 2 == 0) { a = trips; } else { b = trips; }
+                float acc = v[gid];
+                for (int i = 0; i < a; i++) { acc += 1.0f; }
+                for (int j = 0; j < b; j++) { acc += 2.0f; }
+                v[gid] = acc;
+            }
+        "#;
+        let p = Program::build(src).unwrap();
+        let k = p.kernel("k").unwrap();
+        let nk = Arc::clone(p.native_outcome(&k).result.as_ref().unwrap());
+        let n = 2 * vm::BATCH_LANES + 5;
+        let trips = 8;
+        let run = |budget: u64, native: bool| {
+            let mut data: Vec<f32> = (0..n).map(|i| i as f32).collect();
+            let mut args = vec![
+                ArgBinding::buffer_f32(&mut data),
+                ArgBinding::Scalar(Value::Int(trips)),
+            ];
+            let mut vm = Vm::new(&p.compiled);
+            vm.max_loop_iterations = budget;
+            let mut trace = LaunchTrace::default();
+            let result = if native {
+                p.run_native_batches(Arc::clone(&nk), vm, &k, n, &mut args, &mut trace)
+            } else {
+                vm.bind_kernel(k.index, &args)
+                    .and_then(|()| {
+                        (0..n).try_for_each(|gid| vm.run_item(WorkItem::linear(gid, n), &mut args))
+                    })
+                    .map(|()| vm.stats())
+            };
+            drop(args);
+            let bits: Vec<u32> = data.iter().map(|x| x.to_bits()).collect();
+            (bits, result.map_err(|e| e.message), trace)
+        };
+        for budget in [7, 8, 15, 16, 1000] {
+            let (bits, result, _) = run(budget, false);
+            let (native_bits, native_result, trace) = run(budget, true);
+            assert_eq!(native_result, result, "budget {budget}");
+            assert_eq!(native_bits, bits, "budget {budget}");
+            assert_eq!(result.is_err(), budget < 8, "budget {budget}");
+            assert!(!trace.bailed, "budget {budget}");
+            if budget >= 16 {
+                assert_eq!(trace.replayed_batches, 0, "budget {budget}");
+                assert_eq!(trace.masked_batches, 3, "budget {budget}");
+            } else if budget >= 8 {
+                // Lanes sat in different loops: the shared counter
+                // over-counted, and the replay found nothing wrong.
+                assert_eq!(trace.replayed_batches, 3, "budget {budget}");
+            }
+        }
     }
 
     #[test]

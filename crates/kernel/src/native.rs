@@ -29,7 +29,61 @@
 //! batched VM does: every buffer store is rolled back through an undo log
 //! and the batch is replayed through the scalar engine, which is the
 //! authoritative semantics — results, [`crate::interp::ExecStats`] and error
-//! messages included.
+//! messages included. What aborts a batch: a runtime error in an active
+//! lane, an exhausted loop budget, and a cross-lane hazard (below).
+//! Divergent control flow does not.
+//!
+//! # Divergence: masks and reconvergence
+//!
+//! Lanes that disagree at a branch keep running natively, SIMT style.
+//!
+//! * **Compile time.** Every conditional branch gets a *reconvergence
+//!   block*: the immediate post-dominator of its block in the block graph,
+//!   with a virtual exit that every `return` leads to (so an early return
+//!   on one side makes the exit the join). The listing prints it as
+//!   `reconverge -> bN`.
+//! * **Run time.** The executor runs one set of lanes — a `u64` mask — from
+//!   a block up to a stop block. When the active lanes disagree at a
+//!   branch, it parks the union at the reconvergence block and the fall
+//!   side at its target on a small stack, runs the taken side until *it*
+//!   reaches the reconvergence block, then pops the fall side, then the
+//!   union. Back edges need nothing extra: lanes leaving a loop wait at the
+//!   loop's reconvergence block while the rest iterate (the parked union is
+//!   reused, so the stack does not grow per iteration). A block's
+//!   pre-summed cost is charged `× popcount(mask)`, which keeps
+//!   [`ExecStats`] identical to the per-item sum.
+//! * **What runs blended.** Pure register steps — arithmetic, comparisons,
+//!   casts, moves, negation, constants, work-item ids, one- and
+//!   two-argument `float` math — can neither fault nor touch memory. Under
+//!   a partial mask they still run their fixed-width vectorized loop over
+//!   all 64 lanes; the executor saves the destination row first and puts
+//!   the idle lanes' values back afterwards (they may be waiting at a
+//!   reconvergence block with live registers).
+//! * **What runs per active lane.** Everything with a failure path or a
+//!   memory effect: `BufLoad`/`BufStore`, `StencilGet`, integer `/` and
+//!   `%`, `clamp` (panics on inverted bounds), the dynamically-typed
+//!   binary-op and builtin fallbacks. When the active lanes form one
+//!   contiguous run the buffer steps still take the span copies (offset by
+//!   the run's first lane); otherwise they go lane by lane over the mask's
+//!   set bits. So `if (x != 0) a / x` or `if (i < n) v[i]` never faults in
+//!   a lane the oracle would not have executed, and a fault in an *active*
+//!   lane aborts the batch like any other.
+//! * **Why the dense path is kept separate.** The mask is "dense" when it
+//!   is a lane prefix — every uniform batch, and what the `if (gid < n)`
+//!   tail guard leaves after retiring a suffix through its exit chain.
+//!   Dense blocks run the step closures directly: no blending, no mask
+//!   test inside any vectorized loop, the same code as before divergence
+//!   support existed. Straight-line kernels therefore pay one integer
+//!   compare per block for it.
+//! * **The loop budget** stays one counter per batch. It counts every back
+//!   edge any lane takes, so it never under-counts a work-item; once lanes
+//!   sit in different loops it can over-count, which is why exhausting it
+//!   is an ordinary abort: the scalar replay decides, per work-item,
+//!   whether there is an error to report.
+//! * **Why the batched VM was left alone.** It is the pre-graduation and
+//!   native-ineligible path and is slated for deletion (ROADMAP 2(b));
+//!   growing a second mask implementation there would double the fork this
+//!   module exists to end. It still replays divergent batches.
 //!
 //! # Cross-lane hazards: the lane-private-base rule
 //!
@@ -50,17 +104,21 @@
 //!
 //! So a slot is either read-only within the batch or lane-private, and
 //! `v[i + 1] = v[i]`, two stores at different bases, or an in-place stencil
-//! all bail, roll back and replay. Single-lane batches skip the discipline
-//! entirely (sequential order is trivially preserved), which makes
-//! single-work-item reduce/scan loops native-eligible with arbitrary
-//! addresses.
+//! all bail, roll back and replay. The rule is per slot and per batch, not
+//! per mask: stores in both arms of a branch share one base, and lanes
+//! running the two arms at different times still touch only their own
+//! elements, so any interleaving equals the sequential order. Single-lane
+//! batches skip the discipline entirely (sequential order is trivially
+//! preserved), which makes single-work-item reduce/scan loops
+//! native-eligible with arbitrary addresses.
 //!
 //! Iota-typed addresses are private by construction. Every other `i32`
 //! address row into a `float` buffer is tested at runtime
-//! (`addr[ℓ] = addr[0] + ℓ`, one vectorisable compare): when it holds, the
-//! access takes the same bounds-checked span copy (+ undo-log span) as the
-//! iota path; when it does not — or the row starts negative — it goes lane
-//! by lane through the dynamically-typed path.
+//! (`addr[ℓ] = addr[lo] + ℓ - lo` over the active run, one vectorisable
+//! compare): when it holds, the access takes the same bounds-checked span
+//! copy (+ undo-log span) as the iota path; when it does not — or the row
+//! starts negative — it goes lane by lane through the dynamically-typed
+//! path.
 //!
 //! # `get(dx, dy)`: row slices
 //!
@@ -445,9 +503,13 @@ impl UndoLog {
 /// `Bail` additionally retires the native tier for the launch remainder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum NativeAbort {
-    /// A lane hit a runtime error; the replay reproduces it verbatim.
+    /// An active lane hit a runtime error, or the batch-level loop budget
+    /// ran out; the replay reproduces the error verbatim (or, for the
+    /// budget, decides per work-item whether there is one).
     Error,
-    /// Divergence or a cross-lane hazard the native model does not order.
+    /// A cross-lane hazard lockstep execution does not order, or a batch
+    /// whose global ids are not linear under a kernel that uses the iota
+    /// fast paths. Divergent control flow never bails.
     Bail,
 }
 
@@ -455,9 +517,23 @@ pub(crate) enum NativeAbort {
 pub(crate) struct ExecCtx<'a, 'b> {
     regs: &'a mut RegFile,
     items: &'a [WorkItem],
-    /// Active lanes are the dense prefix `0..n_active` (suffix-only
-    /// retirement keeps them contiguous for the vectorized loops).
+    /// Bit ℓ is set when lane ℓ executes the current block.
+    mask: u64,
+    /// `lo..n_active` is the smallest lane range covering `mask`.
+    lo: usize,
     n_active: usize,
+    /// Number of active lanes (`mask.count_ones()`).
+    count: usize,
+    /// Whether the active lanes are the one contiguous run `lo..n_active`,
+    /// so buffer accesses may take the span copies.
+    run: bool,
+    /// Whether the active lanes are exactly the prefix `0..n_active` — what
+    /// uniform batches and suffix retirement produce. Dense blocks run the
+    /// step closures' vectorized loops as they are.
+    dense: bool,
+    /// Per-lane expansion of `!mask`, for blending pure register steps;
+    /// maintained only outside the dense mode.
+    inactive: [bool; BATCH_LANES],
     args: &'a mut [ArgBinding<'b>],
     stencil: Option<StencilCtx>,
     undo: &'a mut UndoLog,
@@ -470,14 +546,77 @@ pub(crate) struct ExecCtx<'a, 'b> {
     linear: bool,
 }
 
+/// The mask of the lanes `0..n`.
+#[inline]
+fn low_bits(n: usize) -> u64 {
+    if n >= BATCH_LANES {
+        u64::MAX
+    } else {
+        (1u64 << n) - 1
+    }
+}
+
+/// Bit ℓ of the result is set when `row[ℓ] == when`.
+#[inline]
+fn lane_bits(row: &[bool], when: bool) -> u64 {
+    let mut bits = 0u64;
+    for (l, b) in row.iter().enumerate() {
+        bits |= u64::from(*b == when) << l;
+    }
+    bits
+}
+
+/// Iterator over the set bits of a lane mask, lowest lane first.
+struct Lanes(u64);
+
+impl Iterator for Lanes {
+    type Item = usize;
+    #[inline(always)]
+    fn next(&mut self) -> Option<usize> {
+        if self.0 == 0 {
+            return None;
+        }
+        let lane = self.0.trailing_zeros() as usize;
+        self.0 &= self.0 - 1;
+        Some(lane)
+    }
+}
+
+impl ExecCtx<'_, '_> {
+    /// Make `mask` (non-empty) the set of executing lanes.
+    fn set_mask(&mut self, mask: u64) {
+        debug_assert!(mask != 0);
+        self.mask = mask;
+        self.lo = mask.trailing_zeros() as usize;
+        self.n_active = BATCH_LANES - mask.leading_zeros() as usize;
+        self.count = mask.count_ones() as usize;
+        self.run = self.count == self.n_active - self.lo;
+        self.dense = self.run && self.lo == 0;
+        if !self.dense {
+            for (l, off) in self.inactive.iter_mut().enumerate() {
+                *off = mask >> l & 1 == 0;
+            }
+        }
+    }
+
+    /// The active lanes, lowest first. Every step that can fault or touch
+    /// memory lane by lane iterates these, never the covering range.
+    #[inline(always)]
+    fn lanes(&self) -> Lanes {
+        Lanes(self.mask)
+    }
+}
+
 /// Per-batch cross-lane hazard state of one buffer slot. Lockstep execution
 /// equals the sequential item order as long as no lane observes another
 /// lane's store, which holds when every slot is either read-only within the
 /// batch or *lane-private*: lane ℓ touches only element `base + ℓ`.
 #[derive(Debug, Clone, Copy, Default)]
 struct SlotHazard {
-    /// Lane 0's address of the slot's first private access.
-    base: Option<usize>,
+    /// Lane 0's address of the slot's first private access (negative when
+    /// only higher lanes were active and lane 0's element would lie before
+    /// the buffer).
+    base: Option<i64>,
     stored: bool,
     foreign_load: bool,
 }
@@ -486,7 +625,7 @@ impl SlotHazard {
     /// Whether an access whose lane-0 address is `base` is lane-private
     /// (`None`: the access has no such base, e.g. a stencil neighbour read).
     /// The slot's first private access fixes its base.
-    fn is_private(&mut self, base: Option<usize>) -> bool {
+    fn is_private(&mut self, base: Option<i64>) -> bool {
         match (self.base, base) {
             (_, None) => false,
             (None, Some(_)) => {
@@ -498,7 +637,7 @@ impl SlotHazard {
     }
 
     /// Admit a load: foreign loads are fine until the slot is stored to.
-    fn load(&mut self, base: Option<usize>) -> Result<(), NativeAbort> {
+    fn load(&mut self, base: Option<i64>) -> Result<(), NativeAbort> {
         if !self.is_private(base) {
             if self.stored {
                 return Err(NativeAbort::Bail);
@@ -509,7 +648,7 @@ impl SlotHazard {
     }
 
     /// Admit a store: a stored slot must have only private accesses.
-    fn store(&mut self, base: Option<usize>) -> Result<(), NativeAbort> {
+    fn store(&mut self, base: Option<i64>) -> Result<(), NativeAbort> {
         if !self.is_private(base) || self.foreign_load {
             return Err(NativeAbort::Bail);
         }
@@ -527,6 +666,68 @@ where
     F: for<'a, 'b> Fn(&mut ExecCtx<'a, 'b>) -> Result<(), NativeAbort> + Send + Sync + 'static,
 {
     Box::new(f)
+}
+
+/// One compiled instruction of a block.
+struct Step {
+    run: StepFn,
+    /// `Some((kind, row))` marks a *pure register step*: it writes lanes
+    /// `0..n_active` of that one destination row and can neither fault nor
+    /// touch memory, so under a partial mask the executor lets it compute
+    /// every lane and puts the inactive lanes' old values back
+    /// ([`run_blended`]). `None` steps restrict themselves to
+    /// [`ExecCtx::lanes`] (or write only the scratch condition row, whose
+    /// inactive lanes nobody reads).
+    blend: Option<(NKind, usize)>,
+}
+
+impl Step {
+    fn pure(kind: NKind, row: usize, run: StepFn) -> Step {
+        Step {
+            run,
+            blend: Some((kind, row)),
+        }
+    }
+
+    fn masked(run: StepFn) -> Step {
+        Step { run, blend: None }
+    }
+}
+
+/// Run a pure register step under a partial mask: the closure computes all
+/// `BATCH_LANES` lanes with its fixed-width vectorized loop (idle lanes hold
+/// stale but initialised values, and nothing pure can fault on them), then
+/// the lanes that are not executing get their previous destination values
+/// back.
+fn run_blended(cx: &mut ExecCtx<'_, '_>, s: &Step) -> Result<(), NativeAbort> {
+    let Some((kind, d)) = s.blend else {
+        return (s.run)(cx);
+    };
+    macro_rules! blend {
+        ($field:ident, $zero:expr) => {{
+            let mut old = [$zero; BATCH_LANES];
+            old.copy_from_slice(&cx.regs.$field[d..d + BATCH_LANES]);
+            let n_active = std::mem::replace(&mut cx.n_active, BATCH_LANES);
+            let done = (s.run)(cx);
+            cx.n_active = n_active;
+            done?;
+            for ((v, o), off) in cx.regs.$field[d..d + BATCH_LANES]
+                .iter_mut()
+                .zip(&old)
+                .zip(&cx.inactive)
+            {
+                // A select, not a branch: the mask is data.
+                *v = if *off { *o } else { *v };
+            }
+        }};
+    }
+    match kind {
+        NKind::F32 => blend!(f32s, 0.0f32),
+        NKind::F64 => blend!(f64s, 0.0f64),
+        NKind::I32 => blend!(i32s, 0i32),
+        NKind::Bool => blend!(bools, false),
+    }
+    Ok(())
 }
 
 #[inline(always)]
@@ -591,29 +792,46 @@ enum Term {
     /// Unconditional transfer; back edges count against the loop budget.
     Jump { target: usize, back_edge: bool },
     /// Conditional transfer on the scratch bool row written by the block's
-    /// final condition step. A divergent outcome retires the jumping lanes
-    /// when they form a suffix of the active prefix and the target is a
-    /// trivial exit chain (pre-summed cost); anything else bails.
+    /// final condition step. When the active lanes disagree, the taken side
+    /// runs under its lane mask, then the fall side under the complement,
+    /// and both wait at `reconv` — the branch block's immediate
+    /// post-dominator ([`EXIT`] when a side returns first) — where the union
+    /// resumes. One shape skips the mask stack: outside any divergent region
+    /// a suffix of the dense prefix leaving through a trivial exit chain
+    /// (the `if (gid < n)` tail guard) just retires, charged the chain's
+    /// pre-summed cost.
     Branch {
         jump_when: bool,
         taken: usize,
         taken_back_edge: bool,
         exit_chain: Option<(f64, f64, f64)>,
         fall: usize,
+        reconv: usize,
     },
-    /// All active lanes return from the kernel: the batch is complete.
+    /// All active lanes return from the kernel.
     Ret,
     /// An unconditional runtime error (missing return, orphan break, …); the
     /// scalar replay reproduces the exact message.
     Abort,
 }
 
+/// The virtual exit block: where returning lanes go, and the reconvergence
+/// point of every branch with a side that returns before the sides meet.
+const EXIT: usize = usize::MAX;
+
+/// Lanes parked on the mask stack until the running lanes reach `reconv`.
+struct Pending {
+    block: usize,
+    mask: u64,
+    reconv: usize,
+}
+
 struct Block {
-    steps: Vec<StepFn>,
+    steps: Vec<Step>,
     /// Pre-summed `(flops, bytes, ops)` of every instruction in the block,
-    /// terminator included; charged `× n_active` at block entry. Exact
-    /// because `n_active` only changes at terminators and any mid-block
-    /// abort discards the whole batch accumulator.
+    /// terminator included; charged `× popcount(mask)` at block entry. Exact
+    /// because the mask only changes at terminators and any mid-block abort
+    /// discards the whole batch accumulator.
     cost: (f64, f64, f64),
     term: Term,
 }
@@ -670,6 +888,8 @@ pub(crate) struct NativeExec {
     regs: RegFile,
     undo: UndoLog,
     slots: Vec<SlotHazard>,
+    /// The mask stack; empty between batches and throughout uniform ones.
+    stack: Vec<Pending>,
 }
 
 impl NativeExec {
@@ -683,13 +903,22 @@ impl NativeExec {
             regs,
             undo: UndoLog::default(),
             slots: Vec::new(),
+            stack: Vec::new(),
         }
     }
 
-    /// Execute one batch of work-items. On `Ok`, results are committed and
-    /// the batch's exact cost has been added to `stats`. On `Err`, the
-    /// caller must call [`NativeExec::rollback`] and replay the batch
-    /// through the scalar engine.
+    /// Execute one batch of work-items. On `Ok`, results are committed, the
+    /// batch's exact cost has been added to `stats`, and the value says
+    /// whether the lanes diverged (some block ran under a partial mask). On
+    /// `Err`, the caller must call [`NativeExec::rollback`] and replay the
+    /// batch through the scalar engine.
+    ///
+    /// `budget_limit` is the per-work-item back-edge budget. The batch keeps
+    /// one counter for all lanes: it counts every back edge *any* lane
+    /// takes, so it never undercounts a lane, and once lanes sit in
+    /// different loops it may overcount — which is why running out is
+    /// [`NativeAbort::Error`], not an error of its own: the scalar replay
+    /// decides per work-item.
     pub(crate) fn execute_batch(
         &mut self,
         items: &[WorkItem],
@@ -697,7 +926,7 @@ impl NativeExec {
         stencil: Option<StencilCtx>,
         budget_limit: u64,
         stats: &mut ExecStats,
-    ) -> Result<(), NativeAbort> {
+    ) -> Result<bool, NativeAbort> {
         let lanes = items.len();
         debug_assert!((1..=BATCH_LANES).contains(&lanes));
         let kernel = Arc::clone(&self.kernel);
@@ -717,6 +946,7 @@ impl NativeExec {
         self.undo.clear();
         self.slots.clear();
         self.slots.resize(args.len(), SlotHazard::default());
+        self.stack.clear();
         for &(slot, declared) in &kernel.scalar_params {
             if let ArgBinding::Scalar(v) = &args[slot] {
                 broadcast(&mut self.regs, slot * BATCH_LANES, v.convert_to(declared));
@@ -726,14 +956,23 @@ impl NativeExec {
         let scratch = kernel.num_regs * BATCH_LANES;
         let mut acc = (0.0f64, 0.0f64, 0.0f64);
         let mut budget = budget_limit;
+        let mut diverged = false;
+        // The running lanes are at `block` and stop at `reconv`.
         let mut block = 0usize;
+        let mut reconv = EXIT;
+        let stack = &mut self.stack;
         // One context for the whole batch (rebuilding it per block costs real
-        // time on single-lane sequential kernels); `n_active` shrinks in
-        // place when a lane suffix retires.
+        // time on single-lane sequential kernels); the mask changes in place.
         let mut cx = ExecCtx {
             regs: &mut self.regs,
             items,
+            mask: low_bits(lanes),
+            lo: 0,
             n_active: lanes,
+            count: lanes,
+            run: true,
+            dense: true,
+            inactive: [false; BATCH_LANES],
             args,
             stencil,
             undo: &mut self.undo,
@@ -742,13 +981,28 @@ impl NativeExec {
             linear,
         };
         loop {
+            if block == reconv {
+                // The running lanes returned or reached their reconvergence
+                // block: resume whoever was parked last.
+                let Some(p) = stack.pop() else { break };
+                block = p.block;
+                reconv = p.reconv;
+                cx.set_mask(p.mask);
+                continue;
+            }
             let b = &kernel.blocks[block];
-            let na = cx.n_active as f64;
+            let na = cx.count as f64;
             acc.0 += b.cost.0 * na;
             acc.1 += b.cost.1 * na;
             acc.2 += b.cost.2 * na;
-            for s in &b.steps {
-                s(&mut cx)?;
+            if cx.dense {
+                for s in &b.steps {
+                    (s.run)(&mut cx)?;
+                }
+            } else {
+                for s in &b.steps {
+                    run_blended(&mut cx, s)?;
+                }
             }
             match &b.term {
                 Term::Jump { target, back_edge } => {
@@ -757,7 +1011,12 @@ impl NativeExec {
                     }
                     block = *target;
                 }
-                Term::Ret => break,
+                Term::Ret => {
+                    // A return inside a divergent region makes the exit the
+                    // region's reconvergence block, so these lanes are done.
+                    debug_assert_eq!(reconv, EXIT);
+                    block = reconv;
+                }
                 Term::Abort => return Err(NativeAbort::Error),
                 Term::Branch {
                     jump_when,
@@ -765,35 +1024,65 @@ impl NativeExec {
                     taken_back_edge,
                     exit_chain,
                     fall,
+                    reconv: join,
                 } => {
                     let n_active = cx.n_active;
                     let sb = &cx.regs.bools[scratch..scratch + n_active];
-                    let jumpers = sb.iter().filter(|b| **b == *jump_when).count();
-                    if jumpers == n_active {
-                        if *taken_back_edge {
-                            budget = budget.checked_sub(1).ok_or(NativeAbort::Error)?;
+                    // Lanes that jump. The dense count is the uniform fast
+                    // path; the bit row is only built on disagreement.
+                    let jumping = if cx.dense {
+                        let jumpers = sb.iter().filter(|b| **b == *jump_when).count();
+                        if jumpers == n_active {
+                            cx.mask
+                        } else if jumpers == 0 {
+                            0
+                        } else {
+                            lane_bits(sb, *jump_when)
                         }
+                    } else {
+                        lane_bits(sb, *jump_when) & cx.mask
+                    };
+                    if jumping != 0 && *taken_back_edge {
+                        budget = budget.checked_sub(1).ok_or(NativeAbort::Error)?;
+                    }
+                    let staying = cx.mask & !jumping;
+                    if staying == 0 {
                         block = *taken;
-                    } else if jumpers == 0 {
+                    } else if jumping == 0 {
+                        block = *fall;
+                    } else if let Some(chain) = exit_chain.filter(|_| {
+                        // Outside any divergent region, a lane prefix left.
+                        reconv == EXIT && staying & staying.wrapping_add(1) == 0
+                    }) {
+                        // Tail guard: the leaving suffix only pays the exit
+                        // chain; the prefix stays dense.
+                        let jumpers = jumping.count_ones() as f64;
+                        acc.0 += chain.0 * jumpers;
+                        acc.1 += chain.1 * jumpers;
+                        acc.2 += chain.2 * jumpers;
+                        cx.set_mask(staying);
                         block = *fall;
                     } else {
-                        // Divergent: only "a suffix of the lanes leaves
-                        // through a trivial exit chain" keeps the active
-                        // prefix dense; everything else replays.
-                        if *taken_back_edge {
-                            return Err(NativeAbort::Bail);
+                        diverged = true;
+                        if *join != reconv {
+                            stack.push(Pending {
+                                block: *join,
+                                mask: cx.mask,
+                                reconv,
+                            });
                         }
-                        let Some(chain) = exit_chain else {
-                            return Err(NativeAbort::Bail);
-                        };
-                        if sb[..n_active - jumpers].contains(jump_when) {
-                            return Err(NativeAbort::Bail);
+                        if *fall != *join {
+                            stack.push(Pending {
+                                block: *fall,
+                                mask: staying,
+                                reconv: *join,
+                            });
                         }
-                        acc.0 += chain.0 * jumpers as f64;
-                        acc.1 += chain.1 * jumpers as f64;
-                        acc.2 += chain.2 * jumpers as f64;
-                        cx.n_active = n_active - jumpers;
-                        block = *fall;
+                        // When `taken` is the join block its lanes simply
+                        // wait there: the loop head resumes the fall side.
+                        block = *taken;
+                        reconv = *join;
+                        cx.set_mask(jumping);
                     }
                 }
             }
@@ -801,7 +1090,7 @@ impl NativeExec {
         stats.flops += acc.0;
         stats.global_bytes += acc.1;
         stats.ops += acc.2;
-        Ok(())
+        Ok(diverged)
     }
 
     /// Undo every buffer store of an aborted batch (newest first).
@@ -1009,6 +1298,60 @@ fn successors(code: &[Op], end: usize, block_at: &HashMap<usize, usize>) -> Vec<
     }
 }
 
+/// The reconvergence block of every block: its immediate post-dominator in
+/// the block graph `succs`, with [`EXIT`] as the virtual exit every
+/// successor-less block (return, abort) leads to. Also `EXIT` for blocks
+/// that cannot reach the exit at all (a loop with no way out), which is
+/// always a safe answer: the sides of a branch then never rejoin.
+fn reconvergence(succs: &[Vec<usize>]) -> Vec<usize> {
+    let exit = succs.len();
+    let words = exit / 64 + 1;
+    let bit = |set: &[u64], b: usize| set[b / 64] >> (b % 64) & 1 != 0;
+    // Post-dominator sets as bit rows over `0..=exit`, greatest fixpoint of
+    // `pdom(b) = {b} ∪ ⋂ pdom(succ)`.
+    let mut full = vec![0u64; words];
+    for b in 0..=exit {
+        full[b / 64] |= 1 << (b % 64);
+    }
+    let mut pdom = vec![full; exit + 1];
+    pdom[exit] = vec![0u64; words];
+    pdom[exit][exit / 64] |= 1 << (exit % 64);
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for b in (0..exit).rev() {
+            let mut set = if succs[b].is_empty() {
+                pdom[exit].clone()
+            } else {
+                let mut set = pdom[succs[b][0]].clone();
+                for &s in &succs[b][1..] {
+                    for (w, o) in set.iter_mut().zip(&pdom[s]) {
+                        *w &= *o;
+                    }
+                }
+                set
+            };
+            set[b / 64] |= 1 << (b % 64);
+            if set != pdom[b] {
+                pdom[b] = set;
+                changed = true;
+            }
+        }
+    }
+    // The immediate post-dominator is the strict post-dominator whose own
+    // set is exactly the strict set.
+    (0..exit)
+        .map(|b| {
+            let mut strict = pdom[b].clone();
+            strict[b / 64] &= !(1 << (b % 64));
+            match (0..=exit).find(|&c| bit(&strict, c) && pdom[c] == strict) {
+                Some(c) if c < exit => c,
+                _ => EXIT,
+            }
+        })
+        .collect()
+}
+
 /// Compile one kernel of the unit into closure-threaded native blocks, or
 /// explain why it is ineligible. Deterministic and side-effect free; the
 /// result is cached per [`crate::Program`] in [`KernelNativeState`].
@@ -1049,6 +1392,12 @@ pub(crate) fn compile_kernel(
         .map(|(b, &s)| (s, leaders.get(b + 1).copied().unwrap_or(func.code.len())))
         .collect();
 
+    let succs: Vec<Vec<usize>> = spans
+        .iter()
+        .map(|&(_, e)| successors(&func.code, e, &block_at))
+        .collect();
+    let reconv = reconvergence(&succs);
+
     // Entry typing state of block 0: scalar parameters and the preloaded
     // constant pool are Known, everything else Unset (every read the VM can
     // execute is dominated by a write; anything the merge cannot prove falls
@@ -1073,7 +1422,7 @@ pub(crate) fn compile_kernel(
         for op in &func.code[s..e] {
             transfer(&mut st, op, &buffers);
         }
-        for succ in successors(&func.code, e, &block_at) {
+        for &succ in &succs[b] {
             let merged: Vec<Cell> = match &entry[succ] {
                 None => st.clone(),
                 Some(old) => old
@@ -1145,26 +1494,26 @@ pub(crate) fn compile_kernel(
                     });
                 }
                 Op::JumpIfFalse { cond, target } => {
-                    steps.push(build_truthy_step(&st, *cond, scratch)?);
+                    steps.push(Step::masked(build_truthy_step(&st, *cond, scratch)?));
                     term = Some(branch_term(
                         func,
-                        &block_at,
                         pc,
                         *target,
-                        e,
+                        &succs[b],
                         false,
+                        reconv[b],
                         &mut listing,
                     ));
                 }
                 Op::JumpIfTrue { cond, target } => {
-                    steps.push(build_truthy_step(&st, *cond, scratch)?);
+                    steps.push(Step::masked(build_truthy_step(&st, *cond, scratch)?));
                     term = Some(branch_term(
                         func,
-                        &block_at,
                         pc,
                         *target,
-                        e,
+                        &succs[b],
                         true,
+                        reconv[b],
                         &mut listing,
                     ));
                 }
@@ -1174,14 +1523,16 @@ pub(crate) fn compile_kernel(
                     rhs,
                     target,
                 } => {
-                    steps.push(build_cmp_step(&st, *bop, *lhs, *rhs, scratch)?);
+                    steps.push(Step::masked(build_cmp_step(
+                        &st, *bop, *lhs, *rhs, scratch,
+                    )?));
                     term = Some(branch_term(
                         func,
-                        &block_at,
                         pc,
                         *target,
-                        e,
+                        &succs[b],
                         false,
+                        reconv[b],
                         &mut listing,
                     ));
                 }
@@ -1225,35 +1576,41 @@ pub(crate) fn compile_kernel(
 }
 
 /// Build a [`Term::Branch`] for a conditional at `pc` jumping to `target`
-/// when the scratch condition equals `jump_when`; `end` is the span end (the
-/// fall-through leader).
+/// when the scratch condition equals `jump_when`; `succ` holds the branch
+/// block's `[taken, fall]` successors and `reconv` its reconvergence block.
 fn branch_term(
     func: &crate::compile::CompiledFunction,
-    block_at: &HashMap<usize, usize>,
     pc: usize,
     target: u32,
-    end: usize,
+    succ: &[usize],
     jump_when: bool,
+    reconv: usize,
     listing: &mut String,
 ) -> Term {
     use std::fmt::Write as _;
     let t = target as usize;
     let back = t <= pc;
     let chain = if back { None } else { exit_chain_cost(func, t) };
+    let join = if reconv == EXIT {
+        "exit".to_string()
+    } else {
+        format!("b{reconv}")
+    };
     let _ = writeln!(
         listing,
-        "  {pc:>4}  branch(when {jump_when}) -> b{} else b{}{}{}",
-        block_at[&t],
-        block_at[&end],
+        "  {pc:>4}  branch(when {jump_when}) -> b{} else b{}{}{}, reconverge -> {join}",
+        succ[0],
+        succ[1],
         if back { " (back edge)" } else { "" },
         if chain.is_some() { " (exit chain)" } else { "" }
     );
     Term::Branch {
         jump_when,
-        taken: block_at[&t],
+        taken: succ[0],
         taken_back_edge: back,
         exit_chain: chain,
-        fall: block_at[&end],
+        fall: succ[1],
+        reconv,
     }
 }
 
@@ -1267,8 +1624,8 @@ fn row(reg: Reg) -> usize {
     reg as usize * BATCH_LANES
 }
 
-/// Active-prefix row copy within one kind's array. Retired (suffix) lanes
-/// are never read again, so only `n_active` lanes need moving.
+/// Active-prefix row copy within one kind's array (a pure register step of
+/// kind `k` into row `d`).
 fn copy_row(k: NKind, s: usize, d: usize) -> StepFn {
     match k {
         NKind::F32 => step(move |cx| {
@@ -1301,7 +1658,7 @@ fn generic_bin(bop: BinOp, lk: NKind, rk: NKind, d: usize, l: usize, r: usize) -
             .expect("unifying non-uint kinds never yields uint")
     };
     step(move |cx| {
-        for li in 0..cx.n_active {
+        for li in cx.lanes() {
             let a = read_value(cx.regs, lk, l, li);
             let b = read_value(cx.regs, rk, r, li);
             match vm_eval_binary(bop, a, b) {
@@ -1350,7 +1707,8 @@ fn ternary_math(b: Builtin) -> Option<fn(f64, f64, f64) -> f64> {
 }
 
 /// Condition step of `JumpIfFalse`/`JumpIfTrue`: C truthiness of the
-/// condition register into the scratch bool row.
+/// condition register into the scratch bool row (the dense prefix: the
+/// terminator reads only the active lanes' outcomes).
 fn build_truthy_step(st: &[Cell], cond: Reg, scratch: usize) -> Result<StepFn, String> {
     let (k, _) = read_kind(st, cond)?;
     let c = row(cond);
@@ -1458,7 +1816,7 @@ fn build_cmp_step(
         }
     }
     Ok(step(move |cx| {
-        for li in 0..cx.n_active {
+        for li in cx.lanes() {
             let a = read_value(cx.regs, lk, l, li);
             let b = read_value(cx.regs, rk, r, li);
             match vm_eval_binary(bop, a, b) {
@@ -1470,17 +1828,17 @@ fn build_cmp_step(
     }))
 }
 
-/// The common lane-0 address of an `i32` address row whose active lanes
-/// hold `addr[ℓ] = addr[0] + ℓ` (checked at runtime, one vectorisable
-/// compare), or `None` when the row is not contiguous — or is negative, so
-/// the per-lane path reports the error. Single-lane batches stay on the
-/// per-lane path too: a one-element span is no faster.
+/// The first active lane's address of an `i32` address row whose active
+/// lanes are one run holding consecutive addresses (checked at runtime, one
+/// vectorisable compare), or `None` when they are not — or the address is
+/// negative, so the per-lane path reports the error. Single-lane batches
+/// stay on the per-lane path too: a one-element span is no faster.
 #[inline]
 fn contiguous_base(cx: &ExecCtx<'_, '_>, idx_row: usize) -> Option<usize> {
-    if !cx.hazards {
+    if !cx.hazards || !cx.run {
         return None;
     }
-    let addrs = &cx.regs.i32s[idx_row..idx_row + cx.n_active];
+    let addrs = &cx.regs.i32s[idx_row + cx.lo..idx_row + cx.n_active];
     let a0 = addrs[0];
     // The range bound keeps `a0 + ℓ` from wrapping.
     if !(0..=i32::MAX - BATCH_LANES as i32).contains(&a0) {
@@ -1493,30 +1851,32 @@ fn contiguous_base(cx: &ExecCtx<'_, '_>, idx_row: usize) -> Option<usize> {
     ok.then_some(a0 as usize)
 }
 
-/// Load `buf[start + ℓ]` into every active lane ℓ of row `d`: one hazard
-/// admission and one bounds check cover the batch.
+/// Load consecutive elements into the active run `lo..n_active` of row `d`,
+/// `start` being lane `lo`'s address: one hazard admission and one bounds
+/// check cover the batch.
 fn load_f32_span(
     cx: &mut ExecCtx<'_, '_>,
     slot: usize,
     d: usize,
     start: usize,
 ) -> Result<(), NativeAbort> {
-    let n = cx.n_active;
+    let (lo, hi) = (cx.lo, cx.n_active);
     if cx.hazards {
-        cx.slots[slot].load(Some(start))?;
+        cx.slots[slot].load(Some(start as i64 - lo as i64))?;
     }
     let ArgBinding::Buffer(BufferView::F32(buf)) = &cx.args[slot] else {
         return Err(NativeAbort::Error);
     };
-    let Some(src) = buf.get(start..start + n) else {
+    let Some(src) = buf.get(start..start + (hi - lo)) else {
         return Err(NativeAbort::Error);
     };
-    cx.regs.f32s[d..d + n].copy_from_slice(src);
+    cx.regs.f32s[d + lo..d + hi].copy_from_slice(src);
     Ok(())
 }
 
-/// Store every active lane ℓ of row `s` to `buf[start + ℓ]`, logging the
-/// overwritten span for rollback.
+/// Store the active run `lo..n_active` of row `s` to consecutive elements,
+/// `start` being lane `lo`'s address, logging the overwritten span for
+/// rollback.
 fn store_f32_span(
     cx: &mut ExecCtx<'_, '_>,
     slot: u16,
@@ -1524,9 +1884,10 @@ fn store_f32_span(
     s: usize,
     start: usize,
 ) -> Result<(), NativeAbort> {
-    let n = cx.n_active;
+    let n = cx.n_active - cx.lo;
+    let s = s + cx.lo;
     if cx.hazards {
-        cx.slots[slot as usize].store(Some(start))?;
+        cx.slots[slot as usize].store(Some(start as i64 - cx.lo as i64))?;
     }
     // Convert the source row exactly like `BufferView::store`
     // (`as_f64() as f32`).
@@ -1561,7 +1922,7 @@ fn store_f32_span(
 }
 
 /// Per-lane buffer load through the dynamically-typed path: any address
-/// kind, any pointee, any address pattern.
+/// kind, any pointee, any address pattern, any lane mask.
 fn load_lanes(
     cx: &mut ExecCtx<'_, '_>,
     slot: usize,
@@ -1570,15 +1931,15 @@ fn load_lanes(
     i: usize,
     d: usize,
 ) -> Result<(), NativeAbort> {
-    for li in 0..cx.n_active {
+    for li in cx.lanes() {
         let addr = addr_of(cx.regs, ik, i, li);
         if addr < 0 {
             return Err(NativeAbort::Error);
         }
-        let addr = addr as usize;
         if cx.hazards {
-            cx.slots[slot].load(addr.checked_sub(li))?;
+            cx.slots[slot].load(Some(addr - li as i64))?;
         }
+        let addr = addr as usize;
         let ArgBinding::Buffer(view) = &cx.args[slot] else {
             return Err(NativeAbort::Error);
         };
@@ -1606,15 +1967,15 @@ fn store_lanes(
     s: usize,
 ) -> Result<(), NativeAbort> {
     let slot_us = slot as usize;
-    for li in 0..cx.n_active {
+    for li in cx.lanes() {
         let addr = addr_of(cx.regs, ik, i, li);
         if addr < 0 {
             return Err(NativeAbort::Error);
         }
-        let addr = addr as usize;
         if cx.hazards {
-            cx.slots[slot_us].store(addr.checked_sub(li))?;
+            cx.slots[slot_us].store(Some(addr - li as i64))?;
         }
+        let addr = addr as usize;
         let v = read_value(cx.regs, sk, s, li);
         let ArgBinding::Buffer(view) = &mut cx.args[slot_us] else {
             return Err(NativeAbort::Error);
@@ -1661,8 +2022,8 @@ fn stencil_get_lane(
     }
 }
 
-/// `get(dx, dy)` with lane-uniform offsets over linear global ids: the batch
-/// splits into matrix-row segments, and within a segment the lanes whose
+/// `get(dx, dy)` with lane-uniform offsets over linear global ids: the active
+/// run splits into matrix-row segments, and within a segment the lanes whose
 /// column `col + dx` stays inside the row read one contiguous slice of the
 /// input row `row + halo + dy`. Only the ≤ |dx| lanes per segment that leave
 /// the row go through [`stencil_get`], which owns the boundary policies.
@@ -1680,7 +2041,7 @@ fn stencil_get_rows(
     let n = cx.n_active;
     let gid0 = cx.items[0].global_id;
     let w = ctx.width as usize;
-    let mut lane = 0;
+    let mut lane = cx.lo;
     while lane < n {
         let row = (gid0 + lane) / w;
         let col = (gid0 + lane) % w;
@@ -1717,34 +2078,49 @@ fn build_step(
     st: &[Cell],
     buffers: &BufferMap,
     uses_iota: &mut bool,
-) -> Result<(StepFn, &'static str), String> {
+) -> Result<(Step, &'static str), String> {
     Ok(match op {
         Op::Const { dst, value } => {
             let d = row(*dst);
-            let f = match *value {
-                Value::Float(x) => step(move |cx| {
-                    cx.regs.f32s[d..d + cx.n_active].fill(x);
-                    Ok(())
-                }),
-                Value::Double(x) => step(move |cx| {
-                    cx.regs.f64s[d..d + cx.n_active].fill(x);
-                    Ok(())
-                }),
-                Value::Int(x) => step(move |cx| {
-                    cx.regs.i32s[d..d + cx.n_active].fill(x);
-                    Ok(())
-                }),
-                Value::Bool(x) => step(move |cx| {
-                    cx.regs.bools[d..d + cx.n_active].fill(x);
-                    Ok(())
-                }),
+            let (k, f) = match *value {
+                Value::Float(x) => (
+                    NKind::F32,
+                    step(move |cx| {
+                        cx.regs.f32s[d..d + cx.n_active].fill(x);
+                        Ok(())
+                    }),
+                ),
+                Value::Double(x) => (
+                    NKind::F64,
+                    step(move |cx| {
+                        cx.regs.f64s[d..d + cx.n_active].fill(x);
+                        Ok(())
+                    }),
+                ),
+                Value::Int(x) => (
+                    NKind::I32,
+                    step(move |cx| {
+                        cx.regs.i32s[d..d + cx.n_active].fill(x);
+                        Ok(())
+                    }),
+                ),
+                Value::Bool(x) => (
+                    NKind::Bool,
+                    step(move |cx| {
+                        cx.regs.bools[d..d + cx.n_active].fill(x);
+                        Ok(())
+                    }),
+                ),
                 Value::Uint(_) => return Err("uses a uint literal".to_string()),
             };
-            (f, "")
+            (Step::pure(k, d, f), "")
         }
         Op::Mov { dst, src } => {
             let (k, _) = read_kind(st, *src)?;
-            (copy_row(k, row(*src), row(*dst)), "")
+            (
+                Step::pure(k, row(*dst), copy_row(k, row(*src), row(*dst))),
+                "",
+            )
         }
         Op::Cast { dst, src, ty } => {
             let tk = NKind::of(*ty).expect("uint casts pre-rejected");
@@ -1752,7 +2128,7 @@ fn build_step(
             let d = row(*dst);
             let s = row(*src);
             if sk == tk {
-                return Ok((copy_row(sk, s, d), " ; identity"));
+                return Ok((Step::pure(sk, d, copy_row(sk, s, d)), " ; identity"));
             }
             macro_rules! conv {
                 ($srcf:ident, $dstf:ident, |$x:ident| $e:expr) => {
@@ -1784,7 +2160,7 @@ fn build_step(
                 (NKind::Bool, NKind::F64) => conv!(bools, f64s, |x| if x { 1.0 } else { 0.0 }),
                 _ => unreachable!("identity casts handled above"),
             };
-            (f, "")
+            (Step::pure(tk, d, f), "")
         }
         Op::Bin {
             op: bop,
@@ -1919,54 +2295,58 @@ fn build_step(
                     }
                 };
             }
+            let pure = |k: NKind, f: StepFn| Step::pure(k, d, f);
+            let generic = || Step::masked(generic_bin(bop, lk, rk, d, l, r));
             let f = match (lk, rk) {
                 (NKind::F32, NKind::F32) => match bop {
-                    BinOp::Add => f32_arith!(+),
-                    BinOp::Sub => f32_arith!(-),
-                    BinOp::Mul => f32_arith!(*),
-                    BinOp::Div => f32_arith!(/),
-                    b if b.is_comparison() => cmp_kind!(f32s),
-                    _ => generic_bin(bop, lk, rk, d, l, r),
+                    BinOp::Add => pure(NKind::F32, f32_arith!(+)),
+                    BinOp::Sub => pure(NKind::F32, f32_arith!(-)),
+                    BinOp::Mul => pure(NKind::F32, f32_arith!(*)),
+                    BinOp::Div => pure(NKind::F32, f32_arith!(/)),
+                    b if b.is_comparison() => pure(NKind::Bool, cmp_kind!(f32s)),
+                    _ => generic(),
                 },
                 (NKind::F64, NKind::F64) => match bop {
-                    BinOp::Add => f64_arith!(+),
-                    BinOp::Sub => f64_arith!(-),
-                    BinOp::Mul => f64_arith!(*),
-                    BinOp::Div => f64_arith!(/),
-                    b if b.is_comparison() => cmp_kind!(f64s),
-                    _ => generic_bin(bop, lk, rk, d, l, r),
+                    BinOp::Add => pure(NKind::F64, f64_arith!(+)),
+                    BinOp::Sub => pure(NKind::F64, f64_arith!(-)),
+                    BinOp::Mul => pure(NKind::F64, f64_arith!(*)),
+                    BinOp::Div => pure(NKind::F64, f64_arith!(/)),
+                    b if b.is_comparison() => pure(NKind::Bool, cmp_kind!(f64s)),
+                    _ => generic(),
                 },
                 (NKind::I32, NKind::I32) => match bop {
-                    BinOp::Add => i32_arith!(+),
-                    BinOp::Sub => i32_arith!(-),
-                    BinOp::Mul => i32_arith!(*),
+                    BinOp::Add => pure(NKind::I32, i32_arith!(+)),
+                    BinOp::Sub => pure(NKind::I32, i32_arith!(-)),
+                    BinOp::Mul => pure(NKind::I32, i32_arith!(*)),
                     BinOp::Div | BinOp::Rem => {
                         let is_div = bop == BinOp::Div;
-                        step(move |cx| {
+                        // Can fault, so only the active lanes divide.
+                        Step::masked(step(move |cx| {
                             let n = cx.n_active;
                             let mut a = [0i32; BATCH_LANES];
                             let mut b = [0i32; BATCH_LANES];
                             a[..n].copy_from_slice(&cx.regs.i32s[l..l + n]);
                             b[..n].copy_from_slice(&cx.regs.i32s[r..r + n]);
-                            for (li, (av, bv)) in a.iter().zip(&b).take(n).enumerate() {
-                                if *bv == 0 {
+                            for li in cx.lanes() {
+                                let (av, bv) = (a[li], b[li]);
+                                if bv == 0 {
                                     // "integer division by zero" at replay
                                     return Err(NativeAbort::Error);
                                 }
                                 let v = if is_div {
-                                    (*av as i64) / (*bv as i64)
+                                    (av as i64) / (bv as i64)
                                 } else {
-                                    (*av as i64) % (*bv as i64)
+                                    (av as i64) % (bv as i64)
                                 };
                                 cx.regs.i32s[d + li] = v as i32;
                             }
                             Ok(())
-                        })
+                        }))
                     }
-                    b if b.is_comparison() => cmp_kind!(i32s),
-                    _ => generic_bin(bop, lk, rk, d, l, r),
+                    b if b.is_comparison() => pure(NKind::Bool, cmp_kind!(i32s)),
+                    _ => generic(),
                 },
-                _ => generic_bin(bop, lk, rk, d, l, r),
+                _ => generic(),
             };
             (f, "")
         }
@@ -2004,7 +2384,7 @@ fn build_step(
                 }),
                 NKind::Bool => return Err("negates a bool value".to_string()),
             };
-            (f, "")
+            (Step::pure(k, d, f), "")
         }
         Op::Not { dst, src } => {
             let (k, _) = read_kind(st, *src)?;
@@ -2040,7 +2420,7 @@ fn build_step(
                     Ok(())
                 }),
             };
-            (f, "")
+            (Step::pure(NKind::Bool, d, f), "")
         }
         Op::BufLoad { dst, name, idx } => {
             let (slot, pointee) = buffers[name];
@@ -2052,20 +2432,29 @@ fn build_step(
             if iota && pointee == ScalarType::Float {
                 *uses_iota = true;
                 (
-                    // Iota ⇒ lane ℓ's address is `start + ℓ`.
-                    step(move |cx| load_f32_span(cx, slot, d, cx.regs.i32s[i] as usize)),
+                    // Iota ⇒ the active lanes hold consecutive addresses.
+                    Step::masked(step(move |cx| {
+                        if cx.run {
+                            load_f32_span(cx, slot, d, cx.regs.i32s[i + cx.lo] as usize)
+                        } else {
+                            load_lanes(cx, slot, pk, ik, i, d)
+                        }
+                    })),
                     " ; iota f32 span",
                 )
             } else if ik == NKind::I32 && pointee == ScalarType::Float {
                 (
-                    step(move |cx| match contiguous_base(cx, i) {
+                    Step::masked(step(move |cx| match contiguous_base(cx, i) {
                         Some(start) => load_f32_span(cx, slot, d, start),
                         None => load_lanes(cx, slot, pk, ik, i, d),
-                    }),
+                    })),
                     " ; f32 span when contiguous",
                 )
             } else {
-                (step(move |cx| load_lanes(cx, slot, pk, ik, i, d)), "")
+                (
+                    Step::masked(step(move |cx| load_lanes(cx, slot, pk, ik, i, d))),
+                    "",
+                )
             }
         }
         Op::BufStore { name, idx, src } => {
@@ -2077,19 +2466,28 @@ fn build_step(
             if iota && pointee == ScalarType::Float {
                 *uses_iota = true;
                 (
-                    step(move |cx| store_f32_span(cx, slot, sk, s, cx.regs.i32s[i] as usize)),
+                    Step::masked(step(move |cx| {
+                        if cx.run {
+                            store_f32_span(cx, slot, sk, s, cx.regs.i32s[i + cx.lo] as usize)
+                        } else {
+                            store_lanes(cx, slot, ik, i, sk, s)
+                        }
+                    })),
                     " ; iota f32 span",
                 )
             } else if ik == NKind::I32 && pointee == ScalarType::Float {
                 (
-                    step(move |cx| match contiguous_base(cx, i) {
+                    Step::masked(step(move |cx| match contiguous_base(cx, i) {
                         Some(start) => store_f32_span(cx, slot, sk, s, start),
                         None => store_lanes(cx, slot, ik, i, sk, s),
-                    }),
+                    })),
                     " ; f32 span when contiguous",
                 )
             } else {
-                (step(move |cx| store_lanes(cx, slot, ik, i, sk, s)), "")
+                (
+                    Step::masked(step(move |cx| store_lanes(cx, slot, ik, i, sk, s))),
+                    "",
+                )
             }
         }
         Op::CallBuiltin {
@@ -2117,15 +2515,19 @@ fn build_step(
             if all_f32 && n == 1 {
                 if let Some(g) = unary_math(builtin) {
                     return Ok((
-                        step(move |cx| {
-                            let na = cx.n_active;
-                            let mut a = [0.0f32; BATCH_LANES];
-                            a[..na].copy_from_slice(&cx.regs.f32s[a0..a0 + na]);
-                            for (dv, av) in cx.regs.f32s[d..d + na].iter_mut().zip(a.iter()) {
-                                *dv = g(*av as f64) as f32;
-                            }
-                            Ok(())
-                        }),
+                        Step::pure(
+                            NKind::F32,
+                            d,
+                            step(move |cx| {
+                                let na = cx.n_active;
+                                let mut a = [0.0f32; BATCH_LANES];
+                                a[..na].copy_from_slice(&cx.regs.f32s[a0..a0 + na]);
+                                for (dv, av) in cx.regs.f32s[d..d + na].iter_mut().zip(a.iter()) {
+                                    *dv = g(*av as f64) as f32;
+                                }
+                                Ok(())
+                            }),
+                        ),
                         " ; f32 math",
                     ));
                 }
@@ -2134,20 +2536,24 @@ fn build_step(
                 if let Some(g) = binary_math(builtin) {
                     let a1 = a0 + BATCH_LANES;
                     return Ok((
-                        step(move |cx| {
-                            let na = cx.n_active;
-                            let mut a = [0.0f32; BATCH_LANES];
-                            let mut b = [0.0f32; BATCH_LANES];
-                            a[..na].copy_from_slice(&cx.regs.f32s[a0..a0 + na]);
-                            b[..na].copy_from_slice(&cx.regs.f32s[a1..a1 + na]);
-                            for (dv, (av, bv)) in cx.regs.f32s[d..d + na]
-                                .iter_mut()
-                                .zip(a.iter().zip(b.iter()))
-                            {
-                                *dv = g(*av as f64, *bv as f64) as f32;
-                            }
-                            Ok(())
-                        }),
+                        Step::pure(
+                            NKind::F32,
+                            d,
+                            step(move |cx| {
+                                let na = cx.n_active;
+                                let mut a = [0.0f32; BATCH_LANES];
+                                let mut b = [0.0f32; BATCH_LANES];
+                                a[..na].copy_from_slice(&cx.regs.f32s[a0..a0 + na]);
+                                b[..na].copy_from_slice(&cx.regs.f32s[a1..a1 + na]);
+                                for (dv, (av, bv)) in cx.regs.f32s[d..d + na]
+                                    .iter_mut()
+                                    .zip(a.iter().zip(b.iter()))
+                                {
+                                    *dv = g(*av as f64, *bv as f64) as f32;
+                                }
+                                Ok(())
+                            }),
+                        ),
                         " ; f32 math",
                     ));
                 }
@@ -2157,7 +2563,10 @@ fn build_step(
                     let a1 = a0 + BATCH_LANES;
                     let a2 = a0 + 2 * BATCH_LANES;
                     return Ok((
-                        step(move |cx| {
+                        // Active lanes only: `clamp` panics on inverted
+                        // bounds, which a guard may keep out of these lanes
+                        // but not out of an idle lane's stale registers.
+                        Step::masked(step(move |cx| {
                             let na = cx.n_active;
                             let mut a = [0.0f32; BATCH_LANES];
                             let mut b = [0.0f32; BATCH_LANES];
@@ -2165,14 +2574,12 @@ fn build_step(
                             a[..na].copy_from_slice(&cx.regs.f32s[a0..a0 + na]);
                             b[..na].copy_from_slice(&cx.regs.f32s[a1..a1 + na]);
                             c[..na].copy_from_slice(&cx.regs.f32s[a2..a2 + na]);
-                            for (dv, ((av, bv), cv)) in cx.regs.f32s[d..d + na]
-                                .iter_mut()
-                                .zip(a.iter().zip(b.iter()).zip(c.iter()))
-                            {
-                                *dv = g(*av as f64, *bv as f64, *cv as f64) as f32;
+                            for li in cx.lanes() {
+                                cx.regs.f32s[d + li] =
+                                    g(a[li] as f64, b[li] as f64, c[li] as f64) as f32;
                             }
                             Ok(())
-                        }),
+                        })),
                         " ; f32 math",
                     ));
                 }
@@ -2183,8 +2590,8 @@ fn build_step(
                     .ok_or_else(|| "builtin returns uint".to_string())?
             };
             (
-                step(move |cx| {
-                    for li in 0..cx.n_active {
+                Step::masked(step(move |cx| {
+                    for li in cx.lanes() {
                         let mut vals = [Value::Int(0); 4];
                         for (k, v) in vals.iter_mut().enumerate().take(n) {
                             *v = read_value(cx.regs, akinds[k], a0 + k * BATCH_LANES, li);
@@ -2193,7 +2600,7 @@ fn build_step(
                         write_value(cx.regs, dk, d, li, res);
                     }
                     Ok(())
-                }),
+                })),
                 "",
             )
         }
@@ -2219,7 +2626,7 @@ fn build_step(
                 Builtin::GetNumGroups => wi!(|it| it.global_size.div_ceil(it.local_size.max(1))),
                 other => return Err(format!("work-item op carries {other:?}")),
             };
-            (f, "")
+            (Step::pure(NKind::I32, d, f), "")
         }
         Op::StencilGet { dst, args } => {
             let (dxk, _) = read_kind(st, *args)?;
@@ -2229,7 +2636,7 @@ fn build_step(
             let dy_row = row(*args + 1);
             let int_offsets = dxk == NKind::I32 && dyk == NKind::I32;
             (
-                step(move |cx| {
+                Step::masked(step(move |cx| {
                     let Some(ctx) = cx.stencil else {
                         return Err(NativeAbort::Error);
                     };
@@ -2237,23 +2644,27 @@ fn build_step(
                         // Neighbour reads cross lanes by design.
                         cx.slots[ctx.in_slot].load(None)?;
                     }
-                    let n = cx.n_active;
-                    if int_offsets && cx.linear {
-                        let dx = cx.regs.i32s[dx_row];
-                        let dy = cx.regs.i32s[dy_row];
-                        let uniform = cx.regs.i32s[dx_row..dx_row + n].iter().all(|v| *v == dx)
-                            & cx.regs.i32s[dy_row..dy_row + n].iter().all(|v| *v == dy);
+                    let (lo, n) = (cx.lo, cx.n_active);
+                    if int_offsets && cx.linear && cx.run {
+                        let dx = cx.regs.i32s[dx_row + lo];
+                        let dy = cx.regs.i32s[dy_row + lo];
+                        let uniform = cx.regs.i32s[dx_row + lo..dx_row + n]
+                            .iter()
+                            .all(|v| *v == dx)
+                            & cx.regs.i32s[dy_row + lo..dy_row + n]
+                                .iter()
+                                .all(|v| *v == dy);
                         if uniform {
                             return stencil_get_rows(cx, ctx, d, i64::from(dx), i64::from(dy));
                         }
                     }
-                    for li in 0..n {
+                    for li in cx.lanes() {
                         let dx = addr_of(cx.regs, dxk, dx_row, li);
                         let dy = addr_of(cx.regs, dyk, dy_row, li);
                         stencil_get_lane(cx, ctx, d, li, dx, dy)?;
                     }
                     Ok(())
-                }),
+                })),
                 if int_offsets {
                     " ; row slices when uniform"
                 } else {
@@ -2385,6 +2796,87 @@ mod tests {
         assert_eq!(s.store(Some(7)), Ok(()));
         assert_eq!(s.store(Some(8)), Err(Bail));
         assert_eq!(SlotHazard::default().store(None), Err(Bail));
+    }
+
+    /// `reconvergence` over hand-built block graphs, one per control-flow
+    /// shape the compiler emits (`succs[b]` empty = the block returns).
+    #[test]
+    fn reconvergence_table_per_shape() {
+        // Diamond: 0 ? 1 : 2, both to 3.
+        let r = reconvergence(&[vec![2, 1], vec![3], vec![3], vec![]]);
+        assert_eq!(r, [3, 3, 3, EXIT]);
+        // If without else: the taken side *is* the join block.
+        let r = reconvergence(&[vec![2, 1], vec![2], vec![]]);
+        assert_eq!(r, [2, 2, EXIT]);
+        // Early return: one side returns before the sides meet.
+        let r = reconvergence(&[vec![2, 1], vec![], vec![3], vec![]]);
+        assert_eq!(r[0], EXIT);
+        assert_eq!(r[2], 3);
+        // Loop with break: header 1, body 2 breaks to 4 or goes on to the
+        // latch 3; everything rejoins at the loop exit 4.
+        let r = reconvergence(&[vec![1], vec![4, 2], vec![4, 3], vec![1], vec![]]);
+        assert_eq!(r, [1, 4, 4, 1, EXIT]);
+        // Nested loops: outer header 1 / exit 6, inner header 3 / exit 5.
+        let r = reconvergence(&[
+            vec![1],
+            vec![6, 2],
+            vec![3],
+            vec![5, 4],
+            vec![3],
+            vec![1],
+            vec![],
+        ]);
+        assert_eq!(r, [1, 6, 3, 5, 3, 1, EXIT]);
+        // A return inside the loop body moves the loop's join to the exit.
+        let r = reconvergence(&[vec![1], vec![4, 2], vec![3, 5], vec![1], vec![], vec![]]);
+        assert_eq!(r[1], EXIT);
+        assert_eq!(r[2], EXIT);
+        // A loop with no way out never rejoins.
+        let r = reconvergence(&[vec![1], vec![1, 2], vec![1]]);
+        assert_eq!(r, [EXIT, EXIT, EXIT]);
+    }
+
+    #[test]
+    fn listing_names_every_branch_reconvergence_block() {
+        // The OSEM update: the tail guard rejoins at the return block, the
+        // UDF's early return at the store.
+        let p = Program::build(
+            r#"
+            float func(float f, float c) { if (c > 0.0f) { return f * c; } return f; }
+            __kernel void k(__global float* l, __global float* r, __global float* out, int n) {
+                int gid = get_global_id(0);
+                if (gid < n) { out[gid] = func(l[gid], r[gid]); }
+            }
+        "#,
+        )
+        .unwrap();
+        let nk = compile_kernel(p.compiled(), p.kernel("k").unwrap().index()).unwrap();
+        let branches: Vec<&str> = nk
+            .listing()
+            .lines()
+            .filter(|l| l.contains("branch("))
+            .collect();
+        assert_eq!(branches.len(), 2, "{}", nk.listing());
+        assert!(branches[0].ends_with("(exit chain), reconverge -> b6"));
+        assert!(branches[1].ends_with("-> b3 else b2, reconverge -> b5"));
+
+        // A kernel-level early return: nothing rejoins before the exit.
+        let p = Program::build(
+            r#"
+            __kernel void k(__global float* v, int n) {
+                int i = get_global_id(0);
+                if (v[i] < 0.0f) { return; }
+                v[i] = sqrt(v[i]);
+            }
+        "#,
+        )
+        .unwrap();
+        let nk = compile_kernel(p.compiled(), p.kernel("k").unwrap().index()).unwrap();
+        assert!(
+            nk.listing().contains("reconverge -> exit"),
+            "{}",
+            nk.listing()
+        );
     }
 
     #[test]

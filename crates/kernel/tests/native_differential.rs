@@ -1,7 +1,8 @@
 //! Differential tests for the native execution tier: native ≡ batched VM ≡
 //! scalar VM ≡ interpreter, on results (bit for bit), measured [`ExecStats`]
-//! and error messages, across control flow, divergence, cross-lane hazards,
-//! division by zero, early exit and stencil `get(dx, dy)` kernels — plus
+//! and error messages, across control flow, divergence (generated nested
+//! branches and loops under lane masks), cross-lane hazards, division by
+//! zero, early exit and stencil `get(dx, dy)` kernels — plus
 //! unit tests of the `Tier::Auto` gating heuristic (one-shot kernels stay on
 //! the VM, hot or large kernels graduate).
 
@@ -173,8 +174,8 @@ proptest! {
         );
     }
 
-    /// Data-dependent (gid-dependent) trip counts: lanes diverge mid-batch,
-    /// forcing the native tier down its rollback-and-replay path.
+    /// Data-dependent (gid-dependent) trip counts: lanes leave the loop at
+    /// different iterations and wait at its exit under the lane mask.
     #[test]
     fn divergent_loops_agree_across_all_tiers(
         items in 1usize..160,
@@ -189,10 +190,12 @@ proptest! {
             }
         "#;
         let data: Vec<f32> = (0..items).map(|i| (i % 13) as f32 - 6.0).collect();
-        assert_tiers_agree(
-            src, "k", &[data],
-            &[Value::Int(items as i32), Value::Float(mult)], items,
-        );
+        let scalars = [Value::Int(items as i32), Value::Float(mult)];
+        let bufs = [data];
+        assert_tiers_agree(src, "k", &bufs, &scalars, items);
+        let trace = native_trace(src, "k", &bufs, &scalars, items);
+        prop_assert_eq!((trace.replayed_batches, trace.bailed), (0, false));
+        prop_assert_eq!(trace.masked_batches > 0, items > 1);
     }
 
     /// Integer division and modulo where the divisor may be zero: every tier
@@ -656,6 +659,279 @@ fn negative_store_index_errors_agree_across_all_tiers() {
         .unwrap_err();
         assert!(err.contains("negative"), "unexpected error: {err}");
     }
+}
+
+// ---------------------------------------------------------------------------
+// Divergence: lane masks and reconvergence
+// ---------------------------------------------------------------------------
+
+/// Renders a random, depth-limited kernel body from a gene string: nested
+/// `if`/`else`, `&&` / `||` / `!` / ternaries, `while` and `for` loops with
+/// data-dependent trip counts and `break`, early `return`, stores in both
+/// arms of a branch and inside loops, and the two guarded shapes that fault
+/// if an idle lane executes them (`100 / q` under `q != 0`, `a[q]` under
+/// `0 <= q < n`).
+struct BodyGen<'a> {
+    genes: &'a [u32],
+    pos: usize,
+    loops: usize,
+}
+
+impl BodyGen<'_> {
+    fn pick(&mut self, n: u32) -> u32 {
+        let g = self.genes[self.pos % self.genes.len()];
+        self.pos += 1;
+        g % n
+    }
+
+    fn atom(&mut self) -> &'static str {
+        [
+            "x > 0.5f",
+            "q % 2 == 0",
+            "gid % 3 == 1",
+            "acc < 4.0f",
+            "q > 1",
+            "t < 3",
+            "x <= -1.0f",
+        ][self.pick(7) as usize]
+    }
+
+    fn cond(&mut self) -> String {
+        match self.pick(5) {
+            0 => format!("{} && {}", self.atom(), self.atom()),
+            1 => format!("{} || {}", self.atom(), self.atom()),
+            2 => format!("!({})", self.atom()),
+            _ => self.atom().to_string(),
+        }
+    }
+
+    fn fexpr(&mut self) -> String {
+        match self.pick(5) {
+            0 => "x".to_string(),
+            1 => "acc * 0.5f".to_string(),
+            2 => "(float) q".to_string(),
+            3 => "x + 1.5f".to_string(),
+            _ => format!("(({}) ? x : acc - 1.0f)", self.cond()),
+        }
+    }
+
+    fn stmts(&mut self, depth: u32, in_loop: bool) -> String {
+        let mut out = String::new();
+        for _ in 0..1 + self.pick(3) {
+            let leaf = depth == 0;
+            let s = match self.pick(if leaf { 5 } else { 11 }) {
+                0 => format!("acc = acc + {};", self.fexpr()),
+                1 => "t = t + q % 3;".to_string(),
+                2 => "if (q != 0) { t = t + 100 / q + 7 % q; }".to_string(),
+                3 => "if (q >= 0 && q < n) { acc = acc + a[q]; }".to_string(),
+                4 => format!(
+                    "if ({}) {{ out[gid] = {}; }} else {{ out[gid] = {}; }}",
+                    self.cond(),
+                    self.fexpr(),
+                    self.fexpr()
+                ),
+                5 | 6 => format!(
+                    "if ({}) {{ {} }} else {{ {} }}",
+                    self.cond(),
+                    self.stmts(depth - 1, in_loop),
+                    self.stmts(depth - 1, in_loop)
+                ),
+                7 => format!(
+                    "if ({}) {{ {} }}",
+                    self.cond(),
+                    self.stmts(depth - 1, in_loop)
+                ),
+                8 => {
+                    self.loops += 1;
+                    let c = format!("w{}", self.loops);
+                    format!(
+                        "int {c} = q % 5; while ({c} > 0) {{ {} if ({}) {{ break; }} \
+                         out2[gid] = acc; {c} = {c} - 1; }}",
+                        self.stmts(depth - 1, true),
+                        self.cond()
+                    )
+                }
+                9 => {
+                    self.loops += 1;
+                    let c = format!("c{}", self.loops);
+                    format!(
+                        "for (int {c} = 0; {c} < (gid + q) % 4; {c}++) {{ {} }}",
+                        self.stmts(depth - 1, true)
+                    )
+                }
+                _ if in_loop => format!("if ({}) {{ break; }}", self.cond()),
+                _ => format!("if ({}) {{ out[gid] = acc; return; }}", self.cond()),
+            };
+            out.push_str(&s);
+            out.push('\n');
+        }
+        out
+    }
+}
+
+fn generated_kernel(genes: &[u32]) -> String {
+    let body = BodyGen {
+        genes,
+        pos: 0,
+        loops: 0,
+    }
+    .stmts(3, false);
+    format!(
+        "__kernel void k(__global float* a, __global float* out, __global float* out2, int n) {{\n\
+         int gid = get_global_id(0);\n\
+         if (gid < n) {{\n\
+         float x = a[gid];\n\
+         int q = (int) x;\n\
+         float acc = 0.0f;\n\
+         int t = 0;\n\
+         {body}\
+         out[gid] = acc + (float) t;\n\
+         }}\n\
+         }}\n"
+    )
+}
+
+/// Inputs whose integer parts cover `-6..=6` with plenty of exact zeros, so
+/// every guard has lanes on both sides in most batches.
+fn divergent_input(values: &[i32]) -> Vec<f32> {
+    values
+        .iter()
+        .enumerate()
+        .map(|(i, v)| {
+            if v % 3 == 0 {
+                0.0
+            } else {
+                *v as f32 + (i % 4) as f32 * 0.25
+            }
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Generated divergent control flow: every tier agrees with the oracle
+    /// on buffers and stats, and the native tier neither replays nor bails —
+    /// a guarded division or guarded gather executed in an idle lane would
+    /// fault and show up as a replay.
+    #[test]
+    fn generated_divergent_kernels_agree_and_stay_native(
+        genes in prop::collection::vec(0u32..1_000_000, 24..48),
+        values in prop::collection::vec(-6i32..7, 1..150),
+        extra in 0usize..9,
+    ) {
+        let src = generated_kernel(&genes);
+        let n = values.len();
+        let bufs = [divergent_input(&values), vec![-1.0f32; n], vec![-2.0f32; n]];
+        let scalars = [Value::Int(n as i32)];
+        assert_tiers_agree(&src, "k", &bufs, &scalars, n + extra);
+        let trace = native_trace(&src, "k", &bufs, &scalars, n + extra);
+        prop_assert_eq!(trace.tier, Tier::Native, "{}", src);
+        prop_assert_eq!((trace.replayed_batches, trace.bailed), (0, false), "{}", src);
+    }
+
+    /// A fault in an *active* masked lane — inside one arm of a branch,
+    /// inside a divergent loop — reproduces the oracle's message, and every
+    /// buffer is what the oracle left behind: the items before the failing
+    /// one have stored, nothing after it has.
+    #[test]
+    fn faults_in_active_masked_lanes_agree_across_all_tiers(
+        values in prop::collection::vec(-6i32..7, 1..150),
+        shape in 0usize..3,
+    ) {
+        let body = [
+            // Division by zero where q == 2, under a guard that admits it.
+            "if (q != 1) { t = 100 / (q - 2); } else { t = 5; }",
+            // A gather past the end in the lanes with q > 3.
+            "if (q > 0) { acc = a[q + n - 4]; } else { acc = a[gid]; }",
+            // Division by zero in the fourth iteration of a divergent loop,
+            // after lane-private stores that have to be rolled back.
+            "for (int c = 0; c < q; c++) { out2[gid] = (float) c; t = t + 10 / (3 - c); }",
+        ][shape];
+        let src = format!(
+            "__kernel void k(__global float* a, __global float* out, __global float* out2, int n) {{\n\
+             int gid = get_global_id(0);\n\
+             float x = a[gid]; int q = (int) x; float acc = 0.0f; int t = 0;\n\
+             {body}\n\
+             out[gid] = acc + (float) t;\n\
+             }}\n"
+        );
+        let n = values.len();
+        let bufs = [divergent_input(&values), vec![-1.0f32; n], vec![-2.0f32; n]];
+        assert_tiers_agree(&src, "k", &bufs, &[Value::Int(n as i32)], n);
+    }
+}
+
+/// Divergence does not weaken the hazard rule: one arm reads the element
+/// the other arm's neighbour lane stores, so the batch bails and replays.
+#[test]
+fn divergence_with_a_cross_lane_hazard_still_bails_and_replays() {
+    let src = r#"
+        __kernel void k(__global float* v, int n) {
+            int gid = get_global_id(0);
+            if (gid % 2 == 0) { v[gid] = v[gid] + 1.0f; } else { v[gid] = v[gid - 1] * 2.0f; }
+        }
+    "#;
+    let n = 2 * LANES + 7;
+    let bufs = [ramp(n)];
+    assert_tiers_agree(src, "k", &bufs, &[Value::Int(n as i32)], n);
+    let trace = native_trace(src, "k", &bufs, &[Value::Int(n as i32)], n);
+    assert!(trace.bailed);
+    assert_eq!((trace.native_batches, trace.replayed_batches), (0, 1));
+}
+
+/// The shapes the paper's applications need, pinned by hand: the OSEM
+/// update's early return inside the UDF and the Mandelbrot escape loop's
+/// `&&` condition with per-lane trip counts, into an `int` buffer.
+#[test]
+fn osem_update_and_escape_loop_run_masked_without_replays() {
+    let zip = r#"
+        float func(float f, float c) { if (c > 0.0f) { return f * c; } return f; }
+        __kernel void k(__global float* l, __global float* r, __global float* out, int n) {
+            int gid = get_global_id(0);
+            if (gid < n) { out[gid] = func(l[gid], r[gid]); }
+        }
+    "#;
+    let n = 3 * LANES + 11;
+    let c: Vec<f32> = (0..n).map(|i| ((i * 7) % 5) as f32 - 2.0).collect();
+    let bufs = [ramp(n), c, vec![0.0f32; n]];
+    assert_tiers_agree(zip, "k", &bufs, &[Value::Int(n as i32)], n + 5);
+    let trace = native_trace(zip, "k", &bufs, &[Value::Int(n as i32)], n + 5);
+    assert_eq!((trace.replayed_batches, trace.bailed), (0, false));
+    assert_eq!(trace.masked_batches, trace.native_batches);
+
+    let escape = r#"
+        __kernel void k(__global float* v, int n, int max_iter) {
+            int gid = get_global_id(0);
+            float c_re = v[gid] * 0.03f - 2.0f;
+            float z_re = 0.0f;
+            float z_im = 0.0f;
+            int i = 0;
+            while (i < max_iter && z_re * z_re + z_im * z_im <= 4.0f) {
+                float new_re = z_re * z_re - z_im * z_im + c_re;
+                z_im = 2.0f * z_re * z_im + 0.3f;
+                z_re = new_re;
+                i = i + 1;
+            }
+            v[gid] = (float) i;
+        }
+    "#;
+    let scalars = [Value::Int(n as i32), Value::Int(40)];
+    let bufs = [(0..n).map(|i| (i % 101) as f32).collect::<Vec<f32>>()];
+    assert_tiers_agree(escape, "k", &bufs, &scalars, n);
+    let trace = native_trace(escape, "k", &bufs, &scalars, n);
+    assert_eq!((trace.replayed_batches, trace.bailed), (0, false));
+    assert!(trace.masked_batches > 0);
+}
+
+/// Straight-line kernels never run under a partial mask, ragged tail and
+/// idle suffix lanes included.
+#[test]
+fn straight_line_kernels_report_no_masked_batches() {
+    let n = 2 * LANES + 9;
+    let trace = native_trace(MAP_SRC, "k", &[ramp(n)], &[Value::Int(n as i32 - 3)], n);
+    assert_eq!(trace.native_batches, 3);
+    assert_eq!((trace.masked_batches, trace.replayed_batches), (0, 0));
 }
 
 // ---------------------------------------------------------------------------

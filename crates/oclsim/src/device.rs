@@ -182,6 +182,7 @@ struct TierCounters {
     native: AtomicUsize,
     compiles: AtomicUsize,
     compile_ns: AtomicU64,
+    masked_batches: AtomicU64,
     replayed_batches: AtomicU64,
     bailed_launches: AtomicUsize,
 }
@@ -204,11 +205,14 @@ pub struct TierSnapshot {
     pub native_compiles: usize,
     /// Total wall-clock nanoseconds spent in native-tier compilation.
     pub native_compile_ns: u64,
+    /// Native lane batches whose lanes diverged and ran under partial lane
+    /// masks (zero for straight-line kernels).
+    pub masked_batches: u64,
     /// Lane batches the native tier aborted, rolled back and replayed
-    /// through the scalar VM (divergence, hazards, runtime errors).
+    /// through the scalar VM (hazards, runtime errors, loop budget).
     pub replayed_batches: u64,
     /// Launches a replayed batch took off the native tier for their
-    /// remainder (a cross-lane hazard or unsupported divergence).
+    /// remainder (a cross-lane hazard).
     pub bailed_launches: usize,
 }
 
@@ -374,6 +378,9 @@ impl Device {
                 .fetch_add(trace.native_compile_ns, Ordering::Relaxed);
         }
         self.tiers
+            .masked_batches
+            .fetch_add(trace.masked_batches, Ordering::Relaxed);
+        self.tiers
             .replayed_batches
             .fetch_add(trace.replayed_batches, Ordering::Relaxed);
         if trace.bailed {
@@ -390,6 +397,7 @@ impl Device {
             native_launches: self.tiers.native.load(Ordering::Relaxed),
             native_compiles: self.tiers.compiles.load(Ordering::Relaxed),
             native_compile_ns: self.tiers.compile_ns.load(Ordering::Relaxed),
+            masked_batches: self.tiers.masked_batches.load(Ordering::Relaxed),
             replayed_batches: self.tiers.replayed_batches.load(Ordering::Relaxed),
             bailed_launches: self.tiers.bailed_launches.load(Ordering::Relaxed),
         }

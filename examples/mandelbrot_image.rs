@@ -15,6 +15,9 @@ fn main() {
         view_width: 3.2,
     };
     let rt = skelcl::init_gpus(4);
+    // The demo image is below the auto tier's graduation size; pin the
+    // engine full-size renders use, so the check at the end means something.
+    rt.set_kernel_tier(skelcl::Tier::Native);
     let image = render_skelcl(&rt, &config).expect("rendering");
 
     let palette = [b' ', b'.', b':', b'-', b'=', b'+', b'*', b'#', b'%', b'@'];
@@ -34,4 +37,14 @@ fn main() {
         rt.device_count(),
         rt.now().as_secs_f64() * 1e3
     );
+
+    // The escape loop must stay on the native tier under lane masks: a
+    // replayed batch means it fell back to scalar speed (CI runs this
+    // example).
+    let trace = rt.exec_trace();
+    println!("{}", trace.tier_line());
+    if trace.replayed_batches() > 0 || trace.bailed_launches() > 0 {
+        eprintln!("error: a render launch replayed or bailed off the native tier");
+        std::process::exit(1);
+    }
 }

@@ -13,6 +13,9 @@ fn main() {
     let subsets = sequential::generate_subsets(&config);
 
     let rt = skelcl::SkelCl::init(DeviceSelection::Gpus(2));
+    // The demo volume is below the auto tier's graduation size; pin the
+    // engine full-size runs use, so the check at the end means something.
+    rt.set_kernel_tier(skelcl::Tier::Native);
     let osem = SkelclOsem::new(rt.clone(), config.clone());
     // Build the kernels first so the phase timing reflects steady state.
     osem.warmup(&subsets[0]).expect("warm-up");
@@ -42,4 +45,14 @@ fn main() {
         "reconstructed image: {} voxels, max value {max:.3}",
         image.len()
     );
+
+    // The branchy update `Zip` must stay on the native tier under lane
+    // masks: a replayed batch means it fell back to scalar speed (CI runs
+    // this example).
+    let trace = rt.exec_trace();
+    println!("{}", trace.tier_line());
+    if trace.replayed_batches() > 0 || trace.bailed_launches() > 0 {
+        eprintln!("error: an update launch replayed or bailed off the native tier");
+        std::process::exit(1);
+    }
 }
