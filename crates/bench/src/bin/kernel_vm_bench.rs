@@ -1,7 +1,8 @@
 //! Kernel-engine throughput benchmark: AST interpreter vs batched bytecode
 //! VM vs the closure-compiled native tier.
 //!
-//! Runs the generated skeleton kernel shapes (map, zip, reduce, scan, the
+//! Runs the generated skeleton kernel shapes (map, zip, the reduce at its
+//! 64-work-item launch shape, scan, the
 //! MapOverlap heat stencil on 1000-wide rows, and the two divergent
 //! application kernels: the OSEM update `Zip` with `c <= 0` in a random half
 //! of the lanes, and the Mandelbrot index map over the default view) over
@@ -52,16 +53,8 @@ const ZIP_SRC: &str = r#"
     }
 "#;
 
-const REDUCE_SRC: &str = r#"
-    float func(float a, float b) { return a + b; }
-    __kernel void SKELCL_REDUCE(__global float* skelcl_in, __global float* skelcl_out, int skelcl_n) {
-        float skelcl_acc = skelcl_in[0];
-        for (int skelcl_i = 1; skelcl_i < skelcl_n; skelcl_i++) {
-            skelcl_acc = func(skelcl_acc, skelcl_in[skelcl_i]);
-        }
-        skelcl_out[0] = skelcl_acc;
-    }
-"#;
+/// The reduce operator; the kernel around it is `kernelgen`'s own template.
+const ADD_UDF: &str = "float func(float a, float b) { return a + b; }";
 
 const SCAN_SRC: &str = r#"
     float func(float a, float b) { return a + b; }
@@ -128,8 +121,8 @@ struct Workload {
     extra: fn(usize) -> Vec<Value>,
     /// Elements every buffer holds beyond `n` (the stencil's halo rows).
     pad: usize,
-    /// Work-items per launch given `n` elements (1 for the sequential
-    /// reduce/scan kernels).
+    /// Work-items per launch given `n` elements (64 chunk-folding ones for
+    /// the reduce, 1 for the sequential scan).
     items: fn(usize) -> usize,
 }
 
@@ -158,14 +151,18 @@ const WORKLOADS: &[Workload] = &[
     },
     Workload {
         name: "reduce",
-        src: || REDUCE_SRC.to_string(),
-        kernel: "SKELCL_REDUCE",
+        src: || {
+            let udf = UdfInfo::analyze(ADD_UDF, 2).expect("add UDF analyzes");
+            kernelgen::reduce_kernel(&udf).expect("reduce template")
+        },
+        kernel: kernelgen::REDUCE_KERNEL,
         inputs: 1,
         input: ramp,
         int_out: false,
         extra: |_| vec![],
         pad: 0,
-        items: |_| 1,
+        // The skeleton's launch shape: 64 work-items, one chunk each.
+        items: skelcl::reduce_partials,
     },
     Workload {
         name: "scan",

@@ -50,6 +50,7 @@ use crate::distribution::{Combine, Distribution, Partition};
 use crate::error::{Result, SkelError};
 use crate::runtime::{DeviceSelection, SkelCl};
 use crate::scheduler::StaticScheduler;
+use crate::skeletons::claim_read;
 
 // ---------------------------------------------------------------------------
 // Segment vocabulary: how layouts describe parts to the coherence core
@@ -429,7 +430,7 @@ impl<T: Pod, D: Partitioning> Storage<T, D> {
                 } else {
                     &mut other
                 };
-                self.claim_read(device, &event, dst)?;
+                claim_read(&self.runtime, device, &event, dst)?;
                 if device != first {
                     if let Combine::Func(f) = &self.combine {
                         f(&mut host, &other);
@@ -466,27 +467,11 @@ impl<T: Pod, D: Partitioning> Storage<T, D> {
             }
             let mut host = vec_uninit_len::<T>(len);
             for (device, dst, event) in pending {
-                self.claim_read(device, &event, &mut host[dst])?;
+                claim_read(&self.runtime, device, &event, &mut host[dst])?;
             }
             self.host = host;
         }
         self.host_valid = true;
-        Ok(())
-    }
-
-    /// Wait for a non-blocking gather read, copy its payload into `out`, and
-    /// synchronise the host's virtual clock with the transfer's end — the
-    /// same virtual blocking-read semantics as `enqueue_read_buffer_region`,
-    /// including surfacing an earlier command's deferred error as the root
-    /// cause.
-    fn claim_read(&self, device: usize, event: &oclsim::EventHandle, out: &mut [T]) -> Result<()> {
-        let queue = self.runtime.queue(device);
-        let result = event.wait_into(out);
-        if let Some(earlier) = queue.take_error() {
-            return Err(earlier.into());
-        }
-        let record = result?;
-        self.runtime.context().sync_host_to(record.end);
         Ok(())
     }
 
@@ -714,15 +699,12 @@ impl<T: Pod, D: Partitioning> Drop for Storage<T, D> {
 }
 
 /// Create a `Vec<T>` of the given length whose contents will be overwritten
-/// immediately by a device read. `T: Pod` has no invalid bit patterns that we
-/// could expose because the vector is fully overwritten before use; zeroed
-/// memory keeps this fully safe.
+/// immediately by a device read: `len` copies of the all-zero-bytes value,
+/// in one allocation (part gathers are multi-megabyte, and transient
+/// allocations of that size are what the allocator handles worst).
 pub(crate) fn vec_uninit_len<T: Pod>(len: usize) -> Vec<T> {
-    let mut v = Vec::with_capacity(len);
-    // SAFETY: not actually unsafe — we build from zeroed bytes via Pod copy.
-    let bytes = vec![0u8; len * std::mem::size_of::<T>()];
-    v.extend_from_slice(&oclsim::pod::from_bytes_vec::<T>(&bytes));
-    v
+    let zero = oclsim::pod::from_bytes_vec::<T>(&vec![0u8; std::mem::size_of::<T>()])[0];
+    vec![zero; len]
 }
 
 // ---------------------------------------------------------------------------

@@ -9,9 +9,11 @@
 //!   UDFs can never collide (or capture each other's helpers), and actual
 //!   collisions are recorded as diagnostics for [`crate::plan`]'s `explain`,
 //! * `FusedSpec` generates the fused kernels — the elementwise expression
-//!   is inlined into the map body, the reduce/scan first phase, and mirrors
-//!   the eager templates in [`crate::kernelgen`] operation-for-operation so
-//!   fused results stay bit-identical to the unfused path,
+//!   is inlined into the map body and the reduce/scan first phase. The
+//!   reduce instantiates the eager skeleton's own template; map and scan
+//!   mirror the eager templates in [`crate::kernelgen`]
+//!   operation-for-operation, so fused results stay bit-identical to the
+//!   unfused path,
 //! * `boundary_decision` is the per-device cost model: using the static
 //!   per-instruction FLOP/byte estimates and the scheduler's analytical
 //!   [`PerfModel`], it predicts fused vs split time for each stage boundary
@@ -53,7 +55,7 @@ pub enum FusionPolicy {
 
 /// Name of the generated fused elementwise kernel.
 pub(crate) const FUSED_MAP_KERNEL: &str = "SKELCL_FUSED_MAP";
-/// Name of the generated fused (per-device, sequential) reduce kernel.
+/// Name of the generated fused reduce kernel (one partial per work-item).
 pub(crate) const FUSED_REDUCE_KERNEL: &str = "SKELCL_FUSED_REDUCE";
 /// Name of the generated fused (per-device, sequential) scan kernel.
 pub(crate) const FUSED_SCAN_KERNEL: &str = "SKELCL_FUSED_SCAN";
@@ -222,28 +224,19 @@ impl FusedSpec {
         )
     }
 
-    /// The fused reduce kernel: the eager sequential fold with the
-    /// elementwise chain inlined in place of the input load. `op` must have
-    /// been admitted through the same [`Hygiene`] as the stages.
+    /// The fused reduce kernel: [`crate::kernelgen::reduce_template`] — the
+    /// eager reduce's own template — with the elementwise chain inlined in
+    /// place of the input load. `op` must have been admitted through the
+    /// same [`Hygiene`] as the stages.
     pub(crate) fn reduce_kernel(&self, op: &HygienicStage) -> String {
-        format!(
-            "{preamble}{op_src}\n\
-             __kernel void {kernel}({ins}__global {ty}* skelcl_out, int skelcl_n{extras}) {{\n\
-             \x20   {ty} skelcl_acc = {first};\n\
-             \x20   for (int skelcl_i = 1; skelcl_i < skelcl_n; skelcl_i++) {{\n\
-             \x20       skelcl_acc = {f}(skelcl_acc, {step});\n\
-             \x20   }}\n\
-             \x20   skelcl_out[0] = skelcl_acc;\n\
-             }}\n",
-            preamble = self.preamble(),
-            op_src = op.source,
-            kernel = FUSED_REDUCE_KERNEL,
-            ins = self.input_decls(),
-            ty = self.out_ty,
-            extras = self.extra_decls(),
-            first = self.expr_code(&self.expr, "0"),
-            step = self.expr_code(&self.expr, "skelcl_i"),
-            f = op.fn_name,
+        crate::kernelgen::reduce_template(
+            &format!("{}{}\n", self.preamble(), op.source),
+            FUSED_REDUCE_KERNEL,
+            &self.input_decls(),
+            self.out_ty,
+            &self.extra_decls(),
+            &op.fn_name,
+            |idx| self.expr_code(&self.expr, idx),
         )
     }
 

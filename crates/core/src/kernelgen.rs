@@ -12,6 +12,13 @@
 //! the paper: the extra parameters of the user function — beyond the
 //! skeleton's main element inputs — are appended to the generated kernel's
 //! parameter list and forwarded to the user function call.
+//!
+//! Map, zip and map-overlap kernels are one work-item per element. The
+//! reduce kernel ([`reduce_kernel`]) is one work-item per *chunk*: a launch
+//! of `G` work-items leaves `G` partial results for the host to finish, and
+//! `G = 1` is the plain sequential fold — the one template behind every
+//! reduction, the lazy plans' fused reduce included. The scan kernel is a
+//! single work-item over its whole part.
 
 use skelcl_kernel::ast::Function;
 use skelcl_kernel::types::{ScalarType, Type};
@@ -169,11 +176,8 @@ pub const MAP_INDEX_KERNEL: &str = "SKELCL_MAP_INDEX";
 pub const ZIP_KERNEL: &str = "SKELCL_ZIP";
 /// Name of the generated map-overlap (stencil) kernel.
 pub const MAP_OVERLAP_KERNEL: &str = "SKELCL_MAP_OVERLAP";
-/// Name of the generated (per-device, sequential) reduce kernel.
+/// Name of the generated reduce kernel (one partial result per work-item).
 pub const REDUCE_KERNEL: &str = "SKELCL_REDUCE";
-/// Name of the generated chunked reduce kernel (one partial result per
-/// chunk), used by the scheduler-aware reduction of Section V.
-pub const REDUCE_CHUNKED_KERNEL: &str = "SKELCL_REDUCE_CHUNKED";
 /// Name of the generated (per-device, sequential) scan kernel.
 pub const SCAN_KERNEL: &str = "SKELCL_SCAN";
 /// Name of the generated scan offset kernel (the implicit map of Figure 2).
@@ -339,57 +343,72 @@ pub(crate) fn check_binary_op(udf: &UdfInfo, skeleton: &str) -> Result<ScalarTyp
     Ok(udf.return_type)
 }
 
-/// Generate the per-device reduce kernel: a sequential fold of the local part
-/// (one logical work-item; the roofline cost model already accounts for the
-/// device's internal parallelism).
-pub fn reduce_kernel(udf: &UdfInfo) -> Result<String> {
-    let ty = check_binary_op(udf, "reduce")?;
-    Ok(format!(
-        "{udf_src}\n\
-         __kernel void {kernel}(__global {ty}* skelcl_in, __global {ty}* skelcl_out, int skelcl_n) {{\n\
-         \x20   {ty} skelcl_acc = skelcl_in[0];\n\
-         \x20   for (int skelcl_i = 1; skelcl_i < skelcl_n; skelcl_i++) {{\n\
-         \x20       skelcl_acc = {f}(skelcl_acc, skelcl_in[skelcl_i]);\n\
-         \x20   }}\n\
-         \x20   skelcl_out[0] = skelcl_acc;\n\
-         }}\n",
-        udf_src = udf.source,
-        kernel = REDUCE_KERNEL,
-        ty = ty,
-        f = udf.name,
-    ))
-}
-
-/// Generate the chunked per-device reduce kernel: work-item `g` folds the
-/// elements of chunk `g` (`chunk` consecutive elements) into `out[g]`, so a
-/// launch with `ceil(n / chunk)` work-items leaves an *intermediate result
-/// vector* instead of a single value.
+/// Generate the reduce kernel — the only reduce lowering. A launch of `G`
+/// work-items over `n ≥ 1` elements cuts the input into chunks of
+/// `ceil(n / G)` elements; work-item `g` left-folds chunk `g` into `out[g]`,
+/// so the launch leaves an *intermediate result vector* that the host
+/// finishes (left to right, in device-then-chunk order). Work-items past the
+/// last chunk do nothing. One work-item is the sequential fold of the whole
+/// input: that is how the host combines the gathered partials, and how a
+/// scheduler-placed final reduction runs on a device.
 ///
-/// Section V of the paper motivates this shape: "the local reduction on each
+/// Section V of the paper motivates the shape: "the local reduction on each
 /// GPU should not compute a single value but an intermediate, small result
 /// vector. CPUs will be faster to perform the final reduction of these
 /// vectors than GPUs which provide poor performance when reducing only few
 /// elements."
-pub fn reduce_chunked_kernel(udf: &UdfInfo) -> Result<String> {
+///
+/// The chunk length is derived from the launch geometry rather than passed
+/// in, so the geometry has one source of truth (the work-item count); see
+/// [`crate::reduce_partials`] for the count the skeletons pick.
+pub fn reduce_kernel(udf: &UdfInfo) -> Result<String> {
     let ty = check_binary_op(udf, "reduce")?;
-    Ok(format!(
-        "{udf_src}\n\
-         __kernel void {kernel}(__global {ty}* skelcl_in, __global {ty}* skelcl_out, int skelcl_n, int skelcl_chunk) {{\n\
+    Ok(reduce_template(
+        &format!("{}\n", udf.source),
+        REDUCE_KERNEL,
+        &format!("__global {ty}* skelcl_in, "),
+        ty,
+        "",
+        &udf.name,
+        |idx| format!("skelcl_in[{idx}]"),
+    ))
+}
+
+/// The reduce template shared by [`reduce_kernel`] and the lazy plans'
+/// `SKELCL_FUSED_REDUCE` (which inlines an elementwise chain where the eager
+/// kernel loads its input): `elem(idx)` renders the `idx`-th element.
+///
+/// No intermediate can overflow `int` for any `n ≤ i32::MAX`: the chunk
+/// length is `(n - 1) / G + 1`, a work-item runs only when its index is at
+/// most `(n - 1) / chunk` (so `g · chunk < n`), and the chunk end is the
+/// start plus `min(chunk, n - start)`.
+pub(crate) fn reduce_template(
+    preamble: &str,
+    kernel: &str,
+    input_decls: &str,
+    ty: ScalarType,
+    extra_decls: &str,
+    f: &str,
+    elem: impl Fn(&str) -> String,
+) -> String {
+    format!(
+        "{preamble}\
+         __kernel void {kernel}({input_decls}__global {ty}* skelcl_out, int skelcl_n{extra_decls}) {{\n\
          \x20   int skelcl_gid = get_global_id(0);\n\
-         \x20   int skelcl_start = skelcl_gid * skelcl_chunk;\n\
-         \x20   if (skelcl_start < skelcl_n) {{\n\
-         \x20       {ty} skelcl_acc = skelcl_in[skelcl_start];\n\
-         \x20       for (int skelcl_i = skelcl_start + 1; skelcl_i < skelcl_n && skelcl_i < skelcl_start + skelcl_chunk; skelcl_i++) {{\n\
-         \x20           skelcl_acc = {f}(skelcl_acc, skelcl_in[skelcl_i]);\n\
+         \x20   int skelcl_chunk = (skelcl_n - 1) / get_global_size(0) + 1;\n\
+         \x20   if (skelcl_gid <= (skelcl_n - 1) / skelcl_chunk) {{\n\
+         \x20       int skelcl_start = skelcl_gid * skelcl_chunk;\n\
+         \x20       int skelcl_end = skelcl_start + min(skelcl_chunk, skelcl_n - skelcl_start);\n\
+         \x20       {ty} skelcl_acc = {first};\n\
+         \x20       for (int skelcl_i = skelcl_start + 1; skelcl_i < skelcl_end; skelcl_i++) {{\n\
+         \x20           skelcl_acc = {f}(skelcl_acc, {step});\n\
          \x20       }}\n\
          \x20       skelcl_out[skelcl_gid] = skelcl_acc;\n\
          \x20   }}\n\
          }}\n",
-        udf_src = udf.source,
-        kernel = REDUCE_CHUNKED_KERNEL,
-        ty = ty,
-        f = udf.name,
-    ))
+        first = elem("skelcl_start"),
+        step = elem("skelcl_i"),
+    )
 }
 
 /// Generate the per-device scan kernel (inclusive prefix) plus the offset
@@ -594,22 +613,29 @@ mod tests {
     #[test]
     fn generated_chunked_reduce_kernel_compiles_and_folds_chunks() {
         let info = UdfInfo::analyze(ADD, 2).unwrap();
-        let src = reduce_chunked_kernel(&info).unwrap();
+        let src = reduce_kernel(&info).unwrap();
         let program = skelcl_kernel::Program::build(&src).unwrap();
-        let k = program.kernel(REDUCE_CHUNKED_KERNEL).unwrap();
-        assert_eq!(k.params.len(), 4);
+        let k = program.kernel(REDUCE_KERNEL).unwrap();
+        assert_eq!(k.params.len(), 3);
 
-        // 7 elements, chunks of 3 → partials [1+2+3, 4+5+6, 7].
-        let mut input = vec![1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0];
-        let mut out = vec![0.0f32; 3];
-        let mut args = vec![
-            skelcl_kernel::interp::ArgBinding::buffer_f32(&mut input),
-            skelcl_kernel::interp::ArgBinding::buffer_f32(&mut out),
-            skelcl_kernel::interp::ArgBinding::Scalar(skelcl_kernel::value::Value::Int(7)),
-            skelcl_kernel::interp::ArgBinding::Scalar(skelcl_kernel::value::Value::Int(3)),
-        ];
-        program.run_ndrange(&k, 3, &mut args).unwrap();
-        assert_eq!(out, vec![6.0, 15.0, 7.0]);
+        let run = |work_items: usize| {
+            let mut input = vec![1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0];
+            let mut out = vec![-1.0f32; work_items];
+            let mut args = vec![
+                skelcl_kernel::interp::ArgBinding::buffer_f32(&mut input),
+                skelcl_kernel::interp::ArgBinding::buffer_f32(&mut out),
+                skelcl_kernel::interp::ArgBinding::Scalar(skelcl_kernel::value::Value::Int(7)),
+            ];
+            program.run_ndrange(&k, work_items, &mut args).unwrap();
+            drop(args);
+            out
+        };
+        // 7 elements over 3 work-items → chunks of 3, the last one ragged.
+        assert_eq!(run(3), vec![6.0, 15.0, 7.0]);
+        // One work-item is the sequential fold.
+        assert_eq!(run(1), vec![28.0]);
+        // 5 work-items → chunks of 2 → 4 chunks; the fifth work-item is idle.
+        assert_eq!(run(5), vec![3.0, 7.0, 11.0, 7.0, -1.0]);
     }
 
     #[test]

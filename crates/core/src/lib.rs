@@ -111,8 +111,8 @@ pub use plan::{MatPlan, PackedLaunch, PlanScalar, PlanVec};
 pub use runtime::{init_gpus, init_profiles, DeviceSelection, DeviceTrace, ExecTrace, SkelCl};
 pub use scheduler::{DevicePerf, PerfModel, StaticScheduler};
 pub use skeletons::{
-    DeviceScalar, IndexLaunch, Launch, LaunchConfig, Map, MapOverlap, Reduce, ReducePlan, Scan,
-    ScanTrace, Skeleton, Zip,
+    reduce_partials, DeviceScalar, IndexLaunch, Launch, LaunchConfig, Map, MapOverlap, Reduce,
+    ReducePlan, Scan, ScanTrace, Skeleton, Zip,
 };
 pub use vector::Vector;
 

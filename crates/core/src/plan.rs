@@ -15,8 +15,10 @@
 //!
 //! Fused and unfused plans are **bit-identical**: the fused kernels inline
 //! the exact per-element expression the staged pipeline would compute, in
-//! the same evaluation order, and the reduce/scan lowering mirrors the eager
-//! skeletons' device/host split operation for operation.
+//! the same evaluation order. The reduce lowering *is* the eager skeleton's
+//! — one kernel template, one launch → gather → host-fold path
+//! ([`crate::skeletons::Reduce`]) — and the scan lowering mirrors the eager
+//! scan's device/host split operation for operation.
 //!
 //! ```
 //! use skelcl::prelude::*;
@@ -56,8 +58,8 @@ use crate::matrix::Matrix;
 use crate::runtime::SkelCl;
 use crate::scheduler::PerfModel;
 use crate::skeletons::{
-    host_eval_operator, wait_kernel_events, DeviceScalar, LaunchConfig, Map, MapOverlap, Reduce,
-    Scan, Skeleton, Zip,
+    claim_reads, launch_and_gather, wait_kernel_events, DeviceScalar, HostOperator, LaunchConfig,
+    Map, MapOverlap, Reduce, ReducePart, Scan, Skeleton, Zip,
 };
 use crate::vector::Vector;
 
@@ -174,10 +176,19 @@ pub(crate) enum PlanNode {
     },
     /// A stencil stage (matrix plans only); never fused across.
     MapOverlap { input: usize, halo: usize },
-    /// A full reduction to one scalar.
-    Reduce { input: usize, udf: Arc<UdfInfo> },
-    /// An inclusive prefix scan.
-    Scan { input: usize, udf: Arc<UdfInfo> },
+    /// A full reduction to one scalar; `host` evaluates the operator on the
+    /// host (the final fold of the gathered partials).
+    Reduce {
+        input: usize,
+        udf: Arc<UdfInfo>,
+        host: Arc<HostOperator>,
+    },
+    /// An inclusive prefix scan; `host` combines the per-device totals.
+    Scan {
+        input: usize,
+        udf: Arc<UdfInfo>,
+        host: Arc<HostOperator>,
+    },
 }
 
 /// The chain-input link of a node (`None` for sources).
@@ -209,7 +220,7 @@ fn node_out_ty(nodes: &[PlanNode], idx: usize) -> ScalarType {
 enum GroupKind {
     /// One fused data-parallel kernel (`out[i] = expr(i)`).
     Elementwise,
-    /// Fused per-device sequential folds + host combine.
+    /// Fused per-device chunked folds + gather + host fold.
     Reduce,
     /// Fused per-device local scans + totals download + offset kernels.
     Scan,
@@ -342,9 +353,9 @@ struct LoweredGroup {
     spec: FusedSpec,
     /// The hygienically renamed reduce/scan operator, if the group has one.
     op: Option<HygienicStage>,
-    /// The operator's *original* source, for the host-side combine (the same
-    /// [`host_eval_operator`] path the eager skeletons use).
-    op_source: Option<String>,
+    /// The operator's host evaluator, for the host-side combine (the one the
+    /// eager skeleton uses).
+    host_op: Option<Arc<HostOperator>>,
     /// Buffer provenance per fused-kernel input slot (slot 0 is the chain).
     inputs: Vec<ChainInput>,
     /// Additional scalar arguments, in stage order (matching the generated
@@ -368,7 +379,7 @@ fn lower_group(nodes: &[PlanNode], group: &Group) -> Result<LoweredGroup> {
     let mut extra_args: Vec<KernelArg> = Vec::new();
     let mut collisions: Vec<String> = Vec::new();
     let mut op = None;
-    let mut op_source = None;
+    let mut host_op = None;
     let mut out_ty = chain_in_ty;
     let push_args = |args: &Args, extra_args: &mut Vec<KernelArg>| {
         for item in args.items() {
@@ -404,11 +415,11 @@ fn lower_group(nodes: &[PlanNode], group: &Group) -> Result<LoweredGroup> {
                 push_args(args, &mut extra_args);
                 out_ty = udf.return_type;
             }
-            PlanNode::Reduce { udf, .. } | PlanNode::Scan { udf, .. } => {
+            PlanNode::Reduce { udf, host, .. } | PlanNode::Scan { udf, host, .. } => {
                 let stage = hygiene.admit(k, udf)?;
                 collisions.extend(stage.collisions.iter().cloned());
                 op = Some(stage);
-                op_source = Some(udf.source.clone());
+                host_op = Some(host.clone());
                 out_ty = udf.return_type;
             }
             PlanNode::Source { .. } | PlanNode::MapOverlap { .. } => {
@@ -424,7 +435,7 @@ fn lower_group(nodes: &[PlanNode], group: &Group) -> Result<LoweredGroup> {
             expr,
         },
         op,
-        op_source,
+        host_op,
         inputs,
         extra_args,
         collisions,
@@ -585,12 +596,7 @@ impl PlanGraph {
         let mut events = Vec::with_capacity(active.len());
         for &device in active {
             let n = partition.size(device);
-            let mut kargs = Vec::with_capacity(lowered.inputs.len() + 2 + lowered.extra_args.len());
-            for input in &lowered.inputs {
-                kargs.push(KernelArg::Buffer(
-                    self.slot_buffer(input, chain, prepared, device)?,
-                ));
-            }
+            let mut kargs = self.input_args(lowered, chain, prepared, device)?;
             kargs.push(KernelArg::Buffer(
                 out[device].clone().expect("output allocated above"),
             ));
@@ -607,9 +613,27 @@ impl PlanGraph {
         Ok(out)
     }
 
-    /// Run a fused reduce group: per-device sequential folds over the inlined
-    /// chain, then the host gathers and combines the partials in device
-    /// order — exactly the eager reduce's device/host split.
+    /// The fused kernel's leading input-buffer arguments on `device`.
+    fn input_args(
+        &self,
+        lowered: &LoweredGroup,
+        chain: &ExecChain,
+        prepared: &[(Partition, Vec<Option<Buffer>>)],
+        device: usize,
+    ) -> Result<Vec<KernelArg>> {
+        lowered
+            .inputs
+            .iter()
+            .map(|input| {
+                self.slot_buffer(input, chain, prepared, device)
+                    .map(KernelArg::Buffer)
+            })
+            .collect()
+    }
+
+    /// Run a fused reduce group through the eager reduce's own path: the
+    /// shared template with the chain inlined, one launch per device leaving
+    /// a partial vector, partials gathered in device order, host fold.
     fn run_reduce(
         &self,
         lowered: &LoweredGroup,
@@ -619,54 +643,31 @@ impl PlanGraph {
         chain: &ExecChain,
     ) -> Result<Value> {
         let op = lowered.op.as_ref().expect("reduce group has an operator");
-        let op_source = lowered
-            .op_source
+        let host_op = lowered
+            .host_op
             .as_ref()
-            .expect("reduce group has an operator source");
+            .expect("reduce group has a host operator");
         let src = lowered.spec.reduce_kernel(op);
         let program = self.runtime.context().build_program(&src)?;
         let kernel = program.kernel(FUSED_REDUCE_KERNEL)?;
+        let mut parts = Vec::with_capacity(active.len());
+        for &device in active {
+            parts.push(ReducePart {
+                device,
+                n: partition.size(device),
+                inputs: self.input_args(lowered, chain, prepared, device)?,
+            });
+        }
         with_scalar!(lowered.out_ty, T, {
-            let mut partial_buffers = Vec::with_capacity(active.len());
-            for &device in active {
-                let n = partition.size(device);
-                let out_buffer = self.runtime.context().create_buffer::<T>(device, 1)?;
-                let mut kargs =
-                    Vec::with_capacity(lowered.inputs.len() + 2 + lowered.extra_args.len());
-                for input in &lowered.inputs {
-                    kargs.push(KernelArg::Buffer(
-                        self.slot_buffer(input, chain, prepared, device)?,
-                    ));
-                }
-                kargs.push(KernelArg::Buffer(out_buffer.clone()));
-                kargs.push(KernelArg::Scalar(Value::Int(n as i32)));
-                kargs.extend(lowered.extra_args.iter().cloned());
-                self.runtime
-                    .queue(device)
-                    .enqueue_kernel(&kernel, 1, &kargs)?;
-                partial_buffers.push((device, out_buffer));
-            }
-            // Gather in device order so non-commutative operators stay
-            // correct, then fold on the host through the same generated
-            // kernel the eager path uses.
-            let mut partials: Vec<T> = Vec::with_capacity(partial_buffers.len());
-            for (device, buffer) in &partial_buffers {
-                let mut one = [T::from_value(Value::Int(0)); 1];
-                self.runtime
-                    .queue(*device)
-                    .enqueue_read_buffer(buffer, &mut one)?;
-                partials.push(one[0]);
-                self.runtime.context().release_buffer(buffer)?;
-            }
-            let mut acc = partials[0];
-            for &v in &partials[1..] {
-                acc = host_eval_operator::<T>(op_source, acc, v);
-            }
-            Ok(ExecOutcome::Scalar(acc.to_value()))
-        })
-        .map(|outcome| match outcome {
-            ExecOutcome::Scalar(v) => v,
-            ExecOutcome::Vector { .. } => unreachable!("reduce groups produce scalars"),
+            let mut partials = launch_and_gather::<T>(
+                &self.runtime,
+                &kernel,
+                parts,
+                &lowered.extra_args,
+                None,
+                None,
+            )?;
+            Ok(host_op.fold(&mut partials)?.to_value())
         })
     }
 
@@ -682,10 +683,10 @@ impl PlanGraph {
         chain: &ExecChain,
     ) -> Result<Vec<Option<Buffer>>> {
         let op = lowered.op.as_ref().expect("scan group has an operator");
-        let op_source = lowered
-            .op_source
+        let host_op = lowered
+            .host_op
             .as_ref()
-            .expect("scan group has an operator source");
+            .expect("scan group has a host operator");
         let src = lowered.spec.scan_kernels(op);
         let program = self.runtime.context().build_program(&src)?;
         let scan_kernel = program.kernel(FUSED_SCAN_KERNEL)?;
@@ -695,13 +696,7 @@ impl PlanGraph {
             // Step 1: local scans.
             for &device in active {
                 let n = partition.size(device);
-                let mut kargs =
-                    Vec::with_capacity(lowered.inputs.len() + 2 + lowered.extra_args.len());
-                for input in &lowered.inputs {
-                    kargs.push(KernelArg::Buffer(
-                        self.slot_buffer(input, chain, prepared, device)?,
-                    ));
-                }
+                let mut kargs = self.input_args(lowered, chain, prepared, device)?;
                 kargs.push(KernelArg::Buffer(
                     out[device].clone().expect("output allocated above"),
                 ));
@@ -711,19 +706,22 @@ impl PlanGraph {
                     .queue(device)
                     .enqueue_kernel(&scan_kernel, 1, &kargs)?;
             }
-            // Step 2: download only the per-part totals.
-            let mut totals: Vec<T> = Vec::with_capacity(active.len());
+            // Step 2: download only the per-part totals, every device's read
+            // in flight before the first is claimed.
+            let mut reads = Vec::with_capacity(active.len());
             for &device in active {
-                let n = partition.size(device);
                 let out_buffer = out[device].as_ref().expect("output allocated above");
-                let mut last = [T::from_value(Value::Int(0)); 1];
-                self.runtime.queue(device).enqueue_read_buffer_region(
-                    out_buffer,
-                    n - 1,
-                    &mut last,
-                )?;
-                totals.push(last[0]);
+                let read = self
+                    .runtime
+                    .queue(device)
+                    .enqueue_read_buffer_region_nb::<T>(
+                        out_buffer,
+                        partition.size(device) - 1,
+                        1,
+                    )?;
+                reads.push((device, read, 1));
             }
+            let totals: Vec<T> = claim_reads::<T>(&self.runtime, reads)?.concat();
             // Steps 3 + 4: combine predecessor totals on the host, apply
             // them to later parts via the offset kernels.
             let mut offset_events = Vec::new();
@@ -732,7 +730,7 @@ impl PlanGraph {
                 let offset = running;
                 running = Some(match running {
                     None => totals[i],
-                    Some(acc) => host_eval_operator::<T>(op_source, acc, totals[i]),
+                    Some(acc) => host_op.fold(&mut [acc, totals[i]])?,
                 });
                 if i == 0 {
                     continue;
@@ -908,10 +906,10 @@ impl PlanGraph {
                 PlanNode::MapOverlap { input, halo } => {
                     format!("map_overlap(%{input}, halo {halo}) -> float")
                 }
-                PlanNode::Reduce { input, udf } => {
+                PlanNode::Reduce { input, udf, .. } => {
                     format!("reduce(%{input}) -> {}", udf.return_type)
                 }
-                PlanNode::Scan { input, udf } => {
+                PlanNode::Scan { input, udf, .. } => {
                     format!("scan(%{input}) -> {}", udf.return_type)
                 }
             };
@@ -1174,9 +1172,13 @@ impl<T: Pod> PlanVec<T> {
     {
         let tip = self.tip;
         let tip = self.graph.admit(tip, |g| {
-            let udf = skeleton.plan_udf()?;
+            let (udf, host) = skeleton.plan_op()?;
             g.check_chain(tip, &udf, "reduce")?;
-            Ok(PlanNode::Reduce { input: tip, udf })
+            Ok(PlanNode::Reduce {
+                input: tip,
+                udf,
+                host,
+            })
         });
         PlanScalar {
             graph: self.graph,
@@ -1192,9 +1194,13 @@ impl<T: Pod> PlanVec<T> {
     {
         let tip = self.tip;
         let tip = self.graph.admit(tip, |g| {
-            let udf = skeleton.plan_udf()?;
+            let (udf, host) = skeleton.plan_op()?;
             g.check_chain(tip, &udf, "scan")?;
-            Ok(PlanNode::Scan { input: tip, udf })
+            Ok(PlanNode::Scan {
+                input: tip,
+                udf,
+                host,
+            })
         });
         PlanVec {
             graph: self.graph,
@@ -1584,10 +1590,10 @@ impl<T: DeviceScalar> PlanScalar<T> {
     }
 
     /// Estimated device bytes the plan needs at once (every input source
-    /// plus the per-device partials). Used by admission control to charge
-    /// tenant quotas before execution.
+    /// plus a partial vector). Used by admission control to charge tenant
+    /// quotas before execution.
     pub fn footprint_bytes(&self) -> usize {
-        let mut bytes = std::mem::size_of::<T>();
+        let mut bytes = crate::reduce_partials(self.input_len()) * std::mem::size_of::<T>();
         for node in &self.graph.nodes {
             if let PlanNode::Source { source, ty } = node {
                 bytes += self.graph.sources[*source].src_len() * ty.size_bytes();

@@ -293,21 +293,20 @@ impl SkelCl {
 
     /// Pin the kernel-language execution tier for every kernel the runtime
     /// launches from now on — [`Tier::Interp`] through [`Tier::Native`] force
-    /// one engine, [`Tier::Auto`] (the default) graduates hot kernels to the
-    /// native tier heuristically. Applies to already-built (cached) programs
-    /// as well as future builds, and overrides the `SKELCL_KERNEL_TIER`
-    /// environment variable. All tiers are bit-identical in results and
-    /// execution statistics; only throughput differs.
+    /// one engine, [`Tier::Auto`] (the default) runs every native-eligible
+    /// kernel natively from its first launch. Applies to already-built
+    /// (cached) programs as well as future builds, and overrides the
+    /// `SKELCL_KERNEL_TIER` environment variable. All tiers are bit-identical
+    /// in results and execution statistics; only throughput differs.
     pub fn set_kernel_tier(&self, tier: Tier) {
         self.context.set_kernel_tier(tier);
     }
 
     /// One-line description of the kernel-tier selection in effect (rendered
     /// by `Plan::explain`): the pinned tier if one was set via
-    /// [`SkelCl::set_kernel_tier`] or `SKELCL_KERNEL_TIER`, otherwise the
-    /// auto-graduation heuristic with its thresholds.
+    /// [`SkelCl::set_kernel_tier`] or `SKELCL_KERNEL_TIER`, otherwise what
+    /// `auto` means.
     pub fn kernel_tier_summary(&self) -> String {
-        use skelcl_kernel::native::{AUTO_MIN_LAUNCHES, AUTO_MIN_SIZE, AUTO_SIZE_IMMEDIATE};
         if let Some(tier) = self.context.kernel_tier() {
             if tier != Tier::Auto {
                 return format!("{tier} (pinned via set_kernel_tier)");
@@ -319,10 +318,8 @@ impl SkelCl {
                 }
             }
         }
-        format!(
-            "auto (native from {AUTO_SIZE_IMMEDIATE} items, \
-             or after {AUTO_MIN_LAUNCHES} launches at {AUTO_MIN_SIZE}+ items)"
-        )
+        "auto (native from a kernel's first launch; the batched VM for native-ineligible kernels)"
+            .to_string()
     }
 
     /// Number of devices the runtime uses.

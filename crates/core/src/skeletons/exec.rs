@@ -59,8 +59,10 @@ pub struct LaunchConfig<'a> {
     /// its weighted block distribution; reduce uses it to place the final
     /// combination step.
     pub scheduler: Option<&'a StaticScheduler>,
-    /// Intermediate results per device for scheduler-aware reductions.
-    pub chunks_per_device: usize,
+    /// Partial results each device leaves for the host in a reduction;
+    /// `None` (the default) is one per 256 elements of the device's part,
+    /// at most 64 ([`crate::reduce_partials`]).
+    pub chunks_per_device: Option<usize>,
     /// Checkpoint period of the iterative stencil driver
     /// (`Launch::run_iter`): every `checkpoint_every` completed sweeps the
     /// current state is gathered to the host so a device loss that cannot be
@@ -75,7 +77,7 @@ impl Default for LaunchConfig<'_> {
             args: Args::new(),
             devices: None,
             scheduler: None,
-            chunks_per_device: 1,
+            chunks_per_device: None,
             checkpoint_every: 0,
         }
     }
@@ -152,10 +154,15 @@ impl<'a, S, In: Clone> Launch<'a, S, In> {
         self
     }
 
-    /// Number of intermediate results each device produces in a
-    /// scheduler-aware reduction (default 1).
+    /// Number of partial results each device leaves for the final
+    /// combination of a reduction: its part is cut into `chunks_per_device`
+    /// chunks of equal length (the last may be shorter; a part with fewer
+    /// elements yields one partial per element). Without this call a device
+    /// leaves one partial per 256 elements, at most 64
+    /// ([`crate::reduce_partials`]). Only the geometry changes — the
+    /// kernel, the gather and the left-to-right combination order do not.
     pub fn chunks(mut self, chunks_per_device: usize) -> Self {
-        self.cfg.chunks_per_device = chunks_per_device.max(1);
+        self.cfg.chunks_per_device = Some(chunks_per_device.max(1));
         self
     }
 
@@ -421,6 +428,54 @@ pub(crate) fn wait_kernel_events(
     }
 }
 
+/// Wait for a non-blocking read, copy its payload into `out`, and synchronise
+/// the host's virtual clock with the transfer's end — the virtual
+/// blocking-read semantics of `enqueue_read_buffer_region`, including
+/// surfacing an earlier command's deferred error as the root cause (which
+/// also drains the queue's latch).
+pub(crate) fn claim_read<T: Pod>(
+    runtime: &SkelCl,
+    device: usize,
+    event: &oclsim::EventHandle,
+    out: &mut [T],
+) -> Result<()> {
+    let result = event.wait_into(out);
+    if let Some(earlier) = runtime.queue(device).take_error() {
+        return Err(earlier.into());
+    }
+    let record = result?;
+    runtime.context().sync_host_to(record.end);
+    Ok(())
+}
+
+/// Gather small per-device results (reduce partials, scan totals) the way
+/// container parts are gathered: the caller has enqueued one non-blocking
+/// read of `len` elements per entry — on every device before any is waited
+/// on, so the transfers overlap in real and in virtual time — and this
+/// claims them in the given (device) order. Every read is joined and every
+/// queue's error latch drained even after a failure, so the caller may
+/// release the buffers and later launches start clean; the first error wins.
+pub(crate) fn claim_reads<T: Pod>(
+    runtime: &SkelCl,
+    reads: Vec<(usize, oclsim::EventHandle, usize)>,
+) -> Result<Vec<Vec<T>>> {
+    let mut parts = Vec::with_capacity(reads.len());
+    let mut first_error = None;
+    for (device, event, len) in reads {
+        let mut part = crate::container::vec_uninit_len::<T>(len);
+        match claim_read(runtime, device, &event, &mut part) {
+            Ok(()) => parts.push(part),
+            Err(e) => {
+                first_error.get_or_insert(e);
+            }
+        }
+    }
+    match first_error {
+        Some(e) => Err(e),
+        None => Ok(parts),
+    }
+}
+
 /// Check a source-UDF call: vector extras need native UDFs, and the argument
 /// count must match the user function's extra parameters.
 pub(crate) fn check_source_call(prepared: &PreparedArgs, extra_scalars: usize) -> Result<()> {
@@ -438,8 +493,8 @@ pub(crate) fn check_source_call(prepared: &PreparedArgs, extra_scalars: usize) -
     Ok(())
 }
 
-/// Scale a per-element cost hint to `n` elements (sequential reduce/scan
-/// kernels run as one work item covering the whole part).
+/// Scale a per-element cost hint to the `n` elements one work-item covers
+/// (a reduce chunk, or the whole part of the sequential scan).
 pub(crate) fn sequential_cost(per_element: CostHint, n: usize, min_bytes: f64) -> CostHint {
     CostHint::new(
         per_element.flops_per_item * n as f64,

@@ -27,16 +27,19 @@ mod zip;
 pub use exec::{Launch, LaunchConfig, Skeleton};
 pub use map::{IndexLaunch, Map};
 pub use map_overlap::MapOverlap;
-pub use reduce::{Reduce, ReducePlan};
+pub use reduce::{reduce_partials, Reduce, ReducePlan};
 pub use scan::{Scan, ScanTrace};
 pub use zip::Zip;
 
-pub(crate) use exec::{check_source_call, sequential_cost, wait_kernel_events, PreparedCall};
-pub(crate) use scan::host_eval_operator;
+pub(crate) use exec::{
+    check_source_call, claim_read, claim_reads, sequential_cost, wait_kernel_events, PreparedCall,
+};
+pub(crate) use reduce::{launch_and_gather, HostOperator, ReducePart};
 
 use std::sync::Arc;
 
 use oclsim::{Buffer, CostHint, KernelArg, Pod, Value};
+use skelcl_kernel::interp::BufferView;
 
 use crate::args::{ArgItem, Args};
 use crate::distribution::Partition;
@@ -51,8 +54,9 @@ pub trait DeviceScalar: Pod {
     fn to_value(self) -> Value;
     /// Convert from a kernel scalar value.
     fn from_value(v: Value) -> Self;
-    /// The kernel-language name of the type (used in generated source).
-    fn type_name() -> &'static str;
+    /// Bind host data of this type as a kernel buffer argument (for running
+    /// generated kernels on the host-side engine).
+    fn buffer_view(data: &mut [Self]) -> BufferView<'_>;
 }
 
 impl DeviceScalar for f32 {
@@ -62,8 +66,8 @@ impl DeviceScalar for f32 {
     fn from_value(v: Value) -> Self {
         v.as_f64() as f32
     }
-    fn type_name() -> &'static str {
-        "float"
+    fn buffer_view(data: &mut [Self]) -> BufferView<'_> {
+        BufferView::F32(data)
     }
 }
 
@@ -74,8 +78,8 @@ impl DeviceScalar for f64 {
     fn from_value(v: Value) -> Self {
         v.as_f64()
     }
-    fn type_name() -> &'static str {
-        "double"
+    fn buffer_view(data: &mut [Self]) -> BufferView<'_> {
+        BufferView::F64(data)
     }
 }
 
@@ -86,8 +90,8 @@ impl DeviceScalar for i32 {
     fn from_value(v: Value) -> Self {
         v.as_i64() as i32
     }
-    fn type_name() -> &'static str {
-        "int"
+    fn buffer_view(data: &mut [Self]) -> BufferView<'_> {
+        BufferView::I32(data)
     }
 }
 
@@ -98,8 +102,8 @@ impl DeviceScalar for u32 {
     fn from_value(v: Value) -> Self {
         v.as_i64() as u32
     }
-    fn type_name() -> &'static str {
-        "uint"
+    fn buffer_view(data: &mut [Self]) -> BufferView<'_> {
+        BufferView::U32(data)
     }
 }
 
@@ -184,13 +188,13 @@ pub(crate) fn alloc_output<T: Pod>(
 
 /// Per-skeleton-instance cache of the artefacts derived from a source UDF:
 /// the analysed signature ([`UdfInfo`], shared by every generated kernel
-/// variant of the skeleton) and the scheduler cost estimate. Both used to be
-/// recomputed — re-lexing and re-parsing the UDF source — on every
-/// scheduler-weighted launch and once per kernel variant; now each is
-/// computed at most once per skeleton instance.
+/// variant of the skeleton), the scheduler cost estimate and — for reduce
+/// and scan — the operator's host evaluator. Each is computed at most once
+/// per skeleton instance.
 pub(crate) struct UdfCache {
     info: parking_lot::Mutex<Option<Arc<crate::kernelgen::UdfInfo>>>,
     cost: parking_lot::Mutex<Option<CostHint>>,
+    host_operator: parking_lot::Mutex<Option<Arc<HostOperator>>>,
 }
 
 impl UdfCache {
@@ -198,7 +202,26 @@ impl UdfCache {
         UdfCache {
             info: parking_lot::Mutex::new(None),
             cost: parking_lot::Mutex::new(None),
+            host_operator: parking_lot::Mutex::new(None),
         }
+    }
+
+    /// The analysed binary operator of a reduce or scan (`skeleton` names it
+    /// in signature errors) plus its host evaluator, built once.
+    pub(crate) fn operator(
+        &self,
+        source: &str,
+        skeleton: &str,
+    ) -> Result<(Arc<crate::kernelgen::UdfInfo>, Arc<HostOperator>)> {
+        let info = self.info(source, 2)?;
+        crate::kernelgen::check_binary_op(&info, skeleton)?;
+        let mut slot = self.host_operator.lock();
+        if let Some(host) = slot.as_ref() {
+            return Ok((info, host.clone()));
+        }
+        let host = Arc::new(HostOperator::build(&info)?);
+        *slot = Some(host.clone());
+        Ok((info, host))
     }
 
     /// The analysed UDF signature; `source` and `main_inputs` are fixed per
@@ -231,7 +254,7 @@ impl UdfCache {
 }
 
 /// The per-element cost estimate of a source user-defined function, used to
-/// override launch cost hints for the sequential reduce/scan kernels. The
+/// override launch cost hints for the reduce/scan kernels. The
 /// UDF is resolved by the same rule kernel generation uses
 /// ([`crate::kernelgen::resolve_udf`]) — the function that is compiled is
 /// the function that is costed — and ambiguous sources are rejected with a
@@ -256,8 +279,8 @@ mod tests {
         assert_eq!(i32::from_value((-7i32).to_value()), -7);
         assert_eq!(u32::from_value(9u32.to_value()), 9);
         assert_eq!(f64::from_value(1.25f64.to_value()), 1.25);
-        assert_eq!(f32::type_name(), "float");
-        assert_eq!(u32::type_name(), "uint");
+        assert!(matches!(f32::buffer_view(&mut [0.0]), BufferView::F32(_)));
+        assert!(matches!(u32::buffer_view(&mut [0]), BufferView::U32(_)));
     }
 
     #[test]
@@ -318,6 +341,13 @@ mod tests {
         let c2 = cache.cost(src).unwrap();
         assert_eq!(c1, c2);
         assert!(c1.flops_per_item >= 1.0);
+        // The host evaluator of a reduce/scan operator: one program build
+        // serves every fold of partials and every pair of scan totals.
+        let (info, host) = cache.operator(src, "scan").unwrap();
+        assert!(Arc::ptr_eq(&info, &first));
+        assert!(Arc::ptr_eq(&host, &cache.operator(src, "scan").unwrap().1));
+        assert_eq!(host.fold(&mut [1.5f32, 2.0, 4.0]).unwrap(), 7.5);
+        assert_eq!(host.fold(&mut [3.0f32]).unwrap(), 3.0);
     }
 
     #[test]

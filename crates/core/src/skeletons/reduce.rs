@@ -2,31 +2,189 @@
 //!
 //! The operator must be associative but may be non-commutative.
 //!
-//! Multi-GPU execution (paper, Section III-C) proceeds in three steps:
-//! 1. every GPU executes a local reduction of its part of the data,
-//! 2. the per-GPU results are gathered by the CPU,
-//! 3. the CPU reduces the intermediate results into the final value.
+//! There is one lowering. Multi-GPU execution (paper, Sections III-C and V)
+//! proceeds in three steps:
+//! 1. every GPU holding a part runs the reduce kernel
+//!    ([`crate::kernelgen::reduce_kernel`]) over it and leaves "an
+//!    intermediate, small result vector": work-item `g` left-folds chunk `g`
+//!    of the part into partial `g`,
+//! 2. the partial vectors are gathered by the CPU — non-blocking reads on
+//!    every device, claimed in device order,
+//! 3. the CPU left-folds all partials, in device-then-chunk order, into the
+//!    final value.
 //!
-//! With a scheduler attached to the launch
-//! (`sum.run(&v).scheduler(&s).chunks(8).scalar_with_plan()`), the
-//! Section V strategy is used instead: each device produces an intermediate
-//! result vector, and the scheduler decides whether the final combination
-//! runs on the host CPU or on the fastest device.
+//! **Canonical association order.** Per device a left fold inside each chunk,
+//! then one left fold over every partial, device by device and chunk by
+//! chunk. Chunks are contiguous and in order, so associative
+//! non-commutative operators stay exact; floating-point results differ from
+//! the strictly sequential fold only by this re-association, identically on
+//! every execution engine.
+//!
+//! **Geometry.** A device's part of `n` elements is cut into
+//! [`reduce_partials`]`(n)` chunks — one per 256 elements, at most 64, at
+//! least one — of `ceil(n / partials)` elements each. At most 64 partials
+//! keeps a launch to one 64-lane batch of the kernel engines and the gather
+//! to a few hundred bytes; at least 256 elements per partial keeps small
+//! inputs from paying for partials they do not need. `.chunks(k)` on the
+//! launch overrides the partial count per device and nothing else.
+//!
+//! The same kernel serves the two places a *single* fold is needed — one
+//! work-item is one chunk: step 3 runs it through the host-side kernel
+//! engine for source operators ([`HostOperator`]), and with a scheduler
+//! attached (`sum.run(&v).scheduler(&s).scalar_with_plan()`) the scheduler
+//! may place the final fold on the fastest device instead of the CPU. The
+//! lazy plans' fused reduce ([`crate::plan`]) instantiates the same template
+//! and runs through the same [`launch_and_gather`] + host fold.
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use oclsim::{CostHint, KernelArg, NativeKernelDef, Program, Value};
+use skelcl_kernel::interp::ArgBinding;
 
 use crate::container::Container;
 use crate::distribution::Distribution;
 use crate::error::{Result, SkelError};
-use crate::kernelgen;
+use crate::kernelgen::{self, UdfInfo};
+use crate::runtime::SkelCl;
 use crate::skeletons::{
-    sequential_cost, DeviceScalar, Launch, LaunchConfig, PreparedCall, Skeleton, UdfCache,
+    claim_reads, sequential_cost, DeviceScalar, Launch, LaunchConfig, PreparedCall, Skeleton,
+    UdfCache,
 };
 use crate::vector::Vector;
+
+/// Elements per partial below which a device's part is not cut further.
+const MIN_CHUNK: usize = 256;
+/// Most partials a device leaves by default: one lane batch of the kernel
+/// engines.
+const MAX_PARTIALS: usize = 64;
+
+/// The number of partial results a device leaves for the host when it
+/// reduces a part of `n` elements under the default geometry: one per 256
+/// elements, at most 64, at least one. The part is cut into that many chunks
+/// of `ceil(n / partials)` elements (the last may be shorter).
+///
+/// ```
+/// assert_eq!(skelcl::reduce_partials(1), 1);
+/// assert_eq!(skelcl::reduce_partials(511), 1);
+/// assert_eq!(skelcl::reduce_partials(4096), 16);
+/// assert_eq!(skelcl::reduce_partials(1 << 18), 64);
+/// assert_eq!(skelcl::reduce_partials(usize::MAX), 64);
+/// ```
+pub fn reduce_partials(n: usize) -> usize {
+    (n / MIN_CHUNK).clamp(1, MAX_PARTIALS)
+}
+
+/// Chunk length and work-item count of one device's launch over `n ≥ 1`
+/// elements. The work-item count is exactly the number of non-empty chunks,
+/// so the kernel — which derives the chunk length from the launch size —
+/// arrives at the same chunk length and no work-item idles.
+fn launch_geometry(n: usize, chunks_per_device: Option<usize>) -> (usize, usize) {
+    let requested = chunks_per_device.map_or_else(|| reduce_partials(n), |k| k.clamp(1, n));
+    let chunk = n.div_ceil(requested);
+    (chunk, n.div_ceil(chunk))
+}
+
+/// A source binary operator evaluated on the host: the generated reduce
+/// kernel launched with one work-item — one chunk, i.e. a plain left fold —
+/// on the host-side kernel engine. Built once per skeleton instance; the
+/// reduce uses it to finish the gathered partials, the scan to combine
+/// per-device totals into offsets.
+pub(crate) struct HostOperator {
+    program: skelcl_kernel::Program,
+    kernel: skelcl_kernel::KernelHandle,
+}
+
+impl HostOperator {
+    pub(crate) fn build(info: &UdfInfo) -> Result<HostOperator> {
+        let program = skelcl_kernel::Program::build(&kernelgen::reduce_kernel(info)?)?;
+        let kernel = program.kernel(kernelgen::REDUCE_KERNEL)?;
+        Ok(HostOperator { program, kernel })
+    }
+
+    /// Left fold of `values` (not empty) under the operator.
+    pub(crate) fn fold<T: DeviceScalar>(&self, values: &mut [T]) -> Result<T> {
+        let mut out = [values[0]];
+        let n = values.len() as i32;
+        let mut args = [
+            ArgBinding::Buffer(T::buffer_view(values)),
+            ArgBinding::Buffer(T::buffer_view(&mut out)),
+            ArgBinding::Scalar(Value::Int(n)),
+        ];
+        self.program.run_ndrange(&self.kernel, 1, &mut args)?;
+        Ok(out[0])
+    }
+}
+
+/// One device's share of a reduction: the element count of its part and the
+/// kernel's leading (input buffer) arguments.
+pub(crate) struct ReducePart {
+    pub device: usize,
+    pub n: usize,
+    pub inputs: Vec<KernelArg>,
+}
+
+/// Steps 1 and 2 of every reduction, eager or fused: launch `kernel` on each
+/// part's device with the argument layout `[inputs..., partials, n,
+/// extras...]`, then gather the partial vectors — reads enqueued on every
+/// device before any is claimed — and return all partials in
+/// device-then-chunk order. `closure_cost` is the per-element cost of a Rust
+/// closure operator (kernel-language kernels are charged what they measure).
+pub(crate) fn launch_and_gather<T: DeviceScalar>(
+    runtime: &SkelCl,
+    kernel: &oclsim::Kernel,
+    parts: Vec<ReducePart>,
+    extras: &[KernelArg],
+    chunks_per_device: Option<usize>,
+    closure_cost: Option<CostHint>,
+) -> Result<Vec<T>> {
+    let mut launched = Vec::with_capacity(parts.len());
+    let gathered = (|| -> Result<Vec<T>> {
+        for part in parts {
+            let (chunk, work_items) = launch_geometry(part.n, chunks_per_device);
+            let out = runtime
+                .context()
+                .create_buffer::<T>(part.device, work_items)?;
+            launched.push((part.device, out.clone(), work_items));
+            let mut args = part.inputs;
+            args.push(KernelArg::Buffer(out));
+            args.push(KernelArg::Scalar(Value::Int(part.n as i32)));
+            args.extend_from_slice(extras);
+            let queue = runtime.queue(part.device);
+            match closure_cost {
+                Some(cost) => queue.enqueue_kernel_with_cost(
+                    kernel,
+                    work_items,
+                    &args,
+                    sequential_cost(cost, chunk, 4.0),
+                )?,
+                None => queue.enqueue_kernel(kernel, work_items, &args)?,
+            };
+        }
+        let mut reads = Vec::with_capacity(launched.len());
+        for (device, out, work_items) in &launched {
+            let read =
+                runtime
+                    .queue(*device)
+                    .enqueue_read_buffer_region_nb::<T>(out, 0, *work_items)?;
+            reads.push((*device, read, *work_items));
+        }
+        Ok(claim_reads::<T>(runtime, reads)?.concat())
+    })();
+    for (device, out, _) in &launched {
+        if gathered.is_err() {
+            // A launch may still be in flight (a later device's enqueue
+            // failed): join it and drop its latched error before its
+            // partials buffer goes back to the pool.
+            let _ = runtime.queue(*device).take_deferred_error();
+            let _ = runtime.context().release_buffer(out);
+        } else {
+            runtime.context().release_buffer(out)?;
+        }
+    }
+    gathered
+}
 
 enum ReduceUdf<T> {
     Source(String),
@@ -35,24 +193,24 @@ enum ReduceUdf<T> {
 
 struct BuiltSource {
     kernel: oclsim::Kernel,
-    /// A host-side copy of the generated program, used for step 3 (the final
-    /// reduction of the per-device partial results on the CPU).
-    host_program: skelcl_kernel::Program,
+    host: Arc<HostOperator>,
     per_element_cost: CostHint,
 }
 
-/// How a scheduler-aware reduction (Section V) was executed: how many
-/// intermediate results the devices produced and where the final reduction
-/// ran. Returned by the `scalar_with_plan` terminal form so applications and
-/// tests can inspect the decision.
+/// How a reduction was executed: how many partial results the devices left
+/// and where the final fold ran. Returned by the `scalar_with_plan` terminal
+/// form so applications and tests can inspect the decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReducePlan {
-    /// Number of intermediate partial results gathered from the devices.
+    /// Number of partial results gathered from the devices: per device
+    /// [`reduce_partials`] of its part's length, or what
+    /// [`Launch::chunks`] asked for.
     pub intermediate_results: usize,
     /// Device index chosen for the final reduction (meaningful only when
     /// `final_on_cpu` is false).
     pub final_device: usize,
-    /// Whether the final reduction ran on the host CPU rather than a device.
+    /// Whether the final reduction ran on the host CPU rather than a
+    /// device — always, unless an attached scheduler placed it on a device.
     pub final_on_cpu: bool,
 }
 
@@ -73,7 +231,6 @@ pub struct Reduce<T: DeviceScalar> {
     cost: CostHint,
     cache: UdfCache,
     built: Mutex<Option<Arc<BuiltSource>>>,
-    built_chunked: Mutex<Option<oclsim::Kernel>>,
 }
 
 impl<T: DeviceScalar> Reduce<T> {
@@ -84,7 +241,6 @@ impl<T: DeviceScalar> Reduce<T> {
             cost: CostHint::DEFAULT,
             cache: UdfCache::new(),
             built: Mutex::new(None),
-            built_chunked: Mutex::new(None),
         }
     }
 
@@ -98,7 +254,6 @@ impl<T: DeviceScalar> Reduce<T> {
             cost: CostHint::DEFAULT,
             cache: UdfCache::new(),
             built: Mutex::new(None),
-            built_chunked: Mutex::new(None),
         }
     }
 
@@ -116,228 +271,71 @@ impl<T: DeviceScalar> Reduce<T> {
         Launch::new(self, input.clone())
     }
 
-    /// The analysed binary-operator UDF for use in a lazy plan. Native
-    /// closures have no source to fuse, so they cannot participate in plans.
-    pub(crate) fn plan_udf(&self) -> Result<Arc<kernelgen::UdfInfo>> {
+    /// The analysed binary-operator UDF and its host evaluator for use in a
+    /// lazy plan. Native closures have no source to fuse, so they cannot
+    /// participate in plans.
+    pub(crate) fn plan_op(&self) -> Result<(Arc<UdfInfo>, Arc<HostOperator>)> {
         match &self.udf {
-            ReduceUdf::Source(src) => {
-                let info = self.cache.info(src, 2)?;
-                kernelgen::check_binary_op(&info, "reduce")?;
-                Ok(info)
-            }
+            ReduceUdf::Source(src) => self.cache.operator(src, "reduce"),
             ReduceUdf::Native(_) => Err(SkelError::Plan(
                 "reduce stage uses a native Rust closure; lazy plans require source UDFs".into(),
             )),
         }
     }
 
-    fn ensure_built(&self, runtime: &Arc<crate::runtime::SkelCl>) -> Result<Arc<BuiltSource>> {
+    fn ensure_built(&self, runtime: &SkelCl, src: &str) -> Result<Arc<BuiltSource>> {
         let mut built = self.built.lock();
         if let Some(b) = built.as_ref() {
             return Ok(b.clone());
         }
-        let ReduceUdf::Source(src) = &self.udf else {
-            unreachable!("ensure_built is only called for source UDFs")
-        };
-        let info = self.cache.info(src, 2)?;
+        let (info, host) = self.cache.operator(src, "reduce")?;
         let kernel_src = kernelgen::reduce_kernel(&info)?;
         let program = runtime.context().build_program(&kernel_src)?;
-        let kernel = program.kernel(kernelgen::REDUCE_KERNEL)?;
-        let host_program = skelcl_kernel::Program::build(&kernel_src)?;
         let b = Arc::new(BuiltSource {
-            kernel,
-            host_program,
+            kernel: program.kernel(kernelgen::REDUCE_KERNEL)?,
+            host,
             per_element_cost: self.cache.cost(src)?,
         });
         *built = Some(b.clone());
         Ok(b)
     }
 
-    fn ensure_built_chunked(
-        &self,
-        runtime: &Arc<crate::runtime::SkelCl>,
-    ) -> Result<oclsim::Kernel> {
-        let mut built = self.built_chunked.lock();
-        if let Some(k) = built.as_ref() {
-            return Ok(k.clone());
-        }
-        let ReduceUdf::Source(src) = &self.udf else {
-            unreachable!("ensure_built_chunked is only called for source UDFs")
-        };
-        let info = self.cache.info(src, 2)?;
-        let kernel_src = kernelgen::reduce_chunked_kernel(&info)?;
-        let program = runtime.context().build_program(&kernel_src)?;
-        let kernel = program.kernel(kernelgen::REDUCE_CHUNKED_KERNEL)?;
-        *built = Some(kernel.clone());
-        Ok(kernel)
-    }
-
-    fn native_chunked_kernel(&self) -> Option<oclsim::Kernel> {
-        let ReduceUdf::Native(f) = &self.udf else {
-            return None;
-        };
-        let f = f.clone();
-        let def = NativeKernelDef::new("skelcl_reduce_chunked_native", self.cost, move |ctx| {
-            let chunks = ctx.global_size();
+    /// The reduce kernel for a Rust closure operator: the generated
+    /// kernel's shape, work-item `g` folding chunk `g` of
+    /// `ceil(n / global size)` elements into `out[g]`.
+    fn closure_kernel(f: Arc<dyn Fn(T, T) -> T + Send + Sync>, cost: CostHint) -> oclsim::Kernel {
+        const NAME: &str = "skelcl_reduce_native";
+        let def = NativeKernelDef::new(NAME, cost, move |ctx| {
             let n = ctx.scalar_usize(2)?;
-            let chunk = ctx.scalar_usize(3)?.max(1);
+            let chunk = n.div_ceil(ctx.global_size().max(1)).max(1);
             let mut views = ctx.arg_views();
-            let (in_view, rest) = views
-                .split_first_mut()
-                .ok_or_else(|| "chunked reduce kernel is missing its input".to_string())?;
-            let (out_view, _) = rest
-                .split_first_mut()
-                .ok_or_else(|| "chunked reduce kernel is missing its output".to_string())?;
+            let [in_view, out_view, ..] = views.as_mut_slice() else {
+                return Err("reduce kernel is missing its input or output".to_string());
+            };
             let input = in_view
                 .as_slice::<T>()
-                .ok_or_else(|| "reduce input must be a buffer".to_string())?;
+                .and_then(|input| input.get(..n))
+                .ok_or_else(|| format!("reduce input must be a buffer of {n} elements"))?;
             let output = out_view
                 .as_slice_mut::<T>()
                 .ok_or_else(|| "reduce output must be a buffer".to_string())?;
-            for g in 0..chunks {
-                let start = g * chunk;
-                if start >= n {
-                    continue;
-                }
-                let end = (start + chunk).min(n);
-                let mut acc = input[start];
-                for x in &input[start + 1..end] {
-                    acc = f(acc, *x);
-                }
-                output[g] = acc;
+            for (part, out) in input.chunks(chunk).zip(output) {
+                *out = part[1..].iter().fold(part[0], |acc, x| f(acc, *x));
             }
             Ok(())
         });
-        let program = Program::from_native([def]);
-        program.kernel("skelcl_reduce_chunked_native").ok()
+        Program::from_native([def])
+            .kernel(NAME)
+            .expect("the program holds the kernel it was built from")
     }
 
-    fn native_kernel(&self) -> Option<oclsim::Kernel> {
-        let ReduceUdf::Native(f) = &self.udf else {
-            return None;
-        };
-        let f = f.clone();
-        let def = NativeKernelDef::new("skelcl_reduce_native", self.cost, move |ctx| {
-            let mut views = ctx.arg_views();
-            let (in_view, rest) = views
-                .split_first_mut()
-                .ok_or_else(|| "reduce kernel is missing its input".to_string())?;
-            let (out_view, _) = rest
-                .split_first_mut()
-                .ok_or_else(|| "reduce kernel is missing its output".to_string())?;
-            let input = in_view
-                .as_slice::<T>()
-                .ok_or_else(|| "reduce input must be a buffer".to_string())?;
-            let output = out_view
-                .as_slice_mut::<T>()
-                .ok_or_else(|| "reduce output must be a buffer".to_string())?;
-            let mut acc = input[0];
-            for x in &input[1..] {
-                acc = f(acc, *x);
-            }
-            output[0] = acc;
-            Ok(())
-        });
-        let program = Program::from_native([def]);
-        program.kernel("skelcl_reduce_native").ok()
-    }
-
-    /// Apply the binary operator on the host (step 3 of the multi-GPU
-    /// strategy): for source operators, the generated reduce kernel is run by
-    /// the host-side interpreter over the gathered partial results.
-    fn host_fold(&self, built: Option<&BuiltSource>, values: &[T]) -> Result<T> {
-        debug_assert!(!values.is_empty());
-        match &self.udf {
-            ReduceUdf::Native(f) => {
-                let mut acc = values[0];
-                for v in &values[1..] {
-                    acc = f(acc, *v);
-                }
-                Ok(acc)
-            }
-            ReduceUdf::Source(_) => {
-                let built = built.expect("source reduce always builds its program");
-                let kernel = built.host_program.kernel(kernelgen::REDUCE_KERNEL)?;
-                // Bind the gathered values and a one-element output through
-                // the host interpreter. Values are converted through f64,
-                // which is exact for every supported scalar type.
-                let mut input: Vec<f64> = values.iter().map(|v| v.to_value().as_f64()).collect();
-                let mut output = vec![0.0f64; 1];
-                // The generated kernel's buffers are typed with T's kernel
-                // type; run a specialised binding per type.
-                match T::type_name() {
-                    "float" => {
-                        let mut in_f: Vec<f32> = input.iter().map(|v| *v as f32).collect();
-                        let mut out_f = vec![0.0f32; 1];
-                        let mut args = vec![
-                            skelcl_kernel::interp::ArgBinding::buffer_f32(&mut in_f),
-                            skelcl_kernel::interp::ArgBinding::buffer_f32(&mut out_f),
-                            skelcl_kernel::interp::ArgBinding::Scalar(Value::Int(
-                                values.len() as i32
-                            )),
-                        ];
-                        built.host_program.run_ndrange(&kernel, 1, &mut args)?;
-                        return Ok(T::from_value(Value::Float(out_f[0])));
-                    }
-                    "int" => {
-                        let mut in_i: Vec<i32> = input.iter().map(|v| *v as i32).collect();
-                        let mut out_i = vec![0i32; 1];
-                        let mut args = vec![
-                            skelcl_kernel::interp::ArgBinding::buffer_i32(&mut in_i),
-                            skelcl_kernel::interp::ArgBinding::buffer_i32(&mut out_i),
-                            skelcl_kernel::interp::ArgBinding::Scalar(Value::Int(
-                                values.len() as i32
-                            )),
-                        ];
-                        built.host_program.run_ndrange(&kernel, 1, &mut args)?;
-                        return Ok(T::from_value(Value::Int(out_i[0])));
-                    }
-                    "uint" => {
-                        let mut in_u: Vec<u32> = input.iter().map(|v| *v as u32).collect();
-                        let mut out_u = vec![0u32; 1];
-                        let mut args = vec![
-                            skelcl_kernel::interp::ArgBinding::buffer_u32(&mut in_u),
-                            skelcl_kernel::interp::ArgBinding::buffer_u32(&mut out_u),
-                            skelcl_kernel::interp::ArgBinding::Scalar(Value::Int(
-                                values.len() as i32
-                            )),
-                        ];
-                        built.host_program.run_ndrange(&kernel, 1, &mut args)?;
-                        return Ok(T::from_value(Value::Uint(out_u[0])));
-                    }
-                    _ => {
-                        let mut args = vec![
-                            skelcl_kernel::interp::ArgBinding::buffer_f64(&mut input),
-                            skelcl_kernel::interp::ArgBinding::buffer_f64(&mut output),
-                            skelcl_kernel::interp::ArgBinding::Scalar(Value::Int(
-                                values.len() as i32
-                            )),
-                        ];
-                        built.host_program.run_ndrange(&kernel, 1, &mut args)?;
-                    }
-                }
-                Ok(T::from_value(Value::Double(output[0])))
-            }
-        }
-    }
-
-    /// The plain three-step reduction (Section III-C). Runs under
-    /// replay-based fault recovery (see the `recovery` module).
-    fn execute_plain<C: Container<T>>(&self, input: &C, cfg: &LaunchConfig<'_>) -> Result<T> {
-        let runtime = input.runtime();
-        crate::recovery::run_recoverable(
-            &runtime,
-            &|| input.refresh_for_replay(),
-            &|weights| input.repartition_for_recovery(weights),
-            &mut || self.execute_plain_attempt(input, cfg),
-        )
-    }
-
-    fn execute_plain_attempt<C: Container<T>>(
+    /// One attempt of the three-step reduction; runs under replay-based
+    /// fault recovery (see the `recovery` module).
+    fn execute_attempt<C: Container<T>>(
         &self,
         input: &C,
         cfg: &LaunchConfig<'_>,
-    ) -> Result<T> {
+    ) -> Result<(T, ReducePlan)> {
         // A replicated input would be folded once per device; reduce visits
         // every element exactly once, so coerce to a disjoint layout first
         // (merging replicas through the container's combine function).
@@ -348,71 +346,96 @@ impl<T: DeviceScalar> Reduce<T> {
                 "the reduce skeleton's binary operator takes no additional arguments".into(),
             ));
         }
-
-        let (kernel, built, per_element_cost) = match &self.udf {
-            ReduceUdf::Source(_) => {
-                let built = self.ensure_built(&call.runtime)?;
-                (
-                    built.kernel.clone(),
-                    Some(built.clone()),
-                    built.per_element_cost,
-                )
-            }
-            ReduceUdf::Native(_) => (
-                self.native_kernel()
-                    .expect("native kernel construction cannot fail"),
-                None,
-                self.cost,
-            ),
-        };
-
-        // Step 1: local reductions on every device that holds a part.
         let runtime = &call.runtime;
-        let mut partial_buffers = Vec::new();
+        type Fold<'f, T> = Box<dyn Fn(&mut [T]) -> Result<T> + 'f>;
+        let (kernel, per_element_cost, closure_cost, host_fold): (_, _, _, Fold<'_, T>) =
+            match &self.udf {
+                ReduceUdf::Source(src) => {
+                    let built = self.ensure_built(runtime, src)?;
+                    let host = built.host.clone();
+                    (
+                        built.kernel.clone(),
+                        built.per_element_cost,
+                        None,
+                        Box::new(move |values| host.fold(values)),
+                    )
+                }
+                ReduceUdf::Native(f) => (
+                    Self::closure_kernel(f.clone(), self.cost),
+                    self.cost,
+                    Some(self.cost),
+                    Box::new(move |values| {
+                        Ok(values[1..].iter().fold(values[0], |acc, x| f(acc, *x)))
+                    }),
+                ),
+            };
+
+        // Steps 1 + 2: every device holding a part leaves its partial
+        // vector, gathered in device order (the operator may be
+        // non-commutative).
+        let mut parts = Vec::new();
         for device in call.partition.active_devices() {
-            let n = call.partition.size(device);
-            let in_buffer = call.input_buffer(device)?;
-            let out_buffer = runtime.context().create_buffer::<T>(device, 1)?;
-            runtime.queue(device).enqueue_kernel_with_cost(
-                &kernel,
-                1,
-                &[
-                    KernelArg::Buffer(in_buffer),
-                    KernelArg::Buffer(out_buffer.clone()),
-                    KernelArg::Scalar(Value::Int(n as i32)),
-                ],
-                sequential_cost(per_element_cost, n, 4.0),
+            parts.push(ReducePart {
+                device,
+                n: call.partition.size(device),
+                inputs: vec![KernelArg::Buffer(call.input_buffer(device)?)],
+            });
+        }
+        let mut partials = launch_and_gather::<T>(
+            runtime,
+            &kernel,
+            parts,
+            &[],
+            cfg.chunks_per_device,
+            closure_cost,
+        )?;
+
+        // Step 3: the final fold — on the CPU, unless an attached scheduler
+        // places it on a device.
+        let mut plan = ReducePlan {
+            intermediate_results: partials.len(),
+            final_device: 0,
+            final_on_cpu: true,
+        };
+        if let Some(scheduler) = cfg.scheduler {
+            (plan.final_device, plan.final_on_cpu) = scheduler.final_reduce_placement(
+                partials.len(),
+                std::mem::size_of::<T>(),
+                per_element_cost,
             )?;
-            partial_buffers.push((device, out_buffer));
         }
-
-        // Step 2: gather the intermediate results on the CPU, in device
-        // order so that non-commutative operators stay correct.
-        let mut partials = Vec::with_capacity(partial_buffers.len());
-        for (device, buffer) in &partial_buffers {
-            let mut one = [T::from_value(Value::Int(0)); 1];
+        if plan.final_on_cpu || partials.len() == 1 {
+            return Ok((host_fold(&mut partials)?, plan));
+        }
+        // Upload the gathered partials and fold them with the same kernel,
+        // as one chunk.
+        let device = plan.final_device;
+        let staged = runtime
+            .context()
+            .create_buffer::<T>(device, partials.len())?;
+        let folded = (|| -> Result<Vec<T>> {
             runtime
-                .queue(*device)
-                .enqueue_read_buffer(buffer, &mut one)?;
-            partials.push(one[0]);
-            runtime.context().release_buffer(buffer)?;
+                .queue(device)
+                .enqueue_write_buffer(&staged, &partials)?;
+            let part = ReducePart {
+                device,
+                n: partials.len(),
+                inputs: vec![KernelArg::Buffer(staged.clone())],
+            };
+            launch_and_gather(runtime, &kernel, vec![part], &[], Some(1), closure_cost)
+        })();
+        if folded.is_err() {
+            // The upload may still be in flight: join it before its buffer
+            // goes back to the pool.
+            let _ = runtime.queue(device).take_deferred_error();
         }
-
-        // Step 3: final reduction on the CPU.
-        self.host_fold(built.as_deref(), &partials)
+        let released = runtime.context().release_buffer(&staged);
+        let value = folded?[0];
+        released?;
+        Ok((value, plan))
     }
 
-    /// The scheduler-aware multi-stage reduction of Section V of the paper.
-    ///
-    /// Instead of folding each device's part down to a single value, every
-    /// device produces an *intermediate result vector* of up to
-    /// `cfg.chunks_per_device` partial results (one per chunk of its part).
-    /// The gathered intermediates are then reduced either on the host CPU or
-    /// on the device the scheduler predicts to be fastest — the paper notes
-    /// that "CPUs will be faster to perform the final reduction of these
-    /// vectors than GPUs which provide poor performance when reducing only
-    /// few elements".
-    fn execute_scheduled<C: Container<T>>(
+    fn execute_with_plan<C: Container<T>>(
         &self,
         input: &C,
         cfg: &LaunchConfig<'_>,
@@ -422,125 +445,8 @@ impl<T: DeviceScalar> Reduce<T> {
             &runtime,
             &|| input.refresh_for_replay(),
             &|weights| input.repartition_for_recovery(weights),
-            &mut || self.execute_scheduled_attempt(input, cfg),
+            &mut || self.execute_attempt(input, cfg),
         )
-    }
-
-    fn execute_scheduled_attempt<C: Container<T>>(
-        &self,
-        input: &C,
-        cfg: &LaunchConfig<'_>,
-    ) -> Result<(T, ReducePlan)> {
-        let scheduler = cfg.scheduler.ok_or_else(|| {
-            SkelError::Internal("scheduled reduce launched without a scheduler".into())
-        })?;
-        let chunks_per_device = cfg.chunks_per_device.max(1);
-        input.ensure_disjoint()?;
-        let call = PreparedCall::single(input, cfg, None)?;
-        if call.prepared_args.len() != 0 {
-            return Err(SkelError::UnsupportedArg(
-                "the reduce skeleton's binary operator takes no additional arguments".into(),
-            ));
-        }
-        let runtime = &call.runtime;
-
-        let (chunked_kernel, built, per_element_cost) = match &self.udf {
-            ReduceUdf::Source(_) => {
-                let built = self.ensure_built(runtime)?;
-                let chunked = self.ensure_built_chunked(runtime)?;
-                (chunked, Some(built.clone()), built.per_element_cost)
-            }
-            ReduceUdf::Native(_) => (
-                self.native_chunked_kernel()
-                    .expect("native kernel construction cannot fail"),
-                None,
-                self.cost,
-            ),
-        };
-
-        // Step 1: chunked local reductions — each device leaves an
-        // intermediate result vector on its own memory.
-        let mut partial_buffers = Vec::new();
-        for device in call.partition.active_devices() {
-            let n = call.partition.size(device);
-            let chunks = chunks_per_device.min(n);
-            let chunk_size = n.div_ceil(chunks);
-            let in_buffer = call.input_buffer(device)?;
-            let out_buffer = runtime.context().create_buffer::<T>(device, chunks)?;
-            runtime.queue(device).enqueue_kernel_with_cost(
-                &chunked_kernel,
-                chunks,
-                &[
-                    KernelArg::Buffer(in_buffer),
-                    KernelArg::Buffer(out_buffer.clone()),
-                    KernelArg::Scalar(Value::Int(n as i32)),
-                    KernelArg::Scalar(Value::Int(chunk_size as i32)),
-                ],
-                sequential_cost(per_element_cost, chunk_size, 4.0),
-            )?;
-            partial_buffers.push((device, out_buffer, chunks));
-        }
-
-        // Step 2: gather the intermediate result vectors in device order (the
-        // operator may be non-commutative).
-        let mut partials = Vec::new();
-        for (device, buffer, chunks) in &partial_buffers {
-            let mut part = vec![T::from_value(Value::Int(0)); *chunks];
-            runtime
-                .queue(*device)
-                .enqueue_read_buffer(buffer, &mut part)?;
-            partials.extend_from_slice(&part);
-            runtime.context().release_buffer(buffer)?;
-        }
-
-        // Step 3: let the scheduler place the final reduction.
-        let (final_device, final_on_cpu) = scheduler.final_reduce_placement(
-            partials.len(),
-            std::mem::size_of::<T>(),
-            per_element_cost,
-        )?;
-        let plan = ReducePlan {
-            intermediate_results: partials.len(),
-            final_device,
-            final_on_cpu,
-        };
-        if final_on_cpu || partials.len() == 1 {
-            return Ok((self.host_fold(built.as_deref(), &partials)?, plan));
-        }
-
-        // Final reduction on the chosen device: upload the gathered
-        // intermediates and run the plain (single-work-item) reduce kernel.
-        let final_kernel = match &self.udf {
-            ReduceUdf::Source(_) => built
-                .as_ref()
-                .expect("source reduce always builds its program")
-                .kernel
-                .clone(),
-            ReduceUdf::Native(_) => self
-                .native_kernel()
-                .expect("native kernel construction cannot fail"),
-        };
-        let queue = runtime.queue(final_device);
-        let in_buffer = runtime
-            .context()
-            .create_buffer::<T>(final_device, partials.len())?;
-        queue.enqueue_write_buffer(&in_buffer, &partials)?;
-        let out_buffer = runtime.context().create_buffer::<T>(final_device, 1)?;
-        queue.enqueue_kernel_with_cost(
-            &final_kernel,
-            1,
-            &[
-                KernelArg::Buffer(in_buffer.clone()),
-                KernelArg::Buffer(out_buffer.clone()),
-                KernelArg::Scalar(Value::Int(partials.len() as i32)),
-            ],
-            sequential_cost(per_element_cost, partials.len(), 4.0),
-        )?;
-        let mut one = [T::from_value(Value::Int(0)); 1];
-        queue.enqueue_read_buffer(&out_buffer, &mut one)?;
-        runtime.context().release_buffer(&in_buffer)?;
-        runtime.context().release_buffer(&out_buffer)?;
-        Ok((one[0], plan))
     }
 }
 
@@ -552,11 +458,7 @@ impl<T: DeviceScalar, C: Container<T>> Skeleton<C> for Reduce<T> {
     }
 
     fn execute(&self, input: &C, cfg: &LaunchConfig<'_>) -> Result<T> {
-        if cfg.scheduler.is_some() {
-            Ok(self.execute_scheduled(input, cfg)?.0)
-        } else {
-            self.execute_plain(input, cfg)
-        }
+        Ok(self.execute_with_plan(input, cfg)?.0)
     }
 }
 
@@ -567,25 +469,11 @@ impl<T: DeviceScalar, C: Container<T>> Launch<'_, Reduce<T>, C> {
     }
 
     /// Execute and return the reduced value together with the
-    /// [`ReducePlan`] describing how the reduction was scheduled. Without an
-    /// attached scheduler the plan reflects the plain three-step strategy
-    /// (final combination on the CPU).
+    /// [`ReducePlan`] describing how the reduction ran: how many partial
+    /// results the devices left and where the final fold was placed (the
+    /// CPU, unless an attached scheduler chose a device).
     pub fn scalar_with_plan(self) -> Result<(T, ReducePlan)> {
-        if self.cfg.scheduler.is_some() {
-            return self.skeleton.execute_scheduled(&self.input, &self.cfg);
-        }
-        // The plain strategy gathers one partial per active device and
-        // always finishes on the CPU.
-        let value = self.skeleton.execute_plain(&self.input, &self.cfg)?;
-        let actives = self.input.part_sizes().iter().filter(|&&s| s > 0).count();
-        Ok((
-            value,
-            ReducePlan {
-                intermediate_results: actives,
-                final_device: 0,
-                final_on_cpu: true,
-            },
-        ))
+        self.skeleton.execute_with_plan(&self.input, &self.cfg)
     }
 
     /// Execute and wrap the reduced value in a single-element,
@@ -694,6 +582,11 @@ mod tests {
         assert_eq!(value, 465);
         assert!(plan.final_on_cpu);
         assert_eq!(plan.intermediate_results, 3);
+        // Larger parts leave several partials each, and the plan says so.
+        let v = Vector::from_vec(&rt, (1..=3000).collect());
+        let (value, plan) = sum.run(&v).scalar_with_plan().unwrap();
+        assert_eq!(value, 3000 * 3001 / 2);
+        assert_eq!(plan.intermediate_results, 3 * reduce_partials(1000));
     }
 
     #[test]

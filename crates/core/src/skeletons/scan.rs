@@ -3,10 +3,12 @@
 //!
 //! Multi-GPU execution (paper, Section III-C and Figure 2):
 //! 1. every GPU runs a local scan of its part,
-//! 2. the per-part totals are downloaded to the host,
+//! 2. the per-part totals are downloaded to the host (non-blocking reads on
+//!    every device, claimed in device order),
 //! 3. for every GPU except the first, a map skeleton is created implicitly
-//!    that combines the totals of its predecessors with every element of its
-//!    part,
+//!    that combines the totals of its predecessors — folded on the host
+//!    through the operator's cached [`HostOperator`] — with every element of
+//!    its part,
 //! 4. these map kernels compute the final result on the devices.
 //!
 //! The output vector is block-distributed.
@@ -21,7 +23,8 @@ use crate::container::Container;
 use crate::error::{Result, SkelError};
 use crate::kernelgen::{self, UdfInfo};
 use crate::skeletons::{
-    sequential_cost, DeviceScalar, Launch, LaunchConfig, PreparedCall, Skeleton, UdfCache,
+    claim_reads, sequential_cost, DeviceScalar, HostOperator, Launch, LaunchConfig, PreparedCall,
+    Skeleton, UdfCache,
 };
 use crate::vector::Vector;
 
@@ -33,6 +36,7 @@ enum ScanUdf<T> {
 struct BuiltSource {
     scan_kernel: oclsim::Kernel,
     offset_kernel: oclsim::Kernel,
+    host: Arc<HostOperator>,
     per_element_cost: CostHint,
 }
 
@@ -112,15 +116,12 @@ impl<T: DeviceScalar> Scan<T> {
         }
     }
 
-    /// The analysed binary-operator UDF for use in a lazy plan. Native
-    /// closures have no source to fuse, so they cannot participate in plans.
-    pub(crate) fn plan_udf(&self) -> Result<Arc<UdfInfo>> {
+    /// The analysed binary-operator UDF and its host evaluator for use in a
+    /// lazy plan. Native closures have no source to fuse, so they cannot
+    /// participate in plans.
+    pub(crate) fn plan_op(&self) -> Result<(Arc<UdfInfo>, Arc<HostOperator>)> {
         match &self.udf {
-            ScanUdf::Source(src) => {
-                let info = self.cache.info(src, 2)?;
-                kernelgen::check_binary_op(&info, "scan")?;
-                Ok(info)
-            }
+            ScanUdf::Source(src) => self.cache.operator(src, "scan"),
             ScanUdf::Native(_) => Err(SkelError::Plan(
                 "scan stage uses a native Rust closure; lazy plans require source UDFs".into(),
             )),
@@ -135,12 +136,13 @@ impl<T: DeviceScalar> Scan<T> {
         let ScanUdf::Source(src) = &self.udf else {
             unreachable!("ensure_built is only called for source UDFs")
         };
-        let info = self.cache.info(src, 2)?;
+        let (info, host) = self.cache.operator(src, "scan")?;
         let kernel_src = kernelgen::scan_kernels(&info)?;
         let program = runtime.context().build_program(&kernel_src)?;
         let b = Arc::new(BuiltSource {
             scan_kernel: program.kernel(kernelgen::SCAN_KERNEL)?,
             offset_kernel: program.kernel(kernelgen::SCAN_OFFSET_KERNEL)?,
+            host,
             per_element_cost: self.cache.cost(src)?,
         });
         *built = Some(b.clone());
@@ -200,20 +202,11 @@ impl<T: DeviceScalar> Scan<T> {
             .ok()
     }
 
-    fn host_combine(&self, built: Option<&BuiltSource>, a: T, b: T) -> T {
+    /// `a ⊕ b` on the host, for combining per-device totals into offsets.
+    fn host_combine(&self, runtime: &Arc<crate::runtime::SkelCl>, a: T, b: T) -> Result<T> {
         match &self.udf {
-            ScanUdf::Native(f) => f(a, b),
-            ScanUdf::Source(_) => {
-                // The offsets are combined on the host by evaluating the
-                // user operator through the same generated kernel used on the
-                // devices, over a two-element array.
-                let _ = built;
-                let src = match &self.udf {
-                    ScanUdf::Source(s) => s.clone(),
-                    ScanUdf::Native(_) => unreachable!(),
-                };
-                host_eval_operator::<T>(&src, a, b)
-            }
+            ScanUdf::Native(f) => Ok(f(a, b)),
+            ScanUdf::Source(_) => self.ensure_built(runtime)?.host.fold(&mut [a, b]),
         }
     }
 
@@ -279,26 +272,21 @@ impl<T: DeviceScalar> Scan<T> {
         // Step 2: download the per-part totals (last element of each local
         // scan) to the host. Only when a trace is requested does the whole
         // local scan come back — the totals are all the algorithm needs.
-        let mut totals = Vec::with_capacity(active.len());
-        let mut local_scans = Vec::with_capacity(active.len());
+        let mut reads = Vec::with_capacity(active.len());
         for &device in &active {
             let n = call.partition.size(device);
             let out_buffer = out_buffers[device].as_ref().expect("allocated above");
-            if want_trace {
-                let mut part = vec![T::from_value(Value::Int(0)); n];
-                runtime
-                    .queue(device)
-                    .enqueue_read_buffer(out_buffer, &mut part)?;
-                totals.push(part[n - 1]);
-                local_scans.push(part);
-            } else {
-                let mut last = [T::from_value(Value::Int(0)); 1];
-                runtime
-                    .queue(device)
-                    .enqueue_read_buffer_region(out_buffer, n - 1, &mut last)?;
-                totals.push(last[0]);
-            }
+            let (offset, len) = if want_trace { (0, n) } else { (n - 1, 1) };
+            let read = runtime
+                .queue(device)
+                .enqueue_read_buffer_region_nb::<T>(out_buffer, offset, len)?;
+            reads.push((device, read, len));
         }
+        let local_scans = claim_reads::<T>(runtime, reads)?;
+        let totals: Vec<T> = local_scans
+            .iter()
+            .map(|part| *part.last().expect("parts of active devices are not empty"))
+            .collect();
 
         // Step 3 + 4: combine predecessor totals into each later part via the
         // implicitly created map (offset) kernels. All offset kernels are
@@ -313,7 +301,7 @@ impl<T: DeviceScalar> Scan<T> {
             }
             running = Some(match running {
                 None => totals[i],
-                Some(acc) => self.host_combine(built.as_deref(), acc, totals[i]),
+                Some(acc) => self.host_combine(runtime, acc, totals[i])?,
             });
             if i == 0 {
                 continue;
@@ -413,71 +401,6 @@ impl<T: DeviceScalar> Launch<'_, Scan<T>, Vector<T>> {
         self.skeleton
             .execute_scan(&self.input, &self.cfg, false, Some(out))?;
         Ok(())
-    }
-}
-
-/// Evaluate a binary source operator on the host over two values by running
-/// the generated scan kernel on a two-element array.
-pub(crate) fn host_eval_operator<T: DeviceScalar>(source: &str, a: T, b: T) -> T {
-    let info = UdfInfo::analyze(source, 2).expect("operator was validated at build time");
-    let kernel_src = kernelgen::scan_kernels(&info).expect("operator was validated at build time");
-    let program = skelcl_kernel::Program::build(&kernel_src).expect("generated source is valid");
-    let kernel = program
-        .kernel(kernelgen::SCAN_KERNEL)
-        .expect("generated program contains the scan kernel");
-    match T::type_name() {
-        "float" => {
-            let mut input = vec![a.to_value().as_f64() as f32, b.to_value().as_f64() as f32];
-            let mut output = vec![0.0f32; 2];
-            let mut args = vec![
-                skelcl_kernel::interp::ArgBinding::buffer_f32(&mut input),
-                skelcl_kernel::interp::ArgBinding::buffer_f32(&mut output),
-                skelcl_kernel::interp::ArgBinding::Scalar(Value::Int(2)),
-            ];
-            program
-                .run_ndrange(&kernel, 1, &mut args)
-                .expect("host evaluation of the operator");
-            T::from_value(Value::Float(output[1]))
-        }
-        "int" => {
-            let mut input = vec![a.to_value().as_i64() as i32, b.to_value().as_i64() as i32];
-            let mut output = vec![0i32; 2];
-            let mut args = vec![
-                skelcl_kernel::interp::ArgBinding::buffer_i32(&mut input),
-                skelcl_kernel::interp::ArgBinding::buffer_i32(&mut output),
-                skelcl_kernel::interp::ArgBinding::Scalar(Value::Int(2)),
-            ];
-            program
-                .run_ndrange(&kernel, 1, &mut args)
-                .expect("host evaluation of the operator");
-            T::from_value(Value::Int(output[1]))
-        }
-        "uint" => {
-            let mut input = vec![a.to_value().as_i64() as u32, b.to_value().as_i64() as u32];
-            let mut output = vec![0u32; 2];
-            let mut args = vec![
-                skelcl_kernel::interp::ArgBinding::buffer_u32(&mut input),
-                skelcl_kernel::interp::ArgBinding::buffer_u32(&mut output),
-                skelcl_kernel::interp::ArgBinding::Scalar(Value::Int(2)),
-            ];
-            program
-                .run_ndrange(&kernel, 1, &mut args)
-                .expect("host evaluation of the operator");
-            T::from_value(Value::Uint(output[1]))
-        }
-        _ => {
-            let mut input = vec![a.to_value().as_f64(), b.to_value().as_f64()];
-            let mut output = vec![0.0f64; 2];
-            let mut args = vec![
-                skelcl_kernel::interp::ArgBinding::buffer_f64(&mut input),
-                skelcl_kernel::interp::ArgBinding::buffer_f64(&mut output),
-                skelcl_kernel::interp::ArgBinding::Scalar(Value::Int(2)),
-            ];
-            program
-                .run_ndrange(&kernel, 1, &mut args)
-                .expect("host evaluation of the operator");
-            T::from_value(Value::Double(output[1]))
-        }
     }
 }
 

@@ -123,6 +123,57 @@ fn reduce_recovers_exactly_from_a_device_loss() {
     assert!(trace.repartitions >= 1);
 }
 
+/// Per device a reduce is: input write (op 1), kernel (op 2), partials read
+/// (op 3). Every device leaves several partials here (1000 elements → 3).
+#[test]
+fn reduce_recovers_from_a_transient_fault_on_a_partials_read() {
+    let data = test_data(2000);
+    let expected: f32 = data.iter().sum(); // exact: small integers
+    let rt = skelcl::init_gpus(2);
+    rt.inject_faults(&FaultPlan::new().transient_transfer_at_op(1, 3));
+    let v = Vector::from_vec(&rt, data);
+    let sum = Reduce::<f32>::from_source(ADD);
+    let (value, plan) = sum.run(&v).scalar_with_plan().unwrap();
+    assert_eq!(value, expected);
+    assert_eq!(plan.intermediate_results, 6);
+    let trace = rt.exec_trace();
+    assert!(rt.lost_devices().is_empty());
+    assert_eq!(trace.recoveries, 1);
+    assert_eq!(trace.repartitions, 0, "transients keep the partitioning");
+    // The failed gather left nothing behind: no latched error, and the
+    // next reduction runs clean.
+    assert!(rt.take_deferred_errors().is_empty());
+    assert_eq!(v.reduce(&sum).unwrap(), expected);
+    assert_eq!(rt.exec_trace().recoveries, 1);
+}
+
+#[test]
+fn reduce_recovers_from_a_device_loss_between_kernel_and_gather() {
+    let data = test_data(4000);
+    let expected: f32 = data.iter().sum();
+    let rt = skelcl::init_gpus(4);
+    // Device 2 runs its kernel and dies on the partials read.
+    rt.inject_faults(&FaultPlan::new().device_lost_at_op(2, 3));
+    let v = Vector::from_vec(&rt, data);
+    let sum = Reduce::<f32>::from_source(ADD);
+    assert_eq!(v.reduce(&sum).unwrap(), expected);
+    let trace = rt.exec_trace();
+    assert_eq!(rt.lost_devices(), vec![2]);
+    assert_eq!(trace.recoveries, 1);
+    assert!(trace.repartitions >= 1, "a loss forces a re-partition");
+    assert!(rt.take_deferred_errors().is_empty());
+
+    // With the only copy of its part on the lost device, the same loss is a
+    // typed error, never a wrong sum.
+    let rt = skelcl::init_gpus(2);
+    let v = Vector::from_vec(&rt, test_data(2000));
+    v.copy_data_to_devices().unwrap();
+    v.mark_device_modified();
+    rt.inject_faults(&FaultPlan::new().device_lost_at_op(1, 2));
+    let err = v.reduce(&sum).unwrap_err();
+    assert!(err.is_device_lost(), "{err:?}");
+}
+
 #[test]
 fn iterative_stencil_recovers_mid_run_via_checkpoints() {
     let (rows, cols, sweeps) = (24, 10, 8);

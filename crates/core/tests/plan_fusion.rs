@@ -550,6 +550,59 @@ fn non_commutative_reduce_matches_eager_on_all_device_counts() {
     }
 }
 
+/// Many partials per device, on random non-dyadic floats (every
+/// re-association would show): map∘reduce and zip∘reduce are bit-identical
+/// fused, unfused and eager — all three run the one reduce template through
+/// the one launch → gather → host-fold path.
+#[test]
+fn fused_reductions_with_many_partials_match_unfused_and_eager_bitwise() {
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut random = |len: usize| -> Vec<f32> {
+        (0..len)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                ((state >> 40) as f32) / 1.3e6 - 6.1
+            })
+            .collect()
+    };
+    let (sq, m, s) = (square(), mul(), sum());
+    for devices in 1usize..=4 {
+        for len in [257usize, 1000, 16_385, 70_001] {
+            for dist in 0..4 {
+                let rt = skelcl::init_gpus(devices);
+                let v = Vector::from_vec(&rt, random(len));
+                let w = Vector::from_vec(&rt, random(len));
+                apply_distribution(&v, dist, devices);
+                let what = format!("devices={devices}, n={len}, dist={dist}");
+
+                let plan = v.lazy().map(&sq).reduce(&s);
+                let fused = plan.scalar().unwrap();
+                let unfused = plan.clone().policy(FusionPolicy::Never).scalar().unwrap();
+                let eager = v.map(&sq).unwrap().reduce(&s).unwrap();
+                assert_eq!(fused.to_bits(), eager.to_bits(), "map∘reduce fused: {what}");
+                assert_eq!(
+                    unfused.to_bits(),
+                    eager.to_bits(),
+                    "map∘reduce unfused: {what}"
+                );
+
+                let plan = v.lazy().zip(&w, &m).reduce(&s);
+                let fused = plan.scalar().unwrap();
+                let unfused = plan.clone().policy(FusionPolicy::Never).scalar().unwrap();
+                let eager = v.zip(&w, &m).unwrap().reduce(&s).unwrap();
+                assert_eq!(fused.to_bits(), eager.to_bits(), "zip∘reduce fused: {what}");
+                assert_eq!(
+                    unfused.to_bits(),
+                    eager.to_bits(),
+                    "zip∘reduce unfused: {what}"
+                );
+            }
+        }
+    }
+}
+
 /// Coalescing signatures: identical elementwise chains share a signature,
 /// different kernels or scalar arguments do not, and folds have none.
 #[test]

@@ -23,11 +23,11 @@ fn run_map(rt: &std::sync::Arc<skelcl::SkelCl>, n: usize) -> Vec<f32> {
 fn forced_native_tier_is_counted_and_bit_identical() {
     let rt = skelcl::init_gpus(1);
 
-    // First launch under the default (auto) tier: 100 items is below every
-    // graduation threshold, so it stays on the batched VM.
+    // The batched VM, pinned, is the baseline.
+    rt.set_kernel_tier(Tier::Batched);
     let baseline = run_map(&rt, 100);
     let t = rt.exec_trace();
-    assert_eq!(t.batched_launches(), 1, "small cold launch uses the VM");
+    assert_eq!(t.batched_launches(), 1, "pinned launch uses the VM");
     assert_eq!(t.native_launches(), 0);
     assert_eq!(t.native_compiles(), 0);
 
@@ -59,13 +59,59 @@ fn forced_native_tier_is_counted_and_bit_identical() {
 #[test]
 fn auto_tier_graduates_large_launches() {
     let rt = skelcl::init_gpus(1);
-    // 10_000 items on one device is past AUTO_SIZE_IMMEDIATE (8192): the
-    // very first launch graduates to the native tier.
+    // The default tier runs a kernel natively from its first launch,
+    // whatever the launch size.
     run_map(&rt, 10_000);
     let t = rt.exec_trace();
-    assert_eq!(t.native_launches(), 1, "large launch graduates immediately");
+    assert_eq!(t.native_launches(), 1, "first launch is native");
     assert_eq!(t.batched_launches(), 0);
     assert_eq!(t.native_compiles(), 1);
+}
+
+/// The default tier keeps a zip → reduce → scan pipeline on the native tier
+/// from the first launch on: the element-wise zip, the reduce's 64
+/// work-items of 4096 elements each, the host fold's and the scan's single
+/// work-item.
+#[test]
+fn default_tier_runs_zip_reduce_scan_natively_from_the_first_launch() {
+    use skelcl::skeletons::{Reduce, Scan, Zip};
+    const ADD: &str = "float func(float a, float b) { return a + b; }";
+
+    // A one-element vector first: every launch of the pipeline has exactly
+    // one work-item, and all of them are already native.
+    let rt = skelcl::init_gpus(1);
+    let mul = Zip::<f32, f32, f32>::from_source("float func(float x, float y) { return x * y; }");
+    let sum = Reduce::<f32>::from_source(ADD);
+    let scan = Scan::<f32>::from_source(ADD);
+    let one = Vector::from_vec(&rt, vec![3.0f32]);
+    let other = Vector::from_vec(&rt, vec![3.0f32]);
+    let p = mul.run(&one, &other).exec().unwrap();
+    assert_eq!(sum.run(&p).scalar().unwrap(), 9.0);
+    assert_eq!(scan.run(&p).exec().unwrap().to_vec().unwrap(), vec![9.0]);
+    let t = rt.exec_trace();
+    assert_eq!(t.native_launches(), 3, "{}", t.tier_line());
+    assert_eq!(t.native_compiles(), 3, "{}", t.tier_line());
+
+    let n = 1usize << 18;
+    let x = Vector::from_vec(&rt, (0..n).map(|i| (i % 8) as f32 * 0.125).collect());
+    let y = Vector::from_vec(&rt, (0..n).map(|i| (i % 5) as f32 * 0.25).collect());
+    let p = mul.run(&x, &y).exec().unwrap();
+    let (total, plan) = sum.run(&p).scalar_with_plan().unwrap();
+    let prefix = scan.run(&p).exec().unwrap().to_vec().unwrap();
+    assert_eq!(plan.intermediate_results, 64);
+    assert_eq!(total, prefix[n - 1], "dyadic inputs: every order is exact");
+    let t = rt.exec_trace();
+    assert_eq!(t.native_launches(), 6, "{}", t.tier_line());
+    assert_eq!(
+        t.native_compiles(),
+        3,
+        "same three kernels: {}",
+        t.tier_line()
+    );
+    let others = t.batched_launches() + t.scalar_launches() + t.interp_launches();
+    assert_eq!(others, 0, "{}", t.tier_line());
+    assert_eq!(t.replayed_batches(), 0, "{}", t.tier_line());
+    assert_eq!(t.bailed_launches(), 0, "{}", t.tier_line());
 }
 
 #[test]
@@ -193,10 +239,9 @@ fn explain_renders_tier_decision() {
     let plan = v.lazy().map(&square);
     let text = plan.explain().unwrap();
     assert!(
-        text.contains("Kernel tier: auto"),
-        "default explain shows the auto heuristic:\n{text}"
+        text.contains("Kernel tier: auto (native from a kernel's first launch"),
+        "default explain says what auto means:\n{text}"
     );
-    assert!(text.contains("8192"), "thresholds are spelled out:\n{text}");
     assert!(
         text.contains("Kernel launches: 0 native, 0 batched")
             && text.contains("0 replayed batch(es), 0 bailed launch(es), 0 masked batch(es)"),

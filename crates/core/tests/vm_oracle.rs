@@ -1,10 +1,10 @@
 //! Differential tests over the *actual* generated skeleton kernels: every
-//! kernel that `kernelgen` emits (map, index map, zip, reduce, chunked
-//! reduce, scan + scan offset) runs through both the bytecode VM and the
-//! AST-interpreter oracle, asserting identical results and identical
-//! measured ExecStats. The MapOverlap template additionally runs on every
-//! engine (interpreter ≡ scalar ≡ batched ≡ native) over a grid of shapes,
-//! and must never replay a batch on the native tier; so do the divergent
+//! kernel that `kernelgen` emits (map, index map, zip, reduce, scan + scan
+//! offset) runs through both the bytecode VM and the AST-interpreter oracle,
+//! asserting identical results and identical measured ExecStats. The
+//! MapOverlap and reduce templates additionally run on every engine
+//! (interpreter ≡ scalar ≡ batched ≡ native) over a grid of shapes, and
+//! must never replay a batch on the native tier; so do the divergent
 //! kernels of the paper's two applications (the OSEM update `Zip`, the
 //! Mandelbrot index map) and a fused plan kernel with a branchy stage.
 
@@ -97,23 +97,16 @@ proptest! {
     #[test]
     fn generated_reduce_kernels(
         data in prop::collection::vec(-10.0f32..10.0, 1..96),
-        chunk in 1i32..16,
+        work_items in 1usize..100,
     ) {
+        // Any launch size: one work-item (the sequential fold), ragged last
+        // chunks, more work-items than chunks or than elements.
         let info = UdfInfo::analyze(UDF_BINARY_OP, 2).unwrap();
         let n = data.len();
-
         let src = kernelgen::reduce_kernel(&info).unwrap();
         assert_generated_kernel_agrees(
             &src, kernelgen::REDUCE_KERNEL,
-            &[data.clone(), vec![0.0f32; 1]], &[Value::Int(n as i32)], 1,
-        );
-
-        let chunks = n.div_ceil(chunk as usize);
-        let src = kernelgen::reduce_chunked_kernel(&info).unwrap();
-        assert_generated_kernel_agrees(
-            &src, kernelgen::REDUCE_CHUNKED_KERNEL,
-            &[data, vec![0.0f32; chunks]],
-            &[Value::Int(n as i32), Value::Int(chunk)], chunks,
+            &[data, vec![-1.0f32; work_items]], &[Value::Int(n as i32)], work_items,
         );
     }
 
@@ -413,6 +406,40 @@ fn generated_map_overlap_kernel_is_native_on_every_shape() {
                     assert_map_overlap_on_all_engines(udf, w, halo, policy, n, n + 9);
                 }
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Generated kernels on every engine: the reduce template
+// ---------------------------------------------------------------------------
+
+/// The reduce kernel, kernelgen source verbatim, at the launch sizes the
+/// skeleton picks — the default geometry, and what `.chunks(k)` asks for
+/// before empty chunks are dropped (so some launches carry idle work-items):
+/// every engine leaves the interpreter's partials buffer and `ExecStats`,
+/// and the native tier completes every batch itself, ragged last chunks and
+/// partly filled batches included.
+#[test]
+fn generated_reduce_kernel_is_native_on_every_geometry() {
+    let info = UdfInfo::analyze(UDF_BINARY_OP, 2).unwrap();
+    let src = kernelgen::reduce_kernel(&info).unwrap();
+    for n in [1usize, 2, 255, 256, 257, 511, 16384, 16385, 1 << 18] {
+        let data: Vec<f32> = (0..n)
+            .map(|i| ((i * 37 + 11) % 101) as f32 * 0.37 - 18.0)
+            .collect();
+        let default = skelcl::reduce_partials(n);
+        let requested = [1usize, 3, 64, 200].map(|k| k.min(n));
+        for work_items in std::iter::once(default).chain(requested) {
+            let what = format!("reduce, n={n}, {work_items} work-item(s)");
+            assert_stays_native_on_all_engines(
+                &src,
+                kernelgen::REDUCE_KERNEL,
+                &[Buf::F32(data.clone()), Buf::F32(vec![-1.0; work_items])],
+                &[Value::Int(n as i32)],
+                work_items,
+                &what,
+            );
         }
     }
 }

@@ -1,8 +1,8 @@
 //! Print the bytecode lowering of a kernel program, followed by each
 //! kernel's native-tier compilation: the closure/block listing if the kernel
-//! is native-eligible (or the ineligibility reason), and the tier decision
-//! the auto heuristic would make at a few representative launch sizes. A
-//! debugging aid for the compile stage and the native tier. Pass a path to a
+//! is native-eligible (or the ineligibility reason), and which engine the
+//! default `auto` tier therefore runs it on. A debugging aid for the compile
+//! stage and the native tier. Pass a path to a
 //! kernel-language source file, or run with no arguments to dump the
 //! generated-map-kernel shape used by the engine benchmarks.
 //!
@@ -55,10 +55,7 @@ fn main() {
         }
     }
 
-    // Native tier: per-kernel compilation outcome and tier decision.
-    use skelcl_kernel::native::{
-        auto_graduates, AUTO_MIN_LAUNCHES, AUTO_MIN_SIZE, AUTO_SIZE_IMMEDIATE,
-    };
+    // Native tier: per-kernel compilation outcome and what `auto` does.
     for name in program.kernel_names() {
         let handle = program.kernel(&name).expect("kernel exists");
         let outcome = program.native_outcome(&handle);
@@ -73,22 +70,11 @@ fn main() {
                 for line in nk.listing().lines() {
                     println!("   {line}");
                 }
-                println!(
-                    "   auto decision: native from {AUTO_SIZE_IMMEDIATE} items, or after \
-                     {AUTO_MIN_LAUNCHES} launches at {AUTO_MIN_SIZE}+ items"
-                );
-                for (prior, size) in [(0u64, 64usize), (0, AUTO_SIZE_IMMEDIATE), (32, 1024)] {
-                    let tier = if auto_graduates(prior, size) {
-                        "native"
-                    } else {
-                        "batched VM"
-                    };
-                    println!("     launch #{prior} of {size} item(s) -> {tier}");
-                }
+                println!("   auto: every launch runs natively, from the first one");
             }
             Err(reason) => {
                 println!("   ineligible: {reason}");
-                println!("   every launch runs on the batched VM (or scalar fallback)");
+                println!("   auto: every launch runs on the batched VM");
             }
         }
     }

@@ -107,8 +107,8 @@ pub struct Program {
 /// native tier did, feeding the simulator's per-device counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LaunchTrace {
-    /// The tier that executed the launch (never [`Tier::Auto`]: the
-    /// heuristic's decision is resolved before running).
+    /// The tier that executed the launch (never [`Tier::Auto`], which
+    /// resolves to native or, for ineligible bytecode, the batched VM).
     pub tier: Tier,
     /// Whether this launch performed the kernel's native compilation (at
     /// most one launch per kernel reports `true`).
@@ -198,8 +198,8 @@ impl Program {
     }
 
     /// Select the execution [`Tier`] for every subsequent launch of this
-    /// program (shared across clones). [`Tier::Auto`] — the default — lets
-    /// the per-kernel heuristic decide.
+    /// program (shared across clones). [`Tier::Auto`] — the default — runs
+    /// every native-eligible kernel natively from its first launch.
     pub fn set_tier(&self, tier: Tier) {
         self.native.set_tier(tier);
     }
@@ -336,7 +336,6 @@ impl Program {
         global_size: usize,
         args: &mut [ArgBinding<'_>],
     ) -> Result<(interp::ExecStats, LaunchTrace), KernelError> {
-        let prior = self.native.kernel(kernel.index).note_launch();
         let tier = self.native.tier();
         let mut trace = LaunchTrace {
             tier,
@@ -346,14 +345,8 @@ impl Program {
             Tier::Interp => self.run_ndrange_measured_interp(kernel, global_size, args)?,
             Tier::Scalar => self.run_ndrange_measured_scalar(kernel, global_size, args)?,
             Tier::Batched => self.run_ndrange_measured_batched(kernel, global_size, args)?,
-            Tier::Native => self.run_ndrange_native(kernel, global_size, args, &mut trace)?,
-            Tier::Auto => {
-                if native::auto_graduates(prior, global_size) {
-                    self.run_ndrange_native(kernel, global_size, args, &mut trace)?
-                } else {
-                    trace.tier = Tier::Batched;
-                    self.run_ndrange_measured_batched(kernel, global_size, args)?
-                }
+            Tier::Native | Tier::Auto => {
+                self.run_ndrange_native(kernel, global_size, args, &mut trace)?
             }
         };
         Ok((stats, trace))

@@ -33,6 +33,21 @@
 //! lane, an exhausted loop budget, and a cross-lane hazard (below).
 //! Divergent control flow does not.
 //!
+//! # When it runs
+//!
+//! [`Tier::Auto`], the default, means *native when eligible, compiled at the
+//! kernel's first launch*. There is no size or launch-count gate: compiling
+//! a skeleton kernel takes 10–40 µs, less than the `Program::build` that
+//! preceded it, and work-item count stops being a proxy for work the moment
+//! a kernel has a back edge — the chunked reduce launches at most 64
+//! work-items (one batch) that each fold thousands of elements, and the scan
+//! is a single lane looping over its whole part. Both run here from launch
+//! one. The reduce's 64 lanes load `in[start + k]` at a stride of one chunk,
+//! so its loads take the per-lane path (foreign loads of a read-only slot);
+//! a ragged last chunk leaves its loop early and waits at the loop's
+//! reconvergence block while the other lanes — still a dense prefix —
+//! iterate on.
+//!
 //! # Divergence: masks and reconvergence
 //!
 //! Lanes that disagree at a branch keep running natively, SIMT style.
@@ -80,10 +95,10 @@
 //!   sit in different loops it can over-count, which is why exhausting it
 //!   is an ordinary abort: the scalar replay decides, per work-item,
 //!   whether there is an error to report.
-//! * **Why the batched VM was left alone.** It is the pre-graduation and
-//!   native-ineligible path and is slated for deletion (ROADMAP 2(b));
-//!   growing a second mask implementation there would double the fork this
-//!   module exists to end. It still replays divergent batches.
+//! * **Why the batched VM was left alone.** It serves only native-ineligible
+//!   kernels, bailed launches and pinned tiers and is slated for deletion
+//!   (ROADMAP 2(b)); growing a second mask implementation there would double
+//!   the fork this module exists to end. It still replays divergent batches.
 //!
 //! # Cross-lane hazards: the lane-private-base rule
 //!
@@ -139,7 +154,7 @@
 //! bytecode, not the other way round.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use crate::ast::BinOp;
@@ -164,8 +179,11 @@ pub enum Tier {
     Batched,
     /// The closure-compiled native tier (this module).
     Native,
-    /// Heuristic per-kernel selection: large or hot kernels graduate to the
-    /// native tier, one-shot small kernels stay on the batched VM.
+    /// Native when the kernel's bytecode is eligible, compiled at its first
+    /// launch; the batched VM otherwise (the reason lands in
+    /// [`crate::LaunchTrace::fallback`]). Launch size and launch count play
+    /// no part: native compilation costs less than the `Program::build`
+    /// every program already paid.
     #[default]
     Auto,
 }
@@ -229,23 +247,6 @@ impl std::str::FromStr for Tier {
     }
 }
 
-/// Launches at or above this global size graduate to the native tier
-/// immediately under [`Tier::Auto`]: one launch already amortises the
-/// closure-compilation cost.
-pub const AUTO_SIZE_IMMEDIATE: usize = 8192;
-/// Under [`Tier::Auto`], smaller kernels graduate after this many launches…
-pub const AUTO_MIN_LAUNCHES: u64 = 16;
-/// …provided each launch covers at least this many work-items.
-pub const AUTO_MIN_SIZE: usize = 128;
-
-/// The [`Tier::Auto`] gating heuristic: whether a kernel that has already
-/// launched `prior_launches` times graduates to the native tier for a launch
-/// of `global_size` work-items.
-pub fn auto_graduates(prior_launches: u64, global_size: usize) -> bool {
-    global_size >= AUTO_SIZE_IMMEDIATE
-        || (prior_launches >= AUTO_MIN_LAUNCHES && global_size >= AUTO_MIN_SIZE)
-}
-
 /// Per-[`crate::Program`] native-tier state, shared across clones of the
 /// program (and across the simulator's per-device worker threads).
 pub(crate) struct NativeState {
@@ -286,10 +287,9 @@ impl NativeState {
     }
 }
 
-/// Per-kernel launch counter and cached native compilation result.
+/// Per-kernel cached native compilation result.
 #[derive(Default)]
 pub(crate) struct KernelNativeState {
-    launches: AtomicU64,
     compiled: OnceLock<CompileOutcome>,
 }
 
@@ -302,11 +302,6 @@ pub struct CompileOutcome {
 }
 
 impl KernelNativeState {
-    /// Count a launch; returns the number of launches *before* this one.
-    pub(crate) fn note_launch(&self) -> u64 {
-        self.launches.fetch_add(1, Ordering::Relaxed)
-    }
-
     /// The compiled artifact (compiling on first use), plus whether this
     /// call performed the compilation.
     pub(crate) fn get_or_compile(
@@ -426,9 +421,12 @@ impl RegFile {
 }
 
 /// Ordered log of buffer mutations, for exact rollback on batch abort.
-/// Contiguous f32 stores log a span backed by a flat arena; everything else
-/// logs per-element [`Value`]s restored bit-exactly via
-/// [`BufferView::restore`]. Entries are undone strictly newest-first.
+/// `f32` stores log spans backed by a flat arena — a whole batch row at once,
+/// or element by element, where a store to the element right after the
+/// newest span extends it (a single-lane scan logs 4 bytes per element, not
+/// one entry). Everything else logs per-element [`Value`]s restored
+/// bit-exactly via [`BufferView::restore`]. Entries are undone strictly
+/// newest-first.
 #[derive(Default)]
 pub(crate) struct UndoLog {
     entries: Vec<UndoEntry>,
@@ -464,6 +462,25 @@ impl UndoLog {
             arena_off,
             len: old.len(),
         });
+    }
+
+    /// Log one overwritten `f32` element, extending the newest span when
+    /// `idx` is the element right after it.
+    fn push_f32(&mut self, slot: u16, idx: usize, old: f32) {
+        if let Some(UndoEntry::Span {
+            slot: s,
+            start,
+            len,
+            ..
+        }) = self.entries.last_mut()
+        {
+            if *s == slot && *start + *len == idx {
+                self.arena.push(old);
+                *len += 1;
+                return;
+            }
+        }
+        self.push_span(slot, idx, &[old]);
     }
 
     fn push_elem(&mut self, slot: u16, idx: usize, old: Value) {
@@ -1985,7 +2002,7 @@ fn store_lanes(
                 let Some(p) = buf.get_mut(addr) else {
                     return Err(NativeAbort::Error);
                 };
-                cx.undo.push_elem(slot, addr, Value::Float(*p));
+                cx.undo.push_f32(slot, addr, *p);
                 *p = v.as_f64() as f32;
             }
             other => {
@@ -2701,15 +2718,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_heuristic_gates_on_size_and_heat() {
-        assert!(auto_graduates(0, AUTO_SIZE_IMMEDIATE));
-        assert!(!auto_graduates(0, AUTO_SIZE_IMMEDIATE - 1));
-        assert!(auto_graduates(AUTO_MIN_LAUNCHES, AUTO_MIN_SIZE));
-        assert!(!auto_graduates(AUTO_MIN_LAUNCHES - 1, AUTO_MIN_SIZE));
-        assert!(!auto_graduates(AUTO_MIN_LAUNCHES, AUTO_MIN_SIZE - 1));
-    }
-
-    #[test]
     fn map_kernel_compiles_with_iota_fast_paths() {
         let p = Program::build(
             r#"
@@ -2765,6 +2773,81 @@ mod tests {
         let idx = p.kernel("k").unwrap().index();
         let nk = compile_kernel(p.compiled(), idx).unwrap();
         assert!(nk.listing().contains("back edge"));
+    }
+
+    /// A single-lane scan that faults in iteration `k`: the `k` element
+    /// stores before the fault are one undo span (not `k` entries), rollback
+    /// restores the output bit for bit, and the launch then reports the
+    /// scalar VM's error over the scalar VM's buffers.
+    #[test]
+    fn scan_fault_rolls_every_store_back_before_the_scalar_replay() {
+        let p = Program::build(
+            r#"
+            __kernel void scan(__global float* in, __global float* out, int n) {
+                float acc = in[0];
+                out[0] = acc;
+                for (int i = 1; i < n; i++) {
+                    acc = acc + in[i];
+                    out[i] = acc;
+                }
+            }
+        "#,
+        )
+        .unwrap();
+        let handle = p.kernel("scan").unwrap();
+        let nk = Arc::new(compile_kernel(p.compiled(), handle.index()).unwrap());
+        let k = 1000;
+        let input: Vec<f32> = (0..k).map(|i| (i % 11) as f32 * 0.25).collect();
+        // NaN payloads: only an exact restore brings these bits back.
+        let original: Vec<u32> = (0..k as u32 + 8).map(|i| 0x7fc0_0000 | i).collect();
+        let fresh = || -> Vec<f32> { original.iter().map(|b| f32::from_bits(*b)).collect() };
+        let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
+        // `n` runs five elements past the input: iteration `k` faults.
+        let n = Value::Int(k as i32 + 5);
+
+        let (mut src, mut out) = (input.clone(), fresh());
+        let mut args = vec![
+            ArgBinding::buffer_f32(&mut src),
+            ArgBinding::buffer_f32(&mut out),
+            ArgBinding::Scalar(n),
+        ];
+        let mut exec = NativeExec::new(nk);
+        let mut stats = ExecStats::default();
+        let aborted = exec.execute_batch(
+            &[WorkItem::linear(0, 1)],
+            &mut args,
+            None,
+            u64::MAX,
+            &mut stats,
+        );
+        assert_eq!(aborted, Err(NativeAbort::Error));
+        assert_eq!(
+            exec.undo.entries.len(),
+            1,
+            "consecutive stores extend one span"
+        );
+        assert_eq!(exec.undo.arena.len(), k);
+        exec.rollback(&mut args);
+        drop(args);
+        assert_eq!(bits(&out), original, "rollback restores every element");
+        assert_eq!(src, input);
+
+        let launch = |tier: Tier| {
+            p.set_tier(tier);
+            let (mut src, mut out) = (input.clone(), fresh());
+            let mut args = vec![
+                ArgBinding::buffer_f32(&mut src),
+                ArgBinding::buffer_f32(&mut out),
+                ArgBinding::Scalar(n),
+            ];
+            let err = p.run_ndrange_traced(&handle, 1, &mut args).unwrap_err();
+            drop(args);
+            (err.message, bits(&out))
+        };
+        let scalar = launch(Tier::Scalar);
+        assert!(scalar.0.contains("out of bounds"), "{}", scalar.0);
+        assert_ne!(scalar.1, original, "the replay redoes the stores");
+        assert_eq!(launch(Tier::Native), scalar);
     }
 
     #[test]

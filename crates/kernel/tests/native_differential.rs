@@ -2,9 +2,9 @@
 //! scalar VM ≡ interpreter, on results (bit for bit), measured [`ExecStats`]
 //! and error messages, across control flow, divergence (generated nested
 //! branches and loops under lane masks), cross-lane hazards, division by
-//! zero, early exit and stencil `get(dx, dy)` kernels — plus
-//! unit tests of the `Tier::Auto` gating heuristic (one-shot kernels stay on
-//! the VM, hot or large kernels graduate).
+//! zero, early exit, stencil `get(dx, dy)` kernels and the chunked reduce
+//! template — plus tests of tier selection (`Tier::Auto` is native from the
+//! first launch, ineligible kernels fall back with a reason, pins hold).
 
 use proptest::prelude::*;
 
@@ -374,6 +374,74 @@ fn sequential_fold_kernels_agree_across_all_tiers() {
     let data: Vec<f32> = (0..200).map(|i| (i % 17) as f32 * 0.25 - 2.0).collect();
     let out = vec![0.0f32; 1];
     assert_tiers_agree(src, "SKELCL_REDUCE", &[data, out], &[Value::Int(200)], 1);
+}
+
+/// The exact kernel text `skelcl::kernelgen::reduce_kernel` wraps around a
+/// binary operator (the core crate's `vm_oracle` suite runs the generator
+/// itself): work-item `g` folds chunk `g` of `ceil(n / global size)`
+/// elements into `out[g]`.
+const CHUNKED_REDUCE_SRC: &str = r#"
+    float func(float a, float b) { return a + b * 0.5f; }
+    __kernel void SKELCL_REDUCE(__global float* skelcl_in, __global float* skelcl_out, int skelcl_n) {
+        int skelcl_gid = get_global_id(0);
+        int skelcl_chunk = (skelcl_n - 1) / get_global_size(0) + 1;
+        if (skelcl_gid <= (skelcl_n - 1) / skelcl_chunk) {
+            int skelcl_start = skelcl_gid * skelcl_chunk;
+            int skelcl_end = skelcl_start + min(skelcl_chunk, skelcl_n - skelcl_start);
+            float skelcl_acc = skelcl_in[skelcl_start];
+            for (int skelcl_i = skelcl_start + 1; skelcl_i < skelcl_end; skelcl_i++) {
+                skelcl_acc = func(skelcl_acc, skelcl_in[skelcl_i]);
+            }
+            skelcl_out[skelcl_gid] = skelcl_acc;
+        }
+    }
+"#;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random element counts and launch sizes: even chunks, a ragged last
+    /// chunk whose lane leaves the loop early, idle work-items past the last
+    /// chunk, partly filled batches. Lanes load at a stride of one chunk
+    /// (foreign loads of a read-only slot), so nothing replays.
+    #[test]
+    fn chunked_reduce_agrees_across_all_tiers(n in 1usize..700, work_items in 1usize..200) {
+        let data: Vec<f32> = (0..n).map(|i| ((i * 29 + 7) % 53) as f32 * 0.25 - 6.0).collect();
+        let buffers = [data, vec![-1.0f32; work_items]];
+        let scalars = [Value::Int(n as i32)];
+        assert_tiers_agree(CHUNKED_REDUCE_SRC, "SKELCL_REDUCE", &buffers, &scalars, work_items);
+        let trace = native_trace(CHUNKED_REDUCE_SRC, "SKELCL_REDUCE", &buffers, &scalars, work_items);
+        prop_assert_eq!(trace.native_batches as usize, work_items.div_ceil(LANES));
+        prop_assert_eq!(trace.replayed_batches, 0);
+        prop_assert!(!trace.bailed);
+    }
+}
+
+/// A single-lane scan that runs off the end of its input in iteration `k`:
+/// the `k` stores already made are rolled back, the scalar replay redoes
+/// them and reports the oracle's error, so every tier ends with the same
+/// partially written output.
+#[test]
+fn scan_fault_mid_loop_agrees_across_all_tiers() {
+    let src = r#"
+        float func(float a, float b) { return a + b; }
+        __kernel void SKELCL_SCAN(__global float* skelcl_in, __global float* skelcl_out, int skelcl_n) {
+            float skelcl_acc = skelcl_in[0];
+            skelcl_out[0] = skelcl_acc;
+            for (int skelcl_i = 1; skelcl_i < skelcl_n; skelcl_i++) {
+                skelcl_acc = func(skelcl_acc, skelcl_in[skelcl_i]);
+                skelcl_out[skelcl_i] = skelcl_acc;
+            }
+        }
+    "#;
+    for k in [1usize, 2, 100, 1000] {
+        let data: Vec<f32> = (0..k).map(|i| (i % 9) as f32 * 0.5 - 1.0).collect();
+        let out = vec![f32::from_bits(0x7fc0_1234); k + 8];
+        let scalars = [Value::Int(k as i32 + 5)];
+        let err = agreed_outcome(src, "SKELCL_SCAN", &[data, out], &scalars, 1)
+            .expect_err("the scan reads past its input");
+        assert!(err.contains("out of bounds"), "k = {k}: {err}");
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -957,41 +1025,27 @@ fn traced_launch(p: &Program, n: usize) -> skelcl_kernel::LaunchTrace {
 }
 
 #[test]
-fn one_shot_small_kernels_stay_on_the_batched_vm() {
-    let p = Program::build(MAP_SRC).unwrap();
-    p.set_tier(Tier::Auto);
-    let trace = traced_launch(&p, 1024);
-    assert_eq!(trace.tier, Tier::Batched);
-    assert!(!trace.native_compiled);
-    assert_eq!(trace.native_batches, 0);
-}
-
-#[test]
-fn hot_kernels_graduate_to_native_after_repeated_launches() {
-    let p = Program::build(MAP_SRC).unwrap();
-    p.set_tier(Tier::Auto);
-    let mut graduated_at = None;
-    for launch in 0..skelcl_kernel::native::AUTO_MIN_LAUNCHES + 4 {
-        let trace = traced_launch(&p, skelcl_kernel::native::AUTO_MIN_SIZE);
-        if trace.tier == Tier::Native && graduated_at.is_none() {
-            graduated_at = Some(launch);
-            assert!(trace.native_compiled, "first native launch compiles");
-            assert!(trace.native_batches > 0);
+fn one_shot_small_kernels_run_native_from_the_first_launch() {
+    // No size or launch-count gate: a one-item launch of a fresh program is
+    // already native, and repeating it changes nothing.
+    for n in [1, 64, 1024] {
+        let p = Program::build(MAP_SRC).unwrap();
+        p.set_tier(Tier::Auto);
+        for launch in 0..20 {
+            let trace = traced_launch(&p, n);
+            assert_eq!(trace.tier, Tier::Native, "launch {launch} of {n} item(s)");
+            assert_eq!(trace.native_compiled, launch == 0, "compiled exactly once");
+            assert_eq!(trace.native_batches as usize, n.div_ceil(LANES));
             assert!(trace.fallback.is_none());
         }
     }
-    assert_eq!(
-        graduated_at,
-        Some(skelcl_kernel::native::AUTO_MIN_LAUNCHES),
-        "kernel graduates exactly when prior launches reach the threshold"
-    );
 }
 
 #[test]
 fn large_launches_graduate_immediately_and_cache_the_artifact() {
     let p = Program::build(MAP_SRC).unwrap();
     p.set_tier(Tier::Auto);
-    let n = skelcl_kernel::native::AUTO_SIZE_IMMEDIATE;
+    let n = 8192;
     let first = traced_launch(&p, n);
     assert_eq!(first.tier, Tier::Native);
     assert!(first.native_compiled);

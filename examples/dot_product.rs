@@ -4,7 +4,8 @@
 //! transfers. The lazy plan goes one step further than keeping the zip's
 //! output on the devices — fusion composes the multiply into the reduction's
 //! first phase, so the product vector is **never materialised at all** and
-//! each device runs a single kernel.
+//! each device runs a single kernel: 64 work-items that each fold a chunk of
+//! the products into one partial result, which the host finishes.
 //!
 //! Run with `cargo run --example dot_product`.
 
@@ -65,5 +66,14 @@ fn main() -> Result<()> {
         trace.intermediate_bytes_elided - warm.intermediate_bytes_elided,
         (trace.intermediate_bytes_elided - warm.intermediate_bytes_elided) >> 20
     );
+
+    // The fused reduce must stay on the native tier from its first launch: a
+    // replayed batch means it fell back to scalar speed (CI runs this
+    // example).
+    println!("{}", trace.tier_line());
+    if trace.replayed_batches() > 0 || trace.bailed_launches() > 0 {
+        eprintln!("error: a fused reduce launch replayed or bailed off the native tier");
+        std::process::exit(1);
+    }
     Ok(())
 }

@@ -15,9 +15,6 @@ fn main() {
         view_width: 3.2,
     };
     let rt = skelcl::init_gpus(4);
-    // The demo image is below the auto tier's graduation size; pin the
-    // engine full-size renders use, so the check at the end means something.
-    rt.set_kernel_tier(skelcl::Tier::Native);
     let image = render_skelcl(&rt, &config).expect("rendering");
 
     let palette = [b' ', b'.', b':', b'-', b'=', b'+', b'*', b'#', b'%', b'@'];

@@ -13,9 +13,6 @@ fn main() {
     let subsets = sequential::generate_subsets(&config);
 
     let rt = skelcl::SkelCl::init(DeviceSelection::Gpus(2));
-    // The demo volume is below the auto tier's graduation size; pin the
-    // engine full-size runs use, so the check at the end means something.
-    rt.set_kernel_tier(skelcl::Tier::Native);
     let osem = SkelclOsem::new(rt.clone(), config.clone());
     // Build the kernels first so the phase timing reflects steady state.
     osem.warmup(&subsets[0]).expect("warm-up");
