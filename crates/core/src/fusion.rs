@@ -31,7 +31,6 @@ use std::sync::Arc;
 
 use oclsim::CostHint;
 use skelcl_kernel::compose;
-use skelcl_kernel::cost::estimate_source;
 use skelcl_kernel::types::ScalarType;
 
 use crate::error::{Result, SkelError};
@@ -103,10 +102,9 @@ impl Hygiene {
 
     /// Rename stage `stage_index`'s UDF for inclusion in the fused source.
     pub(crate) fn admit(&mut self, stage_index: usize, info: &UdfInfo) -> Result<HygienicStage> {
-        let defined = compose::defined_functions(&info.source).map_err(SkelError::Udf)?;
         let mut renames = BTreeMap::new();
         let mut collisions = Vec::new();
-        for name in &defined {
+        for name in &info.defined_functions {
             let mut new_name = format!("skelcl_s{stage_index}_{name}");
             // A user function literally named like a generated name cannot
             // collide silently either; push a deterministic suffix until the
@@ -329,16 +327,11 @@ pub(crate) struct StageCost {
 }
 
 impl StageCost {
-    /// Static estimate for a UDF, with structural read/write byte figures
-    /// supplied by the caller.
+    /// The UDF's static estimate (taken when it was analysed), with
+    /// structural read/write byte figures supplied by the caller.
     pub(crate) fn of(info: &UdfInfo, side_bytes: f64, out_bytes: f64) -> StageCost {
-        let flops = estimate_source(&info.source, &info.name)
-            .ok()
-            .flatten()
-            .map(|est| est.flops_equivalent())
-            .unwrap_or(1.0);
         StageCost {
-            flops,
+            flops: info.cost.flops_equivalent(),
             side_bytes,
             out_bytes,
         }

@@ -20,7 +20,11 @@
 //! reduction, the lazy plans' fused reduce included. The scan kernel is a
 //! single work-item over its whole part.
 
+use std::hash::{Hash, Hasher};
+
+use oclsim::CostHint;
 use skelcl_kernel::ast::Function;
+use skelcl_kernel::cost::CostEstimate;
 use skelcl_kernel::types::{ScalarType, Type};
 
 use crate::error::{Result, SkelError};
@@ -39,6 +43,16 @@ pub struct UdfInfo {
     pub return_type: ScalarType,
     /// The full UDF source (including any helper functions).
     pub source: String,
+    /// Hash of `source` — the UDF's content identity. Two skeletons built
+    /// from the same text agree on it, so the lazy plans' lowering memo can
+    /// key on content without re-hashing the text at every lookup.
+    pub source_hash: u64,
+    /// Every function the source defines, in definition order (what fusion
+    /// renames when it concatenates stages into one kernel).
+    pub defined_functions: Vec<String>,
+    /// Static per-invocation cost estimate of the user function — the one
+    /// figure behind the scheduler's cost hint and the fusion cost model.
+    pub cost: CostEstimate,
 }
 
 /// Resolve the user-defined function within a parsed translation unit — the
@@ -144,13 +158,26 @@ impl UdfInfo {
                 Type::Void => unreachable!("void parameters are rejected by the parser"),
             }
         }
+        let mut hasher = std::collections::hash_map::DefaultHasher::new();
+        source.hash(&mut hasher);
         Ok(UdfInfo {
             name: func.name.clone(),
             main_params,
             extra_params,
             return_type,
             source: source.to_string(),
+            source_hash: hasher.finish(),
+            defined_functions: unit.functions.iter().map(|f| f.name.clone()).collect(),
+            cost: skelcl_kernel::cost::estimate_function(&unit, func),
         })
+    }
+
+    /// The per-element cost hint used for scheduler-weighted partitioning
+    /// and to override launch cost hints for the reduce/scan kernels. It
+    /// costs the function `resolve_udf` picked — the function that is
+    /// compiled is the function that is costed.
+    pub(crate) fn cost_hint(&self) -> CostHint {
+        CostHint::new(self.cost.flops.max(1.0), self.cost.global_bytes.max(8.0))
     }
 
     fn extra_param_decls(&self) -> String {
@@ -480,6 +507,22 @@ mod tests {
         };
         assert!(msg.contains("alpha") && msg.contains("beta"), "{msg}");
         assert!(msg.contains("func"), "{msg}");
+    }
+
+    #[test]
+    fn analyze_records_content_identity_and_defined_functions() {
+        let src = "float sq(float x) { return x * x; }\nfloat func(float x, float y) { return sq(x) + y; }";
+        let info = UdfInfo::analyze(src, 2).unwrap();
+        assert_eq!(info.defined_functions, ["sq", "func"]);
+        // Same text, same hash — whoever analysed it.
+        assert_eq!(
+            info.source_hash,
+            UdfInfo::analyze(src, 2).unwrap().source_hash
+        );
+        assert_ne!(
+            info.source_hash,
+            UdfInfo::analyze(ADD, 2).unwrap().source_hash
+        );
     }
 
     #[test]

@@ -107,7 +107,7 @@ pub use error::{Result, SkelError};
 pub use fusion::FusionPolicy;
 pub use matrix::Matrix;
 pub use oclsim::Tier;
-pub use plan::{MatPlan, PackedLaunch, PlanScalar, PlanVec};
+pub use plan::{CoalesceSignature, MatPlan, PackedLaunch, PlanScalar, PlanVec};
 pub use runtime::{init_gpus, init_profiles, DeviceSelection, DeviceTrace, ExecTrace, SkelCl};
 pub use scheduler::{DevicePerf, PerfModel, StaticScheduler};
 pub use skeletons::{

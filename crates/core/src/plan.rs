@@ -36,8 +36,11 @@
 //! ```
 
 use std::any::TypeId;
+use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::hash::{Hash, Hasher};
 use std::marker::PhantomData;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use oclsim::{Buffer, KernelArg, Pod, Value};
@@ -50,8 +53,8 @@ use crate::distribution::{Distribution, Partition};
 use crate::error::{Result, SkelError};
 use crate::fusion::{
     boundary_decision, compose_unary_source, BoundaryDecision, FExpr, FusedSpec, FusionPolicy,
-    GroupCost, Hygiene, HygienicStage, StageCost, FUSED_MAP_KERNEL, FUSED_REDUCE_KERNEL,
-    FUSED_SCAN_KERNEL, FUSED_SCAN_OFFSET_KERNEL,
+    GroupCost, Hygiene, StageCost, FUSED_MAP_KERNEL, FUSED_REDUCE_KERNEL, FUSED_SCAN_KERNEL,
+    FUSED_SCAN_OFFSET_KERNEL,
 };
 use crate::kernelgen::UdfInfo;
 use crate::matrix::Matrix;
@@ -118,9 +121,10 @@ trait ErasedSource: Send + Sync {
     fn src_set_distribution(&self, distribution: Distribution) -> Result<()>;
     fn src_ensure_disjoint(&self) -> Result<()>;
     fn src_prepare(&self) -> Result<(Partition, Vec<Option<Buffer>>)>;
-    /// The source's elements as raw host bytes (used by job packing, which
-    /// lays many jobs' inputs back to back in one device buffer).
-    fn src_host_bytes(&self) -> Result<Vec<u8>>;
+    /// Append the source's elements to `out` as raw host bytes (used by job
+    /// packing, which lays many jobs' inputs back to back in one device
+    /// buffer), reading the host copy in place.
+    fn src_append_host_bytes(&self, out: &mut Vec<u8>) -> Result<()>;
     /// Re-establish a trustworthy device image before a fault replay (see
     /// [`crate::Container::refresh_for_replay`]).
     fn src_refresh_for_replay(&self) -> Result<()>;
@@ -147,8 +151,8 @@ impl<T: Pod> ErasedSource for Vector<T> {
         self.prepare_on_devices()
     }
 
-    fn src_host_bytes(&self) -> Result<Vec<u8>> {
-        Ok(oclsim::pod::as_bytes(&self.to_vec()?).to_vec())
+    fn src_append_host_bytes(&self, out: &mut Vec<u8>) -> Result<()> {
+        self.with_host(|host| out.extend_from_slice(oclsim::pod::as_bytes(host)))
     }
 
     fn src_refresh_for_replay(&self) -> Result<()> {
@@ -216,7 +220,7 @@ fn node_out_ty(nodes: &[PlanNode], idx: usize) -> ScalarType {
 }
 
 /// What kind of lowering a fusion group needs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum GroupKind {
     /// One fused data-parallel kernel (`out[i] = expr(i)`).
     Elementwise,
@@ -341,6 +345,7 @@ fn plan_groups(
 }
 
 /// Where a fused kernel's input buffer slot comes from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ChainInput {
     /// The running chain (the previous group's output, or source 0).
     Chain,
@@ -348,11 +353,195 @@ enum ChainInput {
     Source(usize),
 }
 
-/// A fusion group lowered to kernel-generation inputs.
+/// What a stage contributes to a group's *shape*, next to its UDF.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum StageKind {
+    Map,
+    /// A zip with the element type of its second input.
+    Zip(ScalarType),
+    Reduce,
+    Scan,
+}
+
+/// The shape contribution of every stage of a group, in stage order: the
+/// stage kind and its analysed UDF. This is all `lower_group` reads — the
+/// lowering memo hashes and compares exactly this.
+fn stage_shapes<'a>(
+    nodes: &'a [PlanNode],
+    group: &'a [usize],
+) -> impl Iterator<Item = (StageKind, &'a Arc<UdfInfo>)> + 'a {
+    group.iter().map(move |&idx| match &nodes[idx] {
+        PlanNode::Map { udf, .. } => (StageKind::Map, udf),
+        PlanNode::Zip { other, udf, .. } => (StageKind::Zip(node_out_ty(nodes, *other)), udf),
+        PlanNode::Reduce { udf, .. } => (StageKind::Reduce, udf),
+        PlanNode::Scan { udf, .. } => (StageKind::Scan, udf),
+        PlanNode::Source { .. } | PlanNode::MapOverlap { .. } => {
+            unreachable!("sources and stencils never join a fused group")
+        }
+    })
+}
+
+/// Element type of the chain a group reads (its first stage's input).
+fn chain_in_ty(nodes: &[PlanNode], group: &[usize]) -> ScalarType {
+    node_out_ty(
+        nodes,
+        node_input(&nodes[group[0]]).expect("stages have an input"),
+    )
+}
+
+/// A fusion group lowered to its generated kernel: everything kernel
+/// generation derives from the group's *shape* — the stages' kinds, UDF
+/// texts and element types — and nothing from a plan instance (argument
+/// values, input containers). Computed once per shape per runtime by the
+/// [`LoweringMemo`] and shared by every plan of that shape.
+pub(crate) struct LoweredShape {
+    /// Insertion number in the runtime's memo.
+    id: usize,
+    kind: GroupKind,
+    /// The shape this lowering was computed from (`inputs[0]` is the chain
+    /// input type), kept to verify a memo hit by content.
+    stages: Vec<(StageKind, Arc<UdfInfo>)>,
+    /// The rendered program: the fused map kernel, the fused reduce kernel,
+    /// or the fused scan + offset kernel pair.
+    source: String,
+    /// Element type per fused-kernel input slot (slot 0 is the chain).
+    inputs: Vec<ScalarType>,
+    out_ty: ScalarType,
+    collisions: Vec<String>,
+}
+
+impl LoweredShape {
+    fn matches(&self, nodes: &[PlanNode], group: &[usize], kind: GroupKind) -> bool {
+        self.kind == kind
+            && self.inputs[0] == chain_in_ty(nodes, group)
+            && self.stages.len() == group.len()
+            && self.stages.iter().zip(stage_shapes(nodes, group)).all(
+                |((kind, udf), (other_kind, other))| {
+                    *kind == other_kind
+                        && (Arc::ptr_eq(udf, other)
+                            || (udf.source_hash == other.source_hash && udf.source == other.source))
+                },
+            )
+    }
+}
+
+/// Lower one fusion group: hygienic renaming of every stage's UDF, the
+/// inlined elementwise expression, and the rendered kernel source. A pure
+/// function of the group's shape (`id` numbers the result); the
+/// [`LoweringMemo`] is its only caller.
+fn lower_group(
+    nodes: &[PlanNode],
+    group: &[usize],
+    kind: GroupKind,
+    id: usize,
+) -> Result<LoweredShape> {
+    let chain_in = chain_in_ty(nodes, group);
+    let mut hygiene = Hygiene::new();
+    let mut fused_stages = Vec::new();
+    let mut inputs = vec![chain_in];
+    let mut expr = FExpr::In(0);
+    let mut out_ty = chain_in;
+    let mut collisions: Vec<String> = Vec::new();
+    let mut op = None;
+    let mut stages = Vec::with_capacity(group.len());
+    for (k, (stage_kind, udf)) in stage_shapes(nodes, group).enumerate() {
+        let stage = hygiene.admit(k, udf)?;
+        collisions.extend(stage.collisions.iter().cloned());
+        match stage_kind {
+            StageKind::Map => {
+                expr = FExpr::Call(fused_stages.len(), vec![expr]);
+                fused_stages.push(stage);
+            }
+            StageKind::Zip(side_ty) => {
+                let slot = inputs.len();
+                inputs.push(side_ty);
+                expr = FExpr::Call(fused_stages.len(), vec![expr, FExpr::In(slot)]);
+                fused_stages.push(stage);
+            }
+            StageKind::Reduce | StageKind::Scan => op = Some(stage),
+        }
+        out_ty = udf.return_type;
+        stages.push((stage_kind, udf.clone()));
+    }
+    let spec = FusedSpec {
+        stages: fused_stages,
+        inputs,
+        out_ty,
+        expr,
+    };
+    let source = match (kind, &op) {
+        (GroupKind::Elementwise, _) => spec.map_kernel(),
+        (GroupKind::Reduce, Some(op)) => spec.reduce_kernel(op),
+        (GroupKind::Scan, Some(op)) => spec.scan_kernels(op),
+        _ => unreachable!("fold groups end in their operator; stencils are never lowered here"),
+    };
+    Ok(LoweredShape {
+        id,
+        kind,
+        stages,
+        source,
+        inputs: spec.inputs,
+        out_ty,
+        collisions,
+    })
+}
+
+/// The runtime's lowering memo: one [`LoweredShape`] per distinct group
+/// shape, keyed by content — per stage the kind, the UDF source text and the
+/// side-input type, plus the chain input type and the group kind — never by
+/// pointer, so two skeletons built from the same source share an entry. It
+/// lives and grows exactly like the program cache (one entry per distinct
+/// fused kernel, for the life of the runtime).
+#[derive(Default)]
+pub(crate) struct LoweringMemo {
+    /// Buckets by shape hash; a hit is confirmed by comparing content.
+    entries: parking_lot::Mutex<HashMap<u64, Vec<Arc<LoweredShape>>>>,
+    lowerings: AtomicUsize,
+    hits: AtomicUsize,
+}
+
+impl LoweringMemo {
+    /// Lowerings performed (memo misses).
+    pub(crate) fn lowerings(&self) -> usize {
+        self.lowerings.load(Ordering::Relaxed)
+    }
+
+    /// Lookups answered from the memo.
+    pub(crate) fn hits(&self) -> usize {
+        self.hits.load(Ordering::Relaxed)
+    }
+
+    /// The lowering of `group`, computed on first sight of its shape.
+    fn lowered(
+        &self,
+        nodes: &[PlanNode],
+        group: &[usize],
+        kind: GroupKind,
+    ) -> Result<Arc<LoweredShape>> {
+        let mut hasher = std::collections::hash_map::DefaultHasher::new();
+        (kind, chain_in_ty(nodes, group)).hash(&mut hasher);
+        for (stage_kind, udf) in stage_shapes(nodes, group) {
+            (stage_kind, udf.source_hash).hash(&mut hasher);
+        }
+        let mut entries = self.entries.lock();
+        let bucket = entries.entry(hasher.finish()).or_default();
+        if let Some(shape) = bucket.iter().find(|s| s.matches(nodes, group, kind)) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(shape.clone());
+        }
+        // Lowered under the lock, so racing plans of one shape lower once.
+        let id = self.lowerings.load(Ordering::Relaxed);
+        let shape = Arc::new(lower_group(nodes, group, kind, id)?);
+        self.lowerings.store(id + 1, Ordering::Relaxed);
+        bucket.push(shape.clone());
+        Ok(shape)
+    }
+}
+
+/// A lowered group bound to one plan instance: the shared shape plus the
+/// instance's buffer provenance, argument values and host operator.
 struct LoweredGroup {
-    spec: FusedSpec,
-    /// The hygienically renamed reduce/scan operator, if the group has one.
-    op: Option<HygienicStage>,
+    shape: Arc<LoweredShape>,
     /// The operator's host evaluator, for the host-side combine (the one the
     /// eager skeleton uses).
     host_op: Option<Arc<HostOperator>>,
@@ -361,86 +550,47 @@ struct LoweredGroup {
     /// Additional scalar arguments, in stage order (matching the generated
     /// kernel's extra-parameter declarations).
     extra_args: Vec<KernelArg>,
-    collisions: Vec<String>,
-    out_ty: ScalarType,
 }
 
-fn lower_group(nodes: &[PlanNode], group: &Group) -> Result<LoweredGroup> {
-    let first = group.nodes[0];
-    let chain_in_ty = node_out_ty(
-        nodes,
-        node_input(&nodes[first]).expect("stages have an input"),
-    );
-    let mut hygiene = Hygiene::new();
-    let mut stages: Vec<HygienicStage> = Vec::new();
-    let mut inputs_ty = vec![chain_in_ty];
+/// The scalar additional arguments of `group`'s stages, in stage order.
+fn scalar_args<'a>(nodes: &'a [PlanNode], group: &'a [usize]) -> impl Iterator<Item = Value> + 'a {
+    group
+        .iter()
+        .filter_map(|&idx| match &nodes[idx] {
+            PlanNode::Map { args, .. } | PlanNode::Zip { args, .. } => Some(args),
+            _ => None,
+        })
+        .flat_map(|args| args.items())
+        .map(|item| {
+            item.scalar_value()
+                .expect("plan builders only admit scalar additional arguments")
+        })
+}
+
+/// Bind `shape` to the plan instance whose `group` it was looked up for.
+fn bind_group(nodes: &[PlanNode], group: &[usize], shape: Arc<LoweredShape>) -> LoweredGroup {
     let mut inputs = vec![ChainInput::Chain];
-    let mut expr = FExpr::In(0);
-    let mut extra_args: Vec<KernelArg> = Vec::new();
-    let mut collisions: Vec<String> = Vec::new();
-    let mut op = None;
     let mut host_op = None;
-    let mut out_ty = chain_in_ty;
-    let push_args = |args: &Args, extra_args: &mut Vec<KernelArg>| {
-        for item in args.items() {
-            let value = item
-                .scalar_value()
-                .expect("plan builders only admit scalar additional arguments");
-            extra_args.push(KernelArg::Scalar(value));
-        }
-    };
-    for (k, &idx) in group.nodes.iter().enumerate() {
+    for &idx in group {
         match &nodes[idx] {
-            PlanNode::Map { udf, args, .. } => {
-                let stage = hygiene.admit(k, udf)?;
-                collisions.extend(stage.collisions.iter().cloned());
-                expr = FExpr::Call(stages.len(), vec![expr]);
-                stages.push(stage);
-                push_args(args, &mut extra_args);
-                out_ty = udf.return_type;
-            }
-            PlanNode::Zip {
-                other, udf, args, ..
-            } => {
-                let stage = hygiene.admit(k, udf)?;
-                collisions.extend(stage.collisions.iter().cloned());
-                let PlanNode::Source { source, ty } = &nodes[*other] else {
+            PlanNode::Zip { other, .. } => {
+                let PlanNode::Source { source, .. } = &nodes[*other] else {
                     unreachable!("a zip's second input is always a source node")
                 };
-                let slot = inputs.len();
                 inputs.push(ChainInput::Source(*source));
-                inputs_ty.push(*ty);
-                expr = FExpr::Call(stages.len(), vec![expr, FExpr::In(slot)]);
-                stages.push(stage);
-                push_args(args, &mut extra_args);
-                out_ty = udf.return_type;
             }
-            PlanNode::Reduce { udf, host, .. } | PlanNode::Scan { udf, host, .. } => {
-                let stage = hygiene.admit(k, udf)?;
-                collisions.extend(stage.collisions.iter().cloned());
-                op = Some(stage);
+            PlanNode::Reduce { host, .. } | PlanNode::Scan { host, .. } => {
                 host_op = Some(host.clone());
-                out_ty = udf.return_type;
             }
-            PlanNode::Source { .. } | PlanNode::MapOverlap { .. } => {
-                unreachable!("sources and stencils never join a fused group")
-            }
+            _ => {}
         }
     }
-    Ok(LoweredGroup {
-        spec: FusedSpec {
-            stages,
-            inputs: inputs_ty,
-            out_ty,
-            expr,
-        },
-        op,
+    LoweredGroup {
+        shape,
         host_op,
         inputs,
-        extra_args,
-        collisions,
-        out_ty,
-    })
+        extra_args: scalar_args(nodes, group).map(KernelArg::Scalar).collect(),
+    }
 }
 
 /// Allocate per-device output buffers for a dynamically-typed element.
@@ -589,10 +739,12 @@ impl PlanGraph {
         prepared: &[(Partition, Vec<Option<Buffer>>)],
         chain: &ExecChain,
     ) -> Result<Vec<Option<Buffer>>> {
-        let src = lowered.spec.map_kernel();
-        let program = self.runtime.context().build_program(&src)?;
+        let program = self
+            .runtime
+            .context()
+            .build_program(&lowered.shape.source)?;
         let kernel = program.kernel(FUSED_MAP_KERNEL)?;
-        let out = alloc_erased(&self.runtime, partition, lowered.out_ty)?;
+        let out = alloc_erased(&self.runtime, partition, lowered.shape.out_ty)?;
         let mut events = Vec::with_capacity(active.len());
         for &device in active {
             let n = partition.size(device);
@@ -642,13 +794,14 @@ impl PlanGraph {
         prepared: &[(Partition, Vec<Option<Buffer>>)],
         chain: &ExecChain,
     ) -> Result<Value> {
-        let op = lowered.op.as_ref().expect("reduce group has an operator");
         let host_op = lowered
             .host_op
             .as_ref()
             .expect("reduce group has a host operator");
-        let src = lowered.spec.reduce_kernel(op);
-        let program = self.runtime.context().build_program(&src)?;
+        let program = self
+            .runtime
+            .context()
+            .build_program(&lowered.shape.source)?;
         let kernel = program.kernel(FUSED_REDUCE_KERNEL)?;
         let mut parts = Vec::with_capacity(active.len());
         for &device in active {
@@ -658,7 +811,7 @@ impl PlanGraph {
                 inputs: self.input_args(lowered, chain, prepared, device)?,
             });
         }
-        with_scalar!(lowered.out_ty, T, {
+        with_scalar!(lowered.shape.out_ty, T, {
             let mut partials = launch_and_gather::<T>(
                 &self.runtime,
                 &kernel,
@@ -682,16 +835,17 @@ impl PlanGraph {
         prepared: &[(Partition, Vec<Option<Buffer>>)],
         chain: &ExecChain,
     ) -> Result<Vec<Option<Buffer>>> {
-        let op = lowered.op.as_ref().expect("scan group has an operator");
         let host_op = lowered
             .host_op
             .as_ref()
             .expect("scan group has a host operator");
-        let src = lowered.spec.scan_kernels(op);
-        let program = self.runtime.context().build_program(&src)?;
+        let program = self
+            .runtime
+            .context()
+            .build_program(&lowered.shape.source)?;
         let scan_kernel = program.kernel(FUSED_SCAN_KERNEL)?;
         let offset_kernel = program.kernel(FUSED_SCAN_OFFSET_KERNEL)?;
-        with_scalar!(lowered.out_ty, T, {
+        with_scalar!(lowered.shape.out_ty, T, {
             let out = crate::skeletons::alloc_output::<T>(&self.runtime, partition)?;
             // Step 1: local scans.
             for &device in active {
@@ -815,7 +969,7 @@ impl PlanGraph {
         let mut chain = ExecChain::Source(0);
         let mut scalar = None;
         for group in &groups {
-            let lowered = lower_group(&self.nodes, group)?;
+            let lowered = self.lowered(&group.nodes, group.kind)?;
             self.runtime.charge_skeleton_call();
             let merged = group.nodes.len() - 1;
             if merged > 0 {
@@ -871,6 +1025,13 @@ impl PlanGraph {
         }
     }
 
+    /// The lowering of `group` — from the runtime's memo, the only place a
+    /// group is ever lowered — bound to this plan's arguments and sources.
+    fn lowered(&self, group: &[usize], kind: GroupKind) -> Result<LoweredGroup> {
+        let shape = self.runtime.lowerings().lowered(&self.nodes, group, kind)?;
+        Ok(bind_group(&self.nodes, group, shape))
+    }
+
     /// Render the DAG and the fusion pass's verdicts without executing (and
     /// without touching the sources' distributions).
     fn explain(&self, tip: usize) -> Result<String> {
@@ -889,7 +1050,9 @@ impl PlanGraph {
             self.policy
         );
         let _ = writeln!(out, "Kernel tier: {}", self.runtime.kernel_tier_summary());
-        let _ = writeln!(out, "{}", self.runtime.exec_trace().tier_line());
+        let trace = self.runtime.exec_trace();
+        let _ = writeln!(out, "{}", trace.tier_line());
+        let _ = writeln!(out, "{}", trace.lowering_line());
         for (i, node) in self.nodes.iter().enumerate() {
             let line = match node {
                 PlanNode::Source { source, ty } => format!(
@@ -952,13 +1115,13 @@ impl PlanGraph {
             .collect();
         let model = PerfModel::analytical(&self.runtime);
         let groups = plan_groups(&self.nodes, &spine, self.policy, &model, &device_items)?;
-        render_groups(&mut out, &self.nodes, &groups)?;
+        render_groups(&mut out, self, &groups)?;
         Ok(out)
     }
 }
 
-/// Shared after-fusion rendering for vector and matrix plans.
-fn render_groups(out: &mut String, nodes: &[PlanNode], groups: &[Group]) -> Result<()> {
+/// The after-fusion half of [`PlanGraph::explain`].
+fn render_groups(out: &mut String, graph: &PlanGraph, groups: &[Group]) -> Result<()> {
     let _ = writeln!(out, "After fusion: {} launch group(s)", groups.len());
     for (gi, group) in groups.iter().enumerate() {
         let members: Vec<String> = group.nodes.iter().map(|i| format!("%{i}")).collect();
@@ -989,8 +1152,8 @@ fn render_groups(out: &mut String, nodes: &[PlanNode], groups: &[Group]) -> Resu
             );
         }
         if group.kind != GroupKind::Overlap {
-            let lowered = lower_group(nodes, group)?;
-            for collision in &lowered.collisions {
+            let lowered = graph.lowered(&group.nodes, group.kind)?;
+            for collision in &lowered.shape.collisions {
                 let _ = writeln!(out, "    rename: {collision}");
             }
         }
@@ -1278,12 +1441,10 @@ impl<T: Pod> PlanVec<T> {
     /// The plan's *coalescing signature*, if it has one: `Ok(Some(_))` when
     /// the whole pipeline is elementwise (a map/zip chain) and therefore
     /// packable into one launch with other plans of the same signature via
-    /// [`PlanVec::pack_jobs`]. The signature captures the fused kernel
-    /// source **and** the rendered scalar extra arguments, so two plans
-    /// with equal signatures compute the exact same per-element function.
-    /// `Ok(None)` means the plan contains a fold or stencil stage and must
-    /// run on its own.
-    pub fn coalesce_signature(&self) -> Result<Option<String>> {
+    /// [`PlanVec::pack_jobs`]. `Ok(None)` means the plan contains a fold or
+    /// stencil stage and must run on its own. See [`CoalesceSignature`] for
+    /// what equal signatures promise.
+    pub fn coalesce_signature(&self) -> Result<Option<CoalesceSignature>> {
         if let Some(err) = &self.graph.err {
             return Err(err.clone());
         }
@@ -1299,23 +1460,14 @@ impl<T: Pod> PlanVec<T> {
         }) {
             return Ok(None);
         }
-        let lowered = self.lower_whole_chain(&spine)?;
-        Ok(Some(format!(
-            "{}|{:?}",
-            lowered.spec.map_kernel(),
-            lowered.extra_args
-        )))
-    }
-
-    /// Lower the full spine as one forced elementwise group (callers have
-    /// already checked every stage is map/zip).
-    fn lower_whole_chain(&self, spine: &[usize]) -> Result<LoweredGroup> {
-        let group = Group {
-            nodes: spine[1..].to_vec(),
-            kind: GroupKind::Elementwise,
-            decisions: Vec::new(),
-        };
-        lower_group(&self.graph.nodes, &group)
+        // The full spine as one forced elementwise group.
+        let group = &spine[1..];
+        let nodes = &self.graph.nodes;
+        let memo = self.graph.runtime.lowerings();
+        Ok(Some(CoalesceSignature {
+            shape: memo.lowered(nodes, group, GroupKind::Elementwise)?,
+            args: scalar_args(nodes, group).map(arg_bits).collect(),
+        }))
     }
 
     /// Pack many same-signature jobs into **one** kernel launch on `device`:
@@ -1345,17 +1497,15 @@ impl<T: Pod> PlanVec<T> {
             if !Arc::ptr_eq(&job.graph.runtime, &runtime) {
                 return Err(SkelError::RuntimeMismatch);
             }
-            match job.coalesce_signature()? {
-                Some(sig) if sig == signature => {}
-                _ => {
-                    return Err(SkelError::Plan(
-                        "jobs with different kernels cannot pack into one launch".into(),
-                    ))
-                }
+            if job.coalesce_signature()?.as_ref() != Some(&signature) {
+                return Err(SkelError::Plan(
+                    "jobs with different kernels cannot pack into one launch".into(),
+                ));
             }
         }
+        // The batch's one lowering: the leader's signature carries it.
         let spine = first.graph.spine(first.tip);
-        let lowered = first.lower_whole_chain(&spine)?;
+        let lowered = bind_group(&first.graph.nodes, &spine[1..], signature.shape);
         let mut spans = JobSpans::new();
         for job in jobs {
             let len = job.input_len();
@@ -1366,11 +1516,12 @@ impl<T: Pod> PlanVec<T> {
         }
         // Same telemetry as `execute()` would account per job: the packed
         // launch fuses the chain's interior stages away on one device.
-        let merged = spine.len() - 2;
+        let stages = &lowered.shape.stages;
+        let merged = stages.len() - 1;
         if merged > 0 {
-            let bytes: usize = spine[1..spine.len() - 1]
+            let bytes: usize = stages[..merged]
                 .iter()
-                .map(|&idx| spans.total() * node_out_ty(&first.graph.nodes, idx).size_bytes())
+                .map(|(_, udf)| spans.total() * udf.return_type.size_bytes())
                 .sum();
             runtime.charge_fusion(merged, merged, merged, bytes);
         }
@@ -1418,28 +1569,25 @@ impl<T: Pod> PlanVec<T> {
                 ChainInput::Chain => 0,
                 ChainInput::Source(s) => *s,
             };
-            let mut bytes: Vec<u8> = Vec::new();
+            let ty = lowered.shape.inputs[slot];
+            let mut bytes: Vec<u8> = Vec::with_capacity(total * ty.size_bytes());
             for job in jobs {
-                bytes.extend_from_slice(&job.graph.sources[source_index].src_host_bytes()?);
+                job.graph.sources[source_index].src_append_host_bytes(&mut bytes)?;
             }
-            let ty = lowered.spec.inputs[slot];
-            with_scalar!(ty, S, {
-                let data = oclsim::pod::from_bytes_vec::<S>(&bytes);
-                if data.len() != total {
-                    return Err(SkelError::Plan(format!(
-                        "packed input slot {slot} holds {} elements, expected {total}",
-                        data.len()
-                    )));
-                }
-                let buffer = context.create_buffer::<S>(device, total)?;
-                buffers.push(buffer.clone());
-                queue.enqueue_write_buffer(&buffer, &data)?;
-                kargs.push(KernelArg::Buffer(buffer));
-            });
+            if bytes.len() != total * ty.size_bytes() {
+                return Err(SkelError::Plan(format!(
+                    "packed input slot {slot} holds {} bytes, expected {total} `{ty}` elements",
+                    bytes.len()
+                )));
+            }
+            let buffer = with_scalar!(ty, S, { context.create_buffer::<S>(device, total)? });
+            buffers.push(buffer.clone());
+            queue.enqueue_write_bytes(&buffer, 0, bytes)?;
+            kargs.push(KernelArg::Buffer(buffer));
         }
         let out = context.create_buffer::<T>(device, total)?;
         buffers.push(out.clone());
-        let program = context.build_program(&lowered.spec.map_kernel())?;
+        let program = context.build_program(&lowered.shape.source)?;
         let kernel = program.kernel(FUSED_MAP_KERNEL)?;
         kargs.push(KernelArg::Buffer(out.clone()));
         kargs.push(KernelArg::Scalar(Value::Int(total as i32)));
@@ -1448,6 +1596,54 @@ impl<T: Pod> PlanVec<T> {
         let kernel_event = queue.enqueue_kernel(&kernel, total, &kargs)?;
         let read_event = queue.enqueue_read_buffer_region_nb::<T>(&out, 0, total)?;
         Ok((kernel_event, read_event))
+    }
+}
+
+/// The identity of the per-element function an all-elementwise plan
+/// computes: the plan's lowered *shape* — an entry of the runtime's lowering
+/// memo, so plans built from equal UDF text over equal element types share
+/// it however many skeleton instances were involved — plus the bit patterns
+/// of its scalar additional arguments. Two plans with equal signatures
+/// belong to one runtime and run the exact same kernel with the exact same
+/// arguments, so [`PlanVec::pack_jobs`] may run them as one launch. Cheap to
+/// clone, compare and hash.
+#[derive(Clone)]
+pub struct CoalesceSignature {
+    shape: Arc<LoweredShape>,
+    /// The scalar additional arguments as `(type, bits)`, so that `-0.0`
+    /// and `0.0`, or two NaN payloads, never coalesce.
+    args: Vec<(ScalarType, u64)>,
+}
+
+fn arg_bits(value: Value) -> (ScalarType, u64) {
+    let bits = match value {
+        Value::Float(v) => u64::from(v.to_bits()),
+        Value::Double(v) => v.to_bits(),
+        Value::Int(v) => u64::from(v as u32),
+        Value::Uint(v) => u64::from(v),
+        Value::Bool(v) => u64::from(v),
+    };
+    (value.scalar_type(), bits)
+}
+
+impl PartialEq for CoalesceSignature {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.shape, &other.shape) && self.args == other.args
+    }
+}
+
+impl Eq for CoalesceSignature {}
+
+impl Hash for CoalesceSignature {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.shape.id.hash(state);
+        self.args.hash(state);
+    }
+}
+
+impl std::fmt::Debug for CoalesceSignature {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "shape#{}{:?}", self.shape.id, self.args)
     }
 }
 
@@ -1831,7 +2027,9 @@ impl<'a> MatPlan<'a> {
             self.policy
         );
         let _ = writeln!(out, "Kernel tier: {}", self.runtime.kernel_tier_summary());
-        let _ = writeln!(out, "{}", self.runtime.exec_trace().tier_line());
+        let trace = self.runtime.exec_trace();
+        let _ = writeln!(out, "{}", trace.tier_line());
+        let _ = writeln!(out, "{}", trace.lowering_line());
         for (i, node) in self.nodes.iter().enumerate() {
             let line = match node {
                 PlanNode::Source { .. } => format!(
@@ -1887,5 +2085,120 @@ impl<'a> MatPlan<'a> {
             }
         }
         Ok(out)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use proptest::prelude::*;
+
+    use super::*;
+
+    const MAPS: [&str; 4] = [
+        "float func(float x) { return x * x; }",
+        "float offset(float x) { return x + 1.0f; }\nfloat func(float x) { return offset(x); }",
+        "float offset(float x) { return x - 2.0f; }\nfloat func(float x) { return offset(x) * 0.5f; }",
+        "float func(float x, float a, float b) { return a * x + b; }",
+    ];
+    const ZIPS: [&str; 2] = [
+        "float func(float x, float y) { return x * y; }",
+        "float offset(float x) { return x + 3.0f; }\nfloat func(float x, float y, float s) { return (offset(x) + y) * s; }",
+    ];
+    const ADD: &str = "float func(float a, float b) { return a + b; }";
+
+    /// Build `stages` (indices into MAPS then ZIPS, with argument values)
+    /// plus a terminal (0 none, 1 reduce, 2 scan) from fresh skeleton
+    /// instances; returns the graph, its one forced group and the kind.
+    fn build(
+        rt: &Arc<SkelCl>,
+        stages: &[(usize, f32, f32)],
+        terminal: usize,
+    ) -> (PlanGraph, Vec<usize>, GroupKind) {
+        let v = Vector::from_vec(rt, vec![1.0f32, 2.0, 3.0]);
+        let mut plan = v.lazy();
+        for &(which, a, b) in stages {
+            plan = match which {
+                3 => plan.map_with(&Map::from_source(MAPS[3]), crate::args![a, b]),
+                4 => plan.zip(&v, &Zip::from_source(ZIPS[0])),
+                5 => plan.zip_with(&v, &Zip::from_source(ZIPS[1]), crate::args![a]),
+                m => plan.map(&Map::from_source(MAPS[m])),
+            };
+        }
+        let (graph, tip, kind) = match terminal {
+            1 => {
+                let p = plan.reduce(&Reduce::from_source(ADD));
+                (p.graph, p.tip, GroupKind::Reduce)
+            }
+            2 => {
+                let p = plan.scan(&Scan::from_source(ADD));
+                (p.graph, p.tip, GroupKind::Scan)
+            }
+            _ => (plan.graph, plan.tip, GroupKind::Elementwise),
+        };
+        assert!(graph.err.is_none(), "{:?}", graph.err);
+        let group = graph.spine(tip)[1..].to_vec();
+        (graph, group, kind)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The memoised lowering is byte-identical — rendered source and
+        /// bound extra arguments — to a fresh `lower_group` of the same
+        /// nodes, across stage orders, colliding helper names and extra
+        /// arguments; a second plan of the same shape, built from new
+        /// skeleton instances with other argument values, hits the entry.
+        #[test]
+        fn memoised_lowering_equals_a_fresh_lower_group(
+            stages in prop::collection::vec((0usize..6, -4.0f32..4.0, -4.0f32..4.0), 1..5),
+            terminal in 0usize..3,
+        ) {
+            let rt = crate::runtime::init_gpus(1);
+            let (graph, group, kind) = build(&rt, &stages, terminal);
+            let fresh = lower_group(&graph.nodes, &group, kind, 0).unwrap();
+            let fresh = bind_group(&graph.nodes, &group, Arc::new(fresh));
+            let memoised = graph.lowered(&group, kind).unwrap();
+            prop_assert_eq!(&memoised.shape.source, &fresh.shape.source);
+            prop_assert_eq!(&memoised.shape.collisions, &fresh.shape.collisions);
+            prop_assert_eq!(&memoised.extra_args, &fresh.extra_args);
+            prop_assert_eq!(&memoised.inputs, &fresh.inputs);
+            prop_assert_eq!(rt.exec_trace().plan_lowerings, 1);
+
+            let shifted: Vec<_> = stages.iter().map(|&(w, a, b)| (w, a + 1.0, b - 1.0)).collect();
+            let (graph2, group2, _) = build(&rt, &shifted, terminal);
+            let again = graph2.lowered(&group2, kind).unwrap();
+            prop_assert!(Arc::ptr_eq(&again.shape, &memoised.shape));
+            let fresh2 = bind_group(&graph2.nodes, &group2, again.shape.clone());
+            prop_assert_eq!(&again.extra_args, &fresh2.extra_args);
+            let trace = rt.exec_trace();
+            prop_assert_eq!((trace.plan_lowerings, trace.plan_lowering_hits), (1, 1));
+        }
+    }
+
+    /// The memo keys on content, not on which hash bucket a shape lands in:
+    /// a chain and its prefix, or the same stages under another group kind
+    /// or chain input type, are different entries.
+    #[test]
+    fn memo_distinguishes_kind_length_and_element_type() {
+        let rt = crate::runtime::init_gpus(1);
+        let (g1, grp1, _) = build(&rt, &[(0, 0.0, 0.0)], 0);
+        let (g2, grp2, _) = build(&rt, &[(0, 0.0, 0.0), (0, 0.0, 0.0)], 0);
+        let (g3, grp3, k3) = build(&rt, &[(0, 0.0, 0.0)], 1);
+        let a = g1.lowered(&grp1, GroupKind::Elementwise).unwrap();
+        let b = g2.lowered(&grp2, GroupKind::Elementwise).unwrap();
+        let c = g3.lowered(&grp3, k3).unwrap();
+        assert!(!Arc::ptr_eq(&a.shape, &b.shape));
+        assert!(!Arc::ptr_eq(&a.shape, &c.shape));
+        assert_eq!(
+            [a.shape.id, b.shape.id, c.shape.id],
+            [0, 1, 2],
+            "ids number the lowerings in order"
+        );
+        let ints = Vector::from_vec(&rt, vec![1i32, 2]);
+        let twice = Map::<i32, i32>::from_source("int func(int x) { return x * 2; }");
+        let p = ints.lazy().map(&twice);
+        let d = p.graph.lowered(&[p.tip], GroupKind::Elementwise).unwrap();
+        assert_eq!(d.shape.inputs, [ScalarType::Int]);
+        assert_eq!(rt.exec_trace().plan_lowerings, 4);
     }
 }

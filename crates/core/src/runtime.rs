@@ -66,6 +66,8 @@ pub struct SkelCl {
     repartitions: AtomicUsize,
     /// Bytes gathered to the host by iterative-stencil checkpoints.
     checkpoint_bytes: AtomicUsize,
+    /// Lazy-plan lowerings, one per distinct fused-kernel shape.
+    lowerings: crate::plan::LoweringMemo,
 }
 
 /// One runtime telemetry snapshot: the library-level view of the execution
@@ -94,6 +96,11 @@ pub struct ExecTrace {
     /// Bytes of intermediate device storage never allocated thanks to plan
     /// fusion.
     pub intermediate_bytes_elided: usize,
+    /// Plan fusion groups lowered to kernel source (lowering-memo misses):
+    /// one per distinct group shape the runtime has seen.
+    pub plan_lowerings: usize,
+    /// Plan lowerings answered from the runtime's memo instead.
+    pub plan_lowering_hits: usize,
     /// Parked allocations evicted by buffer-pool cap trims (see
     /// [`oclsim::Context::set_pool_cap_bytes`]).
     pub pool_evictions: usize,
@@ -190,6 +197,16 @@ impl ExecTrace {
         )
     }
 
+    /// One line saying how often lazy plans had to lower a fusion group to
+    /// kernel source and how often the runtime's memo answered instead
+    /// (rendered below [`ExecTrace::tier_line`] by `Plan::explain`).
+    pub fn lowering_line(&self) -> String {
+        format!(
+            "Plan lowerings: {} lowered, {} memo hit(s)",
+            self.plan_lowerings, self.plan_lowering_hits
+        )
+    }
+
     /// Total commands that failed asynchronously and latched a deferred
     /// error on their queue, across all devices.
     pub fn deferred_errors(&self) -> usize {
@@ -283,6 +300,7 @@ impl SkelCl {
             replayed_launches: AtomicUsize::new(0),
             repartitions: AtomicUsize::new(0),
             checkpoint_bytes: AtomicUsize::new(0),
+            lowerings: crate::plan::LoweringMemo::default(),
         })
     }
 
@@ -391,6 +409,11 @@ impl SkelCl {
             .fetch_add(bytes_elided, Ordering::Relaxed);
     }
 
+    /// The lazy plans' lowering memo.
+    pub(crate) fn lowerings(&self) -> &crate::plan::LoweringMemo {
+        &self.lowerings
+    }
+
     /// Snapshot the runtime's execution telemetry: skeleton calls, buffer
     /// pool statistics and the per-device halo-exchange counters. This is
     /// the supported read path for benches and schedulers — no need to walk
@@ -432,6 +455,8 @@ impl SkelCl {
             launches_elided: self.launches_elided.load(Ordering::Relaxed),
             intermediate_buffers_elided: self.intermediate_buffers_elided.load(Ordering::Relaxed),
             intermediate_bytes_elided: self.intermediate_bytes_elided.load(Ordering::Relaxed),
+            plan_lowerings: self.lowerings.lowerings(),
+            plan_lowering_hits: self.lowerings.hits(),
             pool_evictions: self.context.pool_evictions(),
             pool_evicted_bytes: self.context.pool_evicted_bytes(),
             faults_injected: self.context.faults_injected(),

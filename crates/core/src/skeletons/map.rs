@@ -110,7 +110,10 @@ impl<I: Pod, O: Pod> Map<I, O> {
     /// The per-element cost used for scheduler-weighted partitioning.
     fn scheduler_cost(&self) -> CostHint {
         match &self.udf {
-            MapUdf::Source(src) => self.cache.cost(src).unwrap_or(self.cost),
+            MapUdf::Source(src) => self
+                .cache
+                .info(src, 1)
+                .map_or(self.cost, |info| info.cost_hint()),
             MapUdf::Native(_) => self.cost,
         }
     }

@@ -38,7 +38,7 @@ pub(crate) use reduce::{launch_and_gather, HostOperator, ReducePart};
 
 use std::sync::Arc;
 
-use oclsim::{Buffer, CostHint, KernelArg, Pod, Value};
+use oclsim::{Buffer, KernelArg, Pod, Value};
 use skelcl_kernel::interp::BufferView;
 
 use crate::args::{ArgItem, Args};
@@ -188,12 +188,11 @@ pub(crate) fn alloc_output<T: Pod>(
 
 /// Per-skeleton-instance cache of the artefacts derived from a source UDF:
 /// the analysed signature ([`UdfInfo`], shared by every generated kernel
-/// variant of the skeleton), the scheduler cost estimate and — for reduce
-/// and scan — the operator's host evaluator. Each is computed at most once
-/// per skeleton instance.
+/// variant of the skeleton, and carrying the scheduler cost estimate) and —
+/// for reduce and scan — the operator's host evaluator. Each is computed at
+/// most once per skeleton instance.
 pub(crate) struct UdfCache {
     info: parking_lot::Mutex<Option<Arc<crate::kernelgen::UdfInfo>>>,
-    cost: parking_lot::Mutex<Option<CostHint>>,
     host_operator: parking_lot::Mutex<Option<Arc<HostOperator>>>,
 }
 
@@ -201,7 +200,6 @@ impl UdfCache {
     pub(crate) fn new() -> UdfCache {
         UdfCache {
             info: parking_lot::Mutex::new(None),
-            cost: parking_lot::Mutex::new(None),
             host_operator: parking_lot::Mutex::new(None),
         }
     }
@@ -239,32 +237,6 @@ impl UdfCache {
         *slot = Some(info.clone());
         Ok(info)
     }
-
-    /// The per-element cost estimate used for scheduler-weighted
-    /// partitioning, computed once instead of once per launch.
-    pub(crate) fn cost(&self, source: &str) -> Result<CostHint> {
-        let mut slot = self.cost.lock();
-        if let Some(cost) = *slot {
-            return Ok(cost);
-        }
-        let cost = udf_cost_estimate(source)?;
-        *slot = Some(cost);
-        Ok(cost)
-    }
-}
-
-/// The per-element cost estimate of a source user-defined function, used to
-/// override launch cost hints for the reduce/scan kernels. The
-/// UDF is resolved by the same rule kernel generation uses
-/// ([`crate::kernelgen::resolve_udf`]) — the function that is compiled is
-/// the function that is costed — and ambiguous sources are rejected with a
-/// clear error rather than silently costing the wrong function.
-pub(crate) fn udf_cost_estimate(source: &str) -> Result<CostHint> {
-    let tokens = skelcl_kernel::lexer::lex(source)?;
-    let unit = skelcl_kernel::parser::parse(&tokens, source)?;
-    let func = crate::kernelgen::resolve_udf(&unit, "user function source")?;
-    let est = skelcl_kernel::cost::estimate_function(&unit, func);
-    Ok(CostHint::new(est.flops.max(1.0), est.global_bytes.max(8.0)))
 }
 
 #[cfg(test)]
@@ -337,10 +309,7 @@ mod tests {
             Arc::ptr_eq(&first, &second),
             "repeated analysis must return the cached Arc"
         );
-        let c1 = cache.cost(src).unwrap();
-        let c2 = cache.cost(src).unwrap();
-        assert_eq!(c1, c2);
-        assert!(c1.flops_per_item >= 1.0);
+        assert!(first.cost_hint().flops_per_item >= 1.0);
         // The host evaluator of a reduce/scan operator: one program build
         // serves every fold of partials and every pair of scan totals.
         let (info, host) = cache.operator(src, "scan").unwrap();
@@ -350,11 +319,16 @@ mod tests {
         assert_eq!(host.fold(&mut [3.0f32]).unwrap(), 3.0);
     }
 
+    /// The cost hint of a binary source UDF, as every skeleton obtains it.
+    fn udf_cost(source: &str) -> Result<oclsim::CostHint> {
+        Ok(UdfCache::new().info(source, 2)?.cost_hint())
+    }
+
     #[test]
     fn udf_cost_estimation() {
-        let c = udf_cost_estimate("float f(float a, float b) { return a + b; }").unwrap();
+        let c = udf_cost("float f(float a, float b) { return a + b; }").unwrap();
         assert!(c.flops_per_item >= 1.0);
-        assert!(udf_cost_estimate("").is_err());
+        assert!(udf_cost("").is_err());
     }
 
     #[test]
@@ -369,7 +343,7 @@ mod tests {
                 return acc;
             }
         "#;
-        let c = udf_cost_estimate(helper_last).unwrap();
+        let c = udf_cost(helper_last).unwrap();
         assert!(
             c.flops_per_item < 50.0,
             "cost {0} must reflect `func`, not the trailing helper",
@@ -383,7 +357,7 @@ mod tests {
             float alpha(float a, float b) { return a + b; }
             float beta(float a, float b) { return a * b; }
         "#;
-        match udf_cost_estimate(no_func_name) {
+        match udf_cost(no_func_name) {
             Err(SkelError::UdfSignature(msg)) => {
                 assert!(msg.contains("alpha") && msg.contains("beta"), "{msg}");
                 assert!(msg.contains("func"), "{msg}");

@@ -294,7 +294,7 @@ impl<T: DeviceScalar> Reduce<T> {
         let b = Arc::new(BuiltSource {
             kernel: program.kernel(kernelgen::REDUCE_KERNEL)?,
             host,
-            per_element_cost: self.cache.cost(src)?,
+            per_element_cost: info.cost_hint(),
         });
         *built = Some(b.clone());
         Ok(b)

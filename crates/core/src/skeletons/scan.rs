@@ -111,7 +111,10 @@ impl<T: DeviceScalar> Scan<T> {
     /// The per-element cost used for scheduler-weighted partitioning.
     fn scheduler_cost(&self) -> CostHint {
         match &self.udf {
-            ScanUdf::Source(src) => self.cache.cost(src).unwrap_or(self.cost),
+            ScanUdf::Source(src) => self
+                .cache
+                .info(src, 2)
+                .map_or(self.cost, |info| info.cost_hint()),
             ScanUdf::Native(_) => self.cost,
         }
     }
@@ -143,7 +146,7 @@ impl<T: DeviceScalar> Scan<T> {
             scan_kernel: program.kernel(kernelgen::SCAN_KERNEL)?,
             offset_kernel: program.kernel(kernelgen::SCAN_OFFSET_KERNEL)?,
             host,
-            per_element_cost: self.cache.cost(src)?,
+            per_element_cost: info.cost_hint(),
         });
         *built = Some(b.clone());
         Ok(b)

@@ -106,7 +106,10 @@ impl<A: Pod, B: Pod, O: Pod> Zip<A, B, O> {
 
     fn scheduler_cost(&self) -> CostHint {
         match &self.udf {
-            ZipUdf::Source(src) => self.cache.cost(src).unwrap_or(self.cost),
+            ZipUdf::Source(src) => self
+                .cache
+                .info(src, 2)
+                .map_or(self.cost, |info| info.cost_hint()),
             ZipUdf::Native(_) => self.cost,
         }
     }

@@ -204,3 +204,30 @@ fn chained_pipeline_is_deterministic_under_threaded_queues() {
         (b.to_vec().unwrap(), s)
     });
 }
+
+#[test]
+fn lazy_plan_is_deterministic_under_threaded_queues() {
+    // Fused plans go through the runtime's lowering memo: the compared
+    // trace carries `plan_lowerings` / `plan_lowering_hits`, which must
+    // repeat exactly like every other counter.
+    let scenario = |rt: &std::sync::Arc<skelcl::SkelCl>| {
+        let double = Map::<f32, f32>::from_source("float func(float x) { return x * 2.0f; }");
+        let shift = Map::<f32, f32>::from_source("float func(float x) { return x - 1.0f; }");
+        let sum = Reduce::<f32>::from_source("float func(float a, float b) { return a + b; }");
+        let v = Vector::from_vec(rt, seeded(2500, 23));
+        let chain = v.lazy().map(&double).map(&shift);
+        let first = chain.collect().unwrap();
+        assert_eq!(
+            chain.collect().unwrap(),
+            first,
+            "a memo hit runs the same kernel"
+        );
+        let s = chain.reduce(&sum).scalar().unwrap();
+        (first, s)
+    };
+    assert_deterministic("lazy plan", scenario);
+    let rt = skelcl::init_gpus(2);
+    scenario(&rt);
+    let trace = rt.exec_trace();
+    assert_eq!((trace.plan_lowerings, trace.plan_lowering_hits), (2, 1));
+}

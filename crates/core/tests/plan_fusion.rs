@@ -110,6 +110,57 @@ proptest! {
         prop_assert_eq!(bits(&eager), bits(&oracle));
     }
 
+    /// Generated map/zip chains with an optional reduce or scan terminal —
+    /// any stage order, colliding helper names, extra arguments — compute
+    /// the same bits whether their lowering is fresh (first plan on a
+    /// runtime), a memo hit (same shape rebuilt from new skeleton instances)
+    /// or never fused at all; the rebuilt plan lowers nothing.
+    #[test]
+    fn memoised_lowerings_run_bit_identical_to_fresh_ones(
+        stages in prop::collection::vec((0usize..5, -2.0f32..2.0), 1..5),
+        terminal in 0usize..3,
+        data in prop::collection::vec(-4.0f32..4.0, 1..48),
+    ) {
+        const MAPS: [&str; 3] = [
+            "float offset(float x) { return x + 1.0f; }\nfloat func(float x) { return offset(x); }",
+            "float offset(float x) { return x * 0.5f; }\nfloat func(float x) { return offset(x); }",
+            "float func(float x, float a) { return a * x - 1.0f; }",
+        ];
+        const ZIPS: [&str; 2] = [
+            "float func(float x, float y) { return x * y; }",
+            "float offset(float x) { return x - 3.0f; }\nfloat func(float x, float y, float s) { return offset(x) + y * s; }",
+        ];
+        let rt = skelcl::init_gpus(2);
+        let v = Vector::from_vec(&rt, data.clone());
+        // One second input per stage: a kernel may not bind a buffer twice.
+        let sides: Vec<Vector<f32>> = (0..stages.len())
+            .map(|k| Vector::from_vec(&rt, data.iter().map(|x| k as f32 - x).collect()))
+            .collect();
+        let run = |policy: FusionPolicy| -> Vec<f32> {
+            let mut plan = v.lazy().policy(policy);
+            for (&(which, a), w) in stages.iter().zip(&sides) {
+                plan = match which {
+                    2 => plan.map_with(&Map::from_source(MAPS[2]), args![a]),
+                    3 => plan.zip(w, &Zip::from_source(ZIPS[0])),
+                    4 => plan.zip_with(w, &Zip::from_source(ZIPS[1]), args![a]),
+                    m => plan.map(&Map::from_source(MAPS[m])),
+                };
+            }
+            match terminal {
+                1 => vec![plan.reduce(&sum()).scalar().unwrap()],
+                2 => plan.scan(&psum()).collect().unwrap(),
+                _ => plan.collect().unwrap(),
+            }
+        };
+        let fresh = run(FusionPolicy::Always);
+        let lowered = rt.exec_trace().plan_lowerings;
+        let hit = run(FusionPolicy::Always);
+        prop_assert_eq!(rt.exec_trace().plan_lowerings, lowered, "the rebuilt plan lowered again");
+        let unfused = run(FusionPolicy::Never);
+        prop_assert_eq!(bits(&hit), bits(&fresh));
+        prop_assert_eq!(bits(&unfused), bits(&fresh));
+    }
+
     /// map∘reduce fused (the chain inlined into the fold's first phase) is
     /// bit-identical to unfused and eager; on one device the sequential host
     /// left fold is the oracle.
@@ -603,37 +654,48 @@ fn fused_reductions_with_many_partials_match_unfused_and_eager_bitwise() {
     }
 }
 
-/// Coalescing signatures: identical elementwise chains share a signature,
-/// different kernels or scalar arguments do not, and folds have none.
+/// Coalescing signatures are the plan's shape identity plus its scalar
+/// argument values: equal UDF text shares a signature whichever skeleton
+/// instance carried it; another UDF, argument value, element type or runtime
+/// does not; folds have none.
 #[test]
 fn coalesce_signatures_identify_packable_plans() {
     let rt = skelcl::init_gpus(1);
-    let sq = square();
     let af = affine();
     let v = Vector::from_vec(&rt, vec![1.0f32, 2.0]);
     let w = Vector::from_vec(&rt, vec![3.0f32, 4.0, 5.0]);
+    let sig = |plan: &PlanVec<f32>| plan.coalesce_signature().unwrap().unwrap();
 
-    let a = v.lazy().map(&sq).coalesce_signature().unwrap().unwrap();
-    let b = w.lazy().map(&sq).coalesce_signature().unwrap().unwrap();
-    assert_eq!(a, b, "same kernel, different lengths: same signature");
+    let plan = v.lazy().map(&square());
+    let a = sig(&plan);
+    let b = sig(&w.lazy().map(&square()));
+    assert_eq!(a, b, "same source, two skeleton instances, other lengths");
+    assert_eq!(a, sig(&plan.clone()), "clones share the signature");
 
-    let c = v
-        .lazy()
-        .map_with(&af, args![2.0f32, 1.0f32])
-        .coalesce_signature()
-        .unwrap()
-        .unwrap();
-    let d = v
-        .lazy()
-        .map_with(&af, args![3.0f32, 1.0f32])
-        .coalesce_signature()
-        .unwrap()
-        .unwrap();
+    let c = sig(&v.lazy().map_with(&af, args![2.0f32, 1.0f32]));
+    let d = sig(&v.lazy().map_with(&af, args![3.0f32, 1.0f32]));
     assert_ne!(a, c, "different kernels differ");
     assert_ne!(c, d, "different scalar arguments differ");
+    assert_eq!(c, sig(&w.lazy().map_with(&af, args![2.0f32, 1.0f32])));
+    let zero = sig(&v.lazy().map_with(&af, args![0.0f32, 1.0f32]));
+    let neg_zero = sig(&v.lazy().map_with(&af, args![-0.0f32, 1.0f32]));
+    assert_ne!(zero, neg_zero, "arguments compare by bit pattern");
+
+    let ints = Vector::from_vec(&rt, vec![1i32, 2]);
+    let isq = Map::<i32, i32>::from_source("int func(int x) { return x * x; }");
+    let e = ints.lazy().map(&isq).coalesce_signature().unwrap().unwrap();
+    assert_ne!(a, e, "different element types differ");
+
+    let other = skelcl::init_gpus(1);
+    let foreign = Vector::from_vec(&other, vec![1.0f32, 2.0]);
+    assert_ne!(a, sig(&foreign.lazy().map(&square())), "other runtime");
+
+    // Equal signatures hash alike: they key the serving layer's tallies.
+    let set: std::collections::HashSet<_> = [a, b, c, d, zero, neg_zero, e].into_iter().collect();
+    assert_eq!(set.len(), 6);
 
     assert!(
-        v.lazy().map(&sq).reduce(&sum()).scalar().is_ok(),
+        v.lazy().map(&square()).reduce(&sum()).scalar().is_ok(),
         "folds still run"
     );
     assert_eq!(
@@ -641,6 +703,11 @@ fn coalesce_signatures_identify_packable_plans() {
         None,
         "folds never coalesce"
     );
+    // Three elementwise shapes (square, affine, int square) and the fused
+    // map∘reduce were lowered on `rt`; every other request hit the memo.
+    let trace = rt.exec_trace();
+    assert_eq!(trace.plan_lowerings, 4);
+    assert_eq!(trace.plan_lowering_hits, 6);
 }
 
 /// A packed launch of N jobs is bit-identical, job by job, to running each

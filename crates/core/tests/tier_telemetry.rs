@@ -247,9 +247,17 @@ fn explain_renders_tier_decision() {
             && text.contains("0 replayed batch(es), 0 bailed launch(es), 0 masked batch(es)"),
         "the tier counters are rendered:\n{text}"
     );
+    assert!(
+        text.contains("Plan lowerings: 0 lowered, 0 memo hit(s)"),
+        "the lowering counters sit next to them:\n{text}"
+    );
 
     rt.set_kernel_tier(Tier::Native);
     let text = plan.explain().unwrap();
+    assert!(
+        text.contains("Plan lowerings: 1 lowered, 0 memo hit(s)"),
+        "the first explain lowered the plan's one group:\n{text}"
+    );
     assert!(
         text.contains("Kernel tier: native (pinned via set_kernel_tier)"),
         "pinned explain names the tier and its origin:\n{text}"

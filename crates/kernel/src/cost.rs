@@ -20,7 +20,6 @@
 
 use crate::ast::*;
 use crate::builtins::Builtin;
-use crate::diag::KernelError;
 
 /// Default assumed trip count for loops whose bounds are not literal.
 pub const DEFAULT_TRIP_COUNT: f64 = 16.0;
@@ -254,19 +253,6 @@ fn literal_trip_count(cond: &Expr) -> Option<f64> {
 /// whole program code".
 pub fn estimate_named(unit: &TranslationUnit, name: &str) -> Option<CostEstimate> {
     unit.function(name).map(|f| estimate_function(unit, f))
-}
-
-/// Estimate the per-invocation cost of function `name` directly from source,
-/// without the caller holding a parsed unit. Returns `Ok(None)` when the
-/// source parses but defines no function called `name`.
-///
-/// This is the convenience surface the skeleton library's fusion cost model
-/// uses: it needs per-stage figures for UDF fragments that are never built
-/// into a standalone program.
-pub fn estimate_source(source: &str, name: &str) -> Result<Option<CostEstimate>, KernelError> {
-    let tokens = crate::lexer::lex(source)?;
-    let unit = crate::parser::parse(&tokens, source)?;
-    Ok(estimate_named(&unit, name))
 }
 
 impl CostEstimate {

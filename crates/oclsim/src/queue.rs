@@ -362,9 +362,12 @@ impl CommandQueue {
         self.enqueue_write_bytes(buffer, elem_offset * elem, data)
     }
 
-    /// Shared validated submit path of writes and fills: `data` is handed to
-    /// the worker as-is (single allocation, single host-side copy).
-    fn enqueue_write_bytes(
+    /// Non-blocking host → device transfer of already-serialised bytes into
+    /// the buffer starting at byte `offset_bytes` — the validated submit path
+    /// every write and fill shares, open to callers that assembled the
+    /// payload themselves (e.g. many inputs packed back to back): `data` is
+    /// handed to the worker as-is (single allocation, single host-side copy).
+    pub fn enqueue_write_bytes(
         &self,
         buffer: &Buffer,
         offset_bytes: usize,

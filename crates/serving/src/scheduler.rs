@@ -13,19 +13,19 @@
 //! `footprint / weight` per admitted job, and the queued job with the
 //! smallest `(band, tag, admission#)` key dispatches first. If the picked
 //! job is *coalescible* (an all-elementwise plan), every queued job with
-//! the same kernel signature joins it — up to the coalesce cap — in **one**
+//! the same [`CoalesceSignature`] joins it — up to the coalesce cap — in **one**
 //! packed launch ([`skelcl::PlanVec::pack_jobs`]) on the least-loaded
 //! device (in virtual time). Non-coalescible jobs (reduce/scan pipelines)
 //! run through the ordinary plan executor at dispatch.
 
 use std::any::Any;
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use oclsim::{SimDuration, SimTime};
 use parking_lot::Mutex;
-use skelcl::{DeviceScalar, PlanScalar, PlanVec, SkelCl, SkelError};
+use skelcl::{CoalesceSignature, DeviceScalar, PlanScalar, PlanVec, SkelCl, SkelError};
 
 use crate::error::{Result, ServeError};
 use crate::job::{JobHandle, JobReport, JobSlot};
@@ -34,6 +34,10 @@ use crate::tenant::{Priority, TenantConfig};
 
 /// Fixed-point scale of the fair-queuing virtual clock.
 const WFQ_SCALE: u128 = 1 << 20;
+
+/// Dispatched batches remembered by [`crate::ServingTrace::dispatch_tenants`]
+/// and `batch_sizes` (the most recent ones).
+pub(crate) const DISPATCH_HISTORY: usize = 1024;
 
 /// Per-job submission options (the `*_with` submit forms).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -77,7 +81,7 @@ pub(crate) struct Counters {
 /// Everything a resolution closure needs to finish one packed job.
 pub(crate) struct BatchMember {
     slot: Arc<JobSlot>,
-    tenant: String,
+    tenant: Arc<str>,
     footprint: usize,
     pending: Arc<AtomicUsize>,
     report: JobReport,
@@ -181,11 +185,11 @@ enum JobWork {
 /// One admitted, not-yet-dispatched job.
 struct QueuedJob {
     id: u64,
-    tenant: String,
+    tenant: Arc<str>,
     band: Priority,
     tag: u128,
     seq: u64,
-    signature: Option<String>,
+    signature: Option<CoalesceSignature>,
     footprint: usize,
     submit_virt: SimTime,
     /// Virtual-time release of the next attempt (backoff after a fault);
@@ -230,6 +234,77 @@ struct InFlight {
     jobs: Vec<QueuedJob>,
 }
 
+/// The admission queue, with the two tallies dispatch triggers consult on
+/// every admission kept incrementally instead of recounted.
+#[derive(Default)]
+struct JobQueue {
+    /// Admitted jobs in admission order (replays re-enter at the back).
+    jobs: Vec<QueuedJob>,
+    /// Queued jobs per coalescing signature (the coalesce-cap trigger).
+    by_signature: HashMap<CoalesceSignature, usize>,
+    /// Queued jobs that carry a deadline (none: the sweep is skipped).
+    deadlines: usize,
+}
+
+impl JobQueue {
+    /// Queue `job`; returns how many queued jobs now share its signature.
+    fn push(&mut self, job: QueuedJob) -> usize {
+        self.deadlines += usize::from(job.deadline.is_some());
+        let same = match &job.signature {
+            Some(signature) => {
+                let count = self.by_signature.entry(signature.clone()).or_insert(0);
+                *count += 1;
+                *count
+            }
+            None => 0,
+        };
+        self.jobs.push(job);
+        same
+    }
+
+    /// Take a job that has just left `jobs` off the tallies.
+    fn forget(&mut self, job: &QueuedJob) {
+        self.deadlines -= usize::from(job.deadline.is_some());
+        if let Some(signature) = &job.signature {
+            let count = self
+                .by_signature
+                .get_mut(signature)
+                .expect("every queued signature is tallied");
+            *count -= 1;
+            if *count == 0 {
+                self.by_signature.remove(signature);
+            }
+        }
+    }
+
+    fn remove(&mut self, index: usize) -> QueuedJob {
+        let job = self.jobs.remove(index);
+        self.forget(&job);
+        job
+    }
+
+    /// Remove the jobs at `picked` (ascending queue indices) in one pass
+    /// that keeps everyone else in order; returned in dispatch order.
+    fn take(&mut self, picked: &[usize]) -> Vec<QueuedJob> {
+        let mut next = 0;
+        let mut write = picked[0];
+        for read in picked[0]..self.jobs.len() {
+            if picked.get(next) == Some(&read) {
+                next += 1;
+            } else {
+                self.jobs.swap(write, read);
+                write += 1;
+            }
+        }
+        let mut batch = self.jobs.split_off(write);
+        for job in &batch {
+            self.forget(job);
+        }
+        batch.sort_unstable_by_key(QueuedJob::sort_key);
+        batch
+    }
+}
+
 struct TenantState {
     config: TenantConfig,
     vtime: u128,
@@ -247,17 +322,17 @@ pub(crate) struct Stats {
     pub(crate) opaque_jobs: usize,
     pub(crate) would_blocks: usize,
     pub(crate) max_queue_depth_seen: usize,
-    pub(crate) dispatch_tenants: Vec<String>,
-    pub(crate) batch_sizes: Vec<usize>,
+    /// `(leader's tenant, size)` of the last [`DISPATCH_HISTORY`] batches.
+    pub(crate) dispatches: VecDeque<(Arc<str>, usize)>,
     pub(crate) retries: usize,
     pub(crate) cancelled: usize,
     pub(crate) deadline_failures: usize,
 }
 
 struct CoreState {
-    queue: Vec<QueuedJob>,
+    queue: JobQueue,
     inflight: Vec<InFlight>,
-    tenants: HashMap<String, TenantState>,
+    tenants: HashMap<Arc<str>, TenantState>,
     vclock: u128,
     next_job: u64,
     shutting_down: bool,
@@ -279,7 +354,7 @@ impl Core {
             runtime,
             config,
             state: Mutex::new(CoreState {
-                queue: Vec::new(),
+                queue: JobQueue::default(),
                 inflight: Vec::new(),
                 tenants: HashMap::new(),
                 vclock: 0,
@@ -308,7 +383,7 @@ impl Core {
             .ledger()
             .set_cap(name, config.quota_bytes);
         state.tenants.insert(
-            name.to_string(),
+            name.into(),
             TenantState {
                 config,
                 vtime: 0,
@@ -318,15 +393,17 @@ impl Core {
         Ok(())
     }
 
-    pub(crate) fn has_tenant(&self, name: &str) -> bool {
-        self.state.lock().tenants.contains_key(name)
+    /// The registered tenant's shared name, if `name` is registered.
+    pub(crate) fn tenant(&self, name: &str) -> Option<Arc<str>> {
+        let state = self.state.lock();
+        state.tenants.get_key_value(name).map(|(k, _)| k.clone())
     }
 
     /// Admit an elementwise-or-opaque vector job (try semantics: returns
     /// [`ServeError::WouldBlock`] past a watermark instead of blocking).
     pub(crate) fn admit_vec<T: DeviceScalar>(
         self: &Arc<Self>,
-        tenant: &str,
+        tenant: &Arc<str>,
         plan: &PlanVec<T>,
         options: JobOptions,
     ) -> Result<JobHandle<Vec<T>>> {
@@ -355,7 +432,7 @@ impl Core {
     /// Admit a reduction job (always runs through the plan executor).
     pub(crate) fn admit_scalar<T: DeviceScalar>(
         self: &Arc<Self>,
-        tenant: &str,
+        tenant: &Arc<str>,
         plan: &PlanScalar<T>,
         options: JobOptions,
     ) -> Result<JobHandle<T>> {
@@ -380,8 +457,8 @@ impl Core {
 
     fn admit(
         &self,
-        tenant: &str,
-        signature: Option<String>,
+        tenant: &Arc<str>,
+        signature: Option<CoalesceSignature>,
         footprint: usize,
         work: JobWork,
         refresh: Box<dyn Fn() -> std::result::Result<(), SkelError> + Send>,
@@ -393,13 +470,13 @@ impl Core {
         }
         let Some((max_pending, pending)) = state
             .tenants
-            .get(tenant)
+            .get(&**tenant)
             .map(|t| (t.config.max_pending.max(1), t.pending.clone()))
         else {
             return Err(ServeError::UnknownTenant(tenant.to_string()));
         };
         if pending.load(Ordering::Relaxed) >= max_pending
-            || state.queue.len() >= self.config.max_queue_depth.max(1)
+            || state.queue.jobs.len() >= self.config.max_queue_depth.max(1)
         {
             state.stats.would_blocks += 1;
             return Err(ServeError::WouldBlock);
@@ -410,7 +487,7 @@ impl Core {
             .try_charge(tenant, footprint)
             .map_err(|e| ServeError::from(SkelError::from(e)))?;
         let vclock = state.vclock;
-        let t = state.tenants.get_mut(tenant).expect("checked above");
+        let t = state.tenants.get_mut(&**tenant).expect("checked above");
         let weight = u128::from(t.config.weight.max(1));
         let start = t.vtime.max(vclock);
         t.vtime = start + (footprint.max(1) as u128 * WFQ_SCALE) / weight;
@@ -421,13 +498,13 @@ impl Core {
         state.next_job += 1;
         let slot = JobSlot::new();
         let submit_virt = self.runtime.now();
-        state.queue.push(QueuedJob {
+        let same = state.queue.push(QueuedJob {
             id,
-            tenant: tenant.to_string(),
+            tenant: tenant.clone(),
             band,
             tag,
             seq: id,
-            signature: signature.clone(),
+            signature,
             footprint,
             submit_virt,
             not_before: submit_virt,
@@ -440,19 +517,12 @@ impl Core {
             refresh,
         });
         state.stats.jobs_submitted += 1;
-        let depth = state.queue.len();
+        let depth = state.queue.jobs.len();
         state.stats.max_queue_depth_seen = state.stats.max_queue_depth_seen.max(depth);
         // Coalesce-cap trigger: once a full batch of one signature is
         // queued, dispatch it eagerly — waiting longer cannot grow it.
-        if let (Some(sig), true) = (&signature, self.config.coalescing) {
-            let same = state
-                .queue
-                .iter()
-                .filter(|j| j.signature.as_deref() == Some(sig.as_str()))
-                .count();
-            if same >= self.config.coalesce_cap.max(1) {
-                self.dispatch_one_locked(&mut state);
-            }
+        if self.config.coalescing && same >= self.config.coalesce_cap.max(1) {
+            self.dispatch_one_locked(&mut state);
         }
         Ok(slot)
     }
@@ -471,22 +541,25 @@ impl Core {
     /// Terminally fail every queued job whose virtual-time deadline has
     /// passed, releasing quota and pending counts immediately.
     fn sweep_deadlines_locked(&self, state: &mut CoreState) {
+        if state.queue.deadlines == 0 {
+            return;
+        }
         let now = self.runtime.now();
-        let mut kept = Vec::with_capacity(state.queue.len());
-        for job in std::mem::take(&mut state.queue) {
-            match job.deadline {
+        let mut index = 0;
+        while index < state.queue.jobs.len() {
+            match state.queue.jobs[index].deadline {
                 Some(deadline) if now > deadline => {
+                    let job = state.queue.remove(index);
                     state.stats.deadline_failures += 1;
                     let error = ServeError::DeadlineExceeded {
-                        tenant: job.tenant.clone(),
+                        tenant: job.tenant.to_string(),
                         deadline,
                     };
                     job.fail_now(&self.runtime, error, &self.counters);
                 }
-                _ => kept.push(job),
+                _ => index += 1,
             }
         }
-        state.queue = kept;
     }
 
     /// Dispatch the best queued batch, if any. Packed launches go in
@@ -496,58 +569,51 @@ impl Core {
     /// the clock when only those remain.
     fn dispatch_one_locked(&self, state: &mut CoreState) -> bool {
         self.sweep_deadlines_locked(state);
-        if state.queue.is_empty() {
-            return false;
-        }
         let now = self.runtime.now();
         let eligible = |job: &QueuedJob| job.not_before <= now;
-        let Some(leader_idx) = (0..state.queue.len())
-            .filter(|&i| eligible(&state.queue[i]))
-            .min_by_key(|&i| state.queue[i].sort_key())
+        let queue = &state.queue.jobs;
+        let Some(leader) = (0..queue.len())
+            .filter(|&i| eligible(&queue[i]))
+            .min_by_key(|&i| queue[i].sort_key())
         else {
             return false;
         };
-        let leader_sig = state.queue[leader_idx].signature.clone();
-        let batch_indices: Vec<usize> = match (&leader_sig, self.config.coalescing) {
-            (Some(sig), true) => {
-                let mut idxs: Vec<usize> = (0..state.queue.len())
+        let cap = self.config.coalesce_cap.max(1);
+        let picked: Vec<usize> = match (&queue[leader].signature, self.config.coalescing) {
+            (Some(signature), true) => {
+                let mut same: Vec<usize> = (0..queue.len())
                     .filter(|&i| {
-                        eligible(&state.queue[i])
-                            && state.queue[i].signature.as_deref() == Some(sig.as_str())
+                        eligible(&queue[i]) && queue[i].signature.as_ref() == Some(signature)
                     })
                     .collect();
-                idxs.sort_by_key(|&i| state.queue[i].sort_key());
-                idxs.truncate(self.config.coalesce_cap.max(1));
-                idxs
+                if same.len() > cap {
+                    same.sort_unstable_by_key(|&i| queue[i].sort_key());
+                    same.truncate(cap);
+                    same.sort_unstable();
+                }
+                same
             }
-            _ => vec![leader_idx],
+            _ => vec![leader],
         };
-        let batch_set: HashSet<usize> = batch_indices.iter().copied().collect();
-        let old_queue = std::mem::take(&mut state.queue);
-        let mut extracted: HashMap<usize, QueuedJob> = HashMap::new();
-        for (i, job) in old_queue.into_iter().enumerate() {
-            if batch_set.contains(&i) {
-                extracted.insert(i, job);
-            } else {
-                state.queue.push(job);
-            }
-        }
-        let batch: Vec<QueuedJob> = batch_indices
-            .iter()
-            .map(|i| extracted.remove(i).expect("extracted above"))
-            .collect();
+        let batch = state.queue.take(&picked);
         state.vclock = state.vclock.max(batch[0].tag);
         state.stats.batches += 1;
-        state.stats.batch_sizes.push(batch.len());
-        state.stats.dispatch_tenants.push(batch[0].tenant.clone());
+        if state.stats.dispatches.len() == DISPATCH_HISTORY {
+            state.stats.dispatches.pop_front();
+        }
+        state
+            .stats
+            .dispatches
+            .push_back((batch[0].tenant.clone(), batch.len()));
         if batch.len() > 1 {
             state.stats.coalesced_jobs += batch.len();
         }
         let ledger_ctx = self.runtime.context().ledger();
-        let mut seen_tenants: HashSet<&str> = HashSet::new();
+        let mut seen_tenants: Vec<&str> = Vec::new();
         for job in &batch {
             ledger_ctx.note_transfer(&job.tenant, job.footprint);
-            if seen_tenants.insert(job.tenant.as_str()) {
+            if !seen_tenants.contains(&&*job.tenant) {
+                seen_tenants.push(&job.tenant);
                 ledger_ctx.note_launch(&job.tenant);
             }
         }
@@ -564,7 +630,7 @@ impl Core {
                         pending: j.pending.clone(),
                         report: JobReport {
                             job_id: j.id,
-                            tenant: j.tenant.clone(),
+                            tenant: j.tenant.to_string(),
                             device: Some(device),
                             batch_jobs: batch.len(),
                             submit_virt: j.submit_virt,
@@ -619,7 +685,7 @@ impl Core {
                         job.pending.fetch_sub(1, Ordering::Relaxed);
                         let report = JobReport {
                             job_id: job.id,
-                            tenant: job.tenant.clone(),
+                            tenant: job.tenant.to_string(),
                             device: None,
                             batch_jobs: 1,
                             submit_virt: job.submit_virt,
@@ -638,9 +704,10 @@ impl Core {
     /// Decide between replay and terminal failure for a job whose attempt
     /// failed with `error`. Injected faults with retry budget left re-queue
     /// the job — quota stays charged across replays, so the ledger never
-    /// double-charges — with an exponential virtual-time backoff; injected
-    /// faults past the budget fail with [`ServeError::JobFailed`] carrying
-    /// the whole fault chain; everything else passes through unchanged.
+    /// double-charges — with a linear virtual-time backoff (attempt `n`
+    /// waits `n × retry_backoff`); injected faults past the budget fail with
+    /// [`ServeError::JobFailed`] carrying the whole fault chain; everything
+    /// else passes through unchanged.
     fn settle_failed_job(&self, state: &mut CoreState, mut job: QueuedJob, error: ServeError) {
         // Drop fault records the failed attempt parked on the runtime so
         // they cannot leak into the replay (or an unrelated job).
@@ -666,7 +733,7 @@ impl Core {
         } else if injected {
             job.fault_chain.push(error.to_string());
             let terminal = ServeError::JobFailed {
-                tenant: job.tenant.clone(),
+                tenant: job.tenant.to_string(),
                 attempts: job.fault_chain.len(),
                 fault_chain: std::mem::take(&mut job.fault_chain),
             };
@@ -701,6 +768,7 @@ impl Core {
         let now = self.runtime.now();
         let earliest = state
             .queue
+            .jobs
             .iter()
             .map(|j| j.not_before)
             .filter(|&t| t > now)
@@ -720,7 +788,12 @@ impl Core {
     /// — in-flight and completed jobs cannot be cancelled.
     pub(crate) fn cancel(&self, slot: &Arc<JobSlot>) -> bool {
         let mut state = self.state.lock();
-        let Some(pos) = state.queue.iter().position(|j| Arc::ptr_eq(&j.slot, slot)) else {
+        let Some(pos) = state
+            .queue
+            .jobs
+            .iter()
+            .position(|j| Arc::ptr_eq(&j.slot, slot))
+        else {
             return false;
         };
         let job = state.queue.remove(pos);
@@ -784,7 +857,7 @@ impl Core {
             state.stats.clone(),
             self.counters.completed.load(Ordering::Relaxed),
             self.counters.failed.load(Ordering::Relaxed),
-            state.queue.len(),
+            state.queue.jobs.len(),
             state.inflight.len(),
         )
     }

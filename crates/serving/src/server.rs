@@ -71,9 +71,11 @@ pub struct ServingTrace {
     pub would_blocks: usize,
     /// High-water mark of the admission queue depth.
     pub max_queue_depth_seen: usize,
-    /// Tenant of each dispatched batch's leader, in dispatch order.
+    /// Tenant of each dispatched batch's leader, in dispatch order — the
+    /// most recent 1 024 batches (`batches` counts all of them).
     pub dispatch_tenants: Vec<String>,
-    /// Size of each dispatched batch, in dispatch order.
+    /// Size of each dispatched batch, in dispatch order; covers the same
+    /// most recent 1 024 batches as `dispatch_tenants`.
     pub batch_sizes: Vec<usize>,
     /// Fault-failed attempts that were re-queued for replay.
     pub jobs_retried: usize,
@@ -120,12 +122,13 @@ impl Server {
     /// Open a submission session for a registered tenant. Sessions are
     /// cheap; a tenant may hold any number concurrently.
     pub fn session(&self, tenant: &str) -> Result<Session> {
-        if !self.core.has_tenant(tenant) {
-            return Err(ServeError::UnknownTenant(tenant.to_string()));
-        }
+        let tenant = self
+            .core
+            .tenant(tenant)
+            .ok_or_else(|| ServeError::UnknownTenant(tenant.to_string()))?;
         Ok(Session {
             core: self.core.clone(),
-            tenant: tenant.to_string(),
+            tenant,
         })
     }
 
@@ -155,8 +158,12 @@ impl Server {
             opaque_jobs: stats.opaque_jobs,
             would_blocks: stats.would_blocks,
             max_queue_depth_seen: stats.max_queue_depth_seen,
-            dispatch_tenants: stats.dispatch_tenants,
-            batch_sizes: stats.batch_sizes,
+            dispatch_tenants: stats
+                .dispatches
+                .iter()
+                .map(|(tenant, _)| tenant.to_string())
+                .collect(),
+            batch_sizes: stats.dispatches.iter().map(|&(_, size)| size).collect(),
             jobs_retried: stats.retries,
             jobs_cancelled: stats.cancelled,
             jobs_deadline_failed: stats.deadline_failures,
@@ -168,7 +175,7 @@ impl Server {
 #[derive(Clone)]
 pub struct Session {
     core: Arc<Core>,
-    tenant: String,
+    tenant: Arc<str>,
 }
 
 impl Session {

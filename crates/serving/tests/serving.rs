@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 
 use skelcl::prelude::*;
-use skelcl_serving::{Priority, ServeError, Server, ServerConfig, TenantConfig};
+use skelcl_serving::{JobReport, Priority, ServeError, Server, ServerConfig, TenantConfig};
 
 fn double() -> Map<f32, f32> {
     Map::from_source("float func(float x) { return 2.0f * x; }")
@@ -440,9 +440,20 @@ fn results_are_taken_exactly_once() {
     assert_eq!(out.len(), 6);
 }
 
+/// Everything observable about one run of the fixed schedule.
+#[derive(Debug, PartialEq)]
+struct ScheduleRun {
+    results: Vec<Vec<u32>>,
+    scalars: Vec<u32>,
+    /// Per job, in submission order (vector jobs, then scalar jobs).
+    reports: Vec<JobReport>,
+    dispatch_tenants: Vec<String>,
+    batch_sizes: Vec<usize>,
+    end: oclsim::SimTime,
+}
+
 /// One fixed submission schedule, parameterized only by the runtime.
-/// Returns (per-job result bits, scalar bits, final virtual time).
-fn run_schedule(devices: usize) -> (Vec<Vec<u32>>, Vec<u32>, oclsim::SimTime) {
+fn run_schedule(devices: usize) -> ScheduleRun {
     let rt = skelcl::init_gpus(devices);
     let server = Server::new(rt.clone());
     server.add_tenant("a", TenantConfig::weighted(2)).unwrap();
@@ -467,15 +478,28 @@ fn run_schedule(devices: usize) -> (Vec<Vec<u32>>, Vec<u32>, oclsim::SimTime) {
         }
     }
     server.flush();
-    let results: Vec<Vec<u32>> = vec_handles
-        .into_iter()
-        .map(|h| bits(&h.wait().unwrap().0))
-        .collect();
-    let scalars: Vec<u32> = scalar_handles
-        .into_iter()
-        .map(|h| h.wait().unwrap().0 as u32)
-        .collect();
-    (results, scalars, rt.now())
+    let mut reports = Vec::new();
+    let mut results = Vec::new();
+    for handle in vec_handles {
+        let (out, report) = handle.wait().unwrap();
+        results.push(bits(&out));
+        reports.push(report);
+    }
+    let mut scalars = Vec::new();
+    for handle in scalar_handles {
+        let (out, report) = handle.wait().unwrap();
+        scalars.push(out as u32);
+        reports.push(report);
+    }
+    let trace = server.trace();
+    ScheduleRun {
+        results,
+        scalars,
+        reports,
+        dispatch_tenants: trace.dispatch_tenants,
+        batch_sizes: trace.batch_sizes,
+        end: rt.now(),
+    }
 }
 
 #[test]
@@ -485,16 +509,122 @@ fn fixed_schedule_is_deterministic_across_reps_and_devices() {
         let first = run_schedule(devices);
         for _ in 0..2 {
             let rep = run_schedule(devices);
-            // Same device count: results AND virtual time bit-identical.
+            // Same device count: results, reports, dispatch order AND
+            // virtual time bit-identical.
             assert_eq!(rep, first, "rep diverged at {devices} device(s)");
         }
         per_devices.push(first);
     }
     // Across device counts: result bits identical (jobs pin to one device).
     for other in &per_devices[1..] {
-        assert_eq!(other.0, per_devices[0].0);
-        assert_eq!(other.1, per_devices[0].1);
+        assert_eq!(other.results, per_devices[0].results);
+        assert_eq!(other.scalars, per_devices[0].scalars);
     }
+    // The schedule's decisions, pinned: which batches formed, in which
+    // order, led by whom, and where each job ran with how many others.
+    let two = &per_devices[1];
+    assert_eq!(two.dispatch_tenants, ["a", "a", "b", "a", "a"]);
+    assert_eq!(two.batch_sizes, [4, 1, 6, 1, 1]);
+    let placed: Vec<(u64, Option<usize>, usize)> = two
+        .reports
+        .iter()
+        .map(|r| (r.job_id, r.device, r.batch_jobs))
+        .collect();
+    let packed = |id, batch| (id, Some(0), batch);
+    assert_eq!(
+        placed,
+        [
+            packed(0, 4),
+            packed(2, 6),
+            packed(3, 6),
+            packed(4, 4),
+            packed(5, 6),
+            packed(7, 6),
+            packed(8, 4),
+            packed(9, 6),
+            packed(10, 6),
+            packed(12, 4),
+            (1, None, 1),
+            (6, None, 1),
+            (11, None, 1),
+        ]
+    );
+}
+
+/// A wave of 2 048 jobs drawn from three plan shapes lowers each shape
+/// once: admission, the coalesce-cap trigger and every packed dispatch read
+/// the runtime's memo. A second wave lowers nothing at all.
+#[test]
+fn a_wave_of_three_shapes_lowers_three_times() {
+    let rt = skelcl::init_gpus(2);
+    let server = Server::new(rt.clone());
+    server.add_tenant("t", TenantConfig::default()).unwrap();
+    let session = server.session("t").unwrap();
+    let wave = || {
+        // Fresh skeleton instances per wave: the memo keys on content.
+        let (d, q, s) = (double(), square(), fsum());
+        let mut vecs = Vec::new();
+        let mut scalars = Vec::new();
+        for i in 0..2048u64 {
+            let v = Vector::from_vec(&rt, input(i, 16));
+            match i % 16 {
+                15 => scalars.push(session.submit_scalar(&v.lazy().map(&q).reduce(&s)).unwrap()),
+                3 | 7 | 11 => vecs.push(session.submit_vec(&v.lazy().map(&q)).unwrap()),
+                _ => vecs.push(session.submit_vec(&v.lazy().map(&d)).unwrap()),
+            }
+        }
+        server.flush();
+        for handle in vecs {
+            handle.wait().unwrap();
+        }
+        for handle in scalars {
+            handle.wait().unwrap();
+        }
+    };
+    wave();
+    let first = rt.exec_trace();
+    assert_eq!(first.plan_lowerings, 3);
+    wave();
+    let second = rt.exec_trace();
+    assert_eq!(second.plan_lowerings, 3, "a warm wave lowers nothing");
+    assert!(second.plan_lowering_hits > first.plan_lowering_hits);
+    assert_eq!(server.trace().jobs_completed, 4096);
+}
+
+/// The dispatch history is a window, not a log: 10 000 batches leave the
+/// most recent 1 024 in the trace while the counters keep the full tally.
+#[test]
+fn dispatch_history_is_bounded() {
+    let rt = skelcl::init_gpus(1);
+    let server = Server::with_config(
+        rt.clone(),
+        ServerConfig {
+            coalescing: false,
+            ..ServerConfig::default()
+        },
+    );
+    server.add_tenant("old", TenantConfig::default()).unwrap();
+    server.add_tenant("new", TenantConfig::default()).unwrap();
+    let d = double();
+    let v = Vector::from_vec(&rt, vec![1.0f32, 2.0]);
+    let plan = v.lazy().map(&d);
+    for (tenant, jobs) in [("old", 9_000), ("new", 1_000)] {
+        let session = server.session(tenant).unwrap();
+        let handles: Vec<_> = (0..jobs)
+            .map(|_| session.submit_vec(&plan).unwrap())
+            .collect();
+        server.flush();
+        for handle in handles {
+            handle.wait().unwrap();
+        }
+    }
+    let trace = server.trace();
+    assert_eq!(trace.batches, 10_000);
+    assert_eq!(trace.batch_sizes.len(), 1024);
+    assert_eq!(trace.dispatch_tenants.len(), 1024);
+    assert_eq!(trace.dispatch_tenants[0], "old");
+    assert!(trace.dispatch_tenants[24..].iter().all(|t| t == "new"));
+    assert!(trace.batch_sizes.iter().all(|&size| size == 1));
 }
 
 #[test]

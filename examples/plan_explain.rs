@@ -47,5 +47,13 @@ fn main() -> Result<()> {
         "telemetry: {} kernel(s) fused, {} launch(es) elided, {} intermediate byte(s) elided",
         trace.kernels_fused, trace.launches_elided, trace.intermediate_bytes_elided
     );
+    // Five distinct group shapes appeared above — the fully fused chain,
+    // and under `Never` each of its four stages alone — and running the
+    // plan after explaining it lowered nothing new.
+    println!("{}", trace.lowering_line());
+    if trace.plan_lowerings > 5 {
+        eprintln!("error: 5 distinct group shapes were planned, but more were lowered");
+        std::process::exit(1);
+    }
     Ok(())
 }

@@ -108,5 +108,14 @@ fn main() -> skelcl_serving::Result<()> {
         );
     }
     server.shutdown();
+
+    // Two plan shapes were submitted (the normalize map and the bare
+    // reduction), however many jobs carried them: each lowers once.
+    let exec = rt.exec_trace();
+    println!("{}", exec.lowering_line());
+    if exec.plan_lowerings > 2 {
+        eprintln!("error: 2 distinct plan shapes were submitted, but more were lowered");
+        std::process::exit(1);
+    }
     Ok(())
 }
