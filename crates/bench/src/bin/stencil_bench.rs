@@ -12,7 +12,10 @@
 //!   cargo run --release -p skelcl_bench --bin stencil_bench -- --out path.json
 //!
 //! `--smoke` shrinks the image and sweep count so CI can use the binary as a
-//! compile-and-run check (no thresholds).
+//! compile-and-run check (no thresholds). At full size the binary exits 1
+//! if any workload × halo row takes longer (virtual time) on 4 devices than
+//! on 1 — the paper's Figure 4b shape, and what the device-side halo
+//! exchange bought.
 
 use std::time::Instant;
 
@@ -183,4 +186,26 @@ fn main() {
     json.push_str("  ]\n}\n");
     std::fs::write(&out_path, &json).expect("write benchmark json");
     println!("wrote {out_path}");
+
+    // Smoke images are too small for four devices to pay off; at full size
+    // adding devices must not slow any stencil down.
+    if !smoke {
+        let mut slower = 0;
+        for one in rows.iter().filter(|r| r.devices == 1) {
+            let four = rows
+                .iter()
+                .find(|r| r.devices == 4 && r.workload == one.workload && r.halo == one.halo)
+                .expect("every workload runs on 1 and 4 devices");
+            if four.virtual_ms > one.virtual_ms {
+                eprintln!(
+                    "FAIL: {} halo {} is slower on 4 devices ({:.3} ms) than on 1 ({:.3} ms)",
+                    one.workload, one.halo, four.virtual_ms, one.virtual_ms
+                );
+                slower += 1;
+            }
+        }
+        if slower > 0 {
+            std::process::exit(1);
+        }
+    }
 }

@@ -12,7 +12,12 @@
 //!    paths in the crate: lazy upload (`Storage::ensure_on_devices`), lazy
 //!    gather (`Storage::download_to_host`) and the halo-only exchange
 //!    (`Storage::refresh_halos`). `Storage` is shape-agnostic: everything
-//!    geometric is delegated to the partitioning layer below.
+//!    geometric is delegated to the partitioning layer below. Uploads and
+//!    gathers cross the host by definition; the halo exchange does not — a
+//!    neighbour's rows go owner read → forwarded write, an edge row the
+//!    device owns itself is an on-device copy, and the host only enqueues
+//!    and then joins the commands in real time (errors still surface
+//!    synchronously; its virtual clock pays enqueue overheads only).
 //!
 //! 2. **[`Partitioning`] / [`PartLayout`]** — the dimension-generic
 //!    distribution interface. [`crate::distribution::Distribution`] (1-D) and
@@ -27,7 +32,8 @@
 //!    * a *gather segment* says which region of a part is authoritative on
 //!      download,
 //!    * [`HaloSegment`]s say which padding regions are refreshed from which
-//!      neighbour between stencil sweeps.
+//!      neighbour — or from the device's own core rows, or by a fill —
+//!      between stencil sweeps.
 //!
 //! 3. **[`Container`]** — the uniform launch interface of the data-parallel
 //!    skeletons. `Map`, `Zip` and `Reduce` are written against this trait
@@ -50,7 +56,7 @@ use crate::distribution::{Combine, Distribution, Partition};
 use crate::error::{Result, SkelError};
 use crate::runtime::{DeviceSelection, SkelCl};
 use crate::scheduler::StaticScheduler;
-use crate::skeletons::claim_read;
+use crate::skeletons::{claim_read, wait_events};
 
 // ---------------------------------------------------------------------------
 // Segment vocabulary: how layouts describe parts to the coherence core
@@ -477,70 +483,129 @@ impl<T: Pod, D: Partitioning> Storage<T, D> {
 
     /// Halo-only re-coherence: re-fill the padding regions of every stored
     /// part from the owners' current core data (and the edge policy at the
-    /// container edges) without touching any core data. Each
-    /// [`HaloSegment::Remote`] is one read from the owner plus one write to
-    /// the destination, charged to the runtime's halo counters on both ends.
+    /// container edges) without touching any core data — and without the
+    /// host in the loop. Everything is enqueued first, then joined:
+    ///
+    /// 1. every cross-device [`HaloSegment::Remote`] becomes a non-blocking
+    ///    read on its owner's queue (all reads before any forward, so the
+    ///    owners' transfers run side by side instead of queueing behind
+    ///    their neighbours' writes);
+    /// 2. a segment whose owner *is* the destination device (the `Clamp` /
+    ///    `Wrap` edge rows) is one device-local copy, a
+    ///    [`HaloSegment::Fill`] one fill;
+    /// 3. each read is forwarded into a write on the destination's queue,
+    ///    which waits for it on the device side (see
+    ///    [`oclsim::CommandQueue::enqueue_write_buffer_from_read`]).
+    ///
+    /// The host's virtual clock advances by the enqueue overheads only; the
+    /// next sweep's kernel is ordered behind its halo writes by the in-order
+    /// queue. The final join is real-time only, so a lost device or a
+    /// transient fault still surfaces here, synchronously, for the recovery
+    /// layer. Halo telemetry: a forwarded segment is charged once on the
+    /// owner and once on the destination, a local copy or fill once on its
+    /// device (see [`SkelCl::charge_halo_transfer`]).
     pub(crate) fn refresh_halos(&mut self) -> Result<()> {
         debug_assert!(self.devices_valid);
         if self.halos_valid || !self.layout.has_halo() {
             self.halos_valid = true;
             return Ok(());
         }
+        let mut events = Vec::new();
+        let enqueued = self.enqueue_halo_exchange(&mut events);
+        // Join whatever was enqueued even if a later enqueue was rejected:
+        // nothing of this exchange may stay in flight or latched.
+        let joined = wait_events(&self.runtime, events);
+        enqueued?;
+        joined?;
+        self.halos_valid = true;
+        Ok(())
+    }
+
+    /// Enqueue one halo exchange (see [`Storage::refresh_halos`]), pushing
+    /// every command's `(device, event)` onto `events` in enqueue order.
+    fn enqueue_halo_exchange(&self, events: &mut Vec<(usize, oclsim::EventHandle)>) -> Result<()> {
         let elem = std::mem::size_of::<T>();
+        let buffer_of = |device: usize| {
+            self.buffers[device].as_ref().ok_or_else(|| {
+                SkelError::Internal(format!(
+                    "halo refresh: device {device} takes part in the exchange but has no buffer"
+                ))
+            })
+        };
+        let mut exchange = Vec::new();
         for device in self.layout.active_devices() {
             let segments = self.layout.halo_segments(device, self.edge);
-            if segments.is_empty() {
-                continue;
+            if !segments.is_empty() {
+                exchange.push((device, buffer_of(device)?, segments));
             }
-            let dst = self.buffers[device].as_ref().cloned().ok_or_else(|| {
-                SkelError::Internal(format!(
-                    "halo refresh: device {device} part carries halo regions but has no buffer"
-                ))
-            })?;
+        }
+        // Every command is charged to its device's halo counters and kept
+        // for the join.
+        let mut enqueued = |device: usize, len: usize, event: oclsim::EventHandle| {
+            self.runtime.charge_halo_transfer(device, len * elem);
+            events.push((device, event));
+        };
+        // (destination device, its buffer, offset in it, len, the owner's read)
+        let mut reads = Vec::new();
+        for (device, dst, segments) in &exchange {
             for segment in segments {
-                match segment {
-                    HaloSegment::Fill { dst_offset, len } => {
-                        if len == 0 {
-                            continue;
-                        }
-                        self.runtime.queue(device).enqueue_fill_buffer_region(
-                            &dst,
-                            dst_offset,
-                            self.fill_value(),
+                match *segment {
+                    HaloSegment::Remote {
+                        dst_offset,
+                        owner,
+                        src_offset,
+                        len,
+                    } if len > 0 && owner != *device => {
+                        let read = self
+                            .runtime
+                            .queue(owner)
+                            .enqueue_read_buffer_region_nb::<T>(
+                                buffer_of(owner)?,
+                                src_offset,
+                                len,
+                            )?;
+                        enqueued(owner, len, read.clone());
+                        reads.push((*device, *dst, dst_offset, len, read));
+                    }
+                    _ => {}
+                }
+            }
+        }
+        for (device, dst, segments) in &exchange {
+            let queue = self.runtime.queue(*device);
+            for segment in segments {
+                match *segment {
+                    HaloSegment::Fill { dst_offset, len } if len > 0 => {
+                        let fill = self.fill_value();
+                        enqueued(
+                            *device,
                             len,
-                        )?;
-                        self.runtime.charge_halo_transfer(device, len * elem);
+                            queue.enqueue_fill_buffer_region(dst, dst_offset, fill, len)?,
+                        );
                     }
                     HaloSegment::Remote {
                         dst_offset,
                         owner,
                         src_offset,
                         len,
-                    } => {
-                        if len == 0 {
-                            continue;
-                        }
-                        let src = self.buffers[owner].as_ref().ok_or_else(|| {
-                            SkelError::Internal(format!(
-                                "halo refresh: owner device {owner} holds no buffer"
-                            ))
-                        })?;
-                        let mut staging = vec_uninit_len::<T>(len);
-                        self.runtime.queue(owner).enqueue_read_buffer_region(
-                            src,
-                            src_offset,
-                            &mut staging,
-                        )?;
-                        self.runtime
-                            .queue(device)
-                            .enqueue_write_buffer_region(&dst, dst_offset, &staging)?;
-                        self.runtime.charge_halo_transfer(owner, len * elem);
-                        self.runtime.charge_halo_transfer(device, len * elem);
-                    }
+                    } if len > 0 && owner == *device => enqueued(
+                        *device,
+                        len,
+                        queue.enqueue_copy_buffer_region::<T>(
+                            dst, src_offset, dst, dst_offset, len,
+                        )?,
+                    ),
+                    _ => {}
                 }
             }
         }
-        self.halos_valid = true;
+        for (device, dst, dst_offset, len, read) in reads {
+            let forward = self
+                .runtime
+                .queue(device)
+                .enqueue_write_buffer_from_read::<T>(dst, dst_offset, len, &read)?;
+            enqueued(device, len, forward);
+        }
         Ok(())
     }
 

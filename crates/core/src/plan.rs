@@ -61,8 +61,8 @@ use crate::matrix::Matrix;
 use crate::runtime::SkelCl;
 use crate::scheduler::PerfModel;
 use crate::skeletons::{
-    claim_reads, launch_and_gather, wait_kernel_events, DeviceScalar, HostOperator, LaunchConfig,
-    Map, MapOverlap, Reduce, ReducePart, Scan, Skeleton, Zip,
+    claim_reads, launch_and_gather, wait_events, DeviceScalar, HostOperator, LaunchConfig, Map,
+    MapOverlap, Reduce, ReducePart, Scan, Skeleton, Zip,
 };
 use crate::vector::Vector;
 
@@ -761,7 +761,7 @@ impl PlanGraph {
                     .enqueue_kernel(&kernel, n, &kargs)?,
             ));
         }
-        wait_kernel_events(&self.runtime, events)?;
+        wait_events(&self.runtime, events)?;
         Ok(out)
     }
 
@@ -905,7 +905,7 @@ impl PlanGraph {
                     )?,
                 ));
             }
-            wait_kernel_events(&self.runtime, offset_events)?;
+            wait_events(&self.runtime, offset_events)?;
             Ok(out)
         })
     }

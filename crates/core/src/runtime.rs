@@ -219,10 +219,13 @@ impl ExecTrace {
 pub struct DeviceTrace {
     /// Device index within the runtime.
     pub device: usize,
-    /// Halo-exchange transfers this device took part in (as source or
-    /// destination).
+    /// Halo-exchange commands this device executed: one per row segment it
+    /// *read* for a neighbour, one per segment *forwarded* into its own
+    /// halo, one per edge segment it copied on-device or filled. A segment
+    /// that crosses devices therefore counts twice (once on the owner, once
+    /// on the destination); a device-local edge copy counts once.
     pub halo_transfers: usize,
-    /// Bytes this device moved in halo exchanges.
+    /// Bytes those commands moved (a local copy's length counts once).
     pub halo_bytes: usize,
     /// Allocations served from this device's buffer pool.
     pub pool_hits: usize,
@@ -380,9 +383,11 @@ impl SkelCl {
         self.skeleton_calls.load(Ordering::Relaxed)
     }
 
-    /// Record one halo-exchange transfer of `bytes` bytes involving
-    /// `device` (called by the matrix halo machinery for both the source
-    /// read and the destination write of each exchange).
+    /// Record one halo-exchange command of `bytes` bytes on `device`. The
+    /// halo machinery calls it once per command it enqueues: on the owner
+    /// for the read of a forwarded segment, on the destination for the
+    /// forward, and once for a device-local edge copy or fill (which, before
+    /// device-side copies existed, was a read *and* a write — two charges).
     pub(crate) fn charge_halo_transfer(&self, device: usize, bytes: usize) {
         self.halo_transfers[device].fetch_add(1, Ordering::Relaxed);
         self.halo_bytes[device].fetch_add(bytes, Ordering::Relaxed);

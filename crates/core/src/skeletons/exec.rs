@@ -377,7 +377,7 @@ impl PreparedCall {
                     .enqueue_kernel(kernel, n, &kargs)?,
             ));
         }
-        wait_kernel_events(&self.runtime, events)
+        wait_events(&self.runtime, events)
     }
 
     /// The **combine** stage of element-wise skeletons: wrap the per-device
@@ -406,10 +406,11 @@ impl PreparedCall {
     }
 }
 
-/// Join a set of per-device kernel launches (real time only — the virtual
-/// clocks are untouched) and surface the first error. The duplicate latched
-/// on the failing queue is discarded so later launches start clean.
-pub(crate) fn wait_kernel_events(
+/// Join a set of per-device commands — kernel launches, halo transfers —
+/// in real time only (the virtual clocks are untouched) and surface the
+/// first error. The duplicate latched on the failing queue is discarded so
+/// later launches start clean.
+pub(crate) fn wait_events(
     runtime: &Arc<SkelCl>,
     events: Vec<(usize, oclsim::EventHandle)>,
 ) -> Result<()> {

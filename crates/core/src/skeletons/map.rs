@@ -418,7 +418,7 @@ impl<'a, O: Pod> IndexLaunch<'a, O> {
                 runtime.queue(device).enqueue_kernel(&kernel, n, &kargs)?,
             ));
         }
-        crate::skeletons::exec::wait_kernel_events(runtime, events)?;
+        crate::skeletons::exec::wait_events(runtime, events)?;
 
         Ok(Vector::device_resident(
             runtime,

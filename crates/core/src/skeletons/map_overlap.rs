@@ -199,8 +199,71 @@ impl<O: Pod> MapOverlap<f32, O> {
         let built = self.ensure_built(&runtime)?;
         check_source_call(&prepared, built.extra_scalars)?;
 
-        let out_buffers = self.output_buffers(&runtime, &partition, input, reuse)?;
+        // The ping-pong target only helps while every padded buffer of it
+        // fits the partition. After a recovery re-partition they no longer
+        // do: the sweep then writes a fresh output matrix, and the driver
+        // drops the stale target.
+        if let Some(m) = reuse {
+            m.check_runtime(&runtime)?;
+        }
+        let reuse = reuse.filter(|m| {
+            m.id() != input.id()
+                && partition.active_devices().into_iter().all(|d| {
+                    m.buffer_of(d)
+                        .is_some_and(|b| b.len() == partition.stored_len(d))
+                })
+        });
+        let out_buffers = match reuse {
+            Some(m) => (0..partition.device_count())
+                .map(|d| m.buffer_of(d))
+                .collect(),
+            None => self.fresh_output_buffers(&runtime, &partition)?,
+        };
+        let launched = self.launch_sweep(
+            &runtime,
+            &partition,
+            &in_buffers,
+            &out_buffers,
+            &built,
+            &prepared,
+        );
+        if let Err(e) = launched {
+            if reuse.is_none() {
+                release_all(&runtime, &out_buffers);
+            }
+            return Err(e);
+        }
 
+        match reuse {
+            Some(out) => {
+                out.mark_stencil_output();
+                Ok(out.clone())
+            }
+            // The output mirrors the input's actual overlap layout — the
+            // even `OverlapBlock` normally, the weighted variant after a
+            // recovery re-partition — so its declared distribution always
+            // matches the partition the buffers were sized for.
+            None => Ok(Matrix::device_resident(
+                &runtime,
+                input.rows(),
+                input.cols(),
+                input.distribution(),
+                self.output_boundary(),
+                out_buffers,
+            )),
+        }
+    }
+
+    /// Enqueue one sweep on every device of the partition and join it.
+    fn launch_sweep(
+        &self,
+        runtime: &Arc<SkelCl>,
+        partition: &RowPartition,
+        in_buffers: &[Option<oclsim::Buffer>],
+        out_buffers: &[Option<oclsim::Buffer>],
+        built: &BuiltSource,
+        prepared: &PreparedArgs,
+    ) -> Result<()> {
         // Resolve every device's argument list before the first enqueue, so
         // argument errors surface before anything ran.
         let mut launches = Vec::new();
@@ -231,63 +294,48 @@ impl<O: Pod> MapOverlap<f32, O> {
         // Enqueue the sweep on every device, then wait: the per-device
         // workers execute the parts concurrently in real time, and kernel
         // runtime errors (e.g. a `get` beyond the declared halo) surface
-        // here rather than at a later gather.
+        // here rather than at a later gather. Whatever was enqueued is
+        // joined even if a later enqueue is rejected, so the caller may
+        // release the sweep's buffers.
         let mut events = Vec::new();
-        for (device, n, kargs) in launches {
-            events.push((
-                device,
-                runtime
-                    .queue(device)
-                    .enqueue_kernel(&built.kernel, n, &kargs)?,
-            ));
-        }
-        crate::skeletons::exec::wait_kernel_events(&runtime, events)?;
-
-        match reuse {
-            Some(out) => {
-                out.mark_stencil_output();
-                Ok(out.clone())
-            }
-            // The output mirrors the input's actual overlap layout — the
-            // even `OverlapBlock` normally, the weighted variant after a
-            // recovery re-partition — so its declared distribution always
-            // matches the partition the buffers were sized for.
-            None => Ok(Matrix::device_resident(
-                &runtime,
-                input.rows(),
-                input.cols(),
-                input.distribution(),
-                self.output_boundary(),
-                out_buffers,
-            )),
-        }
+        let enqueued = launches.into_iter().try_for_each(|(device, n, kargs)| {
+            let event = runtime
+                .queue(device)
+                .enqueue_kernel(&built.kernel, n, &kargs)?;
+            events.push((device, event));
+            Ok(())
+        });
+        let joined = crate::skeletons::exec::wait_events(runtime, events);
+        enqueued.and(joined)
     }
 
-    /// Output buffers of one sweep: the reuse target's padded buffers when
-    /// they fit (and do not alias the input), fresh allocations otherwise.
-    fn output_buffers(
+    /// Fresh halo-padded output buffers, one per active device; nothing
+    /// stays allocated if any allocation fails.
+    fn fresh_output_buffers(
         &self,
         runtime: &Arc<SkelCl>,
         partition: &RowPartition,
-        input: &Matrix<f32>,
-        reuse: Option<&Matrix<O>>,
     ) -> Result<Vec<Option<oclsim::Buffer>>> {
-        if let Some(m) = reuse {
-            m.check_runtime(runtime)?;
-        }
         let mut out = vec![None; partition.device_count()];
         for device in partition.active_devices() {
             let want = partition.stored_len(device);
-            let reused = reuse
-                .filter(|m| m.id() != input.id())
-                .and_then(|m| m.buffer_of(device))
-                .filter(|b| b.len() == want);
-            out[device] = Some(match reused {
-                Some(b) => b,
-                None => runtime.context().create_buffer::<O>(device, want)?,
-            });
+            match runtime.context().create_buffer::<O>(device, want) {
+                Ok(b) => out[device] = Some(b),
+                Err(e) => {
+                    release_all(runtime, &out);
+                    return Err(e.into());
+                }
+            }
         }
         Ok(out)
+    }
+}
+
+/// Release buffers no command references any more (the launch that used
+/// them was joined) back to their devices' pools.
+fn release_all(runtime: &SkelCl, buffers: &[Option<oclsim::Buffer>]) {
+    for buffer in buffers.iter().flatten() {
+        let _ = runtime.context().release_buffer(buffer);
     }
 }
 

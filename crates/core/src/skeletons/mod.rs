@@ -32,7 +32,7 @@ pub use scan::{Scan, ScanTrace};
 pub use zip::Zip;
 
 pub(crate) use exec::{
-    check_source_call, claim_read, claim_reads, sequential_cost, wait_kernel_events, PreparedCall,
+    check_source_call, claim_read, claim_reads, sequential_cost, wait_events, PreparedCall,
 };
 pub(crate) use reduce::{launch_and_gather, HostOperator, ReducePart};
 

@@ -346,7 +346,7 @@ impl<T: DeviceScalar> Scan<T> {
                 }
             }
         }
-        crate::skeletons::exec::wait_kernel_events(runtime, offset_events)?;
+        crate::skeletons::exec::wait_events(runtime, offset_events)?;
 
         // The output adopts the input's (non-copy) distribution: the buffers
         // were allocated for exactly that partition, so block, weighted

@@ -26,15 +26,27 @@ const HEAT_STEP: &str = r#"
 
 /// Host reference for one `HEAT_STEP` sweep with a constant-0 boundary.
 fn host_heat(input: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    host_heat_bounded(input, rows, cols, Boundary::Constant(0.0))
+}
+
+/// Host reference for one `HEAT_STEP` sweep under any boundary policy.
+fn host_heat_bounded(input: &[f32], rows: usize, cols: usize, boundary: Boundary<f32>) -> Vec<f32> {
     let (r_max, c_max) = (rows as i64, cols as i64);
     let mut out = vec![0.0f32; rows * cols];
     for r in 0..r_max {
         for c in 0..c_max {
             let probe = |dx: i64, dy: i64| -> f32 {
                 let (rr, cc) = (r + dy, c + dx);
-                if !(0..r_max).contains(&rr) || !(0..c_max).contains(&cc) {
-                    return 0.0;
-                }
+                let (rr, cc) = match boundary {
+                    Boundary::Clamp => (rr.clamp(0, r_max - 1), cc.clamp(0, c_max - 1)),
+                    Boundary::Wrap => (rr.rem_euclid(r_max), cc.rem_euclid(c_max)),
+                    Boundary::Constant(v) => {
+                        if !(0..r_max).contains(&rr) || !(0..c_max).contains(&cc) {
+                            return v;
+                        }
+                        (rr, cc)
+                    }
+                };
                 input[(rr * c_max + cc) as usize]
             };
             let u = input[(r * c_max + c) as usize];
@@ -200,6 +212,155 @@ fn iterative_stencil_recovers_mid_run_via_checkpoints() {
     assert_eq!(rt.lost_devices(), vec![1]);
     assert!(trace.recoveries >= 1);
     assert!(trace.checkpoint_bytes > 0, "checkpointing was armed");
+}
+
+// ---------------------------------------------------------------------------
+// Faults inside the halo exchange
+// ---------------------------------------------------------------------------
+
+/// The commands of a between-sweeps halo exchange a fault can strike: the
+/// owner's row read, the destination's forwarded write, the on-device copy
+/// of an edge row whose owner is the destination itself, and the fill of a
+/// constant-boundary edge row.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum HaloCommand {
+    Read,
+    Forward,
+    LocalCopy,
+    Fill,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct HaloCase {
+    devices: usize,
+    halo: usize,
+    boundary: Boundary<f32>,
+    checkpoint_every: usize,
+}
+
+const HALO_ROWS: usize = 48;
+const HALO_COLS: usize = 6;
+const HALO_SWEEPS: usize = 6;
+
+impl HaloCase {
+    fn run(&self, rt: &std::sync::Arc<skelcl::SkelCl>) -> Result<Vec<f32>> {
+        let heat = MapOverlap::<f32, f32>::from_source(HEAT_STEP)
+            .with_halo(self.halo)
+            .with_boundary(self.boundary);
+        let m = Matrix::from_vec(rt, HALO_ROWS, HALO_COLS, test_data(HALO_ROWS * HALO_COLS))?;
+        heat.run(&m)
+            .checkpoint_every(self.checkpoint_every)
+            .run_iter(HALO_SWEEPS)?
+            .to_vec()
+    }
+
+    /// `(device, op)` of the third `what` command some device executes in a
+    /// fault-free run — mid-run, when the only current state is
+    /// device-resident. A fault-free queue logs every command in op order,
+    /// so the log index is the op number. Halo traffic is told from uploads
+    /// and gathers (whole parts, ≥ 12 rows) by its size: ≤ `halo` rows. A
+    /// small write is a fill under a constant boundary (the cases below
+    /// strike those on one device, where nothing is forwarded) and a
+    /// forward otherwise.
+    fn third_op(&self, what: HaloCommand) -> (usize, usize) {
+        let rt = skelcl::init_gpus(self.devices);
+        self.run(&rt).unwrap();
+        let halo_bytes = self.halo * HALO_COLS * 4;
+        let constant = matches!(self.boundary, Boundary::Constant(_));
+        let target = rt
+            .drain_events()
+            .iter()
+            .enumerate()
+            .find_map(|(device, log)| {
+                log.iter()
+                    .enumerate()
+                    .filter(|(_, e)| {
+                        e.is_transfer()
+                            && e.bytes <= halo_bytes
+                            && match what {
+                                HaloCommand::Read => e.is_read(),
+                                HaloCommand::Forward => e.is_write() && !constant,
+                                HaloCommand::Fill => e.is_write() && constant && self.devices == 1,
+                                HaloCommand::LocalCopy => !e.is_read() && !e.is_write(),
+                            }
+                    })
+                    .nth(2)
+                    .map(|(index, _)| (device, index + 1))
+            });
+        target.unwrap_or_else(|| panic!("{self:?} has no {what:?} to strike"))
+    }
+
+    /// Strike the third `what` command with `kind` and check the contract:
+    /// the run recovers to the fault-free bits and leaves nothing behind.
+    fn strike(&self, what: HaloCommand, kind: FaultKind) {
+        let (device, op) = self.third_op(what);
+        let mut expected = test_data(HALO_ROWS * HALO_COLS);
+        for _ in 0..HALO_SWEEPS {
+            expected = host_heat_bounded(&expected, HALO_ROWS, HALO_COLS, self.boundary);
+        }
+        let rt = skelcl::init_gpus(self.devices);
+        rt.inject_faults(&FaultPlan::new().with(FaultSpec {
+            device,
+            trigger: FaultTrigger::AtOpCount(op),
+            kind,
+        }));
+        let what = format!("{kind:?} on {what:?} (device {device}, op {op}) in {self:?}");
+        // Every case below is recoverable: transients replay in place, and
+        // a loss rolls back to the last checkpoint or the host-valid input.
+        let out = self
+            .run(&rt)
+            .unwrap_or_else(|e| panic!("{what}: not recovered: {e:?}"));
+        assert_eq!(out, expected, "{what}: recovered ≢ fault-free");
+        let trace = rt.exec_trace();
+        assert_eq!(trace.faults_injected, 1, "{what}: the fault must fire");
+        assert!(
+            trace.recoveries >= 1 || !rt.lost_devices().is_empty(),
+            "{what}"
+        );
+        assert!(
+            rt.take_deferred_errors().is_empty(),
+            "{what}: latch left behind"
+        );
+        for d in 0..self.devices {
+            let live = rt.context().device(d).unwrap().live_buffers();
+            assert_eq!(live, 0, "{what}: device {d} strands {live} buffer(s)");
+        }
+    }
+}
+
+#[test]
+fn halo_exchange_faults_recover_bit_identically() {
+    use HaloCommand::{Fill, Forward, LocalCopy, Read};
+    let cases: [(usize, usize, Boundary<f32>, &[HaloCommand]); 7] = [
+        (4, 1, Boundary::Clamp, &[Read, Forward, LocalCopy]),
+        (2, 1, Boundary::Constant(0.0), &[Read]),
+        (1, 1, Boundary::Constant(0.0), &[Fill]),
+        // Wrap: the owner is the destination itself on both edges of a
+        // single device; two devices exchange rows both ways.
+        (1, 1, Boundary::Wrap, &[LocalCopy]),
+        (2, 1, Boundary::Wrap, &[Read, Forward]),
+        // Wider halos travel as one multi-row segment per neighbour.
+        (3, 2, Boundary::Wrap, &[Read, Forward]),
+        (2, 4, Boundary::Clamp, &[Read, Forward, LocalCopy]),
+    ];
+    for checkpoint_every in [0, 2] {
+        for (devices, halo, boundary, commands) in cases {
+            let case = HaloCase {
+                devices,
+                halo,
+                boundary,
+                checkpoint_every,
+            };
+            for &what in commands {
+                case.strike(what, FaultKind::TransientTransfer);
+                // The owner's read succeeds, then the destination dies on
+                // the forward; or a device dies on its own edge copy.
+                if devices > 1 && matches!(what, Forward | LocalCopy) {
+                    case.strike(what, FaultKind::DeviceLost);
+                }
+            }
+        }
+    }
 }
 
 #[test]

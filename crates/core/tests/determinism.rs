@@ -164,6 +164,106 @@ fn reduce_partial_gathers_overlap_in_virtual_time() {
     }
 }
 
+/// The halo exchange between two stencil sweeps never puts the host in the
+/// loop: every owner's row read is in flight before the first forward, the
+/// forwards wait on the device side, and the host clock only pays enqueues —
+/// the stencil twin of `reduce_partial_gathers_overlap_in_virtual_time`.
+#[test]
+fn halo_exchange_overlaps_in_virtual_time() {
+    const SIDE: usize = 192;
+    const HEAT: &str = "float func(float x) { return x + 0.1f * (get(0, -1) + get(0, 1) + get(-1, 0) + get(1, 0) - 4.0f * x); }";
+    // One warm sweep (upload, program build), then one observed sweep whose
+    // input is device-resident with stale halos: refresh + kernel.
+    let observe_sweep = |devices: usize| {
+        let rt = skelcl::init_gpus(devices);
+        let heat = MapOverlap::<f32, f32>::from_source(HEAT)
+            .with_halo(1)
+            .with_boundary(Boundary::Clamp);
+        let m = Matrix::from_vec(&rt, SIDE, SIDE, seeded(SIDE * SIDE, 77)).unwrap();
+        let warm = heat.run(&m).exec().unwrap();
+        rt.finish_all();
+        rt.drain_events();
+        let before = rt.now();
+        let out = heat.run(&warm).exec().unwrap();
+        let host_advance = rt.elapsed_since(before);
+        let events = rt.drain_events();
+        let bits: Vec<u32> = out.to_vec().unwrap().iter().map(|x| x.to_bits()).collect();
+        let api = rt.context().api().clone();
+        (bits, host_advance, events, api)
+    };
+
+    let (bits, host_advance, events, api) = observe_sweep(4);
+    assert_eq!(
+        bits,
+        observe_sweep(1).0,
+        "4 devices ≡ 1 device, bit for bit"
+    );
+    for rep in 1..3 {
+        let again = observe_sweep(4);
+        assert_eq!(
+            (&bits, host_advance, &events),
+            (&again.0, again.1, &again.2),
+            "rep {rep}: the exchange's timestamps must not depend on worker interleaving"
+        );
+    }
+
+    // The host paid the skeleton dispatch plus one enqueue per command —
+    // 6 reads, 2 edge copies, 6 forwards, 4 kernels — and waited for nothing.
+    let commands: usize = events.iter().map(Vec::len).sum();
+    assert_eq!(commands, 18);
+    assert_eq!(
+        host_advance.as_nanos(),
+        api.dispatch_overhead.as_nanos() + commands as u64 * api.enqueue_overhead.as_nanos()
+    );
+
+    let row_bytes = SIDE * 4;
+    let reads_of = |d: usize| events[d].iter().filter(|e| e.is_read());
+    let writes_of = |d: usize| events[d].iter().filter(|e| e.is_write());
+    let kernel_of = |d: usize| events[d].iter().find(|e| e.is_kernel()).unwrap();
+    for d in 0..4 {
+        let neighbours = if d == 0 || d == 3 { 1 } else { 2 };
+        assert_eq!(reads_of(d).count(), neighbours);
+        assert_eq!(writes_of(d).count(), neighbours);
+        let copies = events[d]
+            .iter()
+            .filter(|e| e.is_transfer() && !e.is_read() && !e.is_write());
+        assert_eq!(
+            copies.count(),
+            2 - neighbours,
+            "clamped edge rows are on-device copies"
+        );
+        assert!(events[d]
+            .iter()
+            .filter(|e| e.is_transfer())
+            .all(|e| e.bytes == row_bytes));
+        assert!(
+            events[d].last().unwrap().is_kernel(),
+            "the in-order queue puts the sweep last"
+        );
+    }
+    // (owner, destination) of every exchanged row, in enqueue order: each
+    // destination's upper halo, then its lower one.
+    let exchange = [(1, 0), (0, 1), (2, 1), (1, 2), (3, 2), (2, 3)];
+    let mut reads: Vec<_> = (0..4).map(reads_of).collect();
+    let mut writes: Vec<_> = (0..4).map(writes_of).collect();
+    for (owner, dest) in exchange {
+        let read = reads[owner].next().unwrap();
+        let forward = writes[dest].next().unwrap();
+        assert!(
+            forward.start >= read.end,
+            "row {owner}→{dest} forwarded before it was read"
+        );
+        let kernel = kernel_of(dest);
+        assert!(kernel.start >= forward.end && kernel.start >= read.end);
+    }
+    // No owner's read waits for another device: each queue's first read
+    // starts the instant the host enqueued it.
+    for d in 0..4 {
+        let read = reads_of(d).next().unwrap();
+        assert_eq!(read.start, read.queued, "read on device {d} waited");
+    }
+}
+
 #[test]
 fn scan_is_deterministic_under_threaded_queues() {
     assert_deterministic("scan", |rt| {

@@ -236,6 +236,93 @@ fn iterative_sweeps_exchange_halo_rows_not_whole_parts() {
     );
 }
 
+/// One halo refresh (the second of two chained sweeps), as the commands
+/// each device executed: (reads, forwarded writes, on-device copies), plus
+/// the result of the two sweeps.
+fn observe_refresh(
+    devices: usize,
+    rows: usize,
+    cols: usize,
+    stencil: &MapOverlap<f32, f32>,
+) -> (Vec<(Vec<usize>, Vec<usize>, Vec<usize>)>, Vec<f32>) {
+    let rt = skelcl::init_gpus(devices);
+    let m = Matrix::from_vec(&rt, rows, cols, test_image(rows, cols)).unwrap();
+    let once = stencil.run(&m).exec().unwrap();
+    rt.drain_events();
+    let twice = stencil.run(&once).exec().unwrap();
+    let per_device = rt
+        .drain_events()
+        .iter()
+        .map(|log| {
+            let bytes = |pred: &dyn Fn(&oclsim::Event) -> bool| -> Vec<usize> {
+                log.iter().filter(|e| pred(e)).map(|e| e.bytes).collect()
+            };
+            (
+                bytes(&|e| e.is_read()),
+                bytes(&|e| e.is_write()),
+                bytes(&|e| e.is_transfer() && !e.is_read() && !e.is_write()),
+            )
+        })
+        .collect();
+    (per_device, twice.to_vec().unwrap())
+}
+
+#[test]
+fn wrap_edges_are_on_device_copies_on_one_device_and_forwards_on_two() {
+    let (rows, cols) = (12, 8);
+    let row = cols * 4;
+    let heat = MapOverlap::<f32, f32>::from_source(
+        "float func(float u) { return u + 0.1f * (get(0, -1) + get(0, 1) + get(-1, 0) + get(1, 0) - 4.0f * u); }",
+    )
+    .with_halo(1)
+    .with_boundary(Boundary::Wrap);
+    let mut expected = test_image(rows, cols);
+    for _ in 0..2 {
+        expected = host_stencil(&expected, rows, cols, Boundary::Wrap, heat_ref(0.1));
+    }
+    // One device owns both wrapped neighbours itself: two copies, and no
+    // byte crosses the bus.
+    let (commands, out) = observe_refresh(1, rows, cols, &heat);
+    assert_eq!(commands, [(vec![], vec![], vec![row, row])]);
+    assert_bits_eq(&out, &expected, "wrap on 1 device");
+    // Two devices are each other's upper *and* lower neighbour: each reads
+    // two rows for the other and receives two forwards.
+    let (commands, out) = observe_refresh(2, rows, cols, &heat);
+    let both_ways = (vec![row, row], vec![row, row], vec![]);
+    assert_eq!(commands, [both_ways.clone(), both_ways]);
+    assert_bits_eq(&out, &expected, "wrap on 2 devices");
+}
+
+#[test]
+fn wide_halos_travel_as_one_multi_row_segment_per_neighbour() {
+    let (rows, cols) = (24, 5);
+    let row = cols * 4;
+    for halo in [2, 4] {
+        let wide = MapOverlap::<f32, f32>::from_source(WIDE_VERTICAL)
+            .with_halo(halo)
+            .with_boundary(Boundary::Clamp);
+        let mut expected = test_image(rows, cols);
+        for _ in 0..2 {
+            expected = host_stencil(&expected, rows, cols, Boundary::Clamp, wide_ref);
+        }
+        let (commands, out) = observe_refresh(3, rows, cols, &wide);
+        assert_bits_eq(&out, &expected, &format!("halo {halo} on 3 devices"));
+        // Between neighbours `halo` rows are one read and one forward; the
+        // clamped rows beyond the matrix edge repeat one source row, so
+        // each is its own single-row copy.
+        let (segment, edge) = (halo * row, vec![row; halo]);
+        assert_eq!(
+            commands,
+            [
+                (vec![segment], vec![segment], edge.clone()),
+                (vec![segment; 2], vec![segment; 2], vec![]),
+                (vec![segment], vec![segment], edge),
+            ],
+            "halo {halo}"
+        );
+    }
+}
+
 #[test]
 fn chained_stencils_stay_on_the_devices() {
     // blur ∘ blur: the second launch's input is the first's device-resident

@@ -254,6 +254,11 @@ pub struct Device {
     lost: AtomicBool,
     /// Commands that reached execution on this device, in queue order —
     /// the op counter [`crate::FaultTrigger::AtOpCount`] fires against.
+    /// One op per executed command: a write, fill, read, device-local copy
+    /// or launch counts once (a copy is *one* op, not a read plus a write).
+    /// A command whose dependency failed — a kernel behind a failed wait
+    /// list, a forwarded write whose source read failed — never reaches the
+    /// device and is not counted.
     fault_ops: AtomicUsize,
     /// Fault triggers that have fired on this device (primary injections
     /// only; follow-on failures of a lost device are not counted).
@@ -308,6 +313,13 @@ impl Device {
     /// afterwards is not counted).
     pub fn faults_injected(&self) -> usize {
         self.faults_fired.load(Ordering::Relaxed)
+    }
+
+    /// Commands that have reached execution on this device so far — the op
+    /// counter [`FaultTrigger::AtOpCount`] fires against (the next command
+    /// to execute is op `fault_op_count() + 1`).
+    pub fn fault_op_count(&self) -> usize {
+        self.fault_ops.load(Ordering::SeqCst)
     }
 
     /// Check a command that is about to execute against the device's armed
@@ -616,6 +628,51 @@ impl Device {
             });
         }
         out.copy_from_slice(&src.as_bytes()[offset_bytes..end]);
+        Ok(())
+    }
+
+    /// Copy `len_bytes` bytes from one buffer range to another within this
+    /// device's memory. The source is settled like a read, the destination
+    /// like a write of the copied range; the two ranges may overlap within
+    /// one buffer (`memmove` semantics).
+    pub fn copy_buffer_bytes(
+        &self,
+        src: &Buffer,
+        src_offset_bytes: usize,
+        dst: &Buffer,
+        dst_offset_bytes: usize,
+        len_bytes: usize,
+    ) -> Result<()> {
+        let mut storage = self.storage.lock();
+        for (buffer, offset) in [(src, src_offset_bytes), (dst, dst_offset_bytes)] {
+            let data = storage
+                .get(&buffer.id())
+                .ok_or(OclError::BufferNotFound { id: buffer.id() })?;
+            if offset + len_bytes > data.len_bytes() {
+                return Err(OclError::SizeMismatch {
+                    host_bytes: len_bytes,
+                    device_bytes: data.len_bytes().saturating_sub(offset),
+                });
+            }
+        }
+        let (src_end, dst_end) = (src_offset_bytes + len_bytes, dst_offset_bytes + len_bytes);
+        if src.id() == dst.id() {
+            let data = storage.get_mut(&src.id()).expect("checked above");
+            data.settle_zero();
+            data.as_bytes_mut()
+                .copy_within(src_offset_bytes..src_end, dst_offset_bytes);
+            return Ok(());
+        }
+        // Two entries of one map: lift the destination out for the copy.
+        let mut dst_data = storage.remove(&dst.id()).expect("checked above");
+        let src_data = storage.get_mut(&src.id()).expect("checked above");
+        src_data.settle_zero();
+        if dst_data.pending_zero && dst_data.settle_zero_around(dst_offset_bytes, dst_end) {
+            self.zero_elisions.fetch_add(1, Ordering::Relaxed);
+        }
+        dst_data.as_bytes_mut()[dst_offset_bytes..dst_end]
+            .copy_from_slice(&src_data.as_bytes()[src_offset_bytes..src_end]);
+        storage.insert(dst.id(), dst_data);
         Ok(())
     }
 

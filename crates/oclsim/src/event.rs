@@ -24,6 +24,10 @@ pub enum CommandKind {
     WriteBuffer,
     /// Device → host transfer.
     ReadBuffer,
+    /// Copy between two ranges of one device's memory (the
+    /// `clEnqueueCopyBuffer` analogue); `bytes` is the length copied once,
+    /// the price covers reading and writing it at device-memory bandwidth.
+    CopyBuffer,
     /// Kernel launch (kernel name recorded).
     Kernel(String),
     /// Program build (runtime compilation).
@@ -68,11 +72,12 @@ impl Event {
         matches!(self.kind, CommandKind::Kernel(_))
     }
 
-    /// Whether the event is a data transfer.
+    /// Whether the event is a data transfer: a host ↔ device transfer or a
+    /// device-local copy (so per-phase breakdowns account for halo copies).
     pub fn is_transfer(&self) -> bool {
         matches!(
             self.kind,
-            CommandKind::WriteBuffer | CommandKind::ReadBuffer
+            CommandKind::WriteBuffer | CommandKind::ReadBuffer | CommandKind::CopyBuffer
         )
     }
 
@@ -200,6 +205,23 @@ impl EventHandle {
     /// Wait for a non-blocking read and copy its payload into `out`. The
     /// payload is claimed by the first successful call.
     pub fn wait_into<T: crate::pod::Pod>(&self, out: &mut [T]) -> Result<Event, OclError> {
+        let (record, data) = self.wait_take_payload()?;
+        let out_bytes = std::mem::size_of_val(out);
+        if data.len() != out_bytes {
+            return Err(OclError::SizeMismatch {
+                host_bytes: out_bytes,
+                device_bytes: data.len(),
+            });
+        }
+        out.copy_from_slice(&crate::pod::from_bytes_vec::<T>(&data));
+        Ok(record)
+    }
+
+    /// Wait for a non-blocking read and take its payload — the worker-side
+    /// claim of a forwarded write (see
+    /// [`crate::CommandQueue::enqueue_write_buffer_from_read`]). Like
+    /// [`EventHandle::wait_into`], the payload can be claimed once.
+    pub(crate) fn wait_take_payload(&self) -> Result<(Event, Vec<u8>), OclError> {
         let mut state = self.core.state.lock().expect("event mutex poisoned");
         while matches!(*state, Completion::Pending) {
             state = self.core.done.wait(state).expect("event mutex poisoned");
@@ -207,20 +229,8 @@ impl EventHandle {
         match &mut *state {
             Completion::Done { result, payload } => {
                 let record = result.clone()?;
-                let data = payload.take().ok_or_else(|| {
-                    OclError::InvalidOperation(
-                        "event carries no read payload (not a read, or already claimed)".into(),
-                    )
-                })?;
-                let out_bytes = std::mem::size_of_val(out);
-                if data.len() != out_bytes {
-                    return Err(OclError::SizeMismatch {
-                        host_bytes: out_bytes,
-                        device_bytes: data.len(),
-                    });
-                }
-                out.copy_from_slice(&crate::pod::from_bytes_vec::<T>(&data));
-                Ok(record)
+                let data = payload.take().ok_or_else(no_payload)?;
+                Ok((record, data))
             }
             Completion::Pending => unreachable!("loop exits only when done"),
         }
@@ -232,6 +242,13 @@ impl EventHandle {
         *state = Completion::Done { result, payload };
         self.core.done.notify_all();
     }
+}
+
+/// The error of claiming a payload the event does not (or no longer) carry.
+fn no_payload() -> OclError {
+    OclError::InvalidOperation(
+        "event carries no read payload (not a read, or already claimed)".into(),
+    )
 }
 
 /// Aggregate statistics over a sequence of events, used by the benchmark

@@ -172,7 +172,7 @@ impl FaultPlan {
 /// The execution class of a command, used to match transient triggers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommandClass {
-    /// A buffer write, fill or read.
+    /// A buffer write (host-fed or forwarded), fill, read or device-local copy.
     Transfer,
     /// A kernel launch.
     Launch,

@@ -17,9 +17,10 @@
 //! * `queued` and the enqueue overhead are taken from the **host clock on
 //!   the host thread**, in program order — workers never touch the host
 //!   clock.
-//! * `start = max(queue available-at, queued)` and `end = start + duration`
-//!   are computed by the **worker in FIFO order**; each queue's
-//!   `available_at` is only ever advanced by its own worker.
+//! * `start = max(queue available-at, queued, wait list)` and
+//!   `end = start + duration` are computed by the **worker in FIFO order**;
+//!   each queue's `available_at` is only ever advanced by its own worker, and
+//!   a wait-list entry contributes its (already settled, hence fixed) `end`.
 //! * Virtually-blocking operations (blocking reads, [`CommandQueue::finish`])
 //!   join the command in real time first, then advance the host clock to the
 //!   command's end — the same `max` the eager engine computed atomically.
@@ -31,6 +32,29 @@
 //! enqueue overhead is charged at enqueue time — the host did perform the
 //! enqueue — whereas the eager engine returned the error before charging
 //! anything.
+//!
+//! # Wait lists and device-side data movement
+//!
+//! Two commands move data without the host in the loop:
+//!
+//! * A **forwarded write**
+//!   ([`CommandQueue::enqueue_write_buffer_from_read`]) takes its payload from
+//!   a non-blocking read enqueued earlier on (usually) another device's queue.
+//!   Like a kernel with a wait list it joins that read in real time on the
+//!   worker, may not start in virtual time before the read's `end`, and — when
+//!   the read failed or its payload was already claimed — fails *without
+//!   executing*: no side effect, no fault-op counted on this device. The host
+//!   pays two enqueue overheads and never waits; the payload never visits a
+//!   host-side staging vector.
+//! * A **device-local copy** ([`CommandQueue::enqueue_copy_buffer_region`],
+//!   the `clEnqueueCopyBuffer` analogue) moves a range within one device's
+//!   memory. It is priced as the copy kernel a program could always have
+//!   launched — launch overhead plus `2 × bytes` at device-memory bandwidth —
+//!   and logged as [`CommandKind::CopyBuffer`], one fault-op.
+//!
+//! Deadlock freedom: a forward can only name a read that was *already
+//! enqueued*, so across all queues the earliest unfinished command never
+//! waits on anything unfinished.
 //!
 //! # Errors
 //!
@@ -117,7 +141,15 @@ enum Command {
     Write {
         buffer: Buffer,
         offset_bytes: usize,
-        data: Vec<u8>,
+        data: WritePayload,
+        event: EventHandle,
+    },
+    Copy {
+        src: Buffer,
+        src_offset_bytes: usize,
+        dst: Buffer,
+        dst_offset_bytes: usize,
+        len_bytes: usize,
         event: EventHandle,
     },
     Read {
@@ -137,11 +169,22 @@ enum Command {
     },
 }
 
+/// Where a write's bytes come from.
+enum WritePayload {
+    /// Handed over by the host at enqueue time.
+    Host(Vec<u8>),
+    /// The payload of a non-blocking read — a one-entry wait list: the
+    /// worker joins `read` in real time, the write may not start (in
+    /// virtual time) before it ends, and fails unexecuted if it failed.
+    Forwarded { read: EventHandle, len_bytes: usize },
+}
+
 impl Command {
     /// The event tracking this command (used by the worker's panic guard).
     fn event(&self) -> &EventHandle {
         match self {
             Command::Write { event, .. }
+            | Command::Copy { event, .. }
             | Command::Read { event, .. }
             | Command::Kernel { event, .. } => event,
         }
@@ -374,12 +417,84 @@ impl CommandQueue {
         data: Vec<u8>,
     ) -> Result<EventHandle> {
         self.check_range(buffer, offset_bytes, data.len())?;
+        Ok(self.submit_write(buffer, offset_bytes, WritePayload::Host(data)))
+    }
+
+    /// Non-blocking write of `len` elements at element `elem_offset` whose
+    /// payload is the payload of `read`, a non-blocking read
+    /// ([`CommandQueue::enqueue_read_buffer_region_nb`]) of the same length
+    /// enqueued earlier — normally on another device's queue: the data is
+    /// *forwarded* device → device without the host waiting for it. `read`
+    /// acts as a wait list: the worker joins it in real time, the write
+    /// starts no earlier (in virtual time) than the read ends, and if the
+    /// read failed — or its payload was already claimed, or has another
+    /// length — the write fails without executing, counts no fault-op on
+    /// this device and latches the error on this queue. Logged and priced as
+    /// a [`CommandKind::WriteBuffer`] of `len` elements.
+    pub fn enqueue_write_buffer_from_read<T: Pod>(
+        &self,
+        buffer: &Buffer,
+        elem_offset: usize,
+        len: usize,
+        read: &EventHandle,
+    ) -> Result<EventHandle> {
+        let elem = std::mem::size_of::<T>();
+        self.check_range(buffer, elem_offset * elem, len * elem)?;
+        if *read.kind() != CommandKind::ReadBuffer {
+            return Err(OclError::InvalidOperation(
+                "only a non-blocking read can be forwarded into a write".into(),
+            ));
+        }
+        let payload = WritePayload::Forwarded {
+            read: read.clone(),
+            len_bytes: len * elem,
+        };
+        Ok(self.submit_write(buffer, elem_offset * elem, payload))
+    }
+
+    /// Charge the enqueue and hand a validated write to the worker.
+    fn submit_write(
+        &self,
+        buffer: &Buffer,
+        offset_bytes: usize,
+        data: WritePayload,
+    ) -> EventHandle {
         let queued = self.charge_enqueue();
         let event = EventHandle::pending(CommandKind::WriteBuffer, self.device.id, queued);
         self.submit(Command::Write {
             buffer: buffer.clone(),
             offset_bytes,
             data,
+            event: event.clone(),
+        });
+        event
+    }
+
+    /// Non-blocking copy of `len` elements from element `src_elem_offset` of
+    /// `src` to element `dst_elem_offset` of `dst`, both on this queue's
+    /// device (the `clEnqueueCopyBuffer` analogue). The ranges may overlap
+    /// within one buffer (`memmove` semantics). Priced as the copy kernel a
+    /// program could launch instead: launch overhead plus `2 × bytes` at
+    /// device-memory bandwidth.
+    pub fn enqueue_copy_buffer_region<T: Pod>(
+        &self,
+        src: &Buffer,
+        src_elem_offset: usize,
+        dst: &Buffer,
+        dst_elem_offset: usize,
+        len: usize,
+    ) -> Result<EventHandle> {
+        let elem = std::mem::size_of::<T>();
+        self.check_range(src, src_elem_offset * elem, len * elem)?;
+        self.check_range(dst, dst_elem_offset * elem, len * elem)?;
+        let queued = self.charge_enqueue();
+        let event = EventHandle::pending(CommandKind::CopyBuffer, self.device.id, queued);
+        self.submit(Command::Copy {
+            src: src.clone(),
+            src_offset_bytes: src_elem_offset * elem,
+            dst: dst.clone(),
+            dst_offset_bytes: dst_elem_offset * elem,
+            len_bytes: len * elem,
             event: event.clone(),
         });
         Ok(event)
@@ -581,19 +696,78 @@ fn process_command(
                 data,
                 event,
             } => {
-                let bytes = data.len();
+                // Resolve the payload. A forwarded write joins its source
+                // read (real time) and takes the read's end as the virtual
+                // lower bound on its start; a failed or unclaimable source
+                // fails the write without executing it (and without bumping
+                // the device's fault-op counter — it never reached the
+                // device), exactly like a kernel behind a failed wait list.
+                let resolved = match data {
+                    WritePayload::Host(bytes) => Ok((SimTime::ZERO, bytes)),
+                    WritePayload::Forwarded { read, len_bytes } => {
+                        read.wait_take_payload().and_then(|(record, bytes)| {
+                            if bytes.len() == len_bytes {
+                                Ok((record.end, bytes))
+                            } else {
+                                Err(OclError::SizeMismatch {
+                                    host_bytes: bytes.len(),
+                                    device_bytes: len_bytes,
+                                })
+                            }
+                        })
+                    }
+                };
+                let mut deps_end = SimTime::ZERO;
+                let outcome = resolved.and_then(|(read_end, bytes)| {
+                    deps_end = read_end;
+                    let start = prospective_start(shared, &event, deps_end);
+                    device
+                        .fault_check(start, crate::fault::CommandClass::Transfer)
+                        .and_then(|()| device.write_buffer_bytes(&buffer, offset_bytes, &bytes))
+                        .map(|()| bytes.len())
+                });
+                settle(
+                    device,
+                    api,
+                    shared,
+                    &event,
+                    outcome.map(|bytes| {
+                        let dur = api.transfer_time(&device.profile, bytes);
+                        (dur, bytes, 0, None)
+                    }),
+                    deps_end,
+                );
+            }
+            Command::Copy {
+                src,
+                src_offset_bytes,
+                dst,
+                dst_offset_bytes,
+                len_bytes,
+                event,
+            } => {
                 let start = prospective_start(shared, &event, SimTime::ZERO);
                 let outcome = device
                     .fault_check(start, crate::fault::CommandClass::Transfer)
-                    .and_then(|()| device.write_buffer_bytes(&buffer, offset_bytes, &data));
+                    .and_then(|()| {
+                        device.copy_buffer_bytes(
+                            &src,
+                            src_offset_bytes,
+                            &dst,
+                            dst_offset_bytes,
+                            len_bytes,
+                        )
+                    });
                 settle(
                     device,
                     api,
                     shared,
                     &event,
                     outcome.map(|()| {
-                        let dur = api.transfer_time(&device.profile, bytes);
-                        (dur, bytes, 0, None)
+                        // The price of the generated copy kernel: one
+                        // work-item per 4 bytes, each reading and writing 4.
+                        let dur = api.kernel_time(&device.profile, len_bytes.div_ceil(4), 0.0, 8.0);
+                        (dur, len_bytes, 0, None)
                     }),
                     SimTime::ZERO,
                 );
@@ -1207,5 +1381,312 @@ mod tests {
         let a = run();
         let b = run();
         assert_eq!(a, b, "virtual telemetry must be interleaving-independent");
+    }
+
+    /// One forwarded row between two devices: device 0 is kept busy by a
+    /// long kernel so the read ends late; device 1's own queue is idle.
+    /// Returns (read, forward, device 1's follow-up kernel, forwarded data).
+    fn forward_scenario() -> (Event, Event, Event, Vec<f32>) {
+        let ctx = two_gpu_context();
+        let (q0, q1) = (ctx.queue(0).unwrap(), ctx.queue(1).unwrap());
+        let def = NativeKernelDef::new("spin", CostHint::new(500.0, 4.0), |_ctx| Ok(()));
+        let spin = ctx.native_program([def]).kernel("spin").unwrap();
+        let src = ctx.create_buffer::<f32>(0, 8).unwrap();
+        let dst = ctx.create_buffer::<f32>(1, 8).unwrap();
+        let scratch = ctx.create_buffer::<f32>(0, 1).unwrap();
+        q0.enqueue_write_buffer(&src, &[1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
+            .unwrap();
+        q0.enqueue_kernel(&spin, 500_000, &[KernelArg::Buffer(scratch)])
+            .unwrap();
+        let read = q0.enqueue_read_buffer_region_nb::<f32>(&src, 2, 4).unwrap();
+        let forward = q1
+            .enqueue_write_buffer_from_read::<f32>(&dst, 1, 4, &read)
+            .unwrap();
+        let after = q1
+            .enqueue_kernel(&spin, 10, &[KernelArg::Buffer(dst.clone())])
+            .unwrap();
+        let host_before = ctx.host_now();
+        let (read, forward, after) = (
+            read.wait().unwrap(),
+            forward.wait().unwrap(),
+            after.wait().unwrap(),
+        );
+        assert_eq!(
+            ctx.host_now(),
+            host_before,
+            "joining moves no virtual clock"
+        );
+        let mut out = vec![0.0f32; 8];
+        q1.enqueue_read_buffer(&dst, &mut out).unwrap();
+        (read, forward, after, out)
+    }
+
+    #[test]
+    fn forwarded_writes_start_after_their_source_read_on_another_queue() {
+        let (read, forward, after, out) = forward_scenario();
+        assert_eq!(out, [0.0, 3.0, 4.0, 5.0, 6.0, 0.0, 0.0, 0.0]);
+        assert_eq!(forward.kind, CommandKind::WriteBuffer);
+        assert_eq!((forward.device, forward.bytes), (1, 16));
+        // Device 1's queue was idle and the enqueue long past: the read's
+        // end is the binding term of max(read.end, own queue, queued).
+        assert!(forward.queued < read.end);
+        assert_eq!(forward.start, read.end);
+        assert_eq!(
+            forward.duration(),
+            ApiModel::opencl().transfer_time(&DeviceProfile::tesla_c1060(), 16)
+        );
+        // The in-order queue keeps the consumer behind the forwarded data.
+        assert!(after.start >= forward.end);
+        for rep in 0..3 {
+            assert_eq!(
+                forward_scenario(),
+                (read.clone(), forward.clone(), after.clone(), out.clone()),
+                "rep {rep}: forward timestamps must not depend on worker interleaving"
+            );
+        }
+    }
+
+    #[test]
+    fn forwarded_writes_wait_for_their_own_queue_too() {
+        // The other two terms of the max: a busy destination queue, and a
+        // read that finished long before the forward was enqueued.
+        let ctx = two_gpu_context();
+        let (q0, q1) = (ctx.queue(0).unwrap(), ctx.queue(1).unwrap());
+        let src = ctx.create_buffer::<f32>(0, 4).unwrap();
+        let dst = ctx.create_buffer::<f32>(1, 1 << 20).unwrap();
+        let read = q0.enqueue_read_buffer_region_nb::<f32>(&src, 0, 4).unwrap();
+        let big = q1
+            .enqueue_write_buffer(&dst, &vec![0.0f32; 1 << 20])
+            .unwrap();
+        let forward = q1
+            .enqueue_write_buffer_from_read::<f32>(&dst, 0, 4, &read)
+            .unwrap();
+        let (read, big, forward) = (
+            read.wait().unwrap(),
+            big.wait().unwrap(),
+            forward.wait().unwrap(),
+        );
+        assert!(big.end > read.end);
+        assert_eq!(forward.start, big.end);
+        q1.finish();
+        let late_read = q0.enqueue_read_buffer_region_nb::<f32>(&src, 0, 4).unwrap();
+        late_read.wait().unwrap();
+        ctx.charge_host(crate::time::SimDuration::from_micros(500));
+        let late = q1
+            .enqueue_write_buffer_from_read::<f32>(&dst, 0, 4, &late_read)
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert_eq!(late.start, late.queued);
+    }
+
+    #[test]
+    fn a_failed_source_read_fails_the_forward_without_executing_it() {
+        use crate::fault::FaultPlan;
+        for lost in [false, true] {
+            let ctx = two_gpu_context();
+            let (q0, q1) = (ctx.queue(0).unwrap(), ctx.queue(1).unwrap());
+            let src = ctx.create_buffer::<f32>(0, 4).unwrap();
+            let dst = ctx.create_buffer::<f32>(1, 4).unwrap();
+            q0.enqueue_write_buffer(&src, &[1.0f32; 4]).unwrap();
+            q1.enqueue_write_buffer(&dst, &[9.0f32; 4]).unwrap();
+            q1.quiesce();
+            // Device 0's op 2 — the read — fails.
+            ctx.inject_faults(&if lost {
+                FaultPlan::new().device_lost_at_op(0, 2)
+            } else {
+                FaultPlan::new().transient_transfer_at_op(0, 2)
+            });
+            let ops_before = ctx.device(1).unwrap().fault_op_count();
+            let read = q0.enqueue_read_buffer_region_nb::<f32>(&src, 0, 4).unwrap();
+            let forward = q1
+                .enqueue_write_buffer_from_read::<f32>(&dst, 0, 4, &read)
+                .unwrap();
+            let read_err = read.wait().unwrap_err();
+            let forward_err = forward.wait().unwrap_err();
+            assert!(read_err.is_injected_fault(), "{read_err:?}");
+            assert_eq!(read_err.is_device_lost(), lost);
+            assert_eq!(format!("{forward_err}"), format!("{read_err}"));
+            // Never reached device 1: no op counted, no event logged, data
+            // intact — but the failure is latched on its queue as well.
+            assert_eq!(ctx.device(1).unwrap().fault_op_count(), ops_before);
+            assert_eq!(q1.events().len(), 1, "only the initial write ran");
+            assert_eq!(q1.deferred_error_count(), 1);
+            assert_eq!(
+                format!("{}", q1.take_deferred_error().expect("latched")),
+                format!("{read_err}")
+            );
+            assert!(q0.take_deferred_error().is_some());
+            let mut out = [0.0f32; 4];
+            q1.enqueue_read_buffer(&dst, &mut out).unwrap();
+            assert_eq!(out, [9.0f32; 4]);
+        }
+    }
+
+    #[test]
+    fn a_read_payload_is_claimed_once_by_a_forward_or_the_host() {
+        let ctx = two_gpu_context();
+        let (q0, q1) = (ctx.queue(0).unwrap(), ctx.queue(1).unwrap());
+        let src = ctx.create_buffer::<f32>(0, 4).unwrap();
+        let dst = ctx.create_buffer::<f32>(1, 4).unwrap();
+        q0.enqueue_write_buffer(&src, &[5.0f32; 4]).unwrap();
+        let read = q0.enqueue_read_buffer_region_nb::<f32>(&src, 0, 4).unwrap();
+        q1.enqueue_write_buffer_from_read::<f32>(&dst, 0, 4, &read)
+            .unwrap()
+            .wait()
+            .unwrap();
+        let mut out = [0.0f32; 4];
+        let err = read.wait_into(&mut out).unwrap_err();
+        assert!(matches!(err, OclError::InvalidOperation(_)), "{err:?}");
+        // The other way round the forward is the one that comes too late.
+        let read = q0.enqueue_read_buffer_region_nb::<f32>(&src, 0, 4).unwrap();
+        read.wait_into(&mut out).unwrap();
+        let err = q1
+            .enqueue_write_buffer_from_read::<f32>(&dst, 0, 4, &read)
+            .unwrap()
+            .wait()
+            .unwrap_err();
+        assert!(matches!(err, OclError::InvalidOperation(_)), "{err:?}");
+        assert!(q1.take_deferred_error().is_some());
+        // Only reads can be forwarded, into a range that exists, of the
+        // read's length.
+        let write = q0.enqueue_write_buffer(&src, &[0.0f32; 4]).unwrap();
+        assert!(matches!(
+            q1.enqueue_write_buffer_from_read::<f32>(&dst, 0, 4, &write),
+            Err(OclError::InvalidOperation(_))
+        ));
+        let read = q0.enqueue_read_buffer_region_nb::<f32>(&src, 0, 4).unwrap();
+        assert!(matches!(
+            q1.enqueue_write_buffer_from_read::<f32>(&dst, 2, 4, &read),
+            Err(OclError::SizeMismatch { .. })
+        ));
+        let err = q1
+            .enqueue_write_buffer_from_read::<f32>(&dst, 0, 2, &read)
+            .unwrap()
+            .wait()
+            .unwrap_err();
+        assert!(matches!(err, OclError::SizeMismatch { .. }), "{err:?}");
+        assert!(q1.take_deferred_error().is_some());
+    }
+
+    #[test]
+    fn device_local_copies_are_validated_priced_and_logged() {
+        let ctx = two_gpu_context();
+        let (q0, q1) = (ctx.queue(0).unwrap(), ctx.queue(1).unwrap());
+        let a = ctx.create_buffer::<f32>(0, 8).unwrap();
+        let b = ctx.create_buffer::<f32>(0, 8).unwrap();
+        let other = ctx.create_buffer::<f32>(1, 8).unwrap();
+        // Both ranges and both devices are checked synchronously.
+        assert!(matches!(
+            q0.enqueue_copy_buffer_region::<f32>(&a, 6, &b, 0, 4),
+            Err(OclError::SizeMismatch { .. })
+        ));
+        assert!(matches!(
+            q0.enqueue_copy_buffer_region::<f32>(&a, 0, &b, 5, 4),
+            Err(OclError::SizeMismatch { .. })
+        ));
+        assert!(matches!(
+            q0.enqueue_copy_buffer_region::<f32>(&other, 0, &b, 0, 4),
+            Err(OclError::WrongDevice { .. })
+        ));
+        assert!(matches!(
+            q0.enqueue_copy_buffer_region::<f32>(&a, 0, &other, 0, 4),
+            Err(OclError::WrongDevice { .. })
+        ));
+        assert!(matches!(
+            q1.enqueue_copy_buffer_region::<f32>(&a, 0, &b, 0, 4),
+            Err(OclError::WrongDevice { .. })
+        ));
+        assert!(q0.events().is_empty() && q1.events().is_empty());
+
+        q0.enqueue_write_buffer(&a, &[1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
+            .unwrap();
+        q0.quiesce();
+        let ops_before = ctx.device(0).unwrap().fault_op_count();
+        let copy = q0
+            .enqueue_copy_buffer_region::<f32>(&a, 4, &b, 2, 3)
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert_eq!(ctx.device(0).unwrap().fault_op_count(), ops_before + 1);
+        assert_eq!(copy.kind, CommandKind::CopyBuffer);
+        assert_eq!((copy.bytes, copy.work_items), (12, 0));
+        assert!(copy.is_transfer() && !copy.is_read() && !copy.is_write());
+        // The price of the copy kernel the program could have launched.
+        let (api, gpu) = (ApiModel::opencl(), DeviceProfile::tesla_c1060());
+        assert_eq!(copy.duration(), api.kernel_time(&gpu, 3, 0.0, 8.0));
+        assert!(copy.duration() < api.transfer_time(&gpu, 12));
+        let mut out = [0.0f32; 8];
+        q0.enqueue_read_buffer(&b, &mut out).unwrap();
+        assert_eq!(out, [0.0, 0.0, 5.0, 6.0, 7.0, 0.0, 0.0, 0.0]);
+        let summary = crate::event::EventSummary::from_events(&q0.events());
+        assert_eq!(summary.transfers, 3, "write + copy + read");
+        assert_eq!(summary.bytes_transferred, 32 + 12 + 32);
+
+        // Overlapping ranges of one buffer behave like memmove, both ways.
+        q0.enqueue_copy_buffer_region::<f32>(&a, 0, &a, 2, 5)
+            .unwrap();
+        q0.enqueue_read_buffer(&a, &mut out).unwrap();
+        assert_eq!(out, [1.0, 2.0, 1.0, 2.0, 3.0, 4.0, 5.0, 8.0]);
+        q0.enqueue_copy_buffer_region::<f32>(&a, 2, &a, 0, 5)
+            .unwrap();
+        q0.enqueue_read_buffer(&a, &mut out).unwrap();
+        assert_eq!(out, [1.0, 2.0, 3.0, 4.0, 5.0, 4.0, 5.0, 8.0]);
+
+        // An armed transfer fault hits a copy like any transfer, before
+        // any byte moves.
+        ctx.inject_faults(&crate::fault::FaultPlan::new().transient_transfer_at_op(0, 1));
+        let err = q0
+            .enqueue_copy_buffer_region::<f32>(&a, 0, &b, 0, 8)
+            .unwrap()
+            .wait()
+            .unwrap_err();
+        assert!(err.is_injected_fault() && !err.is_device_lost(), "{err:?}");
+        assert!(q0.take_deferred_error().is_some());
+        q0.enqueue_read_buffer(&b, &mut out).unwrap();
+        assert_eq!(out, [0.0, 0.0, 5.0, 6.0, 7.0, 0.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn copies_into_a_revived_pool_buffer_zero_only_outside_the_written_range() {
+        let ctx = two_gpu_context();
+        let q = ctx.queue(0).unwrap();
+        let dev = ctx.device(0).unwrap();
+        let src = ctx.create_buffer::<f32>(0, 8).unwrap();
+        q.enqueue_write_buffer(&src, &[1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
+            .unwrap();
+        let revive = || {
+            let stale = ctx.create_buffer::<f32>(0, 8).unwrap();
+            q.enqueue_write_buffer(&stale, &[9.0f32; 8]).unwrap();
+            q.quiesce();
+            ctx.release_buffer(&stale).unwrap();
+            let hits = dev.pool_hit_count();
+            let revived = ctx.create_buffer::<f32>(0, 8).unwrap();
+            assert_eq!(dev.pool_hit_count(), hits + 1, "storage came from the pool");
+            revived
+        };
+        let mut out = [0.0f32; 8];
+        // A partial copy leaves fresh-allocation zeros around the range …
+        let dst = revive();
+        q.enqueue_copy_buffer_region::<f32>(&src, 1, &dst, 3, 2)
+            .unwrap();
+        q.enqueue_read_buffer(&dst, &mut out).unwrap();
+        assert_eq!(out, [0.0, 0.0, 0.0, 2.0, 3.0, 0.0, 0.0, 0.0]);
+        ctx.release_buffer(&dst).unwrap();
+        // … a full overwrite elides the zeroing altogether …
+        let dst = revive();
+        let elided = dev.lazy_zero_elisions();
+        q.enqueue_copy_buffer_region::<f32>(&src, 0, &dst, 0, 8)
+            .unwrap();
+        q.enqueue_read_buffer(&dst, &mut out).unwrap();
+        assert_eq!(out, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
+        assert_eq!(dev.lazy_zero_elisions(), elided + 1);
+        ctx.release_buffer(&dst).unwrap();
+        // … and a revived *source* reads as zeros, also onto itself.
+        let dst = revive();
+        q.enqueue_copy_buffer_region::<f32>(&dst, 0, &dst, 4, 4)
+            .unwrap();
+        q.enqueue_read_buffer(&dst, &mut out).unwrap();
+        assert_eq!(out, [0.0f32; 8]);
     }
 }
