@@ -33,53 +33,23 @@ enum Engine {
     Native,
 }
 
-const MAP_SRC: &str = r#"
-    float func(float x) { return x * x * x - 2.0f * x + 1.0f; }
-    __kernel void SKELCL_MAP(__global float* skelcl_in, __global float* skelcl_out, int skelcl_n) {
-        int skelcl_gid = get_global_id(0);
-        if (skelcl_gid < skelcl_n) {
-            skelcl_out[skelcl_gid] = func(skelcl_in[skelcl_gid]);
-        }
-    }
-"#;
-
-const ZIP_SRC: &str = r#"
-    float func(float x, float y, float a) { return a * x + y; }
-    __kernel void SKELCL_ZIP(__global float* skelcl_left, __global float* skelcl_right, __global float* skelcl_out, int skelcl_n, float skelcl_arg_a) {
-        int skelcl_gid = get_global_id(0);
-        if (skelcl_gid < skelcl_n) {
-            skelcl_out[skelcl_gid] = func(skelcl_left[skelcl_gid], skelcl_right[skelcl_gid], skelcl_arg_a);
-        }
-    }
-"#;
-
-/// The reduce operator; the kernel around it is `kernelgen`'s own template.
+/// The user functions of the straight-line workloads; the kernel around
+/// each is `kernelgen`'s own template — what the skeleton launches.
+const MAP_UDF: &str = "float func(float x) { return x * x * x - 2.0f * x + 1.0f; }";
+const ZIP_UDF: &str = "float func(float x, float y, float a) { return a * x + y; }";
 const ADD_UDF: &str = "float func(float a, float b) { return a + b; }";
+/// The 5-point heat step: four `get(dx, dy)` neighbour reads.
+const HEAT_STENCIL_UDF: &str = "float func(float u) { return u + 0.2f * (get(0, -1) + get(0, 1) + get(-1, 0) + get(1, 0) - 4.0f * u); }";
 
-const SCAN_SRC: &str = r#"
-    float func(float a, float b) { return a + b; }
-    __kernel void SKELCL_SCAN(__global float* skelcl_in, __global float* skelcl_out, int skelcl_n) {
-        float skelcl_acc = skelcl_in[0];
-        skelcl_out[0] = skelcl_acc;
-        for (int skelcl_i = 1; skelcl_i < skelcl_n; skelcl_i++) {
-            skelcl_acc = func(skelcl_acc, skelcl_in[skelcl_i]);
-            skelcl_out[skelcl_i] = skelcl_acc;
-        }
-    }
-"#;
-
-/// The `SKELCL_MAP_OVERLAP` template around the 5-point heat step: load and
-/// store at `gid + halo·w`, four `get(dx, dy)` neighbour reads.
-const HEAT_STENCIL_SRC: &str = r#"
-    float func(float u) { return u + 0.2f * (get(0, -1) + get(0, 1) + get(-1, 0) + get(1, 0) - 4.0f * u); }
-    __kernel void SKELCL_MAP_OVERLAP(__global float* skelcl_stencil_in, __global float* skelcl_out, int skelcl_n, int skelcl_stencil_w, int skelcl_stencil_halo, int skelcl_stencil_policy, float skelcl_stencil_oob) {
-        int skelcl_gid = get_global_id(0);
-        if (skelcl_gid < skelcl_n) {
-            int skelcl_idx = (skelcl_gid / skelcl_stencil_w + skelcl_stencil_halo) * skelcl_stencil_w + skelcl_gid % skelcl_stencil_w;
-            skelcl_out[skelcl_idx] = func(skelcl_stencil_in[skelcl_idx]);
-        }
-    }
-"#;
+/// `template` over `udf`, whose first `main_inputs` parameters are elements.
+fn generated(
+    udf: &str,
+    main_inputs: usize,
+    template: fn(&UdfInfo) -> skelcl::Result<String>,
+) -> String {
+    let udf = UdfInfo::analyze(udf, main_inputs).expect("benchmark UDFs analyze");
+    template(&udf).expect("benchmark UDFs fit their template")
+}
 
 /// Row width of the heat-stencil workload (divides both element counts).
 const STENCIL_WIDTH: usize = 1000;
@@ -129,8 +99,8 @@ struct Workload {
 const WORKLOADS: &[Workload] = &[
     Workload {
         name: "map",
-        src: || MAP_SRC.to_string(),
-        kernel: "SKELCL_MAP",
+        src: || generated(MAP_UDF, 1, kernelgen::map_kernel),
+        kernel: kernelgen::MAP_KERNEL,
         inputs: 1,
         input: ramp,
         int_out: false,
@@ -140,8 +110,8 @@ const WORKLOADS: &[Workload] = &[
     },
     Workload {
         name: "zip",
-        src: || ZIP_SRC.to_string(),
-        kernel: "SKELCL_ZIP",
+        src: || generated(ZIP_UDF, 2, kernelgen::zip_kernel),
+        kernel: kernelgen::ZIP_KERNEL,
         inputs: 2,
         input: ramp,
         int_out: false,
@@ -151,10 +121,7 @@ const WORKLOADS: &[Workload] = &[
     },
     Workload {
         name: "reduce",
-        src: || {
-            let udf = UdfInfo::analyze(ADD_UDF, 2).expect("add UDF analyzes");
-            kernelgen::reduce_kernel(&udf).expect("reduce template")
-        },
+        src: || generated(ADD_UDF, 2, kernelgen::reduce_kernel),
         kernel: kernelgen::REDUCE_KERNEL,
         inputs: 1,
         input: ramp,
@@ -166,8 +133,8 @@ const WORKLOADS: &[Workload] = &[
     },
     Workload {
         name: "scan",
-        src: || SCAN_SRC.to_string(),
-        kernel: "SKELCL_SCAN",
+        src: || generated(ADD_UDF, 2, kernelgen::scan_kernels),
+        kernel: kernelgen::SCAN_KERNEL,
         inputs: 1,
         input: ramp,
         int_out: false,
@@ -177,8 +144,8 @@ const WORKLOADS: &[Workload] = &[
     },
     Workload {
         name: "heat_stencil",
-        src: || HEAT_STENCIL_SRC.to_string(),
-        kernel: "SKELCL_MAP_OVERLAP",
+        src: || generated(HEAT_STENCIL_UDF, 1, kernelgen::map_overlap_kernel),
+        kernel: kernelgen::MAP_OVERLAP_KERNEL,
         inputs: 1,
         input: ramp,
         int_out: false,
@@ -196,10 +163,7 @@ const WORKLOADS: &[Workload] = &[
     },
     Workload {
         name: "branchy_zip",
-        src: || {
-            let udf = UdfInfo::analyze(OSEM_UPDATE_UDF, 2).expect("update UDF analyzes");
-            kernelgen::zip_kernel(&udf).expect("zip template")
-        },
+        src: || generated(OSEM_UPDATE_UDF, 2, kernelgen::zip_kernel),
         kernel: kernelgen::ZIP_KERNEL,
         inputs: 2,
         input: half_non_positive,
@@ -210,11 +174,7 @@ const WORKLOADS: &[Workload] = &[
     },
     Workload {
         name: "mandelbrot",
-        src: || {
-            let udf =
-                UdfInfo::analyze(mandelbrot::MANDELBROT_UDF, 1).expect("mandelbrot UDF analyzes");
-            kernelgen::map_index_kernel(&udf).expect("index-map template")
-        },
+        src: || generated(mandelbrot::MANDELBROT_UDF, 1, kernelgen::map_index_kernel),
         kernel: kernelgen::MAP_INDEX_KERNEL,
         inputs: 0,
         input: ramp,

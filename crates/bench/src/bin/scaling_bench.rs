@@ -71,17 +71,16 @@ fn measure(
 /// The lane-batched vs scalar VM comparison on the generated map kernel —
 /// the single-device engine-throughput column of the report.
 fn vm_batched_vs_scalar(n: usize, reps: usize) -> (f64, f64) {
-    const MAP_SRC: &str = r#"
-        float func(float x) { return x * x * x - 2.0f * x + 1.0f; }
-        __kernel void SKELCL_MAP(__global float* skelcl_in, __global float* skelcl_out, int skelcl_n) {
-            int skelcl_gid = get_global_id(0);
-            if (skelcl_gid < skelcl_n) {
-                skelcl_out[skelcl_gid] = func(skelcl_in[skelcl_gid]);
-            }
-        }
-    "#;
-    let program = skelcl_kernel::Program::build(MAP_SRC).expect("bench kernel builds");
-    let kernel = program.kernel("SKELCL_MAP").expect("kernel exists");
+    let udf = skelcl::kernelgen::UdfInfo::analyze(
+        "float func(float x) { return x * x * x - 2.0f * x + 1.0f; }",
+        1,
+    )
+    .expect("bench UDF analyzes");
+    let source = skelcl::kernelgen::map_kernel(&udf).expect("map template");
+    let program = skelcl_kernel::Program::build(&source).expect("bench kernel builds");
+    let kernel = program
+        .kernel(skelcl::kernelgen::MAP_KERNEL)
+        .expect("kernel exists");
     let time = |batched: bool| -> f64 {
         let mut best = f64::INFINITY;
         for _ in 0..reps {

@@ -693,36 +693,26 @@ impl<T: Pod, D: Partitioning> Storage<T, D> {
         self.layout = self.distribution.layout(shape, self.runtime.device_count());
     }
 
-    /// Obtain per-device buffers for using this storage as a skeleton
-    /// *output*: existing buffers are reused when their sizes match the
-    /// target partition — the hot path of chained pipelines — and fresh ones
-    /// are created where they do not fit.
+    /// The device buffers a launch writing into this storage (`run_into`) may
+    /// write in place: per device the existing buffer when it fits the
+    /// target partition — the hot path of chained pipelines — and `None`
+    /// where it does not (the launch allocates those).
     ///
     /// Does **not** mutate the storage: replaced buffers stay owned by it
     /// until `Storage::commit_as_output` adopts the new set after a
     /// successful launch, so a failed launch leaves the container intact.
-    pub(crate) fn obtain_output_buffers(
-        &self,
-        partition: &Partition,
-    ) -> Result<Vec<Option<Buffer>>> {
+    pub(crate) fn obtain_output_buffers(&self, partition: &Partition) -> Vec<Option<Buffer>> {
         let elem = std::mem::size_of::<T>();
-        let mut buffers = vec![None; partition.device_count()];
-        for device in 0..partition.device_count() {
-            let want = partition.size(device);
-            if want == 0 {
-                continue;
-            }
-            let reusable = self
-                .buffers
-                .get(device)
-                .and_then(|slot| slot.as_ref())
-                .filter(|b| b.len() == want && b.len_bytes() == want * elem);
-            buffers[device] = match reusable {
-                Some(b) => Some(b.clone()),
-                None => Some(self.runtime.context().create_buffer::<T>(device, want)?),
-            };
-        }
-        Ok(buffers)
+        (0..partition.device_count())
+            .map(|device| {
+                let want = partition.size(device);
+                self.buffers
+                    .get(device)
+                    .and_then(|slot| slot.as_ref())
+                    .filter(|b| want > 0 && b.len() == want && b.len_bytes() == want * elem)
+                    .cloned()
+            })
+            .collect()
     }
 
     /// Commit this storage as the output of a skeleton launch that wrote the
@@ -865,9 +855,10 @@ pub trait Container<T: Pod>: Clone {
     /// element partition plus the per-device buffers.
     fn prepare_elementwise(&self) -> Result<(Partition, Vec<Option<Buffer>>)>;
 
-    /// Obtain output buffers for a launch writing into this container
-    /// (`run_into`), reusing its existing buffers where the sizes fit.
-    fn obtain_output_buffers(&self, partition: &Partition) -> Result<Vec<Option<Buffer>>>;
+    /// The buffers a launch writing into this container (`run_into`) may
+    /// write in place: its existing device buffers where the sizes fit,
+    /// `None` where the launch has to allocate.
+    fn obtain_output_buffers(&self, partition: &Partition) -> Vec<Option<Buffer>>;
 
     /// Wrap freshly written per-device buffers as a device-resident output
     /// container of this container's shape and distribution.

@@ -1,19 +1,18 @@
 //! Cross-stage kernel fusion for lazy pipeline plans.
 //!
 //! A [`crate::plan`] DAG describes a chain of elementwise stages (map, zip)
-//! optionally terminated by a reduction or scan. This module turns a run of
-//! adjacent stages into **one** generated kernel:
+//! optionally terminated by a reduction or scan. This module holds what
+//! turning a run of adjacent stages into **one** kernel needs besides the
+//! kernel text itself — there are no templates here; the one renderer is
+//! [`crate::kernelgen`]'s:
 //!
 //! * `Hygiene` concatenates the stages' UDF sources safely — every defined
 //!   function is renamed to a per-stage `skelcl_s{k}_…` name so independent
 //!   UDFs can never collide (or capture each other's helpers), and actual
 //!   collisions are recorded as diagnostics for [`crate::plan`]'s `explain`,
-//! * `FusedSpec` generates the fused kernels — the elementwise expression
-//!   is inlined into the map body and the reduce/scan first phase. The
-//!   reduce instantiates the eager skeleton's own template; map and scan
-//!   mirror the eager templates in [`crate::kernelgen`]
-//!   operation-for-operation, so fused results stay bit-identical to the
-//!   unfused path,
+//! * `FExpr` is the inlined elementwise expression of a group — nested
+//!   stage-UDF calls over element loads — which the renderer places where a
+//!   single-stage kernel loads its input element,
 //! * `boundary_decision` is the per-device cost model: using the static
 //!   per-instruction FLOP/byte estimates and the scheduler's analytical
 //!   [`PerfModel`], it predicts fused vs split time for each stage boundary
@@ -27,7 +26,6 @@
 //! sequences, Lift, SYCL fusion runtimes) fuse by default.
 
 use std::collections::{BTreeMap, HashSet};
-use std::sync::Arc;
 
 use oclsim::CostHint;
 use skelcl_kernel::compose;
@@ -52,15 +50,6 @@ pub enum FusionPolicy {
     Never,
 }
 
-/// Name of the generated fused elementwise kernel.
-pub(crate) const FUSED_MAP_KERNEL: &str = "SKELCL_FUSED_MAP";
-/// Name of the generated fused reduce kernel (one partial per work-item).
-pub(crate) const FUSED_REDUCE_KERNEL: &str = "SKELCL_FUSED_REDUCE";
-/// Name of the generated fused (per-device, sequential) scan kernel.
-pub(crate) const FUSED_SCAN_KERNEL: &str = "SKELCL_FUSED_SCAN";
-/// Name of the offset kernel paired with [`FUSED_SCAN_KERNEL`].
-pub(crate) const FUSED_SCAN_OFFSET_KERNEL: &str = "SKELCL_FUSED_SCAN_OFFSET";
-
 /// One pipeline stage after hygienic renaming: its rewritten source, the
 /// name its entry function ended up with, and the fused-kernel parameter
 /// names of its additional scalar arguments.
@@ -76,6 +65,24 @@ pub(crate) struct HygienicStage {
     /// Human-readable rename diagnostics for names that actually collided
     /// with an earlier stage's definitions.
     pub collisions: Vec<String>,
+}
+
+impl HygienicStage {
+    /// A stage that is alone in its kernel: nothing to collide with, so the
+    /// UDF text is merged as the user wrote it (the paper's Section II-A) and
+    /// its additional arguments are `skelcl_arg_{name}`.
+    pub(crate) fn verbatim(info: &UdfInfo) -> HygienicStage {
+        HygienicStage {
+            source: info.source.clone(),
+            fn_name: info.name.clone(),
+            extras: info
+                .extra_params
+                .iter()
+                .map(|(name, ty)| (format!("skelcl_arg_{name}"), *ty))
+                .collect(),
+            collisions: Vec::new(),
+        }
+    }
 }
 
 /// Renaming context for one fused kernel: tracks every function name the
@@ -140,176 +147,32 @@ impl Hygiene {
     }
 }
 
-/// The inlined elementwise expression of a fused kernel, built over input
-/// buffer loads and stage-UDF calls.
+/// The inlined elementwise expression of a group, built over element loads
+/// and stage-UDF calls.
 #[derive(Debug, Clone)]
 pub(crate) enum FExpr {
-    /// Load of fused-kernel input buffer `index` at the iteration index.
+    /// The element of kernel input slot `index` at the iteration index.
     In(usize),
     /// Call of stage `index`'s entry function over the argument expressions
     /// (the stage's additional arguments are appended automatically).
     Call(usize, Vec<FExpr>),
 }
 
-/// Everything needed to generate one fused kernel: the hygienically renamed
-/// stages, the input buffer types, the output element type and the inlined
-/// expression tree.
-#[derive(Debug, Clone)]
-pub(crate) struct FusedSpec {
-    pub stages: Vec<HygienicStage>,
-    pub inputs: Vec<ScalarType>,
-    pub out_ty: ScalarType,
-    pub expr: FExpr,
-}
-
-impl FusedSpec {
-    fn preamble(&self) -> String {
-        let mut out = String::new();
-        for stage in &self.stages {
-            out.push_str(&stage.source);
-            out.push('\n');
-        }
-        out
-    }
-
-    fn input_decls(&self) -> String {
-        self.inputs
-            .iter()
-            .enumerate()
-            .map(|(i, ty)| format!("__global {ty}* skelcl_in{i}, "))
-            .collect()
-    }
-
-    fn extra_decls(&self) -> String {
-        self.stages
-            .iter()
-            .flat_map(|s| &s.extras)
-            .map(|(name, ty)| format!(", {ty} {name}"))
-            .collect()
-    }
-
-    /// Render the expression with `idx` as the iteration index.
-    fn expr_code(&self, expr: &FExpr, idx: &str) -> String {
-        match expr {
-            FExpr::In(i) => format!("skelcl_in{i}[{idx}]"),
+impl FExpr {
+    /// Render the expression over `stages`; `load(slot)` renders the element
+    /// of input slot `slot` (the frame decides where that element comes
+    /// from and at which index).
+    pub(crate) fn code(&self, stages: &[HygienicStage], load: &dyn Fn(usize) -> String) -> String {
+        match self {
+            FExpr::In(slot) => load(*slot),
             FExpr::Call(stage, args) => {
-                let s = &self.stages[*stage];
-                let mut rendered: Vec<String> =
-                    args.iter().map(|a| self.expr_code(a, idx)).collect();
+                let s = &stages[*stage];
+                let mut rendered: Vec<String> = args.iter().map(|a| a.code(stages, load)).collect();
                 rendered.extend(s.extras.iter().map(|(name, _)| name.clone()));
                 format!("{}({})", s.fn_name, rendered.join(", "))
             }
         }
     }
-
-    /// The fused elementwise kernel: `out[i] = expr(i)` — the shape of the
-    /// eager map/zip kernels with the whole stage chain inlined.
-    pub(crate) fn map_kernel(&self) -> String {
-        format!(
-            "{preamble}\
-             __kernel void {kernel}({ins}__global {out_ty}* skelcl_out, int skelcl_n{extras}) {{\n\
-             \x20   int skelcl_gid = get_global_id(0);\n\
-             \x20   if (skelcl_gid < skelcl_n) {{\n\
-             \x20       skelcl_out[skelcl_gid] = {expr};\n\
-             \x20   }}\n\
-             }}\n",
-            preamble = self.preamble(),
-            kernel = FUSED_MAP_KERNEL,
-            ins = self.input_decls(),
-            out_ty = self.out_ty,
-            extras = self.extra_decls(),
-            expr = self.expr_code(&self.expr, "skelcl_gid"),
-        )
-    }
-
-    /// The fused reduce kernel: [`crate::kernelgen::reduce_template`] — the
-    /// eager reduce's own template — with the elementwise chain inlined in
-    /// place of the input load. `op` must have been admitted through the
-    /// same [`Hygiene`] as the stages.
-    pub(crate) fn reduce_kernel(&self, op: &HygienicStage) -> String {
-        crate::kernelgen::reduce_template(
-            &format!("{}{}\n", self.preamble(), op.source),
-            FUSED_REDUCE_KERNEL,
-            &self.input_decls(),
-            self.out_ty,
-            &self.extra_decls(),
-            &op.fn_name,
-            |idx| self.expr_code(&self.expr, idx),
-        )
-    }
-
-    /// The fused scan kernel pair: the eager sequential inclusive scan with
-    /// the elementwise chain inlined, plus the (unfused) offset kernel that
-    /// combines predecessor totals into a device's part.
-    pub(crate) fn scan_kernels(&self, op: &HygienicStage) -> String {
-        format!(
-            "{preamble}{op_src}\n\
-             __kernel void {scan}({ins}__global {ty}* skelcl_out, int skelcl_n{extras}) {{\n\
-             \x20   {ty} skelcl_acc = {first};\n\
-             \x20   skelcl_out[0] = skelcl_acc;\n\
-             \x20   for (int skelcl_i = 1; skelcl_i < skelcl_n; skelcl_i++) {{\n\
-             \x20       skelcl_acc = {f}(skelcl_acc, {step});\n\
-             \x20       skelcl_out[skelcl_i] = skelcl_acc;\n\
-             \x20   }}\n\
-             }}\n\
-             __kernel void {offset}(__global {ty}* skelcl_data, int skelcl_n, {ty} skelcl_offset) {{\n\
-             \x20   int skelcl_gid = get_global_id(0);\n\
-             \x20   if (skelcl_gid < skelcl_n) {{\n\
-             \x20       skelcl_data[skelcl_gid] = {f}(skelcl_offset, skelcl_data[skelcl_gid]);\n\
-             \x20   }}\n\
-             }}\n",
-            preamble = self.preamble(),
-            op_src = op.source,
-            scan = FUSED_SCAN_KERNEL,
-            offset = FUSED_SCAN_OFFSET_KERNEL,
-            ins = self.input_decls(),
-            ty = self.out_ty,
-            extras = self.extra_decls(),
-            first = self.expr_code(&self.expr, "0"),
-            step = self.expr_code(&self.expr, "skelcl_i"),
-            f = op.fn_name,
-        )
-    }
-}
-
-/// Compose a chain of unary stages into a single, self-contained UDF source
-/// whose entry function is named `func` — the shape every eager skeleton
-/// accepts. Used by the matrix plan, which lowers fused map groups through
-/// the container-generic eager `Map`.
-///
-/// All stages must chain type-correctly (caller-validated). Returns the
-/// composed source and the collision diagnostics.
-pub(crate) fn compose_unary_source(stages: &[Arc<UdfInfo>]) -> Result<(String, Vec<String>)> {
-    let mut hygiene = Hygiene::new();
-    // The wrapper itself owns the name `func`.
-    hygiene.taken.insert("func".to_string());
-    let mut renamed = Vec::with_capacity(stages.len());
-    for (k, info) in stages.iter().enumerate() {
-        renamed.push(hygiene.admit(k, info)?);
-    }
-    let in_ty = stages[0].main_params[0];
-    let out_ty = stages[stages.len() - 1].return_type;
-    let mut body = "skelcl_x".to_string();
-    for stage in &renamed {
-        let mut call_args = vec![body];
-        call_args.extend(stage.extras.iter().map(|(name, _)| name.clone()));
-        body = format!("{}({})", stage.fn_name, call_args.join(", "));
-    }
-    let extra_decls: String = renamed
-        .iter()
-        .flat_map(|s| &s.extras)
-        .map(|(name, ty)| format!(", {ty} {name}"))
-        .collect();
-    let mut source = String::new();
-    for stage in &renamed {
-        source.push_str(&stage.source);
-        source.push('\n');
-    }
-    source.push_str(&format!(
-        "{out_ty} func({in_ty} skelcl_x{extra_decls}) {{ return {body}; }}\n"
-    ));
-    let collisions = renamed.into_iter().flat_map(|s| s.collisions).collect();
-    Ok((source, collisions))
 }
 
 /// Per-element cost figures of one pipeline stage, used by the boundary
@@ -427,6 +290,7 @@ pub(crate) fn boundary_decision(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernelgen::{render_group, StageKind, FUSED_MAP_KERNEL};
 
     fn info(src: &str, main: usize) -> UdfInfo {
         UdfInfo::analyze(src, main).unwrap()
@@ -456,14 +320,11 @@ mod tests {
         assert!(sb.collisions[0].contains("`offset`"), "{:?}", sb.collisions);
         assert!(sb.collisions[1].contains("`func`"), "{:?}", sb.collisions);
         assert!(sb.source.contains("skelcl_s1_offset"));
-        // The concatenation is a valid translation unit with distinct names.
-        let spec = FusedSpec {
-            stages: vec![sa, sb],
-            inputs: vec![ScalarType::Float],
-            out_ty: ScalarType::Float,
-            expr: FExpr::Call(1, vec![FExpr::Call(0, vec![FExpr::In(0)])]),
-        };
-        let program = skelcl_kernel::Program::build(&spec.map_kernel()).unwrap();
+        // The concatenation is a valid translation unit with distinct names,
+        // and the renderer reports the same diagnostics.
+        let group = render_group(&[(StageKind::Map, &a), (StageKind::Map, &b)]).unwrap();
+        assert_eq!(group.collisions, sb.collisions);
+        let program = skelcl_kernel::Program::build(&group.source).unwrap();
         assert!(program.kernel(FUSED_MAP_KERNEL).is_ok());
     }
 
@@ -471,16 +332,8 @@ mod tests {
     fn fused_map_kernel_inlines_the_chain_and_extras() {
         let scale = info("float func(float x, float a) { return x * a; }", 1);
         let add = info("float func(float l, float r) { return l + r; }", 2);
-        let mut hygiene = Hygiene::new();
-        let s0 = hygiene.admit(0, &scale).unwrap();
-        let s1 = hygiene.admit(1, &add).unwrap();
-        let spec = FusedSpec {
-            stages: vec![s0, s1],
-            inputs: vec![ScalarType::Float, ScalarType::Float],
-            out_ty: ScalarType::Float,
-            expr: FExpr::Call(1, vec![FExpr::Call(0, vec![FExpr::In(0)]), FExpr::In(1)]),
-        };
-        let src = spec.map_kernel();
+        let group = render_group(&[(StageKind::Map, &scale), (StageKind::Zip, &add)]).unwrap();
+        let src = &group.source;
         assert!(
             src.contains(
                 "skelcl_s1_func(skelcl_s0_func(skelcl_in0[skelcl_gid], skelcl_s0_arg_a), \
@@ -489,22 +342,8 @@ mod tests {
             "{src}"
         );
         assert!(src.contains(", float skelcl_s0_arg_a"), "{src}");
-        assert!(skelcl_kernel::Program::build(&src).is_ok(), "{src}");
-    }
-
-    #[test]
-    fn compose_unary_source_produces_a_valid_udf() {
-        let stages = vec![
-            Arc::new(info("float func(float x) { return x + 1.0f; }", 1)),
-            Arc::new(info("float func(float x, float a) { return x * a; }", 1)),
-        ];
-        let (src, collisions) = compose_unary_source(&stages).unwrap();
-        // Both stages named `func`: the second collides with the first.
-        assert_eq!(collisions.len(), 1, "{collisions:?}");
-        let composed = UdfInfo::analyze(&src, 1).unwrap();
-        assert_eq!(composed.name, "func");
-        assert_eq!(composed.extra_params.len(), 1);
-        assert_eq!(composed.return_type, ScalarType::Float);
+        assert_eq!(group.inputs, [ScalarType::Float, ScalarType::Float]);
+        assert!(skelcl_kernel::Program::build(src).is_ok(), "{src}");
     }
 
     #[test]

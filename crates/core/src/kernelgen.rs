@@ -13,12 +13,21 @@
 //! skeleton's main element inputs — are appended to the generated kernel's
 //! parameter list and forwarded to the user function call.
 //!
+//! **One renderer.** `render_group` is the only place kernel text is
+//! written: it turns a *group* of stages — one stage for an eager skeleton
+//! call, several for a fused run of a lazy plan — into program source, with
+//! each kernel frame written once and the group's element expression placed
+//! where a single-stage kernel loads its input element. The public
+//! `*_kernel` functions below are its single-stage calls, so the text
+//! [`map_kernel`] returns is the text a [`crate::skeletons::Map`] launches;
+//! at run time its only caller is the runtime's lowering memo
+//! (`crate::plan::LoweringMemo`).
+//!
 //! Map, zip and map-overlap kernels are one work-item per element. The
 //! reduce kernel ([`reduce_kernel`]) is one work-item per *chunk*: a launch
 //! of `G` work-items leaves `G` partial results for the host to finish, and
-//! `G = 1` is the plain sequential fold — the one template behind every
-//! reduction, the lazy plans' fused reduce included. The scan kernel is a
-//! single work-item over its whole part.
+//! `G = 1` is the plain sequential fold. The scan kernel is a single
+//! work-item over its whole part.
 
 use std::hash::{Hash, Hasher};
 
@@ -28,6 +37,7 @@ use skelcl_kernel::cost::CostEstimate;
 use skelcl_kernel::types::{ScalarType, Type};
 
 use crate::error::{Result, SkelError};
+use crate::fusion::{FExpr, Hygiene, HygienicStage};
 
 /// Information extracted from a user-defined function's source.
 #[derive(Debug, Clone, PartialEq)]
@@ -179,20 +189,6 @@ impl UdfInfo {
     pub(crate) fn cost_hint(&self) -> CostHint {
         CostHint::new(self.cost.flops.max(1.0), self.cost.global_bytes.max(8.0))
     }
-
-    fn extra_param_decls(&self) -> String {
-        self.extra_params
-            .iter()
-            .map(|(name, ty)| format!(", {ty} skelcl_arg_{name}"))
-            .collect()
-    }
-
-    fn extra_param_uses(&self) -> String {
-        self.extra_params
-            .iter()
-            .map(|(name, _)| format!(", skelcl_arg_{name}"))
-            .collect()
-    }
 }
 
 /// Name of the generated map kernel.
@@ -210,34 +206,268 @@ pub const SCAN_KERNEL: &str = "SKELCL_SCAN";
 /// Name of the generated scan offset kernel (the implicit map of Figure 2).
 pub const SCAN_OFFSET_KERNEL: &str = "SKELCL_SCAN_OFFSET";
 
-/// Generate the map kernel: `out[i] = f(in[i], extra...)`.
-pub fn map_kernel(udf: &UdfInfo) -> Result<String> {
-    if udf.main_params.len() != 1 {
+/// Name of a fused elementwise group's kernel.
+pub(crate) const FUSED_MAP_KERNEL: &str = "SKELCL_FUSED_MAP";
+/// Name of a fused reduce group's kernel (one partial per work-item).
+pub(crate) const FUSED_REDUCE_KERNEL: &str = "SKELCL_FUSED_REDUCE";
+/// Name of a fused scan group's (per-device, sequential) kernel.
+pub(crate) const FUSED_SCAN_KERNEL: &str = "SKELCL_FUSED_SCAN";
+/// Name of the offset kernel paired with [`FUSED_SCAN_KERNEL`].
+pub(crate) const FUSED_SCAN_OFFSET_KERNEL: &str = "SKELCL_FUSED_SCAN_OFFSET";
+
+/// What a stage contributes to a group's *shape*, next to its UDF. A group
+/// is any number of `Map` / `Zip` stages, optionally closed by one `Reduce`
+/// or `Scan`; `IndexMap` may only open a group (its element is the index,
+/// not a load) and `MapOverlap` stands alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum StageKind {
+    Map,
+    Zip,
+    Reduce,
+    Scan,
+    IndexMap,
+    MapOverlap,
+}
+
+/// A group of stages rendered to program source: everything kernel
+/// generation derives from the stages' kinds and UDFs.
+#[derive(Debug)]
+pub(crate) struct RenderedGroup {
+    pub source: String,
+    /// Name of the group's kernel in `source`.
+    pub kernel: &'static str,
+    /// Name of the offset kernel a scan group's program also holds.
+    pub offset_kernel: Option<&'static str>,
+    /// Element type per input-buffer slot: slot 0 is the chain the group
+    /// reads (absent for an index map), every zip adds one.
+    pub inputs: Vec<ScalarType>,
+    pub out_ty: ScalarType,
+    /// Diagnostics for helper names that collided across stages.
+    pub collisions: Vec<String>,
+}
+
+/// The signature a stage of `kind` needs from its user function.
+fn check_stage(kind: StageKind, udf: &UdfInfo) -> Result<()> {
+    let (what, arity) = match kind {
+        StageKind::Map => ("map expects a unary user function", 1),
+        StageKind::IndexMap => ("index map expects a unary user function", 1),
+        StageKind::MapOverlap => (
+            "map-overlap expects a unary user function (the centre element)",
+            1,
+        ),
+        StageKind::Zip => ("zip expects a binary user function", 2),
+        StageKind::Reduce => return check_binary_op(udf, "reduce"),
+        StageKind::Scan => return check_binary_op(udf, "scan"),
+    };
+    if udf.main_params.len() != arity {
         return Err(SkelError::UdfSignature(format!(
-            "map expects a unary user function; `{}` has {} main parameter(s)",
+            "{what}; `{}` has {} main parameter(s)",
             udf.name,
             udf.main_params.len()
         )));
     }
-    Ok(format!(
-        "{udf_src}\n\
-         __kernel void {kernel}(__global {in_ty}* skelcl_in, __global {out_ty}* skelcl_out, int skelcl_n{extra_decls}) {{\n\
-         \x20   int skelcl_gid = get_global_id(0);\n\
-         \x20   if (skelcl_gid < skelcl_n) {{\n\
-         \x20       skelcl_out[skelcl_gid] = {f}(skelcl_in[skelcl_gid]{extra_uses});\n\
-         \x20   }}\n\
-         }}\n",
-        udf_src = udf.source,
-        kernel = MAP_KERNEL,
-        in_ty = udf.main_params[0],
-        out_ty = udf.return_type,
-        extra_decls = udf.extra_param_decls(),
-        extra_uses = udf.extra_param_uses(),
-        f = udf.name,
-    ))
+    match (kind, udf.main_params[0]) {
+        (StageKind::IndexMap, ty) if !matches!(ty, ScalarType::Int | ScalarType::Uint) => {
+            Err(SkelError::UdfSignature(format!(
+                "index map requires the user function to take an int (or uint) index; `{}` takes {ty}",
+                udf.name
+            )))
+        }
+        (StageKind::MapOverlap, ty) if ty != ScalarType::Float => {
+            Err(SkelError::UdfSignature(format!(
+                "map-overlap requires a float centre element (the stencil input is a float matrix); \
+                 `{}` takes {ty}",
+                udf.name
+            )))
+        }
+        _ => Ok(()),
+    }
 }
 
-/// Generate the index-map kernel: `out[i] = f(offset + i, extra...)`.
+/// Render a group of stages — the one place kernel text is written. A pure
+/// function of the stages' kinds and UDFs.
+///
+/// The UDF sources are concatenated ahead of the kernel: verbatim for a lone
+/// stage, through [`Hygiene`] when several stages share the program. The
+/// elementwise stages compose into one expression over the group's input
+/// elements ([`FExpr`]), and the frame of the group's *last* stage places it:
+///
+/// * **elementwise** (`Map` / `Zip` last) — `out[i] = expr(i)`, one work-item
+///   per element, arguments `[inputs…, out, n, extras…]`. An index map is
+///   this frame with no chain input: its element is `offset + i`, `offset`
+///   the first argument after `n` — each device computes its block of the
+///   implicit index range `[0, n)` from its global ids, so no input buffer
+///   exists and nothing is uploaded,
+/// * **reduce** — see [`reduce_kernel`]; same argument layout, `out` holding
+///   one partial per work-item,
+/// * **scan** — the sequential inclusive scan of `expr` over the device's
+///   part (one work-item), plus the offset kernel `[data, n, offset]` that
+///   combines the predecessors' total into a part: the "map skeletons
+///   \[that\] are created automatically" in Figure 2 of the paper,
+/// * **map-overlap** — see [`map_overlap_kernel`].
+///
+/// No intermediate of the reduce frame can overflow `int` for any
+/// `n ≤ i32::MAX`: the chunk length is `(n - 1) / G + 1`, a work-item runs
+/// only when its index is at most `(n - 1) / chunk` (so `g · chunk < n`), and
+/// the chunk end is the start plus `min(chunk, n - start)`.
+pub(crate) fn render_group(stages: &[(StageKind, &UdfInfo)]) -> Result<RenderedGroup> {
+    let (first_kind, last_kind) = match (stages.first(), stages.last()) {
+        (Some(first), Some(last)) => (first.0, last.0),
+        _ => return Err(SkelError::Internal("a kernel group has no stage".into())),
+    };
+    let fused = stages.len() > 1;
+    let mut hygiene = Hygiene::new();
+    let mut chain: Vec<HygienicStage> = Vec::new();
+    let mut op: Option<HygienicStage> = None;
+    let mut inputs = Vec::new();
+    let mut expr = FExpr::In(0);
+    let mut preamble = String::new();
+    let mut collisions = Vec::new();
+    let mut out_ty = ScalarType::Float;
+    for (k, &(kind, udf)) in stages.iter().enumerate() {
+        check_stage(kind, udf)?;
+        if k == 0 && kind != StageKind::IndexMap {
+            inputs.push(udf.main_params[0]);
+        }
+        let mut stage = if fused {
+            hygiene.admit(k, udf)?
+        } else {
+            HygienicStage::verbatim(udf)
+        };
+        preamble.push_str(&stage.source);
+        preamble.push('\n');
+        collisions.append(&mut stage.collisions);
+        out_ty = udf.return_type;
+        match kind {
+            StageKind::Reduce | StageKind::Scan => op = Some(stage),
+            _ => {
+                let mut call_args = vec![expr];
+                if kind == StageKind::Zip {
+                    call_args.push(FExpr::In(inputs.len()));
+                    inputs.push(udf.main_params[1]);
+                }
+                expr = FExpr::Call(chain.len(), call_args);
+                chain.push(stage);
+            }
+        }
+    }
+    let ins: String = inputs
+        .iter()
+        .enumerate()
+        .map(|(i, ty)| format!("__global {ty}* skelcl_in{i}, "))
+        .collect();
+    let mut extras = String::new();
+    if first_kind == StageKind::IndexMap {
+        extras.push_str(", int skelcl_offset");
+    }
+    for (name, ty) in chain.iter().flat_map(|s| &s.extras) {
+        extras.push_str(&format!(", {ty} {name}"));
+    }
+    // The group's element at iteration index `idx`.
+    let elem = |idx: &str| {
+        expr.code(&chain, &|slot| match first_kind {
+            StageKind::IndexMap => format!("skelcl_offset + {idx}"),
+            StageKind::MapOverlap => format!("skelcl_stencil_in[{idx}]"),
+            _ => format!("skelcl_in{slot}[{idx}]"),
+        })
+    };
+    let f = op.as_ref().map_or("", |op| op.fn_name.as_str());
+    let (kernel, offset_kernel) = match (last_kind, fused) {
+        (StageKind::Map, false) => (MAP_KERNEL, None),
+        (StageKind::Zip, false) => (ZIP_KERNEL, None),
+        (StageKind::IndexMap, _) => (MAP_INDEX_KERNEL, None),
+        (StageKind::Map | StageKind::Zip, true) => (FUSED_MAP_KERNEL, None),
+        (StageKind::MapOverlap, _) => (MAP_OVERLAP_KERNEL, None),
+        (StageKind::Reduce, false) => (REDUCE_KERNEL, None),
+        (StageKind::Reduce, true) => (FUSED_REDUCE_KERNEL, None),
+        (StageKind::Scan, false) => (SCAN_KERNEL, Some(SCAN_OFFSET_KERNEL)),
+        (StageKind::Scan, true) => (FUSED_SCAN_KERNEL, Some(FUSED_SCAN_OFFSET_KERNEL)),
+    };
+    let source = match last_kind {
+        StageKind::Map | StageKind::Zip | StageKind::IndexMap => format!(
+            "{preamble}\
+             __kernel void {kernel}({ins}__global {out_ty}* skelcl_out, int skelcl_n{extras}) {{\n\
+             \x20   int skelcl_gid = get_global_id(0);\n\
+             \x20   if (skelcl_gid < skelcl_n) {{\n\
+             \x20       skelcl_out[skelcl_gid] = {expr};\n\
+             \x20   }}\n\
+             }}\n",
+            expr = elem("skelcl_gid"),
+        ),
+        StageKind::MapOverlap => format!(
+            "{preamble}\
+             __kernel void {kernel}(__global float* skelcl_stencil_in, __global {out_ty}* skelcl_out, \
+             int skelcl_n, int skelcl_stencil_w, int skelcl_stencil_halo, int skelcl_stencil_policy, \
+             float skelcl_stencil_oob{extras}) {{\n\
+             \x20   int skelcl_gid = get_global_id(0);\n\
+             \x20   if (skelcl_gid < skelcl_n) {{\n\
+             \x20       int skelcl_idx = (skelcl_gid / skelcl_stencil_w + skelcl_stencil_halo) * skelcl_stencil_w + skelcl_gid % skelcl_stencil_w;\n\
+             \x20       skelcl_out[skelcl_idx] = {expr};\n\
+             \x20   }}\n\
+             }}\n",
+            expr = elem("skelcl_idx"),
+        ),
+        StageKind::Reduce => format!(
+            "{preamble}\
+             __kernel void {kernel}({ins}__global {out_ty}* skelcl_out, int skelcl_n{extras}) {{\n\
+             \x20   int skelcl_gid = get_global_id(0);\n\
+             \x20   int skelcl_chunk = (skelcl_n - 1) / get_global_size(0) + 1;\n\
+             \x20   if (skelcl_gid <= (skelcl_n - 1) / skelcl_chunk) {{\n\
+             \x20       int skelcl_start = skelcl_gid * skelcl_chunk;\n\
+             \x20       int skelcl_end = skelcl_start + min(skelcl_chunk, skelcl_n - skelcl_start);\n\
+             \x20       {out_ty} skelcl_acc = {first};\n\
+             \x20       for (int skelcl_i = skelcl_start + 1; skelcl_i < skelcl_end; skelcl_i++) {{\n\
+             \x20           skelcl_acc = {f}(skelcl_acc, {step});\n\
+             \x20       }}\n\
+             \x20       skelcl_out[skelcl_gid] = skelcl_acc;\n\
+             \x20   }}\n\
+             }}\n",
+            first = elem("skelcl_start"),
+            step = elem("skelcl_i"),
+        ),
+        StageKind::Scan => format!(
+            "{preamble}\
+             __kernel void {kernel}({ins}__global {out_ty}* skelcl_out, int skelcl_n{extras}) {{\n\
+             \x20   {out_ty} skelcl_acc = {first};\n\
+             \x20   skelcl_out[0] = skelcl_acc;\n\
+             \x20   for (int skelcl_i = 1; skelcl_i < skelcl_n; skelcl_i++) {{\n\
+             \x20       skelcl_acc = {f}(skelcl_acc, {step});\n\
+             \x20       skelcl_out[skelcl_i] = skelcl_acc;\n\
+             \x20   }}\n\
+             }}\n\
+             __kernel void {offset}(__global {out_ty}* skelcl_data, int skelcl_n, {out_ty} skelcl_offset) {{\n\
+             \x20   int skelcl_gid = get_global_id(0);\n\
+             \x20   if (skelcl_gid < skelcl_n) {{\n\
+             \x20       skelcl_data[skelcl_gid] = {f}(skelcl_offset, skelcl_data[skelcl_gid]);\n\
+             \x20   }}\n\
+             }}\n",
+            offset = offset_kernel.expect("a scan group has an offset kernel"),
+            first = elem("0"),
+            step = elem("skelcl_i"),
+        ),
+    };
+    Ok(RenderedGroup {
+        source,
+        kernel,
+        offset_kernel,
+        inputs,
+        out_ty,
+        collisions,
+    })
+}
+
+/// The rendered source of the single-stage group `(kind, udf)`.
+fn single_stage(kind: StageKind, udf: &UdfInfo) -> Result<String> {
+    Ok(render_group(&[(kind, udf)])?.source)
+}
+
+/// Generate the map kernel: `out[i] = f(in[i], extra...)`.
+pub fn map_kernel(udf: &UdfInfo) -> Result<String> {
+    single_stage(StageKind::Map, udf)
+}
+
+/// Generate the index-map kernel: `out[i] = f(offset + i, extra...)`, with
+/// the arguments `[out, n, offset, extra...]`.
 ///
 /// Used by [`crate::skeletons::Map::run_index`]: the skeleton's input is the
 /// implicit index range `[0, n)` rather than a stored vector, so no input
@@ -246,34 +476,7 @@ pub fn map_kernel(udf: &UdfInfo) -> Result<String> {
 /// is how index-based workloads such as the Mandelbrot benchmark avoid paying
 /// for an input upload.
 pub fn map_index_kernel(udf: &UdfInfo) -> Result<String> {
-    if udf.main_params.len() != 1 {
-        return Err(SkelError::UdfSignature(format!(
-            "index map expects a unary user function; `{}` has {} main parameter(s)",
-            udf.name,
-            udf.main_params.len()
-        )));
-    }
-    if !matches!(udf.main_params[0], ScalarType::Int | ScalarType::Uint) {
-        return Err(SkelError::UdfSignature(format!(
-            "index map requires the user function to take an int (or uint) index; `{}` takes {}",
-            udf.name, udf.main_params[0]
-        )));
-    }
-    Ok(format!(
-        "{udf_src}\n\
-         __kernel void {kernel}(__global {out_ty}* skelcl_out, int skelcl_n, int skelcl_offset{extra_decls}) {{\n\
-         \x20   int skelcl_gid = get_global_id(0);\n\
-         \x20   if (skelcl_gid < skelcl_n) {{\n\
-         \x20       skelcl_out[skelcl_gid] = {f}(skelcl_offset + skelcl_gid{extra_uses});\n\
-         \x20   }}\n\
-         }}\n",
-        udf_src = udf.source,
-        kernel = MAP_INDEX_KERNEL,
-        out_ty = udf.return_type,
-        extra_decls = udf.extra_param_decls(),
-        extra_uses = udf.extra_param_uses(),
-        f = udf.name,
-    ))
+    single_stage(StageKind::IndexMap, udf)
 }
 
 /// Generate the map-overlap (stencil) kernel:
@@ -290,69 +493,17 @@ pub fn map_index_kernel(udf: &UdfInfo) -> Result<String> {
 /// way, so iterative stencils can flip output to input with a halo-only
 /// exchange; its halo rows are left untouched by the kernel.
 pub fn map_overlap_kernel(udf: &UdfInfo) -> Result<String> {
-    if udf.main_params.len() != 1 {
-        return Err(SkelError::UdfSignature(format!(
-            "map-overlap expects a unary user function (the centre element); `{}` has {} main parameter(s)",
-            udf.name,
-            udf.main_params.len()
-        )));
-    }
-    if udf.main_params[0] != ScalarType::Float {
-        return Err(SkelError::UdfSignature(format!(
-            "map-overlap requires a float centre element (the stencil input is a float matrix); \
-             `{}` takes {}",
-            udf.name, udf.main_params[0]
-        )));
-    }
-    Ok(format!(
-        "{udf_src}\n\
-         __kernel void {kernel}(__global float* skelcl_stencil_in, __global {out_ty}* skelcl_out, \
-         int skelcl_n, int skelcl_stencil_w, int skelcl_stencil_halo, int skelcl_stencil_policy, \
-         float skelcl_stencil_oob{extra_decls}) {{\n\
-         \x20   int skelcl_gid = get_global_id(0);\n\
-         \x20   if (skelcl_gid < skelcl_n) {{\n\
-         \x20       int skelcl_idx = (skelcl_gid / skelcl_stencil_w + skelcl_stencil_halo) * skelcl_stencil_w + skelcl_gid % skelcl_stencil_w;\n\
-         \x20       skelcl_out[skelcl_idx] = {f}(skelcl_stencil_in[skelcl_idx]{extra_uses});\n\
-         \x20   }}\n\
-         }}\n",
-        udf_src = udf.source,
-        kernel = MAP_OVERLAP_KERNEL,
-        out_ty = udf.return_type,
-        extra_decls = udf.extra_param_decls(),
-        extra_uses = udf.extra_param_uses(),
-        f = udf.name,
-    ))
+    single_stage(StageKind::MapOverlap, udf)
 }
 
 /// Generate the zip kernel: `out[i] = f(left[i], right[i], extra...)`.
 pub fn zip_kernel(udf: &UdfInfo) -> Result<String> {
-    if udf.main_params.len() != 2 {
-        return Err(SkelError::UdfSignature(format!(
-            "zip expects a binary user function; `{}` has {} main parameter(s)",
-            udf.name,
-            udf.main_params.len()
-        )));
-    }
-    Ok(format!(
-        "{udf_src}\n\
-         __kernel void {kernel}(__global {l_ty}* skelcl_left, __global {r_ty}* skelcl_right, __global {out_ty}* skelcl_out, int skelcl_n{extra_decls}) {{\n\
-         \x20   int skelcl_gid = get_global_id(0);\n\
-         \x20   if (skelcl_gid < skelcl_n) {{\n\
-         \x20       skelcl_out[skelcl_gid] = {f}(skelcl_left[skelcl_gid], skelcl_right[skelcl_gid]{extra_uses});\n\
-         \x20   }}\n\
-         }}\n",
-        udf_src = udf.source,
-        kernel = ZIP_KERNEL,
-        l_ty = udf.main_params[0],
-        r_ty = udf.main_params[1],
-        out_ty = udf.return_type,
-        extra_decls = udf.extra_param_decls(),
-        extra_uses = udf.extra_param_uses(),
-        f = udf.name,
-    ))
+    single_stage(StageKind::Zip, udf)
 }
 
-pub(crate) fn check_binary_op(udf: &UdfInfo, skeleton: &str) -> Result<ScalarType> {
+/// A reduce or scan operator is a `(T, T) -> T` function without additional
+/// arguments (`skeleton` names the caller in the error).
+pub(crate) fn check_binary_op(udf: &UdfInfo, skeleton: &str) -> Result<()> {
     if udf.main_params.len() != 2 || !udf.extra_params.is_empty() {
         return Err(SkelError::UdfSignature(format!(
             "{skeleton} expects a binary operator function (two parameters, no additional arguments); \
@@ -367,7 +518,7 @@ pub(crate) fn check_binary_op(udf: &UdfInfo, skeleton: &str) -> Result<ScalarTyp
             udf.name, udf.main_params[0], udf.main_params[1], udf.return_type
         )));
     }
-    Ok(udf.return_type)
+    Ok(())
 }
 
 /// Generate the reduce kernel — the only reduce lowering. A launch of `G`
@@ -389,53 +540,7 @@ pub(crate) fn check_binary_op(udf: &UdfInfo, skeleton: &str) -> Result<ScalarTyp
 /// in, so the geometry has one source of truth (the work-item count); see
 /// [`crate::reduce_partials`] for the count the skeletons pick.
 pub fn reduce_kernel(udf: &UdfInfo) -> Result<String> {
-    let ty = check_binary_op(udf, "reduce")?;
-    Ok(reduce_template(
-        &format!("{}\n", udf.source),
-        REDUCE_KERNEL,
-        &format!("__global {ty}* skelcl_in, "),
-        ty,
-        "",
-        &udf.name,
-        |idx| format!("skelcl_in[{idx}]"),
-    ))
-}
-
-/// The reduce template shared by [`reduce_kernel`] and the lazy plans'
-/// `SKELCL_FUSED_REDUCE` (which inlines an elementwise chain where the eager
-/// kernel loads its input): `elem(idx)` renders the `idx`-th element.
-///
-/// No intermediate can overflow `int` for any `n ≤ i32::MAX`: the chunk
-/// length is `(n - 1) / G + 1`, a work-item runs only when its index is at
-/// most `(n - 1) / chunk` (so `g · chunk < n`), and the chunk end is the
-/// start plus `min(chunk, n - start)`.
-pub(crate) fn reduce_template(
-    preamble: &str,
-    kernel: &str,
-    input_decls: &str,
-    ty: ScalarType,
-    extra_decls: &str,
-    f: &str,
-    elem: impl Fn(&str) -> String,
-) -> String {
-    format!(
-        "{preamble}\
-         __kernel void {kernel}({input_decls}__global {ty}* skelcl_out, int skelcl_n{extra_decls}) {{\n\
-         \x20   int skelcl_gid = get_global_id(0);\n\
-         \x20   int skelcl_chunk = (skelcl_n - 1) / get_global_size(0) + 1;\n\
-         \x20   if (skelcl_gid <= (skelcl_n - 1) / skelcl_chunk) {{\n\
-         \x20       int skelcl_start = skelcl_gid * skelcl_chunk;\n\
-         \x20       int skelcl_end = skelcl_start + min(skelcl_chunk, skelcl_n - skelcl_start);\n\
-         \x20       {ty} skelcl_acc = {first};\n\
-         \x20       for (int skelcl_i = skelcl_start + 1; skelcl_i < skelcl_end; skelcl_i++) {{\n\
-         \x20           skelcl_acc = {f}(skelcl_acc, {step});\n\
-         \x20       }}\n\
-         \x20       skelcl_out[skelcl_gid] = skelcl_acc;\n\
-         \x20   }}\n\
-         }}\n",
-        first = elem("skelcl_start"),
-        step = elem("skelcl_i"),
-    )
+    single_stage(StageKind::Reduce, udf)
 }
 
 /// Generate the per-device scan kernel (inclusive prefix) plus the offset
@@ -443,29 +548,7 @@ pub(crate) fn reduce_template(
 /// the "map skeletons \[that\] are created automatically" in Figure 2 of the
 /// paper. Both kernels live in one program.
 pub fn scan_kernels(udf: &UdfInfo) -> Result<String> {
-    let ty = check_binary_op(udf, "scan")?;
-    Ok(format!(
-        "{udf_src}\n\
-         __kernel void {scan}(__global {ty}* skelcl_in, __global {ty}* skelcl_out, int skelcl_n) {{\n\
-         \x20   {ty} skelcl_acc = skelcl_in[0];\n\
-         \x20   skelcl_out[0] = skelcl_acc;\n\
-         \x20   for (int skelcl_i = 1; skelcl_i < skelcl_n; skelcl_i++) {{\n\
-         \x20       skelcl_acc = {f}(skelcl_acc, skelcl_in[skelcl_i]);\n\
-         \x20       skelcl_out[skelcl_i] = skelcl_acc;\n\
-         \x20   }}\n\
-         }}\n\
-         __kernel void {offset}(__global {ty}* skelcl_data, int skelcl_n, {ty} skelcl_offset) {{\n\
-         \x20   int skelcl_gid = get_global_id(0);\n\
-         \x20   if (skelcl_gid < skelcl_n) {{\n\
-         \x20       skelcl_data[skelcl_gid] = {f}(skelcl_offset, skelcl_data[skelcl_gid]);\n\
-         \x20   }}\n\
-         }}\n",
-        udf_src = udf.source,
-        scan = SCAN_KERNEL,
-        offset = SCAN_OFFSET_KERNEL,
-        ty = ty,
-        f = udf.name,
-    ))
+    single_stage(StageKind::Scan, udf)
 }
 
 #[cfg(test)]
@@ -689,6 +772,58 @@ mod tests {
         assert!(matches!(err, SkelError::UdfSignature(_)));
         let mixed = UdfInfo::analyze("int f(int a, float b) { return a; }", 2).unwrap();
         assert!(reduce_kernel(&mixed).is_err());
+    }
+
+    /// The public template functions are the renderer's single-stage calls:
+    /// the text they return is the text the skeleton of that kind launches
+    /// (its memo entry is rendered from the same one-stage group).
+    #[test]
+    fn public_templates_are_the_single_stage_renderings() {
+        type Template = fn(&UdfInfo) -> Result<String>;
+        let unary = UdfInfo::analyze("float f(float x, float s) { return x * s; }", 1).unwrap();
+        let index = UdfInfo::analyze("int f(int i, int w) { return i % w; }", 1).unwrap();
+        let binary = UdfInfo::analyze(SAXPY, 2).unwrap();
+        let op = UdfInfo::analyze(ADD, 2).unwrap();
+        let cases: [(Template, StageKind, &UdfInfo, &[&str]); 6] = [
+            (map_kernel, StageKind::Map, &unary, &[MAP_KERNEL]),
+            (
+                map_index_kernel,
+                StageKind::IndexMap,
+                &index,
+                &[MAP_INDEX_KERNEL],
+            ),
+            (
+                map_overlap_kernel,
+                StageKind::MapOverlap,
+                &unary,
+                &[MAP_OVERLAP_KERNEL],
+            ),
+            (zip_kernel, StageKind::Zip, &binary, &[ZIP_KERNEL]),
+            (reduce_kernel, StageKind::Reduce, &op, &[REDUCE_KERNEL]),
+            (
+                scan_kernels,
+                StageKind::Scan,
+                &op,
+                &[SCAN_KERNEL, SCAN_OFFSET_KERNEL],
+            ),
+        ];
+        for (template, kind, udf, names) in cases {
+            let group = render_group(&[(kind, udf)]).unwrap();
+            assert_eq!(template(udf).unwrap(), group.source, "{kind:?}");
+            // A lone stage's UDF is merged as written.
+            assert!(group.source.starts_with(&udf.source), "{kind:?}");
+            assert!(group.collisions.is_empty());
+            assert_eq!(
+                [Some(group.kernel), group.offset_kernel][..names.len()],
+                names.iter().map(|n| Some(*n)).collect::<Vec<_>>()[..]
+            );
+            let program = skelcl_kernel::Program::build(&group.source).unwrap();
+            for name in names {
+                assert!(program.kernel(name).is_ok(), "{kind:?}: {name}");
+                let decl = format!("__kernel void {name}(");
+                assert_eq!(group.source.matches(&decl).count(), 1, "{kind:?}: {name}");
+            }
+        }
     }
 
     #[test]

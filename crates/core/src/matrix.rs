@@ -501,7 +501,7 @@ impl<T: Pod> Container<T> for Matrix<T> {
         Ok((inner.layout.flat_partition(), inner.buffers.clone()))
     }
 
-    fn obtain_output_buffers(&self, partition: &Partition) -> Result<Vec<Option<Buffer>>> {
+    fn obtain_output_buffers(&self, partition: &Partition) -> Vec<Option<Buffer>> {
         self.inner.lock().obtain_output_buffers(partition)
     }
 
@@ -586,7 +586,7 @@ impl<T: Pod> Matrix<T> {
 
 impl Matrix<f32> {
     /// Open a lazy pipeline plan over this matrix: adjacent map stages fuse
-    /// into one composed kernel, stencil stages stay barriers — see
+    /// into one kernel, stencil stages stay barriers — see
     /// [`crate::plan::MatPlan`].
     pub fn lazy<'a>(&self) -> crate::plan::MatPlan<'a> {
         crate::plan::MatPlan::new(self)

@@ -15,10 +15,14 @@
 //!
 //! Fused and unfused plans are **bit-identical**: the fused kernels inline
 //! the exact per-element expression the staged pipeline would compute, in
-//! the same evaluation order. The reduce lowering *is* the eager skeleton's
-//! — one kernel template, one launch → gather → host-fold path
-//! ([`crate::skeletons::Reduce`]) — and the scan lowering mirrors the eager
-//! scan's device/host split operation for operation.
+//! the same evaluation order. And a plan *is* the eager skeletons' lowering,
+//! not a mirror of it: every launch group — one stage or many — is rendered
+//! by [`crate::kernelgen`]'s one renderer, cached in the runtime's
+//! `LoweringMemo` (the entry an eager call of the same shape uses, built
+//! program included) and launched by the launcher the eager skeleton of its
+//! kind uses — `launch_elementwise`, `launch_and_gather` + host fold
+//! ([`crate::skeletons::Reduce`]), `launch_scan`. This module binds
+//! arguments; it contains no kernel text and no launch flow of its own.
 //!
 //! ```
 //! use skelcl::prelude::*;
@@ -41,7 +45,7 @@ use std::fmt::Write as _;
 use std::hash::{Hash, Hasher};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use oclsim::{Buffer, KernelArg, Pod, Value};
 use skelcl_kernel::pack::JobSpans;
@@ -51,18 +55,15 @@ use crate::args::Args;
 use crate::container::Container;
 use crate::distribution::{Distribution, Partition};
 use crate::error::{Result, SkelError};
-use crate::fusion::{
-    boundary_decision, compose_unary_source, BoundaryDecision, FExpr, FusedSpec, FusionPolicy,
-    GroupCost, Hygiene, StageCost, FUSED_MAP_KERNEL, FUSED_REDUCE_KERNEL, FUSED_SCAN_KERNEL,
-    FUSED_SCAN_OFFSET_KERNEL,
-};
-use crate::kernelgen::UdfInfo;
+use crate::fusion::{boundary_decision, BoundaryDecision, FusionPolicy, GroupCost, StageCost};
+use crate::kernelgen::{render_group, RenderedGroup, StageKind, UdfInfo, MAP_OVERLAP_KERNEL};
 use crate::matrix::Matrix;
 use crate::runtime::SkelCl;
 use crate::scheduler::PerfModel;
+use crate::skeletons::exec::{buffer_arg, execute_single, CreateBuffer};
 use crate::skeletons::{
-    claim_reads, launch_and_gather, wait_events, DeviceScalar, HostOperator, LaunchConfig, Map,
-    MapOverlap, Reduce, ReducePart, Scan, Skeleton, Zip,
+    create_buffer, launch_and_gather, launch_elementwise, launch_scan, DeviceScalar, HostOperator,
+    LaunchConfig, Map, MapOverlap, Reduce, ReducePart, Scan, Skeleton, Zip,
 };
 use crate::vector::Vector;
 
@@ -344,160 +345,120 @@ fn plan_groups(
     Ok(groups)
 }
 
-/// Where a fused kernel's input buffer slot comes from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ChainInput {
-    /// The running chain (the previous group's output, or source 0).
-    Chain,
-    /// Source table slot `usize` (a zip's second vector).
-    Source(usize),
-}
-
-/// What a stage contributes to a group's *shape*, next to its UDF.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum StageKind {
-    Map,
-    /// A zip with the element type of its second input.
-    Zip(ScalarType),
-    Reduce,
-    Scan,
-}
-
 /// The shape contribution of every stage of a group, in stage order: the
-/// stage kind and its analysed UDF. This is all `lower_group` reads — the
-/// lowering memo hashes and compares exactly this.
-fn stage_shapes<'a>(
-    nodes: &'a [PlanNode],
-    group: &'a [usize],
-) -> impl Iterator<Item = (StageKind, &'a Arc<UdfInfo>)> + 'a {
-    group.iter().map(move |&idx| match &nodes[idx] {
-        PlanNode::Map { udf, .. } => (StageKind::Map, udf),
-        PlanNode::Zip { other, udf, .. } => (StageKind::Zip(node_out_ty(nodes, *other)), udf),
-        PlanNode::Reduce { udf, .. } => (StageKind::Reduce, udf),
-        PlanNode::Scan { udf, .. } => (StageKind::Scan, udf),
-        PlanNode::Source { .. } | PlanNode::MapOverlap { .. } => {
-            unreachable!("sources and stencils never join a fused group")
-        }
-    })
+/// stage kind and its analysed UDF — what the lowering memo is keyed by.
+fn stage_shapes<'a>(nodes: &'a [PlanNode], group: &[usize]) -> Vec<(StageKind, &'a Arc<UdfInfo>)> {
+    group
+        .iter()
+        .map(|&idx| match &nodes[idx] {
+            PlanNode::Map { udf, .. } => (StageKind::Map, udf),
+            PlanNode::Zip { udf, .. } => (StageKind::Zip, udf),
+            PlanNode::Reduce { udf, .. } => (StageKind::Reduce, udf),
+            PlanNode::Scan { udf, .. } => (StageKind::Scan, udf),
+            PlanNode::Source { .. } | PlanNode::MapOverlap { .. } => {
+                unreachable!("sources and stencils never join a fused group")
+            }
+        })
+        .collect()
 }
 
-/// Element type of the chain a group reads (its first stage's input).
-fn chain_in_ty(nodes: &[PlanNode], group: &[usize]) -> ScalarType {
-    node_out_ty(
-        nodes,
-        node_input(&nodes[group[0]]).expect("stages have an input"),
-    )
-}
-
-/// A fusion group lowered to its generated kernel: everything kernel
-/// generation derives from the group's *shape* — the stages' kinds, UDF
-/// texts and element types — and nothing from a plan instance (argument
-/// values, input containers). Computed once per shape per runtime by the
-/// [`LoweringMemo`] and shared by every plan of that shape.
+/// A group of stages lowered to its kernel: everything kernel generation
+/// derives from the group's *shape* — the stages' kinds and UDF texts — and
+/// nothing from a call or plan instance (argument values, input
+/// containers). Computed once per shape per runtime by the [`LoweringMemo`]
+/// and shared by every eager call and every plan of that shape.
 pub(crate) struct LoweredShape {
     /// Insertion number in the runtime's memo.
     id: usize,
-    kind: GroupKind,
-    /// The shape this lowering was computed from (`inputs[0]` is the chain
-    /// input type), kept to verify a memo hit by content.
+    /// The shape this lowering was computed from, kept to verify a memo hit
+    /// by content.
     stages: Vec<(StageKind, Arc<UdfInfo>)>,
-    /// The rendered program: the fused map kernel, the fused reduce kernel,
-    /// or the fused scan + offset kernel pair.
-    source: String,
-    /// Element type per fused-kernel input slot (slot 0 is the chain).
-    inputs: Vec<ScalarType>,
-    out_ty: ScalarType,
-    collisions: Vec<String>,
+    /// The rendered program, its kernel names and element types.
+    pub(crate) rendered: RenderedGroup,
+    /// The group's kernel and, for a scan, its offset kernel: built on the
+    /// runtime's context at first use.
+    kernels: OnceLock<(oclsim::Kernel, Option<oclsim::Kernel>)>,
 }
 
 impl LoweredShape {
-    fn matches(&self, nodes: &[PlanNode], group: &[usize], kind: GroupKind) -> bool {
-        self.kind == kind
-            && self.inputs[0] == chain_in_ty(nodes, group)
-            && self.stages.len() == group.len()
-            && self.stages.iter().zip(stage_shapes(nodes, group)).all(
-                |((kind, udf), (other_kind, other))| {
-                    *kind == other_kind
+    fn matches(&self, stages: &[(StageKind, &Arc<UdfInfo>)]) -> bool {
+        self.stages.len() == stages.len()
+            && self
+                .stages
+                .iter()
+                .zip(stages)
+                .all(|((kind, udf), (other_kind, other))| {
+                    kind == other_kind
                         && (Arc::ptr_eq(udf, other)
                             || (udf.source_hash == other.source_hash && udf.source == other.source))
-                },
-            )
+                })
+    }
+
+    /// The built kernel(s) of the shape. `runtime` is the runtime whose memo
+    /// holds the shape: the first call builds the program on its context
+    /// (charging the build to its host clock — once, the context caches
+    /// programs by source), and `set_kernel_tier` on it reaches the program.
+    pub(crate) fn kernels(
+        &self,
+        runtime: &SkelCl,
+    ) -> Result<&(oclsim::Kernel, Option<oclsim::Kernel>)> {
+        if let Some(kernels) = self.kernels.get() {
+            return Ok(kernels);
+        }
+        let program = runtime.context().build_program(&self.rendered.source)?;
+        let kernel = program.kernel(self.rendered.kernel)?;
+        let offset = match self.rendered.offset_kernel {
+            Some(name) => Some(program.kernel(name)?),
+            None => None,
+        };
+        Ok(self.kernels.get_or_init(|| (kernel, offset)))
     }
 }
 
-/// Lower one fusion group: hygienic renaming of every stage's UDF, the
-/// inlined elementwise expression, and the rendered kernel source. A pure
-/// function of the group's shape (`id` numbers the result); the
-/// [`LoweringMemo`] is its only caller.
-fn lower_group(
-    nodes: &[PlanNode],
-    group: &[usize],
-    kind: GroupKind,
-    id: usize,
-) -> Result<LoweredShape> {
-    let chain_in = chain_in_ty(nodes, group);
-    let mut hygiene = Hygiene::new();
-    let mut fused_stages = Vec::new();
-    let mut inputs = vec![chain_in];
-    let mut expr = FExpr::In(0);
-    let mut out_ty = chain_in;
-    let mut collisions: Vec<String> = Vec::new();
-    let mut op = None;
-    let mut stages = Vec::with_capacity(group.len());
-    for (k, (stage_kind, udf)) in stage_shapes(nodes, group).enumerate() {
-        let stage = hygiene.admit(k, udf)?;
-        collisions.extend(stage.collisions.iter().cloned());
-        match stage_kind {
-            StageKind::Map => {
-                expr = FExpr::Call(fused_stages.len(), vec![expr]);
-                fused_stages.push(stage);
-            }
-            StageKind::Zip(side_ty) => {
-                let slot = inputs.len();
-                inputs.push(side_ty);
-                expr = FExpr::Call(fused_stages.len(), vec![expr, FExpr::In(slot)]);
-                fused_stages.push(stage);
-            }
-            StageKind::Reduce | StageKind::Scan => op = Some(stage),
-        }
-        out_ty = udf.return_type;
-        stages.push((stage_kind, udf.clone()));
-    }
-    let spec = FusedSpec {
-        stages: fused_stages,
-        inputs,
-        out_ty,
-        expr,
-    };
-    let source = match (kind, &op) {
-        (GroupKind::Elementwise, _) => spec.map_kernel(),
-        (GroupKind::Reduce, Some(op)) => spec.reduce_kernel(op),
-        (GroupKind::Scan, Some(op)) => spec.scan_kernels(op),
-        _ => unreachable!("fold groups end in their operator; stencils are never lowered here"),
-    };
+/// Lower one group of stages through the one renderer
+/// ([`crate::kernelgen::render_group`]); `id` numbers the result. The miss
+/// path of the [`LoweringMemo`], its only caller.
+fn lower_group(stages: &[(StageKind, &Arc<UdfInfo>)], id: usize) -> Result<LoweredShape> {
+    let borrowed: Vec<(StageKind, &UdfInfo)> =
+        stages.iter().map(|&(kind, udf)| (kind, &**udf)).collect();
     Ok(LoweredShape {
         id,
-        kind,
-        stages,
-        source,
-        inputs: spec.inputs,
-        out_ty,
-        collisions,
+        stages: stages
+            .iter()
+            .map(|&(kind, udf)| (kind, udf.clone()))
+            .collect(),
+        rendered: render_group(&borrowed)?,
+        kernels: OnceLock::new(),
     })
 }
 
-/// The runtime's lowering memo: one [`LoweredShape`] per distinct group
-/// shape, keyed by content — per stage the kind, the UDF source text and the
-/// side-input type, plus the chain input type and the group kind — never by
-/// pointer, so two skeletons built from the same source share an entry. It
-/// lives and grows exactly like the program cache (one entry per distinct
-/// fused kernel, for the life of the runtime).
-#[derive(Default)]
+/// The runtime's lowering memo — the only kernel cache: one [`LoweredShape`]
+/// per distinct group shape, keyed by content — per stage the kind and the
+/// UDF source text — never by pointer, so two skeletons built from the same
+/// source share an entry, and an eager call shares its entry with the
+/// one-stage plan group of the same skeleton. It lives and grows exactly
+/// like the program cache (one entry per distinct kernel, for the life of
+/// the runtime).
 pub(crate) struct LoweringMemo {
+    /// Process-wide number of this memo: with an entry's `id` it names the
+    /// entry without holding it (see [`CoalesceSignature`]).
+    id: usize,
     /// Buckets by shape hash; a hit is confirmed by comparing content.
     entries: parking_lot::Mutex<HashMap<u64, Vec<Arc<LoweredShape>>>>,
     lowerings: AtomicUsize,
     hits: AtomicUsize,
+}
+
+impl Default for LoweringMemo {
+    fn default() -> LoweringMemo {
+        static MEMOS: AtomicUsize = AtomicUsize::new(0);
+        LoweringMemo {
+            id: MEMOS.fetch_add(1, Ordering::Relaxed),
+            entries: parking_lot::Mutex::default(),
+            lowerings: AtomicUsize::new(0),
+            hits: AtomicUsize::new(0),
+        }
+    }
 }
 
 impl LoweringMemo {
@@ -511,27 +472,25 @@ impl LoweringMemo {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// The lowering of `group`, computed on first sight of its shape.
-    fn lowered(
+    /// The lowering of the group `stages`, computed on first sight of its
+    /// shape.
+    pub(crate) fn lowered(
         &self,
-        nodes: &[PlanNode],
-        group: &[usize],
-        kind: GroupKind,
+        stages: &[(StageKind, &Arc<UdfInfo>)],
     ) -> Result<Arc<LoweredShape>> {
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        (kind, chain_in_ty(nodes, group)).hash(&mut hasher);
-        for (stage_kind, udf) in stage_shapes(nodes, group) {
-            (stage_kind, udf.source_hash).hash(&mut hasher);
+        for (kind, udf) in stages {
+            (kind, udf.source_hash).hash(&mut hasher);
         }
         let mut entries = self.entries.lock();
         let bucket = entries.entry(hasher.finish()).or_default();
-        if let Some(shape) = bucket.iter().find(|s| s.matches(nodes, group, kind)) {
+        if let Some(shape) = bucket.iter().find(|s| s.matches(stages)) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(shape.clone());
         }
-        // Lowered under the lock, so racing plans of one shape lower once.
+        // Lowered under the lock, so racing callers of one shape lower once.
         let id = self.lowerings.load(Ordering::Relaxed);
-        let shape = Arc::new(lower_group(nodes, group, kind, id)?);
+        let shape = Arc::new(lower_group(stages, id)?);
         self.lowerings.store(id + 1, Ordering::Relaxed);
         bucket.push(shape.clone());
         Ok(shape)
@@ -545,8 +504,9 @@ struct LoweredGroup {
     /// The operator's host evaluator, for the host-side combine (the one the
     /// eager skeleton uses).
     host_op: Option<Arc<HostOperator>>,
-    /// Buffer provenance per fused-kernel input slot (slot 0 is the chain).
-    inputs: Vec<ChainInput>,
+    /// Source-table slot of every kernel input after the chain (slot 0):
+    /// the zips' second vectors, in stage order.
+    side_sources: Vec<usize>,
     /// Additional scalar arguments, in stage order (matching the generated
     /// kernel's extra-parameter declarations).
     extra_args: Vec<KernelArg>,
@@ -569,7 +529,7 @@ fn scalar_args<'a>(nodes: &'a [PlanNode], group: &'a [usize]) -> impl Iterator<I
 
 /// Bind `shape` to the plan instance whose `group` it was looked up for.
 fn bind_group(nodes: &[PlanNode], group: &[usize], shape: Arc<LoweredShape>) -> LoweredGroup {
-    let mut inputs = vec![ChainInput::Chain];
+    let mut side_sources = Vec::new();
     let mut host_op = None;
     for &idx in group {
         match &nodes[idx] {
@@ -577,7 +537,7 @@ fn bind_group(nodes: &[PlanNode], group: &[usize], shape: Arc<LoweredShape>) -> 
                 let PlanNode::Source { source, .. } = &nodes[*other] else {
                     unreachable!("a zip's second input is always a source node")
                 };
-                inputs.push(ChainInput::Source(*source));
+                side_sources.push(*source);
             }
             PlanNode::Reduce { host, .. } | PlanNode::Scan { host, .. } => {
                 host_op = Some(host.clone());
@@ -588,20 +548,9 @@ fn bind_group(nodes: &[PlanNode], group: &[usize], shape: Arc<LoweredShape>) -> 
     LoweredGroup {
         shape,
         host_op,
-        inputs,
+        side_sources,
         extra_args: scalar_args(nodes, group).map(KernelArg::Scalar).collect(),
     }
-}
-
-/// Allocate per-device output buffers for a dynamically-typed element.
-fn alloc_erased(
-    runtime: &Arc<SkelCl>,
-    partition: &Partition,
-    ty: ScalarType,
-) -> Result<Vec<Option<Buffer>>> {
-    with_scalar!(ty, T, {
-        crate::skeletons::alloc_output::<T>(runtime, partition)
-    })
 }
 
 /// The running intermediate of plan execution: either still an input source
@@ -611,13 +560,11 @@ enum ExecChain {
     Interm(Vec<Option<Buffer>>),
 }
 
-/// What a plan execution produced.
-enum ExecOutcome {
-    Vector {
-        len: usize,
-        distribution: Distribution,
-        buffers: Vec<Option<Buffer>>,
-    },
+/// What one launch group — and, from the last one, the plan — produced:
+/// per-device buffers (the next intermediate, or the result vector's), or
+/// the scalar of a reduction.
+enum GroupOutput {
+    Buffers(Vec<Option<Buffer>>),
     Scalar(Value),
 }
 
@@ -693,30 +640,6 @@ impl PlanGraph {
         Ok(())
     }
 
-    fn buffer_of(buffers: &[Option<Buffer>], device: usize, what: &str) -> Result<Buffer> {
-        buffers[device].clone().ok_or_else(|| {
-            SkelError::Distribution(format!("{what} has no buffer on device {device}"))
-        })
-    }
-
-    fn slot_buffer(
-        &self,
-        input: &ChainInput,
-        chain: &ExecChain,
-        prepared: &[(Partition, Vec<Option<Buffer>>)],
-        device: usize,
-    ) -> Result<Buffer> {
-        match input {
-            ChainInput::Chain => match chain {
-                ExecChain::Source(s) => Self::buffer_of(&prepared[*s].1, device, "pipeline input"),
-                ExecChain::Interm(buffers) => {
-                    Self::buffer_of(buffers, device, "pipeline intermediate")
-                }
-            },
-            ChainInput::Source(s) => Self::buffer_of(&prepared[*s].1, device, "pipeline input"),
-        }
-    }
-
     /// Release the buffers of a consumed intermediate (fused pipelines own
     /// their intermediates; sources keep theirs).
     fn release_chain(&self, chain: &ExecChain) -> Result<()> {
@@ -728,44 +651,9 @@ impl PlanGraph {
         Ok(())
     }
 
-    /// Run one fused elementwise group: a single `out[i] = expr(i)` kernel
-    /// launch per active device, mirroring the eager map/zip launch layout
-    /// `[inputs..., out, n, extras...]`.
-    fn run_elementwise(
-        &self,
-        lowered: &LoweredGroup,
-        partition: &Partition,
-        active: &[usize],
-        prepared: &[(Partition, Vec<Option<Buffer>>)],
-        chain: &ExecChain,
-    ) -> Result<Vec<Option<Buffer>>> {
-        let program = self
-            .runtime
-            .context()
-            .build_program(&lowered.shape.source)?;
-        let kernel = program.kernel(FUSED_MAP_KERNEL)?;
-        let out = alloc_erased(&self.runtime, partition, lowered.shape.out_ty)?;
-        let mut events = Vec::with_capacity(active.len());
-        for &device in active {
-            let n = partition.size(device);
-            let mut kargs = self.input_args(lowered, chain, prepared, device)?;
-            kargs.push(KernelArg::Buffer(
-                out[device].clone().expect("output allocated above"),
-            ));
-            kargs.push(KernelArg::Scalar(Value::Int(n as i32)));
-            kargs.extend(lowered.extra_args.iter().cloned());
-            events.push((
-                device,
-                self.runtime
-                    .queue(device)
-                    .enqueue_kernel(&kernel, n, &kargs)?,
-            ));
-        }
-        wait_events(&self.runtime, events)?;
-        Ok(out)
-    }
-
-    /// The fused kernel's leading input-buffer arguments on `device`.
+    /// The group kernel's leading input-buffer arguments on `device`: the
+    /// running chain (the previous group's output, or source 0), then the
+    /// zips' second vectors.
     fn input_args(
         &self,
         lowered: &LoweredGroup,
@@ -773,147 +661,95 @@ impl PlanGraph {
         prepared: &[(Partition, Vec<Option<Buffer>>)],
         device: usize,
     ) -> Result<Vec<KernelArg>> {
-        lowered
-            .inputs
-            .iter()
-            .map(|input| {
-                self.slot_buffer(input, chain, prepared, device)
-                    .map(KernelArg::Buffer)
-            })
+        let chain = match chain {
+            ExecChain::Source(source) => &prepared[*source].1,
+            ExecChain::Interm(buffers) => buffers,
+        };
+        let sides = lowered.side_sources.iter().map(|&s| &prepared[s].1);
+        std::iter::once(chain)
+            .chain(sides)
+            .map(|buffers| buffer_arg(buffers, device, format_args!("a pipeline input")))
             .collect()
     }
 
-    /// Run a fused reduce group through the eager reduce's own path: the
-    /// shared template with the chain inlined, one launch per device leaving
-    /// a partial vector, partials gathered in device order, host fold.
-    fn run_reduce(
+    /// Run one launch group: look its lowering up in the runtime's memo,
+    /// bind this plan's buffers and argument values — `[inputs…, out, n,
+    /// extras…]`, the eager kernels' layout — and hand them to the launcher
+    /// of the group's kind, the one the eager skeleton of that kind uses.
+    fn run_group(
         &self,
-        lowered: &LoweredGroup,
+        group: &Group,
         partition: &Partition,
-        active: &[usize],
         prepared: &[(Partition, Vec<Option<Buffer>>)],
         chain: &ExecChain,
-    ) -> Result<Value> {
-        let host_op = lowered
-            .host_op
-            .as_ref()
-            .expect("reduce group has a host operator");
-        let program = self
-            .runtime
-            .context()
-            .build_program(&lowered.shape.source)?;
-        let kernel = program.kernel(FUSED_REDUCE_KERNEL)?;
-        let mut parts = Vec::with_capacity(active.len());
-        for &device in active {
-            parts.push(ReducePart {
-                device,
-                n: partition.size(device),
-                inputs: self.input_args(lowered, chain, prepared, device)?,
-            });
+    ) -> Result<GroupOutput> {
+        let runtime = &self.runtime;
+        let lowered = self.lowered(&group.nodes)?;
+        runtime.charge_skeleton_call();
+        let active = partition.active_devices();
+        let merged = group.nodes.len() - 1;
+        if merged > 0 {
+            // Every interior node of the group would have materialised an
+            // intermediate container (one buffer per active device) and
+            // cost one more launch per device.
+            let stored_elems: usize = partition.sizes().iter().sum();
+            let bytes: usize = group.nodes[..merged]
+                .iter()
+                .map(|&idx| stored_elems * node_out_ty(&self.nodes, idx).size_bytes())
+                .sum();
+            runtime.charge_fusion(merged, merged * active.len(), merged * active.len(), bytes);
         }
-        with_scalar!(lowered.shape.out_ty, T, {
-            let mut partials = launch_and_gather::<T>(
-                &self.runtime,
-                &kernel,
-                parts,
-                &lowered.extra_args,
-                None,
-                None,
-            )?;
-            Ok(host_op.fold(&mut partials)?.to_value())
-        })
-    }
-
-    /// Run a fused scan group: per-device local scans over the inlined
-    /// chain, totals download, host-combined offsets, offset kernels —
-    /// step for step the eager scan's Figure 2 flow.
-    fn run_scan(
-        &self,
-        lowered: &LoweredGroup,
-        partition: &Partition,
-        active: &[usize],
-        prepared: &[(Partition, Vec<Option<Buffer>>)],
-        chain: &ExecChain,
-    ) -> Result<Vec<Option<Buffer>>> {
-        let host_op = lowered
-            .host_op
-            .as_ref()
-            .expect("scan group has a host operator");
-        let program = self
-            .runtime
-            .context()
-            .build_program(&lowered.shape.source)?;
-        let scan_kernel = program.kernel(FUSED_SCAN_KERNEL)?;
-        let offset_kernel = program.kernel(FUSED_SCAN_OFFSET_KERNEL)?;
-        with_scalar!(lowered.shape.out_ty, T, {
-            let out = crate::skeletons::alloc_output::<T>(&self.runtime, partition)?;
-            // Step 1: local scans.
-            for &device in active {
-                let n = partition.size(device);
-                let mut kargs = self.input_args(lowered, chain, prepared, device)?;
-                kargs.push(KernelArg::Buffer(
-                    out[device].clone().expect("output allocated above"),
-                ));
-                kargs.push(KernelArg::Scalar(Value::Int(n as i32)));
-                kargs.extend(lowered.extra_args.iter().cloned());
-                self.runtime
-                    .queue(device)
-                    .enqueue_kernel(&scan_kernel, 1, &kargs)?;
+        let kernels = lowered.shape.kernels(runtime)?;
+        let bind = |device| {
+            let inputs = self.input_args(&lowered, chain, prepared, device)?;
+            Ok((inputs, lowered.extra_args.clone()))
+        };
+        let host_op = || {
+            lowered
+                .host_op
+                .as_ref()
+                .expect("a fold group carries its operator's host evaluator")
+        };
+        let out_ty = lowered.shape.rendered.out_ty;
+        match group.kind {
+            GroupKind::Elementwise => {
+                let create = with_scalar!(out_ty, T, { create_buffer::<T> as CreateBuffer });
+                launch_elementwise(runtime, &kernels.0, partition, &bind, create, None)
+                    .map(GroupOutput::Buffers)
             }
-            // Step 2: download only the per-part totals, every device's read
-            // in flight before the first is claimed.
-            let mut reads = Vec::with_capacity(active.len());
-            for &device in active {
-                let out_buffer = out[device].as_ref().expect("output allocated above");
-                let read = self
-                    .runtime
-                    .queue(device)
-                    .enqueue_read_buffer_region_nb::<T>(
-                        out_buffer,
-                        partition.size(device) - 1,
-                        1,
-                    )?;
-                reads.push((device, read, 1));
-            }
-            let totals: Vec<T> = claim_reads::<T>(&self.runtime, reads)?.concat();
-            // Steps 3 + 4: combine predecessor totals on the host, apply
-            // them to later parts via the offset kernels.
-            let mut offset_events = Vec::new();
-            let mut running: Option<T> = None;
-            for (i, &device) in active.iter().enumerate() {
-                let offset = running;
-                running = Some(match running {
-                    None => totals[i],
-                    Some(acc) => host_op.fold(&mut [acc, totals[i]])?,
-                });
-                if i == 0 {
-                    continue;
+            GroupKind::Reduce => {
+                let mut parts = Vec::with_capacity(active.len());
+                for device in active {
+                    parts.push(ReducePart {
+                        device,
+                        n: partition.size(device),
+                        inputs: self.input_args(&lowered, chain, prepared, device)?,
+                    });
                 }
-                let offset = offset.expect("set above for i > 0");
-                let n = partition.size(device);
-                let out_buffer = out[device].clone().expect("output allocated above");
-                offset_events.push((
-                    device,
-                    self.runtime.queue(device).enqueue_kernel(
-                        &offset_kernel,
-                        n,
-                        &[
-                            KernelArg::Buffer(out_buffer),
-                            KernelArg::Scalar(Value::Int(n as i32)),
-                            KernelArg::Scalar(offset.to_value()),
-                        ],
-                    )?,
-                ));
+                with_scalar!(out_ty, T, {
+                    let extras = &lowered.extra_args;
+                    let mut partials =
+                        launch_and_gather::<T>(runtime, &kernels.0, parts, extras, None, None)?;
+                    Ok(GroupOutput::Scalar(
+                        host_op().fold(&mut partials)?.to_value(),
+                    ))
+                })
             }
-            wait_events(&self.runtime, offset_events)?;
-            Ok(out)
-        })
+            GroupKind::Scan => with_scalar!(out_ty, T, {
+                let combine = |a: T, b: T| host_op().fold(&mut [a, b]);
+                launch_scan(
+                    runtime, kernels, partition, &bind, &combine, None, None, false,
+                )
+                .map(|(out, _)| GroupOutput::Buffers(out))
+            }),
+            GroupKind::Overlap => unreachable!("vector plans have no stencil stage"),
+        }
     }
 
     /// Execute the plan at `tip`: unify source distributions, run the fusion
     /// pass, lower each group to launches on the existing queue/event
     /// machinery, and account the fusion telemetry.
-    fn execute(&self, tip: usize) -> Result<ExecOutcome> {
+    fn execute(&self, tip: usize) -> Result<GroupOutput> {
         if let Some(err) = &self.err {
             return Err(err.clone());
         }
@@ -964,71 +800,29 @@ impl PlanGraph {
             active.iter().map(|&d| (d, partition.size(d))).collect();
         let model = PerfModel::analytical(&self.runtime);
         let groups = plan_groups(&self.nodes, &spine, self.policy, &model, &device_items)?;
-        let stored_elems: usize = partition.sizes().iter().sum();
-
         let mut chain = ExecChain::Source(0);
-        let mut scalar = None;
         for group in &groups {
-            let lowered = self.lowered(&group.nodes, group.kind)?;
-            self.runtime.charge_skeleton_call();
-            let merged = group.nodes.len() - 1;
-            if merged > 0 {
-                // Every interior node of the group would have materialised
-                // an intermediate container (one buffer per active device)
-                // and cost one more launch per device.
-                let bytes: usize = group.nodes[..group.nodes.len() - 1]
-                    .iter()
-                    .map(|&idx| stored_elems * node_out_ty(&self.nodes, idx).size_bytes())
-                    .sum();
-                self.runtime.charge_fusion(
-                    merged,
-                    merged * active.len(),
-                    merged * active.len(),
-                    bytes,
-                );
+            let ran = self.run_group(group, &partition, &prepared, &chain);
+            // The group consumed the running intermediate — or failed (its
+            // launcher joined what it enqueued), and nothing else will.
+            let released = self.release_chain(&chain);
+            match ran? {
+                GroupOutput::Buffers(out) => chain = ExecChain::Interm(out),
+                // A reduction closes the plan.
+                scalar => return released.map(|()| scalar),
             }
-            match group.kind {
-                GroupKind::Elementwise => {
-                    let out =
-                        self.run_elementwise(&lowered, &partition, &active, &prepared, &chain)?;
-                    self.release_chain(&chain)?;
-                    chain = ExecChain::Interm(out);
-                }
-                GroupKind::Reduce => {
-                    let value =
-                        self.run_reduce(&lowered, &partition, &active, &prepared, &chain)?;
-                    self.release_chain(&chain)?;
-                    scalar = Some(value);
-                }
-                GroupKind::Scan => {
-                    let out = self.run_scan(&lowered, &partition, &active, &prepared, &chain)?;
-                    self.release_chain(&chain)?;
-                    chain = ExecChain::Interm(out);
-                }
-                GroupKind::Overlap => {
-                    unreachable!("vector plans have no stencil stage")
-                }
-            }
+            released?;
         }
-        match scalar {
-            Some(value) => Ok(ExecOutcome::Scalar(value)),
-            None => {
-                let ExecChain::Interm(buffers) = chain else {
-                    unreachable!("the spine has at least one stage")
-                };
-                Ok(ExecOutcome::Vector {
-                    len,
-                    distribution: self.sources[0].src_distribution(),
-                    buffers,
-                })
-            }
+        match chain {
+            ExecChain::Interm(buffers) => Ok(GroupOutput::Buffers(buffers)),
+            ExecChain::Source(_) => unreachable!("the spine has at least one stage"),
         }
     }
 
     /// The lowering of `group` — from the runtime's memo, the only place a
     /// group is ever lowered — bound to this plan's arguments and sources.
-    fn lowered(&self, group: &[usize], kind: GroupKind) -> Result<LoweredGroup> {
-        let shape = self.runtime.lowerings().lowered(&self.nodes, group, kind)?;
+    fn lowered(&self, group: &[usize]) -> Result<LoweredGroup> {
+        let shape = lower_nodes(&self.runtime, &self.nodes, group)?;
         Ok(bind_group(&self.nodes, group, shape))
     }
 
@@ -1039,101 +833,132 @@ impl PlanGraph {
             return Err(err.clone());
         }
         let spine = self.spine(tip);
-        let mut out = String::new();
         let devices = self.runtime.device_count();
-        let _ = writeln!(
-            out,
-            "Plan: {} node(s) over {} source(s), {} device(s), policy {:?}",
-            self.nodes.len(),
-            self.sources.len(),
-            devices,
-            self.policy
-        );
-        let _ = writeln!(out, "Kernel tier: {}", self.runtime.kernel_tier_summary());
-        let trace = self.runtime.exec_trace();
-        let _ = writeln!(out, "{}", trace.tier_line());
-        let _ = writeln!(out, "{}", trace.lowering_line());
-        for (i, node) in self.nodes.iter().enumerate() {
-            let line = match node {
-                PlanNode::Source { source, ty } => format!(
-                    "source[{source}] : {ty} (len {}, {:?})",
-                    self.sources[*source].src_len(),
-                    self.sources[*source].src_distribution()
-                ),
-                PlanNode::Map { input, udf, .. } => {
-                    format!("map(%{input}) -> {}", udf.return_type)
-                }
-                PlanNode::Zip {
-                    input, other, udf, ..
-                } => format!("zip(%{input}, %{other}) -> {}", udf.return_type),
-                PlanNode::MapOverlap { input, halo } => {
-                    format!("map_overlap(%{input}, halo {halo}) -> float")
-                }
-                PlanNode::Reduce { input, udf, .. } => {
-                    format!("reduce(%{input}) -> {}", udf.return_type)
-                }
-                PlanNode::Scan { input, udf, .. } => {
-                    format!("scan(%{input}) -> {}", udf.return_type)
-                }
-            };
-            let _ = writeln!(out, "  %{i} = {line}");
-        }
-        if spine.len() < 2 {
-            let _ = writeln!(out, "After fusion: nothing to run (the plan has no stage)");
-            return Ok(out);
-        }
         let len = self.sources[0].src_len();
-        if len == 0 {
-            let _ = writeln!(out, "After fusion: nothing to run (empty input)");
-            return Ok(out);
-        }
-        // Predict what execute() would do, without mutating the sources.
-        let first_dist = self.sources[0].src_distribution();
-        let mut dist = if self
-            .sources
-            .iter()
-            .any(|s| s.src_distribution() != first_dist)
-        {
-            Distribution::Block
+        let groups = if spine.len() < 2 {
+            Err("the plan has no stage")
+        } else if len == 0 {
+            Err("empty input")
         } else {
-            first_dist
+            // Predict what execute() would do, without mutating the sources.
+            let first_dist = self.sources[0].src_distribution();
+            let mut dist = if self
+                .sources
+                .iter()
+                .any(|s| s.src_distribution() != first_dist)
+            {
+                Distribution::Block
+            } else {
+                first_dist
+            };
+            let has_fold = spine.iter().any(|&i| {
+                matches!(
+                    self.nodes[i],
+                    PlanNode::Reduce { .. } | PlanNode::Scan { .. }
+                )
+            });
+            if has_fold && dist == Distribution::Copy {
+                dist = Distribution::Block;
+            }
+            let partition = Partition::compute(len, devices, &dist);
+            let device_items: Vec<(usize, usize)> = partition
+                .active_devices()
+                .iter()
+                .map(|&d| (d, partition.size(d)))
+                .collect();
+            let model = PerfModel::analytical(&self.runtime);
+            Ok(plan_groups(
+                &self.nodes,
+                &spine,
+                self.policy,
+                &model,
+                &device_items,
+            )?)
         };
-        let has_fold = spine.iter().any(|&i| {
-            matches!(
-                self.nodes[i],
-                PlanNode::Reduce { .. } | PlanNode::Scan { .. }
-            )
-        });
-        if has_fold && dist == Distribution::Copy {
-            dist = Distribution::Block;
-        }
-        let partition = Partition::compute(len, devices, &dist);
-        let device_items: Vec<(usize, usize)> = partition
-            .active_devices()
-            .iter()
-            .map(|&d| (d, partition.size(d)))
-            .collect();
-        let model = PerfModel::analytical(&self.runtime);
-        let groups = plan_groups(&self.nodes, &spine, self.policy, &model, &device_items)?;
-        render_groups(&mut out, self, &groups)?;
-        Ok(out)
+        explain_plan(
+            &self.runtime,
+            &self.nodes,
+            self.policy,
+            &format!("{} source(s)", self.sources.len()),
+            &|source| {
+                format!(
+                    "len {}, {:?}",
+                    self.sources[source].src_len(),
+                    self.sources[source].src_distribution()
+                )
+            },
+            groups,
+        )
     }
 }
 
-/// The after-fusion half of [`PlanGraph::explain`].
-fn render_groups(out: &mut String, graph: &PlanGraph, groups: &[Group]) -> Result<()> {
+/// The memo entry of the fusion group `group` of `nodes`.
+fn lower_nodes(runtime: &SkelCl, nodes: &[PlanNode], group: &[usize]) -> Result<Arc<LoweredShape>> {
+    runtime.lowerings().lowered(&stage_shapes(nodes, group))
+}
+
+/// The one `explain` behind vector and matrix plans: the header and the
+/// runtime's tier / lowering telemetry, the node table, and — unless
+/// `groups` says why nothing would run — the launch groups the fusion pass
+/// forms, each with its kernel, its boundary verdicts and the renames its
+/// lowering had to make. `over` and `source` describe the plan's input(s).
+fn explain_plan(
+    runtime: &SkelCl,
+    nodes: &[PlanNode],
+    policy: FusionPolicy,
+    over: &str,
+    source: &dyn Fn(usize) -> String,
+    groups: std::result::Result<Vec<Group>, &str>,
+) -> Result<String> {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "Plan: {} node(s) over {over}, {} device(s), policy {policy:?}",
+        nodes.len(),
+        runtime.device_count(),
+    );
+    let _ = writeln!(out, "Kernel tier: {}", runtime.kernel_tier_summary());
+    let trace = runtime.exec_trace();
+    let _ = writeln!(out, "{}", trace.tier_line());
+    let _ = writeln!(out, "{}", trace.lowering_line());
+    for (i, node) in nodes.iter().enumerate() {
+        let out_ty = node_out_ty(nodes, i);
+        let line = match node {
+            PlanNode::Source { source: slot, ty } => {
+                format!("source[{slot}] : {ty} ({})", source(*slot))
+            }
+            PlanNode::Map { input, .. } => format!("map(%{input}) -> {out_ty}"),
+            PlanNode::Zip { input, other, .. } => format!("zip(%{input}, %{other}) -> {out_ty}"),
+            PlanNode::MapOverlap { input, halo } => {
+                format!("map_overlap(%{input}, halo {halo}) -> {out_ty}")
+            }
+            PlanNode::Reduce { input, .. } => format!("reduce(%{input}) -> {out_ty}"),
+            PlanNode::Scan { input, .. } => format!("scan(%{input}) -> {out_ty}"),
+        };
+        let _ = writeln!(out, "  %{i} = {line}");
+    }
+    let groups = match groups {
+        Ok(groups) => groups,
+        Err(why) => {
+            let _ = writeln!(out, "After fusion: nothing to run ({why})");
+            return Ok(out);
+        }
+    };
     let _ = writeln!(out, "After fusion: {} launch group(s)", groups.len());
     for (gi, group) in groups.iter().enumerate() {
         let members: Vec<String> = group.nodes.iter().map(|i| format!("%{i}")).collect();
-        let kernel = match group.kind {
-            GroupKind::Elementwise => FUSED_MAP_KERNEL,
-            GroupKind::Reduce => FUSED_REDUCE_KERNEL,
-            GroupKind::Scan => FUSED_SCAN_KERNEL,
-            GroupKind::Overlap => "SKELCL_MAP_OVERLAP",
+        // Stencil stages run through the eager skeleton, which looks its
+        // kernel up itself; every other group is lowered here.
+        let shape = match group.kind {
+            GroupKind::Overlap => None,
+            _ => Some(lower_nodes(runtime, nodes, &group.nodes)?),
         };
         let _ = writeln!(
             out,
-            "  group {gi}: {kernel} over {} ({} stage(s) fused)",
+            "  group {gi}: {} over {} ({} stage(s) fused)",
+            shape
+                .as_ref()
+                .map_or(MAP_OVERLAP_KERNEL, |shape| shape.rendered.kernel),
             members.join(", "),
             group.nodes.len()
         );
@@ -1151,14 +976,11 @@ fn render_groups(out: &mut String, graph: &PlanGraph, groups: &[Group]) -> Resul
                 decision.split_time * 1e3
             );
         }
-        if group.kind != GroupKind::Overlap {
-            let lowered = graph.lowered(&group.nodes, group.kind)?;
-            for collision in &lowered.shape.collisions {
-                let _ = writeln!(out, "    rename: {collision}");
-            }
+        for collision in shape.iter().flat_map(|shape| &shape.rendered.collisions) {
+            let _ = writeln!(out, "    rename: {collision}");
         }
     }
-    Ok(())
+    Ok(out)
 }
 
 fn check_stage_args(udf: &UdfInfo, args: &Args) -> Result<()> {
@@ -1375,17 +1197,18 @@ impl<T: Pod> PlanVec<T> {
     /// Execute the plan and return the result vector.
     pub fn into_vector(&self) -> Result<Vector<T>> {
         match self.graph.execute(self.tip)? {
-            ExecOutcome::Vector {
-                len,
-                distribution,
-                buffers,
-            } => Ok(Vector::device_resident(
-                &self.graph.runtime,
-                len,
-                distribution,
-                buffers,
-            )),
-            ExecOutcome::Scalar(_) => unreachable!("a PlanVec tip lowers to a vector"),
+            GroupOutput::Buffers(buffers) => {
+                // Read after the run: executing may have coerced the sources
+                // to a common distribution, which the output adopts.
+                let source = &self.graph.sources[0];
+                Ok(Vector::device_resident(
+                    &self.graph.runtime,
+                    source.src_len(),
+                    source.src_distribution(),
+                    buffers,
+                ))
+            }
+            GroupOutput::Scalar(_) => unreachable!("a PlanVec tip lowers to a vector"),
         }
     }
 
@@ -1463,9 +1286,9 @@ impl<T: Pod> PlanVec<T> {
         // The full spine as one forced elementwise group.
         let group = &spine[1..];
         let nodes = &self.graph.nodes;
-        let memo = self.graph.runtime.lowerings();
         Ok(Some(CoalesceSignature {
-            shape: memo.lowered(nodes, group, GroupKind::Elementwise)?,
+            memo: self.graph.runtime.lowerings().id,
+            shape: lower_nodes(&self.graph.runtime, nodes, group)?.id,
             args: scalar_args(nodes, group).map(arg_bits).collect(),
         }))
     }
@@ -1503,9 +1326,9 @@ impl<T: Pod> PlanVec<T> {
                 ));
             }
         }
-        // The batch's one lowering: the leader's signature carries it.
+        // The batch's one binding: every member runs the leader's memo entry.
         let spine = first.graph.spine(first.tip);
-        let lowered = bind_group(&first.graph.nodes, &spine[1..], signature.shape);
+        let lowered = first.graph.lowered(&spine[1..])?;
         let mut spans = JobSpans::new();
         for job in jobs {
             let len = job.input_len();
@@ -1563,13 +1386,11 @@ impl<T: Pod> PlanVec<T> {
         let context = runtime.context();
         let queue = runtime.queue(device);
         let total = spans.total();
-        let mut kargs = Vec::with_capacity(lowered.inputs.len() + 2 + lowered.extra_args.len());
-        for (slot, input) in lowered.inputs.iter().enumerate() {
-            let source_index = match input {
-                ChainInput::Chain => 0,
-                ChainInput::Source(s) => *s,
-            };
-            let ty = lowered.shape.inputs[slot];
+        let mut kargs = Vec::new();
+        // Slot 0 is the chain (source 0 of every job), then the side inputs.
+        let sources = std::iter::once(0).chain(lowered.side_sources.iter().copied());
+        for (slot, source_index) in sources.enumerate() {
+            let ty = lowered.shape.rendered.inputs[slot];
             let mut bytes: Vec<u8> = Vec::with_capacity(total * ty.size_bytes());
             for job in jobs {
                 job.graph.sources[source_index].src_append_host_bytes(&mut bytes)?;
@@ -1587,29 +1408,30 @@ impl<T: Pod> PlanVec<T> {
         }
         let out = context.create_buffer::<T>(device, total)?;
         buffers.push(out.clone());
-        let program = context.build_program(&lowered.shape.source)?;
-        let kernel = program.kernel(FUSED_MAP_KERNEL)?;
+        let kernel = &lowered.shape.kernels(runtime)?.0;
         kargs.push(KernelArg::Buffer(out.clone()));
         kargs.push(KernelArg::Scalar(Value::Int(total as i32)));
         kargs.extend(lowered.extra_args.iter().cloned());
         runtime.charge_skeleton_call();
-        let kernel_event = queue.enqueue_kernel(&kernel, total, &kargs)?;
+        let kernel_event = queue.enqueue_kernel(kernel, total, &kargs)?;
         let read_event = queue.enqueue_read_buffer_region_nb::<T>(&out, 0, total)?;
         Ok((kernel_event, read_event))
     }
 }
 
 /// The identity of the per-element function an all-elementwise plan
-/// computes: the plan's lowered *shape* — an entry of the runtime's lowering
-/// memo, so plans built from equal UDF text over equal element types share
-/// it however many skeleton instances were involved — plus the bit patterns
-/// of its scalar additional arguments. Two plans with equal signatures
-/// belong to one runtime and run the exact same kernel with the exact same
-/// arguments, so [`PlanVec::pack_jobs`] may run them as one launch. Cheap to
-/// clone, compare and hash.
-#[derive(Clone)]
+/// computes: the plan's lowered *shape* — an entry of its runtime's lowering
+/// memo, named by the memo's and the entry's numbers, so plans built from
+/// equal UDF text over equal element types share it however many skeleton
+/// instances were involved — plus the bit patterns of its scalar additional
+/// arguments. Two plans with equal signatures belong to one runtime and run
+/// the exact same kernel with the exact same arguments, so
+/// [`PlanVec::pack_jobs`] may run them as one launch. Cheap to clone,
+/// compare and hash.
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct CoalesceSignature {
-    shape: Arc<LoweredShape>,
+    memo: usize,
+    shape: usize,
     /// The scalar additional arguments as `(type, bits)`, so that `-0.0`
     /// and `0.0`, or two NaN payloads, never coalesce.
     args: Vec<(ScalarType, u64)>,
@@ -1626,24 +1448,9 @@ fn arg_bits(value: Value) -> (ScalarType, u64) {
     (value.scalar_type(), bits)
 }
 
-impl PartialEq for CoalesceSignature {
-    fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.shape, &other.shape) && self.args == other.args
-    }
-}
-
-impl Eq for CoalesceSignature {}
-
-impl Hash for CoalesceSignature {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.shape.id.hash(state);
-        self.args.hash(state);
-    }
-}
-
 impl std::fmt::Debug for CoalesceSignature {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "shape#{}{:?}", self.shape.id, self.args)
+        write!(f, "shape#{}{:?}", self.shape, self.args)
     }
 }
 
@@ -1759,8 +1566,8 @@ impl<T: DeviceScalar> PlanScalar<T> {
     /// Execute the plan and return the reduced scalar.
     pub fn scalar(&self) -> Result<T> {
         match self.graph.execute(self.tip)? {
-            ExecOutcome::Scalar(value) => Ok(T::from_value(value)),
-            ExecOutcome::Vector { .. } => unreachable!("a PlanScalar tip lowers to a scalar"),
+            GroupOutput::Scalar(value) => Ok(T::from_value(value)),
+            GroupOutput::Buffers(_) => unreachable!("a PlanScalar tip lowers to a scalar"),
         }
     }
 
@@ -1814,9 +1621,10 @@ enum MatStage<'a> {
 }
 
 /// A lazily built matrix pipeline over `f32` elements, created by
-/// [`Matrix::lazy`]. Adjacent map stages fuse into one composed kernel
-/// (through `compose_unary_source`); stencil stages are barriers lowered
-/// through the eager [`MapOverlap`] with its halo-exchange distribution.
+/// [`Matrix::lazy`]. Adjacent map stages fuse into one kernel — the memo
+/// entry a vector plan of the same stages uses, launched element-wise over
+/// the matrix's row blocks; stencil stages are barriers lowered through the
+/// eager [`MapOverlap`] with its halo-exchange distribution.
 #[must_use = "a lazy plan does nothing until a terminal such as `exec()` runs it"]
 pub struct MatPlan<'a> {
     runtime: Arc<SkelCl>,
@@ -1951,33 +1759,19 @@ impl<'a> MatPlan<'a> {
         for group in &groups {
             match group.kind {
                 GroupKind::Elementwise => {
-                    let udfs: Vec<Arc<UdfInfo>> = group
-                        .nodes
-                        .iter()
-                        .map(|&i| match &self.nodes[i] {
-                            PlanNode::Map { udf, .. } => udf.clone(),
-                            _ => unreachable!("matrix elementwise groups hold map stages"),
-                        })
-                        .collect();
-                    let mut merged_args = Args::new();
+                    let shape = lower_nodes(&self.runtime, &self.nodes, &group.nodes)?;
+                    let mut cfg = LaunchConfig::default();
                     for &i in &group.nodes {
                         if let PlanNode::Map { args, .. } = &self.nodes[i] {
                             for item in args.items() {
-                                merged_args.push_item(item.clone());
+                                cfg.args.push_item(item.clone());
                             }
                         }
                     }
-                    let map = if udfs.len() == 1 {
-                        Map::<f32, f32>::from_source(&udfs[0].source)
-                    } else {
-                        let (src, _) = compose_unary_source(&udfs)?;
-                        Map::<f32, f32>::from_source(&src)
-                    };
-                    let cfg = LaunchConfig {
-                        args: merged_args,
-                        ..Default::default()
-                    };
-                    let next = Skeleton::execute(&map, &current, &cfg)?;
+                    let next: Matrix<f32> =
+                        execute_single::<f32, f32, _>(&current, &cfg, None, None, &|call| {
+                            Ok(shape.kernels(&call.runtime)?.0.clone())
+                        })?;
                     let merged = group.nodes.len() - 1;
                     if merged > 0 {
                         let items = self.device_items();
@@ -2016,75 +1810,22 @@ impl<'a> MatPlan<'a> {
         if let Some(err) = &self.err {
             return Err(err.clone());
         }
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "Plan: {} node(s) over 1 matrix ({}x{}), {} device(s), policy {:?}",
-            self.nodes.len(),
-            self.matrix.rows(),
-            self.matrix.cols(),
-            self.runtime.device_count(),
-            self.policy
-        );
-        let _ = writeln!(out, "Kernel tier: {}", self.runtime.kernel_tier_summary());
-        let trace = self.runtime.exec_trace();
-        let _ = writeln!(out, "{}", trace.tier_line());
-        let _ = writeln!(out, "{}", trace.lowering_line());
-        for (i, node) in self.nodes.iter().enumerate() {
-            let line = match node {
-                PlanNode::Source { .. } => format!(
-                    "source[0] : float ({}x{}, {:?})",
-                    self.matrix.rows(),
-                    self.matrix.cols(),
-                    self.matrix.distribution()
-                ),
-                PlanNode::Map { input, .. } => format!("map(%{input}) -> float"),
-                PlanNode::MapOverlap { input, halo } => {
-                    format!("map_overlap(%{input}, halo {halo}) -> float")
-                }
-                _ => unreachable!("matrix plans hold only map and map_overlap stages"),
-            };
-            let _ = writeln!(out, "  %{i} = {line}");
-        }
-        if self.nodes.len() < 2 {
-            let _ = writeln!(out, "After fusion: nothing to run (the plan has no stage)");
-            return Ok(out);
-        }
-        if self.matrix.is_empty() {
-            let _ = writeln!(out, "After fusion: nothing to run (empty input)");
-            return Ok(out);
-        }
-        let groups = self.groups()?;
-        let _ = writeln!(out, "After fusion: {} launch group(s)", groups.len());
-        for (gi, group) in groups.iter().enumerate() {
-            let members: Vec<String> = group.nodes.iter().map(|i| format!("%{i}")).collect();
-            let kernel = match group.kind {
-                GroupKind::Elementwise => "SKELCL_MAP (composed)",
-                GroupKind::Overlap => "SKELCL_MAP_OVERLAP",
-                _ => unreachable!(),
-            };
-            let _ = writeln!(
-                out,
-                "  group {gi}: {kernel} over {} ({} stage(s) fused)",
-                members.join(", "),
-                group.nodes.len()
-            );
-            for (idx, decision) in &group.decisions {
-                let verdict = if decision.fused { "fuse" } else { "split" };
-                let why = if decision.forced {
-                    "policy"
-                } else {
-                    "cost model"
-                };
-                let _ = writeln!(
-                    out,
-                    "    boundary before %{idx}: {verdict} ({why}; predicted fused {:.3} ms vs split {:.3} ms)",
-                    decision.fused_time * 1e3,
-                    decision.split_time * 1e3
-                );
-            }
-        }
-        Ok(out)
+        let shape = format!("{}x{}", self.matrix.rows(), self.matrix.cols());
+        let groups = if self.nodes.len() < 2 {
+            Err("the plan has no stage")
+        } else if self.matrix.is_empty() {
+            Err("empty input")
+        } else {
+            Ok(self.groups()?)
+        };
+        explain_plan(
+            &self.runtime,
+            &self.nodes,
+            self.policy,
+            &format!("1 matrix ({shape})"),
+            &|_| format!("{shape}, {:?}", self.matrix.distribution()),
+            groups,
+        )
     }
 }
 
@@ -2108,12 +1849,12 @@ mod tests {
 
     /// Build `stages` (indices into MAPS then ZIPS, with argument values)
     /// plus a terminal (0 none, 1 reduce, 2 scan) from fresh skeleton
-    /// instances; returns the graph, its one forced group and the kind.
+    /// instances; returns the graph and its one forced group.
     fn build(
         rt: &Arc<SkelCl>,
         stages: &[(usize, f32, f32)],
         terminal: usize,
-    ) -> (PlanGraph, Vec<usize>, GroupKind) {
+    ) -> (PlanGraph, Vec<usize>) {
         let v = Vector::from_vec(rt, vec![1.0f32, 2.0, 3.0]);
         let mut plan = v.lazy();
         for &(which, a, b) in stages {
@@ -2124,20 +1865,20 @@ mod tests {
                 m => plan.map(&Map::from_source(MAPS[m])),
             };
         }
-        let (graph, tip, kind) = match terminal {
+        let (graph, tip) = match terminal {
             1 => {
                 let p = plan.reduce(&Reduce::from_source(ADD));
-                (p.graph, p.tip, GroupKind::Reduce)
+                (p.graph, p.tip)
             }
             2 => {
                 let p = plan.scan(&Scan::from_source(ADD));
-                (p.graph, p.tip, GroupKind::Scan)
+                (p.graph, p.tip)
             }
-            _ => (plan.graph, plan.tip, GroupKind::Elementwise),
+            _ => (plan.graph, plan.tip),
         };
         assert!(graph.err.is_none(), "{:?}", graph.err);
         let group = graph.spine(tip)[1..].to_vec();
-        (graph, group, kind)
+        (graph, group)
     }
 
     proptest! {
@@ -2154,19 +1895,22 @@ mod tests {
             terminal in 0usize..3,
         ) {
             let rt = crate::runtime::init_gpus(1);
-            let (graph, group, kind) = build(&rt, &stages, terminal);
-            let fresh = lower_group(&graph.nodes, &group, kind, 0).unwrap();
+            let (graph, group) = build(&rt, &stages, terminal);
+            let fresh = lower_group(&stage_shapes(&graph.nodes, &group), 0).unwrap();
             let fresh = bind_group(&graph.nodes, &group, Arc::new(fresh));
-            let memoised = graph.lowered(&group, kind).unwrap();
-            prop_assert_eq!(&memoised.shape.source, &fresh.shape.source);
-            prop_assert_eq!(&memoised.shape.collisions, &fresh.shape.collisions);
+            let memoised = graph.lowered(&group).unwrap();
+            prop_assert_eq!(&memoised.shape.rendered.source, &fresh.shape.rendered.source);
+            prop_assert_eq!(
+                &memoised.shape.rendered.collisions,
+                &fresh.shape.rendered.collisions
+            );
             prop_assert_eq!(&memoised.extra_args, &fresh.extra_args);
-            prop_assert_eq!(&memoised.inputs, &fresh.inputs);
+            prop_assert_eq!(&memoised.side_sources, &fresh.side_sources);
             prop_assert_eq!(rt.exec_trace().plan_lowerings, 1);
 
             let shifted: Vec<_> = stages.iter().map(|&(w, a, b)| (w, a + 1.0, b - 1.0)).collect();
-            let (graph2, group2, _) = build(&rt, &shifted, terminal);
-            let again = graph2.lowered(&group2, kind).unwrap();
+            let (graph2, group2) = build(&rt, &shifted, terminal);
+            let again = graph2.lowered(&group2).unwrap();
             prop_assert!(Arc::ptr_eq(&again.shape, &memoised.shape));
             let fresh2 = bind_group(&graph2.nodes, &group2, again.shape.clone());
             prop_assert_eq!(&again.extra_args, &fresh2.extra_args);
@@ -2181,12 +1925,12 @@ mod tests {
     #[test]
     fn memo_distinguishes_kind_length_and_element_type() {
         let rt = crate::runtime::init_gpus(1);
-        let (g1, grp1, _) = build(&rt, &[(0, 0.0, 0.0)], 0);
-        let (g2, grp2, _) = build(&rt, &[(0, 0.0, 0.0), (0, 0.0, 0.0)], 0);
-        let (g3, grp3, k3) = build(&rt, &[(0, 0.0, 0.0)], 1);
-        let a = g1.lowered(&grp1, GroupKind::Elementwise).unwrap();
-        let b = g2.lowered(&grp2, GroupKind::Elementwise).unwrap();
-        let c = g3.lowered(&grp3, k3).unwrap();
+        let (g1, grp1) = build(&rt, &[(0, 0.0, 0.0)], 0);
+        let (g2, grp2) = build(&rt, &[(0, 0.0, 0.0), (0, 0.0, 0.0)], 0);
+        let (g3, grp3) = build(&rt, &[(0, 0.0, 0.0)], 1);
+        let a = g1.lowered(&grp1).unwrap();
+        let b = g2.lowered(&grp2).unwrap();
+        let c = g3.lowered(&grp3).unwrap();
         assert!(!Arc::ptr_eq(&a.shape, &b.shape));
         assert!(!Arc::ptr_eq(&a.shape, &c.shape));
         assert_eq!(
@@ -2197,8 +1941,8 @@ mod tests {
         let ints = Vector::from_vec(&rt, vec![1i32, 2]);
         let twice = Map::<i32, i32>::from_source("int func(int x) { return x * 2; }");
         let p = ints.lazy().map(&twice);
-        let d = p.graph.lowered(&[p.tip], GroupKind::Elementwise).unwrap();
-        assert_eq!(d.shape.inputs, [ScalarType::Int]);
+        let d = p.graph.lowered(&[p.tip]).unwrap();
+        assert_eq!(d.shape.rendered.inputs, [ScalarType::Int]);
         assert_eq!(rt.exec_trace().plan_lowerings, 4);
     }
 }

@@ -66,7 +66,8 @@ pub struct SkelCl {
     repartitions: AtomicUsize,
     /// Bytes gathered to the host by iterative-stencil checkpoints.
     checkpoint_bytes: AtomicUsize,
-    /// Lazy-plan lowerings, one per distinct fused-kernel shape.
+    /// Every source-UDF kernel of the runtime — eager calls and plan groups
+    /// — lowered and built once per distinct shape.
     lowerings: crate::plan::LoweringMemo,
 }
 
@@ -96,10 +97,14 @@ pub struct ExecTrace {
     /// Bytes of intermediate device storage never allocated thanks to plan
     /// fusion.
     pub intermediate_bytes_elided: usize,
-    /// Plan fusion groups lowered to kernel source (lowering-memo misses):
-    /// one per distinct group shape the runtime has seen.
+    /// Groups of stages lowered to kernel source (lowering-memo misses): one
+    /// per distinct shape the runtime has seen. Every source-UDF kernel is
+    /// lowered through the memo, so eager skeleton calls count too — as
+    /// one-stage groups, sharing their entry with the one-stage plan group of
+    /// the same skeleton.
     pub plan_lowerings: usize,
-    /// Plan lowerings answered from the runtime's memo instead.
+    /// Lowerings answered from the runtime's memo instead — every eager
+    /// source call and plan group after the first of its shape.
     pub plan_lowering_hits: usize,
     /// Parked allocations evicted by buffer-pool cap trims (see
     /// [`oclsim::Context::set_pool_cap_bytes`]).
@@ -197,8 +202,9 @@ impl ExecTrace {
         )
     }
 
-    /// One line saying how often lazy plans had to lower a fusion group to
-    /// kernel source and how often the runtime's memo answered instead
+    /// One line saying how often a group of stages (an eager call's one, a
+    /// plan's fused run) had to be lowered to kernel source and how often
+    /// the runtime's memo answered instead
     /// (rendered below [`ExecTrace::tier_line`] by `Plan::explain`).
     pub fn lowering_line(&self) -> String {
         format!(
@@ -414,7 +420,7 @@ impl SkelCl {
             .fetch_add(bytes_elided, Ordering::Relaxed);
     }
 
-    /// The lazy plans' lowering memo.
+    /// The runtime's lowering memo — its one kernel cache.
     pub(crate) fn lowerings(&self) -> &crate::plan::LoweringMemo {
         &self.lowerings
     }

@@ -10,8 +10,14 @@
 //! 2. **prepare** — inputs are validated, coerced to a common distribution
 //!    and uploaded lazily; additional arguments are resolved
 //!    ([`PreparedArgs`]),
-//! 3. **launch** — one kernel enqueue per active device
-//!    ([`launch_elementwise`] for the data-parallel skeletons),
+//! 3. **launch** — one kernel enqueue per active device, through the one
+//!    launcher of the kernel's kind: [`launch_elementwise`] here (map, zip,
+//!    index map), `launch_and_gather` (reduce) and `launch_scan` (scan) next
+//!    to their skeletons. Source UDFs get their kernel from the runtime's
+//!    lowering memo ([`source_kernel`]); closures build theirs per call. Lazy
+//!    plans (`crate::plan`) bind their groups' arguments and call the same
+//!    launchers, which alone own the output buffers of a launch — allocate,
+//!    reuse a `run_into` target's, release on failure,
 //! 4. **combine** — multi-device results are gathered/merged (reduce and
 //!    scan) or wrapped as a device-resident output container.
 //!
@@ -45,6 +51,7 @@ use crate::args::{Args, IntoArg};
 use crate::container::Container;
 use crate::distribution::{Distribution, Partition};
 use crate::error::{Result, SkelError};
+use crate::kernelgen::{StageKind, UdfInfo};
 use crate::runtime::{DeviceSelection, SkelCl};
 use crate::scheduler::StaticScheduler;
 use crate::skeletons::PreparedArgs;
@@ -311,73 +318,43 @@ impl PreparedCall {
         })
     }
 
-    /// Allocate output buffers for the partition, or reuse the buffers of an
-    /// existing output container (`run_into`) when they fit. A `run_into`
-    /// target that aliases one of the inputs (the paper's in-place
-    /// `y = saxpy(x, y)` pattern) gets fresh buffers instead — the device
-    /// model forbids binding one buffer to two kernel arguments — and the
-    /// old ones are released when the result is committed.
-    pub fn output_buffers<O: Pod, CO: Container<O>>(
+    /// The buffers of a `run_into` target this call may write in place:
+    /// those of its device buffers that fit the partition. A target that
+    /// aliases one of the inputs (the paper's in-place `y = saxpy(x, y)`
+    /// pattern) offers none — the device model forbids binding one buffer to
+    /// two kernel arguments — so the launch allocates, and the old buffers
+    /// are released when the result is committed.
+    pub fn reusable_buffers<O: Pod, CO: Container<O>>(
         &self,
         reuse: Option<&CO>,
-    ) -> Result<Vec<Option<Buffer>>> {
+    ) -> Result<Option<Vec<Option<Buffer>>>> {
         match reuse {
             Some(out) if !self.input_ids.contains(&out.id()) => {
                 out.check_runtime(&self.runtime)?;
-                out.obtain_output_buffers(&self.partition)
+                Ok(Some(out.obtain_output_buffers(&self.partition)))
             }
-            _ => crate::skeletons::alloc_output::<O>(&self.runtime, &self.partition),
+            _ => Ok(None),
         }
     }
 
-    /// The shared **launch** stage of the element-wise skeletons (map, zip):
-    /// for every active device enqueue the kernel with the argument layout
-    /// `[inputs..., output, n, extra args...]` over `n` work items.
-    pub fn launch_elementwise(
+    /// Launch an element-wise kernel (map, zip) over the prepared inputs and
+    /// additional arguments; returns the written output buffers.
+    pub fn launch_elementwise<O: Pod, CO: Container<O>>(
         &self,
         kernel: &oclsim::Kernel,
-        out_buffers: &[Option<Buffer>],
-    ) -> Result<()> {
-        // Resolve the argument lists of every device before enqueueing the
-        // first kernel: argument errors (a missing input part, an
-        // additional-argument vector with no copy on one device) then
-        // surface before anything ran, so a `run_into` target is never left
-        // partially overwritten by them.
-        let mut launches = Vec::new();
-        for device in self.partition.active_devices() {
-            let n = self.partition.size(device);
-            let mut kargs = Vec::with_capacity(self.input_buffers.len() + 2);
-            for (position, buffers) in self.input_buffers.iter().enumerate() {
-                let buffer = buffers[device].clone().ok_or_else(|| {
-                    SkelError::Distribution(format!(
-                        "input {position} has no buffer on device {device}"
-                    ))
-                })?;
-                kargs.push(KernelArg::Buffer(buffer));
-            }
-            let out_buffer = out_buffers.get(device).cloned().flatten().ok_or_else(|| {
-                SkelError::Internal(format!("no output buffer allocated for device {device}"))
-            })?;
-            kargs.push(KernelArg::Buffer(out_buffer));
-            kargs.push(KernelArg::Scalar(Value::Int(n as i32)));
-            kargs.extend(self.prepared_args.kernel_args_for(device)?);
-            launches.push((device, n, kargs));
-        }
-        // Enqueue on every device before waiting on any: the non-blocking
-        // enqueues hand the launches to the per-device worker threads, so
-        // N-device calls execute concurrently in real time; the wait then
-        // surfaces any kernel runtime error at the call site (and keeps the
-        // launch's buffers alive until the kernels are done).
-        let mut events = Vec::with_capacity(launches.len());
-        for (device, n, kargs) in launches {
-            events.push((
-                device,
-                self.runtime
-                    .queue(device)
-                    .enqueue_kernel(kernel, n, &kargs)?,
-            ));
-        }
-        wait_events(&self.runtime, events)
+        reuse: Option<&CO>,
+    ) -> Result<Vec<Option<Buffer>>> {
+        launch_elementwise(
+            &self.runtime,
+            kernel,
+            &self.partition,
+            &|device| {
+                let extras = self.prepared_args.kernel_args_for(device)?;
+                Ok((self.input_args(device)?, extras))
+            },
+            create_buffer::<O>,
+            self.reusable_buffers(reuse)?,
+        )
     }
 
     /// The **combine** stage of element-wise skeletons: wrap the per-device
@@ -398,12 +375,209 @@ impl PreparedCall {
         }
     }
 
-    /// The input buffer of `device` for single-input skeletons.
-    pub fn input_buffer(&self, device: usize) -> Result<Buffer> {
-        self.input_buffers[0][device].clone().ok_or_else(|| {
-            SkelError::Distribution(format!("input container has no buffer on device {device}"))
-        })
+    /// The kernel's leading arguments on `device`: every input's buffer, in
+    /// skeleton argument order.
+    pub fn input_args(&self, device: usize) -> Result<Vec<KernelArg>> {
+        self.input_buffers
+            .iter()
+            .enumerate()
+            .map(|(position, buffers)| {
+                buffer_arg(buffers, device, format_args!("input {position}"))
+            })
+            .collect()
     }
+}
+
+/// `buffers`' part on `device` as a kernel argument; `what` names the
+/// container in the error when the device holds no part of it.
+pub(crate) fn buffer_arg(
+    buffers: &[Option<Buffer>],
+    device: usize,
+    what: std::fmt::Arguments<'_>,
+) -> Result<KernelArg> {
+    let buffer = buffers[device].clone().ok_or_else(|| {
+        SkelError::Distribution(format!("{what} has no buffer on device {device}"))
+    })?;
+    Ok(KernelArg::Buffer(buffer))
+}
+
+/// Typed buffer creation as a value, so the launchers allocate the outputs
+/// of typed eager calls and of type-erased plan groups the same way.
+pub(crate) type CreateBuffer = fn(&SkelCl, usize, usize) -> Result<Buffer>;
+
+/// `len` elements of `T` on `device` (the [`CreateBuffer`] of `T`).
+pub(crate) fn create_buffer<T: Pod>(runtime: &SkelCl, device: usize, len: usize) -> Result<Buffer> {
+    Ok(runtime.context().create_buffer::<T>(device, len)?)
+}
+
+/// The per-device output buffers of one launch, and which of them the launch
+/// allocated itself — the rest belong to a `run_into` target, which keeps
+/// them whatever happens.
+pub(crate) struct OutputBuffers {
+    pub buffers: Vec<Option<Buffer>>,
+    allocated: Vec<Buffer>,
+}
+
+impl OutputBuffers {
+    /// One buffer of `lens[device]` elements per device with a part (a
+    /// non-zero length): `reuse`'s where it offers one, a fresh one from
+    /// `create` elsewhere. Nothing stays allocated if an allocation fails.
+    pub(crate) fn obtain(
+        runtime: &SkelCl,
+        lens: &[usize],
+        create: CreateBuffer,
+        reuse: Option<Vec<Option<Buffer>>>,
+    ) -> Result<OutputBuffers> {
+        let mut out = OutputBuffers {
+            buffers: reuse.unwrap_or_else(|| vec![None; lens.len()]),
+            allocated: Vec::new(),
+        };
+        for (device, &len) in lens.iter().enumerate() {
+            if len == 0 || out.buffers[device].is_some() {
+                continue;
+            }
+            match create(runtime, device, len) {
+                Ok(buffer) => {
+                    out.allocated.push(buffer.clone());
+                    out.buffers[device] = Some(buffer);
+                }
+                Err(e) => {
+                    out.release(runtime);
+                    return Err(e);
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    /// The output buffer of an active device.
+    pub(crate) fn on(&self, device: usize) -> Buffer {
+        self.buffers[device]
+            .clone()
+            .expect("every active device obtained an output buffer")
+    }
+
+    /// Close the launch: hand the buffers over together with what the launch
+    /// produced, or — it failed — release what it allocated and pass the
+    /// error on.
+    pub(crate) fn settle<R>(
+        self,
+        runtime: &SkelCl,
+        launched: Result<R>,
+    ) -> Result<(Vec<Option<Buffer>>, R)> {
+        match launched {
+            Ok(produced) => Ok((self.buffers, produced)),
+            Err(e) => {
+                self.release(runtime);
+                Err(e)
+            }
+        }
+    }
+
+    /// Give back what the launch allocated. A command may still be in flight
+    /// (a later device's enqueue was rejected), so each buffer's queue is
+    /// joined — and the duplicate of the failure it latched dropped — before
+    /// the buffer returns to the pool.
+    fn release(&self, runtime: &SkelCl) {
+        for buffer in &self.allocated {
+            let _ = runtime.queue(buffer.device()).take_deferred_error();
+            let _ = runtime.context().release_buffer(buffer);
+        }
+    }
+}
+
+/// The one **launch** stage of every element-wise kernel — eager map, zip
+/// and index map, closure or source, and the element-wise groups of vector
+/// and matrix plans: for every active device of `partition` enqueue `kernel`
+/// over its `n` elements with the argument layout
+/// `[leading…, output, n, trailing…]`, `bind(device)` supplying the two
+/// variable parts, then join the launches. Owns the output buffers: obtained
+/// here, returned on success, released again on failure (see
+/// [`OutputBuffers`]).
+pub(crate) fn launch_elementwise(
+    runtime: &SkelCl,
+    kernel: &oclsim::Kernel,
+    partition: &Partition,
+    bind: &dyn Fn(usize) -> Result<(Vec<KernelArg>, Vec<KernelArg>)>,
+    create: CreateBuffer,
+    reuse: Option<Vec<Option<Buffer>>>,
+) -> Result<Vec<Option<Buffer>>> {
+    // Resolve the argument lists of every device before allocating or
+    // enqueueing anything: argument errors (a missing input part, an
+    // additional-argument vector with no copy on one device) then surface
+    // before anything ran, so a `run_into` target is never left partially
+    // overwritten by them.
+    let active = partition.active_devices();
+    let bound = active
+        .iter()
+        .map(|&device| bind(device))
+        .collect::<Result<Vec<_>>>()?;
+    let out = OutputBuffers::obtain(runtime, &partition.sizes(), create, reuse)?;
+    // Enqueue on every device before waiting on any: the non-blocking
+    // enqueues hand the launches to the per-device worker threads, so
+    // N-device calls execute concurrently in real time; the wait then
+    // surfaces any kernel runtime error at the call site. Whatever was
+    // enqueued is joined even if a later enqueue is rejected, so the
+    // buffers of a failed launch can be released.
+    let mut events = Vec::with_capacity(active.len());
+    let enqueued = active
+        .iter()
+        .zip(bound)
+        .try_for_each(|(&device, (mut kargs, trailing))| {
+            let n = partition.size(device);
+            kargs.push(KernelArg::Buffer(out.on(device)));
+            kargs.push(KernelArg::Scalar(Value::Int(n as i32)));
+            kargs.extend(trailing);
+            let event = runtime.queue(device).enqueue_kernel(kernel, n, &kargs)?;
+            events.push((device, event));
+            Ok(())
+        });
+    let joined = wait_events(runtime, events);
+    out.settle(runtime, enqueued.and(joined))
+        .map(|(buffers, ())| buffers)
+}
+
+/// One single-input element-wise call — an eager map, a matrix plan's map
+/// group — under replay-based fault recovery (see the `recovery` module):
+/// prepare `input`, ask `kernel` for the kernel to launch — after the
+/// uploads were enqueued, so a first launch's program build is charged
+/// behind them — launch, and wrap the output (or commit it into `reuse`).
+pub(crate) fn execute_single<I: Pod, O: Pod, C: Container<I>>(
+    input: &C,
+    cfg: &LaunchConfig<'_>,
+    scheduler_cost: Option<CostHint>,
+    reuse: Option<&C::Rebound<O>>,
+    kernel: &dyn Fn(&PreparedCall) -> Result<oclsim::Kernel>,
+) -> Result<C::Rebound<O>> {
+    let runtime = input.runtime();
+    crate::recovery::run_recoverable(
+        &runtime,
+        &|| input.refresh_for_replay(),
+        &|weights| input.repartition_for_recovery(weights),
+        &mut || {
+            let call = PreparedCall::single(input, cfg, scheduler_cost)?;
+            let kernel = kernel(&call)?;
+            let out_buffers = call.launch_elementwise(&kernel, reuse)?;
+            call.finish_output(input, out_buffers, reuse)
+        },
+    )
+}
+
+/// The kernel of a single-stage source-UDF call: looked up in the runtime's
+/// lowering memo — the one kernel cache, shared with the lazy plans — and
+/// built on the runtime's context at first use, so every runtime a skeleton
+/// instance runs on builds (and is charged for) its own program. Also checks
+/// the call's additional arguments against the user function.
+pub(crate) fn source_kernel(
+    runtime: &SkelCl,
+    kind: StageKind,
+    udf: &Arc<UdfInfo>,
+    prepared: &PreparedArgs,
+) -> Result<oclsim::Kernel> {
+    let shape = runtime.lowerings().lowered(&[(kind, udf)])?;
+    let kernel = shape.kernels(runtime)?.0.clone();
+    check_source_call(prepared, udf.extra_params.len())?;
+    Ok(kernel)
 }
 
 /// Join a set of per-device commands — kernel launches, halo transfers —
@@ -411,7 +585,7 @@ impl PreparedCall {
 /// first error. The duplicate latched on the failing queue is discarded so
 /// later launches start clean.
 pub(crate) fn wait_events(
-    runtime: &Arc<SkelCl>,
+    runtime: &SkelCl,
     events: Vec<(usize, oclsim::EventHandle)>,
 ) -> Result<()> {
     let mut first_error = None;

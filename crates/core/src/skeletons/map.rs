@@ -9,34 +9,32 @@
 //! row-block [`crate::matrix::Matrix<I>`] (yielding a same-shaped
 //! `Matrix<O>`) through the same [`Container`] code path and the same
 //! generated kernel — no matrix-specific kernel or launch code exists.
+//!
+//! A source UDF's kernel — `SKELCL_MAP`, or `SKELCL_MAP_INDEX` for
+//! [`Map::run_index`] — comes from the runtime's lowering memo
+//! (`exec::source_kernel`): the skeleton instance caches only the analysis of
+//! its source, never a built kernel, so one instance serves any number of
+//! runtimes. A closure builds its `NativeKernelDef` per call. Both launch
+//! through `exec::launch_elementwise`.
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
-use oclsim::{CostHint, NativeKernelDef, Pod, Program, Value};
+use oclsim::{CostHint, KernelArg, NativeKernelDef, Pod, Program, Value};
 
 use crate::args::{ArgAccess, Args};
 use crate::container::Container;
 use crate::distribution::Distribution;
 use crate::error::{Result, SkelError};
-use crate::kernelgen;
+use crate::kernelgen::{self, StageKind};
 use crate::matrix::Matrix;
 use crate::runtime::{DeviceSelection, SkelCl};
-use crate::skeletons::{
-    alloc_output, check_source_call, Launch, LaunchConfig, PreparedArgs, PreparedCall, Skeleton,
-    UdfCache,
-};
+use crate::skeletons::exec::{create_buffer, execute_single, launch_elementwise, source_kernel};
+use crate::skeletons::{Launch, LaunchConfig, PreparedArgs, Skeleton, UdfCache};
 use crate::vector::Vector;
 
 enum MapUdf<I, O> {
     Source(String),
     Native(Arc<dyn Fn(&I, &mut ArgAccess<'_, '_>) -> O + Send + Sync>),
-}
-
-struct BuiltSource {
-    kernel: oclsim::Kernel,
-    extra_scalars: usize,
 }
 
 /// The map skeleton.
@@ -58,8 +56,6 @@ pub struct Map<I: Pod, O: Pod> {
     udf: MapUdf<I, O>,
     cost: CostHint,
     cache: UdfCache,
-    built: Mutex<Option<Arc<BuiltSource>>>,
-    built_index: Mutex<Option<Arc<BuiltSource>>>,
 }
 
 impl<I: Pod, O: Pod> Map<I, O> {
@@ -73,8 +69,6 @@ impl<I: Pod, O: Pod> Map<I, O> {
             udf: MapUdf::Source(source.to_string()),
             cost: CostHint::DEFAULT,
             cache: UdfCache::new(),
-            built: Mutex::new(None),
-            built_index: Mutex::new(None),
         }
     }
 
@@ -89,8 +83,6 @@ impl<I: Pod, O: Pod> Map<I, O> {
             udf: MapUdf::Native(Arc::new(f)),
             cost: CostHint::DEFAULT,
             cache: UdfCache::new(),
-            built: Mutex::new(None),
-            built_index: Mutex::new(None),
         }
     }
 
@@ -129,46 +121,6 @@ impl<I: Pod, O: Pod> Map<I, O> {
         }
     }
 
-    fn ensure_built(&self, runtime: &Arc<SkelCl>) -> Result<Arc<BuiltSource>> {
-        let mut built = self.built.lock();
-        if let Some(b) = built.as_ref() {
-            return Ok(b.clone());
-        }
-        let MapUdf::Source(src) = &self.udf else {
-            unreachable!("ensure_built is only called for source UDFs")
-        };
-        let info = self.cache.info(src, 1)?;
-        let kernel_src = kernelgen::map_kernel(&info)?;
-        let program = runtime.context().build_program(&kernel_src)?;
-        let kernel = program.kernel(kernelgen::MAP_KERNEL)?;
-        let b = Arc::new(BuiltSource {
-            kernel,
-            extra_scalars: info.extra_params.len(),
-        });
-        *built = Some(b.clone());
-        Ok(b)
-    }
-
-    fn ensure_built_index(&self, runtime: &Arc<SkelCl>) -> Result<Arc<BuiltSource>> {
-        let mut built = self.built_index.lock();
-        if let Some(b) = built.as_ref() {
-            return Ok(b.clone());
-        }
-        let MapUdf::Source(src) = &self.udf else {
-            unreachable!("ensure_built_index is only called for source UDFs")
-        };
-        let info = self.cache.info(src, 1)?;
-        let kernel_src = kernelgen::map_index_kernel(&info)?;
-        let program = runtime.context().build_program(&kernel_src)?;
-        let kernel = program.kernel(kernelgen::MAP_INDEX_KERNEL)?;
-        let b = Arc::new(BuiltSource {
-            kernel,
-            extra_scalars: info.extra_params.len(),
-        });
-        *built = Some(b.clone());
-        Ok(b)
-    }
-
     fn native_kernel(&self) -> Option<oclsim::Kernel> {
         let MapUdf::Native(f) = &self.udf else {
             return None;
@@ -204,16 +156,10 @@ impl<I: Pod, O: Pod> Map<I, O> {
 
     /// Resolve the kernel to launch and validate the additional arguments
     /// against the UDF kind.
-    fn resolve_kernel(
-        &self,
-        runtime: &Arc<SkelCl>,
-        prepared: &PreparedArgs,
-    ) -> Result<oclsim::Kernel> {
+    fn resolve_kernel(&self, runtime: &SkelCl, prepared: &PreparedArgs) -> Result<oclsim::Kernel> {
         match &self.udf {
-            MapUdf::Source(_) => {
-                let built = self.ensure_built(runtime)?;
-                check_source_call(prepared, built.extra_scalars)?;
-                Ok(built.kernel.clone())
+            MapUdf::Source(src) => {
+                source_kernel(runtime, StageKind::Map, &self.cache.info(src, 1)?, prepared)
             }
             MapUdf::Native(_) => Ok(self
                 .native_kernel()
@@ -222,28 +168,17 @@ impl<I: Pod, O: Pod> Map<I, O> {
     }
 
     /// The shared execution path behind [`Skeleton::execute`] and the
-    /// `run_into` terminal form, generic over the input container. Runs
-    /// under replay-based fault recovery (see the `recovery` module).
+    /// `run_into` terminal form, generic over the input container.
     fn execute_map<C: Container<I>>(
         &self,
         input: &C,
         cfg: &LaunchConfig<'_>,
         reuse: Option<&C::Rebound<O>>,
     ) -> Result<C::Rebound<O>> {
-        let runtime = input.runtime();
-        crate::recovery::run_recoverable(
-            &runtime,
-            &|| input.refresh_for_replay(),
-            &|weights| input.repartition_for_recovery(weights),
-            &mut || {
-                let scheduler_cost = cfg.scheduler.map(|_| self.scheduler_cost());
-                let call = PreparedCall::single(input, cfg, scheduler_cost)?;
-                let kernel = self.resolve_kernel(&call.runtime, &call.prepared_args)?;
-                let out_buffers = call.output_buffers::<O, C::Rebound<O>>(reuse)?;
-                call.launch_elementwise(&kernel, &out_buffers)?;
-                call.finish_output(input, out_buffers, reuse)
-            },
-        )
+        let scheduler_cost = cfg.scheduler.map(|_| self.scheduler_cost());
+        execute_single(input, cfg, scheduler_cost, reuse, &|call| {
+            self.resolve_kernel(&call.runtime, &call.prepared_args)
+        })
     }
 }
 
@@ -356,14 +291,14 @@ impl<'a, O: Pod> IndexLaunch<'a, O> {
             &distribution,
         );
         let prepared = PreparedArgs::prepare(runtime, &self.cfg.args)?;
-        let out_buffers = alloc_output::<O>(runtime, &partition)?;
 
         let kernel = match &self.map.udf {
-            MapUdf::Source(_) => {
-                let built = self.map.ensure_built_index(runtime)?;
-                check_source_call(&prepared, built.extra_scalars)?;
-                built.kernel.clone()
-            }
+            MapUdf::Source(src) => source_kernel(
+                runtime,
+                StageKind::IndexMap,
+                &self.map.cache.info(src, 1)?,
+                &prepared,
+            )?,
             MapUdf::Native(f) => {
                 let f = f.clone();
                 let def =
@@ -398,27 +333,21 @@ impl<'a, O: Pod> IndexLaunch<'a, O> {
             }
         };
 
-        // Enqueue on all devices, then wait: index-map launches overlap in
-        // real time across the per-device workers like every other skeleton.
-        let mut events = Vec::new();
-        for device in partition.active_devices() {
-            let range = partition.range(device);
-            let n = range.len();
-            let output_buffer = out_buffers.get(device).cloned().flatten().ok_or_else(|| {
-                SkelError::Internal(format!("no output buffer allocated for device {device}"))
-            })?;
-            let mut kargs = vec![
-                oclsim::KernelArg::Buffer(output_buffer),
-                oclsim::KernelArg::Scalar(Value::Int(n as i32)),
-                oclsim::KernelArg::Scalar(Value::Int(range.start as i32)),
-            ];
-            kargs.extend(prepared.kernel_args_for(device)?);
-            events.push((
-                device,
-                runtime.queue(device).enqueue_kernel(&kernel, n, &kargs)?,
-            ));
-        }
-        crate::skeletons::exec::wait_events(runtime, events)?;
+        // The element-wise launch with no input buffer: the per-device
+        // offset follows `n`, ahead of the additional arguments.
+        let out_buffers = launch_elementwise(
+            runtime,
+            &kernel,
+            &partition,
+            &|device| {
+                let offset = partition.range(device).start;
+                let mut trailing = vec![KernelArg::Scalar(Value::Int(offset as i32))];
+                trailing.extend(prepared.kernel_args_for(device)?);
+                Ok((Vec::new(), trailing))
+            },
+            create_buffer::<O>,
+            None,
+        )?;
 
         Ok(Vector::device_resident(
             runtime,

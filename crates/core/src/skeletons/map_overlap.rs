@@ -16,22 +16,16 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use oclsim::{Pod, Value};
 
 use crate::container::Container;
 use crate::distribution::{Boundary, RowPartition};
 use crate::error::{Result, SkelError};
-use crate::kernelgen;
+use crate::kernelgen::StageKind;
 use crate::matrix::Matrix;
 use crate::runtime::SkelCl;
-use crate::skeletons::{check_source_call, Launch, LaunchConfig, PreparedArgs, Skeleton, UdfCache};
-
-struct BuiltSource {
-    kernel: oclsim::Kernel,
-    extra_scalars: usize,
-}
+use crate::skeletons::exec::{create_buffer, source_kernel, OutputBuffers};
+use crate::skeletons::{Launch, LaunchConfig, PreparedArgs, Skeleton, UdfCache};
 
 /// The map-overlap (stencil) skeleton over [`Matrix`] inputs.
 ///
@@ -59,7 +53,6 @@ pub struct MapOverlap<I: Pod, O: Pod> {
     halo: usize,
     boundary: Boundary<I>,
     cache: UdfCache,
-    built: Mutex<Option<Arc<BuiltSource>>>,
     _out: std::marker::PhantomData<fn() -> O>,
 }
 
@@ -75,7 +68,6 @@ impl<O: Pod> MapOverlap<f32, O> {
             halo: 1,
             boundary: Boundary::Clamp,
             cache: UdfCache::new(),
-            built: Mutex::new(None),
             _out: std::marker::PhantomData,
         }
     }
@@ -109,23 +101,6 @@ impl<O: Pod> MapOverlap<f32, O> {
     /// `stencil.run(&m).arg(0.25f32).exec()?`.
     pub fn run<'a>(&'a self, input: &Matrix<f32>) -> Launch<'a, Self, Matrix<f32>> {
         Launch::new(self, input.clone())
-    }
-
-    fn ensure_built(&self, runtime: &Arc<SkelCl>) -> Result<Arc<BuiltSource>> {
-        let mut built = self.built.lock();
-        if let Some(b) = built.as_ref() {
-            return Ok(b.clone());
-        }
-        let info = self.cache.info(&self.source, 1)?;
-        let kernel_src = kernelgen::map_overlap_kernel(&info)?;
-        let program = runtime.context().build_program(&kernel_src)?;
-        let kernel = program.kernel(kernelgen::MAP_OVERLAP_KERNEL)?;
-        let b = Arc::new(BuiltSource {
-            kernel,
-            extra_scalars: info.extra_params.len(),
-        });
-        *built = Some(b.clone());
-        Ok(b)
     }
 
     /// The boundary carried over to output matrices: structurally the same
@@ -196,8 +171,12 @@ impl<O: Pod> MapOverlap<f32, O> {
         input.set_overlap(self.halo, self.boundary)?;
         let (partition, in_buffers) = input.prepare_on_devices()?;
         let prepared = PreparedArgs::prepare(&runtime, &cfg.args)?;
-        let built = self.ensure_built(&runtime)?;
-        check_source_call(&prepared, built.extra_scalars)?;
+        let kernel = source_kernel(
+            &runtime,
+            StageKind::MapOverlap,
+            &self.cache.info(&self.source, 1)?,
+            &prepared,
+        )?;
 
         // The ping-pong target only helps while every padded buffer of it
         // fits the partition. After a recovery re-partition they no longer
@@ -213,26 +192,21 @@ impl<O: Pod> MapOverlap<f32, O> {
                         .is_some_and(|b| b.len() == partition.stored_len(d))
                 })
         });
-        let out_buffers = match reuse {
-            Some(m) => (0..partition.device_count())
-                .map(|d| m.buffer_of(d))
-                .collect(),
-            None => self.fresh_output_buffers(&runtime, &partition)?,
-        };
-        let launched = self.launch_sweep(
+        // Halo-padded outputs: the target's buffers, or fresh ones that go
+        // back to the pool if the sweep fails.
+        let devices = 0..partition.device_count();
+        let lens: Vec<usize> = devices.clone().map(|d| partition.stored_len(d)).collect();
+        let reusable = reuse.map(|m| devices.map(|d| m.buffer_of(d)).collect());
+        let out = OutputBuffers::obtain(&runtime, &lens, create_buffer::<O>, reusable)?;
+        let swept = self.launch_sweep(
             &runtime,
             &partition,
             &in_buffers,
-            &out_buffers,
-            &built,
+            &out.buffers,
+            &kernel,
             &prepared,
         );
-        if let Err(e) = launched {
-            if reuse.is_none() {
-                release_all(&runtime, &out_buffers);
-            }
-            return Err(e);
-        }
+        let (out_buffers, ()) = out.settle(&runtime, swept)?;
 
         match reuse {
             Some(out) => {
@@ -261,7 +235,7 @@ impl<O: Pod> MapOverlap<f32, O> {
         partition: &RowPartition,
         in_buffers: &[Option<oclsim::Buffer>],
         out_buffers: &[Option<oclsim::Buffer>],
-        built: &BuiltSource,
+        kernel: &oclsim::Kernel,
         prepared: &PreparedArgs,
     ) -> Result<()> {
         // Resolve every device's argument list before the first enqueue, so
@@ -299,43 +273,12 @@ impl<O: Pod> MapOverlap<f32, O> {
         // release the sweep's buffers.
         let mut events = Vec::new();
         let enqueued = launches.into_iter().try_for_each(|(device, n, kargs)| {
-            let event = runtime
-                .queue(device)
-                .enqueue_kernel(&built.kernel, n, &kargs)?;
+            let event = runtime.queue(device).enqueue_kernel(kernel, n, &kargs)?;
             events.push((device, event));
             Ok(())
         });
         let joined = crate::skeletons::exec::wait_events(runtime, events);
         enqueued.and(joined)
-    }
-
-    /// Fresh halo-padded output buffers, one per active device; nothing
-    /// stays allocated if any allocation fails.
-    fn fresh_output_buffers(
-        &self,
-        runtime: &Arc<SkelCl>,
-        partition: &RowPartition,
-    ) -> Result<Vec<Option<oclsim::Buffer>>> {
-        let mut out = vec![None; partition.device_count()];
-        for device in partition.active_devices() {
-            let want = partition.stored_len(device);
-            match runtime.context().create_buffer::<O>(device, want) {
-                Ok(b) => out[device] = Some(b),
-                Err(e) => {
-                    release_all(runtime, &out);
-                    return Err(e.into());
-                }
-            }
-        }
-        Ok(out)
-    }
-}
-
-/// Release buffers no command references any more (the launch that used
-/// them was joined) back to their devices' pools.
-fn release_all(runtime: &SkelCl, buffers: &[Option<oclsim::Buffer>]) {
-    for buffer in buffers.iter().flatten() {
-        let _ = runtime.context().release_buffer(buffer);
     }
 }
 

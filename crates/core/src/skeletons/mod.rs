@@ -11,7 +11,11 @@
 //! Execution is uniform across every skeleton: each implements the
 //! input-generic [`Skeleton`] trait and is invoked through the fluent
 //! [`Launch`] builder returned by its `run` method — see the `exec` module
-//! for the shared prepare → partition → launch → combine pipeline. The
+//! for the shared prepare → partition → launch → combine pipeline. There is
+//! one launcher per kernel kind — `launch_elementwise` (map, zip, index map),
+//! `launch_and_gather` (reduce), `launch_scan` (scan) — shared by source and
+//! closure skeletons and by the lazy plans, and one kernel cache: source
+//! UDFs get their kernels from the runtime's lowering memo. The
 //! data-parallel skeletons ([`Map`], [`Zip`], [`Reduce`]) are additionally
 //! generic over the [`crate::container::Container`] trait, so one skeleton
 //! instance launches over a [`crate::vector::Vector`] or element-wise over
@@ -32,9 +36,11 @@ pub use scan::{Scan, ScanTrace};
 pub use zip::Zip;
 
 pub(crate) use exec::{
-    check_source_call, claim_read, claim_reads, sequential_cost, wait_events, PreparedCall,
+    claim_read, claim_reads, create_buffer, launch_elementwise, sequential_cost, wait_events,
+    PreparedCall,
 };
 pub(crate) use reduce::{launch_and_gather, HostOperator, ReducePart};
+pub(crate) use scan::launch_scan;
 
 use std::sync::Arc;
 
@@ -42,7 +48,6 @@ use oclsim::{Buffer, KernelArg, Pod, Value};
 use skelcl_kernel::interp::BufferView;
 
 use crate::args::{ArgItem, Args};
-use crate::distribution::Partition;
 use crate::error::{Result, SkelError};
 use crate::runtime::SkelCl;
 
@@ -173,24 +178,12 @@ impl PreparedArgs {
     }
 }
 
-/// Allocate one output buffer per active device of a partition.
-pub(crate) fn alloc_output<T: Pod>(
-    runtime: &Arc<SkelCl>,
-    partition: &Partition,
-) -> Result<Vec<Option<Buffer>>> {
-    let mut buffers = vec![None; partition.device_count()];
-    for device in partition.active_devices() {
-        let len = partition.size(device);
-        buffers[device] = Some(runtime.context().create_buffer::<T>(device, len)?);
-    }
-    Ok(buffers)
-}
-
-/// Per-skeleton-instance cache of the artefacts derived from a source UDF:
-/// the analysed signature ([`UdfInfo`], shared by every generated kernel
-/// variant of the skeleton, and carrying the scheduler cost estimate) and —
-/// for reduce and scan — the operator's host evaluator. Each is computed at
-/// most once per skeleton instance.
+/// Per-skeleton-instance cache of the runtime-independent artefacts derived
+/// from a source UDF: the analysed signature ([`UdfInfo`], the skeleton's key
+/// into every runtime's lowering memo, carrying the scheduler cost estimate)
+/// and — for reduce and scan — the operator's host evaluator. Each is
+/// computed at most once per skeleton instance. Built kernels are *not* kept
+/// here: they belong to a runtime.
 pub(crate) struct UdfCache {
     info: parking_lot::Mutex<Option<Arc<crate::kernelgen::UdfInfo>>>,
     host_operator: parking_lot::Mutex<Option<Arc<HostOperator>>>,
@@ -368,9 +361,12 @@ mod tests {
 
     #[test]
     fn alloc_output_allocates_only_active_devices() {
+        use crate::distribution::{Distribution, Partition};
         let rt = init_gpus(3);
-        let p = Partition::compute(9, 3, &crate::distribution::Distribution::Single(1));
-        let buffers = alloc_output::<f32>(&rt, &p).unwrap();
+        let p = Partition::compute(9, 3, &Distribution::Single(1));
+        let buffers = exec::OutputBuffers::obtain(&rt, &p.sizes(), create_buffer::<f32>, None)
+            .unwrap()
+            .buffers;
         assert!(buffers[0].is_none());
         assert!(buffers[1].is_some());
         assert!(buffers[2].is_none());

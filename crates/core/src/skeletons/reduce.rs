@@ -38,15 +38,13 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use oclsim::{CostHint, KernelArg, NativeKernelDef, Program, Value};
 use skelcl_kernel::interp::ArgBinding;
 
 use crate::container::Container;
 use crate::distribution::Distribution;
 use crate::error::{Result, SkelError};
-use crate::kernelgen::{self, UdfInfo};
+use crate::kernelgen::{self, StageKind, UdfInfo};
 use crate::runtime::SkelCl;
 use crate::skeletons::{
     claim_reads, sequential_cost, DeviceScalar, Launch, LaunchConfig, PreparedCall, Skeleton,
@@ -88,7 +86,8 @@ fn launch_geometry(n: usize, chunks_per_device: Option<usize>) -> (usize, usize)
 
 /// A source binary operator evaluated on the host: the generated reduce
 /// kernel launched with one work-item — one chunk, i.e. a plain left fold —
-/// on the host-side kernel engine. Built once per skeleton instance; the
+/// on the host-side kernel engine (no device program, so no runtime is
+/// involved). Built once per skeleton instance; the
 /// reduce uses it to finish the gathered partials, the scan to combine
 /// per-device totals into offsets.
 pub(crate) struct HostOperator {
@@ -191,12 +190,6 @@ enum ReduceUdf<T> {
     Native(Arc<dyn Fn(T, T) -> T + Send + Sync>),
 }
 
-struct BuiltSource {
-    kernel: oclsim::Kernel,
-    host: Arc<HostOperator>,
-    per_element_cost: CostHint,
-}
-
 /// How a reduction was executed: how many partial results the devices left
 /// and where the final fold ran. Returned by the `scalar_with_plan` terminal
 /// form so applications and tests can inspect the decision.
@@ -230,7 +223,6 @@ pub struct Reduce<T: DeviceScalar> {
     udf: ReduceUdf<T>,
     cost: CostHint,
     cache: UdfCache,
-    built: Mutex<Option<Arc<BuiltSource>>>,
 }
 
 impl<T: DeviceScalar> Reduce<T> {
@@ -240,7 +232,6 @@ impl<T: DeviceScalar> Reduce<T> {
             udf: ReduceUdf::Source(source.to_string()),
             cost: CostHint::DEFAULT,
             cache: UdfCache::new(),
-            built: Mutex::new(None),
         }
     }
 
@@ -253,7 +244,6 @@ impl<T: DeviceScalar> Reduce<T> {
             udf: ReduceUdf::Native(Arc::new(f)),
             cost: CostHint::DEFAULT,
             cache: UdfCache::new(),
-            built: Mutex::new(None),
         }
     }
 
@@ -281,23 +271,6 @@ impl<T: DeviceScalar> Reduce<T> {
                 "reduce stage uses a native Rust closure; lazy plans require source UDFs".into(),
             )),
         }
-    }
-
-    fn ensure_built(&self, runtime: &SkelCl, src: &str) -> Result<Arc<BuiltSource>> {
-        let mut built = self.built.lock();
-        if let Some(b) = built.as_ref() {
-            return Ok(b.clone());
-        }
-        let (info, host) = self.cache.operator(src, "reduce")?;
-        let kernel_src = kernelgen::reduce_kernel(&info)?;
-        let program = runtime.context().build_program(&kernel_src)?;
-        let b = Arc::new(BuiltSource {
-            kernel: program.kernel(kernelgen::REDUCE_KERNEL)?,
-            host,
-            per_element_cost: info.cost_hint(),
-        });
-        *built = Some(b.clone());
-        Ok(b)
     }
 
     /// The reduce kernel for a Rust closure operator: the generated
@@ -351,11 +324,11 @@ impl<T: DeviceScalar> Reduce<T> {
         let (kernel, per_element_cost, closure_cost, host_fold): (_, _, _, Fold<'_, T>) =
             match &self.udf {
                 ReduceUdf::Source(src) => {
-                    let built = self.ensure_built(runtime, src)?;
-                    let host = built.host.clone();
+                    let (info, host) = self.cache.operator(src, "reduce")?;
+                    let shape = runtime.lowerings().lowered(&[(StageKind::Reduce, &info)])?;
                     (
-                        built.kernel.clone(),
-                        built.per_element_cost,
+                        shape.kernels(runtime)?.0.clone(),
+                        info.cost_hint(),
                         None,
                         Box::new(move |values| host.fold(values)),
                     )
@@ -378,7 +351,7 @@ impl<T: DeviceScalar> Reduce<T> {
             parts.push(ReducePart {
                 device,
                 n: call.partition.size(device),
-                inputs: vec![KernelArg::Buffer(call.input_buffer(device)?)],
+                inputs: call.input_args(device)?,
             });
         }
         let mut partials = launch_and_gather::<T>(

@@ -12,32 +12,31 @@
 //! 4. these map kernels compute the final result on the devices.
 //!
 //! The output vector is block-distributed.
+//!
+//! [`launch_scan`] is that flow, written once: eager source scans (kernels
+//! from the runtime's lowering memo), closure scans (a `NativeKernelDef`
+//! pair built per call) and the lazy plans' scan groups (whose local scan
+//! reads an inlined elementwise chain) bind their arguments and call it.
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
-use oclsim::{CostHint, KernelArg, NativeKernelDef, Program, Value};
+use oclsim::{Buffer, CostHint, KernelArg, NativeKernelDef, Program, Value};
 
 use crate::container::Container;
+use crate::distribution::Partition;
 use crate::error::{Result, SkelError};
-use crate::kernelgen::{self, UdfInfo};
+use crate::kernelgen::{StageKind, UdfInfo};
+use crate::runtime::SkelCl;
+use crate::skeletons::exec::{create_buffer, OutputBuffers};
 use crate::skeletons::{
-    claim_reads, sequential_cost, DeviceScalar, HostOperator, Launch, LaunchConfig, PreparedCall,
-    Skeleton, UdfCache,
+    claim_reads, sequential_cost, wait_events, DeviceScalar, HostOperator, Launch, LaunchConfig,
+    PreparedCall, Skeleton, UdfCache,
 };
 use crate::vector::Vector;
 
 enum ScanUdf<T> {
     Source(String),
     Native(Arc<dyn Fn(T, T) -> T + Send + Sync>),
-}
-
-struct BuiltSource {
-    scan_kernel: oclsim::Kernel,
-    offset_kernel: oclsim::Kernel,
-    host: Arc<HostOperator>,
-    per_element_cost: CostHint,
 }
 
 /// Intermediate state of one multi-device scan: exposed so that tests and the
@@ -69,7 +68,6 @@ pub struct Scan<T: DeviceScalar> {
     udf: ScanUdf<T>,
     cost: CostHint,
     cache: UdfCache,
-    built: Mutex<Option<Arc<BuiltSource>>>,
 }
 
 impl<T: DeviceScalar> Scan<T> {
@@ -79,7 +77,6 @@ impl<T: DeviceScalar> Scan<T> {
             udf: ScanUdf::Source(source.to_string()),
             cost: CostHint::DEFAULT,
             cache: UdfCache::new(),
-            built: Mutex::new(None),
         }
     }
 
@@ -92,7 +89,6 @@ impl<T: DeviceScalar> Scan<T> {
             udf: ScanUdf::Native(Arc::new(f)),
             cost: CostHint::DEFAULT,
             cache: UdfCache::new(),
-            built: Mutex::new(None),
         }
     }
 
@@ -131,40 +127,21 @@ impl<T: DeviceScalar> Scan<T> {
         }
     }
 
-    fn ensure_built(&self, runtime: &Arc<crate::runtime::SkelCl>) -> Result<Arc<BuiltSource>> {
-        let mut built = self.built.lock();
-        if let Some(b) = built.as_ref() {
-            return Ok(b.clone());
-        }
-        let ScanUdf::Source(src) = &self.udf else {
-            unreachable!("ensure_built is only called for source UDFs")
-        };
-        let (info, host) = self.cache.operator(src, "scan")?;
-        let kernel_src = kernelgen::scan_kernels(&info)?;
-        let program = runtime.context().build_program(&kernel_src)?;
-        let b = Arc::new(BuiltSource {
-            scan_kernel: program.kernel(kernelgen::SCAN_KERNEL)?,
-            offset_kernel: program.kernel(kernelgen::SCAN_OFFSET_KERNEL)?,
-            host,
-            per_element_cost: info.cost_hint(),
-        });
-        *built = Some(b.clone());
-        Ok(b)
-    }
-
-    fn native_scan_kernel(&self) -> Option<oclsim::Kernel> {
-        let ScanUdf::Native(f) = &self.udf else {
-            return None;
-        };
-        let f = f.clone();
-        let def = NativeKernelDef::new("skelcl_scan_native", self.cost, move |ctx| {
+    /// The scan and offset kernels of a Rust closure operator, with the
+    /// generated kernels' argument layouts: `[in, out, n]` (one work-item
+    /// scanning the whole part) and `[data, n, offset]`.
+    fn closure_kernels(
+        f: &Arc<dyn Fn(T, T) -> T + Send + Sync>,
+        cost: CostHint,
+    ) -> (oclsim::Kernel, Option<oclsim::Kernel>) {
+        const SCAN: &str = "skelcl_scan_native";
+        const OFFSET: &str = "skelcl_scan_offset_native";
+        let op = f.clone();
+        let scan = NativeKernelDef::new(SCAN, cost, move |ctx| {
             let mut views = ctx.arg_views();
-            let (in_view, rest) = views
-                .split_first_mut()
-                .ok_or_else(|| "scan kernel is missing its input".to_string())?;
-            let (out_view, _) = rest
-                .split_first_mut()
-                .ok_or_else(|| "scan kernel is missing its output".to_string())?;
+            let [in_view, out_view, ..] = views.as_mut_slice() else {
+                return Err("scan kernel is missing its input or output".to_string());
+            };
             let input = in_view
                 .as_slice::<T>()
                 .ok_or_else(|| "scan input must be a buffer".to_string())?;
@@ -174,56 +151,44 @@ impl<T: DeviceScalar> Scan<T> {
             let mut acc = input[0];
             output[0] = acc;
             for i in 1..input.len() {
-                acc = f(acc, input[i]);
+                acc = op(acc, input[i]);
                 output[i] = acc;
             }
             Ok(())
         });
-        Program::from_native([def])
-            .kernel("skelcl_scan_native")
-            .ok()
-    }
-
-    fn native_offset_kernel(&self, offset: T) -> Option<oclsim::Kernel> {
-        let ScanUdf::Native(f) = &self.udf else {
-            return None;
-        };
-        let f = f.clone();
-        let def = NativeKernelDef::new("skelcl_scan_offset_native", self.cost, move |ctx| {
+        let op = f.clone();
+        let offset = NativeKernelDef::new(OFFSET, cost, move |ctx| {
+            let offset = T::from_value(ctx.scalar(2)?);
             let mut views = ctx.arg_views();
             let data = views
                 .first_mut()
                 .and_then(|v| v.as_slice_mut::<T>())
                 .ok_or_else(|| "scan offset kernel needs a buffer".to_string())?;
             for x in data.iter_mut() {
-                *x = f(offset, *x);
+                *x = op(offset, *x);
             }
             Ok(())
         });
-        Program::from_native([def])
-            .kernel("skelcl_scan_offset_native")
-            .ok()
+        let program = Program::from_native([scan, offset]);
+        let kernel = |name| {
+            program
+                .kernel(name)
+                .expect("the program holds the kernels it was built from")
+        };
+        (kernel(SCAN), Some(kernel(OFFSET)))
     }
 
-    /// `a ⊕ b` on the host, for combining per-device totals into offsets.
-    fn host_combine(&self, runtime: &Arc<crate::runtime::SkelCl>, a: T, b: T) -> Result<T> {
-        match &self.udf {
-            ScanUdf::Native(f) => Ok(f(a, b)),
-            ScanUdf::Source(_) => self.ensure_built(runtime)?.host.fold(&mut [a, b]),
-        }
-    }
-
-    /// The shared implementation behind every terminal form. When no trace
-    /// is requested, only the *last* element of each device's local scan —
-    /// its total — is downloaded between the two steps, exactly the marked
-    /// values of Figure 2; the full parts stay on their devices.
+    /// The shared implementation behind every terminal form: prepare the
+    /// input, resolve the operator's kernels and host-side combine, and run
+    /// [`launch_scan`]. The returned trace holds whole local scans only when
+    /// `want_trace` asked for them.
     fn execute_scan(
         &self,
         input: &Vector<T>,
         cfg: &LaunchConfig<'_>,
         want_trace: bool,
         reuse: Option<&Vector<T>>,
-    ) -> Result<(Vector<T>, Option<ScanTrace<T>>)> {
+    ) -> Result<(Vector<T>, ScanTrace<T>)> {
         // Copy distribution makes no sense for a prefix computation; the
         // paper's scan assumes block distribution by default.
         input.ensure_disjoint()?;
@@ -235,118 +200,34 @@ impl<T: DeviceScalar> Scan<T> {
             ));
         }
         let runtime = &call.runtime;
-        let out_buffers = call.output_buffers::<T, Vector<T>>(reuse)?;
-
-        let (scan_kernel, built, per_element_cost) = match &self.udf {
-            ScanUdf::Source(_) => {
-                let built = self.ensure_built(runtime)?;
-                (
-                    built.scan_kernel.clone(),
-                    Some(built.clone()),
-                    built.per_element_cost,
-                )
+        let reusable = call.reusable_buffers(reuse)?;
+        let bind = |device| Ok((call.input_args(device)?, Vec::new()));
+        let (out_buffers, trace) = match &self.udf {
+            ScanUdf::Source(src) => {
+                let (info, host) = self.cache.operator(src, "scan")?;
+                let shape = runtime.lowerings().lowered(&[(StageKind::Scan, &info)])?;
+                launch_scan(
+                    runtime,
+                    shape.kernels(runtime)?,
+                    &call.partition,
+                    &bind,
+                    &|a, b| host.fold(&mut [a, b]),
+                    None,
+                    reusable,
+                    want_trace,
+                )?
             }
-            ScanUdf::Native(_) => (
-                self.native_scan_kernel()
-                    .expect("native kernel construction cannot fail"),
-                None,
-                self.cost,
-            ),
+            ScanUdf::Native(f) => launch_scan(
+                runtime,
+                &Self::closure_kernels(f, self.cost),
+                &call.partition,
+                &bind,
+                &|a, b| Ok(f(a, b)),
+                Some(self.cost),
+                reusable,
+                want_trace,
+            )?,
         };
-
-        // Step 1: local scans.
-        let active = call.partition.active_devices();
-        for &device in &active {
-            let n = call.partition.size(device);
-            let in_buffer = call.input_buffer(device)?;
-            let out_buffer = out_buffers[device].clone().expect("allocated above");
-            runtime.queue(device).enqueue_kernel_with_cost(
-                &scan_kernel,
-                1,
-                &[
-                    KernelArg::Buffer(in_buffer),
-                    KernelArg::Buffer(out_buffer),
-                    KernelArg::Scalar(Value::Int(n as i32)),
-                ],
-                sequential_cost(per_element_cost, n, 8.0),
-            )?;
-        }
-
-        // Step 2: download the per-part totals (last element of each local
-        // scan) to the host. Only when a trace is requested does the whole
-        // local scan come back — the totals are all the algorithm needs.
-        let mut reads = Vec::with_capacity(active.len());
-        for &device in &active {
-            let n = call.partition.size(device);
-            let out_buffer = out_buffers[device].as_ref().expect("allocated above");
-            let (offset, len) = if want_trace { (0, n) } else { (n - 1, 1) };
-            let read = runtime
-                .queue(device)
-                .enqueue_read_buffer_region_nb::<T>(out_buffer, offset, len)?;
-            reads.push((device, read, len));
-        }
-        let local_scans = claim_reads::<T>(runtime, reads)?;
-        let totals: Vec<T> = local_scans
-            .iter()
-            .map(|part| *part.last().expect("parts of active devices are not empty"))
-            .collect();
-
-        // Step 3 + 4: combine predecessor totals into each later part via the
-        // implicitly created map (offset) kernels. All offset kernels are
-        // enqueued before any is waited on, so the per-device workers apply
-        // them concurrently in real time.
-        let mut offset_events = Vec::new();
-        let mut offsets: Vec<Option<T>> = vec![None; active.len()];
-        let mut running: Option<T> = None;
-        for (i, &device) in active.iter().enumerate() {
-            if i > 0 {
-                offsets[i] = running;
-            }
-            running = Some(match running {
-                None => totals[i],
-                Some(acc) => self.host_combine(runtime, acc, totals[i])?,
-            });
-            if i == 0 {
-                continue;
-            }
-            let offset = offsets[i].expect("set above for i > 0");
-            let n = call.partition.size(device);
-            let out_buffer = out_buffers[device].clone().expect("allocated above");
-            let offset_cost = CostHint::new(per_element_cost.flops_per_item, 8.0);
-            match &self.udf {
-                ScanUdf::Source(_) => {
-                    let built = built.as_ref().expect("source scan builds its program");
-                    offset_events.push((
-                        device,
-                        runtime.queue(device).enqueue_kernel_with_cost(
-                            &built.offset_kernel,
-                            n,
-                            &[
-                                KernelArg::Buffer(out_buffer),
-                                KernelArg::Scalar(Value::Int(n as i32)),
-                                KernelArg::Scalar(offset.to_value()),
-                            ],
-                            offset_cost,
-                        )?,
-                    ));
-                }
-                ScanUdf::Native(_) => {
-                    let kernel = self
-                        .native_offset_kernel(offset)
-                        .expect("native kernel construction cannot fail");
-                    offset_events.push((
-                        device,
-                        runtime.queue(device).enqueue_kernel_with_cost(
-                            &kernel,
-                            n,
-                            &[KernelArg::Buffer(out_buffer)],
-                            offset_cost,
-                        )?,
-                    ));
-                }
-            }
-        }
-        crate::skeletons::exec::wait_events(runtime, offset_events)?;
 
         // The output adopts the input's (non-copy) distribution: the buffers
         // were allocated for exactly that partition, so block, weighted
@@ -360,14 +241,115 @@ impl<T: DeviceScalar> Scan<T> {
             }
             None => Vector::device_resident(runtime, call.len, distribution, out_buffers),
         };
-        Ok((
-            output,
-            want_trace.then_some(ScanTrace {
-                local_scans,
-                offsets,
-            }),
-        ))
+        Ok((output, trace))
     }
+}
+
+/// The one scan launch — Figure 2's flow — behind eager source scans,
+/// closure scans and the lazy plans' scan groups.
+///
+/// `kernels` is the local-scan kernel (one work-item per part, arguments
+/// `[leading…, out, n, trailing…]` with `bind(device)` supplying the two
+/// variable parts) and the offset kernel (`[data, n, offset]`); `combine` is
+/// the operator on the host; `closure_cost` the per-element cost of a Rust
+/// closure operator (kernel-language kernels are charged what they measure).
+/// With `want_trace` the whole local scans are downloaded between the two
+/// steps instead of only their last elements — the totals, the marked values
+/// of Figure 2, which are all the algorithm needs; the full parts otherwise
+/// stay on their devices.
+///
+/// Owns the output buffers like `launch_elementwise`: `reuse`'s where it
+/// offers one, fresh ones elsewhere, and what it allocated is released again
+/// if any step fails.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn launch_scan<T: DeviceScalar>(
+    runtime: &SkelCl,
+    kernels: &(oclsim::Kernel, Option<oclsim::Kernel>),
+    partition: &Partition,
+    bind: &dyn Fn(usize) -> Result<(Vec<KernelArg>, Vec<KernelArg>)>,
+    combine: &dyn Fn(T, T) -> Result<T>,
+    closure_cost: Option<CostHint>,
+    reuse: Option<Vec<Option<Buffer>>>,
+    want_trace: bool,
+) -> Result<(Vec<Option<Buffer>>, ScanTrace<T>)> {
+    let (scan_kernel, Some(offset_kernel)) = kernels else {
+        return Err(SkelError::Internal(
+            "a scan launch needs the scan program's offset kernel".into(),
+        ));
+    };
+    let active = partition.active_devices();
+    let bound = active
+        .iter()
+        .map(|&device| bind(device))
+        .collect::<Result<Vec<_>>>()?;
+    let out = OutputBuffers::obtain(runtime, &partition.sizes(), create_buffer::<T>, reuse)?;
+    let enqueue = |device: usize, kernel: &oclsim::Kernel, items, args: &[KernelArg], cost| {
+        let queue = runtime.queue(device);
+        match cost {
+            Some(cost) => queue.enqueue_kernel_with_cost(kernel, items, args, cost),
+            None => queue.enqueue_kernel(kernel, items, args),
+        }
+    };
+    let flow = (|| -> Result<ScanTrace<T>> {
+        // Step 1: local scans.
+        for (&device, (mut kargs, trailing)) in active.iter().zip(bound) {
+            let n = partition.size(device);
+            kargs.push(KernelArg::Buffer(out.on(device)));
+            kargs.push(KernelArg::Scalar(Value::Int(n as i32)));
+            kargs.extend(trailing);
+            let cost = closure_cost.map(|cost| sequential_cost(cost, n, 8.0));
+            enqueue(device, scan_kernel, 1, &kargs, cost)?;
+        }
+
+        // Step 2: download the per-part totals (last element of each local
+        // scan), every device's read in flight before the first is claimed.
+        let mut reads = Vec::with_capacity(active.len());
+        for &device in &active {
+            let n = partition.size(device);
+            let (offset, len) = if want_trace { (0, n) } else { (n - 1, 1) };
+            let read = runtime.queue(device).enqueue_read_buffer_region_nb::<T>(
+                &out.on(device),
+                offset,
+                len,
+            )?;
+            reads.push((device, read, len));
+        }
+        let local_scans = claim_reads::<T>(runtime, reads)?;
+
+        // Steps 3 + 4: combine predecessor totals on the host and apply them
+        // to each later part via the implicitly created map (offset)
+        // kernels. All offset kernels are enqueued before any is waited on,
+        // so the per-device workers apply them concurrently in real time.
+        let offset_cost = closure_cost.map(|cost| CostHint::new(cost.flops_per_item, 8.0));
+        let mut offset_events = Vec::new();
+        let mut offsets: Vec<Option<T>> = Vec::with_capacity(active.len());
+        let mut running: Option<T> = None;
+        for (&device, part) in active.iter().zip(&local_scans) {
+            let total = *part.last().expect("parts of active devices are not empty");
+            let offset = running;
+            running = Some(match running {
+                None => total,
+                Some(acc) => combine(acc, total)?,
+            });
+            offsets.push(offset);
+            if let Some(offset) = offset {
+                let n = partition.size(device);
+                let args = [
+                    KernelArg::Buffer(out.on(device)),
+                    KernelArg::Scalar(Value::Int(n as i32)),
+                    KernelArg::Scalar(offset.to_value()),
+                ];
+                let event = enqueue(device, offset_kernel, n, &args, offset_cost)?;
+                offset_events.push((device, event));
+            }
+        }
+        wait_events(runtime, offset_events)?;
+        Ok(ScanTrace {
+            local_scans,
+            offsets,
+        })
+    })();
+    out.settle(runtime, flow)
 }
 
 impl<T: DeviceScalar> Skeleton<Vector<T>> for Scan<T> {
@@ -392,10 +374,8 @@ impl<T: DeviceScalar> Launch<'_, Scan<T>, Vector<T>> {
     /// per-device local scans and the offsets combined by the implicit map
     /// skeletons).
     pub fn trace(self) -> Result<(Vector<T>, ScanTrace<T>)> {
-        let (output, trace) = self
-            .skeleton
-            .execute_scan(&self.input, &self.cfg, true, None)?;
-        Ok((output, trace.expect("trace requested")))
+        self.skeleton
+            .execute_scan(&self.input, &self.cfg, true, None)
     }
 
     /// Execute, writing the result into `out` and reusing `out`'s device

@@ -12,29 +12,21 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use oclsim::{CostHint, NativeKernelDef, Pod, Program};
 
 use crate::args::ArgAccess;
 use crate::container::Container;
 use crate::error::{Result, SkelError};
-use crate::kernelgen;
+use crate::kernelgen::{self, StageKind};
 use crate::matrix::Matrix;
 use crate::runtime::SkelCl;
-use crate::skeletons::{
-    check_source_call, Launch, LaunchConfig, PreparedArgs, PreparedCall, Skeleton, UdfCache,
-};
+use crate::skeletons::exec::source_kernel;
+use crate::skeletons::{Launch, LaunchConfig, PreparedArgs, PreparedCall, Skeleton, UdfCache};
 use crate::vector::Vector;
 
 enum ZipUdf<A, B, O> {
     Source(String),
     Native(Arc<dyn Fn(&A, &B, &mut ArgAccess<'_, '_>) -> O + Send + Sync>),
-}
-
-struct BuiltSource {
-    kernel: oclsim::Kernel,
-    extra_scalars: usize,
 }
 
 /// The zip skeleton.
@@ -57,7 +49,6 @@ pub struct Zip<A: Pod, B: Pod, O: Pod> {
     udf: ZipUdf<A, B, O>,
     cost: CostHint,
     cache: UdfCache,
-    built: Mutex<Option<Arc<BuiltSource>>>,
 }
 
 impl<A: Pod, B: Pod, O: Pod> Zip<A, B, O> {
@@ -70,7 +61,6 @@ impl<A: Pod, B: Pod, O: Pod> Zip<A, B, O> {
             udf: ZipUdf::Source(source.to_string()),
             cost: CostHint::DEFAULT,
             cache: UdfCache::new(),
-            built: Mutex::new(None),
         }
     }
 
@@ -83,7 +73,6 @@ impl<A: Pod, B: Pod, O: Pod> Zip<A, B, O> {
             udf: ZipUdf::Native(Arc::new(f)),
             cost: CostHint::DEFAULT,
             cache: UdfCache::new(),
-            built: Mutex::new(None),
         }
     }
 
@@ -125,26 +114,6 @@ impl<A: Pod, B: Pod, O: Pod> Zip<A, B, O> {
         }
     }
 
-    fn ensure_built(&self, runtime: &Arc<SkelCl>) -> Result<Arc<BuiltSource>> {
-        let mut built = self.built.lock();
-        if let Some(b) = built.as_ref() {
-            return Ok(b.clone());
-        }
-        let ZipUdf::Source(src) = &self.udf else {
-            unreachable!("ensure_built is only called for source UDFs")
-        };
-        let info = self.cache.info(src, 2)?;
-        let kernel_src = kernelgen::zip_kernel(&info)?;
-        let program = runtime.context().build_program(&kernel_src)?;
-        let kernel = program.kernel(kernelgen::ZIP_KERNEL)?;
-        let b = Arc::new(BuiltSource {
-            kernel,
-            extra_scalars: info.extra_params.len(),
-        });
-        *built = Some(b.clone());
-        Ok(b)
-    }
-
     fn native_kernel(&self) -> Option<oclsim::Kernel> {
         let ZipUdf::Native(f) = &self.udf else {
             return None;
@@ -184,16 +153,10 @@ impl<A: Pod, B: Pod, O: Pod> Zip<A, B, O> {
         program.kernel("skelcl_zip_native").ok()
     }
 
-    fn resolve_kernel(
-        &self,
-        runtime: &Arc<SkelCl>,
-        prepared: &PreparedArgs,
-    ) -> Result<oclsim::Kernel> {
+    fn resolve_kernel(&self, runtime: &SkelCl, prepared: &PreparedArgs) -> Result<oclsim::Kernel> {
         match &self.udf {
-            ZipUdf::Source(_) => {
-                let built = self.ensure_built(runtime)?;
-                check_source_call(prepared, built.extra_scalars)?;
-                Ok(built.kernel.clone())
+            ZipUdf::Source(src) => {
+                source_kernel(runtime, StageKind::Zip, &self.cache.info(src, 2)?, prepared)
             }
             ZipUdf::Native(_) => Ok(self
                 .native_kernel()
@@ -228,8 +191,7 @@ impl<A: Pod, B: Pod, O: Pod> Zip<A, B, O> {
                 let scheduler_cost = cfg.scheduler.map(|_| self.scheduler_cost());
                 let call = PreparedCall::pair(left, right, cfg, scheduler_cost)?;
                 let kernel = self.resolve_kernel(&call.runtime, &call.prepared_args)?;
-                let out_buffers = call.output_buffers::<O, CA::Rebound<O>>(reuse)?;
-                call.launch_elementwise(&kernel, &out_buffers)?;
+                let out_buffers = call.launch_elementwise(&kernel, reuse)?;
                 call.finish_output(left, out_buffers, reuse)
             },
         )

@@ -332,7 +332,7 @@ impl<T: Pod> Container<T> for Vector<T> {
         self.prepare_on_devices()
     }
 
-    fn obtain_output_buffers(&self, partition: &Partition) -> Result<Vec<Option<Buffer>>> {
+    fn obtain_output_buffers(&self, partition: &Partition) -> Vec<Option<Buffer>> {
         self.inner.lock().obtain_output_buffers(partition)
     }
 

@@ -363,6 +363,92 @@ fn halo_exchange_faults_recover_bit_identically() {
     }
 }
 
+/// A launch that fails for a reason recovery cannot fix — a kernel runtime
+/// error: `100 / x` meets a zero in the middle of the input — returns a typed
+/// error, leaves no latched error behind and gives back every buffer it had
+/// allocated: the fresh outputs of an eager map, zip, index map and scan, and
+/// the in-flight intermediate of a vector or matrix plan whose last group
+/// fails. A `run_into` target keeps its buffers and stays usable.
+#[test]
+fn failed_launches_release_what_they_allocated() {
+    const INV: &str = "float func(float x) { return (float) (100 / (int) x); }";
+    type Case = (
+        &'static str,
+        fn(&std::sync::Arc<skelcl::SkelCl>, Vec<f32>) -> bool,
+    );
+    fn f32_map(source: &str) -> Map<f32, f32> {
+        Map::from_source(source)
+    }
+    let cases: [Case; 7] = [
+        ("map", |rt, data| {
+            let inv = Map::<f32, f32>::from_source(INV);
+            inv.run(&Vector::from_vec(rt, data)).exec().is_err()
+        }),
+        ("zip", |rt, data| {
+            let inv = Zip::<f32, f32, f32>::from_source(
+                "float func(float x, float y) { return y + (float) (100 / (int) x); }",
+            );
+            let (x, y) = (
+                Vector::from_vec(rt, data.clone()),
+                Vector::from_vec(rt, data),
+            );
+            inv.run(&x, &y).exec().is_err()
+        }),
+        ("index map", |rt, data| {
+            let inv = Map::<i32, i32>::from_source("int func(int i) { return 100 / (i - 100); }");
+            inv.run_index(rt, data.len()).exec().is_err()
+        }),
+        ("scan", |rt, data| {
+            let inv = Scan::<f32>::from_source(
+                "float func(float a, float b) { return a + (float) (100 / (int) b); }",
+            );
+            inv.run(&Vector::from_vec(rt, data)).exec().is_err()
+        }),
+        ("run_into", |rt, data| {
+            let (inv, double) = (f32_map(INV), f32_map(DOUBLE));
+            let n = data.len();
+            let v = Vector::from_vec(rt, data);
+            // A cold target (the launch allocates for it) and a warm one.
+            let out = Vector::from_vec(rt, vec![0.0f32; n]);
+            let failed = inv.run(&v).run_into(&out).is_err();
+            double.run(&v).run_into(&out).unwrap();
+            let failed = failed && inv.run(&v).run_into(&out).is_err();
+            double.run(&v).run_into(&out).unwrap();
+            failed && out.to_vec().unwrap() == oracle(0, &v.to_vec().unwrap())
+        }),
+        ("3-group plan", |rt, data| {
+            let (inv, double) = (f32_map(INV), f32_map(DOUBLE));
+            let plan = Vector::from_vec(rt, data)
+                .lazy()
+                .policy(FusionPolicy::Never);
+            plan.map(&double).map(&double).map(&inv).exec().is_err()
+        }),
+        ("2-group matrix plan", |rt, data| {
+            let (inv, double) = (f32_map(INV), f32_map(DOUBLE));
+            let m = Matrix::from_vec(rt, data.len() / 8, 8, data).unwrap();
+            let plan = m.lazy().policy(FusionPolicy::Never);
+            plan.map(&double).map(&inv).exec().is_err()
+        }),
+    ];
+    for devices in [1usize, 2] {
+        for (name, failing) in &cases {
+            let rt = skelcl::init_gpus(devices);
+            let mut data: Vec<f32> = (1..=256).map(|i| (i % 16 + 1) as f32).collect();
+            data[100] = 0.0;
+            let what = format!("{name} on {devices} device(s)");
+            assert!(failing(&rt, data), "{what}: expected a typed error");
+            assert!(
+                rt.take_deferred_errors().is_empty(),
+                "{what}: latch left behind"
+            );
+            for d in 0..devices {
+                let live = rt.context().device(d).unwrap().live_buffers();
+                assert_eq!(live, 0, "{what}: device {d} strands {live} buffer(s)");
+            }
+        }
+    }
+}
+
 #[test]
 fn unrecoverable_state_degrades_to_a_typed_error_not_wrong_data() {
     // The lost device holds the *only* copy of its input part (the host

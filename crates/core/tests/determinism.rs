@@ -328,6 +328,56 @@ fn lazy_plan_is_deterministic_under_threaded_queues() {
     assert_deterministic("lazy plan", scenario);
     let rt = skelcl::init_gpus(2);
     scenario(&rt);
+    // Two shapes — map∘map and map∘map∘reduce — and the repeated
+    // `collect()` is the one hit. The counters include eager source calls
+    // since those go through the memo as well; the scenario makes none.
     let trace = rt.exec_trace();
     assert_eq!((trace.plan_lowerings, trace.plan_lowering_hits), (2, 1));
+}
+
+/// Eager skeleton calls and the launch groups of a lazy plan are the same
+/// lowering and the same launchers — not two implementations kept in step —
+/// so an eager map → zip → scan → reduce sequence and the same four stages
+/// as a `FusionPolicy::Never` plan enqueue the same commands at the same
+/// virtual times: identical per-device event logs (kernel names, bytes,
+/// work-items, queued / start / end) and an identical host clock.
+#[test]
+fn eager_sequence_and_unfused_plan_produce_identical_event_logs() {
+    let scale = Map::<f32, f32>::from_source("float func(float x, float a) { return x * a; }");
+    let add = Zip::<f32, f32, f32>::from_source("float func(float x, float y) { return x + y; }");
+    let prefix = Scan::<f32>::from_source("float func(float a, float b) { return a + b; }");
+    let max = Reduce::<f32>::from_source("float func(float a, float b) { return a > b ? a : b; }");
+    let observe = |devices: usize, lazy: bool| {
+        let rt = skelcl::init_gpus(devices);
+        let v = Vector::from_vec(&rt, seeded(3000, 31));
+        let w = Vector::from_vec(&rt, seeded(3000, 37));
+        // Device-resident inputs: what is compared is lowering and launch.
+        v.copy_data_to_devices().unwrap();
+        w.copy_data_to_devices().unwrap();
+        rt.finish_all();
+        rt.drain_events();
+        let result = if lazy {
+            v.lazy()
+                .policy(FusionPolicy::Never)
+                .map_with(&scale, skelcl::args![1.5f32])
+                .zip(&w, &add)
+                .scan(&prefix)
+                .reduce(&max)
+                .scalar()
+                .unwrap()
+        } else {
+            let a = scale.run(&v).arg(1.5f32).exec().unwrap();
+            let b = add.run(&a, &w).exec().unwrap();
+            let c = prefix.run(&b).exec().unwrap();
+            max.run(&c).exec().unwrap()
+        };
+        (result.to_bits(), rt.drain_events(), rt.now())
+    };
+    for devices in 1..=4 {
+        let eager = observe(devices, false);
+        let kernels = eager.1.iter().flatten().filter(|e| e.is_kernel()).count();
+        // map, zip, local scan and reduce everywhere; offsets on all but one.
+        assert_eq!(kernels, 5 * devices - 1);
+        assert_eq!(eager, observe(devices, true), "{devices} device(s)");
+    }
 }

@@ -654,6 +654,84 @@ fn fused_reductions_with_many_partials_match_unfused_and_eager_bitwise() {
     }
 }
 
+/// An eager call and the one-stage plan group of the same skeleton are one
+/// lowering: the eager call's memo entry — and its built program — serve the
+/// plan, for every skeleton kind, and the results are bit-identical.
+#[test]
+fn eager_calls_and_one_stage_plans_share_one_lowering_and_one_program() {
+    type Pair = fn(&Vector<f32>, &Vector<f32>) -> (Vec<f32>, Vec<f32>);
+    let cases: [(&str, Pair); 4] = [
+        ("map", |v, _| {
+            let f = square();
+            let eager = f.run(v).exec().unwrap().to_vec().unwrap();
+            (eager, v.lazy().map(&f).collect().unwrap())
+        }),
+        ("zip", |v, w| {
+            let f = mul();
+            let eager = f.run(v, w).exec().unwrap().to_vec().unwrap();
+            (eager, v.lazy().zip(w, &f).collect().unwrap())
+        }),
+        ("reduce", |v, _| {
+            let f = sum();
+            let eager = f.run(v).exec().unwrap();
+            (vec![eager], vec![v.lazy().reduce(&f).scalar().unwrap()])
+        }),
+        ("scan", |v, _| {
+            let f = psum();
+            let eager = f.run(v).exec().unwrap().to_vec().unwrap();
+            (eager, v.lazy().scan(&f).collect().unwrap())
+        }),
+    ];
+    for (name, run) in cases {
+        let rt = skelcl::init_gpus(2);
+        let v = Vector::from_vec(&rt, (0..300).map(|i| i as f32 * 0.37 - 40.0).collect());
+        let w = Vector::from_vec(&rt, vec![1.5f32; 300]);
+        let (eager, lazy) = run(&v, &w);
+        assert_eq!(bits(&eager), bits(&lazy), "{name}");
+        let trace = rt.exec_trace();
+        assert_eq!(trace.programs_built, 1, "{name}: one program");
+        assert_eq!(trace.plan_lowerings, 1, "{name}: lowered by the eager call");
+        assert!(
+            trace.plan_lowering_hits >= 1,
+            "{name}: the plan hit the memo"
+        );
+    }
+}
+
+/// A matrix plan lowers like a vector plan — through the runtime's memo —
+/// so running it a hundred times lowers its group once and builds one
+/// program, and its `explain()` reports the helper names that collided.
+#[test]
+fn matrix_plans_lower_once_and_report_renames() {
+    let rt = skelcl::init_gpus(2);
+    let m = Matrix::from_fn(&rt, 8, 8, |r, c| (r * 8 + c) as f32);
+    let inc = Map::<f32, f32>::from_source(
+        "float offset(float x) { return x + 1.0f; }\nfloat func(float x) { return offset(x); }",
+    );
+    let dec = Map::<f32, f32>::from_source(
+        "float offset(float x) { return x - 2.0f; }\nfloat func(float x) { return offset(x); }",
+    );
+    let plan = m.lazy().map(&inc).map(&dec);
+    let expected: Vec<f32> = (0..64).map(|i| i as f32 + 1.0 - 2.0).collect();
+    for _ in 0..100 {
+        assert_eq!(plan.exec().unwrap().to_vec().unwrap(), expected);
+    }
+    let trace = rt.exec_trace();
+    assert_eq!((trace.plan_lowerings, trace.plan_lowering_hits), (1, 99));
+    assert_eq!(trace.programs_built, 1);
+    let text = plan.explain().unwrap();
+    assert!(text.contains("SKELCL_FUSED_MAP over %1, %2"), "{text}");
+    assert!(
+        text.contains("rename:") && text.contains("`offset`") && text.contains("`func`"),
+        "matrix explain must surface the collision diagnostics:\n{text}"
+    );
+    // The same stages over a vector are the same memo entry.
+    let v = Vector::from_vec(&rt, vec![1.0f32; 16]);
+    v.lazy().map(&inc).map(&dec).collect().unwrap();
+    let after = rt.exec_trace();
+    assert_eq!((after.plan_lowerings, after.programs_built), (1, 1));
+}
+
 /// Coalescing signatures are the plan's shape identity plus its scalar
 /// argument values: equal UDF text shares a signature whichever skeleton
 /// instance carried it; another UDF, argument value, element type or runtime
@@ -705,6 +783,7 @@ fn coalesce_signatures_identify_packable_plans() {
     );
     // Three elementwise shapes (square, affine, int square) and the fused
     // map∘reduce were lowered on `rt`; every other request hit the memo.
+    // (No eager call above: those would count too, as one-stage shapes.)
     let trace = rt.exec_trace();
     assert_eq!(trace.plan_lowerings, 4);
     assert_eq!(trace.plan_lowering_hits, 6);

@@ -256,10 +256,91 @@ fn explain_renders_tier_decision() {
     let text = plan.explain().unwrap();
     assert!(
         text.contains("Plan lowerings: 1 lowered, 0 memo hit(s)"),
-        "the first explain lowered the plan's one group:\n{text}"
+        "the first explain lowered the plan's one group (`map` itself was never called):\n{text}"
     );
     assert!(
         text.contains("Kernel tier: native (pinned via set_kernel_tier)"),
         "pinned explain names the tier and its origin:\n{text}"
     );
+}
+
+/// A skeleton instance keeps no kernel: each runtime it runs on looks the
+/// kernel up in its own lowering memo, so each builds — and pays the build
+/// time of — its own program, and a tier pinned on one runtime reaches that
+/// runtime's kernel and no other. (With a kernel cached in the instance, the
+/// second runtime launched the first one's program: no build, no charge, and
+/// out of `set_kernel_tier`'s reach.)
+#[test]
+fn one_skeleton_instance_builds_and_tiers_on_every_runtime_it_runs_on() {
+    use skelcl::skeletons::{Reduce, Scan, Zip};
+    type Call = Box<dyn Fn(&std::sync::Arc<skelcl::SkelCl>)>;
+    const ADD: &str = "float func(float a, float b) { return a + b; }";
+    let data = || (0..64).map(|i| i as f32 * 0.25).collect::<Vec<f32>>();
+
+    let map = Map::<f32, f32>::from_source(SQUARE);
+    let zip = Zip::<f32, f32, f32>::from_source(ADD);
+    let reduce = Reduce::<f32>::from_source(ADD);
+    let scan = Scan::<f32>::from_source(ADD);
+    let stencil =
+        MapOverlap::<f32, f32>::from_source("float func(float x) { return x + get(0, 1); }");
+    let calls: Vec<(&str, Call)> = vec![
+        (
+            "map",
+            Box::new(move |rt| {
+                map.run(&Vector::from_vec(rt, data())).exec().unwrap();
+            }),
+        ),
+        (
+            "zip",
+            Box::new(move |rt| {
+                let (a, b) = (Vector::from_vec(rt, data()), Vector::from_vec(rt, data()));
+                zip.run(&a, &b).exec().unwrap();
+            }),
+        ),
+        (
+            "reduce",
+            Box::new(move |rt| {
+                reduce.run(&Vector::from_vec(rt, data())).exec().unwrap();
+            }),
+        ),
+        (
+            "scan",
+            Box::new(move |rt| {
+                scan.run(&Vector::from_vec(rt, data())).exec().unwrap();
+            }),
+        ),
+        (
+            "map_overlap",
+            Box::new(move |rt| {
+                let m = Matrix::from_vec(rt, 8, 8, data()).unwrap();
+                stencil.run(&m).exec().unwrap();
+            }),
+        ),
+    ];
+    for (name, call) in &calls {
+        let rt1 = skelcl::init_gpus(1);
+        let rt2 = skelcl::init_gpus(1);
+        rt2.set_kernel_tier(Tier::Scalar);
+        let build = rt1.context().device(0).unwrap().profile.program_build_time;
+        for rt in [&rt1, &rt2] {
+            let before = rt.now();
+            call(rt);
+            assert_eq!(rt.context().built_program_count(), 1, "{name}");
+            assert!(
+                rt.elapsed_since(before) >= build,
+                "{name}: the first call on each runtime pays the program build"
+            );
+        }
+        let (t1, t2) = (rt1.exec_trace(), rt2.exec_trace());
+        assert!(
+            t1.native_launches() > 0 && t1.scalar_launches() == 0,
+            "{name} on rt1: {}",
+            t1.tier_line()
+        );
+        assert!(
+            t2.scalar_launches() > 0 && t2.native_launches() == 0,
+            "{name} on rt2: {}",
+            t2.tier_line()
+        );
+    }
 }

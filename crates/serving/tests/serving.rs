@@ -553,7 +553,9 @@ fn fixed_schedule_is_deterministic_across_reps_and_devices() {
 
 /// A wave of 2 048 jobs drawn from three plan shapes lowers each shape
 /// once: admission, the coalesce-cap trigger and every packed dispatch read
-/// the runtime's memo. A second wave lowers nothing at all.
+/// the runtime's memo. A second wave lowers nothing at all. (The memo also
+/// serves eager source calls, which would add their one-stage shapes to the
+/// count; a served job is always a plan, so three it stays.)
 #[test]
 fn a_wave_of_three_shapes_lowers_three_times() {
     let rt = skelcl::init_gpus(2);

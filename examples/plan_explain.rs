@@ -49,7 +49,9 @@ fn main() -> Result<()> {
     );
     // Five distinct group shapes appeared above — the fully fused chain,
     // and under `Never` each of its four stages alone — and running the
-    // plan after explaining it lowered nothing new.
+    // plan after explaining it lowered nothing new. (The counter covers
+    // eager source calls too — their kernels come from the same memo —
+    // but this example makes none, so five it stays.)
     println!("{}", trace.lowering_line());
     if trace.plan_lowerings > 5 {
         eprintln!("error: 5 distinct group shapes were planned, but more were lowered");

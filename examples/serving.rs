@@ -110,7 +110,8 @@ fn main() -> skelcl_serving::Result<()> {
     server.shutdown();
 
     // Two plan shapes were submitted (the normalize map and the bare
-    // reduction), however many jobs carried them: each lowers once.
+    // reduction), however many jobs carried them: each lowers once. (Eager
+    // source calls would count as well; every job here is a plan.)
     let exec = rt.exec_trace();
     println!("{}", exec.lowering_line());
     if exec.plan_lowerings > 2 {
