@@ -32,52 +32,20 @@
 
 use std::sync::Arc;
 
-use oclsim::{ArgView, Buffer, Pod, Value};
+use oclsim::{ArgView, Pod, Value};
 
-use crate::error::Result;
-use crate::runtime::SkelCl;
+use crate::container::DynContainer;
 use crate::vector::Vector;
 
-/// Internal interface of a type-erased vector argument: everything a
-/// skeleton launch needs without knowing the element type.
-pub(crate) trait DynVectorArg: Send + Sync {
-    /// Check the vector belongs to `runtime`.
-    fn check_runtime(&self, runtime: &Arc<SkelCl>) -> Result<()>;
-    /// Ensure the vector is resident on the devices and return its
-    /// per-device buffers.
-    fn prepare_buffers(&self) -> Result<Vec<Option<Buffer>>>;
-    /// Element count (for diagnostics).
-    fn len(&self) -> usize;
-    /// Element type name (for diagnostics).
-    fn elem_type(&self) -> &'static str;
-}
-
-impl<T: Pod> DynVectorArg for Vector<T> {
-    fn check_runtime(&self, runtime: &Arc<SkelCl>) -> Result<()> {
-        Vector::check_runtime(self, runtime)
-    }
-
-    fn prepare_buffers(&self) -> Result<Vec<Option<Buffer>>> {
-        let (_, buffers) = self.prepare_on_devices()?;
-        Ok(buffers)
-    }
-
-    fn len(&self) -> usize {
-        Vector::len(self)
-    }
-
-    fn elem_type(&self) -> &'static str {
-        std::any::type_name::<T>()
-    }
-}
-
 /// A type-erased vector additional argument. Holds a cheap handle to the
-/// underlying [`Vector`]; the element type is erased so [`Args`] can carry
-/// vectors of any `Pod` element — `f32`, `f64`, `i32`, `u32` or application
-/// structs.
+/// underlying [`Vector`] behind the object-safe container view; the element
+/// type is erased so [`Args`] can carry vectors of any `Pod` element — `f32`,
+/// `f64`, `i32`, `u32` or application structs.
 #[derive(Clone)]
 pub struct VectorArg {
-    inner: Arc<dyn DynVectorArg>,
+    inner: Arc<dyn DynContainer>,
+    /// Element type name (for diagnostics).
+    elem: &'static str,
 }
 
 impl VectorArg {
@@ -85,23 +53,22 @@ impl VectorArg {
     pub fn new<T: Pod>(vector: Vector<T>) -> VectorArg {
         VectorArg {
             inner: Arc::new(vector),
+            elem: std::any::type_name::<T>(),
         }
     }
 
-    pub(crate) fn check_runtime(&self, runtime: &Arc<SkelCl>) -> Result<()> {
-        self.inner.check_runtime(runtime)
-    }
-
-    pub(crate) fn prepare_buffers(&self) -> Result<Vec<Option<Buffer>>> {
-        self.inner.prepare_buffers()
+    /// The vector as a launch sees it: uploaded with the call's inputs and,
+    /// like them, distrusted and refreshed when the call fails.
+    pub(crate) fn container(&self) -> &dyn DynContainer {
+        &*self.inner
     }
 }
 
 impl std::fmt::Debug for VectorArg {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("VectorArg")
-            .field("elem", &self.inner.elem_type())
-            .field("len", &self.inner.len())
+            .field("elem", &self.elem)
+            .field("len", &self.inner.elem_count())
             .finish()
     }
 }
@@ -265,6 +232,14 @@ impl Args {
     /// Number of vector arguments.
     pub fn vector_count(&self) -> usize {
         self.items.len() - self.scalar_count()
+    }
+
+    /// The vector arguments, in order, as the launch machinery sees them.
+    pub(crate) fn vectors(&self) -> impl Iterator<Item = &dyn DynContainer> {
+        self.items.iter().filter_map(|item| match item {
+            ArgItem::Vector(v) => Some(v.container()),
+            ArgItem::Scalar(_) => None,
+        })
     }
 }
 

@@ -40,7 +40,10 @@
 //!    (element count, parts, ensure-on-device, mark-dirty, gather, output
 //!    adoption), so they execute over a `Vector` or a row-block `Matrix`
 //!    through the *same* code path — same kernels, same telemetry
-//!    ([`crate::runtime::SkelCl::exec_trace`]), no per-container forks.
+//!    ([`crate::runtime::SkelCl::exec_trace`]), no per-container forks. Its
+//!    object-safe supertrait [`DynContainer`] is the type-erased view the
+//!    one prepare stage and the one recovery wrapper see every input
+//!    through.
 //!
 //! `Vector` and `Matrix` themselves are thin shape-aware views over a
 //! `Storage`: they translate user-facing concepts (element ranges, rows ×
@@ -335,6 +338,13 @@ impl<T: Pod, D: Partitioning> Storage<T, D> {
         for device in 0..self.layout.device_count() {
             let stored = self.layout.stored_len(device);
             if stored == 0 {
+                continue;
+            }
+            // A replica on a device the recovery layer has given up serves no
+            // launch and loses no data: leave it out, so a replicated
+            // container (a copy-distributed additional argument, say) can be
+            // uploaded again for the replay that follows a device loss.
+            if self.distribution.is_replicated() && self.runtime.is_settled_lost(device) {
                 continue;
             }
             let buffer = match &self.buffers[device] {
@@ -642,17 +652,27 @@ impl<T: Pod, D: Partitioning> Storage<T, D> {
         Ok(())
     }
 
+    /// Stop trusting the device image after a launch over this storage
+    /// failed. An upload is recorded by the coherence flags when it is
+    /// *enqueued*; one that failed transiently never executed, so the storage
+    /// may believe in a device copy the data never reached. With a valid host
+    /// copy nothing is lost by dropping the claim — the next device use
+    /// uploads again; device-only data is the only copy and is kept.
+    pub(crate) fn distrust_devices(&mut self) {
+        if self.host_valid {
+            self.devices_valid = false;
+            self.halos_valid = false;
+        }
+    }
+
     /// Re-establish a trustworthy device image before a fault-recovery
-    /// replay. A transiently failed transfer never executes, but the
-    /// coherence flags were set when it was *enqueued* — so the storage may
-    /// believe an upload happened that never did. Gather the authoritative
-    /// copy to the host (a no-op when the host is already valid; failed
-    /// commands have no side effects, so device data is intact otherwise)
-    /// and drop device validity, forcing the replay to re-upload.
+    /// replay: gather the authoritative copy to the host (a no-op when the
+    /// host is already valid; failed commands have no side effects, so device
+    /// data is intact otherwise) and drop device validity
+    /// ([`Storage::distrust_devices`]), forcing the replay to re-upload.
     pub(crate) fn refresh_for_replay(&mut self) -> Result<()> {
         self.download_to_host()?;
-        self.devices_valid = false;
-        self.halos_valid = false;
+        self.distrust_devices();
         Ok(())
     }
 
@@ -663,19 +683,6 @@ impl<T: Pod, D: Partitioning> Storage<T, D> {
             self.host_valid = false;
             self.halos_valid = false;
         }
-    }
-
-    /// Declare the devices the authoritative side after a launch wrote this
-    /// storage's buffers in place (the iterative stencil ping-pong): the
-    /// host copy and the halo padding are stale.
-    pub(crate) fn mark_devices_authoritative(&mut self) {
-        debug_assert!(
-            self.buffers.iter().any(Option::is_some),
-            "a reused launch target owns device buffers"
-        );
-        self.devices_valid = true;
-        self.host_valid = false;
-        self.halos_valid = false;
     }
 
     /// Invalidate the device copies after a host-side mutation; the next
@@ -694,18 +701,19 @@ impl<T: Pod, D: Partitioning> Storage<T, D> {
     }
 
     /// The device buffers a launch writing into this storage (`run_into`) may
-    /// write in place: per device the existing buffer when it fits the
-    /// target partition — the hot path of chained pipelines — and `None`
-    /// where it does not (the launch allocates those).
+    /// write in place: per device the existing buffer when it holds exactly
+    /// the `lens[device]` elements the launch writes there — the hot path of
+    /// chained pipelines and of the stencil ping-pong — and `None` where it
+    /// does not (the launch allocates those).
     ///
     /// Does **not** mutate the storage: replaced buffers stay owned by it
     /// until `Storage::commit_as_output` adopts the new set after a
     /// successful launch, so a failed launch leaves the container intact.
-    pub(crate) fn obtain_output_buffers(&self, partition: &Partition) -> Vec<Option<Buffer>> {
+    pub(crate) fn obtain_output_buffers(&self, lens: &[usize]) -> Vec<Option<Buffer>> {
         let elem = std::mem::size_of::<T>();
-        (0..partition.device_count())
-            .map(|device| {
-                let want = partition.size(device);
+        lens.iter()
+            .enumerate()
+            .map(|(device, &want)| {
                 self.buffers
                     .get(device)
                     .and_then(|slot| slot.as_ref())
@@ -766,25 +774,15 @@ pub(crate) fn vec_uninit_len<T: Pod>(len: usize) -> Vec<T> {
 // Container: the uniform skeleton-launch interface
 // ---------------------------------------------------------------------------
 
-/// A distributed SkelCL container — the uniform interface the element-wise
-/// skeletons ([`crate::skeletons::Map`], [`crate::skeletons::Zip`],
-/// [`crate::skeletons::Reduce`]) launch against, implemented by
-/// [`crate::vector::Vector`] and [`crate::matrix::Matrix`].
-///
-/// The trait covers the container essentials (element count, per-device
-/// parts, ensure-on-device, mark-dirty, gather) plus the launch plumbing the
-/// shared execution pipeline in `skeletons::exec` needs: device-selection and
-/// scheduler overrides, distribution unification for zip, and shape-aware
-/// output adoption. The [`Container::Rebound`] associated type names the
-/// same-shaped container with a different element type, which is how
-/// `map(f): C<I> -> C<O>` stays shape-preserving generically.
-pub trait Container<T: Pod>: Clone {
-    /// The same-shaped container holding `O` elements (map/zip outputs).
-    type Rebound<O: Pod>: Container<O>;
-
-    /// The runtime this container belongs to.
-    fn runtime(&self) -> Arc<SkelCl>;
-
+/// The object-safe view of a [`Container`]: everything a skeleton call needs
+/// from an input without knowing its element type or shape — identity and
+/// size, the launch-time layout overrides, the upload, and the fault-recovery
+/// hooks. The one prepare stage (`skeletons::exec`) and the one recovery
+/// wrapper (`recovery`) see every input through it: the containers of an
+/// eager call, the sources of a lazy plan, the vector additional arguments of
+/// a call, and the implicit index range of an index map (which owns an
+/// iteration space and no buffer).
+pub trait DynContainer: Send + Sync {
     /// Stable identity (used to detect aliasing between launch inputs and
     /// `run_into` targets).
     fn id(&self) -> u64;
@@ -797,24 +795,8 @@ pub trait Container<T: Pod>: Clone {
         self.elem_count() == 0
     }
 
-    /// Per-device element counts of the owned parts under the current
-    /// distribution.
-    fn part_sizes(&self) -> Vec<usize>;
-
     /// Check that this container belongs to `runtime`.
     fn check_runtime(&self, runtime: &Arc<SkelCl>) -> Result<()>;
-
-    /// Force the lazy upload now (the C++ library's `copyDataToDevices()`).
-    fn ensure_on_devices(&self) -> Result<()>;
-
-    /// Declare that a kernel modified the device data through a side channel
-    /// (the host copy is stale).
-    fn mark_device_modified(&self);
-
-    /// Gather the container's contents into a host `Vec` in canonical
-    /// (row-major, for matrices) order, downloading if the devices hold the
-    /// newer copy.
-    fn gather(&self) -> Result<Vec<T>>;
 
     /// Apply a launch-time device selection by overriding the distribution.
     fn apply_selection(&self, selection: &DeviceSelection) -> Result<()>;
@@ -824,10 +806,9 @@ pub trait Container<T: Pod>: Clone {
     /// reject the scheduler with a clear error.
     fn apply_scheduler(&self, scheduler: &StaticScheduler, cost: CostHint) -> Result<()>;
 
-    /// Coerce `self` and `other` (same shape, possibly different element
-    /// type) to one common element-wise layout — the paper's distribution
-    /// unification for zip. Errors if the shapes are incompatible.
-    fn unify_with<B: Pod>(&self, other: &Self::Rebound<B>) -> Result<()>;
+    /// Coerce to the default disjoint layout (block; row block for a
+    /// matrix) — what inputs whose distributions disagree are unified to.
+    fn coerce_to_block(&self) -> Result<()>;
 
     /// Coerce a replicated (copy) distribution to the disjoint block
     /// layout. Skeletons that must visit every element exactly once
@@ -850,15 +831,76 @@ pub trait Container<T: Pod>: Clone {
     /// replay re-uploads.
     fn refresh_for_replay(&self) -> Result<()>;
 
-    /// Upload lazily (coercing away layouts an element-wise kernel cannot
-    /// iterate, such as halo-padded stencil layouts) and return the flat
-    /// element partition plus the per-device buffers.
-    fn prepare_elementwise(&self) -> Result<(Partition, Vec<Option<Buffer>>)>;
+    /// Stop trusting the device copies after a launch over this container
+    /// failed, when the host still holds the data: an upload the launch
+    /// enqueued may never have landed, and the next device use must not
+    /// build on it. Costs nothing now; the next use uploads again.
+    fn distrust_devices(&self);
+
+    /// Upload lazily and return the flat element partition a kernel iterates
+    /// plus the per-device buffers. Element-wise kernels cannot iterate
+    /// halo-padded stencil layouts, so those are coerced away unless
+    /// `keep_halo` (the stencil sweep itself) asks for the padded parts with
+    /// fresh halos.
+    fn prepare_parts(&self, keep_halo: bool) -> Result<(Partition, Vec<Option<Buffer>>)>;
+
+    /// The current 1-D distribution of the container's flat element space,
+    /// if it has one (used by vector-specific skeletons and plans); matrices
+    /// return `None`.
+    fn flat_distribution(&self) -> Option<Distribution> {
+        None
+    }
+
+    /// Append the elements to `out` as raw host bytes, reading the host copy
+    /// in place (job packing lays many jobs' inputs back to back in one
+    /// device buffer).
+    fn append_host_bytes(&self, out: &mut Vec<u8>) -> Result<()>;
+}
+
+/// A distributed SkelCL container — the uniform interface the element-wise
+/// skeletons ([`crate::skeletons::Map`], [`crate::skeletons::Zip`],
+/// [`crate::skeletons::Reduce`]) launch against, implemented by
+/// [`crate::vector::Vector`] and [`crate::matrix::Matrix`].
+///
+/// The element-type-independent essentials (element count, layout
+/// overrides, upload, recovery hooks) live in the object-safe supertrait
+/// [`DynContainer`]; this trait adds what needs the element type or the
+/// container's shape: gathering, distribution unification for zip, and
+/// shape-aware output adoption. The [`Container::Rebound`] associated type
+/// names the same-shaped container with a different element type, which is
+/// how `map(f): C<I> -> C<O>` stays shape-preserving generically.
+pub trait Container<T: Pod>: DynContainer + Clone {
+    /// The same-shaped container holding `O` elements (map/zip outputs).
+    type Rebound<O: Pod>: Container<O>;
+
+    /// The runtime this container belongs to.
+    fn runtime(&self) -> Arc<SkelCl>;
+
+    /// Per-device element counts of the owned parts under the current
+    /// distribution.
+    fn part_sizes(&self) -> Vec<usize>;
+
+    /// Force the lazy upload now (the C++ library's `copyDataToDevices()`).
+    fn ensure_on_devices(&self) -> Result<()>;
+
+    /// Declare that a kernel modified the device data through a side channel
+    /// (the host copy is stale).
+    fn mark_device_modified(&self);
+
+    /// Gather the container's contents into a host `Vec` in canonical
+    /// (row-major, for matrices) order, downloading if the devices hold the
+    /// newer copy.
+    fn gather(&self) -> Result<Vec<T>>;
+
+    /// Coerce `self` and `other` (same shape, possibly different element
+    /// type) to one common element-wise layout — the paper's distribution
+    /// unification for zip. Errors if the shapes are incompatible.
+    fn unify_with<B: Pod>(&self, other: &Self::Rebound<B>) -> Result<()>;
 
     /// The buffers a launch writing into this container (`run_into`) may
-    /// write in place: its existing device buffers where the sizes fit,
-    /// `None` where the launch has to allocate.
-    fn obtain_output_buffers(&self, partition: &Partition) -> Vec<Option<Buffer>>;
+    /// write in place: its existing device buffers where they hold exactly
+    /// `lens[device]` elements, `None` where the launch has to allocate.
+    fn obtain_output_buffers(&self, lens: &[usize]) -> Vec<Option<Buffer>>;
 
     /// Wrap freshly written per-device buffers as a device-resident output
     /// container of this container's shape and distribution.
@@ -871,11 +913,4 @@ pub trait Container<T: Pod>: Clone {
         out: &Self::Rebound<O>,
         buffers: Vec<Option<Buffer>>,
     ) -> Result<()>;
-
-    /// The current 1-D distribution of the container's flat element space,
-    /// if it has one (used by vector-specific skeletons); matrices return
-    /// `None`.
-    fn flat_distribution(&self) -> Option<Distribution> {
-        None
-    }
 }

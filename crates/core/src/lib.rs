@@ -10,7 +10,9 @@
 //!   at runtime, as in the paper) or as native Rust closures,
 //! * one **uniform execution API**: every skeleton implements the
 //!   [`Skeleton`] trait and is invoked through the fluent [`Launch`] builder
-//!   (`sk.run(&input).args(...).devices(...).scheduler(...).exec()`),
+//!   (`sk.run(&input).args(...).devices(...).scheduler(...).exec()`), and
+//!   every call runs through one call path — prepare → kernel → launch →
+//!   wrap, one attempt under replay-based fault recovery,
 //! * one **unified container layer** ([`container`]): a single shared
 //!   coherence/distribution core behind every container, with the
 //!   [`Container`] trait as the uniform launch interface — `Map`, `Zip` and
@@ -98,7 +100,8 @@ pub mod vector;
 
 pub use args::{ArgAccess, ArgItem, Args, IntoArg, VectorArg};
 pub use container::{
-    Container, EdgePolicy, HaloSegment, PartLayout, PartSegment, Partitioning, Residence,
+    Container, DynContainer, EdgePolicy, HaloSegment, PartLayout, PartSegment, Partitioning,
+    Residence,
 };
 pub use distribution::{
     Boundary, Combine, Distribution, MatrixDistribution, Partition, RowPartition,
@@ -111,8 +114,8 @@ pub use plan::{CoalesceSignature, MatPlan, PackedLaunch, PlanScalar, PlanVec};
 pub use runtime::{init_gpus, init_profiles, DeviceSelection, DeviceTrace, ExecTrace, SkelCl};
 pub use scheduler::{DevicePerf, PerfModel, StaticScheduler};
 pub use skeletons::{
-    reduce_partials, DeviceScalar, IndexLaunch, Launch, LaunchConfig, Map, MapOverlap, Reduce,
-    ReducePlan, Scan, ScanTrace, Skeleton, Zip,
+    reduce_partials, DeviceScalar, IndexLaunch, IndexRange, Launch, LaunchConfig, Map, MapOverlap,
+    Reduce, ReducePlan, Scan, ScanTrace, Skeleton, Zip,
 };
 pub use vector::Vector;
 
@@ -125,7 +128,7 @@ pub use oclsim;
 pub mod prelude {
     pub use crate::args;
     pub use crate::args::{ArgAccess, Args, IntoArg};
-    pub use crate::container::Container;
+    pub use crate::container::{Container, DynContainer};
     pub use crate::distribution::{Boundary, Combine, Distribution, MatrixDistribution};
     pub use crate::error::{Result, SkelError};
     pub use crate::fusion::FusionPolicy;

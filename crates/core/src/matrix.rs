@@ -24,7 +24,7 @@ use parking_lot::Mutex;
 
 use oclsim::{pod, Buffer, CostHint, Pod};
 
-use crate::container::{Container, EdgePolicy, PartLayout, Storage};
+use crate::container::{Container, DynContainer, EdgePolicy, PartLayout, Storage};
 use crate::distribution::{Boundary, MatrixDistribution, Partition, RowPartition};
 use crate::error::{Result, SkelError};
 use crate::runtime::{DeviceSelection, SkelCl};
@@ -344,14 +344,6 @@ impl<T: Pod> Matrix<T> {
         Ok(())
     }
 
-    /// Declare this matrix the freshly written target of a stencil sweep
-    /// that reused its device buffers in place (the iterative driver's
-    /// ping-pong): the devices hold the authoritative core rows, the host
-    /// copy and the halo rows are stale.
-    pub(crate) fn mark_stencil_output(&self) {
-        self.inner.lock().mark_devices_authoritative();
-    }
-
     /// Commit this matrix as the output of an element-wise launch that wrote
     /// the given buffers: adopt shape, distribution and buffers.
     pub(crate) fn commit_as_output(
@@ -393,13 +385,7 @@ impl<T: Pod> Matrix<T> {
     }
 }
 
-impl<T: Pod> Container<T> for Matrix<T> {
-    type Rebound<O: Pod> = Matrix<O>;
-
-    fn runtime(&self) -> Arc<SkelCl> {
-        Matrix::runtime(self)
-    }
-
+impl<T: Pod> DynContainer for Matrix<T> {
     fn id(&self) -> u64 {
         Matrix::id(self)
     }
@@ -408,24 +394,8 @@ impl<T: Pod> Container<T> for Matrix<T> {
         self.len()
     }
 
-    fn part_sizes(&self) -> Vec<usize> {
-        self.inner.lock().layout.flat_partition().sizes()
-    }
-
     fn check_runtime(&self, runtime: &Arc<SkelCl>) -> Result<()> {
         Matrix::check_runtime(self, runtime)
-    }
-
-    fn ensure_on_devices(&self) -> Result<()> {
-        self.inner.lock().prepare_on_devices()
-    }
-
-    fn mark_device_modified(&self) {
-        Matrix::mark_device_modified(self)
-    }
-
-    fn gather(&self) -> Result<Vec<T>> {
-        self.to_vec()
     }
 
     fn apply_selection(&self, selection: &DeviceSelection) -> Result<()> {
@@ -447,24 +417,13 @@ impl<T: Pod> Container<T> for Matrix<T> {
         ))
     }
 
-    fn unify_with<B: Pod>(&self, other: &Matrix<B>) -> Result<()> {
-        let (lr, lc) = (self.rows(), self.cols());
-        let (rr, rc) = (other.rows(), other.cols());
-        if (lr, lc) != (rr, rc) {
-            return Err(SkelError::Distribution(format!(
-                "zip requires equal matrix shapes, got {lr}×{lc} and {rr}×{rc}"
-            )));
-        }
-        if self.distribution() != other.distribution() {
-            self.set_distribution(MatrixDistribution::RowBlock)?;
-            other.set_distribution(MatrixDistribution::RowBlock)?;
-        }
-        Ok(())
+    fn coerce_to_block(&self) -> Result<()> {
+        self.set_distribution(MatrixDistribution::RowBlock)
     }
 
     fn ensure_disjoint(&self) -> Result<()> {
         if self.distribution() == MatrixDistribution::Copy {
-            self.set_distribution(MatrixDistribution::RowBlock)?;
+            self.coerce_to_block()?;
         }
         Ok(())
     }
@@ -483,26 +442,71 @@ impl<T: Pod> Container<T> for Matrix<T> {
         self.inner.lock().refresh_for_replay()
     }
 
-    fn prepare_elementwise(&self) -> Result<(Partition, Vec<Option<Buffer>>)> {
+    fn distrust_devices(&self) {
+        self.inner.lock().distrust_devices();
+    }
+
+    fn prepare_parts(&self, keep_halo: bool) -> Result<(Partition, Vec<Option<Buffer>>)> {
         // Halo-padded parts interleave padding with core data; element-wise
         // kernels iterate owned elements only, so coerce to plain row blocks
         // (keeping any recovery weights).
         match self.distribution() {
-            MatrixDistribution::OverlapBlock { .. } => {
-                self.set_distribution(MatrixDistribution::RowBlock)?;
-            }
+            _ if keep_halo => {}
+            MatrixDistribution::OverlapBlock { .. } => self.coerce_to_block()?,
             MatrixDistribution::OverlapBlockWeighted { weights, .. } => {
                 self.set_distribution(MatrixDistribution::RowBlockWeighted(weights))?;
             }
             _ => {}
         }
-        let mut inner = self.inner.lock();
-        inner.ensure_on_devices()?;
-        Ok((inner.layout.flat_partition(), inner.buffers.clone()))
+        let (rows, buffers) = self.prepare_on_devices()?;
+        Ok((rows.flat_partition(), buffers))
     }
 
-    fn obtain_output_buffers(&self, partition: &Partition) -> Vec<Option<Buffer>> {
-        self.inner.lock().obtain_output_buffers(partition)
+    fn append_host_bytes(&self, out: &mut Vec<u8>) -> Result<()> {
+        self.with_host(|host| out.extend_from_slice(pod::as_bytes(host)))
+    }
+}
+
+impl<T: Pod> Container<T> for Matrix<T> {
+    type Rebound<O: Pod> = Matrix<O>;
+
+    fn runtime(&self) -> Arc<SkelCl> {
+        Matrix::runtime(self)
+    }
+
+    fn part_sizes(&self) -> Vec<usize> {
+        self.inner.lock().layout.flat_partition().sizes()
+    }
+
+    fn ensure_on_devices(&self) -> Result<()> {
+        self.inner.lock().prepare_on_devices()
+    }
+
+    fn mark_device_modified(&self) {
+        Matrix::mark_device_modified(self)
+    }
+
+    fn gather(&self) -> Result<Vec<T>> {
+        self.to_vec()
+    }
+
+    fn unify_with<B: Pod>(&self, other: &Matrix<B>) -> Result<()> {
+        let (lr, lc) = (self.rows(), self.cols());
+        let (rr, rc) = (other.rows(), other.cols());
+        if (lr, lc) != (rr, rc) {
+            return Err(SkelError::Distribution(format!(
+                "zip requires equal matrix shapes, got {lr}×{lc} and {rr}×{rc}"
+            )));
+        }
+        if self.distribution() != other.distribution() {
+            self.coerce_to_block()?;
+            other.coerce_to_block()?;
+        }
+        Ok(())
+    }
+
+    fn obtain_output_buffers(&self, lens: &[usize]) -> Vec<Option<Buffer>> {
+        self.inner.lock().obtain_output_buffers(lens)
     }
 
     fn wrap_output<O: Pod>(&self, buffers: Vec<Option<Buffer>>) -> Matrix<O> {

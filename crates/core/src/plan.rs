@@ -52,7 +52,7 @@ use skelcl_kernel::pack::JobSpans;
 use skelcl_kernel::types::ScalarType;
 
 use crate::args::Args;
-use crate::container::Container;
+use crate::container::{Container, DynContainer};
 use crate::distribution::{Distribution, Partition};
 use crate::error::{Result, SkelError};
 use crate::fusion::{boundary_decision, BoundaryDecision, FusionPolicy, GroupCost, StageCost};
@@ -60,10 +60,11 @@ use crate::kernelgen::{render_group, RenderedGroup, StageKind, UdfInfo, MAP_OVER
 use crate::matrix::Matrix;
 use crate::runtime::SkelCl;
 use crate::scheduler::PerfModel;
-use crate::skeletons::exec::{buffer_arg, execute_single, CreateBuffer};
+use crate::skeletons::exec::{buffer_arg, CreateBuffer};
 use crate::skeletons::{
-    create_buffer, launch_and_gather, launch_elementwise, launch_scan, DeviceScalar, HostOperator,
-    LaunchConfig, Map, MapOverlap, Reduce, ReducePart, Scan, Skeleton, Zip,
+    create_buffer, launch_and_gather, launch_elementwise, launch_scan, run_call, CallSpec,
+    DeviceScalar, HostOperator, LaunchConfig, Map, MapOverlap, PreparedCall, Reduce, Scan,
+    Skeleton, StageKernels, Zip,
 };
 use crate::vector::Vector;
 
@@ -112,53 +113,6 @@ macro_rules! with_scalar {
             }
         }
     };
-}
-
-/// A type-erased view of an input container: everything the execution engine
-/// needs from a [`Vector<T>`] without knowing `T`.
-trait ErasedSource: Send + Sync {
-    fn src_len(&self) -> usize;
-    fn src_distribution(&self) -> Distribution;
-    fn src_set_distribution(&self, distribution: Distribution) -> Result<()>;
-    fn src_ensure_disjoint(&self) -> Result<()>;
-    fn src_prepare(&self) -> Result<(Partition, Vec<Option<Buffer>>)>;
-    /// Append the source's elements to `out` as raw host bytes (used by job
-    /// packing, which lays many jobs' inputs back to back in one device
-    /// buffer), reading the host copy in place.
-    fn src_append_host_bytes(&self, out: &mut Vec<u8>) -> Result<()>;
-    /// Re-establish a trustworthy device image before a fault replay (see
-    /// [`crate::Container::refresh_for_replay`]).
-    fn src_refresh_for_replay(&self) -> Result<()>;
-}
-
-impl<T: Pod> ErasedSource for Vector<T> {
-    fn src_len(&self) -> usize {
-        self.len()
-    }
-
-    fn src_distribution(&self) -> Distribution {
-        self.distribution()
-    }
-
-    fn src_set_distribution(&self, distribution: Distribution) -> Result<()> {
-        self.set_distribution(distribution)
-    }
-
-    fn src_ensure_disjoint(&self) -> Result<()> {
-        Container::ensure_disjoint(self)
-    }
-
-    fn src_prepare(&self) -> Result<(Partition, Vec<Option<Buffer>>)> {
-        self.prepare_on_devices()
-    }
-
-    fn src_append_host_bytes(&self, out: &mut Vec<u8>) -> Result<()> {
-        self.with_host(|host| out.extend_from_slice(oclsim::pod::as_bytes(host)))
-    }
-
-    fn src_refresh_for_replay(&self) -> Result<()> {
-        Container::refresh_for_replay(self)
-    }
 }
 
 /// One node of the lazy expression DAG.
@@ -377,7 +331,7 @@ pub(crate) struct LoweredShape {
     pub(crate) rendered: RenderedGroup,
     /// The group's kernel and, for a scan, its offset kernel: built on the
     /// runtime's context at first use.
-    kernels: OnceLock<(oclsim::Kernel, Option<oclsim::Kernel>)>,
+    kernels: OnceLock<Arc<StageKernels>>,
 }
 
 impl LoweredShape {
@@ -398,10 +352,7 @@ impl LoweredShape {
     /// holds the shape: the first call builds the program on its context
     /// (charging the build to its host clock — once, the context caches
     /// programs by source), and `set_kernel_tier` on it reaches the program.
-    pub(crate) fn kernels(
-        &self,
-        runtime: &SkelCl,
-    ) -> Result<&(oclsim::Kernel, Option<oclsim::Kernel>)> {
+    pub(crate) fn kernels(&self, runtime: &SkelCl) -> Result<&Arc<StageKernels>> {
         if let Some(kernels) = self.kernels.get() {
             return Ok(kernels);
         }
@@ -411,7 +362,12 @@ impl LoweredShape {
             Some(name) => Some(program.kernel(name)?),
             None => None,
         };
-        Ok(self.kernels.get_or_init(|| (kernel, offset)))
+        let kernels = StageKernels {
+            kernel,
+            offset,
+            per_element_cost: None,
+        };
+        Ok(self.kernels.get_or_init(|| Arc::new(kernels)))
     }
 }
 
@@ -574,7 +530,7 @@ enum GroupOutput {
 pub(crate) struct PlanGraph {
     runtime: Arc<SkelCl>,
     nodes: Vec<PlanNode>,
-    sources: Vec<Arc<dyn ErasedSource>>,
+    sources: Vec<Arc<dyn DynContainer>>,
     policy: FusionPolicy,
     err: Option<SkelError>,
 }
@@ -603,13 +559,13 @@ impl PlanGraph {
     }
 
     /// Refresh every input source for a fault replay (see
-    /// [`crate::Container::refresh_for_replay`]): gather each source's
+    /// [`DynContainer::refresh_for_replay`]): gather each source's
     /// authoritative copy to the host and invalidate its device copies so
     /// the replay re-uploads instead of trusting a buffer a transiently
     /// failed transfer never reached.
     fn refresh_sources(&self) -> Result<()> {
         for source in &self.sources {
-            source.src_refresh_for_replay()?;
+            source.refresh_for_replay()?;
         }
         Ok(())
     }
@@ -658,14 +614,14 @@ impl PlanGraph {
         &self,
         lowered: &LoweredGroup,
         chain: &ExecChain,
-        prepared: &[(Partition, Vec<Option<Buffer>>)],
+        sources: &[Vec<Option<Buffer>>],
         device: usize,
     ) -> Result<Vec<KernelArg>> {
         let chain = match chain {
-            ExecChain::Source(source) => &prepared[*source].1,
+            ExecChain::Source(source) => &sources[*source],
             ExecChain::Interm(buffers) => buffers,
         };
-        let sides = lowered.side_sources.iter().map(|&s| &prepared[s].1);
+        let sides = lowered.side_sources.iter().map(|&s| &sources[s]);
         std::iter::once(chain)
             .chain(sides)
             .map(|buffers| buffer_arg(buffers, device, format_args!("a pipeline input")))
@@ -679,11 +635,11 @@ impl PlanGraph {
     fn run_group(
         &self,
         group: &Group,
-        partition: &Partition,
-        prepared: &[(Partition, Vec<Option<Buffer>>)],
+        call: &PreparedCall,
         chain: &ExecChain,
     ) -> Result<GroupOutput> {
         let runtime = &self.runtime;
+        let (partition, sources) = (&call.partition, &call.input_buffers);
         let lowered = self.lowered(&group.nodes)?;
         runtime.charge_skeleton_call();
         let active = partition.active_devices();
@@ -701,7 +657,7 @@ impl PlanGraph {
         }
         let kernels = lowered.shape.kernels(runtime)?;
         let bind = |device| {
-            let inputs = self.input_args(&lowered, chain, prepared, device)?;
+            let inputs = self.input_args(&lowered, chain, sources, device)?;
             Ok((inputs, lowered.extra_args.clone()))
         };
         let host_op = || {
@@ -714,42 +670,40 @@ impl PlanGraph {
         match group.kind {
             GroupKind::Elementwise => {
                 let create = with_scalar!(out_ty, T, { create_buffer::<T> as CreateBuffer });
-                launch_elementwise(runtime, &kernels.0, partition, &bind, create, None)
-                    .map(GroupOutput::Buffers)
+                let lens = partition.sizes();
+                launch_elementwise(
+                    runtime,
+                    &kernels.kernel,
+                    partition,
+                    &lens,
+                    &bind,
+                    create,
+                    None,
+                )
+                .map(GroupOutput::Buffers)
             }
-            GroupKind::Reduce => {
-                let mut parts = Vec::with_capacity(active.len());
-                for device in active {
-                    parts.push(ReducePart {
-                        device,
-                        n: partition.size(device),
-                        inputs: self.input_args(&lowered, chain, prepared, device)?,
-                    });
-                }
-                with_scalar!(out_ty, T, {
-                    let extras = &lowered.extra_args;
-                    let mut partials =
-                        launch_and_gather::<T>(runtime, &kernels.0, parts, extras, None, None)?;
-                    Ok(GroupOutput::Scalar(
-                        host_op().fold(&mut partials)?.to_value(),
-                    ))
-                })
-            }
+            GroupKind::Reduce => with_scalar!(out_ty, T, {
+                let mut partials =
+                    launch_and_gather::<T>(runtime, kernels, partition, &bind, None)?;
+                Ok(GroupOutput::Scalar(
+                    host_op().fold(&mut partials)?.to_value(),
+                ))
+            }),
             GroupKind::Scan => with_scalar!(out_ty, T, {
                 let combine = |a: T, b: T| host_op().fold(&mut [a, b]);
-                launch_scan(
-                    runtime, kernels, partition, &bind, &combine, None, None, false,
-                )
-                .map(|(out, _)| GroupOutput::Buffers(out))
+                launch_scan(runtime, kernels, partition, &bind, &combine, None, false)
+                    .map(|(out, _)| GroupOutput::Buffers(out))
             }),
             GroupKind::Overlap => unreachable!("vector plans have no stencil stage"),
         }
     }
 
-    /// Execute the plan at `tip`: unify source distributions, run the fusion
-    /// pass, lower each group to launches on the existing queue/event
-    /// machinery, and account the fusion telemetry.
-    fn execute(&self, tip: usize) -> Result<GroupOutput> {
+    /// Execute the plan at `tip` through the one call path: its sources are
+    /// the call's inputs — unified to one distribution, uploaded, and after a
+    /// fault refreshed and re-partitioned together — and one attempt runs
+    /// every launch group and wraps the result (`wrap`, so a discarded
+    /// attempt's output releases its buffers).
+    fn execute<R>(&self, tip: usize, wrap: &dyn Fn(GroupOutput) -> R) -> Result<R> {
         if let Some(err) = &self.err {
             return Err(err.clone());
         }
@@ -761,48 +715,73 @@ impl PlanGraph {
                     .into(),
             ));
         }
-        let len = self.sources[0].src_len();
-        if len == 0 {
-            return Err(SkelError::EmptyInput);
-        }
-        // Distribution unification, generalised from the eager zip: if any
-        // source disagrees, everything is coerced to block.
-        let first_dist = self.sources[0].src_distribution();
-        if self
-            .sources
-            .iter()
-            .any(|s| s.src_distribution() != first_dist)
-        {
+        let coerce = || {
+            let unified = self.unified_distribution(&spine);
             for source in &self.sources {
-                source.src_set_distribution(Distribution::Block)?;
+                // Block whenever a source has to move.
+                if distribution_of(&**source) != unified {
+                    source.coerce_to_block()?;
+                }
             }
-        }
-        // A prefix/fold over a copy-distributed input would double-count;
-        // the eager reduce/scan coerce to block, so the plan does too.
+            Ok(())
+        };
+        let spec = CallSpec {
+            charge: false,
+            coerce: &coerce,
+            ..CallSpec::eager(None)
+        };
+        let sources: Vec<&dyn DynContainer> = self.sources.iter().map(|s| &**s).collect();
+        let cfg = LaunchConfig::default();
+        run_call(&self.runtime, &sources, &cfg, &spec, &mut |call| {
+            self.run_groups(call, &spine).map(wrap)
+        })
+    }
+
+    /// The one distribution [`PlanGraph::execute`] brings every source to:
+    /// their common one — block if any disagrees (the eager zip's
+    /// unification, generalised) — and never copy under a prefix or fold,
+    /// which would double-count (the eager reduce and scan coerce to block,
+    /// so the plan does too).
+    fn unified_distribution(&self, spine: &[usize]) -> Distribution {
+        let first = distribution_of(&*self.sources[0]);
         let has_fold = spine.iter().any(|&i| {
             matches!(
                 self.nodes[i],
                 PlanNode::Reduce { .. } | PlanNode::Scan { .. }
             )
         });
-        if has_fold {
-            for source in &self.sources {
-                source.src_ensure_disjoint()?;
-            }
+        let agree = self.sources.iter().all(|s| distribution_of(&**s) == first);
+        if agree && !(has_fold && first == Distribution::Copy) {
+            first
+        } else {
+            Distribution::Block
         }
-        let mut prepared = Vec::with_capacity(self.sources.len());
-        for source in &self.sources {
-            prepared.push(source.src_prepare()?);
-        }
-        let partition = prepared[0].0.clone();
-        let active = partition.active_devices();
-        let device_items: Vec<(usize, usize)> =
-            active.iter().map(|&d| (d, partition.size(d))).collect();
+    }
+
+    /// Device bytes of every input source.
+    fn source_bytes(&self) -> usize {
+        let sized = |node: &PlanNode| match node {
+            PlanNode::Source { source, ty } => self.sources[*source].elem_count() * ty.size_bytes(),
+            _ => 0,
+        };
+        self.nodes.iter().map(sized).sum()
+    }
+
+    /// One attempt at the plan's launches over the prepared sources: run the
+    /// fusion pass, lower each group to launches on the existing queue/event
+    /// machinery, and account the fusion telemetry.
+    fn run_groups(&self, call: &PreparedCall, spine: &[usize]) -> Result<GroupOutput> {
+        let partition = &call.partition;
+        let device_items: Vec<(usize, usize)> = partition
+            .active_devices()
+            .iter()
+            .map(|&d| (d, partition.size(d)))
+            .collect();
         let model = PerfModel::analytical(&self.runtime);
-        let groups = plan_groups(&self.nodes, &spine, self.policy, &model, &device_items)?;
+        let groups = plan_groups(&self.nodes, spine, self.policy, &model, &device_items)?;
         let mut chain = ExecChain::Source(0);
         for group in &groups {
-            let ran = self.run_group(group, &partition, &prepared, &chain);
+            let ran = self.run_group(group, call, &chain);
             // The group consumed the running intermediate — or failed (its
             // launcher joined what it enqueued), and nothing else will.
             let released = self.release_chain(&chain);
@@ -834,32 +813,14 @@ impl PlanGraph {
         }
         let spine = self.spine(tip);
         let devices = self.runtime.device_count();
-        let len = self.sources[0].src_len();
+        let len = self.sources[0].elem_count();
         let groups = if spine.len() < 2 {
             Err("the plan has no stage")
         } else if len == 0 {
             Err("empty input")
         } else {
             // Predict what execute() would do, without mutating the sources.
-            let first_dist = self.sources[0].src_distribution();
-            let mut dist = if self
-                .sources
-                .iter()
-                .any(|s| s.src_distribution() != first_dist)
-            {
-                Distribution::Block
-            } else {
-                first_dist
-            };
-            let has_fold = spine.iter().any(|&i| {
-                matches!(
-                    self.nodes[i],
-                    PlanNode::Reduce { .. } | PlanNode::Scan { .. }
-                )
-            });
-            if has_fold && dist == Distribution::Copy {
-                dist = Distribution::Block;
-            }
+            let dist = self.unified_distribution(&spine);
             let partition = Partition::compute(len, devices, &dist);
             let device_items: Vec<(usize, usize)> = partition
                 .active_devices()
@@ -883,13 +844,20 @@ impl PlanGraph {
             &|source| {
                 format!(
                     "len {}, {:?}",
-                    self.sources[source].src_len(),
-                    self.sources[source].src_distribution()
+                    self.sources[source].elem_count(),
+                    distribution_of(&*self.sources[source])
                 )
             },
             groups,
         )
     }
+}
+
+/// The distribution of a plan source — a vector, so it has one.
+fn distribution_of(source: &dyn DynContainer) -> Distribution {
+    source
+        .flat_distribution()
+        .expect("the sources of a vector plan are vectors")
 }
 
 /// The memo entry of the fusion group `group` of `nodes`.
@@ -989,14 +957,7 @@ fn check_stage_args(udf: &UdfInfo, args: &Args) -> Result<()> {
             "lazy pipeline stages accept only scalar additional arguments".into(),
         ));
     }
-    if args.len() != udf.extra_params.len() {
-        return Err(SkelError::UdfSignature(format!(
-            "the user function expects {} additional argument(s), the call provides {}",
-            udf.extra_params.len(),
-            args.len()
-        )));
-    }
-    Ok(())
+    crate::skeletons::udf::check_arg_count(udf, args.len())
 }
 
 fn check_elem_ty<O: 'static>(udf: &UdfInfo, role: &str) -> Result<ScalarType> {
@@ -1110,7 +1071,7 @@ impl<T: Pod> PlanVec<T> {
         let tip = self.graph.admit(tip, |g| {
             let udf = skeleton.plan_udf()?;
             other.check_runtime(&g.runtime)?;
-            let len = g.sources[0].src_len();
+            let len = g.sources[0].elem_count();
             if other.len() != len {
                 return Err(SkelError::LengthMismatch {
                     left: len,
@@ -1196,20 +1157,20 @@ impl<T: Pod> PlanVec<T> {
 
     /// Execute the plan and return the result vector.
     pub fn into_vector(&self) -> Result<Vector<T>> {
-        match self.graph.execute(self.tip)? {
+        self.graph.execute(self.tip, &|out| match out {
             GroupOutput::Buffers(buffers) => {
                 // Read after the run: executing may have coerced the sources
                 // to a common distribution, which the output adopts.
-                let source = &self.graph.sources[0];
-                Ok(Vector::device_resident(
+                let source = &*self.graph.sources[0];
+                Vector::device_resident(
                     &self.graph.runtime,
-                    source.src_len(),
-                    source.src_distribution(),
+                    source.elem_count(),
+                    distribution_of(source),
                     buffers,
-                ))
+                )
             }
             GroupOutput::Scalar(_) => unreachable!("a PlanVec tip lowers to a vector"),
-        }
+        })
     }
 
     /// Execute the plan ([`into_vector`](Self::into_vector) alias).
@@ -1235,20 +1196,14 @@ impl<T: Pod> PlanVec<T> {
 
     /// Element count of the plan's primary input (and therefore its output).
     pub fn input_len(&self) -> usize {
-        self.graph.sources[0].src_len()
+        self.graph.sources[0].elem_count()
     }
 
     /// Estimated device bytes the plan needs at once: every input source
     /// plus the output. Used by admission control to charge tenant quotas
     /// before execution.
     pub fn footprint_bytes(&self) -> usize {
-        let mut bytes = self.input_len() * std::mem::size_of::<T>();
-        for node in &self.graph.nodes {
-            if let PlanNode::Source { source, ty } = node {
-                bytes += self.graph.sources[*source].src_len() * ty.size_bytes();
-            }
-        }
-        bytes
+        self.input_len() * std::mem::size_of::<T>() + self.graph.source_bytes()
     }
 
     /// Re-establish a trustworthy device image of every input source before
@@ -1393,7 +1348,7 @@ impl<T: Pod> PlanVec<T> {
             let ty = lowered.shape.rendered.inputs[slot];
             let mut bytes: Vec<u8> = Vec::with_capacity(total * ty.size_bytes());
             for job in jobs {
-                job.graph.sources[source_index].src_append_host_bytes(&mut bytes)?;
+                job.graph.sources[source_index].append_host_bytes(&mut bytes)?;
             }
             if bytes.len() != total * ty.size_bytes() {
                 return Err(SkelError::Plan(format!(
@@ -1408,7 +1363,7 @@ impl<T: Pod> PlanVec<T> {
         }
         let out = context.create_buffer::<T>(device, total)?;
         buffers.push(out.clone());
-        let kernel = &lowered.shape.kernels(runtime)?.0;
+        let kernel = &lowered.shape.kernels(runtime)?.kernel;
         kargs.push(KernelArg::Buffer(out.clone()));
         kargs.push(KernelArg::Scalar(Value::Int(total as i32)));
         kargs.extend(lowered.extra_args.iter().cloned());
@@ -1565,10 +1520,10 @@ impl<T: DeviceScalar> PlanScalar<T> {
 
     /// Execute the plan and return the reduced scalar.
     pub fn scalar(&self) -> Result<T> {
-        match self.graph.execute(self.tip)? {
-            GroupOutput::Scalar(value) => Ok(T::from_value(value)),
+        self.graph.execute(self.tip, &|out| match out {
+            GroupOutput::Scalar(value) => T::from_value(value),
             GroupOutput::Buffers(_) => unreachable!("a PlanScalar tip lowers to a scalar"),
-        }
+        })
     }
 
     /// Execute the plan ([`scalar`](Self::scalar) alias).
@@ -1589,20 +1544,15 @@ impl<T: DeviceScalar> PlanScalar<T> {
 
     /// Element count of the plan's primary input.
     pub fn input_len(&self) -> usize {
-        self.graph.sources[0].src_len()
+        self.graph.sources[0].elem_count()
     }
 
     /// Estimated device bytes the plan needs at once (every input source
     /// plus a partial vector). Used by admission control to charge tenant
     /// quotas before execution.
     pub fn footprint_bytes(&self) -> usize {
-        let mut bytes = crate::reduce_partials(self.input_len()) * std::mem::size_of::<T>();
-        for node in &self.graph.nodes {
-            if let PlanNode::Source { source, ty } = node {
-                bytes += self.graph.sources[*source].src_len() * ty.size_bytes();
-            }
-        }
-        bytes
+        crate::reduce_partials(self.input_len()) * std::mem::size_of::<T>()
+            + self.graph.source_bytes()
     }
 
     /// Re-establish a trustworthy device image of every input source before
@@ -1768,9 +1718,13 @@ impl<'a> MatPlan<'a> {
                             }
                         }
                     }
+                    let spec = CallSpec::eager(None);
                     let next: Matrix<f32> =
-                        execute_single::<f32, f32, _>(&current, &cfg, None, None, &|call| {
-                            Ok(shape.kernels(&call.runtime)?.0.clone())
+                        run_call(&self.runtime, &[&current], &cfg, &spec, &mut |call| {
+                            let kernel = &shape.kernels(&call.runtime)?.kernel;
+                            let out_buffers =
+                                call.launch_elementwise::<f32, Matrix<f32>>(kernel, &[], None)?;
+                            PreparedCall::wrap_output(&current, out_buffers, None)
                         })?;
                     let merged = group.nodes.len() - 1;
                     if merged > 0 {

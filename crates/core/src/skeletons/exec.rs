@@ -1,34 +1,38 @@
-//! The unified skeleton execution pipeline: one [`Skeleton`] trait, one
-//! [`Launch`] builder, and the shared prepare-args → partition → launch →
-//! combine stages that used to be duplicated across the skeleton
-//! implementations.
-//!
-//! Every skeleton call flows through the same stages:
+//! The one call path: one [`Skeleton`] trait, one [`Launch`] builder, and
+//! the stages every synchronous launch in core goes through ([`run_call`]).
+//! A skeleton call is data — a stage kind, a user function (`udf::Udf`),
+//! inputs and a [`LaunchConfig`]:
 //!
 //! 1. **configure** — a [`Launch`] builder collects additional [`Args`], an
 //!    optional [`DeviceSelection`] and an optional scheduler,
-//! 2. **prepare** — inputs are validated, coerced to a common distribution
-//!    and uploaded lazily; additional arguments are resolved
-//!    ([`PreparedArgs`]),
-//! 3. **launch** — one kernel enqueue per active device, through the one
+//! 2. **prepare** — [`PreparedCall::prepare`], the only prepare stage: the
+//!    inputs — type-erased ([`DynContainer`]), so one container, a zip's
+//!    two, a plan's sources and an index map's index range are one case —
+//!    are validated, coerced to the layout the skeleton needs and uploaded
+//!    lazily; additional arguments are resolved ([`PreparedArgs`]),
+//! 3. **kernel** — the user function answers with the kernels of the stage
+//!    kind (`Udf::kernels`): from the runtime's lowering memo for source
+//!    text — where lazy plans (`crate::plan`) find their groups' kernels
+//!    too — built once per skeleton instance for a closure,
+//! 4. **launch** — one kernel enqueue per active device, through the one
 //!    launcher of the kernel's kind: [`launch_elementwise`] here (map, zip,
-//!    index map), `launch_and_gather` (reduce) and `launch_scan` (scan) next
-//!    to their skeletons. Source UDFs get their kernel from the runtime's
-//!    lowering memo ([`source_kernel`]); closures build theirs per call. Lazy
-//!    plans (`crate::plan`) bind their groups' arguments and call the same
-//!    launchers, which alone own the output buffers of a launch — allocate,
-//!    reuse a `run_into` target's, release on failure,
-//! 4. **combine** — multi-device results are gathered/merged (reduce and
-//!    scan) or wrapped as a device-resident output container.
+//!    index map, stencil sweep), `launch_and_gather` (reduce) and
+//!    `launch_scan` (scan) next to their skeletons. The launchers alone own
+//!    the output buffers of a launch — allocate, reuse a `run_into`
+//!    target's, release on failure,
+//! 5. **wrap** — multi-device results are gathered/merged (reduce and scan)
+//!    or wrapped as a device-resident output container.
+//!
+//! Stages 2–5 are one *attempt* under the one recovery wrapper
+//! (`crate::recovery`): over only when every queue it enqueued on is clean,
+//! replayed after an injected fault.
 //!
 //! The data-parallel stages are written against the
 //! [`Container`](crate::container::Container) trait, not a concrete
-//! container type: the same prepare/launch/combine code (and the same
-//! generated kernels) executes a [`Map`](crate::skeletons::Map) over a
-//! [`Vector`](crate::vector::Vector) or over a row-block
-//! [`Matrix`](crate::matrix::Matrix), and `Skeleton` is generic over its
-//! input shape (`Skeleton<Vector<f32>>`, `Skeleton<Matrix<f32>>`, a pair of
-//! containers for zip).
+//! container type: the same code (and the same generated kernels) executes a
+//! [`Map`](crate::skeletons::Map) over a [`Vector`](crate::vector::Vector) or
+//! a row-block [`Matrix`](crate::matrix::Matrix), and `Skeleton` is generic
+//! over its input shape (a container, a pair of them for zip).
 //!
 //! ```
 //! use skelcl::prelude::*;
@@ -48,10 +52,9 @@ use std::sync::Arc;
 use oclsim::{Buffer, CostHint, KernelArg, Pod, Value};
 
 use crate::args::{Args, IntoArg};
-use crate::container::Container;
+use crate::container::{Container, DynContainer};
 use crate::distribution::{Distribution, Partition};
 use crate::error::{Result, SkelError};
-use crate::kernelgen::{StageKind, UdfInfo};
 use crate::runtime::{DeviceSelection, SkelCl};
 use crate::scheduler::StaticScheduler;
 use crate::skeletons::PreparedArgs;
@@ -229,139 +232,184 @@ pub(crate) fn selection_distribution(
     }
 }
 
-/// The shared **prepare** stage of a data-parallel call: validates the
-/// input(s), applies the device selection and scheduler distribution,
-/// performs the lazy uploads and resolves the additional arguments. All of
-/// it goes through the [`Container`] trait, so vectors and matrices prepare
-/// through the same code.
+/// What a call asks of the prepare stage beyond inputs and [`LaunchConfig`].
+pub(crate) struct CallSpec<'a> {
+    /// Charge the dispatch overhead of one skeleton call (a lazy plan does
+    /// not: it charges per launch group, once the group is lowered).
+    pub charge: bool,
+    /// The user function's per-element cost, when an attached scheduler is
+    /// to weight the partition by it.
+    pub scheduler_cost: Option<CostHint>,
+    /// The layout the skeleton needs of its inputs, imposed after the charge
+    /// and before the launch-time overrides: zip's distribution unification,
+    /// the disjoint parts of a fold, the stencil's overlap.
+    pub coerce: &'a dyn Fn() -> Result<()>,
+    /// Keep halo-padded parts ([`DynContainer::prepare_parts`]): the sweep.
+    pub keep_halo: bool,
+}
+
+impl CallSpec<'_> {
+    /// An eager call whose inputs are used as they are laid out.
+    pub(crate) fn eager(scheduler_cost: Option<CostHint>) -> CallSpec<'static> {
+        CallSpec {
+            charge: true,
+            scheduler_cost,
+            coerce: &|| Ok(()),
+            keep_halo: false,
+        }
+    }
+}
+
+/// What the one **prepare** stage leaves for the launch: the runtime, the
+/// flat element partition the kernels iterate, the uploaded inputs and the
+/// resolved additional arguments.
 pub(crate) struct PreparedCall {
     pub runtime: Arc<SkelCl>,
-    /// The flat element partition the kernels iterate (a matrix's row blocks
-    /// flattened to element ranges).
+    /// The partition of the first input (a matrix's row blocks flattened to
+    /// element ranges, an index range's blocks of indices).
     pub partition: Partition,
     pub prepared_args: PreparedArgs,
-    /// Per-input per-device buffers, in skeleton argument order.
+    /// Per-input per-device buffers, in skeleton argument order; an index
+    /// range contributes none.
     pub input_buffers: Vec<Vec<Option<Buffer>>>,
     /// Identities of the input containers, used to detect `run_into` targets
     /// that alias an input.
     pub input_ids: Vec<u64>,
-    pub len: usize,
 }
 
 impl PreparedCall {
-    /// Prepare a single-input call (map, reduce, scan).
-    pub fn single<T: Pod, C: Container<T>>(
-        input: &C,
+    /// Prepare a call over `inputs` (not empty; all of one shape): validate
+    /// them, impose the skeleton's layout (`spec.coerce`), apply the device
+    /// selection and scheduler distribution to every input, perform the lazy
+    /// uploads and resolve the additional arguments — in that order, which
+    /// the event logs pin. One input is a map, reduce, scan or stencil (or
+    /// an index map's index range), two a zip, any number the sources of a
+    /// lazy plan.
+    pub fn prepare(
+        runtime: &Arc<SkelCl>,
+        inputs: &[&dyn DynContainer],
         cfg: &LaunchConfig<'_>,
-        scheduler_cost: Option<CostHint>,
+        spec: &CallSpec<'_>,
     ) -> Result<PreparedCall> {
-        let runtime = input.runtime();
-        runtime.charge_skeleton_call();
-        if input.is_empty() {
+        for other in inputs.iter().skip(1) {
+            other.check_runtime(runtime)?;
+        }
+        if spec.charge {
+            runtime.charge_skeleton_call();
+        }
+        if inputs.iter().any(|input| input.is_empty()) {
             return Err(SkelError::EmptyInput);
         }
+        (spec.coerce)()?;
         if let Some(selection) = &cfg.devices {
-            input.apply_selection(selection)?;
+            for input in inputs {
+                input.apply_selection(selection)?;
+            }
         }
-        if let (Some(scheduler), Some(cost)) = (cfg.scheduler, scheduler_cost) {
-            input.apply_scheduler(scheduler, cost)?;
+        if let (Some(scheduler), Some(cost)) = (cfg.scheduler, spec.scheduler_cost) {
+            for input in inputs {
+                input.apply_scheduler(scheduler, cost)?;
+            }
         }
-        let (partition, buffers) = input.prepare_elementwise()?;
-        let prepared_args = PreparedArgs::prepare(&runtime, &cfg.args)?;
+        let mut partition = None;
+        let mut input_buffers = Vec::with_capacity(inputs.len());
+        for input in inputs {
+            let (parts, buffers) = input.prepare_parts(spec.keep_halo)?;
+            partition.get_or_insert(parts);
+            if !buffers.is_empty() {
+                input_buffers.push(buffers);
+            }
+        }
         Ok(PreparedCall {
-            runtime,
-            partition,
-            prepared_args,
-            input_buffers: vec![buffers],
-            input_ids: vec![input.id()],
-            len: input.elem_count(),
+            runtime: runtime.clone(),
+            partition: partition
+                .ok_or_else(|| SkelError::Internal("a skeleton call has no input".into()))?,
+            prepared_args: PreparedArgs::prepare(runtime, &cfg.args)?,
+            input_buffers,
+            input_ids: inputs.iter().map(|input| input.id()).collect(),
         })
     }
 
-    /// Prepare a two-input call (zip): shape check plus the paper's
-    /// distribution unification (differing distributions are coerced to
-    /// block on both sides), then the same device-selection / scheduler /
-    /// upload path as the single-input case — on both containers.
-    pub fn pair<A: Pod, B: Pod, CA: Container<A>>(
-        left: &CA,
-        right: &CA::Rebound<B>,
-        cfg: &LaunchConfig<'_>,
-        scheduler_cost: Option<CostHint>,
-    ) -> Result<PreparedCall> {
-        let runtime = left.runtime();
-        right.check_runtime(&runtime)?;
-        runtime.charge_skeleton_call();
-        if left.is_empty() || right.is_empty() {
-            return Err(SkelError::EmptyInput);
+    /// Reject additional arguments: the binary operator of a reduce or scan
+    /// (`skeleton`) takes none.
+    pub fn no_args(&self, skeleton: &str) -> Result<()> {
+        if self.prepared_args.len() != 0 {
+            return Err(SkelError::UnsupportedArg(format!(
+                "the {skeleton} skeleton's binary operator takes no additional arguments"
+            )));
         }
-        // Shape check + distribution unification (coerce both to block when
-        // they differ).
-        left.unify_with(right)?;
-        if let Some(selection) = &cfg.devices {
-            left.apply_selection(selection)?;
-            right.apply_selection(selection)?;
-        }
-        if let (Some(scheduler), Some(cost)) = (cfg.scheduler, scheduler_cost) {
-            left.apply_scheduler(scheduler, cost)?;
-            right.apply_scheduler(scheduler, cost)?;
-        }
-        let (partition, left_buffers) = left.prepare_elementwise()?;
-        let (_, right_buffers) = right.prepare_elementwise()?;
-        let prepared_args = PreparedArgs::prepare(&runtime, &cfg.args)?;
-        Ok(PreparedCall {
-            runtime,
-            partition,
-            prepared_args,
-            input_buffers: vec![left_buffers, right_buffers],
-            input_ids: vec![left.id(), right.id()],
-            len: left.elem_count(),
-        })
+        Ok(())
     }
 
-    /// The buffers of a `run_into` target this call may write in place:
-    /// those of its device buffers that fit the partition. A target that
-    /// aliases one of the inputs (the paper's in-place `y = saxpy(x, y)`
-    /// pattern) offers none — the device model forbids binding one buffer to
-    /// two kernel arguments — so the launch allocates, and the old buffers
-    /// are released when the result is committed.
+    /// The buffers of a `run_into` target that a launch writing `lens[device]`
+    /// elements per device may write in place: those of its device buffers
+    /// that have that length. A target that aliases one of the inputs (the
+    /// paper's in-place `y = saxpy(x, y)` pattern) offers none — the device
+    /// model forbids binding one buffer to two kernel arguments — so the
+    /// launch allocates, and the old buffers are released when the result is
+    /// committed.
     pub fn reusable_buffers<O: Pod, CO: Container<O>>(
         &self,
         reuse: Option<&CO>,
+        lens: &[usize],
     ) -> Result<Option<Vec<Option<Buffer>>>> {
         match reuse {
             Some(out) if !self.input_ids.contains(&out.id()) => {
                 out.check_runtime(&self.runtime)?;
-                Ok(Some(out.obtain_output_buffers(&self.partition)))
+                Ok(Some(out.obtain_output_buffers(lens)))
             }
             _ => Ok(None),
         }
     }
 
-    /// Launch an element-wise kernel (map, zip) over the prepared inputs and
-    /// additional arguments; returns the written output buffers.
+    /// Launch an element-shaped kernel (map, zip, index map, stencil sweep)
+    /// over the prepared inputs; returns the written output buffers. The
+    /// kernel's arguments are `[inputs…, output, n, geometry…, additional
+    /// arguments…]`, `geometry` being the scalars of the kernel frame itself —
+    /// a stencil's width, halo and boundary; for an index range (no input)
+    /// the first index of the device's block follows them.
+    ///
+    /// A device's output part holds what its part of the first input stores:
+    /// the partition's sizes, plus the halo rows of a stencil's padded parts.
     pub fn launch_elementwise<O: Pod, CO: Container<O>>(
         &self,
         kernel: &oclsim::Kernel,
+        geometry: &[Value],
         reuse: Option<&CO>,
     ) -> Result<Vec<Option<Buffer>>> {
+        let out_lens: Vec<usize> = match self.input_buffers.first() {
+            None => self.partition.sizes(),
+            Some(parts) => parts
+                .iter()
+                .map(|p| p.as_ref().map_or(0, Buffer::len))
+                .collect(),
+        };
+        let reusable = self.reusable_buffers(reuse, &out_lens)?;
+        let bind = |device| {
+            let mut trailing: Vec<_> = geometry.iter().map(|v| KernelArg::Scalar(*v)).collect();
+            if self.input_buffers.is_empty() {
+                let first_index = self.partition.range(device).start;
+                trailing.push(KernelArg::Scalar(Value::Int(first_index as i32)));
+            }
+            trailing.extend(self.prepared_args.kernel_args_for(device)?);
+            Ok((self.input_args(device)?, trailing))
+        };
         launch_elementwise(
             &self.runtime,
             kernel,
             &self.partition,
-            &|device| {
-                let extras = self.prepared_args.kernel_args_for(device)?;
-                Ok((self.input_args(device)?, extras))
-            },
+            &out_lens,
+            &bind,
             create_buffer::<O>,
-            self.reusable_buffers(reuse)?,
+            reusable,
         )
     }
 
-    /// The **combine** stage of element-wise skeletons: wrap the per-device
-    /// output buffers as a device-resident container of the input's shape,
-    /// or commit the reused output container's new state (`run_into`).
-    pub fn finish_output<T: Pod, O: Pod, C: Container<T>>(
-        &self,
+    /// The **wrap** stage of the skeletons whose output has their input's
+    /// shape and distribution: the per-device output buffers become a
+    /// device-resident container, or the new state of the reused output
+    /// container (`run_into`).
+    pub fn wrap_output<T: Pod, O: Pod, C: Container<T>>(
         input: &C,
         out_buffers: Vec<Option<Buffer>>,
         reuse: Option<&C::Rebound<O>>,
@@ -386,6 +434,27 @@ impl PreparedCall {
             })
             .collect()
     }
+}
+
+/// The one call path. Every synchronous launch in core — eager map, zip,
+/// reduce, scan and stencil calls, index maps, the groups of a matrix plan, a
+/// whole vector plan — is `inputs` + a configuration + a `launch`, run here:
+/// prepare the inputs, then let `launch` obtain the kernels (after the
+/// uploads were enqueued, so a first launch's program build is charged
+/// behind them), hand them to the launcher of their kind and wrap what it
+/// produced — one attempt under replay-based fault recovery (the `recovery`
+/// module, whose only caller this is).
+pub(crate) fn run_call<R>(
+    runtime: &Arc<SkelCl>,
+    inputs: &[&dyn DynContainer],
+    cfg: &LaunchConfig<'_>,
+    spec: &CallSpec<'_>,
+    launch: &mut dyn FnMut(&PreparedCall) -> Result<R>,
+) -> Result<R> {
+    let args: Vec<&dyn DynContainer> = cfg.args.vectors().collect();
+    crate::recovery::run_recoverable(runtime, inputs, &args, &mut || {
+        launch(&PreparedCall::prepare(runtime, inputs, cfg, spec)?)
+    })
 }
 
 /// `buffers`' part on `device` as a kernel argument; `what` names the
@@ -486,18 +555,20 @@ impl OutputBuffers {
     }
 }
 
-/// The one **launch** stage of every element-wise kernel — eager map, zip
-/// and index map, closure or source, and the element-wise groups of vector
-/// and matrix plans: for every active device of `partition` enqueue `kernel`
-/// over its `n` elements with the argument layout
+/// The one **launch** stage of every element-shaped kernel — eager map, zip,
+/// index map and stencil sweep, closure or source, and the element-wise
+/// groups of vector and matrix plans: for every active device of `partition`
+/// enqueue `kernel` over its `n` elements with the argument layout
 /// `[leading…, output, n, trailing…]`, `bind(device)` supplying the two
-/// variable parts, then join the launches. Owns the output buffers: obtained
-/// here, returned on success, released again on failure (see
-/// [`OutputBuffers`]).
+/// variable parts, then join the launches. Owns the output buffers, of
+/// `out_lens[device]` elements — the partition's sizes, or the halo-padded
+/// stored rows of a stencil sweep: obtained here, returned on success,
+/// released again on failure (see [`OutputBuffers`]).
 pub(crate) fn launch_elementwise(
     runtime: &SkelCl,
     kernel: &oclsim::Kernel,
     partition: &Partition,
+    out_lens: &[usize],
     bind: &dyn Fn(usize) -> Result<(Vec<KernelArg>, Vec<KernelArg>)>,
     create: CreateBuffer,
     reuse: Option<Vec<Option<Buffer>>>,
@@ -512,7 +583,7 @@ pub(crate) fn launch_elementwise(
         .iter()
         .map(|&device| bind(device))
         .collect::<Result<Vec<_>>>()?;
-    let out = OutputBuffers::obtain(runtime, &partition.sizes(), create, reuse)?;
+    let out = OutputBuffers::obtain(runtime, out_lens, create, reuse)?;
     // Enqueue on every device before waiting on any: the non-blocking
     // enqueues hand the launches to the per-device worker threads, so
     // N-device calls execute concurrently in real time; the wait then
@@ -535,49 +606,6 @@ pub(crate) fn launch_elementwise(
     let joined = wait_events(runtime, events);
     out.settle(runtime, enqueued.and(joined))
         .map(|(buffers, ())| buffers)
-}
-
-/// One single-input element-wise call — an eager map, a matrix plan's map
-/// group — under replay-based fault recovery (see the `recovery` module):
-/// prepare `input`, ask `kernel` for the kernel to launch — after the
-/// uploads were enqueued, so a first launch's program build is charged
-/// behind them — launch, and wrap the output (or commit it into `reuse`).
-pub(crate) fn execute_single<I: Pod, O: Pod, C: Container<I>>(
-    input: &C,
-    cfg: &LaunchConfig<'_>,
-    scheduler_cost: Option<CostHint>,
-    reuse: Option<&C::Rebound<O>>,
-    kernel: &dyn Fn(&PreparedCall) -> Result<oclsim::Kernel>,
-) -> Result<C::Rebound<O>> {
-    let runtime = input.runtime();
-    crate::recovery::run_recoverable(
-        &runtime,
-        &|| input.refresh_for_replay(),
-        &|weights| input.repartition_for_recovery(weights),
-        &mut || {
-            let call = PreparedCall::single(input, cfg, scheduler_cost)?;
-            let kernel = kernel(&call)?;
-            let out_buffers = call.launch_elementwise(&kernel, reuse)?;
-            call.finish_output(input, out_buffers, reuse)
-        },
-    )
-}
-
-/// The kernel of a single-stage source-UDF call: looked up in the runtime's
-/// lowering memo — the one kernel cache, shared with the lazy plans — and
-/// built on the runtime's context at first use, so every runtime a skeleton
-/// instance runs on builds (and is charged for) its own program. Also checks
-/// the call's additional arguments against the user function.
-pub(crate) fn source_kernel(
-    runtime: &SkelCl,
-    kind: StageKind,
-    udf: &Arc<UdfInfo>,
-    prepared: &PreparedArgs,
-) -> Result<oclsim::Kernel> {
-    let shape = runtime.lowerings().lowered(&[(kind, udf)])?;
-    let kernel = shape.kernels(runtime)?.0.clone();
-    check_source_call(prepared, udf.extra_params.len())?;
-    Ok(kernel)
 }
 
 /// Join a set of per-device commands — kernel launches, halo transfers —
@@ -649,23 +677,6 @@ pub(crate) fn claim_reads<T: Pod>(
         Some(e) => Err(e),
         None => Ok(parts),
     }
-}
-
-/// Check a source-UDF call: vector extras need native UDFs, and the argument
-/// count must match the user function's extra parameters.
-pub(crate) fn check_source_call(prepared: &PreparedArgs, extra_scalars: usize) -> Result<()> {
-    if prepared.has_vectors() {
-        return Err(SkelError::UnsupportedArg(
-            "vector additional arguments require a native (closure) user function".into(),
-        ));
-    }
-    if prepared.len() != extra_scalars {
-        return Err(SkelError::UdfSignature(format!(
-            "the user function expects {extra_scalars} additional argument(s), the call provides {}",
-            prepared.len()
-        )));
-    }
-    Ok(())
 }
 
 /// Scale a per-element cost hint to the `n` elements one work-item covers

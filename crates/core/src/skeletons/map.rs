@@ -10,32 +10,34 @@
 //! `Matrix<O>`) through the same [`Container`] code path and the same
 //! generated kernel — no matrix-specific kernel or launch code exists.
 //!
-//! A source UDF's kernel — `SKELCL_MAP`, or `SKELCL_MAP_INDEX` for
-//! [`Map::run_index`] — comes from the runtime's lowering memo
-//! (`exec::source_kernel`): the skeleton instance caches only the analysis of
-//! its source, never a built kernel, so one instance serves any number of
-//! runtimes. A closure builds its `NativeKernelDef` per call. Both launch
-//! through `exec::launch_elementwise`.
+//! The user function is one `Udf`: a source UDF's kernel — `SKELCL_MAP`, or
+//! `SKELCL_MAP_INDEX` for [`Map::run_index`] — comes from the runtime's
+//! lowering memo, the skeleton instance caching only the analysis of its
+//! source, never a built kernel, so one instance serves any number of
+//! runtimes; a closure is wrapped in its `NativeKernelDef` once per instance
+//! (and once more for its index-map form). Both run through the one call
+//! path (`exec::run_call`) and launch through `exec::launch_elementwise`.
 
 use std::sync::Arc;
 
-use oclsim::{CostHint, KernelArg, NativeKernelDef, Pod, Program, Value};
+use oclsim::{Buffer, CostHint, NativeKernelDef, Pod};
+use parking_lot::Mutex;
 
-use crate::args::{ArgAccess, Args};
-use crate::container::Container;
-use crate::distribution::Distribution;
+use crate::args::ArgAccess;
+use crate::container::{Container, DynContainer};
+use crate::distribution::{Distribution, Partition};
 use crate::error::{Result, SkelError};
 use crate::kernelgen::{self, StageKind};
 use crate::matrix::Matrix;
 use crate::runtime::{DeviceSelection, SkelCl};
-use crate::skeletons::exec::{create_buffer, execute_single, launch_elementwise, source_kernel};
-use crate::skeletons::{Launch, LaunchConfig, PreparedArgs, Skeleton, UdfCache};
+use crate::scheduler::StaticScheduler;
+use crate::skeletons::exec::selection_distribution;
+use crate::skeletons::udf::native_kernel;
+use crate::skeletons::{run_call, CallSpec, Launch, LaunchConfig, PreparedCall, Skeleton, Udf};
 use crate::vector::Vector;
 
-enum MapUdf<I, O> {
-    Source(String),
-    Native(Arc<dyn Fn(&I, &mut ArgAccess<'_, '_>) -> O + Send + Sync>),
-}
+/// The closure form of a map's user function.
+type MapFn<I, O> = dyn Fn(&I, &mut ArgAccess<'_, '_>) -> O + Send + Sync;
 
 /// The map skeleton.
 ///
@@ -53,9 +55,7 @@ enum MapUdf<I, O> {
 /// assert_eq!(m.map(&negate).unwrap().to_vec().unwrap(), vec![0.0, -1.0, -2.0, -3.0]);
 /// ```
 pub struct Map<I: Pod, O: Pod> {
-    udf: MapUdf<I, O>,
-    cost: CostHint,
-    cache: UdfCache,
+    pub(super) udf: Udf<MapFn<I, O>>,
 }
 
 impl<I: Pod, O: Pod> Map<I, O> {
@@ -66,9 +66,7 @@ impl<I: Pod, O: Pod> Map<I, O> {
     /// the call.
     pub fn from_source(source: &str) -> Map<I, O> {
         Map {
-            udf: MapUdf::Source(source.to_string()),
-            cost: CostHint::DEFAULT,
-            cache: UdfCache::new(),
+            udf: Udf::source(source, 1),
         }
     }
 
@@ -80,16 +78,14 @@ impl<I: Pod, O: Pod> Map<I, O> {
         F: Fn(&I, &mut ArgAccess<'_, '_>) -> O + Send + Sync + 'static,
     {
         Map {
-            udf: MapUdf::Native(Arc::new(f)),
-            cost: CostHint::DEFAULT,
-            cache: UdfCache::new(),
+            udf: Udf::closure(Arc::new(f)),
         }
     }
 
     /// Override the per-element cost hint used by the virtual-time model
     /// (native UDFs only; source UDFs are estimated statically).
     pub fn with_cost(mut self, cost: CostHint) -> Self {
-        self.cost = cost;
+        self.udf = self.udf.with_cost(cost);
         self
     }
 
@@ -99,45 +95,22 @@ impl<I: Pod, O: Pod> Map<I, O> {
         Launch::new(self, input.clone())
     }
 
-    /// The per-element cost used for scheduler-weighted partitioning.
-    fn scheduler_cost(&self) -> CostHint {
-        match &self.udf {
-            MapUdf::Source(src) => self
-                .cache
-                .info(src, 1)
-                .map_or(self.cost, |info| info.cost_hint()),
-            MapUdf::Native(_) => self.cost,
-        }
-    }
-
-    /// The analysed source UDF for use in a lazy plan. Native closures have
-    /// no source to fuse, so they cannot participate in plans.
+    /// This skeleton's user function as a lazy plan stage (source UDFs only).
     pub(crate) fn plan_udf(&self) -> Result<Arc<kernelgen::UdfInfo>> {
-        match &self.udf {
-            MapUdf::Source(src) => self.cache.info(src, 1),
-            MapUdf::Native(_) => Err(SkelError::Plan(
-                "map stage uses a native Rust closure; lazy plans require source UDFs".into(),
-            )),
-        }
+        self.udf.plan_stage("map")
     }
 
-    fn native_kernel(&self) -> Option<oclsim::Kernel> {
-        let MapUdf::Native(f) = &self.udf else {
-            return None;
-        };
-        let f = f.clone();
-        let def = NativeKernelDef::new("skelcl_map_native", self.cost, move |ctx| {
+    /// The map kernel of a Rust closure: arguments `[in, out, n, extra…]`.
+    fn closure_kernel(
+        f: Arc<MapFn<I, O>>,
+        cost: CostHint,
+    ) -> (oclsim::Kernel, Option<oclsim::Kernel>) {
+        let def = NativeKernelDef::new("skelcl_map_native", cost, move |ctx| {
             let n = ctx.global_size();
             let mut views = ctx.arg_views();
-            let (in_view, rest) = views
-                .split_first_mut()
-                .ok_or_else(|| "map kernel is missing its input argument".to_string())?;
-            let (out_view, rest) = rest
-                .split_first_mut()
-                .ok_or_else(|| "map kernel is missing its output argument".to_string())?;
-            let (_n_view, extra) = rest
-                .split_first_mut()
-                .ok_or_else(|| "map kernel is missing its length argument".to_string())?;
+            let [in_view, out_view, _n_view, extra @ ..] = views.as_mut_slice() else {
+                return Err("map kernel is missing its input, output or length".to_string());
+            };
             let input = in_view
                 .as_slice::<I>()
                 .ok_or_else(|| "map input must be a buffer".to_string())?;
@@ -150,21 +123,7 @@ impl<I: Pod, O: Pod> Map<I, O> {
             }
             Ok(())
         });
-        let program = Program::from_native([def]);
-        program.kernel("skelcl_map_native").ok()
-    }
-
-    /// Resolve the kernel to launch and validate the additional arguments
-    /// against the UDF kind.
-    fn resolve_kernel(&self, runtime: &SkelCl, prepared: &PreparedArgs) -> Result<oclsim::Kernel> {
-        match &self.udf {
-            MapUdf::Source(src) => {
-                source_kernel(runtime, StageKind::Map, &self.cache.info(src, 1)?, prepared)
-            }
-            MapUdf::Native(_) => Ok(self
-                .native_kernel()
-                .expect("native kernel construction cannot fail")),
-        }
+        (native_kernel(def), None)
     }
 
     /// The shared execution path behind [`Skeleton::execute`] and the
@@ -175,9 +134,13 @@ impl<I: Pod, O: Pod> Map<I, O> {
         cfg: &LaunchConfig<'_>,
         reuse: Option<&C::Rebound<O>>,
     ) -> Result<C::Rebound<O>> {
-        let scheduler_cost = cfg.scheduler.map(|_| self.scheduler_cost());
-        execute_single(input, cfg, scheduler_cost, reuse, &|call| {
-            self.resolve_kernel(&call.runtime, &call.prepared_args)
+        let spec = CallSpec::eager(self.udf.scheduler_cost_for(cfg)?);
+        run_call(&input.runtime(), &[input], cfg, &spec, &mut |call| {
+            let kernels = self
+                .udf
+                .kernels(call, StageKind::Map, Self::closure_kernel)?;
+            let out_buffers = call.launch_elementwise(&kernels.kernel, &[], reuse)?;
+            PreparedCall::wrap_output(input, out_buffers, reuse)
         })
     }
 }
@@ -220,56 +183,131 @@ impl<I: Pod, O: Pod> Launch<'_, Map<I, O>, Matrix<I>> {
     }
 }
 
-/// A launch of a map skeleton over the *implicit index range* `[0, len)`;
-/// created by [`Map::run_index`]. Supports the same configuration methods as
-/// [`Launch`].
-#[must_use = "an IndexLaunch does nothing until `exec()` is called"]
-pub struct IndexLaunch<'a, O: Pod> {
-    map: &'a Map<i32, O>,
+/// The *implicit index range* `[0, len)` an index map runs over — the input
+/// of [`Map::run_index`]. To the call path it is an input like any other,
+/// one that owns an iteration space and no buffer: block-distributed unless
+/// the launch's device selection or scheduler says otherwise, and
+/// re-partitioned onto the survivors when fault recovery loses a device.
+#[derive(Clone)]
+pub struct IndexRange {
     runtime: Arc<SkelCl>,
     len: usize,
-    cfg: LaunchConfig<'a>,
+    distribution: Arc<Mutex<Distribution>>,
 }
 
-impl<'a, O: Pod> IndexLaunch<'a, O> {
-    /// Replace the additional arguments of the call.
-    pub fn args(mut self, args: Args) -> Self {
-        self.cfg.args = args;
-        self
+impl DynContainer for IndexRange {
+    fn id(&self) -> u64 {
+        0
     }
 
-    /// Append one additional argument.
-    pub fn arg(mut self, value: impl crate::args::IntoArg) -> Self {
-        self.cfg.args = self.cfg.args.arg(value);
-        self
+    fn elem_count(&self) -> usize {
+        self.len
     }
 
-    /// Restrict the launch to a subset of the runtime's devices.
-    pub fn devices(mut self, selection: DeviceSelection) -> Self {
-        self.cfg.devices = Some(selection);
-        self
-    }
-
-    /// Partition the index range by a static scheduler's predictions.
-    pub fn scheduler(mut self, scheduler: &'a crate::scheduler::StaticScheduler) -> Self {
-        self.cfg.scheduler = Some(scheduler);
-        self
-    }
-
-    /// The distribution of the generated output under the configured device
-    /// selection / scheduler.
-    fn output_distribution(&self) -> Result<Distribution> {
-        if let Some(scheduler) = self.cfg.scheduler {
-            return Ok(scheduler.weighted_block(self.map.scheduler_cost()));
+    fn check_runtime(&self, runtime: &Arc<SkelCl>) -> Result<()> {
+        if Arc::ptr_eq(&self.runtime, runtime) {
+            Ok(())
+        } else {
+            Err(SkelError::RuntimeMismatch)
         }
-        let override_dist = match &self.cfg.devices {
-            Some(selection) => crate::skeletons::exec::selection_distribution(
-                selection,
-                self.runtime.device_count(),
-            )?,
-            None => None,
+    }
+
+    fn apply_selection(&self, selection: &DeviceSelection) -> Result<()> {
+        if let Some(chosen) = selection_distribution(selection, self.runtime.device_count())? {
+            *self.distribution.lock() = chosen;
+        }
+        Ok(())
+    }
+
+    fn apply_scheduler(&self, scheduler: &StaticScheduler, cost: CostHint) -> Result<()> {
+        *self.distribution.lock() = scheduler.weighted_block(cost);
+        Ok(())
+    }
+
+    fn coerce_to_block(&self) -> Result<()> {
+        *self.distribution.lock() = Distribution::Block;
+        Ok(())
+    }
+
+    fn ensure_disjoint(&self) -> Result<()> {
+        Ok(())
+    }
+
+    fn repartition_for_recovery(&self, weights: &[f64]) -> Result<()> {
+        *self.distribution.lock() = Distribution::block_weighted(weights);
+        Ok(())
+    }
+
+    fn refresh_for_replay(&self) -> Result<()> {
+        Ok(())
+    }
+
+    fn distrust_devices(&self) {}
+
+    fn prepare_parts(&self, _keep_halo: bool) -> Result<(Partition, Vec<Option<Buffer>>)> {
+        let devices = self.runtime.device_count();
+        let partition = Partition::compute(self.len, devices, &self.distribution.lock());
+        Ok((partition, Vec::new()))
+    }
+
+    fn flat_distribution(&self) -> Option<Distribution> {
+        Some(self.distribution.lock().clone())
+    }
+
+    fn append_host_bytes(&self, _out: &mut Vec<u8>) -> Result<()> {
+        Err(SkelError::Internal(
+            "an index range has no host data".into(),
+        ))
+    }
+}
+
+/// A launch of a map skeleton over an [`IndexRange`]; created by
+/// [`Map::run_index`]. Configured and executed like every other [`Launch`].
+pub type IndexLaunch<'a, O> = Launch<'a, Map<i32, O>, IndexRange>;
+
+impl<O: Pod> Map<i32, O> {
+    /// Begin an index-map launch over the implicit range `[0, len)`:
+    /// `map.run_index(&rt, n).arg(scale).exec()?`.
+    pub fn run_index<'a>(&'a self, runtime: &Arc<SkelCl>, len: usize) -> IndexLaunch<'a, O> {
+        let range = IndexRange {
+            runtime: runtime.clone(),
+            len,
+            distribution: Arc::new(Mutex::new(Distribution::Block)),
         };
-        Ok(override_dist.unwrap_or(Distribution::Block))
+        Launch::new(self, range)
+    }
+
+    /// The index-map kernel of a Rust closure: arguments
+    /// `[out, n, offset, extra…]`.
+    fn index_closure_kernel(
+        f: Arc<MapFn<i32, O>>,
+        cost: CostHint,
+    ) -> (oclsim::Kernel, Option<oclsim::Kernel>) {
+        let def = NativeKernelDef::new("skelcl_map_index_native", cost, move |ctx| {
+            let n = ctx.global_size();
+            let offset = ctx.scalar_usize(2)?;
+            let mut views = ctx.arg_views();
+            let [out_view, _n_view, _offset_view, extra @ ..] = views.as_mut_slice() else {
+                return Err("index map kernel is missing its output, length or offset".to_string());
+            };
+            let output = out_view
+                .as_slice_mut::<O>()
+                .ok_or_else(|| "index map output must be a buffer".to_string())?;
+            let mut access = ArgAccess::new(extra);
+            for i in 0..n {
+                output[i] = f(&((offset + i) as i32), &mut access);
+            }
+            Ok(())
+        });
+        (native_kernel(def), None)
+    }
+}
+
+impl<O: Pod> Skeleton<IndexRange> for Map<i32, O> {
+    type Output = Vector<O>;
+
+    fn name(&self) -> &'static str {
+        "map"
     }
 
     /// Execute the index map: `out[i] = f(i, extra...)` for `i` in
@@ -278,96 +316,22 @@ impl<'a, O: Pod> IndexLaunch<'a, O> {
     /// per-device offset. This mirrors SkelCL's index-vector facility and is
     /// the natural way to express generator-style workloads such as the
     /// Mandelbrot benchmark.
-    pub fn exec(self) -> Result<Vector<O>> {
-        let runtime = &self.runtime;
-        runtime.charge_skeleton_call();
-        if self.len == 0 {
-            return Err(SkelError::EmptyInput);
-        }
-        let distribution = self.output_distribution()?;
-        let partition = crate::distribution::Partition::compute(
-            self.len,
-            runtime.device_count(),
-            &distribution,
-        );
-        let prepared = PreparedArgs::prepare(runtime, &self.cfg.args)?;
-
-        let kernel = match &self.map.udf {
-            MapUdf::Source(src) => source_kernel(
-                runtime,
-                StageKind::IndexMap,
-                &self.map.cache.info(src, 1)?,
-                &prepared,
-            )?,
-            MapUdf::Native(f) => {
-                let f = f.clone();
-                let def =
-                    NativeKernelDef::new("skelcl_map_index_native", self.map.cost, move |ctx| {
-                        let n = ctx.global_size();
-                        // Arguments: [out, n, offset, extra...] — the
-                        // per-device offset is the third argument.
-                        let offset = ctx.scalar_usize(2)?;
-                        let mut views = ctx.arg_views();
-                        let (out_view, rest) = views
-                            .split_first_mut()
-                            .ok_or_else(|| "index map kernel is missing its output".to_string())?;
-                        let (_n_view, rest) = rest
-                            .split_first_mut()
-                            .ok_or_else(|| "index map kernel is missing its length".to_string())?;
-                        let (_offset_view, extra) = rest
-                            .split_first_mut()
-                            .ok_or_else(|| "index map kernel is missing its offset".to_string())?;
-                        let output = out_view
-                            .as_slice_mut::<O>()
-                            .ok_or_else(|| "index map output must be a buffer".to_string())?;
-                        let mut access = ArgAccess::new(extra);
-                        for i in 0..n {
-                            output[i] = f(&((offset + i) as i32), &mut access);
-                        }
-                        Ok(())
-                    });
-                let program = Program::from_native([def]);
-                program
-                    .kernel("skelcl_map_index_native")
-                    .expect("native kernel construction cannot fail")
-            }
-        };
-
-        // The element-wise launch with no input buffer: the per-device
-        // offset follows `n`, ahead of the additional arguments.
-        let out_buffers = launch_elementwise(
-            runtime,
-            &kernel,
-            &partition,
-            &|device| {
-                let offset = partition.range(device).start;
-                let mut trailing = vec![KernelArg::Scalar(Value::Int(offset as i32))];
-                trailing.extend(prepared.kernel_args_for(device)?);
-                Ok((Vec::new(), trailing))
-            },
-            create_buffer::<O>,
-            None,
-        )?;
-
-        Ok(Vector::device_resident(
-            runtime,
-            self.len,
-            distribution,
-            out_buffers,
-        ))
-    }
-}
-
-impl<O: Pod> Map<i32, O> {
-    /// Begin an index-map launch over the implicit range `[0, len)`:
-    /// `map.run_index(&rt, n).arg(scale).exec()?`.
-    pub fn run_index<'a>(&'a self, runtime: &Arc<SkelCl>, len: usize) -> IndexLaunch<'a, O> {
-        IndexLaunch {
-            map: self,
-            runtime: runtime.clone(),
-            len,
-            cfg: LaunchConfig::default(),
-        }
+    fn execute(&self, range: &IndexRange, cfg: &LaunchConfig<'_>) -> Result<Vector<O>> {
+        let spec = CallSpec::eager(self.udf.scheduler_cost_for(cfg)?);
+        run_call(&range.runtime, &[range], cfg, &spec, &mut |call| {
+            let kernels =
+                self.udf
+                    .kernels(call, StageKind::IndexMap, Self::index_closure_kernel)?;
+            let out_buffers =
+                call.launch_elementwise::<O, Vector<O>>(&kernels.kernel, &[], None)?;
+            let distribution = range.distribution.lock().clone();
+            Ok(Vector::device_resident(
+                &call.runtime,
+                range.len,
+                distribution,
+                out_buffers,
+            ))
+        })
     }
 }
 

@@ -14,18 +14,15 @@
 //! *only the halo rows* — never whole parts — which is visible in the oclsim
 //! transfer stats and the runtime's halo counters.
 
-use std::sync::Arc;
+use std::convert::Infallible;
 
 use oclsim::{Pod, Value};
 
-use crate::container::Container;
-use crate::distribution::{Boundary, RowPartition};
+use crate::distribution::Boundary;
 use crate::error::{Result, SkelError};
 use crate::kernelgen::StageKind;
 use crate::matrix::Matrix;
-use crate::runtime::SkelCl;
-use crate::skeletons::exec::{create_buffer, source_kernel, OutputBuffers};
-use crate::skeletons::{Launch, LaunchConfig, PreparedArgs, Skeleton, UdfCache};
+use crate::skeletons::{run_call, CallSpec, Launch, LaunchConfig, PreparedCall, Skeleton, Udf};
 
 /// The map-overlap (stencil) skeleton over [`Matrix`] inputs.
 ///
@@ -49,10 +46,11 @@ use crate::skeletons::{Launch, LaunchConfig, PreparedArgs, Skeleton, UdfCache};
 /// # assert_eq!(out.cols(), 6);
 /// ```
 pub struct MapOverlap<I: Pod, O: Pod> {
-    source: String,
+    /// Source text only: a stencil's user function reads its neighbours
+    /// through the kernel language's `get`, so it has no closure form.
+    udf: Udf<Infallible>,
     halo: usize,
     boundary: Boundary<I>,
-    cache: UdfCache,
     _out: std::marker::PhantomData<fn() -> O>,
 }
 
@@ -64,10 +62,9 @@ impl<O: Pod> MapOverlap<f32, O> {
     /// `get(dx, dy)`. Defaults: halo width 1, clamping boundary.
     pub fn from_source(source: &str) -> MapOverlap<f32, O> {
         MapOverlap {
-            source: source.to_string(),
+            udf: Udf::source(source, 1),
             halo: 1,
             boundary: Boundary::Clamp,
-            cache: UdfCache::new(),
             _out: std::marker::PhantomData,
         }
     }
@@ -103,182 +100,44 @@ impl<O: Pod> MapOverlap<f32, O> {
         Launch::new(self, input.clone())
     }
 
-    /// The boundary carried over to output matrices: structurally the same
-    /// policy; the constant (an input-element value) does not transfer to
-    /// the output element type, so constant boundaries fall back to clamp.
-    /// Only used for no-op detection on a later `set_overlap` — the stencil
-    /// always re-imposes its own boundary on its input before refreshing
-    /// halos, so this never affects results.
-    fn output_boundary(&self) -> Boundary<O> {
-        match self.boundary {
-            Boundary::Wrap => Boundary::Wrap,
-            _ => Boundary::Clamp,
-        }
-    }
-
-    /// The shared execution path of one stencil sweep. `reuse` is the
-    /// ping-pong target of the iterative driver: its halo-padded device
-    /// buffers are written in place instead of allocating fresh ones. Runs
-    /// under replay-based fault recovery (see the `recovery` module); losses
-    /// that cannot be recovered from host-valid state escape to the caller
-    /// (`run_iter` then replays from its last checkpoint).
+    /// One stencil sweep, through the one call path: the input is coerced to
+    /// the overlap layout and prepared with its halo-padded parts (uploaded,
+    /// or — between sweeps — refreshed by a halo exchange); the sweep is the
+    /// element-shaped launch over each device's core elements, told the
+    /// stencil's geometry, writing halo-padded outputs of the input's actual
+    /// layout (the weighted overlap variant after a recovery re-partition).
+    /// `reuse` is the iterative driver's ping-pong target, written in place
+    /// where its buffers still fit. Losses that cannot be recovered from
+    /// host-valid state escape to the caller (`run_iter` then replays from
+    /// its last checkpoint).
     fn execute_overlap(
         &self,
         input: &Matrix<f32>,
         cfg: &LaunchConfig<'_>,
         reuse: Option<&Matrix<O>>,
     ) -> Result<Matrix<O>> {
-        let runtime = input.runtime();
-        crate::recovery::run_recoverable(
-            &runtime,
-            &|| input.refresh_for_replay(),
-            &|weights| input.repartition_for_recovery(weights),
-            &mut || self.execute_overlap_attempt(input, cfg, reuse),
-        )
-    }
-
-    fn execute_overlap_attempt(
-        &self,
-        input: &Matrix<f32>,
-        cfg: &LaunchConfig<'_>,
-        reuse: Option<&Matrix<O>>,
-    ) -> Result<Matrix<O>> {
-        let runtime = input.runtime();
-        runtime.charge_skeleton_call();
-        if input.is_empty() {
-            return Err(SkelError::EmptyInput);
-        }
-        if cfg.scheduler.is_some() {
-            return Err(SkelError::Distribution(
-                "schedulers are not supported on MapOverlap launches yet; \
-                 matrices always use the overlap row-block distribution"
-                    .into(),
-            ));
-        }
-        if let Some(selection) = &cfg.devices {
-            if !matches!(
-                selection,
-                crate::runtime::DeviceSelection::All | crate::runtime::DeviceSelection::AllGpus
-            ) {
-                return Err(SkelError::Distribution(
-                    "MapOverlap launches run on all devices of the runtime; \
-                     initialise the runtime with the devices you want"
-                        .into(),
-                ));
-            }
-        }
-
-        input.set_overlap(self.halo, self.boundary)?;
-        let (partition, in_buffers) = input.prepare_on_devices()?;
-        let prepared = PreparedArgs::prepare(&runtime, &cfg.args)?;
-        let kernel = source_kernel(
-            &runtime,
-            StageKind::MapOverlap,
-            &self.cache.info(&self.source, 1)?,
-            &prepared,
-        )?;
-
-        // The ping-pong target only helps while every padded buffer of it
-        // fits the partition. After a recovery re-partition they no longer
-        // do: the sweep then writes a fresh output matrix, and the driver
-        // drops the stale target.
-        if let Some(m) = reuse {
-            m.check_runtime(&runtime)?;
-        }
-        let reuse = reuse.filter(|m| {
-            m.id() != input.id()
-                && partition.active_devices().into_iter().all(|d| {
-                    m.buffer_of(d)
-                        .is_some_and(|b| b.len() == partition.stored_len(d))
-                })
-        });
-        // Halo-padded outputs: the target's buffers, or fresh ones that go
-        // back to the pool if the sweep fails.
-        let devices = 0..partition.device_count();
-        let lens: Vec<usize> = devices.clone().map(|d| partition.stored_len(d)).collect();
-        let reusable = reuse.map(|m| devices.map(|d| m.buffer_of(d)).collect());
-        let out = OutputBuffers::obtain(&runtime, &lens, create_buffer::<O>, reusable)?;
-        let swept = self.launch_sweep(
-            &runtime,
-            &partition,
-            &in_buffers,
-            &out.buffers,
-            &kernel,
-            &prepared,
-        );
-        let (out_buffers, ()) = out.settle(&runtime, swept)?;
-
-        match reuse {
-            Some(out) => {
-                out.mark_stencil_output();
-                Ok(out.clone())
-            }
-            // The output mirrors the input's actual overlap layout — the
-            // even `OverlapBlock` normally, the weighted variant after a
-            // recovery re-partition — so its declared distribution always
-            // matches the partition the buffers were sized for.
-            None => Ok(Matrix::device_resident(
-                &runtime,
-                input.rows(),
-                input.cols(),
-                input.distribution(),
-                self.output_boundary(),
-                out_buffers,
-            )),
-        }
-    }
-
-    /// Enqueue one sweep on every device of the partition and join it.
-    fn launch_sweep(
-        &self,
-        runtime: &Arc<SkelCl>,
-        partition: &RowPartition,
-        in_buffers: &[Option<oclsim::Buffer>],
-        out_buffers: &[Option<oclsim::Buffer>],
-        kernel: &oclsim::Kernel,
-        prepared: &PreparedArgs,
-    ) -> Result<()> {
-        // Resolve every device's argument list before the first enqueue, so
-        // argument errors surface before anything ran.
-        let mut launches = Vec::new();
-        for device in partition.active_devices() {
-            let n = partition.core_len(device);
-            let in_buffer = in_buffers[device].clone().ok_or_else(|| {
-                SkelError::Distribution(format!("input matrix has no buffer on device {device}"))
-            })?;
-            let out_buffer = out_buffers.get(device).cloned().flatten().ok_or_else(|| {
-                SkelError::Internal(format!("no output buffer allocated for device {device}"))
-            })?;
-            let oob = match self.boundary {
-                Boundary::Constant(c) => c,
-                _ => 0.0,
-            };
-            let mut kargs = vec![
-                oclsim::KernelArg::Buffer(in_buffer),
-                oclsim::KernelArg::Buffer(out_buffer),
-                oclsim::KernelArg::Scalar(Value::Int(n as i32)),
-                oclsim::KernelArg::Scalar(Value::Int(partition.cols() as i32)),
-                oclsim::KernelArg::Scalar(Value::Int(partition.halo() as i32)),
-                oclsim::KernelArg::Scalar(Value::Int(self.boundary.policy_code())),
-                oclsim::KernelArg::Scalar(Value::Float(oob)),
-            ];
-            kargs.extend(prepared.kernel_args_for(device)?);
-            launches.push((device, n, kargs));
-        }
-        // Enqueue the sweep on every device, then wait: the per-device
-        // workers execute the parts concurrently in real time, and kernel
-        // runtime errors (e.g. a `get` beyond the declared halo) surface
-        // here rather than at a later gather. Whatever was enqueued is
-        // joined even if a later enqueue is rejected, so the caller may
-        // release the sweep's buffers.
-        let mut events = Vec::new();
-        let enqueued = launches.into_iter().try_for_each(|(device, n, kargs)| {
-            let event = runtime.queue(device).enqueue_kernel(kernel, n, &kargs)?;
-            events.push((device, event));
-            Ok(())
-        });
-        let joined = crate::skeletons::exec::wait_events(runtime, events);
-        enqueued.and(joined)
+        let spec = CallSpec {
+            coerce: &|| input.set_overlap(self.halo, self.boundary),
+            keep_halo: true,
+            ..CallSpec::eager(self.udf.scheduler_cost_for(cfg)?)
+        };
+        let oob = match self.boundary {
+            Boundary::Constant(c) => c,
+            _ => 0.0,
+        };
+        let geometry = [
+            Value::Int(input.cols() as i32),
+            Value::Int(self.halo as i32),
+            Value::Int(self.boundary.policy_code()),
+            Value::Float(oob),
+        ];
+        run_call(&input.runtime(), &[input], cfg, &spec, &mut |call| {
+            let kernels = self
+                .udf
+                .kernels(call, StageKind::MapOverlap, |f, _| match *f {})?;
+            let out_buffers = call.launch_elementwise(&kernels.kernel, &geometry, reuse)?;
+            PreparedCall::wrap_output(input, out_buffers, reuse)
+        })
     }
 }
 

@@ -10,37 +10,44 @@
 //!
 //! Execution is uniform across every skeleton: each implements the
 //! input-generic [`Skeleton`] trait and is invoked through the fluent
-//! [`Launch`] builder returned by its `run` method — see the `exec` module
-//! for the shared prepare → partition → launch → combine pipeline. There is
-//! one launcher per kernel kind — `launch_elementwise` (map, zip, index map),
-//! `launch_and_gather` (reduce), `launch_scan` (scan) — shared by source and
-//! closure skeletons and by the lazy plans, and one kernel cache: source
-//! UDFs get their kernels from the runtime's lowering memo. The
-//! data-parallel skeletons ([`Map`], [`Zip`], [`Reduce`]) are additionally
-//! generic over the [`crate::container::Container`] trait, so one skeleton
-//! instance launches over a [`crate::vector::Vector`] or element-wise over
-//! a [`crate::matrix::Matrix`] with no container-specific code.
+//! [`Launch`] builder returned by its `run` method, and every call — whatever
+//! the skeleton, the form of its user function or the terminal form — runs
+//! through the one call path of the `exec` module: prepare → kernel → launch
+//! → wrap, as one attempt under the one fault-recovery wrapper. A skeleton
+//! holds its user function as one `udf::Udf` value, which is where source
+//! text and closures are told apart: source UDFs get their kernels from the
+//! runtime's lowering memo (the one kernel cache, shared with the lazy
+//! plans), a closure's kernels are built once per skeleton instance. There
+//! is one launcher per kernel kind — `launch_elementwise` (map, zip, index
+//! map, stencil sweep), `launch_and_gather` (reduce), `launch_scan` (scan).
+//! The data-parallel skeletons ([`Map`], [`Zip`], [`Reduce`]) are
+//! additionally generic over the [`crate::container::Container`] trait, so
+//! one skeleton instance launches over a [`crate::vector::Vector`] or
+//! element-wise over a [`crate::matrix::Matrix`] with no container-specific
+//! code.
 
 pub(crate) mod exec;
 mod map;
 mod map_overlap;
 mod reduce;
 mod scan;
+pub(crate) mod udf;
 mod zip;
 
 pub use exec::{Launch, LaunchConfig, Skeleton};
-pub use map::{IndexLaunch, Map};
+pub use map::{IndexLaunch, IndexRange, Map};
 pub use map_overlap::MapOverlap;
 pub use reduce::{reduce_partials, Reduce, ReducePlan};
 pub use scan::{Scan, ScanTrace};
 pub use zip::Zip;
 
 pub(crate) use exec::{
-    claim_read, claim_reads, create_buffer, launch_elementwise, sequential_cost, wait_events,
-    PreparedCall,
+    claim_read, claim_reads, create_buffer, launch_elementwise, run_call, sequential_cost,
+    wait_events, CallSpec, PreparedCall,
 };
-pub(crate) use reduce::{launch_and_gather, HostOperator, ReducePart};
+pub(crate) use reduce::{launch_and_gather, HostOperator};
 pub(crate) use scan::launch_scan;
+pub(crate) use udf::{BinaryOp, StageKernels, Udf};
 
 use std::sync::Arc;
 
@@ -134,9 +141,10 @@ impl PreparedArgs {
             match item {
                 ArgItem::Scalar(v) => items.push(PreparedItem::Scalar(*v)),
                 ArgItem::Vector(v) => {
-                    v.check_runtime(runtime)?;
+                    let vector = v.container();
+                    vector.check_runtime(runtime)?;
                     items.push(PreparedItem::Vector {
-                        buffers: v.prepare_buffers()?,
+                        buffers: vector.prepare_parts(false)?.1,
                     });
                 }
             }
@@ -175,60 +183,6 @@ impl PreparedArgs {
             }
         }
         Ok(out)
-    }
-}
-
-/// Per-skeleton-instance cache of the runtime-independent artefacts derived
-/// from a source UDF: the analysed signature ([`UdfInfo`], the skeleton's key
-/// into every runtime's lowering memo, carrying the scheduler cost estimate)
-/// and — for reduce and scan — the operator's host evaluator. Each is
-/// computed at most once per skeleton instance. Built kernels are *not* kept
-/// here: they belong to a runtime.
-pub(crate) struct UdfCache {
-    info: parking_lot::Mutex<Option<Arc<crate::kernelgen::UdfInfo>>>,
-    host_operator: parking_lot::Mutex<Option<Arc<HostOperator>>>,
-}
-
-impl UdfCache {
-    pub(crate) fn new() -> UdfCache {
-        UdfCache {
-            info: parking_lot::Mutex::new(None),
-            host_operator: parking_lot::Mutex::new(None),
-        }
-    }
-
-    /// The analysed binary operator of a reduce or scan (`skeleton` names it
-    /// in signature errors) plus its host evaluator, built once.
-    pub(crate) fn operator(
-        &self,
-        source: &str,
-        skeleton: &str,
-    ) -> Result<(Arc<crate::kernelgen::UdfInfo>, Arc<HostOperator>)> {
-        let info = self.info(source, 2)?;
-        crate::kernelgen::check_binary_op(&info, skeleton)?;
-        let mut slot = self.host_operator.lock();
-        if let Some(host) = slot.as_ref() {
-            return Ok((info, host.clone()));
-        }
-        let host = Arc::new(HostOperator::build(&info)?);
-        *slot = Some(host.clone());
-        Ok((info, host))
-    }
-
-    /// The analysed UDF signature; `source` and `main_inputs` are fixed per
-    /// skeleton instance, so the first result is cached for good.
-    pub(crate) fn info(
-        &self,
-        source: &str,
-        main_inputs: usize,
-    ) -> Result<Arc<crate::kernelgen::UdfInfo>> {
-        let mut slot = self.info.lock();
-        if let Some(info) = slot.as_ref() {
-            return Ok(info.clone());
-        }
-        let info = Arc::new(crate::kernelgen::UdfInfo::analyze(source, main_inputs)?);
-        *slot = Some(info.clone());
-        Ok(info)
     }
 }
 
@@ -294,10 +248,9 @@ mod tests {
 
     #[test]
     fn udf_cache_computes_each_artefact_once() {
-        let cache = UdfCache::new();
-        let src = "float func(float a, float b) { return a + b; }";
-        let first = cache.info(src, 2).unwrap();
-        let second = cache.info(src, 2).unwrap();
+        let udf = Udf::<BinaryOp<f32>>::source("float func(float a, float b) { return a + b; }", 2);
+        let first = udf.plan_stage("scan").unwrap();
+        let second = udf.plan_stage("scan").unwrap();
         assert!(
             Arc::ptr_eq(&first, &second),
             "repeated analysis must return the cached Arc"
@@ -305,16 +258,23 @@ mod tests {
         assert!(first.cost_hint().flops_per_item >= 1.0);
         // The host evaluator of a reduce/scan operator: one program build
         // serves every fold of partials and every pair of scan totals.
-        let (info, host) = cache.operator(src, "scan").unwrap();
+        let (info, host) = udf.plan_operator("scan").unwrap();
         assert!(Arc::ptr_eq(&info, &first));
-        assert!(Arc::ptr_eq(&host, &cache.operator(src, "scan").unwrap().1));
-        assert_eq!(host.fold(&mut [1.5f32, 2.0, 4.0]).unwrap(), 7.5);
-        assert_eq!(host.fold(&mut [3.0f32]).unwrap(), 3.0);
+        assert!(Arc::ptr_eq(&host, &udf.plan_operator("scan").unwrap().1));
+        assert_eq!(udf.fold("scan", &mut [1.5f32, 2.0, 4.0]).unwrap(), 7.5);
+        assert_eq!(udf.fold("scan", &mut [3.0f32]).unwrap(), 3.0);
+        // A closure has no source to fuse; the one error names the stage.
+        let closure = Udf::<BinaryOp<f32>>::closure(Arc::new(|a, b| a + b));
+        assert_eq!(closure.fold("scan", &mut [1.5f32, 2.0, 4.0]).unwrap(), 7.5);
+        match closure.plan_operator("scan") {
+            Err(SkelError::Plan(msg)) => assert!(msg.starts_with("scan stage uses"), "{msg}"),
+            other => panic!("expected a Plan error, got {:?}", other.map(|_| ())),
+        }
     }
 
     /// The cost hint of a binary source UDF, as every skeleton obtains it.
     fn udf_cost(source: &str) -> Result<oclsim::CostHint> {
-        Ok(UdfCache::new().info(source, 2)?.cost_hint())
+        Udf::<BinaryOp<f32>>::source(source, 2).scheduler_cost()
     }
 
     #[test]

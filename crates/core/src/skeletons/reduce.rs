@@ -34,21 +34,25 @@
 //! attached (`sum.run(&v).scheduler(&s).scalar_with_plan()`) the scheduler
 //! may place the final fold on the fastest device instead of the CPU. The
 //! lazy plans' fused reduce ([`crate::plan`]) instantiates the same template
-//! and runs through the same [`launch_and_gather`] + host fold.
+//! and runs through the same [`launch_and_gather`] + host fold. A Rust
+//! closure operator is wrapped in a kernel of the generated kernel's shape,
+//! once per skeleton instance, and folds the partials itself.
 
 use std::sync::Arc;
 
-use oclsim::{CostHint, KernelArg, NativeKernelDef, Program, Value};
+use oclsim::{CostHint, KernelArg, NativeKernelDef, Value};
 use skelcl_kernel::interp::ArgBinding;
 
-use crate::container::Container;
-use crate::distribution::Distribution;
-use crate::error::{Result, SkelError};
+use crate::container::{Container, DynContainer};
+use crate::distribution::{Distribution, Partition};
+use crate::error::Result;
 use crate::kernelgen::{self, StageKind, UdfInfo};
 use crate::runtime::SkelCl;
+use crate::skeletons::exec::buffer_arg;
+use crate::skeletons::udf::native_kernel;
 use crate::skeletons::{
-    claim_reads, sequential_cost, DeviceScalar, Launch, LaunchConfig, PreparedCall, Skeleton,
-    UdfCache,
+    claim_reads, run_call, sequential_cost, BinaryOp, CallSpec, DeviceScalar, Launch, LaunchConfig,
+    PreparedCall, Skeleton, StageKernels, Udf,
 };
 use crate::vector::Vector;
 
@@ -116,42 +120,39 @@ impl HostOperator {
     }
 }
 
-/// One device's share of a reduction: the element count of its part and the
-/// kernel's leading (input buffer) arguments.
-pub(crate) struct ReducePart {
-    pub device: usize,
-    pub n: usize,
-    pub inputs: Vec<KernelArg>,
-}
-
-/// Steps 1 and 2 of every reduction, eager or fused: launch `kernel` on each
-/// part's device with the argument layout `[inputs..., partials, n,
-/// extras...]`, then gather the partial vectors — reads enqueued on every
-/// device before any is claimed — and return all partials in
-/// device-then-chunk order. `closure_cost` is the per-element cost of a Rust
-/// closure operator (kernel-language kernels are charged what they measure).
+/// Steps 1 and 2 of every reduction, eager or fused: launch the kernel on each
+/// active device of `partition` with the argument layout `[leading…,
+/// partials, n, trailing…]` — `bind(device)` supplying the two variable
+/// parts, as for the other launchers — then gather the partial vectors —
+/// reads enqueued on every device before any is claimed — and return all
+/// partials in device-then-chunk order. A Rust closure operator is charged
+/// its per-element cost over a chunk (kernel-language kernels are charged
+/// what they measure).
 pub(crate) fn launch_and_gather<T: DeviceScalar>(
     runtime: &SkelCl,
-    kernel: &oclsim::Kernel,
-    parts: Vec<ReducePart>,
-    extras: &[KernelArg],
+    kernels: &StageKernels,
+    partition: &Partition,
+    bind: &dyn Fn(usize) -> Result<(Vec<KernelArg>, Vec<KernelArg>)>,
     chunks_per_device: Option<usize>,
-    closure_cost: Option<CostHint>,
 ) -> Result<Vec<T>> {
-    let mut launched = Vec::with_capacity(parts.len());
+    let kernel = &kernels.kernel;
+    let active = partition.active_devices();
+    let bound = active
+        .iter()
+        .map(|&device| bind(device))
+        .collect::<Result<Vec<_>>>()?;
+    let mut launched = Vec::with_capacity(active.len());
     let gathered = (|| -> Result<Vec<T>> {
-        for part in parts {
-            let (chunk, work_items) = launch_geometry(part.n, chunks_per_device);
-            let out = runtime
-                .context()
-                .create_buffer::<T>(part.device, work_items)?;
-            launched.push((part.device, out.clone(), work_items));
-            let mut args = part.inputs;
+        for (&device, (mut args, trailing)) in active.iter().zip(bound) {
+            let n = partition.size(device);
+            let (chunk, work_items) = launch_geometry(n, chunks_per_device);
+            let out = runtime.context().create_buffer::<T>(device, work_items)?;
+            launched.push((device, out.clone(), work_items));
             args.push(KernelArg::Buffer(out));
-            args.push(KernelArg::Scalar(Value::Int(part.n as i32)));
-            args.extend_from_slice(extras);
-            let queue = runtime.queue(part.device);
-            match closure_cost {
+            args.push(KernelArg::Scalar(Value::Int(n as i32)));
+            args.extend(trailing);
+            let queue = runtime.queue(device);
+            match kernels.per_element_cost {
                 Some(cost) => queue.enqueue_kernel_with_cost(
                     kernel,
                     work_items,
@@ -185,11 +186,6 @@ pub(crate) fn launch_and_gather<T: DeviceScalar>(
     gathered
 }
 
-enum ReduceUdf<T> {
-    Source(String),
-    Native(Arc<dyn Fn(T, T) -> T + Send + Sync>),
-}
-
 /// How a reduction was executed: how many partial results the devices left
 /// and where the final fold ran. Returned by the `scalar_with_plan` terminal
 /// form so applications and tests can inspect the decision.
@@ -220,18 +216,14 @@ pub struct ReducePlan {
 /// assert_eq!(v.reduce(&sum).unwrap(), 136.0);
 /// ```
 pub struct Reduce<T: DeviceScalar> {
-    udf: ReduceUdf<T>,
-    cost: CostHint,
-    cache: UdfCache,
+    pub(super) udf: Udf<BinaryOp<T>>,
 }
 
 impl<T: DeviceScalar> Reduce<T> {
     /// Customise the skeleton with a binary operator given as source code.
     pub fn from_source(source: &str) -> Reduce<T> {
         Reduce {
-            udf: ReduceUdf::Source(source.to_string()),
-            cost: CostHint::DEFAULT,
-            cache: UdfCache::new(),
+            udf: Udf::source(source, 2),
         }
     }
 
@@ -241,15 +233,13 @@ impl<T: DeviceScalar> Reduce<T> {
         F: Fn(T, T) -> T + Send + Sync + 'static,
     {
         Reduce {
-            udf: ReduceUdf::Native(Arc::new(f)),
-            cost: CostHint::DEFAULT,
-            cache: UdfCache::new(),
+            udf: Udf::closure(Arc::new(f)),
         }
     }
 
     /// Override the per-element cost hint (native operators).
     pub fn with_cost(mut self, cost: CostHint) -> Self {
-        self.cost = cost;
+        self.udf = self.udf.with_cost(cost);
         self
     }
 
@@ -261,24 +251,20 @@ impl<T: DeviceScalar> Reduce<T> {
         Launch::new(self, input.clone())
     }
 
-    /// The analysed binary-operator UDF and its host evaluator for use in a
-    /// lazy plan. Native closures have no source to fuse, so they cannot
-    /// participate in plans.
+    /// This skeleton's operator as a lazy plan stage (source UDFs only), with
+    /// its host evaluator.
     pub(crate) fn plan_op(&self) -> Result<(Arc<UdfInfo>, Arc<HostOperator>)> {
-        match &self.udf {
-            ReduceUdf::Source(src) => self.cache.operator(src, "reduce"),
-            ReduceUdf::Native(_) => Err(SkelError::Plan(
-                "reduce stage uses a native Rust closure; lazy plans require source UDFs".into(),
-            )),
-        }
+        self.udf.plan_operator("reduce")
     }
 
     /// The reduce kernel for a Rust closure operator: the generated
     /// kernel's shape, work-item `g` folding chunk `g` of
     /// `ceil(n / global size)` elements into `out[g]`.
-    fn closure_kernel(f: Arc<dyn Fn(T, T) -> T + Send + Sync>, cost: CostHint) -> oclsim::Kernel {
-        const NAME: &str = "skelcl_reduce_native";
-        let def = NativeKernelDef::new(NAME, cost, move |ctx| {
+    fn closure_kernel(
+        f: Arc<BinaryOp<T>>,
+        cost: CostHint,
+    ) -> (oclsim::Kernel, Option<oclsim::Kernel>) {
+        let def = NativeKernelDef::new("skelcl_reduce_native", cost, move |ctx| {
             let n = ctx.scalar_usize(2)?;
             let chunk = n.div_ceil(ctx.global_size().max(1)).max(1);
             let mut views = ctx.arg_views();
@@ -297,70 +283,30 @@ impl<T: DeviceScalar> Reduce<T> {
             }
             Ok(())
         });
-        Program::from_native([def])
-            .kernel(NAME)
-            .expect("the program holds the kernel it was built from")
+        (native_kernel(def), None)
     }
 
-    /// One attempt of the three-step reduction; runs under replay-based
-    /// fault recovery (see the `recovery` module).
-    fn execute_attempt<C: Container<T>>(
+    /// The launch of the three-step reduction over the prepared input.
+    fn reduce_prepared(
         &self,
-        input: &C,
+        call: &PreparedCall,
         cfg: &LaunchConfig<'_>,
     ) -> Result<(T, ReducePlan)> {
-        // A replicated input would be folded once per device; reduce visits
-        // every element exactly once, so coerce to a disjoint layout first
-        // (merging replicas through the container's combine function).
-        input.ensure_disjoint()?;
-        let call = PreparedCall::single(input, cfg, None)?;
-        if call.prepared_args.len() != 0 {
-            return Err(SkelError::UnsupportedArg(
-                "the reduce skeleton's binary operator takes no additional arguments".into(),
-            ));
-        }
+        call.no_args("reduce")?;
         let runtime = &call.runtime;
-        type Fold<'f, T> = Box<dyn Fn(&mut [T]) -> Result<T> + 'f>;
-        let (kernel, per_element_cost, closure_cost, host_fold): (_, _, _, Fold<'_, T>) =
-            match &self.udf {
-                ReduceUdf::Source(src) => {
-                    let (info, host) = self.cache.operator(src, "reduce")?;
-                    let shape = runtime.lowerings().lowered(&[(StageKind::Reduce, &info)])?;
-                    (
-                        shape.kernels(runtime)?.0.clone(),
-                        info.cost_hint(),
-                        None,
-                        Box::new(move |values| host.fold(values)),
-                    )
-                }
-                ReduceUdf::Native(f) => (
-                    Self::closure_kernel(f.clone(), self.cost),
-                    self.cost,
-                    Some(self.cost),
-                    Box::new(move |values| {
-                        Ok(values[1..].iter().fold(values[0], |acc, x| f(acc, *x)))
-                    }),
-                ),
-            };
+        let kernels = self
+            .udf
+            .kernels(call, StageKind::Reduce, Self::closure_kernel)?;
 
         // Steps 1 + 2: every device holding a part leaves its partial
         // vector, gathered in device order (the operator may be
         // non-commutative).
-        let mut parts = Vec::new();
-        for device in call.partition.active_devices() {
-            parts.push(ReducePart {
-                device,
-                n: call.partition.size(device),
-                inputs: call.input_args(device)?,
-            });
-        }
         let mut partials = launch_and_gather::<T>(
             runtime,
-            &kernel,
-            parts,
-            &[],
+            &kernels,
+            &call.partition,
+            &|device| Ok((call.input_args(device)?, Vec::new())),
             cfg.chunks_per_device,
-            closure_cost,
         )?;
 
         // Step 3: the final fold — on the CPU, unless an attached scheduler
@@ -374,52 +320,43 @@ impl<T: DeviceScalar> Reduce<T> {
             (plan.final_device, plan.final_on_cpu) = scheduler.final_reduce_placement(
                 partials.len(),
                 std::mem::size_of::<T>(),
-                per_element_cost,
+                self.udf.scheduler_cost()?,
             )?;
         }
         if plan.final_on_cpu || partials.len() == 1 {
-            return Ok((host_fold(&mut partials)?, plan));
+            return Ok((self.udf.fold("reduce", &mut partials)?, plan));
         }
-        // Upload the gathered partials and fold them with the same kernel,
-        // as one chunk.
-        let device = plan.final_device;
-        let staged = runtime
-            .context()
-            .create_buffer::<T>(device, partials.len())?;
-        let folded = (|| -> Result<Vec<T>> {
-            runtime
-                .queue(device)
-                .enqueue_write_buffer(&staged, &partials)?;
-            let part = ReducePart {
-                device,
-                n: partials.len(),
-                inputs: vec![KernelArg::Buffer(staged.clone())],
-            };
-            launch_and_gather(runtime, &kernel, vec![part], &[], Some(1), closure_cost)
-        })();
-        if folded.is_err() {
-            // The upload may still be in flight: join it before its buffer
-            // goes back to the pool.
-            let _ = runtime.queue(device).take_deferred_error();
-        }
-        let released = runtime.context().release_buffer(&staged);
-        let value = folded?[0];
-        released?;
-        Ok((value, plan))
+        // Stage the gathered partials on the chosen device — as a
+        // single-distributed vector, which gives its buffer back when it is
+        // dropped — and fold them with the same kernel, as one chunk.
+        let staged = Vector::from_vec(runtime, partials);
+        staged.set_distribution(Distribution::Single(plan.final_device))?;
+        let (part, buffers) = staged.prepare_parts(false)?;
+        let bind = |device| {
+            let staged = buffer_arg(&buffers, device, format_args!("the staged partials"))?;
+            Ok((vec![staged], Vec::new()))
+        };
+        let folded = launch_and_gather(runtime, &kernels, &part, &bind, Some(1))?;
+        Ok((folded[0], plan))
     }
 
+    /// One reduction through the one call path. A replicated input would be
+    /// folded once per device; reduce visits every element exactly once, so
+    /// it is coerced to a disjoint layout first (merging replicas through
+    /// the container's combine function). The scheduler places the final
+    /// fold; it does not weight the partition.
     fn execute_with_plan<C: Container<T>>(
         &self,
         input: &C,
         cfg: &LaunchConfig<'_>,
     ) -> Result<(T, ReducePlan)> {
-        let runtime = input.runtime();
-        crate::recovery::run_recoverable(
-            &runtime,
-            &|| input.refresh_for_replay(),
-            &|weights| input.repartition_for_recovery(weights),
-            &mut || self.execute_attempt(input, cfg),
-        )
+        let spec = CallSpec {
+            coerce: &|| input.ensure_disjoint(),
+            ..CallSpec::eager(None)
+        };
+        run_call(&input.runtime(), &[input], cfg, &spec, &mut |call| {
+            self.reduce_prepared(call, cfg)
+        })
     }
 }
 
@@ -464,6 +401,7 @@ impl<T: DeviceScalar, C: Container<T>> Launch<'_, Reduce<T>, C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::SkelError;
     use crate::runtime::init_gpus;
     use crate::skeletons::Map;
 

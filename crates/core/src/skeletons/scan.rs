@@ -15,29 +15,27 @@
 //!
 //! [`launch_scan`] is that flow, written once: eager source scans (kernels
 //! from the runtime's lowering memo), closure scans (a `NativeKernelDef`
-//! pair built per call) and the lazy plans' scan groups (whose local scan
-//! reads an inlined elementwise chain) bind their arguments and call it.
+//! pair built once per skeleton instance) and the lazy plans' scan groups
+//! (whose local scan reads an inlined elementwise chain) bind their arguments
+//! and call it. Every terminal form of an eager scan — `exec`, `run_into`,
+//! `trace` — runs through the one call path and so under its fault recovery.
 
 use std::sync::Arc;
 
-use oclsim::{Buffer, CostHint, KernelArg, NativeKernelDef, Program, Value};
+use oclsim::{Buffer, CostHint, KernelArg, NativeKernelDef, Value};
 
-use crate::container::Container;
+use crate::container::DynContainer;
 use crate::distribution::Partition;
 use crate::error::{Result, SkelError};
 use crate::kernelgen::{StageKind, UdfInfo};
 use crate::runtime::SkelCl;
 use crate::skeletons::exec::{create_buffer, OutputBuffers};
+use crate::skeletons::udf::native_kernel;
 use crate::skeletons::{
-    claim_reads, sequential_cost, wait_events, DeviceScalar, HostOperator, Launch, LaunchConfig,
-    PreparedCall, Skeleton, UdfCache,
+    claim_reads, run_call, sequential_cost, wait_events, BinaryOp, CallSpec, DeviceScalar,
+    HostOperator, Launch, LaunchConfig, PreparedCall, Skeleton, StageKernels, Udf,
 };
 use crate::vector::Vector;
-
-enum ScanUdf<T> {
-    Source(String),
-    Native(Arc<dyn Fn(T, T) -> T + Send + Sync>),
-}
 
 /// Intermediate state of one multi-device scan: exposed so that tests and the
 /// Figure 2 example can show the per-stage values exactly as the paper does.
@@ -65,18 +63,14 @@ pub struct ScanTrace<T> {
 /// assert_eq!(out.to_vec().unwrap().last().copied(), Some(136.0));
 /// ```
 pub struct Scan<T: DeviceScalar> {
-    udf: ScanUdf<T>,
-    cost: CostHint,
-    cache: UdfCache,
+    pub(super) udf: Udf<BinaryOp<T>>,
 }
 
 impl<T: DeviceScalar> Scan<T> {
     /// Customise the skeleton with a binary operator given as source code.
     pub fn from_source(source: &str) -> Scan<T> {
         Scan {
-            udf: ScanUdf::Source(source.to_string()),
-            cost: CostHint::DEFAULT,
-            cache: UdfCache::new(),
+            udf: Udf::source(source, 2),
         }
     }
 
@@ -86,15 +80,13 @@ impl<T: DeviceScalar> Scan<T> {
         F: Fn(T, T) -> T + Send + Sync + 'static,
     {
         Scan {
-            udf: ScanUdf::Native(Arc::new(f)),
-            cost: CostHint::DEFAULT,
-            cache: UdfCache::new(),
+            udf: Udf::closure(Arc::new(f)),
         }
     }
 
     /// Override the per-element cost hint (native operators).
     pub fn with_cost(mut self, cost: CostHint) -> Self {
-        self.cost = cost;
+        self.udf = self.udf.with_cost(cost);
         self
     }
 
@@ -104,40 +96,21 @@ impl<T: DeviceScalar> Scan<T> {
         Launch::new(self, input.clone())
     }
 
-    /// The per-element cost used for scheduler-weighted partitioning.
-    fn scheduler_cost(&self) -> CostHint {
-        match &self.udf {
-            ScanUdf::Source(src) => self
-                .cache
-                .info(src, 2)
-                .map_or(self.cost, |info| info.cost_hint()),
-            ScanUdf::Native(_) => self.cost,
-        }
-    }
-
-    /// The analysed binary-operator UDF and its host evaluator for use in a
-    /// lazy plan. Native closures have no source to fuse, so they cannot
-    /// participate in plans.
+    /// This skeleton's operator as a lazy plan stage (source UDFs only), with
+    /// its host evaluator.
     pub(crate) fn plan_op(&self) -> Result<(Arc<UdfInfo>, Arc<HostOperator>)> {
-        match &self.udf {
-            ScanUdf::Source(src) => self.cache.operator(src, "scan"),
-            ScanUdf::Native(_) => Err(SkelError::Plan(
-                "scan stage uses a native Rust closure; lazy plans require source UDFs".into(),
-            )),
-        }
+        self.udf.plan_operator("scan")
     }
 
     /// The scan and offset kernels of a Rust closure operator, with the
     /// generated kernels' argument layouts: `[in, out, n]` (one work-item
     /// scanning the whole part) and `[data, n, offset]`.
     fn closure_kernels(
-        f: &Arc<dyn Fn(T, T) -> T + Send + Sync>,
+        f: Arc<BinaryOp<T>>,
         cost: CostHint,
     ) -> (oclsim::Kernel, Option<oclsim::Kernel>) {
-        const SCAN: &str = "skelcl_scan_native";
-        const OFFSET: &str = "skelcl_scan_offset_native";
         let op = f.clone();
-        let scan = NativeKernelDef::new(SCAN, cost, move |ctx| {
+        let scan = NativeKernelDef::new("skelcl_scan_native", cost, move |ctx| {
             let mut views = ctx.arg_views();
             let [in_view, out_view, ..] = views.as_mut_slice() else {
                 return Err("scan kernel is missing its input or output".to_string());
@@ -156,8 +129,7 @@ impl<T: DeviceScalar> Scan<T> {
             }
             Ok(())
         });
-        let op = f.clone();
-        let offset = NativeKernelDef::new(OFFSET, cost, move |ctx| {
+        let offset = NativeKernelDef::new("skelcl_scan_offset_native", cost, move |ctx| {
             let offset = T::from_value(ctx.scalar(2)?);
             let mut views = ctx.arg_views();
             let data = views
@@ -165,23 +137,17 @@ impl<T: DeviceScalar> Scan<T> {
                 .and_then(|v| v.as_slice_mut::<T>())
                 .ok_or_else(|| "scan offset kernel needs a buffer".to_string())?;
             for x in data.iter_mut() {
-                *x = op(offset, *x);
+                *x = f(offset, *x);
             }
             Ok(())
         });
-        let program = Program::from_native([scan, offset]);
-        let kernel = |name| {
-            program
-                .kernel(name)
-                .expect("the program holds the kernels it was built from")
-        };
-        (kernel(SCAN), Some(kernel(OFFSET)))
+        (native_kernel(scan), Some(native_kernel(offset)))
     }
 
     /// The shared implementation behind every terminal form: prepare the
     /// input, resolve the operator's kernels and host-side combine, and run
-    /// [`launch_scan`]. The returned trace holds whole local scans only when
-    /// `want_trace` asked for them.
+    /// [`launch_scan`] — through the one call path. The returned trace holds
+    /// whole local scans only when `want_trace` asked for them.
     fn execute_scan(
         &self,
         input: &Vector<T>,
@@ -189,70 +155,44 @@ impl<T: DeviceScalar> Scan<T> {
         want_trace: bool,
         reuse: Option<&Vector<T>>,
     ) -> Result<(Vector<T>, ScanTrace<T>)> {
-        // Copy distribution makes no sense for a prefix computation; the
-        // paper's scan assumes block distribution by default.
-        input.ensure_disjoint()?;
-        let scheduler_cost = cfg.scheduler.map(|_| self.scheduler_cost());
-        let call = PreparedCall::single::<T, Vector<T>>(input, cfg, scheduler_cost)?;
-        if call.prepared_args.len() != 0 {
-            return Err(SkelError::UnsupportedArg(
-                "the scan skeleton's binary operator takes no additional arguments".into(),
-            ));
-        }
-        let runtime = &call.runtime;
-        let reusable = call.reusable_buffers(reuse)?;
-        let bind = |device| Ok((call.input_args(device)?, Vec::new()));
-        let (out_buffers, trace) = match &self.udf {
-            ScanUdf::Source(src) => {
-                let (info, host) = self.cache.operator(src, "scan")?;
-                let shape = runtime.lowerings().lowered(&[(StageKind::Scan, &info)])?;
-                launch_scan(
-                    runtime,
-                    shape.kernels(runtime)?,
-                    &call.partition,
-                    &bind,
-                    &|a, b| host.fold(&mut [a, b]),
-                    None,
-                    reusable,
-                    want_trace,
-                )?
-            }
-            ScanUdf::Native(f) => launch_scan(
-                runtime,
-                &Self::closure_kernels(f, self.cost),
+        let spec = CallSpec {
+            // Copy distribution makes no sense for a prefix computation; the
+            // paper's scan assumes block distribution by default.
+            coerce: &|| input.ensure_disjoint(),
+            ..CallSpec::eager(self.udf.scheduler_cost_for(cfg)?)
+        };
+        run_call(&input.runtime(), &[input], cfg, &spec, &mut |call| {
+            call.no_args("scan")?;
+            let kernels = self
+                .udf
+                .kernels(call, StageKind::Scan, Self::closure_kernels)?;
+            let (out_buffers, trace) = launch_scan(
+                &call.runtime,
+                &kernels,
                 &call.partition,
-                &bind,
-                &|a, b| Ok(f(a, b)),
-                Some(self.cost),
-                reusable,
+                &|device| Ok((call.input_args(device)?, Vec::new())),
+                &|a, b| self.udf.fold("scan", &mut [a, b]),
+                call.reusable_buffers(reuse, &call.partition.sizes())?,
                 want_trace,
-            )?,
-        };
+            )?;
 
-        // The output adopts the input's (non-copy) distribution: the buffers
-        // were allocated for exactly that partition, so block, weighted
-        // block and single inputs all stay consistent (Section III-C's
-        // "block-distributed output" is the default-input case).
-        let distribution = input.distribution();
-        let output = match reuse {
-            Some(out) => {
-                out.commit_as_output(call.len, distribution, out_buffers)?;
-                out.clone()
-            }
-            None => Vector::device_resident(runtime, call.len, distribution, out_buffers),
-        };
-        Ok((output, trace))
+            // The output adopts the input's (non-copy) distribution: the
+            // buffers were allocated for exactly that partition, so block,
+            // weighted block and single inputs all stay consistent (Section
+            // III-C's "block-distributed output" is the default-input case).
+            Ok((PreparedCall::wrap_output(input, out_buffers, reuse)?, trace))
+        })
     }
 }
 
 /// The one scan launch — Figure 2's flow — behind eager source scans,
 /// closure scans and the lazy plans' scan groups.
 ///
-/// `kernels` is the local-scan kernel (one work-item per part, arguments
+/// `kernels` holds the local-scan kernel (one work-item per part, arguments
 /// `[leading…, out, n, trailing…]` with `bind(device)` supplying the two
-/// variable parts) and the offset kernel (`[data, n, offset]`); `combine` is
-/// the operator on the host; `closure_cost` the per-element cost of a Rust
-/// closure operator (kernel-language kernels are charged what they measure).
+/// variable parts), the offset kernel (`[data, n, offset]`) and — for a Rust
+/// closure operator — its per-element cost (kernel-language kernels are
+/// charged what they measure); `combine` is the operator on the host.
 /// With `want_trace` the whole local scans are downloaded between the two
 /// steps instead of only their last elements — the totals, the marked values
 /// of Figure 2, which are all the algorithm needs; the full parts otherwise
@@ -261,22 +201,21 @@ impl<T: DeviceScalar> Scan<T> {
 /// Owns the output buffers like `launch_elementwise`: `reuse`'s where it
 /// offers one, fresh ones elsewhere, and what it allocated is released again
 /// if any step fails.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn launch_scan<T: DeviceScalar>(
     runtime: &SkelCl,
-    kernels: &(oclsim::Kernel, Option<oclsim::Kernel>),
+    kernels: &StageKernels,
     partition: &Partition,
     bind: &dyn Fn(usize) -> Result<(Vec<KernelArg>, Vec<KernelArg>)>,
     combine: &dyn Fn(T, T) -> Result<T>,
-    closure_cost: Option<CostHint>,
     reuse: Option<Vec<Option<Buffer>>>,
     want_trace: bool,
 ) -> Result<(Vec<Option<Buffer>>, ScanTrace<T>)> {
-    let (scan_kernel, Some(offset_kernel)) = kernels else {
+    let (scan_kernel, Some(offset_kernel)) = (&kernels.kernel, &kernels.offset) else {
         return Err(SkelError::Internal(
             "a scan launch needs the scan program's offset kernel".into(),
         ));
     };
+    let per_element_cost = kernels.per_element_cost;
     let active = partition.active_devices();
     let bound = active
         .iter()
@@ -297,7 +236,7 @@ pub(crate) fn launch_scan<T: DeviceScalar>(
             kargs.push(KernelArg::Buffer(out.on(device)));
             kargs.push(KernelArg::Scalar(Value::Int(n as i32)));
             kargs.extend(trailing);
-            let cost = closure_cost.map(|cost| sequential_cost(cost, n, 8.0));
+            let cost = per_element_cost.map(|cost| sequential_cost(cost, n, 8.0));
             enqueue(device, scan_kernel, 1, &kargs, cost)?;
         }
 
@@ -320,7 +259,7 @@ pub(crate) fn launch_scan<T: DeviceScalar>(
         // to each later part via the implicitly created map (offset)
         // kernels. All offset kernels are enqueued before any is waited on,
         // so the per-device workers apply them concurrently in real time.
-        let offset_cost = closure_cost.map(|cost| CostHint::new(cost.flops_per_item, 8.0));
+        let offset_cost = per_element_cost.map(|cost| CostHint::new(cost.flops_per_item, 8.0));
         let mut offset_events = Vec::new();
         let mut offsets: Vec<Option<T>> = Vec::with_capacity(active.len());
         let mut running: Option<T> = None;

@@ -1,0 +1,291 @@
+//! The one user-function type. In the paper a skeleton is *customised by one
+//! user function* (Section II-A); [`Udf`] is that function as every skeleton
+//! holds it — source text in the kernel language, or a Rust closure of the
+//! skeleton's signature `F` — and the one place the two forms are told
+//! apart. It answers what the call path asks of a user function: its
+//! analysed signature as a lazy plan stage, or one clear error for a closure
+//! ([`Udf::plan_stage`], [`Udf::plan_operator`]); its per-element cost for
+//! scheduler-weighted partitioning ([`Udf::scheduler_cost`]); a reduce / scan
+//! operator's evaluation on the host ([`Udf::fold`]); and the kernels of a
+//! stage kind, with the launch cost they need ([`Udf::kernels`]).
+//!
+//! Everything derived is computed once per skeleton instance: the analysis
+//! and the host evaluator of source text and — per stage kind — a closure's
+//! kernels, which belong to no runtime. The *built* kernels of source text
+//! belong to a runtime and live in its lowering memo, so one skeleton
+//! instance serves any number of runtimes.
+
+use std::sync::{Arc, OnceLock};
+
+use oclsim::{CostHint, NativeKernelDef, Program};
+
+use crate::error::{Result, SkelError};
+use crate::kernelgen::{check_binary_op, StageKind, UdfInfo};
+use crate::skeletons::{DeviceScalar, HostOperator, LaunchConfig, PreparedCall};
+
+/// The closure form of a reduce or scan operator.
+pub(crate) type BinaryOp<T> = dyn Fn(T, T) -> T + Send + Sync;
+
+/// The kernels of one stage — or one fused group of stages — as the
+/// launchers take them.
+pub(crate) struct StageKernels {
+    pub kernel: oclsim::Kernel,
+    /// The offset kernel a scan's program also holds.
+    pub offset: Option<oclsim::Kernel>,
+    /// The per-element cost of a Rust closure, which the fold launchers scale
+    /// to the elements one work-item covers; `None` for kernel-language
+    /// kernels, which are charged what they measure.
+    pub per_element_cost: Option<CostHint>,
+}
+
+/// A skeleton's user function; `F` is the skeleton's closure signature.
+pub(crate) enum Udf<F: ?Sized> {
+    /// Source text: its analysis — or why it has none, reported by the first
+    /// call — and a reduce / scan operator's host evaluator.
+    Source {
+        info: Result<Arc<UdfInfo>>,
+        host: OnceLock<Arc<HostOperator>>,
+    },
+    /// A Rust closure with its per-element cost hint and the kernels built
+    /// around it: slot 1 for a map's index-map form, slot 0 otherwise.
+    Closure {
+        f: Arc<F>,
+        cost: CostHint,
+        kernels: [OnceLock<Arc<StageKernels>>; 2],
+    },
+}
+
+impl<F: ?Sized> Udf<F> {
+    /// Source `text` whose first `main_inputs` parameters receive elements.
+    pub(crate) fn source(text: &str, main_inputs: usize) -> Udf<F> {
+        Udf::Source {
+            info: UdfInfo::analyze(text, main_inputs).map(Arc::new),
+            host: OnceLock::new(),
+        }
+    }
+
+    pub(crate) fn closure(f: Arc<F>) -> Udf<F> {
+        Udf::Closure {
+            f,
+            cost: CostHint::DEFAULT,
+            kernels: Default::default(),
+        }
+    }
+
+    /// Override a closure's per-element cost hint (source text is estimated
+    /// statically, so it keeps its estimate).
+    pub(crate) fn with_cost(self, cost: CostHint) -> Udf<F> {
+        match self {
+            Udf::Closure { f, .. } => Udf::Closure {
+                f,
+                cost,
+                kernels: Default::default(),
+            },
+            source => source,
+        }
+    }
+
+    /// The analysed source text — what a lazy plan stage and the lowering
+    /// memo are keyed by. A closure has no source to fuse: one error, naming
+    /// the `stage`.
+    pub(crate) fn plan_stage(&self, stage: &str) -> Result<Arc<UdfInfo>> {
+        match self {
+            Udf::Source { info, .. } => info.clone(),
+            Udf::Closure { .. } => Err(SkelError::Plan(format!(
+                "{stage} stage uses a native Rust closure; lazy plans require source UDFs"
+            ))),
+        }
+    }
+
+    /// [`Udf::plan_stage`] of a reduce or scan operator, with its host
+    /// evaluator.
+    pub(crate) fn plan_operator(&self, stage: &str) -> Result<(Arc<UdfInfo>, Arc<HostOperator>)> {
+        let info = self.plan_stage(stage)?;
+        check_binary_op(&info, stage)?;
+        let Udf::Source { host, .. } = self else {
+            unreachable!("a closure has no plan stage")
+        };
+        if let Some(host) = host.get() {
+            return Ok((info, host.clone()));
+        }
+        let built = Arc::new(HostOperator::build(&info)?);
+        Ok((info, host.get_or_init(|| built).clone()))
+    }
+
+    /// The per-element cost used for scheduler-weighted partitioning.
+    pub(crate) fn scheduler_cost(&self) -> Result<CostHint> {
+        match self {
+            Udf::Closure { cost, .. } => Ok(*cost),
+            Udf::Source { info, .. } => Ok(info.clone()?.cost_hint()),
+        }
+    }
+
+    /// [`Udf::scheduler_cost`] when the call under `cfg` has a scheduler to
+    /// weight its partition with.
+    pub(crate) fn scheduler_cost_for(&self, cfg: &LaunchConfig<'_>) -> Result<Option<CostHint>> {
+        cfg.scheduler.map(|_| self.scheduler_cost()).transpose()
+    }
+
+    /// The kernels of the `kind` stage of this user function for `call`.
+    /// Source text: from the lowering memo of the call's runtime — the one
+    /// kernel cache, shared with the lazy plans — built on that runtime's
+    /// context (and charged to it) at first use; the call's additional
+    /// arguments are checked against the function. A closure: `build` wraps
+    /// it in its kernel and (for a scan) offset kernel, once.
+    pub(crate) fn kernels(
+        &self,
+        call: &PreparedCall,
+        kind: StageKind,
+        build: impl FnOnce(Arc<F>, CostHint) -> (oclsim::Kernel, Option<oclsim::Kernel>),
+    ) -> Result<Arc<StageKernels>> {
+        match self {
+            Udf::Source { info, .. } => {
+                let info = info.clone()?;
+                let shape = call.runtime.lowerings().lowered(&[(kind, &info)])?;
+                let kernels = shape.kernels(&call.runtime)?.clone();
+                if call.prepared_args.has_vectors() {
+                    return Err(SkelError::UnsupportedArg(
+                        "vector additional arguments require a native (closure) user function"
+                            .into(),
+                    ));
+                }
+                check_arg_count(&info, call.prepared_args.len())?;
+                Ok(kernels)
+            }
+            Udf::Closure { f, cost, kernels } => {
+                let slot = &kernels[usize::from(kind == StageKind::IndexMap)];
+                let built = slot.get_or_init(|| {
+                    let (kernel, offset) = build(f.clone(), *cost);
+                    Arc::new(StageKernels {
+                        kernel,
+                        offset,
+                        per_element_cost: Some(*cost),
+                    })
+                });
+                Ok(built.clone())
+            }
+        }
+    }
+}
+
+/// A call or plan stage must provide one additional argument per extra
+/// parameter of its user function.
+pub(crate) fn check_arg_count(udf: &UdfInfo, provided: usize) -> Result<()> {
+    if provided != udf.extra_params.len() {
+        return Err(SkelError::UdfSignature(format!(
+            "the user function expects {} additional argument(s), the call provides {provided}",
+            udf.extra_params.len()
+        )));
+    }
+    Ok(())
+}
+
+/// The one kernel of a program made of one native kernel definition.
+pub(crate) fn native_kernel(def: NativeKernelDef) -> oclsim::Kernel {
+    let name = def.name.clone();
+    Program::from_native([def])
+        .kernel(&name)
+        .expect("the program holds the kernel it was built from")
+}
+
+impl<T: DeviceScalar> Udf<BinaryOp<T>> {
+    /// Left fold of `values` (not empty) under the operator, on the host: the
+    /// final combination of a reduction's partials, and — two values at a
+    /// time — of a scan's per-device totals. `stage` names the skeleton in
+    /// signature errors.
+    pub(crate) fn fold(&self, stage: &str, values: &mut [T]) -> Result<T> {
+        match self {
+            Udf::Closure { f, .. } => Ok(values[1..].iter().fold(values[0], |acc, x| f(acc, *x))),
+            Udf::Source { .. } => self.plan_operator(stage)?.1.fold(values),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::runtime::init_gpus;
+    use crate::skeletons::{Map, Reduce, Scan, Zip};
+    use crate::vector::Vector;
+
+    /// A closure's kernels are built once per skeleton instance and stage
+    /// kind, however often and on however many runtimes it is asked for them.
+    #[test]
+    fn closure_kernels_are_built_once_per_instance_and_kind() {
+        let udf = Udf::<BinaryOp<i32>>::closure(Arc::new(|a, b| a + b));
+        let mut builds = 0;
+        for rt in [init_gpus(1), init_gpus(2)] {
+            let v = Vector::from_vec(&rt, vec![1i32; 4]);
+            let spec = crate::skeletons::exec::CallSpec::eager(None);
+            let call = PreparedCall::prepare(&rt, &[&v], &LaunchConfig::default(), &spec).unwrap();
+            for kind in [StageKind::Map, StageKind::IndexMap, StageKind::Map] {
+                let kernels = udf.kernels(&call, kind, |_, cost| {
+                    builds += 1;
+                    let name = format!("probe_{builds}");
+                    (
+                        native_kernel(NativeKernelDef::new(&name, cost, |_| Ok(()))),
+                        None,
+                    )
+                });
+                let want = if kind == StageKind::IndexMap {
+                    "probe_2"
+                } else {
+                    "probe_1"
+                };
+                assert_eq!(kernels.unwrap().kernel.name, want);
+            }
+        }
+        assert_eq!(builds, 2, "one build per kind, none per call or runtime");
+        // `with_cost` re-costs the closure, so its kernels are built anew.
+        let udf = udf.with_cost(CostHint::new(9.0, 9.0));
+        let Udf::Closure { kernels, .. } = &udf else {
+            unreachable!()
+        };
+        assert!(kernels.iter().all(|slot| slot.get().is_none()));
+        assert_eq!(udf.scheduler_cost().unwrap().flops_per_item, 9.0);
+    }
+
+    /// N calls of one closure skeleton instance launch the kernel(s) it built
+    /// at the first: the instance holds exactly one kernel per stage kind
+    /// (each capturing the closure once), and they are not bound to a
+    /// runtime. The source-UDF twin is `tier_telemetry::
+    /// one_skeleton_instance_builds_and_tiers_on_every_runtime_it_runs_on`.
+    #[test]
+    fn one_closure_skeleton_instance_runs_repeatedly_and_on_two_runtimes() {
+        fn captures<F: ?Sized>(udf: &Udf<F>) -> usize {
+            let Udf::Closure { f, kernels, .. } = udf else {
+                unreachable!()
+            };
+            assert!(kernels[0].get().is_some(), "the kernel is kept");
+            Arc::strong_count(f) - 1
+        }
+        let inc = Map::<i32, i32>::new(|x, _| x + 1);
+        let add = Zip::<i32, i32, i32>::new(|a, b, _| a + b);
+        let sum = Reduce::<i32>::new(|a, b| a + b);
+        let prefix = Scan::<i32>::new(|a, b| a + b);
+        for rt in [init_gpus(2), init_gpus(3)] {
+            for _ in 0..3 {
+                let v = Vector::from_vec(&rt, (1..=6).collect());
+                let w = Vector::from_vec(&rt, vec![10; 6]);
+                assert_eq!(v.map(&inc).unwrap().to_vec().unwrap(), [2, 3, 4, 5, 6, 7]);
+                let added = v.zip(&w, &add).unwrap();
+                assert_eq!(added.to_vec().unwrap(), [11, 12, 13, 14, 15, 16]);
+                assert_eq!(v.reduce(&sum).unwrap(), 21);
+                let scanned = v.scan(&prefix).unwrap();
+                assert_eq!(scanned.to_vec().unwrap(), [1, 3, 6, 10, 15, 21]);
+                let indices = inc.run_index(&rt, 4).exec().unwrap();
+                assert_eq!(indices.to_vec().unwrap(), [1, 2, 3, 4]);
+                // Map + index map, zip, reduce, scan + offset.
+                let kernels = [
+                    captures(&inc.udf),
+                    captures(&add.udf),
+                    captures(&sum.udf),
+                    captures(&prefix.udf),
+                ];
+                assert_eq!(kernels, [2, 1, 1, 2]);
+            }
+            // Closure kernels are native Rust: no program is ever built.
+            assert_eq!(rt.exec_trace().programs_built, 0);
+        }
+    }
+}

@@ -12,22 +12,19 @@
 
 use std::sync::Arc;
 
-use oclsim::{CostHint, NativeKernelDef, Pod, Program};
+use oclsim::{CostHint, NativeKernelDef, Pod};
 
 use crate::args::ArgAccess;
 use crate::container::Container;
-use crate::error::{Result, SkelError};
+use crate::error::Result;
 use crate::kernelgen::{self, StageKind};
 use crate::matrix::Matrix;
-use crate::runtime::SkelCl;
-use crate::skeletons::exec::source_kernel;
-use crate::skeletons::{Launch, LaunchConfig, PreparedArgs, PreparedCall, Skeleton, UdfCache};
+use crate::skeletons::udf::native_kernel;
+use crate::skeletons::{run_call, CallSpec, Launch, LaunchConfig, PreparedCall, Skeleton, Udf};
 use crate::vector::Vector;
 
-enum ZipUdf<A, B, O> {
-    Source(String),
-    Native(Arc<dyn Fn(&A, &B, &mut ArgAccess<'_, '_>) -> O + Send + Sync>),
-}
+/// The closure form of a zip's user function.
+type ZipFn<A, B, O> = dyn Fn(&A, &B, &mut ArgAccess<'_, '_>) -> O + Send + Sync;
 
 /// The zip skeleton.
 ///
@@ -46,9 +43,7 @@ enum ZipUdf<A, B, O> {
 /// assert_eq!(y.to_vec().unwrap(), vec![12.0, 14.0, 16.0]);
 /// ```
 pub struct Zip<A: Pod, B: Pod, O: Pod> {
-    udf: ZipUdf<A, B, O>,
-    cost: CostHint,
-    cache: UdfCache,
+    pub(super) udf: Udf<ZipFn<A, B, O>>,
 }
 
 impl<A: Pod, B: Pod, O: Pod> Zip<A, B, O> {
@@ -58,9 +53,7 @@ impl<A: Pod, B: Pod, O: Pod> Zip<A, B, O> {
     /// (scalar) parameters receive the additional arguments.
     pub fn from_source(source: &str) -> Zip<A, B, O> {
         Zip {
-            udf: ZipUdf::Source(source.to_string()),
-            cost: CostHint::DEFAULT,
-            cache: UdfCache::new(),
+            udf: Udf::source(source, 2),
         }
     }
 
@@ -70,15 +63,13 @@ impl<A: Pod, B: Pod, O: Pod> Zip<A, B, O> {
         F: Fn(&A, &B, &mut ArgAccess<'_, '_>) -> O + Send + Sync + 'static,
     {
         Zip {
-            udf: ZipUdf::Native(Arc::new(f)),
-            cost: CostHint::DEFAULT,
-            cache: UdfCache::new(),
+            udf: Udf::closure(Arc::new(f)),
         }
     }
 
     /// Override the per-element cost hint (native UDFs).
     pub fn with_cost(mut self, cost: CostHint) -> Self {
-        self.cost = cost;
+        self.udf = self.udf.with_cost(cost);
         self
     }
 
@@ -93,47 +84,24 @@ impl<A: Pod, B: Pod, O: Pod> Zip<A, B, O> {
         Launch::new(self, (left.clone(), right.clone()))
     }
 
-    fn scheduler_cost(&self) -> CostHint {
-        match &self.udf {
-            ZipUdf::Source(src) => self
-                .cache
-                .info(src, 2)
-                .map_or(self.cost, |info| info.cost_hint()),
-            ZipUdf::Native(_) => self.cost,
-        }
-    }
-
-    /// The analysed source UDF for use in a lazy plan. Native closures have
-    /// no source to fuse, so they cannot participate in plans.
+    /// This skeleton's user function as a lazy plan stage (source UDFs only).
     pub(crate) fn plan_udf(&self) -> Result<Arc<kernelgen::UdfInfo>> {
-        match &self.udf {
-            ZipUdf::Source(src) => self.cache.info(src, 2),
-            ZipUdf::Native(_) => Err(SkelError::Plan(
-                "zip stage uses a native Rust closure; lazy plans require source UDFs".into(),
-            )),
-        }
+        self.udf.plan_stage("zip")
     }
 
-    fn native_kernel(&self) -> Option<oclsim::Kernel> {
-        let ZipUdf::Native(f) = &self.udf else {
-            return None;
-        };
-        let f = f.clone();
-        let def = NativeKernelDef::new("skelcl_zip_native", self.cost, move |ctx| {
+    /// The zip kernel of a Rust closure: arguments
+    /// `[left, right, out, n, extra…]`.
+    fn closure_kernel(
+        f: Arc<ZipFn<A, B, O>>,
+        cost: CostHint,
+    ) -> (oclsim::Kernel, Option<oclsim::Kernel>) {
+        let def = NativeKernelDef::new("skelcl_zip_native", cost, move |ctx| {
             let n = ctx.global_size();
             let mut views = ctx.arg_views();
-            let (left_view, rest) = views
-                .split_first_mut()
-                .ok_or_else(|| "zip kernel is missing its left input".to_string())?;
-            let (right_view, rest) = rest
-                .split_first_mut()
-                .ok_or_else(|| "zip kernel is missing its right input".to_string())?;
-            let (out_view, rest) = rest
-                .split_first_mut()
-                .ok_or_else(|| "zip kernel is missing its output".to_string())?;
-            let (_n_view, extra) = rest
-                .split_first_mut()
-                .ok_or_else(|| "zip kernel is missing its length argument".to_string())?;
+            let [left_view, right_view, out_view, _n_view, extra @ ..] = views.as_mut_slice()
+            else {
+                return Err("zip kernel is missing an input, its output or its length".to_string());
+            };
             let left = left_view
                 .as_slice::<A>()
                 .ok_or_else(|| "zip left input must be a buffer".to_string())?;
@@ -149,26 +117,15 @@ impl<A: Pod, B: Pod, O: Pod> Zip<A, B, O> {
             }
             Ok(())
         });
-        let program = Program::from_native([def]);
-        program.kernel("skelcl_zip_native").ok()
-    }
-
-    fn resolve_kernel(&self, runtime: &SkelCl, prepared: &PreparedArgs) -> Result<oclsim::Kernel> {
-        match &self.udf {
-            ZipUdf::Source(src) => {
-                source_kernel(runtime, StageKind::Zip, &self.cache.info(src, 2)?, prepared)
-            }
-            ZipUdf::Native(_) => Ok(self
-                .native_kernel()
-                .expect("native kernel construction cannot fail")),
-        }
+        (native_kernel(def), None)
     }
 
     /// The shared execution path behind [`Skeleton::execute`] and the
-    /// `run_into` terminal form, generic over the input containers. Runs
-    /// under replay-based fault recovery (see the `recovery` module); a
-    /// device loss re-partitions both inputs with the same weights so the
-    /// pair stays distribution-unified for the replay.
+    /// `run_into` terminal form, generic over the input containers: shape
+    /// check plus the paper's distribution unification (differing
+    /// distributions are coerced to block on both sides), then the one call
+    /// path — on both containers, so a device loss re-partitions them with
+    /// the same weights and the pair stays unified for the replay.
     fn execute_zip<CA: Container<A>>(
         &self,
         left: &CA,
@@ -176,25 +133,17 @@ impl<A: Pod, B: Pod, O: Pod> Zip<A, B, O> {
         cfg: &LaunchConfig<'_>,
         reuse: Option<&CA::Rebound<O>>,
     ) -> Result<CA::Rebound<O>> {
-        let runtime = left.runtime();
-        crate::recovery::run_recoverable(
-            &runtime,
-            &|| {
-                left.refresh_for_replay()?;
-                right.refresh_for_replay()
-            },
-            &|weights| {
-                left.repartition_for_recovery(weights)?;
-                right.repartition_for_recovery(weights)
-            },
-            &mut || {
-                let scheduler_cost = cfg.scheduler.map(|_| self.scheduler_cost());
-                let call = PreparedCall::pair(left, right, cfg, scheduler_cost)?;
-                let kernel = self.resolve_kernel(&call.runtime, &call.prepared_args)?;
-                let out_buffers = call.launch_elementwise(&kernel, reuse)?;
-                call.finish_output(left, out_buffers, reuse)
-            },
-        )
+        let spec = CallSpec {
+            coerce: &|| left.unify_with(right),
+            ..CallSpec::eager(self.udf.scheduler_cost_for(cfg)?)
+        };
+        run_call(&left.runtime(), &[left, right], cfg, &spec, &mut |call| {
+            let kernels = self
+                .udf
+                .kernels(call, StageKind::Zip, Self::closure_kernel)?;
+            let out_buffers = call.launch_elementwise(&kernels.kernel, &[], reuse)?;
+            PreparedCall::wrap_output(left, out_buffers, reuse)
+        })
     }
 }
 

@@ -19,7 +19,7 @@ use parking_lot::Mutex;
 use oclsim::{Buffer, CostHint, Pod};
 
 pub use crate::container::Residence;
-use crate::container::{Container, EdgePolicy, Storage};
+use crate::container::{Container, DynContainer, EdgePolicy, Storage};
 use crate::distribution::{Combine, Distribution, Partition};
 use crate::error::Result;
 use crate::runtime::{DeviceSelection, SkelCl};
@@ -247,13 +247,7 @@ impl<T: Pod> Vector<T> {
     }
 }
 
-impl<T: Pod> Container<T> for Vector<T> {
-    type Rebound<O: Pod> = Vector<O>;
-
-    fn runtime(&self) -> Arc<SkelCl> {
-        Vector::runtime(self)
-    }
-
+impl<T: Pod> DynContainer for Vector<T> {
     fn id(&self) -> u64 {
         Vector::id(self)
     }
@@ -262,24 +256,8 @@ impl<T: Pod> Container<T> for Vector<T> {
         self.len()
     }
 
-    fn part_sizes(&self) -> Vec<usize> {
-        self.sizes()
-    }
-
     fn check_runtime(&self, runtime: &Arc<SkelCl>) -> Result<()> {
         Vector::check_runtime(self, runtime)
-    }
-
-    fn ensure_on_devices(&self) -> Result<()> {
-        self.copy_data_to_devices()
-    }
-
-    fn mark_device_modified(&self) {
-        Vector::mark_device_modified(self)
-    }
-
-    fn gather(&self) -> Result<Vec<T>> {
-        self.to_vec()
     }
 
     fn apply_selection(&self, selection: &DeviceSelection) -> Result<()> {
@@ -296,26 +274,13 @@ impl<T: Pod> Container<T> for Vector<T> {
         self.set_distribution(scheduler.weighted_block(cost))
     }
 
-    fn unify_with<B: Pod>(&self, other: &Vector<B>) -> Result<()> {
-        if self.len() != other.len() {
-            return Err(crate::error::SkelError::LengthMismatch {
-                left: self.len(),
-                right: other.len(),
-            });
-        }
-        // Unify: if the distributions differ (or both are single but on
-        // different devices, which compares unequal), coerce both to block
-        // (paper, Section III-C).
-        if self.distribution() != other.distribution() {
-            self.set_distribution(Distribution::Block)?;
-            other.set_distribution(Distribution::Block)?;
-        }
-        Ok(())
+    fn coerce_to_block(&self) -> Result<()> {
+        self.set_distribution(Distribution::Block)
     }
 
     fn ensure_disjoint(&self) -> Result<()> {
         if self.distribution() == Distribution::Copy {
-            self.set_distribution(Distribution::Block)?;
+            self.coerce_to_block()?;
         }
         Ok(())
     }
@@ -328,12 +293,65 @@ impl<T: Pod> Container<T> for Vector<T> {
         self.inner.lock().refresh_for_replay()
     }
 
-    fn prepare_elementwise(&self) -> Result<(Partition, Vec<Option<Buffer>>)> {
+    fn distrust_devices(&self) {
+        self.inner.lock().distrust_devices();
+    }
+
+    fn prepare_parts(&self, _keep_halo: bool) -> Result<(Partition, Vec<Option<Buffer>>)> {
         self.prepare_on_devices()
     }
 
-    fn obtain_output_buffers(&self, partition: &Partition) -> Vec<Option<Buffer>> {
-        self.inner.lock().obtain_output_buffers(partition)
+    fn flat_distribution(&self) -> Option<Distribution> {
+        Some(self.distribution())
+    }
+
+    fn append_host_bytes(&self, out: &mut Vec<u8>) -> Result<()> {
+        self.with_host(|host| out.extend_from_slice(oclsim::pod::as_bytes(host)))
+    }
+}
+
+impl<T: Pod> Container<T> for Vector<T> {
+    type Rebound<O: Pod> = Vector<O>;
+
+    fn runtime(&self) -> Arc<SkelCl> {
+        Vector::runtime(self)
+    }
+
+    fn part_sizes(&self) -> Vec<usize> {
+        self.sizes()
+    }
+
+    fn ensure_on_devices(&self) -> Result<()> {
+        self.copy_data_to_devices()
+    }
+
+    fn mark_device_modified(&self) {
+        Vector::mark_device_modified(self)
+    }
+
+    fn gather(&self) -> Result<Vec<T>> {
+        self.to_vec()
+    }
+
+    fn unify_with<B: Pod>(&self, other: &Vector<B>) -> Result<()> {
+        if self.len() != other.len() {
+            return Err(crate::error::SkelError::LengthMismatch {
+                left: self.len(),
+                right: other.len(),
+            });
+        }
+        // Unify: if the distributions differ (or both are single but on
+        // different devices, which compares unequal), coerce both to block
+        // (paper, Section III-C).
+        if self.distribution() != other.distribution() {
+            self.coerce_to_block()?;
+            other.coerce_to_block()?;
+        }
+        Ok(())
+    }
+
+    fn obtain_output_buffers(&self, lens: &[usize]) -> Vec<Option<Buffer>> {
+        self.inner.lock().obtain_output_buffers(lens)
     }
 
     fn wrap_output<O: Pod>(&self, buffers: Vec<Option<Buffer>>) -> Vector<O> {
@@ -342,10 +360,6 @@ impl<T: Pod> Container<T> for Vector<T> {
 
     fn commit_output<O: Pod>(&self, out: &Vector<O>, buffers: Vec<Option<Buffer>>) -> Result<()> {
         out.commit_as_output(self.len(), self.distribution(), buffers)
-    }
-
-    fn flat_distribution(&self) -> Option<Distribution> {
-        Some(self.distribution())
     }
 }
 

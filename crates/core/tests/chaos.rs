@@ -215,6 +215,297 @@ fn iterative_stencil_recovers_mid_run_via_checkpoints() {
 }
 
 // ---------------------------------------------------------------------------
+// Every launch owns the outcome of its own uploads
+// ---------------------------------------------------------------------------
+
+type Runtime = std::sync::Arc<skelcl::SkelCl>;
+
+const CHAIN_LEN: usize = 128;
+const CHAIN_ROWS: usize = 16;
+
+/// The inputs of the chains below. They outlive a failed call, so repeating
+/// the call shows whether a container still believes in an upload that
+/// never landed.
+struct ChainInputs {
+    x: Vector<f32>,
+    y: Vector<f32>,
+    table: Vector<f32>,
+    m: Matrix<f32>,
+}
+
+impl ChainInputs {
+    fn new(rt: &Runtime) -> ChainInputs {
+        let xs = test_data(CHAIN_LEN);
+        let table = Vector::from_vec(rt, vec![2.0f32, 3.0]);
+        table.set_distribution(Distribution::Copy).unwrap();
+        ChainInputs {
+            y: Vector::from_vec(rt, xs.iter().rev().copied().collect()),
+            m: Matrix::from_vec(rt, CHAIN_ROWS, CHAIN_LEN / CHAIN_ROWS, xs.clone()).unwrap(),
+            x: Vector::from_vec(rt, xs),
+            table,
+        }
+    }
+}
+
+/// `out[i] = x[i] * table[x[i] mod 2]`, the table a copy-distributed vector
+/// additional argument (the index is safe whatever a buffer holds).
+fn table_scale() -> Map<f32, f32> {
+    Map::new(|x, args| {
+        let table = args.slice_f32(0);
+        x * table[(*x as usize) % table.len()]
+    })
+}
+
+type Chain = (
+    &'static str,
+    fn(&ChainInputs) -> Result<Vec<f32>>,
+    fn(&[f32]) -> Vec<f32>,
+);
+
+/// Eager chains whose first call uploads and whose later calls consume what
+/// the first produced, each with its host oracle over `test_data(CHAIN_LEN)`.
+const CHAINS: [Chain; 5] = [
+    (
+        "map -> reduce",
+        |i| {
+            let doubled = i.x.map(&Map::from_source(DOUBLE))?;
+            Ok(vec![doubled.reduce(&Reduce::from_source(ADD))?])
+        },
+        |xs| oracle(11, xs),
+    ),
+    (
+        "zip -> reduce",
+        |i| {
+            let zipped = i.x.zip(&i.y, &Zip::from_source(SAXPY))?;
+            Ok(vec![zipped.reduce(&Reduce::from_source(ADD))?])
+        },
+        |xs| vec![oracle(1, xs).iter().sum()],
+    ),
+    (
+        "map -> map -> to_vec",
+        |i| {
+            let dbl = Map::<f32, f32>::from_source(DOUBLE);
+            i.x.map(&dbl)?.map(&dbl)?.to_vec()
+        },
+        |xs| xs.iter().map(|x| 4.0 * x).collect(),
+    ),
+    (
+        "closure map with a copy-distributed vector argument",
+        |i| table_scale().run(&i.x).arg(&i.table).exec()?.to_vec(),
+        |xs| xs.iter().map(|x| x * [2.0, 3.0][*x as usize % 2]).collect(),
+    ),
+    (
+        "MapOverlap::run_iter(3)",
+        |i| {
+            let heat = MapOverlap::<f32, f32>::from_source(HEAT_STEP)
+                .with_boundary(Boundary::Constant(0.0));
+            heat.run(&i.m).run_iter(3)?.to_vec()
+        },
+        |xs| {
+            (0..3).fold(xs.to_vec(), |cur, _| {
+                host_heat(&cur, CHAIN_ROWS, CHAIN_LEN / CHAIN_ROWS)
+            })
+        },
+    ),
+];
+
+/// A transient fault on *any* transfer of a chain — the first call's input
+/// upload above all — must surface in the call that enqueued it: the chain
+/// returns the host oracle bit for bit or a typed injected-fault error, never
+/// another `Ok`. (Before the call path owned its uploads, `map -> reduce`
+/// with the upload struck returned `Ok(0.0)`: the map handed on a buffer the
+/// data never reached, and the *reduce's* recovery replayed on it.) After a
+/// typed error the same call, repeated on the same containers, returns the
+/// oracle — the failed upload is not believed — and nothing stays latched or
+/// allocated.
+#[test]
+fn a_failed_upload_never_reaches_the_next_call() {
+    for (name, chain, oracle) in CHAINS {
+        let expected = bits(&oracle(&test_data(CHAIN_LEN)));
+        for devices in [1usize, 2] {
+            // Every command device 0 executes in a fault-free run is one op.
+            let rt = skelcl::init_gpus(devices);
+            assert_eq!(bits(&chain(&ChainInputs::new(&rt)).unwrap()), expected);
+            let ops = rt.drain_events()[0].len();
+            assert!(ops >= 3, "{name}: upload, launch, download at least");
+            for recovery in [true, false] {
+                for op in 1..=ops {
+                    let what = format!(
+                        "{name}, {devices} device(s), recovery {recovery}, transfer fault at op {op}"
+                    );
+                    let rt = skelcl::init_gpus(devices);
+                    rt.set_recovery_enabled(recovery);
+                    rt.inject_faults(&FaultPlan::new().transient_transfer_at_op(0, op));
+                    let inputs = ChainInputs::new(&rt);
+                    match chain(&inputs) {
+                        Ok(out) => assert_eq!(bits(&out), expected, "{what}: wrong data"),
+                        Err(e) => {
+                            assert!(e.is_injected_fault(), "{what}: {e:?}");
+                            let again = chain(&inputs)
+                                .unwrap_or_else(|e| panic!("{what}: repeated call: {e:?}"));
+                            assert_eq!(bits(&again), expected, "{what}: repeated call");
+                        }
+                    }
+                    assert!(
+                        rt.take_deferred_errors().is_empty(),
+                        "{what}: latch left behind"
+                    );
+                    drop(inputs);
+                    for d in 0..devices {
+                        let live = rt.context().device(d).unwrap().live_buffers();
+                        assert_eq!(live, 0, "{what}: device {d} strands {live} buffer(s)");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A failed attempt distrusts its vector additional arguments too, so the
+/// replay uploads them again — and a replicated argument must still be
+/// uploadable when a device is gone: its replica there is simply left out.
+#[test]
+fn a_replicated_vector_argument_survives_a_device_loss() {
+    let (name, chain, oracle) = CHAINS[3];
+    let expected = bits(&oracle(&test_data(CHAIN_LEN)));
+    // Device 1's commands: its part of x (op 1), its replica of the table
+    // (op 2), the kernel (op 3).
+    for op in 1..=3 {
+        let rt = skelcl::init_gpus(3);
+        rt.inject_faults(&FaultPlan::new().device_lost_at_op(1, op));
+        let out = chain(&ChainInputs::new(&rt))
+            .unwrap_or_else(|e| panic!("{name}, device lost at op {op}: {e:?}"));
+        assert_eq!(bits(&out), expected, "{name}, device lost at op {op}");
+        let trace = rt.exec_trace();
+        assert_eq!((trace.recoveries, trace.repartitions), (1, 1), "op {op}");
+        assert_eq!(rt.lost_devices(), vec![1]);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Scan, index map and vector plans recover like every other launch
+// ---------------------------------------------------------------------------
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+type Path = (&'static str, fn(&Runtime, &Vector<f32>) -> Result<Vec<f32>>);
+
+/// The launches that ran outside the recovery wrapper before there was one
+/// call path: every terminal form of an eager scan, index maps (which ignore
+/// the vector), and lazy vector plans, fused or not.
+const PATHS: [Path; 12] = [
+    ("source scan", |_, v| {
+        v.scan(&Scan::from_source(ADD))?.to_vec()
+    }),
+    ("closure scan", |_, v| {
+        v.scan(&Scan::new(|a, b| a + b))?.to_vec()
+    }),
+    ("scan run_into", |rt, v| {
+        let out = Vector::from_vec(rt, vec![0.0f32; v.len()]);
+        Scan::from_source(ADD).run(v).run_into(&out)?;
+        out.to_vec()
+    }),
+    ("scan trace", |_, v| {
+        // The trace depends on the partition (which a recovery changes), the
+        // result does not: offsets ⊕ local scans must rebuild it.
+        let (out, trace) = Scan::new(|a, b| a + b).run(v).trace()?;
+        let parts = trace.local_scans.iter().zip(&trace.offsets);
+        let rebuilt: Vec<f32> = parts
+            .flat_map(|(part, offset)| part.iter().map(move |x| offset.map_or(*x, |o| o + x)))
+            .collect();
+        assert_eq!(rebuilt, out.to_vec()?);
+        Ok(rebuilt)
+    }),
+    ("source index map", |rt, _| {
+        let idx = Map::<i32, f32>::from_source("float func(int i) { return 3.0f * i + 1.0f; }");
+        idx.run_index(rt, 200).exec()?.to_vec()
+    }),
+    ("closure index map", |rt, _| {
+        let idx = Map::<i32, f32>::new(|i, _| 3.0 * *i as f32 + 1.0);
+        idx.run_index(rt, 200).exec()?.to_vec()
+    }),
+    ("plan map∘map, unfused", |_, v| {
+        map_map(v, FusionPolicy::Never)
+    }),
+    ("plan map∘map", |_, v| map_map(v, FusionPolicy::Auto)),
+    ("plan zip∘reduce, unfused", |rt, v| {
+        zip_reduce(rt, v, FusionPolicy::Never)
+    }),
+    ("plan zip∘reduce", |rt, v| {
+        zip_reduce(rt, v, FusionPolicy::Auto)
+    }),
+    ("plan map∘scan, unfused", |_, v| {
+        map_scan(v, FusionPolicy::Never)
+    }),
+    ("plan map∘scan", |_, v| map_scan(v, FusionPolicy::Auto)),
+];
+
+fn map_map(v: &Vector<f32>, policy: FusionPolicy) -> Result<Vec<f32>> {
+    let dbl = Map::<f32, f32>::from_source(DOUBLE);
+    v.lazy().policy(policy).map(&dbl).map(&dbl).collect()
+}
+
+fn zip_reduce(rt: &Runtime, v: &Vector<f32>, policy: FusionPolicy) -> Result<Vec<f32>> {
+    let w = Vector::from_vec(rt, v.to_vec()?.into_iter().rev().collect());
+    let plan = v.lazy().policy(policy).zip(&w, &Zip::from_source(SAXPY));
+    Ok(vec![plan.reduce(&Reduce::from_source(ADD)).scalar()?])
+}
+
+fn map_scan(v: &Vector<f32>, policy: FusionPolicy) -> Result<Vec<f32>> {
+    let plan = v.lazy().policy(policy).map(&Map::from_source(DOUBLE));
+    plan.scan(&Scan::from_source(ADD)).collect()
+}
+
+#[test]
+fn scan_index_map_and_vector_plans_recover_bit_identically() {
+    for (name, path) in PATHS {
+        let fault_free = {
+            let rt = skelcl::init_gpus(3);
+            bits(&path(&rt, &Vector::from_vec(&rt, test_data(200))).unwrap())
+        };
+        let faults = [
+            // The first kernel device 0 is handed fails once.
+            (
+                "a transient launch fault",
+                FaultPlan::new().transient_launch_at_op(0, 1),
+            ),
+            // Device 1 dies on its first command: an upload, or the index
+            // map's launch. The sources are host-valid.
+            ("a device loss", FaultPlan::new().device_lost_at_op(1, 1)),
+        ];
+        for (fault, plan) in faults {
+            let what = format!("{name} under {fault}");
+            let rt = skelcl::init_gpus(3);
+            rt.inject_faults(&plan);
+            let out = path(&rt, &Vector::from_vec(&rt, test_data(200)))
+                .unwrap_or_else(|e| panic!("{what}: not recovered: {e:?}"));
+            assert_eq!(bits(&out), fault_free, "{what}: recovered ≢ fault-free");
+            let trace = rt.exec_trace();
+            assert_eq!(trace.faults_injected, 1, "{what}: the fault must fire");
+            assert_eq!(trace.recoveries, 1, "{what}");
+            let lost = rt.lost_devices().len();
+            assert_eq!(trace.repartitions, lost, "{what}: re-partition iff lost");
+            assert!(rt.take_deferred_errors().is_empty(), "{what}");
+        }
+        // With the only copy of a part on the lost device the same loss is
+        // a typed error, never invented data. (An index map has no input to
+        // lose.)
+        if !name.contains("index map") {
+            let rt = skelcl::init_gpus(3);
+            let v = Vector::from_vec(&rt, test_data(200));
+            v.copy_data_to_devices().unwrap();
+            v.mark_device_modified();
+            rt.inject_faults(&FaultPlan::new().device_lost_at_op(1, 2));
+            let err = path(&rt, &v).unwrap_err();
+            assert!(err.is_device_lost(), "{name}: {err:?}");
+            assert_eq!(rt.exec_trace().recoveries, 0, "{name}");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Faults inside the halo exchange
 // ---------------------------------------------------------------------------
 
@@ -497,11 +788,16 @@ fn fault_free_run_is_bitwise_and_virtual_time_identical_with_recovery_on_or_off(
             .with_boundary(Boundary::Constant(0.0));
         let m = Matrix::from_vec(&rt, 10, 20, test_data(200)).unwrap();
         let stencil = heat.run(&m).run_iter(3).unwrap().to_vec().unwrap();
+        // Scan, index map and vector plans run under the same wrapper.
+        let others: Vec<Vec<f32>> = PATHS
+            .iter()
+            .map(|(_, path)| path(&rt, &v).unwrap())
+            .collect();
         let trace = rt.exec_trace();
         assert_eq!(trace.recoveries, 0);
         assert_eq!(trace.replayed_launches, 0);
         assert_eq!(trace.repartitions, 0);
-        (mapped.to_vec().unwrap(), total, stencil, rt.now())
+        (mapped.to_vec().unwrap(), total, stencil, others, rt.now())
     };
     assert_eq!(
         run(true),
@@ -560,7 +856,7 @@ fn run_chaos(
             let sum = Reduce::<f32>::from_source(ADD);
             v.reduce(&sum).map(|total| vec![total])
         }
-        _ => {
+        3 => {
             let heat = MapOverlap::<f32, f32>::from_source(HEAT_STEP)
                 .with_halo(1)
                 .with_boundary(Boundary::Constant(0.0));
@@ -569,6 +865,53 @@ fn run_chaos(
                 .checkpoint_every(2)
                 .run_iter(3)
                 .and_then(|out| out.to_vec())
+        }
+        4 | 5 => {
+            let v = Vector::from_vec(&rt, data.to_vec());
+            let prefix = match skeleton {
+                4 => Scan::<f32>::from_source(ADD),
+                _ => Scan::new(|a, b| a + b),
+            };
+            v.scan(&prefix).and_then(|out| out.to_vec())
+        }
+        6 | 7 => {
+            let affine = match skeleton {
+                6 => Map::<i32, f32>::from_source("float func(int i) { return 3.0f * i + 1.0f; }"),
+                _ => Map::new(|i, _| 3.0 * *i as f32 + 1.0),
+            };
+            let out = affine.run_index(&rt, data.len()).exec();
+            out.and_then(|out| out.to_vec())
+        }
+        8 => {
+            let v = Vector::from_vec(&rt, data.to_vec());
+            let table = Vector::from_vec(&rt, vec![2.0f32, 3.0]);
+            table.set_distribution(Distribution::Copy).unwrap();
+            let out = table_scale().run(&v).arg(&table).exec();
+            out.and_then(|out| out.to_vec())
+        }
+        9 => {
+            let x = Vector::from_vec(&rt, data.to_vec());
+            let y = Vector::from_vec(&rt, data.iter().rev().copied().collect());
+            let saxpy = Zip::<f32, f32, f32>::new(|x, y, _| 2.0 * x + y);
+            x.zip(&y, &saxpy).and_then(|out| out.to_vec())
+        }
+        10 => {
+            let v = Vector::from_vec(&rt, data.to_vec());
+            let sum = Reduce::<f32>::new(|a, b| a + b);
+            v.reduce(&sum).map(|total| vec![total])
+        }
+        11 => {
+            // A two-call chain: the second call consumes what the first
+            // left on the devices.
+            let v = Vector::from_vec(&rt, data.to_vec());
+            let doubled = v.map(&Map::from_source(DOUBLE));
+            let total = doubled.and_then(|d| d.reduce(&Reduce::from_source(ADD)));
+            total.map(|total| vec![total])
+        }
+        _ => {
+            let v = Vector::from_vec(&rt, data.to_vec());
+            let plan = v.lazy().map(&Map::from_source(DOUBLE));
+            plan.scan(&Scan::from_source(ADD)).collect()
         }
     };
     match result {
@@ -590,19 +933,43 @@ fn oracle(skeleton: usize, data: &[f32]) -> Vec<f32> {
             let ys: Vec<f32> = data.iter().rev().copied().collect();
             data.iter().zip(&ys).map(|(x, y)| 2.0 * x + y).collect()
         }
-        2 => vec![data.iter().sum()],
-        _ => {
+        2 | 10 => vec![data.iter().sum()],
+        3 => {
             let mut cur = data.to_vec();
             for _ in 0..3 {
                 cur = host_heat(&cur, data.len(), 1);
             }
             cur
         }
+        4 | 5 => prefix_sums(data.iter().copied()),
+        6 | 7 => (0..data.len()).map(|i| 3.0 * i as f32 + 1.0).collect(),
+        8 => data
+            .iter()
+            .map(|x| x * [2.0, 3.0][*x as usize % 2])
+            .collect(),
+        9 => oracle(1, data),
+        11 => vec![data.iter().map(|x| 2.0 * x).sum()],
+        _ => prefix_sums(data.iter().map(|x| 2.0 * x)),
     }
 }
 
+fn prefix_sums(values: impl Iterator<Item = f32>) -> Vec<f32> {
+    let sums = values.scan(0.0f32, |acc, x| {
+        *acc += x;
+        Some(*acc)
+    });
+    sums.collect()
+}
+
+/// `run_chaos` / `oracle` cases: source map, zip, reduce, iterative stencil;
+/// source and closure scan; source and closure index map; closure map (with
+/// a copy-distributed vector argument), zip and reduce; a two-call chain; a
+/// lazy plan.
+const CHAOS_SKELETONS: usize = 13;
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(20))]
+    // About five cases per skeleton, as when there were four.
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// For any skeleton, device count and random deterministic fault
     /// schedule: the run either recovers to the exact fault-free oracle or
@@ -613,7 +980,7 @@ proptest! {
         raw in prop::collection::vec(0u8..16, 1..160),
         devices in 1usize..=4,
         specs in prop::collection::vec((0usize..4, 1usize..12, 0usize..3), 0..4),
-        skeleton in 0usize..4,
+        skeleton in 0usize..CHAOS_SKELETONS,
     ) {
         let data: Vec<f32> = raw.iter().map(|&x| x as f32).collect();
         let first = run_chaos(skeleton, devices, &data, &specs);

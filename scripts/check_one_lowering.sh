@@ -1,9 +1,13 @@
 #!/usr/bin/env bash
 # One lowering: every source-UDF kernel — eager call, vector plan, matrix
 # plan — is rendered by kernelgen::render_group behind the per-runtime
-# LoweringMemo and launched by one launcher per kernel kind. This script
-# fails if a second template, kernel cache, scan flow or pasted kernel frame
-# shows up again. Run from the repository root (CI: the `check` job).
+# LoweringMemo and launched by one launcher per kernel kind. One call path:
+# every synchronous launch is prepared by PreparedCall::prepare and runs as
+# an attempt of the one recovery wrapper, and a skeleton's user function is
+# one Udf value. This script fails if a second template, kernel cache, scan
+# flow, pasted kernel frame, prepare stage, recovery wrapper or per-call
+# closure kernel shows up again. Run from the repository root (CI: the
+# `check` job).
 set -euo pipefail
 
 src=crates/core/src
@@ -86,6 +90,68 @@ fi
 # The legacy benches time kernelgen's kernels, not pasted copies.
 if grep -rn "SKELCL_MAP(\|SKELCL_ZIP(\|SKELCL_SCAN(\|SKELCL_MAP_OVERLAP(" crates/bench; then
     complain "a bench pastes a kernel frame instead of calling kernelgen"
+fi
+
+# --- One call path --------------------------------------------------------
+skel=$src/skeletons
+
+# One recovery wrapper: run_recoverable has one caller (exec::run_call).
+callers=$(grep -rn "run_recoverable(" "$src" | grep -v "^$src/recovery.rs:" | grep -vc "^[^:]*:[0-9]*: *//" || true)
+if [ "$callers" != 1 ]; then
+    complain "run_recoverable is called from $callers place(s) outside recovery.rs, expected 1 (exec::run_call)"
+fi
+
+# One user-function type, one prepare stage.
+if [ "$(grep -rEn "enum \w*Udf" "$src" | wc -l)" != 1 ]; then
+    grep -rEn "enum \w*Udf" "$src" >&2 || true
+    complain "there must be exactly one user-function enum (skeletons/udf.rs)"
+fi
+if [ "$(grep -rn "Ok(PreparedCall {" "$src" | wc -l)" != 1 ]; then
+    complain "PreparedCall must be constructed in exactly one place (PreparedCall::prepare)"
+fi
+if grep -rn "closure_cost\|fn launch_sweep\|fn execute_single\|PreparedCall::single\|PreparedCall::pair\|trait ErasedSource\|too_many_arguments" "$skel" "$src/plan.rs"; then
+    complain "a forked call-path piece is back (see the matches above)"
+fi
+
+# Closure kernels are built by the per-skeleton closure-kernel constructors —
+# which Udf::kernels runs once per instance and kind — never per call: no
+# NativeKernelDef::new in a function that is not such a constructor or that
+# takes a LaunchConfig, and one Program::from_native (udf::native_kernel).
+defs=0
+for file in "$skel"/*.rs; do
+    defs=$((defs + $(count "$file" "NativeKernelDef::new")))
+    strays=$(non_test "$file" | awk -v file="$file" '
+        /^ *(pub(\([a-z]+\))? )?fn [a-z_]+/ {
+            name = $0; sub(/.*fn /, "", name); sub(/[(<].*/, "", name); sig = ""; insig = 1
+        }
+        insig { sig = sig $0; if ($0 ~ /\{ *$/) { insig = 0; cfg = (sig ~ /LaunchConfig/) } }
+        /NativeKernelDef::new/ && (name !~ /closure_kernel/ || cfg) {
+            print file ":" FNR ": NativeKernelDef::new in fn " name
+        }')
+    if [ -n "$strays" ]; then
+        echo "$strays" >&2
+        complain "a closure kernel is built outside a closure-kernel constructor"
+    fi
+done
+if [ "$defs" -gt 6 ]; then
+    complain "$defs NativeKernelDef::new sites under skeletons/, expected at most 6"
+fi
+natives=0
+for file in "$skel"/*.rs; do
+    natives=$((natives + $(count "$file" "Program::from_native")))
+done
+if [ "$natives" != 1 ] || [ "$(count "$skel/udf.rs" "Program::from_native")" != 1 ]; then
+    complain "native programs must be built in udf::native_kernel only"
+fi
+
+# launch_elementwise is the only resolve -> enqueue-all -> join loop for
+# element-shaped kernels: map, zip, index map and the stencil sweep enqueue
+# nothing themselves.
+if grep -n "enqueue_kernel" "$skel/map.rs" "$skel/zip.rs" "$skel/map_overlap.rs" "$skel/udf.rs"; then
+    complain "an element-shaped skeleton enqueues its own kernels (launch_elementwise is the launcher)"
+fi
+if [ "$(count "$skel/exec.rs" "enqueue_kernel(")" != 1 ]; then
+    complain "exec.rs must enqueue kernels in exactly one place (launch_elementwise)"
 fi
 
 if [ "$fail" = 0 ]; then
