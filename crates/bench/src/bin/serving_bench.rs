@@ -1,14 +1,16 @@
 //! Multi-tenant serving benchmark: throughput and latency of the admission
 //! scheduler at 1/100/1k/10k concurrent sessions, coalesced vs uncoalesced.
 //!
-//! Each session is one client submitting a small elementwise pipeline job
-//! to a shared server (4 tenants, weights 1–4, 2 simulated devices). The
-//! harness reports jobs/sec in wall-clock AND virtual time plus p50/p99
-//! virtual job latency (admission → completion), asserts that coalescing
-//! reduces the simulator's kernel-launch count whenever more than one job
-//! is in play, checks that a fixed submission order is bit-identical
-//! (results and virtual clock) across repetitions, and emits
-//! `BENCH_serving.json`.
+//! Each session is one client submitting a small pipeline job to a shared
+//! server (4 tenants, weights 1–4, 2 simulated devices): an elementwise map
+//! (`submit_vec`), or — the `reduce` rows, 1/100/1k sessions — the same map
+//! closed by a sum (`submit_scalar`), all of one length so that they
+//! coalesce. The harness reports jobs/sec in wall-clock AND virtual time
+//! plus p50/p99 virtual job latency (admission → completion), asserts that
+//! coalescing reduces the simulator's kernel-launch count whenever more
+//! than one job is in play and leaves every result bit unchanged, checks
+//! that a fixed submission order is bit-identical (results and virtual
+//! clock) across repetitions, and emits `BENCH_serving.json`.
 //!
 //! Usage:
 //!   cargo run --release -p skelcl_bench --bin serving_bench
@@ -18,11 +20,49 @@
 use std::time::Instant;
 
 use skelcl::prelude::*;
-use skelcl_serving::{Server, ServerConfig, TenantConfig};
+use skelcl_serving::{JobHandle, JobReport, Server, ServerConfig, Session, TenantConfig};
 
 const TENANTS: [&str; 4] = ["alpha", "beta", "gamma", "delta"];
 
+/// What every session submits.
+#[derive(Clone, Copy, PartialEq)]
+enum Job {
+    /// `map`, through `submit_vec`.
+    Map,
+    /// `map → reduce`, through `submit_scalar`.
+    Reduce,
+}
+
+impl Job {
+    fn name(self) -> &'static str {
+        match self {
+            Job::Map => "map",
+            Job::Reduce => "reduce",
+        }
+    }
+}
+
+/// A submitted job of either kind.
+enum Handle {
+    Vec(JobHandle<Vec<f32>>),
+    Scalar(JobHandle<f32>),
+}
+
+impl Handle {
+    /// The job's result elements (one for a reduction) and its report.
+    fn wait(self) -> (Vec<f32>, JobReport) {
+        match self {
+            Handle::Vec(handle) => handle.wait().expect("job result"),
+            Handle::Scalar(handle) => {
+                let (out, report) = handle.wait().expect("job result");
+                (vec![out], report)
+            }
+        }
+    }
+}
+
 struct ScaleResult {
+    job: Job,
     sessions: usize,
     coalesced: bool,
     wall_jps: f64,
@@ -61,7 +101,7 @@ fn percentile(sorted: &[f64], pct: usize) -> f64 {
 
 /// One serving scenario: `sessions` clients, one job each, round-robin
 /// across the four tenants, submitted in a fixed order.
-fn run_scale(sessions: usize, coalescing: bool, len: usize) -> ScaleResult {
+fn run_scale(job: Job, sessions: usize, coalescing: bool, len: usize) -> ScaleResult {
     let rt = skelcl::init_gpus(2);
     let server = Server::with_config(
         rt.clone(),
@@ -78,17 +118,21 @@ fn run_scale(sessions: usize, coalescing: bool, len: usize) -> ScaleResult {
             .expect("register tenant");
     }
     let saxpyish = Map::<f32, f32>::from_source("float func(float x) { return 2.0f * x + 0.5f; }");
+    let sum = Reduce::<f32>::from_source("float func(float a, float b) { return a + b; }");
+    let submit = |session: &Session, seed: u64| {
+        let plan = Vector::from_vec(&rt, seeded(len, seed))
+            .lazy()
+            .map(&saxpyish);
+        match job {
+            Job::Map => Handle::Vec(session.submit_vec(&plan).expect("submit")),
+            Job::Reduce => {
+                Handle::Scalar(session.submit_scalar(&plan.reduce(&sum)).expect("submit"))
+            }
+        }
+    };
 
     // Warm-up: compiles the (length-independent) packed kernel source.
-    {
-        let session = server.session("alpha").expect("session");
-        let v = Vector::from_vec(&rt, seeded(len, 999_999));
-        session
-            .submit_vec(&v.lazy().map(&saxpyish))
-            .expect("warmup submit")
-            .wait()
-            .expect("warmup job");
-    }
+    submit(&server.session("alpha").expect("session"), 999_999).wait();
 
     let launches_before = total_launches(&rt.exec_trace());
     let virt_start = rt.now();
@@ -96,18 +140,13 @@ fn run_scale(sessions: usize, coalescing: bool, len: usize) -> ScaleResult {
     let mut handles = Vec::with_capacity(sessions);
     for i in 0..sessions {
         let session = server.session(TENANTS[i % TENANTS.len()]).expect("session");
-        let v = Vector::from_vec(&rt, seeded(len, i as u64));
-        handles.push(
-            session
-                .submit_vec(&v.lazy().map(&saxpyish))
-                .expect("submit"),
-        );
+        handles.push(submit(&session, i as u64));
     }
     server.flush();
     let mut checksum = 0u64;
     let mut latencies = Vec::with_capacity(sessions);
     for handle in handles {
-        let (out, report) = handle.wait().expect("job result");
+        let (out, report) = handle.wait();
         for x in &out {
             checksum = checksum.rotate_left(7).wrapping_add(u64::from(x.to_bits()));
         }
@@ -119,7 +158,9 @@ fn run_scale(sessions: usize, coalescing: bool, len: usize) -> ScaleResult {
 
     let trace = server.trace();
     assert_eq!(trace.jobs_completed, sessions + 1, "all jobs must complete");
+    assert_eq!(trace.opaque_jobs, 0, "maps and reductions run packed");
     ScaleResult {
+        job,
         sessions,
         coalesced: coalescing,
         wall_jps: sessions as f64 / wall_secs,
@@ -147,44 +188,53 @@ fn main() {
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
     let len = if smoke { 16 } else { 64 };
-    let scales = [1usize, 100, 1_000, 10_000];
+    let scales: [(Job, &[usize]); 2] = [
+        (Job::Map, &[1, 100, 1_000, 10_000]),
+        (Job::Reduce, &[1, 100, 1_000]),
+    ];
 
     let mut rows: Vec<ScaleResult> = Vec::new();
-    for &sessions in &scales {
-        let on = run_scale(sessions, true, len);
-        let off = run_scale(sessions, false, len);
-        assert_eq!(
-            on.checksum, off.checksum,
-            "coalesced and uncoalesced results must be bit-identical"
-        );
-        if sessions > 1 {
-            assert!(
-                on.launches < off.launches,
-                "coalescing must reduce launches at {sessions} sessions: {} vs {}",
-                on.launches,
-                off.launches
+    for (job, sessions) in scales {
+        for &sessions in sessions {
+            let on = run_scale(job, sessions, true, len);
+            let off = run_scale(job, sessions, false, len);
+            assert_eq!(
+                on.checksum,
+                off.checksum,
+                "coalesced and uncoalesced {} results must be bit-identical",
+                job.name()
             );
+            if sessions > 1 {
+                assert!(
+                    on.launches < off.launches,
+                    "coalescing must reduce {} launches at {sessions} sessions: {} vs {}",
+                    job.name(),
+                    on.launches,
+                    off.launches
+                );
+            }
+            rows.push(on);
+            rows.push(off);
         }
-        rows.push(on);
-        rows.push(off);
-    }
 
-    // Determinism: a fixed submission order is bit-identical — results and
-    // the virtual clock — across repetitions.
-    let rep_a = run_scale(100, true, len);
-    let rep_b = run_scale(100, true, len);
-    assert_eq!(rep_a.checksum, rep_b.checksum, "result determinism");
-    assert_eq!(
-        rep_a.virt_secs.to_bits(),
-        rep_b.virt_secs.to_bits(),
-        "virtual-time determinism"
-    );
+        // Determinism: a fixed submission order is bit-identical — results
+        // and the virtual clock — across repetitions.
+        let rep_a = run_scale(job, 100, true, len);
+        let rep_b = run_scale(job, 100, true, len);
+        assert_eq!(rep_a.checksum, rep_b.checksum, "result determinism");
+        assert_eq!(
+            rep_a.virt_secs.to_bits(),
+            rep_b.virt_secs.to_bits(),
+            "virtual-time determinism"
+        );
+    }
 
     println!("host_cpus = {host_cpus}");
     for r in &rows {
         println!(
-            "{:>6} sessions  {}  {:>10.0} jobs/s wall  {:>12.0} jobs/s virtual  p50 {:>8.2} us  p99 {:>8.2} us  {:>6} launches ({} packed batches)",
+            "{:>6} {:<6} sessions  {}  {:>10.0} jobs/s wall  {:>12.0} jobs/s virtual  p50 {:>8.2} us  p99 {:>8.2} us  {:>6} launches ({} packed batches)",
             r.sessions,
+            r.job.name(),
             if r.coalesced { "coalesced  " } else { "uncoalesced" },
             r.wall_jps,
             r.virt_jps,
@@ -205,13 +255,14 @@ fn main() {
     );
     json.push_str(&format!("  \"elements_per_job\": {len},\n"));
     json.push_str(
-        "  \"note\": \"4 tenants (weights 1-4) on 2 simulated devices, one elementwise job per session; latencies are virtual (admission to completion); coalesced and uncoalesced results are bit-identical and a fixed submission order is deterministic across reps (asserted)\",\n",
+        "  \"note\": \"4 tenants (weights 1-4) on 2 simulated devices, one job per session: a map (submit_vec) or the same map closed by a sum (submit_scalar, job = reduce), all of one length; latencies are virtual (admission to completion); coalesced and uncoalesced results are bit-identical, coalescing cuts launches, no job runs opaque and a fixed submission order is deterministic across reps (asserted)\",\n",
     );
     json.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
         json.push_str(&format!(
-            "    {{ \"sessions\": {}, \"coalesced\": {}, \"wall_jobs_per_sec\": {:.0}, \"virtual_jobs_per_sec\": {:.0}, \"p50_virtual_us\": {:.2}, \"p99_virtual_us\": {:.2}, \"launches\": {}, \"packed_batches\": {} }}{comma}\n",
+            "    {{ \"job\": \"{}\", \"sessions\": {}, \"coalesced\": {}, \"wall_jobs_per_sec\": {:.0}, \"virtual_jobs_per_sec\": {:.0}, \"p50_virtual_us\": {:.2}, \"p99_virtual_us\": {:.2}, \"launches\": {}, \"packed_batches\": {} }}{comma}\n",
+            r.job.name(),
             r.sessions,
             r.coalesced,
             r.wall_jps,

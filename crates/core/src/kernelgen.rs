@@ -26,8 +26,10 @@
 //! Map, zip and map-overlap kernels are one work-item per element. The
 //! reduce kernel ([`reduce_kernel`]) is one work-item per *chunk*: a launch
 //! of `G` work-items leaves `G` partial results for the host to finish, and
-//! `G = 1` is the plain sequential fold. The scan kernel is a single
-//! work-item over its whole part.
+//! `G = 1` is the plain sequential fold. Its packed sibling
+//! ([`packed_reduce_kernel`]) folds the chunks of many equal-length inputs
+//! laid back to back in one launch. The scan kernel is a single work-item
+//! over its whole part.
 
 use std::hash::{Hash, Hasher};
 
@@ -201,6 +203,9 @@ pub const ZIP_KERNEL: &str = "SKELCL_ZIP";
 pub const MAP_OVERLAP_KERNEL: &str = "SKELCL_MAP_OVERLAP";
 /// Name of the generated reduce kernel (one partial result per work-item).
 pub const REDUCE_KERNEL: &str = "SKELCL_REDUCE";
+/// Name of the generated packed reduce kernel (many equal-length jobs, one
+/// partial result per work-item), lone or closing a fused group.
+pub const PACKED_REDUCE_KERNEL: &str = "SKELCL_PACKED_REDUCE";
 /// Name of the generated (per-device, sequential) scan kernel.
 pub const SCAN_KERNEL: &str = "SKELCL_SCAN";
 /// Name of the generated scan offset kernel (the implicit map of Figure 2).
@@ -217,13 +222,15 @@ pub(crate) const FUSED_SCAN_OFFSET_KERNEL: &str = "SKELCL_FUSED_SCAN_OFFSET";
 
 /// What a stage contributes to a group's *shape*, next to its UDF. A group
 /// is any number of `Map` / `Zip` stages, optionally closed by one `Reduce`
-/// or `Scan`; `IndexMap` may only open a group (its element is the index,
-/// not a load) and `MapOverlap` stands alone.
+/// (`PackedReduce` when the launch folds many jobs) or `Scan`; `IndexMap`
+/// may only open a group (its element is the index, not a load) and
+/// `MapOverlap` stands alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum StageKind {
     Map,
     Zip,
     Reduce,
+    PackedReduce,
     Scan,
     IndexMap,
     MapOverlap,
@@ -256,7 +263,7 @@ fn check_stage(kind: StageKind, udf: &UdfInfo) -> Result<()> {
             1,
         ),
         StageKind::Zip => ("zip expects a binary user function", 2),
-        StageKind::Reduce => return check_binary_op(udf, "reduce"),
+        StageKind::Reduce | StageKind::PackedReduce => return check_binary_op(udf, "reduce"),
         StageKind::Scan => return check_binary_op(udf, "scan"),
     };
     if udf.main_params.len() != arity {
@@ -300,6 +307,9 @@ fn check_stage(kind: StageKind, udf: &UdfInfo) -> Result<()> {
 ///   exists and nothing is uploaded,
 /// * **reduce** — see [`reduce_kernel`]; same argument layout, `out` holding
 ///   one partial per work-item,
+/// * **packed reduce** — see [`packed_reduce_kernel`]; the reduce frame over
+///   jobs of `len` elements laid back to back, `len` the first argument
+///   after `n`,
 /// * **scan** — the sequential inclusive scan of `expr` over the device's
 ///   part (one work-item), plus the offset kernel `[data, n, offset]` that
 ///   combines the predecessors' total into a part: the "map skeletons
@@ -309,7 +319,9 @@ fn check_stage(kind: StageKind, udf: &UdfInfo) -> Result<()> {
 /// No intermediate of the reduce frame can overflow `int` for any
 /// `n ≤ i32::MAX`: the chunk length is `(n - 1) / G + 1`, a work-item runs
 /// only when its index is at most `(n - 1) / chunk` (so `g · chunk < n`), and
-/// the chunk end is the start plus `min(chunk, n - start)`.
+/// the chunk end is the start plus `min(chunk, n - start)`. The packed frame
+/// is the same arithmetic within one job (`len` for `n`), offset by the
+/// job's start `job · len < n`.
 pub(crate) fn render_group(stages: &[(StageKind, &UdfInfo)]) -> Result<RenderedGroup> {
     let (first_kind, last_kind) = match (stages.first(), stages.last()) {
         (Some(first), Some(last)) => (first.0, last.0),
@@ -339,7 +351,7 @@ pub(crate) fn render_group(stages: &[(StageKind, &UdfInfo)]) -> Result<RenderedG
         collisions.append(&mut stage.collisions);
         out_ty = udf.return_type;
         match kind {
-            StageKind::Reduce | StageKind::Scan => op = Some(stage),
+            StageKind::Reduce | StageKind::PackedReduce | StageKind::Scan => op = Some(stage),
             _ => {
                 let mut call_args = vec![expr];
                 if kind == StageKind::Zip {
@@ -359,6 +371,9 @@ pub(crate) fn render_group(stages: &[(StageKind, &UdfInfo)]) -> Result<RenderedG
     let mut extras = String::new();
     if first_kind == StageKind::IndexMap {
         extras.push_str(", int skelcl_offset");
+    }
+    if last_kind == StageKind::PackedReduce {
+        extras.push_str(", int skelcl_len");
     }
     for (name, ty) in chain.iter().flat_map(|s| &s.extras) {
         extras.push_str(&format!(", {ty} {name}"));
@@ -380,6 +395,7 @@ pub(crate) fn render_group(stages: &[(StageKind, &UdfInfo)]) -> Result<RenderedG
         (StageKind::MapOverlap, _) => (MAP_OVERLAP_KERNEL, None),
         (StageKind::Reduce, false) => (REDUCE_KERNEL, None),
         (StageKind::Reduce, true) => (FUSED_REDUCE_KERNEL, None),
+        (StageKind::PackedReduce, _) => (PACKED_REDUCE_KERNEL, None),
         (StageKind::Scan, false) => (SCAN_KERNEL, Some(SCAN_OFFSET_KERNEL)),
         (StageKind::Scan, true) => (FUSED_SCAN_KERNEL, Some(FUSED_SCAN_OFFSET_KERNEL)),
     };
@@ -415,6 +431,27 @@ pub(crate) fn render_group(stages: &[(StageKind, &UdfInfo)]) -> Result<RenderedG
              \x20   if (skelcl_gid <= (skelcl_n - 1) / skelcl_chunk) {{\n\
              \x20       int skelcl_start = skelcl_gid * skelcl_chunk;\n\
              \x20       int skelcl_end = skelcl_start + min(skelcl_chunk, skelcl_n - skelcl_start);\n\
+             \x20       {out_ty} skelcl_acc = {first};\n\
+             \x20       for (int skelcl_i = skelcl_start + 1; skelcl_i < skelcl_end; skelcl_i++) {{\n\
+             \x20           skelcl_acc = {f}(skelcl_acc, {step});\n\
+             \x20       }}\n\
+             \x20       skelcl_out[skelcl_gid] = skelcl_acc;\n\
+             \x20   }}\n\
+             }}\n",
+            first = elem("skelcl_start"),
+            step = elem("skelcl_i"),
+        ),
+        StageKind::PackedReduce => format!(
+            "{preamble}\
+             __kernel void {kernel}({ins}__global {out_ty}* skelcl_out, int skelcl_n{extras}) {{\n\
+             \x20   int skelcl_gid = get_global_id(0);\n\
+             \x20   int skelcl_parts = get_global_size(0) / (skelcl_n / skelcl_len);\n\
+             \x20   int skelcl_chunk = (skelcl_len - 1) / skelcl_parts + 1;\n\
+             \x20   int skelcl_part = skelcl_gid % skelcl_parts;\n\
+             \x20   if (skelcl_part <= (skelcl_len - 1) / skelcl_chunk) {{\n\
+             \x20       int skelcl_first = skelcl_part * skelcl_chunk;\n\
+             \x20       int skelcl_start = skelcl_gid / skelcl_parts * skelcl_len + skelcl_first;\n\
+             \x20       int skelcl_end = skelcl_start + min(skelcl_chunk, skelcl_len - skelcl_first);\n\
              \x20       {out_ty} skelcl_acc = {first};\n\
              \x20       for (int skelcl_i = skelcl_start + 1; skelcl_i < skelcl_end; skelcl_i++) {{\n\
              \x20           skelcl_acc = {f}(skelcl_acc, {step});\n\
@@ -541,6 +578,21 @@ pub(crate) fn check_binary_op(udf: &UdfInfo, skeleton: &str) -> Result<()> {
 /// [`crate::reduce_partials`] for the count the skeletons pick.
 pub fn reduce_kernel(udf: &UdfInfo) -> Result<String> {
     single_stage(StageKind::Reduce, udf)
+}
+
+/// Generate the packed reduce kernel: [`reduce_kernel`] over many jobs in one
+/// launch. The input holds `n / len` jobs of `len` elements each, back to
+/// back, and the launch runs `P` work-items per job: work-item `g` left-folds
+/// chunk `g % P` — `ceil(len / P)` elements, the last chunk of a job possibly
+/// shorter — of job `g / P` into `out[g]`. Those are exactly the chunks a
+/// `P`-work-item [`reduce_kernel`] launch over that job alone folds, so a
+/// job's `P` partials, and the host's left fold over them, are bit-identical
+/// to reducing it on its own on one device. Arguments: `[in, out, n, len]`.
+///
+/// `P` is derived from the launch size (`global size / jobs`), as the chunk
+/// length is in [`reduce_kernel`]: the geometry keeps one source of truth.
+pub fn packed_reduce_kernel(udf: &UdfInfo) -> Result<String> {
+    single_stage(StageKind::PackedReduce, udf)
 }
 
 /// Generate the per-device scan kernel (inclusive prefix) plus the offset
@@ -764,6 +816,60 @@ mod tests {
         assert_eq!(run(5), vec![3.0, 7.0, 11.0, 7.0, -1.0]);
     }
 
+    /// The packed frame leaves, per job, the partials a reduce launch over
+    /// that job alone leaves: same chunks, same left folds.
+    #[test]
+    fn generated_packed_reduce_kernel_folds_each_jobs_chunks() {
+        use skelcl_kernel::interp::ArgBinding;
+        use skelcl_kernel::value::Value;
+        // Left projection keeps the first element of a chunk, right
+        // projection the last: together they pin every chunk's bounds.
+        for op in [
+            "float func(float a, float b) { return a; }",
+            "float func(float a, float b) { return b; }",
+            ADD,
+        ] {
+            let info = UdfInfo::analyze(op, 2).unwrap();
+            let src = packed_reduce_kernel(&info).unwrap();
+            let packed = skelcl_kernel::Program::build(&src).unwrap();
+            let packed_kernel = packed.kernel(PACKED_REDUCE_KERNEL).unwrap();
+            // in, out, n, len
+            assert_eq!(packed_kernel.params.len(), 4);
+            let alone = skelcl_kernel::Program::build(&reduce_kernel(&info).unwrap()).unwrap();
+            let alone_kernel = alone.kernel(REDUCE_KERNEL).unwrap();
+            for (jobs, len, parts) in [(1, 7, 3), (3, 7, 3), (4, 5, 1), (2, 8, 4), (5, 1, 1)] {
+                let mut input: Vec<f32> = (0..jobs * len).map(|i| (i * 3 % 11) as f32).collect();
+                let mut out = vec![-1.0f32; jobs * parts];
+                let mut args = vec![
+                    ArgBinding::buffer_f32(&mut input),
+                    ArgBinding::buffer_f32(&mut out),
+                    ArgBinding::Scalar(Value::Int((jobs * len) as i32)),
+                    ArgBinding::Scalar(Value::Int(len as i32)),
+                ];
+                packed
+                    .run_ndrange(&packed_kernel, jobs * parts, &mut args)
+                    .unwrap();
+                drop(args);
+                for job in 0..jobs {
+                    let mut one = input[job * len..(job + 1) * len].to_vec();
+                    let mut want = vec![-1.0f32; parts];
+                    let mut args = vec![
+                        ArgBinding::buffer_f32(&mut one),
+                        ArgBinding::buffer_f32(&mut want),
+                        ArgBinding::Scalar(Value::Int(len as i32)),
+                    ];
+                    alone.run_ndrange(&alone_kernel, parts, &mut args).unwrap();
+                    drop(args);
+                    assert_eq!(
+                        out[job * parts..(job + 1) * parts],
+                        want[..],
+                        "{op}: job {job} of {jobs} x {len} over {parts} part(s)"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn reduce_rejects_non_operator_udfs() {
         let err = UdfInfo::analyze(SAXPY, 2)
@@ -784,7 +890,7 @@ mod tests {
         let index = UdfInfo::analyze("int f(int i, int w) { return i % w; }", 1).unwrap();
         let binary = UdfInfo::analyze(SAXPY, 2).unwrap();
         let op = UdfInfo::analyze(ADD, 2).unwrap();
-        let cases: [(Template, StageKind, &UdfInfo, &[&str]); 6] = [
+        let cases: [(Template, StageKind, &UdfInfo, &[&str]); 7] = [
             (map_kernel, StageKind::Map, &unary, &[MAP_KERNEL]),
             (
                 map_index_kernel,
@@ -800,6 +906,12 @@ mod tests {
             ),
             (zip_kernel, StageKind::Zip, &binary, &[ZIP_KERNEL]),
             (reduce_kernel, StageKind::Reduce, &op, &[REDUCE_KERNEL]),
+            (
+                packed_reduce_kernel,
+                StageKind::PackedReduce,
+                &op,
+                &[PACKED_REDUCE_KERNEL],
+            ),
             (
                 scan_kernels,
                 StageKind::Scan,

@@ -62,9 +62,9 @@ use crate::runtime::SkelCl;
 use crate::scheduler::PerfModel;
 use crate::skeletons::exec::{buffer_arg, CreateBuffer};
 use crate::skeletons::{
-    create_buffer, launch_and_gather, launch_elementwise, launch_scan, run_call, CallSpec,
-    DeviceScalar, HostOperator, LaunchConfig, Map, MapOverlap, PreparedCall, Reduce, Scan,
-    Skeleton, StageKernels, Zip,
+    create_buffer, launch_and_gather, launch_elementwise, launch_geometry, launch_scan, run_call,
+    CallSpec, DeviceScalar, HostOperator, LaunchConfig, Map, MapOverlap, PreparedCall, Reduce,
+    Scan, Skeleton, StageKernels, Zip,
 };
 use crate::vector::Vector;
 
@@ -1219,40 +1219,18 @@ impl<T: Pod> PlanVec<T> {
     /// The plan's *coalescing signature*, if it has one: `Ok(Some(_))` when
     /// the whole pipeline is elementwise (a map/zip chain) and therefore
     /// packable into one launch with other plans of the same signature via
-    /// [`PlanVec::pack_jobs`]. `Ok(None)` means the plan contains a fold or
-    /// stencil stage and must run on its own. See [`CoalesceSignature`] for
-    /// what equal signatures promise.
+    /// [`PlanVec::pack_jobs`]. `Ok(None)` means the plan contains a scan
+    /// and must run on its own. See [`CoalesceSignature`] for what equal
+    /// signatures promise.
     pub fn coalesce_signature(&self) -> Result<Option<CoalesceSignature>> {
-        if let Some(err) = &self.graph.err {
-            return Err(err.clone());
-        }
-        let spine = self.graph.spine(self.tip);
-        if spine.len() < 2 {
-            return Ok(None);
-        }
-        if !spine[1..].iter().all(|&i| {
-            matches!(
-                self.graph.nodes[i],
-                PlanNode::Map { .. } | PlanNode::Zip { .. }
-            )
-        }) {
-            return Ok(None);
-        }
-        // The full spine as one forced elementwise group.
-        let group = &spine[1..];
-        let nodes = &self.graph.nodes;
-        Ok(Some(CoalesceSignature {
-            memo: self.graph.runtime.lowerings().id,
-            shape: lower_nodes(&self.graph.runtime, nodes, group)?.id,
-            args: scalar_args(nodes, group).map(arg_bits).collect(),
-        }))
+        self.graph.coalesce_signature(self.tip)
     }
 
     /// Pack many same-signature jobs into **one** kernel launch on `device`:
     /// each job's input elements are laid back to back in one buffer per
     /// kernel argument, the fused kernel runs once over the combined element
     /// count, and the returned [`PackedLaunch`] slices each job's span back
-    /// out of the packed output. Both enqueues are non-blocking, so many
+    /// out of the packed output. Every enqueue is non-blocking, so many
     /// packed launches can be in flight at once.
     ///
     /// Every job must share this plan's runtime and
@@ -1264,125 +1242,228 @@ impl<T: Pod> PlanVec<T> {
     where
         T: DeviceScalar,
     {
-        let first = jobs
-            .first()
-            .ok_or_else(|| SkelError::Plan("pack_jobs needs at least one job".into()))?;
-        let runtime = first.graph.runtime.clone();
-        let signature = first.coalesce_signature()?.ok_or_else(|| {
-            SkelError::Plan("job is not coalescible (only all-elementwise plans pack)".into())
-        })?;
-        for job in &jobs[1..] {
-            if !Arc::ptr_eq(&job.graph.runtime, &runtime) {
-                return Err(SkelError::RuntimeMismatch);
-            }
-            if job.coalesce_signature()?.as_ref() != Some(&signature) {
-                return Err(SkelError::Plan(
-                    "jobs with different kernels cannot pack into one launch".into(),
-                ));
-            }
-        }
-        // The batch's one binding: every member runs the leader's memo entry.
-        let spine = first.graph.spine(first.tip);
-        let lowered = first.graph.lowered(&spine[1..])?;
-        let mut spans = JobSpans::new();
-        for job in jobs {
-            let len = job.input_len();
-            if len == 0 {
-                return Err(SkelError::EmptyInput);
-            }
-            spans.push(len);
-        }
-        // Same telemetry as `execute()` would account per job: the packed
-        // launch fuses the chain's interior stages away on one device.
-        let stages = &lowered.shape.stages;
-        let merged = stages.len() - 1;
-        if merged > 0 {
-            let bytes: usize = stages[..merged]
-                .iter()
-                .map(|(_, udf)| spans.total() * udf.return_type.size_bytes())
-                .sum();
-            runtime.charge_fusion(merged, merged, merged, bytes);
-        }
-        let mut buffers: Vec<Buffer> = Vec::new();
-        match Self::pack_launch(&runtime, device, &lowered, jobs, &spans, &mut buffers) {
-            Ok((kernel_event, read_event)) => Ok(PackedLaunch {
-                runtime,
-                device,
-                spans,
-                buffers,
-                kernel_event,
-                read_event,
-                _elem: PhantomData,
-            }),
-            Err(e) => {
-                for buffer in &buffers {
-                    let _ = runtime.context().release_buffer(buffer);
-                }
-                Err(e)
-            }
-        }
-    }
-
-    /// Allocate + fill the packed input buffers and enqueue the fused
-    /// kernel and the non-blocking packed-output read. Buffers are recorded
-    /// in `buffers` as they are created so the caller can release them on
-    /// any error.
-    fn pack_launch(
-        runtime: &Arc<SkelCl>,
-        device: usize,
-        lowered: &LoweredGroup,
-        jobs: &[&PlanVec<T>],
-        spans: &JobSpans,
-        buffers: &mut Vec<Buffer>,
-    ) -> Result<(oclsim::EventHandle, oclsim::EventHandle)>
-    where
-        T: DeviceScalar,
-    {
-        let context = runtime.context();
-        let queue = runtime.queue(device);
-        let total = spans.total();
-        let mut kargs = Vec::new();
-        // Slot 0 is the chain (source 0 of every job), then the side inputs.
-        let sources = std::iter::once(0).chain(lowered.side_sources.iter().copied());
-        for (slot, source_index) in sources.enumerate() {
-            let ty = lowered.shape.rendered.inputs[slot];
-            let mut bytes: Vec<u8> = Vec::with_capacity(total * ty.size_bytes());
-            for job in jobs {
-                job.graph.sources[source_index].append_host_bytes(&mut bytes)?;
-            }
-            if bytes.len() != total * ty.size_bytes() {
-                return Err(SkelError::Plan(format!(
-                    "packed input slot {slot} holds {} bytes, expected {total} `{ty}` elements",
-                    bytes.len()
-                )));
-            }
-            let buffer = with_scalar!(ty, S, { context.create_buffer::<S>(device, total)? });
-            buffers.push(buffer.clone());
-            queue.enqueue_write_bytes(&buffer, 0, bytes)?;
-            kargs.push(KernelArg::Buffer(buffer));
-        }
-        let out = context.create_buffer::<T>(device, total)?;
-        buffers.push(out.clone());
-        let kernel = &lowered.shape.kernels(runtime)?.kernel;
-        kargs.push(KernelArg::Buffer(out.clone()));
-        kargs.push(KernelArg::Scalar(Value::Int(total as i32)));
-        kargs.extend(lowered.extra_args.iter().cloned());
-        runtime.charge_skeleton_call();
-        let kernel_event = queue.enqueue_kernel(kernel, total, &kargs)?;
-        let read_event = queue.enqueue_read_buffer_region_nb::<T>(&out, 0, total)?;
-        Ok((kernel_event, read_event))
+        let jobs: Vec<_> = jobs.iter().map(|job| (&job.graph, job.tip)).collect();
+        pack_graphs(&jobs, device, |elements, _| Ok(elements))
     }
 }
 
-/// The identity of the per-element function an all-elementwise plan
-/// computes: the plan's lowered *shape* — an entry of its runtime's lowering
-/// memo, named by the memo's and the entry's numbers, so plans built from
-/// equal UDF text over equal element types share it however many skeleton
-/// instances were involved — plus the bit patterns of its scalar additional
-/// arguments. Two plans with equal signatures belong to one runtime and run
-/// the exact same kernel with the exact same arguments, so
-/// [`PlanVec::pack_jobs`] may run them as one launch. Cheap to clone,
-/// compare and hash.
+impl PlanGraph {
+    /// The plan at `tip` as one packed launch over many jobs: its stages,
+    /// when they are an elementwise chain optionally closed by a reduce, and
+    /// their memo entry — the entry every plan of these stages uses, except
+    /// that a closing reduce is lowered through its packed frame. `None` for
+    /// a plan without stages or with a scan.
+    fn packed_group(&self, tip: usize) -> Result<Option<(Vec<usize>, Arc<LoweredShape>)>> {
+        if let Some(err) = &self.err {
+            return Err(err.clone());
+        }
+        let group = self.spine(tip).split_off(1);
+        let Some((&last, chain)) = group.split_last() else {
+            return Ok(None);
+        };
+        let elementwise =
+            |&i: &usize| matches!(self.nodes[i], PlanNode::Map { .. } | PlanNode::Zip { .. });
+        if !(self.reduces(last) || elementwise(&last)) || !chain.iter().all(elementwise) {
+            return Ok(None);
+        }
+        let mut stages = stage_shapes(&self.nodes, &group);
+        if let Some((kind @ StageKind::Reduce, _)) = stages.last_mut() {
+            *kind = StageKind::PackedReduce;
+        }
+        let shape = self.runtime.lowerings().lowered(&stages)?;
+        Ok(Some((group, shape)))
+    }
+
+    fn reduces(&self, node: usize) -> bool {
+        matches!(self.nodes[node], PlanNode::Reduce { .. })
+    }
+
+    /// The signature of this plan's packed `group` (not empty), lowered to
+    /// `shape`.
+    fn signature_of(&self, group: &[usize], shape: &LoweredShape) -> CoalesceSignature {
+        CoalesceSignature {
+            memo: self.runtime.lowerings().id,
+            shape: shape.id,
+            args: scalar_args(&self.nodes, group).map(arg_bits).collect(),
+            reduce_len: self
+                .reduces(group[group.len() - 1])
+                .then(|| self.sources[0].elem_count()),
+        }
+    }
+
+    /// See [`PlanVec::coalesce_signature`] and
+    /// [`PlanScalar::coalesce_signature`].
+    fn coalesce_signature(&self, tip: usize) -> Result<Option<CoalesceSignature>> {
+        let packed = self.packed_group(tip)?;
+        Ok(packed.map(|(group, shape)| self.signature_of(&group, &shape)))
+    }
+}
+
+/// Turns one job's span of a packed launch's output into the job's result;
+/// a reduction's launch hands it the operator's host evaluator.
+type Finish<T, O> = fn(Vec<T>, Option<&HostOperator>) -> Result<O>;
+
+/// What [`PlanVec::pack_jobs`] and [`PlanScalar::pack_jobs`] share: check
+/// that the jobs (graph and tip each) may share a launch, bind the batch to
+/// the leader's memo entry, lay the jobs out and enqueue the launch.
+fn pack_graphs<T: DeviceScalar, O>(
+    jobs: &[(&PlanGraph, usize)],
+    device: usize,
+    finish: Finish<T, O>,
+) -> Result<PackedLaunch<T, O>> {
+    let &(first, tip) = jobs
+        .first()
+        .ok_or_else(|| SkelError::Plan("pack_jobs needs at least one job".into()))?;
+    let runtime = first.runtime.clone();
+    let (group, shape) = first.packed_group(tip)?.ok_or_else(|| {
+        SkelError::Plan(
+            "job is not coalescible (only elementwise chains, optionally closed by a reduce, pack)"
+                .into(),
+        )
+    })?;
+    let signature = first.signature_of(&group, &shape);
+    for &(job, tip) in &jobs[1..] {
+        if !Arc::ptr_eq(&job.runtime, &runtime) {
+            return Err(SkelError::RuntimeMismatch);
+        }
+        if job.coalesce_signature(tip)?.as_ref() != Some(&signature) {
+            return Err(SkelError::Plan(
+                "jobs with different kernels, arguments or reduction lengths cannot pack into one launch"
+                    .into(),
+            ));
+        }
+    }
+    // The batch's one binding: every member runs the leader's memo entry.
+    let lowered = bind_group(&first.nodes, &group, shape);
+    let lens: Vec<usize> = jobs
+        .iter()
+        .map(|(job, _)| job.sources[0].elem_count())
+        .collect();
+    if lens.contains(&0) {
+        return Err(SkelError::EmptyInput);
+    }
+    let total: usize = lens.iter().sum();
+    // What the launch leaves per job: its elements, or — under a reduce —
+    // the partials a one-device `scalar()` of the job would gather.
+    let spans = JobSpans::from_lens(match signature.reduce_len {
+        Some(len) => vec![launch_geometry(len, None).1; jobs.len()],
+        None => lens,
+    });
+    // Same telemetry as `execute()` would account per job: the packed
+    // launch fuses the chain's interior stages away on one device.
+    let stages = &lowered.shape.stages;
+    let merged = stages.len() - 1;
+    if merged > 0 {
+        let bytes: usize = stages[..merged]
+            .iter()
+            .map(|(_, udf)| total * udf.return_type.size_bytes())
+            .sum();
+        runtime.charge_fusion(merged, merged, merged, bytes);
+    }
+    let mut buffers: Vec<Buffer> = Vec::new();
+    match pack_launch::<T>(
+        &runtime,
+        device,
+        &lowered,
+        jobs,
+        total,
+        spans.total(),
+        &mut buffers,
+    ) {
+        Ok(events) => Ok(PackedLaunch {
+            host_op: lowered.host_op,
+            finish,
+            runtime,
+            device,
+            spans,
+            buffers,
+            events,
+        }),
+        Err(e) => {
+            // Slot writes may still be on the worker: join them, and drop
+            // what they latched, before their buffers go back to the pool.
+            let _ = runtime.queue(device).take_deferred_error();
+            for buffer in &buffers {
+                let _ = runtime.context().release_buffer(buffer);
+            }
+            Err(e)
+        }
+    }
+}
+
+/// Allocate + fill the packed input buffers — `total` elements per slot —
+/// and enqueue the batch's kernel over `work_items` work-items, each leaving
+/// one output element, and the non-blocking read of that output; returns the
+/// event of every command, in queue order (the read last). Buffers are
+/// recorded in `buffers` as they are created so the caller can release them
+/// on any error.
+fn pack_launch<T: DeviceScalar>(
+    runtime: &Arc<SkelCl>,
+    device: usize,
+    lowered: &LoweredGroup,
+    jobs: &[(&PlanGraph, usize)],
+    total: usize,
+    work_items: usize,
+    buffers: &mut Vec<Buffer>,
+) -> Result<Vec<oclsim::EventHandle>> {
+    // Resolved before the first enqueue: a program that fails to build
+    // leaves nothing in flight.
+    let kernel = &lowered.shape.kernels(runtime)?.kernel;
+    let context = runtime.context();
+    let queue = runtime.queue(device);
+    let as_int = |count: usize| {
+        i32::try_from(count).map(Value::Int).map_err(|_| {
+            SkelError::Plan(format!(
+                "a packed launch of {count} elements exceeds the kernels' int range"
+            ))
+        })
+    };
+    let mut events = Vec::new();
+    let mut kargs = Vec::new();
+    // Slot 0 is the chain (source 0 of every job), then the side inputs.
+    let sources = std::iter::once(0).chain(lowered.side_sources.iter().copied());
+    for (slot, source_index) in sources.enumerate() {
+        let ty = lowered.shape.rendered.inputs[slot];
+        let mut bytes: Vec<u8> = Vec::with_capacity(total * ty.size_bytes());
+        for (job, _) in jobs {
+            job.sources[source_index].append_host_bytes(&mut bytes)?;
+        }
+        if bytes.len() != total * ty.size_bytes() {
+            return Err(SkelError::Plan(format!(
+                "packed input slot {slot} holds {} bytes, expected {total} `{ty}` elements",
+                bytes.len()
+            )));
+        }
+        let buffer = with_scalar!(ty, S, { context.create_buffer::<S>(device, total)? });
+        buffers.push(buffer.clone());
+        events.push(queue.enqueue_write_bytes(&buffer, 0, bytes)?);
+        kargs.push(KernelArg::Buffer(buffer));
+    }
+    let out = context.create_buffer::<T>(device, work_items)?;
+    buffers.push(out.clone());
+    kargs.push(KernelArg::Buffer(out.clone()));
+    kargs.push(KernelArg::Scalar(as_int(total)?));
+    if lowered.host_op.is_some() {
+        // The packed reduce frame's job length, equal across the batch.
+        kargs.push(KernelArg::Scalar(as_int(total / jobs.len())?));
+    }
+    kargs.extend(lowered.extra_args.iter().cloned());
+    runtime.charge_skeleton_call();
+    events.push(queue.enqueue_kernel(kernel, work_items, &kargs)?);
+    events.push(queue.enqueue_read_buffer_region_nb::<T>(&out, 0, work_items)?);
+    Ok(events)
+}
+
+/// The identity of what a packable plan computes per job: the plan's lowered
+/// *shape* — an entry of its runtime's lowering memo, named by the memo's
+/// and the entry's numbers, so plans built from equal UDF text over equal
+/// element types share it however many skeleton instances were involved —
+/// plus the bit patterns of its scalar additional arguments and, for a plan
+/// closed by a reduce, its input length (the packed reduce cuts every job of
+/// a launch into the same chunks). Two plans with equal signatures belong to
+/// one runtime and run the exact same kernel with the exact same arguments,
+/// so [`PlanVec::pack_jobs`] / [`PlanScalar::pack_jobs`] may run them as one
+/// launch. Cheap to clone, compare and hash.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct CoalesceSignature {
     memo: usize,
@@ -1390,6 +1471,8 @@ pub struct CoalesceSignature {
     /// The scalar additional arguments as `(type, bits)`, so that `-0.0`
     /// and `0.0`, or two NaN payloads, never coalesce.
     args: Vec<(ScalarType, u64)>,
+    /// Input length of a plan closed by a reduce (`None`: all-elementwise).
+    reduce_len: Option<usize>,
 }
 
 fn arg_bits(value: Value) -> (ScalarType, u64) {
@@ -1405,27 +1488,37 @@ fn arg_bits(value: Value) -> (ScalarType, u64) {
 
 impl std::fmt::Debug for CoalesceSignature {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "shape#{}{:?}", self.shape, self.args)
+        write!(f, "shape#{}{:?}", self.shape, self.args)?;
+        match self.reduce_len {
+            Some(len) => write!(f, "/{len}"),
+            None => Ok(()),
+        }
     }
 }
 
-/// An in-flight packed launch produced by [`PlanVec::pack_jobs`]: one fused
+/// An in-flight packed launch produced by [`PlanVec::pack_jobs`] (per-job
+/// result `O = Vec<T>`, the job's output elements) or
+/// [`PlanScalar::pack_jobs`] (`O = T`, the job's reduced value): one fused
 /// kernel running every packed job plus the non-blocking read of the packed
-/// output. [`PackedLaunch::wait`] joins both events, advances the host's
-/// virtual clock to the read's completion, releases the packed buffers back
-/// to the device pool and splits the output into one `Vec` per job.
+/// output. [`PackedLaunch::wait`] joins the launch's commands, advances the
+/// host's virtual clock to the read's completion, releases the packed
+/// buffers back to the device pool and splits the output into one result
+/// per job.
 #[must_use = "a packed launch delivers results only through `wait()`"]
-pub struct PackedLaunch<T: Pod> {
+pub struct PackedLaunch<T: Pod, O = Vec<T>> {
     runtime: Arc<SkelCl>,
     device: usize,
+    /// Per job, its span of the packed output.
     spans: JobSpans,
     buffers: Vec<Buffer>,
-    kernel_event: oclsim::EventHandle,
-    read_event: oclsim::EventHandle,
-    _elem: PhantomData<fn() -> T>,
+    /// The launch's commands in queue order: slot writes, kernel, read.
+    events: Vec<oclsim::EventHandle>,
+    /// The host evaluator of the reduce that closes the jobs, if one does.
+    host_op: Option<Arc<HostOperator>>,
+    finish: Finish<T, O>,
 }
 
-impl<T: Pod> PackedLaunch<T> {
+impl<T: Pod, O> PackedLaunch<T, O> {
     /// The device the packed launch runs on.
     pub fn device(&self) -> usize {
         self.device
@@ -1436,59 +1529,50 @@ impl<T: Pod> PackedLaunch<T> {
         self.spans.jobs()
     }
 
-    /// Element layout of the packed jobs.
+    /// Layout of the packed output: per job, the span holding its elements
+    /// (or, under a reduce, its partial results).
     pub fn spans(&self) -> &JobSpans {
         &self.spans
     }
 
-    /// Join the launch: wait (real time) for the kernel and the packed read
-    /// to settle, advance the host's virtual clock to the read's completion
-    /// time, release the packed buffers and return each job's output slice
-    /// plus the read's profiling event (whose `end` is the virtual
-    /// completion time of every packed job).
+    /// Join the launch: wait (real time) for its commands to settle, advance
+    /// the host's virtual clock to the read's completion time, release the
+    /// packed buffers and return each job's result plus the read's profiling
+    /// event (whose `end` is the virtual completion time of every packed
+    /// job). A reduction's partials are finished here, on the host, with the
+    /// operator's evaluator — the fold a one-device `scalar()` ends with.
     ///
-    /// On failure the duplicate error latched on the queue is drained (the
-    /// same discipline as the internal kernel-event join) so later packed
-    /// launches on the queue start clean, and the buffers are still
-    /// released.
-    pub fn wait(self) -> Result<(Vec<Vec<T>>, oclsim::Event)>
+    /// The launch answers for its own commands: it fails if any of *them*
+    /// failed — a transiently failed packed-input write never reaches the
+    /// kernel as an error, only as a zero-filled buffer — and never for a
+    /// neighbour's, so launches in flight on one queue cannot take each
+    /// other's errors. On failure the queue is joined and what this launch
+    /// latched on it drained (the same discipline as the internal
+    /// kernel-event join) before the buffers are released.
+    pub fn wait(self) -> Result<(Vec<O>, oclsim::Event)>
     where
         T: DeviceScalar,
     {
-        let queue = self.runtime.queue(self.device);
-        let release = |buffers: &[Buffer]| {
-            for buffer in buffers {
-                let _ = self.runtime.context().release_buffer(buffer);
-            }
-        };
-        if let Err(e) = self.kernel_event.wait() {
-            let _ = queue.take_deferred_error();
-            release(&self.buffers);
-            return Err(e.into());
-        }
+        let (read, commands) = self
+            .events
+            .split_last()
+            .expect("a packed launch holds at least its kernel and read");
         let mut data = vec![T::from_value(Value::Int(0)); self.spans.total()];
-        let record = match self.read_event.wait_into(&mut data) {
-            Ok(record) => record,
-            Err(e) => {
-                let _ = queue.take_deferred_error();
-                release(&self.buffers);
-                return Err(e.into());
-            }
-        };
-        // The packed-output read is non-blocking (`wait_into` joins the
-        // event directly), so it bypasses the blocking-read discipline that
-        // surfaces the queue's deferred error. Inspect the latch explicitly:
-        // a transiently failed packed-input *write* completes its own
-        // (unwaited) handle with the error and latches it here — returning
-        // the data without this check would hand back the zero-filled
-        // buffer the upload never reached.
-        if let Some(e) = queue.take_deferred_error() {
-            release(&self.buffers);
-            return Err(e.into());
+        let joined = commands
+            .iter()
+            .try_for_each(|command| command.wait().map(drop))
+            .and_then(|()| read.wait_into(&mut data));
+        if joined.is_err() {
+            let _ = self.runtime.queue(self.device).take_deferred_error();
         }
+        for buffer in &self.buffers {
+            let _ = self.runtime.context().release_buffer(buffer);
+        }
+        let record = joined?;
         self.runtime.context().sync_host_to(record.end);
-        release(&self.buffers);
-        Ok((self.spans.unpack(data), record))
+        let spans = self.spans.unpack(data).into_iter();
+        let results = spans.map(|span| (self.finish)(span, self.host_op.as_deref()));
+        Ok((results.collect::<Result<_>>()?, record))
     }
 }
 
@@ -1560,6 +1644,42 @@ impl<T: DeviceScalar> PlanScalar<T> {
     /// [`PlanVec::refresh_for_replay`]).
     pub fn refresh_for_replay(&self) -> Result<()> {
         self.graph.refresh_sources()
+    }
+
+    /// The plan's *coalescing signature*, if it has one: `Ok(Some(_))` when
+    /// the reduce closes an elementwise (map/zip) chain — or the bare source
+    /// — so that the plan can share a launch with plans of the same
+    /// signature via [`PlanScalar::pack_jobs`]; `Ok(None)` when a scan
+    /// precedes the reduce. Beyond what a vector plan's signature covers —
+    /// the lowered shape (chain *and* reduce, one memo entry) and the scalar
+    /// argument bits — it includes the input length: jobs of different
+    /// lengths never share a launch. See [`CoalesceSignature`].
+    pub fn coalesce_signature(&self) -> Result<Option<CoalesceSignature>> {
+        self.graph.coalesce_signature(self.tip)
+    }
+
+    /// Pack many same-signature reductions into **one** kernel launch on
+    /// `device`, as [`PlanVec::pack_jobs`] does for elementwise jobs: inputs
+    /// laid back to back in one buffer per kernel argument, one non-blocking
+    /// write per buffer, one launch of the packed reduce kernel
+    /// ([`crate::kernelgen::packed_reduce_kernel`]), one non-blocking read.
+    ///
+    /// A job of `L` elements is cut into the `P =`
+    /// [`reduce_partials`](crate::reduce_partials)`(L)`-way chunks a
+    /// one-device [`scalar`](Self::scalar) of it would fold, work-item `g`
+    /// folding chunk `g % P` of job `g / P`; [`PackedLaunch::wait`] finishes
+    /// each job's `P` partials on the host with the operator's evaluator.
+    /// So every job's result is, bit for bit, what `scalar()` returns on a
+    /// one-device runtime — whatever the batch size, and whichever device of
+    /// however many the launch runs on.
+    pub fn pack_jobs(jobs: &[&PlanScalar<T>], device: usize) -> Result<PackedLaunch<T, T>> {
+        let jobs: Vec<_> = jobs.iter().map(|job| (&job.graph, job.tip)).collect();
+        pack_graphs(&jobs, device, |mut partials, host_op| match partials[..] {
+            [only] => Ok(only),
+            _ => host_op
+                .expect("a packed reduce carries its operator's host evaluator")
+                .fold(&mut partials),
+        })
     }
 }
 

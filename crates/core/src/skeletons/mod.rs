@@ -45,7 +45,7 @@ pub(crate) use exec::{
     claim_read, claim_reads, create_buffer, launch_elementwise, run_call, sequential_cost,
     wait_events, CallSpec, PreparedCall,
 };
-pub(crate) use reduce::{launch_and_gather, HostOperator};
+pub(crate) use reduce::{launch_and_gather, launch_geometry, HostOperator};
 pub(crate) use scan::launch_scan;
 pub(crate) use udf::{BinaryOp, StageKernels, Udf};
 

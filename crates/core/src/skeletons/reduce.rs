@@ -82,7 +82,7 @@ pub fn reduce_partials(n: usize) -> usize {
 /// elements. The work-item count is exactly the number of non-empty chunks,
 /// so the kernel — which derives the chunk length from the launch size —
 /// arrives at the same chunk length and no work-item idles.
-fn launch_geometry(n: usize, chunks_per_device: Option<usize>) -> (usize, usize) {
+pub(crate) fn launch_geometry(n: usize, chunks_per_device: Option<usize>) -> (usize, usize) {
     let requested = chunks_per_device.map_or_else(|| reduce_partials(n), |k| k.clamp(1, n));
     let chunk = n.div_ceil(requested);
     (chunk, n.div_ceil(chunk))

@@ -740,6 +740,99 @@ fn failed_launches_release_what_they_allocated() {
     }
 }
 
+/// A packed launch that fails *while it is being enqueued* — its second
+/// allocation does not fit the device — has slot writes on the worker, here
+/// held up behind a slow kernel. They are joined before their buffers go back
+/// to the pool: released under them, a write latched `BufferNotFound` on the
+/// queue and failed the next batch on that device. The same holds for a
+/// launch the device rejects after it was enqueued. Either way the next batch
+/// on the device is correct and nothing stays allocated.
+#[test]
+fn failed_packed_launches_leave_their_queue_clean() {
+    use skelcl::oclsim::{CostHint, DeviceProfile, NativeKernelDef, OclError};
+    // 200 floats fit once, not twice — not even next to one partial.
+    let rt = skelcl::init_profiles(vec![DeviceProfile {
+        memory_bytes: 800,
+        ..DeviceProfile::tesla_c1060()
+    }]);
+    let device = rt.context().device(0).unwrap().clone();
+    let slow = NativeKernelDef::new("slow", CostHint::DEFAULT, |_| {
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        Ok(())
+    });
+    let slow = rt.context().native_program([slow]).kernel("slow").unwrap();
+    let double = Map::<f32, f32>::from_source(DOUBLE);
+    let add = Reduce::<f32>::from_source(ADD);
+    let (big, small) = (test_data(200), test_data(40));
+    let doubled = oracle(0, &small);
+    let total: f32 = small.iter().sum();
+    let big = Vector::from_vec(&rt, big);
+    let small = Vector::from_vec(&rt, small);
+    let check_clean_batches = |what: &str| {
+        let packed = PlanVec::pack_jobs(&[&small.lazy().map(&double)], 0).unwrap();
+        assert_eq!(bits(&packed.wait().unwrap().0[0]), bits(&doubled), "{what}");
+        let packed = PlanScalar::pack_jobs(&[&small.lazy().reduce(&add)], 0).unwrap();
+        assert_eq!(packed.wait().unwrap().0, [total], "{what}");
+        assert_eq!(device.live_buffers(), 0, "{what}");
+    };
+
+    for reduce in [false, true] {
+        let what = format!("second allocation fails, reduce: {reduce}");
+        rt.queue(0).enqueue_kernel(&slow, 1, &[]).unwrap();
+        let err = if reduce {
+            PlanScalar::pack_jobs(&[&big.lazy().reduce(&add)], 0).err()
+        } else {
+            PlanVec::pack_jobs(&[&big.lazy().map(&double)], 0).err()
+        };
+        assert!(
+            matches!(
+                err,
+                Some(SkelError::Ocl(OclError::OutOfDeviceMemory { .. }))
+            ),
+            "{what}: {err:?}"
+        );
+        check_clean_batches(&what);
+        assert_eq!(rt.queue(0).deferred_error_count(), 0, "{what}");
+    }
+
+    // Rejected by the device: the launch is the second command of the batch.
+    let launch_op = device.fault_op_count() + 2;
+    rt.inject_faults(&FaultPlan::new().transient_launch_at_op(0, launch_op));
+    let packed = PlanScalar::pack_jobs(&[&small.lazy().reduce(&add)], 0).unwrap();
+    let err = packed.wait().unwrap_err();
+    assert!(err.is_injected_fault(), "{err:?}");
+    assert!(rt.take_deferred_errors().is_empty(), "latch left behind");
+    check_clean_batches("launch rejected");
+}
+
+/// Packed launches in flight on one queue answer for their own commands. A
+/// transient fault on the *second* launch's input write fails the second
+/// launch — which used to return the zeros its kernel read instead — and
+/// not the first, which used to take the error off the queue's latch.
+#[test]
+fn packed_launches_in_flight_answer_for_their_own_commands() {
+    let rt = skelcl::init_gpus(1);
+    let double = Map::<f32, f32>::from_source(DOUBLE);
+    let add = Reduce::<f32>::from_source(ADD);
+    let (xs, ys) = (test_data(48), test_data(33));
+    let (a, b) = (
+        Vector::from_vec(&rt, xs.clone()),
+        Vector::from_vec(&rt, ys.clone()),
+    );
+    // Write, launch, read of the first; the fourth command is the second's write.
+    rt.inject_faults(&FaultPlan::new().transient_transfer_at_op(0, 4));
+    let first = PlanVec::pack_jobs(&[&a.lazy().map(&double)], 0).unwrap();
+    let second = PlanScalar::pack_jobs(&[&b.lazy().reduce(&add)], 0).unwrap();
+    assert_eq!(bits(&first.wait().unwrap().0[0]), bits(&oracle(0, &xs)));
+    let err = second.wait().unwrap_err();
+    assert!(err.is_injected_fault(), "{err:?}");
+    assert!(rt.take_deferred_errors().is_empty(), "latch left behind");
+    // The replay a serving layer would schedule.
+    let replay = PlanScalar::pack_jobs(&[&b.lazy().reduce(&add)], 0).unwrap();
+    assert_eq!(replay.wait().unwrap().0, [ys.iter().sum::<f32>()]);
+    assert_eq!(rt.context().device(0).unwrap().live_buffers(), 0);
+}
+
 #[test]
 fn unrecoverable_state_degrades_to_a_typed_error_not_wrong_data() {
     // The lost device holds the *only* copy of its input part (the host

@@ -789,6 +789,104 @@ fn coalesce_signatures_identify_packable_plans() {
     assert_eq!(trace.plan_lowering_hits, 6);
 }
 
+/// A reduction's signature is a vector plan's — shape and argument bits —
+/// plus the input length; the chain and its reduce are one memo entry, and
+/// a scan ahead of the reduce leaves the plan without a signature.
+#[test]
+fn reduction_signatures_add_the_length() {
+    let rt = skelcl::init_gpus(1);
+    let af = affine();
+    let v = Vector::from_vec(&rt, vec![1.0f32; 64]);
+    let w = Vector::from_vec(&rt, vec![2.0f32; 64]);
+    let longer = Vector::from_vec(&rt, vec![1.0f32; 65]);
+    let sig = |plan: &PlanScalar<f32>| plan.coalesce_signature().unwrap().unwrap();
+
+    let a = sig(&v.lazy().map(&square()).reduce(&sum()));
+    assert_eq!(a, sig(&w.lazy().map(&square()).reduce(&sum())));
+    assert_ne!(
+        a,
+        sig(&longer.lazy().map(&square()).reduce(&sum())),
+        "length"
+    );
+    assert_ne!(a, sig(&v.lazy().reduce(&sum())), "another chain");
+    let last = Reduce::<f32>::from_source("float func(float a, float b) { return b; }");
+    assert_ne!(a, sig(&v.lazy().map(&square()).reduce(&last)), "operator");
+    let chain = v
+        .lazy()
+        .map(&square())
+        .coalesce_signature()
+        .unwrap()
+        .unwrap();
+    assert_ne!(a, chain, "a reduction never equals its elementwise chain");
+    let c = sig(&v.lazy().map_with(&af, args![0.0f32, 1.0f32]).reduce(&sum()));
+    let d = sig(&v
+        .lazy()
+        .map_with(&af, args![-0.0f32, 1.0f32])
+        .reduce(&sum()));
+    assert_ne!(c, d, "arguments compare by bit pattern");
+    let scanned = v.lazy().scan(&psum()).map(&square()).reduce(&sum());
+    assert_eq!(scanned.coalesce_signature().unwrap(), None);
+
+    // square→sum, the bare sum, square→last, square alone, affine→sum: the
+    // packed reduce is the only reduce lowering a signature asks for.
+    assert_eq!(rt.exec_trace().plan_lowerings, 5);
+    assert_eq!(
+        rt.exec_trace().programs_built,
+        0,
+        "signatures build nothing"
+    );
+}
+
+/// A packed launch of reductions gives every job the bits `scalar()` gives
+/// it on a one-device runtime — below and above the one-partial geometry, on
+/// whichever device of a larger runtime, in whatever batch.
+#[test]
+fn packed_reductions_match_a_one_device_scalar_bitwise() {
+    let rt = skelcl::init_gpus(3);
+    let one = skelcl::init_gpus(1);
+    let (af, add) = (affine(), sum());
+    for len in [1usize, 64, 511, 512, 1000, 4096] {
+        let data = |job: usize| -> Vec<f32> {
+            (0..len)
+                .map(|i| ((i * 37 + job * 11) % 101) as f32 * 1.0e-3 + (i % 3) as f32 * 1.0e4)
+                .collect()
+        };
+        let plan_on = |rt: &std::sync::Arc<skelcl::SkelCl>, job: usize| {
+            Vector::from_vec(rt, data(job))
+                .lazy()
+                .map_with(&af, args![0.75f32, -3.0f32])
+                .reduce(&add)
+        };
+        let plans: Vec<_> = (0..5).map(|job| plan_on(&rt, job)).collect();
+        let expected: Vec<u32> = (0..5)
+            .map(|job| plan_on(&one, job).scalar().unwrap().to_bits())
+            .collect();
+        let refs: Vec<&_> = plans.iter().collect();
+        for (device, batch) in [(0, 0..5), (2, 0..1), (1, 3..5)] {
+            let packed = PlanScalar::pack_jobs(&refs[batch.clone()], device).unwrap();
+            assert_eq!((packed.jobs(), packed.device()), (batch.len(), device));
+            assert_eq!(
+                packed.spans().total(),
+                batch.len() * skelcl::reduce_partials(len),
+                "one partial per chunk a lone reduction of the job folds"
+            );
+            let (got, _) = packed.wait().unwrap();
+            let got: Vec<u32> = got.iter().map(|x| x.to_bits()).collect();
+            assert_eq!(got, expected[batch], "len {len}, device {device}");
+        }
+    }
+    // One write, one launch, one read per batch — nothing per job.
+    rt.drain_events();
+    let plans: Vec<_> = (0..4)
+        .map(|_| Vector::from_vec(&rt, vec![1.5f32; 700]).lazy().reduce(&add))
+        .collect();
+    let packed = PlanScalar::pack_jobs(&plans.iter().collect::<Vec<_>>(), 1).unwrap();
+    assert_eq!(packed.wait().unwrap().0, vec![1050.0f32; 4]);
+    let events = rt.drain_events();
+    assert_eq!(events[1].len(), 3, "{:?}", events[1]);
+    assert!(events[0].is_empty() && events[2].is_empty());
+}
+
 /// A packed launch of N jobs is bit-identical, job by job, to running each
 /// plan on its own — and a single-job pack equals `collect()` exactly.
 #[test]
@@ -843,4 +941,23 @@ fn pack_jobs_rejects_incompatible_jobs() {
     ));
 
     assert!(PlanVec::<f32>::pack_jobs(&[], 0).is_err());
+
+    // Reductions pack per length, and not at all behind a scan or empty.
+    let longer = Vector::from_vec(&rt, vec![1.0f32, 2.0, 3.0]);
+    let (short, long) = (v.lazy().reduce(&sum()), longer.lazy().reduce(&sum()));
+    assert!(matches!(
+        PlanScalar::pack_jobs(&[&short, &long], 0),
+        Err(SkelError::Plan(_))
+    ));
+    let scanned = v.lazy().scan(&psum()).reduce(&sum());
+    assert!(matches!(
+        PlanScalar::pack_jobs(&[&scanned], 0),
+        Err(SkelError::Plan(_))
+    ));
+    let empty = Vector::from_vec(&rt, Vec::<f32>::new());
+    assert!(matches!(
+        PlanScalar::pack_jobs(&[&empty.lazy().reduce(&sum())], 0),
+        Err(SkelError::EmptyInput)
+    ));
+    assert_eq!(rt.context().device(0).unwrap().live_buffers(), 0);
 }

@@ -1,8 +1,9 @@
 //! Differential tests over the *actual* generated skeleton kernels: every
-//! kernel that `kernelgen` emits (map, index map, zip, reduce, scan + scan
-//! offset) runs through both the bytecode VM and the AST-interpreter oracle,
-//! asserting identical results and identical measured ExecStats. The
-//! MapOverlap and reduce templates additionally run on every engine
+//! kernel that `kernelgen` emits (map, index map, zip, reduce, packed reduce,
+//! scan + scan offset) runs through both the bytecode VM and the
+//! AST-interpreter oracle, asserting identical results and identical measured
+//! ExecStats. The MapOverlap, reduce and packed-reduce templates
+//! additionally run on every engine
 //! (interpreter ≡ scalar ≡ batched ≡ native) over a grid of shapes, and
 //! must never replay a batch on the native tier; so do the divergent
 //! kernels of the paper's two applications (the OSEM update `Zip`, the
@@ -107,6 +108,28 @@ proptest! {
         assert_generated_kernel_agrees(
             &src, kernelgen::REDUCE_KERNEL,
             &[data, vec![-1.0f32; work_items]], &[Value::Int(n as i32)], work_items,
+        );
+    }
+
+    #[test]
+    fn generated_packed_reduce_kernels(
+        jobs in 1usize..6,
+        len in 1usize..40,
+        parts in 1usize..5,
+        seed in 0u32..500,
+    ) {
+        // Any per-job launch size, as for the reduce kernel: ragged last
+        // chunks, and more work-items per job than the job has chunks.
+        let info = UdfInfo::analyze(UDF_BINARY_OP, 2).unwrap();
+        let src = kernelgen::packed_reduce_kernel(&info).unwrap();
+        let data: Vec<f32> = (0..jobs * len)
+            .map(|i| ((i as u32 * 37 + seed) % 101) as f32 * 0.37 - 18.0)
+            .collect();
+        assert_generated_kernel_agrees(
+            &src, kernelgen::PACKED_REDUCE_KERNEL,
+            &[data, vec![-1.0f32; jobs * parts]],
+            &[Value::Int((jobs * len) as i32), Value::Int(len as i32)],
+            jobs * parts,
         );
     }
 
@@ -438,6 +461,38 @@ fn generated_reduce_kernel_is_native_on_every_geometry() {
                 &[Buf::F32(data.clone()), Buf::F32(vec![-1.0; work_items])],
                 &[Value::Int(n as i32)],
                 work_items,
+                &what,
+            );
+        }
+    }
+}
+
+/// The packed reduce kernel, kernelgen source verbatim, at the launch sizes
+/// `PlanScalar::pack_jobs` picks — `reduce_partials(len)` work-items per job,
+/// for batches that fill less than one lane batch, exactly one, and several:
+/// every engine leaves the interpreter's partials buffer and `ExecStats`, and
+/// the native tier completes every batch itself although a batch's lanes
+/// start at addresses that are not linear in the work-item id.
+#[test]
+fn generated_packed_reduce_kernel_is_native_on_every_geometry() {
+    let info = UdfInfo::analyze(UDF_BINARY_OP, 2).unwrap();
+    let src = kernelgen::packed_reduce_kernel(&info).unwrap();
+    for len in [1usize, 63, 64, 255, 256, 511, 512, 1000, 4096, 20000] {
+        let parts = skelcl::reduce_partials(len);
+        for jobs in [1usize, 2, 64, 65] {
+            if jobs * len > 1 << 18 {
+                continue;
+            }
+            let data: Vec<f32> = (0..jobs * len)
+                .map(|i| ((i * 37 + 11) % 101) as f32 * 0.37 - 18.0)
+                .collect();
+            let what = format!("packed reduce, {jobs} job(s) of {len}, {parts} part(s) each");
+            assert_stays_native_on_all_engines(
+                &src,
+                kernelgen::PACKED_REDUCE_KERNEL,
+                &[Buf::F32(data), Buf::F32(vec![-1.0; jobs * parts])],
+                &[Value::Int((jobs * len) as i32), Value::Int(len as i32)],
+                jobs * parts,
                 &what,
             );
         }

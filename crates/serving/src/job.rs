@@ -17,8 +17,10 @@ pub struct JobReport {
     pub job_id: u64,
     /// The submitting tenant.
     pub tenant: String,
-    /// The device the job's packed launch ran on (`None` for jobs that ran
-    /// through the plan executor across all devices).
+    /// The device the job's packed launch ran on — every elementwise job and
+    /// every reduction runs whole on one device. `None` only for an opaque
+    /// job (a plan containing a scan), which the plan executor spreads over
+    /// all devices of the runtime.
     pub device: Option<usize>,
     /// Number of jobs coalesced into the same launch (1 = uncoalesced).
     pub batch_jobs: usize,

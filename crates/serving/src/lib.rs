@@ -5,8 +5,9 @@
 //! [`skelcl::PlanScalar`] jobs through per-tenant [`Session`]s; the
 //! [`Server`]'s admission scheduler:
 //!
-//! - **coalesces** small same-kernel elementwise jobs into one lane-batched
-//!   packed launch with per-job result slicing,
+//! - **coalesces** small same-kernel jobs — elementwise chains, and
+//!   equal-length reductions — into one lane-batched packed launch with
+//!   per-job result slicing,
 //! - enforces **weighted fair share** within strict [`Priority`] bands
 //!   across tenants and 1–N simulated devices,
 //! - applies per-tenant **memory quotas** (through the runtime's

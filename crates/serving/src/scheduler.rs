@@ -12,11 +12,12 @@
 //! bands**: each tenant carries a virtual time that advances by
 //! `footprint / weight` per admitted job, and the queued job with the
 //! smallest `(band, tag, admission#)` key dispatches first. If the picked
-//! job is *coalescible* (an all-elementwise plan), every queued job with
-//! the same [`CoalesceSignature`] joins it — up to the coalesce cap — in **one**
-//! packed launch ([`skelcl::PlanVec::pack_jobs`]) on the least-loaded
-//! device (in virtual time). Non-coalescible jobs (reduce/scan pipelines)
-//! run through the ordinary plan executor at dispatch.
+//! job is *coalescible* — an elementwise chain, or one closed by a reduce —
+//! every queued job with the same [`CoalesceSignature`] joins it — up to the
+//! coalesce cap — in **one** packed launch ([`skelcl::PlanVec::pack_jobs`] /
+//! [`skelcl::PlanScalar::pack_jobs`]) on the least-loaded device (in virtual
+//! time). Plans that contain a scan are *opaque*: they run through the
+//! ordinary plan executor, synchronously, at dispatch.
 
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
@@ -25,7 +26,9 @@ use std::sync::Arc;
 
 use oclsim::{SimDuration, SimTime};
 use parking_lot::Mutex;
-use skelcl::{CoalesceSignature, DeviceScalar, PlanScalar, PlanVec, SkelCl, SkelError};
+use skelcl::{
+    CoalesceSignature, DeviceScalar, PackedLaunch, PlanScalar, PlanVec, SkelCl, SkelError,
+};
 
 use crate::error::{Result, ServeError};
 use crate::job::{JobHandle, JobReport, JobSlot};
@@ -113,14 +116,76 @@ impl BatchMember {
 /// jobs, quota kept charged) and terminal failure (quota credited).
 type ResolveOutcome = std::result::Result<(), (ServeError, Vec<BatchMember>)>;
 
-/// Type-erased view of a coalescible (all-elementwise) vector job.
+/// What admission and dispatch need of a served plan; [`PlanVec`] (per-job
+/// result `Vec<T>`) and [`PlanScalar`] (`T`) are the two kinds.
+pub(crate) trait ServedPlan: Clone + Send + 'static {
+    type Elem: DeviceScalar;
+    /// One job's result, delivered through its [`JobHandle`].
+    type Output: Send + 'static;
+
+    fn signature(&self) -> std::result::Result<Option<CoalesceSignature>, SkelError>;
+    fn footprint(&self) -> usize;
+    fn refresh(&self) -> std::result::Result<(), SkelError>;
+    /// Run `jobs` (one signature) as one packed launch on `device`.
+    fn pack(
+        jobs: &[&Self],
+        device: usize,
+    ) -> std::result::Result<PackedLaunch<Self::Elem, Self::Output>, SkelError>;
+    /// Run a plan without a signature through the plan executor.
+    fn run_alone(&self) -> std::result::Result<Self::Output, SkelError>;
+}
+
+impl<T: DeviceScalar> ServedPlan for PlanVec<T> {
+    type Elem = T;
+    type Output = Vec<T>;
+
+    fn signature(&self) -> std::result::Result<Option<CoalesceSignature>, SkelError> {
+        self.coalesce_signature()
+    }
+    fn footprint(&self) -> usize {
+        self.footprint_bytes()
+    }
+    fn refresh(&self) -> std::result::Result<(), SkelError> {
+        self.refresh_for_replay()
+    }
+    fn pack(jobs: &[&Self], device: usize) -> std::result::Result<PackedLaunch<T>, SkelError> {
+        PlanVec::pack_jobs(jobs, device)
+    }
+    fn run_alone(&self) -> std::result::Result<Vec<T>, SkelError> {
+        self.collect()
+    }
+}
+
+impl<T: DeviceScalar> ServedPlan for PlanScalar<T> {
+    type Elem = T;
+    type Output = T;
+
+    fn signature(&self) -> std::result::Result<Option<CoalesceSignature>, SkelError> {
+        self.coalesce_signature()
+    }
+    fn footprint(&self) -> usize {
+        self.footprint_bytes()
+    }
+    fn refresh(&self) -> std::result::Result<(), SkelError> {
+        self.refresh_for_replay()
+    }
+    fn pack(jobs: &[&Self], device: usize) -> std::result::Result<PackedLaunch<T, T>, SkelError> {
+        PlanScalar::pack_jobs(jobs, device)
+    }
+    /// Only a reduction behind a scan gets here; every other one packs.
+    fn run_alone(&self) -> std::result::Result<T, SkelError> {
+        self.scalar()
+    }
+}
+
+/// Type-erased view of a coalescible job.
 trait ErasedPackable: Send {
-    /// The job's `PlanVec<T>` as `Any` (downcast by the batch leader).
+    /// The job's plan as `Any` (downcast by the batch leader).
     fn plan_any(&self) -> &(dyn Any + Send);
 
     /// Pack `peers` (self first) into one launch on `device` and return the
     /// deferred resolution closure. Called on the leader; all peers carry
-    /// the leader's signature and therefore its element type.
+    /// the leader's signature and therefore its plan type.
     fn launch(
         &self,
         peers: &[&dyn ErasedPackable],
@@ -131,11 +196,11 @@ trait ErasedPackable: Send {
     ) -> std::result::Result<Box<dyn FnOnce() -> ResolveOutcome + Send>, SkelError>;
 }
 
-struct TypedPackable<T: DeviceScalar> {
-    plan: PlanVec<T>,
+struct TypedPackable<P: ServedPlan> {
+    plan: P,
 }
 
-impl<T: DeviceScalar> ErasedPackable for TypedPackable<T> {
+impl<P: ServedPlan> ErasedPackable for TypedPackable<P> {
     fn plan_any(&self) -> &(dyn Any + Send) {
         &self.plan
     }
@@ -148,19 +213,16 @@ impl<T: DeviceScalar> ErasedPackable for TypedPackable<T> {
         runtime: Arc<SkelCl>,
         counters: Counters,
     ) -> std::result::Result<Box<dyn FnOnce() -> ResolveOutcome + Send>, SkelError> {
-        let mut plans: Vec<&PlanVec<T>> = Vec::with_capacity(peers.len());
+        let mut plans: Vec<&P> = Vec::with_capacity(peers.len());
         for peer in peers {
-            let plan = peer
-                .plan_any()
-                .downcast_ref::<PlanVec<T>>()
-                .ok_or_else(|| {
-                    SkelError::Scheduler(
-                        "coalesced peer's element type does not match the batch leader".into(),
-                    )
-                })?;
+            let plan = peer.plan_any().downcast_ref::<P>().ok_or_else(|| {
+                SkelError::Scheduler(
+                    "coalesced peer's plan type does not match the batch leader".into(),
+                )
+            })?;
             plans.push(plan);
         }
-        let packed = PlanVec::pack_jobs(&plans, device)?;
+        let packed = P::pack(&plans, device)?;
         Ok(Box::new(move || match packed.wait() {
             Ok((outputs, event)) => {
                 for (member, out) in members.into_iter().zip(outputs) {
@@ -176,9 +238,10 @@ impl<T: DeviceScalar> ErasedPackable for TypedPackable<T> {
 /// How a queued job executes at dispatch. Both forms are re-runnable, so a
 /// job that fails with an injected fault can be replayed after backoff.
 enum JobWork {
-    /// Coalescible elementwise job: joins a packed launch.
+    /// Coalescible job (elementwise chain or reduction): joins a packed
+    /// launch.
     Packable(Box<dyn ErasedPackable>),
-    /// Everything else: runs through the plan executor synchronously.
+    /// A plan with a scan: runs through the plan executor synchronously.
     Opaque(Box<dyn Fn() -> std::result::Result<Box<dyn Any + Send>, SkelError> + Send>),
 }
 
@@ -399,55 +462,31 @@ impl Core {
         state.tenants.get_key_value(name).map(|(k, _)| k.clone())
     }
 
-    /// Admit an elementwise-or-opaque vector job (try semantics: returns
-    /// [`ServeError::WouldBlock`] past a watermark instead of blocking).
-    pub(crate) fn admit_vec<T: DeviceScalar>(
+    /// Admit a vector or reduction job (try semantics: returns
+    /// [`ServeError::WouldBlock`] past a watermark instead of blocking). A
+    /// plan with a coalescing signature joins the packed path; one without
+    /// — it contains a scan — runs alone through the plan executor.
+    pub(crate) fn admit_plan<P: ServedPlan>(
         self: &Arc<Self>,
         tenant: &Arc<str>,
-        plan: &PlanVec<T>,
+        plan: &P,
         options: JobOptions,
-    ) -> Result<JobHandle<Vec<T>>> {
-        let signature = plan.coalesce_signature().map_err(ServeError::from)?;
-        let footprint = plan.footprint_bytes();
+    ) -> Result<JobHandle<P::Output>> {
+        let signature = plan.signature().map_err(ServeError::from)?;
+        let footprint = plan.footprint();
         let work = if signature.is_some() {
             JobWork::Packable(Box::new(TypedPackable { plan: plan.clone() }))
         } else {
             let plan = plan.clone();
             JobWork::Opaque(Box::new(move || {
-                plan.collect().map(|v| Box::new(v) as Box<dyn Any + Send>)
+                plan.run_alone().map(|v| Box::new(v) as Box<dyn Any + Send>)
             }))
         };
         let refresh = {
             let plan = plan.clone();
-            Box::new(move || plan.refresh_for_replay())
+            Box::new(move || plan.refresh())
         };
         let slot = self.admit(tenant, signature, footprint, work, refresh, options)?;
-        Ok(JobHandle {
-            slot,
-            core: self.clone(),
-            _payload: std::marker::PhantomData,
-        })
-    }
-
-    /// Admit a reduction job (always runs through the plan executor).
-    pub(crate) fn admit_scalar<T: DeviceScalar>(
-        self: &Arc<Self>,
-        tenant: &Arc<str>,
-        plan: &PlanScalar<T>,
-        options: JobOptions,
-    ) -> Result<JobHandle<T>> {
-        let footprint = plan.footprint_bytes();
-        let work = {
-            let plan = plan.clone();
-            JobWork::Opaque(Box::new(move || {
-                plan.scalar().map(|v| Box::new(v) as Box<dyn Any + Send>)
-            }))
-        };
-        let refresh = {
-            let plan = plan.clone();
-            Box::new(move || plan.refresh_for_replay())
-        };
-        let slot = self.admit(tenant, None, footprint, work, refresh, options)?;
         Ok(JobHandle {
             slot,
             core: self.clone(),

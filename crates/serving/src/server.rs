@@ -7,7 +7,7 @@ use skelcl::{DeviceScalar, PlanScalar, PlanVec, SkelCl};
 
 use crate::error::{Result, ServeError};
 use crate::job::JobHandle;
-use crate::scheduler::{Core, JobOptions};
+use crate::scheduler::{Core, JobOptions, ServedPlan};
 use crate::tenant::TenantConfig;
 
 /// Server-wide scheduling knobs.
@@ -61,11 +61,16 @@ pub struct ServingTrace {
     pub batches_inflight: usize,
     /// Dispatched batches of any kind.
     pub batches: usize,
-    /// Dispatched packed (elementwise) launches, coalesced or not.
+    /// Dispatched packed launches — elementwise or reduction, coalesced or
+    /// a batch of one.
     pub packed_batches: usize,
     /// Jobs that shared a packed launch with at least one other job.
     pub coalesced_jobs: usize,
-    /// Jobs that ran through the ordinary plan executor.
+    /// Jobs that ran *opaque*: alone, synchronously at dispatch, through the
+    /// ordinary plan executor over every device of the runtime — blocking
+    /// the host until their result is back. Only a plan that contains a scan
+    /// (a vector plan, or a reduction behind a scan) does; elementwise
+    /// chains and the reductions that close them always pack.
     pub opaque_jobs: usize,
     /// Submissions rejected with [`ServeError::WouldBlock`].
     pub would_blocks: usize,
@@ -197,7 +202,7 @@ impl Session {
         plan: &PlanVec<T>,
         options: JobOptions,
     ) -> Result<JobHandle<Vec<T>>> {
-        self.core.admit_vec(&self.tenant, plan, options)
+        self.core.admit_plan(&self.tenant, plan, options)
     }
 
     /// Submit a vector pipeline job, making room (dispatching queued
@@ -212,8 +217,14 @@ impl Session {
         plan: &PlanVec<T>,
         options: JobOptions,
     ) -> Result<JobHandle<Vec<T>>> {
+        self.submit(plan, options)
+    }
+
+    /// Admit `plan`, making room — dispatching queued batches and resolving
+    /// in-flight launches — whenever a watermark is hit.
+    fn submit<P: ServedPlan>(&self, plan: &P, options: JobOptions) -> Result<JobHandle<P::Output>> {
         loop {
-            match self.core.admit_vec(&self.tenant, plan, options) {
+            match self.core.admit_plan(&self.tenant, plan, options) {
                 Err(ServeError::WouldBlock) => {
                     if !self.core.make_room() {
                         return Err(ServeError::WouldBlock);
@@ -224,7 +235,12 @@ impl Session {
         }
     }
 
-    /// Submit a scalar (reduction) pipeline job with try semantics.
+    /// Submit a scalar (reduction) pipeline job with try semantics. A
+    /// reduction that closes an elementwise chain runs packed, like a vector
+    /// job: whole on one device, coalesced with queued reductions of the
+    /// same kernel, arguments *and length*, asynchronously. Its result is,
+    /// bit for bit, what `plan.scalar()` returns on a one-device runtime —
+    /// whatever the batch it joined and however many devices the server has.
     pub fn try_submit_scalar<T: DeviceScalar>(&self, plan: &PlanScalar<T>) -> Result<JobHandle<T>> {
         self.try_submit_scalar_with(plan, JobOptions::default())
     }
@@ -235,7 +251,7 @@ impl Session {
         plan: &PlanScalar<T>,
         options: JobOptions,
     ) -> Result<JobHandle<T>> {
-        self.core.admit_scalar(&self.tenant, plan, options)
+        self.core.admit_plan(&self.tenant, plan, options)
     }
 
     /// Submit a scalar (reduction) pipeline job, making room as needed.
@@ -249,15 +265,6 @@ impl Session {
         plan: &PlanScalar<T>,
         options: JobOptions,
     ) -> Result<JobHandle<T>> {
-        loop {
-            match self.core.admit_scalar(&self.tenant, plan, options) {
-                Err(ServeError::WouldBlock) => {
-                    if !self.core.make_room() {
-                        return Err(ServeError::WouldBlock);
-                    }
-                }
-                other => return other,
-            }
-        }
+        self.submit(plan, options)
     }
 }

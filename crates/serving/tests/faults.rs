@@ -1,6 +1,7 @@
 //! Fault-path tests of the serving layer: transient faults are retried
-//! with backoff and succeed bit-identically, replays refresh their inputs
-//! (no silent zeros from a failed upload), device-loss replays land on
+//! with backoff and succeed bit-identically — for reductions as for vector
+//! jobs — replays refresh their inputs (no silent zeros from a failed
+//! upload, whichever in-flight batch it hit), device-loss replays land on
 //! surviving devices, an exhausted retry budget fails typed with the full
 //! fault chain, quota is credited exactly once on every failure path,
 //! `cancel` releases admission state, and queued jobs past their
@@ -20,6 +21,10 @@ fn double() -> Map<f32, f32> {
 
 fn fsum() -> Reduce<f32> {
     Reduce::from_source("float func(float a, float b) { return a + b; }")
+}
+
+fn prefix_sum() -> Scan<f32> {
+    Scan::from_source("float func(float a, float b) { return a + b; }")
 }
 
 fn bits(v: &[f32]) -> Vec<u32> {
@@ -89,6 +94,75 @@ fn replays_refresh_inputs_after_a_failed_upload() {
         bits(&xs.iter().map(|x| 2.0 * x).collect::<Vec<_>>())
     );
     assert!(server.trace().jobs_retried >= 1);
+}
+
+#[test]
+fn a_failed_packed_write_of_a_reduction_is_retried_and_succeeds() {
+    // Reductions take the packed path, so they get its retries: the fault
+    // kills the one input write of the packed reduce launch.
+    let rt = skelcl::init_gpus(1);
+    rt.set_recovery_enabled(false);
+    rt.inject_faults(&FaultPlan::new().transient_transfer_at_op(0, 1));
+    let server = Server::new(rt.clone());
+    server.add_tenant("t", TenantConfig::default()).unwrap();
+    let session = server.session("t").unwrap();
+
+    let jobs: Vec<_> = (0..3)
+        .map(|i| {
+            let xs = input(20 + i, 700);
+            let v = Vector::from_vec(&rt, xs.clone());
+            let plan = v.lazy().map(&double()).reduce(&fsum());
+            (xs, session.submit_scalar(&plan).unwrap())
+        })
+        .collect();
+    server.flush();
+    let ref_rt = skelcl::init_gpus(1);
+    for (xs, handle) in jobs {
+        let (got, report) = handle.wait().unwrap();
+        let v = Vector::from_vec(&ref_rt, xs);
+        let expect = v.lazy().map(&double()).reduce(&fsum()).scalar().unwrap();
+        assert_eq!(got.to_bits(), expect.to_bits());
+        assert_eq!((report.device, report.batch_jobs), (Some(0), 3));
+    }
+    let trace = server.trace();
+    assert_eq!(trace.jobs_retried, 3, "the whole batch replays");
+    assert_eq!((trace.jobs_failed, trace.jobs_completed), (0, 3));
+    assert_eq!(rt.context().ledger().usage("t").used_bytes, 0);
+}
+
+#[test]
+fn a_fault_in_one_inflight_batch_spares_its_neighbours() {
+    // Two batches in flight on one device; the fault kills the input write
+    // of the second. Only the second replays — the first used to take the
+    // error off the queue, and the second to return the zeros it computed on.
+    let rt = skelcl::init_gpus(1);
+    rt.set_recovery_enabled(false);
+    rt.inject_faults(&FaultPlan::new().transient_transfer_at_op(0, 4));
+    let server = Server::new(rt.clone());
+    server.add_tenant("t", TenantConfig::default()).unwrap();
+    let session = server.session("t").unwrap();
+
+    let xs = input(30, 64);
+    let v = Vector::from_vec(&rt, xs.clone());
+    let first = session.submit_vec(&v.lazy().map(&double())).unwrap();
+    let ys = input(31, 64);
+    let w = Vector::from_vec(&rt, ys.clone());
+    let second = session
+        .submit_scalar(&w.lazy().map(&double()).reduce(&fsum()))
+        .unwrap();
+    server.flush();
+
+    let (got, _) = first.wait().unwrap();
+    assert_eq!(
+        bits(&got),
+        bits(&xs.iter().map(|x| 2.0 * x).collect::<Vec<_>>())
+    );
+    let (got, _) = second.wait().unwrap();
+    let ref_rt = skelcl::init_gpus(1);
+    let rw = Vector::from_vec(&ref_rt, ys);
+    let expect = rw.lazy().map(&double()).reduce(&fsum()).scalar().unwrap();
+    assert_eq!(got.to_bits(), expect.to_bits());
+    assert_eq!(server.trace().jobs_retried, 1);
 }
 
 #[test]
@@ -260,12 +334,12 @@ fn queued_jobs_past_their_deadline_fail_typed() {
     server.add_tenant("t", TenantConfig::default()).unwrap();
     let session = server.session("t").unwrap();
 
-    // Job A (a synchronous reduction) dispatches first — same tenant,
-    // lower sequence number — and advances the virtual clock past job B's
-    // deadline while B is still queued.
+    // Job A (a scan: opaque, so it runs synchronously at dispatch)
+    // dispatches first — same tenant, lower sequence number — and advances
+    // the virtual clock past job B's deadline while B is still queued.
     let xs = input(9, 64);
     let v = Vector::from_vec(&rt, xs.clone());
-    let a = session.submit_scalar(&v.lazy().reduce(&fsum())).unwrap();
+    let a = session.submit_vec(&v.lazy().scan(&prefix_sum())).unwrap();
     let w = Vector::from_vec(&rt, input(10, 16));
     let b = session
         .submit_vec_with(
@@ -285,6 +359,7 @@ fn queued_jobs_past_their_deadline_fail_typed() {
     }
 
     let trace = server.trace();
+    assert_eq!(trace.opaque_jobs, 1, "a scan still runs at dispatch");
     assert_eq!(trace.jobs_deadline_failed, 1);
     assert_eq!(rt.context().ledger().usage("t").used_bytes, 0);
 }

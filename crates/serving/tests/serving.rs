@@ -145,20 +145,23 @@ fn mixed_signature_jobs_batch_separately() {
         );
         assert_eq!(report.batch_jobs, 2);
     }
+    // The reduction is a packed batch of its own: whole on one device, so
+    // its bits are a one-device `scalar()`'s, not this 2-device runtime's.
     let (total, report) = reduce_handle.wait().unwrap();
-    let ref_rt = skelcl::init_gpus(2);
+    let ref_rt = skelcl::init_gpus(1);
     let rv = Vector::from_vec(&ref_rt, data);
     let expect = rv.lazy().reduce(&fsum()).scalar().unwrap();
     assert_eq!(total.to_bits(), expect.to_bits());
-    assert_eq!(report.device, None);
+    assert!(report.device.is_some());
+    assert_eq!(report.batch_jobs, 1);
 
     let trace = server.trace();
     assert_eq!(trace.jobs_submitted, 6);
     assert_eq!(trace.jobs_completed, 6);
     assert_eq!(trace.batches, 3);
-    assert_eq!(trace.packed_batches, 2);
+    assert_eq!(trace.packed_batches, 3);
     assert_eq!(trace.coalesced_jobs, 5);
-    assert_eq!(trace.opaque_jobs, 1);
+    assert_eq!(trace.opaque_jobs, 0);
 }
 
 #[test]
@@ -409,7 +412,7 @@ fn failed_jobs_surface_errors_and_release_quota() {
         .unwrap();
     let session = server.session("t").unwrap();
 
-    // Reducing an empty vector fails inside the plan executor at dispatch.
+    // Reducing an empty vector fails when its packed batch is dispatched.
     let v = Vector::from_vec(&rt, Vec::<f32>::new());
     let handle = session.submit_scalar(&v.lazy().reduce(&fsum())).unwrap();
     server.flush();
@@ -523,14 +526,17 @@ fn fixed_schedule_is_deterministic_across_reps_and_devices() {
     // The schedule's decisions, pinned: which batches formed, in which
     // order, led by whom, and where each job ran with how many others.
     let two = &per_devices[1];
-    assert_eq!(two.dispatch_tenants, ["a", "a", "b", "a", "a"]);
-    assert_eq!(two.batch_sizes, [4, 1, 6, 1, 1]);
+    assert_eq!(two.dispatch_tenants, ["a", "a", "b"]);
+    assert_eq!(two.batch_sizes, [4, 3, 6]);
     let placed: Vec<(u64, Option<usize>, usize)> = two
         .reports
         .iter()
         .map(|r| (r.job_id, r.device, r.batch_jobs))
         .collect();
     let packed = |id, batch| (id, Some(0), batch);
+    // The three equal-length reductions share the second batch, which finds
+    // device 0 busy with the first.
+    let reduced = |id| (id, Some(1), 3);
     assert_eq!(
         placed,
         [
@@ -544,9 +550,9 @@ fn fixed_schedule_is_deterministic_across_reps_and_devices() {
             packed(9, 6),
             packed(10, 6),
             packed(12, 4),
-            (1, None, 1),
-            (6, None, 1),
-            (11, None, 1),
+            reduced(1),
+            reduced(6),
+            reduced(11),
         ]
     );
 }

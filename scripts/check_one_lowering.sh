@@ -36,13 +36,24 @@ if grep -rn "compose_unary_source" crates; then
 fi
 
 # Kernel text lives in kernelgen.rs only, each frame once: elementwise (map,
-# zip, index map, fused chains), map-overlap, reduce, scan, scan-offset.
+# zip, index map, fused chains), map-overlap, reduce, packed reduce (the
+# reduce frame over many jobs, rendered for packed launches only), scan,
+# scan-offset.
 if grep -n "__kernel" "$src/fusion.rs" "$src/plan.rs"; then
     complain "kernel text outside kernelgen.rs"
 fi
 frames=$(count "$src/kernelgen.rs" "__kernel void")
-if [ "$frames" != 5 ]; then
-    complain "kernelgen.rs holds $frames kernel frames, expected 5 (each written once)"
+if [ "$frames" != 6 ]; then
+    complain "kernelgen.rs holds $frames kernel frames, expected 6 (each written once)"
+fi
+
+# One packed launch path: vector and reduction jobs are checked, bound and
+# enqueued by pack_graphs -> pack_launch (one call each from
+# PlanVec::pack_jobs and PlanScalar::pack_jobs; one call; one slot write).
+if [ "$(count "$src/plan.rs" "pack_graphs(")" != 2 ] ||
+    [ "$(count "$src/plan.rs" "pack_launch::<T>(")" != 1 ] ||
+    [ "$(count "$src/plan.rs" "enqueue_write_bytes(")" != 1 ]; then
+    complain "packed launches must share pack_graphs / pack_launch (plan.rs)"
 fi
 
 # The renderer has two kinds of caller: the public single-stage wrappers in
