@@ -203,12 +203,6 @@ impl Args {
         self
     }
 
-    /// Append an already-resolved argument item (used by the lazy plan
-    /// subsystem to merge per-stage argument lists in stage order).
-    pub(crate) fn push_item(&mut self, item: ArgItem) {
-        self.items.push(item);
-    }
-
     /// The arguments in order.
     pub fn items(&self) -> &[ArgItem] {
         &self.items

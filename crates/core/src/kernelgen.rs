@@ -236,6 +236,20 @@ pub(crate) enum StageKind {
     MapOverlap,
 }
 
+impl StageKind {
+    /// The skeleton's name, as diagnostics and `explain()` spell it.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            StageKind::Map => "map",
+            StageKind::Zip => "zip",
+            StageKind::Reduce | StageKind::PackedReduce => "reduce",
+            StageKind::Scan => "scan",
+            StageKind::IndexMap => "index map",
+            StageKind::MapOverlap => "map_overlap",
+        }
+    }
+}
+
 /// A group of stages rendered to program source: everything kernel
 /// generation derives from the stages' kinds and UDFs.
 #[derive(Debug)]
@@ -263,8 +277,9 @@ fn check_stage(kind: StageKind, udf: &UdfInfo) -> Result<()> {
             1,
         ),
         StageKind::Zip => ("zip expects a binary user function", 2),
-        StageKind::Reduce | StageKind::PackedReduce => return check_binary_op(udf, "reduce"),
-        StageKind::Scan => return check_binary_op(udf, "scan"),
+        StageKind::Reduce | StageKind::PackedReduce | StageKind::Scan => {
+            return check_binary_op(udf, kind.name())
+        }
     };
     if udf.main_params.len() != arity {
         return Err(SkelError::UdfSignature(format!(

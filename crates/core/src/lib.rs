@@ -110,7 +110,10 @@ pub use error::{Result, SkelError};
 pub use fusion::FusionPolicy;
 pub use matrix::Matrix;
 pub use oclsim::Tier;
-pub use plan::{CoalesceSignature, MatPlan, PackedLaunch, PlanScalar, PlanVec};
+pub use plan::{
+    CoalesceSignature, MatPlan, MatrixOut, PackedLaunch, Plan, PlanKind, PlanScalar, PlanVec,
+    ScalarOut, VectorOut,
+};
 pub use runtime::{init_gpus, init_profiles, DeviceSelection, DeviceTrace, ExecTrace, SkelCl};
 pub use scheduler::{DevicePerf, PerfModel, StaticScheduler};
 pub use skeletons::{
@@ -133,7 +136,7 @@ pub mod prelude {
     pub use crate::error::{Result, SkelError};
     pub use crate::fusion::FusionPolicy;
     pub use crate::matrix::Matrix;
-    pub use crate::plan::{MatPlan, PackedLaunch, PlanScalar, PlanVec};
+    pub use crate::plan::{MatPlan, PackedLaunch, Plan, PlanScalar, PlanVec};
     pub use crate::runtime::{DeviceSelection, SkelCl};
     pub use crate::skeletons::{Launch, Map, MapOverlap, Reduce, Scan, Skeleton, Zip};
     pub use crate::vector::Vector;

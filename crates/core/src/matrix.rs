@@ -592,8 +592,8 @@ impl Matrix<f32> {
     /// Open a lazy pipeline plan over this matrix: adjacent map stages fuse
     /// into one kernel, stencil stages stay barriers — see
     /// [`crate::plan::MatPlan`].
-    pub fn lazy<'a>(&self) -> crate::plan::MatPlan<'a> {
-        crate::plan::MatPlan::new(self)
+    pub fn lazy(&self) -> crate::plan::MatPlan {
+        crate::plan::MatPlan::from_matrix(self)
     }
 }
 

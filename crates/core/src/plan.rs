@@ -3,15 +3,23 @@
 //! [`Vector::lazy`] (and [`Matrix::lazy`](crate::matrix::Matrix::lazy))
 //! opens a *plan*: fluent skeleton calls append nodes to an expression DAG
 //! instead of enqueueing kernels, and nothing executes until a terminal form
-//! ([`PlanVec::into_vector`] / [`PlanVec::collect`] / [`PlanScalar::scalar`]
-//! / `exec`). Before lowering, a fusion pass rewrites the DAG: adjacent
-//! elementwise stages (map∘map, zip∘map) compose their user functions into
-//! **one** generated kernel — with hygienic renaming when UDFs collide — and
-//! a trailing elementwise chain is inlined into the first phase of a reduce
-//! or scan. A fused chain runs as a single kernel launch per device with
-//! zero intermediate containers; the per-boundary fuse-vs-split choice is
-//! made by the per-device cost model in [`crate::fusion`] (overridable via
-//! [`FusionPolicy`]).
+//! ([`Plan::exec`] / [`PlanVec::into_vector`] / [`Plan::collect`] /
+//! [`PlanScalar::scalar`]). Before lowering, a fusion pass rewrites the DAG:
+//! adjacent elementwise stages (map∘map, zip∘map) compose their user
+//! functions into **one** generated kernel — with hygienic renaming when UDFs
+//! collide — and a trailing elementwise chain is inlined into the first phase
+//! of a reduce or scan. A fused chain runs as a single kernel launch per
+//! device with zero intermediate containers; the per-boundary fuse-vs-split
+//! choice is made by the per-device cost model in [`crate::fusion`]
+//! (overridable via [`FusionPolicy`]).
+//!
+//! **One plan.** A pipeline stage — map, zip, reduce, scan, stencil — is one
+//! record (`Stage`: its kind, chain input, analysed user function, argument
+//! values and what only some kinds carry), so what a consumer needs of a
+//! stage is a method on it: output type, cost, memo key, `explain` line. The
+//! handle is one struct, [`Plan`], over one graph; [`PlanVec`],
+//! [`PlanScalar`] and [`MatPlan`] are its three output kinds ([`PlanKind`]),
+//! which differ in what the terminal returns and nothing else.
 //!
 //! Fused and unfused plans are **bit-identical**: the fused kernels inline
 //! the exact per-element expression the staged pipeline would compute, in
@@ -21,8 +29,9 @@
 //! `LoweringMemo` (the entry an eager call of the same shape uses, built
 //! program included) and launched by the launcher the eager skeleton of its
 //! kind uses — `launch_elementwise`, `launch_and_gather` + host fold
-//! ([`crate::skeletons::Reduce`]), `launch_scan`. This module binds
-//! arguments; it contains no kernel text and no launch flow of its own.
+//! ([`crate::skeletons::Reduce`]), `launch_scan`, the stencil sweep of
+//! [`MapOverlap`]. This module binds arguments; it contains no kernel text
+//! and no launch flow of its own.
 //!
 //! ```
 //! use skelcl::prelude::*;
@@ -37,6 +46,8 @@
 //! // Dot product as one fused zip∘reduce launch per device.
 //! let dot = xs.lazy().zip(&ys, &mul).reduce(&add).scalar().unwrap();
 //! assert_eq!(dot, 100.0);
+//! // A container may be zipped with itself: ‖x‖² in one launch per device.
+//! assert_eq!(xs.lazy().zip(&xs, &mul).reduce(&add).scalar().unwrap(), 30.0);
 //! ```
 
 use std::any::TypeId;
@@ -53,10 +64,10 @@ use skelcl_kernel::types::ScalarType;
 
 use crate::args::Args;
 use crate::container::{Container, DynContainer};
-use crate::distribution::{Distribution, Partition};
+use crate::distribution::{Boundary, Distribution, Partition};
 use crate::error::{Result, SkelError};
 use crate::fusion::{boundary_decision, BoundaryDecision, FusionPolicy, GroupCost, StageCost};
-use crate::kernelgen::{render_group, RenderedGroup, StageKind, UdfInfo, MAP_OVERLAP_KERNEL};
+use crate::kernelgen::{render_group, RenderedGroup, StageKind, UdfInfo};
 use crate::matrix::Matrix;
 use crate::runtime::SkelCl;
 use crate::scheduler::PerfModel;
@@ -115,205 +126,256 @@ macro_rules! with_scalar {
     };
 }
 
+/// One pipeline stage. Every kind is this one record, and what the fusion
+/// pass, the lowering memo, the binder and `explain` need of a stage is a
+/// method on it.
+#[derive(Clone)]
+pub(crate) struct Stage {
+    kind: StageKind,
+    /// Node index of the chain input.
+    input: usize,
+    /// A zip's second input: its source node, and that node's slot in the
+    /// graph's source table.
+    side: Option<(usize, usize)>,
+    udf: Arc<UdfInfo>,
+    /// Additional arguments; the builders admit scalars only.
+    args: Args,
+    /// A reduce or scan operator evaluated on the host: the final fold of
+    /// the gathered partials, the combination of the per-device totals.
+    host: Option<Arc<HostOperator>>,
+    /// A stencil's halo width and boundary policy.
+    stencil: Option<(usize, Boundary<f32>)>,
+}
+
+impl Stage {
+    /// A `kind` stage after node `input` with nothing kind-specific set.
+    fn new(kind: StageKind, input: usize, udf: Arc<UdfInfo>, args: Args) -> Stage {
+        Stage {
+            kind,
+            input,
+            side: None,
+            udf,
+            args,
+            host: None,
+            stencil: None,
+        }
+    }
+
+    /// Element type the stage produces.
+    fn out_ty(&self) -> ScalarType {
+        self.udf.return_type
+    }
+
+    /// Whether further stages may fuse behind this one (a fold closes its
+    /// group).
+    fn elementwise(&self) -> bool {
+        matches!(self.kind, StageKind::Map | StageKind::Zip)
+    }
+
+    /// The per-element cost the fusion pass's boundary decisions are made
+    /// with; `None` for a stencil, which reads a halo, not one element, and
+    /// is therefore a barrier that fuses with nothing.
+    fn cost(&self) -> Option<StageCost> {
+        let out_bytes = self.out_ty().size_bytes() as f64;
+        let (side_bytes, out_bytes) = match self.kind {
+            StageKind::Map | StageKind::IndexMap | StageKind::Scan => (0.0, out_bytes),
+            StageKind::Zip => (self.udf.main_params[1].size_bytes() as f64, out_bytes),
+            StageKind::Reduce | StageKind::PackedReduce => (0.0, 0.0),
+            StageKind::MapOverlap => return None,
+        };
+        Some(StageCost::of(&self.udf, side_bytes, out_bytes))
+    }
+
+    /// What the stage contributes to its group's shape — the lowering
+    /// memo's key: its kind and its analysed user function.
+    fn memo_key(&self) -> (StageKind, &Arc<UdfInfo>) {
+        (self.kind, &self.udf)
+    }
+
+    /// The scalar additional arguments, in declaration order.
+    fn arg_values(&self) -> impl Iterator<Item = Value> + '_ {
+        self.args
+            .items()
+            .iter()
+            .filter_map(|item| item.scalar_value())
+    }
+
+    /// The stage as `explain()` lists it.
+    fn line(&self) -> String {
+        let mut line = format!("{}(%{}", self.kind.name(), self.input);
+        if let Some((node, _)) = self.side {
+            let _ = write!(line, ", %{node}");
+        }
+        if let Some((halo, _)) = self.stencil {
+            let _ = write!(line, ", halo {halo}");
+        }
+        let _ = write!(line, ") -> {}", self.out_ty());
+        line
+    }
+}
+
 /// One node of the lazy expression DAG.
 #[derive(Clone)]
 pub(crate) enum PlanNode {
     /// An input container (`source` indexes the graph's source table).
     Source { source: usize, ty: ScalarType },
-    /// An elementwise map stage.
-    Map {
-        input: usize,
-        udf: Arc<UdfInfo>,
-        args: Args,
-    },
-    /// An elementwise zip stage; `other` is always a `Source` node.
-    Zip {
-        input: usize,
-        other: usize,
-        udf: Arc<UdfInfo>,
-        args: Args,
-    },
-    /// A stencil stage (matrix plans only); never fused across.
-    MapOverlap { input: usize, halo: usize },
-    /// A full reduction to one scalar; `host` evaluates the operator on the
-    /// host (the final fold of the gathered partials).
-    Reduce {
-        input: usize,
-        udf: Arc<UdfInfo>,
-        host: Arc<HostOperator>,
-    },
-    /// An inclusive prefix scan; `host` combines the per-device totals.
-    Scan {
-        input: usize,
-        udf: Arc<UdfInfo>,
-        host: Arc<HostOperator>,
-    },
+    /// A pipeline stage.
+    Stage(Stage),
 }
 
-/// The chain-input link of a node (`None` for sources).
-fn node_input(node: &PlanNode) -> Option<usize> {
-    match node {
-        PlanNode::Source { .. } => None,
-        PlanNode::Map { input, .. }
-        | PlanNode::Zip { input, .. }
-        | PlanNode::MapOverlap { input, .. }
-        | PlanNode::Reduce { input, .. }
-        | PlanNode::Scan { input, .. } => Some(*input),
+impl PlanNode {
+    fn stage(&self) -> Option<&Stage> {
+        match self {
+            PlanNode::Source { .. } => None,
+            PlanNode::Stage(stage) => Some(stage),
+        }
+    }
+
+    /// Element type the node produces.
+    fn out_ty(&self) -> ScalarType {
+        match self {
+            PlanNode::Source { ty, .. } => *ty,
+            PlanNode::Stage(stage) => stage.out_ty(),
+        }
+    }
+
+    /// The node as `explain()` lists it; `describe` renders an input source.
+    fn line(&self, describe: &dyn Fn(usize) -> String) -> String {
+        match self {
+            PlanNode::Source { source, ty } => {
+                format!("source[{source}] : {ty} ({})", describe(*source))
+            }
+            PlanNode::Stage(stage) => stage.line(),
+        }
     }
 }
 
-/// Element type a node produces.
-fn node_out_ty(nodes: &[PlanNode], idx: usize) -> ScalarType {
-    match &nodes[idx] {
-        PlanNode::Source { ty, .. } => *ty,
-        PlanNode::Map { udf, .. }
-        | PlanNode::Zip { udf, .. }
-        | PlanNode::Reduce { udf, .. }
-        | PlanNode::Scan { udf, .. } => udf.return_type,
-        PlanNode::MapOverlap { .. } => ScalarType::Float,
-    }
-}
-
-/// What kind of lowering a fusion group needs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum GroupKind {
-    /// One fused data-parallel kernel (`out[i] = expr(i)`).
-    Elementwise,
-    /// Fused per-device chunked folds + gather + host fold.
-    Reduce,
-    /// Fused per-device local scans + totals download + offset kernels.
-    Scan,
-    /// An unfusable stencil stage, lowered through the eager skeleton.
-    Overlap,
-}
-
-/// A run of pipeline nodes lowered to one launch, plus the boundary
-/// decisions the fusion pass took while forming it.
-struct Group {
-    nodes: Vec<usize>,
-    kind: GroupKind,
+/// A run of stages lowered to one launch — never empty; its last stage says
+/// which launcher runs it — plus the boundary decisions the fusion pass took
+/// while forming it.
+struct Group<'a> {
+    /// Node index and record of every stage, in chain order.
+    stages: Vec<(usize, &'a Stage)>,
     decisions: Vec<(usize, BoundaryDecision)>,
 }
 
-/// Per-stage cost figures and group kind for the fusion pass.
-fn stage_info(nodes: &[PlanNode], idx: usize) -> Option<(StageCost, GroupKind)> {
-    match &nodes[idx] {
-        PlanNode::Source { .. } => unreachable!("sources are not stages"),
-        PlanNode::MapOverlap { .. } => None,
-        PlanNode::Map { udf, .. } => Some((
-            StageCost::of(udf, 0.0, udf.return_type.size_bytes() as f64),
-            GroupKind::Elementwise,
-        )),
-        PlanNode::Zip { udf, .. } => Some((
-            StageCost::of(
-                udf,
-                udf.main_params[1].size_bytes() as f64,
-                udf.return_type.size_bytes() as f64,
-            ),
-            GroupKind::Elementwise,
-        )),
-        PlanNode::Reduce { udf, .. } => Some((StageCost::of(udf, 0.0, 0.0), GroupKind::Reduce)),
-        PlanNode::Scan { udf, .. } => Some((
-            StageCost::of(udf, 0.0, udf.return_type.size_bytes() as f64),
-            GroupKind::Scan,
-        )),
+impl<'a> Group<'a> {
+    fn of(stages: Vec<(usize, &'a Stage)>) -> Group<'a> {
+        Group {
+            stages,
+            decisions: Vec::new(),
+        }
+    }
+
+    fn last(&self) -> &'a Stage {
+        self.stages[self.stages.len() - 1].1
+    }
+
+    /// The group's shape, in stage order: what the lowering memo is keyed by.
+    fn shapes(&self) -> Vec<(StageKind, &'a Arc<UdfInfo>)> {
+        self.stages.iter().map(|(_, s)| s.memo_key()).collect()
+    }
+
+    /// The scalar additional arguments of the stages, in stage order
+    /// (matching the generated kernel's extra-parameter declarations).
+    fn arg_values(&self) -> impl Iterator<Item = Value> + '_ {
+        self.stages.iter().flat_map(|(_, s)| s.arg_values())
+    }
+
+    /// Bind `shape`, the group's lowering, to this plan instance.
+    fn bind(&self, shape: Arc<LoweredShape>) -> LoweredGroup {
+        LoweredGroup {
+            shape,
+            host_op: self.last().host.clone(),
+            side_sources: self
+                .stages
+                .iter()
+                .filter_map(|(_, s)| s.side)
+                .map(|(_, slot)| slot)
+                .collect(),
+            extra_args: self.arg_values().map(KernelArg::Scalar).collect(),
+        }
+    }
+
+    /// The fusion accounting — of a vector plan's group, a matrix plan's and
+    /// a packed batch's alike: every stage but the last disappeared into the
+    /// group's kernel, where it would have cost one more launch per active
+    /// device and materialised an intermediate container — one buffer per
+    /// active device, `stored_elems` elements over all of them.
+    fn account_fusion(&self, runtime: &SkelCl, active_devices: usize, stored_elems: usize) {
+        let interior = &self.stages[..self.stages.len() - 1];
+        let merged = interior.len();
+        let bytes = interior
+            .iter()
+            .map(|(_, s)| stored_elems * s.out_ty().size_bytes())
+            .sum();
+        runtime.charge_fusion(
+            merged,
+            merged * active_devices,
+            merged * active_devices,
+            bytes,
+        );
     }
 }
 
-/// The fusion pass: walk the spine (source first), open an elementwise group
+/// The fusion pass: walk the stages (chain order), open an elementwise group
 /// and consult the cost model at every boundary. Reduce and scan stages may
 /// join (and close) an open elementwise group — their first phase absorbs
 /// the chain — while stencil stages are barriers that always stand alone.
-fn plan_groups(
-    nodes: &[PlanNode],
-    spine: &[usize],
+fn plan_groups<'a>(
+    stages: &[(usize, &'a Stage)],
     policy: FusionPolicy,
     model: &PerfModel,
     device_items: &[(usize, usize)],
-) -> Result<Vec<Group>> {
+) -> Result<Vec<Group<'a>>> {
     let mut groups: Vec<Group> = Vec::new();
     let mut open: Option<(GroupCost, Group)> = None;
-    let chain_in_bytes = |idx: usize| {
-        let input = node_input(&nodes[idx]).expect("stages have an input");
-        node_out_ty(nodes, input).size_bytes() as f64
-    };
-    for &idx in &spine[1..] {
-        let Some((cost, kind)) = stage_info(nodes, idx) else {
+    for &(idx, stage) in stages {
+        let Some(cost) = stage.cost() else {
             // Stencil barrier: close the open group, emit a lone group.
-            if let Some((_, group)) = open.take() {
-                groups.push(group);
-            }
-            groups.push(Group {
-                nodes: vec![idx],
-                kind: GroupKind::Overlap,
-                decisions: Vec::new(),
-            });
+            groups.extend(open.take().map(|(_, group)| group));
+            groups.push(Group::of(vec![(idx, stage)]));
             continue;
         };
-        let fresh = |decisions: Vec<(usize, BoundaryDecision)>| {
+        // A group of its own reads the chain input, of the type the stage's
+        // user function takes (the builders checked it against the chain).
+        let in_bytes = stage.udf.main_params[0].size_bytes() as f64;
+        let fresh = || {
             (
-                GroupCost::start(chain_in_bytes(idx), cost),
-                Group {
-                    nodes: vec![idx],
-                    kind,
-                    decisions,
-                },
+                GroupCost::start(in_bytes, cost),
+                Group::of(vec![(idx, stage)]),
             )
         };
-        match open.take() {
-            None => {
-                let (acc, group) = fresh(Vec::new());
-                if kind == GroupKind::Elementwise {
-                    open = Some((acc, group));
-                } else {
-                    groups.push(group);
-                }
-            }
+        let (acc, group) = match open.take() {
+            None => fresh(),
             Some((mut acc, mut group)) => {
                 let decision = boundary_decision(policy, model, device_items, acc, cost)?;
                 group.decisions.push((idx, decision));
                 if decision.fused {
-                    group.nodes.push(idx);
+                    group.stages.push((idx, stage));
                     acc.fuse(cost);
-                    group.kind = kind;
-                    if kind == GroupKind::Elementwise {
-                        open = Some((acc, group));
-                    } else {
-                        groups.push(group);
-                    }
+                    (acc, group)
                 } else {
                     groups.push(group);
-                    let (acc, group) = fresh(Vec::new());
-                    if kind == GroupKind::Elementwise {
-                        open = Some((acc, group));
-                    } else {
-                        groups.push(group);
-                    }
+                    fresh()
                 }
             }
+        };
+        if stage.elementwise() {
+            open = Some((acc, group));
+        } else {
+            groups.push(group);
         }
     }
-    if let Some((_, group)) = open {
-        groups.push(group);
-    }
+    groups.extend(open.map(|(_, group)| group));
     Ok(groups)
 }
 
-/// The shape contribution of every stage of a group, in stage order: the
-/// stage kind and its analysed UDF — what the lowering memo is keyed by.
-fn stage_shapes<'a>(nodes: &'a [PlanNode], group: &[usize]) -> Vec<(StageKind, &'a Arc<UdfInfo>)> {
-    group
-        .iter()
-        .map(|&idx| match &nodes[idx] {
-            PlanNode::Map { udf, .. } => (StageKind::Map, udf),
-            PlanNode::Zip { udf, .. } => (StageKind::Zip, udf),
-            PlanNode::Reduce { udf, .. } => (StageKind::Reduce, udf),
-            PlanNode::Scan { udf, .. } => (StageKind::Scan, udf),
-            PlanNode::Source { .. } | PlanNode::MapOverlap { .. } => {
-                unreachable!("sources and stencils never join a fused group")
-            }
-        })
-        .collect()
+/// `(device, items)` of every device holding a part, as the cost model takes
+/// them.
+fn device_items(sizes: &[usize]) -> Vec<(usize, usize)> {
+    let parts = sizes.iter().copied().enumerate();
+    parts.filter(|&(_, items)| items > 0).collect()
 }
 
 /// A group of stages lowered to its kernel: everything kernel generation
@@ -468,87 +530,77 @@ struct LoweredGroup {
     extra_args: Vec<KernelArg>,
 }
 
-/// The scalar additional arguments of `group`'s stages, in stage order.
-fn scalar_args<'a>(nodes: &'a [PlanNode], group: &'a [usize]) -> impl Iterator<Item = Value> + 'a {
-    group
-        .iter()
-        .filter_map(|&idx| match &nodes[idx] {
-            PlanNode::Map { args, .. } | PlanNode::Zip { args, .. } => Some(args),
-            _ => None,
-        })
-        .flat_map(|args| args.items())
-        .map(|item| {
-            item.scalar_value()
-                .expect("plan builders only admit scalar additional arguments")
-        })
-}
-
-/// Bind `shape` to the plan instance whose `group` it was looked up for.
-fn bind_group(nodes: &[PlanNode], group: &[usize], shape: Arc<LoweredShape>) -> LoweredGroup {
-    let mut side_sources = Vec::new();
-    let mut host_op = None;
-    for &idx in group {
-        match &nodes[idx] {
-            PlanNode::Zip { other, .. } => {
-                let PlanNode::Source { source, .. } = &nodes[*other] else {
-                    unreachable!("a zip's second input is always a source node")
-                };
-                side_sources.push(*source);
-            }
-            PlanNode::Reduce { host, .. } | PlanNode::Scan { host, .. } => {
-                host_op = Some(host.clone());
-            }
-            _ => {}
-        }
-    }
-    LoweredGroup {
-        shape,
-        host_op,
-        side_sources,
-        extra_args: scalar_args(nodes, group).map(KernelArg::Scalar).collect(),
-    }
-}
-
-/// The running intermediate of plan execution: either still an input source
-/// or freshly produced device buffers.
-enum ExecChain {
-    Source(usize),
-    Interm(Vec<Option<Buffer>>),
-}
-
 /// What one launch group — and, from the last one, the plan — produced:
-/// per-device buffers (the next intermediate, or the result vector's), or
+/// per-device buffers (the next intermediate, or the result container's), or
 /// the scalar of a reduction.
 enum GroupOutput {
     Buffers(Vec<Option<Buffer>>),
     Scalar(Value),
 }
 
-/// The shared lazy DAG behind [`PlanVec`] and [`PlanScalar`]. Build errors
-/// poison the graph (first error wins); terminals surface it.
+impl GroupOutput {
+    fn buffers(self) -> Result<Vec<Option<Buffer>>> {
+        match self {
+            GroupOutput::Buffers(buffers) => Ok(buffers),
+            GroupOutput::Scalar(_) => Err(SkelError::Internal(
+                "a plan closed by a reduction produced no container".into(),
+            )),
+        }
+    }
+
+    fn scalar(self) -> Result<Value> {
+        match self {
+            GroupOutput::Scalar(value) => Ok(value),
+            GroupOutput::Buffers(_) => Err(SkelError::Internal(
+                "a plan not closed by a reduction produced no scalar".into(),
+            )),
+        }
+    }
+}
+
+/// The lazy DAG behind every [`Plan`]. Build errors poison the graph (first
+/// error wins); terminals surface it.
 #[derive(Clone)]
 pub(crate) struct PlanGraph {
     runtime: Arc<SkelCl>,
     nodes: Vec<PlanNode>,
+    /// The input containers; source nodes are admitted in slot order.
     sources: Vec<Arc<dyn DynContainer>>,
     policy: FusionPolicy,
     err: Option<SkelError>,
 }
 
 impl PlanGraph {
-    /// Append a node built by `build`, or poison the graph on its error. The
-    /// returned index is `fallback` when the graph is (or becomes) poisoned.
+    /// A graph over `source` (slot and node 0), poisoned from the start when
+    /// its element type `T` is not a device scalar type.
+    fn over<T: 'static>(runtime: Arc<SkelCl>, source: Arc<dyn DynContainer>) -> PlanGraph {
+        let ty = check_elem_ty::<T>();
+        PlanGraph {
+            runtime,
+            nodes: vec![PlanNode::Source {
+                source: 0,
+                ty: *ty.as_ref().unwrap_or(&ScalarType::Float),
+            }],
+            sources: vec![source],
+            policy: FusionPolicy::default(),
+            err: ty.err(),
+        }
+    }
+
+    /// Append the stage built by `build`, or poison the graph on its error.
+    /// The returned index is `fallback` when the graph is (or becomes)
+    /// poisoned.
     fn admit(
         &mut self,
         fallback: usize,
-        build: impl FnOnce(&mut PlanGraph) -> Result<PlanNode>,
+        build: impl FnOnce(&mut PlanGraph) -> Result<Stage>,
     ) -> usize {
         if self.err.is_some() {
             return fallback;
         }
         match build(self) {
-            Ok(node) => {
-                self.nodes.push(node);
+            Ok(stage) => {
+                self.nodes.push(PlanNode::Stage(stage));
                 self.nodes.len() - 1
             }
             Err(e) => {
@@ -556,6 +608,44 @@ impl PlanGraph {
                 fallback
             }
         }
+    }
+
+    /// Append a map stage producing `O` elements after `tip`.
+    fn admit_map<O: 'static>(
+        &mut self,
+        tip: usize,
+        udf: Result<Arc<UdfInfo>>,
+        args: Args,
+    ) -> usize {
+        self.admit(tip, |g| {
+            let udf = udf?;
+            g.check_chain(tip, &udf, StageKind::Map)?;
+            check_stage_args(&udf, &args)?;
+            check_out_ty::<O>(&udf)?;
+            Ok(Stage::new(StageKind::Map, tip, udf, args))
+        })
+    }
+
+    /// Append a reduce or scan stage (`kind`) after `tip`.
+    fn admit_fold(
+        &mut self,
+        tip: usize,
+        kind: StageKind,
+        op: Result<(Arc<UdfInfo>, Arc<HostOperator>)>,
+    ) -> usize {
+        self.admit(tip, |g| {
+            let (udf, host) = op?;
+            g.check_chain(tip, &udf, kind)?;
+            Ok(Stage {
+                host: Some(host),
+                ..Stage::new(kind, tip, udf, Args::none())
+            })
+        })
+    }
+
+    /// The error that poisoned the graph while it was built, if one did.
+    fn built(&self) -> Result<()> {
+        self.err.clone().map_or(Ok(()), Err)
     }
 
     /// Refresh every input source for a fault replay (see
@@ -570,24 +660,40 @@ impl PlanGraph {
         Ok(())
     }
 
-    /// The source-to-tip path of stage nodes (source first). Zip side
-    /// sources hang off the spine and are resolved during lowering.
-    fn spine(&self, tip: usize) -> Vec<usize> {
-        let mut chain = vec![tip];
+    /// The stages on the path from the source to `tip`, in chain order. Zip
+    /// side sources hang off that path and are resolved during binding.
+    fn stages(&self, tip: usize) -> Vec<(usize, &Stage)> {
+        let mut chain = Vec::new();
         let mut cur = tip;
-        while let Some(prev) = node_input(&self.nodes[cur]) {
-            chain.push(prev);
-            cur = prev;
+        while let Some(stage) = self.nodes[cur].stage() {
+            chain.push((cur, stage));
+            cur = stage.input;
         }
         chain.reverse();
         chain
     }
 
-    fn check_chain(&self, tip: usize, udf: &UdfInfo, skeleton: &str) -> Result<()> {
-        let chain_ty = node_out_ty(&self.nodes, tip);
-        if udf.main_params.is_empty() || udf.main_params[0] != chain_ty {
+    /// [`PlanGraph::stages`] of a plan a terminal may run: built without
+    /// error, with a stage to run.
+    fn runnable(&self, tip: usize) -> Result<Vec<(usize, &Stage)>> {
+        self.built()?;
+        let stages = self.stages(tip);
+        if stages.is_empty() {
+            return Err(SkelError::Plan(
+                "a lazy plan needs at least one stage before a terminal; \
+                 call a stage builder such as map first"
+                    .into(),
+            ));
+        }
+        Ok(stages)
+    }
+
+    fn check_chain(&self, tip: usize, udf: &UdfInfo, kind: StageKind) -> Result<()> {
+        let chain_ty = self.nodes[tip].out_ty();
+        if udf.main_params.first() != Some(&chain_ty) {
             return Err(SkelError::Plan(format!(
-                "{skeleton} stage expects `{}` input but the pipeline produces `{chain_ty}`",
+                "{} stage expects `{}` input but the pipeline produces `{chain_ty}`",
+                kind.name(),
                 udf.main_params
                     .first()
                     .map_or_else(|| "?".to_string(), std::string::ToString::to_string),
@@ -596,81 +702,60 @@ impl PlanGraph {
         Ok(())
     }
 
+    /// The sources were checked against each other when their stages were
+    /// appended, but they are live containers and the plan may run much
+    /// later: check again that every one still has source 0's length, before
+    /// a run charges or enqueues anything.
+    fn check_source_lens(&self) -> Result<()> {
+        let left = self.sources[0].elem_count();
+        match self.sources.iter().find(|s| s.elem_count() != left) {
+            Some(other) => Err(SkelError::LengthMismatch {
+                left,
+                right: other.elem_count(),
+            }),
+            None => Ok(()),
+        }
+    }
+
     /// Release the buffers of a consumed intermediate (fused pipelines own
     /// their intermediates; sources keep theirs).
-    fn release_chain(&self, chain: &ExecChain) -> Result<()> {
-        if let ExecChain::Interm(buffers) = chain {
-            for buffer in buffers.iter().flatten() {
-                self.runtime.context().release_buffer(buffer)?;
-            }
+    fn release(&self, intermediate: Option<Vec<Option<Buffer>>>) -> Result<()> {
+        for buffer in intermediate.iter().flatten().flatten() {
+            self.runtime.context().release_buffer(buffer)?;
         }
         Ok(())
     }
 
-    /// The group kernel's leading input-buffer arguments on `device`: the
-    /// running chain (the previous group's output, or source 0), then the
-    /// zips' second vectors.
-    fn input_args(
-        &self,
-        lowered: &LoweredGroup,
-        chain: &ExecChain,
-        sources: &[Vec<Option<Buffer>>],
-        device: usize,
-    ) -> Result<Vec<KernelArg>> {
-        let chain = match chain {
-            ExecChain::Source(source) => &sources[*source],
-            ExecChain::Interm(buffers) => buffers,
-        };
-        let sides = lowered.side_sources.iter().map(|&s| &sources[s]);
-        std::iter::once(chain)
-            .chain(sides)
-            .map(|buffers| buffer_arg(buffers, device, format_args!("a pipeline input")))
-            .collect()
-    }
-
-    /// Run one launch group: look its lowering up in the runtime's memo,
-    /// bind this plan's buffers and argument values — `[inputs…, out, n,
-    /// extras…]`, the eager kernels' layout — and hand them to the launcher
-    /// of the group's kind, the one the eager skeleton of that kind uses.
+    /// Run one launch group over the prepared inputs of `call`: bind this
+    /// plan's buffers and argument values — `[inputs…, out, n, extras…]`, the
+    /// eager kernels' layout, the inputs being the running `chain` (the
+    /// previous group's output; `None`: still source 0) and then the zips'
+    /// second vectors — and hand them to the launcher of the group's kind,
+    /// the one the eager skeleton of that kind uses.
     fn run_group(
         &self,
         group: &Group,
+        lowered: &LoweredGroup,
         call: &PreparedCall,
-        chain: &ExecChain,
+        chain: Option<&[Option<Buffer>]>,
     ) -> Result<GroupOutput> {
         let runtime = &self.runtime;
         let (partition, sources) = (&call.partition, &call.input_buffers);
-        let lowered = self.lowered(&group.nodes)?;
-        runtime.charge_skeleton_call();
-        let active = partition.active_devices();
-        let merged = group.nodes.len() - 1;
-        if merged > 0 {
-            // Every interior node of the group would have materialised an
-            // intermediate container (one buffer per active device) and
-            // cost one more launch per device.
-            let stored_elems: usize = partition.sizes().iter().sum();
-            let bytes: usize = group.nodes[..merged]
-                .iter()
-                .map(|&idx| stored_elems * node_out_ty(&self.nodes, idx).size_bytes())
-                .sum();
-            runtime.charge_fusion(merged, merged * active.len(), merged * active.len(), bytes);
-        }
+        let lens = partition.sizes();
+        group.account_fusion(runtime, partition.active_devices().len(), lens.iter().sum());
         let kernels = lowered.shape.kernels(runtime)?;
         let bind = |device| {
-            let inputs = self.input_args(&lowered, chain, sources, device)?;
+            let sides = lowered.side_sources.iter().map(|&s| &sources[s][..]);
+            let inputs = std::iter::once(chain.unwrap_or(&sources[0]))
+                .chain(sides)
+                .map(|buffers| buffer_arg(buffers, device, format_args!("a pipeline input")))
+                .collect::<Result<Vec<_>>>()?;
             Ok((inputs, lowered.extra_args.clone()))
         };
-        let host_op = || {
-            lowered
-                .host_op
-                .as_ref()
-                .expect("a fold group carries its operator's host evaluator")
-        };
         let out_ty = lowered.shape.rendered.out_ty;
-        match group.kind {
-            GroupKind::Elementwise => {
+        match (group.last().kind, &lowered.host_op) {
+            (StageKind::Map | StageKind::Zip, _) => {
                 let create = with_scalar!(out_ty, T, { create_buffer::<T> as CreateBuffer });
-                let lens = partition.sizes();
                 launch_elementwise(
                     runtime,
                     &kernels.kernel,
@@ -682,41 +767,33 @@ impl PlanGraph {
                 )
                 .map(GroupOutput::Buffers)
             }
-            GroupKind::Reduce => with_scalar!(out_ty, T, {
+            (StageKind::Reduce, Some(op)) => with_scalar!(out_ty, T, {
                 let mut partials =
                     launch_and_gather::<T>(runtime, kernels, partition, &bind, None)?;
-                Ok(GroupOutput::Scalar(
-                    host_op().fold(&mut partials)?.to_value(),
-                ))
+                Ok(GroupOutput::Scalar(op.fold(&mut partials)?.to_value()))
             }),
-            GroupKind::Scan => with_scalar!(out_ty, T, {
-                let combine = |a: T, b: T| host_op().fold(&mut [a, b]);
+            (StageKind::Scan, Some(op)) => with_scalar!(out_ty, T, {
+                let combine = |a: T, b: T| op.fold(&mut [a, b]);
                 launch_scan(runtime, kernels, partition, &bind, &combine, None, false)
                     .map(|(out, _)| GroupOutput::Buffers(out))
             }),
-            GroupKind::Overlap => unreachable!("vector plans have no stencil stage"),
+            (kind, _) => Err(SkelError::Internal(format!(
+                "a {} group has no plan launcher",
+                kind.name()
+            ))),
         }
     }
 
-    /// Execute the plan at `tip` through the one call path: its sources are
-    /// the call's inputs — unified to one distribution, uploaded, and after a
-    /// fault refreshed and re-partitioned together — and one attempt runs
-    /// every launch group and wraps the result (`wrap`, so a discarded
-    /// attempt's output releases its buffers).
-    fn execute<R>(&self, tip: usize, wrap: &dyn Fn(GroupOutput) -> R) -> Result<R> {
-        if let Some(err) = &self.err {
-            return Err(err.clone());
-        }
-        let spine = self.spine(tip);
-        if spine.len() < 2 {
-            return Err(SkelError::Plan(
-                "a lazy plan needs at least one stage before a terminal; \
-                 call map, zip, reduce or scan first"
-                    .into(),
-            ));
-        }
+    /// Execute the vector plan at `tip` through the one call path: its
+    /// sources are the call's inputs — unified to one distribution, uploaded,
+    /// and after a fault refreshed and re-partitioned together — and one
+    /// attempt runs every launch group and wraps the result (`wrap`, so a
+    /// discarded attempt's output releases its buffers).
+    fn execute<R>(&self, tip: usize, wrap: &dyn Fn(GroupOutput) -> Result<R>) -> Result<R> {
+        let stages = self.runnable(tip)?;
         let coerce = || {
-            let unified = self.unified_distribution(&spine);
+            self.check_source_lens()?;
+            let unified = self.unified_distribution(&stages);
             for source in &self.sources {
                 // Block whenever a source has to move.
                 if distribution_of(&**source) != unified {
@@ -733,7 +810,7 @@ impl PlanGraph {
         let sources: Vec<&dyn DynContainer> = self.sources.iter().map(|s| &**s).collect();
         let cfg = LaunchConfig::default();
         run_call(&self.runtime, &sources, &cfg, &spec, &mut |call| {
-            self.run_groups(call, &spine).map(wrap)
+            self.run_groups(call, &stages).and_then(wrap)
         })
     }
 
@@ -742,14 +819,9 @@ impl PlanGraph {
     /// unification, generalised) — and never copy under a prefix or fold,
     /// which would double-count (the eager reduce and scan coerce to block,
     /// so the plan does too).
-    fn unified_distribution(&self, spine: &[usize]) -> Distribution {
+    fn unified_distribution(&self, stages: &[(usize, &Stage)]) -> Distribution {
         let first = distribution_of(&*self.sources[0]);
-        let has_fold = spine.iter().any(|&i| {
-            matches!(
-                self.nodes[i],
-                PlanNode::Reduce { .. } | PlanNode::Scan { .. }
-            )
-        });
+        let has_fold = stages.iter().any(|(_, s)| s.host.is_some());
         let agree = self.sources.iter().all(|s| distribution_of(&**s) == first);
         if agree && !(has_fold && first == Distribution::Copy) {
             first
@@ -760,195 +832,184 @@ impl PlanGraph {
 
     /// Device bytes of every input source.
     fn source_bytes(&self) -> usize {
-        let sized = |node: &PlanNode| match node {
-            PlanNode::Source { source, ty } => self.sources[*source].elem_count() * ty.size_bytes(),
-            _ => 0,
-        };
-        self.nodes.iter().map(sized).sum()
+        let tys = self.nodes.iter().filter(|node| node.stage().is_none());
+        let sized = self.sources.iter().zip(tys);
+        sized
+            .map(|(s, node)| s.elem_count() * node.out_ty().size_bytes())
+            .sum()
     }
 
     /// One attempt at the plan's launches over the prepared sources: run the
-    /// fusion pass, lower each group to launches on the existing queue/event
-    /// machinery, and account the fusion telemetry.
-    fn run_groups(&self, call: &PreparedCall, spine: &[usize]) -> Result<GroupOutput> {
-        let partition = &call.partition;
-        let device_items: Vec<(usize, usize)> = partition
-            .active_devices()
-            .iter()
-            .map(|&d| (d, partition.size(d)))
-            .collect();
+    /// fusion pass and lower each group to launches on the existing
+    /// queue/event machinery, one dispatch charge per group.
+    fn run_groups(&self, call: &PreparedCall, stages: &[(usize, &Stage)]) -> Result<GroupOutput> {
         let model = PerfModel::analytical(&self.runtime);
-        let groups = plan_groups(&self.nodes, spine, self.policy, &model, &device_items)?;
-        let mut chain = ExecChain::Source(0);
+        let items = device_items(&call.partition.sizes());
+        let groups = plan_groups(stages, self.policy, &model, &items)?;
+        // The running intermediate; `None` while the chain is still source 0.
+        let mut chain: Option<Vec<Option<Buffer>>> = None;
         for group in &groups {
-            let ran = self.run_group(group, call, &chain);
+            let ran = self.lowered(group).and_then(|lowered| {
+                self.runtime.charge_skeleton_call();
+                self.run_group(group, &lowered, call, chain.as_deref())
+            });
             // The group consumed the running intermediate — or failed (its
             // launcher joined what it enqueued), and nothing else will.
-            let released = self.release_chain(&chain);
+            let released = self.release(chain.take());
             match ran? {
-                GroupOutput::Buffers(out) => chain = ExecChain::Interm(out),
+                GroupOutput::Buffers(out) => chain = Some(out),
                 // A reduction closes the plan.
                 scalar => return released.map(|()| scalar),
             }
             released?;
         }
-        match chain {
-            ExecChain::Interm(buffers) => Ok(GroupOutput::Buffers(buffers)),
-            ExecChain::Source(_) => unreachable!("the spine has at least one stage"),
-        }
+        chain
+            .map(GroupOutput::Buffers)
+            .ok_or_else(|| SkelError::Internal("a plan ran no launch group".into()))
     }
 
     /// The lowering of `group` — from the runtime's memo, the only place a
     /// group is ever lowered — bound to this plan's arguments and sources.
-    fn lowered(&self, group: &[usize]) -> Result<LoweredGroup> {
-        let shape = lower_nodes(&self.runtime, &self.nodes, group)?;
-        Ok(bind_group(&self.nodes, group, shape))
+    fn lowered(&self, group: &Group) -> Result<LoweredGroup> {
+        Ok(group.bind(self.runtime.lowerings().lowered(&group.shapes())?))
     }
 
-    /// Render the DAG and the fusion pass's verdicts without executing (and
-    /// without touching the sources' distributions).
-    fn explain(&self, tip: usize) -> Result<String> {
-        if let Some(err) = &self.err {
-            return Err(err.clone());
-        }
-        let spine = self.spine(tip);
-        let devices = self.runtime.device_count();
-        let len = self.sources[0].elem_count();
-        let groups = if spine.len() < 2 {
-            Err("the plan has no stage")
-        } else if len == 0 {
-            Err("empty input")
-        } else {
-            // Predict what execute() would do, without mutating the sources.
-            let dist = self.unified_distribution(&spine);
-            let partition = Partition::compute(len, devices, &dist);
-            let device_items: Vec<(usize, usize)> = partition
-                .active_devices()
-                .iter()
-                .map(|&d| (d, partition.size(d)))
-                .collect();
-            let model = PerfModel::analytical(&self.runtime);
-            Ok(plan_groups(
-                &self.nodes,
-                &spine,
-                self.policy,
-                &model,
-                &device_items,
-            )?)
+    /// The one `explain` behind every plan kind, rendered without executing
+    /// (and without touching the sources' distributions): the header and the
+    /// runtime's tier / lowering telemetry, the node table, and — unless
+    /// nothing would run — the launch groups the fusion pass forms, each with
+    /// its kernel, its boundary verdicts and the renames its lowering had to
+    /// make. `matrix` is the input of a matrix plan.
+    fn explain(&self, tip: usize, matrix: Option<&Matrix<f32>>) -> Result<String> {
+        self.built()?;
+        let (runtime, stages) = (&self.runtime, self.stages(tip));
+        let matrix = matrix.map(|m| (format!("{}x{}", m.rows(), m.cols()), m));
+        let over = match &matrix {
+            Some((shape, _)) => format!("1 matrix ({shape})"),
+            None => format!("{} source(s)", self.sources.len()),
         };
-        explain_plan(
-            &self.runtime,
-            &self.nodes,
+        let describe = |slot: usize| match &matrix {
+            Some((shape, m)) => format!("{shape}, {:?}", m.distribution()),
+            None => {
+                let source = &*self.sources[slot];
+                format!("len {}, {:?}", source.elem_count(), distribution_of(source))
+            }
+        };
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "Plan: {} node(s) over {over}, {} device(s), policy {:?}",
+            self.nodes.len(),
+            runtime.device_count(),
             self.policy,
-            &format!("{} source(s)", self.sources.len()),
-            &|source| {
-                format!(
-                    "len {}, {:?}",
-                    self.sources[source].elem_count(),
-                    distribution_of(&*self.sources[source])
-                )
-            },
-            groups,
-        )
-    }
-}
-
-/// The distribution of a plan source — a vector, so it has one.
-fn distribution_of(source: &dyn DynContainer) -> Distribution {
-    source
-        .flat_distribution()
-        .expect("the sources of a vector plan are vectors")
-}
-
-/// The memo entry of the fusion group `group` of `nodes`.
-fn lower_nodes(runtime: &SkelCl, nodes: &[PlanNode], group: &[usize]) -> Result<Arc<LoweredShape>> {
-    runtime.lowerings().lowered(&stage_shapes(nodes, group))
-}
-
-/// The one `explain` behind vector and matrix plans: the header and the
-/// runtime's tier / lowering telemetry, the node table, and — unless
-/// `groups` says why nothing would run — the launch groups the fusion pass
-/// forms, each with its kernel, its boundary verdicts and the renames its
-/// lowering had to make. `over` and `source` describe the plan's input(s).
-fn explain_plan(
-    runtime: &SkelCl,
-    nodes: &[PlanNode],
-    policy: FusionPolicy,
-    over: &str,
-    source: &dyn Fn(usize) -> String,
-    groups: std::result::Result<Vec<Group>, &str>,
-) -> Result<String> {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Plan: {} node(s) over {over}, {} device(s), policy {policy:?}",
-        nodes.len(),
-        runtime.device_count(),
-    );
-    let _ = writeln!(out, "Kernel tier: {}", runtime.kernel_tier_summary());
-    let trace = runtime.exec_trace();
-    let _ = writeln!(out, "{}", trace.tier_line());
-    let _ = writeln!(out, "{}", trace.lowering_line());
-    for (i, node) in nodes.iter().enumerate() {
-        let out_ty = node_out_ty(nodes, i);
-        let line = match node {
-            PlanNode::Source { source: slot, ty } => {
-                format!("source[{slot}] : {ty} ({})", source(*slot))
-            }
-            PlanNode::Map { input, .. } => format!("map(%{input}) -> {out_ty}"),
-            PlanNode::Zip { input, other, .. } => format!("zip(%{input}, %{other}) -> {out_ty}"),
-            PlanNode::MapOverlap { input, halo } => {
-                format!("map_overlap(%{input}, halo {halo}) -> {out_ty}")
-            }
-            PlanNode::Reduce { input, .. } => format!("reduce(%{input}) -> {out_ty}"),
-            PlanNode::Scan { input, .. } => format!("scan(%{input}) -> {out_ty}"),
-        };
-        let _ = writeln!(out, "  %{i} = {line}");
-    }
-    let groups = match groups {
-        Ok(groups) => groups,
-        Err(why) => {
+        );
+        let _ = writeln!(out, "Kernel tier: {}", runtime.kernel_tier_summary());
+        let trace = runtime.exec_trace();
+        let _ = writeln!(out, "{}", trace.tier_line());
+        let _ = writeln!(out, "{}", trace.lowering_line());
+        for (i, node) in self.nodes.iter().enumerate() {
+            let _ = writeln!(out, "  %{i} = {}", node.line(&describe));
+        }
+        let len = self.sources[0].elem_count();
+        if stages.is_empty() || len == 0 {
+            let why = if stages.is_empty() {
+                "the plan has no stage"
+            } else {
+                "empty input"
+            };
             let _ = writeln!(out, "After fusion: nothing to run ({why})");
             return Ok(out);
         }
-    };
-    let _ = writeln!(out, "After fusion: {} launch group(s)", groups.len());
-    for (gi, group) in groups.iter().enumerate() {
-        let members: Vec<String> = group.nodes.iter().map(|i| format!("%{i}")).collect();
-        // Stencil stages run through the eager skeleton, which looks its
-        // kernel up itself; every other group is lowered here.
-        let shape = match group.kind {
-            GroupKind::Overlap => None,
-            _ => Some(lower_nodes(runtime, nodes, &group.nodes)?),
+        // Predict what a terminal would do, without mutating the sources.
+        let sizes = match &matrix {
+            Some((_, m)) => Container::part_sizes(*m),
+            None => {
+                let unified = self.unified_distribution(&stages);
+                Partition::compute(len, runtime.device_count(), &unified).sizes()
+            }
         };
-        let _ = writeln!(
-            out,
-            "  group {gi}: {} over {} ({} stage(s) fused)",
-            shape
-                .as_ref()
-                .map_or(MAP_OVERLAP_KERNEL, |shape| shape.rendered.kernel),
-            members.join(", "),
-            group.nodes.len()
-        );
-        for (idx, decision) in &group.decisions {
-            let verdict = if decision.fused { "fuse" } else { "split" };
-            let why = if decision.forced {
-                "policy"
-            } else {
-                "cost model"
-            };
+        let model = PerfModel::analytical(runtime);
+        let groups = plan_groups(&stages, self.policy, &model, &device_items(&sizes))?;
+        let _ = writeln!(out, "After fusion: {} launch group(s)", groups.len());
+        for (gi, group) in groups.iter().enumerate() {
+            let members: Vec<String> = group.stages.iter().map(|(i, _)| format!("%{i}")).collect();
+            let shape = runtime.lowerings().lowered(&group.shapes())?;
             let _ = writeln!(
                 out,
-                "    boundary before %{idx}: {verdict} ({why}; predicted fused {:.3} ms vs split {:.3} ms)",
-                decision.fused_time * 1e3,
-                decision.split_time * 1e3
+                "  group {gi}: {} over {} ({} stage(s) fused)",
+                shape.rendered.kernel,
+                members.join(", "),
+                members.len()
             );
+            for (idx, decision) in &group.decisions {
+                let verdict = if decision.fused { "fuse" } else { "split" };
+                let why = if decision.forced {
+                    "policy"
+                } else {
+                    "cost model"
+                };
+                let _ = writeln!(
+                    out,
+                    "    boundary before %{idx}: {verdict} ({why}; predicted fused {:.3} ms vs split {:.3} ms)",
+                    decision.fused_time * 1e3,
+                    decision.split_time * 1e3
+                );
+            }
+            for collision in &shape.rendered.collisions {
+                let _ = writeln!(out, "    rename: {collision}");
+            }
         }
-        for collision in shape.iter().flat_map(|shape| &shape.rendered.collisions) {
-            let _ = writeln!(out, "    rename: {collision}");
+        Ok(out)
+    }
+
+    /// The plan at `tip` as one packed launch over many jobs: its stages,
+    /// when they are an elementwise chain optionally closed by a reduce, and
+    /// their memo entry — the entry every plan of these stages uses, except
+    /// that a closing reduce is lowered through its packed frame. `None` for
+    /// a plan without stages, with a scan or with a stencil.
+    fn packed_group(&self, tip: usize) -> Result<Option<(Group<'_>, Arc<LoweredShape>)>> {
+        self.built()?;
+        let group = Group::of(self.stages(tip));
+        let packs = match group.stages.split_last() {
+            Some(((_, last), chain)) => {
+                (last.kind == StageKind::Reduce || last.elementwise())
+                    && chain.iter().all(|(_, s)| s.elementwise())
+            }
+            None => false,
+        };
+        if !packs {
+            return Ok(None);
+        }
+        let mut shapes = group.shapes();
+        if let Some((kind @ StageKind::Reduce, _)) = shapes.last_mut() {
+            *kind = StageKind::PackedReduce;
+        }
+        let shape = self.runtime.lowerings().lowered(&shapes)?;
+        Ok(Some((group, shape)))
+    }
+
+    /// The signature of this plan's packed `group`, lowered to `shape`.
+    fn signature_of(&self, group: &Group, shape: &LoweredShape) -> CoalesceSignature {
+        CoalesceSignature {
+            memo: self.runtime.lowerings().id,
+            shape: shape.id,
+            args: group.arg_values().map(arg_bits).collect(),
+            reduce_len: (group.last().kind == StageKind::Reduce)
+                .then(|| self.sources[0].elem_count()),
         }
     }
-    Ok(out)
+
+    /// See [`Plan::coalesce_signature`].
+    fn coalesce_signature(&self, tip: usize) -> Result<Option<CoalesceSignature>> {
+        let packed = self.packed_group(tip)?;
+        Ok(packed.map(|(group, shape)| self.signature_of(&group, &shape)))
+    }
+}
+
+/// The distribution of a plan source: a vector's, or — for a container
+/// without a flat one, a matrix — its default disjoint layout, block.
+fn distribution_of(source: &dyn DynContainer) -> Distribution {
+    source.flat_distribution().unwrap_or(Distribution::Block)
 }
 
 fn check_stage_args(udf: &UdfInfo, args: &Args) -> Result<()> {
@@ -960,65 +1021,252 @@ fn check_stage_args(udf: &UdfInfo, args: &Args) -> Result<()> {
     crate::skeletons::udf::check_arg_count(udf, args.len())
 }
 
-fn check_elem_ty<O: 'static>(udf: &UdfInfo, role: &str) -> Result<ScalarType> {
-    let Some(ty) = scalar_type_of::<O>() else {
-        return Err(SkelError::Plan(format!(
+/// The device scalar type of the element type `E`, which a plan needs of
+/// every container it reads or produces.
+fn check_elem_ty<E: 'static>() -> Result<ScalarType> {
+    scalar_type_of::<E>().ok_or_else(|| {
+        SkelError::Plan(format!(
             "element type {} is not a device scalar type (use f32, f64, i32 or u32)",
-            std::any::type_name::<O>()
-        )));
-    };
-    if udf.return_type != ty && role == "output" {
+            std::any::type_name::<E>()
+        ))
+    })
+}
+
+/// A stage producing `O` elements needs a user function returning them.
+fn check_out_ty<O: 'static>(udf: &UdfInfo) -> Result<()> {
+    let ty = check_elem_ty::<O>()?;
+    if udf.return_type != ty {
         return Err(SkelError::Plan(format!(
-            "the stage's user function returns `{}` but the {role} element type is `{ty}`",
+            "the stage's user function returns `{}` but the output element type is `{ty}`",
             udf.return_type
         )));
     }
-    Ok(ty)
+    Ok(())
 }
 
-/// A lazily built vector pipeline. Created by [`Vector::lazy`]; stage
-/// builders consume and return the plan, terminals (`into_vector`,
-/// `collect`, `exec`) execute it. Terminals take `&self`, so one plan can
-/// run several times.
-#[must_use = "a lazy plan does nothing until a terminal such as `into_vector()` runs it"]
-pub struct PlanVec<T: Pod> {
+mod sealed {
+    pub trait Sealed {}
+}
+
+/// What a [`Plan`] produces — its *output kind*: [`VectorOut`] (the
+/// [`PlanVec`] alias), [`ScalarOut`] ([`PlanScalar`]) or [`MatrixOut`]
+/// ([`MatPlan`]). A kind supplies what differs between the three and nothing
+/// else: what the terminal returns and how it runs, what one job of a
+/// [packed launch](Plan::pack_jobs) delivers, and the output term of
+/// [`Plan::footprint_bytes`]. Sealed: these three are all there are, and
+/// code that handles plans of any kind (a server's admission path) is
+/// generic over `K: PlanKind<T>`.
+pub trait PlanKind<T: Pod>: sealed::Sealed + Clone + Send + 'static {
+    /// What [`Plan::exec`] returns.
+    type Output;
+    /// The plan's result on the host — what [`Plan::collect`] returns and
+    /// what one job of a packed launch delivers.
+    type Job: Send + 'static;
+
+    /// Run `plan` and wrap what it produced.
+    #[doc(hidden)]
+    fn run(plan: &Plan<T, Self>) -> Result<Self::Output>;
+
+    /// Bring a result to the host.
+    #[doc(hidden)]
+    fn to_host(out: Self::Output) -> Result<Self::Job>;
+
+    /// One job's result from its span of a packed launch's output; `fold`
+    /// finishes the partials of a reduction.
+    #[doc(hidden)]
+    fn finish(span: Vec<T>, fold: &dyn Fn(&mut [T]) -> Result<T>) -> Result<Self::Job>;
+
+    /// Elements of device memory the output of a plan over `input_len`
+    /// elements takes.
+    #[doc(hidden)]
+    fn output_elems(input_len: usize) -> usize {
+        input_len
+    }
+
+    /// The input of a matrix plan.
+    #[doc(hidden)]
+    fn matrix(&self) -> Option<&Matrix<f32>> {
+        None
+    }
+}
+
+/// The output kind of a plan that produces a [`Vector`] (see [`PlanVec`]).
+#[derive(Clone, Copy, Debug)]
+pub struct VectorOut;
+
+/// The output kind of a plan closed by a reduction (see [`PlanScalar`]).
+#[derive(Clone, Copy, Debug)]
+pub struct ScalarOut;
+
+/// The output kind of a plan over a [`Matrix`] (see [`MatPlan`]); holds the
+/// matrix, which the barrier loop materialises group by group.
+#[derive(Clone)]
+pub struct MatrixOut(Matrix<f32>);
+
+impl sealed::Sealed for VectorOut {}
+impl sealed::Sealed for ScalarOut {}
+impl sealed::Sealed for MatrixOut {}
+
+impl<T: Pod> PlanKind<T> for VectorOut {
+    type Output = Vector<T>;
+    type Job = Vec<T>;
+
+    fn run(plan: &PlanVec<T>) -> Result<Vector<T>> {
+        let graph = &plan.graph;
+        graph.execute(plan.tip, &|out| {
+            // Read after the run: executing may have coerced the sources
+            // to a common distribution, which the output adopts.
+            let source = &*graph.sources[0];
+            Ok(Vector::device_resident(
+                &graph.runtime,
+                source.elem_count(),
+                distribution_of(source),
+                out.buffers()?,
+            ))
+        })
+    }
+
+    fn to_host(out: Vector<T>) -> Result<Vec<T>> {
+        out.to_vec()
+    }
+
+    fn finish(span: Vec<T>, _: &dyn Fn(&mut [T]) -> Result<T>) -> Result<Vec<T>> {
+        Ok(span)
+    }
+}
+
+impl<T: DeviceScalar> PlanKind<T> for ScalarOut {
+    type Output = T;
+    type Job = T;
+
+    fn run(plan: &PlanScalar<T>) -> Result<T> {
+        let wrap = |out: GroupOutput| out.scalar().map(T::from_value);
+        plan.graph.execute(plan.tip, &wrap)
+    }
+
+    fn to_host(out: T) -> Result<T> {
+        Ok(out)
+    }
+
+    fn finish(mut partials: Vec<T>, fold: &dyn Fn(&mut [T]) -> Result<T>) -> Result<T> {
+        fold(&mut partials)
+    }
+
+    /// A partial vector.
+    fn output_elems(input_len: usize) -> usize {
+        crate::reduce_partials(input_len)
+    }
+}
+
+impl PlanKind<f32> for MatrixOut {
+    type Output = Matrix<f32>;
+    type Job = Vec<f32>;
+
+    /// The barrier loop. A stencil changes the distribution of what it
+    /// reads, so a matrix plan cannot run as one call over uploaded sources:
+    /// every barrier-delimited group is one call over the matrix materialised
+    /// so far — an element-wise group as a vector plan's group runs
+    /// ([`PlanGraph::run_group`]), a stencil as the eager [`MapOverlap`] of
+    /// its stage — charged, prepared and recovered as the eager call is.
+    fn run(plan: &MatPlan) -> Result<Matrix<f32>> {
+        let (graph, matrix) = (&plan.graph, &plan.kind.0);
+        let stages = graph.runnable(plan.tip)?;
+        if matrix.is_empty() {
+            return Err(SkelError::EmptyInput);
+        }
+        let model = PerfModel::analytical(&graph.runtime);
+        let items = device_items(&Container::part_sizes(matrix));
+        let mut current = matrix.clone();
+        for group in &plan_groups(&stages, graph.policy, &model, &items)? {
+            let stage = group.last();
+            current = if let Some((halo, boundary)) = stage.stencil {
+                let sweep = MapOverlap::<f32, f32>::from_stage(stage.udf.clone(), halo, boundary);
+                let cfg = LaunchConfig {
+                    args: stage.args.clone(),
+                    ..Default::default()
+                };
+                Skeleton::execute(&sweep, &current, &cfg)?
+            } else {
+                let lowered = graph.lowered(group)?;
+                let (cfg, spec) = (LaunchConfig::default(), CallSpec::eager(None));
+                run_call(&graph.runtime, &[&current], &cfg, &spec, &mut |call| {
+                    let out = graph.run_group(group, &lowered, call, None)?;
+                    PreparedCall::wrap_output(&current, out.buffers()?, None)
+                })?
+            };
+        }
+        Ok(current)
+    }
+
+    fn to_host(out: Matrix<f32>) -> Result<Vec<f32>> {
+        out.to_vec()
+    }
+
+    fn finish(span: Vec<f32>, _: &dyn Fn(&mut [f32]) -> Result<f32>) -> Result<Vec<f32>> {
+        Ok(span)
+    }
+
+    fn matrix(&self) -> Option<&Matrix<f32>> {
+        Some(&self.0)
+    }
+}
+
+/// A lazily built skeleton pipeline: the one plan handle, a view — the node
+/// `tip`, producing `T` elements — of a shared expression graph. Created by
+/// [`Vector::lazy`] or [`Matrix::lazy`](crate::matrix::Matrix::lazy); stage
+/// builders consume and return the plan, terminals ([`exec`](Plan::exec),
+/// [`collect`](Plan::collect), …) execute it. Terminals take `&self`, so one
+/// plan can run several times.
+///
+/// What the plan produces is its *kind* `K` ([`PlanKind`]); the kinds go by
+/// the aliases [`PlanVec`], [`PlanScalar`] and [`MatPlan`]. Everything but
+/// the stage builders and the kind-named terminal aliases is written once,
+/// here, for every kind.
+#[must_use = "a lazy plan does nothing until a terminal such as `exec()` runs it"]
+pub struct Plan<T: Pod, K: PlanKind<T>> {
     graph: PlanGraph,
     tip: usize,
+    kind: K,
     _elem: PhantomData<fn() -> T>,
 }
 
-impl<T: Pod> Clone for PlanVec<T> {
+/// A lazily built vector pipeline, created by [`Vector::lazy`]: map, zip and
+/// scan stages keep it a vector plan, [`reduce`](Plan::reduce) closes it
+/// into a [`PlanScalar`]; [`into_vector`](Plan::into_vector) (or `exec`)
+/// runs it.
+pub type PlanVec<T> = Plan<T, VectorOut>;
+
+/// A lazily built pipeline terminated by a reduction;
+/// [`scalar`](Plan::scalar) (or `exec`) runs it.
+pub type PlanScalar<T> = Plan<T, ScalarOut>;
+
+/// A lazily built matrix pipeline over `f32` elements, created by
+/// [`Matrix::lazy`](crate::matrix::Matrix::lazy). Adjacent map stages fuse
+/// into one kernel — the memo entry a vector plan of the same stages uses,
+/// launched element-wise over the matrix's row blocks; stencil stages are
+/// barriers run as the eager [`MapOverlap`] with its halo-exchange
+/// distribution.
+pub type MatPlan = Plan<f32, MatrixOut>;
+
+impl<T: Pod, K: PlanKind<T>> Clone for Plan<T, K> {
     fn clone(&self) -> Self {
-        PlanVec {
+        Plan {
             graph: self.graph.clone(),
             tip: self.tip,
+            kind: self.kind.clone(),
             _elem: PhantomData,
         }
     }
 }
 
-impl<T: Pod> PlanVec<T> {
-    pub(crate) fn from_vector(vector: &Vector<T>) -> PlanVec<T> {
-        let ty = scalar_type_of::<T>();
-        let mut graph = PlanGraph {
-            runtime: vector.runtime(),
-            nodes: vec![PlanNode::Source {
-                source: 0,
-                ty: ty.unwrap_or(ScalarType::Float),
-            }],
-            sources: vec![Arc::new(vector.clone())],
-            policy: FusionPolicy::default(),
-            err: None,
-        };
-        if ty.is_none() {
-            graph.err = Some(SkelError::Plan(format!(
-                "element type {} is not a device scalar type (use f32, f64, i32 or u32)",
-                std::any::type_name::<T>()
-            )));
-        }
-        PlanVec {
-            graph,
-            tip: 0,
+impl<T: Pod, K: PlanKind<T>> Plan<T, K> {
+    /// The plan after a stage was admitted as node `tip`, producing `U`
+    /// elements for a plan of kind `kind`.
+    fn then<U: Pod, K2: PlanKind<U>>(self, tip: usize, kind: K2) -> Plan<U, K2> {
+        Plan {
+            graph: self.graph,
+            tip,
+            kind,
             _elem: PhantomData,
         }
     }
@@ -1029,6 +1277,108 @@ impl<T: Pod> PlanVec<T> {
         self
     }
 
+    /// Execute the plan and return its result: the [`Vector`] of a
+    /// [`PlanVec`], the reduced value of a [`PlanScalar`], the [`Matrix`] of
+    /// a [`MatPlan`].
+    pub fn exec(&self) -> Result<K::Output> {
+        K::run(self)
+    }
+
+    /// Execute the plan and download the result to the host: the elements of
+    /// a vector (or, row-major, matrix) plan, the value of a reduction.
+    pub fn collect(&self) -> Result<K::Job> {
+        K::to_host(self.exec()?)
+    }
+
+    /// Render the DAG and the fusion pass's per-boundary verdicts without
+    /// executing anything.
+    pub fn explain(&self) -> Result<String> {
+        self.graph.explain(self.tip, self.kind.matrix())
+    }
+
+    /// The runtime the plan executes against.
+    pub fn runtime(&self) -> Arc<SkelCl> {
+        self.graph.runtime.clone()
+    }
+
+    /// Element count of the plan's primary input (and therefore of a vector
+    /// or matrix plan's output).
+    pub fn input_len(&self) -> usize {
+        self.graph.sources[0].elem_count()
+    }
+
+    /// Estimated device bytes the plan needs at once: every input source
+    /// plus the output (under a reduction, a partial vector). Used by
+    /// admission control to charge tenant quotas before execution.
+    pub fn footprint_bytes(&self) -> usize {
+        K::output_elems(self.input_len()) * std::mem::size_of::<T>() + self.graph.source_bytes()
+    }
+
+    /// Re-establish a trustworthy device image of every input source before
+    /// replaying the plan after an injected fault. A transiently failed
+    /// upload is recorded by the coherence flags when *enqueued* but never
+    /// executes, so a replay that skipped this step could compute on a
+    /// buffer the data never reached. Serving-layer retries call this
+    /// before re-queueing a job.
+    pub fn refresh_for_replay(&self) -> Result<()> {
+        self.graph.refresh_sources()
+    }
+
+    /// The plan's *coalescing signature*, if it has one: `Ok(Some(_))` when
+    /// the pipeline is an elementwise (map/zip) chain, optionally closed by
+    /// a reduce, and therefore packable into one launch with other plans of
+    /// the same signature via [`Plan::pack_jobs`]. `Ok(None)` means the plan
+    /// contains a scan (or a stencil) and must run on its own. Beyond the
+    /// lowered shape — chain *and* reduce, one memo entry — and the scalar
+    /// argument bits, the signature of a reduction includes the input
+    /// length: reductions of different lengths never share a launch. See
+    /// [`CoalesceSignature`] for what equal signatures promise.
+    pub fn coalesce_signature(&self) -> Result<Option<CoalesceSignature>> {
+        self.graph.coalesce_signature(self.tip)
+    }
+
+    /// Pack many same-signature jobs into **one** kernel launch on `device`:
+    /// each job's input elements are laid back to back in one buffer per
+    /// kernel argument (one non-blocking write each), the fused kernel runs
+    /// once over all of them, and the returned [`PackedLaunch`] slices each
+    /// job's result back out of the packed output (one non-blocking read).
+    /// Every enqueue is non-blocking, so many packed launches can be in
+    /// flight at once.
+    ///
+    /// Every job must share this plan's runtime and
+    /// [`coalesce_signature`](Self::coalesce_signature); a single-job pack
+    /// is valid (that is exactly how the serving layer runs uncoalesced
+    /// jobs, which makes coalesced and uncoalesced results bit-identical by
+    /// construction).
+    ///
+    /// Reductions run through the packed reduce kernel
+    /// ([`crate::kernelgen::packed_reduce_kernel`]): a job of `L` elements is
+    /// cut into the `P =` [`reduce_partials`](crate::reduce_partials)`(L)`-way
+    /// chunks a one-device [`scalar`](Plan::scalar) of it would fold,
+    /// work-item `g` folding chunk `g % P` of job `g / P`, and
+    /// [`PackedLaunch::wait`] finishes each job's `P` partials on the host
+    /// with the operator's evaluator. So every job's result is, bit for bit,
+    /// what `scalar()` returns on a one-device runtime — whatever the batch
+    /// size, and whichever device of however many the launch runs on.
+    pub fn pack_jobs(jobs: &[&Plan<T, K>], device: usize) -> Result<PackedLaunch<T, K::Job>>
+    where
+        T: DeviceScalar,
+    {
+        let jobs: Vec<_> = jobs.iter().map(|job| (&job.graph, job.tip)).collect();
+        pack_graphs(&jobs, device, K::finish)
+    }
+}
+
+impl<T: Pod> Plan<T, VectorOut> {
+    pub(crate) fn from_vector(vector: &Vector<T>) -> PlanVec<T> {
+        Plan {
+            graph: PlanGraph::over::<T>(vector.runtime(), Arc::new(vector.clone())),
+            tip: 0,
+            kind: VectorOut,
+            _elem: PhantomData,
+        }
+    }
+
     /// Append an elementwise map stage.
     pub fn map<O: Pod>(self, skeleton: &Map<T, O>) -> PlanVec<O> {
         self.map_with(skeleton, Args::none())
@@ -1036,26 +1386,14 @@ impl<T: Pod> PlanVec<T> {
 
     /// Append an elementwise map stage with additional scalar arguments.
     pub fn map_with<O: Pod>(mut self, skeleton: &Map<T, O>, args: Args) -> PlanVec<O> {
-        let tip = self.tip;
-        let tip = self.graph.admit(tip, |g| {
-            let udf = skeleton.plan_udf()?;
-            g.check_chain(tip, &udf, "map")?;
-            check_stage_args(&udf, &args)?;
-            check_elem_ty::<O>(&udf, "output")?;
-            Ok(PlanNode::Map {
-                input: tip,
-                udf,
-                args,
-            })
-        });
-        PlanVec {
-            graph: self.graph,
-            tip,
-            _elem: PhantomData,
-        }
+        let tip = self
+            .graph
+            .admit_map::<O>(self.tip, skeleton.plan_udf(), args);
+        self.then(tip, VectorOut)
     }
 
-    /// Append an elementwise zip stage with a second input vector.
+    /// Append an elementwise zip stage with a second input vector — which
+    /// may be the plan's own input (`v.lazy().zip(&v, &mul)`).
     pub fn zip<B: Pod, O: Pod>(self, other: &Vector<B>, skeleton: &Zip<T, B, O>) -> PlanVec<O> {
         self.zip_with(other, skeleton, Args::none())
     }
@@ -1078,9 +1416,9 @@ impl<T: Pod> PlanVec<T> {
                     right: other.len(),
                 });
             }
-            g.check_chain(tip, &udf, "zip")?;
-            let other_ty = check_elem_ty::<B>(&udf, "second input")?;
-            if udf.main_params.len() < 2 || udf.main_params[1] != other_ty {
+            g.check_chain(tip, &udf, StageKind::Zip)?;
+            let other_ty = check_elem_ty::<B>()?;
+            if udf.main_params.get(1) != Some(&other_ty) {
                 return Err(SkelError::Plan(format!(
                     "zip stage expects `{}` as its second input but the vector holds `{other_ty}`",
                     udf.main_params
@@ -1089,26 +1427,19 @@ impl<T: Pod> PlanVec<T> {
                 )));
             }
             check_stage_args(&udf, &args)?;
-            check_elem_ty::<O>(&udf, "output")?;
+            check_out_ty::<O>(&udf)?;
             let source = g.sources.len();
             g.sources.push(Arc::new(other.clone()));
             g.nodes.push(PlanNode::Source {
                 source,
                 ty: other_ty,
             });
-            let other_node = g.nodes.len() - 1;
-            Ok(PlanNode::Zip {
-                input: tip,
-                other: other_node,
-                udf,
-                args,
+            Ok(Stage {
+                side: Some((g.nodes.len() - 1, source)),
+                ..Stage::new(StageKind::Zip, tip, udf, args)
             })
         });
-        PlanVec {
-            graph: self.graph,
-            tip,
-            _elem: PhantomData,
-        }
+        self.then(tip, VectorOut)
     }
 
     /// Terminate the chain with a full reduction.
@@ -1116,21 +1447,10 @@ impl<T: Pod> PlanVec<T> {
     where
         T: DeviceScalar,
     {
-        let tip = self.tip;
-        let tip = self.graph.admit(tip, |g| {
-            let (udf, host) = skeleton.plan_op()?;
-            g.check_chain(tip, &udf, "reduce")?;
-            Ok(PlanNode::Reduce {
-                input: tip,
-                udf,
-                host,
-            })
-        });
-        PlanScalar {
-            graph: self.graph,
-            tip,
-            _elem: PhantomData,
-        }
+        let tip = self
+            .graph
+            .admit_fold(self.tip, StageKind::Reduce, skeleton.plan_op());
+        self.then(tip, ScalarOut)
     }
 
     /// Append an inclusive prefix scan (further stages may follow it).
@@ -1138,174 +1458,80 @@ impl<T: Pod> PlanVec<T> {
     where
         T: DeviceScalar,
     {
-        let tip = self.tip;
-        let tip = self.graph.admit(tip, |g| {
-            let (udf, host) = skeleton.plan_op()?;
-            g.check_chain(tip, &udf, "scan")?;
-            Ok(PlanNode::Scan {
-                input: tip,
-                udf,
-                host,
-            })
-        });
-        PlanVec {
-            graph: self.graph,
-            tip,
+        let tip = self
+            .graph
+            .admit_fold(self.tip, StageKind::Scan, skeleton.plan_op());
+        self.then(tip, VectorOut)
+    }
+
+    /// Execute the plan and return the result vector ([`exec`](Plan::exec)
+    /// by its vector name).
+    pub fn into_vector(&self) -> Result<Vector<T>> {
+        self.exec()
+    }
+}
+
+impl<T: DeviceScalar> Plan<T, ScalarOut> {
+    /// Execute the plan and return the reduced scalar ([`exec`](Plan::exec)
+    /// by its scalar name).
+    pub fn scalar(&self) -> Result<T> {
+        self.exec()
+    }
+}
+
+impl Plan<f32, MatrixOut> {
+    pub(crate) fn from_matrix(matrix: &Matrix<f32>) -> MatPlan {
+        Plan {
+            graph: PlanGraph::over::<f32>(matrix.runtime(), Arc::new(matrix.clone())),
+            tip: 0,
+            kind: MatrixOut(matrix.clone()),
             _elem: PhantomData,
         }
     }
 
-    /// Execute the plan and return the result vector.
-    pub fn into_vector(&self) -> Result<Vector<T>> {
-        self.graph.execute(self.tip, &|out| match out {
-            GroupOutput::Buffers(buffers) => {
-                // Read after the run: executing may have coerced the sources
-                // to a common distribution, which the output adopts.
-                let source = &*self.graph.sources[0];
-                Vector::device_resident(
-                    &self.graph.runtime,
-                    source.elem_count(),
-                    distribution_of(source),
-                    buffers,
-                )
-            }
-            GroupOutput::Scalar(_) => unreachable!("a PlanVec tip lowers to a vector"),
-        })
+    /// Append an elementwise map stage.
+    pub fn map(self, skeleton: &Map<f32, f32>) -> Self {
+        self.map_with(skeleton, Args::none())
     }
 
-    /// Execute the plan ([`into_vector`](Self::into_vector) alias).
-    pub fn exec(&self) -> Result<Vector<T>> {
-        self.into_vector()
+    /// Append an elementwise map stage with additional scalar arguments.
+    pub fn map_with(mut self, skeleton: &Map<f32, f32>, args: Args) -> Self {
+        self.tip = self
+            .graph
+            .admit_map::<f32>(self.tip, skeleton.plan_udf(), args);
+        self
     }
 
-    /// Execute the plan and download the result to the host.
-    pub fn collect(&self) -> Result<Vec<T>> {
-        self.into_vector()?.to_vec()
+    /// Append a stencil stage. Stencils never fuse with their neighbours
+    /// (they read a halo, not one element), so this is a pipeline barrier.
+    pub fn map_overlap(self, skeleton: &MapOverlap<f32, f32>) -> Self {
+        self.map_overlap_with(skeleton, Args::none())
     }
 
-    /// Render the DAG and the fusion pass's per-boundary verdicts without
-    /// executing anything.
-    pub fn explain(&self) -> Result<String> {
-        self.graph.explain(self.tip)
-    }
-
-    /// The runtime the plan executes against.
-    pub fn runtime(&self) -> Arc<SkelCl> {
-        self.graph.runtime.clone()
-    }
-
-    /// Element count of the plan's primary input (and therefore its output).
-    pub fn input_len(&self) -> usize {
-        self.graph.sources[0].elem_count()
-    }
-
-    /// Estimated device bytes the plan needs at once: every input source
-    /// plus the output. Used by admission control to charge tenant quotas
-    /// before execution.
-    pub fn footprint_bytes(&self) -> usize {
-        self.input_len() * std::mem::size_of::<T>() + self.graph.source_bytes()
-    }
-
-    /// Re-establish a trustworthy device image of every input source before
-    /// replaying the plan after an injected fault. A transiently failed
-    /// upload is recorded by the coherence flags when *enqueued* but never
-    /// executes, so a replay that skipped this step could compute on a
-    /// buffer the data never reached. Serving-layer retries call this
-    /// before re-queueing a job.
-    pub fn refresh_for_replay(&self) -> Result<()> {
-        self.graph.refresh_sources()
-    }
-
-    /// The plan's *coalescing signature*, if it has one: `Ok(Some(_))` when
-    /// the whole pipeline is elementwise (a map/zip chain) and therefore
-    /// packable into one launch with other plans of the same signature via
-    /// [`PlanVec::pack_jobs`]. `Ok(None)` means the plan contains a scan
-    /// and must run on its own. See [`CoalesceSignature`] for what equal
-    /// signatures promise.
-    pub fn coalesce_signature(&self) -> Result<Option<CoalesceSignature>> {
-        self.graph.coalesce_signature(self.tip)
-    }
-
-    /// Pack many same-signature jobs into **one** kernel launch on `device`:
-    /// each job's input elements are laid back to back in one buffer per
-    /// kernel argument, the fused kernel runs once over the combined element
-    /// count, and the returned [`PackedLaunch`] slices each job's span back
-    /// out of the packed output. Every enqueue is non-blocking, so many
-    /// packed launches can be in flight at once.
-    ///
-    /// Every job must share this plan's runtime and
-    /// [`coalesce_signature`](Self::coalesce_signature); a single-job pack
-    /// is valid (that is exactly how the serving layer runs uncoalesced
-    /// jobs, which makes coalesced and uncoalesced results bit-identical by
-    /// construction).
-    pub fn pack_jobs(jobs: &[&PlanVec<T>], device: usize) -> Result<PackedLaunch<T>>
-    where
-        T: DeviceScalar,
-    {
-        let jobs: Vec<_> = jobs.iter().map(|job| (&job.graph, job.tip)).collect();
-        pack_graphs(&jobs, device, |elements, _| Ok(elements))
-    }
-}
-
-impl PlanGraph {
-    /// The plan at `tip` as one packed launch over many jobs: its stages,
-    /// when they are an elementwise chain optionally closed by a reduce, and
-    /// their memo entry — the entry every plan of these stages uses, except
-    /// that a closing reduce is lowered through its packed frame. `None` for
-    /// a plan without stages or with a scan.
-    fn packed_group(&self, tip: usize) -> Result<Option<(Vec<usize>, Arc<LoweredShape>)>> {
-        if let Some(err) = &self.err {
-            return Err(err.clone());
-        }
-        let group = self.spine(tip).split_off(1);
-        let Some((&last, chain)) = group.split_last() else {
-            return Ok(None);
-        };
-        let elementwise =
-            |&i: &usize| matches!(self.nodes[i], PlanNode::Map { .. } | PlanNode::Zip { .. });
-        if !(self.reduces(last) || elementwise(&last)) || !chain.iter().all(elementwise) {
-            return Ok(None);
-        }
-        let mut stages = stage_shapes(&self.nodes, &group);
-        if let Some((kind @ StageKind::Reduce, _)) = stages.last_mut() {
-            *kind = StageKind::PackedReduce;
-        }
-        let shape = self.runtime.lowerings().lowered(&stages)?;
-        Ok(Some((group, shape)))
-    }
-
-    fn reduces(&self, node: usize) -> bool {
-        matches!(self.nodes[node], PlanNode::Reduce { .. })
-    }
-
-    /// The signature of this plan's packed `group` (not empty), lowered to
-    /// `shape`.
-    fn signature_of(&self, group: &[usize], shape: &LoweredShape) -> CoalesceSignature {
-        CoalesceSignature {
-            memo: self.runtime.lowerings().id,
-            shape: shape.id,
-            args: scalar_args(&self.nodes, group).map(arg_bits).collect(),
-            reduce_len: self
-                .reduces(group[group.len() - 1])
-                .then(|| self.sources[0].elem_count()),
-        }
-    }
-
-    /// See [`PlanVec::coalesce_signature`] and
-    /// [`PlanScalar::coalesce_signature`].
-    fn coalesce_signature(&self, tip: usize) -> Result<Option<CoalesceSignature>> {
-        let packed = self.packed_group(tip)?;
-        Ok(packed.map(|(group, shape)| self.signature_of(&group, &shape)))
+    /// Append a stencil stage with additional scalar arguments.
+    pub fn map_overlap_with(mut self, skeleton: &MapOverlap<f32, f32>, args: Args) -> Self {
+        let tip = self.tip;
+        self.tip = self.graph.admit(tip, |_| {
+            let udf = skeleton.plan_udf()?;
+            check_stage_args(&udf, &args)?;
+            check_out_ty::<f32>(&udf)?;
+            Ok(Stage {
+                stencil: Some((skeleton.halo(), skeleton.boundary())),
+                ..Stage::new(StageKind::MapOverlap, tip, udf, args)
+            })
+        });
+        self
     }
 }
 
 /// Turns one job's span of a packed launch's output into the job's result;
-/// a reduction's launch hands it the operator's host evaluator.
-type Finish<T, O> = fn(Vec<T>, Option<&HostOperator>) -> Result<O>;
+/// it is handed the fold that finishes the partials of a reduction
+/// ([`PlanKind::finish`]).
+type Finish<T, O> = fn(Vec<T>, &dyn Fn(&mut [T]) -> Result<T>) -> Result<O>;
 
-/// What [`PlanVec::pack_jobs`] and [`PlanScalar::pack_jobs`] share: check
-/// that the jobs (graph and tip each) may share a launch, bind the batch to
-/// the leader's memo entry, lay the jobs out and enqueue the launch.
+/// [`Plan::pack_jobs`] over the jobs' graphs and tips: check that the jobs
+/// may share a launch, bind the batch to the leader's memo entry, lay the
+/// jobs out and enqueue the launch.
 fn pack_graphs<T: DeviceScalar, O>(
     jobs: &[(&PlanGraph, usize)],
     device: usize,
@@ -1334,11 +1560,12 @@ fn pack_graphs<T: DeviceScalar, O>(
         }
     }
     // The batch's one binding: every member runs the leader's memo entry.
-    let lowered = bind_group(&first.nodes, &group, shape);
-    let lens: Vec<usize> = jobs
-        .iter()
-        .map(|(job, _)| job.sources[0].elem_count())
-        .collect();
+    let lowered = group.bind(shape);
+    let mut lens = Vec::with_capacity(jobs.len());
+    for (job, _) in jobs {
+        job.check_source_lens()?;
+        lens.push(job.sources[0].elem_count());
+    }
     if lens.contains(&0) {
         return Err(SkelError::EmptyInput);
     }
@@ -1351,15 +1578,7 @@ fn pack_graphs<T: DeviceScalar, O>(
     });
     // Same telemetry as `execute()` would account per job: the packed
     // launch fuses the chain's interior stages away on one device.
-    let stages = &lowered.shape.stages;
-    let merged = stages.len() - 1;
-    if merged > 0 {
-        let bytes: usize = stages[..merged]
-            .iter()
-            .map(|(_, udf)| total * udf.return_type.size_bytes())
-            .sum();
-        runtime.charge_fusion(merged, merged, merged, bytes);
-    }
+    group.account_fusion(&runtime, 1, total);
     let mut buffers: Vec<Buffer> = Vec::new();
     match pack_launch::<T>(
         &runtime,
@@ -1462,8 +1681,8 @@ fn pack_launch<T: DeviceScalar>(
 /// closed by a reduce, its input length (the packed reduce cuts every job of
 /// a launch into the same chunks). Two plans with equal signatures belong to
 /// one runtime and run the exact same kernel with the exact same arguments,
-/// so [`PlanVec::pack_jobs`] / [`PlanScalar::pack_jobs`] may run them as one
-/// launch. Cheap to clone, compare and hash.
+/// so [`Plan::pack_jobs`] may run them as one launch. Cheap to clone, compare
+/// and hash.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct CoalesceSignature {
     memo: usize,
@@ -1496,11 +1715,11 @@ impl std::fmt::Debug for CoalesceSignature {
     }
 }
 
-/// An in-flight packed launch produced by [`PlanVec::pack_jobs`] (per-job
-/// result `O = Vec<T>`, the job's output elements) or
-/// [`PlanScalar::pack_jobs`] (`O = T`, the job's reduced value): one fused
-/// kernel running every packed job plus the non-blocking read of the packed
-/// output. [`PackedLaunch::wait`] joins the launch's commands, advances the
+/// An in-flight packed launch produced by [`Plan::pack_jobs`] — of vector
+/// plans (per-job result `O = Vec<T>`, the job's output elements) or of
+/// reductions (`O = T`, the job's reduced value; `O` is the plan kind's
+/// [`PlanKind::Job`]): one fused kernel running every packed job plus the
+/// non-blocking read of the packed output. [`PackedLaunch::wait`] joins the launch's commands, advances the
 /// host's virtual clock to the read's completion, releases the packed
 /// buffers back to the device pool and splits the output into one result
 /// per job.
@@ -1570,336 +1789,16 @@ impl<T: Pod, O> PackedLaunch<T, O> {
         }
         let record = joined?;
         self.runtime.context().sync_host_to(record.end);
-        let spans = self.spans.unpack(data).into_iter();
-        let results = spans.map(|span| (self.finish)(span, self.host_op.as_deref()));
-        Ok((results.collect::<Result<_>>()?, record))
-    }
-}
-
-/// A lazily built pipeline terminated by a reduction; [`scalar`](Self::scalar)
-/// executes it.
-#[must_use = "a lazy plan does nothing until a terminal such as `scalar()` runs it"]
-pub struct PlanScalar<T: DeviceScalar> {
-    graph: PlanGraph,
-    tip: usize,
-    _elem: PhantomData<fn() -> T>,
-}
-
-impl<T: DeviceScalar> Clone for PlanScalar<T> {
-    fn clone(&self) -> Self {
-        PlanScalar {
-            graph: self.graph.clone(),
-            tip: self.tip,
-            _elem: PhantomData,
-        }
-    }
-}
-
-impl<T: DeviceScalar> PlanScalar<T> {
-    /// Override the fusion policy (default: [`FusionPolicy::Auto`]).
-    pub fn policy(mut self, policy: FusionPolicy) -> Self {
-        self.graph.policy = policy;
-        self
-    }
-
-    /// Execute the plan and return the reduced scalar.
-    pub fn scalar(&self) -> Result<T> {
-        self.graph.execute(self.tip, &|out| match out {
-            GroupOutput::Scalar(value) => T::from_value(value),
-            GroupOutput::Buffers(_) => unreachable!("a PlanScalar tip lowers to a scalar"),
-        })
-    }
-
-    /// Execute the plan ([`scalar`](Self::scalar) alias).
-    pub fn exec(&self) -> Result<T> {
-        self.scalar()
-    }
-
-    /// Render the DAG and the fusion pass's per-boundary verdicts without
-    /// executing anything.
-    pub fn explain(&self) -> Result<String> {
-        self.graph.explain(self.tip)
-    }
-
-    /// The runtime the plan executes against.
-    pub fn runtime(&self) -> Arc<SkelCl> {
-        self.graph.runtime.clone()
-    }
-
-    /// Element count of the plan's primary input.
-    pub fn input_len(&self) -> usize {
-        self.graph.sources[0].elem_count()
-    }
-
-    /// Estimated device bytes the plan needs at once (every input source
-    /// plus a partial vector). Used by admission control to charge tenant
-    /// quotas before execution.
-    pub fn footprint_bytes(&self) -> usize {
-        crate::reduce_partials(self.input_len()) * std::mem::size_of::<T>()
-            + self.graph.source_bytes()
-    }
-
-    /// Re-establish a trustworthy device image of every input source before
-    /// replaying the plan after an injected fault (see
-    /// [`PlanVec::refresh_for_replay`]).
-    pub fn refresh_for_replay(&self) -> Result<()> {
-        self.graph.refresh_sources()
-    }
-
-    /// The plan's *coalescing signature*, if it has one: `Ok(Some(_))` when
-    /// the reduce closes an elementwise (map/zip) chain — or the bare source
-    /// — so that the plan can share a launch with plans of the same
-    /// signature via [`PlanScalar::pack_jobs`]; `Ok(None)` when a scan
-    /// precedes the reduce. Beyond what a vector plan's signature covers —
-    /// the lowered shape (chain *and* reduce, one memo entry) and the scalar
-    /// argument bits — it includes the input length: jobs of different
-    /// lengths never share a launch. See [`CoalesceSignature`].
-    pub fn coalesce_signature(&self) -> Result<Option<CoalesceSignature>> {
-        self.graph.coalesce_signature(self.tip)
-    }
-
-    /// Pack many same-signature reductions into **one** kernel launch on
-    /// `device`, as [`PlanVec::pack_jobs`] does for elementwise jobs: inputs
-    /// laid back to back in one buffer per kernel argument, one non-blocking
-    /// write per buffer, one launch of the packed reduce kernel
-    /// ([`crate::kernelgen::packed_reduce_kernel`]), one non-blocking read.
-    ///
-    /// A job of `L` elements is cut into the `P =`
-    /// [`reduce_partials`](crate::reduce_partials)`(L)`-way chunks a
-    /// one-device [`scalar`](Self::scalar) of it would fold, work-item `g`
-    /// folding chunk `g % P` of job `g / P`; [`PackedLaunch::wait`] finishes
-    /// each job's `P` partials on the host with the operator's evaluator.
-    /// So every job's result is, bit for bit, what `scalar()` returns on a
-    /// one-device runtime — whatever the batch size, and whichever device of
-    /// however many the launch runs on.
-    pub fn pack_jobs(jobs: &[&PlanScalar<T>], device: usize) -> Result<PackedLaunch<T, T>> {
-        let jobs: Vec<_> = jobs.iter().map(|job| (&job.graph, job.tip)).collect();
-        pack_graphs(&jobs, device, |mut partials, host_op| match partials[..] {
-            [only] => Ok(only),
-            _ => host_op
-                .expect("a packed reduce carries its operator's host evaluator")
-                .fold(&mut partials),
-        })
-    }
-}
-
-/// One stage of a matrix plan. Map stages carry their data in the node
-/// table; stencil stages keep a borrow of the eager skeleton they lower to.
-enum MatStage<'a> {
-    Map,
-    Overlap(&'a MapOverlap<f32, f32>, Args),
-}
-
-/// A lazily built matrix pipeline over `f32` elements, created by
-/// [`Matrix::lazy`]. Adjacent map stages fuse into one kernel — the memo
-/// entry a vector plan of the same stages uses, launched element-wise over
-/// the matrix's row blocks; stencil stages are barriers lowered through the
-/// eager [`MapOverlap`] with its halo-exchange distribution.
-#[must_use = "a lazy plan does nothing until a terminal such as `exec()` runs it"]
-pub struct MatPlan<'a> {
-    runtime: Arc<SkelCl>,
-    matrix: Matrix<f32>,
-    nodes: Vec<PlanNode>,
-    stages: Vec<MatStage<'a>>,
-    policy: FusionPolicy,
-    err: Option<SkelError>,
-}
-
-impl<'a> MatPlan<'a> {
-    pub(crate) fn new(matrix: &Matrix<f32>) -> MatPlan<'a> {
-        MatPlan {
-            runtime: matrix.runtime(),
-            matrix: matrix.clone(),
-            nodes: vec![PlanNode::Source {
-                source: 0,
-                ty: ScalarType::Float,
-            }],
-            stages: Vec::new(),
-            policy: FusionPolicy::default(),
-            err: None,
-        }
-    }
-
-    fn admit(&mut self, build: impl FnOnce(&MatPlan<'a>) -> Result<(PlanNode, MatStage<'a>)>) {
-        if self.err.is_some() {
-            return;
-        }
-        match build(self) {
-            Ok((node, stage)) => {
-                self.nodes.push(node);
-                self.stages.push(stage);
-            }
-            Err(e) => self.err = Some(e),
-        }
-    }
-
-    /// Override the fusion policy (default: [`FusionPolicy::Auto`]).
-    pub fn policy(mut self, policy: FusionPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Append an elementwise map stage.
-    pub fn map(self, skeleton: &Map<f32, f32>) -> Self {
-        self.map_with(skeleton, Args::none())
-    }
-
-    /// Append an elementwise map stage with additional scalar arguments.
-    pub fn map_with(mut self, skeleton: &Map<f32, f32>, args: Args) -> Self {
-        let input = self.nodes.len() - 1;
-        self.admit(|_| {
-            let udf = skeleton.plan_udf()?;
-            if udf.main_params[0] != ScalarType::Float || udf.return_type != ScalarType::Float {
-                return Err(SkelError::Plan(
-                    "matrix pipeline stages must map float to float".into(),
-                ));
-            }
-            check_stage_args(&udf, &args)?;
-            Ok((
-                PlanNode::Map {
-                    input,
-                    udf,
-                    args: args.clone(),
-                },
-                MatStage::Map,
-            ))
-        });
-        self
-    }
-
-    /// Append a stencil stage. Stencils never fuse with their neighbours
-    /// (they read a halo, not one element), so this is a pipeline barrier.
-    pub fn map_overlap(self, skeleton: &'a MapOverlap<f32, f32>) -> Self {
-        self.map_overlap_with(skeleton, Args::none())
-    }
-
-    /// Append a stencil stage with additional arguments.
-    pub fn map_overlap_with(mut self, skeleton: &'a MapOverlap<f32, f32>, args: Args) -> Self {
-        let input = self.nodes.len() - 1;
-        self.admit(|_| {
-            Ok((
-                PlanNode::MapOverlap {
-                    input,
-                    halo: skeleton.halo(),
-                },
-                MatStage::Overlap(skeleton, args.clone()),
-            ))
-        });
-        self
-    }
-
-    fn device_items(&self) -> Vec<(usize, usize)> {
-        Container::part_sizes(&self.matrix)
-            .iter()
-            .enumerate()
-            .filter(|&(_, &n)| n > 0)
-            .map(|(d, &n)| (d, n))
-            .collect()
-    }
-
-    fn groups(&self) -> Result<Vec<Group>> {
-        let spine: Vec<usize> = (0..self.nodes.len()).collect();
-        let model = PerfModel::analytical(&self.runtime);
-        plan_groups(
-            &self.nodes,
-            &spine,
-            self.policy,
-            &model,
-            &self.device_items(),
-        )
-    }
-
-    /// Execute the plan and return the result matrix.
-    pub fn exec(&self) -> Result<Matrix<f32>> {
-        if let Some(err) = &self.err {
-            return Err(err.clone());
-        }
-        if self.nodes.len() < 2 {
-            return Err(SkelError::Plan(
-                "a lazy plan needs at least one stage before a terminal; \
-                 call map or map_overlap first"
-                    .into(),
-            ));
-        }
-        if self.matrix.is_empty() {
-            return Err(SkelError::EmptyInput);
-        }
-        let groups = self.groups()?;
-        let mut current = self.matrix.clone();
-        for group in &groups {
-            match group.kind {
-                GroupKind::Elementwise => {
-                    let shape = lower_nodes(&self.runtime, &self.nodes, &group.nodes)?;
-                    let mut cfg = LaunchConfig::default();
-                    for &i in &group.nodes {
-                        if let PlanNode::Map { args, .. } = &self.nodes[i] {
-                            for item in args.items() {
-                                cfg.args.push_item(item.clone());
-                            }
-                        }
-                    }
-                    let spec = CallSpec::eager(None);
-                    let next: Matrix<f32> =
-                        run_call(&self.runtime, &[&current], &cfg, &spec, &mut |call| {
-                            let kernel = &shape.kernels(&call.runtime)?.kernel;
-                            let out_buffers =
-                                call.launch_elementwise::<f32, Matrix<f32>>(kernel, &[], None)?;
-                            PreparedCall::wrap_output(&current, out_buffers, None)
-                        })?;
-                    let merged = group.nodes.len() - 1;
-                    if merged > 0 {
-                        let items = self.device_items();
-                        let active = items.len();
-                        let stored: usize = items.iter().map(|&(_, n)| n).sum();
-                        self.runtime.charge_fusion(
-                            merged,
-                            merged * active,
-                            merged * active,
-                            merged * stored * ScalarType::Float.size_bytes(),
-                        );
-                    }
-                    current = next;
-                }
-                GroupKind::Overlap => {
-                    let MatStage::Overlap(skeleton, args) = &self.stages[group.nodes[0] - 1] else {
-                        unreachable!("overlap groups hold stencil stages")
-                    };
-                    let cfg = LaunchConfig {
-                        args: args.clone(),
-                        ..Default::default()
-                    };
-                    current = Skeleton::execute(*skeleton, &current, &cfg)?;
-                }
-                GroupKind::Reduce | GroupKind::Scan => {
-                    unreachable!("matrix plans have no reduce/scan stage")
-                }
-            }
-        }
-        Ok(current)
-    }
-
-    /// Render the DAG and the fusion pass's per-boundary verdicts without
-    /// executing anything.
-    pub fn explain(&self) -> Result<String> {
-        if let Some(err) = &self.err {
-            return Err(err.clone());
-        }
-        let shape = format!("{}x{}", self.matrix.rows(), self.matrix.cols());
-        let groups = if self.nodes.len() < 2 {
-            Err("the plan has no stage")
-        } else if self.matrix.is_empty() {
-            Err("empty input")
-        } else {
-            Ok(self.groups()?)
+        let fold = |partials: &mut [T]| match (&self.host_op, partials.len()) {
+            (_, 1) => Ok(partials[0]),
+            (Some(op), _) => op.fold(partials),
+            (None, _) => Err(SkelError::Internal(
+                "a packed launch without a reduce has no partials to fold".into(),
+            )),
         };
-        explain_plan(
-            &self.runtime,
-            &self.nodes,
-            self.policy,
-            &format!("1 matrix ({shape})"),
-            &|_| format!("{shape}, {:?}", self.matrix.distribution()),
-            groups,
-        )
+        let spans = self.spans.unpack(data).into_iter();
+        let results = spans.map(|span| (self.finish)(span, &fold));
+        Ok((results.collect::<Result<_>>()?, record))
     }
 }
 
@@ -1923,12 +1822,12 @@ mod tests {
 
     /// Build `stages` (indices into MAPS then ZIPS, with argument values)
     /// plus a terminal (0 none, 1 reduce, 2 scan) from fresh skeleton
-    /// instances; returns the graph and its one forced group.
+    /// instances; returns the graph and its tip.
     fn build(
         rt: &Arc<SkelCl>,
         stages: &[(usize, f32, f32)],
         terminal: usize,
-    ) -> (PlanGraph, Vec<usize>) {
+    ) -> (PlanGraph, usize) {
         let v = Vector::from_vec(rt, vec![1.0f32, 2.0, 3.0]);
         let mut plan = v.lazy();
         for &(which, a, b) in stages {
@@ -1951,8 +1850,12 @@ mod tests {
             _ => (plan.graph, plan.tip),
         };
         assert!(graph.err.is_none(), "{:?}", graph.err);
-        let group = graph.spine(tip)[1..].to_vec();
-        (graph, group)
+        (graph, tip)
+    }
+
+    /// The plan's stages as one forced group.
+    fn forced(graph: &PlanGraph, tip: usize) -> Group<'_> {
+        Group::of(graph.stages(tip))
     }
 
     proptest! {
@@ -1969,9 +1872,9 @@ mod tests {
             terminal in 0usize..3,
         ) {
             let rt = crate::runtime::init_gpus(1);
-            let (graph, group) = build(&rt, &stages, terminal);
-            let fresh = lower_group(&stage_shapes(&graph.nodes, &group), 0).unwrap();
-            let fresh = bind_group(&graph.nodes, &group, Arc::new(fresh));
+            let (graph, tip) = build(&rt, &stages, terminal);
+            let group = forced(&graph, tip);
+            let fresh = group.bind(Arc::new(lower_group(&group.shapes(), 0).unwrap()));
             let memoised = graph.lowered(&group).unwrap();
             prop_assert_eq!(&memoised.shape.rendered.source, &fresh.shape.rendered.source);
             prop_assert_eq!(
@@ -1983,13 +1886,135 @@ mod tests {
             prop_assert_eq!(rt.exec_trace().plan_lowerings, 1);
 
             let shifted: Vec<_> = stages.iter().map(|&(w, a, b)| (w, a + 1.0, b - 1.0)).collect();
-            let (graph2, group2) = build(&rt, &shifted, terminal);
+            let (graph2, tip2) = build(&rt, &shifted, terminal);
+            let group2 = forced(&graph2, tip2);
             let again = graph2.lowered(&group2).unwrap();
             prop_assert!(Arc::ptr_eq(&again.shape, &memoised.shape));
-            let fresh2 = bind_group(&graph2.nodes, &group2, again.shape.clone());
+            let fresh2 = group2.bind(again.shape.clone());
             prop_assert_eq!(&again.extra_args, &fresh2.extra_args);
             let trace = rt.exec_trace();
             prop_assert_eq!((trace.plan_lowerings, trace.plan_lowering_hits), (1, 1));
+        }
+    }
+
+    /// A stage of every kind answers for itself what the per-consumer
+    /// matches it replaced answered (`node_out_ty`, `stage_info`,
+    /// `stage_shapes`, `scalar_args`, the `explain` table): the lines are
+    /// the parent commit's `explain()` output for this plan, the byte
+    /// figures its cost table's.
+    #[test]
+    fn a_stage_of_every_kind_answers_for_itself() {
+        let rt = crate::runtime::init_gpus(2);
+        let scale = Map::<f32, f64>::from_source("double func(float x, float a) { return x * a; }");
+        let mul =
+            Zip::<f64, i32, f32>::from_source("float func(double x, int y) { return x * y; }");
+        let v = Vector::from_vec(&rt, vec![1.0f32; 8]);
+        let w = Vector::from_vec(&rt, vec![2i32; 8]);
+        let plan = v
+            .lazy()
+            .map_with(&scale, crate::args![1.5f32])
+            .zip(&w, &mul)
+            .scan(&Scan::from_source(ADD))
+            .reduce(&Reduce::from_source(ADD));
+        assert!(plan.graph.err.is_none(), "{:?}", plan.graph.err);
+        let stages = plan.graph.stages(plan.tip);
+        // (node, kind, side bytes, out bytes, explain line)
+        let want = [
+            (1, StageKind::Map, 0.0, 8.0, "map(%0) -> double"),
+            (3, StageKind::Zip, 4.0, 4.0, "zip(%1, %2) -> float"),
+            (4, StageKind::Scan, 0.0, 4.0, "scan(%3) -> float"),
+            (5, StageKind::Reduce, 0.0, 0.0, "reduce(%4) -> float"),
+        ];
+        assert_eq!(stages.len(), want.len());
+        for (&(node, stage), (want_node, kind, side_bytes, out_bytes, line)) in
+            stages.iter().zip(want)
+        {
+            assert_eq!((node, stage.line().as_str()), (want_node, line));
+            let (key_kind, key_udf) = stage.memo_key();
+            assert!(
+                key_kind == kind && Arc::ptr_eq(key_udf, &stage.udf),
+                "{line}"
+            );
+            assert_eq!(
+                plan.graph.nodes[node].out_ty(),
+                stage.udf.return_type,
+                "{line}"
+            );
+            let cost = stage.cost().expect("only a stencil is a barrier");
+            assert_eq!(
+                (cost.flops, cost.side_bytes, cost.out_bytes),
+                (stage.udf.cost.flops_equivalent(), side_bytes, out_bytes),
+                "{line}"
+            );
+            assert_eq!(stage.elementwise(), node < 4, "{line}");
+        }
+        assert_eq!(
+            stages[0].1.arg_values().collect::<Vec<_>>(),
+            [Value::Float(1.5)]
+        );
+        assert_eq!(stages[1].1.side, Some((2, 1)));
+        let source = plan.graph.nodes[2].line(&|slot| format!("slot {slot}"));
+        assert_eq!(source, "source[1] : int (slot 1)");
+
+        let blur =
+            MapOverlap::<f32, f32>::from_source("float func(float c) { return get(0, -1) + c; }")
+                .with_halo(2)
+                .with_boundary(Boundary::Wrap);
+        let m = Matrix::from_fn(&rt, 4, 4, |r, c| (r + c) as f32);
+        let plan = m.lazy().map_overlap(&blur);
+        let (node, stencil) = plan.graph.stages(plan.tip)[0];
+        assert_eq!(
+            (node, stencil.line().as_str()),
+            (1, "map_overlap(%0, halo 2) -> float")
+        );
+        assert_eq!(stencil.memo_key().0, StageKind::MapOverlap);
+        assert_eq!(stencil.stencil, Some((2, Boundary::Wrap)));
+        assert!(stencil.cost().is_none(), "a stencil is a barrier");
+    }
+
+    /// The one fusion accounting gives a vector plan's group, a matrix
+    /// plan's and a packed batch the numbers their three copies gave: the
+    /// merged stages, one launch and one buffer per merged stage and active
+    /// device, and the stored bytes of the interior stages' outputs.
+    #[test]
+    fn one_fusion_accounting_serves_vector_matrix_and_packed_runs() {
+        let widen = Map::<f32, f64>::from_source("double func(float x) { return x; }");
+        let narrow = Map::<f64, f32>::from_source("float func(double x) { return x; }");
+        let sq = Map::<f32, f32>::from_source(MAPS[0]);
+        let chain = |v: &Vector<f32>| {
+            let plan = v.lazy().policy(FusionPolicy::Always);
+            plan.map(&widen).map(&narrow).map(&sq)
+        };
+        for devices in [1usize, 2, 4] {
+            let rt = crate::runtime::init_gpus(devices);
+            let charged = |run: &dyn Fn()| {
+                let before = rt.exec_trace();
+                run();
+                let after = rt.exec_trace();
+                (
+                    after.kernels_fused - before.kernels_fused,
+                    after.launches_elided - before.launches_elided,
+                    after.intermediate_buffers_elided - before.intermediate_buffers_elided,
+                    after.intermediate_bytes_elided - before.intermediate_bytes_elided,
+                )
+            };
+            let v = Vector::from_vec(&rt, vec![2.0f32; 1000]);
+            let vector = charged(&|| drop(chain(&v).collect().unwrap()));
+            assert_eq!(vector, (2, 2 * devices, 2 * devices, 1000 * (8 + 4)));
+            let m = Matrix::from_fn(&rt, 16, 10, |r, c| (r * c) as f32);
+            let plan = m.lazy().policy(FusionPolicy::Always);
+            let plan = plan.map(&sq).map(&sq).map(&sq);
+            let matrix = charged(&|| drop(plan.exec().unwrap()));
+            assert_eq!(matrix, (2, 2 * devices, 2 * devices, 2 * 160 * 4));
+            let jobs: Vec<_> = [5, 7, 9]
+                .iter()
+                .map(|&n| chain(&Vector::from_vec(&rt, vec![1.0f32; n])))
+                .collect();
+            let packed = charged(&|| {
+                let launch = Plan::pack_jobs(&jobs.iter().collect::<Vec<_>>(), devices - 1);
+                launch.unwrap().wait().unwrap();
+            });
+            assert_eq!(packed, (2, 2, 2, 21 * (8 + 4)));
         }
     }
 
@@ -1999,12 +2024,13 @@ mod tests {
     #[test]
     fn memo_distinguishes_kind_length_and_element_type() {
         let rt = crate::runtime::init_gpus(1);
-        let (g1, grp1) = build(&rt, &[(0, 0.0, 0.0)], 0);
-        let (g2, grp2) = build(&rt, &[(0, 0.0, 0.0), (0, 0.0, 0.0)], 0);
-        let (g3, grp3) = build(&rt, &[(0, 0.0, 0.0)], 1);
-        let a = g1.lowered(&grp1).unwrap();
-        let b = g2.lowered(&grp2).unwrap();
-        let c = g3.lowered(&grp3).unwrap();
+        let lowered = |stages: &[(usize, f32, f32)], terminal| {
+            let (graph, tip) = build(&rt, stages, terminal);
+            graph.lowered(&forced(&graph, tip)).unwrap()
+        };
+        let a = lowered(&[(0, 0.0, 0.0)], 0);
+        let b = lowered(&[(0, 0.0, 0.0), (0, 0.0, 0.0)], 0);
+        let c = lowered(&[(0, 0.0, 0.0)], 1);
         assert!(!Arc::ptr_eq(&a.shape, &b.shape));
         assert!(!Arc::ptr_eq(&a.shape, &c.shape));
         assert_eq!(
@@ -2015,7 +2041,7 @@ mod tests {
         let ints = Vector::from_vec(&rt, vec![1i32, 2]);
         let twice = Map::<i32, i32>::from_source("int func(int x) { return x * 2; }");
         let p = ints.lazy().map(&twice);
-        let d = p.graph.lowered(&[p.tip]).unwrap();
+        let d = p.graph.lowered(&forced(&p.graph, p.tip)).unwrap();
         assert_eq!(d.shape.rendered.inputs, [ScalarType::Int]);
         assert_eq!(rt.exec_trace().plan_lowerings, 4);
     }

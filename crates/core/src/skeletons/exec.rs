@@ -275,6 +275,43 @@ pub(crate) struct PreparedCall {
     /// Identities of the input containers, used to detect `run_into` targets
     /// that alias an input.
     pub input_ids: Vec<u64>,
+    /// Stand-ins for the buffers of an input that is bound twice.
+    _scratch: ScratchCopies,
+}
+
+/// Per-device copies standing in for the buffers of an input that occurs
+/// twice in one call (`zip(&v, &v)`): the device model refuses one buffer on
+/// two kernel arguments. Owned by the attempt and released when it ends.
+struct ScratchCopies {
+    runtime: Arc<SkelCl>,
+    buffers: Vec<Buffer>,
+}
+
+impl ScratchCopies {
+    /// Replace every buffer of `parts` by a copy made on its device's queue.
+    fn stand_in_for(&mut self, parts: &mut [Option<Buffer>]) -> Result<()> {
+        for part in parts.iter_mut().flatten() {
+            let device = self.runtime.context().device(part.device())?;
+            let copy = device.create_buffer_of(part.kind(), part.len())?;
+            self.buffers.push(copy.clone());
+            self.runtime
+                .queue(part.device())
+                .enqueue_copy_buffer_region::<u8>(part, 0, &copy, 0, part.len_bytes())?;
+            *part = copy;
+        }
+        Ok(())
+    }
+}
+
+impl Drop for ScratchCopies {
+    fn drop(&mut self) {
+        for buffer in &self.buffers {
+            // The launchers joined what they enqueued; the copy itself may
+            // still be in flight when the attempt ended before its launch.
+            self.runtime.queue(buffer.device()).quiesce();
+            let _ = self.runtime.context().release_buffer(buffer);
+        }
+    }
 }
 
 impl PreparedCall {
@@ -313,9 +350,17 @@ impl PreparedCall {
         }
         let mut partition = None;
         let mut input_buffers = Vec::with_capacity(inputs.len());
-        for input in inputs {
-            let (parts, buffers) = input.prepare_parts(spec.keep_halo)?;
+        let input_ids: Vec<u64> = inputs.iter().map(|input| input.id()).collect();
+        let mut scratch = ScratchCopies {
+            runtime: runtime.clone(),
+            buffers: Vec::new(),
+        };
+        for (position, input) in inputs.iter().enumerate() {
+            let (parts, mut buffers) = input.prepare_parts(spec.keep_halo)?;
             partition.get_or_insert(parts);
+            if input_ids[..position].contains(&input_ids[position]) {
+                scratch.stand_in_for(&mut buffers)?;
+            }
             if !buffers.is_empty() {
                 input_buffers.push(buffers);
             }
@@ -326,7 +371,8 @@ impl PreparedCall {
                 .ok_or_else(|| SkelError::Internal("a skeleton call has no input".into()))?,
             prepared_args: PreparedArgs::prepare(runtime, &cfg.args)?,
             input_buffers,
-            input_ids: inputs.iter().map(|input| input.id()).collect(),
+            input_ids,
+            _scratch: scratch,
         })
     }
 

@@ -15,12 +15,13 @@
 //! transfer stats and the runtime's halo counters.
 
 use std::convert::Infallible;
+use std::sync::Arc;
 
 use oclsim::{Pod, Value};
 
 use crate::distribution::Boundary;
 use crate::error::{Result, SkelError};
-use crate::kernelgen::StageKind;
+use crate::kernelgen::{StageKind, UdfInfo};
 use crate::matrix::Matrix;
 use crate::skeletons::{run_call, CallSpec, Launch, LaunchConfig, PreparedCall, Skeleton, Udf};
 
@@ -92,6 +93,26 @@ impl<O: Pod> MapOverlap<f32, O> {
     /// The configured boundary policy.
     pub fn boundary(&self) -> Boundary<f32> {
         self.boundary
+    }
+
+    /// This skeleton's user function as a lazy plan stage.
+    pub(crate) fn plan_udf(&self) -> Result<Arc<UdfInfo>> {
+        self.udf.plan_stage("map_overlap")
+    }
+
+    /// The skeleton a matrix plan's stencil stage runs: the stage's analysed
+    /// user function and geometry, launched as any eager stencil is.
+    pub(crate) fn from_stage(
+        info: Arc<UdfInfo>,
+        halo: usize,
+        boundary: Boundary<f32>,
+    ) -> MapOverlap<f32, O> {
+        MapOverlap {
+            udf: Udf::analysed(Ok(info)),
+            halo,
+            boundary,
+            _out: std::marker::PhantomData,
+        }
     }
 
     /// Begin a launch of this skeleton over `input`:

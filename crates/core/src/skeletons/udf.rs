@@ -58,8 +58,13 @@ pub(crate) enum Udf<F: ?Sized> {
 impl<F: ?Sized> Udf<F> {
     /// Source `text` whose first `main_inputs` parameters receive elements.
     pub(crate) fn source(text: &str, main_inputs: usize) -> Udf<F> {
+        Udf::analysed(UdfInfo::analyze(text, main_inputs).map(Arc::new))
+    }
+
+    /// Source text by its analysis (a lazy plan stage carries one).
+    pub(crate) fn analysed(info: Result<Arc<UdfInfo>>) -> Udf<F> {
         Udf::Source {
-            info: UdfInfo::analyze(text, main_inputs).map(Arc::new),
+            info,
             host: OnceLock::new(),
         }
     }

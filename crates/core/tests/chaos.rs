@@ -7,7 +7,11 @@
 //! with a typed injected-fault error — corrupted output is the one outcome
 //! that must not exist. On top of that, the recovery layer must be free on
 //! the fault-free path (bitwise and virtual-time identical with recovery on
-//! or off) and every run must be reproducible (same plan ⇒ same outcome).
+//! or off) and every run must be reproducible (same plan ⇒ same outcome):
+//! fault triggers are virtual-schedule-deterministic, so CI runs the suite
+//! under `--test-threads=1` and the default parallelism, and wall-clock test
+//! interleaving must not change a single outcome — including the failed
+//! launches, which must release what they allocated.
 
 use proptest::prelude::*;
 use skelcl::oclsim::{FaultKind, FaultPlan, FaultSpec, FaultTrigger};

@@ -381,3 +381,65 @@ fn eager_sequence_and_unfused_plan_produce_identical_event_logs() {
         assert_eq!(eager, observe(devices, true), "{devices} device(s)");
     }
 }
+
+/// A matrix plan is a view of the same graph with a barrier loop on top, and
+/// every barrier-delimited group is one call through the eager call path: a
+/// `FusionPolicy::Never` matrix plan — map, map with an argument, stencil,
+/// map — enqueues what the four eager calls enqueue, at the same virtual
+/// times (the groups' dispatch charge sits where the eager call pays it), on
+/// a host-resident and on a device-resident input; `Auto` fuses the two
+/// leading maps into one call and computes the same bits.
+#[test]
+fn matrix_plan_under_never_is_the_eager_sequence_event_for_event() {
+    let sq = Map::<f32, f32>::from_source("float func(float x) { return x * x; }");
+    let inc = Map::<f32, f32>::from_source("float func(float x, float a) { return x + a; }");
+    let blur = MapOverlap::<f32, f32>::from_source(
+        "float func(float c) { return (get(0, -1) + get(-1, 0) + c + get(1, 0) + get(0, 1)) / 5.0f; }",
+    );
+    let observe = |devices: usize, resident: bool, policy: Option<FusionPolicy>| {
+        let rt = skelcl::init_gpus(devices);
+        let m = Matrix::from_vec(&rt, 48, 40, seeded(48 * 40, 41)).unwrap();
+        if resident {
+            Container::ensure_on_devices(&m).unwrap();
+        }
+        rt.finish_all();
+        rt.drain_events();
+        let calls = rt.exec_trace().skeleton_calls;
+        let out = match policy {
+            Some(policy) => m
+                .lazy()
+                .policy(policy)
+                .map(&sq)
+                .map_with(&inc, skelcl::args![0.5f32])
+                .map_overlap(&blur)
+                .map_with(&inc, skelcl::args![1.5f32])
+                .exec()
+                .unwrap(),
+            None => {
+                let a = sq.run(&m).exec().unwrap();
+                let b = inc.run(&a).arg(0.5f32).exec().unwrap();
+                let c = blur.run(&b).exec().unwrap();
+                inc.run(&c).arg(1.5f32).exec().unwrap()
+            }
+        };
+        let calls = rt.exec_trace().skeleton_calls - calls;
+        let events = rt.drain_events();
+        let bits: Vec<u32> = out.to_vec().unwrap().iter().map(|x| x.to_bits()).collect();
+        (bits, calls, events, rt.now())
+    };
+    for devices in 1..=4 {
+        for resident in [false, true] {
+            let what = format!("{devices} device(s), device-resident input: {resident}");
+            let eager = observe(devices, resident, None);
+            assert_eq!(eager.1, 4, "{what}");
+            assert!(eager.2.iter().flatten().any(|e| e.is_kernel()), "{what}");
+            assert_eq!(
+                eager,
+                observe(devices, resident, Some(FusionPolicy::Never)),
+                "{what}"
+            );
+            let fused = observe(devices, resident, Some(FusionPolicy::Auto));
+            assert_eq!((&fused.0, fused.1), (&eager.0, 3), "{what}");
+        }
+    }
+}

@@ -961,3 +961,125 @@ fn pack_jobs_rejects_incompatible_jobs() {
     ));
     assert_eq!(rt.context().device(0).unwrap().live_buffers(), 0);
 }
+
+/// A container may be bound twice in one call — `zip(&v, &v)`, or `‖v‖²` as
+/// `zip(&v, &v) → reduce`: eager (vector and matrix), as an unfused and as a
+/// fused plan, and as a packed batch of one, all return `x ∘ x` bit for bit.
+/// The device model refuses one buffer on two kernel arguments, so the
+/// prepare stage binds the repeated input through a per-device scratch copy
+/// that its attempt releases again.
+#[test]
+fn a_container_zipped_with_itself_is_x_times_x_on_every_path() {
+    let (m, s) = (mul(), sum());
+    for devices in [1usize, 2, 4] {
+        let rt = skelcl::init_gpus(devices);
+        let x: Vec<f32> = (0..96).map(|i| i as f32 * 0.37 - 11.0).collect();
+        let squares = bits(&x.iter().map(|x| x * x).collect::<Vec<_>>());
+        let v = Vector::from_vec(&rt, x.clone());
+        let mat = Matrix::from_vec(&rt, 12, 8, x).unwrap();
+        let what = format!("{devices} device(s)");
+
+        let eager = m.run(&v, &v).exec().unwrap();
+        assert_eq!(bits(&eager.to_vec().unwrap()), squares, "{what}");
+        let handle = m.run(&v, &v.clone()).exec().unwrap();
+        assert_eq!(bits(&handle.to_vec().unwrap()), squares, "{what}");
+        let matrix = m.run(&mat, &mat).exec().unwrap();
+        assert_eq!(bits(&matrix.to_vec().unwrap()), squares, "{what}");
+        drop((eager, handle, matrix));
+
+        let norm = v.zip(&v, &m).unwrap().reduce(&s).unwrap();
+        for policy in [FusionPolicy::Never, FusionPolicy::Auto] {
+            let plan = v.lazy().policy(policy).zip(&v, &m);
+            assert_eq!(bits(&plan.collect().unwrap()), squares, "{what}");
+            let fused = plan.reduce(&s).scalar().unwrap();
+            assert_eq!(fused.to_bits(), norm.to_bits(), "{what}, {policy:?}");
+        }
+        let packed = PlanVec::pack_jobs(&[&v.lazy().zip(&v, &m)], devices - 1).unwrap();
+        assert_eq!(bits(&packed.wait().unwrap().0[0]), squares, "{what}");
+
+        assert!(rt.take_deferred_errors().is_empty(), "{what}");
+        drop((v, mat));
+        for d in 0..devices {
+            let live = rt.context().device(d).unwrap().live_buffers();
+            assert_eq!(live, 0, "{what}: device {d} keeps {live} buffer(s)");
+        }
+    }
+}
+
+/// The sources of a plan are live containers: lengths that agreed when `zip`
+/// was appended may not when the plan runs. Both run paths check again and
+/// fail like the eager zip — before anything is charged or enqueued — and
+/// the plan runs once the lengths agree again.
+#[test]
+fn plan_sources_are_revalidated_when_the_plan_runs() {
+    let rt = skelcl::init_gpus(2);
+    let v = Vector::from_vec(&rt, vec![1.0f32, 2.0, 3.0, 4.0]);
+    let w = Vector::from_vec(&rt, vec![10.0f32; 4]);
+    let m = mul();
+    let plan = v.lazy().zip(&w, &m);
+    w.update_host(|h| h.truncate(2)).unwrap();
+    rt.finish_all();
+    rt.drain_events();
+    let before = (rt.now(), rt.exec_trace());
+    let mismatch = SkelError::LengthMismatch { left: 4, right: 2 };
+    assert_eq!(m.run(&v, &w).exec().err(), Some(mismatch.clone()));
+    let before_plan = (rt.now(), rt.exec_trace().skeleton_calls);
+    assert_eq!(plan.collect().err(), Some(mismatch.clone()));
+    assert_eq!(
+        plan.clone().reduce(&sum()).scalar().err(),
+        Some(mismatch.clone())
+    );
+    assert_eq!(PlanVec::pack_jobs(&[&plan], 0).err(), Some(mismatch));
+    assert_eq!((rt.now(), rt.exec_trace().skeleton_calls), before_plan);
+    assert_eq!(rt.exec_trace().kernels_fused, before.1.kernels_fused);
+    assert!(rt.drain_events().iter().all(Vec::is_empty));
+    assert!(rt.take_deferred_errors().is_empty());
+
+    w.update_host(|h| h.resize(4, 10.0)).unwrap();
+    assert_eq!(plan.collect().unwrap(), [10.0, 20.0, 30.0, 40.0]);
+    let packed = PlanVec::pack_jobs(&[&plan], 1).unwrap();
+    assert_eq!(packed.wait().unwrap().0[0], [10.0, 20.0, 30.0, 40.0]);
+}
+
+/// The plan handles are one struct, `Plan<T, K>`; the names code was written
+/// against — `PlanVec`, `PlanScalar`, `MatPlan`, `PackedLaunch` — stay, from
+/// the crate root and from the prelude, as does `pack_jobs` by path.
+#[test]
+fn plan_handles_keep_their_public_names() {
+    fn vec_len(plan: &skelcl::PlanVec<f32>) -> usize {
+        plan.input_len()
+    }
+    fn scalar_len(plan: &skelcl::PlanScalar<f32>) -> usize {
+        plan.input_len()
+    }
+    fn mat_text(plan: &skelcl::MatPlan) -> String {
+        plan.explain().unwrap()
+    }
+    fn value(launch: skelcl::PackedLaunch<f32, f32>) -> f32 {
+        launch.wait().unwrap().0[0]
+    }
+    fn prelude_names(
+        a: &skelcl::prelude::PlanVec<f32>,
+        b: &skelcl::prelude::PlanScalar<f32>,
+        c: &skelcl::prelude::MatPlan,
+    ) -> (usize, usize, usize) {
+        (a.input_len(), b.input_len(), c.input_len())
+    }
+    fn elements(launch: skelcl::prelude::PackedLaunch<f32>) -> Vec<Vec<f32>> {
+        launch.wait().unwrap().0
+    }
+    let rt = skelcl::init_gpus(1);
+    let v = Vector::from_vec(&rt, vec![1.0f32, 2.0, 3.0]);
+    let m = Matrix::from_fn(&rt, 2, 2, |r, c| (r + c) as f32);
+    let (vec_plan, scalar_plan) = (v.lazy().map(&square()), v.lazy().reduce(&sum()));
+    let mat_plan = m.lazy().map(&square());
+    assert_eq!((vec_len(&vec_plan), scalar_len(&scalar_plan)), (3, 3));
+    assert!(mat_text(&mat_plan).contains("1 matrix (2x2)"));
+    assert_eq!(prelude_names(&vec_plan, &scalar_plan, &mat_plan), (3, 3, 4));
+    assert_eq!(
+        value(skelcl::PlanScalar::pack_jobs(&[&scalar_plan], 0).unwrap()),
+        6.0
+    );
+    let packed = skelcl::PlanVec::pack_jobs(&[&vec_plan], 0).unwrap();
+    assert_eq!(elements(packed), [[1.0, 4.0, 9.0]]);
+}

@@ -2,7 +2,11 @@
 //! diffusion produce **bit-identical** results to a scalar host reference on
 //! 1, 2 and 4 devices, and the iterative driver exchanges **halo rows only**
 //! between sweeps (asserted via oclsim transfer stats and the runtime's
-//! `ExecTrace` halo counters).
+//! `ExecTrace` halo counters). The exchange runs without the host in the loop
+//! (owner read → forwarded write, on-device edge copies); its command shapes
+//! must hold under both harness schedules CI runs (`--test-threads=1` and the
+//! default) — its virtual timestamps are `determinism.rs`', its fault
+//! behaviour `chaos.rs`'.
 
 use skelcl::prelude::*;
 use skelcl::MatrixDistribution;

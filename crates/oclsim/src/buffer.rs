@@ -47,12 +47,12 @@ pub struct Buffer {
 
 impl Buffer {
     /// Create a handle (used by [`crate::device::Device::create_buffer`]).
-    pub(crate) fn new<T: crate::pod::Pod>(id: u64, device: DeviceId, len: usize) -> Self {
+    pub(crate) fn new(id: u64, device: DeviceId, len: usize, kind: DataKind) -> Self {
         Buffer {
             id,
             device,
             len,
-            kind: crate::device::data_kind_of::<T>(),
+            kind,
         }
     }
 
@@ -100,7 +100,7 @@ mod tests {
 
     #[test]
     fn handle_accessors() {
-        let b = Buffer::new::<f32>(7, 1, 100);
+        let b = Buffer::new(7, 1, 100, DataKind::F32);
         assert_eq!(b.id(), 7);
         assert_eq!(b.device(), 1);
         assert_eq!(b.len(), 100);

@@ -448,10 +448,17 @@ impl Device {
     /// buffer pool: the parked storage is zeroed and revived (under a fresh
     /// id), so steady-state launch loops never touch the allocator.
     pub fn create_buffer<T: Pod>(&self, len: usize) -> Result<Buffer> {
+        self.create_buffer_of(data_kind_of::<T>(), len)
+    }
+
+    /// Allocate a buffer of `len` elements of `kind` (see
+    /// [`Device::create_buffer`]) — the type-erased form, for a copy of an
+    /// existing buffer's shape.
+    pub fn create_buffer_of(&self, kind: DataKind, len: usize) -> Result<Buffer> {
         if self.is_lost() {
             return Err(OclError::DeviceLost { device: self.id });
         }
-        let len_bytes = len * std::mem::size_of::<T>();
+        let len_bytes = len * kind.elem_size();
         let available = self.available_bytes();
         if len_bytes > available {
             return Err(OclError::OutOfDeviceMemory {
@@ -486,7 +493,7 @@ impl Device {
         let id = self.next_buffer_id.fetch_add(1, Ordering::Relaxed);
         self.storage.lock().insert(id, data);
         self.allocated.fetch_add(len_bytes, Ordering::Relaxed);
-        Ok(Buffer::new::<T>(id, self.id, len))
+        Ok(Buffer::new(id, self.id, len, kind))
     }
 
     /// Release a buffer allocation. Releasing an already-released buffer is

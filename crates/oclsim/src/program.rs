@@ -555,7 +555,7 @@ mod tests {
         )
         .unwrap();
         let k = p.kernel("fill").unwrap();
-        let buf = Buffer::new::<f32>(1, 0, 4);
+        let buf = Buffer::new(1, 0, 4, crate::buffer::DataKind::F32);
         let mut taken = vec![(1u64, BufferData::new(16))];
         k.execute(4, &[KernelArg::Buffer(buf), KernelArg::i32(4)], &mut taken)
             .unwrap();
@@ -575,8 +575,8 @@ mod tests {
         });
         let p = Program::from_native([def]);
         let k = p.kernel("axpy").unwrap();
-        let x = Buffer::new::<f32>(1, 0, 3);
-        let y = Buffer::new::<f32>(2, 0, 3);
+        let x = Buffer::new(1, 0, 3, crate::buffer::DataKind::F32);
+        let y = Buffer::new(2, 0, 3, crate::buffer::DataKind::F32);
         let mut taken = vec![(1u64, BufferData::new(12)), (2u64, BufferData::new(12))];
         taken[0]
             .1
@@ -616,7 +616,7 @@ mod tests {
         let p = Program::from_source("__kernel void k(__global float* v, int n) { v[0] = n; }")
             .unwrap();
         let k = p.kernel("k").unwrap();
-        let buf = Buffer::new::<[f32; 4]>(1, 0, 2);
+        let buf = Buffer::new(1, 0, 2, crate::device::data_kind_of::<[f32; 4]>());
         let mut taken = vec![(1u64, BufferData::new(32))];
         let err = k
             .execute(1, &[KernelArg::Buffer(buf), KernelArg::i32(1)], &mut taken)

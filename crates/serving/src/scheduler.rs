@@ -14,10 +14,10 @@
 //! smallest `(band, tag, admission#)` key dispatches first. If the picked
 //! job is *coalescible* — an elementwise chain, or one closed by a reduce —
 //! every queued job with the same [`CoalesceSignature`] joins it — up to the
-//! coalesce cap — in **one** packed launch ([`skelcl::PlanVec::pack_jobs`] /
-//! [`skelcl::PlanScalar::pack_jobs`]) on the least-loaded device (in virtual
-//! time). Plans that contain a scan are *opaque*: they run through the
-//! ordinary plan executor, synchronously, at dispatch.
+//! coalesce cap — in **one** packed launch ([`Plan::pack_jobs`]) on the
+//! least-loaded device (in virtual time). Plans that contain a scan are
+//! *opaque*: they run through the ordinary plan executor, synchronously, at
+//! dispatch.
 
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
@@ -26,9 +26,7 @@ use std::sync::Arc;
 
 use oclsim::{SimDuration, SimTime};
 use parking_lot::Mutex;
-use skelcl::{
-    CoalesceSignature, DeviceScalar, PackedLaunch, PlanScalar, PlanVec, SkelCl, SkelError,
-};
+use skelcl::{CoalesceSignature, DeviceScalar, Plan, PlanKind, SkelCl, SkelError};
 
 use crate::error::{Result, ServeError};
 use crate::job::{JobHandle, JobReport, JobSlot};
@@ -116,68 +114,6 @@ impl BatchMember {
 /// jobs, quota kept charged) and terminal failure (quota credited).
 type ResolveOutcome = std::result::Result<(), (ServeError, Vec<BatchMember>)>;
 
-/// What admission and dispatch need of a served plan; [`PlanVec`] (per-job
-/// result `Vec<T>`) and [`PlanScalar`] (`T`) are the two kinds.
-pub(crate) trait ServedPlan: Clone + Send + 'static {
-    type Elem: DeviceScalar;
-    /// One job's result, delivered through its [`JobHandle`].
-    type Output: Send + 'static;
-
-    fn signature(&self) -> std::result::Result<Option<CoalesceSignature>, SkelError>;
-    fn footprint(&self) -> usize;
-    fn refresh(&self) -> std::result::Result<(), SkelError>;
-    /// Run `jobs` (one signature) as one packed launch on `device`.
-    fn pack(
-        jobs: &[&Self],
-        device: usize,
-    ) -> std::result::Result<PackedLaunch<Self::Elem, Self::Output>, SkelError>;
-    /// Run a plan without a signature through the plan executor.
-    fn run_alone(&self) -> std::result::Result<Self::Output, SkelError>;
-}
-
-impl<T: DeviceScalar> ServedPlan for PlanVec<T> {
-    type Elem = T;
-    type Output = Vec<T>;
-
-    fn signature(&self) -> std::result::Result<Option<CoalesceSignature>, SkelError> {
-        self.coalesce_signature()
-    }
-    fn footprint(&self) -> usize {
-        self.footprint_bytes()
-    }
-    fn refresh(&self) -> std::result::Result<(), SkelError> {
-        self.refresh_for_replay()
-    }
-    fn pack(jobs: &[&Self], device: usize) -> std::result::Result<PackedLaunch<T>, SkelError> {
-        PlanVec::pack_jobs(jobs, device)
-    }
-    fn run_alone(&self) -> std::result::Result<Vec<T>, SkelError> {
-        self.collect()
-    }
-}
-
-impl<T: DeviceScalar> ServedPlan for PlanScalar<T> {
-    type Elem = T;
-    type Output = T;
-
-    fn signature(&self) -> std::result::Result<Option<CoalesceSignature>, SkelError> {
-        self.coalesce_signature()
-    }
-    fn footprint(&self) -> usize {
-        self.footprint_bytes()
-    }
-    fn refresh(&self) -> std::result::Result<(), SkelError> {
-        self.refresh_for_replay()
-    }
-    fn pack(jobs: &[&Self], device: usize) -> std::result::Result<PackedLaunch<T, T>, SkelError> {
-        PlanScalar::pack_jobs(jobs, device)
-    }
-    /// Only a reduction behind a scan gets here; every other one packs.
-    fn run_alone(&self) -> std::result::Result<T, SkelError> {
-        self.scalar()
-    }
-}
-
 /// Type-erased view of a coalescible job.
 trait ErasedPackable: Send {
     /// The job's plan as `Any` (downcast by the batch leader).
@@ -196,11 +132,11 @@ trait ErasedPackable: Send {
     ) -> std::result::Result<Box<dyn FnOnce() -> ResolveOutcome + Send>, SkelError>;
 }
 
-struct TypedPackable<P: ServedPlan> {
-    plan: P,
+struct TypedPackable<T: DeviceScalar, K: PlanKind<T>> {
+    plan: Plan<T, K>,
 }
 
-impl<P: ServedPlan> ErasedPackable for TypedPackable<P> {
+impl<T: DeviceScalar, K: PlanKind<T>> ErasedPackable for TypedPackable<T, K> {
     fn plan_any(&self) -> &(dyn Any + Send) {
         &self.plan
     }
@@ -213,16 +149,16 @@ impl<P: ServedPlan> ErasedPackable for TypedPackable<P> {
         runtime: Arc<SkelCl>,
         counters: Counters,
     ) -> std::result::Result<Box<dyn FnOnce() -> ResolveOutcome + Send>, SkelError> {
-        let mut plans: Vec<&P> = Vec::with_capacity(peers.len());
+        let mut plans: Vec<&Plan<T, K>> = Vec::with_capacity(peers.len());
         for peer in peers {
-            let plan = peer.plan_any().downcast_ref::<P>().ok_or_else(|| {
+            let plan = peer.plan_any().downcast_ref().ok_or_else(|| {
                 SkelError::Scheduler(
                     "coalesced peer's plan type does not match the batch leader".into(),
                 )
             })?;
             plans.push(plan);
         }
-        let packed = P::pack(&plans, device)?;
+        let packed = Plan::pack_jobs(&plans, device)?;
         Ok(Box::new(move || match packed.wait() {
             Ok((outputs, event)) => {
                 for (member, out) in members.into_iter().zip(outputs) {
@@ -268,7 +204,7 @@ struct QueuedJob {
     pending: Arc<AtomicUsize>,
     work: JobWork,
     /// Re-establishes a trustworthy device image of the job's input
-    /// containers before a replay (see [`PlanVec::refresh_for_replay`]).
+    /// containers before a replay (see [`Plan::refresh_for_replay`]).
     refresh: Box<dyn Fn() -> std::result::Result<(), SkelError> + Send>,
 }
 
@@ -462,29 +398,31 @@ impl Core {
         state.tenants.get_key_value(name).map(|(k, _)| k.clone())
     }
 
-    /// Admit a vector or reduction job (try semantics: returns
-    /// [`ServeError::WouldBlock`] past a watermark instead of blocking). A
-    /// plan with a coalescing signature joins the packed path; one without
-    /// — it contains a scan — runs alone through the plan executor.
-    pub(crate) fn admit_plan<P: ServedPlan>(
+    /// Admit a plan of any kind — a vector job or a reduction (try
+    /// semantics: returns [`ServeError::WouldBlock`] past a watermark instead
+    /// of blocking). A plan with a coalescing signature joins the packed
+    /// path; one without — it contains a scan — runs alone through the plan
+    /// executor. Either way the job delivers the plan kind's host result
+    /// ([`PlanKind::Job`]).
+    pub(crate) fn admit_plan<T: DeviceScalar, K: PlanKind<T>>(
         self: &Arc<Self>,
         tenant: &Arc<str>,
-        plan: &P,
+        plan: &Plan<T, K>,
         options: JobOptions,
-    ) -> Result<JobHandle<P::Output>> {
-        let signature = plan.signature().map_err(ServeError::from)?;
-        let footprint = plan.footprint();
+    ) -> Result<JobHandle<K::Job>> {
+        let signature = plan.coalesce_signature().map_err(ServeError::from)?;
+        let footprint = plan.footprint_bytes();
         let work = if signature.is_some() {
             JobWork::Packable(Box::new(TypedPackable { plan: plan.clone() }))
         } else {
             let plan = plan.clone();
             JobWork::Opaque(Box::new(move || {
-                plan.run_alone().map(|v| Box::new(v) as Box<dyn Any + Send>)
+                plan.collect().map(|v| Box::new(v) as Box<dyn Any + Send>)
             }))
         };
         let refresh = {
             let plan = plan.clone();
-            Box::new(move || plan.refresh())
+            Box::new(move || plan.refresh_for_replay())
         };
         let slot = self.admit(tenant, signature, footprint, work, refresh, options)?;
         Ok(JobHandle {

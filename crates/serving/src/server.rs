@@ -3,11 +3,11 @@
 use std::sync::Arc;
 
 use oclsim::SimDuration;
-use skelcl::{DeviceScalar, PlanScalar, PlanVec, SkelCl};
+use skelcl::{DeviceScalar, Plan, PlanKind, PlanScalar, PlanVec, SkelCl};
 
 use crate::error::{Result, ServeError};
 use crate::job::JobHandle;
-use crate::scheduler::{Core, JobOptions, ServedPlan};
+use crate::scheduler::{Core, JobOptions};
 use crate::tenant::TenantConfig;
 
 /// Server-wide scheduling knobs.
@@ -222,7 +222,11 @@ impl Session {
 
     /// Admit `plan`, making room — dispatching queued batches and resolving
     /// in-flight launches — whenever a watermark is hit.
-    fn submit<P: ServedPlan>(&self, plan: &P, options: JobOptions) -> Result<JobHandle<P::Output>> {
+    fn submit<T: DeviceScalar, K: PlanKind<T>>(
+        &self,
+        plan: &Plan<T, K>,
+        options: JobOptions,
+    ) -> Result<JobHandle<K::Job>> {
         loop {
             match self.core.admit_plan(&self.tenant, plan, options) {
                 Err(ServeError::WouldBlock) => {

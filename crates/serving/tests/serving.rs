@@ -3,7 +3,11 @@
 //! must follow priority bands and fair-share weights, quota/backpressure
 //! error paths must reject-then-recover, shutdown must drain every admitted
 //! handle, and a fixed submission order must be deterministic across
-//! repetitions and 1–4 devices.
+//! repetitions and 1–4 devices. Every served job is an asynchronous packed
+//! launch, many in flight per device queue, so CI runs the package's suites
+//! under `--test-threads=1` and the default parallelism: results,
+//! `JobReport`s and the virtual clock must not depend on how the harness
+//! schedules the queue workers.
 
 use proptest::prelude::*;
 

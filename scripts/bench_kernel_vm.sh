@@ -1,6 +1,5 @@
 #!/usr/bin/env bash
-# Kernel-engine performance trajectory: runs the criterion benches that cover
-# the kernel language and skeletons, then regenerates BENCH_kernel_vm.json
+# Kernel-engine performance trajectory: regenerates BENCH_kernel_vm.json
 # (elements/sec for map/zip/reduce/scan at 1M elements, AST interpreter vs
 # bytecode VM) at the repository root.
 #
@@ -30,7 +29,5 @@ done
 if [[ "${1:-}" == "--quick" ]]; then
     cargo run --release -p skelcl_bench --bin kernel_vm_bench -- --quick --out /tmp/BENCH_kernel_vm.json
 else
-    cargo bench -p skelcl_bench --bench kernel_language
-    cargo bench -p skelcl_bench --bench skeletons
     cargo run --release -p skelcl_bench --bin kernel_vm_bench -- --out BENCH_kernel_vm.json
 fi

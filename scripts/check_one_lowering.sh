@@ -4,10 +4,12 @@
 # LoweringMemo and launched by one launcher per kernel kind. One call path:
 # every synchronous launch is prepared by PreparedCall::prepare and runs as
 # an attempt of the one recovery wrapper, and a skeleton's user function is
-# one Udf value. This script fails if a second template, kernel cache, scan
-# flow, pasted kernel frame, prepare stage, recovery wrapper or per-call
-# closure kernel shows up again. Run from the repository root (CI: the
-# `check` job).
+# one Udf value. One plan: a pipeline stage is one record, the plan handle
+# one struct, the fusion accounting one function. This script fails if a
+# second template, kernel cache, scan flow, pasted kernel frame, prepare
+# stage, recovery wrapper, per-call closure kernel, plan-handle struct or
+# per-consumer match on PlanNode shows up again. Run from the repository
+# root (CI: the `check` job).
 set -euo pipefail
 
 src=crates/core/src
@@ -48,9 +50,9 @@ if [ "$frames" != 6 ]; then
 fi
 
 # One packed launch path: vector and reduction jobs are checked, bound and
-# enqueued by pack_graphs -> pack_launch (one call each from
-# PlanVec::pack_jobs and PlanScalar::pack_jobs; one call; one slot write).
-if [ "$(count "$src/plan.rs" "pack_graphs(")" != 2 ] ||
+# enqueued by pack_graphs -> pack_launch (one call from the one
+# Plan::pack_jobs; one call; one slot write).
+if [ "$(count "$src/plan.rs" "pack_graphs(")" != 1 ] ||
     [ "$(count "$src/plan.rs" "pack_launch::<T>(")" != 1 ] ||
     [ "$(count "$src/plan.rs" "enqueue_write_bytes(")" != 1 ]; then
     complain "packed launches must share pack_graphs / pack_launch (plan.rs)"
@@ -91,11 +93,40 @@ if [ "$(grep -rn "offset.to_value()" "$src" | grep -vc "^$src/skeletons/scan.rs:
     complain "the scan offsets are applied outside launch_scan"
 fi
 
-# One explain: vector and matrix plans share the header/node/group renderer.
-if [ "$(count "$src/plan.rs" "fn explain_plan")" != 1 ] ||
-    [ "$(count "$src/plan.rs" "boundary before")" != 1 ] ||
+# One explain: every plan kind shares the header/node/group renderer.
+if [ "$(count "$src/plan.rs" "boundary before")" != 1 ] ||
     [ "$(count "$src/plan.rs" "launch group(s)")" != 1 ]; then
-    complain "plan.rs must hold exactly one group/node renderer (explain_plan)"
+    complain "plan.rs must hold exactly one group/node renderer (PlanGraph::explain)"
+fi
+
+# --- One plan -------------------------------------------------------------
+
+# One plan handle: `Plan<T, K>`; PlanVec / PlanScalar / MatPlan are aliases.
+handles=$(non_test "$src/plan.rs" | grep -E "^pub struct (Plan|MatPlan)" || true)
+if [ "$(echo "$handles" | grep -c .)" != 1 ] || ! echo "$handles" | grep -q "^pub struct Plan<"; then
+    echo "$handles" >&2
+    complain "plan.rs must hold exactly one plan-handle struct (pub struct Plan<T, K>)"
+fi
+for gone in "enum GroupKind" "MatStage" "trait ServedPlan"; do
+    if grep -rn "$gone" crates --include=*.rs; then
+        complain "$gone is back (a stage is one record, a group asks its last stage, serving is generic over PlanKind)"
+    fi
+done
+
+# One fusion accounting: the runtime's counters are charged from one place
+# (Group::account_fusion), whoever ran the group.
+charges=$(count "$src/plan.rs" "charge_fusion(")
+if [ "$charges" != 1 ]; then
+    complain "plan.rs calls charge_fusion from $charges place(s), expected 1 (Group::account_fusion)"
+fi
+
+# A stage is data: PlanNode is taken apart by its own methods only — at most
+# three `match self` in `impl PlanNode`, no pattern on it anywhere else.
+inside=$(non_test "$src/plan.rs" | awk '/^impl PlanNode \{/{on=1} on{print} on&&/^\}/{exit}' | grep -c "match self" || true)
+outside=$(non_test "$src/plan.rs" | awk '/^impl PlanNode \{/{on=1} !on{print} on&&/^\}/{on=0}' |
+    grep -cE "PlanNode::\w+.*=>|^ *\| PlanNode::|let PlanNode::|matches!\(.*PlanNode::" || true)
+if [ "$((inside + outside))" -gt 3 ] || [ "$outside" != 0 ]; then
+    complain "PlanNode is matched in $inside place(s) in impl PlanNode and on $outside line(s) outside it, expected at most 3 and 0"
 fi
 
 # The legacy benches time kernelgen's kernels, not pasted copies.
