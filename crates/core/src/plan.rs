@@ -50,7 +50,6 @@
 //! assert_eq!(xs.lazy().zip(&xs, &mul).reduce(&add).scalar().unwrap(), 30.0);
 //! ```
 
-use std::any::TypeId;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::hash::{Hash, Hasher};
@@ -78,22 +77,6 @@ use crate::skeletons::{
     Scan, Skeleton, StageKernels, Zip,
 };
 use crate::vector::Vector;
-
-/// The device scalar type of a Rust element type, if it has one.
-pub(crate) fn scalar_type_of<T: 'static>() -> Option<ScalarType> {
-    let id = TypeId::of::<T>();
-    if id == TypeId::of::<f32>() {
-        Some(ScalarType::Float)
-    } else if id == TypeId::of::<f64>() {
-        Some(ScalarType::Double)
-    } else if id == TypeId::of::<i32>() {
-        Some(ScalarType::Int)
-    } else if id == TypeId::of::<u32>() {
-        Some(ScalarType::Uint)
-    } else {
-        None
-    }
-}
 
 /// Dispatch a dynamically-typed pipeline element type to monomorphic code.
 /// `Bool` never appears as a pipeline element type (builders reject it), but
@@ -573,7 +556,7 @@ pub(crate) struct PlanGraph {
 impl PlanGraph {
     /// A graph over `source` (slot and node 0), poisoned from the start when
     /// its element type `T` is not a device scalar type.
-    fn over<T: 'static>(runtime: Arc<SkelCl>, source: Arc<dyn DynContainer>) -> PlanGraph {
+    fn over<T: Pod>(runtime: Arc<SkelCl>, source: Arc<dyn DynContainer>) -> PlanGraph {
         let ty = check_elem_ty::<T>();
         PlanGraph {
             runtime,
@@ -611,12 +594,7 @@ impl PlanGraph {
     }
 
     /// Append a map stage producing `O` elements after `tip`.
-    fn admit_map<O: 'static>(
-        &mut self,
-        tip: usize,
-        udf: Result<Arc<UdfInfo>>,
-        args: Args,
-    ) -> usize {
+    fn admit_map<O: Pod>(&mut self, tip: usize, udf: Result<Arc<UdfInfo>>, args: Args) -> usize {
         self.admit(tip, |g| {
             let udf = udf?;
             g.check_chain(tip, &udf, StageKind::Map)?;
@@ -1023,8 +1001,8 @@ fn check_stage_args(udf: &UdfInfo, args: &Args) -> Result<()> {
 
 /// The device scalar type of the element type `E`, which a plan needs of
 /// every container it reads or produces.
-fn check_elem_ty<E: 'static>() -> Result<ScalarType> {
-    scalar_type_of::<E>().ok_or_else(|| {
+fn check_elem_ty<E: Pod>() -> Result<ScalarType> {
+    oclsim::DataKind::of::<E>().scalar_type().ok_or_else(|| {
         SkelError::Plan(format!(
             "element type {} is not a device scalar type (use f32, f64, i32 or u32)",
             std::any::type_name::<E>()
@@ -1033,7 +1011,7 @@ fn check_elem_ty<E: 'static>() -> Result<ScalarType> {
 }
 
 /// A stage producing `O` elements needs a user function returning them.
-fn check_out_ty<O: 'static>(udf: &UdfInfo) -> Result<()> {
+fn check_out_ty<O: Pod>(udf: &UdfInfo) -> Result<()> {
     let ty = check_elem_ty::<O>()?;
     if udf.return_type != ty {
         return Err(SkelError::Plan(format!(

@@ -9,7 +9,9 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use oclsim::{ApiModel, CommandQueue, Context, DeviceProfile, SimDuration, SimTime, Tier};
+use oclsim::{
+    ApiModel, CommandQueue, Context, DeviceProfile, SimDuration, SimTime, Tier, TierSnapshot,
+};
 
 use crate::error::Result;
 
@@ -143,67 +145,78 @@ impl ExecTrace {
         self.devices.iter().map(|d| d.halo_bytes).sum()
     }
 
+    /// The kernel-tier counts summed over all devices; the accessors below
+    /// name its fields.
+    pub fn tiers(&self) -> TierSnapshot {
+        let mut sum = TierSnapshot::default();
+        for device in &self.devices {
+            sum += device.tiers;
+        }
+        sum
+    }
+
     /// Total kernel-language launches handled by the AST interpreter.
     pub fn interp_launches(&self) -> usize {
-        self.devices.iter().map(|d| d.interp_launches).sum()
+        self.tiers().interp_launches
     }
 
     /// Total kernel-language launches handled by the scalar VM.
     pub fn scalar_launches(&self) -> usize {
-        self.devices.iter().map(|d| d.scalar_launches).sum()
+        self.tiers().scalar_launches
     }
 
     /// Total kernel-language launches handled by the lane-batched VM.
     pub fn batched_launches(&self) -> usize {
-        self.devices.iter().map(|d| d.batched_launches).sum()
+        self.tiers().batched_launches
     }
 
     /// Total kernel-language launches handled by the native tier.
     pub fn native_launches(&self) -> usize {
-        self.devices.iter().map(|d| d.native_launches).sum()
+        self.tiers().native_launches
     }
 
     /// Total kernels compiled to the native tier across all devices.
     pub fn native_compiles(&self) -> usize {
-        self.devices.iter().map(|d| d.native_compiles).sum()
+        self.tiers().native_compiles
     }
 
     /// Total nanoseconds spent compiling kernels to the native tier.
     pub fn native_compile_ns(&self) -> u64 {
-        self.devices.iter().map(|d| d.native_compile_ns).sum()
+        self.tiers().native_compile_ns
     }
 
     /// Total native lane batches whose lanes diverged and ran under partial
     /// lane masks.
     pub fn masked_batches(&self) -> u64 {
-        self.devices.iter().map(|d| d.masked_batches).sum()
+        self.tiers().masked_batches
     }
 
     /// Total lane batches the native tier rolled back and replayed through
     /// the scalar VM.
     pub fn replayed_batches(&self) -> u64 {
-        self.devices.iter().map(|d| d.replayed_batches).sum()
+        self.tiers().replayed_batches
     }
 
     /// Total launches a replayed batch took off the native tier.
     pub fn bailed_launches(&self) -> usize {
-        self.devices.iter().map(|d| d.bailed_launches).sum()
+        self.tiers().bailed_launches
     }
 
     /// One line saying which engines ran the launches so far, what the
     /// native tier gave back to the VM and how many of its batches diverged
     /// (rendered by `Plan::explain` and the guarded examples).
     pub fn tier_line(&self) -> String {
+        let t = self.tiers();
         format!(
             "Kernel launches: {} native, {} batched, {} scalar, {} interp; \
              {} replayed batch(es), {} bailed launch(es), {} masked batch(es)",
-            self.native_launches(),
-            self.batched_launches(),
-            self.scalar_launches(),
-            self.interp_launches(),
-            self.replayed_batches(),
-            self.bailed_launches(),
-            self.masked_batches()
+            t.native_launches,
+            t.batched_launches,
+            t.scalar_launches,
+            t.interp_launches,
+            t.replayed_batches,
+            t.bailed_launches,
+            t.masked_batches
         )
     }
 
@@ -242,28 +255,9 @@ pub struct DeviceTrace {
     pub pool_hits: usize,
     /// Bytes of storage parked in this device's buffer pool.
     pub pooled_bytes: usize,
-    /// Kernel-language launches executed by the AST interpreter.
-    pub interp_launches: usize,
-    /// Kernel-language launches executed by the scalar VM.
-    pub scalar_launches: usize,
-    /// Kernel-language launches executed by the lane-batched VM.
-    pub batched_launches: usize,
-    /// Kernel-language launches executed by the closure-compiled native tier.
-    pub native_launches: usize,
-    /// Kernels compiled to the native tier on this device.
-    pub native_compiles: usize,
-    /// Nanoseconds spent compiling kernels to the native tier on this device.
-    pub native_compile_ns: u64,
-    /// Native lane batches on this device whose lanes diverged and ran under
-    /// partial lane masks.
-    pub masked_batches: u64,
-    /// Lane batches the native tier rolled back and replayed through the
-    /// scalar VM on this device (hazards, runtime errors, loop budget).
-    pub replayed_batches: u64,
-    /// Launches on this device that a replayed batch took off the native
-    /// tier for their remainder; one that bailed on its very first batch
-    /// counts under `batched_launches`, not `native_launches`.
-    pub bailed_launches: usize,
+    /// Which kernel-language engine ran this device's launches, and what
+    /// the native tier compiled, masked, replayed and gave up on.
+    pub tiers: TierSnapshot,
     /// Commands on this device's queue that failed asynchronously and
     /// latched a deferred error (see
     /// [`oclsim::CommandQueue::take_deferred_error`]).
@@ -344,11 +338,9 @@ impl SkelCl {
             if tier != Tier::Auto {
                 return format!("{tier} (pinned via set_kernel_tier)");
             }
-        } else if let Ok(v) = std::env::var("SKELCL_KERNEL_TIER") {
-            if let Ok(tier) = Tier::parse(&v) {
-                if tier != Tier::Auto {
-                    return format!("{tier} (pinned via SKELCL_KERNEL_TIER)");
-                }
+        } else if let Ok(Some(tier)) = Tier::from_env() {
+            if tier != Tier::Auto {
+                return format!("{tier} (pinned via SKELCL_KERNEL_TIER)");
             }
         }
         "auto (native from a kernel's first launch; the batched VM for native-ineligible kernels)"
@@ -442,22 +434,13 @@ impl SkelCl {
                     .context
                     .device(d)
                     .expect("device index within runtime range");
-                let tiers = dev.kernel_tiers();
                 DeviceTrace {
                     device: d,
                     halo_transfers: self.halo_transfers[d].load(Ordering::Relaxed),
                     halo_bytes: self.halo_bytes[d].load(Ordering::Relaxed),
                     pool_hits: dev.pool_hit_count(),
                     pooled_bytes: dev.pooled_bytes(),
-                    interp_launches: tiers.interp_launches,
-                    scalar_launches: tiers.scalar_launches,
-                    batched_launches: tiers.batched_launches,
-                    native_launches: tiers.native_launches,
-                    native_compiles: tiers.native_compiles,
-                    native_compile_ns: tiers.native_compile_ns,
-                    masked_batches: tiers.masked_batches,
-                    replayed_batches: tiers.replayed_batches,
-                    bailed_launches: tiers.bailed_launches,
+                    tiers: dev.kernel_tiers(),
                     deferred_errors: self.queues[d].deferred_error_count(),
                 }
             })

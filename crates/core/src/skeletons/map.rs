@@ -20,7 +20,7 @@
 
 use std::sync::Arc;
 
-use oclsim::{Buffer, CostHint, NativeKernelDef, Pod};
+use oclsim::{Buffer, CostHint, Pod};
 use parking_lot::Mutex;
 
 use crate::args::ArgAccess;
@@ -32,7 +32,7 @@ use crate::matrix::Matrix;
 use crate::runtime::{DeviceSelection, SkelCl};
 use crate::scheduler::StaticScheduler;
 use crate::skeletons::exec::selection_distribution;
-use crate::skeletons::udf::native_kernel;
+use crate::skeletons::udf::closure_kernel;
 use crate::skeletons::{run_call, CallSpec, Launch, LaunchConfig, PreparedCall, Skeleton, Udf};
 use crate::vector::Vector;
 
@@ -105,25 +105,15 @@ impl<I: Pod, O: Pod> Map<I, O> {
         f: Arc<MapFn<I, O>>,
         cost: CostHint,
     ) -> (oclsim::Kernel, Option<oclsim::Kernel>) {
-        let def = NativeKernelDef::new("skelcl_map_native", cost, move |ctx| {
-            let n = ctx.global_size();
-            let mut views = ctx.arg_views();
-            let [in_view, out_view, _n_view, extra @ ..] = views.as_mut_slice() else {
-                return Err("map kernel is missing its input, output or length".to_string());
-            };
-            let input = in_view
-                .as_slice::<I>()
-                .ok_or_else(|| "map input must be a buffer".to_string())?;
-            let output = out_view
-                .as_slice_mut::<O>()
-                .ok_or_else(|| "map output must be a buffer".to_string())?;
-            let mut access = ArgAccess::new(extra);
-            for i in 0..n {
-                output[i] = f(&input[i], &mut access);
+        let kernel = closure_kernel::<O>("skelcl_map_native", "map", 1, cost, move |args| {
+            let input = args.input::<I>(0)?;
+            let mut access = ArgAccess::new(args.extras);
+            for i in 0..args.global_size {
+                args.output[i] = f(&input[i], &mut access);
             }
             Ok(())
         });
-        (native_kernel(def), None)
+        (kernel, None)
     }
 
     /// The shared execution path behind [`Skeleton::execute`] and the
@@ -283,23 +273,16 @@ impl<O: Pod> Map<i32, O> {
         f: Arc<MapFn<i32, O>>,
         cost: CostHint,
     ) -> (oclsim::Kernel, Option<oclsim::Kernel>) {
-        let def = NativeKernelDef::new("skelcl_map_index_native", cost, move |ctx| {
-            let n = ctx.global_size();
-            let offset = ctx.scalar_usize(2)?;
-            let mut views = ctx.arg_views();
-            let [out_view, _n_view, _offset_view, extra @ ..] = views.as_mut_slice() else {
-                return Err("index map kernel is missing its output, length or offset".to_string());
-            };
-            let output = out_view
-                .as_slice_mut::<O>()
-                .ok_or_else(|| "index map output must be a buffer".to_string())?;
-            let mut access = ArgAccess::new(extra);
-            for i in 0..n {
-                output[i] = f(&((offset + i) as i32), &mut access);
+        let name = "skelcl_map_index_native";
+        let kernel = closure_kernel::<O>(name, "index map", 0, cost, move |args| {
+            let offset = args.trailing_scalar()?.as_i64();
+            let mut access = ArgAccess::new(&mut args.extras[1..]);
+            for i in 0..args.global_size {
+                args.output[i] = f(&((offset + i as i64) as i32), &mut access);
             }
             Ok(())
         });
-        (native_kernel(def), None)
+        (kernel, None)
     }
 }
 

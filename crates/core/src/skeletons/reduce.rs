@@ -40,7 +40,7 @@
 
 use std::sync::Arc;
 
-use oclsim::{CostHint, KernelArg, NativeKernelDef, Value};
+use oclsim::{CostHint, KernelArg, Value};
 use skelcl_kernel::interp::ArgBinding;
 
 use crate::container::{Container, DynContainer};
@@ -49,7 +49,7 @@ use crate::error::Result;
 use crate::kernelgen::{self, StageKind, UdfInfo};
 use crate::runtime::SkelCl;
 use crate::skeletons::exec::buffer_arg;
-use crate::skeletons::udf::native_kernel;
+use crate::skeletons::udf::closure_kernel;
 use crate::skeletons::{
     claim_reads, run_call, sequential_cost, BinaryOp, CallSpec, DeviceScalar, Launch, LaunchConfig,
     PreparedCall, Skeleton, StageKernels, Udf,
@@ -264,26 +264,17 @@ impl<T: DeviceScalar> Reduce<T> {
         f: Arc<BinaryOp<T>>,
         cost: CostHint,
     ) -> (oclsim::Kernel, Option<oclsim::Kernel>) {
-        let def = NativeKernelDef::new("skelcl_reduce_native", cost, move |ctx| {
-            let n = ctx.scalar_usize(2)?;
-            let chunk = n.div_ceil(ctx.global_size().max(1)).max(1);
-            let mut views = ctx.arg_views();
-            let [in_view, out_view, ..] = views.as_mut_slice() else {
-                return Err("reduce kernel is missing its input or output".to_string());
-            };
-            let input = in_view
-                .as_slice::<T>()
-                .and_then(|input| input.get(..n))
+        let kernel = closure_kernel::<T>("skelcl_reduce_native", "reduce", 1, cost, move |args| {
+            let n = args.n;
+            let chunk = n.div_ceil(args.global_size.max(1)).max(1);
+            let input = (args.input::<T>(0)?.get(..n))
                 .ok_or_else(|| format!("reduce input must be a buffer of {n} elements"))?;
-            let output = out_view
-                .as_slice_mut::<T>()
-                .ok_or_else(|| "reduce output must be a buffer".to_string())?;
-            for (part, out) in input.chunks(chunk).zip(output) {
+            for (part, out) in input.chunks(chunk).zip(args.output) {
                 *out = part[1..].iter().fold(part[0], |acc, x| f(acc, *x));
             }
             Ok(())
         });
-        (native_kernel(def), None)
+        (kernel, None)
     }
 
     /// The launch of the three-step reduction over the prepared input.

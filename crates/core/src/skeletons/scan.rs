@@ -22,7 +22,7 @@
 
 use std::sync::Arc;
 
-use oclsim::{Buffer, CostHint, KernelArg, NativeKernelDef, Value};
+use oclsim::{Buffer, CostHint, KernelArg, Value};
 
 use crate::container::DynContainer;
 use crate::distribution::Partition;
@@ -30,7 +30,7 @@ use crate::error::{Result, SkelError};
 use crate::kernelgen::{StageKind, UdfInfo};
 use crate::runtime::SkelCl;
 use crate::skeletons::exec::{create_buffer, OutputBuffers};
-use crate::skeletons::udf::native_kernel;
+use crate::skeletons::udf::closure_kernel;
 use crate::skeletons::{
     claim_reads, run_call, sequential_cost, wait_events, BinaryOp, CallSpec, DeviceScalar,
     HostOperator, Launch, LaunchConfig, PreparedCall, Skeleton, StageKernels, Udf,
@@ -110,38 +110,25 @@ impl<T: DeviceScalar> Scan<T> {
         cost: CostHint,
     ) -> (oclsim::Kernel, Option<oclsim::Kernel>) {
         let op = f.clone();
-        let scan = NativeKernelDef::new("skelcl_scan_native", cost, move |ctx| {
-            let mut views = ctx.arg_views();
-            let [in_view, out_view, ..] = views.as_mut_slice() else {
-                return Err("scan kernel is missing its input or output".to_string());
-            };
-            let input = in_view
-                .as_slice::<T>()
-                .ok_or_else(|| "scan input must be a buffer".to_string())?;
-            let output = out_view
-                .as_slice_mut::<T>()
-                .ok_or_else(|| "scan output must be a buffer".to_string())?;
+        let scan = closure_kernel::<T>("skelcl_scan_native", "scan", 1, cost, move |args| {
+            let input = args.input::<T>(0)?;
             let mut acc = input[0];
-            output[0] = acc;
+            args.output[0] = acc;
             for i in 1..input.len() {
                 acc = op(acc, input[i]);
-                output[i] = acc;
+                args.output[i] = acc;
             }
             Ok(())
         });
-        let offset = NativeKernelDef::new("skelcl_scan_offset_native", cost, move |ctx| {
-            let offset = T::from_value(ctx.scalar(2)?);
-            let mut views = ctx.arg_views();
-            let data = views
-                .first_mut()
-                .and_then(|v| v.as_slice_mut::<T>())
-                .ok_or_else(|| "scan offset kernel needs a buffer".to_string())?;
-            for x in data.iter_mut() {
+        let name = "skelcl_scan_offset_native";
+        let offset = closure_kernel::<T>(name, "scan offset", 0, cost, move |args| {
+            let offset = T::from_value(args.trailing_scalar()?);
+            for x in args.output.iter_mut() {
                 *x = f(offset, *x);
             }
             Ok(())
         });
-        (native_kernel(scan), Some(native_kernel(offset)))
+        (scan, Some(offset))
     }
 
     /// The shared implementation behind every terminal form: prepare the

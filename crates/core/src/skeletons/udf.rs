@@ -17,7 +17,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use oclsim::{CostHint, NativeKernelDef, Program};
+use oclsim::{ArgView, CostHint, NativeKernelDef, Pod, Program, Value};
 
 use crate::error::{Result, SkelError};
 use crate::kernelgen::{check_binary_op, StageKind, UdfInfo};
@@ -191,6 +191,77 @@ pub(crate) fn native_kernel(def: NativeKernelDef) -> oclsim::Kernel {
     Program::from_native([def])
         .kernel(&name)
         .expect("the program holds the kernel it was built from")
+}
+
+/// The arguments of a closure kernel's launch, taken apart once. Every
+/// closure kernel has its generated twin's layout
+/// `[inputs…, out, n, extras…]`.
+pub(crate) struct ClosureArgs<'v, 'a, O> {
+    stage: &'static str,
+    inputs: &'v [ArgView<'a>],
+    /// The output buffer.
+    pub output: &'v mut [O],
+    /// Work-items of the launch.
+    pub global_size: usize,
+    /// The length argument `n`.
+    pub n: usize,
+    /// What follows `n`: the call's additional arguments, after a frame's
+    /// own trailing scalar if it has one (an index map's or scan's offset).
+    pub extras: &'v mut [ArgView<'a>],
+}
+
+impl<'v, 'a, O> ClosureArgs<'v, 'a, O> {
+    /// Input buffer `index`, as `T` elements.
+    pub(crate) fn input<T: Pod>(&self, index: usize) -> std::result::Result<&'v [T], String> {
+        self.inputs[index]
+            .as_slice()
+            .ok_or_else(|| format!("{} input {index} must be a buffer", self.stage))
+    }
+
+    /// The scalar that follows `n`.
+    pub(crate) fn trailing_scalar(&self) -> std::result::Result<Value, String> {
+        self.extras
+            .first()
+            .and_then(ArgView::scalar)
+            .ok_or_else(|| format!("{} kernel needs a scalar after its length", self.stage))
+    }
+}
+
+/// The kernel `name` of a `stage` skeleton's Rust closure: `body` with the
+/// launch's arguments as [`ClosureArgs`] over `inputs` input buffers.
+pub(crate) fn closure_kernel<O: Pod>(
+    name: &str,
+    stage: &'static str,
+    inputs: usize,
+    cost: CostHint,
+    body: impl Fn(ClosureArgs<'_, '_, O>) -> std::result::Result<(), String> + Send + Sync + 'static,
+) -> oclsim::Kernel {
+    native_kernel(NativeKernelDef::new(name, cost, move |ctx| {
+        let global_size = ctx.global_size();
+        let mut views = ctx.arg_views();
+        let split = inputs.min(views.len());
+        let (input_views, rest) = views.split_at_mut(split);
+        let [out, n, extras @ ..] = rest else {
+            return Err(format!(
+                "{stage} kernel needs {inputs} input(s), an output and a length"
+            ));
+        };
+        let output = out
+            .as_slice_mut()
+            .ok_or_else(|| format!("{stage} output must be a buffer"))?;
+        let n = n
+            .scalar()
+            .and_then(|n| usize::try_from(n.as_i64()).ok())
+            .ok_or_else(|| format!("{stage} length must be a non-negative scalar"))?;
+        body(ClosureArgs {
+            stage,
+            inputs: input_views,
+            output,
+            global_size,
+            n,
+            extras,
+        })
+    }))
 }
 
 impl<T: DeviceScalar> Udf<BinaryOp<T>> {

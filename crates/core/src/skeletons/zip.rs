@@ -12,14 +12,14 @@
 
 use std::sync::Arc;
 
-use oclsim::{CostHint, NativeKernelDef, Pod};
+use oclsim::{CostHint, Pod};
 
 use crate::args::ArgAccess;
 use crate::container::Container;
 use crate::error::Result;
 use crate::kernelgen::{self, StageKind};
 use crate::matrix::Matrix;
-use crate::skeletons::udf::native_kernel;
+use crate::skeletons::udf::closure_kernel;
 use crate::skeletons::{run_call, CallSpec, Launch, LaunchConfig, PreparedCall, Skeleton, Udf};
 use crate::vector::Vector;
 
@@ -95,29 +95,15 @@ impl<A: Pod, B: Pod, O: Pod> Zip<A, B, O> {
         f: Arc<ZipFn<A, B, O>>,
         cost: CostHint,
     ) -> (oclsim::Kernel, Option<oclsim::Kernel>) {
-        let def = NativeKernelDef::new("skelcl_zip_native", cost, move |ctx| {
-            let n = ctx.global_size();
-            let mut views = ctx.arg_views();
-            let [left_view, right_view, out_view, _n_view, extra @ ..] = views.as_mut_slice()
-            else {
-                return Err("zip kernel is missing an input, its output or its length".to_string());
-            };
-            let left = left_view
-                .as_slice::<A>()
-                .ok_or_else(|| "zip left input must be a buffer".to_string())?;
-            let right = right_view
-                .as_slice::<B>()
-                .ok_or_else(|| "zip right input must be a buffer".to_string())?;
-            let output = out_view
-                .as_slice_mut::<O>()
-                .ok_or_else(|| "zip output must be a buffer".to_string())?;
-            let mut access = ArgAccess::new(extra);
-            for i in 0..n {
-                output[i] = f(&left[i], &right[i], &mut access);
+        let kernel = closure_kernel::<O>("skelcl_zip_native", "zip", 2, cost, move |args| {
+            let (left, right) = (args.input::<A>(0)?, args.input::<B>(1)?);
+            let mut access = ArgAccess::new(args.extras);
+            for i in 0..args.global_size {
+                args.output[i] = f(&left[i], &right[i], &mut access);
             }
             Ok(())
         });
-        (native_kernel(def), None)
+        (kernel, None)
     }
 
     /// The shared execution path behind [`Skeleton::execute`] and the

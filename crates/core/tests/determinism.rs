@@ -59,10 +59,10 @@ fn observe(
     let mut trace = rt.exec_trace();
     let compiles = trace.native_compiles();
     for device in &mut trace.devices {
-        device.native_compile_ns = 0;
-        device.native_compiles = 0;
+        device.tiers.native_compile_ns = 0;
+        device.tiers.native_compiles = 0;
     }
-    trace.devices[0].native_compiles = compiles;
+    trace.devices[0].tiers.native_compiles = compiles;
     Observation {
         result_bits: result.iter().map(|x| x.to_bits()).collect(),
         scalar_bits: scalar.to_bits(),

@@ -4,11 +4,11 @@
 //! results are identical across tiers, and `Plan::explain` renders the tier
 //! decision and the counters.
 
-use skelcl::oclsim::KernelArg;
+use skelcl::oclsim::{KernelArg, LaunchTrace, TierSnapshot};
 use skelcl::skeletons::{Map, MapOverlap};
 use skelcl::vector::Vector;
 use skelcl::Tier;
-use skelcl::{Boundary, Matrix};
+use skelcl::{Boundary, DeviceTrace, ExecTrace, Matrix};
 
 const SQUARE: &str = "float func(float x) { return x * x; }";
 
@@ -124,8 +124,8 @@ fn interp_tier_pin_and_per_device_counters() {
     assert_eq!(t.native_launches() + t.batched_launches(), 0);
     assert_eq!(t.devices.len(), 2);
     for d in &t.devices {
-        assert_eq!(d.interp_launches, 1);
-        assert_eq!(d.native_compiles, 0);
+        assert_eq!(d.tiers.interp_launches, 1);
+        assert_eq!(d.tiers.native_compiles, 0);
     }
 }
 
@@ -180,7 +180,7 @@ fn hazardous_launches_are_counted_as_bailed_not_native() {
     assert_eq!(t.batched_launches(), 1, "{}", t.tier_line());
     assert_eq!(t.replayed_batches(), 1, "{}", t.tier_line());
     assert_eq!(t.bailed_launches(), 1, "{}", t.tier_line());
-    assert_eq!(t.devices[0].bailed_launches, 1);
+    assert_eq!(t.devices[0].tiers.bailed_launches, 1);
 
     // Lanes diverge into two stores in the second batch: divergence is not
     // a hazard, so the launch stays native and only that batch runs masked.
@@ -196,7 +196,7 @@ fn hazardous_launches_are_counted_as_bailed_not_native() {
     assert_eq!(t.replayed_batches(), 1, "{}", t.tier_line());
     assert_eq!(t.bailed_launches(), 1, "{}", t.tier_line());
     assert_eq!(t.masked_batches(), 1, "{}", t.tier_line());
-    assert_eq!(t.devices[0].masked_batches, 1);
+    assert_eq!(t.devices[0].tiers.masked_batches, 1);
 }
 
 /// The paper's two applications end to end: the OSEM subset's branchy
@@ -343,4 +343,126 @@ fn one_skeleton_instance_builds_and_tiers_on_every_runtime_it_runs_on() {
             t2.tier_line()
         );
     }
+}
+
+/// Every counting field of a `LaunchTrace` reaches `ExecTrace::tiers()`:
+/// synthetic traces folded on two devices, the sums compared field by field.
+/// Both records are taken apart exhaustively, so a field added to either
+/// does not compile here until it is counted — the hop a new counter would
+/// otherwise be forgotten on.
+#[test]
+fn every_counting_field_of_a_launch_trace_reaches_the_exec_trace() {
+    let trace = |tier, seed: u64, compiled, bailed| LaunchTrace {
+        tier,
+        native_compiled: compiled,
+        native_compile_ns: 1000 + seed,
+        native_batches: 10 + seed,
+        masked_batches: 3 + seed,
+        replayed_batches: 1 + seed,
+        bailed,
+        fallback: None,
+    };
+    let per_device = [
+        vec![
+            trace(Tier::Native, 1, true, false),
+            trace(Tier::Native, 2, false, true),
+            trace(Tier::Interp, 3, false, false),
+        ],
+        vec![
+            trace(Tier::Batched, 4, true, true),
+            trace(Tier::Scalar, 5, false, false),
+            trace(Tier::Native, 6, true, false),
+            trace(Tier::Batched, 7, false, false),
+        ],
+    ];
+
+    let mut devices = Vec::new();
+    let mut want = TierSnapshot::default();
+    for (device, traces) in per_device.iter().enumerate() {
+        let mut tiers = TierSnapshot::default();
+        for t in traces {
+            tiers.record(t);
+            let LaunchTrace {
+                tier,
+                native_compiled,
+                native_compile_ns,
+                native_batches,
+                masked_batches,
+                replayed_batches,
+                bailed,
+                fallback: _,
+            } = t.clone();
+            match tier {
+                Tier::Interp => want.interp_launches += 1,
+                Tier::Scalar => want.scalar_launches += 1,
+                Tier::Batched => want.batched_launches += 1,
+                Tier::Native | Tier::Auto => want.native_launches += 1,
+            }
+            // The compile time is repeated on every launch of a compiled
+            // kernel; it counts on the launch that compiled.
+            want.native_compiles += usize::from(native_compiled);
+            want.native_compile_ns += if native_compiled {
+                native_compile_ns
+            } else {
+                0
+            };
+            want.native_batches += native_batches;
+            want.masked_batches += masked_batches;
+            want.replayed_batches += replayed_batches;
+            want.bailed_launches += usize::from(bailed);
+        }
+        devices.push(DeviceTrace {
+            device,
+            tiers,
+            ..DeviceTrace::default()
+        });
+    }
+    let exec = ExecTrace {
+        devices,
+        ..ExecTrace::default()
+    };
+
+    let TierSnapshot {
+        interp_launches,
+        scalar_launches,
+        batched_launches,
+        native_launches,
+        native_compiles,
+        native_compile_ns,
+        native_batches,
+        masked_batches,
+        replayed_batches,
+        bailed_launches,
+    } = exec.tiers();
+    assert_eq!(exec.tiers(), want);
+    assert_eq!(
+        (
+            interp_launches,
+            scalar_launches,
+            batched_launches,
+            native_launches
+        ),
+        (1, 1, 2, 3)
+    );
+    assert_eq!((native_compiles, native_compile_ns), (3, 3011));
+    assert_eq!(
+        (native_batches, masked_batches, replayed_batches),
+        (98, 49, 35)
+    );
+    assert_eq!(bailed_launches, 2);
+    // The named accessors and the tier line read the same record.
+    assert_eq!(exec.interp_launches(), interp_launches);
+    assert_eq!(exec.scalar_launches(), scalar_launches);
+    assert_eq!(exec.batched_launches(), batched_launches);
+    assert_eq!(exec.native_launches(), native_launches);
+    assert_eq!(exec.native_compiles(), native_compiles);
+    assert_eq!(exec.native_compile_ns(), native_compile_ns);
+    assert_eq!(exec.masked_batches(), masked_batches);
+    assert_eq!(exec.replayed_batches(), replayed_batches);
+    assert_eq!(exec.bailed_launches(), bailed_launches);
+    assert_eq!(
+        exec.tier_line(),
+        "Kernel launches: 3 native, 2 batched, 1 scalar, 1 interp; \
+         35 replayed batch(es), 2 bailed launch(es), 49 masked batch(es)"
+    );
 }

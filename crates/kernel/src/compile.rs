@@ -250,13 +250,6 @@ pub struct CompiledUnit {
     pub buffer_names: Vec<String>,
 }
 
-impl CompiledUnit {
-    /// Total number of instructions across all functions.
-    pub fn instruction_count(&self) -> usize {
-        self.functions.iter().map(|f| f.code.len()).sum()
-    }
-}
-
 /// Compile a checked translation unit. The unit must have passed
 /// [`crate::sema::check`]; structural errors that sema rejects are reported
 /// here as internal errors rather than silently miscompiled.

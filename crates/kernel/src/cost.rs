@@ -24,7 +24,8 @@ use crate::builtins::Builtin;
 /// Default assumed trip count for loops whose bounds are not literal.
 pub const DEFAULT_TRIP_COUNT: f64 = 16.0;
 
-/// Estimated per-work-item cost of a kernel.
+/// The cost of kernel code: estimated per work-item by this module, or
+/// measured while running (as [`crate::interp::ExecStats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CostEstimate {
     /// Floating-point operations per work-item.
@@ -42,6 +43,17 @@ impl CostEstimate {
             flops: self.flops + other.flops,
             global_bytes: self.global_bytes + other.global_bytes,
             ops: self.ops + other.ops,
+        }
+    }
+
+    /// Average per-work-item cost of a total measured over `items`
+    /// work-items.
+    pub fn per_item(&self, items: usize) -> CostEstimate {
+        let n = items.max(1) as f64;
+        CostEstimate {
+            flops: self.flops / n,
+            global_bytes: self.global_bytes / n,
+            ops: self.ops / n,
         }
     }
 
@@ -257,10 +269,11 @@ pub fn estimate_named(unit: &TranslationUnit, name: &str) -> Option<CostEstimate
 
 impl CostEstimate {
     /// Collapse the estimate to a single FLOP-equivalent figure, weighting
-    /// non-floating-point statement work (`ops`) at a quarter FLOP each —
-    /// the same weighting the simulated OpenCL runtime uses when it turns
-    /// estimates and measured statement counts into a per-item cost hint.
-    /// Used to compare fused vs split pipeline stages on one axis.
+    /// non-floating-point statement work (`ops`) at a quarter FLOP each.
+    /// This is the only place the weight is written: the simulated OpenCL
+    /// runtime turns estimates and measured statement counts into per-item
+    /// cost hints with it, and the fusion pass compares fused vs split
+    /// pipeline stages on this one axis.
     pub fn flops_equivalent(&self) -> f64 {
         self.flops + 0.25 * self.ops
     }

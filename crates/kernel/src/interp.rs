@@ -9,8 +9,9 @@ use std::collections::HashMap;
 
 use crate::ast::*;
 use crate::builtins::{stencil, Builtin};
+use crate::cost::CostEstimate;
 use crate::diag::KernelError;
-use crate::types::{ScalarType, Type};
+use crate::types::{ArgKind, ScalarType, Type};
 use crate::value::Value;
 
 /// The work-item context: the values returned by `get_global_id` and friends.
@@ -162,6 +163,15 @@ impl<'a> ArgBinding<'a> {
     /// Convenience constructor for an `f64` buffer binding.
     pub fn buffer_f64(data: &'a mut [f64]) -> Self {
         ArgBinding::Buffer(BufferView::F64(data))
+    }
+
+    /// What the shared signature rule ([`crate::types::check_signature`])
+    /// needs to know of this binding.
+    pub fn kind<E>(&self) -> ArgKind<E> {
+        match self {
+            ArgBinding::Scalar(_) => ArgKind::Scalar,
+            ArgBinding::Buffer(view) => ArgKind::Buffer(Ok(view.scalar_type())),
+        }
     }
 }
 
@@ -355,35 +365,13 @@ impl Env {
     }
 }
 
-/// Dynamic execution statistics accumulated while interpreting kernel code.
-///
-/// Unlike the *static* estimate of [`crate::cost`] (which the paper's static
-/// scheduler uses as a prediction), these are the operations the kernel
-/// actually executed, so data-dependent loops (e.g. the Mandelbrot escape
+/// Dynamic execution statistics accumulated while running kernel code: the
+/// record of the static estimator ([`crate::cost`], which the paper's static
+/// scheduler uses as a prediction), filled with the operations the kernel
+/// actually executed — so data-dependent loops (e.g. the Mandelbrot escape
 /// loop) are accounted for exactly. The device simulator charges virtual
 /// time from these measured counts.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ExecStats {
-    /// Floating-point operations executed.
-    pub flops: f64,
-    /// Bytes of global-memory (buffer) traffic: loads + stores.
-    pub global_bytes: f64,
-    /// Statements and expressions evaluated (a proxy for integer and
-    /// control-flow work).
-    pub ops: f64,
-}
-
-impl ExecStats {
-    /// Average per-work-item statistics over `items` work-items.
-    pub fn per_item(&self, items: usize) -> ExecStats {
-        let n = items.max(1) as f64;
-        ExecStats {
-            flops: self.flops / n,
-            global_bytes: self.global_bytes / n,
-            ops: self.ops / n,
-        }
-    }
-}
+pub type ExecStats = CostEstimate;
 
 /// The kernel interpreter. One instance may be reused across work-items of
 /// the same launch.

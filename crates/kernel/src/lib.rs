@@ -16,11 +16,21 @@
 //! * a [`compile`] stage lowering the checked AST into flat, register-based
 //!   bytecode — names resolved to numbered slots, control flow lowered to
 //!   jumps, FLOP/byte costs attributed per instruction at compile time,
-//! * a [`vm`] (register-based bytecode VM) that executes a kernel for one
-//!   work-item at a time against argument [`value::Value`]s and buffer views
-//!   — the fast engine behind every launch,
-//! * an [`interp`] (tree-walking interpreter) retained as the
-//!   differential-testing oracle for the VM,
+//! * four engines that run a kernel over its work-items, bit-identical in
+//!   results, [`interp::ExecStats`] and error text, selected by [`Tier`]:
+//!   - the [`interp`] tree-walking interpreter — the **oracle** every other
+//!     engine is differentially tested against, kept free of optimisation;
+//!   - the scalar bytecode [`vm`], one work-item at a time — the **replay**
+//!     engine: a lane batch the native tier aborts is rolled back and re-run
+//!     here, and this engine's results, stats and messages are authoritative;
+//!   - the lane-batched [`vm`] — the **fallback** for kernels the native tier
+//!     cannot take (`uint` arithmetic, recursion), for the remainder of a
+//!     launch that bailed, and when pinned with [`Tier::Batched`];
+//!   - the closure-compiled [`native`] tier — the **default**: every eligible
+//!     kernel runs here from its first launch,
+//! * the signature rule of a launch ([`types::check_signature`]), written
+//!   once for every engine below the oracle and for the simulator's
+//!   enqueue-time validation,
 //! * a static [`cost`] estimator that counts floating-point and memory
 //!   operations per work-item, used by the simulator's analytical cost model,
 //! * a [`compose`] module with token-level identifier renaming and
@@ -29,8 +39,8 @@
 //!
 //! The entry point is [`Program::build`], mirroring `clBuildProgram`: it
 //! parses, checks and **compiles to bytecode once**, returning the compiled
-//! program from which [`KernelHandle`]s can be looked up by name; every
-//! launch then runs flat bytecode instead of re-walking the AST.
+//! program from which [`KernelHandle`]s can be looked up by name; a kernel's
+//! native closures are compiled at its first native launch and cached.
 //!
 //! ```
 //! use skelcl_kernel::{Program, value::Value, interp::ArgBinding};
@@ -158,18 +168,27 @@ impl KernelHandle {
     pub fn index(&self) -> usize {
         self.index
     }
+
+    /// Check an argument list against the kernel's signature without
+    /// executing anything: [`types::check_signature`] over this kernel's
+    /// parameters, so the error is the one a launch would report.
+    pub fn check_args<E: From<KernelError>>(
+        &self,
+        args: impl ExactSizeIterator<Item = types::ArgKind<E>>,
+    ) -> Result<(), E> {
+        let params = self.params.iter().map(|p| (p.name.as_str(), p.ty));
+        types::check_signature(&self.name, params, args)
+    }
 }
 
 /// Description of one kernel parameter, exposed so that runtimes can validate
-/// argument bindings before launching.
+/// argument bindings before launching ([`KernelHandle::check_args`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelParam {
     /// Parameter name as written in the source.
     pub name: String,
-    /// `true` if the parameter is a global-memory pointer (a buffer).
-    pub is_buffer: bool,
-    /// Scalar element type of the parameter (the pointee type for buffers).
-    pub ty: types::ScalarType,
+    /// Declared type: a scalar, or a global-memory pointer (a buffer).
+    pub ty: types::Type,
 }
 
 impl Program {
@@ -181,13 +200,7 @@ impl Program {
         let unit = parser::parse(&tokens, source)?;
         let unit = sema::check(unit)?;
         let compiled = compile::compile(&unit)?;
-        let initial = match std::env::var("SKELCL_KERNEL_TIER") {
-            Ok(s) => Some(
-                Tier::parse(&s)
-                    .map_err(|e| KernelError::run(format!("SKELCL_KERNEL_TIER: {}", e.message)))?,
-            ),
-            Err(_) => None,
-        };
+        let initial = Tier::from_env()?;
         let num_functions = unit.functions.len();
         Ok(Program {
             unit: Arc::new(unit),
@@ -258,8 +271,7 @@ impl Program {
             .iter()
             .map(|p| KernelParam {
                 name: p.name.clone(),
-                is_buffer: p.ty.is_pointer(),
-                ty: p.ty.scalar(),
+                ty: p.ty,
             })
             .collect();
         Ok(KernelHandle {
@@ -276,24 +288,11 @@ impl Program {
         cost::estimate_function(&self.unit, &self.unit.functions[kernel.index])
     }
 
-    /// Execute `kernel` for a single work-item (through the bytecode VM).
-    ///
-    /// `args` must match the kernel signature (validated). The bindings are
-    /// read and written in place.
-    pub fn run_work_item(
-        &self,
-        kernel: &KernelHandle,
-        item: WorkItem,
-        args: &mut [ArgBinding<'_>],
-    ) -> Result<(), KernelError> {
-        let mut vm = Vm::new(&self.compiled);
-        vm.run_kernel(kernel.index, item, args)
-    }
-
     /// Execute `kernel` over a one-dimensional NDRange of `global_size`
-    /// work-items, sequentially through the bytecode VM. This is the
-    /// execution path used by the device simulator (`oclsim`), which models
-    /// hardware parallelism in virtual time rather than in host threads.
+    /// work-items on the program's selected [`Tier`] — by default the native
+    /// tier, with the batched VM for kernels it cannot take. Work-items run
+    /// sequentially on the calling thread: the device simulator (`oclsim`)
+    /// models hardware parallelism in virtual time, not in host threads.
     pub fn run_ndrange(
         &self,
         kernel: &KernelHandle,
@@ -311,11 +310,10 @@ impl Program {
     /// counts — rather than the static [`Program::cost_estimate`] — to charge
     /// virtual time, so data-dependent loops are accounted for exactly.
     ///
-    /// Work-items run through the bytecode VM in lane batches of
-    /// [`vm::BATCH_LANES`] (see the [`vm`] module docs — batching is
-    /// semantically invisible: results, stats and errors are identical to
-    /// the one-item-at-a-time loop); argument validation happens once per
-    /// launch instead of once per item.
+    /// Which engine runs is the program's [`Tier`]; the choice is
+    /// semantically invisible — results, stats and errors are those of the
+    /// interpreter oracle on every tier — and argument validation happens
+    /// once per launch, not once per item.
     pub fn run_ndrange_measured(
         &self,
         kernel: &KernelHandle,
@@ -352,9 +350,10 @@ impl Program {
         Ok((stats, trace))
     }
 
-    /// Execute a launch on the batched VM unconditionally (the pre-native
-    /// default path), bypassing tier selection. Benchmarks and differential
-    /// suites use this to pin the batched engine specifically.
+    /// Execute a launch on the lane-batched VM unconditionally (the fallback
+    /// engine), bypassing tier selection: work-items run in lockstep batches
+    /// of [`vm::BATCH_LANES`] (see the [`vm`] module docs). Benchmarks and
+    /// differential suites use this to pin the batched engine specifically.
     pub fn run_ndrange_measured_batched(
         &self,
         kernel: &KernelHandle,
@@ -363,16 +362,7 @@ impl Program {
     ) -> Result<interp::ExecStats, KernelError> {
         let mut vm = Vm::new(&self.compiled);
         vm.bind_kernel(kernel.index, args)?;
-        let mut items = [WorkItem::linear(0, global_size); vm::BATCH_LANES];
-        let mut gid = 0;
-        while gid < global_size {
-            let n = (global_size - gid).min(vm::BATCH_LANES);
-            for (k, slot) in items.iter_mut().enumerate().take(n) {
-                *slot = WorkItem::linear(gid + k, global_size);
-            }
-            vm.run_batch(&items[..n], args)?;
-            gid += n;
-        }
+        for_each_batch(global_size, |items| vm.run_batch(items, args))?;
         Ok(vm.stats())
     }
 
@@ -421,62 +411,45 @@ impl Program {
         let stencil = vm.stencil();
         let mut exec = native::NativeExec::new(nk);
         let mut native_stats = interp::ExecStats::default();
-        let mut items = [WorkItem::linear(0, global_size); vm::BATCH_LANES];
-        let mut gid = 0;
-        while gid < global_size {
-            let n = (global_size - gid).min(vm::BATCH_LANES);
-            for (k, slot) in items.iter_mut().enumerate().take(n) {
-                *slot = WorkItem::linear(gid + k, global_size);
-            }
+        for_each_batch(global_size, |items| {
             if trace.bailed {
-                vm.run_batch(&items[..n], args)?;
-            } else {
-                match exec.execute_batch(
-                    &items[..n],
-                    args,
-                    stencil,
-                    vm.max_loop_iterations,
-                    &mut native_stats,
-                ) {
-                    Ok(diverged) => {
-                        trace.native_batches += 1;
-                        trace.masked_batches += u64::from(diverged);
+                return vm.run_batch(items, args);
+            }
+            let budget = vm.max_loop_iterations;
+            match exec.execute_batch(items, args, stencil, budget, &mut native_stats) {
+                Ok(diverged) => {
+                    trace.native_batches += 1;
+                    trace.masked_batches += u64::from(diverged);
+                }
+                Err(abort) => {
+                    exec.rollback(args);
+                    trace.replayed_batches += 1;
+                    for item in items {
+                        vm.run_item(*item, args)?;
                     }
-                    Err(abort) => {
-                        exec.rollback(args);
-                        trace.replayed_batches += 1;
-                        for item in &items[..n] {
-                            vm.run_item(*item, args)?;
-                        }
-                        if abort == native::NativeAbort::Bail {
-                            // Cross-lane hazard (or non-linear ids): this
-                            // kernel shape won't batch; finish the launch
-                            // on the VM (which has its own finer rollback
-                            // machinery).
-                            trace.bailed = true;
-                            if trace.native_batches == 0 {
-                                trace.tier = Tier::Batched;
-                            }
+                    if abort == native::NativeAbort::Bail {
+                        // Cross-lane hazard (or non-linear ids): this kernel
+                        // shape won't batch; finish the launch on the VM
+                        // (which has its own finer rollback machinery).
+                        trace.bailed = true;
+                        if trace.native_batches == 0 {
+                            trace.tier = Tier::Batched;
                         }
                     }
                 }
             }
-            gid += n;
-        }
+            Ok(())
+        })?;
         // Both accumulators hold sums of dyadic per-instruction costs well
         // below 2^53, so adding them is exact regardless of order.
-        let mut stats = vm.stats();
-        stats.flops += native_stats.flops;
-        stats.global_bytes += native_stats.global_bytes;
-        stats.ops += native_stats.ops;
-        Ok(stats)
+        Ok(vm.stats().add(native_stats))
     }
 
-    /// Scalar (one-work-item-at-a-time) twin of
-    /// [`Program::run_ndrange_measured`]. Semantically identical — the lane
-    /// batching of the default path is invisible — and kept as a public
-    /// entry point so benchmarks can quantify the batching win and the
-    /// differential suites can pin both paths against the oracle.
+    /// Execute a launch on the scalar VM unconditionally, one work-item at a
+    /// time — the engine the native tier replays an aborted batch on. Kept
+    /// as a public entry point so benchmarks can quantify what the batched
+    /// and native tiers win over it and the differential suites can pin it
+    /// against the oracle.
     pub fn run_ndrange_measured_scalar(
         &self,
         kernel: &KernelHandle,
@@ -489,21 +462,6 @@ impl Program {
             vm.run_item(WorkItem::linear(gid, global_size), args)?;
         }
         Ok(vm.stats())
-    }
-
-    /// Execute `kernel` over an NDRange through the tree-walking
-    /// interpreter. The interpreter is the differential-testing oracle for
-    /// the bytecode VM — slower, but semantically authoritative; the
-    /// property suite asserts both engines produce identical results and
-    /// [`interp::ExecStats`].
-    pub fn run_ndrange_interp(
-        &self,
-        kernel: &KernelHandle,
-        global_size: usize,
-        args: &mut [ArgBinding<'_>],
-    ) -> Result<(), KernelError> {
-        self.run_ndrange_measured_interp(kernel, global_size, args)
-            .map(|_| ())
     }
 
     /// Run a *single* work-item of a larger NDRange through the interpreter
@@ -532,17 +490,27 @@ impl Program {
     ) -> Result<interp::ExecStats, KernelError> {
         let mut interp = Interpreter::new(&self.unit);
         for gid in 0..global_size {
-            let item = WorkItem {
-                global_id: gid,
-                global_size,
-                local_id: gid,
-                local_size: global_size,
-                group_id: 0,
-            };
-            interp.run_kernel(kernel.index, item, args)?;
+            interp.run_kernel(kernel.index, WorkItem::linear(gid, global_size), args)?;
         }
         Ok(interp.stats())
     }
+}
+
+/// Hand `run` the work-items of a linear NDRange in lane batches of
+/// [`vm::BATCH_LANES`] (the last one may be short).
+fn for_each_batch(
+    global_size: usize,
+    mut run: impl FnMut(&[WorkItem]) -> Result<(), KernelError>,
+) -> Result<(), KernelError> {
+    let mut items = [WorkItem::linear(0, global_size); vm::BATCH_LANES];
+    for start in (0..global_size).step_by(vm::BATCH_LANES) {
+        let n = (global_size - start).min(vm::BATCH_LANES);
+        for (k, slot) in items[..n].iter_mut().enumerate() {
+            *slot = WorkItem::linear(start + k, global_size);
+        }
+        run(&items[..n])?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -583,8 +551,8 @@ mod tests {
         let p = Program::build(src).unwrap();
         let k = p.kernel("zip").unwrap();
         assert_eq!(k.params.len(), 5);
-        assert!(k.params[0].is_buffer);
-        assert!(!k.params[3].is_buffer);
+        assert!(k.params[0].ty.is_pointer());
+        assert!(!k.params[3].ty.is_pointer());
 
         let mut xs = vec![1.0f32, 2.0, 3.0, 4.0];
         let mut ys = vec![5.0f32, 6.0, 7.0, 8.0];

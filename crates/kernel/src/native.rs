@@ -97,7 +97,7 @@
 //!   whether there is an error to report.
 //! * **Why the batched VM was left alone.** It serves only native-ineligible
 //!   kernels, bailed launches and pinned tiers and is slated for deletion
-//!   (ROADMAP 2(b)); growing a second mask implementation there would double
+//!   (ROADMAP item 6(b)); growing a second mask implementation there would double
 //!   the fork this module exists to end. It still replays divergent batches.
 //!
 //! # Cross-lane hazards: the lane-private-base rule
@@ -188,55 +188,50 @@ pub enum Tier {
     Auto,
 }
 
-/// Valid tier names, for error messages.
-pub const TIER_NAMES: &str = "interp, scalar, batched, native, auto";
+/// Every tier with its name, in declaration order: what [`Tier::parse`] and
+/// `Display` spell and what a program's stored selection indexes — the one
+/// list (besides the enum) a tier is added to or removed from.
+const TIERS: [(Tier, &str); 5] = [
+    (Tier::Interp, "interp"),
+    (Tier::Scalar, "scalar"),
+    (Tier::Batched, "batched"),
+    (Tier::Native, "native"),
+    (Tier::Auto, "auto"),
+];
 
 impl Tier {
     /// Parse a tier name (as accepted by `SKELCL_KERNEL_TIER`).
     pub fn parse(s: &str) -> Result<Tier, KernelError> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "interp" | "interpreter" => Ok(Tier::Interp),
-            "scalar" => Ok(Tier::Scalar),
-            "batched" | "vm" => Ok(Tier::Batched),
-            "native" => Ok(Tier::Native),
-            "auto" => Ok(Tier::Auto),
-            other => Err(KernelError::run(format!(
-                "unknown kernel tier `{other}`: expected one of {TIER_NAMES}"
-            ))),
-        }
-    }
-
-    pub(crate) fn as_u8(self) -> u8 {
-        match self {
-            Tier::Interp => 0,
-            Tier::Scalar => 1,
-            Tier::Batched => 2,
-            Tier::Native => 3,
-            Tier::Auto => 4,
-        }
-    }
-
-    pub(crate) fn from_u8(v: u8) -> Option<Tier> {
-        Some(match v {
-            0 => Tier::Interp,
-            1 => Tier::Scalar,
-            2 => Tier::Batched,
-            3 => Tier::Native,
-            4 => Tier::Auto,
-            _ => return None,
+        let name = s.trim().to_ascii_lowercase();
+        let name = match name.as_str() {
+            "interpreter" => "interp",
+            "vm" => "batched",
+            other => other,
+        };
+        let known = TIERS.iter().find(|(_, n)| *n == name);
+        known.map(|(tier, _)| *tier).ok_or_else(|| {
+            let names = TIERS.map(|(_, n)| n).join(", ");
+            KernelError::run(format!(
+                "unknown kernel tier `{name}`: expected one of {names}"
+            ))
         })
+    }
+
+    /// The tier pinned by the `SKELCL_KERNEL_TIER` environment variable, if
+    /// it is set — the one place the variable is read.
+    pub fn from_env() -> Result<Option<Tier>, KernelError> {
+        match std::env::var("SKELCL_KERNEL_TIER") {
+            Ok(s) => Tier::parse(&s)
+                .map(Some)
+                .map_err(|e| KernelError::run(format!("SKELCL_KERNEL_TIER: {}", e.message))),
+            Err(_) => Ok(None),
+        }
     }
 }
 
 impl std::fmt::Display for Tier {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Tier::Interp => "interp",
-            Tier::Scalar => "scalar",
-            Tier::Batched => "batched",
-            Tier::Native => "native",
-            Tier::Auto => "auto",
-        })
+        f.write_str(TIERS[*self as usize].1)
     }
 }
 
@@ -250,7 +245,7 @@ impl std::str::FromStr for Tier {
 /// Per-[`crate::Program`] native-tier state, shared across clones of the
 /// program (and across the simulator's per-device worker threads).
 pub(crate) struct NativeState {
-    /// Selected [`Tier`] as `u8`; `u8::MAX` means "unset" (= [`Tier::Auto`]).
+    /// The selected [`Tier`], as its index in [`TIERS`].
     tier: AtomicU8,
     kernels: Vec<KernelNativeState>,
 }
@@ -267,7 +262,7 @@ impl std::fmt::Debug for NativeState {
 impl NativeState {
     pub(crate) fn new(num_functions: usize, initial: Option<Tier>) -> NativeState {
         NativeState {
-            tier: AtomicU8::new(initial.map_or(u8::MAX, Tier::as_u8)),
+            tier: AtomicU8::new(initial.unwrap_or_default() as u8),
             kernels: (0..num_functions)
                 .map(|_| KernelNativeState::default())
                 .collect(),
@@ -275,11 +270,11 @@ impl NativeState {
     }
 
     pub(crate) fn tier(&self) -> Tier {
-        Tier::from_u8(self.tier.load(Ordering::Relaxed)).unwrap_or(Tier::Auto)
+        TIERS[self.tier.load(Ordering::Relaxed) as usize].0
     }
 
     pub(crate) fn set_tier(&self, tier: Tier) {
-        self.tier.store(tier.as_u8(), Ordering::Relaxed);
+        self.tier.store(tier as u8, Ordering::Relaxed);
     }
 
     pub(crate) fn kernel(&self, index: usize) -> &KernelNativeState {
@@ -2700,15 +2695,10 @@ mod tests {
 
     #[test]
     fn tier_parse_round_trips_and_aliases() {
-        for t in [
-            Tier::Interp,
-            Tier::Scalar,
-            Tier::Batched,
-            Tier::Native,
-            Tier::Auto,
-        ] {
-            assert_eq!(Tier::parse(&t.to_string()).unwrap(), t);
-            assert_eq!(Tier::from_u8(t.as_u8()), Some(t));
+        for (i, (t, name)) in TIERS.into_iter().enumerate() {
+            assert_eq!(t as usize, i, "TIERS is in declaration order");
+            assert_eq!(t.to_string(), name);
+            assert_eq!(Tier::parse(name).unwrap(), t);
         }
         assert_eq!(Tier::parse(" VM ").unwrap(), Tier::Batched);
         assert_eq!(Tier::parse("Interpreter").unwrap(), Tier::Interp);

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::diag::KernelError;
+
 /// Scalar types supported by the language.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScalarType {
@@ -109,6 +111,62 @@ impl fmt::Display for Type {
             Type::Void => write!(f, "void"),
         }
     }
+}
+
+/// What a launch binds to one kernel parameter, as far as the signature rule
+/// is concerned. `E` is the binder's error for a buffer whose elements have
+/// no kernel-language type (the simulator's opaque `Pod` buffers); it is
+/// reported only where the rule gets as far as asking for the element type.
+#[derive(Debug)]
+pub enum ArgKind<E> {
+    /// A scalar value (converted to the parameter's type at launch).
+    Scalar,
+    /// A global buffer with its element type.
+    Buffer(Result<ScalarType, E>),
+}
+
+/// The signature rule of a launch: as many arguments as parameters, a buffer
+/// for every `__global` pointer and a scalar for everything else, and buffer
+/// elements of exactly the pointee type. `params` yields each parameter's
+/// name and declared type.
+///
+/// Every engine below the interpreter and the simulator's enqueue-time
+/// validation call this one function; the interpreter — the oracle — keeps
+/// its own copy of the rule, and `tests/signature_rule.rs` pins the two
+/// texts equal.
+pub fn check_signature<'p, E: From<KernelError>>(
+    kernel: &str,
+    params: impl ExactSizeIterator<Item = (&'p str, Type)>,
+    args: impl ExactSizeIterator<Item = ArgKind<E>>,
+) -> Result<(), E> {
+    if args.len() != params.len() {
+        return Err(KernelError::run(format!(
+            "kernel `{kernel}` expects {} arguments, {} bound",
+            params.len(),
+            args.len()
+        ))
+        .into());
+    }
+    for ((name, ty), arg) in params.zip(args) {
+        let mismatch = match (ty, arg) {
+            (Type::GlobalPtr(want), ArgKind::Buffer(got)) => match got? {
+                got if got == want => continue,
+                got => format!(
+                    "argument `{name}` of kernel `{kernel}`: expected __global {want}*, bound {got} buffer"
+                ),
+            },
+            (Type::Scalar(_), ArgKind::Scalar) => continue,
+            (Type::GlobalPtr(_), ArgKind::Scalar) => {
+                format!("argument `{name}` of kernel `{kernel}` is a buffer but a scalar was bound")
+            }
+            (Type::Scalar(_), ArgKind::Buffer(_)) => {
+                format!("argument `{name}` of kernel `{kernel}` is a scalar but a buffer was bound")
+            }
+            (Type::Void, _) => unreachable!("void parameters rejected by the parser"),
+        };
+        return Err(KernelError::run(mismatch).into());
+    }
+    Ok(())
 }
 
 #[cfg(test)]

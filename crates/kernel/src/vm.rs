@@ -1,13 +1,16 @@
 //! Register-based bytecode VM executing work-items of a compiled kernel.
 //!
-//! The VM is the fast execution engine behind [`crate::Program::run_ndrange`]:
-//! where the tree-walking interpreter pays a string-keyed hash lookup for
-//! every variable access and a shared-cell update for every counted
-//! operation, the VM indexes a flat register file and accumulates the
-//! compile-time-attributed [`crate::compile::InstrCost`]s into plain per-work-item counters.
-//! The interpreter ([`crate::interp`]) is retained as the differential-testing
-//! oracle; both engines must produce identical results *and* identical
-//! [`ExecStats`] for the same launch.
+//! Two of the four engines live here (see the crate docs for all of them).
+//! The **scalar** VM ([`Vm::run_item`]) is what the native tier replays an
+//! aborted batch on: where the tree-walking interpreter pays a string-keyed
+//! hash lookup for every variable access and a shared-cell update for every
+//! counted operation, it indexes a flat register file and accumulates the
+//! compile-time-attributed [`crate::compile::InstrCost`]s into plain
+//! per-work-item counters. The **lane-batched** VM ([`Vm::run_batch`], below)
+//! is the fallback for kernels the native tier cannot take. The interpreter
+//! ([`crate::interp`]) is the differential-testing oracle; every engine must
+//! produce identical results *and* identical [`ExecStats`] for the same
+//! launch.
 //!
 //! # Lane-batched execution
 //!
@@ -52,7 +55,7 @@ use crate::diag::KernelError;
 use crate::interp::{
     eval_binary, stencil_get, ArgBinding, ExecStats, StencilCtx, WorkItem, NO_STENCIL_CONTEXT,
 };
-use crate::types::Type;
+use crate::types::{check_signature, Type};
 use crate::value::Value;
 
 /// Number of work-items executed per lockstep batch by
@@ -227,51 +230,25 @@ impl<'u> Vm<'u> {
         self.stencil
     }
 
-    /// Validate the argument bindings against the kernel signature and build
-    /// the buffer-slot table. Mirrors the interpreter's per-call validation,
-    /// hoisted out of the per-work-item path.
+    /// Validate the argument bindings against the kernel signature (the
+    /// shared [`check_signature`] rule, hoisted out of the per-work-item
+    /// path) and build the buffer-slot table.
     pub fn bind_kernel(
         &mut self,
         kernel_index: usize,
         args: &[ArgBinding<'_>],
     ) -> Result<(), KernelError> {
         let func = &self.unit.functions[kernel_index];
-        if args.len() != func.params.len() {
-            return Err(KernelError::run(format!(
-                "kernel `{}` expects {} arguments, {} bound",
-                func.name,
-                func.params.len(),
-                args.len()
-            )));
-        }
+        check_signature::<KernelError>(
+            &func.name,
+            func.params.iter().map(|p| (p.name.as_str(), p.ty)),
+            args.iter().map(ArgBinding::kind),
+        )?;
         self.buffer_slots.clear();
         self.buffer_slots.resize(self.unit.buffer_names.len(), None);
-        for (i, (param, arg)) in func.params.iter().zip(args.iter()).enumerate() {
-            match (&param.ty, arg) {
-                (Type::GlobalPtr(want), ArgBinding::Buffer(view)) => {
-                    let got = view.scalar_type();
-                    if *want != got {
-                        return Err(KernelError::run(format!(
-                            "argument `{}` of kernel `{}`: expected __global {want}*, bound {got} buffer",
-                            param.name, func.name
-                        )));
-                    }
-                    self.buffer_slots[param.name_id as usize] = Some(i as u16);
-                }
-                (Type::Scalar(_), ArgBinding::Scalar(_)) => {}
-                (Type::GlobalPtr(_), ArgBinding::Scalar(_)) => {
-                    return Err(KernelError::run(format!(
-                        "argument `{}` of kernel `{}` is a buffer but a scalar was bound",
-                        param.name, func.name
-                    )));
-                }
-                (Type::Scalar(_), ArgBinding::Buffer(_)) => {
-                    return Err(KernelError::run(format!(
-                        "argument `{}` of kernel `{}` is a scalar but a buffer was bound",
-                        param.name, func.name
-                    )));
-                }
-                (Type::Void, _) => unreachable!("void parameters rejected by the parser"),
+        for (i, param) in func.params.iter().enumerate() {
+            if param.ty.is_pointer() {
+                self.buffer_slots[param.name_id as usize] = Some(i as u16);
             }
         }
         self.stencil = StencilCtx::detect(func.params.iter().map(|p| p.name.as_str()), args)?;
@@ -280,22 +257,6 @@ impl<'u> Vm<'u> {
         self.batch_disabled = false;
         self.bcast_lanes = 0;
         Ok(())
-    }
-
-    /// Validate and run one work-item. Equivalent to the interpreter's
-    /// `run_kernel`: the argument bindings are re-validated on every call
-    /// (so a caller swapping in differently-typed buffers gets the same
-    /// error the oracle reports). Launch loops that keep their bindings
-    /// stable should call [`Vm::bind_kernel`] once and then
-    /// [`Vm::run_item`] per item.
-    pub fn run_kernel(
-        &mut self,
-        kernel_index: usize,
-        item: WorkItem,
-        args: &mut [ArgBinding<'_>],
-    ) -> Result<(), KernelError> {
-        self.bind_kernel(kernel_index, args)?;
-        self.run_item(item, args)
     }
 
     /// Execute one work-item of the kernel bound with [`Vm::bind_kernel`].
@@ -1335,10 +1296,7 @@ mod tests {
             ArgBinding::buffer_f32(&mut data),
             ArgBinding::Scalar(Value::Int(4)),
         ];
-        let mut vm = Vm::new(p.compiled());
-        let err = vm
-            .run_kernel(k.index(), WorkItem::linear(0, 1), &mut args)
-            .unwrap_err();
+        let err = p.run_ndrange_measured_scalar(&k, 1, &mut args).unwrap_err();
         assert!(err.message.contains("out of bounds"));
     }
 
@@ -1356,10 +1314,7 @@ mod tests {
             ArgBinding::buffer_f32(&mut data),
             ArgBinding::Scalar(Value::Int(1)),
         ];
-        let mut vm = Vm::new(p.compiled());
-        let err = vm
-            .run_kernel(k.index(), WorkItem::linear(0, 1), &mut args)
-            .unwrap_err();
+        let err = p.run_ndrange_measured_scalar(&k, 1, &mut args).unwrap_err();
         assert!(err.message.contains("call depth"));
     }
 }

@@ -1,10 +1,18 @@
 //! Buffer handles: lightweight, cloneable references to device allocations.
 
-use crate::device::DeviceId;
+use skelcl_kernel::interp::BufferView;
+use skelcl_kernel::types::ScalarType;
+
+use crate::device::{BufferData, DeviceId};
+use crate::pod::Pod;
 
 /// Element kind stored in a buffer, used to validate bindings of DSL kernels
 /// (which only understand the scalar types of the kernel language). Native
 /// kernels may use any [`crate::pod::Pod`] element type (`Opaque`).
+///
+/// This is the one table between Rust element types, buffer kinds and the
+/// kernel language's scalar types: [`DataKind::of`], [`DataKind::scalar_type`]
+/// and [`DataKind::view`] are where a scalar type is added or removed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DataKind {
     /// 32-bit float elements.
@@ -23,6 +31,48 @@ pub enum DataKind {
 }
 
 impl DataKind {
+    /// The kind of buffers holding `T` elements.
+    pub fn of<T: Pod>() -> DataKind {
+        use std::any::TypeId;
+        let t = TypeId::of::<T>();
+        if t == TypeId::of::<f32>() {
+            DataKind::F32
+        } else if t == TypeId::of::<f64>() {
+            DataKind::F64
+        } else if t == TypeId::of::<i32>() {
+            DataKind::I32
+        } else if t == TypeId::of::<u32>() {
+            DataKind::U32
+        } else {
+            DataKind::Opaque {
+                elem_size: std::mem::size_of::<T>(),
+            }
+        }
+    }
+
+    /// The kernel-language type of the elements, if they have one.
+    pub fn scalar_type(self) -> Option<ScalarType> {
+        match self {
+            DataKind::F32 => Some(ScalarType::Float),
+            DataKind::F64 => Some(ScalarType::Double),
+            DataKind::I32 => Some(ScalarType::Int),
+            DataKind::U32 => Some(ScalarType::Uint),
+            DataKind::Opaque { .. } => None,
+        }
+    }
+
+    /// The typed view a kernel-language engine takes of `data`, storage of a
+    /// buffer of this kind; `None` for opaque elements.
+    pub fn view(self, data: &mut BufferData) -> Option<BufferView<'_>> {
+        match self {
+            DataKind::F32 => Some(BufferView::F32(data.as_slice_mut())),
+            DataKind::F64 => Some(BufferView::F64(data.as_slice_mut())),
+            DataKind::I32 => Some(BufferView::I32(data.as_slice_mut())),
+            DataKind::U32 => Some(BufferView::U32(data.as_slice_mut())),
+            DataKind::Opaque { .. } => None,
+        }
+    }
+
     /// Size of one element in bytes.
     pub fn elem_size(self) -> usize {
         match self {
@@ -96,6 +146,40 @@ mod tests {
         assert_eq!(DataKind::F32.elem_size(), 4);
         assert_eq!(DataKind::F64.elem_size(), 8);
         assert_eq!(DataKind::Opaque { elem_size: 24 }.elem_size(), 24);
+    }
+
+    #[test]
+    fn the_scalar_table_agrees_with_itself() {
+        let kinds = [
+            (
+                DataKind::of::<f32>(),
+                DataKind::F32,
+                Some(ScalarType::Float),
+            ),
+            (
+                DataKind::of::<f64>(),
+                DataKind::F64,
+                Some(ScalarType::Double),
+            ),
+            (DataKind::of::<i32>(), DataKind::I32, Some(ScalarType::Int)),
+            (DataKind::of::<u32>(), DataKind::U32, Some(ScalarType::Uint)),
+            (
+                DataKind::of::<[f32; 4]>(),
+                DataKind::Opaque { elem_size: 16 },
+                None,
+            ),
+        ];
+        for (of, kind, scalar) in kinds {
+            assert_eq!(of, kind);
+            assert_eq!(kind.scalar_type(), scalar);
+            let mut data = BufferData::new(2 * kind.elem_size());
+            let view = kind.view(&mut data);
+            assert_eq!(view.as_ref().map(BufferView::scalar_type), scalar);
+            assert_eq!(view.map_or(2, |v| v.len()), 2);
+            if let Some(ty) = scalar {
+                assert_eq!(ty.size_bytes(), kind.elem_size());
+            }
+        }
     }
 
     #[test]

@@ -171,26 +171,14 @@ impl BufferPool {
     }
 }
 
-/// Live per-device counters of which kernel-language execution tier handled
-/// each DSL launch, plus the native tier's compilation work. Bumped by the
-/// queue worker after every launch; snapshot with [`Device::kernel_tiers`].
-#[derive(Debug, Default)]
-struct TierCounters {
-    interp: AtomicUsize,
-    scalar: AtomicUsize,
-    batched: AtomicUsize,
-    native: AtomicUsize,
-    compiles: AtomicUsize,
-    compile_ns: AtomicU64,
-    masked_batches: AtomicU64,
-    replayed_batches: AtomicU64,
-    bailed_launches: AtomicUsize,
-}
-
-/// Snapshot of one device's kernel-tier telemetry (see
-/// [`Device::kernel_tiers`]). Native launches that fall back to the batched
-/// VM — because the kernel is ineligible, or because the very first batch
-/// bailed — count as batched launches.
+/// The one record of kernel-tier counts: which kernel-language engine
+/// handled each DSL launch, plus the native tier's compilation and batch
+/// work. A device folds every launch's [`skelcl_kernel::LaunchTrace`] into
+/// one ([`TierSnapshot::record`], snapshot with [`Device::kernel_tiers`]);
+/// snapshots of several devices add up with `+=`. Native launches that fall
+/// back to the batched VM — because the kernel is ineligible, or because the
+/// very first batch bailed — count as batched launches. A tier, or a count,
+/// is added or removed here and in `LaunchTrace`, nowhere else.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TierSnapshot {
     /// DSL launches executed by the AST interpreter.
@@ -205,15 +193,55 @@ pub struct TierSnapshot {
     pub native_compiles: usize,
     /// Total wall-clock nanoseconds spent in native-tier compilation.
     pub native_compile_ns: u64,
-    /// Native lane batches whose lanes diverged and ran under partial lane
+    /// Lane batches the native tier completed.
+    pub native_batches: u64,
+    /// Of those, the batches whose lanes diverged and ran under partial lane
     /// masks (zero for straight-line kernels).
     pub masked_batches: u64,
     /// Lane batches the native tier aborted, rolled back and replayed
     /// through the scalar VM (hazards, runtime errors, loop budget).
     pub replayed_batches: u64,
     /// Launches a replayed batch took off the native tier for their
-    /// remainder (a cross-lane hazard).
+    /// remainder (a cross-lane hazard); one that bailed on its very first
+    /// batch counts under `batched_launches`, not `native_launches`.
     pub bailed_launches: usize,
+}
+
+impl TierSnapshot {
+    /// Count one DSL kernel launch.
+    pub fn record(&mut self, trace: &skelcl_kernel::LaunchTrace) {
+        use skelcl_kernel::Tier;
+        *match trace.tier {
+            Tier::Interp => &mut self.interp_launches,
+            Tier::Scalar => &mut self.scalar_launches,
+            Tier::Batched => &mut self.batched_launches,
+            // The trace's tier is always resolved before execution.
+            Tier::Native | Tier::Auto => &mut self.native_launches,
+        } += 1;
+        if trace.native_compiled {
+            self.native_compiles += 1;
+            self.native_compile_ns += trace.native_compile_ns;
+        }
+        self.native_batches += trace.native_batches;
+        self.masked_batches += trace.masked_batches;
+        self.replayed_batches += trace.replayed_batches;
+        self.bailed_launches += usize::from(trace.bailed);
+    }
+}
+
+impl std::ops::AddAssign for TierSnapshot {
+    fn add_assign(&mut self, other: TierSnapshot) {
+        self.interp_launches += other.interp_launches;
+        self.scalar_launches += other.scalar_launches;
+        self.batched_launches += other.batched_launches;
+        self.native_launches += other.native_launches;
+        self.native_compiles += other.native_compiles;
+        self.native_compile_ns += other.native_compile_ns;
+        self.native_batches += other.native_batches;
+        self.masked_batches += other.masked_batches;
+        self.replayed_batches += other.replayed_batches;
+        self.bailed_launches += other.bailed_launches;
+    }
 }
 
 /// A simulated OpenCL device: a performance profile plus its dedicated
@@ -244,7 +272,8 @@ pub struct Device {
     zero_elisions: AtomicUsize,
     allocated: AtomicUsize,
     next_buffer_id: AtomicU64,
-    tiers: TierCounters,
+    /// Folded in by the queue worker after every DSL launch.
+    tiers: Mutex<TierSnapshot>,
     /// Armed fault triggers from the context's [`crate::FaultPlan`]
     /// (shared by every queue of the device).
     fault_triggers: Mutex<Vec<FaultSpec>>,
@@ -279,7 +308,7 @@ impl Device {
             zero_elisions: AtomicUsize::new(0),
             allocated: AtomicUsize::new(0),
             next_buffer_id: AtomicU64::new(1),
-            tiers: TierCounters::default(),
+            tiers: Mutex::new(TierSnapshot::default()),
             fault_triggers: Mutex::new(Vec::new()),
             lost: AtomicBool::new(false),
             fault_ops: AtomicUsize::new(0),
@@ -374,45 +403,12 @@ impl Device {
     /// Record which execution tier handled one DSL kernel launch (called by
     /// the queue worker with the launch's [`skelcl_kernel::LaunchTrace`]).
     pub(crate) fn note_kernel_tier(&self, trace: &skelcl_kernel::LaunchTrace) {
-        use skelcl_kernel::Tier;
-        let counter = match trace.tier {
-            Tier::Interp => &self.tiers.interp,
-            Tier::Scalar => &self.tiers.scalar,
-            Tier::Batched => &self.tiers.batched,
-            // The trace's tier is always resolved before execution.
-            Tier::Native | Tier::Auto => &self.tiers.native,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        if trace.native_compiled {
-            self.tiers.compiles.fetch_add(1, Ordering::Relaxed);
-            self.tiers
-                .compile_ns
-                .fetch_add(trace.native_compile_ns, Ordering::Relaxed);
-        }
-        self.tiers
-            .masked_batches
-            .fetch_add(trace.masked_batches, Ordering::Relaxed);
-        self.tiers
-            .replayed_batches
-            .fetch_add(trace.replayed_batches, Ordering::Relaxed);
-        if trace.bailed {
-            self.tiers.bailed_launches.fetch_add(1, Ordering::Relaxed);
-        }
+        self.tiers.lock().record(trace);
     }
 
     /// Snapshot this device's kernel-tier launch counters.
     pub fn kernel_tiers(&self) -> TierSnapshot {
-        TierSnapshot {
-            interp_launches: self.tiers.interp.load(Ordering::Relaxed),
-            scalar_launches: self.tiers.scalar.load(Ordering::Relaxed),
-            batched_launches: self.tiers.batched.load(Ordering::Relaxed),
-            native_launches: self.tiers.native.load(Ordering::Relaxed),
-            native_compiles: self.tiers.compiles.load(Ordering::Relaxed),
-            native_compile_ns: self.tiers.compile_ns.load(Ordering::Relaxed),
-            masked_batches: self.tiers.masked_batches.load(Ordering::Relaxed),
-            replayed_batches: self.tiers.replayed_batches.load(Ordering::Relaxed),
-            bailed_launches: self.tiers.bailed_launches.load(Ordering::Relaxed),
-        }
+        *self.tiers.lock()
     }
 
     /// Device kind (GPU / CPU / accelerator).
@@ -448,7 +444,7 @@ impl Device {
     /// buffer pool: the parked storage is zeroed and revived (under a fresh
     /// id), so steady-state launch loops never touch the allocator.
     pub fn create_buffer<T: Pod>(&self, len: usize) -> Result<Buffer> {
-        self.create_buffer_of(data_kind_of::<T>(), len)
+        self.create_buffer_of(DataKind::of::<T>(), len)
     }
 
     /// Allocate a buffer of `len` elements of `kind` (see
@@ -723,35 +719,6 @@ impl Device {
             storage.insert(id, data);
         }
     }
-
-    /// Look up the byte length of a live buffer.
-    pub fn buffer_len_bytes(&self, buffer: &Buffer) -> Result<usize> {
-        self.storage
-            .lock()
-            .get(&buffer.id())
-            .map(BufferData::len_bytes)
-            .ok_or(OclError::BufferNotFound { id: buffer.id() })
-    }
-}
-
-/// Helper: the [`DataKind`] for a `Pod` type, used to validate DSL kernel
-/// argument bindings.
-pub fn data_kind_of<T: Pod>() -> DataKind {
-    use std::any::TypeId;
-    let t = TypeId::of::<T>();
-    if t == TypeId::of::<f32>() {
-        DataKind::F32
-    } else if t == TypeId::of::<f64>() {
-        DataKind::F64
-    } else if t == TypeId::of::<i32>() {
-        DataKind::I32
-    } else if t == TypeId::of::<u32>() {
-        DataKind::U32
-    } else {
-        DataKind::Opaque {
-            elem_size: std::mem::size_of::<T>(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -990,17 +957,5 @@ mod tests {
         assert_eq!(data.as_slice::<f32>()[2], 5.0);
         assert_eq!(data.as_slice::<f32>().len(), 4);
         assert_eq!(data.len_bytes(), 16);
-    }
-
-    #[test]
-    fn data_kind_mapping() {
-        assert_eq!(data_kind_of::<f32>(), DataKind::F32);
-        assert_eq!(data_kind_of::<i32>(), DataKind::I32);
-        assert_eq!(data_kind_of::<u32>(), DataKind::U32);
-        assert_eq!(data_kind_of::<f64>(), DataKind::F64);
-        assert_eq!(
-            data_kind_of::<[f32; 4]>(),
-            DataKind::Opaque { elem_size: 16 }
-        );
     }
 }

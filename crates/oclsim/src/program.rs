@@ -5,10 +5,11 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use skelcl_kernel::interp::{ArgBinding, BufferView};
+use skelcl_kernel::interp::ArgBinding;
+use skelcl_kernel::types::ArgKind;
 use skelcl_kernel::KernelHandle;
 
-use crate::buffer::{Buffer, DataKind};
+use crate::buffer::Buffer;
 use crate::device::BufferData;
 use crate::error::{OclError, Result};
 use crate::pod::Pod;
@@ -70,12 +71,7 @@ impl KernelArg {
 /// once per launch and is expected to loop over `0..global_size()` itself.
 pub struct NativeCtx<'a> {
     global_size: usize,
-    slots: Vec<NativeSlot<'a>>,
-}
-
-enum NativeSlot<'a> {
-    Buffer(&'a mut BufferData),
-    Scalar(Value),
+    args: Vec<ArgView<'a>>,
 }
 
 impl<'a> NativeCtx<'a> {
@@ -84,28 +80,13 @@ impl<'a> NativeCtx<'a> {
         self.global_size
     }
 
-    /// Number of bound arguments.
-    pub fn arg_count(&self) -> usize {
-        self.slots.len()
-    }
-
-    fn slot(&self, index: usize) -> std::result::Result<&NativeSlot<'a>, String> {
-        self.slots
-            .get(index)
-            .ok_or_else(|| format!("kernel argument index {index} out of range"))
-    }
-
     /// The scalar bound at `index`.
     pub fn scalar(&self, index: usize) -> std::result::Result<Value, String> {
-        match self.slot(index)? {
-            NativeSlot::Scalar(v) => Ok(*v),
-            NativeSlot::Buffer(_) => Err(format!("argument {index} is a buffer, not a scalar")),
-        }
-    }
-
-    /// The scalar bound at `index`, as `f32`.
-    pub fn scalar_f32(&self, index: usize) -> std::result::Result<f32, String> {
-        Ok(self.scalar(index)?.as_f64() as f32)
+        self.args
+            .get(index)
+            .ok_or_else(|| format!("kernel argument index {index} out of range"))?
+            .scalar()
+            .ok_or_else(|| format!("argument {index} is a buffer, not a scalar"))
     }
 
     /// The scalar bound at `index`, as `usize` (negative values are an error).
@@ -114,71 +95,23 @@ impl<'a> NativeCtx<'a> {
         usize::try_from(v).map_err(|_| format!("argument {index} is negative ({v})"))
     }
 
-    /// Immutable typed view of the buffer bound at `index`.
-    pub fn slice<T: Pod>(&self, index: usize) -> std::result::Result<&[T], String> {
-        match self.slot(index)? {
-            NativeSlot::Buffer(data) => Ok(data.as_slice::<T>()),
-            NativeSlot::Scalar(_) => Err(format!("argument {index} is a scalar, not a buffer")),
-        }
-    }
-
-    /// Mutable typed view of the buffer bound at `index`.
-    pub fn slice_mut<T: Pod>(&mut self, index: usize) -> std::result::Result<&mut [T], String> {
-        match self
-            .slots
-            .get_mut(index)
-            .ok_or_else(|| format!("kernel argument index {index} out of range"))?
-        {
-            NativeSlot::Buffer(data) => Ok(data.as_slice_mut::<T>()),
-            NativeSlot::Scalar(_) => Err(format!("argument {index} is a scalar, not a buffer")),
-        }
-    }
-
     /// Decompose the context into one [`ArgView`] per argument, giving
     /// simultaneous (disjoint) mutable access to every buffer argument. This
-    /// is how generic skeleton kernels built on top of the simulator split
-    /// their input, output and additional-argument buffers.
+    /// is how a kernel splits its input, output and additional-argument
+    /// buffers.
     pub fn arg_views(&mut self) -> Vec<ArgView<'_>> {
-        self.slots
+        self.args
             .iter_mut()
-            .map(|slot| match slot {
-                NativeSlot::Buffer(data) => ArgView::Buffer(data),
-                NativeSlot::Scalar(v) => ArgView::Scalar(*v),
+            .map(|arg| match arg {
+                ArgView::Buffer(data) => ArgView::Buffer(data),
+                ArgView::Scalar(v) => ArgView::Scalar(*v),
             })
             .collect()
     }
-
-    /// Mutable typed views of two distinct buffer arguments at once (needed
-    /// by kernels that read one buffer while writing another).
-    pub fn two_slices_mut<A: Pod, B: Pod>(
-        &mut self,
-        a: usize,
-        b: usize,
-    ) -> std::result::Result<(&mut [A], &mut [B]), String> {
-        if a == b {
-            return Err("two_slices_mut requires distinct argument indices".to_string());
-        }
-        let (lo, hi, swapped) = if a < b { (a, b, false) } else { (b, a, true) };
-        if hi >= self.slots.len() {
-            return Err(format!("kernel argument index {hi} out of range"));
-        }
-        let (head, tail) = self.slots.split_at_mut(hi);
-        let lo_slot = &mut head[lo];
-        let hi_slot = &mut tail[0];
-        match (lo_slot, hi_slot) {
-            (NativeSlot::Buffer(x), NativeSlot::Buffer(y)) => {
-                if swapped {
-                    Ok((y.as_slice_mut::<A>(), x.as_slice_mut::<B>()))
-                } else {
-                    Ok((x.as_slice_mut::<A>(), y.as_slice_mut::<B>()))
-                }
-            }
-            _ => Err("both arguments must be buffers".to_string()),
-        }
-    }
 }
 
-/// A view of one kernel argument, produced by [`NativeCtx::arg_views`].
+/// One kernel argument as a native kernel sees it (see
+/// [`NativeCtx::arg_views`]).
 pub enum ArgView<'a> {
     /// A scalar argument value.
     Scalar(Value),
@@ -280,13 +213,6 @@ impl Program {
         }
     }
 
-    /// Whether this program was compiled from kernel-language source at
-    /// runtime (true) or registered as native code (false). Runtime-compiled
-    /// programs pay the build-time cost, like OpenCL and unlike CUDA.
-    pub fn is_runtime_compiled(&self) -> bool {
-        matches!(self.inner, ProgramInner::Dsl(_))
-    }
-
     /// Names of the kernels in the program.
     pub fn kernel_names(&self) -> Vec<String> {
         match &self.inner {
@@ -314,7 +240,7 @@ impl Program {
                 let est = p.cost_estimate(&handle);
                 Ok(Kernel {
                     name: name.to_string(),
-                    cost: CostHint::new(est.flops + est.ops * 0.25, est.global_bytes),
+                    cost: CostHint::new(est.flops_equivalent(), est.global_bytes),
                     inner: KernelInner::Dsl {
                         program: p.clone(),
                         handle,
@@ -367,66 +293,21 @@ impl Kernel {
 
     /// Validate an argument list against the kernel's signature without
     /// executing anything — the synchronous half of an asynchronous enqueue.
-    /// Replicates the bytecode VM's binding checks (same errors), so an
-    /// ill-typed launch still fails at `enqueue_kernel` even though the
-    /// launch itself now runs on the device's worker thread. Native kernels
-    /// carry no signature and validate nothing here (their closure reports
-    /// argument problems at execution).
+    /// The rule (and so every error text) is the kernel language's own
+    /// [`skelcl_kernel::types::check_signature`], which the engines apply
+    /// again when the launch runs on the device's worker thread. Native
+    /// kernels carry no signature and validate nothing here (their closure
+    /// reports argument problems at execution).
     pub fn validate_args(&self, args: &[KernelArg]) -> Result<()> {
-        use skelcl_kernel::diag::KernelError;
         let KernelInner::Dsl { handle, .. } = &self.inner else {
             return Ok(());
         };
-        if args.len() != handle.params.len() {
-            return Err(KernelError::run(format!(
-                "kernel `{}` expects {} arguments, {} bound",
-                self.name,
-                handle.params.len(),
-                args.len()
-            ))
-            .into());
-        }
-        for (i, (param, arg)) in handle.params.iter().zip(args.iter()).enumerate() {
-            match (param.is_buffer, arg) {
-                (true, KernelArg::Buffer(buf)) => {
-                    let got = match buf.kind() {
-                        DataKind::F32 => skelcl_kernel::types::ScalarType::Float,
-                        DataKind::F64 => skelcl_kernel::types::ScalarType::Double,
-                        DataKind::I32 => skelcl_kernel::types::ScalarType::Int,
-                        DataKind::U32 => skelcl_kernel::types::ScalarType::Uint,
-                        DataKind::Opaque { .. } => {
-                            return Err(OclError::InvalidKernelArg(format!(
-                                "buffer argument {i} has an opaque element type; \
-                                 kernel-language kernels only accept float/double/int/uint buffers"
-                            )))
-                        }
-                    };
-                    if param.ty != got {
-                        return Err(KernelError::run(format!(
-                            "argument `{}` of kernel `{}`: expected __global {}*, bound {got} buffer",
-                            param.name, self.name, param.ty
-                        ))
-                        .into());
-                    }
-                }
-                (true, KernelArg::Scalar(_)) => {
-                    return Err(KernelError::run(format!(
-                        "argument `{}` of kernel `{}` is a buffer but a scalar was bound",
-                        param.name, self.name
-                    ))
-                    .into());
-                }
-                (false, KernelArg::Buffer(_)) => {
-                    return Err(KernelError::run(format!(
-                        "argument `{}` of kernel `{}` is a scalar but a buffer was bound",
-                        param.name, self.name
-                    ))
-                    .into());
-                }
-                (false, KernelArg::Scalar(_)) => {}
+        handle.check_args(args.iter().enumerate().map(|(i, arg)| match arg {
+            KernelArg::Scalar(_) => ArgKind::Scalar,
+            KernelArg::Buffer(buf) => {
+                ArgKind::Buffer(buf.kind().scalar_type().ok_or_else(|| opaque_buffer(i)))
             }
-        }
-        Ok(())
+        }))
     }
 
     /// Execute the kernel against the taken buffer storage. `taken` must
@@ -444,71 +325,66 @@ impl Kernel {
         args: &[KernelArg],
         taken: &mut [(u64, BufferData)],
     ) -> Result<(Option<CostHint>, Option<skelcl_kernel::LaunchTrace>)> {
-        // Map buffer id -> &mut BufferData, consumed as bindings are built so
-        // each buffer is borrowed exactly once.
+        // Map buffer id -> &mut BufferData, consumed as the arguments are
+        // resolved so each buffer is borrowed exactly once.
         let mut by_id: HashMap<u64, &mut BufferData> =
             taken.iter_mut().map(|(id, data)| (*id, data)).collect();
+        let mut storage = |i: usize, buf: &Buffer| {
+            by_id.remove(&buf.id()).ok_or_else(|| {
+                OclError::InvalidKernelArg(format!(
+                    "buffer argument {i} was not taken from the device"
+                ))
+            })
+        };
 
         match &self.inner {
             KernelInner::Dsl { program, handle } => {
                 let mut bindings: Vec<ArgBinding<'_>> = Vec::with_capacity(args.len());
                 for (i, arg) in args.iter().enumerate() {
-                    match arg {
-                        KernelArg::Scalar(v) => bindings.push(ArgBinding::Scalar(*v)),
+                    bindings.push(match arg {
+                        KernelArg::Scalar(v) => ArgBinding::Scalar(*v),
                         KernelArg::Buffer(buf) => {
-                            let data = by_id.remove(&buf.id()).ok_or_else(|| {
-                                OclError::InvalidKernelArg(format!(
-                                    "buffer argument {i} was not taken from the device"
-                                ))
-                            })?;
-                            let view = match buf.kind() {
-                                DataKind::F32 => BufferView::F32(data.as_slice_mut::<f32>()),
-                                DataKind::F64 => BufferView::F64(data.as_slice_mut::<f64>()),
-                                DataKind::I32 => BufferView::I32(data.as_slice_mut::<i32>()),
-                                DataKind::U32 => BufferView::U32(data.as_slice_mut::<u32>()),
-                                DataKind::Opaque { .. } => {
-                                    return Err(OclError::InvalidKernelArg(format!(
-                                        "buffer argument {i} has an opaque element type; \
-                                         kernel-language kernels only accept float/double/int/uint buffers"
-                                    )))
-                                }
-                            };
-                            bindings.push(ArgBinding::Buffer(view));
+                            let view = buf.kind().view(storage(i, buf)?);
+                            ArgBinding::Buffer(view.ok_or_else(|| opaque_buffer(i))?)
                         }
-                    }
+                    });
                 }
                 let (stats, trace) =
                     program.run_ndrange_traced(handle, global_size, &mut bindings)?;
                 let per_item = stats.per_item(global_size);
                 Ok((
                     Some(CostHint::new(
-                        per_item.flops + per_item.ops * 0.25,
+                        per_item.flops_equivalent(),
                         per_item.global_bytes,
                     )),
                     Some(trace),
                 ))
             }
             KernelInner::Native(def) => {
-                let mut slots: Vec<NativeSlot<'_>> = Vec::with_capacity(args.len());
+                let mut views: Vec<ArgView<'_>> = Vec::with_capacity(args.len());
                 for (i, arg) in args.iter().enumerate() {
-                    match arg {
-                        KernelArg::Scalar(v) => slots.push(NativeSlot::Scalar(*v)),
-                        KernelArg::Buffer(buf) => {
-                            let data = by_id.remove(&buf.id()).ok_or_else(|| {
-                                OclError::InvalidKernelArg(format!(
-                                    "buffer argument {i} was not taken from the device"
-                                ))
-                            })?;
-                            slots.push(NativeSlot::Buffer(data));
-                        }
-                    }
+                    views.push(match arg {
+                        KernelArg::Scalar(v) => ArgView::Scalar(*v),
+                        KernelArg::Buffer(buf) => ArgView::Buffer(storage(i, buf)?),
+                    });
                 }
-                let mut ctx = NativeCtx { global_size, slots };
+                let mut ctx = NativeCtx {
+                    global_size,
+                    args: views,
+                };
                 (def.func)(&mut ctx).map_err(OclError::InvalidKernelArg)?;
                 Ok((None, None))
             }
         }
     }
+}
+
+/// A kernel-language kernel was handed a buffer of opaque elements.
+fn opaque_buffer(index: usize) -> OclError {
+    OclError::InvalidKernelArg(format!(
+        "buffer argument {index} has an opaque element type; \
+         kernel-language kernels only accept float/double/int/uint buffers"
+    ))
 }
 
 #[cfg(test)]
@@ -526,7 +402,6 @@ mod tests {
         "#,
         )
         .unwrap();
-        assert!(p.is_runtime_compiled());
         assert_eq!(p.kernel_names(), vec!["scale".to_string()]);
         let k = p.kernel("scale").unwrap();
         assert!(k.cost().flops_per_item > 0.0);
@@ -537,7 +412,6 @@ mod tests {
     fn native_program_kernel_lookup() {
         let def = NativeKernelDef::new("noop", CostHint::DEFAULT, |_ctx| Ok(()));
         let p = Program::from_native([def]);
-        assert!(!p.is_runtime_compiled());
         let k = p.kernel("noop").unwrap();
         assert_eq!(k.cost(), CostHint::DEFAULT);
         assert!(p.kernel("other").is_err());
@@ -566,8 +440,13 @@ mod tests {
     fn native_execution_with_two_buffers() {
         let def = NativeKernelDef::new("axpy", CostHint::new(2.0, 12.0), |ctx| {
             let n = ctx.global_size();
-            let a = ctx.scalar_f32(2)?;
-            let (xs, ys) = ctx.two_slices_mut::<f32, f32>(0, 1)?;
+            let a = ctx.scalar(2)?.as_f64() as f32;
+            let mut views = ctx.arg_views();
+            let [xs, ys, ..] = views.as_mut_slice() else {
+                return Err("axpy takes two buffers".to_string());
+            };
+            let xs = xs.as_slice::<f32>().ok_or("x must be a buffer")?;
+            let ys = ys.as_slice_mut::<f32>().ok_or("y must be a buffer")?;
             for i in 0..n {
                 ys[i] += a * xs[i];
             }
@@ -616,11 +495,22 @@ mod tests {
         let p = Program::from_source("__kernel void k(__global float* v, int n) { v[0] = n; }")
             .unwrap();
         let k = p.kernel("k").unwrap();
-        let buf = Buffer::new(1, 0, 2, crate::device::data_kind_of::<[f32; 4]>());
+        let buf = Buffer::new(1, 0, 2, crate::buffer::DataKind::of::<[f32; 4]>());
         let mut taken = vec![(1u64, BufferData::new(32))];
-        let err = k
-            .execute(1, &[KernelArg::Buffer(buf), KernelArg::i32(1)], &mut taken)
-            .unwrap_err();
+        let args = [KernelArg::Buffer(buf.clone()), KernelArg::i32(1)];
+        let err = k.execute(1, &args, &mut taken).unwrap_err();
         assert!(matches!(err, OclError::InvalidKernelArg(_)));
+        // Enqueue-time validation says the same — where the signature rule
+        // asks for the element type, and not before: under the scalar
+        // parameter the buffer is simply a buffer.
+        let err = k.validate_args(&args).unwrap_err();
+        assert!(matches!(err, OclError::InvalidKernelArg(_)));
+        let fbuf = Buffer::new(2, 0, 2, crate::buffer::DataKind::F32);
+        let err = k
+            .validate_args(&[KernelArg::Buffer(fbuf), KernelArg::Buffer(buf)])
+            .unwrap_err();
+        assert!(err
+            .to_string()
+            .ends_with("is a scalar but a buffer was bound"));
     }
 }

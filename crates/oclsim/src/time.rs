@@ -55,11 +55,6 @@ impl SimDuration {
         SimDuration(us * 1_000)
     }
 
-    /// Construct from nanoseconds.
-    pub fn from_nanos(ns: u64) -> SimDuration {
-        SimDuration(ns)
-    }
-
     /// The span in nanoseconds.
     pub fn as_nanos(self) -> u64 {
         self.0

@@ -8,8 +8,9 @@
 # one struct, the fusion accounting one function. This script fails if a
 # second template, kernel cache, scan flow, pasted kernel frame, prepare
 # stage, recovery wrapper, per-call closure kernel, plan-handle struct or
-# per-consumer match on PlanNode shows up again. Run from the repository
-# root (CI: the `check` job).
+# per-consumer match on PlanNode shows up again. One seam: each fact the
+# kernel engines, the simulator and the core share is written in one file.
+# Run from the repository root (CI: the `check` job).
 set -euo pipefail
 
 src=crates/core/src
@@ -195,6 +196,30 @@ fi
 if [ "$(count "$skel/exec.rs" "enqueue_kernel(")" != 1 ]; then
     complain "exec.rs must enqueue kernels in exactly one place (launch_elementwise)"
 fi
+
+# --- One seam -------------------------------------------------------------
+
+# $1 is written (outside tests, under crates/*/src) in exactly the files $3,
+# matching the pattern $2 — and, when $4 is given, that many times in all.
+written_in() {
+    local got="" total=0 n file
+    for file in $(grep -rlE -- "$2" crates/*/src | sort); do
+        n=$(non_test "$file" | grep -cE -- "$2" || true)
+        if [ "$n" != 0 ]; then got="$got$file " total=$((total + n)); fi
+    done
+    if [ "$got" != "$3" ] || [ "${4:-$total}" != "$total" ]; then
+        complain "$1: $total time(s) in [ $got], expected ${4:-any} in [ $3]"
+    fi
+}
+k=crates/kernel/src
+written_in "the Rust type -> DataKind table" "TypeId::of::<f32>" "crates/oclsim/src/buffer.rs " 1
+written_in "the signature rule (oracle + shared checker)" \
+    "expects \{\} arguments|expected __global|but a (scalar|buffer) was bound" "$k/interp.rs $k/types.rs "
+written_in "the ops cost weight" "0\.25 \* self\.ops|ops \* 0\.25" "$k/cost.rs " 1
+written_in "the SKELCL_KERNEL_TIER read" 'var\("SKELCL_KERNEL_TIER"\)' "$k/native.rs " 1
+written_in "a tier-count field (LaunchTrace, TierSnapshot)" \
+    "^ *(pub )?((interp|scalar|batched|native|bailed)_launches|native_compile(s|_ns)|(native|masked|replayed)_batches): " \
+    "$k/lib.rs crates/oclsim/src/device.rs "
 
 if [ "$fail" = 0 ]; then
     echo "check_one_lowering: ok"
