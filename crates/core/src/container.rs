@@ -17,7 +17,10 @@
 //!    neighbour's rows go owner read → forwarded write, an edge row the
 //!    device owns itself is an on-device copy, and the host only enqueues
 //!    and then joins the commands in real time (errors still surface
-//!    synchronously; its virtual clock pays enqueue overheads only).
+//!    synchronously; its virtual clock pays enqueue overheads only). Padding
+//!    filled from a neighbour may be stored several halo widths deep and
+//!    then exchanged once per that many sweeps (`ghost_sweeps` counts what
+//!    is left), and `Storage::repad` changes how deep without the host.
 //!
 //! 2. **[`Partitioning`] / [`PartLayout`]** — the dimension-generic
 //!    distribution interface. [`crate::distribution::Distribution`] (1-D) and
@@ -182,9 +185,21 @@ pub trait PartLayout: Clone + Send + Sync + 'static {
     /// the core data.
     fn has_halo(&self) -> bool;
 
+    /// How many stencil sweeps the stored padding supports between two
+    /// exchanges with the neighbouring devices: the ghost depth of the
+    /// layout, 1 for a layout that stores exactly its halo (or none).
+    fn halo_sweeps(&self, _edge: EdgePolicy) -> usize {
+        1
+    }
+
     /// The padding regions of device `d`'s part and their sources, in
-    /// refresh order. Empty for layouts without halos.
-    fn halo_segments(&self, device: usize, edge: EdgePolicy) -> Vec<HaloSegment>;
+    /// refresh order, for an exchange that is to pay for `sweeps` sweeps
+    /// (at most [`PartLayout::halo_sweeps`]): a region filled from a
+    /// neighbouring device is `sweeps` halo widths deep. `sweeps == 0` lists
+    /// only the regions a device refreshes by itself — policy fills and
+    /// copies of its own elements at the container edges, which go stale
+    /// with every sweep. Empty for layouts without halos.
+    fn halo_segments(&self, device: usize, edge: EdgePolicy, sweeps: usize) -> Vec<HaloSegment>;
 
     /// The flat element partition of the *owned* (core) elements — what an
     /// element-wise kernel launch iterates over. Only meaningful for layouts
@@ -218,9 +233,14 @@ pub(crate) struct Storage<T: Pod, D: Partitioning> {
     pub(crate) shape: D::Shape,
     pub(crate) host_valid: bool,
     pub(crate) devices_valid: bool,
-    /// Whether the halo padding of the device parts matches the neighbours'
-    /// current core data (trivially true for layouts without halos).
+    /// Whether the halo padding of the device parts is fresh for the next
+    /// sweep (trivially true for layouts without halos).
     pub(crate) halos_valid: bool,
+    /// How many more sweeps the padding filled from neighbouring devices
+    /// supports before it must be exchanged again. The regions a device
+    /// refreshes by itself go stale with every sweep regardless, so
+    /// `halos_valid` implies `ghost_sweeps >= 1`, not the reverse.
+    pub(crate) ghost_sweeps: usize,
     pub(crate) distribution: D,
     pub(crate) layout: D::Layout,
     pub(crate) buffers: Vec<Option<Buffer>>,
@@ -250,6 +270,7 @@ impl<T: Pod, D: Partitioning> Storage<T, D> {
             host_valid: true,
             devices_valid: false,
             halos_valid: false,
+            ghost_sweeps: 0,
             distribution,
             layout,
             buffers: vec![None; devices],
@@ -261,16 +282,19 @@ impl<T: Pod, D: Partitioning> Storage<T, D> {
 
     /// Device-resident storage (skeleton outputs): the data already lives in
     /// per-device buffers; the host copy — and any halo padding — is stale.
+    /// `layout` is how the buffers are stored when that is more than the
+    /// distribution says (a stencil output's ghost rows); `None` derives it.
     pub(crate) fn new_device_resident(
         runtime: Arc<SkelCl>,
         shape: D::Shape,
         distribution: D,
+        layout: Option<D::Layout>,
         buffers: Vec<Option<Buffer>>,
         edge: EdgePolicy,
         fill: Option<T>,
     ) -> Storage<T, D> {
         let devices = runtime.device_count();
-        let layout = distribution.layout(shape, devices);
+        let layout = layout.unwrap_or_else(|| distribution.layout(shape, devices));
         Storage {
             runtime,
             host: Vec::new(),
@@ -278,6 +302,7 @@ impl<T: Pod, D: Partitioning> Storage<T, D> {
             host_valid: false,
             devices_valid: true,
             halos_valid: false,
+            ghost_sweeps: 0,
             distribution,
             layout,
             buffers,
@@ -388,6 +413,7 @@ impl<T: Pod, D: Partitioning> Storage<T, D> {
         }
         self.devices_valid = true;
         self.halos_valid = true;
+        self.ghost_sweeps = self.layout.halo_sweeps(self.edge);
         Ok(())
     }
 
@@ -498,8 +524,7 @@ impl<T: Pod, D: Partitioning> Storage<T, D> {
     ///
     /// 1. every cross-device [`HaloSegment::Remote`] becomes a non-blocking
     ///    read on its owner's queue (all reads before any forward, so the
-    ///    owners' transfers run side by side instead of queueing behind
-    ///    their neighbours' writes);
+    ///    owners' transfers run side by side);
     /// 2. a segment whose owner *is* the destination device (the `Clamp` /
     ///    `Wrap` edge rows) is one device-local copy, a
     ///    [`HaloSegment::Fill`] one fill;
@@ -507,33 +532,49 @@ impl<T: Pod, D: Partitioning> Storage<T, D> {
     ///    which waits for it on the device side (see
     ///    [`oclsim::CommandQueue::enqueue_write_buffer_from_read`]).
     ///
+    /// `sweeps` is how many sweeps the exchange is to pay for: the regions
+    /// filled from neighbouring devices are exchanged that many halo widths
+    /// deep (at most as deep as the layout stores them) and then left alone
+    /// for that many sweeps — while they still hold a sweep's worth, only
+    /// step 2 runs.
+    ///
     /// The host's virtual clock advances by the enqueue overheads only; the
     /// next sweep's kernel is ordered behind its halo writes by the in-order
-    /// queue. The final join is real-time only, so a lost device or a
+    /// queue, and the final join is real-time only, so a lost device or a
     /// transient fault still surfaces here, synchronously, for the recovery
-    /// layer. Halo telemetry: a forwarded segment is charged once on the
-    /// owner and once on the destination, a local copy or fill once on its
-    /// device (see [`SkelCl::charge_halo_transfer`]).
-    pub(crate) fn refresh_halos(&mut self) -> Result<()> {
+    /// layer. Halo telemetry: one [`SkelCl::charge_halo_transfer`] per
+    /// command, on the device that executes it.
+    pub(crate) fn refresh_halos(&mut self, sweeps: usize) -> Result<()> {
         debug_assert!(self.devices_valid);
         if self.halos_valid || !self.layout.has_halo() {
             self.halos_valid = true;
             return Ok(());
         }
+        let exchanged = if self.ghost_sweeps > 0 {
+            0
+        } else {
+            sweeps.clamp(1, self.layout.halo_sweeps(self.edge))
+        };
         let mut events = Vec::new();
-        let enqueued = self.enqueue_halo_exchange(&mut events);
+        let enqueued = self.enqueue_halo_exchange(&mut events, exchanged);
         // Join whatever was enqueued even if a later enqueue was rejected:
         // nothing of this exchange may stay in flight or latched.
         let joined = wait_events(&self.runtime, events);
         enqueued?;
         joined?;
         self.halos_valid = true;
+        self.ghost_sweeps = self.ghost_sweeps.max(exchanged);
         Ok(())
     }
 
-    /// Enqueue one halo exchange (see [`Storage::refresh_halos`]), pushing
-    /// every command's `(device, event)` onto `events` in enqueue order.
-    fn enqueue_halo_exchange(&self, events: &mut Vec<(usize, oclsim::EventHandle)>) -> Result<()> {
+    /// Enqueue one halo exchange, `sweeps` halo widths deep between devices
+    /// (see [`Storage::refresh_halos`]), pushing every command's
+    /// `(device, event)` onto `events` in enqueue order.
+    fn enqueue_halo_exchange(
+        &self,
+        events: &mut Vec<(usize, oclsim::EventHandle)>,
+        sweeps: usize,
+    ) -> Result<()> {
         let elem = std::mem::size_of::<T>();
         let buffer_of = |device: usize| {
             self.buffers[device].as_ref().ok_or_else(|| {
@@ -544,7 +585,7 @@ impl<T: Pod, D: Partitioning> Storage<T, D> {
         };
         let mut exchange = Vec::new();
         for device in self.layout.active_devices() {
-            let segments = self.layout.halo_segments(device, self.edge);
+            let segments = self.layout.halo_segments(device, self.edge, sweeps);
             if !segments.is_empty() {
                 exchange.push((device, buffer_of(device)?, segments));
             }
@@ -621,13 +662,61 @@ impl<T: Pod, D: Partitioning> Storage<T, D> {
 
     /// Prepare the container for device use: upload if the host holds the
     /// newer copy, otherwise refresh any stale halo padding (the
-    /// between-sweeps path of iterative stencils).
-    pub(crate) fn prepare_on_devices(&mut self) -> Result<()> {
+    /// between-sweeps path of iterative stencils) so that it lasts `sweeps`
+    /// sweeps where the layout stores that much.
+    pub(crate) fn prepare_on_devices(&mut self, sweeps: usize) -> Result<()> {
         if self.devices_valid {
-            self.refresh_halos()
+            self.refresh_halos(sweeps)
         } else {
             self.ensure_on_devices()
         }
+    }
+
+    /// Adopt `layout` — the same owned elements per device, stored with
+    /// different padding — without the host: every resident part's owned
+    /// region is copied on its device into a buffer of the new stored length
+    /// and the padding is left stale. On an error the storage is unchanged.
+    pub(crate) fn repad(&mut self, layout: D::Layout) -> Result<()> {
+        if self.devices_valid {
+            let mut fresh = vec![None; self.buffers.len()];
+            let mut events = Vec::new();
+            let enqueued = layout.active_devices().into_iter().try_for_each(|device| {
+                let (Some((from, owned)), Some((to, _)), Some(old)) = (
+                    self.layout.gather_segment(device),
+                    layout.gather_segment(device),
+                    &self.buffers[device],
+                ) else {
+                    return Ok(());
+                };
+                let stored = layout.stored_len(device);
+                let new = self.runtime.context().create_buffer::<T>(device, stored)?;
+                fresh[device] = Some(new.clone());
+                let queue = self.runtime.queue(device);
+                let copy =
+                    queue.enqueue_copy_buffer_region::<T>(old, from, &new, to, owned.len())?;
+                events.push((device, copy));
+                Ok(())
+            });
+            let joined = wait_events(&self.runtime, events);
+            if let Err(e) = enqueued.and(joined) {
+                for buffer in fresh.iter().flatten() {
+                    let _ = self.runtime.context().release_buffer(buffer);
+                }
+                return Err(e);
+            }
+            self.release_buffers();
+            self.buffers = fresh;
+        }
+        self.layout = layout;
+        self.stale_halos();
+        Ok(())
+    }
+
+    /// The padding no longer matches anything: the next device use refreshes
+    /// all of it.
+    pub(crate) fn stale_halos(&mut self) {
+        self.halos_valid = false;
+        self.ghost_sweeps = 0;
     }
 
     /// Change the distribution (and optionally the edge policy): the
@@ -644,7 +733,7 @@ impl<T: Pod, D: Partitioning> Storage<T, D> {
         self.download_to_host()?;
         self.release_buffers();
         self.devices_valid = false;
-        self.halos_valid = false;
+        self.stale_halos();
         self.layout = distribution.layout(self.shape, self.runtime.device_count());
         self.distribution = distribution;
         self.edge = edge;
@@ -661,7 +750,7 @@ impl<T: Pod, D: Partitioning> Storage<T, D> {
     pub(crate) fn distrust_devices(&mut self) {
         if self.host_valid {
             self.devices_valid = false;
-            self.halos_valid = false;
+            self.stale_halos();
         }
     }
 
@@ -681,7 +770,7 @@ impl<T: Pod, D: Partitioning> Storage<T, D> {
     pub(crate) fn mark_device_modified(&mut self) {
         if self.devices_valid {
             self.host_valid = false;
-            self.halos_valid = false;
+            self.stale_halos();
         }
     }
 
@@ -690,7 +779,7 @@ impl<T: Pod, D: Partitioning> Storage<T, D> {
     pub(crate) fn invalidate_devices(&mut self) {
         self.release_buffers();
         self.devices_valid = false;
-        self.halos_valid = false;
+        self.stale_halos();
         self.host_valid = true;
     }
 
@@ -724,12 +813,14 @@ impl<T: Pod, D: Partitioning> Storage<T, D> {
     }
 
     /// Commit this storage as the output of a skeleton launch that wrote the
-    /// given buffers: adopt shape, distribution and buffers; the devices now
-    /// hold the authoritative copy and the host copy is stale.
+    /// given buffers: adopt shape, distribution, stored layout (`None`: the
+    /// distribution's own) and buffers; the devices now hold the
+    /// authoritative copy and the host copy is stale.
     pub(crate) fn commit_as_output(
         &mut self,
         shape: D::Shape,
         distribution: D,
+        layout: Option<D::Layout>,
         buffers: Vec<Option<Buffer>>,
     ) -> Result<()> {
         // Release any old buffer that was replaced rather than reused.
@@ -745,12 +836,13 @@ impl<T: Pod, D: Partitioning> Storage<T, D> {
             let _ = self.runtime.context().release_buffer(&b);
         }
         self.shape = shape;
-        self.layout = distribution.layout(shape, self.runtime.device_count());
+        self.layout =
+            layout.unwrap_or_else(|| distribution.layout(shape, self.runtime.device_count()));
         self.distribution = distribution;
         self.buffers = buffers;
         self.host_valid = false;
         self.devices_valid = true;
-        self.halos_valid = false;
+        self.stale_halos();
         Ok(())
     }
 }
@@ -839,10 +931,11 @@ pub trait DynContainer: Send + Sync {
 
     /// Upload lazily and return the flat element partition a kernel iterates
     /// plus the per-device buffers. Element-wise kernels cannot iterate
-    /// halo-padded stencil layouts, so those are coerced away unless
-    /// `keep_halo` (the stencil sweep itself) asks for the padded parts with
-    /// fresh halos.
-    fn prepare_parts(&self, keep_halo: bool) -> Result<(Partition, Vec<Option<Buffer>>)>;
+    /// halo-padded stencil layouts, so those are coerced away
+    /// (`halo_sweeps == 0`) unless the stencil sweep itself asks for the
+    /// padded parts, with halos fresh for `halo_sweeps` sweeps where the
+    /// layout stores that much.
+    fn prepare_parts(&self, halo_sweeps: usize) -> Result<(Partition, Vec<Option<Buffer>>)>;
 
     /// The current 1-D distribution of the container's flat element space,
     /// if it has one (used by vector-specific skeletons and plans); matrices

@@ -264,7 +264,7 @@ impl PartLayout for Partition {
         false
     }
 
-    fn halo_segments(&self, _device: usize, _edge: EdgePolicy) -> Vec<HaloSegment> {
+    fn halo_segments(&self, _device: usize, _edge: EdgePolicy, _sweeps: usize) -> Vec<HaloSegment> {
         Vec::new()
     }
 
@@ -406,14 +406,22 @@ impl<T> Boundary<T> {
 
 /// The concrete row partitioning of a `rows × cols` matrix over `devices`
 /// devices: for each device the *core* row range it owns, plus the halo
-/// width replicated around each part under
-/// [`MatrixDistribution::OverlapBlock`].
+/// width of [`MatrixDistribution::OverlapBlock`] and the padding rows each
+/// part stores around its core.
+///
+/// The stored padding is at least the halo and is a private property of the
+/// stored layout, not of the distribution: the iterative stencil driver
+/// stores `k · halo` *ghost* rows towards a neighbouring device's part
+/// (`with_ghost_depth`) so that one halo exchange pays for
+/// `k` sweeps; towards a container edge the padding is always `halo` rows.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RowPartition {
     ranges: Vec<Range<usize>>,
     rows: usize,
     cols: usize,
     halo: usize,
+    /// Rows each device stores above and below its core rows.
+    pads: Vec<(usize, usize)>,
 }
 
 impl RowPartition {
@@ -451,6 +459,7 @@ impl RowPartition {
             rows,
             cols,
             halo,
+            pads: vec![(halo, halo); devices],
         }
     }
 
@@ -464,15 +473,20 @@ impl RowPartition {
         self.core_rows(device).len()
     }
 
-    /// Number of rows device `d` stores, including the halo padding (the
-    /// halo is carried even by parts at the matrix edges, filled by the
-    /// boundary policy, so every part is uniformly `core + 2 * halo` rows).
+    /// Rows device `d` stores above and below its core rows.
+    fn pads(&self, device: usize) -> (usize, usize) {
+        self.pads.get(device).copied().unwrap_or((0, 0))
+    }
+
+    /// Number of rows device `d` stores, including the padding (carried even
+    /// by parts at the matrix edges, where the boundary policy fills it).
     pub fn stored_row_count(&self, device: usize) -> usize {
         let core = self.core_row_count(device);
         if core == 0 {
             0
         } else {
-            core + 2 * self.halo
+            let (above, below) = self.pads(device);
+            above + core + below
         }
     }
 
@@ -545,15 +559,104 @@ impl RowPartition {
         }
     }
 
-    /// The padded row indices of device `d`'s part that are halo slots:
-    /// `(slot, padded_row)` pairs, top halo first, then bottom halo. `slot`
-    /// is the row index within the stored part.
-    fn halo_slots(&self, device: usize) -> Vec<(usize, i64)> {
+    /// Whether device `d`'s part faces another device's part above and below
+    /// it: the row just beyond its core belongs to a neighbour, not to the
+    /// container edge (whose padding the device fills by itself).
+    pub(crate) fn faces_neighbour(&self, device: usize, edge: EdgePolicy) -> (bool, bool) {
         let core = self.core_rows(device);
-        let halo = self.halo;
-        (0..halo)
-            .map(|k| (k, core.start as i64 - halo as i64 + k as i64))
-            .chain((0..halo).map(|k| (halo + core.len() + k, core.end as i64 + k as i64)))
+        let foreign = |p: i64| {
+            let owner = self.row_source(p, edge).and_then(|g| self.row_owner(g));
+            !core.is_empty() && owner.is_some_and(|owner| owner != device)
+        };
+        (foreign(core.start as i64 - 1), foreign(core.end as i64))
+    }
+
+    /// The deepest ghost zone this partition can hold: no part may be asked
+    /// for more rows than its neighbour owns.
+    pub(crate) fn max_ghost_depth(&self) -> usize {
+        let smallest = self.ranges.iter().map(|r| r.len()).filter(|&n| n > 0).min();
+        (smallest.unwrap_or(0) / self.halo.max(1)).max(1)
+    }
+
+    /// This partition with `depth · halo` ghost rows stored towards every
+    /// neighbouring device's part (clamped to [`Self::max_ghost_depth`]) and
+    /// `halo` rows towards the container edges.
+    pub(crate) fn with_ghost_depth(&self, depth: usize, edge: EdgePolicy) -> RowPartition {
+        let ghost = depth.clamp(1, self.max_ghost_depth()) * self.halo;
+        let pad = |faces: bool| if faces { ghost } else { self.halo };
+        let pads = (0..self.device_count())
+            .map(|device| {
+                let (above, below) = self.faces_neighbour(device, edge);
+                (pad(above), pad(below))
+            })
+            .collect();
+        RowPartition {
+            pads,
+            ..self.clone()
+        }
+    }
+
+    /// How many sweeps one exchange of everything stored pays for: the
+    /// shallowest ghost zone any part stores towards a neighbour, in halo
+    /// widths (1 when no part has a neighbour).
+    pub(crate) fn ghost_depth(&self, edge: EdgePolicy) -> usize {
+        if self.halo == 0 {
+            return 1;
+        }
+        let depths = self.active_devices().into_iter().flat_map(|device| {
+            let (faces_above, faces_below) = self.faces_neighbour(device, edge);
+            let (above, below) = self.pads(device);
+            [(faces_above, above), (faces_below, below)]
+        });
+        let shallowest = depths.filter(|&(faces, _)| faces).map(|(_, pad)| pad).min();
+        shallowest.map_or(1, |pad| (pad / self.halo).max(1))
+    }
+
+    /// The stored rows device `d` computes in a sweep that must leave
+    /// `sweeps − 1` more sweeps' worth of valid ghost rows behind: its core
+    /// plus `(sweeps − 1) · halo` ghost rows towards each neighbour —
+    /// `(first stored row, row count)`.
+    pub(crate) fn sweep_rows(
+        &self,
+        device: usize,
+        edge: EdgePolicy,
+        sweeps: usize,
+    ) -> (usize, usize) {
+        let extra = sweeps.saturating_sub(1) * self.halo;
+        let (faces_above, faces_below) = self.faces_neighbour(device, edge);
+        let above = if faces_above { extra } else { 0 };
+        let below = if faces_below { extra } else { 0 };
+        (
+            self.pads(device).0 - above,
+            above + self.core_row_count(device) + below,
+        )
+    }
+
+    /// The stored padding rows of device `d`'s part a halo refresh touches:
+    /// `(slot, padded_row)` pairs, the rows above the core first, then those
+    /// below. `slot` is the row index within the stored part. Towards a
+    /// neighbour these are the `sweeps · halo` ghost rows next to the core
+    /// (as many as are stored), towards a container edge the `halo` rows.
+    fn halo_slots(&self, device: usize, edge: EdgePolicy, sweeps: usize) -> Vec<(usize, i64)> {
+        let core = self.core_rows(device);
+        let (faces_above, faces_below) = self.faces_neighbour(device, edge);
+        let (pad_above, pad_below) = self.pads(device);
+        let rows = |faces: bool, pad: usize| {
+            if faces {
+                (sweeps.max(1) * self.halo).min(pad)
+            } else {
+                self.halo
+            }
+        };
+        let (above, below) = (rows(faces_above, pad_above), rows(faces_below, pad_below));
+        (0..above)
+            .map(|k| {
+                (
+                    pad_above - above + k,
+                    (core.start + k) as i64 - above as i64,
+                )
+            })
+            .chain((0..below).map(|k| (pad_above + core.len() + k, (core.end + k) as i64)))
             .collect()
     }
 }
@@ -580,18 +683,18 @@ impl PartLayout for RowPartition {
             return Vec::new();
         }
         let core = self.core_rows(device);
-        let halo = self.halo as i64;
+        let (above, below) = self.pads(device);
         let cols = self.cols;
         let row_segment = |p: i64| match self.row_source(p, edge) {
             Some(r) => PartSegment::Host(r * cols..(r + 1) * cols),
             None => PartSegment::Fill { len: cols },
         };
-        let mut segments = Vec::with_capacity(2 * self.halo + 1);
-        for p in core.start as i64 - halo..core.start as i64 {
+        let mut segments = Vec::with_capacity(above + below + 1);
+        for p in core.start as i64 - above as i64..core.start as i64 {
             segments.push(row_segment(p));
         }
         segments.push(PartSegment::Host(core.start * cols..core.end * cols));
-        for p in core.end as i64..core.end as i64 + halo {
+        for p in core.end as i64..(core.end + below) as i64 {
             segments.push(row_segment(p));
         }
         segments
@@ -603,24 +706,32 @@ impl PartLayout for RowPartition {
             return None;
         }
         let cols = self.cols;
-        Some((self.halo * cols, core.start * cols..core.end * cols))
+        Some((
+            self.pads(device).0 * cols,
+            core.start * cols..core.end * cols,
+        ))
     }
 
     fn has_halo(&self) -> bool {
         self.halo > 0
     }
 
+    fn halo_sweeps(&self, edge: EdgePolicy) -> usize {
+        self.ghost_depth(edge)
+    }
+
     /// The halo regions of device `d`'s part. Consecutive halo slots whose
     /// sources are consecutive rows of the same owning device are grouped
     /// into one [`HaloSegment::Remote`], so the exchange between two
-    /// neighbouring parts is a single `halo_rows × cols` read plus one
-    /// write; policy-filled edge rows become per-row [`HaloSegment::Fill`]s.
-    fn halo_segments(&self, device: usize, edge: EdgePolicy) -> Vec<HaloSegment> {
+    /// neighbouring parts is a single `sweeps · halo_rows × cols` read plus
+    /// one write; policy-filled edge rows become per-row
+    /// [`HaloSegment::Fill`]s. `sweeps == 0` asks for what the device
+    /// refreshes by itself only — its fills and the copies of rows it owns.
+    fn halo_segments(&self, device: usize, edge: EdgePolicy, sweeps: usize) -> Vec<HaloSegment> {
         let cols = self.cols;
         if self.halo == 0 || cols == 0 {
             return Vec::new();
         }
-        let halo = self.halo;
         let mut segments = Vec::new();
         // (slot0, src_row0, owner, rows-in-run)
         let mut run: Option<(usize, usize, usize, usize)> = None;
@@ -631,12 +742,12 @@ impl PartLayout for RowPartition {
                 segments.push(HaloSegment::Remote {
                     dst_offset: slot0 * cols,
                     owner,
-                    src_offset: (src_row0 - owner_core.start + halo) * cols,
+                    src_offset: (src_row0 - owner_core.start + self.pads(owner).0) * cols,
                     len: rows * cols,
                 });
             }
         };
-        for (slot, p) in self.halo_slots(device) {
+        for (slot, p) in self.halo_slots(device, edge, sweeps) {
             match self.row_source(p, edge) {
                 None => {
                     flush(&mut run, &mut segments);
@@ -658,6 +769,10 @@ impl PartLayout for RowPartition {
                         });
                         continue;
                     };
+                    if sweeps == 0 && owner != device {
+                        flush(&mut run, &mut segments);
+                        continue;
+                    }
                     match &mut run {
                         Some((slot0, src_row0, own, rows))
                             if *own == owner
@@ -812,6 +927,56 @@ mod tests {
         }
         assert_eq!(d.halo_rows(), 2);
         assert_eq!(MatrixDistribution::RowBlock.halo_rows(), 0);
+    }
+
+    #[test]
+    fn ghost_depth_deepens_the_padding_towards_neighbours_only() {
+        let d = MatrixDistribution::OverlapBlock { halo_rows: 2 };
+        let flat = RowPartition::compute(30, 4, 3, &d);
+        assert_eq!(flat.max_ghost_depth(), 5);
+        assert_eq!(flat.ghost_depth(EdgePolicy::Clamp), 1);
+        let deep = flat.with_ghost_depth(3, EdgePolicy::Clamp);
+        assert_eq!(deep.ghost_depth(EdgePolicy::Clamp), 3);
+        assert_eq!(deep.core_row_counts(), flat.core_row_counts());
+        // Container edges keep the halo, sides facing a neighbour store 3×.
+        let stored: Vec<usize> = (0..3).map(|dev| deep.stored_row_count(dev)).collect();
+        assert_eq!(stored, [2 + 10 + 6, 6 + 10 + 6, 6 + 10 + 2]);
+        assert_eq!(deep.gather_segment(1), Some((6 * 4, 10 * 4..20 * 4)));
+        // A sweep with 3 to go computes 2 halo widths of ghost rows per
+        // neighbour, the last one the core alone.
+        assert_eq!(deep.sweep_rows(0, EdgePolicy::Clamp, 3), (2, 10 + 4));
+        assert_eq!(deep.sweep_rows(1, EdgePolicy::Clamp, 3), (2, 4 + 10 + 4));
+        assert_eq!(deep.sweep_rows(1, EdgePolicy::Clamp, 1), (6, 10));
+        // Under wrap the first and last part are neighbours too.
+        let torus = flat.with_ghost_depth(9, EdgePolicy::Wrap);
+        assert_eq!(
+            torus.ghost_depth(EdgePolicy::Wrap),
+            5,
+            "capped by the parts"
+        );
+        assert_eq!(torus.stored_row_count(0), 10 + 10 + 10);
+        // An exchange for 2 sweeps moves the 4 ghost rows next to the core,
+        // from the neighbour's core; none (`0`) only what the device fills
+        // by itself.
+        let remote = |segments: Vec<HaloSegment>| -> Vec<(usize, usize, usize, usize)> {
+            let rows = segments.into_iter().filter_map(|s| match s {
+                HaloSegment::Remote {
+                    dst_offset,
+                    owner,
+                    src_offset,
+                    len,
+                } => Some((dst_offset / 4, owner, src_offset / 4, len / 4)),
+                HaloSegment::Fill { .. } => None,
+            });
+            rows.collect()
+        };
+        assert_eq!(
+            remote(deep.halo_segments(1, EdgePolicy::Fill, 2)),
+            [(2, 0, 2 + 6, 4), (16, 2, 6, 4)]
+        );
+        assert!(deep.halo_segments(1, EdgePolicy::Fill, 0).is_empty());
+        let own = deep.halo_segments(0, EdgePolicy::Clamp, 0);
+        assert_eq!(remote(own), [(0, 0, 2, 1), (1, 0, 2, 1)]);
     }
 
     #[test]

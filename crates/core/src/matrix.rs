@@ -45,7 +45,7 @@ pub(crate) fn boundary_eq<T: Pod>(a: &Boundary<T>, b: &Boundary<T>) -> bool {
 
 /// Split a [`Boundary`] into the shape-agnostic edge policy and the fill
 /// constant the storage keeps.
-fn boundary_parts<T: Pod>(boundary: &Boundary<T>) -> (EdgePolicy, Option<T>) {
+pub(crate) fn boundary_parts<T: Pod>(boundary: &Boundary<T>) -> (EdgePolicy, Option<T>) {
     match boundary {
         Boundary::Clamp => (EdgePolicy::Clamp, None),
         Boundary::Wrap => (EdgePolicy::Wrap, None),
@@ -143,14 +143,14 @@ impl<T: Pod> Matrix<T> {
     }
 
     /// Internal constructor for device-resident outputs: the data already
-    /// lives in per-device buffers; the host copy is stale, and any halo
-    /// rows are stale too (stencil kernels write core rows only), so the
-    /// next device use triggers a halo exchange rather than a full upload.
+    /// lives in per-device buffers, stored as `layout` says; the host copy is
+    /// stale, and any halo rows are stale too (stencil kernels write core
+    /// rows only), so the next device use triggers a halo exchange rather
+    /// than a full upload.
     pub(crate) fn device_resident(
         runtime: &Arc<SkelCl>,
-        rows: usize,
-        cols: usize,
         distribution: MatrixDistribution,
+        layout: RowPartition,
         boundary: Boundary<T>,
         buffers: Vec<Option<Buffer>>,
     ) -> Matrix<T> {
@@ -159,8 +159,9 @@ impl<T: Pod> Matrix<T> {
             id: runtime.next_vector_id(),
             inner: Arc::new(Mutex::new(Storage::new_device_resident(
                 runtime.clone(),
-                (rows, cols),
+                (layout.rows(), layout.cols()),
                 distribution,
+                Some(layout),
                 buffers,
                 edge,
                 fill,
@@ -231,10 +232,23 @@ impl<T: Pod> Matrix<T> {
     /// Coerce the matrix to [`MatrixDistribution::OverlapBlock`] with the
     /// given halo width and boundary policy (the stencil-launch preparation
     /// step). A matrix already overlap-distributed with the same halo and
-    /// boundary keeps its device parts untouched; a boundary-only change
-    /// invalidates just the halo rows; anything else is a full
-    /// redistribution through the host.
+    /// boundary keeps its device parts untouched — whatever ghost depth they
+    /// are stored with; a boundary-only change invalidates just the halo
+    /// rows; anything else is a full redistribution through the host.
     pub fn set_overlap(&self, halo_rows: usize, boundary: Boundary<T>) -> Result<()> {
+        self.set_overlap_for(halo_rows, boundary, 1)
+    }
+
+    /// [`Matrix::set_overlap`] for parts that are to run `sweeps` sweeps per
+    /// halo exchange: parts stored with a shallower ghost zone are re-padded
+    /// on their devices (one copy each, no host transfer), deeper ones are
+    /// used as they are.
+    pub(crate) fn set_overlap_for(
+        &self,
+        halo_rows: usize,
+        boundary: Boundary<T>,
+        sweeps: usize,
+    ) -> Result<()> {
         let mut inner = self.inner.lock();
         let (edge, fill) = boundary_parts(&boundary);
         // Either overlap variant with the matching halo width already has
@@ -243,19 +257,98 @@ impl<T: Pod> Matrix<T> {
         // clobbered back to an even split.
         let already_overlapped =
             inner.distribution.is_overlap() && inner.distribution.halo_rows() == halo_rows;
-        if already_overlapped && boundary_eq(&self.boundary_of(&inner), &boundary) {
-            return Ok(());
-        }
         if !already_overlapped {
             inner.redistribute(MatrixDistribution::OverlapBlock { halo_rows }, edge, fill)?;
-        } else {
+        } else if !boundary_eq(&self.boundary_of(&inner), &boundary) {
             // Same layout, different boundary: only the policy-filled edge
-            // halos change; a halo refresh re-fills them.
+            // halos change; a halo refresh re-fills them. What neighbouring
+            // devices filled stays good unless the new policy changes who
+            // the neighbours are (wrapping joins the first and last part).
+            let (layout, old) = (&inner.layout, inner.edge);
+            let regrouped = (0..layout.device_count())
+                .any(|d| layout.faces_neighbour(d, old) != layout.faces_neighbour(d, edge));
+            if regrouped {
+                inner.ghost_sweeps = 0;
+            }
             inner.edge = edge;
             inner.fill = fill;
             inner.halos_valid = false;
         }
+        let stored = inner.layout.ghost_depth(edge);
+        if stored < sweeps {
+            let deeper = inner.layout.with_ghost_depth(sweeps, edge);
+            if deeper.ghost_depth(edge) > stored {
+                inner.repad(deeper)?;
+            }
+        }
         Ok(())
+    }
+
+    /// The ghost depth of the device parts: how many halo widths of rows a
+    /// part stores towards a neighbouring device's part, i.e. how many
+    /// stencil sweeps one halo exchange can pay for. 1 unless the iterative
+    /// stencil driver ([`crate::skeletons::Launch::run_iter`]) stored the
+    /// parts deeper; the distribution reports the halo width either way. A
+    /// property of the stored layout, read by the benches and tests only.
+    #[doc(hidden)]
+    pub fn ghost_depth(&self) -> usize {
+        let inner = self.inner.lock();
+        inner.layout.ghost_depth(inner.edge)
+    }
+
+    /// The row partition a stencil of halo `halo_rows` runs this matrix on —
+    /// its own if it is overlap-distributed with that halo (recovery weights
+    /// and ghost depth included), the even overlap split otherwise — and
+    /// whether parts stored that way are resident on the devices.
+    pub(crate) fn overlap_layout(&self, halo_rows: usize) -> (RowPartition, bool) {
+        let inner = self.inner.lock();
+        if inner.distribution.is_overlap() && inner.distribution.halo_rows() == halo_rows {
+            return (inner.layout.clone(), inner.devices_valid);
+        }
+        let (rows, cols) = inner.shape;
+        let even = MatrixDistribution::OverlapBlock { halo_rows };
+        let devices = inner.runtime.device_count();
+        (RowPartition::compute(rows, cols, devices, &even), false)
+    }
+
+    /// How many more sweeps this matrix's device parts support before their
+    /// ghost rows must be exchanged again (0: not resident, or stale).
+    pub(crate) fn ghost_sweeps(&self) -> usize {
+        let inner = self.inner.lock();
+        if inner.devices_valid {
+            inner.ghost_sweeps
+        } else {
+            0
+        }
+    }
+
+    /// The launch windows of a sweep over the prepared parts that wants to
+    /// leave `sweeps − 1` sweeps' worth of ghost rows valid behind it: the
+    /// depth `m <= sweeps` the fresh ghost rows allow, and per device the
+    /// first element the kernel binds of the input and output parts and the
+    /// number of elements it computes — the core rows plus `(m − 1) · halo`
+    /// ghost rows towards each neighbouring device.
+    pub(crate) fn sweep_windows(&self, sweeps: usize) -> (usize, Vec<(usize, usize)>) {
+        let inner = self.inner.lock();
+        let layout = &inner.layout;
+        let depth = sweeps.min(inner.ghost_sweeps).max(1);
+        let windows = (0..layout.device_count())
+            .map(|device| {
+                let (first, rows) = layout.sweep_rows(device, inner.edge, depth);
+                (
+                    (first - layout.halo()) * layout.cols(),
+                    rows * layout.cols(),
+                )
+            })
+            .collect();
+        (depth, windows)
+    }
+
+    /// Record what a stencil sweep left in this (output) matrix's parts:
+    /// ghost rows good for `sweeps` more sweeps; the rows a device fills by
+    /// itself at the container edges are stale as after any sweep.
+    pub(crate) fn set_ghost_sweeps(&self, sweeps: usize) {
+        self.inner.lock().ghost_sweeps = sweeps;
     }
 
     /// Reconstruct the boundary policy from the storage's edge + fill state.
@@ -327,10 +420,15 @@ impl<T: Pod> Matrix<T> {
     /// distribution; under `OverlapBlock` this also guarantees **fresh halo
     /// rows**, refreshed by a halo-only exchange when the core data is
     /// already device-resident (the between-sweeps path of iterative
-    /// stencils). Returns the partition and per-device buffers.
-    pub(crate) fn prepare_on_devices(&self) -> Result<(RowPartition, Vec<Option<Buffer>>)> {
+    /// stencils) and made to last `sweeps` sweeps where the parts store that
+    /// many halo widths of ghost rows. Returns the partition and per-device
+    /// buffers.
+    pub(crate) fn prepare_on_devices(
+        &self,
+        sweeps: usize,
+    ) -> Result<(RowPartition, Vec<Option<Buffer>>)> {
         let mut inner = self.inner.lock();
-        inner.prepare_on_devices()?;
+        inner.prepare_on_devices(sweeps)?;
         Ok((inner.layout.clone(), inner.buffers.clone()))
     }
 
@@ -339,23 +437,25 @@ impl<T: Pod> Matrix<T> {
     pub fn refresh_halos(&self) -> Result<()> {
         let mut inner = self.inner.lock();
         if inner.devices_valid {
-            inner.refresh_halos()?;
+            inner.refresh_halos(1)?;
         }
         Ok(())
     }
 
     /// Commit this matrix as the output of an element-wise launch that wrote
-    /// the given buffers: adopt shape, distribution and buffers.
+    /// the given buffers: adopt shape, distribution, stored layout, boundary
+    /// and buffers.
     pub(crate) fn commit_as_output(
         &self,
-        rows: usize,
-        cols: usize,
         distribution: MatrixDistribution,
+        layout: RowPartition,
+        boundary: Boundary<T>,
         buffers: Vec<Option<Buffer>>,
     ) -> Result<()> {
-        self.inner
-            .lock()
-            .commit_as_output((rows, cols), distribution, buffers)
+        let mut inner = self.inner.lock();
+        (inner.edge, inner.fill) = boundary_parts(&boundary);
+        let shape = (layout.rows(), layout.cols());
+        inner.commit_as_output(shape, distribution, Some(layout), buffers)
     }
 
     /// Check that this matrix belongs to `runtime`.
@@ -382,6 +482,13 @@ impl<T: Pod> Matrix<T> {
             Boundary::Wrap => Boundary::Wrap,
             _ => Boundary::Clamp,
         }
+    }
+
+    /// The distribution and the stored layout (its padding included) of the
+    /// parts — what an output written over them is stored as.
+    fn stored_as(&self) -> (MatrixDistribution, RowPartition) {
+        let inner = self.inner.lock();
+        (inner.distribution.clone(), inner.layout.clone())
     }
 }
 
@@ -446,19 +553,19 @@ impl<T: Pod> DynContainer for Matrix<T> {
         self.inner.lock().distrust_devices();
     }
 
-    fn prepare_parts(&self, keep_halo: bool) -> Result<(Partition, Vec<Option<Buffer>>)> {
+    fn prepare_parts(&self, halo_sweeps: usize) -> Result<(Partition, Vec<Option<Buffer>>)> {
         // Halo-padded parts interleave padding with core data; element-wise
         // kernels iterate owned elements only, so coerce to plain row blocks
         // (keeping any recovery weights).
         match self.distribution() {
-            _ if keep_halo => {}
+            _ if halo_sweeps > 0 => {}
             MatrixDistribution::OverlapBlock { .. } => self.coerce_to_block()?,
             MatrixDistribution::OverlapBlockWeighted { weights, .. } => {
                 self.set_distribution(MatrixDistribution::RowBlockWeighted(weights))?;
             }
             _ => {}
         }
-        let (rows, buffers) = self.prepare_on_devices()?;
+        let (rows, buffers) = self.prepare_on_devices(halo_sweeps.max(1))?;
         Ok((rows.flat_partition(), buffers))
     }
 
@@ -479,7 +586,7 @@ impl<T: Pod> Container<T> for Matrix<T> {
     }
 
     fn ensure_on_devices(&self) -> Result<()> {
-        self.inner.lock().prepare_on_devices()
+        self.inner.lock().prepare_on_devices(1)
     }
 
     fn mark_device_modified(&self) {
@@ -509,26 +616,17 @@ impl<T: Pod> Container<T> for Matrix<T> {
         self.inner.lock().obtain_output_buffers(lens)
     }
 
+    // Both output paths (fresh wrap and run_into commit) store the written
+    // parts as this matrix's are — padding included — under its boundary.
     fn wrap_output<O: Pod>(&self, buffers: Vec<Option<Buffer>>) -> Matrix<O> {
-        Matrix::device_resident(
-            &self.runtime(),
-            self.rows(),
-            self.cols(),
-            self.distribution(),
-            self.output_boundary::<O>(),
-            buffers,
-        )
+        let (distribution, layout) = self.stored_as();
+        let boundary = self.output_boundary::<O>();
+        Matrix::device_resident(&self.runtime(), distribution, layout, boundary, buffers)
     }
 
     fn commit_output<O: Pod>(&self, out: &Matrix<O>, buffers: Vec<Option<Buffer>>) -> Result<()> {
-        out.commit_as_output(self.rows(), self.cols(), self.distribution(), buffers)?;
-        // Keep both output paths (fresh wrap and run_into commit) consistent:
-        // the target adopts the input's boundary metadata too.
-        let (edge, fill) = boundary_parts(&self.output_boundary::<O>());
-        let mut inner = out.inner.lock();
-        inner.edge = edge;
-        inner.fill = fill;
-        Ok(())
+        let (distribution, layout) = self.stored_as();
+        out.commit_as_output(distribution, layout, self.output_boundary::<O>(), buffers)
     }
 }
 
@@ -629,7 +727,7 @@ mod tests {
         let rt = init_gpus(3);
         let m = Matrix::from_fn(&rt, 7, 4, |r, c| (r * 10 + c) as f32);
         let expected = m.to_vec().unwrap();
-        let (partition, buffers) = m.prepare_on_devices().unwrap();
+        let (partition, buffers) = m.prepare_on_devices(1).unwrap();
         assert_eq!(partition.core_row_counts().iter().sum::<usize>(), 7);
         assert_eq!(buffers.iter().filter(|b| b.is_some()).count(), 3);
         m.mark_device_modified();
@@ -642,7 +740,7 @@ mod tests {
         let rt = init_gpus(2);
         let m = Matrix::from_fn(&rt, 6, 2, |r, _| r as f32);
         m.set_overlap(1, Boundary::Clamp).unwrap();
-        let (partition, buffers) = m.prepare_on_devices().unwrap();
+        let (partition, buffers) = m.prepare_on_devices(1).unwrap();
         assert_eq!(partition.halo(), 1);
         // Device 0 owns rows 0..3, stores rows -1..4 (clamped): 5 rows.
         assert_eq!(buffers[0].as_ref().unwrap().len(), 5 * 2);
@@ -668,7 +766,7 @@ mod tests {
         let rt = init_gpus(1);
         let m = Matrix::from_fn(&rt, 3, 1, |r, _| r as f32);
         m.set_overlap(2, Boundary::Wrap).unwrap();
-        let (_, buffers) = m.prepare_on_devices().unwrap();
+        let (_, buffers) = m.prepare_on_devices(1).unwrap();
         let mut part = vec![0.0f32; 7];
         rt.queue(0)
             .enqueue_read_buffer(buffers[0].as_ref().unwrap(), &mut part)
@@ -682,7 +780,7 @@ mod tests {
         let rt = init_gpus(1);
         let m = Matrix::from_fn(&rt, 2, 2, |r, c| (r * 2 + c) as f32);
         m.set_overlap(1, Boundary::Constant(-7.0)).unwrap();
-        let (_, buffers) = m.prepare_on_devices().unwrap();
+        let (_, buffers) = m.prepare_on_devices(1).unwrap();
         let mut part = vec![0.0f32; 8];
         rt.queue(0)
             .enqueue_read_buffer(buffers[0].as_ref().unwrap(), &mut part)
@@ -695,7 +793,7 @@ mod tests {
         let rt = init_gpus(2);
         let m = Matrix::from_fn(&rt, 8, 16, |r, c| (r * 16 + c) as f32);
         m.set_overlap(2, Boundary::Clamp).unwrap();
-        m.prepare_on_devices().unwrap();
+        m.prepare_on_devices(1).unwrap();
         rt.drain_events();
         // Simulate a sweep having modified the cores: halos stale.
         m.mark_device_modified();
@@ -723,7 +821,7 @@ mod tests {
         let rt = init_gpus(2);
         let m = Matrix::from_fn(&rt, 16, 16, |r, c| (r + c) as f32);
         m.set_overlap(1, Boundary::Clamp).unwrap();
-        m.prepare_on_devices().unwrap();
+        m.prepare_on_devices(1).unwrap();
         let before = rt.now();
         m.set_overlap(1, Boundary::Clamp).unwrap();
         assert_eq!(rt.now(), before, "identical overlap must not move data");
@@ -732,7 +830,7 @@ mod tests {
         // part re-upload of (8 + 2) * 16 * 4 = 640 B per device.
         m.set_overlap(1, Boundary::Constant(0.0)).unwrap();
         rt.drain_events();
-        m.prepare_on_devices().unwrap();
+        m.prepare_on_devices(1).unwrap();
         let events = rt.drain_events();
         let uploads: usize = events
             .iter()
@@ -753,7 +851,7 @@ mod tests {
         let n = m.clone();
         assert_eq!(m.id(), n.id());
         m.set_distribution(MatrixDistribution::Single(1)).unwrap();
-        let (partition, buffers) = n.prepare_on_devices().unwrap();
+        let (partition, buffers) = n.prepare_on_devices(1).unwrap();
         assert_eq!(partition.core_row_counts(), vec![0, 3, 0]);
         assert!(buffers[1].is_some() && buffers[0].is_none());
         assert!(m.set_distribution(MatrixDistribution::Single(9)).is_err());
@@ -764,7 +862,7 @@ mod tests {
     fn update_host_invalidates_devices() {
         let rt = init_gpus(2);
         let m = Matrix::filled(&rt, 2, 2, 0.0f32);
-        m.prepare_on_devices().unwrap();
+        m.prepare_on_devices(1).unwrap();
         m.update_host(|h| h[3] = 9.0).unwrap();
         assert_eq!(m.residence(), Residence::HostOnly);
         assert_eq!(m.to_vec().unwrap(), vec![0.0, 0.0, 0.0, 9.0]);
@@ -831,7 +929,7 @@ mod tests {
                 MatrixDistribution::RowBlock,
             ] {
                 m.set_distribution(dist.clone()).unwrap();
-                let (_, buffers) = m.prepare_on_devices().unwrap();
+                let (_, buffers) = m.prepare_on_devices(1).unwrap();
                 assert!(
                     buffers.iter().all(Option::is_none),
                     "empty {rows}×{cols} matrix must allocate nothing under {dist:?}"

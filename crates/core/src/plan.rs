@@ -73,8 +73,8 @@ use crate::scheduler::PerfModel;
 use crate::skeletons::exec::{buffer_arg, CreateBuffer};
 use crate::skeletons::{
     create_buffer, launch_and_gather, launch_elementwise, launch_geometry, launch_scan, run_call,
-    CallSpec, DeviceScalar, HostOperator, LaunchConfig, Map, MapOverlap, PreparedCall, Reduce,
-    Scan, Skeleton, StageKernels, Zip,
+    CallSpec, DeviceScalar, HostOperator, LaunchConfig, LaunchParts, Map, MapOverlap, PreparedCall,
+    Reduce, Scan, Skeleton, StageKernels, Zip,
 };
 use crate::vector::Vector;
 
@@ -734,16 +734,13 @@ impl PlanGraph {
         match (group.last().kind, &lowered.host_op) {
             (StageKind::Map | StageKind::Zip, _) => {
                 let create = with_scalar!(out_ty, T, { create_buffer::<T> as CreateBuffer });
-                launch_elementwise(
-                    runtime,
-                    &kernels.kernel,
+                let parts = LaunchParts {
                     partition,
-                    &lens,
-                    &bind,
-                    create,
-                    None,
-                )
-                .map(GroupOutput::Buffers)
+                    out_lens: &lens,
+                    windows: None,
+                };
+                launch_elementwise(runtime, &kernels.kernel, &parts, &bind, create, None)
+                    .map(GroupOutput::Buffers)
             }
             (StageKind::Reduce, Some(op)) => with_scalar!(out_ty, T, {
                 let mut partials =

@@ -244,8 +244,9 @@ pub(crate) struct CallSpec<'a> {
     /// and before the launch-time overrides: zip's distribution unification,
     /// the disjoint parts of a fold, the stencil's overlap.
     pub coerce: &'a dyn Fn() -> Result<()>,
-    /// Keep halo-padded parts ([`DynContainer::prepare_parts`]): the sweep.
-    pub keep_halo: bool,
+    /// Keep halo-padded parts, their halos fresh for this many sweeps
+    /// ([`DynContainer::prepare_parts`]): the stencil sweep. 0 otherwise.
+    pub halo_sweeps: usize,
 }
 
 impl CallSpec<'_> {
@@ -255,7 +256,7 @@ impl CallSpec<'_> {
             charge: true,
             scheduler_cost,
             coerce: &|| Ok(()),
-            keep_halo: false,
+            halo_sweeps: 0,
         }
     }
 }
@@ -356,7 +357,7 @@ impl PreparedCall {
             buffers: Vec::new(),
         };
         for (position, input) in inputs.iter().enumerate() {
-            let (parts, mut buffers) = input.prepare_parts(spec.keep_halo)?;
+            let (parts, mut buffers) = input.prepare_parts(spec.halo_sweeps)?;
             partition.get_or_insert(parts);
             if input_ids[..position].contains(&input_ids[position]) {
                 scratch.stand_in_for(&mut buffers)?;
@@ -416,11 +417,16 @@ impl PreparedCall {
     /// the first index of the device's block follows them.
     ///
     /// A device's output part holds what its part of the first input stores:
-    /// the partition's sizes, plus the halo rows of a stencil's padded parts.
+    /// the partition's sizes, plus the padding rows of a stencil's parts. A
+    /// stencil sweep names its launch `windows` — per device the first
+    /// element the kernel binds of the input and output parts and the number
+    /// of elements it computes; everything else computes the partition's
+    /// elements from the start of its parts.
     pub fn launch_elementwise<O: Pod, CO: Container<O>>(
         &self,
         kernel: &oclsim::Kernel,
         geometry: &[Value],
+        windows: Option<&[(usize, usize)]>,
         reuse: Option<&CO>,
     ) -> Result<Vec<Option<Buffer>>> {
         let out_lens: Vec<usize> = match self.input_buffers.first() {
@@ -438,13 +444,22 @@ impl PreparedCall {
                 trailing.push(KernelArg::Scalar(Value::Int(first_index as i32)));
             }
             trailing.extend(self.prepared_args.kernel_args_for(device)?);
-            Ok((self.input_args(device)?, trailing))
+            let first = windows.map_or(0, |w| w[device].0);
+            let inputs = self.input_args(device)?.into_iter();
+            Ok((
+                inputs.map(|arg| arg.from_element(first)).collect(),
+                trailing,
+            ))
+        };
+        let parts = LaunchParts {
+            partition: &self.partition,
+            out_lens: &out_lens,
+            windows,
         };
         launch_elementwise(
             &self.runtime,
             kernel,
-            &self.partition,
-            &out_lens,
+            &parts,
             &bind,
             create_buffer::<O>,
             reusable,
@@ -601,20 +616,31 @@ impl OutputBuffers {
     }
 }
 
+/// What an element-shaped launch covers on each device.
+pub(crate) struct LaunchParts<'a> {
+    /// The active devices, and the elements each computes unless a window
+    /// says otherwise.
+    pub partition: &'a Partition,
+    /// Elements of each device's output buffer: the partition's sizes, or
+    /// the padded stored rows of a stencil sweep.
+    pub out_lens: &'a [usize],
+    /// A stencil sweep over padded parts: per device the first output
+    /// element the kernel binds and the number of elements it computes.
+    pub windows: Option<&'a [(usize, usize)]>,
+}
+
 /// The one **launch** stage of every element-shaped kernel — eager map, zip,
 /// index map and stencil sweep, closure or source, and the element-wise
-/// groups of vector and matrix plans: for every active device of `partition`
+/// groups of vector and matrix plans: for every active device of `parts`
 /// enqueue `kernel` over its `n` elements with the argument layout
 /// `[leading…, output, n, trailing…]`, `bind(device)` supplying the two
-/// variable parts, then join the launches. Owns the output buffers, of
-/// `out_lens[device]` elements — the partition's sizes, or the halo-padded
-/// stored rows of a stencil sweep: obtained here, returned on success,
-/// released again on failure (see [`OutputBuffers`]).
+/// variable parts, then join the launches. Owns the output buffers: obtained
+/// here, returned on success, released again on failure (see
+/// [`OutputBuffers`]).
 pub(crate) fn launch_elementwise(
     runtime: &SkelCl,
     kernel: &oclsim::Kernel,
-    partition: &Partition,
-    out_lens: &[usize],
+    parts: &LaunchParts<'_>,
     bind: &dyn Fn(usize) -> Result<(Vec<KernelArg>, Vec<KernelArg>)>,
     create: CreateBuffer,
     reuse: Option<Vec<Option<Buffer>>>,
@@ -624,12 +650,12 @@ pub(crate) fn launch_elementwise(
     // additional-argument vector with no copy on one device) then surface
     // before anything ran, so a `run_into` target is never left partially
     // overwritten by them.
-    let active = partition.active_devices();
+    let active = parts.partition.active_devices();
     let bound = active
         .iter()
         .map(|&device| bind(device))
         .collect::<Result<Vec<_>>>()?;
-    let out = OutputBuffers::obtain(runtime, out_lens, create, reuse)?;
+    let out = OutputBuffers::obtain(runtime, parts.out_lens, create, reuse)?;
     // Enqueue on every device before waiting on any: the non-blocking
     // enqueues hand the launches to the per-device worker threads, so
     // N-device calls execute concurrently in real time; the wait then
@@ -641,8 +667,9 @@ pub(crate) fn launch_elementwise(
         .iter()
         .zip(bound)
         .try_for_each(|(&device, (mut kargs, trailing))| {
-            let n = partition.size(device);
-            kargs.push(KernelArg::Buffer(out.on(device)));
+            let whole = (0, parts.partition.size(device));
+            let (first, n) = parts.windows.map_or(whole, |w| w[device]);
+            kargs.push(KernelArg::Buffer(out.on(device)).from_element(first));
             kargs.push(KernelArg::Scalar(Value::Int(n as i32)));
             kargs.extend(trailing);
             let event = runtime.queue(device).enqueue_kernel(kernel, n, &kargs)?;

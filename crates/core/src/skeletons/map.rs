@@ -129,7 +129,7 @@ impl<I: Pod, O: Pod> Map<I, O> {
             let kernels = self
                 .udf
                 .kernels(call, StageKind::Map, Self::closure_kernel)?;
-            let out_buffers = call.launch_elementwise(&kernels.kernel, &[], reuse)?;
+            let out_buffers = call.launch_elementwise(&kernels.kernel, &[], None, reuse)?;
             PreparedCall::wrap_output(input, out_buffers, reuse)
         })
     }
@@ -234,7 +234,7 @@ impl DynContainer for IndexRange {
 
     fn distrust_devices(&self) {}
 
-    fn prepare_parts(&self, _keep_halo: bool) -> Result<(Partition, Vec<Option<Buffer>>)> {
+    fn prepare_parts(&self, _halo_sweeps: usize) -> Result<(Partition, Vec<Option<Buffer>>)> {
         let devices = self.runtime.device_count();
         let partition = Partition::compute(self.len, devices, &self.distribution.lock());
         Ok((partition, Vec::new()))
@@ -306,7 +306,7 @@ impl<O: Pod> Skeleton<IndexRange> for Map<i32, O> {
                 self.udf
                     .kernels(call, StageKind::IndexMap, Self::index_closure_kernel)?;
             let out_buffers =
-                call.launch_elementwise::<O, Vector<O>>(&kernels.kernel, &[], None)?;
+                call.launch_elementwise::<O, Vector<O>>(&kernels.kernel, &[], None, None)?;
             let distribution = range.distribution.lock().clone();
             Ok(Vector::device_resident(
                 &call.runtime,

@@ -11,18 +11,24 @@
 //! one kernel per device over its core elements; the **iterative driver**
 //! ([`MapOverlap::run_iter`] / `Launch::run_iter`) ping-pongs between two
 //! padded buffers and re-establishes coherence between sweeps by exchanging
-//! *only the halo rows* — never whole parts — which is visible in the oclsim
-//! transfer stats and the runtime's halo counters.
+//! *only halo rows* — never whole parts — once per block of `k` sweeps: the
+//! parts store `k · halo` ghost rows towards each neighbouring device and
+//! recompute the shrinking overlap redundantly in between (see `run_iter`).
+//! Everything is visible in the oclsim transfer stats and the runtime's halo
+//! counters.
 
 use std::convert::Infallible;
 use std::sync::Arc;
 
-use oclsim::{Pod, Value};
+use oclsim::{CostHint, Pod, Value};
 
+use crate::container::EdgePolicy;
 use crate::distribution::Boundary;
 use crate::error::{Result, SkelError};
+use crate::fusion::{GroupCost, StageCost};
 use crate::kernelgen::{StageKind, UdfInfo};
 use crate::matrix::Matrix;
+use crate::scheduler::PerfModel;
 use crate::skeletons::{run_call, CallSpec, Launch, LaunchConfig, PreparedCall, Skeleton, Udf};
 
 /// The map-overlap (stencil) skeleton over [`Matrix`] inputs.
@@ -124,9 +130,18 @@ impl<O: Pod> MapOverlap<f32, O> {
     /// One stencil sweep, through the one call path: the input is coerced to
     /// the overlap layout and prepared with its halo-padded parts (uploaded,
     /// or — between sweeps — refreshed by a halo exchange); the sweep is the
-    /// element-shaped launch over each device's core elements, told the
-    /// stencil's geometry, writing halo-padded outputs of the input's actual
+    /// element-shaped launch over each device's window of its part, told the
+    /// stencil's geometry, writing padded outputs of the input's actual
     /// layout (the weighted overlap variant after a recovery re-partition).
+    ///
+    /// `sweeps` is how many sweeps, this one included, are to run before the
+    /// next exchange between devices: the parts are stored (and, when their
+    /// ghost rows are stale, exchanged) `sweeps` halo widths deep, and this
+    /// sweep also computes the `(sweeps − 1) · halo` ghost rows next to each
+    /// neighbouring device's part that the following sweeps read — fewer
+    /// where a part is too small to store that many; the output records how
+    /// many sweeps its ghost rows are still good for.
+    ///
     /// `reuse` is the iterative driver's ping-pong target, written in place
     /// where its buffers still fit. Losses that cannot be recovered from
     /// host-valid state escape to the caller (`run_iter` then replays from
@@ -136,10 +151,11 @@ impl<O: Pod> MapOverlap<f32, O> {
         input: &Matrix<f32>,
         cfg: &LaunchConfig<'_>,
         reuse: Option<&Matrix<O>>,
+        sweeps: usize,
     ) -> Result<Matrix<O>> {
         let spec = CallSpec {
-            coerce: &|| input.set_overlap(self.halo, self.boundary),
-            keep_halo: true,
+            coerce: &|| input.set_overlap_for(self.halo, self.boundary, sweeps),
+            halo_sweeps: sweeps,
             ..CallSpec::eager(self.udf.scheduler_cost_for(cfg)?)
         };
         let oob = match self.boundary {
@@ -156,9 +172,114 @@ impl<O: Pod> MapOverlap<f32, O> {
             let kernels = self
                 .udf
                 .kernels(call, StageKind::MapOverlap, |f, _| match *f {})?;
-            let out_buffers = call.launch_elementwise(&kernels.kernel, &geometry, reuse)?;
-            PreparedCall::wrap_output(input, out_buffers, reuse)
+            let (depth, windows) = input.sweep_windows(sweeps);
+            let out_buffers =
+                call.launch_elementwise(&kernels.kernel, &geometry, Some(&windows), reuse)?;
+            let out = PreparedCall::wrap_output(input, out_buffers, reuse)?;
+            out.set_ghost_sweeps(depth - 1);
+            Ok(out)
         })
+    }
+
+    /// The exchange cadence — decided here and nowhere else: how many sweeps
+    /// the halo exchange `input` is about to need should pay for, given that
+    /// `left` sweeps remain before the run ends or checkpoints.
+    ///
+    /// A block of `k` sweeps exchanges `k · halo` rows per neighbour once and
+    /// computes a shrinking band of ghost rows redundantly; it is priced
+    /// with what the runtime already charges — per sweep the host pays the
+    /// dispatch overhead plus one enqueue per command (kernels, the edge
+    /// rows each device refreshes by itself, and in an exchange sweep one
+    /// read and one forward per neighbour), every device pays its transfers
+    /// ([`PerfModel::predict_transfer`]), edge refreshes and widened kernel
+    /// ([`PerfModel::predict`] at the stage's fusion-model cost, the `get`s
+    /// being its side reads), and parts resident with a shallower ghost zone
+    /// pay the on-device re-pad once.
+    /// The host never waits inside a run, so `left` sweeps cost the larger of
+    /// the host's total and the slowest device's; the smallest `k` with the
+    /// lowest total wins, capped by `left` and by the smallest part
+    /// ([`RowPartition::max_ghost_depth`]): the cap while the host's
+    /// enqueues bound the run, less once the redundant rows cost more than
+    /// the exchanges they save (`tests/stencil_depth_referee.rs` holds both).
+    /// One active device has nobody to exchange with: 1.
+    fn exchange_cadence(&self, input: &Matrix<f32>, left: usize) -> Result<usize> {
+        let runtime = input.runtime();
+        let (edge, _) = crate::matrix::boundary_parts(&self.boundary);
+        let (layout, resident) = input.overlap_layout(self.halo);
+        let active = layout.active_devices();
+        let limit = left.min(layout.max_ghost_depth());
+        if active.len() < 2 || limit < 2 || self.halo == 0 {
+            return Ok(1);
+        }
+        // Depths the resident parts already store need no re-pad; the
+        // candidates' kernels are sized on the deepest layout.
+        let stored = if resident {
+            layout.ghost_depth(edge)
+        } else {
+            limit
+        };
+        let layout = layout.with_ghost_depth(limit, edge);
+        let info = self.plan_udf()?;
+        let stage = GroupCost::start(4.0, StageCost::of(&info, info.cost.global_bytes, 4.0));
+        let cost = CostHint::new(stage.flops, stage.read_bytes + stage.chain_bytes);
+        let model = PerfModel::analytical(&runtime);
+        let api = runtime.context().api().clone();
+        let secs = |d: oclsim::SimDuration| d.as_secs_f64();
+        let (enqueue, cols) = (secs(api.enqueue_overhead), layout.cols());
+        let row_bytes = cols * std::mem::size_of::<f32>();
+
+        // Per device, by block depth `k`: what a block costs it — the exchange
+        // with its neighbours, and `k` sweeps of edge refreshes and kernels,
+        // the kernel of the sweep with `due` sweeps to go `due − 1` halo
+        // widths wider per neighbour.
+        let mut neighbours = 0;
+        let mut edge_rows = 0;
+        let mut devices = Vec::with_capacity(active.len());
+        for &device in &active {
+            let (above, below) = layout.faces_neighbour(device, edge);
+            let facing = usize::from(above) + usize::from(below);
+            let own_rows = (2 - facing) * self.halo;
+            let refresh = match edge {
+                EdgePolicy::Fill => model.predict_transfer(device, row_bytes)?,
+                _ => model.predict(device, cols, CostHint::new(0.0, 8.0))?,
+            };
+            let mut sweeps = 0.0;
+            let mut block = vec![0.0];
+            for due in 1..=limit {
+                let items = layout.sweep_rows(device, edge, due).1 * cols;
+                sweeps +=
+                    own_rows as f64 * secs(refresh) + secs(model.predict(device, items, cost)?);
+                let exchange = model.predict_transfer(device, due * self.halo * row_bytes)?;
+                block.push(2.0 * facing as f64 * secs(exchange) + sweeps);
+            }
+            let copy = model.predict(device, layout.core_len(device), CostHint::new(0.0, 8.0))?;
+            neighbours += facing;
+            edge_rows += own_rows;
+            devices.push((block, secs(copy)));
+        }
+        let sweep_host = secs(api.dispatch_overhead) + enqueue * (active.len() + edge_rows) as f64;
+        let block_host = |k: usize| match k {
+            0 => 0.0,
+            _ => 2.0 * enqueue * neighbours as f64 + k as f64 * sweep_host,
+        };
+
+        let mut best = (f64::INFINITY, 1);
+        for k in 1..=limit {
+            // `left` sweeps are `full` blocks of `k` and one of `rest`.
+            let (full, rest) = ((left / k) as f64, left % k);
+            let repad = if k > stored { 1.0 } else { 0.0 };
+            let host =
+                full * block_host(k) + block_host(rest) + repad * enqueue * active.len() as f64;
+            let slowest = devices
+                .iter()
+                .map(|(block, copy)| full * block[k] + block[rest] + repad * copy)
+                .fold(0.0, f64::max);
+            let total = host.max(slowest);
+            if total < best.0 {
+                best = (total, k);
+            }
+        }
+        Ok(best.1)
     }
 }
 
@@ -170,7 +291,7 @@ impl<O: Pod> Skeleton<Matrix<f32>> for MapOverlap<f32, O> {
     }
 
     fn execute(&self, input: &Matrix<f32>, cfg: &LaunchConfig<'_>) -> Result<Matrix<O>> {
-        self.execute_overlap(input, cfg, None)
+        self.execute_overlap(input, cfg, None, 1)
     }
 }
 
@@ -184,10 +305,25 @@ impl<O: Pod> Launch<'_, MapOverlap<f32, O>, Matrix<f32>> {
 
 impl Launch<'_, MapOverlap<f32, f32>, Matrix<f32>> {
     /// The iterative-stencil driver: run `sweeps` sweeps, feeding each
-    /// sweep's output into the next. Between sweeps only the halo rows are
-    /// re-exchanged — the core parts stay on their devices — and device
-    /// memory ping-pongs between two padded buffers, so the steady state
-    /// allocates nothing.
+    /// sweep's output into the next. The core parts stay on their devices and
+    /// device memory ping-pongs between two padded buffers, so the steady
+    /// state allocates nothing.
+    ///
+    /// Sweeps run in blocks of `k` between halo exchanges. A part stores
+    /// `k · halo` *ghost* rows towards each neighbouring device's part; one
+    /// exchange — per neighbour one read and one forwarded write of
+    /// `k · halo` rows, no host in the loop — fills them, and sweep `j` of
+    /// the block computes, besides its core rows, the `(k − 1 − j) · halo`
+    /// ghost rows per neighbour that the later sweeps of the block read
+    /// (redundantly: the neighbour computes them too, to the same bits).
+    /// Rows beyond a container edge are `halo` deep and refreshed by the
+    /// device itself before every sweep (clamp copy, fill, or wrap copy).
+    /// `k` is chosen per block from the runtime's own prices — the host's
+    /// enqueue and dispatch overheads against the redundant rows' kernel time
+    /// — and is capped by the sweeps left, by [`Launch::checkpoint_every`] (a
+    /// block never straddles a checkpoint) and by the smallest part; one
+    /// active device, or one sweep, is `k = 1`: an exchange before every
+    /// sweep. The result is bit-identical for every `k`.
     ///
     /// `run_iter(0)` is an error (an empty launch); `run_iter(1)` is
     /// equivalent to [`Launch::exec`].
@@ -203,6 +339,18 @@ impl Launch<'_, MapOverlap<f32, f32>, Matrix<f32>> {
     /// without checkpoints it restarts from the original input. Either way
     /// the result is bitwise identical to a fault-free run.
     pub fn run_iter(self, sweeps: usize) -> Result<Matrix<f32>> {
+        self.run_blocks(sweeps, None)
+    }
+
+    /// [`Launch::run_iter`] with every block's depth forced to `depth`
+    /// (still capped as the chosen one is) — for the tests that pin every
+    /// depth to the same bits and referee the chosen one against the rest.
+    #[doc(hidden)]
+    pub fn run_iter_at_depth(self, sweeps: usize, depth: usize) -> Result<Matrix<f32>> {
+        self.run_blocks(sweeps, Some(depth))
+    }
+
+    fn run_blocks(self, sweeps: usize, forced: Option<usize>) -> Result<Matrix<f32>> {
         if sweeps == 0 {
             return Err(SkelError::EmptyInput);
         }
@@ -220,9 +368,21 @@ impl Launch<'_, MapOverlap<f32, f32>, Matrix<f32>> {
             // gather. A device death striking during the gather's blocking
             // reads must roll back like a failed sweep, not escape.
             let step = (|| -> Result<()> {
+                // Sweeps until the run ends or checkpoints; ghost rows still
+                // good for some of them are used up before the next block's
+                // depth is chosen.
+                let mut left = sweeps - sweep;
+                if every > 0 {
+                    left = left.min(every - sweep % every);
+                }
+                let block = match (cur.ghost_sweeps(), forced) {
+                    (0, None) => self.skeleton.exchange_cadence(&cur, left)?,
+                    (0, Some(depth)) => depth.clamp(1, left),
+                    (held, _) => held.min(left),
+                };
                 let out = self
                     .skeleton
-                    .execute_overlap(&cur, &self.cfg, spare.as_ref())?;
+                    .execute_overlap(&cur, &self.cfg, spare.as_ref(), block)?;
                 // The user's input matrix is never recycled as a target;
                 // every internal intermediate is.
                 spare = (sweep > 0).then(|| cur.clone());
@@ -433,28 +593,39 @@ mod tests {
         }
 
         rt.drain_events();
-        let out = st.run(&m).run_iter(5).unwrap();
+        // Blocks of 2, 2 and 1 sweeps: the upload covers the first block's
+        // ghost rows, the other two start with an exchange.
+        let depth = 2;
+        let out = st.run(&m).run_iter_at_depth(5, depth).unwrap();
 
         let events = rt.drain_events();
-        // Count upload bytes after the initial padded upload: between-sweep
-        // traffic must be halo-sized (1 row × cols × 4 bytes per transfer),
-        // never a whole part (16 rows × cols × 4).
+        // Between-sweep traffic is at most `depth · halo` rows per transfer
+        // (cols × 4 bytes each), never a whole part (16 rows × cols × 4); the
+        // one bigger transfer per device is the initial padded upload: 16
+        // core rows, one clamped edge row, `depth` ghost rows.
         let part_bytes = (rows / 2) * cols * 4;
         let halo_row_bytes = cols * 4;
-        let transfers: Vec<usize> = events
+        let initial_upload = (rows / 2 + 1 + depth) * cols * 4;
+        let transfers: Vec<&oclsim::Event> = events
             .iter()
             .flatten()
             .filter(|e| e.is_transfer())
-            .map(|e| e.bytes)
             .collect();
-        let initial_upload = (rows / 2 + 2) * cols * 4;
-        for b in &transfers {
+        for e in &transfers {
             assert!(
-                *b <= halo_row_bytes || *b == initial_upload,
-                "transfer of {b} bytes is neither a halo row nor the initial padded upload \
-                 (part = {part_bytes} bytes)"
+                e.bytes <= depth * halo_row_bytes || e.bytes == initial_upload,
+                "transfer of {} bytes is neither {depth} halo rows nor the initial padded \
+                 upload (part = {part_bytes} bytes)",
+                e.bytes
             );
         }
+        let count = |pred: &dyn Fn(&oclsim::Event) -> bool| -> usize {
+            transfers.iter().filter(|e| pred(e)).count()
+        };
+        assert_eq!(count(&|e| e.bytes == initial_upload), 2);
+        // Two exchanges, each one read and one forward per device.
+        assert_eq!(count(&|e| e.is_read()), 4);
+        assert_eq!(count(&|e| e.is_write() && e.bytes != initial_upload), 4);
         let trace = rt.exec_trace();
         assert!(trace.halo_transfers() > 0, "sweeps must exchange halos");
 

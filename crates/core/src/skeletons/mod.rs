@@ -43,7 +43,7 @@ pub use zip::Zip;
 
 pub(crate) use exec::{
     claim_read, claim_reads, create_buffer, launch_elementwise, run_call, sequential_cost,
-    wait_events, CallSpec, PreparedCall,
+    wait_events, CallSpec, LaunchParts, PreparedCall,
 };
 pub(crate) use reduce::{launch_and_gather, launch_geometry, HostOperator};
 pub(crate) use scan::launch_scan;
@@ -144,7 +144,7 @@ impl PreparedArgs {
                     let vector = v.container();
                     vector.check_runtime(runtime)?;
                     items.push(PreparedItem::Vector {
-                        buffers: vector.prepare_parts(false)?.1,
+                        buffers: vector.prepare_parts(0)?.1,
                     });
                 }
             }

@@ -322,7 +322,7 @@ impl<T: DeviceScalar> Reduce<T> {
         // dropped — and fold them with the same kernel, as one chunk.
         let staged = Vector::from_vec(runtime, partials);
         staged.set_distribution(Distribution::Single(plan.final_device))?;
-        let (part, buffers) = staged.prepare_parts(false)?;
+        let (part, buffers) = staged.prepare_parts(0)?;
         let bind = |device| {
             let staged = buffer_arg(&buffers, device, format_args!("the staged partials"))?;
             Ok((vec![staged], Vec::new()))

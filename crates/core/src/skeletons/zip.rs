@@ -127,7 +127,7 @@ impl<A: Pod, B: Pod, O: Pod> Zip<A, B, O> {
             let kernels = self
                 .udf
                 .kernels(call, StageKind::Zip, Self::closure_kernel)?;
-            let out_buffers = call.launch_elementwise(&kernels.kernel, &[], reuse)?;
+            let out_buffers = call.launch_elementwise(&kernels.kernel, &[], None, reuse)?;
             PreparedCall::wrap_output(left, out_buffers, reuse)
         })
     }

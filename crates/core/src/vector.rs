@@ -92,6 +92,7 @@ impl<T: Pod> Vector<T> {
                 runtime.clone(),
                 len,
                 distribution,
+                None,
                 buffers,
                 EdgePolicy::Clamp,
                 None,
@@ -243,7 +244,7 @@ impl<T: Pod> Vector<T> {
     ) -> Result<()> {
         self.inner
             .lock()
-            .commit_as_output(len, distribution, buffers)
+            .commit_as_output(len, distribution, None, buffers)
     }
 }
 
@@ -297,7 +298,7 @@ impl<T: Pod> DynContainer for Vector<T> {
         self.inner.lock().distrust_devices();
     }
 
-    fn prepare_parts(&self, _keep_halo: bool) -> Result<(Partition, Vec<Option<Buffer>>)> {
+    fn prepare_parts(&self, _halo_sweeps: usize) -> Result<(Partition, Vec<Option<Buffer>>)> {
         self.prepare_on_devices()
     }
 

@@ -513,16 +513,19 @@ fn scan_index_map_and_vector_plans_recover_bit_identically() {
 // Faults inside the halo exchange
 // ---------------------------------------------------------------------------
 
-/// The commands of a between-sweeps halo exchange a fault can strike: the
-/// owner's row read, the destination's forwarded write, the on-device copy
-/// of an edge row whose owner is the destination itself, and the fill of a
-/// constant-boundary edge row.
+/// The commands of an iterative stencil a fault can strike between sweeps:
+/// the owner's row read of a halo exchange, the destination's forwarded
+/// write, the on-device copy of an edge row whose owner is the destination
+/// itself, the fill of a constant-boundary edge row — and a sweep's kernel,
+/// which at ghost depth 2 is the second sweep of its block, the one no
+/// exchange precedes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum HaloCommand {
     Read,
     Forward,
     LocalCopy,
     Fill,
+    Kernel,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -531,11 +534,15 @@ struct HaloCase {
     halo: usize,
     boundary: Boundary<f32>,
     checkpoint_every: usize,
+    /// Sweeps per halo exchange (forced, so the struck op is known).
+    depth: usize,
 }
 
 const HALO_ROWS: usize = 48;
 const HALO_COLS: usize = 6;
-const HALO_SWEEPS: usize = 6;
+/// Blocks of 2, 2, 2 and 1 sweeps at depth 2: the upload covers the first,
+/// the other three start with an exchange.
+const HALO_SWEEPS: usize = 7;
 
 impl HaloCase {
     fn run(&self, rt: &std::sync::Arc<skelcl::SkelCl>) -> Result<Vec<f32>> {
@@ -545,22 +552,23 @@ impl HaloCase {
         let m = Matrix::from_vec(rt, HALO_ROWS, HALO_COLS, test_data(HALO_ROWS * HALO_COLS))?;
         heat.run(&m)
             .checkpoint_every(self.checkpoint_every)
-            .run_iter(HALO_SWEEPS)?
+            .run_iter_at_depth(HALO_SWEEPS, self.depth)?
             .to_vec()
     }
 
     /// `(device, op)` of the third `what` command some device executes in a
-    /// fault-free run — mid-run, when the only current state is
+    /// fault-free run (the fourth kernel: at depth 2 the second sweep of the
+    /// second block) — mid-run, when the only current state is
     /// device-resident. A fault-free queue logs every command in op order,
     /// so the log index is the op number. Halo traffic is told from uploads
-    /// and gathers (whole parts, ≥ 12 rows) by its size: ≤ `halo` rows. A
-    /// small write is a fill under a constant boundary (the cases below
-    /// strike those on one device, where nothing is forwarded) and a
+    /// and gathers (whole parts, ≥ 12 rows) by its size: ≤ `depth · halo`
+    /// rows. A small write is a fill under a constant boundary (the cases
+    /// below strike those on one device, where nothing is forwarded) and a
     /// forward otherwise.
     fn third_op(&self, what: HaloCommand) -> (usize, usize) {
         let rt = skelcl::init_gpus(self.devices);
         self.run(&rt).unwrap();
-        let halo_bytes = self.halo * HALO_COLS * 4;
+        let halo_bytes = self.depth * self.halo * HALO_COLS * 4;
         let constant = matches!(self.boundary, Boundary::Constant(_));
         let target = rt
             .drain_events()
@@ -569,17 +577,15 @@ impl HaloCase {
             .find_map(|(device, log)| {
                 log.iter()
                     .enumerate()
-                    .filter(|(_, e)| {
-                        e.is_transfer()
-                            && e.bytes <= halo_bytes
-                            && match what {
-                                HaloCommand::Read => e.is_read(),
-                                HaloCommand::Forward => e.is_write() && !constant,
-                                HaloCommand::Fill => e.is_write() && constant && self.devices == 1,
-                                HaloCommand::LocalCopy => !e.is_read() && !e.is_write(),
-                            }
+                    .filter(|(_, e)| match what {
+                        HaloCommand::Kernel => e.is_kernel(),
+                        _ if !e.is_transfer() || e.bytes > halo_bytes => false,
+                        HaloCommand::Read => e.is_read(),
+                        HaloCommand::Forward => e.is_write() && !constant,
+                        HaloCommand::Fill => e.is_write() && constant && self.devices == 1,
+                        HaloCommand::LocalCopy => !e.is_read() && !e.is_write(),
                     })
-                    .nth(2)
+                    .nth(if what == HaloCommand::Kernel { 3 } else { 2 })
                     .map(|(index, _)| (device, index + 1))
             });
         target.unwrap_or_else(|| panic!("{self:?} has no {what:?} to strike"))
@@ -625,9 +631,9 @@ impl HaloCase {
 
 #[test]
 fn halo_exchange_faults_recover_bit_identically() {
-    use HaloCommand::{Fill, Forward, LocalCopy, Read};
+    use HaloCommand::{Fill, Forward, Kernel, LocalCopy, Read};
     let cases: [(usize, usize, Boundary<f32>, &[HaloCommand]); 7] = [
-        (4, 1, Boundary::Clamp, &[Read, Forward, LocalCopy]),
+        (4, 1, Boundary::Clamp, &[Read, Forward, LocalCopy, Kernel]),
         (2, 1, Boundary::Constant(0.0), &[Read]),
         (1, 1, Boundary::Constant(0.0), &[Fill]),
         // Wrap: the owner is the destination itself on both edges of a
@@ -638,19 +644,27 @@ fn halo_exchange_faults_recover_bit_identically() {
         (3, 2, Boundary::Wrap, &[Read, Forward]),
         (2, 4, Boundary::Clamp, &[Read, Forward, LocalCopy]),
     ];
-    for checkpoint_every in [0, 2] {
+    for (checkpoint_every, depth) in [(0, 1), (2, 1), (0, 2), (2, 2)] {
         for (devices, halo, boundary, commands) in cases {
             let case = HaloCase {
                 devices,
                 halo,
                 boundary,
                 checkpoint_every,
+                // One device has nobody to exchange with: depth 1 whatever
+                // is asked for.
+                depth: if devices == 1 { 1 } else { depth },
             };
             for &what in commands {
-                case.strike(what, FaultKind::TransientTransfer);
+                let transient = match what {
+                    Kernel => FaultKind::TransientLaunch,
+                    _ => FaultKind::TransientTransfer,
+                };
+                case.strike(what, transient);
                 // The owner's read succeeds, then the destination dies on
-                // the forward; or a device dies on its own edge copy.
-                if devices > 1 && matches!(what, Forward | LocalCopy) {
+                // the forward; or a device dies on its own edge copy, or in
+                // the middle of a block.
+                if devices > 1 && matches!(what, Forward | LocalCopy | Kernel) {
                     case.strike(what, FaultKind::DeviceLost);
                 }
             }

@@ -192,26 +192,33 @@ fn iterative_sweeps_exchange_halo_rows_not_whole_parts() {
     let events = rt.drain_events();
     let row_bytes = cols * 4;
     let core_rows = rows / 4;
-    let padded_upload = (core_rows + 2) * row_bytes;
     let mut halo_bytes_seen = 0usize;
-    let mut uploads = 0usize;
-    for e in events.iter().flatten().filter(|e| e.is_transfer()) {
-        if e.bytes == padded_upload {
-            uploads += 1;
-        } else {
+    for log in &events {
+        // One padded upload per device — its core rows, one edge or ghost
+        // zone on each side, a ghost zone at most `sweeps` rows deep — and
+        // after it nothing but halo traffic: at most a ghost zone per
+        // transfer, never a part.
+        let mut transfers = log.iter().filter(|e| e.is_transfer());
+        let upload = transfers.next().expect("every device uploads its part");
+        assert!(upload.is_write());
+        let padding = upload.bytes / row_bytes - core_rows;
+        assert!(
+            upload.bytes % row_bytes == 0 && (2..=2 * sweeps).contains(&padding),
+            "upload of {} bytes is not a padded part",
+            upload.bytes
+        );
+        for e in transfers {
             assert!(
-                e.bytes <= row_bytes,
-                "between-sweep transfer of {} bytes exceeds one halo row ({} bytes); \
+                e.bytes <= sweeps * row_bytes && e.bytes < core_rows * row_bytes,
+                "between-sweep transfer of {} bytes exceeds a ghost zone; \
                  whole parts are {} bytes",
                 e.bytes,
-                row_bytes,
                 core_rows * row_bytes
             );
             halo_bytes_seen += e.bytes;
         }
     }
-    assert_eq!(uploads, 4, "exactly one padded upload per device");
-    assert!(halo_bytes_seen > 0, "sweeps must exchange halo data");
+    assert!(halo_bytes_seen > 0, "sweeps must refresh halo data");
 
     // The runtime telemetry exposes the same story without event plumbing.
     let trace = rt.exec_trace();
@@ -393,4 +400,235 @@ fn exec_trace_reports_pool_and_halo_telemetry() {
     assert!(trace.programs_built >= 1);
     let total: usize = trace.devices.iter().map(|d| d.halo_bytes).sum();
     assert_eq!(total, trace.halo_bytes());
+}
+
+/// A stencil that mixes rows and columns at halo 1 and reads ±2 rows at
+/// halo 2, so a ghost row computed from a stale or misplaced row shows.
+const DEPTH_UDFS: [(usize, &str); 2] = [
+    (
+        1,
+        "float func(float x) { return 0.5f * x + 0.125f * (get(0, -1) + get(-1, 1)) + 0.25f * get(1, 0); }",
+    ),
+    (
+        2,
+        "float func(float x) { return 0.25f * (x + get(0, -2) + get(1, -1)) + 0.125f * (get(0, 1) + get(-1, 2)); }",
+    ),
+];
+
+fn depth_ref(halo: usize) -> impl Fn(&dyn Fn(i64, i64) -> f32, f32) -> f32 {
+    move |get, x| match halo {
+        1 => 0.5f32 * x + 0.125f32 * (get(0, -1) + get(-1, 1)) + 0.25f32 * get(1, 0),
+        _ => 0.25f32 * (x + get(0, -2) + get(1, -1)) + 0.125f32 * (get(0, 1) + get(-1, 2)),
+    }
+}
+
+/// The ghost depth is invisible in the result: forced depths 1–4, on 1–4
+/// devices, under every boundary, for halo 1 and 2, with rows that do not
+/// divide by the devices and sweeps that do not divide by the depth, all
+/// give the bits of the sequential host sweeps.
+#[test]
+fn every_ghost_depth_computes_the_same_bits() {
+    let (rows, cols, sweeps) = (29, 7, 7);
+    for (halo, udf) in DEPTH_UDFS {
+        for boundary in [Boundary::Clamp, Boundary::Wrap, Boundary::Constant(-1.5)] {
+            let mut expected = test_image(rows, cols);
+            for _ in 0..sweeps {
+                expected = host_stencil(&expected, rows, cols, boundary, depth_ref(halo));
+            }
+            let st = MapOverlap::<f32, f32>::from_source(udf)
+                .with_halo(halo)
+                .with_boundary(boundary);
+            for devices in 1..=4 {
+                let rt = skelcl::init_gpus(devices);
+                for depth in 1..=4 {
+                    let m = Matrix::from_vec(&rt, rows, cols, test_image(rows, cols)).unwrap();
+                    let out = st.run(&m).run_iter_at_depth(sweeps, depth).unwrap();
+                    let what =
+                        format!("halo {halo}, {boundary:?}, {devices} device(s), depth {depth}");
+                    assert_bits_eq(&out.to_vec().unwrap(), &expected, &what);
+                    // No part is asked for more ghost rows than its
+                    // neighbour owns; one device stores none.
+                    let cap = if devices == 1 {
+                        1
+                    } else {
+                        rows / devices / halo
+                    };
+                    assert_eq!(out.ghost_depth(), depth.min(cap), "{what}");
+                    assert_eq!(
+                        out.distribution(),
+                        MatrixDistribution::OverlapBlock { halo_rows: halo },
+                        "{what}: the ghost depth is not part of the distribution"
+                    );
+                }
+                // The depth the driver chooses by itself is one of them.
+                let m = Matrix::from_vec(&rt, rows, cols, test_image(rows, cols)).unwrap();
+                let out = st.run(&m).run_iter(sweeps).unwrap();
+                assert_bits_eq(&out.to_vec().unwrap(), &expected, "chosen depth");
+            }
+        }
+    }
+}
+
+/// Both sides of the cadence choice on one stencil (a 9-row box at halo 4,
+/// 16 sweeps, 2 devices): over a narrow matrix the host's enqueues bound the
+/// run and the block is as deep as the cap; over a wide one every redundant
+/// ghost row is 2048 elements, so the chosen depth stops well below it —
+/// with the same bits as an exchange before every sweep.
+#[test]
+fn the_chosen_depth_is_the_cap_only_while_redundant_rows_are_cheap() {
+    let box9 = "float func(float x) { return (x + get(0, -1) + get(0, 1) + get(0, -2) + get(0, 2) \
+                + get(0, -3) + get(0, 3) + get(0, -4) + get(0, 4)) / 9.0f; }";
+    let st = MapOverlap::<f32, f32>::from_source(box9).with_halo(4);
+    let (rows, sweeps, cap) = (128, 16, 16);
+    let chosen = |cols: usize| {
+        let rt = skelcl::init_gpus(2);
+        let m = Matrix::from_vec(&rt, rows, cols, test_image(rows, cols)).unwrap();
+        let out = st.run(&m).run_iter(sweeps).unwrap();
+        let every_sweep = st.run(&m).run_iter_at_depth(sweeps, 1).unwrap();
+        assert_bits_eq(
+            &out.to_vec().unwrap(),
+            &every_sweep.to_vec().unwrap(),
+            &format!("{cols} columns"),
+        );
+        out.ghost_depth()
+    };
+    assert_eq!(chosen(32), cap);
+    let wide = chosen(2048);
+    assert!(1 < wide && wide <= cap / 2, "chose depth {wide} of {cap}");
+}
+
+/// A recovery-weighted overlap keeps its weights under a deeper ghost zone,
+/// and its smallest part caps the depth.
+#[test]
+fn the_smallest_part_of_a_weighted_overlap_caps_the_ghost_depth() {
+    let (rows, cols, sweeps) = (29, 5, 5);
+    let (halo, udf) = DEPTH_UDFS[1];
+    let mut expected = test_image(rows, cols);
+    for _ in 0..sweeps {
+        expected = host_stencil(&expected, rows, cols, Boundary::Wrap, depth_ref(halo));
+    }
+    let rt = skelcl::init_gpus(4);
+    let st = MapOverlap::<f32, f32>::from_source(udf)
+        .with_halo(halo)
+        .with_boundary(Boundary::Wrap);
+    let m = Matrix::from_vec(&rt, rows, cols, test_image(rows, cols)).unwrap();
+    // Device 2 is out (a lost device's weight), device 1 owns 5 rows: two
+    // halo widths and a bit.
+    let weighted = MatrixDistribution::overlap_block_weighted(halo, &[3.0, 1.0, 0.0, 3.0]);
+    m.set_distribution(weighted.clone()).unwrap();
+    assert_eq!(m.row_counts(), [12, 5, 0, 12]);
+    let out = st.run(&m).run_iter_at_depth(sweeps, 4).unwrap();
+    assert_bits_eq(
+        &out.to_vec().unwrap(),
+        &expected,
+        "weighted overlap at depth 4",
+    );
+    assert_eq!(out.ghost_depth(), 2);
+    assert_eq!(out.distribution(), weighted);
+    assert_eq!(out.row_counts(), [12, 5, 0, 12]);
+}
+
+/// What `run_iter` returns is stored with a deeper ghost zone than the halo;
+/// feeding it to the same skeleton again — one sweep, or another run — costs
+/// one halo exchange, not a round trip through the host.
+#[test]
+fn a_deeper_stored_ghost_zone_is_not_a_host_round_trip() {
+    let (rows, cols) = (48, 8);
+    let row_bytes = cols * 4;
+    let rt = skelcl::init_gpus(3);
+    let heat = MapOverlap::<f32, f32>::from_source(HEAT_STEP)
+        .with_halo(1)
+        .with_boundary(Boundary::Clamp);
+    let m = Matrix::from_vec(&rt, rows, cols, test_image(rows, cols)).unwrap();
+    let deep = heat.run(&m).arg(0.1f32).run_iter_at_depth(4, 2).unwrap();
+    assert_eq!(deep.ghost_depth(), 2);
+    let mut expected = test_image(rows, cols);
+    for _ in 0..4 {
+        expected = host_stencil(&expected, rows, cols, Boundary::Clamp, heat_ref(0.1));
+    }
+
+    // One more sweep: the 4 neighbour-facing sides are read and forwarded
+    // one halo row each, the 2 clamped edges copied on their devices.
+    rt.finish_all();
+    rt.drain_events();
+    let once = heat.run(&deep).arg(0.1f32).exec().unwrap();
+    let events: Vec<oclsim::Event> = rt.drain_events().into_iter().flatten().collect();
+    let transfers: Vec<_> = events.iter().filter(|e| e.is_transfer()).collect();
+    assert_eq!(transfers.len(), 4 + 4 + 2, "{transfers:?}");
+    assert!(transfers.iter().all(|e| e.bytes == row_bytes));
+    assert_eq!(
+        once.ghost_depth(),
+        2,
+        "the output is stored as its input is"
+    );
+    expected = host_stencil(&expected, rows, cols, Boundary::Clamp, heat_ref(0.1));
+    assert_bits_eq(
+        &once.to_vec().unwrap(),
+        &expected,
+        "exec() over a deep matrix",
+    );
+
+    // Another run over that output, at the stored depth: one exchange of two
+    // rows per side pays for both sweeps, and nothing else crosses a bus.
+    rt.finish_all();
+    rt.drain_events();
+    let again = heat.run(&once).arg(0.1f32).run_iter_at_depth(2, 2).unwrap();
+    let events: Vec<oclsim::Event> = rt.drain_events().into_iter().flatten().collect();
+    let moved: Vec<usize> = events
+        .iter()
+        .filter(|e| e.is_read() || e.is_write())
+        .map(|e| e.bytes)
+        .collect();
+    assert_eq!(moved, vec![2 * row_bytes; 8]);
+    for _ in 0..2 {
+        expected = host_stencil(&expected, rows, cols, Boundary::Clamp, heat_ref(0.1));
+    }
+    assert_bits_eq(
+        &again.to_vec().unwrap(),
+        &expected,
+        "run_iter over a deep matrix",
+    );
+}
+
+/// A window that starts inside the stored part — every sweep of a block but
+/// its last — runs on every kernel engine to the interpreter's bits, under
+/// `Wrap` (ghost rows on every side) and `Clamp` (the edge parts store the
+/// per-sweep clamp copy next to ghost rows), and reading further than the
+/// declared halo is the same launch error on every engine however many
+/// ghost rows happen to be stored.
+#[test]
+fn deep_windows_agree_on_every_kernel_tier_and_keep_the_halo_bound() {
+    use skelcl::Tier;
+    let (rows, cols, sweeps) = (26, 6, 5);
+    let (halo, udf) = DEPTH_UDFS[0];
+    let mut errors = Vec::new();
+    for boundary in [Boundary::Wrap, Boundary::Clamp] {
+        let mut expected = test_image(rows, cols);
+        for _ in 0..sweeps {
+            expected = host_stencil(&expected, rows, cols, boundary, depth_ref(halo));
+        }
+        let too_far =
+            MapOverlap::<f32, f32>::from_source("float func(float x) { return x + get(0, 2); }")
+                .with_halo(1)
+                .with_boundary(boundary);
+        for tier in [Tier::Interp, Tier::Scalar, Tier::Batched, Tier::Native] {
+            let rt = skelcl::init_gpus(3);
+            rt.set_kernel_tier(tier);
+            let st = MapOverlap::<f32, f32>::from_source(udf)
+                .with_halo(halo)
+                .with_boundary(boundary);
+            let m = Matrix::from_vec(&rt, rows, cols, test_image(rows, cols)).unwrap();
+            let out = st.run(&m).run_iter_at_depth(sweeps, 3).unwrap();
+            let label = format!("{boundary:?} {tier:?}");
+            assert_bits_eq(&out.to_vec().unwrap(), &expected, &label);
+            let err = too_far.run(&m).run_iter_at_depth(sweeps, 3).unwrap_err();
+            errors.push(format!("{err}"));
+        }
+    }
+    assert!(
+        errors[0].contains("stencil access dy=2 exceeds the declared halo of 1 row(s)"),
+        "{}",
+        errors[0]
+    );
+    assert!(errors.iter().all(|e| *e == errors[0]), "{errors:?}");
 }

@@ -659,6 +659,53 @@ fn halo_overrun_errors_agree_across_all_tiers() {
     );
 }
 
+/// A launch whose first computed row is not the part's first row after the
+/// halo: the iterative stencil driver stores parts with `depth · halo` ghost
+/// rows and binds input and output from `halo` rows above the window it
+/// computes (an OpenCL sub-buffer), so the kernel sees a part padded with
+/// exactly `halo` rows wherever the window sits. Every window of a part
+/// padded three rows deep agrees across the tiers, writes nothing outside
+/// itself, and `dy = 2` is the halo-overrun error although the row it asks
+/// for is stored.
+#[test]
+fn windows_into_deeper_padded_parts_agree_and_keep_the_halo_bound() {
+    let (core, pad, w) = (5, 3, 2 * LANES + 9);
+    let stored = ramp((core + 2 * pad) * w);
+    let heat = map_overlap_src(
+        "float func(float u) { return u + 0.25f * (get(0, -1) + get(0, 1) + get(-1, 0) + get(1, 0)); }",
+    );
+    let too_far = map_overlap_src("float func(float u) { return u + get(0, 2); }");
+    // (first computed row, rows): the core alone, then one and two ghost
+    // rows wider on each side.
+    for (first, rows) in [(pad, core), (pad - 1, core + 2), (pad - 2, core + 4)] {
+        let origin = (first - 1) * w;
+        let bufs = [
+            stored[origin..].to_vec(),
+            vec![7.0e30f32; stored.len() - origin],
+        ];
+        let scalars = stencil_scalars(rows * w, w, 1, 1);
+        agreed_outcome(&heat, "SKELCL_MAP_OVERLAP", &bufs, &scalars, rows * w).unwrap();
+        let (out, _) = run_engine(
+            &heat,
+            "SKELCL_MAP_OVERLAP",
+            &bufs,
+            &scalars,
+            rows * w,
+            Engine::Native,
+        );
+        let written = |i: usize| out[1][i] != 7.0e30;
+        assert!((0..w).all(|i| !written(i)), "row above the window written");
+        assert!((w..(rows + 1) * w).all(written), "window not fully written");
+        assert!(((rows + 1) * w..out[1].len()).all(|i| !written(i)));
+        let err =
+            agreed_outcome(&too_far, "SKELCL_MAP_OVERLAP", &bufs, &scalars, rows * w).unwrap_err();
+        assert_eq!(
+            err,
+            "stencil access dy=2 exceeds the declared halo of 1 row(s)"
+        );
+    }
+}
+
 /// A stencil input shorter than the padded part: the row slice of `get(0,
 /// 1)` runs off the end in the middle of a batch.
 #[test]

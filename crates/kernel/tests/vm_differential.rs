@@ -491,6 +491,55 @@ proptest! {
     }
 }
 
+/// A launch whose first computed row is not the part's first row after the
+/// halo (the iterative stencil driver's windows into parts stored three halo
+/// widths deep, bound from `halo` rows above the window): the VM agrees with
+/// the oracle — bits and stats — on every window, and `dy = 2` is the
+/// halo-overrun error in both although the row it asks for is stored.
+#[test]
+fn windows_into_deeper_padded_parts_agree_and_keep_the_halo_bound() {
+    // The frame `kernelgen` emits today: load and store at `gid + halo·w`.
+    let frame = |udf: &str| {
+        stencil_kernel(udf).replace(
+            "skelcl_out[skelcl_gid] =",
+            "skelcl_out[(skelcl_row + skelcl_stencil_halo) * skelcl_stencil_w + skelcl_col] =",
+        )
+    };
+    let heat = frame(
+        "float func(float u) { return u + 0.25f * (get(0, -1) + get(0, 1) + get(-1, 0) + get(1, 0)); }",
+    );
+    let too_far = frame("float func(float u) { return u + get(0, 2); }");
+    let (core, pad, w) = (5usize, 3usize, 41usize);
+    let stored: Vec<f32> = (0..(core + 2 * pad) * w)
+        .map(|i| (i * 37 % 101) as f32 * 0.5 - 20.0)
+        .collect();
+    for (first, rows) in [(pad, core), (pad - 1, core + 2), (pad - 2, core + 4)] {
+        let origin = (first - 1) * w;
+        let bufs = [
+            stored[origin..].to_vec(),
+            vec![7.0e30f32; stored.len() - origin],
+        ];
+        let scalars = [
+            Value::Int((rows * w) as i32),
+            Value::Int(w as i32),
+            Value::Int(1),
+            Value::Int(1),
+            Value::Float(-1.5),
+        ];
+        assert_engines_agree_f32(&heat, "SKELCL_MAP_OVERLAP", &bufs, &scalars, rows * w);
+        let (vm, _) = run_both_f32(&heat, "SKELCL_MAP_OVERLAP", &bufs, &scalars, rows * w);
+        let out = &vm.expect("the window runs").0[1];
+        let written = |i: usize| out[i] != 7.0e30;
+        assert!((0..w).all(|i| !written(i)), "row above the window written");
+        assert!((w..(rows + 1) * w).all(written), "window not fully written");
+        assert!(((rows + 1) * w..out.len()).all(|i| !written(i)));
+        let (vm, oracle) = run_both_f32(&too_far, "SKELCL_MAP_OVERLAP", &bufs, &scalars, rows * w);
+        let expected = "stencil access dy=2 exceeds the declared halo of 1 row(s)";
+        assert_eq!(vm.unwrap_err(), expected);
+        assert_eq!(oracle.unwrap_err(), expected);
+    }
+}
+
 #[test]
 fn get_outside_a_stencil_kernel_is_the_same_runtime_error() {
     let src = r#"

@@ -62,13 +62,14 @@ impl DataKind {
     }
 
     /// The typed view a kernel-language engine takes of `data`, storage of a
-    /// buffer of this kind; `None` for opaque elements.
-    pub fn view(self, data: &mut BufferData) -> Option<BufferView<'_>> {
+    /// buffer of this kind, from element `first` on (the kernel's index 0);
+    /// `None` for opaque elements.
+    pub fn view(self, data: &mut BufferData, first: usize) -> Option<BufferView<'_>> {
         match self {
-            DataKind::F32 => Some(BufferView::F32(data.as_slice_mut())),
-            DataKind::F64 => Some(BufferView::F64(data.as_slice_mut())),
-            DataKind::I32 => Some(BufferView::I32(data.as_slice_mut())),
-            DataKind::U32 => Some(BufferView::U32(data.as_slice_mut())),
+            DataKind::F32 => Some(BufferView::F32(&mut data.as_slice_mut()[first..])),
+            DataKind::F64 => Some(BufferView::F64(&mut data.as_slice_mut()[first..])),
+            DataKind::I32 => Some(BufferView::I32(&mut data.as_slice_mut()[first..])),
+            DataKind::U32 => Some(BufferView::U32(&mut data.as_slice_mut()[first..])),
             DataKind::Opaque { .. } => None,
         }
     }
@@ -173,9 +174,10 @@ mod tests {
             assert_eq!(of, kind);
             assert_eq!(kind.scalar_type(), scalar);
             let mut data = BufferData::new(2 * kind.elem_size());
-            let view = kind.view(&mut data);
+            let view = kind.view(&mut data, 0);
             assert_eq!(view.as_ref().map(BufferView::scalar_type), scalar);
             assert_eq!(view.map_or(2, |v| v.len()), 2);
+            assert_eq!(kind.view(&mut data, 1).map_or(1, |v| v.len()), 1);
             if let Some(ty) = scalar {
                 assert_eq!(ty.size_bytes(), kind.elem_size());
             }

@@ -46,11 +46,36 @@ impl CostHint {
 pub enum KernelArg {
     /// A device buffer.
     Buffer(Buffer),
+    /// A device buffer from element `.1` on — the region an OpenCL
+    /// sub-buffer (`clCreateSubBuffer`) names: the kernel's index 0 is that
+    /// element, and nothing before it is reachable. Runtime-compiled kernels
+    /// only; a native kernel takes whole buffers.
+    BufferFrom(Buffer, usize),
     /// A scalar value.
     Scalar(Value),
 }
 
 impl KernelArg {
+    /// This buffer argument from element `first` of what it binds on (a
+    /// scalar is unchanged).
+    pub fn from_element(self, first: usize) -> Self {
+        match self {
+            KernelArg::Buffer(buffer) if first > 0 => KernelArg::BufferFrom(buffer, first),
+            KernelArg::BufferFrom(buffer, base) => KernelArg::BufferFrom(buffer, base + first),
+            other => other,
+        }
+    }
+
+    /// The buffer this argument binds and the first element the kernel sees
+    /// of it; `None` for a scalar.
+    pub fn buffer(&self) -> Option<(&Buffer, usize)> {
+        match self {
+            KernelArg::Buffer(buffer) => Some((buffer, 0)),
+            KernelArg::BufferFrom(buffer, first) => Some((buffer, *first)),
+            KernelArg::Scalar(_) => None,
+        }
+    }
+
     /// Convenience constructor for a float scalar.
     pub fn f32(v: f32) -> Self {
         KernelArg::Scalar(Value::Float(v))
@@ -302,9 +327,9 @@ impl Kernel {
         let KernelInner::Dsl { handle, .. } = &self.inner else {
             return Ok(());
         };
-        handle.check_args(args.iter().enumerate().map(|(i, arg)| match arg {
-            KernelArg::Scalar(_) => ArgKind::Scalar,
-            KernelArg::Buffer(buf) => {
+        handle.check_args(args.iter().enumerate().map(|(i, arg)| match arg.buffer() {
+            None => ArgKind::Scalar,
+            Some((buf, _)) => {
                 ArgKind::Buffer(buf.kind().scalar_type().ok_or_else(|| opaque_buffer(i)))
             }
         }))
@@ -340,12 +365,16 @@ impl Kernel {
         match &self.inner {
             KernelInner::Dsl { program, handle } => {
                 let mut bindings: Vec<ArgBinding<'_>> = Vec::with_capacity(args.len());
+                let mut view_of = |i: usize, buf: &Buffer, first: usize| {
+                    let view = buf.kind().view(storage(i, buf)?, first);
+                    view.ok_or_else(|| opaque_buffer(i))
+                };
                 for (i, arg) in args.iter().enumerate() {
                     bindings.push(match arg {
                         KernelArg::Scalar(v) => ArgBinding::Scalar(*v),
-                        KernelArg::Buffer(buf) => {
-                            let view = buf.kind().view(storage(i, buf)?);
-                            ArgBinding::Buffer(view.ok_or_else(|| opaque_buffer(i))?)
+                        KernelArg::Buffer(buf) => ArgBinding::Buffer(view_of(i, buf, 0)?),
+                        KernelArg::BufferFrom(buf, first) => {
+                            ArgBinding::Buffer(view_of(i, buf, *first)?)
                         }
                     });
                 }
@@ -366,6 +395,11 @@ impl Kernel {
                     views.push(match arg {
                         KernelArg::Scalar(v) => ArgView::Scalar(*v),
                         KernelArg::Buffer(buf) => ArgView::Buffer(storage(i, buf)?),
+                        KernelArg::BufferFrom(..) => {
+                            return Err(OclError::InvalidKernelArg(format!(
+                                "argument {i} binds a buffer region; native kernels take whole buffers"
+                            )))
+                        }
                     });
                 }
                 let mut ctx = NativeCtx {
@@ -390,6 +424,48 @@ fn opaque_buffer(index: usize) -> OclError {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A buffer region binds like an OpenCL sub-buffer: the kernel's index 0
+    /// is the region's first element, on every argument it is used for.
+    #[test]
+    fn buffer_regions_bind_from_their_first_element() {
+        let p = Program::from_source(
+            "__kernel void shift(__global float* src, __global float* dst, int n) {
+                int i = get_global_id(0);
+                if (i < n) { dst[i] = src[i] + 0.5f; }
+            }",
+        )
+        .unwrap();
+        let k = p.kernel("shift").unwrap();
+        let src = Buffer::new(1, 0, 6, crate::DataKind::F32);
+        let dst = Buffer::new(2, 0, 6, crate::DataKind::F32);
+        let mut taken = vec![(1, BufferData::new(24)), (2, BufferData::new(24))];
+        taken[0]
+            .1
+            .as_slice_mut::<f32>()
+            .copy_from_slice(&[0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
+        let args = [
+            KernelArg::BufferFrom(src, 3),
+            KernelArg::BufferFrom(dst.clone(), 1),
+            KernelArg::i32(2),
+        ];
+        k.validate_args(&args).unwrap();
+        k.execute(2, &args, &mut taken).unwrap();
+        assert_eq!(
+            taken[1].1.as_slice::<f32>(),
+            [0.0, 3.5, 4.5, 0.0, 0.0, 0.0],
+            "elements before the region's first are out of reach"
+        );
+        // A native kernel sees whole buffers only.
+        let native =
+            Program::from_native([NativeKernelDef::new("n", CostHint::DEFAULT, |_| Ok(()))]);
+        let err = native
+            .kernel("n")
+            .unwrap()
+            .execute(1, &[KernelArg::BufferFrom(dst, 1)], &mut taken[1..])
+            .unwrap_err();
+        assert!(matches!(err, OclError::InvalidKernelArg(_)), "{err:?}");
+    }
 
     #[test]
     fn dsl_program_kernel_lookup_and_cost() {

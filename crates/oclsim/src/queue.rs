@@ -580,8 +580,8 @@ impl CommandQueue {
     ) -> Result<EventHandle> {
         let mut buffer_ids = Vec::new();
         for arg in args {
-            if let KernelArg::Buffer(b) = arg {
-                self.check_buffer_device(b)?;
+            if let Some((b, first)) = arg.buffer() {
+                self.check_range(b, first * b.kind().elem_size(), 0)?;
                 if buffer_ids.contains(&b.id()) {
                     return Err(OclError::BufferAliased { id: b.id() });
                 }
@@ -850,12 +850,10 @@ fn execute_kernel(
     global_size: usize,
     args: &[KernelArg],
 ) -> Result<(crate::time::SimDuration, usize)> {
-    let mut buffer_ids = Vec::new();
-    for arg in args {
-        if let KernelArg::Buffer(b) = arg {
-            buffer_ids.push(b.id());
-        }
-    }
+    let buffer_ids: Vec<u64> = args
+        .iter()
+        .filter_map(|arg| arg.buffer().map(|(b, _)| b.id()))
+        .collect();
     // Return the taken storage to the device even if the kernel panics
     // (the worker's panic guard keeps the queue alive; the buffers must
     // survive too).
@@ -1043,6 +1041,23 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, OclError::BufferAliased { .. }));
+        // Two regions of one buffer are the same buffer twice; a region that
+        // starts past the buffer's end is refused like any bad range.
+        let regions = [
+            KernelArg::BufferFrom(buf.clone(), 1),
+            KernelArg::BufferFrom(buf.clone(), 2),
+            KernelArg::i32(1),
+        ];
+        let err = q.enqueue_kernel(&k, 1, &regions).unwrap_err();
+        assert!(matches!(err, OclError::BufferAliased { .. }));
+        let other = ctx.create_buffer::<f32>(0, 4).unwrap();
+        let past_the_end = [
+            KernelArg::Buffer(other),
+            KernelArg::BufferFrom(buf.clone(), 5),
+            KernelArg::i32(1),
+        ];
+        let err = q.enqueue_kernel(&k, 1, &past_the_end).unwrap_err();
+        assert!(matches!(err, OclError::SizeMismatch { .. }), "{err:?}");
         // The buffer must still be usable afterwards.
         assert!(q.enqueue_write_buffer(&buf, &[1.0f32; 4]).is_ok());
     }

@@ -2,8 +2,9 @@
 # The legacy bench harnesses (crates/bench/src/bin/<name>_bench.rs), one
 # entry point: a full run rewrites BENCH_<name>.json at the repository root,
 # --smoke runs the small-N variant into /tmp (CI). What each harness measures
-# and asserts — stencil_bench, for one, exits 1 if a row is slower on 4
-# devices than on 1 — is in its file's header.
+# and asserts — stencil_bench, for one, exits 1 if a row is slower on d
+# devices than on d - 1, its three listed host-bound steps excepted — is in
+# its file's header.
 #
 # Usage: scripts/bench.sh <faults|kernel_vm|pipeline|scaling|serving|stencil> [--smoke]
 set -euo pipefail

@@ -8,8 +8,10 @@
 # one struct, the fusion accounting one function. This script fails if a
 # second template, kernel cache, scan flow, pasted kernel frame, prepare
 # stage, recovery wrapper, per-call closure kernel, plan-handle struct or
-# per-consumer match on PlanNode shows up again. One seam: each fact the
-# kernel engines, the simulator and the core share is written in one file.
+# per-consumer match on PlanNode shows up again. One exchange cadence: how
+# many sweeps a halo exchange pays for is decided in one function. One seam:
+# each fact the kernel engines, the simulator and the core share is written
+# in one file.
 # Run from the repository root (CI: the `check` job).
 set -euo pipefail
 
@@ -195,6 +197,24 @@ if grep -n "enqueue_kernel" "$skel/map.rs" "$skel/zip.rs" "$skel/map_overlap.rs"
 fi
 if [ "$(count "$skel/exec.rs" "enqueue_kernel(")" != 1 ]; then
     complain "exec.rs must enqueue kernels in exactly one place (launch_elementwise)"
+fi
+
+# --- One exchange cadence -------------------------------------------------
+
+# How many sweeps a halo exchange pays for is decided in one function,
+# consulted at one place in the one iterative driver; it is not a launch
+# option; and Storage::refresh_halos is the only exchange between devices.
+if [ "$(count "$skel/map_overlap.rs" "fn exchange_cadence(")" != 1 ] ||
+    [ "$(grep -rn "exchange_cadence(" "$src" | grep -v "fn exchange_cadence(" | wc -l)" != 1 ]; then
+    complain "the exchange cadence must be decided in MapOverlap::exchange_cadence, called once (run_blocks)"
+fi
+if non_test "$skel/exec.rs" | awk '/^pub struct LaunchConfig/,/^}/' |
+    grep -nE "^ *pub [a-z_]*(depth|ghost|cadence|block)[a-z_]*:"; then
+    complain "LaunchConfig has grown a ghost-depth field (the cadence is chosen, not configured)"
+fi
+if [ "$(grep -rln "enqueue_write_buffer_from_read" "$src" | tr '\n' ' ')" != "$src/container.rs " ] ||
+    [ "$(count "$src/container.rs" "enqueue_halo_exchange(")" != 2 ]; then
+    complain "Storage::refresh_halos must be the only halo exchange (container.rs)"
 fi
 
 # --- One seam -------------------------------------------------------------

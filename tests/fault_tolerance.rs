@@ -155,3 +155,68 @@ fn losing_two_of_three_nodes_still_recovers() {
     assert_eq!(tier.runtime().lost_devices().len(), 4);
     assert!(tier.runtime().exec_trace().repartitions >= 1);
 }
+
+/// A node dies in the middle of a block of sweeps that share one halo
+/// exchange (ghost depth 3): the survivors cannot replay the sweep in place —
+/// the current state is device-resident — so the run rolls back to its last
+/// checkpoint, or to the input when there is none, re-partitions onto six
+/// devices and stores the new parts' ghost zones afresh.
+#[test]
+fn node_death_inside_a_block_of_sweeps_rolls_back_and_recovers_bit_identically() {
+    let (rows, cols, sweeps) = (96, 8, 9);
+    let mut expected = test_data(rows * cols);
+    for _ in 0..sweeps {
+        expected = host_heat(&expected, rows, cols);
+    }
+    for checkpoint_every in [0, 3] {
+        let run = |tier: &ClusterTier| {
+            let m = Matrix::from_vec(tier.runtime(), rows, cols, test_data(rows * cols)).unwrap();
+            heat()
+                .run(&m)
+                .checkpoint_every(checkpoint_every)
+                .run_iter_at_depth(sweeps, 3)
+                .unwrap()
+        };
+        // Fault-free, a device's log is: upload, then blocks of three
+        // kernels, each block after the first behind its exchange (and every
+        // sweep of an edge device behind its fill). The second kernel of the
+        // second block is mid-block on every device.
+        let clean = ClusterTier::launch_gpus(&Cluster::lab_cluster());
+        let out = run(&clean);
+        assert_eq!(out.ghost_depth(), 3);
+        assert_eq!(out.to_vec().unwrap(), expected, "fault-free at depth 3");
+        let victim = clean.devices_of("small-server-1")[0];
+        let log = &clean.runtime().drain_events()[victim];
+        let mut kernels = log.iter().enumerate().filter(|(_, e)| e.is_kernel());
+        let (mid_block, _) = kernels.nth(4).expect("nine sweeps");
+        assert!(
+            log[..mid_block].iter().any(|e| e.is_read()) && log[mid_block - 1].is_kernel(),
+            "op {mid_block} follows a kernel of its own block, behind an exchange"
+        );
+
+        let tier = ClusterTier::launch_gpus(&Cluster::lab_cluster());
+        tier.fail_node("small-server-1", FaultTrigger::AtOpCount(mid_block + 1));
+        let out = run(&tier);
+        let what = format!("checkpoint_every({checkpoint_every})");
+        assert_eq!(
+            out.to_vec().unwrap(),
+            expected,
+            "{what}: recovered ≢ fault-free"
+        );
+        let rt = tier.runtime();
+        let mut lost = rt.lost_devices();
+        lost.sort_unstable();
+        assert_eq!(lost, tier.devices_of("small-server-1"), "{what}");
+        let trace = rt.exec_trace();
+        assert!(trace.recoveries >= 1 && trace.repartitions >= 1, "{what}");
+        assert_eq!(trace.checkpoint_bytes > 0, checkpoint_every > 0, "{what}");
+        // Six survivors share 96 rows: 16 each, deep enough for the forced
+        // depth again.
+        assert_eq!(
+            out.row_counts().iter().filter(|&&r| r > 0).count(),
+            6,
+            "{what}"
+        );
+        assert_eq!(out.ghost_depth(), 3, "{what}");
+    }
+}
