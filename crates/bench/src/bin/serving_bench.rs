@@ -5,8 +5,10 @@
 //! server (4 tenants, weights 1–4, 2 simulated devices): an elementwise map
 //! (`submit_vec`), or — the `reduce` rows, 1/100/1k sessions — the same map
 //! closed by a sum (`submit_scalar`), all of one length so that they
-//! coalesce. The harness reports jobs/sec in wall-clock AND virtual time
-//! plus p50/p99 virtual job latency (admission → completion), asserts that
+//! coalesce. The harness reports jobs/sec in wall-clock AND virtual time,
+//! p50/p99 virtual job latency (admission → completion) and the host's
+//! virtual time per packed batch (what dispatch and enqueues cost the host
+//! between one batch's submission and the next), asserts that
 //! coalescing reduces the simulator's kernel-launch count whenever more
 //! than one job is in play and leaves every result bit unchanged, checks
 //! that a fixed submission order is bit-identical (results and virtual
@@ -71,6 +73,7 @@ struct ScaleResult {
     p99_virt_us: f64,
     launches: usize,
     packed_batches: usize,
+    host_us_per_batch: Option<f64>,
     checksum: u64,
     virt_secs: f64,
 }
@@ -92,6 +95,19 @@ fn total_launches(trace: &skelcl::ExecTrace) -> usize {
         + trace.scalar_launches()
         + trace.batched_launches()
         + trace.native_launches()
+}
+
+/// The host's virtual time per packed batch: the mean period between the
+/// enqueue times of consecutive batches' slot writes (one per batch here),
+/// which the scheduler submits back to back without waiting on a device;
+/// `None` below two batches.
+fn host_us_per_batch(events: &[Vec<skelcl::oclsim::Event>]) -> Option<f64> {
+    let writes = events.iter().flatten().filter(|e| e.is_write());
+    let (first, last, n) = writes.fold((u64::MAX, 0, 0u64), |(lo, hi, n), e| {
+        let t = e.queued.as_nanos();
+        (lo.min(t), hi.max(t), n + 1)
+    });
+    (n > 1).then(|| (last - first) as f64 / (n - 1) as f64 / 1e3)
 }
 
 fn percentile(sorted: &[f64], pct: usize) -> f64 {
@@ -135,6 +151,7 @@ fn run_scale(job: Job, sessions: usize, coalescing: bool, len: usize) -> ScaleRe
     submit(&server.session("alpha").expect("session"), 999_999).wait();
 
     let launches_before = total_launches(&rt.exec_trace());
+    rt.drain_events();
     let virt_start = rt.now();
     let wall_start = Instant::now();
     let mut handles = Vec::with_capacity(sessions);
@@ -169,6 +186,7 @@ fn run_scale(job: Job, sessions: usize, coalescing: bool, len: usize) -> ScaleRe
         p99_virt_us: percentile(&latencies, 99) * 1e6,
         launches: total_launches(&rt.exec_trace()) - launches_before,
         packed_batches: trace.packed_batches,
+        host_us_per_batch: host_us_per_batch(&rt.drain_events()),
         checksum,
         virt_secs,
     }
@@ -232,7 +250,7 @@ fn main() {
     println!("host_cpus = {host_cpus}");
     for r in &rows {
         println!(
-            "{:>6} {:<6} sessions  {}  {:>10.0} jobs/s wall  {:>12.0} jobs/s virtual  p50 {:>8.2} us  p99 {:>8.2} us  {:>6} launches ({} packed batches)",
+            "{:>6} {:<6} sessions  {}  {:>10.0} jobs/s wall  {:>12.0} jobs/s virtual  p50 {:>8.2} us  p99 {:>8.2} us  {:>6} launches ({} packed batches, host {} us each)",
             r.sessions,
             r.job.name(),
             if r.coalesced { "coalesced  " } else { "uncoalesced" },
@@ -242,6 +260,7 @@ fn main() {
             r.p99_virt_us,
             r.launches,
             r.packed_batches,
+            r.host_us_per_batch.map_or("-".to_string(), |us| format!("{us:.2}")),
         );
     }
 
@@ -255,13 +274,13 @@ fn main() {
     );
     json.push_str(&format!("  \"elements_per_job\": {len},\n"));
     json.push_str(
-        "  \"note\": \"4 tenants (weights 1-4) on 2 simulated devices, one job per session: a map (submit_vec) or the same map closed by a sum (submit_scalar, job = reduce), all of one length; latencies are virtual (admission to completion); coalesced and uncoalesced results are bit-identical, coalescing cuts launches, no job runs opaque and a fixed submission order is deterministic across reps (asserted)\",\n",
+        "  \"note\": \"4 tenants (weights 1-4) on 2 simulated devices, one job per session: a map (submit_vec) or the same map closed by a sum (submit_scalar, job = reduce), all of one length; latencies are virtual (admission to completion); host_us_per_batch is the host's virtual time between consecutive packed batches' submissions (dispatch + enqueues, null below two batches); coalesced and uncoalesced results are bit-identical, coalescing cuts launches, no job runs opaque and a fixed submission order is deterministic across reps (asserted)\",\n",
     );
     json.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
         json.push_str(&format!(
-            "    {{ \"job\": \"{}\", \"sessions\": {}, \"coalesced\": {}, \"wall_jobs_per_sec\": {:.0}, \"virtual_jobs_per_sec\": {:.0}, \"p50_virtual_us\": {:.2}, \"p99_virtual_us\": {:.2}, \"launches\": {}, \"packed_batches\": {} }}{comma}\n",
+            "    {{ \"job\": \"{}\", \"sessions\": {}, \"coalesced\": {}, \"wall_jobs_per_sec\": {:.0}, \"virtual_jobs_per_sec\": {:.0}, \"p50_virtual_us\": {:.2}, \"p99_virtual_us\": {:.2}, \"launches\": {}, \"packed_batches\": {}, \"host_us_per_batch\": {} }}{comma}\n",
             r.job.name(),
             r.sessions,
             r.coalesced,
@@ -271,6 +290,7 @@ fn main() {
             r.p99_virt_us,
             r.launches,
             r.packed_batches,
+            r.host_us_per_batch.map_or("null".to_string(), |us| format!("{us:.2}")),
         ));
     }
     json.push_str("  ]\n}\n");

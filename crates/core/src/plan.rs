@@ -276,7 +276,7 @@ impl<'a> Group<'a> {
                 .filter_map(|(_, s)| s.side)
                 .map(|(_, slot)| slot)
                 .collect(),
-            extra_args: self.arg_values().map(KernelArg::Scalar).collect(),
+            extra_args: self.arg_values().collect(),
         }
     }
 
@@ -377,6 +377,16 @@ pub(crate) struct LoweredShape {
     /// The group's kernel and, for a scan, its offset kernel: built on the
     /// runtime's context at first use.
     kernels: OnceLock<Arc<StageKernels>>,
+    /// The group's packed launch as one command buffer, recorded on the
+    /// runtime's context at the first packed launch of the shape.
+    packed: parking_lot::Mutex<Option<Arc<PackedCommands>>>,
+}
+
+/// A shape's packed launch, recorded once and submitted per batch with the
+/// batch's buffers, payloads and scalars.
+struct PackedCommands {
+    buffer: oclsim::CommandBuffer,
+    read: oclsim::ReadId,
 }
 
 impl LoweredShape {
@@ -414,6 +424,40 @@ impl LoweredShape {
         };
         Ok(self.kernels.get_or_init(|| Arc::new(kernels)))
     }
+
+    /// The shape's recorded packed launch, shaped like `bindings` — the
+    /// input slots' buffers then the output's, then the scalars: a write
+    /// per input slot, the kernel over every buffer and scalar, the read of
+    /// the output. Recorded (and its commands charged to the host) on
+    /// `runtime`'s context at the shape's first packed launch; every queue
+    /// of that context runs it.
+    fn packed_commands(
+        &self,
+        runtime: &SkelCl,
+        bindings: &oclsim::Bindings,
+    ) -> Result<Arc<PackedCommands>> {
+        let mut packed = self.packed.lock();
+        if let Some(commands) = &*packed {
+            return Ok(commands.clone());
+        }
+        let kernel = &self.kernels(runtime)?.kernel;
+        let kinds: Vec<_> = bindings.buffers.iter().map(Buffer::kind).collect();
+        let scalars = bindings.scalars.len();
+        let out = kinds.len().saturating_sub(1);
+        let mut buffer = runtime.context().command_buffer(&kinds, scalars);
+        for slot in 0..out {
+            buffer.write(slot)?;
+        }
+        let args: Vec<_> = (0..kinds.len())
+            .map(oclsim::Slot::Buffer)
+            .chain((0..scalars).map(oclsim::Slot::Scalar))
+            .collect();
+        buffer.kernel(kernel, &args)?;
+        let read = buffer.read(out)?;
+        let commands = Arc::new(PackedCommands { buffer, read });
+        *packed = Some(commands.clone());
+        Ok(commands)
+    }
 }
 
 /// Lower one group of stages through the one renderer
@@ -430,6 +474,7 @@ fn lower_group(stages: &[(StageKind, &Arc<UdfInfo>)], id: usize) -> Result<Lower
             .collect(),
         rendered: render_group(&borrowed)?,
         kernels: OnceLock::new(),
+        packed: parking_lot::Mutex::default(),
     })
 }
 
@@ -510,7 +555,7 @@ struct LoweredGroup {
     side_sources: Vec<usize>,
     /// Additional scalar arguments, in stage order (matching the generated
     /// kernel's extra-parameter declarations).
-    extra_args: Vec<KernelArg>,
+    extra_args: Vec<Value>,
 }
 
 /// What one launch group — and, from the last one, the plan — produced:
@@ -722,13 +767,18 @@ impl PlanGraph {
         let lens = partition.sizes();
         group.account_fusion(runtime, partition.active_devices().len(), lens.iter().sum());
         let kernels = lowered.shape.kernels(runtime)?;
+        let extras: Vec<_> = lowered
+            .extra_args
+            .iter()
+            .map(|&v| KernelArg::Scalar(v))
+            .collect();
         let bind = |device| {
             let sides = lowered.side_sources.iter().map(|&s| &sources[s][..]);
             let inputs = std::iter::once(chain.unwrap_or(&sources[0]))
                 .chain(sides)
                 .map(|buffers| buffer_arg(buffers, device, format_args!("a pipeline input")))
                 .collect::<Result<Vec<_>>>()?;
-            Ok((inputs, lowered.extra_args.clone()))
+            Ok((inputs, extras.clone()))
         };
         let out_ty = lowered.shape.rendered.out_ty;
         match (group.last().kind, &lowered.host_op) {
@@ -1314,11 +1364,13 @@ impl<T: Pod, K: PlanKind<T>> Plan<T, K> {
 
     /// Pack many same-signature jobs into **one** kernel launch on `device`:
     /// each job's input elements are laid back to back in one buffer per
-    /// kernel argument (one non-blocking write each), the fused kernel runs
-    /// once over all of them, and the returned [`PackedLaunch`] slices each
-    /// job's result back out of the packed output (one non-blocking read).
-    /// Every enqueue is non-blocking, so many packed launches can be in
-    /// flight at once.
+    /// kernel argument (one write each), the fused kernel runs once over all
+    /// of them, and the returned [`PackedLaunch`] slices each job's result
+    /// back out of the packed output (one non-blocking read). The writes,
+    /// the launch and the read are one non-blocking submission of a command
+    /// buffer recorded once per lowered shape (`oclsim::CommandBuffer`), so
+    /// the host pays one enqueue per batch and many packed launches can be
+    /// in flight at once.
     ///
     /// Every job must share this plan's runtime and
     /// [`coalesce_signature`](Self::coalesce_signature); a single-job pack
@@ -1564,19 +1616,18 @@ fn pack_graphs<T: DeviceScalar, O>(
         spans.total(),
         &mut buffers,
     ) {
-        Ok(events) => Ok(PackedLaunch {
+        Ok((submission, read)) => Ok(PackedLaunch {
             host_op: lowered.host_op,
             finish,
             runtime,
             device,
             spans,
             buffers,
-            events,
+            submission,
+            read,
         }),
         Err(e) => {
-            // Slot writes may still be on the worker: join them, and drop
-            // what they latched, before their buffers go back to the pool.
-            let _ = runtime.queue(device).take_deferred_error();
+            // Nothing was submitted, so nothing in flight uses the buffers.
             for buffer in &buffers {
                 let _ = runtime.context().release_buffer(buffer);
             }
@@ -1585,12 +1636,13 @@ fn pack_graphs<T: DeviceScalar, O>(
     }
 }
 
-/// Allocate + fill the packed input buffers — `total` elements per slot —
-/// and enqueue the batch's kernel over `work_items` work-items, each leaving
-/// one output element, and the non-blocking read of that output; returns the
-/// event of every command, in queue order (the read last). Buffers are
-/// recorded in `buffers` as they are created so the caller can release them
-/// on any error.
+/// Allocate the packed input buffers — `total` elements per slot — and the
+/// output of `work_items` elements, one per work-item, and submit the
+/// shape's recorded packed launch over them: a write per slot, the kernel,
+/// the non-blocking read of the output. Every fallible step comes before the
+/// one submission, so a batch that cannot launch leaves nothing in flight;
+/// the dispatch is charged after it. Buffers are recorded in `buffers` as
+/// they are created so the caller can release them on any error.
 fn pack_launch<T: DeviceScalar>(
     runtime: &Arc<SkelCl>,
     device: usize,
@@ -1599,12 +1651,8 @@ fn pack_launch<T: DeviceScalar>(
     total: usize,
     work_items: usize,
     buffers: &mut Vec<Buffer>,
-) -> Result<Vec<oclsim::EventHandle>> {
-    // Resolved before the first enqueue: a program that fails to build
-    // leaves nothing in flight.
-    let kernel = &lowered.shape.kernels(runtime)?.kernel;
+) -> Result<(oclsim::Submission, oclsim::ReadId)> {
     let context = runtime.context();
-    let queue = runtime.queue(device);
     let as_int = |count: usize| {
         i32::try_from(count).map(Value::Int).map_err(|_| {
             SkelError::Plan(format!(
@@ -1612,8 +1660,7 @@ fn pack_launch<T: DeviceScalar>(
             ))
         })
     };
-    let mut events = Vec::new();
-    let mut kargs = Vec::new();
+    let mut payloads = Vec::new();
     // Slot 0 is the chain (source 0 of every job), then the side inputs.
     let sources = std::iter::once(0).chain(lowered.side_sources.iter().copied());
     for (slot, source_index) in sources.enumerate() {
@@ -1628,24 +1675,30 @@ fn pack_launch<T: DeviceScalar>(
                 bytes.len()
             )));
         }
-        let buffer = with_scalar!(ty, S, { context.create_buffer::<S>(device, total)? });
-        buffers.push(buffer.clone());
-        events.push(queue.enqueue_write_bytes(&buffer, 0, bytes)?);
-        kargs.push(KernelArg::Buffer(buffer));
+        buffers.push(with_scalar!(ty, S, {
+            context.create_buffer::<S>(device, total)?
+        }));
+        payloads.push(bytes);
     }
-    let out = context.create_buffer::<T>(device, work_items)?;
-    buffers.push(out.clone());
-    kargs.push(KernelArg::Buffer(out.clone()));
-    kargs.push(KernelArg::Scalar(as_int(total)?));
+    buffers.push(context.create_buffer::<T>(device, work_items)?);
+    let mut scalars = vec![as_int(total)?];
     if lowered.host_op.is_some() {
         // The packed reduce frame's job length, equal across the batch.
-        kargs.push(KernelArg::Scalar(as_int(total / jobs.len())?));
+        scalars.push(as_int(total / jobs.len())?);
     }
-    kargs.extend(lowered.extra_args.iter().cloned());
+    scalars.extend_from_slice(&lowered.extra_args);
+    let bindings = oclsim::Bindings {
+        buffers: buffers.clone(),
+        payloads,
+        scalars,
+        global_size: work_items,
+    };
+    let packed = lowered.shape.packed_commands(runtime, &bindings)?;
+    let submission = runtime
+        .queue(device)
+        .enqueue_command_buffer(&packed.buffer, bindings)?;
     runtime.charge_skeleton_call();
-    events.push(queue.enqueue_kernel(kernel, work_items, &kargs)?);
-    events.push(queue.enqueue_read_buffer_region_nb::<T>(&out, 0, work_items)?);
-    Ok(events)
+    Ok((submission, packed.read))
 }
 
 /// The identity of what a packable plan computes per job: the plan's lowered
@@ -1693,11 +1746,12 @@ impl std::fmt::Debug for CoalesceSignature {
 /// An in-flight packed launch produced by [`Plan::pack_jobs`] — of vector
 /// plans (per-job result `O = Vec<T>`, the job's output elements) or of
 /// reductions (`O = T`, the job's reduced value; `O` is the plan kind's
-/// [`PlanKind::Job`]): one fused kernel running every packed job plus the
-/// non-blocking read of the packed output. [`PackedLaunch::wait`] joins the launch's commands, advances the
-/// host's virtual clock to the read's completion, releases the packed
-/// buffers back to the device pool and splits the output into one result
-/// per job.
+/// [`PlanKind::Job`]): one submission of the shape's recorded command
+/// buffer — the slot writes, one fused kernel running every packed job, the
+/// non-blocking read of the packed output. [`PackedLaunch::wait`] joins it,
+/// advances the host's virtual clock to the read's completion, releases the
+/// packed buffers back to the device pool and splits the output into one
+/// result per job.
 #[must_use = "a packed launch delivers results only through `wait()`"]
 pub struct PackedLaunch<T: Pod, O = Vec<T>> {
     runtime: Arc<SkelCl>,
@@ -1705,8 +1759,10 @@ pub struct PackedLaunch<T: Pod, O = Vec<T>> {
     /// Per job, its span of the packed output.
     spans: JobSpans,
     buffers: Vec<Buffer>,
-    /// The launch's commands in queue order: slot writes, kernel, read.
-    events: Vec<oclsim::EventHandle>,
+    /// The launch's commands: slot writes, kernel, read.
+    submission: oclsim::Submission,
+    /// The read of the packed output, the submission's last command.
+    read: oclsim::ReadId,
     /// The host evaluator of the reduce that closes the jobs, if one does.
     host_op: Option<Arc<HostOperator>>,
     finish: Finish<T, O>,
@@ -1737,25 +1793,22 @@ impl<T: Pod, O> PackedLaunch<T, O> {
     /// operator's evaluator — the fold a one-device `scalar()` ends with.
     ///
     /// The launch answers for its own commands: it fails if any of *them*
-    /// failed — a transiently failed packed-input write never reaches the
-    /// kernel as an error, only as a zero-filled buffer — and never for a
-    /// neighbour's, so launches in flight on one queue cannot take each
-    /// other's errors. On failure the queue is joined and what this launch
-    /// latched on it drained (the same discipline as the internal
-    /// kernel-event join) before the buffers are released.
+    /// failed — a failed slot write fails the kernel and the read unexecuted
+    /// — and never for a neighbour's, so launches in flight on one queue
+    /// cannot take each other's errors. Waiting on the read joins them all:
+    /// it is the last command, settled after every other one and failed
+    /// with the first failure. On failure what this launch latched on the
+    /// queue is drained (the same discipline as the internal kernel-event
+    /// join) before the buffers are released.
     pub fn wait(self) -> Result<(Vec<O>, oclsim::Event)>
     where
         T: DeviceScalar,
     {
-        let (read, commands) = self
-            .events
-            .split_last()
-            .expect("a packed launch holds at least its kernel and read");
         let mut data = vec![T::from_value(Value::Int(0)); self.spans.total()];
-        let joined = commands
-            .iter()
-            .try_for_each(|command| command.wait().map(drop))
-            .and_then(|()| read.wait_into(&mut data));
+        let joined = self
+            .submission
+            .read(self.read)
+            .and_then(|read| read.wait_into(&mut data));
         if joined.is_err() {
             let _ = self.runtime.queue(self.device).take_deferred_error();
         }

@@ -758,16 +758,17 @@ fn failed_launches_release_what_they_allocated() {
     }
 }
 
-/// A packed launch that fails *while it is being enqueued* — its second
-/// allocation does not fit the device — has slot writes on the worker, here
-/// held up behind a slow kernel. They are joined before their buffers go back
-/// to the pool: released under them, a write latched `BufferNotFound` on the
-/// queue and failed the next batch on that device. The same holds for a
-/// launch the device rejects after it was enqueued. Either way the next batch
-/// on the device is correct and nothing stays allocated.
+/// A packed launch that fails *while it is being prepared* — its second
+/// allocation does not fit the device, here with a slow kernel ahead of it
+/// on the queue — submits nothing: it moves no clock and logs no event, and
+/// its buffers go straight back to the pool (once, slot writes already on
+/// the worker were released under them, latched `BufferNotFound` and failed
+/// the next batch on that device). A launch the device rejects after it was
+/// submitted is drained before its buffers are released. Either way the next
+/// batch on the device is correct and nothing stays allocated.
 #[test]
 fn failed_packed_launches_leave_their_queue_clean() {
-    use skelcl::oclsim::{CostHint, DeviceProfile, NativeKernelDef, OclError};
+    use skelcl::oclsim::{CommandKind, CostHint, DeviceProfile, NativeKernelDef, OclError};
     // 200 floats fit once, not twice — not even next to one partial.
     let rt = skelcl::init_profiles(vec![DeviceProfile {
         memory_bytes: 800,
@@ -796,7 +797,9 @@ fn failed_packed_launches_leave_their_queue_clean() {
 
     for reduce in [false, true] {
         let what = format!("second allocation fails, reduce: {reduce}");
+        let logged = rt.queue(0).events().len();
         rt.queue(0).enqueue_kernel(&slow, 1, &[]).unwrap();
+        let host = rt.now();
         let err = if reduce {
             PlanScalar::pack_jobs(&[&big.lazy().reduce(&add)], 0).err()
         } else {
@@ -809,6 +812,14 @@ fn failed_packed_launches_leave_their_queue_clean() {
             ),
             "{what}: {err:?}"
         );
+        assert_eq!(
+            rt.now(),
+            host,
+            "{what}: the rejected batch moved the host clock"
+        );
+        let events = rt.queue(0).events();
+        let kinds: Vec<_> = events[logged..].iter().map(|e| &e.kind).collect();
+        assert_eq!(kinds, [&CommandKind::Kernel("slow".into())], "{what}");
         check_clean_batches(&what);
         assert_eq!(rt.queue(0).deferred_error_count(), 0, "{what}");
     }

@@ -443,3 +443,48 @@ fn matrix_plan_under_never_is_the_eager_sequence_event_for_event() {
         }
     }
 }
+
+/// A packed batch — the serving layer's launch — is one submission of its
+/// shape's recorded command buffer: once the shape is recorded, a batch of
+/// map jobs and a batch of reductions each advance the host clock by exactly
+/// the dispatch plus one enqueue, on whichever device, and their results,
+/// event logs and clock repeat exactly. (The served `JobReport`s over such
+/// batches repeat too: `serving/tests/{serving,reductions}.rs`.)
+#[test]
+fn packed_batches_are_one_submission_each_and_deterministic() {
+    assert_deterministic("packed batches", |rt| {
+        let api = rt.context().api().clone();
+        let per_batch = api.dispatch_overhead + api.enqueue_overhead;
+        let double = Map::<f32, f32>::from_source("float func(float x) { return 2.0f * x; }");
+        let sum = Reduce::<f32>::from_source("float func(float a, float b) { return a + b; }");
+        let maps: Vec<_> = (0..3)
+            .map(|j| Vector::from_vec(rt, seeded(40 + 17 * j, j as u64)))
+            .collect();
+        let folds: Vec<_> = (0..3)
+            .map(|j| Vector::from_vec(rt, seeded(700, 50 + j)))
+            .collect();
+        let map_jobs: Vec<_> = maps.iter().map(|v| v.lazy().map(&double)).collect();
+        let fold_jobs: Vec<_> = folds
+            .iter()
+            .map(|v| v.lazy().map(&double).reduce(&sum))
+            .collect();
+        let (map_jobs, fold_jobs): (Vec<_>, Vec<_>) =
+            (map_jobs.iter().collect(), fold_jobs.iter().collect());
+        let (mut results, mut total) = (Vec::new(), 0.0f32);
+        for round in 0..2 {
+            for device in 0..rt.device_count() {
+                let before = rt.now();
+                let mapped = PlanVec::pack_jobs(&map_jobs, device).unwrap();
+                let between = rt.now();
+                let folded = PlanScalar::pack_jobs(&fold_jobs, device).unwrap();
+                if round + device > 0 {
+                    assert_eq!(between - before, per_batch, "map batch on {device}");
+                    assert_eq!(rt.now() - between, per_batch, "reduce batch on {device}");
+                }
+                results.extend(mapped.wait().unwrap().0.into_iter().flatten());
+                total += folded.wait().unwrap().0.iter().sum::<f32>();
+            }
+        }
+        (results, total)
+    });
+}

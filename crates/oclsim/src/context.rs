@@ -6,7 +6,8 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::buffer::Buffer;
+use crate::buffer::{Buffer, DataKind};
+use crate::command_buffer::CommandBuffer;
 use crate::device::Device;
 use crate::error::{OclError, Result};
 use crate::ledger::ResourceLedger;
@@ -116,6 +117,14 @@ impl Context {
             self.api.clone(),
             self.host_clock.clone(),
         ))
+    }
+
+    /// Start recording a command buffer whose submissions bind one buffer
+    /// of each of the `buffers` kinds and `scalars` scalar values. The
+    /// buffer is valid on every queue of this context.
+    pub fn command_buffer(&self, buffers: &[DataKind], scalars: usize) -> CommandBuffer {
+        let overhead = self.api.enqueue_overhead;
+        CommandBuffer::new(self.host_clock.clone(), overhead, buffers, scalars)
     }
 
     /// Allocate a buffer of `len` elements of `T` on a device. Released

@@ -43,6 +43,7 @@
 //! ```
 
 pub mod buffer;
+pub mod command_buffer;
 pub mod context;
 pub mod device;
 pub mod error;
@@ -57,6 +58,7 @@ pub mod queue;
 pub mod time;
 
 pub use buffer::{Buffer, DataKind};
+pub use command_buffer::{Bindings, CommandBuffer, ReadId, Slot, Submission};
 pub use context::Context;
 pub use device::{BufferData, Device, DeviceId, TierSnapshot};
 pub use error::{OclError, Result};

@@ -9,7 +9,7 @@ use skelcl_kernel::interp::ArgBinding;
 use skelcl_kernel::types::ArgKind;
 use skelcl_kernel::KernelHandle;
 
-use crate::buffer::Buffer;
+use crate::buffer::{Buffer, DataKind};
 use crate::device::BufferData;
 use crate::error::{OclError, Result};
 use crate::pod::Pod;
@@ -324,14 +324,25 @@ impl Kernel {
     /// kernels carry no signature and validate nothing here (their closure
     /// reports argument problems at execution).
     pub fn validate_args(&self, args: &[KernelArg]) -> Result<()> {
+        self.check_kinds(
+            args.iter()
+                .map(|arg| arg.buffer().map(|(buf, _)| buf.kind())),
+        )
+    }
+
+    /// [`Kernel::validate_args`] over argument *kinds* only — `None` for a
+    /// scalar, the element kind for a buffer — as a command buffer knows
+    /// them when it records a launch (see [`crate::CommandBuffer::kernel`]).
+    pub(crate) fn check_kinds(
+        &self,
+        kinds: impl ExactSizeIterator<Item = Option<DataKind>>,
+    ) -> Result<()> {
         let KernelInner::Dsl { handle, .. } = &self.inner else {
             return Ok(());
         };
-        handle.check_args(args.iter().enumerate().map(|(i, arg)| match arg.buffer() {
+        handle.check_args(kinds.enumerate().map(|(i, kind)| match kind {
             None => ArgKind::Scalar,
-            Some((buf, _)) => {
-                ArgKind::Buffer(buf.kind().scalar_type().ok_or_else(|| opaque_buffer(i)))
-            }
+            Some(kind) => ArgKind::Buffer(kind.scalar_type().ok_or_else(|| opaque_buffer(i))),
         }))
     }
 

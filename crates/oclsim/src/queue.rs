@@ -56,6 +56,34 @@
 //! enqueued*, so across all queues the earliest unfinished command never
 //! waits on anything unfinished.
 //!
+//! # Command buffers
+//!
+//! A [`CommandBuffer`] records host writes, launches and non-blocking reads
+//! once over binding slots ([`crate::Context::command_buffer`]);
+//! [`CommandQueue::enqueue_command_buffer`] submits it with one submission's
+//! buffers, payloads, scalars and global size — the
+//! `clEnqueueCommandBufferKHR` / `cudaGraphLaunch` analogue:
+//!
+//! * **Recording** charges the host one enqueue overhead per recorded
+//!   command, once, and checks what needs no bindings: slot indices, and a
+//!   launch's slot kinds against the kernel's signature.
+//! * **Submitting** validates every command with the errors of the
+//!   per-command `enqueue_*` call it stands for (device, range, aliasing,
+//!   element type), in recording order and before anything is charged; then
+//!   charges **one** enqueue overhead and hands the worker **one** item.
+//!   Every command keeps its own [`Event`] row and its own fault-op; all rows
+//!   share the submission's `queued` time, and start and end follow the
+//!   unchanged rule above.
+//! * **Failure rule:** when command *k* fails, commands *k+1…* fail with its
+//!   error without executing — no side effect, no fault-op, no device time —
+//!   and, like every failed command, latch on the queue. So the last command
+//!   of a submission settles after, and fails with, everything before it.
+//!
+//! Whether a program records buffers is the program's choice, not a price:
+//! [`ApiModel`] has no on/off field. The hand-written OpenCL / CUDA
+//! baselines of the paper's Figure 4b never record one, so such a flag would
+//! only ever hold one value.
+//!
 //! # Errors
 //!
 //! Host-side validation errors (wrong device, size mismatches, aliased or
@@ -74,6 +102,7 @@ use std::thread::JoinHandle;
 use parking_lot::Mutex;
 
 use crate::buffer::Buffer;
+use crate::command_buffer::{Bindings, CommandBuffer, Recorded, Slot, Submission};
 use crate::device::Device;
 use crate::error::{OclError, Result};
 use crate::event::{CommandKind, Event, EventHandle};
@@ -136,13 +165,12 @@ impl QueueShared {
     }
 }
 
-/// A command in flight to the worker.
-enum Command {
+/// What one command does, validated and ready for the worker.
+enum Op {
     Write {
         buffer: Buffer,
         offset_bytes: usize,
         data: WritePayload,
-        event: EventHandle,
     },
     Copy {
         src: Buffer,
@@ -150,13 +178,11 @@ enum Command {
         dst: Buffer,
         dst_offset_bytes: usize,
         len_bytes: usize,
-        event: EventHandle,
     },
     Read {
         buffer: Buffer,
         offset_bytes: usize,
         len_bytes: usize,
-        event: EventHandle,
     },
     Kernel {
         kernel: Box<Kernel>,
@@ -165,8 +191,31 @@ enum Command {
         /// Wait list: the command may not start (in virtual time) before
         /// these events end, and the worker joins them in real time first.
         deps: Vec<EventHandle>,
-        event: EventHandle,
     },
+}
+
+impl Op {
+    fn kind(&self) -> CommandKind {
+        match self {
+            Op::Write { .. } => CommandKind::WriteBuffer,
+            Op::Copy { .. } => CommandKind::CopyBuffer,
+            Op::Read { .. } => CommandKind::ReadBuffer,
+            Op::Kernel { kernel, .. } => CommandKind::Kernel(kernel.name.clone()),
+        }
+    }
+}
+
+/// A command in flight to the worker: what it does and the event it settles.
+struct Command {
+    op: Op,
+    event: EventHandle,
+}
+
+/// One item handed to the worker: a single command, or a command buffer's
+/// commands, executed in order under the failure rule (module docs).
+enum Work {
+    One(Command),
+    Buffer(Vec<Command>),
 }
 
 /// Where a write's bytes come from.
@@ -179,18 +228,6 @@ enum WritePayload {
     Forwarded { read: EventHandle, len_bytes: usize },
 }
 
-impl Command {
-    /// The event tracking this command (used by the worker's panic guard).
-    fn event(&self) -> &EventHandle {
-        match self {
-            Command::Write { event, .. }
-            | Command::Copy { event, .. }
-            | Command::Read { event, .. }
-            | Command::Kernel { event, .. } => event,
-        }
-    }
-}
-
 /// An in-order command queue bound to one device, executing asynchronously
 /// on a dedicated worker thread.
 pub struct CommandQueue {
@@ -198,7 +235,7 @@ pub struct CommandQueue {
     api: ApiModel,
     host_clock: Arc<Mutex<SimTime>>,
     shared: Arc<QueueShared>,
-    sender: Option<Sender<Command>>,
+    sender: Option<Sender<Work>>,
     worker: Mutex<Option<JoinHandle<()>>>,
 }
 
@@ -328,13 +365,24 @@ impl CommandQueue {
         queued
     }
 
-    fn submit(&self, command: Command) {
+    fn submit(&self, work: Work) {
         self.shared.command_enqueued();
         self.sender
             .as_ref()
             .expect("sender lives as long as the queue")
-            .send(command)
+            .send(work)
             .expect("worker thread lives as long as the queue");
+    }
+
+    /// Charge the enqueue and hand one validated command to the worker.
+    fn submit_op(&self, op: Op) -> EventHandle {
+        let queued = self.charge_enqueue();
+        let event = EventHandle::pending(op.kind(), self.device.id, queued);
+        self.submit(Work::One(Command {
+            op,
+            event: event.clone(),
+        }));
+        event
     }
 
     /// Block the host until every command enqueued on this queue has
@@ -417,7 +465,11 @@ impl CommandQueue {
         data: Vec<u8>,
     ) -> Result<EventHandle> {
         self.check_range(buffer, offset_bytes, data.len())?;
-        Ok(self.submit_write(buffer, offset_bytes, WritePayload::Host(data)))
+        Ok(self.submit_op(Op::Write {
+            buffer: buffer.clone(),
+            offset_bytes,
+            data: WritePayload::Host(data),
+        }))
     }
 
     /// Non-blocking write of `len` elements at element `elem_offset` whose
@@ -445,29 +497,14 @@ impl CommandQueue {
                 "only a non-blocking read can be forwarded into a write".into(),
             ));
         }
-        let payload = WritePayload::Forwarded {
-            read: read.clone(),
-            len_bytes: len * elem,
-        };
-        Ok(self.submit_write(buffer, elem_offset * elem, payload))
-    }
-
-    /// Charge the enqueue and hand a validated write to the worker.
-    fn submit_write(
-        &self,
-        buffer: &Buffer,
-        offset_bytes: usize,
-        data: WritePayload,
-    ) -> EventHandle {
-        let queued = self.charge_enqueue();
-        let event = EventHandle::pending(CommandKind::WriteBuffer, self.device.id, queued);
-        self.submit(Command::Write {
+        Ok(self.submit_op(Op::Write {
             buffer: buffer.clone(),
-            offset_bytes,
-            data,
-            event: event.clone(),
-        });
-        event
+            offset_bytes: elem_offset * elem,
+            data: WritePayload::Forwarded {
+                read: read.clone(),
+                len_bytes: len * elem,
+            },
+        }))
     }
 
     /// Non-blocking copy of `len` elements from element `src_elem_offset` of
@@ -487,17 +524,13 @@ impl CommandQueue {
         let elem = std::mem::size_of::<T>();
         self.check_range(src, src_elem_offset * elem, len * elem)?;
         self.check_range(dst, dst_elem_offset * elem, len * elem)?;
-        let queued = self.charge_enqueue();
-        let event = EventHandle::pending(CommandKind::CopyBuffer, self.device.id, queued);
-        self.submit(Command::Copy {
+        Ok(self.submit_op(Op::Copy {
             src: src.clone(),
             src_offset_bytes: src_elem_offset * elem,
             dst: dst.clone(),
             dst_offset_bytes: dst_elem_offset * elem,
             len_bytes: len * elem,
-            event: event.clone(),
-        });
-        Ok(event)
+        }))
     }
 
     /// Blocking device → host transfer of a whole buffer into `out`.
@@ -541,15 +574,11 @@ impl CommandQueue {
         let bytes = len * std::mem::size_of::<T>();
         let offset_bytes = elem_offset * std::mem::size_of::<T>();
         self.check_range(buffer, offset_bytes, bytes)?;
-        let queued = self.charge_enqueue();
-        let event = EventHandle::pending(CommandKind::ReadBuffer, self.device.id, queued);
-        self.submit(Command::Read {
+        Ok(self.submit_op(Op::Read {
             buffer: buffer.clone(),
             offset_bytes,
             len_bytes: bytes,
-            event: event.clone(),
-        });
-        Ok(event)
+        }))
     }
 
     /// Enqueue a 1-D NDRange kernel launch (non-blocking).
@@ -578,6 +607,18 @@ impl CommandQueue {
         args: &[KernelArg],
         wait_list: &[EventHandle],
     ) -> Result<EventHandle> {
+        self.check_kernel_args(kernel, args)?;
+        Ok(self.submit_op(Op::Kernel {
+            kernel: Box::new(kernel.clone()),
+            global_size,
+            args: args.to_vec(),
+            deps: wait_list.to_vec(),
+        }))
+    }
+
+    /// Host-side launch validation: buffer devices and regions, no buffer
+    /// bound twice, and the kernel's signature.
+    fn check_kernel_args(&self, kernel: &Kernel, args: &[KernelArg]) -> Result<()> {
         let mut buffer_ids = Vec::new();
         for arg in args {
             if let Some((b, first)) = arg.buffer() {
@@ -588,21 +629,7 @@ impl CommandQueue {
                 buffer_ids.push(b.id());
             }
         }
-        kernel.validate_args(args)?;
-        let queued = self.charge_enqueue();
-        let event = EventHandle::pending(
-            CommandKind::Kernel(kernel.name.clone()),
-            self.device.id,
-            queued,
-        );
-        self.submit(Command::Kernel {
-            kernel: Box::new(kernel.clone()),
-            global_size,
-            args: args.to_vec(),
-            deps: wait_list.to_vec(),
-            event: event.clone(),
-        });
-        Ok(event)
+        kernel.validate_args(args)
     }
 
     /// Enqueue a kernel whose cost hint is overridden for this launch (used
@@ -617,6 +644,83 @@ impl CommandQueue {
     ) -> Result<EventHandle> {
         let adjusted = kernel.clone().with_cost(cost);
         self.enqueue_kernel(&adjusted, global_size, args)
+    }
+
+    /// Submit a recorded [`CommandBuffer`] with this submission's
+    /// `bindings` as **one** host call: every command is validated first,
+    /// in recording order and with the errors of the per-command `enqueue_*`
+    /// call it stands for; then the host pays one enqueue overhead and the
+    /// worker receives one item. Returns one event per command, all queued
+    /// at the same instant (see the module docs for the failure rule).
+    pub fn enqueue_command_buffer(
+        &self,
+        buffer: &CommandBuffer,
+        bindings: Bindings,
+    ) -> Result<Submission> {
+        if !Arc::ptr_eq(&buffer.host_clock, &self.host_clock) {
+            return Err(OclError::InvalidOperation(
+                "a command buffer runs on the queues of the context that recorded it".into(),
+            ));
+        }
+        buffer.check_counts(&bindings)?;
+        let Bindings {
+            buffers,
+            payloads,
+            scalars,
+            global_size,
+        } = bindings;
+        let mut payloads = payloads.into_iter();
+        let mut ops = Vec::with_capacity(buffer.commands.len());
+        for command in &buffer.commands {
+            ops.push(match command {
+                Recorded::Write { buffer } => {
+                    // `check_counts` matched the payloads to the writes.
+                    let data = payloads.next().unwrap_or_default();
+                    self.check_range(&buffers[*buffer], 0, data.len())?;
+                    Op::Write {
+                        buffer: buffers[*buffer].clone(),
+                        offset_bytes: 0,
+                        data: WritePayload::Host(data),
+                    }
+                }
+                Recorded::Kernel { kernel, args } => {
+                    let args: Vec<KernelArg> = args
+                        .iter()
+                        .map(|&slot| match slot {
+                            Slot::Buffer(i) => KernelArg::Buffer(buffers[i].clone()),
+                            Slot::Scalar(i) => KernelArg::Scalar(scalars[i]),
+                        })
+                        .collect();
+                    self.check_kernel_args(kernel, &args)?;
+                    Op::Kernel {
+                        kernel: Box::new(kernel.clone()),
+                        global_size,
+                        args,
+                        deps: Vec::new(),
+                    }
+                }
+                Recorded::Read { buffer } => {
+                    let len_bytes = buffers[*buffer].len_bytes();
+                    self.check_range(&buffers[*buffer], 0, len_bytes)?;
+                    Op::Read {
+                        buffer: buffers[*buffer].clone(),
+                        offset_bytes: 0,
+                        len_bytes,
+                    }
+                }
+            });
+        }
+        let queued = self.charge_enqueue();
+        let commands: Vec<Command> = ops
+            .into_iter()
+            .map(|op| Command {
+                event: EventHandle::pending(op.kind(), self.device.id, queued),
+                op,
+            })
+            .collect();
+        let events = commands.iter().map(|c| c.event.clone()).collect();
+        self.submit(Work::Buffer(commands));
+        Ok(Submission::new(events))
     }
 }
 
@@ -633,39 +737,72 @@ impl Drop for CommandQueue {
 
 /// The worker: executes commands in FIFO order against the device, settles
 /// their virtual timestamps on the queue's clock and completes their events.
+/// A command buffer's commands run in order until one fails; the rest then
+/// fail with its error without reaching the device.
 fn worker_loop(
     device: &Arc<Device>,
     api: &ApiModel,
     shared: &Arc<QueueShared>,
-    receiver: &Receiver<Command>,
+    receiver: &Receiver<Work>,
 ) {
-    while let Ok(command) = receiver.recv() {
-        // A panic while processing a command (a latent bug in the VM or a
-        // panicking native kernel) must not strand the host: the eager
-        // engine panicked loudly on the host thread, so the async engine
-        // converts the unwind into a failed event + latched queue error and
-        // keeps the pending count balanced — waiters see the error instead
-        // of deadlocking on a worker that died.
-        let event = command.event().clone();
-        let processed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            process_command(device, api, shared, command)
-        }));
-        if let Err(payload) = processed {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "unknown panic".to_string());
-            let error = OclError::Kernel(skelcl_kernel::diag::KernelError::run(format!(
-                "device worker panicked while executing a command: {msg}"
-            )));
-            if !event.is_done() {
-                shared.latch_error(&error);
-                event.complete(Err(error), None);
+    while let Ok(work) = receiver.recv() {
+        match work {
+            Work::One(command) => {
+                let _ = run_guarded(device, api, shared, command);
+            }
+            Work::Buffer(commands) => {
+                let mut failed: Option<OclError> = None;
+                for command in commands {
+                    match &failed {
+                        None => failed = run_guarded(device, api, shared, command).err(),
+                        Some(error) => {
+                            let _ = settle(
+                                device,
+                                shared,
+                                &command.event,
+                                Err(error.clone()),
+                                SimTime::ZERO,
+                            );
+                        }
+                    }
+                }
             }
         }
         shared.command_settled();
     }
+}
+
+/// Execute one command, returning its error if it failed. A panic while
+/// processing it (a latent bug in the VM or a panicking native kernel) must
+/// not strand the host: the eager engine panicked loudly on the host thread,
+/// so the async engine converts the unwind into a failed event + latched
+/// queue error — waiters see the error instead of deadlocking on a worker
+/// that died.
+fn run_guarded(
+    device: &Arc<Device>,
+    api: &ApiModel,
+    shared: &Arc<QueueShared>,
+    command: Command,
+) -> Result<()> {
+    let event = command.event.clone();
+    let processed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        process_command(device, api, shared, command)
+    }));
+    processed.unwrap_or_else(|payload| {
+        let msg = payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "unknown panic".to_string());
+        let error = OclError::Kernel(skelcl_kernel::diag::KernelError::run(format!(
+            "device worker panicked while executing a command: {msg}"
+        )));
+        if !event.is_done() {
+            shared.latch_error(&error);
+            event.complete(Err(error.clone()), None);
+        }
+        Err(error)
+    })
 }
 
 /// The command's prospective virtual start time, computed *before*
@@ -687,157 +824,111 @@ fn process_command(
     api: &ApiModel,
     shared: &Arc<QueueShared>,
     command: Command,
-) {
-    {
-        match command {
-            Command::Write {
-                buffer,
-                offset_bytes,
-                data,
-                event,
-            } => {
-                // Resolve the payload. A forwarded write joins its source
-                // read (real time) and takes the read's end as the virtual
-                // lower bound on its start; a failed or unclaimable source
-                // fails the write without executing it (and without bumping
-                // the device's fault-op counter — it never reached the
-                // device), exactly like a kernel behind a failed wait list.
-                let resolved = match data {
-                    WritePayload::Host(bytes) => Ok((SimTime::ZERO, bytes)),
-                    WritePayload::Forwarded { read, len_bytes } => {
-                        read.wait_take_payload().and_then(|(record, bytes)| {
-                            if bytes.len() == len_bytes {
-                                Ok((record.end, bytes))
-                            } else {
-                                Err(OclError::SizeMismatch {
-                                    host_bytes: bytes.len(),
-                                    device_bytes: len_bytes,
-                                })
-                            }
-                        })
-                    }
-                };
-                let mut deps_end = SimTime::ZERO;
-                let outcome = resolved.and_then(|(read_end, bytes)| {
-                    deps_end = read_end;
-                    let start = prospective_start(shared, &event, deps_end);
-                    device
-                        .fault_check(start, crate::fault::CommandClass::Transfer)
-                        .and_then(|()| device.write_buffer_bytes(&buffer, offset_bytes, &bytes))
-                        .map(|()| bytes.len())
-                });
-                settle(
-                    device,
-                    api,
-                    shared,
-                    &event,
-                    outcome.map(|bytes| {
-                        let dur = api.transfer_time(&device.profile, bytes);
-                        (dur, bytes, 0, None)
-                    }),
-                    deps_end,
-                );
-            }
-            Command::Copy {
-                src,
-                src_offset_bytes,
-                dst,
-                dst_offset_bytes,
-                len_bytes,
-                event,
-            } => {
-                let start = prospective_start(shared, &event, SimTime::ZERO);
-                let outcome = device
-                    .fault_check(start, crate::fault::CommandClass::Transfer)
-                    .and_then(|()| {
-                        device.copy_buffer_bytes(
-                            &src,
-                            src_offset_bytes,
-                            &dst,
-                            dst_offset_bytes,
-                            len_bytes,
-                        )
-                    });
-                settle(
-                    device,
-                    api,
-                    shared,
-                    &event,
-                    outcome.map(|()| {
-                        // The price of the generated copy kernel: one
-                        // work-item per 4 bytes, each reading and writing 4.
-                        let dur = api.kernel_time(&device.profile, len_bytes.div_ceil(4), 0.0, 8.0);
-                        (dur, len_bytes, 0, None)
-                    }),
-                    SimTime::ZERO,
-                );
-            }
-            Command::Read {
-                buffer,
-                offset_bytes,
-                len_bytes,
-                event,
-            } => {
-                let mut payload = vec![0u8; len_bytes];
-                let start = prospective_start(shared, &event, SimTime::ZERO);
-                let outcome = device
-                    .fault_check(start, crate::fault::CommandClass::Transfer)
-                    .and_then(|()| device.read_buffer_bytes(&buffer, offset_bytes, &mut payload));
-                settle(
-                    device,
-                    api,
-                    shared,
-                    &event,
-                    outcome.map(|()| {
-                        let dur = api.transfer_time(&device.profile, len_bytes);
-                        (dur, len_bytes, 0, Some(payload))
-                    }),
-                    SimTime::ZERO,
-                );
-            }
-            Command::Kernel {
-                kernel,
-                global_size,
-                args,
-                deps,
-                event,
-            } => {
-                // Join the wait list (real time) and collect the virtual
-                // lower bound on the start time. A failed dependency fails
-                // this command without executing it (and without bumping
-                // the device's fault-op counter — it never reached the
-                // device).
-                let mut deps_end = SimTime::ZERO;
-                let mut dep_error = None;
-                for dep in &deps {
-                    match dep.wait() {
-                        Ok(record) => deps_end = deps_end.max(record.end),
-                        Err(e) => {
-                            dep_error = Some(e);
-                            break;
+) -> Result<()> {
+    let Command { op, event } = command;
+    let mut deps_end = SimTime::ZERO;
+    let outcome = match op {
+        Op::Write {
+            buffer,
+            offset_bytes,
+            data,
+        } => {
+            // Resolve the payload. A forwarded write joins its source read
+            // (real time) and takes the read's end as the virtual lower
+            // bound on its start; a failed or unclaimable source fails the
+            // write without executing it (and without bumping the device's
+            // fault-op counter — it never reached the device), exactly like
+            // a kernel behind a failed wait list.
+            let resolved = match data {
+                WritePayload::Host(bytes) => Ok((SimTime::ZERO, bytes)),
+                WritePayload::Forwarded { read, len_bytes } => {
+                    read.wait_take_payload().and_then(|(record, bytes)| {
+                        if bytes.len() == len_bytes {
+                            Ok((record.end, bytes))
+                        } else {
+                            Err(OclError::SizeMismatch {
+                                host_bytes: bytes.len(),
+                                device_bytes: len_bytes,
+                            })
                         }
-                    }
+                    })
                 }
-                let outcome = match dep_error {
-                    Some(e) => Err(e),
-                    None => {
-                        let start = prospective_start(shared, &event, deps_end);
-                        device
-                            .fault_check(start, crate::fault::CommandClass::Launch)
-                            .and_then(|()| execute_kernel(device, api, &kernel, global_size, &args))
-                    }
-                };
-                settle(
-                    device,
-                    api,
-                    shared,
-                    &event,
-                    outcome.map(|(dur, work_items)| (dur, 0, work_items, None)),
-                    deps_end,
-                );
-            }
+            };
+            resolved.and_then(|(read_end, bytes)| {
+                deps_end = read_end;
+                let start = prospective_start(shared, &event, deps_end);
+                device
+                    .fault_check(start, crate::fault::CommandClass::Transfer)
+                    .and_then(|()| device.write_buffer_bytes(&buffer, offset_bytes, &bytes))?;
+                let dur = api.transfer_time(&device.profile, bytes.len());
+                Ok((dur, bytes.len(), 0, None))
+            })
         }
-    }
+        Op::Copy {
+            src,
+            src_offset_bytes,
+            dst,
+            dst_offset_bytes,
+            len_bytes,
+        } => {
+            let start = prospective_start(shared, &event, SimTime::ZERO);
+            device
+                .fault_check(start, crate::fault::CommandClass::Transfer)
+                .and_then(|()| {
+                    device.copy_buffer_bytes(
+                        &src,
+                        src_offset_bytes,
+                        &dst,
+                        dst_offset_bytes,
+                        len_bytes,
+                    )
+                })
+                .map(|()| {
+                    // The price of the generated copy kernel: one work-item
+                    // per 4 bytes, each reading and writing 4.
+                    let dur = api.kernel_time(&device.profile, len_bytes.div_ceil(4), 0.0, 8.0);
+                    (dur, len_bytes, 0, None)
+                })
+        }
+        Op::Read {
+            buffer,
+            offset_bytes,
+            len_bytes,
+        } => {
+            let mut payload = vec![0u8; len_bytes];
+            let start = prospective_start(shared, &event, SimTime::ZERO);
+            device
+                .fault_check(start, crate::fault::CommandClass::Transfer)
+                .and_then(|()| device.read_buffer_bytes(&buffer, offset_bytes, &mut payload))
+                .map(|()| {
+                    let dur = api.transfer_time(&device.profile, len_bytes);
+                    (dur, len_bytes, 0, Some(payload))
+                })
+        }
+        Op::Kernel {
+            kernel,
+            global_size,
+            args,
+            deps,
+        } => {
+            // Join the wait list (real time) and collect the virtual lower
+            // bound on the start time. A failed dependency fails this
+            // command without executing it (and without bumping the
+            // device's fault-op counter — it never reached the device).
+            deps.iter()
+                .try_for_each(|dep| {
+                    deps_end = deps_end.max(dep.wait()?.end);
+                    Ok(())
+                })
+                .and_then(|()| {
+                    let start = prospective_start(shared, &event, deps_end);
+                    device.fault_check(start, crate::fault::CommandClass::Launch)?;
+                    execute_kernel(device, api, &kernel, global_size, &args)
+                })
+                .map(|(dur, work_items)| (dur, 0, work_items, None))
+        }
+    };
+    settle(device, shared, &event, outcome, deps_end)
 }
 
 /// Run a kernel against the device's buffer storage and return its virtual
@@ -894,12 +985,11 @@ fn execute_kernel(
 /// overhead the host already paid when submitting (see the module docs).
 fn settle(
     device: &Arc<Device>,
-    _api: &ApiModel,
     shared: &Arc<QueueShared>,
     event: &EventHandle,
     outcome: Result<(crate::time::SimDuration, usize, usize, Option<Vec<u8>>)>,
     deps_end: SimTime,
-) {
+) -> Result<()> {
     match outcome {
         Ok((duration, bytes, work_items, payload)) => {
             let record = {
@@ -919,10 +1009,12 @@ fn settle(
             };
             shared.log.lock().push(record.clone());
             event.complete(Ok(record), payload);
+            Ok(())
         }
         Err(error) => {
             shared.latch_error(&error);
-            event.complete(Err(error), None);
+            event.complete(Err(error.clone()), None);
+            Err(error)
         }
     }
 }

@@ -130,6 +130,45 @@ fn a_failed_packed_write_of_a_reduction_is_retried_and_succeeds() {
     assert_eq!(rt.context().ledger().usage("t").used_bytes, 0);
 }
 
+/// A packed batch is one command-buffer submission: when its slot write
+/// fails, the kernel and the read fail unexecuted — the device counts one
+/// fault-op, its queue no time. (They used to run on the zero-filled buffer,
+/// counted and charged, before `wait` threw the result away.)
+#[test]
+fn a_failed_slot_write_runs_nothing_after_it() {
+    for scalar in [false, true] {
+        let rt = skelcl::init_gpus(1);
+        rt.set_recovery_enabled(false);
+        let server = Server::new(rt.clone());
+        server.add_tenant("t", TenantConfig::default()).unwrap();
+        let session = server.session("t").unwrap();
+        let device = rt.context().device(0).unwrap().clone();
+        let (ops, available) = (device.fault_op_count(), rt.queue(0).available_at());
+        rt.inject_faults(&FaultPlan::new().transient_transfer_at_op(0, ops + 1));
+        let v = Vector::from_vec(&rt, input(40, 64));
+        let once = JobOptions::with_max_retries(0);
+        let outcome = if scalar {
+            let plan = v.lazy().map(&double()).reduce(&fsum());
+            let handle = session.submit_scalar_with(&plan, once).unwrap();
+            server.flush();
+            handle.wait().map(drop)
+        } else {
+            let handle = session
+                .submit_vec_with(&v.lazy().map(&double()), once)
+                .unwrap();
+            server.flush();
+            handle.wait().map(drop)
+        };
+        assert!(
+            matches!(outcome, Err(ServeError::JobFailed { attempts: 1, .. })),
+            "{outcome:?}"
+        );
+        assert_eq!(device.fault_op_count(), ops + 1, "reduce: {scalar}");
+        assert_eq!(rt.queue(0).available_at(), available, "reduce: {scalar}");
+        assert_eq!(rt.context().ledger().usage("t").used_bytes, 0);
+    }
+}
+
 #[test]
 fn a_fault_in_one_inflight_batch_spares_its_neighbours() {
     // Two batches in flight on one device; the fault kills the input write

@@ -53,12 +53,27 @@ if [ "$frames" != 6 ]; then
 fi
 
 # One packed launch path: vector and reduction jobs are checked, bound and
-# enqueued by pack_graphs -> pack_launch (one call from the one
-# Plan::pack_jobs; one call; one slot write).
+# submitted by pack_graphs -> pack_launch (one call from the one
+# Plan::pack_jobs; one call) as one submission of the shape's recorded
+# command buffer — the only submission under crates/core/src, with no
+# per-command enqueue beside it.
 if [ "$(count "$src/plan.rs" "pack_graphs(")" != 1 ] ||
-    [ "$(count "$src/plan.rs" "pack_launch::<T>(")" != 1 ] ||
-    [ "$(count "$src/plan.rs" "enqueue_write_bytes(")" != 1 ]; then
+    [ "$(count "$src/plan.rs" "pack_launch::<T>(")" != 1 ]; then
     complain "packed launches must share pack_graphs / pack_launch (plan.rs)"
+fi
+pack_launch=$(non_test "$src/plan.rs" | awk '/^fn pack_launch</{on=1} on{print} on&&/^\}/{exit}')
+if [ "$(grep -rn "enqueue_command_buffer(" "$src" | wc -l)" != 1 ] ||
+    [ "$(echo "$pack_launch" | grep -c "enqueue_command_buffer(")" != 1 ]; then
+    complain "a packed launch is one command-buffer submission, made in pack_launch and nowhere else"
+fi
+if echo "$pack_launch" | grep -n "enqueue_write_bytes(\|enqueue_kernel\|enqueue_read_buffer_region_nb"; then
+    complain "pack_launch enqueues per command beside its command buffer"
+fi
+# Recording a command buffer is the program's choice, not a price: the API
+# model keeps its six constants and grows no on/off field.
+api_fields=$(awk '/^pub struct ApiModel/,/^}/' crates/oclsim/src/profile.rs | grep -cE "^ *pub [a-z_]+:" || true)
+if [ "$api_fields" != 6 ]; then
+    complain "ApiModel has $api_fields fields, expected 6 (no command-buffer switch)"
 fi
 
 # The renderer has two kinds of caller: the public single-stage wrappers in
