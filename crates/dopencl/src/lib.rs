@@ -28,6 +28,9 @@ pub use node::Node;
 pub use tier::ClusterTier;
 
 #[cfg(test)]
+mod sched;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use oclsim::DeviceProfile;

@@ -64,8 +64,7 @@ impl MandelbrotConfig {
     /// (native-kernel) rendering: an author-provided estimate that assumes
     /// roughly half the pixels run to the iteration limit. The SkelCL version
     /// is charged the cost the interpreter *measures* instead, so the two
-    /// renderings bracket the true data-dependent cost from opposite sides
-    /// (see EXPERIMENTS.md, Mandelbrot).
+    /// renderings bracket the true data-dependent cost from opposite sides.
     pub fn cost_hint(&self) -> CostHint {
         CostHint::new(8.0 * self.max_iterations as f64 * 0.5, 8.0)
     }
@@ -142,8 +141,13 @@ pub fn render_skelcl(runtime: &Arc<SkelCl>, config: &MandelbrotConfig) -> Result
 
 /// Render with the low-level simulated-OpenCL path: explicit context, queue
 /// and buffer management, one launch per device over a manually computed
-/// pixel range.
-pub fn render_lowlevel(num_gpus: usize, config: &MandelbrotConfig) -> oclsim::Result<Vec<u32>> {
+/// pixel range, non-blocking reads joined once per queue. Returns the image
+/// and the rendering's virtual runtime in seconds (launches through
+/// download).
+pub fn render_lowlevel(
+    num_gpus: usize,
+    config: &MandelbrotConfig,
+) -> oclsim::Result<(Vec<u32>, f64)> {
     let context = Context::new(
         vec![oclsim::DeviceProfile::tesla_c1060(); num_gpus],
         ApiModel::opencl(),
@@ -166,7 +170,7 @@ pub fn render_lowlevel(num_gpus: usize, config: &MandelbrotConfig) -> oclsim::Re
 
     let pixels = config.pixels();
     let per_gpu = pixels.div_ceil(num_gpus.max(1));
-    let mut image = vec![0u32; pixels];
+    let t0 = context.host_now();
     let mut launches = Vec::new();
     for gpu in 0..num_gpus {
         let start = (gpu * per_gpu).min(pixels);
@@ -184,13 +188,21 @@ pub fn render_lowlevel(num_gpus: usize, config: &MandelbrotConfig) -> oclsim::Re
                 KernelArg::Scalar(oclsim::Value::Uint(start as u32)),
             ],
         )?;
-        launches.push((queue, buffer, start..end));
+        let read = queue.enqueue_read_buffer_region_nb::<u32>(&buffer, 0, end - start)?;
+        launches.push((queue, buffer, read, start..end));
     }
-    for (queue, buffer, range) in &launches {
-        queue.enqueue_read_buffer(buffer, &mut image[range.clone()])?;
+    // Join every queue before claiming any part, so a failed launch returns
+    // its error and never a partly rendered image.
+    for (queue, ..) in &launches {
+        queue.finish_checked()?;
+    }
+    let seconds = (context.host_now() - t0).as_secs_f64();
+    let mut image = vec![0u32; pixels];
+    for (_, buffer, read, range) in &launches {
+        read.wait_into(&mut image[range.clone()])?;
         context.release_buffer(buffer)?;
     }
-    Ok(image)
+    Ok((image, seconds))
 }
 
 #[cfg(test)]
@@ -223,7 +235,28 @@ mod tests {
         let cfg = MandelbrotConfig::test_scale();
         let reference = render_sequential(&cfg);
         for devices in [1usize, 3] {
-            assert_eq!(render_lowlevel(devices, &cfg).unwrap(), reference);
+            assert_eq!(render_lowlevel(devices, &cfg).unwrap().0, reference);
+        }
+    }
+
+    #[test]
+    fn skelcl_mandelbrot_stays_within_2x_of_lowlevel() {
+        // At this size (64×48) fixed per-device overheads dominate, so the
+        // bound is loose and multi-GPU scaling is not asserted.
+        let cfg = MandelbrotConfig::test_scale();
+        for gpus in [1usize, 2, 4] {
+            let rt = skelcl::init_gpus(gpus);
+            // Warm-up so runtime kernel compilation is excluded, as in the
+            // paper.
+            render_skelcl(&rt, &cfg).unwrap();
+            let t0 = rt.finish_all();
+            render_skelcl(&rt, &cfg).unwrap();
+            let skelcl_s = (rt.finish_all() - t0).as_secs_f64();
+            let (_, lowlevel_s) = render_lowlevel(gpus, &cfg).unwrap();
+            assert!(
+                skelcl_s < lowlevel_s * 2.0,
+                "SkelCL {skelcl_s} s vs low-level {lowlevel_s} s at {gpus} GPUs"
+            );
         }
     }
 

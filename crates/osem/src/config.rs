@@ -32,7 +32,7 @@ impl ReconstructionConfig {
         }
     }
 
-    /// The benchmark configuration used by the Figure 4b harness: a scaled
+    /// The benchmark configuration used by the Figure 4b test: a scaled
     /// down version of the paper's 150×150×280 volume / ~10⁶-events-per-
     /// subset workload that preserves the compute-to-transfer ratio.
     pub fn benchmark_scale() -> ReconstructionConfig {

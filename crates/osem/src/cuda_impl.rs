@@ -136,11 +136,19 @@ impl CudaOsem {
         }
 
         // LOC: multi-gpu begin
-        // Merge the error images on the host, repartition for step 2.
+        // Copy the error images back asynchronously (cudaMemcpyAsync), sync
+        // every stream, merge them on the host, repartition for step 2.
+        let mut c_reads = Vec::with_capacity(self.num_gpus);
+        for (queue, (_, _, c_buf)) in self.queues.iter().zip(&buffers) {
+            c_reads.push(queue.enqueue_read_buffer_region_nb::<f32>(c_buf, 0, nvox)?);
+        }
+        for queue in &self.queues {
+            queue.finish_checked()?;
+        }
         let mut c_merged = vec![0.0f32; nvox];
         let mut c_part = vec![0.0f32; nvox];
-        for gpu in 0..self.num_gpus {
-            self.queues[gpu].enqueue_read_buffer(&buffers[gpu].2, &mut c_part)?;
+        for read in &c_reads {
+            read.wait_into(&mut c_part)?;
             for (acc, x) in c_merged.iter_mut().zip(&c_part) {
                 *acc += *x;
             }
@@ -182,17 +190,24 @@ impl CudaOsem {
             part_buffers.push(Some((f_buf, c_buf)));
         }
         // LOC: multi-gpu begin
-        for gpu in 0..self.num_gpus {
-            let Some((f_buf, c_buf)) = &part_buffers[gpu] else {
-                continue;
-            };
-            let range = ranges[gpu].clone();
-            self.queues[gpu].enqueue_read_buffer(f_buf, &mut f[range])?;
-            self.context.release_buffer(f_buf)?;
-            self.context.release_buffer(c_buf)?;
+        // Gather asynchronously and sync every stream before touching f, so
+        // a failed launch leaves f as it was.
+        let mut f_reads = Vec::with_capacity(self.num_gpus);
+        for ((queue, part), range) in self.queues.iter().zip(&part_buffers).zip(&ranges) {
+            if let Some((f_buf, _)) = part {
+                let read = queue.enqueue_read_buffer_region_nb::<f32>(f_buf, 0, range.len())?;
+                f_reads.push((read, range.clone()));
+            }
         }
         for queue in &self.queues {
-            queue.finish();
+            queue.finish_checked()?;
+        }
+        for (read, range) in f_reads {
+            read.wait_into(&mut f[range])?;
+        }
+        for (f_buf, c_buf) in part_buffers.iter().flatten() {
+            self.context.release_buffer(f_buf)?;
+            self.context.release_buffer(c_buf)?;
         }
         // LOC: multi-gpu end
         // LOC: host-single end
@@ -250,16 +265,30 @@ mod tests {
     }
 
     #[test]
-    fn cuda_runtime_is_faster_than_opencl_on_the_same_workload() {
-        let config = ReconstructionConfig::test_scale().with_events_per_subset(2000);
-        let subsets = sequential::generate_subsets(&config);
-        let cuda = CudaOsem::new(2, config.clone()).unwrap();
-        let opencl = crate::opencl_impl::OpenClOsem::new(2, config).unwrap();
-        let (t_cuda, _) = cuda.time_one_subset(&subsets[0]).unwrap();
-        let (t_ocl, _) = opencl.time_one_subset(&subsets[0]).unwrap();
-        assert!(
-            t_cuda < t_ocl,
-            "CUDA ({t_cuda:.6} s) must be faster than OpenCL ({t_ocl:.6} s)"
-        );
+    fn a_failed_kernel_fails_the_subset_and_leaves_the_image_untouched() {
+        // Both baselines, with the step-1 and then the step-2 launch of GPU 1
+        // failing: the error must reach the caller, and no part of f may be
+        // overwritten with a stale or partial result.
+        let config = ReconstructionConfig::test_scale();
+        let events = &sequential::generate_subsets(&config)[0];
+        let failed_untouched =
+            |result: OclResult<()>, f: &[f32]| result.is_err() && f.iter().all(|&x| x == 1.0);
+        for first_op in [1, 5] {
+            let plan = oclsim::FaultPlan::new().transient_launch_at_op(1, first_op);
+            let cuda = CudaOsem::new(2, config.clone()).unwrap();
+            cuda.context().inject_faults(&plan);
+            let mut f = vec![1.0f32; config.volume.voxel_count()];
+            assert!(
+                failed_untouched(cuda.process_subset(events, &mut f), &f),
+                "CUDA, fault from op {first_op}"
+            );
+            let opencl = crate::opencl_impl::OpenClOsem::new(2, config.clone()).unwrap();
+            opencl.context().inject_faults(&plan);
+            let mut f = vec![1.0f32; config.volume.voxel_count()];
+            assert!(
+                failed_untouched(opencl.process_subset(events, &mut f), &f),
+                "OpenCL, fault from op {first_op}"
+            );
+        }
     }
 }

@@ -185,12 +185,21 @@ impl OpenClOsem {
         }
 
         // LOC: multi-gpu begin
-        // Download every GPU's error image and merge them on the host by
-        // element-wise addition.
+        // Download every GPU's error image with non-blocking reads so the
+        // transfers overlap, wait for all queues (surfacing any failed
+        // command), then merge the parts on the host by element-wise
+        // addition.
+        let mut c_reads = Vec::with_capacity(self.num_gpus);
+        for (queue, c_buf) in self.queues.iter().zip(&c_buffers) {
+            c_reads.push(queue.enqueue_read_buffer_region_nb::<f32>(c_buf, 0, nvox)?);
+        }
+        for queue in &self.queues {
+            queue.finish_checked()?;
+        }
         let mut c_merged = vec![0.0f32; nvox];
         let mut c_part = vec![0.0f32; nvox];
-        for gpu in 0..self.num_gpus {
-            self.queues[gpu].enqueue_read_buffer(&c_buffers[gpu], &mut c_part)?;
+        for read in &c_reads {
+            read.wait_into(&mut c_part)?;
             for (acc, x) in c_merged.iter_mut().zip(&c_part) {
                 *acc += *x;
             }
@@ -245,19 +254,24 @@ impl OpenClOsem {
             )?;
         }
         // LOC: multi-gpu begin
-        for gpu in 0..self.num_gpus {
-            let Some(f_buf) = &f_part_buffers[gpu] else {
-                continue;
-            };
-            let range = ranges[gpu].clone();
-            self.queues[gpu].enqueue_read_buffer(f_buf, &mut f[range])?;
-            self.context.release_buffer(f_buf)?;
-            if let Some(c_buf) = &c_part_buffers[gpu] {
-                self.context.release_buffer(c_buf)?;
+        // Read the updated parts back without blocking, wait for all queues,
+        // and only then write them into f: a failed command leaves f as it
+        // was.
+        let mut f_reads = Vec::with_capacity(self.num_gpus);
+        for ((queue, f_buf), range) in self.queues.iter().zip(&f_part_buffers).zip(&ranges) {
+            if let Some(f_buf) = f_buf {
+                let read = queue.enqueue_read_buffer_region_nb::<f32>(f_buf, 0, range.len())?;
+                f_reads.push((read, range.clone()));
             }
         }
         for queue in &self.queues {
-            queue.finish();
+            queue.finish_checked()?;
+        }
+        for (read, range) in f_reads {
+            read.wait_into(&mut f[range])?;
+        }
+        for buffer in f_part_buffers.iter().chain(&c_part_buffers).flatten() {
+            self.context.release_buffer(buffer)?;
         }
         // LOC: multi-gpu end
         // LOC: host-single end

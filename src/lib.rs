@@ -14,4 +14,3 @@ pub use mandelbrot;
 pub use oclsim;
 pub use osem;
 pub use skelcl;
-pub use skelcl_bench;

@@ -175,38 +175,3 @@ fn subset_iterations_refine_the_image_towards_the_phantom() {
         "reconstruction ({corr_reconstructed:.3}) must beat the flat image ({corr_flat:.3})"
     );
 }
-
-#[test]
-fn figure_4a_loc_breakdown_orders_the_implementations_as_the_paper_does() {
-    // SkelCL is by far the shortest host program; OpenCL the longest; the
-    // multi-GPU delta of SkelCL is a handful of lines while the low-level
-    // versions need tens of additional lines.
-    let rows = osem::figure_4a();
-    let find = |imp: osem::Implementation| {
-        rows.iter()
-            .find(|(i, _)| *i == imp)
-            .map(|(_, b)| b)
-            .unwrap()
-    };
-    let skel = find(osem::Implementation::SkelCl);
-    let ocl = find(osem::Implementation::OpenCl);
-    let cuda = find(osem::Implementation::Cuda);
-
-    assert!(skel.host_single < cuda.host_single && cuda.host_single < ocl.host_single);
-    assert!(skel.host_multi_total() < cuda.host_multi_total());
-    assert!(
-        skel.host_multi_extra <= 12,
-        "SkelCL multi-GPU delta is a few lines, got {}",
-        skel.host_multi_extra
-    );
-    assert!(
-        ocl.host_multi_extra >= 20,
-        "OpenCL needs explicit multi-GPU code, got {}",
-        ocl.host_multi_extra
-    );
-    assert!(
-        cuda.host_multi_extra >= 20,
-        "CUDA needs explicit multi-GPU code, got {}",
-        cuda.host_multi_extra
-    );
-}

@@ -9,10 +9,34 @@
 //! with performance prediction; (4) the final step of a reduction is better
 //! placed on a CPU when only a few intermediate results remain.
 
+use std::sync::Arc;
+
 use skelcl::prelude::*;
-use skelcl::StaticScheduler;
+use skelcl::{SkelCl, StaticScheduler};
 
 use dopencl::{Cluster, NetworkModel, Node};
+
+/// A compute-heavy map: 64 multiply-adds per element.
+const HEAVY_UDF: &str = r#"
+float func(float x) {
+    float acc = x;
+    for (int i = 0; i < 64; i++) { acc = acc * 1.0001f + 0.5f; }
+    return acc;
+}
+"#;
+
+/// Virtual seconds of one heavy map over `n` elements under `distribution`,
+/// through its download, and the result. A warm-up call builds the kernel
+/// first, so runtime compilation is not measured.
+fn time_heavy_map(runtime: &Arc<SkelCl>, distribution: Distribution, n: usize) -> (f64, Vec<f32>) {
+    let map = Map::<f32, f32>::from_source(HEAVY_UDF);
+    let v = Vector::from_vec(runtime, vec![1.0f32; n]);
+    v.set_distribution(distribution).unwrap();
+    v.map(&map).unwrap();
+    let t0 = runtime.finish_all();
+    let out = v.map(&map).unwrap().to_vec().unwrap();
+    ((runtime.finish_all() - t0).as_secs_f64(), out)
+}
 
 #[test]
 fn lab_cluster_exposes_all_remote_devices_as_local_ones() {
@@ -62,13 +86,17 @@ fn remote_transfers_pay_the_network_penalty() {
     let large = cluster.offload_overhead(bytes);
     assert!(large > small);
 
-    // A remote transfer (PCIe + network) is slower than the same PCIe
-    // transfer on a local device.
-    let local_pcie = oclsim::DeviceProfile::tesla_c1060().transfer_time(bytes);
-    let network = cluster.network().transfer_time(bytes);
+    // The same map skeleton on four local GPUs and on four GPUs of the lab
+    // cluster: the remote run computes the same result but is slower,
+    // because every transfer also crosses the network.
+    let n = 200_000;
+    let (local_s, local) = time_heavy_map(&skelcl::init_gpus(4), Distribution::Block, n);
+    let remote_rt = skelcl::init_profiles(cluster.gpu_profiles().into_iter().take(4).collect());
+    let (remote_s, remote) = time_heavy_map(&remote_rt, Distribution::Block, n);
+    assert_eq!(local, remote, "remote GPUs must compute the local result");
     assert!(
-        network + local_pcie > local_pcie,
-        "the network hop must add cost"
+        remote_s > local_s,
+        "remote {remote_s:.6} s must be slower than local {local_s:.6} s"
     );
 }
 
@@ -130,11 +158,25 @@ fn heterogeneous_devices_need_non_even_workloads() {
 
 #[test]
 fn weighted_distribution_beats_the_even_split_on_heterogeneous_devices() {
-    let row = skelcl_bench::sched::even_vs_weighted(100_000).unwrap();
+    // A Tesla GPU, a small GPU and a CPU. An even block split waits for the
+    // CPU's third; the scheduler's weighted split must at least halve the
+    // runtime.
+    let profiles = || {
+        vec![
+            oclsim::DeviceProfile::tesla_c1060(),
+            oclsim::DeviceProfile::generic_small_gpu(),
+            oclsim::DeviceProfile::xeon_e5520(),
+        ]
+    };
+    let n = 100_000;
+    let (even_s, even) = time_heavy_map(&skelcl::init_profiles(profiles()), Distribution::Block, n);
+    let rt = skelcl::init_profiles(profiles());
+    let weighted = StaticScheduler::analytical(&rt).weighted_block(CostHint::new(130.0, 8.0));
+    let (weighted_s, weighted) = time_heavy_map(&rt, weighted, n);
+    assert_eq!(even, weighted);
     assert!(
-        row.speedup() > 1.05,
-        "the scheduler's split must beat the even split (speed-up {:.3})",
-        row.speedup()
+        even_s >= 2.0 * weighted_s,
+        "the scheduler's split must be at least 2x faster: even {even_s:.6} s, weighted {weighted_s:.6} s"
     );
 }
 

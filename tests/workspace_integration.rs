@@ -163,39 +163,6 @@ fn osem_three_implementations_agree_on_two_gpus() {
 }
 
 #[test]
-fn skelcl_overhead_over_opencl_is_bounded() {
-    // Section IV-C: "SkelCL introduces only a moderate overhead of less than
-    // 5%" compared to OpenCL. The simulator reproduces the mechanism (extra
-    // per-skeleton dispatch work on an identical execution plan); assert a
-    // conservative bound.
-    let config = osem::ReconstructionConfig::test_scale().with_events_per_subset(20_000);
-    let subsets = osem::sequential::generate_subsets(&config);
-
-    let rt = SkelCl::init(DeviceSelection::Gpus(4));
-    let skel = osem::SkelclOsem::new(rt, config.clone());
-    let (t_skel, _) = skel.time_one_subset(&subsets[0]).unwrap();
-
-    let ocl = osem::OpenClOsem::new(4, config).unwrap();
-    let (t_ocl, _) = ocl.time_one_subset(&subsets[0]).unwrap();
-
-    let overhead = (t_skel / t_ocl - 1.0) * 100.0;
-    assert!(
-        overhead < 10.0,
-        "SkelCL overhead over OpenCL is {overhead:.1} % (SkelCL {t_skel:.6} s, OpenCL {t_ocl:.6} s)"
-    );
-}
-
-#[test]
-fn heterogeneous_scheduler_improves_makespan() {
-    let row = skelcl_bench::sched::even_vs_weighted(200_000).unwrap();
-    assert!(
-        row.speedup() > 1.05,
-        "speed-up was only {:.3}",
-        row.speedup()
-    );
-}
-
-#[test]
 fn scheduler_places_small_final_reduction_on_the_cpu() {
     let rt = skelcl::init_profiles(vec![
         oclsim::DeviceProfile::tesla_c1060(),
@@ -207,18 +174,6 @@ fn scheduler_places_small_final_reduction_on_the_cpu() {
         .final_reduce_placement(8, 4, CostHint::new(1.0, 8.0))
         .unwrap();
     assert!(is_cpu);
-}
-
-#[test]
-fn figure_4a_and_4b_harnesses_produce_reports() {
-    let loc_report = skelcl_bench::fig4a::report();
-    assert!(loc_report.contains("SkelCL") && loc_report.contains("kernel"));
-
-    let config = osem::ReconstructionConfig::test_scale().with_events_per_subset(5_000);
-    let rows = skelcl_bench::fig4b::measure(&config, &[1, 2]);
-    let runtime_report = skelcl_bench::fig4b::report(&rows);
-    assert!(runtime_report.contains("GPUs"));
-    assert_eq!(rows.len(), 2);
 }
 
 #[test]
