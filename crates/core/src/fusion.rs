@@ -12,39 +12,30 @@
 //!   collisions are recorded as diagnostics for [`crate::plan`]'s `explain`,
 //! * `FExpr` is the inlined elementwise expression of a group — nested
 //!   stage-UDF calls over element loads — which the renderer places where a
-//!   single-stage kernel loads its input element,
-//! * `boundary_decision` is the per-device cost model: using the static
-//!   per-instruction FLOP/byte estimates and the scheduler's analytical
-//!   [`PerfModel`], it predicts fused vs split time for each stage boundary
-//!   and lets [`FusionPolicy::Auto`] choose.
+//!   single-stage kernel loads its input element.
 //!
-//! On the simulated devices the decision is heavily tilted towards fusion —
-//! a fused kernel saves a launch overhead *and* one intermediate store+load
-//! per element, while the roofline model charges the same FLOPs either way.
-//! That is the honest prediction for memory-bound elementwise pipelines on
-//! real GPUs too, which is why the paper's successors (SkelCL's `stencil`
-//! sequences, Lift, SYCL fusion runtimes) fuse by default.
+//! Every fusable boundary fuses under the default policy: a fused kernel
+//! does the split pair's FLOPs, moves its bytes minus one intermediate
+//! store+load per element and saves a launch, so a roofline model never
+//! prices it above the pair. That holds for memory-bound elementwise
+//! pipelines on real GPUs too, which is why the paper's successors
+//! (SkelCL's `stencil` sequences, Lift, SYCL fusion runtimes) fuse by
+//! default.
 
 use std::collections::{BTreeMap, HashSet};
 
-use oclsim::CostHint;
 use skelcl_kernel::compose;
 use skelcl_kernel::types::ScalarType;
 
 use crate::error::{Result, SkelError};
 use crate::kernelgen::UdfInfo;
-use crate::scheduler::PerfModel;
 
 /// When the fusion pass may merge adjacent pipeline stages into one kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FusionPolicy {
-    /// Fuse when the per-device cost model predicts the fused kernel is no
-    /// slower than the split pair (the default; on the simulated devices
-    /// this fuses essentially always).
+    /// Fuse every fusable boundary (the default).
     #[default]
     Auto,
-    /// Fuse every fusable boundary regardless of predicted cost.
-    Always,
     /// Never fuse: lower every stage to its own kernel. This is the
     /// reference path the differential tests compare against.
     Never,
@@ -175,118 +166,6 @@ impl FExpr {
     }
 }
 
-/// Per-element cost figures of one pipeline stage, used by the boundary
-/// decision model.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct StageCost {
-    /// FLOP-equivalent work of one UDF invocation (static estimate).
-    pub flops: f64,
-    /// Bytes read per element from inputs *other than* the chain input
-    /// (e.g. a zip's second vector).
-    pub side_bytes: f64,
-    /// Bytes written per produced element (0 for a reduction's single
-    /// result).
-    pub out_bytes: f64,
-}
-
-impl StageCost {
-    /// The UDF's static estimate (taken when it was analysed), with
-    /// structural read/write byte figures supplied by the caller.
-    pub(crate) fn of(info: &UdfInfo, side_bytes: f64, out_bytes: f64) -> StageCost {
-        StageCost {
-            flops: info.cost.flops_equivalent(),
-            side_bytes,
-            out_bytes,
-        }
-    }
-}
-
-/// Accumulated cost of the group of stages fused so far.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct GroupCost {
-    /// Summed FLOP-equivalents of all stages in the group.
-    pub flops: f64,
-    /// Bytes read per element from the group's source inputs.
-    pub read_bytes: f64,
-    /// Element size of the group's output, i.e. the bytes one intermediate
-    /// element would occupy if the group were materialised here.
-    pub chain_bytes: f64,
-}
-
-impl GroupCost {
-    /// A group containing one stage that reads `in_bytes` per element.
-    pub(crate) fn start(in_bytes: f64, stage: StageCost) -> GroupCost {
-        GroupCost {
-            flops: stage.flops,
-            read_bytes: in_bytes + stage.side_bytes,
-            chain_bytes: stage.out_bytes,
-        }
-    }
-
-    /// Absorb `stage` into the group (after a fuse decision).
-    pub(crate) fn fuse(&mut self, stage: StageCost) {
-        self.flops += stage.flops;
-        self.read_bytes += stage.side_bytes;
-        self.chain_bytes = stage.out_bytes;
-    }
-}
-
-/// The cost model's verdict for one stage boundary.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct BoundaryDecision {
-    /// Whether the downstream stage joins the group.
-    pub fused: bool,
-    /// Whether the policy forced the outcome (Always/Never) rather than the
-    /// cost model choosing it.
-    pub forced: bool,
-    /// Predicted time of the fused alternative, seconds (slowest device).
-    pub fused_time: f64,
-    /// Predicted time of the split alternative, seconds.
-    pub split_time: f64,
-}
-
-/// Decide fuse-vs-split for the boundary between `group` (the stages fused
-/// so far) and `next`. `device_items` holds `(device, items)` for every
-/// active device; devices execute in parallel, so each alternative is scored
-/// by its slowest device, and the split alternative pays two launches.
-pub(crate) fn boundary_decision(
-    policy: FusionPolicy,
-    model: &PerfModel,
-    device_items: &[(usize, usize)],
-    group: GroupCost,
-    next: StageCost,
-) -> Result<BoundaryDecision> {
-    let split_a = CostHint::new(group.flops, group.read_bytes + group.chain_bytes);
-    let split_b = CostHint::new(
-        next.flops,
-        group.chain_bytes + next.side_bytes + next.out_bytes,
-    );
-    let fused_hint = CostHint::new(
-        group.flops + next.flops,
-        group.read_bytes + next.side_bytes + next.out_bytes,
-    );
-    let mut split_time = 0.0f64;
-    let mut fused_time = 0.0f64;
-    for &(device, items) in device_items {
-        let a = model.predict(device, items, split_a)?.as_secs_f64();
-        let b = model.predict(device, items, split_b)?.as_secs_f64();
-        let f = model.predict(device, items, fused_hint)?.as_secs_f64();
-        split_time = split_time.max(a + b);
-        fused_time = fused_time.max(f);
-    }
-    let (fused, forced) = match policy {
-        FusionPolicy::Always => (true, true),
-        FusionPolicy::Never => (false, true),
-        FusionPolicy::Auto => (fused_time <= split_time, false),
-    };
-    Ok(BoundaryDecision {
-        fused,
-        forced,
-        fused_time,
-        split_time,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,37 +223,5 @@ mod tests {
         assert!(src.contains(", float skelcl_s0_arg_a"), "{src}");
         assert_eq!(group.inputs, [ScalarType::Float, ScalarType::Float]);
         assert!(skelcl_kernel::Program::build(src).is_ok(), "{src}");
-    }
-
-    #[test]
-    fn auto_policy_fuses_elementwise_chains_on_the_analytical_model() {
-        let rt = crate::runtime::init_gpus(2);
-        let model = PerfModel::analytical(&rt);
-        let group = GroupCost::start(
-            4.0,
-            StageCost {
-                flops: 2.0,
-                side_bytes: 0.0,
-                out_bytes: 4.0,
-            },
-        );
-        let next = StageCost {
-            flops: 1.0,
-            side_bytes: 0.0,
-            out_bytes: 4.0,
-        };
-        let d = boundary_decision(
-            FusionPolicy::Auto,
-            &model,
-            &[(0, 1 << 19), (1, 1 << 19)],
-            group,
-            next,
-        )
-        .unwrap();
-        assert!(d.fused && !d.forced);
-        assert!(d.fused_time < d.split_time);
-        let never =
-            boundary_decision(FusionPolicy::Never, &model, &[(0, 1 << 19)], group, next).unwrap();
-        assert!(!never.fused && never.forced);
     }
 }

@@ -63,7 +63,8 @@ pub struct UdfInfo {
     /// renames when it concatenates stages into one kernel).
     pub defined_functions: Vec<String>,
     /// Static per-invocation cost estimate of the user function — the one
-    /// figure behind the scheduler's cost hint and the fusion cost model.
+    /// figure behind the scheduler's cost hint and the stencil's exchange
+    /// cadence.
     pub cost: CostEstimate,
 }
 

@@ -9,9 +9,8 @@
 //! functions into **one** generated kernel — with hygienic renaming when UDFs
 //! collide — and a trailing elementwise chain is inlined into the first phase
 //! of a reduce or scan. A fused chain runs as a single kernel launch per
-//! device with zero intermediate containers; the per-boundary fuse-vs-split
-//! choice is made by the per-device cost model in [`crate::fusion`]
-//! (overridable via [`FusionPolicy`]).
+//! device with zero intermediate containers; every fusable boundary fuses
+//! unless the plan's [`FusionPolicy`] is `Never`.
 //!
 //! **One plan.** A pipeline stage — map, zip, reduce, scan, stencil — is one
 //! record (`Stage`: its kind, chain input, analysed user function, argument
@@ -62,14 +61,13 @@ use skelcl_kernel::pack::JobSpans;
 use skelcl_kernel::types::ScalarType;
 
 use crate::args::Args;
-use crate::container::{Container, DynContainer};
-use crate::distribution::{Boundary, Distribution, Partition};
+use crate::container::DynContainer;
+use crate::distribution::{Boundary, Distribution};
 use crate::error::{Result, SkelError};
-use crate::fusion::{boundary_decision, BoundaryDecision, FusionPolicy, GroupCost, StageCost};
+use crate::fusion::FusionPolicy;
 use crate::kernelgen::{render_group, RenderedGroup, StageKind, UdfInfo};
 use crate::matrix::Matrix;
 use crate::runtime::SkelCl;
-use crate::scheduler::PerfModel;
 use crate::skeletons::exec::{buffer_arg, CreateBuffer};
 use crate::skeletons::{
     create_buffer, launch_and_gather, launch_elementwise, launch_geometry, launch_scan, run_call,
@@ -155,20 +153,6 @@ impl Stage {
         matches!(self.kind, StageKind::Map | StageKind::Zip)
     }
 
-    /// The per-element cost the fusion pass's boundary decisions are made
-    /// with; `None` for a stencil, which reads a halo, not one element, and
-    /// is therefore a barrier that fuses with nothing.
-    fn cost(&self) -> Option<StageCost> {
-        let out_bytes = self.out_ty().size_bytes() as f64;
-        let (side_bytes, out_bytes) = match self.kind {
-            StageKind::Map | StageKind::IndexMap | StageKind::Scan => (0.0, out_bytes),
-            StageKind::Zip => (self.udf.main_params[1].size_bytes() as f64, out_bytes),
-            StageKind::Reduce | StageKind::PackedReduce => (0.0, 0.0),
-            StageKind::MapOverlap => return None,
-        };
-        Some(StageCost::of(&self.udf, side_bytes, out_bytes))
-    }
-
     /// What the stage contributes to its group's shape — the lowering
     /// memo's key: its kind and its analysed user function.
     fn memo_key(&self) -> (StageKind, &Arc<UdfInfo>) {
@@ -234,19 +218,21 @@ impl PlanNode {
 }
 
 /// A run of stages lowered to one launch — never empty; its last stage says
-/// which launcher runs it — plus the boundary decisions the fusion pass took
-/// while forming it.
+/// which launcher runs it — plus the stage boundaries the fusion pass
+/// decided while forming it.
 struct Group<'a> {
     /// Node index and record of every stage, in chain order.
     stages: Vec<(usize, &'a Stage)>,
-    decisions: Vec<(usize, BoundaryDecision)>,
+    /// The node after each boundary the fusion pass decided for this group:
+    /// fused under [`FusionPolicy::Auto`], split under `Never`.
+    boundaries: Vec<usize>,
 }
 
 impl<'a> Group<'a> {
     fn of(stages: Vec<(usize, &'a Stage)>) -> Group<'a> {
         Group {
             stages,
-            decisions: Vec::new(),
+            boundaries: Vec::new(),
         }
     }
 
@@ -301,64 +287,42 @@ impl<'a> Group<'a> {
     }
 }
 
-/// The fusion pass: walk the stages (chain order), open an elementwise group
-/// and consult the cost model at every boundary. Reduce and scan stages may
-/// join (and close) an open elementwise group — their first phase absorbs
-/// the chain — while stencil stages are barriers that always stand alone.
-fn plan_groups<'a>(
-    stages: &[(usize, &'a Stage)],
-    policy: FusionPolicy,
-    model: &PerfModel,
-    device_items: &[(usize, usize)],
-) -> Result<Vec<Group<'a>>> {
+/// The fusion pass: walk the stages (chain order) and, unless `policy` is
+/// `Never`, merge every stage into the open elementwise group. Reduce and
+/// scan stages may join (and close) an open elementwise group — their first
+/// phase absorbs the chain — while stencil stages, which read a halo rather
+/// than one element, are barriers that always stand alone.
+fn plan_groups<'a>(stages: &[(usize, &'a Stage)], policy: FusionPolicy) -> Vec<Group<'a>> {
     let mut groups: Vec<Group> = Vec::new();
-    let mut open: Option<(GroupCost, Group)> = None;
+    let mut open: Option<Group> = None;
     for &(idx, stage) in stages {
-        let Some(cost) = stage.cost() else {
+        if stage.stencil.is_some() {
             // Stencil barrier: close the open group, emit a lone group.
-            groups.extend(open.take().map(|(_, group)| group));
+            groups.extend(open.take());
             groups.push(Group::of(vec![(idx, stage)]));
             continue;
-        };
-        // A group of its own reads the chain input, of the type the stage's
-        // user function takes (the builders checked it against the chain).
-        let in_bytes = stage.udf.main_params[0].size_bytes() as f64;
-        let fresh = || {
-            (
-                GroupCost::start(in_bytes, cost),
-                Group::of(vec![(idx, stage)]),
-            )
-        };
-        let (acc, group) = match open.take() {
-            None => fresh(),
-            Some((mut acc, mut group)) => {
-                let decision = boundary_decision(policy, model, device_items, acc, cost)?;
-                group.decisions.push((idx, decision));
-                if decision.fused {
-                    group.stages.push((idx, stage));
-                    acc.fuse(cost);
-                    (acc, group)
-                } else {
+        }
+        let group = match open.take() {
+            None => Group::of(vec![(idx, stage)]),
+            Some(mut group) => {
+                group.boundaries.push(idx);
+                if policy == FusionPolicy::Never {
                     groups.push(group);
-                    fresh()
+                    Group::of(vec![(idx, stage)])
+                } else {
+                    group.stages.push((idx, stage));
+                    group
                 }
             }
         };
         if stage.elementwise() {
-            open = Some((acc, group));
+            open = Some(group);
         } else {
             groups.push(group);
         }
     }
-    groups.extend(open.map(|(_, group)| group));
-    Ok(groups)
-}
-
-/// `(device, items)` of every device holding a part, as the cost model takes
-/// them.
-fn device_items(sizes: &[usize]) -> Vec<(usize, usize)> {
-    let parts = sizes.iter().copied().enumerate();
-    parts.filter(|&(_, items)| items > 0).collect()
+    groups.extend(open);
+    groups
 }
 
 /// A group of stages lowered to its kernel: everything kernel generation
@@ -868,9 +832,7 @@ impl PlanGraph {
     /// fusion pass and lower each group to launches on the existing
     /// queue/event machinery, one dispatch charge per group.
     fn run_groups(&self, call: &PreparedCall, stages: &[(usize, &Stage)]) -> Result<GroupOutput> {
-        let model = PerfModel::analytical(&self.runtime);
-        let items = device_items(&call.partition.sizes());
-        let groups = plan_groups(stages, self.policy, &model, &items)?;
+        let groups = plan_groups(stages, self.policy);
         // The running intermediate; `None` while the chain is still source 0.
         let mut chain: Option<Vec<Option<Buffer>>> = None;
         for group in &groups {
@@ -945,16 +907,7 @@ impl PlanGraph {
             let _ = writeln!(out, "After fusion: nothing to run ({why})");
             return Ok(out);
         }
-        // Predict what a terminal would do, without mutating the sources.
-        let sizes = match &matrix {
-            Some((_, m)) => Container::part_sizes(*m),
-            None => {
-                let unified = self.unified_distribution(&stages);
-                Partition::compute(len, runtime.device_count(), &unified).sizes()
-            }
-        };
-        let model = PerfModel::analytical(runtime);
-        let groups = plan_groups(&stages, self.policy, &model, &device_items(&sizes))?;
+        let groups = plan_groups(&stages, self.policy);
         let _ = writeln!(out, "After fusion: {} launch group(s)", groups.len());
         for (gi, group) in groups.iter().enumerate() {
             let members: Vec<String> = group.stages.iter().map(|(i, _)| format!("%{i}")).collect();
@@ -966,19 +919,12 @@ impl PlanGraph {
                 members.join(", "),
                 members.len()
             );
-            for (idx, decision) in &group.decisions {
-                let verdict = if decision.fused { "fuse" } else { "split" };
-                let why = if decision.forced {
-                    "policy"
-                } else {
-                    "cost model"
-                };
-                let _ = writeln!(
-                    out,
-                    "    boundary before %{idx}: {verdict} ({why}; predicted fused {:.3} ms vs split {:.3} ms)",
-                    decision.fused_time * 1e3,
-                    decision.split_time * 1e3
-                );
+            let verdict = match self.policy {
+                FusionPolicy::Auto => "fuse",
+                FusionPolicy::Never => "split (policy Never)",
+            };
+            for idx in &group.boundaries {
+                let _ = writeln!(out, "    boundary before %{idx}: {verdict}");
             }
             for collision in &shape.rendered.collisions {
                 let _ = writeln!(out, "    rename: {collision}");
@@ -1199,10 +1145,8 @@ impl PlanKind<f32> for MatrixOut {
         if matrix.is_empty() {
             return Err(SkelError::EmptyInput);
         }
-        let model = PerfModel::analytical(&graph.runtime);
-        let items = device_items(&Container::part_sizes(matrix));
         let mut current = matrix.clone();
-        for group in &plan_groups(&stages, graph.policy, &model, &items)? {
+        for group in &plan_groups(&stages, graph.policy) {
             let stage = group.last();
             current = if let Some((halo, boundary)) = stage.stencil {
                 let sweep = MapOverlap::<f32, f32>::from_stage(stage.udf.clone(), halo, boundary);
@@ -1928,8 +1872,7 @@ mod tests {
     /// A stage of every kind answers for itself what the per-consumer
     /// matches it replaced answered (`node_out_ty`, `stage_info`,
     /// `stage_shapes`, `scalar_args`, the `explain` table): the lines are
-    /// the parent commit's `explain()` output for this plan, the byte
-    /// figures its cost table's.
+    /// the parent commit's `explain()` output for this plan.
     #[test]
     fn a_stage_of_every_kind_answers_for_itself() {
         let rt = crate::runtime::init_gpus(2);
@@ -1946,17 +1889,15 @@ mod tests {
             .reduce(&Reduce::from_source(ADD));
         assert!(plan.graph.err.is_none(), "{:?}", plan.graph.err);
         let stages = plan.graph.stages(plan.tip);
-        // (node, kind, side bytes, out bytes, explain line)
+        // (node, kind, explain line)
         let want = [
-            (1, StageKind::Map, 0.0, 8.0, "map(%0) -> double"),
-            (3, StageKind::Zip, 4.0, 4.0, "zip(%1, %2) -> float"),
-            (4, StageKind::Scan, 0.0, 4.0, "scan(%3) -> float"),
-            (5, StageKind::Reduce, 0.0, 0.0, "reduce(%4) -> float"),
+            (1, StageKind::Map, "map(%0) -> double"),
+            (3, StageKind::Zip, "zip(%1, %2) -> float"),
+            (4, StageKind::Scan, "scan(%3) -> float"),
+            (5, StageKind::Reduce, "reduce(%4) -> float"),
         ];
         assert_eq!(stages.len(), want.len());
-        for (&(node, stage), (want_node, kind, side_bytes, out_bytes, line)) in
-            stages.iter().zip(want)
-        {
+        for (&(node, stage), (want_node, kind, line)) in stages.iter().zip(want) {
             assert_eq!((node, stage.line().as_str()), (want_node, line));
             let (key_kind, key_udf) = stage.memo_key();
             assert!(
@@ -1968,12 +1909,7 @@ mod tests {
                 stage.udf.return_type,
                 "{line}"
             );
-            let cost = stage.cost().expect("only a stencil is a barrier");
-            assert_eq!(
-                (cost.flops, cost.side_bytes, cost.out_bytes),
-                (stage.udf.cost.flops_equivalent(), side_bytes, out_bytes),
-                "{line}"
-            );
+            assert!(stage.stencil.is_none(), "only a stencil is a barrier");
             assert_eq!(stage.elementwise(), node < 4, "{line}");
         }
         assert_eq!(
@@ -1997,7 +1933,6 @@ mod tests {
         );
         assert_eq!(stencil.memo_key().0, StageKind::MapOverlap);
         assert_eq!(stencil.stencil, Some((2, Boundary::Wrap)));
-        assert!(stencil.cost().is_none(), "a stencil is a barrier");
     }
 
     /// The one fusion accounting gives a vector plan's group, a matrix
@@ -2010,7 +1945,7 @@ mod tests {
         let narrow = Map::<f64, f32>::from_source("float func(double x) { return x; }");
         let sq = Map::<f32, f32>::from_source(MAPS[0]);
         let chain = |v: &Vector<f32>| {
-            let plan = v.lazy().policy(FusionPolicy::Always);
+            let plan = v.lazy().policy(FusionPolicy::Auto);
             plan.map(&widen).map(&narrow).map(&sq)
         };
         for devices in [1usize, 2, 4] {
@@ -2030,7 +1965,7 @@ mod tests {
             let vector = charged(&|| drop(chain(&v).collect().unwrap()));
             assert_eq!(vector, (2, 2 * devices, 2 * devices, 1000 * (8 + 4)));
             let m = Matrix::from_fn(&rt, 16, 10, |r, c| (r * c) as f32);
-            let plan = m.lazy().policy(FusionPolicy::Always);
+            let plan = m.lazy().policy(FusionPolicy::Auto);
             let plan = plan.map(&sq).map(&sq).map(&sq);
             let matrix = charged(&|| drop(plan.exec().unwrap()));
             assert_eq!(matrix, (2, 2 * devices, 2 * devices, 2 * 160 * 4));

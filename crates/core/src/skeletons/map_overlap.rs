@@ -25,7 +25,6 @@ use oclsim::{CostHint, Pod, Value};
 use crate::container::EdgePolicy;
 use crate::distribution::Boundary;
 use crate::error::{Result, SkelError};
-use crate::fusion::{GroupCost, StageCost};
 use crate::kernelgen::{StageKind, UdfInfo};
 use crate::matrix::Matrix;
 use crate::scheduler::PerfModel;
@@ -192,8 +191,8 @@ impl<O: Pod> MapOverlap<f32, O> {
     /// rows each device refreshes by itself, and in an exchange sweep one
     /// read and one forward per neighbour), every device pays its transfers
     /// ([`PerfModel::predict_transfer`]), edge refreshes and widened kernel
-    /// ([`PerfModel::predict`] at the stage's fusion-model cost, the `get`s
-    /// being its side reads), and parts resident with a shallower ghost zone
+    /// ([`PerfModel::predict`] at the UDF's cost plus the centre load, the
+    /// `get`s and the store), and parts resident with a shallower ghost zone
     /// pay the on-device re-pad once.
     /// The host never waits inside a run, so `left` sweeps cost the larger of
     /// the host's total and the slowest device's; the smallest `k` with the
@@ -220,8 +219,9 @@ impl<O: Pod> MapOverlap<f32, O> {
         };
         let layout = layout.with_ghost_depth(limit, edge);
         let info = self.plan_udf()?;
-        let stage = GroupCost::start(4.0, StageCost::of(&info, info.cost.global_bytes, 4.0));
-        let cost = CostHint::new(stage.flops, stage.read_bytes + stage.chain_bytes);
+        // Per element: the UDF's work; the centre load, the `get`s, the store.
+        let bytes = 4.0 + info.cost.global_bytes + 4.0;
+        let cost = CostHint::new(info.cost.flops_equivalent(), bytes);
         let model = PerfModel::analytical(&runtime);
         let api = runtime.context().api().clone();
         let secs = |d: oclsim::SimDuration| d.as_secs_f64();

@@ -152,9 +152,9 @@ proptest! {
                 _ => plan.collect().unwrap(),
             }
         };
-        let fresh = run(FusionPolicy::Always);
+        let fresh = run(FusionPolicy::Auto);
         let lowered = rt.exec_trace().plan_lowerings;
-        let hit = run(FusionPolicy::Always);
+        let hit = run(FusionPolicy::Auto);
         prop_assert_eq!(rt.exec_trace().plan_lowerings, lowered, "the rebuilt plan lowered again");
         let unfused = run(FusionPolicy::Never);
         prop_assert_eq!(bits(&hit), bits(&fresh));
@@ -300,7 +300,7 @@ fn fused_plan_counts_one_skeleton_call_per_group() {
     let before = rt.exec_trace();
     let _ = v
         .lazy()
-        .policy(FusionPolicy::Always)
+        .policy(FusionPolicy::Auto)
         .map(&sq)
         .map(&sq)
         .reduce(&s)
@@ -313,6 +313,67 @@ fn fused_plan_counts_one_skeleton_call_per_group() {
         "map, map and reduce fused into one group"
     );
     assert_eq!(after.kernels_fused - before.kernels_fused, 2);
+}
+
+/// The simulator's check of the fusion pass's one rule, that every fusable
+/// boundary fuses: on 1–4 devices each chain's fused plan takes no more
+/// virtual time from upload to result than its `FusionPolicy::Never` twin,
+/// and computes the same bits.
+#[test]
+fn a_fused_plan_is_never_slower_than_its_never_twin() {
+    type Run = std::sync::Arc<SkelCl>;
+    let n = 1 << 16;
+    let data = |seed: usize| -> Vec<f32> {
+        (0..n)
+            .map(|i| ((i * 37 + seed) % 251) as f32 * 0.125)
+            .collect()
+    };
+    let (sq, af, m, s, p) = (square(), affine(), mul(), sum(), psum());
+    let affine_args = || args![0.5f32, 1.0f32];
+    let chains: [(&str, &dyn Fn(&Run, FusionPolicy) -> Vec<f32>); 5] = [
+        ("map∘map", &|rt, policy| {
+            let v = Vector::from_vec(rt, data(11)).lazy().policy(policy);
+            v.map(&sq).map_with(&af, affine_args()).collect().unwrap()
+        }),
+        ("map∘map∘map", &|rt, policy| {
+            let v = Vector::from_vec(rt, data(13)).lazy().policy(policy);
+            let plan = v.map(&sq).map_with(&af, affine_args()).map(&sq);
+            plan.collect().unwrap()
+        }),
+        ("zip∘map", &|rt, policy| {
+            let w = Vector::from_vec(rt, data(17));
+            let v = Vector::from_vec(rt, data(19)).lazy().policy(policy);
+            v.zip(&w, &m).map(&sq).collect().unwrap()
+        }),
+        ("map∘reduce", &|rt, policy| {
+            let v = Vector::from_vec(rt, data(23)).lazy().policy(policy);
+            vec![v.map(&sq).reduce(&s).scalar().unwrap()]
+        }),
+        ("map∘scan", &|rt, policy| {
+            let v = Vector::from_vec(rt, data(29)).lazy().policy(policy);
+            v.map(&sq).scan(&p).collect().unwrap()
+        }),
+    ];
+    for (name, chain) in chains {
+        for devices in 1..=4 {
+            let rt = skelcl::init_gpus(devices);
+            // Build both lowerings' programs outside the timed runs.
+            chain(&rt, FusionPolicy::Auto);
+            chain(&rt, FusionPolicy::Never);
+            let timed = |policy| {
+                let t0 = rt.finish_all();
+                let out = chain(&rt, policy);
+                (rt.finish_all() - t0, bits(&out))
+            };
+            let (fused, fused_bits) = timed(FusionPolicy::Auto);
+            let (split, split_bits) = timed(FusionPolicy::Never);
+            assert_eq!(fused_bits, split_bits, "{name} on {devices} device(s)");
+            assert!(
+                fused <= split,
+                "{name} on {devices} device(s): fused {fused:?} > unfused {split:?}"
+            );
+        }
+    }
 }
 
 /// Empty containers fail with `EmptyInput` from every terminal, exactly like
@@ -434,7 +495,7 @@ fn explain_renders_dag_and_fusion_decisions() {
     assert!(text.contains("reduce("), "{text}");
     assert!(text.contains("After fusion: 1 launch group(s)"), "{text}");
     assert!(text.contains("SKELCL_FUSED_REDUCE"), "{text}");
-    assert!(text.contains("fuse (cost model"), "{text}");
+    assert!(text.contains("boundary before %3: fuse\n"), "{text}");
     let after = rt.exec_trace();
     assert_eq!(
         before.skeleton_calls, after.skeleton_calls,
@@ -442,7 +503,10 @@ fn explain_renders_dag_and_fusion_decisions() {
     );
     // Never-policy rendering shows forced splits.
     let split = plan.clone().policy(FusionPolicy::Never).explain().unwrap();
-    assert!(split.contains("split (policy"), "{split}");
+    assert!(
+        split.contains("boundary before %3: split (policy Never)"),
+        "{split}"
+    );
     assert!(split.contains("After fusion: 2 launch group(s)"), "{split}");
 }
 

@@ -622,7 +622,7 @@ fn generated_divergent_kernels_stay_native() {
                 let v = skelcl::vector::Vector::from_vec(&rt, data.clone());
                 let out = v
                     .lazy()
-                    .policy(skelcl::FusionPolicy::Always)
+                    .policy(skelcl::FusionPolicy::Auto)
                     .map(&branchy)
                     .map(&shift)
                     .collect()

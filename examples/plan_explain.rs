@@ -1,7 +1,7 @@
 //! Inspecting lazy pipelines before running them: `explain()` renders the
 //! expression DAG, the distribution the runtime will unify the sources to,
-//! and — per stage boundary — the cost model's fuse-vs-split verdict with
-//! the predicted virtual times behind it. Nothing is enqueued.
+//! the launch groups and — per stage boundary — the fuse-or-split verdict.
+//! Nothing is enqueued.
 //!
 //! Run with `cargo run --example plan_explain`.
 
@@ -21,8 +21,8 @@ fn main() -> Result<()> {
     let sum = Reduce::<f32>::from_source("float func(float a, float b) { return a + b; }");
 
     // A 4-stage pipeline: map -> map -> zip -> reduce. Under the default
-    // Auto policy the cost model fuses every boundary: one kernel per
-    // device instead of four, and no intermediate vectors.
+    // Auto policy every boundary fuses: one kernel per device instead of
+    // four, and no intermediate vectors.
     let plan = v
         .lazy()
         .map(&square)

@@ -147,11 +147,6 @@ if [ "$((inside + outside))" -gt 3 ] || [ "$outside" != 0 ]; then
     complain "PlanNode is matched in $inside place(s) in impl PlanNode and on $outside line(s) outside it, expected at most 3 and 0"
 fi
 
-# The legacy benches time kernelgen's kernels, not pasted copies.
-if grep -rn "SKELCL_MAP(\|SKELCL_ZIP(\|SKELCL_SCAN(\|SKELCL_MAP_OVERLAP(" crates/bench; then
-    complain "a bench pastes a kernel frame instead of calling kernelgen"
-fi
-
 # --- One call path --------------------------------------------------------
 skel=$src/skeletons
 

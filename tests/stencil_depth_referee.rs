@@ -7,7 +7,12 @@
 //! sides of the choice: few sweeps over host-bound parts, where the deepest
 //! block wins, and many sweeps of a wide stencil, where the redundant rows
 //! outgrow the saved exchanges and the best depth is well below the cap.
-//! The table is printed
+//!
+//! The same rows also hold the paper's Figure 4b shape for stencils: no row
+//! takes longer on `d` devices than on `d − 1`, except the host-bound steps
+//! listed in [`KNOWN_SLOWER_STEPS`] at their listed times.
+//!
+//! Both tables are printed
 //! (`cargo test --test stencil_depth_referee -- --nocapture`).
 
 use std::sync::Arc;
@@ -26,7 +31,8 @@ const GAUSSIAN_BLUR: &str = r#"
     }
 "#;
 
-/// `stencil_bench`'s halo-width workload: a vertical box average.
+/// The halo-width rows' workload: a vertical box average over `2 · halo + 1`
+/// rows (wider halos read further and move more bytes per exchange).
 fn vertical_box(halo: usize) -> String {
     let mut taps = String::from("x");
     for dy in 1..=halo {
@@ -55,7 +61,7 @@ struct Fixture<'a> {
     sweeps: usize,
     checkpoint_every: usize,
     /// Whether the image is uploaded by a warm-up sweep before the clock
-    /// starts (`stencil_bench`, `cluster_recover`) or inside the timed
+    /// starts (the 512² rows, `cluster_recover`) or inside the timed
     /// region, gather included (`stencil_iter`).
     resident: bool,
     /// Whether the best depth is expected strictly inside `1..cap` (the
@@ -81,7 +87,9 @@ fn forced_depths(sweeps: usize) -> Vec<usize> {
 impl Fixture<'_> {
     /// Virtual nanoseconds of the run, the ghost depth the result is stored
     /// with and its bits, at a forced ghost depth or the chosen one.
-    fn run(&self, depth: Option<usize>) -> (u64, usize, Vec<u32>) {
+    /// `settle` joins the warm-up before the clock starts; without it the
+    /// timed sweeps queue behind the warm-up sweep still in flight.
+    fn run(&self, depth: Option<usize>, settle: bool) -> (u64, usize, Vec<u32>) {
         let (rt, _tier) = (self.runtime)();
         let st = MapOverlap::<f32, f32>::from_source(self.src)
             .with_halo(self.halo)
@@ -100,7 +108,9 @@ impl Fixture<'_> {
             Matrix::from_vec(&rt, 8, 8, image(8, 8)).unwrap()
         };
         launch(&warm).exec().unwrap();
-        rt.finish_all();
+        if settle {
+            rt.finish_all();
+        }
         let t0 = rt.now();
         let out = match depth {
             Some(depth) => launch(&m).run_iter_at_depth(self.sweeps, depth),
@@ -122,11 +132,11 @@ impl Fixture<'_> {
 
     /// Referee one row and print its table line.
     fn referee(&self) {
-        let (chosen, chosen_depth, bits) = self.run(None);
+        let (chosen, chosen_depth, bits) = self.run(None, true);
         let forced: Vec<(usize, u64)> = forced_depths(self.sweeps)
             .into_iter()
             .map(|depth| {
-                let (ns, stored, forced_bits) = self.run(Some(depth));
+                let (ns, stored, forced_bits) = self.run(Some(depth), true);
                 assert_eq!(
                     forced_bits, bits,
                     "{}: depth {depth} changed the result",
@@ -171,7 +181,7 @@ fn gpus(devices: usize) -> impl Fn() -> (Arc<SkelCl>, Option<ClusterTier>) {
     move || (skelcl::init_gpus(devices), None)
 }
 
-/// The 512² rows of `stencil_bench` for one workload, on 2 and 4 devices.
+/// The 512² rows of one workload, on 2 and 4 devices.
 fn referee_bench_rows(workload: &str, src: &str, halo: usize, alpha: Option<f32>) {
     for devices in [2, 4] {
         Fixture {
@@ -248,7 +258,7 @@ fn the_chosen_depth_is_within_5_percent_of_the_best_on_the_example_rows() {
 
 /// The other side of the choice: many sweeps of a 9-row stencil, where a
 /// block as deep as the run recomputes more rows than its exchanges cost —
-/// `stencil_bench`'s long row on 2 devices, smaller parts on 4, and a wide
+/// the scaling table's long row on 2 devices, smaller parts on 4, and a wide
 /// matrix whose ghost rows are a sixteenth of a part each.
 #[test]
 fn a_shallower_depth_is_chosen_where_the_redundant_rows_outgrow_the_exchanges() {
@@ -271,4 +281,79 @@ fn a_shallower_depth_is_chosen_where_the_redundant_rows_outgrow_the_exchanges() 
         }
         .referee();
     }
+}
+
+/// The steps `d − 1 → d` devices known to take longer, as `(workload, halo,
+/// d, virtual ms on d)`: all three are host-bound (the host's enqueues outlast
+/// the busiest device), so only cheaper commands (ROADMAP item 4) remove
+/// them. Any other slower step, or one of these above its listed time,
+/// fails the scaling test below.
+const KNOWN_SLOWER_STEPS: [(&str, usize, usize, f64); 3] = [
+    ("stencil_iter", 1, 3, 0.177),
+    ("stencil_iter", 1, 4, 0.198),
+    ("vertical_box", 1, 4, 0.465),
+];
+
+/// Every row on 1–4 devices at the depth the driver chooses: the 512² halo
+/// and example rows, a 40-sweep run of the widest stencil, and the repo
+/// benchmark's `stencil_iter` shape. Unlike the referee's runs, a resident
+/// row does not join its warm-up before the clock starts: that is how the
+/// listed times were measured.
+#[test]
+fn no_stencil_is_slower_on_more_devices_but_the_known_host_bound_steps() {
+    let [box1, box2, box4] = [1, 2, 4].map(vertical_box);
+    // (workload, source, halo, alpha, image side, sweeps, resident)
+    let rows = [
+        ("vertical_box", box1.as_str(), 1, None, 512, 10, true),
+        ("vertical_box", &box2, 2, None, 512, 10, true),
+        ("vertical_box", &box4, 4, None, 512, 10, true),
+        ("vertical_box_long", &box4, 4, None, 512, 40, true),
+        ("gaussian_blur", GAUSSIAN_BLUR, 1, None, 512, 10, true),
+        ("stencil_iter", HEAT, 1, Some(0.2), 192, 4, false),
+        ("heat_diffusion", HEAT, 1, Some(0.2), 512, 10, true),
+    ];
+    let mut slower = Vec::new();
+    for (workload, src, halo, alpha, side, sweeps, resident) in rows {
+        let mut fewer: Option<f64> = None;
+        for devices in 1..=4 {
+            let (ns, depth, _) = Fixture {
+                name: workload.into(),
+                runtime: &gpus(devices),
+                src,
+                halo,
+                boundary: Boundary::Clamp,
+                alpha,
+                rows: side,
+                cols: side,
+                sweeps,
+                checkpoint_every: 0,
+                resident,
+                interior: false,
+            }
+            .run(None, !resident);
+            let ms = ns as f64 / 1e6;
+            let line = format!(
+                "{workload:<17} {side}² x{sweeps:<2} halo {halo} {devices} devices  depth {depth:<2} virtual {ms:.3} ms"
+            );
+            let known = KNOWN_SLOWER_STEPS
+                .iter()
+                .find(|&&(w, h, d, _)| (w, h, d) == (workload, halo, devices));
+            match fewer {
+                Some(before) if ms > before => match known {
+                    // Listed to the printed precision.
+                    Some(&(.., listed)) if ms < listed + 0.0005 => {
+                        println!("{line}  known: slower than {before:.3} ms, listed at {listed:.3}")
+                    }
+                    _ => slower.push(format!("{line}, {before:.3} ms on {}", devices - 1)),
+                },
+                _ => println!("{line}"),
+            }
+            fewer = Some(ms);
+        }
+    }
+    assert!(
+        slower.is_empty(),
+        "slower on more devices:\n{}",
+        slower.join("\n")
+    );
 }
