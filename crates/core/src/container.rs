@@ -6,30 +6,28 @@
 //! flags, per-device buffer bookkeeping, upload/download/halo-exchange loops.
 //! This module collapses that duplication into three layers:
 //!
-//! 1. ****`Storage<T, D>`**** — the coherence core. It owns the host copy, the
+//! 1. **`Storage<T>`** — the coherence core. It owns the host copy, the
 //!    per-device buffers and the validity state (`host_valid` /
 //!    `devices_valid` / `halos_valid`), and implements the *only* transfer
 //!    paths in the crate: lazy upload (`Storage::ensure_on_devices`), lazy
 //!    gather (`Storage::download_to_host`) and the halo-only exchange
-//!    (`Storage::refresh_halos`). `Storage` is shape-agnostic: everything
-//!    geometric is delegated to the partitioning layer below. Uploads and
-//!    gathers cross the host by definition; the halo exchange does not — a
-//!    neighbour's rows go owner read → forwarded write, an edge row the
-//!    device owns itself is an on-device copy, and the host only enqueues
-//!    and then joins the commands in real time (errors still surface
-//!    synchronously; its virtual clock pays enqueue overheads only). Padding
-//!    filled from a neighbour may be stored several halo widths deep and
-//!    then exchanged once per that many sweeps (`ghost_sweeps` counts what
-//!    is left), and `Storage::repad` changes how deep without the host.
+//!    (`Storage::refresh_halos`). `Storage` never looks at what kind of
+//!    container it backs: everything geometric is delegated to the stored
+//!    layout below. Uploads and gathers cross the host by definition; the
+//!    halo exchange does not — a neighbour's rows go owner read → forwarded
+//!    write, an edge row the device owns itself is an on-device copy, and
+//!    the host only enqueues and then joins the commands in real time
+//!    (errors still surface synchronously; its virtual clock pays enqueue
+//!    overheads only). Padding filled from a neighbour may be stored several
+//!    halo widths deep and then exchanged once per that many sweeps
+//!    (`ghost_sweeps` counts what is left), and `Storage::repad` changes how
+//!    deep without the host.
 //!
-//! 2. **[`Partitioning`] / [`PartLayout`]** — the dimension-generic
-//!    distribution interface. [`crate::distribution::Distribution`] (1-D) and
-//!    [`crate::distribution::MatrixDistribution`] (2-D, including the
-//!    `OverlapBlock` halo bookkeeping) both implement [`Partitioning`]; their
-//!    computed geometries ([`crate::distribution::Partition`] and
-//!    [`crate::distribution::RowPartition`]) implement [`PartLayout`], which
-//!    describes every device part as plain data — *segments* — that `Storage`
-//!    turns into transfers:
+//! 2. **[`RowPartition`]** — the one stored layout. Every container is
+//!    `rows × cols` elements split by a [`Distribution`] at whole rows (a
+//!    vector is `len × 1`), each part padded by a halo width that only
+//!    stencil inputs have. The layout describes every device part as plain
+//!    data — *segments* — that `Storage` turns into transfers:
 //!    * [`PartSegment`]s say how to assemble a part for upload (host ranges
 //!      plus policy-filled padding),
 //!    * a *gather segment* says which region of a part is authoritative on
@@ -48,17 +46,17 @@
 //!    one prepare stage and the one recovery wrapper see every input
 //!    through.
 //!
-//! `Vector` and `Matrix` themselves are thin shape-aware views over a
-//! `Storage`: they translate user-facing concepts (element ranges, rows ×
-//! columns, boundary policies) into the shape-agnostic vocabulary above and
-//! contain no transfer logic of their own.
+//! `Vector` and `Matrix` themselves are thin views over a `Storage`: they
+//! translate user-facing concepts (element ranges, rows × columns, boundary
+//! policies) into the vocabulary above and contain no transfer logic of
+//! their own.
 
 use std::ops::Range;
 use std::sync::Arc;
 
 use oclsim::{Buffer, CostHint, Pod};
 
-use crate::distribution::{Combine, Distribution, Partition};
+use crate::distribution::{Combine, Distribution, Partition, RowPartition};
 use crate::error::{Result, SkelError};
 use crate::runtime::{DeviceSelection, SkelCl};
 use crate::scheduler::StaticScheduler;
@@ -122,92 +120,6 @@ pub enum HaloSegment {
     },
 }
 
-/// A dimension-generic distribution: something that can partition a container
-/// of its [`Shape`](Partitioning::Shape) over `devices` devices into a
-/// concrete [`PartLayout`]. Implemented by
-/// [`crate::distribution::Distribution`] (1-D vectors, `Shape = usize`
-/// length) and [`crate::distribution::MatrixDistribution`] (2-D matrices,
-/// `Shape = (rows, cols)`, including `OverlapBlock` halo bookkeeping).
-pub trait Partitioning: Clone + PartialEq + std::fmt::Debug + Send + Sync + 'static {
-    /// The shape of the containers this distribution partitions.
-    type Shape: Copy + Send + Sync + 'static;
-    /// The concrete per-device geometry computed from shape + device count.
-    type Layout: PartLayout;
-
-    /// Compute the concrete layout for a container of `shape` over `devices`
-    /// devices.
-    fn layout(&self, shape: Self::Shape, devices: usize) -> Self::Layout;
-
-    /// Validate the distribution against the runtime's device count (e.g.
-    /// `Single(d)` must name an existing device).
-    fn validate(&self, devices: usize) -> Result<()>;
-
-    /// Whether every active device holds a full replica of the data (the
-    /// `Copy` distributions): downloads then gather from one device (merging
-    /// per-device copies through the storage's [`Combine`]) instead of
-    /// concatenating disjoint parts.
-    fn is_replicated(&self) -> bool;
-}
-
-/// The concrete per-device geometry of one distribution applied to one
-/// container shape, described entirely as plain data so that `Storage` can
-/// execute transfers without knowing the container's dimensionality.
-pub trait PartLayout: Clone + Send + Sync + 'static {
-    /// Total number of elements in the container.
-    fn len(&self) -> usize;
-
-    /// Whether the container holds no elements.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of devices (including inactive ones).
-    fn device_count(&self) -> usize;
-
-    /// Devices that store at least one element.
-    fn active_devices(&self) -> Vec<usize>;
-
-    /// Number of elements device `d` stores, including any halo padding.
-    fn stored_len(&self, device: usize) -> usize;
-
-    /// The segments (host ranges and policy fills) that assemble device
-    /// `d`'s stored part for upload, in storage order. Their lengths sum to
-    /// [`PartLayout::stored_len`].
-    fn upload_segments(&self, device: usize, edge: EdgePolicy) -> Vec<PartSegment>;
-
-    /// Where device `d`'s authoritative data lands on download: the element
-    /// offset within its stored part and the destination host range. `None`
-    /// for devices that own nothing (replicated layouts are gathered from a
-    /// single device instead; see [`Partitioning::is_replicated`]).
-    fn gather_segment(&self, device: usize) -> Option<(usize, Range<usize>)>;
-
-    /// Whether parts carry halo padding that can go stale independently of
-    /// the core data.
-    fn has_halo(&self) -> bool;
-
-    /// How many stencil sweeps the stored padding supports between two
-    /// exchanges with the neighbouring devices: the ghost depth of the
-    /// layout, 1 for a layout that stores exactly its halo (or none).
-    fn halo_sweeps(&self, _edge: EdgePolicy) -> usize {
-        1
-    }
-
-    /// The padding regions of device `d`'s part and their sources, in
-    /// refresh order, for an exchange that is to pay for `sweeps` sweeps
-    /// (at most [`PartLayout::halo_sweeps`]): a region filled from a
-    /// neighbouring device is `sweeps` halo widths deep. `sweeps == 0` lists
-    /// only the regions a device refreshes by itself — policy fills and
-    /// copies of its own elements at the container edges, which go stale
-    /// with every sweep. Empty for layouts without halos.
-    fn halo_segments(&self, device: usize, edge: EdgePolicy, sweeps: usize) -> Vec<HaloSegment>;
-
-    /// The flat element partition of the *owned* (core) elements — what an
-    /// element-wise kernel launch iterates over. Only meaningful for layouts
-    /// whose stored parts equal their owned parts (no halo padding);
-    /// element-wise launches coerce overlapped layouts away first.
-    fn flat_partition(&self) -> Partition;
-}
-
 // ---------------------------------------------------------------------------
 // Storage: the one coherence implementation
 // ---------------------------------------------------------------------------
@@ -225,12 +137,10 @@ pub enum Residence {
 
 /// The shared host + multi-device storage behind every SkelCL container:
 /// host data, per-device parts, validity flags and the lazy coherence
-/// machinery. Shape-agnostic — all geometry comes from the [`Partitioning`]
-/// type parameter.
-pub(crate) struct Storage<T: Pod, D: Partitioning> {
+/// machinery. All geometry comes from the stored [`RowPartition`].
+pub(crate) struct Storage<T: Pod> {
     pub(crate) runtime: Arc<SkelCl>,
     pub(crate) host: Vec<T>,
-    pub(crate) shape: D::Shape,
     pub(crate) host_valid: bool,
     pub(crate) devices_valid: bool,
     /// Whether the halo padding of the device parts is fresh for the next
@@ -241,8 +151,10 @@ pub(crate) struct Storage<T: Pod, D: Partitioning> {
     /// refreshes by itself go stale with every sweep regardless, so
     /// `halos_valid` implies `ghost_sweeps >= 1`, not the reverse.
     pub(crate) ghost_sweeps: usize,
-    pub(crate) distribution: D,
-    pub(crate) layout: D::Layout,
+    pub(crate) distribution: Distribution,
+    /// How the parts are stored: `distribution` over whole rows, padded by
+    /// the halo (and any deeper ghost zone).
+    pub(crate) layout: RowPartition,
     pub(crate) buffers: Vec<Option<Buffer>>,
     /// How padding beyond the container edges is resolved.
     pub(crate) edge: EdgePolicy,
@@ -253,20 +165,20 @@ pub(crate) struct Storage<T: Pod, D: Partitioning> {
     pub(crate) combine: Combine<T>,
 }
 
-impl<T: Pod, D: Partitioning> Storage<T, D> {
-    /// Host-resident storage (no device transfer until first device use).
+impl<T: Pod> Storage<T> {
+    /// Host-resident `rows × cols` storage (no device transfer until first
+    /// device use).
     pub(crate) fn new_host(
         runtime: Arc<SkelCl>,
         host: Vec<T>,
-        shape: D::Shape,
-        distribution: D,
-    ) -> Storage<T, D> {
+        (rows, cols): (usize, usize),
+        distribution: Distribution,
+    ) -> Storage<T> {
         let devices = runtime.device_count();
-        let layout = distribution.layout(shape, devices);
+        let layout = RowPartition::compute(rows, cols, devices, &distribution, 0);
         Storage {
             runtime,
             host,
-            shape,
             host_valid: true,
             devices_valid: false,
             halos_valid: false,
@@ -281,24 +193,19 @@ impl<T: Pod, D: Partitioning> Storage<T, D> {
     }
 
     /// Device-resident storage (skeleton outputs): the data already lives in
-    /// per-device buffers; the host copy — and any halo padding — is stale.
-    /// `layout` is how the buffers are stored when that is more than the
-    /// distribution says (a stencil output's ghost rows); `None` derives it.
+    /// per-device buffers, stored as `layout` says; the host copy — and any
+    /// halo padding — is stale.
     pub(crate) fn new_device_resident(
         runtime: Arc<SkelCl>,
-        shape: D::Shape,
-        distribution: D,
-        layout: Option<D::Layout>,
+        distribution: Distribution,
+        layout: RowPartition,
         buffers: Vec<Option<Buffer>>,
         edge: EdgePolicy,
         fill: Option<T>,
-    ) -> Storage<T, D> {
-        let devices = runtime.device_count();
-        let layout = layout.unwrap_or_else(|| distribution.layout(shape, devices));
+    ) -> Storage<T> {
         Storage {
             runtime,
             host: Vec::new(),
-            shape,
             host_valid: false,
             devices_valid: true,
             halos_valid: false,
@@ -369,7 +276,7 @@ impl<T: Pod, D: Partitioning> Storage<T, D> {
             // launch and loses no data: leave it out, so a replicated
             // container (a copy-distributed additional argument, say) can be
             // uploaded again for the replay that follows a device loss.
-            if self.distribution.is_replicated() && self.runtime.is_settled_lost(device) {
+            if self.distribution == Distribution::Copy && self.runtime.is_settled_lost(device) {
                 continue;
             }
             let buffer = match &self.buffers[device] {
@@ -413,7 +320,7 @@ impl<T: Pod, D: Partitioning> Storage<T, D> {
         }
         self.devices_valid = true;
         self.halos_valid = true;
-        self.ghost_sweeps = self.layout.halo_sweeps(self.edge);
+        self.ghost_sweeps = self.layout.ghost_depth(self.edge);
         Ok(())
     }
 
@@ -432,7 +339,7 @@ impl<T: Pod, D: Partitioning> Storage<T, D> {
             self.host_valid = true;
             return Ok(());
         }
-        if self.distribution.is_replicated() {
+        if self.distribution == Distribution::Copy {
             let actives = self.layout.active_devices();
             let first = *actives.first().ok_or(SkelError::EmptyInput)?;
             // Enqueue the read of every replica before waiting on any, so
@@ -546,14 +453,14 @@ impl<T: Pod, D: Partitioning> Storage<T, D> {
     /// command, on the device that executes it.
     pub(crate) fn refresh_halos(&mut self, sweeps: usize) -> Result<()> {
         debug_assert!(self.devices_valid);
-        if self.halos_valid || !self.layout.has_halo() {
+        if self.halos_valid || self.layout.halo() == 0 {
             self.halos_valid = true;
             return Ok(());
         }
         let exchanged = if self.ghost_sweeps > 0 {
             0
         } else {
-            sweeps.clamp(1, self.layout.halo_sweeps(self.edge))
+            sweeps.clamp(1, self.layout.ghost_depth(self.edge))
         };
         let mut events = Vec::new();
         let enqueued = self.enqueue_halo_exchange(&mut events, exchanged);
@@ -676,7 +583,7 @@ impl<T: Pod, D: Partitioning> Storage<T, D> {
     /// different padding — without the host: every resident part's owned
     /// region is copied on its device into a buffer of the new stored length
     /// and the padding is left stale. On an error the storage is unchanged.
-    pub(crate) fn repad(&mut self, layout: D::Layout) -> Result<()> {
+    pub(crate) fn repad(&mut self, layout: RowPartition) -> Result<()> {
         if self.devices_valid {
             let mut fresh = vec![None; self.buffers.len()];
             let mut events = Vec::new();
@@ -719,22 +626,25 @@ impl<T: Pod, D: Partitioning> Storage<T, D> {
         self.ghost_sweeps = 0;
     }
 
-    /// Change the distribution (and optionally the edge policy): the
+    /// Change the distribution, halo width and edge policy: the
     /// authoritative state is brought to the host (merging replicas), the
     /// old device buffers are released, and the next device use re-uploads
     /// under the new layout.
     pub(crate) fn redistribute(
         &mut self,
-        distribution: D,
+        distribution: Distribution,
+        halo: usize,
         edge: EdgePolicy,
         fill: Option<T>,
     ) -> Result<()> {
-        distribution.validate(self.runtime.device_count())?;
+        let devices = self.runtime.device_count();
+        distribution.validate(devices)?;
         self.download_to_host()?;
         self.release_buffers();
         self.devices_valid = false;
         self.stale_halos();
-        self.layout = distribution.layout(self.shape, self.runtime.device_count());
+        let (rows, cols) = (self.layout.rows(), self.layout.cols());
+        self.layout = RowPartition::compute(rows, cols, devices, &distribution, halo);
         self.distribution = distribution;
         self.edge = edge;
         self.fill = fill;
@@ -784,9 +694,9 @@ impl<T: Pod, D: Partitioning> Storage<T, D> {
     }
 
     /// Recompute the layout after a shape change (host-side resize).
-    pub(crate) fn reshape(&mut self, shape: D::Shape) {
-        self.shape = shape;
-        self.layout = self.distribution.layout(shape, self.runtime.device_count());
+    pub(crate) fn reshape(&mut self, rows: usize, cols: usize) {
+        let (devices, halo) = (self.runtime.device_count(), self.layout.halo());
+        self.layout = RowPartition::compute(rows, cols, devices, &self.distribution, halo);
     }
 
     /// The device buffers a launch writing into this storage (`run_into`) may
@@ -813,14 +723,12 @@ impl<T: Pod, D: Partitioning> Storage<T, D> {
     }
 
     /// Commit this storage as the output of a skeleton launch that wrote the
-    /// given buffers: adopt shape, distribution, stored layout (`None`: the
-    /// distribution's own) and buffers; the devices now hold the
-    /// authoritative copy and the host copy is stale.
+    /// given buffers: adopt distribution, stored layout and buffers; the
+    /// devices now hold the authoritative copy and the host copy is stale.
     pub(crate) fn commit_as_output(
         &mut self,
-        shape: D::Shape,
-        distribution: D,
-        layout: Option<D::Layout>,
+        distribution: Distribution,
+        layout: RowPartition,
         buffers: Vec<Option<Buffer>>,
     ) -> Result<()> {
         // Release any old buffer that was replaced rather than reused.
@@ -835,9 +743,7 @@ impl<T: Pod, D: Partitioning> Storage<T, D> {
             self.runtime.queue(b.device()).quiesce();
             let _ = self.runtime.context().release_buffer(&b);
         }
-        self.shape = shape;
-        self.layout =
-            layout.unwrap_or_else(|| distribution.layout(shape, self.runtime.device_count()));
+        self.layout = layout;
         self.distribution = distribution;
         self.buffers = buffers;
         self.host_valid = false;
@@ -847,7 +753,7 @@ impl<T: Pod, D: Partitioning> Storage<T, D> {
     }
 }
 
-impl<T: Pod, D: Partitioning> Drop for Storage<T, D> {
+impl<T: Pod> Drop for Storage<T> {
     fn drop(&mut self) {
         self.release_buffers();
     }
@@ -898,8 +804,8 @@ pub trait DynContainer: Send + Sync {
     /// reject the scheduler with a clear error.
     fn apply_scheduler(&self, scheduler: &StaticScheduler, cost: CostHint) -> Result<()>;
 
-    /// Coerce to the default disjoint layout (block; row block for a
-    /// matrix) — what inputs whose distributions disagree are unified to.
+    /// Coerce to the default disjoint layout (block, without a halo) — what
+    /// inputs whose distributions disagree are unified to.
     fn coerce_to_block(&self) -> Result<()>;
 
     /// Coerce a replicated (copy) distribution to the disjoint block

@@ -1,52 +1,58 @@
-//! Data distributions of SkelCL vectors across multiple devices
+//! Data distributions of SkelCL containers across multiple devices
 //! (paper, Section III-A and Figure 1).
 //!
-//! A distribution describes which part of a vector each device holds:
+//! A distribution describes which part of a container each device holds:
 //!
-//! * [`Distribution::Single`] — the whole vector lives on one device,
+//! * [`Distribution::Single`] — the whole container lives on one device,
 //! * [`Distribution::Block`] — each device holds a contiguous, disjoint part,
 //! * [`Distribution::BlockWeighted`] — like block, but part sizes follow
 //!   explicit weights (used by the Section V scheduler for heterogeneous
 //!   devices),
 //! * [`Distribution::Copy`] — every device holds a full copy.
 //!
+//! A vector is split at element granularity, a matrix at whole rows. Both
+//! are stored as a [`RowPartition`]: a vector as `len × 1` with no halo, a
+//! stencil input as row blocks padded with `halo` rows from each neighbour.
+//!
 //! Changing the distribution implies data exchanges between devices and the
-//! host, performed implicitly (and lazily) by [`crate::vector::Vector`].
-//! When changing *away from* `Copy`, the per-device copies may differ and are
-//! combined with a user-specified [`Combine`] function; without one, the
-//! first device's copy wins (paper, Section III-A).
+//! host, performed implicitly (and lazily) by the containers. When changing
+//! *away from* `Copy`, the per-device copies may differ and are combined with
+//! a user-specified [`Combine`] function; without one, the first device's
+//! copy wins (paper, Section III-A).
 
 use std::ops::Range;
 use std::sync::Arc;
 
-use crate::container::{EdgePolicy, HaloSegment, PartLayout, PartSegment, Partitioning};
+use crate::container::{EdgePolicy, HaloSegment, PartSegment};
 use crate::error::{Result, SkelError};
 
-/// How a vector's data is distributed across the devices of the runtime.
+/// How a container's data is distributed across the devices of the runtime.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Distribution {
-    /// Whole vector on a single device (the given device index).
+    /// Whole container on a single device (the given device index).
     Single(usize),
     /// Contiguous, disjoint, evenly-sized parts on every device.
     Block,
     /// Contiguous, disjoint parts sized proportionally to the given weights
     /// (one weight per device, in fixed-point thousandths to keep the type
-    /// `Eq`-comparable).
+    /// `Eq`-comparable). The fault-recovery layer uses it to move a
+    /// container onto the surviving devices: a lost device gets weight zero.
     BlockWeighted(Vec<u32>),
-    /// A full copy of the vector on every device.
+    /// A full copy of the container on every device.
     Copy,
 }
 
 impl Distribution {
-    /// The default distribution of newly created vectors and of skeleton main
-    /// inputs with no explicit distribution (the paper uses block).
+    /// The default distribution of newly created containers and of skeleton
+    /// main inputs with no explicit distribution (the paper uses block).
     pub fn default_for_inputs() -> Distribution {
         Distribution::Block
     }
 
     /// Build a weighted block distribution from floating-point weights.
     pub fn block_weighted(weights: &[f64]) -> Distribution {
-        Distribution::BlockWeighted(scale_weights(weights))
+        let scaled = weights.iter().map(|w| (w.max(0.0) * 1000.0).round() as u32);
+        Distribution::BlockWeighted(scaled.collect())
     }
 
     /// Whether every device participates in a skeleton over a vector with
@@ -54,52 +60,16 @@ impl Distribution {
     pub fn uses_all_devices(&self) -> bool {
         !matches!(self, Distribution::Single(_))
     }
-}
 
-impl Partitioning for Distribution {
-    type Shape = usize;
-    type Layout = Partition;
-
-    fn layout(&self, shape: usize, devices: usize) -> Partition {
-        Partition::compute(shape, devices, self)
-    }
-
-    fn validate(&self, devices: usize) -> Result<()> {
-        if let Distribution::Single(d) = self {
-            if *d >= devices {
-                return Err(SkelError::Distribution(format!(
-                    "single distribution names device {d} but the runtime has {devices} devices"
-                )));
-            }
+    /// Check the distribution against the runtime's device count:
+    /// `Single(d)` must name an existing device.
+    pub(crate) fn validate(&self, devices: usize) -> Result<()> {
+        match self {
+            Distribution::Single(d) if *d >= devices => Err(SkelError::Distribution(format!(
+                "single distribution names device {d} but the runtime has {devices} devices"
+            ))),
+            _ => Ok(()),
         }
-        Ok(())
-    }
-
-    fn is_replicated(&self) -> bool {
-        matches!(self, Distribution::Copy)
-    }
-}
-
-/// Scale floating-point weights to the fixed-point thousandths stored in
-/// weighted distributions (kept integral so distributions stay `Eq`).
-fn scale_weights(weights: &[f64]) -> Vec<u32> {
-    weights
-        .iter()
-        .map(|w| (w.max(0.0) * 1000.0).round() as u32)
-        .collect()
-}
-
-/// Resolve fixed-point per-device weights to block ranges, falling back to an
-/// even split when the weights sum to zero.
-fn weighted_ranges(len: usize, devices: usize, weights: &[u32]) -> Vec<Range<usize>> {
-    let w: Vec<f64> = (0..devices)
-        .map(|d| weights.get(d).copied().unwrap_or(0) as f64)
-        .collect();
-    let total: f64 = w.iter().sum();
-    if total <= 0.0 {
-        Partition::block_ranges(len, &vec![1.0; devices])
-    } else {
-        Partition::block_ranges(len, &w)
     }
 }
 
@@ -135,8 +105,9 @@ impl<T: Copy + std::ops::AddAssign + Send + Sync + 'static> Combine<T> {
     }
 }
 
-/// The concrete partitioning of `len` elements over `devices` devices under a
-/// distribution: for each device, the element range it holds.
+/// The concrete partitioning of `len` items — a vector's elements or a
+/// matrix's rows — over `devices` devices under a distribution: for each
+/// device, the range it holds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
     ranges: Vec<Range<usize>>,
@@ -144,17 +115,28 @@ pub struct Partition {
 }
 
 impl Partition {
-    /// Compute the partition of a vector of `len` elements for `devices`
-    /// devices under `distribution`.
+    /// Compute the partition of `len` items for `devices` devices under
+    /// `distribution`.
     pub fn compute(len: usize, devices: usize, distribution: &Distribution) -> Partition {
         assert!(devices > 0, "a runtime always has at least one device");
+        let even = || Self::block_ranges(len, &vec![1.0; devices]);
         let ranges = match distribution {
             Distribution::Single(dev) => (0..devices)
                 .map(|d| if d == *dev { 0..len } else { 0..0 })
                 .collect(),
             Distribution::Copy => (0..devices).map(|_| 0..len).collect(),
-            Distribution::Block => Self::block_ranges(len, &vec![1.0; devices]),
-            Distribution::BlockWeighted(weights) => weighted_ranges(len, devices, weights),
+            Distribution::Block => even(),
+            // Weights that sum to zero fall back to the even split.
+            Distribution::BlockWeighted(weights) => {
+                let w: Vec<f64> = (0..devices)
+                    .map(|d| weights.get(d).copied().unwrap_or(0) as f64)
+                    .collect();
+                if w.iter().sum::<f64>() > 0.0 {
+                    Self::block_ranges(len, &w)
+                } else {
+                    even()
+                }
+            }
         };
         Partition { ranges, len }
     }
@@ -206,7 +188,7 @@ impl Partition {
             .collect()
     }
 
-    /// Total vector length.
+    /// Total number of items.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -219,162 +201,6 @@ impl Partition {
     /// Number of devices (including inactive ones).
     pub fn device_count(&self) -> usize {
         self.ranges.len()
-    }
-
-    /// Build a partition from explicit per-device element ranges (used to
-    /// flatten 2-D row layouts into the 1-D element space element-wise
-    /// kernels iterate over).
-    pub(crate) fn from_ranges(ranges: Vec<Range<usize>>, len: usize) -> Partition {
-        Partition { ranges, len }
-    }
-}
-
-impl PartLayout for Partition {
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn device_count(&self) -> usize {
-        Partition::device_count(self)
-    }
-
-    fn active_devices(&self) -> Vec<usize> {
-        Partition::active_devices(self)
-    }
-
-    fn stored_len(&self, device: usize) -> usize {
-        self.size(device)
-    }
-
-    fn upload_segments(&self, device: usize, _edge: EdgePolicy) -> Vec<PartSegment> {
-        let range = self.range(device);
-        if range.is_empty() {
-            Vec::new()
-        } else {
-            vec![PartSegment::Host(range)]
-        }
-    }
-
-    fn gather_segment(&self, device: usize) -> Option<(usize, Range<usize>)> {
-        let range = self.range(device);
-        (!range.is_empty()).then_some((0, range))
-    }
-
-    fn has_halo(&self) -> bool {
-        false
-    }
-
-    fn halo_segments(&self, _device: usize, _edge: EdgePolicy, _sweeps: usize) -> Vec<HaloSegment> {
-        Vec::new()
-    }
-
-    fn flat_partition(&self) -> Partition {
-        self.clone()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// 2-D (matrix) distributions
-// ---------------------------------------------------------------------------
-
-/// How a [`crate::matrix::Matrix`] is distributed across the devices of the
-/// runtime. Matrices are row-major and are always split at row granularity,
-/// so every device part is a contiguous range of whole rows.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MatrixDistribution {
-    /// The whole matrix on a single device.
-    Single(usize),
-    /// Contiguous, disjoint, evenly-sized row blocks on every device.
-    RowBlock,
-    /// A full copy of the matrix on every device.
-    Copy,
-    /// Row blocks where each device's part additionally carries `halo_rows`
-    /// read-only rows from its neighbours above and below (filled by a
-    /// [`Boundary`] policy at the matrix edges). This is the distribution of
-    /// stencil ([`crate::skeletons::MapOverlap`]) inputs: redistribution
-    /// between sweeps exchanges only the halo rows, never whole parts.
-    OverlapBlock {
-        /// Number of neighbour rows replicated on each side of a part.
-        halo_rows: usize,
-    },
-    /// Row blocks sized proportionally to the given weights (one weight per
-    /// device, fixed-point thousandths like
-    /// [`Distribution::BlockWeighted`]). The fault-recovery layer uses this
-    /// to re-partition a matrix onto the surviving devices after a device
-    /// loss: lost devices get weight zero and hold no rows.
-    RowBlockWeighted(Vec<u32>),
-    /// [`MatrixDistribution::OverlapBlock`] with weighted row blocks — the
-    /// stencil counterpart of [`MatrixDistribution::RowBlockWeighted`].
-    OverlapBlockWeighted {
-        /// Number of neighbour rows replicated on each side of a part.
-        halo_rows: usize,
-        /// Per-device weights in fixed-point thousandths.
-        weights: Vec<u32>,
-    },
-}
-
-impl MatrixDistribution {
-    /// The default distribution of newly created matrices.
-    pub fn default_for_inputs() -> MatrixDistribution {
-        MatrixDistribution::RowBlock
-    }
-
-    /// Build a weighted row-block distribution from floating-point weights.
-    pub fn row_block_weighted(weights: &[f64]) -> MatrixDistribution {
-        MatrixDistribution::RowBlockWeighted(scale_weights(weights))
-    }
-
-    /// Build a weighted overlap-block distribution from floating-point
-    /// weights.
-    pub fn overlap_block_weighted(halo_rows: usize, weights: &[f64]) -> MatrixDistribution {
-        MatrixDistribution::OverlapBlockWeighted {
-            halo_rows,
-            weights: scale_weights(weights),
-        }
-    }
-
-    /// The halo width of the distribution (zero for non-overlapping ones).
-    pub fn halo_rows(&self) -> usize {
-        match self {
-            MatrixDistribution::OverlapBlock { halo_rows }
-            | MatrixDistribution::OverlapBlockWeighted { halo_rows, .. } => *halo_rows,
-            _ => 0,
-        }
-    }
-
-    /// Whether the distribution replicates halo rows around each part
-    /// (either overlap variant).
-    pub fn is_overlap(&self) -> bool {
-        matches!(
-            self,
-            MatrixDistribution::OverlapBlock { .. }
-                | MatrixDistribution::OverlapBlockWeighted { .. }
-        )
-    }
-}
-
-impl Partitioning for MatrixDistribution {
-    /// `(rows, cols)` of the matrix.
-    type Shape = (usize, usize);
-    type Layout = RowPartition;
-
-    fn layout(&self, (rows, cols): (usize, usize), devices: usize) -> RowPartition {
-        RowPartition::compute(rows, cols, devices, self)
-    }
-
-    fn validate(&self, devices: usize) -> Result<()> {
-        if let MatrixDistribution::Single(d) = self {
-            if *d >= devices {
-                return Err(SkelError::Distribution(format!(
-                    "single distribution names device {d} but the runtime has {devices} devices"
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    fn is_replicated(&self) -> bool {
-        matches!(self, MatrixDistribution::Copy)
     }
 }
 
@@ -404,20 +230,29 @@ impl<T> Boundary<T> {
     }
 }
 
-/// The concrete row partitioning of a `rows × cols` matrix over `devices`
-/// devices: for each device the *core* row range it owns, plus the halo
-/// width of [`MatrixDistribution::OverlapBlock`] and the padding rows each
-/// part stores around its core.
+/// The stored layout of a `rows × cols` container over the devices — the one
+/// geometry the coherence core (`container::Storage`) executes transfers
+/// from. For each device: the *core* row range it owns (a [`Partition`] of
+/// the rows under the container's [`Distribution`]), the halo width, and the
+/// padding rows its part stores around the core. A vector is a `len × 1`
+/// layout with halo 0, whose parts are exactly its element [`Partition`].
 ///
-/// The stored padding is at least the halo and is a private property of the
-/// stored layout, not of the distribution: the iterative stencil driver
-/// stores `k · halo` *ghost* rows towards a neighbouring device's part
-/// (`with_ghost_depth`) so that one halo exchange pays for
-/// `k` sweeps; towards a container edge the padding is always `halo` rows.
+/// Only a stencil input has a halo: `halo` read-only rows from the
+/// neighbours above and below each row block, filled by a [`Boundary`]
+/// policy at the matrix edges. The stored padding is at least the halo: the
+/// iterative stencil driver stores `k · halo` *ghost* rows towards a
+/// neighbouring device's part (`with_ghost_depth`) so that one halo exchange
+/// pays for `k` sweeps; towards a container edge the padding is always
+/// `halo` rows.
+///
+/// The layout describes every device part as plain data — *segments* — that
+/// the storage turns into transfers: [`PartSegment`]s assemble a part for
+/// upload, a *gather segment* is the authoritative region on download, and
+/// [`HaloSegment`]s say which padding is refreshed from where between sweeps.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RowPartition {
-    ranges: Vec<Range<usize>>,
-    rows: usize,
+    /// The core rows of every device.
+    parts: Partition,
     cols: usize,
     halo: usize,
     /// Rows each device stores above and below its core rows.
@@ -425,38 +260,18 @@ pub struct RowPartition {
 }
 
 impl RowPartition {
-    /// Compute the row partition of a `rows × cols` matrix for `devices`
-    /// devices under `distribution`.
+    /// Compute the stored layout of a `rows × cols` container for `devices`
+    /// devices: whole rows under `distribution`, each part padded with
+    /// `halo` rows above and below.
     pub fn compute(
         rows: usize,
         cols: usize,
         devices: usize,
-        distribution: &MatrixDistribution,
+        distribution: &Distribution,
+        halo: usize,
     ) -> RowPartition {
-        assert!(devices > 0, "a runtime always has at least one device");
-        let (ranges, halo) = match distribution {
-            MatrixDistribution::Single(dev) => (
-                (0..devices)
-                    .map(|d| if d == *dev { 0..rows } else { 0..0 })
-                    .collect(),
-                0,
-            ),
-            MatrixDistribution::Copy => ((0..devices).map(|_| 0..rows).collect(), 0),
-            MatrixDistribution::RowBlock => (Partition::block_ranges(rows, &vec![1.0; devices]), 0),
-            MatrixDistribution::OverlapBlock { halo_rows } => (
-                Partition::block_ranges(rows, &vec![1.0; devices]),
-                *halo_rows,
-            ),
-            MatrixDistribution::RowBlockWeighted(weights) => {
-                (weighted_ranges(rows, devices, weights), 0)
-            }
-            MatrixDistribution::OverlapBlockWeighted { halo_rows, weights } => {
-                (weighted_ranges(rows, devices, weights), *halo_rows)
-            }
-        };
         RowPartition {
-            ranges,
-            rows,
+            parts: Partition::compute(rows, devices, distribution),
             cols,
             halo,
             pads: vec![(halo, halo); devices],
@@ -465,12 +280,12 @@ impl RowPartition {
 
     /// The core row range device `d` owns (exclusive of halo rows).
     pub fn core_rows(&self, device: usize) -> Range<usize> {
-        self.ranges.get(device).cloned().unwrap_or(0..0)
+        self.parts.range(device)
     }
 
     /// Number of core rows device `d` owns.
     pub fn core_row_count(&self, device: usize) -> usize {
-        self.core_rows(device).len()
+        self.parts.size(device)
     }
 
     /// Rows device `d` stores above and below its core rows.
@@ -500,6 +315,11 @@ impl RowPartition {
         self.core_row_count(device) * self.cols
     }
 
+    /// Total number of elements of the container.
+    pub(crate) fn len(&self) -> usize {
+        self.rows() * self.cols
+    }
+
     /// The halo width of the partition.
     pub fn halo(&self) -> usize {
         self.halo
@@ -507,7 +327,7 @@ impl RowPartition {
 
     /// Matrix height in rows.
     pub fn rows(&self) -> usize {
-        self.rows
+        self.parts.len()
     }
 
     /// Matrix width in columns.
@@ -517,38 +337,34 @@ impl RowPartition {
 
     /// Number of devices (including inactive ones).
     pub fn device_count(&self) -> usize {
-        self.ranges.len()
+        self.parts.device_count()
     }
 
     /// Devices that own at least one core row.
     pub fn active_devices(&self) -> Vec<usize> {
-        self.ranges
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| !r.is_empty())
-            .map(|(d, _)| d)
-            .collect()
+        self.parts.active_devices()
     }
 
     /// The device whose core rows contain global row `row` (`None` for
     /// copy/single layouts should be resolved by the caller; every row of a
     /// block layout has exactly one owner).
     pub fn row_owner(&self, row: usize) -> Option<usize> {
-        self.ranges
+        self.parts
+            .ranges
             .iter()
             .position(|r| !r.is_empty() && r.contains(&row))
     }
 
     /// Per-device core row counts.
     pub fn core_row_counts(&self) -> Vec<usize> {
-        self.ranges.iter().map(|r| r.len()).collect()
+        self.parts.sizes()
     }
 
     /// Resolve padded row index `p` (may be negative or `>= rows`) to its
     /// source under the edge policy: a real matrix row, or `None` for a
     /// policy-filled row ([`EdgePolicy::Fill`] beyond the edges).
     fn row_source(&self, p: i64, edge: EdgePolicy) -> Option<usize> {
-        let rows = self.rows as i64;
+        let rows = self.rows() as i64;
         if (0..rows).contains(&p) {
             return Some(p as usize);
         }
@@ -574,7 +390,7 @@ impl RowPartition {
     /// The deepest ghost zone this partition can hold: no part may be asked
     /// for more rows than its neighbour owns.
     pub(crate) fn max_ghost_depth(&self) -> usize {
-        let smallest = self.ranges.iter().map(|r| r.len()).filter(|&n| n > 0).min();
+        let smallest = self.parts.sizes().into_iter().filter(|&n| n > 0).min();
         (smallest.unwrap_or(0) / self.halo.max(1)).max(1)
     }
 
@@ -659,27 +475,12 @@ impl RowPartition {
             .chain((0..below).map(|k| (pad_above + core.len() + k, (core.end + k) as i64)))
             .collect()
     }
-}
 
-impl PartLayout for RowPartition {
-    fn len(&self) -> usize {
-        self.rows * self.cols
-    }
-
-    fn device_count(&self) -> usize {
-        RowPartition::device_count(self)
-    }
-
-    fn active_devices(&self) -> Vec<usize> {
-        RowPartition::active_devices(self)
-    }
-
-    fn stored_len(&self, device: usize) -> usize {
-        RowPartition::stored_len(self, device)
-    }
-
-    fn upload_segments(&self, device: usize, edge: EdgePolicy) -> Vec<PartSegment> {
-        if RowPartition::stored_len(self, device) == 0 {
+    /// The segments (host ranges and policy fills) that assemble device
+    /// `d`'s stored part for upload, in storage order. Their lengths sum to
+    /// [`RowPartition::stored_len`].
+    pub(crate) fn upload_segments(&self, device: usize, edge: EdgePolicy) -> Vec<PartSegment> {
+        if self.stored_len(device) == 0 {
             return Vec::new();
         }
         let core = self.core_rows(device);
@@ -700,7 +501,11 @@ impl PartLayout for RowPartition {
         segments
     }
 
-    fn gather_segment(&self, device: usize) -> Option<(usize, Range<usize>)> {
+    /// Where device `d`'s owned rows land on download: the element offset
+    /// within its stored part and the destination host range. `None` for
+    /// devices that own nothing (a replicated container is gathered from
+    /// one device instead).
+    pub(crate) fn gather_segment(&self, device: usize) -> Option<(usize, Range<usize>)> {
         let core = self.core_rows(device);
         if core.is_empty() {
             return None;
@@ -712,14 +517,6 @@ impl PartLayout for RowPartition {
         ))
     }
 
-    fn has_halo(&self) -> bool {
-        self.halo > 0
-    }
-
-    fn halo_sweeps(&self, edge: EdgePolicy) -> usize {
-        self.ghost_depth(edge)
-    }
-
     /// The halo regions of device `d`'s part. Consecutive halo slots whose
     /// sources are consecutive rows of the same owning device are grouped
     /// into one [`HaloSegment::Remote`], so the exchange between two
@@ -727,7 +524,12 @@ impl PartLayout for RowPartition {
     /// one write; policy-filled edge rows become per-row
     /// [`HaloSegment::Fill`]s. `sweeps == 0` asks for what the device
     /// refreshes by itself only — its fills and the copies of rows it owns.
-    fn halo_segments(&self, device: usize, edge: EdgePolicy, sweeps: usize) -> Vec<HaloSegment> {
+    pub(crate) fn halo_segments(
+        &self,
+        device: usize,
+        edge: EdgePolicy,
+        sweeps: usize,
+    ) -> Vec<HaloSegment> {
         let cols = self.cols;
         if self.halo == 0 || cols == 0 {
             return Vec::new();
@@ -794,16 +596,14 @@ impl PartLayout for RowPartition {
     }
 
     /// The flat element partition of the core rows: what an element-wise
-    /// kernel iterates when a matrix is launched through the
-    /// [`crate::container::Container`] interface.
-    fn flat_partition(&self) -> Partition {
+    /// kernel iterates (for a vector, its own partition).
+    pub(crate) fn flat_partition(&self) -> Partition {
         let cols = self.cols;
-        let ranges = self
-            .ranges
-            .iter()
-            .map(|r| r.start * cols..r.end * cols)
-            .collect();
-        Partition::from_ranges(ranges, self.rows * cols)
+        let ranges = self.parts.ranges.iter();
+        Partition {
+            ranges: ranges.map(|r| r.start * cols..r.end * cols).collect(),
+            len: self.len(),
+        }
     }
 }
 
@@ -901,14 +701,14 @@ mod tests {
     fn row_partition_splits_rows_contiguously() {
         for rows in [0usize, 1, 5, 16, 17] {
             for devices in 1..=5 {
-                let p = RowPartition::compute(rows, 7, devices, &MatrixDistribution::RowBlock);
+                let p = RowPartition::compute(rows, 7, devices, &Distribution::Block, 0);
                 let mut next = 0;
                 for d in 0..devices {
                     let r = p.core_rows(d);
                     assert_eq!(r.start, next, "row blocks must be contiguous");
                     next = r.end;
                     assert_eq!(p.core_len(d), r.len() * 7);
-                    assert_eq!(p.stored_len(d), p.core_len(d), "no halo under RowBlock");
+                    assert_eq!(p.stored_len(d), p.core_len(d), "no halo without one");
                 }
                 assert_eq!(next, rows);
             }
@@ -917,22 +717,18 @@ mod tests {
 
     #[test]
     fn overlap_partition_pads_every_active_part_by_the_halo() {
-        let d = MatrixDistribution::OverlapBlock { halo_rows: 2 };
-        let p = RowPartition::compute(10, 4, 3, &d);
+        let p = RowPartition::compute(10, 4, 3, &Distribution::Block, 2);
         assert_eq!(p.halo(), 2);
         assert_eq!(p.core_row_counts(), vec![3, 4, 3]);
         for dev in 0..3 {
             assert_eq!(p.stored_row_count(dev), p.core_row_count(dev) + 4);
             assert_eq!(p.stored_len(dev), p.stored_row_count(dev) * 4);
         }
-        assert_eq!(d.halo_rows(), 2);
-        assert_eq!(MatrixDistribution::RowBlock.halo_rows(), 0);
     }
 
     #[test]
     fn ghost_depth_deepens_the_padding_towards_neighbours_only() {
-        let d = MatrixDistribution::OverlapBlock { halo_rows: 2 };
-        let flat = RowPartition::compute(30, 4, 3, &d);
+        let flat = RowPartition::compute(30, 4, 3, &Distribution::Block, 2);
         assert_eq!(flat.max_ghost_depth(), 5);
         assert_eq!(flat.ghost_depth(EdgePolicy::Clamp), 1);
         let deep = flat.with_ghost_depth(3, EdgePolicy::Clamp);
@@ -981,9 +777,8 @@ mod tests {
 
     #[test]
     fn row_partition_owner_lookup_and_empty_devices() {
-        let d = MatrixDistribution::OverlapBlock { halo_rows: 1 };
         // More devices than rows: some devices own nothing and store nothing.
-        let p = RowPartition::compute(2, 3, 4, &d);
+        let p = RowPartition::compute(2, 3, 4, &Distribution::Block, 1);
         let active = p.active_devices();
         assert_eq!(active.len(), 2);
         for dev in 0..4 {
@@ -1001,11 +796,41 @@ mod tests {
 
     #[test]
     fn single_and_copy_matrix_distributions() {
-        let single = RowPartition::compute(6, 2, 3, &MatrixDistribution::Single(1));
+        let single = RowPartition::compute(6, 2, 3, &Distribution::Single(1), 0);
         assert_eq!(single.core_row_counts(), vec![0, 6, 0]);
         assert_eq!(single.active_devices(), vec![1]);
-        let copy = RowPartition::compute(6, 2, 3, &MatrixDistribution::Copy);
+        let copy = RowPartition::compute(6, 2, 3, &Distribution::Copy, 0);
         assert_eq!(copy.core_row_counts(), vec![6, 6, 6]);
+    }
+
+    /// A vector is stored as a one-column, halo-free row layout: its upload,
+    /// gather and halo geometry are exactly its element partition's.
+    #[test]
+    fn a_one_column_layout_is_the_element_partition() {
+        for len in [0usize, 1, 7, 64] {
+            for devices in 1..=4 {
+                for d in [
+                    Distribution::Single(devices - 1),
+                    Distribution::Block,
+                    Distribution::block_weighted(&[3.0, 0.0, 1.0, 2.0][..devices]),
+                    Distribution::Copy,
+                ] {
+                    let p = Partition::compute(len, devices, &d);
+                    let l = RowPartition::compute(len, 1, devices, &d, 0);
+                    assert_eq!(l.flat_partition(), p, "{d:?}");
+                    assert_eq!(l.ghost_depth(EdgePolicy::Clamp), 1);
+                    for dev in 0..devices {
+                        let range = p.range(dev);
+                        let upload = (!range.is_empty()).then(|| PartSegment::Host(range.clone()));
+                        let upload: Vec<_> = upload.into_iter().collect();
+                        assert_eq!(l.upload_segments(dev, EdgePolicy::Clamp), upload);
+                        let gather = (!range.is_empty()).then_some((0, range));
+                        assert_eq!(l.gather_segment(dev), gather);
+                        assert!(l.halo_segments(dev, EdgePolicy::Clamp, 1).is_empty());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -21,11 +21,11 @@
 //! * an abstract [`Vector`] data type with implicit, lazy host ↔ device
 //!   transfers and a **fluent pipeline API**
 //!   (`v.map(&f)?.zip(&w, &g)?.reduce(&h)?`),
-//! * [`Distribution`]s (`single`, `block`, `copy`) describing how a vector is
-//!   partitioned across multiple GPUs, with implicit redistribution,
-//! * a 2-D [`Matrix`] container with row-block [`MatrixDistribution`]s,
-//!   including the halo-padded `OverlapBlock` layout whose between-sweep
-//!   redistribution exchanges only halo rows (see [`MapOverlap`]),
+//! * [`Distribution`]s (`single`, `block`, `copy`) describing how a vector's
+//!   elements or a [`Matrix`]'s rows are partitioned across multiple GPUs,
+//!   with implicit redistribution; a stencil input's row blocks carry halo
+//!   rows whose between-sweep refresh exchanges only those rows (see
+//!   [`MapOverlap`]),
 //! * the **additional arguments** mechanism — the open [`IntoArg`] trait and
 //!   the [`args!`] macro forward extra scalars and vectors of *any* element
 //!   type to the user-defined function,
@@ -99,13 +99,8 @@ pub mod skeletons;
 pub mod vector;
 
 pub use args::{ArgAccess, ArgItem, Args, IntoArg, VectorArg};
-pub use container::{
-    Container, DynContainer, EdgePolicy, HaloSegment, PartLayout, PartSegment, Partitioning,
-    Residence,
-};
-pub use distribution::{
-    Boundary, Combine, Distribution, MatrixDistribution, Partition, RowPartition,
-};
+pub use container::{Container, DynContainer, EdgePolicy, HaloSegment, PartSegment, Residence};
+pub use distribution::{Boundary, Combine, Distribution, Partition, RowPartition};
 pub use error::{Result, SkelError};
 pub use fusion::FusionPolicy;
 pub use matrix::Matrix;
@@ -132,7 +127,7 @@ pub mod prelude {
     pub use crate::args;
     pub use crate::args::{ArgAccess, Args, IntoArg};
     pub use crate::container::{Container, DynContainer};
-    pub use crate::distribution::{Boundary, Combine, Distribution, MatrixDistribution};
+    pub use crate::distribution::{Boundary, Combine, Distribution};
     pub use crate::error::{Result, SkelError};
     pub use crate::fusion::FusionPolicy;
     pub use crate::matrix::Matrix;

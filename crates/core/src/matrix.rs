@@ -3,20 +3,20 @@
 //! A [`Matrix`] is the two-dimensional sibling of [`crate::vector::Vector`]:
 //! a row-major `rows × cols` view over the same shared
 //! `container::Storage` coherence core, kept consistent
-//! automatically and *lazily*. Matrices are always split at row granularity
-//! ([`MatrixDistribution`]); under [`MatrixDistribution::OverlapBlock`] each
-//! device part is padded with `halo_rows` read-only rows from its neighbours
-//! (filled by a [`Boundary`] policy at the matrix edges), which is the
-//! layout stencil skeletons ([`crate::skeletons::MapOverlap`]) execute on.
+//! automatically and *lazily*. A matrix is distributed by the vector's
+//! [`Distribution`] applied to whole rows. A stencil input
+//! ([`Matrix::set_overlap`]) is block-distributed with each device part
+//! padded by `halo_rows` read-only rows from its neighbours (filled by a
+//! [`Boundary`] policy at the matrix edges), which is the layout stencil
+//! skeletons ([`crate::skeletons::MapOverlap`]) execute on.
 //! Re-establishing coherence between stencil sweeps exchanges **only the
 //! halo rows** — never whole parts — and every exchange is visible in the
 //! oclsim transfer stats and in the runtime's
 //! [`crate::runtime::ExecTrace`] halo counters.
 //!
-//! The matrix contributes only the 2-D shape bookkeeping (rows × columns,
-//! boundary policies, halo widths); every transfer and validity decision is
-//! made by the shared `Storage`, driven by the segment geometry of
-//! [`crate::distribution::RowPartition`].
+//! The matrix contributes only the 2-D bookkeeping (rows × columns, boundary
+//! policies, halo widths); every transfer and validity decision is made by
+//! the shared `Storage`, driven by the segment geometry of [`RowPartition`].
 
 use std::sync::Arc;
 
@@ -24,8 +24,8 @@ use parking_lot::Mutex;
 
 use oclsim::{pod, Buffer, CostHint, Pod};
 
-use crate::container::{Container, DynContainer, EdgePolicy, PartLayout, Storage};
-use crate::distribution::{Boundary, MatrixDistribution, Partition, RowPartition};
+use crate::container::{Container, DynContainer, EdgePolicy, Storage};
+use crate::distribution::{Boundary, Distribution, Partition, RowPartition};
 use crate::error::{Result, SkelError};
 use crate::runtime::{DeviceSelection, SkelCl};
 use crate::scheduler::StaticScheduler;
@@ -68,7 +68,7 @@ pub(crate) fn boundary_parts<T: Pod>(boundary: &Boundary<T>) -> (EdgePolicy, Opt
 /// ```
 pub struct Matrix<T: Pod> {
     id: u64,
-    inner: Arc<Mutex<Storage<T, MatrixDistribution>>>,
+    inner: Arc<Mutex<Storage<T>>>,
 }
 
 impl<T: Pod> Clone for Matrix<T> {
@@ -85,17 +85,18 @@ impl<T: Pod> std::fmt::Debug for Matrix<T> {
         let inner = self.inner.lock();
         f.debug_struct("Matrix")
             .field("id", &self.id)
-            .field("rows", &inner.shape.0)
-            .field("cols", &inner.shape.1)
+            .field("rows", &inner.layout.rows())
+            .field("cols", &inner.layout.cols())
             .field("distribution", &inner.distribution)
+            .field("halo_rows", &inner.layout.halo())
             .finish()
     }
 }
 
 impl<T: Pod> Matrix<T> {
     /// Create a matrix from row-major host data. The initial distribution is
-    /// [`MatrixDistribution::RowBlock`]; no device transfer happens until the
-    /// matrix is first used on the devices.
+    /// [`Distribution::Block`] over the rows; no device transfer happens until
+    /// the matrix is first used on the devices.
     pub fn from_vec(
         runtime: &Arc<SkelCl>,
         rows: usize,
@@ -115,7 +116,7 @@ impl<T: Pod> Matrix<T> {
                 runtime.clone(),
                 data,
                 (rows, cols),
-                MatrixDistribution::default_for_inputs(),
+                Distribution::default_for_inputs(),
             ))),
         })
     }
@@ -149,7 +150,7 @@ impl<T: Pod> Matrix<T> {
     /// than a full upload.
     pub(crate) fn device_resident(
         runtime: &Arc<SkelCl>,
-        distribution: MatrixDistribution,
+        distribution: Distribution,
         layout: RowPartition,
         boundary: Boundary<T>,
         buffers: Vec<Option<Buffer>>,
@@ -159,9 +160,8 @@ impl<T: Pod> Matrix<T> {
             id: runtime.next_vector_id(),
             inner: Arc::new(Mutex::new(Storage::new_device_resident(
                 runtime.clone(),
-                (layout.rows(), layout.cols()),
                 distribution,
-                Some(layout),
+                layout,
                 buffers,
                 edge,
                 fill,
@@ -181,18 +181,17 @@ impl<T: Pod> Matrix<T> {
 
     /// Number of rows.
     pub fn rows(&self) -> usize {
-        self.inner.lock().shape.0
+        self.inner.lock().layout.rows()
     }
 
     /// Number of columns.
     pub fn cols(&self) -> usize {
-        self.inner.lock().shape.1
+        self.inner.lock().layout.cols()
     }
 
     /// Total number of elements.
     pub fn len(&self) -> usize {
-        let inner = self.inner.lock();
-        inner.shape.0 * inner.shape.1
+        self.inner.lock().layout.len()
     }
 
     /// Whether the matrix has no elements.
@@ -200,9 +199,16 @@ impl<T: Pod> Matrix<T> {
         self.len() == 0
     }
 
-    /// The current distribution.
-    pub fn distribution(&self) -> MatrixDistribution {
+    /// The current distribution of the rows.
+    pub fn distribution(&self) -> Distribution {
         self.inner.lock().distribution.clone()
+    }
+
+    /// The halo width of the device parts: the rows each part stores from
+    /// its neighbours above and below for a stencil (0 unless the matrix was
+    /// prepared with [`Matrix::set_overlap`]).
+    pub fn halo_rows(&self) -> usize {
+        self.inner.lock().layout.halo()
     }
 
     /// Where the authoritative data currently lives.
@@ -215,26 +221,45 @@ impl<T: Pod> Matrix<T> {
         self.inner.lock().layout.core_row_counts()
     }
 
-    /// Change the distribution. Like the vector, the implied data exchange
-    /// goes through the host and the re-upload happens lazily on next device
-    /// use. For halo-only refreshes between stencil sweeps the runtime uses
-    /// [`Matrix::set_overlap`] + halo exchanges instead — never this path.
-    /// The boundary policy is kept across redistributions.
-    pub fn set_distribution(&self, distribution: MatrixDistribution) -> Result<()> {
+    /// Change the distribution of the rows, dropping any halo. Like the
+    /// vector, the implied data exchange goes through the host and the
+    /// re-upload happens lazily on next device use. For halo-only refreshes
+    /// between stencil sweeps the runtime uses [`Matrix::set_overlap`] + halo
+    /// exchanges instead — never this path. The boundary policy is kept
+    /// across redistributions.
+    pub fn set_distribution(&self, distribution: Distribution) -> Result<()> {
+        self.redistribute(distribution, 0)
+    }
+
+    /// Store the rows under `distribution` with `halo_rows` of padding,
+    /// through the host unless the matrix is stored that way already.
+    fn redistribute(&self, distribution: Distribution, halo_rows: usize) -> Result<()> {
         let mut inner = self.inner.lock();
-        if inner.distribution == distribution {
+        if inner.distribution == distribution && inner.layout.halo() == halo_rows {
             return Ok(());
         }
         let (edge, fill) = (inner.edge, inner.fill);
-        inner.redistribute(distribution, edge, fill)
+        inner.redistribute(distribution, halo_rows, edge, fill)
     }
 
-    /// Coerce the matrix to [`MatrixDistribution::OverlapBlock`] with the
-    /// given halo width and boundary policy (the stencil-launch preparation
-    /// step). A matrix already overlap-distributed with the same halo and
-    /// boundary keeps its device parts untouched — whatever ghost depth they
-    /// are stored with; a boundary-only change invalidates just the halo
-    /// rows; anything else is a full redistribution through the host.
+    /// Whether the parts are row blocks padded by `halo_rows`: what a
+    /// stencil of that halo runs on. (At halo 0 a single or copy matrix has
+    /// the halo but not the row blocks.)
+    fn is_overlapped(inner: &Storage<T>, halo_rows: usize) -> bool {
+        let blocks = matches!(
+            inner.distribution,
+            Distribution::Block | Distribution::BlockWeighted(_)
+        );
+        blocks && inner.layout.halo() == halo_rows
+    }
+
+    /// Coerce the matrix to row blocks padded by `halo_rows` with the given
+    /// boundary policy (the stencil-launch preparation step). Row blocks
+    /// that already have that halo keep their device parts untouched — their
+    /// weights and whatever ghost depth they are stored with — and a
+    /// boundary-only change then invalidates just the halo rows. Anything
+    /// else is redistributed through the host to an even
+    /// [`Distribution::Block`].
     pub fn set_overlap(&self, halo_rows: usize, boundary: Boundary<T>) -> Result<()> {
         self.set_overlap_for(halo_rows, boundary, 1)
     }
@@ -251,14 +276,10 @@ impl<T: Pod> Matrix<T> {
     ) -> Result<()> {
         let mut inner = self.inner.lock();
         let (edge, fill) = boundary_parts(&boundary);
-        // Either overlap variant with the matching halo width already has
-        // the padded layout; in particular a weighted overlap left behind by
-        // fault recovery must keep its survivor weights rather than being
-        // clobbered back to an even split.
-        let already_overlapped =
-            inner.distribution.is_overlap() && inner.distribution.halo_rows() == halo_rows;
-        if !already_overlapped {
-            inner.redistribute(MatrixDistribution::OverlapBlock { halo_rows }, edge, fill)?;
+        // A weighted overlap left behind by fault recovery must keep its
+        // survivor weights rather than being clobbered back to an even split.
+        if !Self::is_overlapped(&inner, halo_rows) {
+            inner.redistribute(Distribution::Block, halo_rows, edge, fill)?;
         } else if !boundary_eq(&self.boundary_of(&inner), &boundary) {
             // Same layout, different boundary: only the policy-filled edge
             // halos change; a halo refresh re-fills them. What neighbouring
@@ -288,8 +309,8 @@ impl<T: Pod> Matrix<T> {
     /// part stores towards a neighbouring device's part, i.e. how many
     /// stencil sweeps one halo exchange can pay for. 1 unless the iterative
     /// stencil driver ([`crate::skeletons::Launch::run_iter`]) stored the
-    /// parts deeper; the distribution reports the halo width either way. A
-    /// property of the stored layout, read by the benches and tests only.
+    /// parts deeper; [`Matrix::halo_rows`] reports the halo width either way.
+    /// A property of the stored layout, read by the benches and tests only.
     #[doc(hidden)]
     pub fn ghost_depth(&self) -> usize {
         let inner = self.inner.lock();
@@ -297,18 +318,18 @@ impl<T: Pod> Matrix<T> {
     }
 
     /// The row partition a stencil of halo `halo_rows` runs this matrix on —
-    /// its own if it is overlap-distributed with that halo (recovery weights
-    /// and ghost depth included), the even overlap split otherwise — and
+    /// its own if it is stored as row blocks with that halo (recovery
+    /// weights and ghost depth included), the even split otherwise — and
     /// whether parts stored that way are resident on the devices.
     pub(crate) fn overlap_layout(&self, halo_rows: usize) -> (RowPartition, bool) {
         let inner = self.inner.lock();
-        if inner.distribution.is_overlap() && inner.distribution.halo_rows() == halo_rows {
+        if Self::is_overlapped(&inner, halo_rows) {
             return (inner.layout.clone(), inner.devices_valid);
         }
-        let (rows, cols) = inner.shape;
-        let even = MatrixDistribution::OverlapBlock { halo_rows };
+        let (rows, cols) = (inner.layout.rows(), inner.layout.cols());
         let devices = inner.runtime.device_count();
-        (RowPartition::compute(rows, cols, devices, &even), false)
+        let even = RowPartition::compute(rows, cols, devices, &Distribution::Block, halo_rows);
+        (even, false)
     }
 
     /// How many more sweeps this matrix's device parts support before their
@@ -352,7 +373,7 @@ impl<T: Pod> Matrix<T> {
     }
 
     /// Reconstruct the boundary policy from the storage's edge + fill state.
-    fn boundary_of(&self, inner: &Storage<T, MatrixDistribution>) -> Boundary<T> {
+    fn boundary_of(&self, inner: &Storage<T>) -> Boundary<T> {
         match inner.edge {
             EdgePolicy::Clamp => Boundary::Clamp,
             EdgePolicy::Wrap => Boundary::Wrap,
@@ -406,7 +427,7 @@ impl<T: Pod> Matrix<T> {
     /// copy).
     pub fn get(&self, row: usize, col: usize) -> Result<T> {
         let mut inner = self.inner.lock();
-        let (rows, cols) = inner.shape;
+        let (rows, cols) = (inner.layout.rows(), inner.layout.cols());
         if row >= rows || col >= cols {
             return Err(SkelError::Distribution(format!(
                 "element ({row}, {col}) out of bounds for a {rows}×{cols} matrix"
@@ -417,11 +438,11 @@ impl<T: Pod> Matrix<T> {
     }
 
     /// Ensure the matrix data is present on the devices under its current
-    /// distribution; under `OverlapBlock` this also guarantees **fresh halo
-    /// rows**, refreshed by a halo-only exchange when the core data is
-    /// already device-resident (the between-sweeps path of iterative
-    /// stencils) and made to last `sweeps` sweeps where the parts store that
-    /// many halo widths of ghost rows. Returns the partition and per-device
+    /// distribution; with a halo this also guarantees **fresh halo rows**,
+    /// refreshed by a halo-only exchange when the core data is already
+    /// device-resident (the between-sweeps path of iterative stencils) and
+    /// made to last `sweeps` sweeps where the parts store that many halo
+    /// widths of ghost rows. Returns the partition and per-device
     /// buffers.
     pub(crate) fn prepare_on_devices(
         &self,
@@ -432,8 +453,8 @@ impl<T: Pod> Matrix<T> {
         Ok((inner.layout.clone(), inner.buffers.clone()))
     }
 
-    /// Force the halo rows fresh now (no-op for non-overlap distributions or
-    /// when they are already valid). Exposed for tests and diagnostics.
+    /// Force the halo rows fresh now (no-op without a halo or when they are
+    /// already valid). Exposed for tests and diagnostics.
     pub fn refresh_halos(&self) -> Result<()> {
         let mut inner = self.inner.lock();
         if inner.devices_valid {
@@ -447,15 +468,14 @@ impl<T: Pod> Matrix<T> {
     /// and buffers.
     pub(crate) fn commit_as_output(
         &self,
-        distribution: MatrixDistribution,
+        distribution: Distribution,
         layout: RowPartition,
         boundary: Boundary<T>,
         buffers: Vec<Option<Buffer>>,
     ) -> Result<()> {
         let mut inner = self.inner.lock();
         (inner.edge, inner.fill) = boundary_parts(&boundary);
-        let shape = (layout.rows(), layout.cols());
-        inner.commit_as_output(shape, distribution, Some(layout), buffers)
+        inner.commit_as_output(distribution, layout, buffers)
     }
 
     /// Check that this matrix belongs to `runtime`.
@@ -486,7 +506,7 @@ impl<T: Pod> Matrix<T> {
 
     /// The distribution and the stored layout (its padding included) of the
     /// parts — what an output written over them is stored as.
-    fn stored_as(&self) -> (MatrixDistribution, RowPartition) {
+    fn stored_as(&self) -> (Distribution, RowPartition) {
         let inner = self.inner.lock();
         (inner.distribution.clone(), inner.layout.clone())
     }
@@ -525,24 +545,18 @@ impl<T: Pod> DynContainer for Matrix<T> {
     }
 
     fn coerce_to_block(&self) -> Result<()> {
-        self.set_distribution(MatrixDistribution::RowBlock)
+        self.set_distribution(Distribution::Block)
     }
 
     fn ensure_disjoint(&self) -> Result<()> {
-        if self.distribution() == MatrixDistribution::Copy {
+        if self.distribution() == Distribution::Copy {
             self.coerce_to_block()?;
         }
         Ok(())
     }
 
     fn repartition_for_recovery(&self, weights: &[f64]) -> Result<()> {
-        let current = self.distribution();
-        let target = if current.is_overlap() {
-            MatrixDistribution::overlap_block_weighted(current.halo_rows(), weights)
-        } else {
-            MatrixDistribution::row_block_weighted(weights)
-        };
-        self.set_distribution(target)
+        self.redistribute(Distribution::block_weighted(weights), self.halo_rows())
     }
 
     fn refresh_for_replay(&self) -> Result<()> {
@@ -555,15 +569,10 @@ impl<T: Pod> DynContainer for Matrix<T> {
 
     fn prepare_parts(&self, halo_sweeps: usize) -> Result<(Partition, Vec<Option<Buffer>>)> {
         // Halo-padded parts interleave padding with core data; element-wise
-        // kernels iterate owned elements only, so coerce to plain row blocks
-        // (keeping any recovery weights).
-        match self.distribution() {
-            _ if halo_sweeps > 0 => {}
-            MatrixDistribution::OverlapBlock { .. } => self.coerce_to_block()?,
-            MatrixDistribution::OverlapBlockWeighted { weights, .. } => {
-                self.set_distribution(MatrixDistribution::RowBlockWeighted(weights))?;
-            }
-            _ => {}
+        // kernels iterate owned elements only, so drop the halo (keeping any
+        // recovery weights).
+        if halo_sweeps == 0 {
+            self.set_distribution(self.distribution())?;
         }
         let (rows, buffers) = self.prepare_on_devices(halo_sweeps.max(1))?;
         Ok((rows.flat_partition(), buffers))
@@ -605,7 +614,7 @@ impl<T: Pod> Container<T> for Matrix<T> {
                 "zip requires equal matrix shapes, got {lr}×{lc} and {rr}×{rc}"
             )));
         }
-        if self.distribution() != other.distribution() {
+        if (self.distribution(), self.halo_rows()) != (other.distribution(), other.halo_rows()) {
             self.coerce_to_block()?;
             other.coerce_to_block()?;
         }
@@ -718,7 +727,7 @@ mod tests {
         assert_eq!(m.get(1, 2).unwrap(), 6.0);
         assert!(m.get(2, 0).is_err());
         assert!(Matrix::from_vec(&rt, 2, 3, vec![0.0f32; 5]).is_err());
-        assert_eq!(m.distribution(), MatrixDistribution::RowBlock);
+        assert_eq!(m.distribution(), Distribution::Block);
         assert_eq!(m.residence(), Residence::HostOnly);
     }
 
@@ -850,11 +859,11 @@ mod tests {
         let m = Matrix::filled(&rt, 3, 3, 2.5f32);
         let n = m.clone();
         assert_eq!(m.id(), n.id());
-        m.set_distribution(MatrixDistribution::Single(1)).unwrap();
+        m.set_distribution(Distribution::Single(1)).unwrap();
         let (partition, buffers) = n.prepare_on_devices(1).unwrap();
         assert_eq!(partition.core_row_counts(), vec![0, 3, 0]);
         assert!(buffers[1].is_some() && buffers[0].is_none());
-        assert!(m.set_distribution(MatrixDistribution::Single(9)).is_err());
+        assert!(m.set_distribution(Distribution::Single(9)).is_err());
         assert_eq!(n.to_vec().unwrap(), vec![2.5f32; 9]);
     }
 
@@ -921,18 +930,18 @@ mod tests {
         let rt = init_gpus(3);
         for (rows, cols) in [(0usize, 5usize), (4, 0), (0, 0)] {
             let m = Matrix::from_vec(&rt, rows, cols, Vec::<f32>::new()).unwrap();
-            for dist in [
-                MatrixDistribution::RowBlock,
-                MatrixDistribution::Copy,
-                MatrixDistribution::Single(1),
-                MatrixDistribution::OverlapBlock { halo_rows: 2 },
-                MatrixDistribution::RowBlock,
+            for (dist, halo) in [
+                (Distribution::Block, 0),
+                (Distribution::Copy, 0),
+                (Distribution::Single(1), 0),
+                (Distribution::Block, 2),
+                (Distribution::Block, 0),
             ] {
-                m.set_distribution(dist.clone()).unwrap();
+                m.redistribute(dist.clone(), halo).unwrap();
                 let (_, buffers) = m.prepare_on_devices(1).unwrap();
                 assert!(
                     buffers.iter().all(Option::is_none),
-                    "empty {rows}×{cols} matrix must allocate nothing under {dist:?}"
+                    "empty {rows}×{cols} matrix must allocate nothing under {dist:?}, halo {halo}"
                 );
                 m.mark_device_modified();
                 assert_eq!(m.to_vec().unwrap(), Vec::<f32>::new());

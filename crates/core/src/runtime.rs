@@ -319,9 +319,9 @@ impl SkelCl {
     }
 
     /// Pin the kernel-language execution tier for every kernel the runtime
-    /// launches from now on — [`Tier::Interp`] through [`Tier::Native`] force
-    /// one engine, [`Tier::Auto`] (the default) runs every native-eligible
-    /// kernel natively from its first launch. Applies to already-built
+    /// launches from now on — [`Tier::Native`] is the default, which runs
+    /// every native-eligible kernel natively from its first launch; the
+    /// others force one of the VMs or the interpreter. Applies to already-built
     /// (cached) programs as well as future builds, and overrides the
     /// `SKELCL_KERNEL_TIER` environment variable. All tiers are bit-identical
     /// in results and execution statistics; only throughput differs.
@@ -332,19 +332,17 @@ impl SkelCl {
     /// One-line description of the kernel-tier selection in effect (rendered
     /// by `Plan::explain`): the pinned tier if one was set via
     /// [`SkelCl::set_kernel_tier`] or `SKELCL_KERNEL_TIER`, otherwise what
-    /// `auto` means.
+    /// the default means.
     pub fn kernel_tier_summary(&self) -> String {
         if let Some(tier) = self.context.kernel_tier() {
-            if tier != Tier::Auto {
-                return format!("{tier} (pinned via set_kernel_tier)");
-            }
+            format!("{tier} (pinned via set_kernel_tier)")
         } else if let Ok(Some(tier)) = Tier::from_env() {
-            if tier != Tier::Auto {
-                return format!("{tier} (pinned via SKELCL_KERNEL_TIER)");
-            }
+            format!("{tier} (pinned via SKELCL_KERNEL_TIER)")
+        } else {
+            "native by default (from a kernel's first launch; the batched VM for \
+             native-ineligible kernels)"
+                .to_string()
         }
-        "auto (native from a kernel's first launch; the batched VM for native-ineligible kernels)"
-            .to_string()
     }
 
     /// Number of devices the runtime uses.

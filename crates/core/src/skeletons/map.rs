@@ -537,7 +537,7 @@ mod tests {
             );
             assert_eq!(mo.rows(), 4);
             assert_eq!(mo.cols(), 3);
-            assert_eq!(mo.distribution(), crate::MatrixDistribution::RowBlock);
+            assert_eq!(mo.distribution(), Distribution::Block);
         }
     }
 

@@ -3,8 +3,8 @@
 //! `get(dx, dy)` builtin — the workload class of image filters, PDE solvers
 //! and convolutions.
 //!
-//! Multi-device execution builds on
-//! [`crate::distribution::MatrixDistribution::OverlapBlock`]:
+//! Multi-device execution builds on overlapped row blocks
+//! ([`Matrix::set_overlap`]):
 //! each device owns a block of rows and additionally stores `halo` read-only
 //! rows from its neighbours, filled by the configured [`Boundary`] policy at
 //! the matrix edges. A single launch uploads the halo-padded parts and runs
@@ -131,7 +131,7 @@ impl<O: Pod> MapOverlap<f32, O> {
     /// or — between sweeps — refreshed by a halo exchange); the sweep is the
     /// element-shaped launch over each device's window of its part, told the
     /// stencil's geometry, writing padded outputs of the input's actual
-    /// layout (the weighted overlap variant after a recovery re-partition).
+    /// layout (weighted row blocks after a recovery re-partition).
     ///
     /// `sweeps` is how many sweeps, this one included, are to run before the
     /// next exchange between devices: the parts are stored (and, when their
@@ -460,7 +460,7 @@ impl Matrix<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distribution::MatrixDistribution;
+    use crate::distribution::Distribution;
     use crate::runtime::init_gpus;
 
     const FIVE_POINT_AVG: &str =
@@ -532,8 +532,8 @@ mod tests {
             let e: Vec<u32> = expected.iter().map(|x| x.to_bits()).collect();
             assert_eq!(g, e, "devices = {devices}");
             assert_eq!(
-                out.distribution(),
-                MatrixDistribution::OverlapBlock { halo_rows: 1 }
+                (out.distribution(), out.halo_rows()),
+                (Distribution::Block, 1)
             );
         }
     }

@@ -585,9 +585,9 @@ mod tests {
             assert_eq!(v.distribution(), Distribution::Block);
 
             let m = crate::matrix::Matrix::filled(&rt, 2, 2, 1.0f32);
-            m.set_distribution(crate::MatrixDistribution::Copy).unwrap();
+            m.set_distribution(crate::Distribution::Copy).unwrap();
             assert_eq!(m.reduce(&sum).unwrap(), 4.0, "devices = {devices}");
-            assert_eq!(m.distribution(), crate::MatrixDistribution::RowBlock);
+            assert_eq!(m.distribution(), crate::Distribution::Block);
 
             // The scheduler-aware path applies the same coercion.
             let scheduler = crate::scheduler::StaticScheduler::analytical(&rt);

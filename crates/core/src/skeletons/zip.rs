@@ -176,7 +176,7 @@ impl<A: Pod, B: Pod, O: Pod> Launch<'_, Zip<A, B, O>, (Matrix<A>, Matrix<B>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distribution::{Distribution, MatrixDistribution};
+    use crate::distribution::Distribution;
     use crate::error::SkelError;
     use crate::runtime::init_gpus;
 
@@ -342,11 +342,11 @@ mod tests {
         let add = Zip::<f32, f32, f32>::new(|a, b, _| a + b);
         let a = Matrix::filled(&rt, 4, 2, 1.0f32);
         let b = Matrix::filled(&rt, 4, 2, 2.0f32);
-        a.set_distribution(MatrixDistribution::Single(0)).unwrap();
-        b.set_distribution(MatrixDistribution::Copy).unwrap();
+        a.set_distribution(Distribution::Single(0)).unwrap();
+        b.set_distribution(Distribution::Copy).unwrap();
         let out = add.run(&a, &b).exec().unwrap();
-        assert_eq!(a.distribution(), MatrixDistribution::RowBlock);
-        assert_eq!(b.distribution(), MatrixDistribution::RowBlock);
+        assert_eq!(a.distribution(), Distribution::Block);
+        assert_eq!(b.distribution(), Distribution::Block);
         assert_eq!(out.to_vec().unwrap(), vec![3.0f32; 8]);
     }
 }

@@ -8,8 +8,8 @@
 //! skeleton execution triggers an upload only if the host copy is newer.
 //! Consecutive skeleton calls therefore chain on the devices without any
 //! host transfers, exactly as described in the paper. All transfer and
-//! validity logic lives in `Storage` — the vector contributes only the 1-D
-//! shape (its length) and the fluent pipeline API.
+//! validity logic lives in `Storage` — the vector contributes only its
+//! length (it is stored as a `len × 1` layout) and the fluent pipeline API.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -20,7 +20,7 @@ use oclsim::{Buffer, CostHint, Pod};
 
 pub use crate::container::Residence;
 use crate::container::{Container, DynContainer, EdgePolicy, Storage};
-use crate::distribution::{Combine, Distribution, Partition};
+use crate::distribution::{Combine, Distribution, Partition, RowPartition};
 use crate::error::Result;
 use crate::runtime::{DeviceSelection, SkelCl};
 use crate::scheduler::StaticScheduler;
@@ -32,7 +32,7 @@ use crate::scheduler::StaticScheduler;
 /// skeletons).
 pub struct Vector<T: Pod> {
     id: u64,
-    inner: Arc<Mutex<Storage<T, Distribution>>>,
+    inner: Arc<Mutex<Storage<T>>>,
 }
 
 impl<T: Pod> Clone for Vector<T> {
@@ -49,7 +49,7 @@ impl<T: Pod> std::fmt::Debug for Vector<T> {
         let inner = self.inner.lock();
         f.debug_struct("Vector")
             .field("id", &self.id)
-            .field("len", &inner.shape)
+            .field("len", &inner.layout.len())
             .field("distribution", &inner.distribution)
             .field("residence", &inner.residence())
             .finish()
@@ -61,13 +61,13 @@ impl<T: Pod> Vector<T> {
     /// (the paper's default for skeleton inputs); no device transfer happens
     /// until the vector is first used on the devices.
     pub fn from_vec(runtime: &Arc<SkelCl>, data: Vec<T>) -> Vector<T> {
-        let len = data.len();
+        let shape = (data.len(), 1);
         Vector {
             id: runtime.next_vector_id(),
             inner: Arc::new(Mutex::new(Storage::new_host(
                 runtime.clone(),
                 data,
-                len,
+                shape,
                 Distribution::default_for_inputs(),
             ))),
         }
@@ -86,13 +86,13 @@ impl<T: Pod> Vector<T> {
         distribution: Distribution,
         buffers: Vec<Option<Buffer>>,
     ) -> Vector<T> {
+        let layout = RowPartition::compute(len, 1, runtime.device_count(), &distribution, 0);
         Vector {
             id: runtime.next_vector_id(),
             inner: Arc::new(Mutex::new(Storage::new_device_resident(
                 runtime.clone(),
-                len,
                 distribution,
-                None,
+                layout,
                 buffers,
                 EdgePolicy::Clamp,
                 None,
@@ -112,7 +112,7 @@ impl<T: Pod> Vector<T> {
 
     /// Number of elements.
     pub fn len(&self) -> usize {
-        self.inner.lock().shape
+        self.inner.lock().layout.len()
     }
 
     /// Whether the vector has no elements.
@@ -133,12 +133,12 @@ impl<T: Pod> Vector<T> {
     /// Per-device part sizes under the current distribution (the paper's
     /// `events.sizes()` in Listing 3).
     pub fn sizes(&self) -> Vec<usize> {
-        self.inner.lock().layout.sizes()
+        self.inner.lock().layout.core_row_counts()
     }
 
     /// The element range device `d` holds under the current distribution.
     pub fn range_of(&self, device: usize) -> Range<usize> {
-        self.inner.lock().layout.range(device)
+        self.inner.lock().layout.core_rows(device)
     }
 
     /// Set the combine function used when the distribution changes away from
@@ -155,7 +155,7 @@ impl<T: Pod> Vector<T> {
         if inner.distribution == distribution {
             return Ok(());
         }
-        inner.redistribute(distribution, EdgePolicy::Clamp, None)
+        inner.redistribute(distribution, 0, EdgePolicy::Clamp, None)
     }
 
     /// Shorthand for `set_distribution(Distribution::Copy)` followed by
@@ -195,8 +195,8 @@ impl<T: Pod> Vector<T> {
         inner.download_to_host()?;
         f(&mut inner.host);
         let len = inner.host.len();
-        if len != inner.shape {
-            inner.reshape(len);
+        if len != inner.layout.len() {
+            inner.reshape(len, 1);
         }
         inner.invalidate_devices();
         Ok(())
@@ -216,7 +216,7 @@ impl<T: Pod> Vector<T> {
     pub(crate) fn prepare_on_devices(&self) -> Result<(Partition, Vec<Option<Buffer>>)> {
         let mut inner = self.inner.lock();
         inner.ensure_on_devices()?;
-        Ok((inner.layout.clone(), inner.buffers.clone()))
+        Ok((inner.layout.flat_partition(), inner.buffers.clone()))
     }
 
     /// Check that this vector belongs to `runtime`.
@@ -242,9 +242,9 @@ impl<T: Pod> Vector<T> {
         distribution: Distribution,
         buffers: Vec<Option<Buffer>>,
     ) -> Result<()> {
-        self.inner
-            .lock()
-            .commit_as_output(len, distribution, None, buffers)
+        let mut inner = self.inner.lock();
+        let layout = RowPartition::compute(len, 1, inner.runtime.device_count(), &distribution, 0);
+        inner.commit_as_output(distribution, layout, buffers)
     }
 }
 

@@ -115,64 +115,67 @@ proptest! {
     }
 
     /// The `Storage` coherence state machine behaves identically behind a
-    /// vector and a matrix: same transition sequence (host-dirty → devices →
-    /// gather), same number of transfer events, same bytes moved.
+    /// vector and a matrix under every distribution: same transition
+    /// sequence (host-dirty → devices → gather), same bytes moved. A
+    /// one-column matrix is stored exactly like the vector of its elements,
+    /// so its transfers are the vector's one for one — device, kind, bytes
+    /// and virtual timestamps.
     #[test]
     fn storage_coherence_transitions_match_between_vector_and_matrix(
         rows in 1usize..=8,
         cols in 1usize..=6,
         devices in 1usize..=4,
+        kind in 0usize..4,
+        single in 0usize..4,
     ) {
         let len = rows * cols;
         let data: Vec<f32> = (0..len).map(|i| i as f32).collect();
+        let distribution = match kind {
+            0 => Distribution::Single(single % devices),
+            1 => Distribution::Block,
+            2 => Distribution::block_weighted(&[3.0, 1.0, 0.0, 2.0][..devices]),
+            _ => Distribution::Copy,
+        };
+        let transfers = |rt: &SkelCl| -> Vec<skelcl::oclsim::Event> {
+            let events = rt.drain_events().into_iter().flatten();
+            events.filter(|e| e.is_transfer()).collect()
+        };
 
         // Vector run: upload (lazy) then gather.
         let rt_v = skelcl::init_gpus(devices);
         let v = Vector::from_vec(&rt_v, data.clone());
+        v.set_distribution(distribution.clone()).unwrap();
         rt_v.drain_events();
         v.copy_data_to_devices().unwrap();
         v.mark_device_modified();
         let _ = v.to_vec().unwrap();
-        let vector_events: Vec<(bool, usize)> = rt_v
-            .drain_events()
-            .iter()
-            .flatten()
-            .filter(|e| e.is_transfer())
-            .map(|e| (e.is_read(), e.bytes))
-            .collect();
+        let vector_events = transfers(&rt_v);
 
-        // Matrix run over the identical element space (RowBlock splits rows;
-        // with cols dividing every part the element partitions coincide only
-        // when rows split evenly, so compare totals and counts, not offsets).
-        let rt_m = skelcl::init_gpus(devices);
-        let m = Matrix::from_vec(&rt_m, rows, cols, data).unwrap();
-        rt_m.drain_events();
-        m.ensure_on_devices().unwrap();
-        m.mark_device_modified();
-        let _ = m.to_vec().unwrap();
-        let matrix_events: Vec<(bool, usize)> = rt_m
-            .drain_events()
-            .iter()
-            .flatten()
-            .filter(|e| e.is_transfer())
-            .map(|e| (e.is_read(), e.bytes))
-            .collect();
-
-        // One upload + one download per active device, identical total bytes.
-        let total =
-            |evs: &[(bool, usize)], read: bool| -> usize {
-                evs.iter().filter(|(r, _)| *r == read).map(|(_, b)| b).sum()
-            };
-        prop_assert_eq!(total(&vector_events, false), len * 4, "vector uploads");
-        prop_assert_eq!(total(&matrix_events, false), len * 4, "matrix uploads");
-        prop_assert_eq!(total(&vector_events, true), len * 4, "vector downloads");
-        prop_assert_eq!(total(&matrix_events, true), len * 4, "matrix downloads");
-
-        // The active-device counts may differ (row-granular vs element-
-        // granular splits), but each container must move each element exactly
-        // once per direction — no duplicate or partial transfers.
-        prop_assert!(vector_events.len() <= 2 * devices);
-        prop_assert!(matrix_events.len() <= 2 * devices);
+        // Matrix runs over the identical element space.
+        let matrix_events = |rows: usize, cols: usize| {
+            let rt_m = skelcl::init_gpus(devices);
+            let m = Matrix::from_vec(&rt_m, rows, cols, data.clone()).unwrap();
+            m.set_distribution(distribution.clone()).unwrap();
+            rt_m.drain_events();
+            m.ensure_on_devices().unwrap();
+            m.mark_device_modified();
+            let _ = m.to_vec().unwrap();
+            transfers(&rt_m)
+        };
+        prop_assert_eq!(&vector_events, &matrix_events(len, 1), "{:?}", distribution);
+        let matrix_events = matrix_events(rows, cols);
+        // Block splits rows, so with more columns the parts differ; each
+        // container still uploads every element once per replica and
+        // downloads it once (a copy is gathered from its first device).
+        let replicas = if distribution == Distribution::Copy { devices } else { 1 };
+        let total = |evs: &[skelcl::oclsim::Event], read: bool| -> usize {
+            evs.iter().filter(|e| e.is_read() == read).map(|e| e.bytes).sum()
+        };
+        for (what, evs) in [("vector", &vector_events), ("matrix", &matrix_events)] {
+            prop_assert_eq!(total(evs, false), replicas * len * 4, "{} uploads", what);
+            prop_assert_eq!(total(evs, true), len * 4, "{} downloads", what);
+            prop_assert!(evs.len() <= 2 * devices, "{} moves each part once", what);
+        }
     }
 
     /// Chained element-wise skeletons over matrices stay on the devices: no

@@ -92,7 +92,7 @@ fn matrix_reduce_folds_in_the_documented_order() {
     for devices in 1..=4 {
         for (rows, cols) in [(1usize, 1usize), (3, 5), (37, 29), (250, 160)] {
             let input = data(rows * cols);
-            for dist in [MatrixDistribution::RowBlock, MatrixDistribution::Copy] {
+            for dist in [Distribution::Block, Distribution::Copy] {
                 let what = format!("{devices} device(s), {rows}x{cols}, {dist:?}");
                 let rt = skelcl::init_gpus(devices);
                 let m = Matrix::from_vec(&rt, rows, cols, input.clone()).unwrap();

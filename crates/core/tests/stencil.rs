@@ -9,7 +9,6 @@
 //! behaviour `chaos.rs`'.
 
 use skelcl::prelude::*;
-use skelcl::MatrixDistribution;
 
 /// The 3×3 Gaussian blur kernel (halo 1): 1/16 · [1 2 1; 2 4 2; 1 2 1].
 const GAUSSIAN_BLUR: &str = r#"
@@ -171,8 +170,8 @@ fn halo_width_two_stencils_match_on_multiple_devices() {
             &format!("halo-2 wrap stencil on {devices} device(s)"),
         );
         assert_eq!(
-            out.distribution(),
-            MatrixDistribution::OverlapBlock { halo_rows: 2 }
+            (out.distribution(), out.halo_rows()),
+            (Distribution::Block, 2)
         );
     }
 }
@@ -455,8 +454,8 @@ fn every_ghost_depth_computes_the_same_bits() {
                     };
                     assert_eq!(out.ghost_depth(), depth.min(cap), "{what}");
                     assert_eq!(
-                        out.distribution(),
-                        MatrixDistribution::OverlapBlock { halo_rows: halo },
+                        (out.distribution(), out.halo_rows()),
+                        (Distribution::Block, halo),
                         "{what}: the ghost depth is not part of the distribution"
                     );
                 }
@@ -512,10 +511,14 @@ fn the_smallest_part_of_a_weighted_overlap_caps_the_ghost_depth() {
         .with_halo(halo)
         .with_boundary(Boundary::Wrap);
     let m = Matrix::from_vec(&rt, rows, cols, test_image(rows, cols)).unwrap();
-    // Device 2 is out (a lost device's weight), device 1 owns 5 rows: two
-    // halo widths and a bit.
-    let weighted = MatrixDistribution::overlap_block_weighted(halo, &[3.0, 1.0, 0.0, 3.0]);
-    m.set_distribution(weighted.clone()).unwrap();
+    // As recovery builds it: an overlapped matrix re-partitioned by the
+    // survivors' weights. Device 2 is out (a lost device's weight), device 1
+    // owns 5 rows: two halo widths and a bit.
+    let weights = [3.0, 1.0, 0.0, 3.0];
+    m.set_overlap(halo, Boundary::Wrap).unwrap();
+    DynContainer::repartition_for_recovery(&m, &weights).unwrap();
+    let weighted = (Distribution::block_weighted(&weights), halo);
+    assert_eq!((m.distribution(), m.halo_rows()), weighted);
     assert_eq!(m.row_counts(), [12, 5, 0, 12]);
     let out = st.run(&m).run_iter_at_depth(sweeps, 4).unwrap();
     assert_bits_eq(
@@ -524,7 +527,7 @@ fn the_smallest_part_of_a_weighted_overlap_caps_the_ghost_depth() {
         "weighted overlap at depth 4",
     );
     assert_eq!(out.ghost_depth(), 2);
-    assert_eq!(out.distribution(), weighted);
+    assert_eq!((out.distribution(), out.halo_rows()), weighted);
     assert_eq!(out.row_counts(), [12, 5, 0, 12]);
 }
 

@@ -239,8 +239,8 @@ fn explain_renders_tier_decision() {
     let plan = v.lazy().map(&square);
     let text = plan.explain().unwrap();
     assert!(
-        text.contains("Kernel tier: auto (native from a kernel's first launch"),
-        "default explain says what auto means:\n{text}"
+        text.contains("Kernel tier: native by default (from a kernel's first launch"),
+        "default explain says what the default means:\n{text}"
     );
     assert!(
         text.contains("Kernel launches: 0 native, 0 batched")
@@ -396,7 +396,7 @@ fn every_counting_field_of_a_launch_trace_reaches_the_exec_trace() {
                 Tier::Interp => want.interp_launches += 1,
                 Tier::Scalar => want.scalar_launches += 1,
                 Tier::Batched => want.batched_launches += 1,
-                Tier::Native | Tier::Auto => want.native_launches += 1,
+                Tier::Native => want.native_launches += 1,
             }
             // The compile time is repeated on every launch of a compiled
             // kernel; it counts on the launch that compiled.

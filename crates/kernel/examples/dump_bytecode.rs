@@ -1,7 +1,7 @@
 //! Print the bytecode lowering of a kernel program, followed by each
 //! kernel's native-tier compilation: the closure/block listing if the kernel
 //! is native-eligible (or the ineligibility reason), and which engine the
-//! default `auto` tier therefore runs it on. A debugging aid for the compile
+//! default `native` tier therefore runs it on. A debugging aid for the compile
 //! stage and the native tier. Pass a path to a
 //! kernel-language source file, or run with no arguments to dump the
 //! generated-map-kernel shape used by the engine benchmarks.
@@ -55,7 +55,7 @@ fn main() {
         }
     }
 
-    // Native tier: per-kernel compilation outcome and what `auto` does.
+    // Native tier: per-kernel compilation outcome and what the default does.
     for name in program.kernel_names() {
         let handle = program.kernel(&name).expect("kernel exists");
         let outcome = program.native_outcome(&handle);
@@ -70,11 +70,11 @@ fn main() {
                 for line in nk.listing().lines() {
                     println!("   {line}");
                 }
-                println!("   auto: every launch runs natively, from the first one");
+                println!("   default: every launch runs natively, from the first one");
             }
             Err(reason) => {
                 println!("   ineligible: {reason}");
-                println!("   auto: every launch runs on the batched VM");
+                println!("   default: every launch runs on the batched VM");
             }
         }
     }

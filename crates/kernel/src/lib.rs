@@ -117,8 +117,8 @@ pub struct Program {
 /// native tier did, feeding the simulator's per-device counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LaunchTrace {
-    /// The tier that executed the launch (never [`Tier::Auto`], which
-    /// resolves to native or, for ineligible bytecode, the batched VM).
+    /// The tier that executed the launch: a [`Tier::Native`] request runs
+    /// on the batched VM for ineligible bytecode.
     pub tier: Tier,
     /// Whether this launch performed the kernel's native compilation (at
     /// most one launch per kernel reports `true`).
@@ -211,7 +211,7 @@ impl Program {
     }
 
     /// Select the execution [`Tier`] for every subsequent launch of this
-    /// program (shared across clones). [`Tier::Auto`] — the default — runs
+    /// program (shared across clones). [`Tier::Native`] — the default — runs
     /// every native-eligible kernel natively from its first launch.
     pub fn set_tier(&self, tier: Tier) {
         self.native.set_tier(tier);
@@ -343,9 +343,7 @@ impl Program {
             Tier::Interp => self.run_ndrange_measured_interp(kernel, global_size, args)?,
             Tier::Scalar => self.run_ndrange_measured_scalar(kernel, global_size, args)?,
             Tier::Batched => self.run_ndrange_measured_batched(kernel, global_size, args)?,
-            Tier::Native | Tier::Auto => {
-                self.run_ndrange_native(kernel, global_size, args, &mut trace)?
-            }
+            Tier::Native => self.run_ndrange_native(kernel, global_size, args, &mut trace)?,
         };
         Ok((stats, trace))
     }

@@ -35,8 +35,9 @@
 //!
 //! # When it runs
 //!
-//! [`Tier::Auto`], the default, means *native when eligible, compiled at the
-//! kernel's first launch*. There is no size or launch-count gate: compiling
+//! [`Tier::Native`], the default, means *native when eligible, compiled at
+//! the kernel's first launch*; an ineligible kernel runs on the batched VM
+//! (the reason lands in [`crate::LaunchTrace::fallback`]). There is no size or launch-count gate: compiling
 //! a skeleton kernel takes 10–40 µs, less than the `Program::build` that
 //! preceded it, and work-item count stops being a proxy for work the moment
 //! a kernel has a back edge — the chunked reduce launches at most 64
@@ -97,7 +98,7 @@
 //!   whether there is an error to report.
 //! * **Why the batched VM was left alone.** It serves only native-ineligible
 //!   kernels, bailed launches and pinned tiers and is slated for deletion
-//!   (ROADMAP item 6(b)); growing a second mask implementation there would double
+//!   (ROADMAP item 3(a)); growing a second mask implementation there would double
 //!   the fork this module exists to end. It still replays divergent batches.
 //!
 //! # Cross-lane hazards: the lane-private-base rule
@@ -177,26 +178,23 @@ pub enum Tier {
     Scalar,
     /// The 64-lane lockstep batched VM.
     Batched,
-    /// The closure-compiled native tier (this module).
-    Native,
-    /// Native when the kernel's bytecode is eligible, compiled at its first
-    /// launch; the batched VM otherwise (the reason lands in
-    /// [`crate::LaunchTrace::fallback`]). Launch size and launch count play
-    /// no part: native compilation costs less than the `Program::build`
-    /// every program already paid.
+    /// The closure-compiled native tier (this module), compiled at a
+    /// kernel's first launch; the batched VM for ineligible bytecode (the
+    /// reason lands in [`crate::LaunchTrace::fallback`]). Launch size and
+    /// launch count play no part: native compilation costs less than the
+    /// `Program::build` every program already paid.
     #[default]
-    Auto,
+    Native,
 }
 
 /// Every tier with its name, in declaration order: what [`Tier::parse`] and
 /// `Display` spell and what a program's stored selection indexes — the one
 /// list (besides the enum) a tier is added to or removed from.
-const TIERS: [(Tier, &str); 5] = [
+const TIERS: [(Tier, &str); 4] = [
     (Tier::Interp, "interp"),
     (Tier::Scalar, "scalar"),
     (Tier::Batched, "batched"),
     (Tier::Native, "native"),
-    (Tier::Auto, "auto"),
 ];
 
 impl Tier {

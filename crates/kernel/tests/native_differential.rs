@@ -3,8 +3,9 @@
 //! and error messages, across control flow, divergence (generated nested
 //! branches and loops under lane masks), cross-lane hazards, division by
 //! zero, early exit, stencil `get(dx, dy)` kernels and the chunked reduce
-//! template — plus tests of tier selection (`Tier::Auto` is native from the
-//! first launch, ineligible kernels fall back with a reason, pins hold).
+//! template — plus tests of tier selection (`Tier::Native`, the default, is
+//! native from the first launch, ineligible kernels fall back with a reason,
+//! pins hold).
 
 use proptest::prelude::*;
 
@@ -1077,7 +1078,7 @@ fn one_shot_small_kernels_run_native_from_the_first_launch() {
     // already native, and repeating it changes nothing.
     for n in [1, 64, 1024] {
         let p = Program::build(MAP_SRC).unwrap();
-        p.set_tier(Tier::Auto);
+        p.set_tier(Tier::Native);
         for launch in 0..20 {
             let trace = traced_launch(&p, n);
             assert_eq!(trace.tier, Tier::Native, "launch {launch} of {n} item(s)");
@@ -1091,7 +1092,7 @@ fn one_shot_small_kernels_run_native_from_the_first_launch() {
 #[test]
 fn large_launches_graduate_immediately_and_cache_the_artifact() {
     let p = Program::build(MAP_SRC).unwrap();
-    p.set_tier(Tier::Auto);
+    p.set_tier(Tier::Native);
     let n = 8192;
     let first = traced_launch(&p, n);
     assert_eq!(first.tier, Tier::Native);

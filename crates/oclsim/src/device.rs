@@ -216,7 +216,7 @@ impl TierSnapshot {
             Tier::Scalar => &mut self.scalar_launches,
             Tier::Batched => &mut self.batched_launches,
             // The trace's tier is always resolved before execution.
-            Tier::Native | Tier::Auto => &mut self.native_launches,
+            Tier::Native => &mut self.native_launches,
         } += 1;
         if trace.native_compiled {
             self.native_compiles += 1;

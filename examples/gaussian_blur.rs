@@ -3,7 +3,7 @@
 //!
 //! The user-defined function reads its neighbours with the `get(dx, dy)`
 //! builtin; each device owns a block of image rows plus one halo row from
-//! each neighbour ([`MatrixDistribution::OverlapBlock`]), and repeated blurs
+//! each neighbour ([`Distribution::Block`] with `halo_rows() == 1`), and repeated blurs
 //! chain on the devices with halo-only exchanges in between.
 //!
 //! Run with `cargo run --example gaussian_blur`.

@@ -11,7 +11,8 @@
 # per-consumer match on PlanNode shows up again. One exchange cadence: how
 # many sweeps a halo exchange pays for is decided in one function. One seam:
 # each fact the kernel engines, the simulator and the core share is written
-# in one file.
+# in one file. One distribution vocabulary: vectors and matrices share
+# `Distribution`, stored as one `RowPartition` layout by one `Storage<T>`.
 # Run from the repository root (CI: the `check` job).
 set -euo pipefail
 
@@ -61,7 +62,9 @@ if [ "$(count "$src/plan.rs" "pack_graphs(")" != 1 ] ||
     [ "$(count "$src/plan.rs" "pack_launch::<T>(")" != 1 ]; then
     complain "packed launches must share pack_graphs / pack_launch (plan.rs)"
 fi
-pack_launch=$(non_test "$src/plan.rs" | awk '/^fn pack_launch</{on=1} on{print} on&&/^\}/{exit}')
+# (The awk scripts below read to the end: exiting early would kill the
+# writer with SIGPIPE, which pipefail turns into a failed check.)
+pack_launch=$(non_test "$src/plan.rs" | awk '/^fn pack_launch</{on=1} on{print} on&&/^\}/{on=0}')
 if [ "$(grep -rn "enqueue_command_buffer(" "$src" | wc -l)" != 1 ] ||
     [ "$(echo "$pack_launch" | grep -c "enqueue_command_buffer(")" != 1 ]; then
     complain "a packed launch is one command-buffer submission, made in pack_launch and nowhere else"
@@ -140,7 +143,7 @@ fi
 
 # A stage is data: PlanNode is taken apart by its own methods only — at most
 # three `match self` in `impl PlanNode`, no pattern on it anywhere else.
-inside=$(non_test "$src/plan.rs" | awk '/^impl PlanNode \{/{on=1} on{print} on&&/^\}/{exit}' | grep -c "match self" || true)
+inside=$(non_test "$src/plan.rs" | awk '/^impl PlanNode \{/{on=1} on{print} on&&/^\}/{on=0}' | grep -c "match self" || true)
 outside=$(non_test "$src/plan.rs" | awk '/^impl PlanNode \{/{on=1} !on{print} on&&/^\}/{on=0}' |
     grep -cE "PlanNode::\w+.*=>|^ *\| PlanNode::|let PlanNode::|matches!\(.*PlanNode::" || true)
 if [ "$((inside + outside))" -gt 3 ] || [ "$outside" != 0 ]; then
@@ -225,6 +228,19 @@ fi
 if [ "$(grep -rln "enqueue_write_buffer_from_read" "$src" | tr '\n' ' ')" != "$src/container.rs " ] ||
     [ "$(count "$src/container.rs" "enqueue_halo_exchange(")" != 2 ]; then
     complain "Storage::refresh_halos must be the only halo exchange (container.rs)"
+fi
+
+# --- One distribution vocabulary ------------------------------------------
+
+# A matrix is distributed by `Distribution` over its rows and its halo is a
+# property of the stored layout: no second distribution enum, no trait
+# bridging two, and the coherence core is generic over the element type only.
+if grep -rnE "MatrixDistribution|trait (Partitioning|PartLayout)\b" crates; then
+    complain "a second distribution vocabulary is back (Distribution over rows, RowPartition stores it)"
+fi
+storage=$(grep -rhE "struct Storage<" "$src" || true)
+if [ "$(echo "$storage" | grep -c .)" != 1 ] || echo "$storage" | grep -q "struct Storage<[^>]*,"; then
+    complain "Storage must be declared once with one type parameter, found: $storage"
 fi
 
 # --- One seam -------------------------------------------------------------
