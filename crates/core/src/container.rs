@@ -38,7 +38,7 @@
 //!
 //! 3. **[`Container`]** — the uniform launch interface of the data-parallel
 //!    skeletons. `Map`, `Zip` and `Reduce` are written against this trait
-//!    (element count, parts, ensure-on-device, mark-dirty, gather, output
+//!    (element count, parts, ensure-on-device, zip unification, output
 //!    adoption), so they execute over a `Vector` or a row-block `Matrix`
 //!    through the *same* code path — same kernels, same telemetry
 //!    ([`crate::runtime::SkelCl::exec_trace`]), no per-container forks. Its
@@ -864,8 +864,8 @@ pub trait DynContainer: Send + Sync {
 /// The element-type-independent essentials (element count, layout
 /// overrides, upload, recovery hooks) live in the object-safe supertrait
 /// [`DynContainer`]; this trait adds what needs the element type or the
-/// container's shape: gathering, distribution unification for zip, and
-/// shape-aware output adoption. The [`Container::Rebound`] associated type
+/// container's shape: distribution unification for zip, and shape-aware
+/// output adoption. The [`Container::Rebound`] associated type
 /// names the same-shaped container with a different element type, which is
 /// how `map(f): C<I> -> C<O>` stays shape-preserving generically.
 pub trait Container<T: Pod>: DynContainer + Clone {
@@ -881,15 +881,6 @@ pub trait Container<T: Pod>: DynContainer + Clone {
 
     /// Force the lazy upload now (the C++ library's `copyDataToDevices()`).
     fn ensure_on_devices(&self) -> Result<()>;
-
-    /// Declare that a kernel modified the device data through a side channel
-    /// (the host copy is stale).
-    fn mark_device_modified(&self);
-
-    /// Gather the container's contents into a host `Vec` in canonical
-    /// (row-major, for matrices) order, downloading if the devices hold the
-    /// newer copy.
-    fn gather(&self) -> Result<Vec<T>>;
 
     /// Coerce `self` and `other` (same shape, possibly different element
     /// type) to one common element-wise layout — the paper's distribution

@@ -263,7 +263,6 @@ pub(crate) struct RenderedGroup {
     /// Element type per input-buffer slot: slot 0 is the chain the group
     /// reads (absent for an index map), every zip adds one.
     pub inputs: Vec<ScalarType>,
-    pub out_ty: ScalarType,
     /// Diagnostics for helper names that collided across stages.
     pub collisions: Vec<String>,
 }
@@ -504,7 +503,6 @@ pub(crate) fn render_group(stages: &[(StageKind, &UdfInfo)]) -> Result<RenderedG
         kernel,
         offset_kernel,
         inputs,
-        out_ty,
         collisions,
     })
 }

@@ -598,14 +598,6 @@ impl<T: Pod> Container<T> for Matrix<T> {
         self.inner.lock().prepare_on_devices(1)
     }
 
-    fn mark_device_modified(&self) {
-        Matrix::mark_device_modified(self)
-    }
-
-    fn gather(&self) -> Result<Vec<T>> {
-        self.to_vec()
-    }
-
     fn unify_with<B: Pod>(&self, other: &Matrix<B>) -> Result<()> {
         let (lr, lc) = (self.rows(), self.cols());
         let (rr, rc) = (other.rows(), other.cols());

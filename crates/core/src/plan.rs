@@ -12,25 +12,24 @@
 //! device with zero intermediate containers; every fusable boundary fuses
 //! unless the plan's [`FusionPolicy`] is `Never`.
 //!
-//! **One plan.** A pipeline stage — map, zip, reduce, scan, stencil — is one
-//! record (`Stage`: its kind, chain input, analysed user function, argument
-//! values and what only some kinds carry), so what a consumer needs of a
-//! stage is a method on it: output type, cost, memo key, `explain` line. The
-//! handle is one struct, [`Plan`], over one graph; [`PlanVec`],
+//! **One plan.** A pipeline stage — map, zip, index map, reduce, scan,
+//! stencil — is one record (`Stage`: its kind, chain input, user function,
+//! argument values and what only some kinds carry), so what a consumer needs
+//! of a stage is a method on it: output type, cost, memo key, `explain`
+//! line. The handle is one struct, [`Plan`], over one graph; [`PlanVec`],
 //! [`PlanScalar`] and [`MatPlan`] are its three output kinds ([`PlanKind`]),
 //! which differ in what the terminal returns and nothing else.
 //!
 //! Fused and unfused plans are **bit-identical**: the fused kernels inline
 //! the exact per-element expression the staged pipeline would compute, in
-//! the same evaluation order. And a plan *is* the eager skeletons' lowering,
-//! not a mirror of it: every launch group — one stage or many — is rendered
-//! by [`crate::kernelgen`]'s one renderer, cached in the runtime's
-//! `LoweringMemo` (the entry an eager call of the same shape uses, built
-//! program included) and launched by the launcher the eager skeleton of its
-//! kind uses — `launch_elementwise`, `launch_and_gather` + host fold
-//! ([`crate::skeletons::Reduce`]), `launch_scan`, the stencil sweep of
-//! [`MapOverlap`]. This module binds arguments; it contains no kernel text
-//! and no launch flow of its own.
+//! the same evaluation order. And a plan *is* the eager skeletons' launch
+//! path, not a mirror of it: an eager call is a group of one stage (a
+//! closure's included), and every launch group — one stage or many — is
+//! rendered by [`crate::kernelgen`]'s one renderer, cached in the runtime's
+//! `LoweringMemo` (built program included) and launched by `run_group`, the
+//! one place a stage kind meets its launcher — `launch_elementwise`,
+//! `launch_and_gather` and the final fold, `launch_scan`. This module
+//! contains no kernel text; the launchers live next to their skeletons.
 //!
 //! ```
 //! use skelcl::prelude::*;
@@ -56,23 +55,24 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use oclsim::{Buffer, KernelArg, Pod, Value};
+use oclsim::{Buffer, CostHint, KernelArg, Pod, Value};
 use skelcl_kernel::pack::JobSpans;
 use skelcl_kernel::types::ScalarType;
 
 use crate::args::Args;
-use crate::container::DynContainer;
+use crate::container::{Container, DynContainer};
 use crate::distribution::{Boundary, Distribution};
 use crate::error::{Result, SkelError};
 use crate::fusion::FusionPolicy;
 use crate::kernelgen::{render_group, RenderedGroup, StageKind, UdfInfo};
 use crate::matrix::Matrix;
 use crate::runtime::SkelCl;
-use crate::skeletons::exec::{buffer_arg, CreateBuffer};
+use crate::skeletons::exec::{buffer_arg, Bound, CreateBuffer};
+use crate::skeletons::udf::check_arg_count;
 use crate::skeletons::{
     create_buffer, launch_and_gather, launch_elementwise, launch_geometry, launch_scan, run_call,
-    CallSpec, DeviceScalar, HostOperator, LaunchConfig, LaunchParts, Map, MapOverlap, PreparedCall,
-    Reduce, Scan, Skeleton, StageKernels, Zip,
+    DeviceScalar, HostOperator, LaunchConfig, Map, MapOverlap, PreparedArgs, PreparedCall, Reduce,
+    ReducePlan, Scan, ScanTrace, StageKernels, Zip,
 };
 use crate::vector::Vector;
 
@@ -107,30 +107,48 @@ macro_rules! with_scalar {
     };
 }
 
-/// One pipeline stage. Every kind is this one record, and what the fusion
-/// pass, the lowering memo, the binder and `explain` need of a stage is a
-/// method on it.
+/// One pipeline stage — of a plan, or an eager call's only one. Every kind
+/// is this one record, and what the fusion pass, the lowering memo, the
+/// group runner and `explain` need of a stage is a method on it.
 #[derive(Clone)]
 pub(crate) struct Stage {
-    kind: StageKind,
+    pub(crate) kind: StageKind,
     /// Node index of the chain input.
-    input: usize,
+    pub(crate) input: usize,
     /// A zip's second input: its source node, and that node's slot in the
-    /// graph's source table.
-    side: Option<(usize, usize)>,
-    udf: Arc<UdfInfo>,
-    /// Additional arguments; the builders admit scalars only.
-    args: Args,
-    /// A reduce or scan operator evaluated on the host: the final fold of
-    /// the gathered partials, the combination of the per-device totals.
-    host: Option<Arc<HostOperator>>,
-    /// A stencil's halo width and boundary policy.
-    stencil: Option<(usize, Boundary<f32>)>,
+    /// graph's source table (slot 1 of an eager zip).
+    pub(crate) side: Option<(usize, usize)>,
+    pub(crate) udf: StageFn,
+    /// A plan stage's scalar additional arguments (an eager call's come
+    /// prepared with its inputs).
+    pub(crate) args: Args,
+    /// A reduce or scan operator evaluated on the host.
+    pub(crate) host: Option<Arc<HostOperator>>,
+    /// A stencil's halo width, boundary policy and the sweeps its ghost rows
+    /// serve (one in a plan).
+    pub(crate) stencil: Option<(usize, Boundary<f32>, usize)>,
+    /// Allocates `len` of the stage's output elements on a device.
+    pub(crate) create: CreateBuffer,
+}
+
+/// A stage's user function: analysed source text, lowered through the
+/// runtime's memo — or a closure's kernels, built once per skeleton
+/// instance, which only ever run as an eager call's lone stage.
+#[derive(Clone)]
+pub(crate) enum StageFn {
+    Source(Arc<UdfInfo>),
+    Closure(Arc<StageKernels>),
 }
 
 impl Stage {
     /// A `kind` stage after node `input` with nothing kind-specific set.
-    fn new(kind: StageKind, input: usize, udf: Arc<UdfInfo>, args: Args) -> Stage {
+    pub(crate) fn new(
+        kind: StageKind,
+        input: usize,
+        udf: StageFn,
+        args: Args,
+        create: CreateBuffer,
+    ) -> Stage {
         Stage {
             kind,
             input,
@@ -139,12 +157,21 @@ impl Stage {
             args,
             host: None,
             stencil: None,
+            create,
         }
     }
 
-    /// Element type the stage produces.
-    fn out_ty(&self) -> ScalarType {
-        self.udf.return_type
+    /// The analysed source text (every stage a plan admits has one).
+    fn info(&self) -> Option<&Arc<UdfInfo>> {
+        match &self.udf {
+            StageFn::Source(info) => Some(info),
+            StageFn::Closure(_) => None,
+        }
+    }
+
+    /// Element type the stage produces, when it is a device scalar type.
+    fn out_ty(&self) -> Option<ScalarType> {
+        self.info().map(|info| info.return_type)
     }
 
     /// Whether further stages may fuse behind this one (a fold closes its
@@ -155,8 +182,49 @@ impl Stage {
 
     /// What the stage contributes to its group's shape — the lowering
     /// memo's key: its kind and its analysed user function.
-    fn memo_key(&self) -> (StageKind, &Arc<UdfInfo>) {
-        (self.kind, &self.udf)
+    fn memo_key(&self) -> Option<(StageKind, &Arc<UdfInfo>)> {
+        self.info().map(|info| (self.kind, info))
+    }
+
+    /// The user function's per-element cost, which a scheduler weights the
+    /// partition by or places a reduction's final fold with.
+    pub(crate) fn cost(&self) -> CostHint {
+        match &self.udf {
+            StageFn::Source(info) => info.cost_hint(),
+            StageFn::Closure(kernels) => kernels.per_element_cost.unwrap_or(CostHint::DEFAULT),
+        }
+    }
+
+    /// The additional arguments a call prepared fit this stage after its
+    /// own: a reduce or scan operator takes none, source text as many
+    /// scalars as it declares; a closure reads what it is given.
+    fn check_args(&self, args: &PreparedArgs) -> Result<()> {
+        let unsupported = |why: String| Err(SkelError::UnsupportedArg(why));
+        if self.host.is_some() && args.len() != 0 {
+            let name = self.kind.name();
+            return unsupported(format!(
+                "the {name} skeleton's binary operator takes no additional arguments"
+            ));
+        }
+        match self.info() {
+            Some(_) if args.has_vectors() => unsupported(
+                "vector additional arguments require a native (closure) user function".into(),
+            ),
+            Some(info) => check_arg_count(info, self.args.len() + args.len()),
+            None => Ok(()),
+        }
+    }
+
+    /// Run the stage as the one-stage group of an eager call over `call`.
+    pub(crate) fn run(
+        &self,
+        call: &PreparedCall,
+        cfg: &LaunchConfig<'_>,
+        target: Target,
+    ) -> Result<GroupOutput> {
+        let group = Group::of(vec![(0, self)]);
+        let lowered = group.lower(&call.runtime)?;
+        run_group(&group, &lowered, call, cfg, None, target)
     }
 
     /// The scalar additional arguments, in declaration order.
@@ -173,10 +241,13 @@ impl Stage {
         if let Some((node, _)) = self.side {
             let _ = write!(line, ", %{node}");
         }
-        if let Some((halo, _)) = self.stencil {
+        if let Some((halo, ..)) = self.stencil {
             let _ = write!(line, ", halo {halo}");
         }
-        let _ = write!(line, ") -> {}", self.out_ty());
+        let _ = write!(line, ")");
+        if let Some(ty) = self.out_ty() {
+            let _ = write!(line, " -> {ty}");
+        }
         line
     }
 }
@@ -199,9 +270,9 @@ impl PlanNode {
     }
 
     /// Element type the node produces.
-    fn out_ty(&self) -> ScalarType {
+    fn out_ty(&self) -> Option<ScalarType> {
         match self {
-            PlanNode::Source { ty, .. } => *ty,
+            PlanNode::Source { ty, .. } => Some(*ty),
             PlanNode::Stage(stage) => stage.out_ty(),
         }
     }
@@ -219,8 +290,8 @@ impl PlanNode {
 
 /// A run of stages lowered to one launch — never empty; its last stage says
 /// which launcher runs it — plus the stage boundaries the fusion pass
-/// decided while forming it.
-struct Group<'a> {
+/// decided while forming it. An eager call is a group of one stage.
+pub(crate) struct Group<'a> {
     /// Node index and record of every stage, in chain order.
     stages: Vec<(usize, &'a Stage)>,
     /// The node after each boundary the fusion pass decided for this group:
@@ -229,7 +300,7 @@ struct Group<'a> {
 }
 
 impl<'a> Group<'a> {
-    fn of(stages: Vec<(usize, &'a Stage)>) -> Group<'a> {
+    pub(crate) fn of(stages: Vec<(usize, &'a Stage)>) -> Group<'a> {
         Group {
             stages,
             boundaries: Vec::new(),
@@ -241,8 +312,10 @@ impl<'a> Group<'a> {
     }
 
     /// The group's shape, in stage order: what the lowering memo is keyed by.
-    fn shapes(&self) -> Vec<(StageKind, &'a Arc<UdfInfo>)> {
-        self.stages.iter().map(|(_, s)| s.memo_key()).collect()
+    fn shapes(&self) -> Result<Vec<(StageKind, &'a Arc<UdfInfo>)>> {
+        let keys = self.stages.iter().map(|(_, s)| s.memo_key());
+        keys.collect::<Option<_>>()
+            .ok_or_else(|| SkelError::Internal("a closure stage has no shape to lower".into()))
     }
 
     /// The scalar additional arguments of the stages, in stage order
@@ -251,10 +324,23 @@ impl<'a> Group<'a> {
         self.stages.iter().flat_map(|(_, s)| s.arg_values())
     }
 
-    /// Bind `shape`, the group's lowering, to this plan instance.
-    fn bind(&self, shape: Arc<LoweredShape>) -> LoweredGroup {
+    /// The group's kernels — from the runtime's memo, the only place a group
+    /// of source stages is ever lowered, or a lone closure stage's own —
+    /// bound to this group's arguments and inputs.
+    pub(crate) fn lower(&self, runtime: &SkelCl) -> Result<LoweredGroup> {
+        let kernels = match &self.last().udf {
+            StageFn::Closure(kernels) if self.stages.len() == 1 => {
+                GroupKernels::Closure(kernels.clone())
+            }
+            _ => GroupKernels::Memo(runtime.lowerings().lowered(&self.shapes()?)?),
+        };
+        Ok(self.bind(kernels))
+    }
+
+    /// Bind `kernels`, the group's lowering, to this group's instance.
+    fn bind(&self, kernels: GroupKernels) -> LoweredGroup {
         LoweredGroup {
-            shape,
+            kernels,
             host_op: self.last().host.clone(),
             side_sources: self
                 .stages
@@ -276,7 +362,7 @@ impl<'a> Group<'a> {
         let merged = interior.len();
         let bytes = interior
             .iter()
-            .map(|(_, s)| stored_elems * s.out_ty().size_bytes())
+            .map(|(_, s)| stored_elems * s.out_ty().map_or(0, ScalarType::size_bytes))
             .sum();
         runtime.charge_fusion(
             merged,
@@ -507,12 +593,10 @@ impl LoweringMemo {
     }
 }
 
-/// A lowered group bound to one plan instance: the shared shape plus the
-/// instance's buffer provenance, argument values and host operator.
-struct LoweredGroup {
-    shape: Arc<LoweredShape>,
-    /// The operator's host evaluator, for the host-side combine (the one the
-    /// eager skeleton uses).
+/// A lowered group bound to one plan instance or eager call: its kernels
+/// plus the instance's buffer provenance, argument values and host operator.
+pub(crate) struct LoweredGroup {
+    kernels: GroupKernels,
     host_op: Option<Arc<HostOperator>>,
     /// Source-table slot of every kernel input after the chain (slot 0):
     /// the zips' second vectors, in stage order.
@@ -522,32 +606,236 @@ struct LoweredGroup {
     extra_args: Vec<Value>,
 }
 
-/// What one launch group — and, from the last one, the plan — produced:
-/// per-device buffers (the next intermediate, or the result container's), or
-/// the scalar of a reduction.
-enum GroupOutput {
+/// A lowered group's kernels: its shape's memo entry, built on the runtime
+/// at first use, or a lone closure stage's own.
+enum GroupKernels {
+    Memo(Arc<LoweredShape>),
+    Closure(Arc<StageKernels>),
+}
+
+/// What an eager call asks of its group's launch beyond the stage (a vector
+/// plan's groups ask nothing): the buffers of a `run_into` target or
+/// ping-pong spare to write in place where they fit; over a matrix, its
+/// width and per device the first element the launch binds of its parts and
+/// the elements it computes; a scan's whole local scans for its trace.
+#[derive(Default)]
+pub(crate) struct Target {
+    pub(crate) reuse: Option<Vec<Option<Buffer>>>,
+    pub(crate) windows: Option<(usize, Vec<(usize, usize)>)>,
+    pub(crate) trace: bool,
+}
+
+/// What one launch group — and, from the last one, the plan or eager call —
+/// produced: per-device buffers (the next intermediate, or the result
+/// container's), a reduction's scalar and how it ran, or a scan's buffers
+/// and its Figure 2 trace (whole local scans only when asked for).
+pub(crate) enum GroupOutput {
     Buffers(Vec<Option<Buffer>>),
-    Scalar(Value),
+    Scalar(Value, ReducePlan),
+    Scanned(Vec<Option<Buffer>>, ScanTrace<Value>),
 }
 
 impl GroupOutput {
-    fn buffers(self) -> Result<Vec<Option<Buffer>>> {
+    pub(crate) fn buffers(self) -> Result<Vec<Option<Buffer>>> {
         match self {
-            GroupOutput::Buffers(buffers) => Ok(buffers),
-            GroupOutput::Scalar(_) => Err(SkelError::Internal(
-                "a plan closed by a reduction produced no container".into(),
+            GroupOutput::Buffers(buffers) | GroupOutput::Scanned(buffers, _) => Ok(buffers),
+            GroupOutput::Scalar(..) => Err(SkelError::Internal(
+                "a launch closed by a reduction produced no container".into(),
             )),
         }
     }
 
-    fn scalar(self) -> Result<Value> {
+    pub(crate) fn scalar(self) -> Result<(Value, ReducePlan)> {
         match self {
-            GroupOutput::Scalar(value) => Ok(value),
-            GroupOutput::Buffers(_) => Err(SkelError::Internal(
-                "a plan not closed by a reduction produced no scalar".into(),
+            GroupOutput::Scalar(value, plan) => Ok((value, plan)),
+            _ => Err(SkelError::Internal(
+                "a launch not closed by a reduction produced no scalar".into(),
             )),
         }
     }
+}
+
+/// `count` as a kernel's `int` argument: the one checked conversion of the
+/// counts a launch hands its kernels (lengths, offsets, stencil geometry).
+pub(crate) fn kernel_int(count: usize) -> Result<Value> {
+    let int = i32::try_from(count).map_err(|_| {
+        SkelError::Plan(format!(
+            "a launch of {count} elements exceeds the kernels' int range"
+        ))
+    })?;
+    Ok(Value::Int(int))
+}
+
+/// The group runner — the one place a stage kind meets its launcher. It
+/// checks the call's additional arguments, builds the group's kernels at
+/// first use and binds `[inputs…, out, n, trailing…]`: the running `chain`
+/// (the previous group's output; `None`: the call's first input, none for an
+/// index map) and the zips' second inputs; a stencil's geometry or an index
+/// map's first index, the group's argument values and the call's. Every
+/// count passes [`kernel_int`] before anything is allocated or enqueued. The
+/// last stage's kind picks the launcher: [`launch_elementwise`],
+/// [`launch_and_gather`] and the final fold (on the host, or where `cfg`'s
+/// scheduler places it) or [`launch_scan`].
+pub(crate) fn run_group(
+    group: &Group<'_>,
+    lowered: &LoweredGroup,
+    call: &PreparedCall,
+    cfg: &LaunchConfig<'_>,
+    chain: Option<&[Option<Buffer>]>,
+    target: Target,
+) -> Result<GroupOutput> {
+    let (runtime, partition) = (&call.runtime, &call.partition);
+    for (_, stage) in &group.stages {
+        stage.check_args(&call.prepared_args)?;
+    }
+    if group.stages.len() > 1 {
+        // A lone stage fuses nothing.
+        let stored = partition.sizes().iter().sum();
+        group.account_fusion(runtime, partition.active_devices().len(), stored);
+    }
+    let kernels = match &lowered.kernels {
+        GroupKernels::Memo(shape) => shape.kernels(runtime)?.clone(),
+        GroupKernels::Closure(kernels) => kernels.clone(),
+    };
+    let stage = group.last();
+    let mut geometry = Vec::new();
+    if let (Some((halo, boundary, _)), Some((cols, _))) = (stage.stencil, &target.windows) {
+        let oob = Value::Float(crate::matrix::boundary_parts(&boundary).1.unwrap_or(0.0));
+        let policy = Value::Int(boundary.policy_code());
+        geometry = vec![kernel_int(*cols)?, kernel_int(halo)?, policy, oob];
+    }
+    let windows = target.windows.as_ref().map(|(_, windows)| &windows[..]);
+    let index_map = group.stages[0].1.kind == StageKind::IndexMap;
+    let intermediate = chain.is_some();
+    let chain = chain.or(call.input_buffers.first().map(Vec::as_slice));
+    let bind = |device| -> Result<Bound> {
+        let first_index = index_map.then(|| kernel_int(partition.range(device).start));
+        let scalars = geometry.iter().copied().chain(first_index.transpose()?);
+        let scalars = scalars.chain(lowered.extra_args.iter().copied());
+        let mut trailing: Vec<_> = scalars.map(KernelArg::Scalar).collect();
+        trailing.extend(call.prepared_args.kernel_args_for(device)?);
+        let (first, n) = windows.map_or((0, partition.size(device)), |w| w[device]);
+        let sides = lowered.side_sources.iter().map(|&s| &call.input_buffers[s]);
+        let inputs = chain
+            .into_iter()
+            .chain(sides.map(Vec::as_slice))
+            .enumerate();
+        let inputs = inputs.map(|(i, buffers)| {
+            Ok(buffer_arg(buffers, device, format_args!("input {i}"))?.from_element(first))
+        });
+        let leading = inputs.collect::<Result<_>>()?;
+        Ok((leading, (first, n), kernel_int(n)?, trailing))
+    };
+    let (kernel, reuse) = (&kernels.kernel, target.reuse);
+    match (stage.kind, &lowered.host_op) {
+        (StageKind::Map | StageKind::Zip | StageKind::IndexMap | StageKind::MapOverlap, _) => {
+            let out_lens = if intermediate {
+                partition.sizes()
+            } else {
+                call.out_lens()
+            };
+            let create = stage.create;
+            let out =
+                launch_elementwise(runtime, kernel, partition, &out_lens, &bind, create, reuse);
+            out.map(GroupOutput::Buffers)
+        }
+        (StageKind::Reduce, Some(op)) => with_scalar!(op.ty, T, {
+            let chunks = cfg.chunks_per_device;
+            let mut partials = launch_and_gather::<T>(runtime, &kernels, partition, &bind, chunks)?;
+            let mut plan = ReducePlan {
+                intermediate_results: partials.len(),
+                final_device: 0,
+                final_on_cpu: true,
+            };
+            if let Some(scheduler) = cfg.scheduler {
+                let elem = std::mem::size_of::<T>();
+                (plan.final_device, plan.final_on_cpu) =
+                    scheduler.final_reduce_placement(partials.len(), elem, stage.cost())?;
+            }
+            let value = if plan.final_on_cpu || partials.len() == 1 {
+                op.fold(&mut partials)?
+            } else {
+                // Stage the gathered partials on the chosen device — as a
+                // single-distributed vector, which gives its buffer back when
+                // dropped — and fold them with the same kernel, as one chunk.
+                let staged = Vector::from_vec(runtime, partials);
+                staged.set_distribution(Distribution::Single(plan.final_device))?;
+                let (part, buffers) = staged.prepare_parts(0)?;
+                let bind = |device| -> Result<Bound> {
+                    let staged = buffer_arg(&buffers, device, format_args!("the staged partials"))?;
+                    let n = part.size(device);
+                    Ok((vec![staged], (0, n), kernel_int(n)?, Vec::new()))
+                };
+                launch_and_gather::<T>(runtime, &kernels, &part, &bind, Some(1))?[0]
+            };
+            Ok(GroupOutput::Scalar(value.to_value(), plan))
+        }),
+        (StageKind::Scan, Some(op)) => with_scalar!(op.ty, T, {
+            let combine = |a: T, b: T| op.fold(&mut [a, b]);
+            let (kernels, trace) = (&kernels, target.trace);
+            let (out, trace) =
+                launch_scan(runtime, kernels, partition, &bind, &combine, reuse, trace)?;
+            Ok(GroupOutput::Scanned(out, trace))
+        }),
+        (kind, _) => Err(SkelError::Internal(format!(
+            "a {} group has no launcher",
+            kind.name()
+        ))),
+    }
+}
+
+/// An element-wise eager call — a map's or a zip's one stage — over
+/// `inputs`, whose `first` shapes the output unless `reuse` receives it.
+pub(crate) fn run_elementwise<T: Pod, O: Pod, C: Container<T>>(
+    stage: &Stage,
+    inputs: &[&dyn DynContainer],
+    first: &C,
+    cfg: &LaunchConfig<'_>,
+    coerce: &dyn Fn() -> Result<()>,
+    reuse: Option<&C::Rebound<O>>,
+) -> Result<C::Rebound<O>> {
+    let runtime = first.runtime();
+    run_call(&runtime, inputs, cfg, Some(stage), coerce, &mut |call| {
+        let target = Target {
+            reuse: call.reusable_buffers(reuse)?,
+            ..Target::default()
+        };
+        let out = stage.run(call, cfg, target)?.buffers()?;
+        PreparedCall::wrap_output(first, out, reuse)
+    })
+}
+
+/// One group over a matrix as one call, charged, prepared and recovered as
+/// an eager call is: a matrix plan's element-wise group, or a stencil sweep
+/// over the input's halo-padded parts — coerced to the overlap layout,
+/// exchanged for the sweeps the stage serves when their ghost rows are
+/// stale, the output recording how many sweeps its own are still good for.
+/// `reuse` is the iterative driver's ping-pong target.
+pub(crate) fn run_on_matrix<O: Pod>(
+    group: &Group<'_>,
+    input: &Matrix<f32>,
+    cfg: &LaunchConfig<'_>,
+    reuse: Option<&Matrix<O>>,
+) -> Result<Matrix<O>> {
+    let (stage, runtime) = (group.last(), input.runtime());
+    let coerce = || match stage.stencil {
+        Some((halo, boundary, sweeps)) => input.set_overlap_for(halo, boundary, sweeps),
+        None => Ok(()),
+    };
+    run_call(&runtime, &[input], cfg, Some(stage), &coerce, &mut |call| {
+        // A stencil sweeps windows of its padded parts; an element-wise
+        // group's windows are its whole parts.
+        let (depth, windows) = input.sweep_windows(stage.stencil.map_or(1, |(.., n)| n));
+        let target = Target {
+            reuse: call.reusable_buffers(reuse)?,
+            windows: Some((input.cols(), windows)),
+            trace: false,
+        };
+        let out = run_group(group, &group.lower(&runtime)?, call, cfg, None, target)?;
+        let out = PreparedCall::wrap_output(input, out.buffers()?, reuse)?;
+        out.set_ghost_sweeps(depth - 1);
+        Ok(out)
+    })
 }
 
 /// The lazy DAG behind every [`Plan`]. Build errors poison the graph (first
@@ -609,12 +897,19 @@ impl PlanGraph {
             g.check_chain(tip, &udf, StageKind::Map)?;
             check_stage_args(&udf, &args)?;
             check_out_ty::<O>(&udf)?;
-            Ok(Stage::new(StageKind::Map, tip, udf, args))
+            let udf = StageFn::Source(udf);
+            Ok(Stage::new(
+                StageKind::Map,
+                tip,
+                udf,
+                args,
+                create_buffer::<O>,
+            ))
         })
     }
 
-    /// Append a reduce or scan stage (`kind`) after `tip`.
-    fn admit_fold(
+    /// Append a reduce or scan stage (`kind`) over `T` elements after `tip`.
+    fn admit_fold<T: Pod>(
         &mut self,
         tip: usize,
         kind: StageKind,
@@ -623,9 +918,10 @@ impl PlanGraph {
         self.admit(tip, |g| {
             let (udf, host) = op?;
             g.check_chain(tip, &udf, kind)?;
+            let udf = StageFn::Source(udf);
             Ok(Stage {
                 host: Some(host),
-                ..Stage::new(kind, tip, udf, Args::none())
+                ..Stage::new(kind, tip, udf, Args::none(), create_buffer::<T>)
             })
         })
     }
@@ -677,13 +973,14 @@ impl PlanGraph {
 
     fn check_chain(&self, tip: usize, udf: &UdfInfo, kind: StageKind) -> Result<()> {
         let chain_ty = self.nodes[tip].out_ty();
-        if udf.main_params.first() != Some(&chain_ty) {
+        if udf.main_params.first() != chain_ty.as_ref() {
+            let name =
+                |ty: Option<&ScalarType>| ty.map_or_else(|| "?".to_string(), |t| t.to_string());
             return Err(SkelError::Plan(format!(
-                "{} stage expects `{}` input but the pipeline produces `{chain_ty}`",
+                "{} stage expects `{}` input but the pipeline produces `{}`",
                 kind.name(),
-                udf.main_params
-                    .first()
-                    .map_or_else(|| "?".to_string(), std::string::ToString::to_string),
+                name(udf.main_params.first()),
+                name(chain_ty.as_ref()),
             )));
         }
         Ok(())
@@ -713,71 +1010,12 @@ impl PlanGraph {
         Ok(())
     }
 
-    /// Run one launch group over the prepared inputs of `call`: bind this
-    /// plan's buffers and argument values — `[inputs…, out, n, extras…]`, the
-    /// eager kernels' layout, the inputs being the running `chain` (the
-    /// previous group's output; `None`: still source 0) and then the zips'
-    /// second vectors — and hand them to the launcher of the group's kind,
-    /// the one the eager skeleton of that kind uses.
-    fn run_group(
-        &self,
-        group: &Group,
-        lowered: &LoweredGroup,
-        call: &PreparedCall,
-        chain: Option<&[Option<Buffer>]>,
-    ) -> Result<GroupOutput> {
-        let runtime = &self.runtime;
-        let (partition, sources) = (&call.partition, &call.input_buffers);
-        let lens = partition.sizes();
-        group.account_fusion(runtime, partition.active_devices().len(), lens.iter().sum());
-        let kernels = lowered.shape.kernels(runtime)?;
-        let extras: Vec<_> = lowered
-            .extra_args
-            .iter()
-            .map(|&v| KernelArg::Scalar(v))
-            .collect();
-        let bind = |device| {
-            let sides = lowered.side_sources.iter().map(|&s| &sources[s][..]);
-            let inputs = std::iter::once(chain.unwrap_or(&sources[0]))
-                .chain(sides)
-                .map(|buffers| buffer_arg(buffers, device, format_args!("a pipeline input")))
-                .collect::<Result<Vec<_>>>()?;
-            Ok((inputs, extras.clone()))
-        };
-        let out_ty = lowered.shape.rendered.out_ty;
-        match (group.last().kind, &lowered.host_op) {
-            (StageKind::Map | StageKind::Zip, _) => {
-                let create = with_scalar!(out_ty, T, { create_buffer::<T> as CreateBuffer });
-                let parts = LaunchParts {
-                    partition,
-                    out_lens: &lens,
-                    windows: None,
-                };
-                launch_elementwise(runtime, &kernels.kernel, &parts, &bind, create, None)
-                    .map(GroupOutput::Buffers)
-            }
-            (StageKind::Reduce, Some(op)) => with_scalar!(out_ty, T, {
-                let mut partials =
-                    launch_and_gather::<T>(runtime, kernels, partition, &bind, None)?;
-                Ok(GroupOutput::Scalar(op.fold(&mut partials)?.to_value()))
-            }),
-            (StageKind::Scan, Some(op)) => with_scalar!(out_ty, T, {
-                let combine = |a: T, b: T| op.fold(&mut [a, b]);
-                launch_scan(runtime, kernels, partition, &bind, &combine, None, false)
-                    .map(|(out, _)| GroupOutput::Buffers(out))
-            }),
-            (kind, _) => Err(SkelError::Internal(format!(
-                "a {} group has no plan launcher",
-                kind.name()
-            ))),
-        }
-    }
-
     /// Execute the vector plan at `tip` through the one call path: its
     /// sources are the call's inputs — unified to one distribution, uploaded,
     /// and after a fault refreshed and re-partitioned together — and one
     /// attempt runs every launch group and wraps the result (`wrap`, so a
-    /// discarded attempt's output releases its buffers).
+    /// discarded attempt's output releases its buffers). Its groups charge
+    /// their dispatch one by one, once lowered, not the call.
     fn execute<R>(&self, tip: usize, wrap: &dyn Fn(GroupOutput) -> Result<R>) -> Result<R> {
         let stages = self.runnable(tip)?;
         let coerce = || {
@@ -791,15 +1029,10 @@ impl PlanGraph {
             }
             Ok(())
         };
-        let spec = CallSpec {
-            charge: false,
-            coerce: &coerce,
-            ..CallSpec::eager(None)
-        };
         let sources: Vec<&dyn DynContainer> = self.sources.iter().map(|s| &**s).collect();
         let cfg = LaunchConfig::default();
-        run_call(&self.runtime, &sources, &cfg, &spec, &mut |call| {
-            self.run_groups(call, &stages).and_then(wrap)
+        run_call(&self.runtime, &sources, &cfg, None, &coerce, &mut |call| {
+            self.run_groups(call, &cfg, &stages).and_then(wrap)
         })
     }
 
@@ -824,41 +1057,47 @@ impl PlanGraph {
         let tys = self.nodes.iter().filter(|node| node.stage().is_none());
         let sized = self.sources.iter().zip(tys);
         sized
-            .map(|(s, node)| s.elem_count() * node.out_ty().size_bytes())
+            .map(|(s, node)| s.elem_count() * node.out_ty().map_or(0, ScalarType::size_bytes))
             .sum()
     }
 
     /// One attempt at the plan's launches over the prepared sources: run the
     /// fusion pass and lower each group to launches on the existing
     /// queue/event machinery, one dispatch charge per group.
-    fn run_groups(&self, call: &PreparedCall, stages: &[(usize, &Stage)]) -> Result<GroupOutput> {
+    fn run_groups(
+        &self,
+        call: &PreparedCall,
+        cfg: &LaunchConfig<'_>,
+        stages: &[(usize, &Stage)],
+    ) -> Result<GroupOutput> {
         let groups = plan_groups(stages, self.policy);
         // The running intermediate; `None` while the chain is still source 0.
         let mut chain: Option<Vec<Option<Buffer>>> = None;
         for group in &groups {
-            let ran = self.lowered(group).and_then(|lowered| {
+            let ran = group.lower(&self.runtime).and_then(|lowered| {
                 self.runtime.charge_skeleton_call();
-                self.run_group(group, &lowered, call, chain.as_deref())
+                run_group(
+                    group,
+                    &lowered,
+                    call,
+                    cfg,
+                    chain.as_deref(),
+                    Target::default(),
+                )
             });
             // The group consumed the running intermediate — or failed (its
             // launcher joined what it enqueued), and nothing else will.
             let released = self.release(chain.take());
             match ran? {
-                GroupOutput::Buffers(out) => chain = Some(out),
                 // A reduction closes the plan.
-                scalar => return released.map(|()| scalar),
+                scalar @ GroupOutput::Scalar(..) => return released.map(|()| scalar),
+                out => chain = Some(out.buffers()?),
             }
             released?;
         }
         chain
             .map(GroupOutput::Buffers)
             .ok_or_else(|| SkelError::Internal("a plan ran no launch group".into()))
-    }
-
-    /// The lowering of `group` — from the runtime's memo, the only place a
-    /// group is ever lowered — bound to this plan's arguments and sources.
-    fn lowered(&self, group: &Group) -> Result<LoweredGroup> {
-        Ok(group.bind(self.runtime.lowerings().lowered(&group.shapes())?))
     }
 
     /// The one `explain` behind every plan kind, rendered without executing
@@ -911,7 +1150,7 @@ impl PlanGraph {
         let _ = writeln!(out, "After fusion: {} launch group(s)", groups.len());
         for (gi, group) in groups.iter().enumerate() {
             let members: Vec<String> = group.stages.iter().map(|(i, _)| format!("%{i}")).collect();
-            let shape = runtime.lowerings().lowered(&group.shapes())?;
+            let shape = runtime.lowerings().lowered(&group.shapes()?)?;
             let _ = writeln!(
                 out,
                 "  group {gi}: {} over {} ({} stage(s) fused)",
@@ -951,7 +1190,7 @@ impl PlanGraph {
         if !packs {
             return Ok(None);
         }
-        let mut shapes = group.shapes();
+        let mut shapes = group.shapes()?;
         if let Some((kind @ StageKind::Reduce, _)) = shapes.last_mut() {
             *kind = StageKind::PackedReduce;
         }
@@ -994,7 +1233,7 @@ fn check_stage_args(udf: &UdfInfo, args: &Args) -> Result<()> {
 
 /// The device scalar type of the element type `E`, which a plan needs of
 /// every container it reads or produces.
-fn check_elem_ty<E: Pod>() -> Result<ScalarType> {
+pub(crate) fn check_elem_ty<E: Pod>() -> Result<ScalarType> {
     oclsim::DataKind::of::<E>().scalar_type().ok_or_else(|| {
         SkelError::Plan(format!(
             "element type {} is not a device scalar type (use f32, f64, i32 or u32)",
@@ -1111,7 +1350,7 @@ impl<T: DeviceScalar> PlanKind<T> for ScalarOut {
     type Job = T;
 
     fn run(plan: &PlanScalar<T>) -> Result<T> {
-        let wrap = |out: GroupOutput| out.scalar().map(T::from_value);
+        let wrap = |out: GroupOutput| out.scalar().map(|(value, _)| T::from_value(value));
         plan.graph.execute(plan.tip, &wrap)
     }
 
@@ -1135,10 +1374,9 @@ impl PlanKind<f32> for MatrixOut {
 
     /// The barrier loop. A stencil changes the distribution of what it
     /// reads, so a matrix plan cannot run as one call over uploaded sources:
-    /// every barrier-delimited group is one call over the matrix materialised
-    /// so far — an element-wise group as a vector plan's group runs
-    /// ([`PlanGraph::run_group`]), a stencil as the eager [`MapOverlap`] of
-    /// its stage — charged, prepared and recovered as the eager call is.
+    /// every barrier-delimited group — element-wise or a stencil sweep — is
+    /// one call over the matrix materialised so far, charged, prepared and
+    /// recovered as an eager call is ([`run_on_matrix`]).
     fn run(plan: &MatPlan) -> Result<Matrix<f32>> {
         let (graph, matrix) = (&plan.graph, &plan.kind.0);
         let stages = graph.runnable(plan.tip)?;
@@ -1147,22 +1385,7 @@ impl PlanKind<f32> for MatrixOut {
         }
         let mut current = matrix.clone();
         for group in &plan_groups(&stages, graph.policy) {
-            let stage = group.last();
-            current = if let Some((halo, boundary)) = stage.stencil {
-                let sweep = MapOverlap::<f32, f32>::from_stage(stage.udf.clone(), halo, boundary);
-                let cfg = LaunchConfig {
-                    args: stage.args.clone(),
-                    ..Default::default()
-                };
-                Skeleton::execute(&sweep, &current, &cfg)?
-            } else {
-                let lowered = graph.lowered(group)?;
-                let (cfg, spec) = (LaunchConfig::default(), CallSpec::eager(None));
-                run_call(&graph.runtime, &[&current], &cfg, &spec, &mut |call| {
-                    let out = graph.run_group(group, &lowered, call, None)?;
-                    PreparedCall::wrap_output(&current, out.buffers()?, None)
-                })?
-            };
+            current = run_on_matrix(group, &current, &LaunchConfig::default(), None)?;
         }
         Ok(current)
     }
@@ -1213,8 +1436,8 @@ pub type PlanScalar<T> = Plan<T, ScalarOut>;
 /// [`Matrix::lazy`](crate::matrix::Matrix::lazy). Adjacent map stages fuse
 /// into one kernel — the memo entry a vector plan of the same stages uses,
 /// launched element-wise over the matrix's row blocks; stencil stages are
-/// barriers run as the eager [`MapOverlap`] with its halo-exchange
-/// distribution.
+/// barriers, each swept as an eager [`MapOverlap`] call is, with its
+/// halo-exchange distribution.
 pub type MatPlan = Plan<f32, MatrixOut>;
 
 impl<T: Pod, K: PlanKind<T>> Clone for Plan<T, K> {
@@ -1405,9 +1628,10 @@ impl<T: Pod> Plan<T, VectorOut> {
                 source,
                 ty: other_ty,
             });
+            let udf = StageFn::Source(udf);
             Ok(Stage {
                 side: Some((g.nodes.len() - 1, source)),
-                ..Stage::new(StageKind::Zip, tip, udf, args)
+                ..Stage::new(StageKind::Zip, tip, udf, args, create_buffer::<O>)
             })
         });
         self.then(tip, VectorOut)
@@ -1420,7 +1644,7 @@ impl<T: Pod> Plan<T, VectorOut> {
     {
         let tip = self
             .graph
-            .admit_fold(self.tip, StageKind::Reduce, skeleton.plan_op());
+            .admit_fold::<T>(self.tip, StageKind::Reduce, skeleton.plan_op());
         self.then(tip, ScalarOut)
     }
 
@@ -1431,7 +1655,7 @@ impl<T: Pod> Plan<T, VectorOut> {
     {
         let tip = self
             .graph
-            .admit_fold(self.tip, StageKind::Scan, skeleton.plan_op());
+            .admit_fold::<T>(self.tip, StageKind::Scan, skeleton.plan_op());
         self.then(tip, VectorOut)
     }
 
@@ -1486,9 +1710,10 @@ impl Plan<f32, MatrixOut> {
             let udf = skeleton.plan_udf()?;
             check_stage_args(&udf, &args)?;
             check_out_ty::<f32>(&udf)?;
+            let udf = StageFn::Source(udf);
             Ok(Stage {
-                stencil: Some((skeleton.halo(), skeleton.boundary())),
-                ..Stage::new(StageKind::MapOverlap, tip, udf, args)
+                stencil: Some((skeleton.halo(), skeleton.boundary(), 1)),
+                ..Stage::new(StageKind::MapOverlap, tip, udf, args, create_buffer::<f32>)
             })
         });
         self
@@ -1531,7 +1756,7 @@ fn pack_graphs<T: DeviceScalar, O>(
         }
     }
     // The batch's one binding: every member runs the leader's memo entry.
-    let lowered = group.bind(shape);
+    let lowered = group.bind(GroupKernels::Memo(shape));
     let mut lens = Vec::with_capacity(jobs.len());
     for (job, _) in jobs {
         job.check_source_lens()?;
@@ -1597,18 +1822,16 @@ fn pack_launch<T: DeviceScalar>(
     buffers: &mut Vec<Buffer>,
 ) -> Result<(oclsim::Submission, oclsim::ReadId)> {
     let context = runtime.context();
-    let as_int = |count: usize| {
-        i32::try_from(count).map(Value::Int).map_err(|_| {
-            SkelError::Plan(format!(
-                "a packed launch of {count} elements exceeds the kernels' int range"
-            ))
-        })
+    let GroupKernels::Memo(shape) = &lowered.kernels else {
+        return Err(SkelError::Internal(
+            "a packed launch lowers through the memo".into(),
+        ));
     };
     let mut payloads = Vec::new();
     // Slot 0 is the chain (source 0 of every job), then the side inputs.
     let sources = std::iter::once(0).chain(lowered.side_sources.iter().copied());
     for (slot, source_index) in sources.enumerate() {
-        let ty = lowered.shape.rendered.inputs[slot];
+        let ty = shape.rendered.inputs[slot];
         let mut bytes: Vec<u8> = Vec::with_capacity(total * ty.size_bytes());
         for (job, _) in jobs {
             job.sources[source_index].append_host_bytes(&mut bytes)?;
@@ -1625,10 +1848,10 @@ fn pack_launch<T: DeviceScalar>(
         payloads.push(bytes);
     }
     buffers.push(context.create_buffer::<T>(device, work_items)?);
-    let mut scalars = vec![as_int(total)?];
+    let mut scalars = vec![kernel_int(total)?];
     if lowered.host_op.is_some() {
         // The packed reduce frame's job length, equal across the batch.
-        scalars.push(as_int(total / jobs.len())?);
+        scalars.push(kernel_int(total / jobs.len())?);
     }
     scalars.extend_from_slice(&lowered.extra_args);
     let bindings = oclsim::Bindings {
@@ -1637,7 +1860,7 @@ fn pack_launch<T: DeviceScalar>(
         scalars,
         global_size: work_items,
     };
-    let packed = lowered.shape.packed_commands(runtime, &bindings)?;
+    let packed = shape.packed_commands(runtime, &bindings)?;
     let submission = runtime
         .queue(device)
         .enqueue_command_buffer(&packed.buffer, bindings)?;
@@ -1830,6 +2053,19 @@ mod tests {
         Group::of(graph.stages(tip))
     }
 
+    /// `group` lowered on `graph`'s runtime.
+    fn lowered(graph: &PlanGraph, group: &Group) -> LoweredGroup {
+        group.lower(&graph.runtime).unwrap()
+    }
+
+    /// The memo entry a group of source stages lowered to.
+    fn shape(lowered: &LoweredGroup) -> &Arc<LoweredShape> {
+        match &lowered.kernels {
+            GroupKernels::Memo(shape) => shape,
+            GroupKernels::Closure(_) => panic!("source stages lower through the memo"),
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -1846,12 +2082,13 @@ mod tests {
             let rt = crate::runtime::init_gpus(1);
             let (graph, tip) = build(&rt, &stages, terminal);
             let group = forced(&graph, tip);
-            let fresh = group.bind(Arc::new(lower_group(&group.shapes(), 0).unwrap()));
-            let memoised = graph.lowered(&group).unwrap();
-            prop_assert_eq!(&memoised.shape.rendered.source, &fresh.shape.rendered.source);
+            let fresh = lower_group(&group.shapes().unwrap(), 0).unwrap();
+            let fresh = group.bind(GroupKernels::Memo(Arc::new(fresh)));
+            let memoised = lowered(&graph, &group);
+            prop_assert_eq!(&shape(&memoised).rendered.source, &shape(&fresh).rendered.source);
             prop_assert_eq!(
-                &memoised.shape.rendered.collisions,
-                &fresh.shape.rendered.collisions
+                &shape(&memoised).rendered.collisions,
+                &shape(&fresh).rendered.collisions
             );
             prop_assert_eq!(&memoised.extra_args, &fresh.extra_args);
             prop_assert_eq!(&memoised.side_sources, &fresh.side_sources);
@@ -1860,9 +2097,9 @@ mod tests {
             let shifted: Vec<_> = stages.iter().map(|&(w, a, b)| (w, a + 1.0, b - 1.0)).collect();
             let (graph2, tip2) = build(&rt, &shifted, terminal);
             let group2 = forced(&graph2, tip2);
-            let again = graph2.lowered(&group2).unwrap();
-            prop_assert!(Arc::ptr_eq(&again.shape, &memoised.shape));
-            let fresh2 = group2.bind(again.shape.clone());
+            let again = lowered(&graph2, &group2);
+            prop_assert!(Arc::ptr_eq(shape(&again), shape(&memoised)));
+            let fresh2 = group2.bind(GroupKernels::Memo(shape(&again).clone()));
             prop_assert_eq!(&again.extra_args, &fresh2.extra_args);
             let trace = rt.exec_trace();
             prop_assert_eq!((trace.plan_lowerings, trace.plan_lowering_hits), (1, 1));
@@ -1899,14 +2136,12 @@ mod tests {
         assert_eq!(stages.len(), want.len());
         for (&(node, stage), (want_node, kind, line)) in stages.iter().zip(want) {
             assert_eq!((node, stage.line().as_str()), (want_node, line));
-            let (key_kind, key_udf) = stage.memo_key();
-            assert!(
-                key_kind == kind && Arc::ptr_eq(key_udf, &stage.udf),
-                "{line}"
-            );
+            let (key_kind, key_udf) = stage.memo_key().unwrap();
+            let info = stage.info().unwrap();
+            assert!(key_kind == kind && Arc::ptr_eq(key_udf, info), "{line}");
             assert_eq!(
                 plan.graph.nodes[node].out_ty(),
-                stage.udf.return_type,
+                Some(info.return_type),
                 "{line}"
             );
             assert!(stage.stencil.is_none(), "only a stencil is a barrier");
@@ -1931,8 +2166,8 @@ mod tests {
             (node, stencil.line().as_str()),
             (1, "map_overlap(%0, halo 2) -> float")
         );
-        assert_eq!(stencil.memo_key().0, StageKind::MapOverlap);
-        assert_eq!(stencil.stencil, Some((2, Boundary::Wrap)));
+        assert_eq!(stencil.memo_key().unwrap().0, StageKind::MapOverlap);
+        assert_eq!(stencil.stencil, Some((2, Boundary::Wrap, 1)));
     }
 
     /// The one fusion accounting gives a vector plan's group, a matrix
@@ -1987,25 +2222,25 @@ mod tests {
     #[test]
     fn memo_distinguishes_kind_length_and_element_type() {
         let rt = crate::runtime::init_gpus(1);
-        let lowered = |stages: &[(usize, f32, f32)], terminal| {
+        let lower = |stages: &[(usize, f32, f32)], terminal| {
             let (graph, tip) = build(&rt, stages, terminal);
-            graph.lowered(&forced(&graph, tip)).unwrap()
+            lowered(&graph, &forced(&graph, tip))
         };
-        let a = lowered(&[(0, 0.0, 0.0)], 0);
-        let b = lowered(&[(0, 0.0, 0.0), (0, 0.0, 0.0)], 0);
-        let c = lowered(&[(0, 0.0, 0.0)], 1);
-        assert!(!Arc::ptr_eq(&a.shape, &b.shape));
-        assert!(!Arc::ptr_eq(&a.shape, &c.shape));
+        let a = lower(&[(0, 0.0, 0.0)], 0);
+        let b = lower(&[(0, 0.0, 0.0), (0, 0.0, 0.0)], 0);
+        let c = lower(&[(0, 0.0, 0.0)], 1);
+        assert!(!Arc::ptr_eq(shape(&a), shape(&b)));
+        assert!(!Arc::ptr_eq(shape(&a), shape(&c)));
         assert_eq!(
-            [a.shape.id, b.shape.id, c.shape.id],
+            [shape(&a).id, shape(&b).id, shape(&c).id],
             [0, 1, 2],
             "ids number the lowerings in order"
         );
         let ints = Vector::from_vec(&rt, vec![1i32, 2]);
         let twice = Map::<i32, i32>::from_source("int func(int x) { return x * 2; }");
         let p = ints.lazy().map(&twice);
-        let d = p.graph.lowered(&forced(&p.graph, p.tip)).unwrap();
-        assert_eq!(d.shape.rendered.inputs, [ScalarType::Int]);
+        let d = lowered(&p.graph, &forced(&p.graph, p.tip));
+        assert_eq!(shape(&d).rendered.inputs, [ScalarType::Int]);
         assert_eq!(rt.exec_trace().plan_lowerings, 4);
     }
 }

@@ -322,22 +322,18 @@ impl SkelCl {
     /// launches from now on — [`Tier::Native`] is the default, which runs
     /// every native-eligible kernel natively from its first launch; the
     /// others force one of the VMs or the interpreter. Applies to already-built
-    /// (cached) programs as well as future builds, and overrides the
-    /// `SKELCL_KERNEL_TIER` environment variable. All tiers are bit-identical
+    /// (cached) programs as well as future builds. All tiers are bit-identical
     /// in results and execution statistics; only throughput differs.
     pub fn set_kernel_tier(&self, tier: Tier) {
         self.context.set_kernel_tier(tier);
     }
 
     /// One-line description of the kernel-tier selection in effect (rendered
-    /// by `Plan::explain`): the pinned tier if one was set via
-    /// [`SkelCl::set_kernel_tier`] or `SKELCL_KERNEL_TIER`, otherwise what
-    /// the default means.
+    /// by `Plan::explain`): the tier pinned with [`SkelCl::set_kernel_tier`],
+    /// otherwise what the default means.
     pub fn kernel_tier_summary(&self) -> String {
         if let Some(tier) = self.context.kernel_tier() {
             format!("{tier} (pinned via set_kernel_tier)")
-        } else if let Ok(Some(tier)) = Tier::from_env() {
-            format!("{tier} (pinned via SKELCL_KERNEL_TIER)")
         } else {
             "native by default (from a kernel's first launch; the batched VM for \
              native-ineligible kernels)"

@@ -1,29 +1,28 @@
 //! The one call path: one [`Skeleton`] trait, one [`Launch`] builder, and
 //! the stages every synchronous launch in core goes through ([`run_call`]).
-//! A skeleton call is data — a stage kind, a user function (`udf::Udf`),
-//! inputs and a [`LaunchConfig`]:
+//! An eager skeleton call is a one-stage plan group — a `crate::plan::Stage`
+//! of its kind and user function (`udf::Udf::stage`) — over its inputs,
+//! under a [`LaunchConfig`]:
 //!
 //! 1. **configure** — a [`Launch`] builder collects additional [`Args`], an
 //!    optional [`DeviceSelection`] and an optional scheduler,
 //! 2. **prepare** — [`PreparedCall::prepare`], the only prepare stage: the
 //!    inputs — type-erased ([`DynContainer`]), so one container, a zip's
 //!    two, a plan's sources and an index map's index range are one case —
-//!    are validated, coerced to the layout the skeleton needs and uploaded
+//!    are validated, coerced to the layout the call needs and uploaded
 //!    lazily; additional arguments are resolved ([`PreparedArgs`]),
-//! 3. **kernel** — the user function answers with the kernels of the stage
-//!    kind (`Udf::kernels`): from the runtime's lowering memo for source
-//!    text — where lazy plans (`crate::plan`) find their groups' kernels
-//!    too — built once per skeleton instance for a closure,
-//! 4. **launch** — one kernel enqueue per active device, through the one
-//!    launcher of the kernel's kind: [`launch_elementwise`] here (map, zip,
-//!    index map, stencil sweep), `launch_and_gather` (reduce) and
-//!    `launch_scan` (scan) next to their skeletons. The launchers alone own
-//!    the output buffers of a launch — allocate, reuse a `run_into`
-//!    target's, release on failure,
-//! 5. **wrap** — multi-device results are gathered/merged (reduce and scan)
-//!    or wrapped as a device-resident output container.
+//! 3. **lower and launch** — the plan's group runner (`plan::run_group`)
+//!    takes the group's kernels from the runtime's lowering memo (a
+//!    closure's are built once per skeleton instance), binds the arguments
+//!    and hands them to the one launcher of the last stage's kind:
+//!    [`launch_elementwise`] here (map, zip, index map, stencil sweep),
+//!    `launch_and_gather` (reduce) and `launch_scan` (scan) next to their
+//!    skeletons. The launchers alone own the output buffers of a launch —
+//!    allocate, reuse a `run_into` target's, release on failure,
+//! 4. **wrap** — reduce and scan results come back through the host; the
+//!    other outputs are wrapped as a device-resident output container.
 //!
-//! Stages 2–5 are one *attempt* under the one recovery wrapper
+//! Stages 2–4 are one *attempt* under the one recovery wrapper
 //! (`crate::recovery`): over only when every queue it enqueued on is clean,
 //! replayed after an injected fault.
 //!
@@ -55,6 +54,8 @@ use crate::args::{Args, IntoArg};
 use crate::container::{Container, DynContainer};
 use crate::distribution::{Distribution, Partition};
 use crate::error::{Result, SkelError};
+use crate::kernelgen::StageKind;
+use crate::plan::Stage;
 use crate::runtime::{DeviceSelection, SkelCl};
 use crate::scheduler::StaticScheduler;
 use crate::skeletons::PreparedArgs;
@@ -232,35 +233,6 @@ pub(crate) fn selection_distribution(
     }
 }
 
-/// What a call asks of the prepare stage beyond inputs and [`LaunchConfig`].
-pub(crate) struct CallSpec<'a> {
-    /// Charge the dispatch overhead of one skeleton call (a lazy plan does
-    /// not: it charges per launch group, once the group is lowered).
-    pub charge: bool,
-    /// The user function's per-element cost, when an attached scheduler is
-    /// to weight the partition by it.
-    pub scheduler_cost: Option<CostHint>,
-    /// The layout the skeleton needs of its inputs, imposed after the charge
-    /// and before the launch-time overrides: zip's distribution unification,
-    /// the disjoint parts of a fold, the stencil's overlap.
-    pub coerce: &'a dyn Fn() -> Result<()>,
-    /// Keep halo-padded parts, their halos fresh for this many sweeps
-    /// ([`DynContainer::prepare_parts`]): the stencil sweep. 0 otherwise.
-    pub halo_sweeps: usize,
-}
-
-impl CallSpec<'_> {
-    /// An eager call whose inputs are used as they are laid out.
-    pub(crate) fn eager(scheduler_cost: Option<CostHint>) -> CallSpec<'static> {
-        CallSpec {
-            charge: true,
-            scheduler_cost,
-            coerce: &|| Ok(()),
-            halo_sweeps: 0,
-        }
-    }
-}
-
 /// What the one **prepare** stage leaves for the launch: the runtime, the
 /// flat element partition the kernels iterate, the uploaded inputs and the
 /// resolved additional arguments.
@@ -316,39 +288,45 @@ impl Drop for ScratchCopies {
 }
 
 impl PreparedCall {
-    /// Prepare a call over `inputs` (not empty; all of one shape): validate
-    /// them, impose the skeleton's layout (`spec.coerce`), apply the device
-    /// selection and scheduler distribution to every input, perform the lazy
-    /// uploads and resolve the additional arguments — in that order, which
-    /// the event logs pin. One input is a map, reduce, scan or stencil (or
-    /// an index map's index range), two a zip, any number the sources of a
-    /// lazy plan.
+    /// Prepare a call over `inputs` (not empty; all of one shape) running
+    /// `stage` — an eager call's or a matrix plan group's last — or, with
+    /// `None`, a vector plan: validate the inputs, charge the call (a vector
+    /// plan charges per group), impose the layout it needs (`coerce`), apply
+    /// the device selection and the scheduler weighted by the stage's cost
+    /// (a reduce's scheduler places its final fold instead), upload lazily
+    /// (a stencil's padded parts fresh for the sweeps it serves) and resolve
+    /// the additional arguments — in that order, which the event logs pin.
     pub fn prepare(
         runtime: &Arc<SkelCl>,
         inputs: &[&dyn DynContainer],
         cfg: &LaunchConfig<'_>,
-        spec: &CallSpec<'_>,
+        stage: Option<&Stage>,
+        coerce: &dyn Fn() -> Result<()>,
     ) -> Result<PreparedCall> {
         for other in inputs.iter().skip(1) {
             other.check_runtime(runtime)?;
         }
-        if spec.charge {
+        if stage.is_some() {
             runtime.charge_skeleton_call();
         }
         if inputs.iter().any(|input| input.is_empty()) {
             return Err(SkelError::EmptyInput);
         }
-        (spec.coerce)()?;
+        coerce()?;
         if let Some(selection) = &cfg.devices {
             for input in inputs {
                 input.apply_selection(selection)?;
             }
         }
-        if let (Some(scheduler), Some(cost)) = (cfg.scheduler, spec.scheduler_cost) {
+        let weighted = stage.filter(|stage| stage.kind != StageKind::Reduce);
+        if let (Some(scheduler), Some(stage)) = (cfg.scheduler, weighted) {
             for input in inputs {
-                input.apply_scheduler(scheduler, cost)?;
+                input.apply_scheduler(scheduler, stage.cost())?;
             }
         }
+        let halo_sweeps = stage
+            .and_then(|stage| stage.stencil)
+            .map_or(0, |(.., sweeps)| sweeps);
         let mut partition = None;
         let mut input_buffers = Vec::with_capacity(inputs.len());
         let input_ids: Vec<u64> = inputs.iter().map(|input| input.id()).collect();
@@ -357,7 +335,7 @@ impl PreparedCall {
             buffers: Vec::new(),
         };
         for (position, input) in inputs.iter().enumerate() {
-            let (parts, mut buffers) = input.prepare_parts(spec.halo_sweeps)?;
+            let (parts, mut buffers) = input.prepare_parts(halo_sweeps)?;
             partition.get_or_insert(parts);
             if input_ids[..position].contains(&input_ids[position]) {
                 scratch.stand_in_for(&mut buffers)?;
@@ -377,93 +355,37 @@ impl PreparedCall {
         })
     }
 
-    /// Reject additional arguments: the binary operator of a reduce or scan
-    /// (`skeleton`) takes none.
-    pub fn no_args(&self, skeleton: &str) -> Result<()> {
-        if self.prepared_args.len() != 0 {
-            return Err(SkelError::UnsupportedArg(format!(
-                "the {skeleton} skeleton's binary operator takes no additional arguments"
-            )));
-        }
-        Ok(())
-    }
-
-    /// The buffers of a `run_into` target that a launch writing `lens[device]`
-    /// elements per device may write in place: those of its device buffers
-    /// that have that length. A target that aliases one of the inputs (the
-    /// paper's in-place `y = saxpy(x, y)` pattern) offers none — the device
-    /// model forbids binding one buffer to two kernel arguments — so the
-    /// launch allocates, and the old buffers are released when the result is
-    /// committed.
-    pub fn reusable_buffers<O: Pod, CO: Container<O>>(
-        &self,
-        reuse: Option<&CO>,
-        lens: &[usize],
-    ) -> Result<Option<Vec<Option<Buffer>>>> {
-        match reuse {
-            Some(out) if !self.input_ids.contains(&out.id()) => {
-                out.check_runtime(&self.runtime)?;
-                Ok(Some(out.obtain_output_buffers(lens)))
-            }
-            _ => Ok(None),
-        }
-    }
-
-    /// Launch an element-shaped kernel (map, zip, index map, stencil sweep)
-    /// over the prepared inputs; returns the written output buffers. The
-    /// kernel's arguments are `[inputs…, output, n, geometry…, additional
-    /// arguments…]`, `geometry` being the scalars of the kernel frame itself —
-    /// a stencil's width, halo and boundary; for an index range (no input)
-    /// the first index of the device's block follows them.
-    ///
-    /// A device's output part holds what its part of the first input stores:
-    /// the partition's sizes, plus the padding rows of a stencil's parts. A
-    /// stencil sweep names its launch `windows` — per device the first
-    /// element the kernel binds of the input and output parts and the number
-    /// of elements it computes; everything else computes the partition's
-    /// elements from the start of its parts.
-    pub fn launch_elementwise<O: Pod, CO: Container<O>>(
-        &self,
-        kernel: &oclsim::Kernel,
-        geometry: &[Value],
-        windows: Option<&[(usize, usize)]>,
-        reuse: Option<&CO>,
-    ) -> Result<Vec<Option<Buffer>>> {
-        let out_lens: Vec<usize> = match self.input_buffers.first() {
+    /// Elements of each device's output part of an element-shaped launch:
+    /// what its part of the first input stores (a stencil's padding
+    /// included), or the partition's sizes without an input buffer.
+    pub fn out_lens(&self) -> Vec<usize> {
+        match self.input_buffers.first() {
             None => self.partition.sizes(),
             Some(parts) => parts
                 .iter()
                 .map(|p| p.as_ref().map_or(0, Buffer::len))
                 .collect(),
-        };
-        let reusable = self.reusable_buffers(reuse, &out_lens)?;
-        let bind = |device| {
-            let mut trailing: Vec<_> = geometry.iter().map(|v| KernelArg::Scalar(*v)).collect();
-            if self.input_buffers.is_empty() {
-                let first_index = self.partition.range(device).start;
-                trailing.push(KernelArg::Scalar(Value::Int(first_index as i32)));
+        }
+    }
+
+    /// The buffers of a `run_into` target that an element-shaped launch may
+    /// write in place: those of its device buffers that have the length
+    /// [`PreparedCall::out_lens`] asks for. A target that aliases one of the
+    /// inputs (the paper's in-place `y = saxpy(x, y)` pattern) offers none —
+    /// the device model forbids binding one buffer to two kernel arguments —
+    /// so the launch allocates, and the old buffers are released when the
+    /// result is committed.
+    pub fn reusable_buffers<O: Pod, CO: Container<O>>(
+        &self,
+        reuse: Option<&CO>,
+    ) -> Result<Option<Vec<Option<Buffer>>>> {
+        match reuse {
+            Some(out) if !self.input_ids.contains(&out.id()) => {
+                out.check_runtime(&self.runtime)?;
+                Ok(Some(out.obtain_output_buffers(&self.out_lens())))
             }
-            trailing.extend(self.prepared_args.kernel_args_for(device)?);
-            let first = windows.map_or(0, |w| w[device].0);
-            let inputs = self.input_args(device)?.into_iter();
-            Ok((
-                inputs.map(|arg| arg.from_element(first)).collect(),
-                trailing,
-            ))
-        };
-        let parts = LaunchParts {
-            partition: &self.partition,
-            out_lens: &out_lens,
-            windows,
-        };
-        launch_elementwise(
-            &self.runtime,
-            kernel,
-            &parts,
-            &bind,
-            create_buffer::<O>,
-            reusable,
-        )
+            _ => Ok(None),
+        }
     }
 
     /// The **wrap** stage of the skeletons whose output has their input's
@@ -483,38 +405,26 @@ impl PreparedCall {
             None => Ok(input.wrap_output(out_buffers)),
         }
     }
-
-    /// The kernel's leading arguments on `device`: every input's buffer, in
-    /// skeleton argument order.
-    pub fn input_args(&self, device: usize) -> Result<Vec<KernelArg>> {
-        self.input_buffers
-            .iter()
-            .enumerate()
-            .map(|(position, buffers)| {
-                buffer_arg(buffers, device, format_args!("input {position}"))
-            })
-            .collect()
-    }
 }
 
-/// The one call path. Every synchronous launch in core — eager map, zip,
-/// reduce, scan and stencil calls, index maps, the groups of a matrix plan, a
-/// whole vector plan — is `inputs` + a configuration + a `launch`, run here:
-/// prepare the inputs, then let `launch` obtain the kernels (after the
-/// uploads were enqueued, so a first launch's program build is charged
-/// behind them), hand them to the launcher of their kind and wrap what it
-/// produced — one attempt under replay-based fault recovery (the `recovery`
-/// module, whose only caller this is).
+/// The one call path. Every synchronous launch in core — an eager call's
+/// stage, a matrix plan's group, a whole vector plan (`stage: None`) — is
+/// `inputs` + a configuration + a `launch`, run here: prepare the inputs,
+/// then let `launch` hand the lowered group to the plan's group runner
+/// (behind the uploads, so a first launch's program build is charged after
+/// them) and wrap its output — one attempt under replay-based fault
+/// recovery (the `recovery` module, whose only caller this is).
 pub(crate) fn run_call<R>(
     runtime: &Arc<SkelCl>,
     inputs: &[&dyn DynContainer],
     cfg: &LaunchConfig<'_>,
-    spec: &CallSpec<'_>,
+    stage: Option<&Stage>,
+    coerce: &dyn Fn() -> Result<()>,
     launch: &mut dyn FnMut(&PreparedCall) -> Result<R>,
 ) -> Result<R> {
     let args: Vec<&dyn DynContainer> = cfg.args.vectors().collect();
     crate::recovery::run_recoverable(runtime, inputs, &args, &mut || {
-        launch(&PreparedCall::prepare(runtime, inputs, cfg, spec)?)
+        launch(&PreparedCall::prepare(runtime, inputs, cfg, stage, coerce)?)
     })
 }
 
@@ -531,9 +441,15 @@ pub(crate) fn buffer_arg(
     Ok(KernelArg::Buffer(buffer))
 }
 
-/// Typed buffer creation as a value, so the launchers allocate the outputs
-/// of typed eager calls and of type-erased plan groups the same way.
+/// Typed buffer creation as a value, so a stage of any element type — `Pod`,
+/// not only the kernel language's four — carries how its outputs are made.
 pub(crate) type CreateBuffer = fn(&SkelCl, usize, usize) -> Result<Buffer>;
+
+/// What the group runner binds for a launcher on a device: the kernel
+/// arguments `[leading…, out, n, trailing…]` but the output, `n` a checked
+/// `int` — as `(leading, window, n, trailing)` — and the window the launch
+/// computes: the first output element it binds and its element count.
+pub(crate) type Bound = (Vec<KernelArg>, (usize, usize), Value, Vec<KernelArg>);
 
 /// `len` elements of `T` on `device` (the [`CreateBuffer`] of `T`).
 pub(crate) fn create_buffer<T: Pod>(runtime: &SkelCl, device: usize, len: usize) -> Result<Buffer> {
@@ -616,32 +532,19 @@ impl OutputBuffers {
     }
 }
 
-/// What an element-shaped launch covers on each device.
-pub(crate) struct LaunchParts<'a> {
-    /// The active devices, and the elements each computes unless a window
-    /// says otherwise.
-    pub partition: &'a Partition,
-    /// Elements of each device's output buffer: the partition's sizes, or
-    /// the padded stored rows of a stencil sweep.
-    pub out_lens: &'a [usize],
-    /// A stencil sweep over padded parts: per device the first output
-    /// element the kernel binds and the number of elements it computes.
-    pub windows: Option<&'a [(usize, usize)]>,
-}
-
-/// The one **launch** stage of every element-shaped kernel — eager map, zip,
-/// index map and stencil sweep, closure or source, and the element-wise
-/// groups of vector and matrix plans: for every active device of `parts`
-/// enqueue `kernel` over its `n` elements with the argument layout
-/// `[leading…, output, n, trailing…]`, `bind(device)` supplying the two
-/// variable parts, then join the launches. Owns the output buffers: obtained
-/// here, returned on success, released again on failure (see
-/// [`OutputBuffers`]).
+/// The one **launch** stage of every element-shaped kernel — map, zip,
+/// index map and stencil sweep, closure or source, an eager call's or a
+/// plan's group: for every active device of `parts` enqueue `kernel` over
+/// its `n` elements with the argument layout `[leading…, output, n,
+/// trailing…]` that `bind(device)` supplies, then join the launches. Owns
+/// the output buffers: obtained here, returned on success, released again
+/// on failure (see [`OutputBuffers`]).
 pub(crate) fn launch_elementwise(
     runtime: &SkelCl,
     kernel: &oclsim::Kernel,
-    parts: &LaunchParts<'_>,
-    bind: &dyn Fn(usize) -> Result<(Vec<KernelArg>, Vec<KernelArg>)>,
+    partition: &Partition,
+    out_lens: &[usize],
+    bind: &dyn Fn(usize) -> Result<Bound>,
     create: CreateBuffer,
     reuse: Option<Vec<Option<Buffer>>>,
 ) -> Result<Vec<Option<Buffer>>> {
@@ -650,12 +553,12 @@ pub(crate) fn launch_elementwise(
     // additional-argument vector with no copy on one device) then surface
     // before anything ran, so a `run_into` target is never left partially
     // overwritten by them.
-    let active = parts.partition.active_devices();
+    let active = partition.active_devices();
     let bound = active
         .iter()
         .map(|&device| bind(device))
         .collect::<Result<Vec<_>>>()?;
-    let out = OutputBuffers::obtain(runtime, parts.out_lens, create, reuse)?;
+    let out = OutputBuffers::obtain(runtime, out_lens, create, reuse)?;
     // Enqueue on every device before waiting on any: the non-blocking
     // enqueues hand the launches to the per-device worker threads, so
     // N-device calls execute concurrently in real time; the wait then
@@ -663,19 +566,16 @@ pub(crate) fn launch_elementwise(
     // enqueued is joined even if a later enqueue is rejected, so the
     // buffers of a failed launch can be released.
     let mut events = Vec::with_capacity(active.len());
-    let enqueued = active
-        .iter()
-        .zip(bound)
-        .try_for_each(|(&device, (mut kargs, trailing))| {
-            let whole = (0, parts.partition.size(device));
-            let (first, n) = parts.windows.map_or(whole, |w| w[device]);
+    let enqueued = active.iter().zip(bound).try_for_each(
+        |(&device, (mut kargs, (first, n), n_arg, trailing))| {
             kargs.push(KernelArg::Buffer(out.on(device)).from_element(first));
-            kargs.push(KernelArg::Scalar(Value::Int(n as i32)));
+            kargs.push(KernelArg::Scalar(n_arg));
             kargs.extend(trailing);
             let event = runtime.queue(device).enqueue_kernel(kernel, n, &kargs)?;
             events.push((device, event));
             Ok(())
-        });
+        },
+    );
     let joined = wait_events(runtime, events);
     out.settle(runtime, enqueued.and(joined))
         .map(|(buffers, ())| buffers)

@@ -15,8 +15,9 @@
 //! lowering memo, the skeleton instance caching only the analysis of its
 //! source, never a built kernel, so one instance serves any number of
 //! runtimes; a closure is wrapped in its `NativeKernelDef` once per instance
-//! (and once more for its index-map form). Both run through the one call
-//! path (`exec::run_call`) and launch through `exec::launch_elementwise`.
+//! (and once more for its index-map form). A call is a one-stage plan group
+//! through the one call path (`exec::run_call`), launched by the plan's
+//! group runner.
 
 use std::sync::Arc;
 
@@ -29,11 +30,12 @@ use crate::distribution::{Distribution, Partition};
 use crate::error::{Result, SkelError};
 use crate::kernelgen::{self, StageKind};
 use crate::matrix::Matrix;
+use crate::plan::{run_elementwise, Target};
 use crate::runtime::{DeviceSelection, SkelCl};
 use crate::scheduler::StaticScheduler;
 use crate::skeletons::exec::selection_distribution;
 use crate::skeletons::udf::closure_kernel;
-use crate::skeletons::{run_call, CallSpec, Launch, LaunchConfig, PreparedCall, Skeleton, Udf};
+use crate::skeletons::{run_call, Launch, LaunchConfig, Skeleton, Udf};
 use crate::vector::Vector;
 
 /// The closure form of a map's user function.
@@ -124,14 +126,8 @@ impl<I: Pod, O: Pod> Map<I, O> {
         cfg: &LaunchConfig<'_>,
         reuse: Option<&C::Rebound<O>>,
     ) -> Result<C::Rebound<O>> {
-        let spec = CallSpec::eager(self.udf.scheduler_cost_for(cfg)?);
-        run_call(&input.runtime(), &[input], cfg, &spec, &mut |call| {
-            let kernels = self
-                .udf
-                .kernels(call, StageKind::Map, Self::closure_kernel)?;
-            let out_buffers = call.launch_elementwise(&kernels.kernel, &[], None, reuse)?;
-            PreparedCall::wrap_output(input, out_buffers, reuse)
-        })
+        let stage = self.udf.stage::<O>(StageKind::Map, Self::closure_kernel)?;
+        run_elementwise(&stage, &[input], input, cfg, &|| Ok(()), reuse)
     }
 }
 
@@ -300,19 +296,17 @@ impl<O: Pod> Skeleton<IndexRange> for Map<i32, O> {
     /// the natural way to express generator-style workloads such as the
     /// Mandelbrot benchmark.
     fn execute(&self, range: &IndexRange, cfg: &LaunchConfig<'_>) -> Result<Vector<O>> {
-        let spec = CallSpec::eager(self.udf.scheduler_cost_for(cfg)?);
-        run_call(&range.runtime, &[range], cfg, &spec, &mut |call| {
-            let kernels =
-                self.udf
-                    .kernels(call, StageKind::IndexMap, Self::index_closure_kernel)?;
-            let out_buffers =
-                call.launch_elementwise::<O, Vector<O>>(&kernels.kernel, &[], None, None)?;
+        let kind = StageKind::IndexMap;
+        let stage = &self.udf.stage::<O>(kind, Self::index_closure_kernel)?;
+        let (runtime, coerce) = (&range.runtime, || Ok(()));
+        run_call(runtime, &[range], cfg, Some(stage), &coerce, &mut |call| {
+            let out = stage.run(call, cfg, Target::default())?.buffers()?;
             let distribution = range.distribution.lock().clone();
             Ok(Vector::device_resident(
-                &call.runtime,
+                runtime,
                 range.len,
                 distribution,
-                out_buffers,
+                out,
             ))
         })
     }
@@ -480,6 +474,27 @@ mod tests {
             bad.run_index(&rt, 4).exec(),
             Err(SkelError::UdfSignature(_))
         ));
+    }
+
+    /// A part longer than the kernels' `int` fails before anything is
+    /// allocated or enqueued: the 2 GiB output is never created.
+    #[test]
+    fn index_map_beyond_the_int_range_fails_before_allocating() {
+        let rt = init_gpus(1);
+        let low_byte = Map::<i32, u8>::new(|i, _| *i as u8);
+        let len = i32::MAX as usize + 1;
+        match low_byte.run_index(&rt, len).exec() {
+            Err(SkelError::Plan(msg)) => assert_eq!(
+                msg,
+                format!("a launch of {len} elements exceeds the kernels' int range")
+            ),
+            other => panic!("expected the int-range error, got {:?}", other.map(|_| ())),
+        }
+        assert_eq!(rt.context().device(0).unwrap().live_buffers(), 0);
+        assert!(
+            rt.drain_events().iter().all(Vec::is_empty),
+            "nothing enqueued"
+        );
     }
 
     #[test]

@@ -20,15 +20,16 @@
 use std::convert::Infallible;
 use std::sync::Arc;
 
-use oclsim::{CostHint, Pod, Value};
+use oclsim::{CostHint, Pod};
 
 use crate::container::EdgePolicy;
 use crate::distribution::Boundary;
 use crate::error::{Result, SkelError};
 use crate::kernelgen::{StageKind, UdfInfo};
 use crate::matrix::Matrix;
+use crate::plan::{run_on_matrix, Group, Stage};
 use crate::scheduler::PerfModel;
-use crate::skeletons::{run_call, CallSpec, Launch, LaunchConfig, PreparedCall, Skeleton, Udf};
+use crate::skeletons::{Launch, LaunchConfig, Skeleton, Udf};
 
 /// The map-overlap (stencil) skeleton over [`Matrix`] inputs.
 ///
@@ -105,46 +106,18 @@ impl<O: Pod> MapOverlap<f32, O> {
         self.udf.plan_stage("map_overlap")
     }
 
-    /// The skeleton a matrix plan's stencil stage runs: the stage's analysed
-    /// user function and geometry, launched as any eager stencil is.
-    pub(crate) fn from_stage(
-        info: Arc<UdfInfo>,
-        halo: usize,
-        boundary: Boundary<f32>,
-    ) -> MapOverlap<f32, O> {
-        MapOverlap {
-            udf: Udf::analysed(Ok(info)),
-            halo,
-            boundary,
-            _out: std::marker::PhantomData,
-        }
-    }
-
     /// Begin a launch of this skeleton over `input`:
     /// `stencil.run(&m).arg(0.25f32).exec()?`.
     pub fn run<'a>(&'a self, input: &Matrix<f32>) -> Launch<'a, Self, Matrix<f32>> {
         Launch::new(self, input.clone())
     }
 
-    /// One stencil sweep, through the one call path: the input is coerced to
-    /// the overlap layout and prepared with its halo-padded parts (uploaded,
-    /// or — between sweeps — refreshed by a halo exchange); the sweep is the
-    /// element-shaped launch over each device's window of its part, told the
-    /// stencil's geometry, writing padded outputs of the input's actual
-    /// layout (weighted row blocks after a recovery re-partition).
-    ///
-    /// `sweeps` is how many sweeps, this one included, are to run before the
-    /// next exchange between devices: the parts are stored (and, when their
-    /// ghost rows are stale, exchanged) `sweeps` halo widths deep, and this
-    /// sweep also computes the `(sweeps − 1) · halo` ghost rows next to each
-    /// neighbouring device's part that the following sweeps read — fewer
-    /// where a part is too small to store that many; the output records how
-    /// many sweeps its ghost rows are still good for.
-    ///
-    /// `reuse` is the iterative driver's ping-pong target, written in place
-    /// where its buffers still fit. Losses that cannot be recovered from
-    /// host-valid state escape to the caller (`run_iter` then replays from
-    /// its last checkpoint).
+    /// One stencil sweep, a one-stage group over the input's halo-padded
+    /// parts ([`run_on_matrix`]) writing padded outputs of the input's actual
+    /// layout. `sweeps` is how many sweeps, this one included, run before the
+    /// next exchange between devices; `reuse` is the iterative driver's
+    /// ping-pong target. Losses that cannot be recovered from host-valid
+    /// state escape to the caller (`run_iter` then replays its checkpoint).
     fn execute_overlap(
         &self,
         input: &Matrix<f32>,
@@ -152,32 +125,14 @@ impl<O: Pod> MapOverlap<f32, O> {
         reuse: Option<&Matrix<O>>,
         sweeps: usize,
     ) -> Result<Matrix<O>> {
-        let spec = CallSpec {
-            coerce: &|| input.set_overlap_for(self.halo, self.boundary, sweeps),
-            halo_sweeps: sweeps,
-            ..CallSpec::eager(self.udf.scheduler_cost_for(cfg)?)
+        let stage = self
+            .udf
+            .stage::<O>(StageKind::MapOverlap, |f, _| match *f {})?;
+        let stage = Stage {
+            stencil: Some((self.halo, self.boundary, sweeps)),
+            ..stage
         };
-        let oob = match self.boundary {
-            Boundary::Constant(c) => c,
-            _ => 0.0,
-        };
-        let geometry = [
-            Value::Int(input.cols() as i32),
-            Value::Int(self.halo as i32),
-            Value::Int(self.boundary.policy_code()),
-            Value::Float(oob),
-        ];
-        run_call(&input.runtime(), &[input], cfg, &spec, &mut |call| {
-            let kernels = self
-                .udf
-                .kernels(call, StageKind::MapOverlap, |f, _| match *f {})?;
-            let (depth, windows) = input.sweep_windows(sweeps);
-            let out_buffers =
-                call.launch_elementwise(&kernels.kernel, &geometry, Some(&windows), reuse)?;
-            let out = PreparedCall::wrap_output(input, out_buffers, reuse)?;
-            out.set_ghost_sweeps(depth - 1);
-            Ok(out)
-        })
+        run_on_matrix(&Group::of(vec![(0, &stage)]), input, cfg, reuse)
     }
 
     /// The exchange cadence — decided here and nowhere else: how many sweeps

@@ -11,20 +11,21 @@
 //! Execution is uniform across every skeleton: each implements the
 //! input-generic [`Skeleton`] trait and is invoked through the fluent
 //! [`Launch`] builder returned by its `run` method, and every call — whatever
-//! the skeleton, the form of its user function or the terminal form — runs
-//! through the one call path of the `exec` module: prepare → kernel → launch
-//! → wrap, as one attempt under the one fault-recovery wrapper. A skeleton
-//! holds its user function as one `udf::Udf` value, which is where source
-//! text and closures are told apart: source UDFs get their kernels from the
-//! runtime's lowering memo (the one kernel cache, shared with the lazy
-//! plans), a closure's kernels are built once per skeleton instance. There
-//! is one launcher per kernel kind — `launch_elementwise` (map, zip, index
-//! map, stencil sweep), `launch_and_gather` (reduce), `launch_scan` (scan).
-//! The data-parallel skeletons ([`Map`], [`Zip`], [`Reduce`]) are
-//! additionally generic over the [`crate::container::Container`] trait, so
-//! one skeleton instance launches over a [`crate::vector::Vector`] or
-//! element-wise over a [`crate::matrix::Matrix`] with no container-specific
-//! code.
+//! the skeleton, the form of its user function or the terminal form — is a
+//! one-stage plan group (`crate::plan::Stage`) run through the one call path
+//! of the `exec` module: prepare → lower and launch → wrap, as one attempt
+//! under the one fault-recovery wrapper. A skeleton holds its user function
+//! as one `udf::Udf` value, which is where source text and closures are told
+//! apart: a source stage gets its kernels from the runtime's lowering memo
+//! (the one kernel cache, shared with the lazy plans), a closure's kernels
+//! are built once per skeleton instance. The plan's group runner
+//! (`plan::run_group`) is the one place a stage kind meets its launcher —
+//! `launch_elementwise` (map, zip, index map, stencil sweep),
+//! `launch_and_gather` (reduce), `launch_scan` (scan). The data-parallel
+//! skeletons ([`Map`], [`Zip`], [`Reduce`]) are additionally generic over
+//! the [`crate::container::Container`] trait, so one skeleton instance
+//! launches over a [`crate::vector::Vector`] or element-wise over a
+//! [`crate::matrix::Matrix`] with no container-specific code.
 
 pub(crate) mod exec;
 mod map;
@@ -43,7 +44,7 @@ pub use zip::Zip;
 
 pub(crate) use exec::{
     claim_read, claim_reads, create_buffer, launch_elementwise, run_call, sequential_cost,
-    wait_events, CallSpec, LaunchParts, PreparedCall,
+    wait_events, PreparedCall,
 };
 pub(crate) use reduce::{launch_and_gather, launch_geometry, HostOperator};
 pub(crate) use scan::launch_scan;
@@ -261,20 +262,28 @@ mod tests {
         let (info, host) = udf.plan_operator("scan").unwrap();
         assert!(Arc::ptr_eq(&info, &first));
         assert!(Arc::ptr_eq(&host, &udf.plan_operator("scan").unwrap().1));
-        assert_eq!(udf.fold("scan", &mut [1.5f32, 2.0, 4.0]).unwrap(), 7.5);
-        assert_eq!(udf.fold("scan", &mut [3.0f32]).unwrap(), 3.0);
+        let fold = |udf: &Udf<BinaryOp<f32>>, values: &mut [f32]| {
+            udf.host_operator("scan").unwrap().fold(values).unwrap()
+        };
+        assert!(Arc::ptr_eq(&host, &udf.host_operator("scan").unwrap()));
+        assert_eq!(fold(&udf, &mut [1.5f32, 2.0, 4.0]), 7.5);
+        assert_eq!(fold(&udf, &mut [3.0f32]), 3.0);
         // A closure has no source to fuse; the one error names the stage.
         let closure = Udf::<BinaryOp<f32>>::closure(Arc::new(|a, b| a + b));
-        assert_eq!(closure.fold("scan", &mut [1.5f32, 2.0, 4.0]).unwrap(), 7.5);
+        assert_eq!(fold(&closure, &mut [1.5f32, 2.0, 4.0]), 7.5);
         match closure.plan_operator("scan") {
             Err(SkelError::Plan(msg)) => assert!(msg.starts_with("scan stage uses"), "{msg}"),
             other => panic!("expected a Plan error, got {:?}", other.map(|_| ())),
         }
     }
 
-    /// The cost hint of a binary source UDF, as every skeleton obtains it.
+    /// The cost hint of a binary source UDF, as every skeleton obtains it:
+    /// from the stage of its call.
     fn udf_cost(source: &str) -> Result<oclsim::CostHint> {
-        Udf::<BinaryOp<f32>>::source(source, 2).scheduler_cost()
+        let udf = Udf::<BinaryOp<f32>>::source(source, 2);
+        let kind = crate::kernelgen::StageKind::Reduce;
+        let stage = udf.stage::<f32>(kind, |_, _| unreachable!("source text"))?;
+        Ok(stage.cost())
     }
 
     #[test]

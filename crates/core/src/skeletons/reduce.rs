@@ -32,27 +32,30 @@
 //! work-item is one chunk: step 3 runs it through the host-side kernel
 //! engine for source operators ([`HostOperator`]), and with a scheduler
 //! attached (`sum.run(&v).scheduler(&s).scalar_with_plan()`) the scheduler
-//! may place the final fold on the fastest device instead of the CPU. The
-//! lazy plans' fused reduce ([`crate::plan`]) instantiates the same template
-//! and runs through the same [`launch_and_gather`] + host fold. A Rust
-//! closure operator is wrapped in a kernel of the generated kernel's shape,
-//! once per skeleton instance, and folds the partials itself.
+//! may place the final fold on the fastest device instead of the CPU. An
+//! eager reduce is a one-stage plan group: the plan's group runner
+//! (`plan::run_group`) runs it, as it runs the lazy plans' fused reduce,
+//! through [`launch_and_gather`] and the final fold. A Rust closure operator
+//! is wrapped in a kernel of the generated kernel's shape, once per skeleton
+//! instance, and folds the partials itself.
 
 use std::sync::Arc;
 
 use oclsim::{CostHint, KernelArg, Value};
 use skelcl_kernel::interp::ArgBinding;
+use skelcl_kernel::types::ScalarType;
 
-use crate::container::{Container, DynContainer};
+use crate::container::Container;
 use crate::distribution::{Distribution, Partition};
 use crate::error::Result;
 use crate::kernelgen::{self, StageKind, UdfInfo};
+use crate::plan::{Stage, Target};
 use crate::runtime::SkelCl;
-use crate::skeletons::exec::buffer_arg;
+use crate::skeletons::exec::Bound;
 use crate::skeletons::udf::closure_kernel;
 use crate::skeletons::{
-    claim_reads, run_call, sequential_cost, BinaryOp, CallSpec, DeviceScalar, Launch, LaunchConfig,
-    PreparedCall, Skeleton, StageKernels, Udf,
+    claim_reads, run_call, sequential_cost, BinaryOp, DeviceScalar, Launch, LaunchConfig, Skeleton,
+    StageKernels, Udf,
 };
 use crate::vector::Vector;
 
@@ -88,26 +91,53 @@ pub(crate) fn launch_geometry(n: usize, chunks_per_device: Option<usize>) -> (us
     (chunk, n.div_ceil(chunk))
 }
 
-/// A source binary operator evaluated on the host: the generated reduce
-/// kernel launched with one work-item — one chunk, i.e. a plain left fold —
-/// on the host-side kernel engine (no device program, so no runtime is
-/// involved). Built once per skeleton instance; the
-/// reduce uses it to finish the gathered partials, the scan to combine
-/// per-device totals into offsets.
+/// A binary operator over `ty` elements evaluated on the host: the final
+/// fold of a reduction's partials, the combination of a scan's totals.
+/// Source text runs as the generated reduce kernel with one work-item — one
+/// chunk, a plain left fold — on the host-side kernel engine (no runtime is
+/// involved), built once per skeleton instance; a closure is called.
 pub(crate) struct HostOperator {
-    program: skelcl_kernel::Program,
-    kernel: skelcl_kernel::KernelHandle,
+    pub(crate) ty: ScalarType,
+    eval: HostEval,
+}
+
+enum HostEval {
+    Kernel {
+        program: skelcl_kernel::Program,
+        kernel: skelcl_kernel::KernelHandle,
+    },
+    Closure(Box<dyn Fn(Value, Value) -> Value + Send + Sync>),
 }
 
 impl HostOperator {
     pub(crate) fn build(info: &UdfInfo) -> Result<HostOperator> {
         let program = skelcl_kernel::Program::build(&kernelgen::reduce_kernel(info)?)?;
         let kernel = program.kernel(kernelgen::REDUCE_KERNEL)?;
-        Ok(HostOperator { program, kernel })
+        Ok(HostOperator {
+            ty: info.return_type,
+            eval: HostEval::Kernel { program, kernel },
+        })
+    }
+
+    /// The host evaluator of a closure operator over `T` elements.
+    pub(crate) fn closure<T: DeviceScalar>(f: Arc<BinaryOp<T>>) -> Result<HostOperator> {
+        Ok(HostOperator {
+            ty: crate::plan::check_elem_ty::<T>()?,
+            eval: HostEval::Closure(Box::new(move |a, b| {
+                f(T::from_value(a), T::from_value(b)).to_value()
+            })),
+        })
     }
 
     /// Left fold of `values` (not empty) under the operator.
     pub(crate) fn fold<T: DeviceScalar>(&self, values: &mut [T]) -> Result<T> {
+        let (program, kernel) = match &self.eval {
+            HostEval::Kernel { program, kernel } => (program, kernel),
+            HostEval::Closure(f) => {
+                let fold = |acc: T, x: &T| T::from_value(f(acc.to_value(), x.to_value()));
+                return Ok(values[1..].iter().fold(values[0], fold));
+            }
+        };
         let mut out = [values[0]];
         let n = values.len() as i32;
         let mut args = [
@@ -115,24 +145,23 @@ impl HostOperator {
             ArgBinding::Buffer(T::buffer_view(&mut out)),
             ArgBinding::Scalar(Value::Int(n)),
         ];
-        self.program.run_ndrange(&self.kernel, 1, &mut args)?;
+        program.run_ndrange(kernel, 1, &mut args)?;
         Ok(out[0])
     }
 }
 
-/// Steps 1 and 2 of every reduction, eager or fused: launch the kernel on each
-/// active device of `partition` with the argument layout `[leading…,
-/// partials, n, trailing…]` — `bind(device)` supplying the two variable
-/// parts, as for the other launchers — then gather the partial vectors —
-/// reads enqueued on every device before any is claimed — and return all
-/// partials in device-then-chunk order. A Rust closure operator is charged
-/// its per-element cost over a chunk (kernel-language kernels are charged
-/// what they measure).
+/// Steps 1 and 2 of every reduction: launch the kernel on each active
+/// device of `partition` with the argument layout `[leading…, partials, n,
+/// trailing…]` that `bind(device)` supplies, as for the other launchers —
+/// then gather the partial vectors — reads enqueued on every device before
+/// any is claimed — and return all partials in device-then-chunk order. A
+/// Rust closure operator is charged its per-element cost over a chunk
+/// (kernel-language kernels are charged what they measure).
 pub(crate) fn launch_and_gather<T: DeviceScalar>(
     runtime: &SkelCl,
     kernels: &StageKernels,
     partition: &Partition,
-    bind: &dyn Fn(usize) -> Result<(Vec<KernelArg>, Vec<KernelArg>)>,
+    bind: &dyn Fn(usize) -> Result<Bound>,
     chunks_per_device: Option<usize>,
 ) -> Result<Vec<T>> {
     let kernel = &kernels.kernel;
@@ -143,13 +172,12 @@ pub(crate) fn launch_and_gather<T: DeviceScalar>(
         .collect::<Result<Vec<_>>>()?;
     let mut launched = Vec::with_capacity(active.len());
     let gathered = (|| -> Result<Vec<T>> {
-        for (&device, (mut args, trailing)) in active.iter().zip(bound) {
-            let n = partition.size(device);
-            let (chunk, work_items) = launch_geometry(n, chunks_per_device);
+        for (&device, (mut args, _, n_arg, trailing)) in active.iter().zip(bound) {
+            let (chunk, work_items) = launch_geometry(partition.size(device), chunks_per_device);
             let out = runtime.context().create_buffer::<T>(device, work_items)?;
             launched.push((device, out.clone(), work_items));
             args.push(KernelArg::Buffer(out));
-            args.push(KernelArg::Scalar(Value::Int(n as i32)));
+            args.push(KernelArg::Scalar(n_arg));
             args.extend(trailing);
             let queue = runtime.queue(device);
             match kernels.per_element_cost {
@@ -277,76 +305,24 @@ impl<T: DeviceScalar> Reduce<T> {
         (kernel, None)
     }
 
-    /// The launch of the three-step reduction over the prepared input.
-    fn reduce_prepared(
-        &self,
-        call: &PreparedCall,
-        cfg: &LaunchConfig<'_>,
-    ) -> Result<(T, ReducePlan)> {
-        call.no_args("reduce")?;
-        let runtime = &call.runtime;
-        let kernels = self
-            .udf
-            .kernels(call, StageKind::Reduce, Self::closure_kernel)?;
-
-        // Steps 1 + 2: every device holding a part leaves its partial
-        // vector, gathered in device order (the operator may be
-        // non-commutative).
-        let mut partials = launch_and_gather::<T>(
-            runtime,
-            &kernels,
-            &call.partition,
-            &|device| Ok((call.input_args(device)?, Vec::new())),
-            cfg.chunks_per_device,
-        )?;
-
-        // Step 3: the final fold — on the CPU, unless an attached scheduler
-        // places it on a device.
-        let mut plan = ReducePlan {
-            intermediate_results: partials.len(),
-            final_device: 0,
-            final_on_cpu: true,
-        };
-        if let Some(scheduler) = cfg.scheduler {
-            (plan.final_device, plan.final_on_cpu) = scheduler.final_reduce_placement(
-                partials.len(),
-                std::mem::size_of::<T>(),
-                self.udf.scheduler_cost()?,
-            )?;
-        }
-        if plan.final_on_cpu || partials.len() == 1 {
-            return Ok((self.udf.fold("reduce", &mut partials)?, plan));
-        }
-        // Stage the gathered partials on the chosen device — as a
-        // single-distributed vector, which gives its buffer back when it is
-        // dropped — and fold them with the same kernel, as one chunk.
-        let staged = Vector::from_vec(runtime, partials);
-        staged.set_distribution(Distribution::Single(plan.final_device))?;
-        let (part, buffers) = staged.prepare_parts(0)?;
-        let bind = |device| {
-            let staged = buffer_arg(&buffers, device, format_args!("the staged partials"))?;
-            Ok((vec![staged], Vec::new()))
-        };
-        let folded = launch_and_gather(runtime, &kernels, &part, &bind, Some(1))?;
-        Ok((folded[0], plan))
-    }
-
-    /// One reduction through the one call path. A replicated input would be
-    /// folded once per device; reduce visits every element exactly once, so
-    /// it is coerced to a disjoint layout first (merging replicas through
-    /// the container's combine function). The scheduler places the final
-    /// fold; it does not weight the partition.
+    /// One reduction through the one call path, as a one-stage group. A
+    /// replicated input would be folded once per device; reduce visits every
+    /// element exactly once, so it is coerced to a disjoint layout first
+    /// (merging replicas through the container's combine function). The
+    /// scheduler places the final fold; it does not weight the partition.
     fn execute_with_plan<C: Container<T>>(
         &self,
         input: &C,
         cfg: &LaunchConfig<'_>,
     ) -> Result<(T, ReducePlan)> {
-        let spec = CallSpec {
-            coerce: &|| input.ensure_disjoint(),
-            ..CallSpec::eager(None)
-        };
-        run_call(&input.runtime(), &[input], cfg, &spec, &mut |call| {
-            self.reduce_prepared(call, cfg)
+        let kind = StageKind::Reduce;
+        let stage = self.udf.stage::<T>(kind, Self::closure_kernel)?;
+        let host = Some(self.udf.host_operator(kind.name())?);
+        let stage = &Stage { host, ..stage };
+        let (runtime, coerce) = (input.runtime(), || input.ensure_disjoint());
+        run_call(&runtime, &[input], cfg, Some(stage), &coerce, &mut |call| {
+            let (value, plan) = stage.run(call, cfg, Target::default())?.scalar()?;
+            Ok((T::from_value(value), plan))
         })
     }
 }

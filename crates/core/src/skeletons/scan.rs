@@ -13,12 +13,13 @@
 //!
 //! The output vector is block-distributed.
 //!
-//! [`launch_scan`] is that flow, written once: eager source scans (kernels
-//! from the runtime's lowering memo), closure scans (a `NativeKernelDef`
-//! pair built once per skeleton instance) and the lazy plans' scan groups
-//! (whose local scan reads an inlined elementwise chain) bind their arguments
-//! and call it. Every terminal form of an eager scan — `exec`, `run_into`,
-//! `trace` — runs through the one call path and so under its fault recovery.
+//! [`launch_scan`] is that flow, written once, and the plan's group runner
+//! (`plan::run_group`) its only caller: an eager scan is a one-stage group —
+//! source (kernels from the runtime's lowering memo) or closure (a
+//! `NativeKernelDef` pair built once per skeleton instance) — and the lazy
+//! plans' scan groups read an inlined elementwise chain. Every terminal form
+//! of an eager scan — `exec`, `run_into`, `trace` — runs through the one
+//! call path and so under its fault recovery.
 
 use std::sync::Arc;
 
@@ -28,12 +29,13 @@ use crate::container::DynContainer;
 use crate::distribution::Partition;
 use crate::error::{Result, SkelError};
 use crate::kernelgen::{StageKind, UdfInfo};
+use crate::plan::{GroupOutput, Stage, Target};
 use crate::runtime::SkelCl;
-use crate::skeletons::exec::{create_buffer, OutputBuffers};
+use crate::skeletons::exec::{create_buffer, Bound, OutputBuffers};
 use crate::skeletons::udf::closure_kernel;
 use crate::skeletons::{
-    claim_reads, run_call, sequential_cost, wait_events, BinaryOp, CallSpec, DeviceScalar,
-    HostOperator, Launch, LaunchConfig, PreparedCall, Skeleton, StageKernels, Udf,
+    claim_reads, run_call, sequential_cost, wait_events, BinaryOp, DeviceScalar, HostOperator,
+    Launch, LaunchConfig, PreparedCall, Skeleton, StageKernels, Udf,
 };
 use crate::vector::Vector;
 
@@ -131,59 +133,59 @@ impl<T: DeviceScalar> Scan<T> {
         (scan, Some(offset))
     }
 
-    /// The shared implementation behind every terminal form: prepare the
-    /// input, resolve the operator's kernels and host-side combine, and run
-    /// [`launch_scan`] — through the one call path. The returned trace holds
-    /// whole local scans only when `want_trace` asked for them.
+    /// The shared implementation behind every terminal form: the scan as a
+    /// one-stage group through the one call path. The returned trace holds
+    /// whole local scans only when `trace` asked for them.
     fn execute_scan(
         &self,
         input: &Vector<T>,
         cfg: &LaunchConfig<'_>,
-        want_trace: bool,
+        trace: bool,
         reuse: Option<&Vector<T>>,
     ) -> Result<(Vector<T>, ScanTrace<T>)> {
-        let spec = CallSpec {
-            // Copy distribution makes no sense for a prefix computation; the
-            // paper's scan assumes block distribution by default.
-            coerce: &|| input.ensure_disjoint(),
-            ..CallSpec::eager(self.udf.scheduler_cost_for(cfg)?)
-        };
-        run_call(&input.runtime(), &[input], cfg, &spec, &mut |call| {
-            call.no_args("scan")?;
-            let kernels = self
-                .udf
-                .kernels(call, StageKind::Scan, Self::closure_kernels)?;
-            let (out_buffers, trace) = launch_scan(
-                &call.runtime,
-                &kernels,
-                &call.partition,
-                &|device| Ok((call.input_args(device)?, Vec::new())),
-                &|a, b| self.udf.fold("scan", &mut [a, b]),
-                call.reusable_buffers(reuse, &call.partition.sizes())?,
-                want_trace,
-            )?;
-
+        let kind = StageKind::Scan;
+        let stage = self.udf.stage::<T>(kind, Self::closure_kernels)?;
+        let host = Some(self.udf.host_operator(kind.name())?);
+        let stage = &Stage { host, ..stage };
+        // Copy distribution makes no sense for a prefix computation; the
+        // paper's scan assumes block distribution by default.
+        let (runtime, coerce) = (input.runtime(), || input.ensure_disjoint());
+        run_call(&runtime, &[input], cfg, Some(stage), &coerce, &mut |call| {
+            let target = Target {
+                reuse: call.reusable_buffers(reuse)?,
+                trace,
+                windows: None,
+            };
+            let GroupOutput::Scanned(out, trace) = stage.run(call, cfg, target)? else {
+                return Err(SkelError::Internal("a scan produced no trace".into()));
+            };
+            let values = |part: Vec<Value>| part.into_iter().map(T::from_value).collect();
+            let offsets = trace.offsets.into_iter().map(|o| o.map(T::from_value));
+            let trace = ScanTrace {
+                local_scans: trace.local_scans.into_iter().map(values).collect(),
+                offsets: offsets.collect(),
+            };
             // The output adopts the input's (non-copy) distribution: the
             // buffers were allocated for exactly that partition, so block,
             // weighted block and single inputs all stay consistent (Section
             // III-C's "block-distributed output" is the default-input case).
-            Ok((PreparedCall::wrap_output(input, out_buffers, reuse)?, trace))
+            Ok((PreparedCall::wrap_output(input, out, reuse)?, trace))
         })
     }
 }
 
-/// The one scan launch — Figure 2's flow — behind eager source scans,
-/// closure scans and the lazy plans' scan groups.
+/// The one scan launch — Figure 2's flow — of every scan group, eager or
+/// fused, source or closure.
 ///
 /// `kernels` holds the local-scan kernel (one work-item per part, arguments
-/// `[leading…, out, n, trailing…]` with `bind(device)` supplying the two
-/// variable parts), the offset kernel (`[data, n, offset]`) and — for a Rust
-/// closure operator — its per-element cost (kernel-language kernels are
-/// charged what they measure); `combine` is the operator on the host.
-/// With `want_trace` the whole local scans are downloaded between the two
-/// steps instead of only their last elements — the totals, the marked values
-/// of Figure 2, which are all the algorithm needs; the full parts otherwise
-/// stay on their devices.
+/// `[leading…, out, n, trailing…]` as `bind(device)` supplies them), the
+/// offset kernel (`[data, n, offset]`) and — for a Rust closure operator —
+/// its per-element cost (kernel-language kernels are charged what they
+/// measure); `combine` is the operator on the host. The trace comes back as
+/// kernel values. With `want_trace` it holds the whole local scans,
+/// downloaded between the two steps instead of only their last elements —
+/// the totals, the marked values of Figure 2, which are all the algorithm
+/// needs; the full parts otherwise stay on their devices.
 ///
 /// Owns the output buffers like `launch_elementwise`: `reuse`'s where it
 /// offers one, fresh ones elsewhere, and what it allocated is released again
@@ -192,11 +194,11 @@ pub(crate) fn launch_scan<T: DeviceScalar>(
     runtime: &SkelCl,
     kernels: &StageKernels,
     partition: &Partition,
-    bind: &dyn Fn(usize) -> Result<(Vec<KernelArg>, Vec<KernelArg>)>,
+    bind: &dyn Fn(usize) -> Result<Bound>,
     combine: &dyn Fn(T, T) -> Result<T>,
     reuse: Option<Vec<Option<Buffer>>>,
     want_trace: bool,
-) -> Result<(Vec<Option<Buffer>>, ScanTrace<T>)> {
+) -> Result<(Vec<Option<Buffer>>, ScanTrace<Value>)> {
     let (scan_kernel, Some(offset_kernel)) = (&kernels.kernel, &kernels.offset) else {
         return Err(SkelError::Internal(
             "a scan launch needs the scan program's offset kernel".into(),
@@ -216,12 +218,14 @@ pub(crate) fn launch_scan<T: DeviceScalar>(
             None => queue.enqueue_kernel(kernel, items, args),
         }
     };
-    let flow = (|| -> Result<ScanTrace<T>> {
+    let flow = (|| -> Result<ScanTrace<Value>> {
         // Step 1: local scans.
-        for (&device, (mut kargs, trailing)) in active.iter().zip(bound) {
+        let mut lengths = Vec::with_capacity(active.len());
+        for (&device, (mut kargs, _, n_arg, trailing)) in active.iter().zip(bound) {
             let n = partition.size(device);
             kargs.push(KernelArg::Buffer(out.on(device)));
-            kargs.push(KernelArg::Scalar(Value::Int(n as i32)));
+            kargs.push(KernelArg::Scalar(n_arg));
+            lengths.push(n_arg);
             kargs.extend(trailing);
             let cost = per_element_cost.map(|cost| sequential_cost(cost, n, 8.0));
             enqueue(device, scan_kernel, 1, &kargs, cost)?;
@@ -248,30 +252,31 @@ pub(crate) fn launch_scan<T: DeviceScalar>(
         // so the per-device workers apply them concurrently in real time.
         let offset_cost = per_element_cost.map(|cost| CostHint::new(cost.flops_per_item, 8.0));
         let mut offset_events = Vec::new();
-        let mut offsets: Vec<Option<T>> = Vec::with_capacity(active.len());
+        let mut offsets = Vec::with_capacity(active.len());
         let mut running: Option<T> = None;
-        for (&device, part) in active.iter().zip(&local_scans) {
+        for ((&device, part), &n_arg) in active.iter().zip(&local_scans).zip(&lengths) {
             let total = *part.last().expect("parts of active devices are not empty");
             let offset = running;
             running = Some(match running {
                 None => total,
                 Some(acc) => combine(acc, total)?,
             });
-            offsets.push(offset);
+            offsets.push(offset.map(T::to_value));
             if let Some(offset) = offset {
-                let n = partition.size(device);
                 let args = [
                     KernelArg::Buffer(out.on(device)),
-                    KernelArg::Scalar(Value::Int(n as i32)),
+                    KernelArg::Scalar(n_arg),
                     KernelArg::Scalar(offset.to_value()),
                 ];
+                let n = partition.size(device);
                 let event = enqueue(device, offset_kernel, n, &args, offset_cost)?;
                 offset_events.push((device, event));
             }
         }
         wait_events(runtime, offset_events)?;
+        let values = |part: Vec<T>| part.into_iter().map(T::to_value).collect();
         Ok(ScanTrace {
-            local_scans,
+            local_scans: local_scans.into_iter().map(values).collect(),
             offsets,
         })
     })();

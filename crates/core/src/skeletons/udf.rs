@@ -4,10 +4,12 @@
 //! skeleton's signature `F` — and the one place the two forms are told
 //! apart. It answers what the call path asks of a user function: its
 //! analysed signature as a lazy plan stage, or one clear error for a closure
-//! ([`Udf::plan_stage`], [`Udf::plan_operator`]); its per-element cost for
-//! scheduler-weighted partitioning ([`Udf::scheduler_cost`]); a reduce / scan
-//! operator's evaluation on the host ([`Udf::fold`]); and the kernels of a
-//! stage kind, with the launch cost they need ([`Udf::kernels`]).
+//! ([`Udf::plan_stage`], [`Udf::plan_operator`]); a reduce / scan operator's
+//! evaluation on the host ([`Udf::host_operator`]); and the one stage of an
+//! eager call of a stage kind ([`Udf::stage`]) — analysed source text, whose
+//! kernels the plan's group runner takes from the runtime's lowering memo,
+//! or a closure's kernels with the per-element cost they are launched and
+//! scheduled by.
 //!
 //! Everything derived is computed once per skeleton instance: the analysis
 //! and the host evaluator of source text and — per stage kind — a closure's
@@ -19,9 +21,12 @@ use std::sync::{Arc, OnceLock};
 
 use oclsim::{ArgView, CostHint, NativeKernelDef, Pod, Program, Value};
 
+use crate::args::Args;
 use crate::error::{Result, SkelError};
 use crate::kernelgen::{check_binary_op, StageKind, UdfInfo};
-use crate::skeletons::{DeviceScalar, HostOperator, LaunchConfig, PreparedCall};
+use crate::plan::{Stage, StageFn};
+use crate::skeletons::exec::create_buffer;
+use crate::skeletons::{DeviceScalar, HostOperator};
 
 /// The closure form of a reduce or scan operator.
 pub(crate) type BinaryOp<T> = dyn Fn(T, T) -> T + Send + Sync;
@@ -58,13 +63,8 @@ pub(crate) enum Udf<F: ?Sized> {
 impl<F: ?Sized> Udf<F> {
     /// Source `text` whose first `main_inputs` parameters receive elements.
     pub(crate) fn source(text: &str, main_inputs: usize) -> Udf<F> {
-        Udf::analysed(UdfInfo::analyze(text, main_inputs).map(Arc::new))
-    }
-
-    /// Source text by its analysis (a lazy plan stage carries one).
-    pub(crate) fn analysed(info: Result<Arc<UdfInfo>>) -> Udf<F> {
         Udf::Source {
-            info,
+            info: UdfInfo::analyze(text, main_inputs).map(Arc::new),
             host: OnceLock::new(),
         }
     }
@@ -117,46 +117,18 @@ impl<F: ?Sized> Udf<F> {
         Ok((info, host.get_or_init(|| built).clone()))
     }
 
-    /// The per-element cost used for scheduler-weighted partitioning.
-    pub(crate) fn scheduler_cost(&self) -> Result<CostHint> {
-        match self {
-            Udf::Closure { cost, .. } => Ok(*cost),
-            Udf::Source { info, .. } => Ok(info.clone()?.cost_hint()),
-        }
-    }
-
-    /// [`Udf::scheduler_cost`] when the call under `cfg` has a scheduler to
-    /// weight its partition with.
-    pub(crate) fn scheduler_cost_for(&self, cfg: &LaunchConfig<'_>) -> Result<Option<CostHint>> {
-        cfg.scheduler.map(|_| self.scheduler_cost()).transpose()
-    }
-
-    /// The kernels of the `kind` stage of this user function for `call`.
-    /// Source text: from the lowering memo of the call's runtime — the one
-    /// kernel cache, shared with the lazy plans — built on that runtime's
-    /// context (and charged to it) at first use; the call's additional
-    /// arguments are checked against the function. A closure: `build` wraps
-    /// it in its kernel and (for a scan) offset kernel, once.
-    pub(crate) fn kernels(
+    /// This user function as the one stage of an eager `kind` call producing
+    /// `O` elements. Source text is its analysis (the group runner finds its
+    /// kernels in the lowering memo); a closure is wrapped by `build` in its
+    /// kernel and (for a scan) offset kernel once per skeleton instance and
+    /// kind, on no runtime.
+    pub(crate) fn stage<O: Pod>(
         &self,
-        call: &PreparedCall,
         kind: StageKind,
         build: impl FnOnce(Arc<F>, CostHint) -> (oclsim::Kernel, Option<oclsim::Kernel>),
-    ) -> Result<Arc<StageKernels>> {
-        match self {
-            Udf::Source { info, .. } => {
-                let info = info.clone()?;
-                let shape = call.runtime.lowerings().lowered(&[(kind, &info)])?;
-                let kernels = shape.kernels(&call.runtime)?.clone();
-                if call.prepared_args.has_vectors() {
-                    return Err(SkelError::UnsupportedArg(
-                        "vector additional arguments require a native (closure) user function"
-                            .into(),
-                    ));
-                }
-                check_arg_count(&info, call.prepared_args.len())?;
-                Ok(kernels)
-            }
+    ) -> Result<Stage> {
+        let udf = match self {
+            Udf::Source { info, .. } => StageFn::Source(info.clone()?),
             Udf::Closure { f, cost, kernels } => {
                 let slot = &kernels[usize::from(kind == StageKind::IndexMap)];
                 let built = slot.get_or_init(|| {
@@ -167,9 +139,10 @@ impl<F: ?Sized> Udf<F> {
                         per_element_cost: Some(*cost),
                     })
                 });
-                Ok(built.clone())
+                StageFn::Closure(built.clone())
             }
-        }
+        };
+        Ok(Stage::new(kind, 0, udf, Args::none(), create_buffer::<O>))
     }
 }
 
@@ -265,14 +238,13 @@ pub(crate) fn closure_kernel<O: Pod>(
 }
 
 impl<T: DeviceScalar> Udf<BinaryOp<T>> {
-    /// Left fold of `values` (not empty) under the operator, on the host: the
-    /// final combination of a reduction's partials, and — two values at a
-    /// time — of a scan's per-device totals. `stage` names the skeleton in
-    /// signature errors.
-    pub(crate) fn fold(&self, stage: &str, values: &mut [T]) -> Result<T> {
+    /// The operator evaluated on the host: the final combination of a
+    /// reduction's partials and — two values at a time — of a scan's
+    /// per-device totals. `stage` names the skeleton in signature errors.
+    pub(crate) fn host_operator(&self, stage: &str) -> Result<Arc<HostOperator>> {
         match self {
-            Udf::Closure { f, .. } => Ok(values[1..].iter().fold(values[0], |acc, x| f(acc, *x))),
-            Udf::Source { .. } => self.plan_operator(stage)?.1.fold(values),
+            Udf::Closure { f, .. } => Ok(Arc::new(HostOperator::closure(f.clone())?)),
+            Udf::Source { .. } => Ok(self.plan_operator(stage)?.1),
         }
     }
 }
@@ -285,40 +257,48 @@ mod tests {
     use crate::vector::Vector;
 
     /// A closure's kernels are built once per skeleton instance and stage
-    /// kind, however often and on however many runtimes it is asked for them.
+    /// kind, however often its stage is asked for — on no runtime, so every
+    /// runtime a call runs on gets the same kernels.
     #[test]
     fn closure_kernels_are_built_once_per_instance_and_kind() {
         let udf = Udf::<BinaryOp<i32>>::closure(Arc::new(|a, b| a + b));
-        let mut builds = 0;
-        for rt in [init_gpus(1), init_gpus(2)] {
-            let v = Vector::from_vec(&rt, vec![1i32; 4]);
-            let spec = crate::skeletons::exec::CallSpec::eager(None);
-            let call = PreparedCall::prepare(&rt, &[&v], &LaunchConfig::default(), &spec).unwrap();
+        let builds = std::cell::Cell::new(0);
+        let stage = |udf: &Udf<BinaryOp<i32>>, kind| {
+            let stage = udf.stage::<i32>(kind, |_, cost| {
+                builds.set(builds.get() + 1);
+                let name = format!("probe_{}", builds.get());
+                (
+                    native_kernel(NativeKernelDef::new(&name, cost, |_| Ok(()))),
+                    None,
+                )
+            });
+            stage.unwrap()
+        };
+        for _call in 0..2 {
             for kind in [StageKind::Map, StageKind::IndexMap, StageKind::Map] {
-                let kernels = udf.kernels(&call, kind, |_, cost| {
-                    builds += 1;
-                    let name = format!("probe_{builds}");
-                    (
-                        native_kernel(NativeKernelDef::new(&name, cost, |_| Ok(()))),
-                        None,
-                    )
-                });
+                let StageFn::Closure(kernels) = stage(&udf, kind).udf else {
+                    unreachable!("a closure's stage carries its kernels")
+                };
                 let want = if kind == StageKind::IndexMap {
                     "probe_2"
                 } else {
                     "probe_1"
                 };
-                assert_eq!(kernels.unwrap().kernel.name, want);
+                assert_eq!(kernels.kernel.name, want);
             }
         }
-        assert_eq!(builds, 2, "one build per kind, none per call or runtime");
+        assert_eq!(
+            builds.get(),
+            2,
+            "one build per kind, none per call or runtime"
+        );
         // `with_cost` re-costs the closure, so its kernels are built anew.
         let udf = udf.with_cost(CostHint::new(9.0, 9.0));
         let Udf::Closure { kernels, .. } = &udf else {
             unreachable!()
         };
         assert!(kernels.iter().all(|slot| slot.get().is_none()));
-        assert_eq!(udf.scheduler_cost().unwrap().flops_per_item, 9.0);
+        assert_eq!(stage(&udf, StageKind::Map).cost().flops_per_item, 9.0);
     }
 
     /// N calls of one closure skeleton instance launch the kernel(s) it built

@@ -19,8 +19,9 @@ use crate::container::Container;
 use crate::error::Result;
 use crate::kernelgen::{self, StageKind};
 use crate::matrix::Matrix;
+use crate::plan::{run_elementwise, Stage};
 use crate::skeletons::udf::closure_kernel;
-use crate::skeletons::{run_call, CallSpec, Launch, LaunchConfig, PreparedCall, Skeleton, Udf};
+use crate::skeletons::{Launch, LaunchConfig, Skeleton, Udf};
 use crate::vector::Vector;
 
 /// The closure form of a zip's user function.
@@ -110,8 +111,9 @@ impl<A: Pod, B: Pod, O: Pod> Zip<A, B, O> {
     /// `run_into` terminal form, generic over the input containers: shape
     /// check plus the paper's distribution unification (differing
     /// distributions are coerced to block on both sides), then the one call
-    /// path — on both containers, so a device loss re-partitions them with
-    /// the same weights and the pair stays unified for the replay.
+    /// path as a one-stage group — on both containers, so a device loss
+    /// re-partitions them with the same weights and the pair stays unified
+    /// for the replay.
     fn execute_zip<CA: Container<A>>(
         &self,
         left: &CA,
@@ -119,17 +121,13 @@ impl<A: Pod, B: Pod, O: Pod> Zip<A, B, O> {
         cfg: &LaunchConfig<'_>,
         reuse: Option<&CA::Rebound<O>>,
     ) -> Result<CA::Rebound<O>> {
-        let spec = CallSpec {
-            coerce: &|| left.unify_with(right),
-            ..CallSpec::eager(self.udf.scheduler_cost_for(cfg)?)
+        let stage = self.udf.stage::<O>(StageKind::Zip, Self::closure_kernel)?;
+        let stage = Stage {
+            side: Some((0, 1)),
+            ..stage
         };
-        run_call(&left.runtime(), &[left, right], cfg, &spec, &mut |call| {
-            let kernels = self
-                .udf
-                .kernels(call, StageKind::Zip, Self::closure_kernel)?;
-            let out_buffers = call.launch_elementwise(&kernels.kernel, &[], None, reuse)?;
-            PreparedCall::wrap_output(left, out_buffers, reuse)
-        })
+        let coerce = || left.unify_with(right);
+        run_elementwise(&stage, &[left, right], left, cfg, &coerce, reuse)
     }
 }
 

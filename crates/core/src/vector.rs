@@ -326,14 +326,6 @@ impl<T: Pod> Container<T> for Vector<T> {
         self.copy_data_to_devices()
     }
 
-    fn mark_device_modified(&self) {
-        Vector::mark_device_modified(self)
-    }
-
-    fn gather(&self) -> Result<Vec<T>> {
-        self.to_vec()
-    }
-
     fn unify_with<B: Pod>(&self, other: &Vector<B>) -> Result<()> {
         if self.len() != other.len() {
             return Err(crate::error::SkelError::LengthMismatch {

@@ -444,6 +444,291 @@ fn matrix_plan_under_never_is_the_eager_sequence_event_for_event() {
     }
 }
 
+/// One command of a device's event log as pinned: kind (a kernel by its
+/// name), bytes, and the queued / start / end timestamps in virtual ns.
+type Command = (String, usize, u64, u64, u64);
+
+/// Run `call` on a fresh 2-device runtime; the host clock right after it
+/// returns, and every device's event log once the queues have drained.
+fn eager_timeline(call: &dyn Fn(&std::sync::Arc<skelcl::SkelCl>)) -> (u64, Vec<Vec<Command>>) {
+    let rt = skelcl::init_gpus(2);
+    call(&rt);
+    let host = rt.now().as_nanos();
+    rt.finish_all();
+    let logs = rt.drain_events().into_iter().map(|log| {
+        log.iter()
+            .map(|e| {
+                let kind = match &e.kind {
+                    oclsim::CommandKind::Kernel(name) => name.clone(),
+                    other => format!("{other:?}"),
+                };
+                let t = |at: oclsim::SimTime| at.as_nanos();
+                (kind, e.bytes, t(e.queued), t(e.start), t(e.end))
+            })
+            .collect()
+    });
+    (host, logs.collect())
+}
+
+const ADD: &str = "float func(float a, float b) { return a + b; }";
+const HEAT: &str = "float func(float x) { return x + 0.1f * (get(0, -1) + get(0, 1) + get(-1, 0) + get(1, 0) - 4.0f * x); }";
+
+/// One eager call of every kind and terminal form, by name.
+fn eager_calls() -> Vec<(&'static str, Box<dyn Fn(&std::sync::Arc<skelcl::SkelCl>)>)> {
+    let heat = || MapOverlap::<f32, f32>::from_source(HEAT).with_boundary(Boundary::Clamp);
+    let grid = |rt: &std::sync::Arc<skelcl::SkelCl>| {
+        Matrix::from_vec(rt, 24, 16, seeded(24 * 16, 41)).unwrap()
+    };
+    vec![
+        (
+            "map",
+            Box::new(|rt| {
+                let scale =
+                    Map::<f32, f32>::from_source("float func(float x, float a) { return x * a; }");
+                let v = Vector::from_vec(rt, seeded(4096, 11));
+                scale.run(&v).arg(1.5f32).exec().unwrap();
+            }),
+        ),
+        (
+            "zip (closure)",
+            Box::new(|rt| {
+                let add = Zip::<f32, f32, f32>::new(|x, y, _| x + y);
+                let (x, y) = (
+                    Vector::from_vec(rt, seeded(3000, 7)),
+                    Vector::from_vec(rt, seeded(3000, 13)),
+                );
+                add.run(&x, &y).exec().unwrap();
+            }),
+        ),
+        (
+            "index map",
+            Box::new(|rt| {
+                let ramp =
+                    Map::<i32, f32>::from_source("float func(int i, float s) { return i * s; }");
+                ramp.run_index(rt, 1000).arg(0.5f32).exec().unwrap();
+            }),
+        ),
+        (
+            "reduce",
+            Box::new(|rt| {
+                let v = Vector::from_vec(rt, seeded(5000, 29));
+                Reduce::<f32>::from_source(ADD).run(&v).exec().unwrap();
+            }),
+        ),
+        (
+            "reduce .chunks(3) (closure)",
+            Box::new(|rt| {
+                let v = Vector::from_vec(rt, seeded(5000, 31));
+                Reduce::<f32>::new(|a, b| a + b)
+                    .run(&v)
+                    .chunks(3)
+                    .exec()
+                    .unwrap();
+            }),
+        ),
+        (
+            "reduce with a device fold",
+            Box::new(|rt| {
+                let scheduler = skelcl::StaticScheduler::analytical(rt);
+                let v = Vector::from_vec(rt, seeded(5000, 37));
+                let sum = Reduce::<f32>::from_source(ADD);
+                let (_, plan) = sum
+                    .run(&v)
+                    .scheduler(&scheduler)
+                    .scalar_with_plan()
+                    .unwrap();
+                assert!(
+                    !plan.final_on_cpu,
+                    "the scheduler places the fold on a device"
+                );
+            }),
+        ),
+        (
+            "scan",
+            Box::new(|rt| {
+                let v = Vector::from_vec(rt, seeded(2048, 3));
+                Scan::<f32>::from_source(ADD).run(&v).exec().unwrap();
+            }),
+        ),
+        (
+            "scan trace (closure)",
+            Box::new(|rt| {
+                let v = Vector::from_vec(rt, seeded(2048, 5));
+                Scan::<f32>::new(|a, b| a + b).run(&v).trace().unwrap();
+            }),
+        ),
+        (
+            "stencil sweep",
+            Box::new(move |rt| {
+                heat().run(&grid(rt)).exec().unwrap();
+            }),
+        ),
+        (
+            "run_iter(4)",
+            Box::new(move |rt| {
+                heat().run(&grid(rt)).run_iter(4).unwrap();
+            }),
+        ),
+    ]
+}
+
+/// Per eager call of [`eager_calls`]: its name, the host clock in ns when it
+/// returns, and every device's commands as [`Command`]s.
+type PinnedCall = (
+    &'static str,
+    u64,
+    &'static [&'static [(&'static str, usize, u64, u64, u64)]],
+);
+
+#[rustfmt::skip]
+const PINNED: &[PinnedCall] = &[
+    ("map", 150031000, &[
+        &[
+            ("WriteBuffer", 8192, 15000, 15000, 31575),
+            ("SKELCL_MAP", 0, 150023000, 150023000, 150031230),
+        ],
+        &[
+            ("WriteBuffer", 8192, 19000, 19000, 35575),
+            ("SKELCL_MAP", 0, 150027000, 150027000, 150035230),
+        ],
+    ]),
+    ("zip (closure)", 39000, &[
+        &[
+            ("WriteBuffer", 6000, 15000, 15000, 31154),
+            ("WriteBuffer", 6000, 23000, 31154, 47308),
+            ("skelcl_zip_native", 0, 31000, 47308, 55477),
+        ],
+        &[
+            ("WriteBuffer", 6000, 19000, 19000, 35154),
+            ("WriteBuffer", 6000, 27000, 35154, 51308),
+            ("skelcl_zip_native", 0, 35000, 51308, 59477),
+        ],
+    ]),
+    ("index map", 150023000, &[
+        &[("SKELCL_MAP_INDEX", 0, 150015000, 150015000, 150023029)],
+        &[("SKELCL_MAP_INDEX", 0, 150019000, 150019000, 150027029)],
+    ]),
+    ("reduce", 150050147, &[
+        &[
+            ("WriteBuffer", 10000, 15000, 15000, 31923),
+            ("SKELCL_REDUCE", 0, 150023000, 150023000, 150031140),
+            ("ReadBuffer", 36, 150031000, 150031140, 150046147),
+        ],
+        &[
+            ("WriteBuffer", 10000, 19000, 19000, 35923),
+            ("SKELCL_REDUCE", 0, 150027000, 150027000, 150035140),
+            ("ReadBuffer", 36, 150035000, 150035140, 150050147),
+        ],
+    ]),
+    ("reduce .chunks(3) (closure)", 59205, &[
+        &[
+            ("WriteBuffer", 10000, 15000, 15000, 31923),
+            ("skelcl_reduce_native", 0, 23000, 31923, 40203),
+            ("ReadBuffer", 12, 31000, 40203, 55205),
+        ],
+        &[
+            ("WriteBuffer", 10000, 19000, 19000, 35923),
+            ("skelcl_reduce_native", 0, 27000, 35923, 44203),
+            ("ReadBuffer", 12, 35000, 44203, 59205),
+        ],
+    ]),
+    ("reduce with a device fold", 150088163, &[
+        &[
+            ("WriteBuffer", 10000, 15000, 15000, 31923),
+            ("SKELCL_REDUCE", 0, 150023000, 150023000, 150031140),
+            ("ReadBuffer", 36, 150031000, 150031140, 150046147),
+            ("WriteBuffer", 72, 150050147, 150050147, 150065161),
+            ("SKELCL_REDUCE", 0, 150054147, 150065161, 150073162),
+            ("ReadBuffer", 4, 150058147, 150073162, 150088163),
+        ],
+        &[
+            ("WriteBuffer", 10000, 19000, 19000, 35923),
+            ("SKELCL_REDUCE", 0, 150027000, 150027000, 150035140),
+            ("ReadBuffer", 36, 150035000, 150035140, 150050147),
+        ],
+    ]),
+    ("scan", 150054115, &[
+        &[
+            ("WriteBuffer", 4096, 15000, 15000, 30788),
+            ("SKELCL_SCAN", 0, 150023000, 150023000, 150031114),
+            ("ReadBuffer", 4, 150031000, 150031114, 150046115),
+        ],
+        &[
+            ("WriteBuffer", 4096, 19000, 19000, 34788),
+            ("SKELCL_SCAN", 0, 150027000, 150027000, 150035114),
+            ("ReadBuffer", 4, 150035000, 150035114, 150050115),
+            ("SKELCL_SCAN_OFFSET", 0, 150050115, 150050115, 150058229),
+        ],
+    ]),
+    ("scan trace (closure)", 62690, &[
+        &[
+            ("WriteBuffer", 4096, 15000, 15000, 30788),
+            ("skelcl_scan_native", 0, 23000, 30788, 38902),
+            ("ReadBuffer", 4096, 31000, 38902, 54690),
+        ],
+        &[
+            ("WriteBuffer", 4096, 19000, 19000, 34788),
+            ("skelcl_scan_native", 0, 27000, 34788, 42902),
+            ("ReadBuffer", 4096, 35000, 42902, 58690),
+            ("skelcl_scan_offset_native", 0, 58690, 58690, 66804),
+        ],
+    ]),
+    ("stencil sweep", 150031000, &[
+        &[
+            ("WriteBuffer", 896, 15000, 15000, 30172),
+            ("SKELCL_MAP_OVERLAP", 0, 150023000, 150023000, 150031064),
+        ],
+        &[
+            ("WriteBuffer", 896, 19000, 19000, 34172),
+            ("SKELCL_MAP_OVERLAP", 0, 150027000, 150027000, 150035064),
+        ],
+    ]),
+    ("run_iter(4)", 150124000, &[
+        &[
+            ("WriteBuffer", 1088, 15000, 15000, 30209),
+            ("SKELCL_MAP_OVERLAP", 0, 150023000, 150023000, 150031080),
+            ("CopyBuffer", 64, 150046000, 150046000, 150054001),
+            ("SKELCL_MAP_OVERLAP", 0, 150054000, 150054001, 150062077),
+            ("CopyBuffer", 64, 150077000, 150077000, 150085001),
+            ("SKELCL_MAP_OVERLAP", 0, 150085000, 150085001, 150093071),
+            ("CopyBuffer", 64, 150108000, 150108000, 150116001),
+            ("SKELCL_MAP_OVERLAP", 0, 150116000, 150116001, 150124065),
+        ],
+        &[
+            ("WriteBuffer", 1088, 19000, 19000, 34209),
+            ("SKELCL_MAP_OVERLAP", 0, 150027000, 150027000, 150035080),
+            ("CopyBuffer", 64, 150050000, 150050000, 150058001),
+            ("SKELCL_MAP_OVERLAP", 0, 150058000, 150058001, 150066077),
+            ("CopyBuffer", 64, 150081000, 150081000, 150089001),
+            ("SKELCL_MAP_OVERLAP", 0, 150089000, 150089001, 150097071),
+            ("CopyBuffer", 64, 150112000, 150112000, 150120001),
+            ("SKELCL_MAP_OVERLAP", 0, 150120000, 150120001, 150128065),
+        ],
+    ]),
+];
+
+/// The virtual time of one eager call of every kind and terminal form on 2
+/// devices — the host clock when the call returns and every device's event
+/// log — is pinned to [`PINNED`], so a change to the launch path that moves
+/// a single timestamp fails here (repeat-equality alone would not notice).
+#[test]
+fn eager_calls_keep_their_pinned_virtual_time() {
+    let calls = eager_calls();
+    assert_eq!(calls.len(), PINNED.len());
+    for ((name, call), &(pinned_name, host, logs)) in calls.iter().zip(PINNED) {
+        assert_eq!(*name, pinned_name);
+        let logs: Vec<Vec<Command>> = logs
+            .iter()
+            .map(|log| {
+                log.iter()
+                    .map(|&(kind, b, q, s, e)| (kind.to_string(), b, q, s, e))
+                    .collect()
+            })
+            .collect();
+        assert_eq!(eager_timeline(&**call), (host, logs), "{name}");
+    }
+}
+
 /// A packed batch — the serving layer's launch — is one submission of its
 /// shape's recorded command buffer: once the shape is recorded, a batch of
 /// map jobs and a batch of reductions each advance the host clock by exactly

@@ -200,13 +200,12 @@ impl Program {
         let unit = parser::parse(&tokens, source)?;
         let unit = sema::check(unit)?;
         let compiled = compile::compile(&unit)?;
-        let initial = Tier::from_env()?;
         let num_functions = unit.functions.len();
         Ok(Program {
             unit: Arc::new(unit),
             compiled: Arc::new(compiled),
             source: Arc::from(source),
-            native: Arc::new(native::NativeState::new(num_functions, initial)),
+            native: Arc::new(native::NativeState::new(num_functions)),
         })
     }
 

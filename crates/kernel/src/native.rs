@@ -161,15 +161,13 @@ use std::sync::{Arc, OnceLock};
 use crate::ast::BinOp;
 use crate::builtins::Builtin;
 use crate::compile::{CompiledUnit, Op};
-use crate::diag::KernelError;
 use crate::interp::{stencil_get, ArgBinding, BufferView, ExecStats, StencilCtx, WorkItem};
 use crate::types::{ScalarType, Type};
 use crate::value::Value;
 use crate::vm::{exit_chain_cost, vm_eval_binary, BATCH_LANES};
 
 /// Which execution engine runs kernel launches. Settable per program via
-/// [`crate::Program::set_tier`] or globally via the `SKELCL_KERNEL_TIER`
-/// environment variable.
+/// [`crate::Program::set_tier`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Tier {
     /// The tree-walking interpreter (the bit-exact oracle; slowest).
@@ -187,9 +185,9 @@ pub enum Tier {
     Native,
 }
 
-/// Every tier with its name, in declaration order: what [`Tier::parse`] and
-/// `Display` spell and what a program's stored selection indexes — the one
-/// list (besides the enum) a tier is added to or removed from.
+/// Every tier with its name, in declaration order: what `Display` spells and
+/// what a program's stored selection indexes — the one list (besides the
+/// enum) a tier is added to or removed from.
 const TIERS: [(Tier, &str); 4] = [
     (Tier::Interp, "interp"),
     (Tier::Scalar, "scalar"),
@@ -197,46 +195,9 @@ const TIERS: [(Tier, &str); 4] = [
     (Tier::Native, "native"),
 ];
 
-impl Tier {
-    /// Parse a tier name (as accepted by `SKELCL_KERNEL_TIER`).
-    pub fn parse(s: &str) -> Result<Tier, KernelError> {
-        let name = s.trim().to_ascii_lowercase();
-        let name = match name.as_str() {
-            "interpreter" => "interp",
-            "vm" => "batched",
-            other => other,
-        };
-        let known = TIERS.iter().find(|(_, n)| *n == name);
-        known.map(|(tier, _)| *tier).ok_or_else(|| {
-            let names = TIERS.map(|(_, n)| n).join(", ");
-            KernelError::run(format!(
-                "unknown kernel tier `{name}`: expected one of {names}"
-            ))
-        })
-    }
-
-    /// The tier pinned by the `SKELCL_KERNEL_TIER` environment variable, if
-    /// it is set — the one place the variable is read.
-    pub fn from_env() -> Result<Option<Tier>, KernelError> {
-        match std::env::var("SKELCL_KERNEL_TIER") {
-            Ok(s) => Tier::parse(&s)
-                .map(Some)
-                .map_err(|e| KernelError::run(format!("SKELCL_KERNEL_TIER: {}", e.message))),
-            Err(_) => Ok(None),
-        }
-    }
-}
-
 impl std::fmt::Display for Tier {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(TIERS[*self as usize].1)
-    }
-}
-
-impl std::str::FromStr for Tier {
-    type Err = KernelError;
-    fn from_str(s: &str) -> Result<Tier, KernelError> {
-        Tier::parse(s)
     }
 }
 
@@ -258,9 +219,9 @@ impl std::fmt::Debug for NativeState {
 }
 
 impl NativeState {
-    pub(crate) fn new(num_functions: usize, initial: Option<Tier>) -> NativeState {
+    pub(crate) fn new(num_functions: usize) -> NativeState {
         NativeState {
-            tier: AtomicU8::new(initial.unwrap_or_default() as u8),
+            tier: AtomicU8::new(Tier::default() as u8),
             kernels: (0..num_functions)
                 .map(|_| KernelNativeState::default())
                 .collect(),
@@ -2692,17 +2653,19 @@ mod tests {
     use crate::Program;
 
     #[test]
-    fn tier_parse_round_trips_and_aliases() {
+    fn tier_names_follow_declaration_order() {
         for (i, (t, name)) in TIERS.into_iter().enumerate() {
             assert_eq!(t as usize, i, "TIERS is in declaration order");
             assert_eq!(t.to_string(), name);
-            assert_eq!(Tier::parse(name).unwrap(), t);
         }
-        assert_eq!(Tier::parse(" VM ").unwrap(), Tier::Batched);
-        assert_eq!(Tier::parse("Interpreter").unwrap(), Tier::Interp);
-        let err = Tier::parse("warp").unwrap_err();
-        assert!(err.message.contains("unknown kernel tier `warp`"));
-        assert!(err.message.contains("native"));
+        let native = NativeState::new(0);
+        assert_eq!(
+            native.tier(),
+            Tier::Native,
+            "a program starts on the default tier"
+        );
+        native.set_tier(Tier::Scalar);
+        assert_eq!(native.tier(), Tier::Scalar);
     }
 
     #[test]

@@ -48,10 +48,7 @@ impl Context {
 
     /// Pin the kernel-language execution tier for every DSL program built
     /// through this context — already-cached programs (and kernels handed out
-    /// from them, which share tier state) as well as future builds. This is
-    /// the programmatic counterpart of the `SKELCL_KERNEL_TIER` environment
-    /// variable and overrides it, since it is applied after `Program::build`
-    /// reads the environment.
+    /// from them, which share tier state) as well as future builds.
     pub fn set_kernel_tier(&self, tier: skelcl_kernel::Tier) {
         *self.kernel_tier.lock() = Some(tier);
         for program in self.program_cache.lock().values() {
@@ -60,8 +57,7 @@ impl Context {
     }
 
     /// The tier pinned with [`Context::set_kernel_tier`], if any. `None`
-    /// means programs keep whatever `Program::build` chose (the
-    /// `SKELCL_KERNEL_TIER` environment variable, or automatic selection).
+    /// means programs keep the default tier, [`skelcl_kernel::Tier::Native`].
     pub fn kernel_tier(&self) -> Option<skelcl_kernel::Tier> {
         *self.kernel_tier.lock()
     }

@@ -9,10 +9,13 @@
 # second template, kernel cache, scan flow, pasted kernel frame, prepare
 # stage, recovery wrapper, per-call closure kernel, plan-handle struct or
 # per-consumer match on PlanNode shows up again. One exchange cadence: how
-# many sweeps a halo exchange pays for is decided in one function. One seam:
-# each fact the kernel engines, the simulator and the core share is written
-# in one file. One distribution vocabulary: vectors and matrices share
-# `Distribution`, stored as one `RowPartition` layout by one `Storage<T>`.
+# many sweeps a halo exchange pays for is decided in one function. One launch
+# dispatch: an eager call is a one-stage plan group, and the plan's group
+# runner is the only caller of the launchers. One seam: each fact the kernel
+# engines, the simulator and the core share is written in one file, and no
+# knob is read from the environment. One distribution vocabulary: vectors and
+# matrices share `Distribution`, stored as one `RowPartition` by one
+# `Storage<T>`.
 # Run from the repository root (CI: the `check` job).
 set -euo pipefail
 
@@ -99,15 +102,15 @@ if [ "$builds" != 0 ] || [ "$(count "$src/plan.rs" "build_program(")" != 1 ]; th
     complain "a program is built outside LoweredShape::kernels"
 fi
 
-# Figure 2's totals -> offsets flow exists once; scan.rs and plan.rs call it.
-if [ "$(grep -rn "fn launch_scan" "$src" | wc -l)" != 1 ]; then
-    complain "launch_scan must be defined exactly once"
+# Figure 2's totals -> offsets flow exists once, in scan.rs; the group runner
+# in plan.rs is what calls it (see "One launch dispatch" below).
+if [ "$(grep -rn "fn launch_scan" "$src" | wc -l)" != 1 ] ||
+    [ "$(count "$src/skeletons/scan.rs" "fn launch_scan")" != 1 ]; then
+    complain "launch_scan must be defined exactly once (skeletons/scan.rs)"
 fi
-for file in skeletons/scan.rs plan.rs; do
-    if [ "$(count "$src/$file" "launch_scan(")" = 0 ]; then
-        complain "$file no longer calls launch_scan"
-    fi
-done
+if [ "$(count "$src/plan.rs" "launch_scan(")" = 0 ]; then
+    complain "plan.rs no longer calls launch_scan"
+fi
 # (The loop is recognised by the offset it hands to the offset kernel.)
 if [ "$(grep -rn "offset.to_value()" "$src" | grep -vc "^$src/skeletons/scan.rs:" || true)" != 0 ] ||
     [ "$(count "$src/skeletons/scan.rs" "offset.to_value()")" != 1 ]; then
@@ -172,7 +175,7 @@ if grep -rn "closure_cost\|fn launch_sweep\|fn execute_single\|PreparedCall::sin
 fi
 
 # Closure kernels are built by the per-skeleton closure-kernel constructors —
-# which Udf::kernels runs once per instance and kind — never per call: no
+# which Udf::stage runs once per instance and kind — never per call: no
 # NativeKernelDef::new in a function that is not such a constructor or that
 # takes a LaunchConfig, and one Program::from_native (udf::native_kernel).
 defs=0
@@ -210,6 +213,35 @@ if grep -n "enqueue_kernel" "$skel/map.rs" "$skel/zip.rs" "$skel/map_overlap.rs"
 fi
 if [ "$(count "$skel/exec.rs" "enqueue_kernel(")" != 1 ]; then
     complain "exec.rs must enqueue kernels in exactly one place (launch_elementwise)"
+fi
+
+# --- One launch dispatch --------------------------------------------------
+
+# An eager call is a one-stage plan group: the plan's group runner
+# (plan::run_group) is the only code that hands a stage kind to its launcher.
+# Every call of launch_elementwise / launch_and_gather / launch_scan outside
+# tests and comments is inside run_group, and each launcher is called there.
+launcher='\b(launch_elementwise|launch_and_gather|launch_scan)(::<[A-Za-z0-9_]+>)?\('
+launcher_calls() {
+    grep -E "$launcher" | grep -vE "fn (launch_elementwise|launch_and_gather|launch_scan)\b|^ *//" || true
+}
+all_calls=0
+for file in $(find "$src" -name '*.rs' | sort); do
+    all_calls=$((all_calls + $(non_test "$file" | launcher_calls | grep -c . || true)))
+done
+runner=$(non_test "$src/plan.rs" | awk '/^pub\(crate\) fn run_group\(/{on=1} on{print} on&&/^\}/{on=0}')
+runner_calls=$(echo "$runner" | launcher_calls)
+if [ -z "$runner" ] || [ "$all_calls" != "$(echo "$runner_calls" | grep -c .)" ]; then
+    complain "the launchers are called from $all_calls place(s), not all of them in plan::run_group"
+fi
+for name in launch_elementwise launch_and_gather launch_scan; do
+    if ! echo "$runner_calls" | grep -q "$name"; then
+        complain "plan::run_group no longer calls $name"
+    fi
+done
+# What only a second launch path needed stays gone.
+if grep -rnE "CallSpec|fn (launch_elementwise|no_args|input_args)\(&self|fn from_stage\b" "$src"; then
+    complain "a second launch path is back: CallSpec, PreparedCall::launch_elementwise or MapOverlap::from_stage (see the matches above)"
 fi
 
 # --- One exchange cadence -------------------------------------------------
@@ -262,7 +294,10 @@ written_in "the Rust type -> DataKind table" "TypeId::of::<f32>" "crates/oclsim/
 written_in "the signature rule (oracle + shared checker)" \
     "expects \{\} arguments|expected __global|but a (scalar|buffer) was bound" "$k/interp.rs $k/types.rs "
 written_in "the ops cost weight" "0\.25 \* self\.ops|ops \* 0\.25" "$k/cost.rs " 1
-written_in "the SKELCL_KERNEL_TIER read" 'var\("SKELCL_KERNEL_TIER"\)' "$k/native.rs " 1
+# No knob is read from the environment: a tier is pinned with set_kernel_tier.
+if grep -rnE "env::vars?\b|\benv!\(|option_env!\(" crates/*/src; then
+    complain "an environment read is back (see the matches above)"
+fi
 written_in "a tier-count field (LaunchTrace, TierSnapshot)" \
     "^ *(pub )?((interp|scalar|batched|native|bailed)_launches|native_compile(s|_ns)|(native|masked|replayed)_batches): " \
     "$k/lib.rs crates/oclsim/src/device.rs "
