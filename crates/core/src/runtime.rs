@@ -165,9 +165,11 @@ impl ExecTrace {
         self.tiers().scalar_launches
     }
 
-    /// Total kernel-language launches handled by the lane-batched VM.
+    /// Kept for the repository benchmark, which predates the removal of the
+    /// lane-batched VM: always 0.
+    #[doc(hidden)]
     pub fn batched_launches(&self) -> usize {
-        self.tiers().batched_launches
+        0
     }
 
     /// Total kernel-language launches handled by the native tier.
@@ -208,10 +210,9 @@ impl ExecTrace {
     pub fn tier_line(&self) -> String {
         let t = self.tiers();
         format!(
-            "Kernel launches: {} native, {} batched, {} scalar, {} interp; \
+            "Kernel launches: {} native, {} scalar, {} interp; \
              {} replayed batch(es), {} bailed launch(es), {} masked batch(es)",
             t.native_launches,
-            t.batched_launches,
             t.scalar_launches,
             t.interp_launches,
             t.replayed_batches,
@@ -321,7 +322,7 @@ impl SkelCl {
     /// Pin the kernel-language execution tier for every kernel the runtime
     /// launches from now on — [`Tier::Native`] is the default, which runs
     /// every native-eligible kernel natively from its first launch; the
-    /// others force one of the VMs or the interpreter. Applies to already-built
+    /// others force the scalar VM or the interpreter. Applies to already-built
     /// (cached) programs as well as future builds. All tiers are bit-identical
     /// in results and execution statistics; only throughput differs.
     pub fn set_kernel_tier(&self, tier: Tier) {
@@ -335,7 +336,7 @@ impl SkelCl {
         if let Some(tier) = self.context.kernel_tier() {
             format!("{tier} (pinned via set_kernel_tier)")
         } else {
-            "native by default (from a kernel's first launch; the batched VM for \
+            "native by default (from a kernel's first launch; the scalar VM for \
              native-ineligible kernels)"
                 .to_string()
         }

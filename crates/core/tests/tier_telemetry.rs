@@ -23,11 +23,11 @@ fn run_map(rt: &std::sync::Arc<skelcl::SkelCl>, n: usize) -> Vec<f32> {
 fn forced_native_tier_is_counted_and_bit_identical() {
     let rt = skelcl::init_gpus(1);
 
-    // The batched VM, pinned, is the baseline.
-    rt.set_kernel_tier(Tier::Batched);
+    // The scalar VM, pinned, is the baseline.
+    rt.set_kernel_tier(Tier::Scalar);
     let baseline = run_map(&rt, 100);
     let t = rt.exec_trace();
-    assert_eq!(t.batched_launches(), 1, "pinned launch uses the VM");
+    assert_eq!(t.scalar_launches(), 1, "pinned launch uses the VM");
     assert_eq!(t.native_launches(), 0);
     assert_eq!(t.native_compiles(), 0);
 
@@ -38,7 +38,7 @@ fn forced_native_tier_is_counted_and_bit_identical() {
     assert_eq!(
         baseline.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
         native.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-        "native tier must be bit-identical to the batched VM"
+        "native tier must be bit-identical to the scalar VM"
     );
     let t = rt.exec_trace();
     assert_eq!(t.native_launches(), 1, "pinned launch runs natively");
@@ -64,7 +64,7 @@ fn auto_tier_graduates_large_launches() {
     run_map(&rt, 10_000);
     let t = rt.exec_trace();
     assert_eq!(t.native_launches(), 1, "first launch is native");
-    assert_eq!(t.batched_launches(), 0);
+    assert_eq!(t.scalar_launches(), 0);
     assert_eq!(t.native_compiles(), 1);
 }
 
@@ -108,7 +108,7 @@ fn default_tier_runs_zip_reduce_scan_natively_from_the_first_launch() {
         "same three kernels: {}",
         t.tier_line()
     );
-    let others = t.batched_launches() + t.scalar_launches() + t.interp_launches();
+    let others = t.scalar_launches() + t.interp_launches();
     assert_eq!(others, 0, "{}", t.tier_line());
     assert_eq!(t.replayed_batches(), 0, "{}", t.tier_line());
     assert_eq!(t.bailed_launches(), 0, "{}", t.tier_line());
@@ -121,7 +121,7 @@ fn interp_tier_pin_and_per_device_counters() {
     run_map(&rt, 64);
     let t = rt.exec_trace();
     assert_eq!(t.interp_launches(), 2, "one launch per device");
-    assert_eq!(t.native_launches() + t.batched_launches(), 0);
+    assert_eq!(t.native_launches() + t.scalar_launches(), 0);
     assert_eq!(t.devices.len(), 2);
     for d in &t.devices {
         assert_eq!(d.tiers.interp_launches, 1);
@@ -143,7 +143,7 @@ fn heat_stencil_sweeps_run_natively_without_replays() {
     heat.run(&plate).run_iter(4).unwrap().to_vec().unwrap();
     let t = rt.exec_trace();
     assert_eq!(t.native_launches(), 4, "{}", t.tier_line());
-    assert_eq!(t.batched_launches(), 0, "{}", t.tier_line());
+    assert_eq!(t.scalar_launches(), 0, "{}", t.tier_line());
     assert_eq!(t.replayed_batches(), 0, "{}", t.tier_line());
     assert_eq!(t.bailed_launches(), 0, "{}", t.tier_line());
     assert_eq!(t.masked_batches(), 0, "straight-line: {}", t.tier_line());
@@ -169,7 +169,7 @@ fn launch_raw(rt: &skelcl::SkelCl, src: &str) {
 #[test]
 fn hazardous_launches_are_counted_as_bailed_not_native() {
     // An in-place shift crosses lanes in the very first batch: nothing ran
-    // natively, so the launch counts as a batched one.
+    // natively, so the launch counts as a scalar one.
     let rt = skelcl::init_gpus(1);
     launch_raw(
         &rt,
@@ -177,7 +177,7 @@ fn hazardous_launches_are_counted_as_bailed_not_native() {
     );
     let t = rt.exec_trace();
     assert_eq!(t.native_launches(), 0, "{}", t.tier_line());
-    assert_eq!(t.batched_launches(), 1, "{}", t.tier_line());
+    assert_eq!(t.scalar_launches(), 1, "{}", t.tier_line());
     assert_eq!(t.replayed_batches(), 1, "{}", t.tier_line());
     assert_eq!(t.bailed_launches(), 1, "{}", t.tier_line());
     assert_eq!(t.devices[0].tiers.bailed_launches, 1);
@@ -243,7 +243,7 @@ fn explain_renders_tier_decision() {
         "default explain says what the default means:\n{text}"
     );
     assert!(
-        text.contains("Kernel launches: 0 native, 0 batched")
+        text.contains("Kernel launches: 0 native, 0 scalar, 0 interp")
             && text.contains("0 replayed batch(es), 0 bailed launch(es), 0 masked batch(es)"),
         "the tier counters are rendered:\n{text}"
     );
@@ -369,10 +369,10 @@ fn every_counting_field_of_a_launch_trace_reaches_the_exec_trace() {
             trace(Tier::Interp, 3, false, false),
         ],
         vec![
-            trace(Tier::Batched, 4, true, true),
+            trace(Tier::Scalar, 4, true, true),
             trace(Tier::Scalar, 5, false, false),
             trace(Tier::Native, 6, true, false),
-            trace(Tier::Batched, 7, false, false),
+            trace(Tier::Scalar, 7, false, false),
         ],
     ];
 
@@ -395,7 +395,6 @@ fn every_counting_field_of_a_launch_trace_reaches_the_exec_trace() {
             match tier {
                 Tier::Interp => want.interp_launches += 1,
                 Tier::Scalar => want.scalar_launches += 1,
-                Tier::Batched => want.batched_launches += 1,
                 Tier::Native => want.native_launches += 1,
             }
             // The compile time is repeated on every launch of a compiled
@@ -425,7 +424,6 @@ fn every_counting_field_of_a_launch_trace_reaches_the_exec_trace() {
     let TierSnapshot {
         interp_launches,
         scalar_launches,
-        batched_launches,
         native_launches,
         native_compiles,
         native_compile_ns,
@@ -436,13 +434,8 @@ fn every_counting_field_of_a_launch_trace_reaches_the_exec_trace() {
     } = exec.tiers();
     assert_eq!(exec.tiers(), want);
     assert_eq!(
-        (
-            interp_launches,
-            scalar_launches,
-            batched_launches,
-            native_launches
-        ),
-        (1, 1, 2, 3)
+        (interp_launches, scalar_launches, native_launches),
+        (1, 3, 3)
     );
     assert_eq!((native_compiles, native_compile_ns), (3, 3011));
     assert_eq!(
@@ -453,7 +446,6 @@ fn every_counting_field_of_a_launch_trace_reaches_the_exec_trace() {
     // The named accessors and the tier line read the same record.
     assert_eq!(exec.interp_launches(), interp_launches);
     assert_eq!(exec.scalar_launches(), scalar_launches);
-    assert_eq!(exec.batched_launches(), batched_launches);
     assert_eq!(exec.native_launches(), native_launches);
     assert_eq!(exec.native_compiles(), native_compiles);
     assert_eq!(exec.native_compile_ns(), native_compile_ns);
@@ -462,7 +454,7 @@ fn every_counting_field_of_a_launch_trace_reaches_the_exec_trace() {
     assert_eq!(exec.bailed_launches(), bailed_launches);
     assert_eq!(
         exec.tier_line(),
-        "Kernel launches: 3 native, 2 batched, 1 scalar, 1 interp; \
+        "Kernel launches: 3 native, 3 scalar, 1 interp; \
          35 replayed batch(es), 2 bailed launch(es), 49 masked batch(es)"
     );
 }

@@ -4,7 +4,7 @@
 //! AST-interpreter oracle, asserting identical results and identical measured
 //! ExecStats. The MapOverlap, reduce and packed-reduce templates
 //! additionally run on every engine
-//! (interpreter ≡ scalar ≡ batched ≡ native) over a grid of shapes, and
+//! (interpreter ≡ scalar ≡ native) over a grid of shapes, and
 //! must never replay a batch on the native tier; so do the divergent
 //! kernels of the paper's two applications (the OSEM update `Zip`, the
 //! Mandelbrot index map) and a fused plan kernel with a branchy stage.
@@ -333,7 +333,7 @@ fn assert_stays_native_on_all_engines(
     };
     let (oracle_bits, oracle_stats, _) = run(Tier::Interp);
     let mut masked = 0;
-    for tier in [Tier::Scalar, Tier::Batched, Tier::Native] {
+    for tier in [Tier::Scalar, Tier::Native] {
         let (bits, stats, trace) = run(tier);
         assert_eq!(bits, oracle_bits, "output diverged on {tier}: {what}");
         assert_eq!(stats, oracle_stats, "ExecStats diverged on {tier}: {what}");
@@ -640,7 +640,7 @@ fn generated_divergent_kernels_stay_native() {
             let what = format!("fused plan, n={n}, {pattern}");
             let (oracle_bits, oracle_time, _) = run(Tier::Interp);
             assert_eq!(oracle_time.len(), 1, "one fused launch: {what}");
-            for tier in [Tier::Scalar, Tier::Batched, Tier::Native] {
+            for tier in [Tier::Scalar, Tier::Native] {
                 let (bits, time, trace) = run(tier);
                 assert_eq!(bits, oracle_bits, "output diverged on {tier}: {what}");
                 assert_eq!(time, oracle_time, "virtual time diverged on {tier}: {what}");

@@ -136,12 +136,15 @@ pub enum Op {
     /// Jump when `cond` is true
     JumpIfTrue { cond: Reg, target: u32 },
     /// Call a user function; `nargs` argument values start at register
-    /// `args`; the result lands in `dst`
+    /// `args`; the result lands in `dst`. `depth` is how many calls deeper
+    /// than the current frame the callee runs: one, plus the calls inlined
+    /// around the call site (the interpreter counts those too).
     Call {
         func: u16,
         dst: Reg,
         args: Reg,
         nargs: u16,
+        depth: u16,
     },
     /// Call a math builtin over registers `args .. args+nargs`
     CallBuiltin {
@@ -266,8 +269,10 @@ pub fn compile(unit: &TranslationUnit) -> Result<CompiledUnit, KernelError> {
     }
     let mut names = Interner::default();
     let mut functions = Vec::with_capacity(unit.functions.len());
+    let called = called_functions(unit);
     for func in &unit.functions {
-        functions.push(FnCompiler::lower(unit, func, &mut names)?);
+        let inlines = func.is_kernel && !called.contains(func.name.as_str());
+        functions.push(FnCompiler::lower(unit, func, inlines, &mut names)?);
     }
     if names.names.len() > u16::MAX as usize + 1 {
         return Err(KernelError::run(format!(
@@ -349,6 +354,11 @@ struct FnCompiler<'u> {
     inline_ctxs: Vec<InlineCtx>,
     /// Names of functions currently being inlined (recursion guard).
     inline_stack: Vec<String>,
+    /// Whether calls may be inlined at all: only into a kernel no call
+    /// names, which always runs at call depth 0. Every other function is
+    /// entered through [`Op::Call`], so the VM's frames count its calls
+    /// exactly as the interpreter does.
+    inlines: bool,
 }
 
 /// State of one function body being inlined at a call site.
@@ -368,12 +378,16 @@ struct InlineCtx {
 /// Code-size ceiling past which calls are no longer inlined.
 const INLINE_CODE_LIMIT: usize = 8192;
 /// Maximum inline nesting (mirrors the cost estimator's recursion cutoff).
+/// An inlined call can never hit the call-depth limit, which is checked at
+/// [`Op::Call`] only.
 const INLINE_DEPTH_LIMIT: usize = 8;
+const _: () = assert!(INLINE_DEPTH_LIMIT < crate::interp::MAX_CALL_DEPTH);
 
 impl<'u> FnCompiler<'u> {
     fn lower(
         unit: &'u TranslationUnit,
         func: &'u Function,
+        inlines: bool,
         names: &mut Interner,
     ) -> Result<CompiledFunction, KernelError> {
         let mut params = Vec::with_capacity(func.params.len());
@@ -408,6 +422,7 @@ impl<'u> FnCompiler<'u> {
             const_pool: Vec::new(),
             inline_ctxs: Vec::new(),
             inline_stack: Vec::new(),
+            inlines,
         };
         c.func_end = c.new_label();
 
@@ -1135,6 +1150,7 @@ impl<'u> FnCompiler<'u> {
                 dst: t,
                 args: base,
                 nargs: args.len() as u16,
+                depth: self.inline_stack.len() as u16 + 1,
             },
             InstrCost::ZERO,
         );
@@ -1144,7 +1160,8 @@ impl<'u> FnCompiler<'u> {
     /// Inline non-recursive calls while the emitted code stays small; deep
     /// or recursive call chains fall back to real VM frames.
     fn should_inline(&self, callee: &Function) -> bool {
-        self.inline_stack.len() < INLINE_DEPTH_LIMIT
+        self.inlines
+            && self.inline_stack.len() < INLINE_DEPTH_LIMIT
             && self.code.len() < INLINE_CODE_LIMIT
             && !self.inline_stack.iter().any(|n| n == &callee.name)
             && self.func.name != callee.name
@@ -1561,17 +1578,38 @@ fn value_key(v: Value) -> (u8, u64) {
 fn collect_literals(unit: &TranslationUnit) -> Vec<Value> {
     let mut seen = std::collections::HashSet::new();
     let mut out = Vec::new();
-    let mut push = |v: Value| {
+    visit_exprs(unit, &mut |e| {
+        let v = match e {
+            Expr::IntLit(v, _) => Value::Int(*v as i32),
+            Expr::FloatLit(v, _) => Value::Float(*v as f32),
+            Expr::BoolLit(v, _) => Value::Bool(*v),
+            Expr::IncDec { delta, .. } => Value::Int(*delta),
+            _ => return,
+        };
         if seen.insert(value_key(v)) {
             out.push(v);
         }
-    };
-    fn walk_expr(e: &Expr, f: &mut dyn FnMut(Value)) {
+    });
+    out
+}
+
+/// Names of the functions some call in the unit names.
+fn called_functions(unit: &TranslationUnit) -> std::collections::HashSet<&str> {
+    let mut called = std::collections::HashSet::new();
+    visit_exprs(unit, &mut |e| {
+        if let Expr::Call { callee, .. } = e {
+            called.insert(callee.as_str());
+        }
+    });
+    called
+}
+
+/// Call `f` on every expression of the unit, in source order, each after
+/// its operands.
+fn visit_exprs<'a>(unit: &'a TranslationUnit, f: &mut dyn FnMut(&'a Expr)) {
+    fn walk_expr<'a>(e: &'a Expr, f: &mut dyn FnMut(&'a Expr)) {
         match e {
-            Expr::IntLit(v, _) => f(Value::Int(*v as i32)),
-            Expr::FloatLit(v, _) => f(Value::Float(*v as f32)),
-            Expr::BoolLit(v, _) => f(Value::Bool(*v)),
-            Expr::Var(..) => {}
+            Expr::IntLit(..) | Expr::FloatLit(..) | Expr::BoolLit(..) | Expr::Var(..) => {}
             Expr::Index { index, .. } => walk_expr(index, f),
             Expr::Unary { operand, .. } | Expr::Cast { operand, .. } => walk_expr(operand, f),
             Expr::Binary { lhs, rhs, .. } => {
@@ -1595,18 +1633,18 @@ fn collect_literals(unit: &TranslationUnit) -> Vec<Value> {
                 }
                 walk_expr(value, f);
             }
-            Expr::IncDec { target, delta, .. } => {
+            Expr::IncDec { target, .. } => {
                 if let LValue::Index { index, .. } = target {
                     walk_expr(index, f);
                 }
-                f(Value::Int(*delta));
             }
         }
+        f(e);
     }
-    fn walk_block(b: &Block, f: &mut dyn FnMut(Value)) {
+    fn walk_block<'a>(b: &'a Block, f: &mut dyn FnMut(&'a Expr)) {
         b.stmts.iter().for_each(|s| walk_stmt(s, f));
     }
-    fn walk_stmt(s: &Stmt, f: &mut dyn FnMut(Value)) {
+    fn walk_stmt<'a>(s: &'a Stmt, f: &mut dyn FnMut(&'a Expr)) {
         match s {
             Stmt::Decl { init, .. } => {
                 if let Some(e) = init {
@@ -1650,9 +1688,8 @@ fn collect_literals(unit: &TranslationUnit) -> Vec<Value> {
         }
     }
     for func in &unit.functions {
-        walk_block(&func.body, &mut push);
+        walk_block(&func.body, f);
     }
-    out
 }
 
 /// Whether evaluating `e` can write to a named variable or a buffer (used to

@@ -91,7 +91,7 @@ impl<'a> BufferView<'a> {
     }
 
     /// Write back a value previously read with [`BufferView::load`] without
-    /// any conversion, bit-exactly — the undo path of the batched VM's
+    /// any conversion, bit-exactly — the undo path of the native tier's
     /// rollback. A variant mismatch or out-of-range index is a logic error
     /// (the undo log only ever holds values loaded from this view).
     pub(crate) fn restore(&mut self, idx: usize, value: Value) {
@@ -373,6 +373,15 @@ impl Env {
 /// time from these measured counts.
 pub type ExecStats = CostEstimate;
 
+/// How many helper calls may be active at once in one work-item, on every
+/// engine; the next call fails with `call depth limit (N) exceeded`. OpenCL C
+/// forbids recursion, so real kernels stay far below it. The limit is sized
+/// for this interpreter, which recurses on the host stack: in a debug build
+/// one kernel-language call takes 20–45 KiB of it, more the deeper the call
+/// sits in its function's statements, so at this depth a 2 MiB thread still
+/// has more than half of its stack left.
+pub(crate) const MAX_CALL_DEPTH: usize = 16;
+
 /// The kernel interpreter. One instance may be reused across work-items of
 /// the same launch.
 pub struct Interpreter<'u> {
@@ -394,6 +403,8 @@ struct KernelFrame<'a, 'b> {
     /// Stencil context of the launch, when the kernel declares the reserved
     /// `skelcl_stencil_*` parameters (enables the `get(dx, dy)` builtin).
     stencil: Option<StencilCtx>,
+    /// Helper calls active right now (bounded by [`MAX_CALL_DEPTH`]).
+    depth: usize,
 }
 
 impl<'u> Interpreter<'u> {
@@ -406,15 +417,9 @@ impl<'u> Interpreter<'u> {
         }
     }
 
-    /// The execution statistics accumulated since construction (or the last
-    /// [`Interpreter::reset_stats`]).
+    /// The execution statistics accumulated since construction.
     pub fn stats(&self) -> ExecStats {
         self.stats.get()
-    }
-
-    /// Reset the accumulated execution statistics to zero.
-    pub fn reset_stats(&self) {
-        self.stats.set(ExecStats::default());
     }
 
     #[inline]
@@ -497,6 +502,7 @@ impl<'u> Interpreter<'u> {
             args,
             item,
             stencil,
+            depth: 0,
         };
         self.exec_block(&func.body, &mut env, &mut frame)?;
         Ok(())
@@ -508,12 +514,20 @@ impl<'u> Interpreter<'u> {
         arg_values: Vec<Value>,
         frame: &mut KernelFrame<'_, '_>,
     ) -> Result<Value, KernelError> {
+        if frame.depth >= MAX_CALL_DEPTH {
+            return Err(KernelError::run(format!(
+                "call depth limit ({MAX_CALL_DEPTH}) exceeded"
+            )));
+        }
         let mut env = Env::default();
         env.push();
         for (param, value) in func.params.iter().zip(arg_values) {
             env.declare(&param.name, value.convert_to(param.ty.scalar()));
         }
-        match self.exec_block(&func.body, &mut env, frame)? {
+        frame.depth += 1;
+        let flow = self.exec_block(&func.body, &mut env, frame);
+        frame.depth -= 1;
+        match flow? {
             Flow::Return(Some(v)) => Ok(v.convert_to(func.return_type.scalar())),
             Flow::Return(None) | Flow::Normal => {
                 if func.return_type.is_void() {

@@ -16,16 +16,15 @@
 //! * a [`compile`] stage lowering the checked AST into flat, register-based
 //!   bytecode — names resolved to numbered slots, control flow lowered to
 //!   jumps, FLOP/byte costs attributed per instruction at compile time,
-//! * four engines that run a kernel over its work-items, bit-identical in
+//! * three engines that run a kernel over its work-items, bit-identical in
 //!   results, [`interp::ExecStats`] and error text, selected by [`Tier`]:
 //!   - the [`interp`] tree-walking interpreter — the **oracle** every other
 //!     engine is differentially tested against, kept free of optimisation;
 //!   - the scalar bytecode [`vm`], one work-item at a time — the **replay**
-//!     engine: a lane batch the native tier aborts is rolled back and re-run
-//!     here, and this engine's results, stats and messages are authoritative;
-//!   - the lane-batched [`vm`] — the **fallback** for kernels the native tier
-//!     cannot take (`uint` arithmetic, recursion), for the remainder of a
-//!     launch that bailed, and when pinned with [`Tier::Batched`];
+//!     and **fallback** engine: a lane batch the native tier aborts is rolled
+//!     back and re-run here, and so are the kernels the native tier cannot
+//!     take (`uint` arithmetic, recursion) and the rest of a launch that
+//!     bailed; this engine's results, stats and messages are authoritative;
 //!   - the closure-compiled [`native`] tier — the **default**: every eligible
 //!     kernel runs here from its first launch,
 //! * the signature rule of a launch ([`types::check_signature`]), written
@@ -118,7 +117,7 @@ pub struct Program {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LaunchTrace {
     /// The tier that executed the launch: a [`Tier::Native`] request runs
-    /// on the batched VM for ineligible bytecode.
+    /// on the scalar VM for ineligible bytecode.
     pub tier: Tier,
     /// Whether this launch performed the kernel's native compilation (at
     /// most one launch per kernel reports `true`).
@@ -140,11 +139,11 @@ pub struct LaunchTrace {
     pub replayed_batches: u64,
     /// Whether a replayed batch retired the native tier for the rest of the
     /// launch: a cross-lane hazard, or a batch of non-linear global ids
-    /// under a kernel using the iota fast paths (the remaining batches ran
-    /// on the batched VM). A launch that bails before completing a single
-    /// native batch reports [`Tier::Batched`].
+    /// under a kernel using the iota fast paths (the remaining work-items
+    /// ran on the scalar VM). A launch that bails before completing a single
+    /// native batch reports [`Tier::Scalar`].
     pub bailed: bool,
-    /// Why the kernel fell back to the batched VM despite a native request
+    /// Why the kernel fell back to the scalar VM despite a native request
     /// (the bytecode shape is ineligible), if it did.
     pub fallback: Option<String>,
 }
@@ -289,7 +288,7 @@ impl Program {
 
     /// Execute `kernel` over a one-dimensional NDRange of `global_size`
     /// work-items on the program's selected [`Tier`] — by default the native
-    /// tier, with the batched VM for kernels it cannot take. Work-items run
+    /// tier, with the scalar VM for kernels it cannot take. Work-items run
     /// sequentially on the calling thread: the device simulator (`oclsim`)
     /// models hardware parallelism in virtual time, not in host threads.
     pub fn run_ndrange(
@@ -341,29 +340,25 @@ impl Program {
         let stats = match tier {
             Tier::Interp => self.run_ndrange_measured_interp(kernel, global_size, args)?,
             Tier::Scalar => self.run_ndrange_measured_scalar(kernel, global_size, args)?,
-            Tier::Batched => self.run_ndrange_measured_batched(kernel, global_size, args)?,
             Tier::Native => self.run_ndrange_native(kernel, global_size, args, &mut trace)?,
         };
         Ok((stats, trace))
     }
 
-    /// Execute a launch on the lane-batched VM unconditionally (the fallback
-    /// engine), bypassing tier selection: work-items run in lockstep batches
-    /// of [`vm::BATCH_LANES`] (see the [`vm`] module docs). Benchmarks and
-    /// differential suites use this to pin the batched engine specifically.
+    /// Kept for the repository benchmark's engine probe, which predates the
+    /// removal of the lane-batched VM: the same as
+    /// [`Program::run_ndrange_measured`].
+    #[doc(hidden)]
     pub fn run_ndrange_measured_batched(
         &self,
         kernel: &KernelHandle,
         global_size: usize,
         args: &mut [ArgBinding<'_>],
     ) -> Result<interp::ExecStats, KernelError> {
-        let mut vm = Vm::new(&self.compiled);
-        vm.bind_kernel(kernel.index, args)?;
-        for_each_batch(global_size, |items| vm.run_batch(items, args))?;
-        Ok(vm.stats())
+        self.run_ndrange_measured(kernel, global_size, args)
     }
 
-    /// Run a launch on the native tier, falling back to the batched VM when
+    /// Run a launch on the native tier, falling back to the scalar VM when
     /// the kernel's bytecode is ineligible (recorded in `trace.fallback`).
     fn run_ndrange_native(
         &self,
@@ -382,8 +377,8 @@ impl Program {
             Ok(nk) => Arc::clone(nk),
             Err(reason) => {
                 trace.fallback = Some(reason.clone());
-                trace.tier = Tier::Batched;
-                return self.run_ndrange_measured_batched(kernel, global_size, args);
+                trace.tier = Tier::Scalar;
+                return self.run_ndrange_measured_scalar(kernel, global_size, args);
             }
         };
         trace.tier = Tier::Native;
@@ -392,9 +387,10 @@ impl Program {
     }
 
     /// The native launch loop. Aborted batches (hazards, runtime errors, an
-    /// exhausted loop budget) are rolled back and replayed through `vm`'s
-    /// scalar engine, which is authoritative for results, stats and error
+    /// exhausted loop budget) are rolled back and replayed through the
+    /// scalar `vm`, which is authoritative for results, stats and error
     /// messages — and whose `max_loop_iterations` is the launch's budget.
+    /// After a bail the rest of the launch runs on `vm` too.
     fn run_native_batches(
         &self,
         nk: Arc<native::NativeKernel>,
@@ -410,7 +406,7 @@ impl Program {
         let mut native_stats = interp::ExecStats::default();
         for_each_batch(global_size, |items| {
             if trace.bailed {
-                return vm.run_batch(items, args);
+                return items.iter().try_for_each(|item| vm.run_item(*item, args));
             }
             let budget = vm.max_loop_iterations;
             match exec.execute_batch(items, args, stencil, budget, &mut native_stats) {
@@ -426,11 +422,10 @@ impl Program {
                     }
                     if abort == native::NativeAbort::Bail {
                         // Cross-lane hazard (or non-linear ids): this kernel
-                        // shape won't batch; finish the launch on the VM
-                        // (which has its own finer rollback machinery).
+                        // shape won't batch; finish the launch on the VM.
                         trace.bailed = true;
                         if trace.native_batches == 0 {
-                            trace.tier = Tier::Batched;
+                            trace.tier = Tier::Scalar;
                         }
                     }
                 }
@@ -443,10 +438,10 @@ impl Program {
     }
 
     /// Execute a launch on the scalar VM unconditionally, one work-item at a
-    /// time — the engine the native tier replays an aborted batch on. Kept
-    /// as a public entry point so benchmarks can quantify what the batched
-    /// and native tiers win over it and the differential suites can pin it
-    /// against the oracle.
+    /// time — the engine the native tier replays an aborted batch on and
+    /// falls back to. Kept as a public entry point so benchmarks can quantify
+    /// what the native tier wins over it and the differential suites can pin
+    /// it against the oracle.
     pub fn run_ndrange_measured_scalar(
         &self,
         kernel: &KernelHandle,
@@ -464,7 +459,7 @@ impl Program {
     /// Run a *single* work-item of a larger NDRange through the interpreter
     /// oracle and return just that item's measured stats. The differential
     /// suites use this to rebuild a launch's totals strictly per item and
-    /// assert the batched VM's per-batch accumulation equals the sum.
+    /// assert the native tier's per-batch accumulation equals the sum.
     pub fn run_ndrange_measured_interp_item(
         &self,
         kernel: &KernelHandle,
@@ -494,14 +489,14 @@ impl Program {
 }
 
 /// Hand `run` the work-items of a linear NDRange in lane batches of
-/// [`vm::BATCH_LANES`] (the last one may be short).
+/// [`native::BATCH_LANES`] (the last one may be short).
 fn for_each_batch(
     global_size: usize,
     mut run: impl FnMut(&[WorkItem]) -> Result<(), KernelError>,
 ) -> Result<(), KernelError> {
-    let mut items = [WorkItem::linear(0, global_size); vm::BATCH_LANES];
-    for start in (0..global_size).step_by(vm::BATCH_LANES) {
-        let n = (global_size - start).min(vm::BATCH_LANES);
+    let mut items = [WorkItem::linear(0, global_size); native::BATCH_LANES];
+    for start in (0..global_size).step_by(native::BATCH_LANES) {
+        let n = (global_size - start).min(native::BATCH_LANES);
         for (k, slot) in items[..n].iter_mut().enumerate() {
             *slot = WorkItem::linear(start + k, global_size);
         }
@@ -513,6 +508,7 @@ fn for_each_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interp::MAX_CALL_DEPTH;
     use crate::value::Value;
 
     #[test]
@@ -587,7 +583,7 @@ mod tests {
         let p = Program::build(src).unwrap();
         let k = p.kernel("k").unwrap();
         let nk = Arc::clone(p.native_outcome(&k).result.as_ref().unwrap());
-        let n = 2 * vm::BATCH_LANES + 5;
+        let n = 2 * native::BATCH_LANES + 5;
         let trips = 8;
         let run = |budget: u64, native: bool| {
             let mut data: Vec<f32> = (0..n).map(|i| i as f32).collect();
@@ -626,6 +622,74 @@ mod tests {
                 // over-counted, and the replay found nothing wrong.
                 assert_eq!(trace.replayed_batches, 3, "budget {budget}");
             }
+        }
+    }
+
+    /// Recursion runs on the interpreter (host stack) and, by default, on
+    /// the scalar VM (native rejects it). Both stop at the same call depth
+    /// with the same error — the VM counting the calls it inlined, too — and
+    /// the interpreter reaches that depth with half of its thread's stack to
+    /// spare, so runaway recursion is an error, never a stack overflow that
+    /// aborts the process.
+    #[test]
+    fn every_engine_stops_runaway_recursion_at_one_depth() {
+        // `depth(d)` keeps d + 1 calls active at once: directly, and through
+        // a helper (which the kernel inlines around its first real call).
+        let direct = r#"
+            int depth(int d) { if (d == 0) { return 1; } return depth(d - 1) + 1; }
+            __kernel void k(__global int* v, int d) { v[get_global_id(0)] = depth(d); }
+        "#;
+        let mutual = r#"
+            int half(int d) { return d == 0 ? 1 : depth(d - 1) + 1; }
+            int depth(int d) { if (d == 0) { return 1; } return half(d - 1) + 1; }
+            __kernel void k(__global int* v, int d) { v[get_global_id(0)] = depth(d); }
+        "#;
+        let run = |src: &'static str, tier: Tier, calls: usize, stack: usize| {
+            std::thread::Builder::new()
+                .stack_size(stack)
+                .spawn(move || -> Result<_, String> {
+                    let p = Program::build(src).unwrap();
+                    p.set_tier(tier);
+                    let k = p.kernel("k").unwrap();
+                    let mut out = [0i32; 2];
+                    let mut args = vec![
+                        ArgBinding::buffer_i32(&mut out),
+                        ArgBinding::Scalar(Value::Int(calls as i32 - 1)),
+                    ];
+                    let (stats, trace) = p
+                        .run_ndrange_traced(&k, 2, &mut args)
+                        .map_err(|e| e.message)?;
+                    drop(args);
+                    Ok((out, stats, trace.tier))
+                })
+                .unwrap()
+                .join()
+                .unwrap()
+        };
+        const MIB: usize = 1 << 20;
+        let limit = format!("call depth limit ({MAX_CALL_DEPTH}) exceeded");
+        for src in [direct, mutual] {
+            for calls in [MAX_CALL_DEPTH + 1, 10_000] {
+                for tier in [Tier::Interp, Tier::Native] {
+                    let err = run(src, tier, calls, 2 * MIB).unwrap_err();
+                    assert!(err.contains(&limit), "{tier}, {calls} calls: {err}");
+                }
+            }
+            let (out, stats, tier) = run(src, Tier::Interp, MAX_CALL_DEPTH, 2 * MIB).unwrap();
+            assert_eq!((out, tier), ([MAX_CALL_DEPTH as i32; 2], Tier::Interp));
+            let (vm_out, vm_stats, vm_tier) =
+                run(src, Tier::Native, MAX_CALL_DEPTH, 2 * MIB).unwrap();
+            assert_eq!(
+                (vm_out, vm_tier),
+                (out, Tier::Scalar),
+                "recursion runs on the VM"
+            );
+            assert_eq!(vm_stats, stats);
+            // Twice the headroom: the deepest legal recursion fits in 1 MiB.
+            assert_eq!(
+                run(src, Tier::Interp, MAX_CALL_DEPTH, MIB).unwrap().1,
+                stats
+            );
         }
     }
 

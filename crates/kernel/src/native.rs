@@ -1,11 +1,11 @@
 //! Native execution tier: bytecode closure-compiled into pre-linked basic
 //! blocks over a typed, struct-of-arrays register file.
 //!
-//! The batched VM ([`crate::vm::Vm::run_batch`]) already amortises
-//! instruction *dispatch* over the 64 lanes of a batch, but every lane
-//! operation still goes through the dynamically-typed [`Value`] enum: a
-//! discriminant match per lane per instruction, and results that cannot be
-//! auto-vectorised. This module removes that last interpretation layer:
+//! The scalar VM ([`crate::vm::Vm::run_item`]) runs one work-item at a time,
+//! and every operation goes through the dynamically-typed [`Value`] enum: an
+//! instruction dispatch per item and a discriminant match per operand, with
+//! results that cannot be auto-vectorised. This module runs
+//! [`BATCH_LANES`] work-items at once without either layer:
 //!
 //! * a **dataflow typing pass** runs over the basic blocks of the flat
 //!   bytecode and assigns every register *at every program point* one of
@@ -24,19 +24,18 @@
 //!
 //! Execution stays bit-identical to the interpreter oracle. Any shape the
 //! native model cannot reproduce exactly is either rejected at native
-//! compile time (the kernel permanently falls back to the batched VM, with
-//! a human-readable reason) or aborts the batch at runtime exactly like the
-//! batched VM does: every buffer store is rolled back through an undo log
-//! and the batch is replayed through the scalar engine, which is the
-//! authoritative semantics — results, [`crate::interp::ExecStats`] and error
-//! messages included. What aborts a batch: a runtime error in an active
+//! compile time (the kernel permanently falls back to the scalar VM, with
+//! a human-readable reason) or aborts the batch at runtime: every buffer
+//! store is rolled back through an undo log and the batch is replayed
+//! through the scalar VM, which is the authoritative semantics — results,
+//! [`crate::interp::ExecStats`] and error messages included. What aborts a batch: a runtime error in an active
 //! lane, an exhausted loop budget, and a cross-lane hazard (below).
 //! Divergent control flow does not.
 //!
 //! # When it runs
 //!
 //! [`Tier::Native`], the default, means *native when eligible, compiled at
-//! the kernel's first launch*; an ineligible kernel runs on the batched VM
+//! the kernel's first launch*; an ineligible kernel runs on the scalar VM
 //! (the reason lands in [`crate::LaunchTrace::fallback`]). There is no size or launch-count gate: compiling
 //! a skeleton kernel takes 10–40 µs, less than the `Program::build` that
 //! preceded it, and work-item count stops being a proxy for work the moment
@@ -96,10 +95,6 @@
 //!   sit in different loops it can over-count, which is why exhausting it
 //!   is an ordinary abort: the scalar replay decides, per work-item,
 //!   whether there is an error to report.
-//! * **Why the batched VM was left alone.** It serves only native-ineligible
-//!   kernels, bailed launches and pinned tiers and is slated for deletion
-//!   (ROADMAP item 3(a)); growing a second mask implementation there would double
-//!   the fork this module exists to end. It still replays divergent batches.
 //!
 //! # Cross-lane hazards: the lane-private-base rule
 //!
@@ -164,7 +159,12 @@ use crate::compile::{CompiledUnit, Op};
 use crate::interp::{stencil_get, ArgBinding, BufferView, ExecStats, StencilCtx, WorkItem};
 use crate::types::{ScalarType, Type};
 use crate::value::Value;
-use crate::vm::{exit_chain_cost, vm_eval_binary, BATCH_LANES};
+use crate::vm::vm_eval_binary;
+
+/// Number of work-items a native batch runs at once (one `u64` lane mask);
+/// [`crate::Program::run_ndrange_measured`] hands launches out in batches of
+/// this size. Sized so a typical kernel's register file stays within L1.
+pub const BATCH_LANES: usize = 64;
 
 /// Which execution engine runs kernel launches. Settable per program via
 /// [`crate::Program::set_tier`].
@@ -174,10 +174,8 @@ pub enum Tier {
     Interp,
     /// The scalar register VM, one work-item at a time.
     Scalar,
-    /// The 64-lane lockstep batched VM.
-    Batched,
     /// The closure-compiled native tier (this module), compiled at a
-    /// kernel's first launch; the batched VM for ineligible bytecode (the
+    /// kernel's first launch; the scalar VM for ineligible bytecode (the
     /// reason lands in [`crate::LaunchTrace::fallback`]). Launch size and
     /// launch count play no part: native compilation costs less than the
     /// `Program::build` every program already paid.
@@ -188,10 +186,9 @@ pub enum Tier {
 /// Every tier with its name, in declaration order: what `Display` spells and
 /// what a program's stored selection indexes — the one list (besides the
 /// enum) a tier is added to or removed from.
-const TIERS: [(Tier, &str); 4] = [
+const TIERS: [(Tier, &str); 3] = [
     (Tier::Interp, "interp"),
     (Tier::Scalar, "scalar"),
-    (Tier::Batched, "batched"),
     (Tier::Native, "native"),
 ];
 
@@ -468,10 +465,10 @@ impl UndoLog {
     }
 }
 
-/// Why a native batch could not complete. Mirrors the batched VM's abort
-/// protocol: the caller rolls back the undo log and replays the batch
-/// through the scalar engine (authoritative for results, stats and errors);
-/// `Bail` additionally retires the native tier for the launch remainder.
+/// Why a native batch could not complete. The caller rolls back the undo log
+/// and replays the batch through the scalar VM (authoritative for results,
+/// stats and errors); `Bail` additionally retires the native tier for the
+/// launch remainder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum NativeAbort {
     /// An active lane hit a runtime error, or the batch-level loop budget
@@ -1205,7 +1202,7 @@ fn transfer(st: &mut [Cell], op: &Op, buffers: &BufferMap) {
 
 /// Reject shapes the native model cannot reproduce bit-exactly, before any
 /// per-block work. The returned string is the (cached) ineligibility reason;
-/// the kernel permanently falls back to the batched VM.
+/// the kernel permanently falls back to the scalar VM.
 fn check_eligible(
     unit: &CompiledUnit,
     func: &crate::compile::CompiledFunction,
@@ -1583,6 +1580,32 @@ fn branch_term(
         fall: succ[1],
         reconv,
     }
+}
+
+/// If `pc` starts a trivial exit chain — forward `Jump`s and `Nop`s ending in
+/// a `Return`/`ReturnVoid` — return the summed `(flops, bytes, ops)` cost of
+/// executing it, which is what the scalar VM charges a lane that takes this
+/// path. `None` for anything with side effects or backward edges.
+fn exit_chain_cost(
+    func: &crate::compile::CompiledFunction,
+    mut pc: usize,
+) -> Option<(f64, f64, f64)> {
+    let mut cost = (0.0f64, 0.0f64, 0.0f64);
+    for _ in 0..64 {
+        let c = func.costs[pc];
+        cost.0 += c.flops as f64;
+        cost.1 += c.bytes as f64;
+        cost.2 += c.ops as f64;
+        match func.code[pc] {
+            Op::Nop => pc += 1,
+            Op::Jump { target } if target as usize > pc => pc = target as usize,
+            // Top-frame returns have no observable effect beyond their cost
+            // (the kernel's return value is discarded).
+            Op::Return { .. } | Op::ReturnVoid => return Some(cost),
+            _ => return None,
+        }
+    }
+    None
 }
 
 // ---------------------------------------------------------------------------

@@ -8,14 +8,14 @@
 //! layout: it records where each job starts in the packed range and how
 //! many elements it owns.
 //!
-//! The payoff is the same one the lane-batched VM gets from
-//! [`crate::vm::BATCH_LANES`]-wide execution: launching one kernel over
+//! The payoff is the same one the native tier gets from
+//! [`crate::native::BATCH_LANES`]-wide execution: launching one kernel over
 //! `total` elements fills whole lanes, while launching each small job on
 //! its own pays per-launch overhead and leaves lanes idle.
 //! [`JobSpans::batches_packed`] / [`JobSpans::batches_separate`] quantify
-//! exactly that difference in units of VM batches.
+//! exactly that difference in units of lane batches.
 
-use crate::vm::BATCH_LANES;
+use crate::native::BATCH_LANES;
 
 /// Element layout of jobs packed back to back into one NDRange.
 ///
@@ -94,13 +94,13 @@ impl JobSpans {
             .collect()
     }
 
-    /// VM batches needed to execute the jobs as ONE packed launch:
+    /// Lane batches needed to execute the jobs as ONE packed launch:
     /// `ceil(total / BATCH_LANES)`.
     pub fn batches_packed(&self) -> usize {
         self.total.div_ceil(BATCH_LANES)
     }
 
-    /// VM batches needed to execute each job as its OWN launch:
+    /// Lane batches needed to execute each job as its OWN launch:
     /// `sum(ceil(len_i / BATCH_LANES))`. Each separate launch rounds its
     /// tail batch up on its own, so this is never smaller than
     /// [`JobSpans::batches_packed`].

@@ -1,11 +1,10 @@
-//! Differential tests for the native execution tier: native ≡ batched VM ≡
-//! scalar VM ≡ interpreter, on results (bit for bit), measured [`ExecStats`]
-//! and error messages, across control flow, divergence (generated nested
-//! branches and loops under lane masks), cross-lane hazards, division by
-//! zero, early exit, stencil `get(dx, dy)` kernels and the chunked reduce
-//! template — plus tests of tier selection (`Tier::Native`, the default, is
-//! native from the first launch, ineligible kernels fall back with a reason,
-//! pins hold).
+//! Differential tests for the native execution tier: native ≡ scalar VM ≡
+//! interpreter, on results (bit for bit), measured [`ExecStats`] and error
+//! messages, across control flow, divergence (generated nested branches and
+//! loops under lane masks), cross-lane hazards, division by zero, early exit,
+//! stencil `get(dx, dy)` kernels and the chunked reduce template — plus tests
+//! of tier selection (`Tier::Native`, the default, is native from the first
+//! launch, ineligible kernels fall back with a reason, pins hold).
 
 use proptest::prelude::*;
 
@@ -22,11 +21,10 @@ type Outcome = (Vec<Vec<f32>>, Result<(ExecStats, LaunchTrace), String>);
 enum Engine {
     Interp,
     Scalar,
-    Batched,
     Native,
 }
 
-const ENGINES: [Engine; 3] = [Engine::Scalar, Engine::Batched, Engine::Native];
+const ENGINES: [Engine; 2] = [Engine::Scalar, Engine::Native];
 
 fn run_engine(
     src: &str,
@@ -56,9 +54,6 @@ fn run_engine(
             .map(untraced),
         Engine::Scalar => p
             .run_ndrange_measured_scalar(&k, global_size, &mut args)
-            .map(untraced),
-        Engine::Batched => p
-            .run_ndrange_measured_batched(&k, global_size, &mut args)
             .map(untraced),
         Engine::Native => p.run_ndrange_traced(&k, global_size, &mut args),
     };
@@ -314,7 +309,7 @@ fn cross_lane_hazards_roll_back_and_replay_exactly() {
             v[gid] += v[(gid + 1) % n];
         }
     "#;
-    let n = 2 * skelcl_kernel::vm::BATCH_LANES + 3;
+    let n = 2 * skelcl_kernel::native::BATCH_LANES + 3;
     let data: Vec<f32> = (0..n).map(|i| (i % 13) as f32 - 6.0).collect();
     assert_tiers_agree(src, "k", &[data], &[Value::Int(n as i32)], n);
 }
@@ -449,7 +444,7 @@ fn scan_fault_mid_loop_agrees_across_all_tiers() {
 // The lane-private hazard discipline
 // ---------------------------------------------------------------------------
 
-const LANES: usize = skelcl_kernel::vm::BATCH_LANES;
+const LANES: usize = skelcl_kernel::native::BATCH_LANES;
 
 /// The exact kernel text `skelcl::kernelgen::map_overlap_kernel` wraps
 /// around a unary UDF (the core crate's `vm_oracle` suite runs the generator
@@ -625,7 +620,7 @@ fn in_place_stencil_bails_and_replays_exactly() {
     assert_tiers_agree(src, "SKELCL_MAP_OVERLAP", &bufs, &scalars, rows * w);
     let trace = native_trace(src, "SKELCL_MAP_OVERLAP", &bufs, &scalars, rows * w);
     assert!(trace.bailed);
-    assert_eq!(trace.tier, Tier::Batched, "no batch completed natively");
+    assert_eq!(trace.tier, Tier::Scalar, "no batch completed natively");
     assert_eq!((trace.native_batches, trace.replayed_batches), (0, 1));
 }
 
@@ -1119,7 +1114,7 @@ fn forced_native_on_ineligible_kernels_falls_back_with_a_reason() {
     let p = Program::build(src).unwrap();
     p.set_tier(Tier::Native);
     let trace = traced_launch(&p, 16);
-    assert_eq!(trace.tier, Tier::Batched, "fell back to the batched VM");
+    assert_eq!(trace.tier, Tier::Scalar, "fell back to the scalar VM");
     let reason = trace.fallback.expect("fallback reason recorded");
     assert!(reason.contains("through a VM frame"), "reason: {reason}");
     // And the fallback still computes the right answer.
@@ -1129,7 +1124,7 @@ fn forced_native_on_ineligible_kernels_falls_back_with_a_reason() {
 #[test]
 fn explicit_tier_override_is_respected_per_program() {
     let p = Program::build(MAP_SRC).unwrap();
-    for tier in [Tier::Interp, Tier::Scalar, Tier::Batched, Tier::Native] {
+    for tier in [Tier::Interp, Tier::Scalar, Tier::Native] {
         p.set_tier(tier);
         assert_eq!(p.tier(), tier);
         let trace = traced_launch(&p, 64);

@@ -1,5 +1,6 @@
-//! Differential property tests: the bytecode VM against the tree-walking
-//! interpreter oracle.
+//! Differential property tests: the scalar bytecode VM against the
+//! tree-walking interpreter oracle, plus the native tier's per-batch stats
+//! accumulation against the oracle's per-item totals.
 //!
 //! Every kernel here runs through **both** engines on identical inputs; the
 //! suite asserts bit-identical output buffers AND identical measured
@@ -657,16 +658,16 @@ fn buffer_parameter_read_as_value_is_the_same_error() {
 }
 
 // ---------------------------------------------------------------------------
-// Lane-batched accumulation vs the oracle's per-item totals
+// Native per-batch accumulation vs the oracle's per-item totals
 // ---------------------------------------------------------------------------
 //
-// `Program::run_ndrange_measured` executes work-items in lockstep batches and
-// accumulates `ExecStats` once per batch (`cost × active_lanes`). These tests
-// pin the accumulation identity the batched path must uphold: the per-batch
-// totals equal the interpreter oracle's per-item totals *exactly* (all cost
-// constants are dyadic rationals, so no summation order may differ), at every
-// batch-boundary shape — full batches, ragged tails, single-item launches —
-// and through the early-exit lane mask.
+// `Program::run_ndrange_measured` runs work-items on the native tier in lane
+// batches and accumulates `ExecStats` once per block and batch (`cost ×
+// active_lanes`). These tests pin the accumulation identity it must uphold:
+// the per-batch totals equal the interpreter oracle's per-item totals
+// *exactly* (all cost constants are dyadic rationals, so no summation order
+// may differ), at every batch-boundary shape — full batches, ragged tails,
+// single-item launches — and through the early-exit lane mask.
 
 /// Oracle totals accumulated strictly one item at a time.
 fn oracle_per_item_totals(
@@ -700,7 +701,7 @@ fn oracle_per_item_totals(
 }
 
 /// The guarded map shape at sizes straddling every batch boundary: the
-/// batched engine's per-batch totals must equal the oracle's per-item sums
+/// native tier's per-batch totals must equal the oracle's per-item sums
 /// bit for bit, and so must the output buffers.
 #[test]
 fn per_batch_totals_equal_oracle_per_item_totals_across_batch_shapes() {
@@ -715,7 +716,7 @@ fn per_batch_totals_equal_oracle_per_item_totals_across_batch_shapes() {
     "#;
     let p = Program::build(src).unwrap();
     let k = p.kernel("SKELCL_MAP").unwrap();
-    let batch = skelcl_kernel::vm::BATCH_LANES;
+    let batch = skelcl_kernel::native::BATCH_LANES;
     for n in [1, 2, batch - 1, batch, batch + 1, 3 * batch, 3 * batch + 7] {
         let input: Vec<f32> = (0..n).map(|i| i as f32 * 0.25 - 3.0).collect();
         let scalars = [Value::Int(n as i32), Value::Float(1.5)];
@@ -733,10 +734,10 @@ fn per_batch_totals_equal_oracle_per_item_totals_across_batch_shapes() {
         for s in &scalars {
             args.push(ArgBinding::Scalar(*s));
         }
-        let batched = p.run_ndrange_measured(&k, n, &mut args).unwrap();
+        let native = p.run_ndrange_measured(&k, n, &mut args).unwrap();
         drop(args);
 
-        assert_eq!(batched, oracle, "per-batch totals diverged at n = {n}");
+        assert_eq!(native, oracle, "per-batch totals diverged at n = {n}");
         assert_eq!(bufs, oracle_bufs, "results diverged at n = {n}");
     }
 }
@@ -754,7 +755,7 @@ fn lane_mask_exit_charging_matches_the_oracle() {
     "#;
     let p = Program::build(src).unwrap();
     let k = p.kernel("k").unwrap();
-    let batch = skelcl_kernel::vm::BATCH_LANES;
+    let batch = skelcl_kernel::native::BATCH_LANES;
     // Launch over more items than the buffer holds valid elements: the tail
     // lanes take the guard's exit path inside a live batch.
     for (len, launch) in [(10, 16), (batch + 5, batch + batch / 2), (3, 3 * batch)] {
@@ -769,21 +770,20 @@ fn lane_mask_exit_charging_matches_the_oracle() {
             ArgBinding::Buffer(skelcl_kernel::interp::BufferView::F32(&mut bufs[0])),
             ArgBinding::Scalar(scalars[0]),
         ];
-        let batched = p.run_ndrange_measured(&k, launch, &mut args).unwrap();
+        let native = p.run_ndrange_measured(&k, launch, &mut args).unwrap();
         drop(args);
 
         assert_eq!(
-            batched, oracle,
+            native, oracle,
             "masked-lane charging diverged for len={len} launch={launch}"
         );
         assert_eq!(bufs, oracle_bufs, "results diverged for len={len}");
     }
 }
 
-/// Kernels the lockstep model must *refuse* to batch — cross-lane hazards and
-/// data-dependent divergence — still match the oracle exactly through the
-/// rollback-and-replay path (the hazard test reads a neighbour it also
-/// writes; the divergence test runs gid-dependent loop counts).
+/// A cross-lane hazard (the kernel reads a neighbour it also writes) bails a
+/// native batch, and data-dependent divergence (gid-dependent loop counts)
+/// runs under lane masks; both still match the oracle exactly.
 #[test]
 fn rollback_and_replay_paths_match_the_oracle() {
     let hazard = r#"
@@ -801,7 +801,7 @@ fn rollback_and_replay_paths_match_the_oracle() {
             v[gid] = acc;
         }
     "#;
-    let batch = skelcl_kernel::vm::BATCH_LANES;
+    let batch = skelcl_kernel::native::BATCH_LANES;
     for src in [hazard, divergent] {
         let n = 2 * batch + 3;
         let data: Vec<f32> = (0..n).map(|i| (i % 13) as f32 - 6.0).collect();
@@ -809,7 +809,7 @@ fn rollback_and_replay_paths_match_the_oracle() {
     }
 }
 
-/// The scalar VM entry point and the batched default must agree with each
+/// The scalar VM entry point and the native default must agree with each
 /// other (and the oracle) on a data-dependent workload.
 #[test]
 fn scalar_and_batched_vm_paths_are_identical() {
@@ -842,8 +842,8 @@ fn scalar_and_batched_vm_paths_are_identical() {
     let sb = p.run_ndrange_measured_scalar(&k, n, &mut args).unwrap();
     drop(args);
 
-    assert_eq!(sa, sb, "batched and scalar stats must be identical");
+    assert_eq!(sa, sb, "native and scalar stats must be identical");
     let ab: Vec<u32> = a.iter().map(|x| x.to_bits()).collect();
     let bb: Vec<u32> = b.iter().map(|x| x.to_bits()).collect();
-    assert_eq!(ab, bb, "batched and scalar results must be identical");
+    assert_eq!(ab, bb, "native and scalar results must be identical");
 }

@@ -176,8 +176,8 @@ impl BufferPool {
 /// work. A device folds every launch's [`skelcl_kernel::LaunchTrace`] into
 /// one ([`TierSnapshot::record`], snapshot with [`Device::kernel_tiers`]);
 /// snapshots of several devices add up with `+=`. Native launches that fall
-/// back to the batched VM — because the kernel is ineligible, or because the
-/// very first batch bailed — count as batched launches. A tier, or a count,
+/// back to the scalar VM — because the kernel is ineligible, or because the
+/// very first batch bailed — count as scalar launches. A tier, or a count,
 /// is added or removed here and in `LaunchTrace`, nowhere else.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TierSnapshot {
@@ -185,8 +185,6 @@ pub struct TierSnapshot {
     pub interp_launches: usize,
     /// DSL launches executed by the scalar (one-item-at-a-time) VM.
     pub scalar_launches: usize,
-    /// DSL launches executed by the lane-batched VM.
-    pub batched_launches: usize,
     /// DSL launches executed by the closure-compiled native tier.
     pub native_launches: usize,
     /// Kernels compiled to the native tier on this device.
@@ -203,7 +201,7 @@ pub struct TierSnapshot {
     pub replayed_batches: u64,
     /// Launches a replayed batch took off the native tier for their
     /// remainder (a cross-lane hazard); one that bailed on its very first
-    /// batch counts under `batched_launches`, not `native_launches`.
+    /// batch counts under `scalar_launches`, not `native_launches`.
     pub bailed_launches: usize,
 }
 
@@ -214,7 +212,6 @@ impl TierSnapshot {
         *match trace.tier {
             Tier::Interp => &mut self.interp_launches,
             Tier::Scalar => &mut self.scalar_launches,
-            Tier::Batched => &mut self.batched_launches,
             // The trace's tier is always resolved before execution.
             Tier::Native => &mut self.native_launches,
         } += 1;
@@ -233,7 +230,6 @@ impl std::ops::AddAssign for TierSnapshot {
     fn add_assign(&mut self, other: TierSnapshot) {
         self.interp_launches += other.interp_launches;
         self.scalar_launches += other.scalar_launches;
-        self.batched_launches += other.batched_launches;
         self.native_launches += other.native_launches;
         self.native_compiles += other.native_compiles;
         self.native_compile_ns += other.native_compile_ns;

@@ -299,7 +299,7 @@ if grep -rnE "env::vars?\b|\benv!\(|option_env!\(" crates/*/src; then
     complain "an environment read is back (see the matches above)"
 fi
 written_in "a tier-count field (LaunchTrace, TierSnapshot)" \
-    "^ *(pub )?((interp|scalar|batched|native|bailed)_launches|native_compile(s|_ns)|(native|masked|replayed)_batches): " \
+    "^ *(pub )?((interp|scalar|native|bailed)_launches|native_compile(s|_ns)|(native|masked|replayed)_batches): " \
     "$k/lib.rs crates/oclsim/src/device.rs "
 
 if [ "$fail" = 0 ]; then
