@@ -54,12 +54,11 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use oclsim::{Buffer, CostHint, Pod};
+use oclsim::{Buffer, Pod};
 
 use crate::distribution::{Combine, Distribution, Partition, RowPartition};
 use crate::error::{Result, SkelError};
 use crate::runtime::{DeviceSelection, SkelCl};
-use crate::scheduler::StaticScheduler;
 use crate::skeletons::{claim_read, wait_events};
 
 // ---------------------------------------------------------------------------
@@ -799,10 +798,10 @@ pub trait DynContainer: Send + Sync {
     /// Apply a launch-time device selection by overriding the distribution.
     fn apply_selection(&self, selection: &DeviceSelection) -> Result<()>;
 
-    /// Apply a scheduler-weighted distribution for the given per-element
-    /// cost (Section V of the paper). Containers without a weighted layout
-    /// reject the scheduler with a clear error.
-    fn apply_scheduler(&self, scheduler: &StaticScheduler, cost: CostHint) -> Result<()>;
+    /// Apply an attached scheduler's weighted block distribution (Section V
+    /// of the paper). Containers without a weighted layout reject the
+    /// scheduler with a clear error.
+    fn apply_scheduler(&self, weighted: Distribution) -> Result<()>;
 
     /// Coerce to the default disjoint layout (block, without a halo) — what
     /// inputs whose distributions disagree are unified to.

@@ -30,7 +30,8 @@
 //!   the [`args!`] macro forward extra scalars and vectors of *any* element
 //!   type to the user-defined function,
 //! * a static **scheduler** with performance prediction for heterogeneous
-//!   devices (Section V of the paper), attachable to any launch.
+//!   devices (Section V of the paper), attachable to any launch; it predicts
+//!   with the prices the simulator charges ([`oclsim::ApiModel`]).
 //!
 //! The GPUs themselves are simulated by the [`oclsim`] crate: kernels execute
 //! for real on the host (results are exact), while timing is accounted in
@@ -110,7 +111,7 @@ pub use plan::{
     ScalarOut, VectorOut,
 };
 pub use runtime::{init_gpus, init_profiles, DeviceSelection, DeviceTrace, ExecTrace, SkelCl};
-pub use scheduler::{DevicePerf, PerfModel, StaticScheduler};
+pub use scheduler::StaticScheduler;
 pub use skeletons::{
     reduce_partials, DeviceScalar, IndexLaunch, IndexRange, Launch, LaunchConfig, Map, MapOverlap,
     Reduce, ReducePlan, Scan, ScanTrace, Skeleton, Zip,

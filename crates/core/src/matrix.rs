@@ -22,13 +22,12 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use oclsim::{pod, Buffer, CostHint, Pod};
+use oclsim::{pod, Buffer, Pod};
 
 use crate::container::{Container, DynContainer, EdgePolicy, Storage};
 use crate::distribution::{Boundary, Distribution, Partition, RowPartition};
 use crate::error::{Result, SkelError};
 use crate::runtime::{DeviceSelection, SkelCl};
-use crate::scheduler::StaticScheduler;
 use crate::vector::Residence;
 
 /// Compare two boundaries by value; the constant compares by its `Pod` byte
@@ -536,7 +535,7 @@ impl<T: Pod> DynContainer for Matrix<T> {
         }
     }
 
-    fn apply_scheduler(&self, _scheduler: &StaticScheduler, _cost: CostHint) -> Result<()> {
+    fn apply_scheduler(&self, _weighted: Distribution) -> Result<()> {
         Err(SkelError::Distribution(
             "schedulers are not supported on matrix launches yet; \
              matrices always split at row granularity"

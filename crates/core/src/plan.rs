@@ -750,7 +750,7 @@ pub(crate) fn run_group(
             if let Some(scheduler) = cfg.scheduler {
                 let elem = std::mem::size_of::<T>();
                 (plan.final_device, plan.final_on_cpu) =
-                    scheduler.final_reduce_placement(partials.len(), elem, stage.cost())?;
+                    scheduler.placement_among(partials.len(), elem, stage.cost(), call.selected)?;
             }
             let value = if plan.final_on_cpu || partials.len() == 1 {
                 op.fold(&mut partials)?

@@ -11,189 +11,74 @@
 //! prediction are completed by analytical performance models for the
 //! skeletons."
 //!
-//! [`PerfModel`] combines the analytical device model (peak throughput,
-//! memory bandwidth, launch overhead) with an optional measured calibration;
-//! [`StaticScheduler`] turns predictions into weighted block distributions
-//! and decides whether the final step of a reduction should run on a CPU
-//! device rather than a GPU.
+//! The analytical models are oclsim's own prices: [`StaticScheduler`]
+//! predicts a kernel with [`ApiModel::kernel_time`] and a transfer with
+//! [`ApiModel::transfer_time`] on each device's [`DeviceProfile`] — the
+//! functions the simulator charges every command with — so a prediction is
+//! what the command costs an idle device. The scheduler turns predictions
+//! into weighted block distributions and decides whether the final step of a
+//! reduction should run on a CPU device rather than a GPU.
 
 use std::sync::Arc;
 
-use oclsim::{CostHint, DeviceType, KernelArg, NativeKernelDef, Program, SimDuration};
+use oclsim::{ApiModel, CostHint, DeviceProfile, DeviceType, SimDuration};
 
 use crate::distribution::Distribution;
 use crate::error::{Result, SkelError};
 use crate::runtime::SkelCl;
 
-/// Per-device performance figures used for prediction.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DevicePerf {
-    /// Device index in the runtime.
-    pub device: usize,
-    /// Device kind (GPU or CPU).
-    pub device_type: DeviceType,
-    /// Sustainable floating-point throughput in FLOP/s.
-    pub flops: f64,
-    /// Sustainable memory bandwidth in bytes/s.
-    pub bytes_per_sec: f64,
-    /// Fixed kernel launch overhead.
-    pub launch_overhead: SimDuration,
-    /// Host ↔ device transfer bandwidth in bytes/s.
-    pub transfer_bytes_per_sec: f64,
-    /// Host ↔ device transfer latency.
-    pub transfer_latency: SimDuration,
-}
-
-/// The performance model: analytical device figures, optionally refined by a
-/// measured calibration factor per device.
-#[derive(Debug, Clone)]
-pub struct PerfModel {
-    devices: Vec<DevicePerf>,
-}
-
-impl PerfModel {
-    /// Build the analytical model from the runtime's device profiles.
-    pub fn analytical(runtime: &Arc<SkelCl>) -> PerfModel {
-        let api = runtime.context().api().clone();
-        let devices = runtime
-            .context()
-            .devices()
-            .iter()
-            .map(|d| {
-                let p = &d.profile;
-                DevicePerf {
-                    device: d.id,
-                    device_type: p.device_type,
-                    flops: p.peak_gflops * 1e9 * api.compute_efficiency,
-                    bytes_per_sec: p.mem_bandwidth_gbs * 1e9,
-                    launch_overhead: api.launch_overhead(p),
-                    transfer_bytes_per_sec: p.transfer_bandwidth_gbs * 1e9,
-                    transfer_latency: p.transfer_latency,
-                }
-            })
-            .collect();
-        PerfModel { devices }
-    }
-
-    /// Refine the analytical model by running a small calibration kernel with
-    /// the given per-element cost on every device and measuring its (virtual)
-    /// execution time — the "benchmarks" part of the paper's prediction
-    /// approach. `sample_size` elements are processed per device.
-    pub fn calibrated(
-        runtime: &Arc<SkelCl>,
-        cost: CostHint,
-        sample_size: usize,
-    ) -> Result<PerfModel> {
-        let mut model = Self::analytical(runtime);
-        let def = NativeKernelDef::new("skelcl_calibration", cost, |_ctx| Ok(()));
-        let program = Program::from_native([def]);
-        let kernel = program
-            .kernel("skelcl_calibration")
-            .map_err(crate::error::SkelError::from)?;
-        for perf in &mut model.devices {
-            let buffer = runtime
-                .context()
-                .create_buffer::<f32>(perf.device, sample_size.max(1))?;
-            let event = runtime.queue(perf.device).enqueue_kernel(
-                &kernel,
-                sample_size.max(1),
-                &[KernelArg::Buffer(buffer.clone())],
-            )?;
-            let event = event.wait().map_err(crate::error::SkelError::from)?;
-            runtime.context().release_buffer(&buffer)?;
-            let measured = event.duration();
-            let predicted = self_predict(perf, sample_size.max(1), cost);
-            // Scale the throughput figures so prediction matches measurement.
-            if predicted.as_nanos() > 0 && measured.as_nanos() > 0 {
-                let factor = predicted.as_secs_f64() / measured.as_secs_f64();
-                perf.flops *= factor;
-                perf.bytes_per_sec *= factor;
-            }
-        }
-        Ok(model)
-    }
-
-    /// Per-device figures.
-    pub fn devices(&self) -> &[DevicePerf] {
-        &self.devices
-    }
-
-    /// Predicted kernel execution time for `work_items` elements of the
-    /// given per-element cost on device `device`.
-    pub fn predict(&self, device: usize, work_items: usize, cost: CostHint) -> Result<SimDuration> {
-        let perf = self
-            .devices
-            .iter()
-            .find(|d| d.device == device)
-            .ok_or_else(|| {
-                SkelError::Scheduler(format!("no performance data for device {device}"))
-            })?;
-        Ok(self_predict(perf, work_items, cost))
-    }
-
-    /// Predicted time to move `bytes` bytes between the host and `device`.
-    pub fn predict_transfer(&self, device: usize, bytes: usize) -> Result<SimDuration> {
-        let perf = self
-            .devices
-            .iter()
-            .find(|d| d.device == device)
-            .ok_or_else(|| {
-                SkelError::Scheduler(format!("no performance data for device {device}"))
-            })?;
-        Ok(perf.transfer_latency
-            + SimDuration::from_secs_f64(bytes as f64 / perf.transfer_bytes_per_sec))
-    }
-
-    /// Relative weights (higher = more work) for distributing `1.0` total
-    /// work of the given per-element cost across the devices: inversely
-    /// proportional to the predicted per-element time.
-    pub fn weights(&self, cost: CostHint) -> Vec<f64> {
-        const PROBE_ITEMS: usize = 1 << 20;
-        let times: Vec<f64> = self
-            .devices
-            .iter()
-            .map(|d| self_predict(d, PROBE_ITEMS, cost).as_secs_f64().max(1e-12))
-            .collect();
-        let inv: Vec<f64> = times.iter().map(|t| 1.0 / t).collect();
-        let total: f64 = inv.iter().sum();
-        inv.into_iter().map(|w| w / total).collect()
-    }
-}
-
-fn self_predict(perf: &DevicePerf, work_items: usize, cost: CostHint) -> SimDuration {
-    let items = work_items as f64;
-    let compute = items * cost.flops_per_item.max(1.0) / perf.flops;
-    let memory = items * cost.bytes_per_item.max(4.0) / perf.bytes_per_sec;
-    perf.launch_overhead + SimDuration::from_secs_f64(compute.max(memory))
-}
-
 /// The static scheduler of Section V.
 #[derive(Debug, Clone)]
 pub struct StaticScheduler {
-    model: PerfModel,
+    api: ApiModel,
+    /// Each device's id and profile, in the runtime's device order.
+    devices: Vec<(usize, DeviceProfile)>,
 }
 
 impl StaticScheduler {
-    /// Create a scheduler from a performance model.
-    pub fn new(model: PerfModel) -> StaticScheduler {
-        StaticScheduler { model }
-    }
-
-    /// Create a scheduler with the purely analytical model of a runtime.
+    /// Create a scheduler that prices with the runtime's [`ApiModel`] on its
+    /// devices' profiles.
     pub fn analytical(runtime: &Arc<SkelCl>) -> StaticScheduler {
-        StaticScheduler::new(PerfModel::analytical(runtime))
+        let context = runtime.context();
+        let devices = context.devices().iter();
+        StaticScheduler {
+            api: context.api().clone(),
+            devices: devices.map(|d| (d.id, d.profile.clone())).collect(),
+        }
     }
 
-    /// The underlying performance model.
-    pub fn model(&self) -> &PerfModel {
-        &self.model
+    /// Relative weights (higher = more work, summing to 1) for distributing
+    /// work of the given per-element cost across the devices: inversely
+    /// proportional to each device's price for a kernel of `1 << 20` items.
+    pub fn weights(&self, cost: CostHint) -> Vec<f64> {
+        self.weights_among(cost, self.devices.len())
+    }
+
+    /// [`weights`](Self::weights) among the first `selected` devices — a
+    /// call's `.devices(..)` selection; the others get 0.
+    pub(crate) fn weights_among(&self, cost: CostHint, selected: usize) -> Vec<f64> {
+        const PROBE_ITEMS: usize = 1 << 20;
+        let (flops, bytes) = (cost.flops_per_item, cost.bytes_per_item);
+        let inverse: Vec<f64> = self
+            .devices
+            .iter()
+            .map(|(id, profile)| {
+                if *id >= selected {
+                    return 0.0;
+                }
+                let time = self.api.kernel_time(profile, PROBE_ITEMS, flops, bytes);
+                1.0 / time.as_secs_f64().max(1e-12)
+            })
+            .collect();
+        let total: f64 = inverse.iter().sum();
+        inverse.into_iter().map(|w| w / total).collect()
     }
 
     /// A block distribution whose part sizes are proportional to each
     /// device's predicted throughput for a kernel of the given per-element
     /// cost — the non-even workload assignment the paper calls for.
     pub fn weighted_block(&self, cost: CostHint) -> Distribution {
-        Distribution::block_weighted(&self.model.weights(cost))
+        Distribution::block_weighted(&self.weights(cost))
     }
 
     /// Decide whether the *final* reduction of `intermediate` partial results
@@ -208,20 +93,31 @@ impl StaticScheduler {
         elem_bytes: usize,
         cost: CostHint,
     ) -> Result<(usize, bool)> {
+        self.placement_among(intermediate, elem_bytes, cost, self.devices.len())
+    }
+
+    /// [`final_reduce_placement`](Self::final_reduce_placement) among the
+    /// first `selected` devices only.
+    pub(crate) fn placement_among(
+        &self,
+        intermediate: usize,
+        elem_bytes: usize,
+        cost: CostHint,
+        selected: usize,
+    ) -> Result<(usize, bool)> {
+        let (flops, bytes) = (cost.flops_per_item, cost.bytes_per_item);
         let mut best: Option<(usize, bool, SimDuration)> = None;
-        for perf in &self.model.devices {
-            let exec = self_predict(perf, intermediate.max(1), cost);
-            // Results must reach the device and come back; a CPU device's
-            // "transfer" is a cheap host-memory copy in the profile.
-            let transfer = perf.transfer_latency
-                + SimDuration::from_secs_f64(
-                    (intermediate * elem_bytes) as f64 / perf.transfer_bytes_per_sec,
-                );
-            let total = exec + transfer;
-            let is_cpu = perf.device_type == DeviceType::Cpu;
+        for (id, profile) in self.devices.iter().filter(|(id, _)| *id < selected) {
+            let exec = self
+                .api
+                .kernel_time(profile, intermediate.max(1), flops, bytes);
+            // The partials must reach the device; a CPU device's "transfer"
+            // is a cheap host-memory copy in its profile.
+            let total = exec + self.api.transfer_time(profile, intermediate * elem_bytes);
+            let is_cpu = profile.device_type == DeviceType::Cpu;
             match &best {
                 Some((_, _, t)) if *t <= total => {}
-                _ => best = Some((perf.device, is_cpu, total)),
+                _ => best = Some((*id, is_cpu, total)),
             }
         }
         best.map(|(d, cpu, _)| (d, cpu))
@@ -232,8 +128,8 @@ impl StaticScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::{init_gpus, init_profiles};
-    use oclsim::DeviceProfile;
+    use crate::runtime::init_profiles;
+    use oclsim::{KernelArg, NativeKernelDef, Program};
 
     fn heterogeneous_runtime() -> Arc<SkelCl> {
         init_profiles(vec![
@@ -244,31 +140,9 @@ mod tests {
     }
 
     #[test]
-    fn analytical_model_reflects_profiles() {
-        let rt = heterogeneous_runtime();
-        let model = PerfModel::analytical(&rt);
-        assert_eq!(model.devices().len(), 3);
-        assert!(model.devices()[0].flops > model.devices()[2].flops);
-        assert_eq!(model.devices()[2].device_type, DeviceType::Cpu);
-    }
-
-    #[test]
-    fn prediction_scales_with_work() {
-        let rt = init_gpus(1);
-        let model = PerfModel::analytical(&rt);
-        let small = model.predict(0, 1_000, CostHint::new(10.0, 8.0)).unwrap();
-        let large = model
-            .predict(0, 1_000_000, CostHint::new(10.0, 8.0))
-            .unwrap();
-        assert!(large > small);
-        assert!(model.predict(7, 10, CostHint::DEFAULT).is_err());
-    }
-
-    #[test]
     fn weights_favour_faster_devices_and_sum_to_one() {
         let rt = heterogeneous_runtime();
-        let model = PerfModel::analytical(&rt);
-        let weights = model.weights(CostHint::new(100.0, 8.0));
+        let weights = StaticScheduler::analytical(&rt).weights(CostHint::new(100.0, 8.0));
         assert_eq!(weights.len(), 3);
         let sum: f64 = weights.iter().sum();
         assert!((sum - 1.0).abs() < 1e-9);
@@ -276,6 +150,37 @@ mod tests {
             weights[0] > weights[1] && weights[1] > weights[2],
             "Tesla > small GPU > CPU expected, got {weights:?}"
         );
+    }
+
+    #[test]
+    fn weights_are_the_inverse_of_what_the_simulator_charges() {
+        let rt = heterogeneous_runtime();
+        let scheduler = StaticScheduler::analytical(&rt);
+        let memory_bound = CostHint::new(1.0, 64.0);
+        let compute_bound = CostHint::new(500.0, 4.0);
+        for cost in [memory_bound, compute_bound] {
+            let def = NativeKernelDef::new("probe", cost, |_| Ok(()));
+            let kernel = Program::from_native([def]).kernel("probe").unwrap();
+            let inverse: Vec<f64> = (0..rt.device_count())
+                .map(|device| {
+                    let buffer = rt.context().create_buffer::<f32>(device, 1).unwrap();
+                    let args = [KernelArg::Buffer(buffer.clone())];
+                    let event = rt.queue(device).enqueue_kernel(&kernel, 1 << 20, &args);
+                    let duration = event.unwrap().wait().unwrap().duration();
+                    rt.context().release_buffer(&buffer).unwrap();
+                    1.0 / duration.as_secs_f64()
+                })
+                .collect();
+            let total: f64 = inverse.iter().sum();
+            let weights = scheduler.weights(cost);
+            for (device, (weight, inverse)) in weights.iter().zip(&inverse).enumerate() {
+                let measured = inverse / total;
+                assert!(
+                    (weight - measured).abs() <= measured * 1e-12,
+                    "{cost:?}: device {device} weighs {weight}, its measured share is {measured}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -315,15 +220,5 @@ mod tests {
             !is_cpu,
             "a huge compute-heavy reduction should pick a GPU, picked device {device}"
         );
-    }
-
-    #[test]
-    fn calibration_adjusts_throughput_without_breaking_weights() {
-        let rt = heterogeneous_runtime();
-        let model = PerfModel::calibrated(&rt, CostHint::new(20.0, 8.0), 4096).unwrap();
-        let weights = model.weights(CostHint::new(20.0, 8.0));
-        let sum: f64 = weights.iter().sum();
-        assert!((sum - 1.0).abs() < 1e-9);
-        assert!(weights[0] > weights[2]);
     }
 }

@@ -158,8 +158,9 @@ impl<'a, S, In: Clone> Launch<'a, S, In> {
 
     /// Attach a static scheduler (Section V of the paper). Data-parallel
     /// skeletons partition the input by the scheduler's predicted per-device
-    /// throughput; reduce additionally uses it to decide where the final
-    /// combination of intermediate results runs.
+    /// throughput; reduce instead uses it to decide where the final
+    /// combination of intermediate results runs. Either decision is made
+    /// among the devices [`devices`](Launch::devices) selects.
     pub fn scheduler(mut self, scheduler: &'a StaticScheduler) -> Self {
         self.cfg.scheduler = Some(scheduler);
         self
@@ -195,37 +196,24 @@ impl<'a, S, In: Clone> Launch<'a, S, In> {
     }
 }
 
-/// Translate a launch-time device selection into a distribution override.
-/// `Ok(None)` means "keep the current distribution" (`All`/`AllGpus`, or
-/// `Gpus(n)` covering every device); `Profiles` is an init-time-only
-/// selection and is rejected. Shared by vector launches and index-map
-/// launches so the policy cannot diverge.
-pub(crate) fn selection_distribution(
-    selection: &DeviceSelection,
+/// The devices a launch-time selection allows, as a count: the call runs on
+/// the first `n` of the runtime's `devices` (all of them for `All`/`AllGpus`
+/// or no selection); `Profiles` is an init-time-only selection and is
+/// rejected. The one home of the allowed set: the distribution override and
+/// an attached scheduler's weights and final-fold placement all read it.
+pub(crate) fn selected_devices(
+    selection: Option<&DeviceSelection>,
     devices: usize,
-) -> Result<Option<Distribution>> {
+) -> Result<usize> {
     match selection {
-        DeviceSelection::All | DeviceSelection::AllGpus => Ok(None),
-        DeviceSelection::Gpus(n) => {
-            let n = (*n).min(devices);
-            if n == 0 {
-                return Err(SkelError::Distribution(
-                    "device selection Gpus(0) leaves no device to run on".into(),
-                ));
-            }
-            if n == devices {
-                Ok(None)
-            } else if n == 1 {
-                Ok(Some(Distribution::Single(0)))
-            } else {
-                let mut weights = vec![0.0f64; devices];
-                for w in weights.iter_mut().take(n) {
-                    *w = 1.0;
-                }
-                Ok(Some(Distribution::block_weighted(&weights)))
-            }
-        }
-        DeviceSelection::Profiles(_) => Err(SkelError::Distribution(
+        None | Some(DeviceSelection::All | DeviceSelection::AllGpus) => Ok(devices),
+        Some(DeviceSelection::Gpus(n)) => match (*n).min(devices) {
+            0 => Err(SkelError::Distribution(
+                "device selection Gpus(0) leaves no device to run on".into(),
+            )),
+            n => Ok(n),
+        },
+        Some(DeviceSelection::Profiles(_)) => Err(SkelError::Distribution(
             "DeviceSelection::Profiles selects devices at runtime initialisation; \
              pass All or Gpus(n) to a launch"
                 .into(),
@@ -233,11 +221,34 @@ pub(crate) fn selection_distribution(
     }
 }
 
+/// Translate a launch-time device selection into a distribution override.
+/// `Ok(None)` means "keep the current distribution" (the selection covers
+/// every device). Shared by vector launches and index-map launches so the
+/// policy cannot diverge.
+pub(crate) fn selection_distribution(
+    selection: &DeviceSelection,
+    devices: usize,
+) -> Result<Option<Distribution>> {
+    Ok(match selected_devices(Some(selection), devices)? {
+        n if n == devices => None,
+        1 => Some(Distribution::Single(0)),
+        n => {
+            let weights: Vec<f64> = (0..devices)
+                .map(|d| if d < n { 1.0 } else { 0.0 })
+                .collect();
+            Some(Distribution::block_weighted(&weights))
+        }
+    })
+}
+
 /// What the one **prepare** stage leaves for the launch: the runtime, the
 /// flat element partition the kernels iterate, the uploaded inputs and the
 /// resolved additional arguments.
 pub(crate) struct PreparedCall {
     pub runtime: Arc<SkelCl>,
+    /// The call runs on the first `selected` devices ([`selected_devices`]);
+    /// an attached scheduler weights and places among them only.
+    pub selected: usize,
     /// The partition of the first input (a matrix's row blocks flattened to
     /// element ranges, an index range's blocks of indices).
     pub partition: Partition,
@@ -318,10 +329,12 @@ impl PreparedCall {
                 input.apply_selection(selection)?;
             }
         }
+        let selected = selected_devices(cfg.devices.as_ref(), runtime.device_count())?;
         let weighted = stage.filter(|stage| stage.kind != StageKind::Reduce);
         if let (Some(scheduler), Some(stage)) = (cfg.scheduler, weighted) {
+            let weights = scheduler.weights_among(stage.cost(), selected);
             for input in inputs {
-                input.apply_scheduler(scheduler, stage.cost())?;
+                input.apply_scheduler(Distribution::block_weighted(&weights))?;
             }
         }
         let halo_sweeps = stage
@@ -346,6 +359,7 @@ impl PreparedCall {
         }
         Ok(PreparedCall {
             runtime: runtime.clone(),
+            selected,
             partition: partition
                 .ok_or_else(|| SkelError::Internal("a skeleton call has no input".into()))?,
             prepared_args: PreparedArgs::prepare(runtime, &cfg.args)?,
@@ -831,5 +845,31 @@ mod tests {
             sizes[0] > sizes[1],
             "scheduler should give the Tesla more work than the Xeon: {sizes:?}"
         );
+    }
+
+    #[test]
+    fn a_scheduler_weights_only_the_selected_devices() {
+        let rt = init_gpus(2);
+        let scheduler = StaticScheduler::analytical(&rt);
+        let inc = Map::<f32, f32>::new(|x, _| x + 1.0);
+        let v = Vector::from_vec(&rt, vec![1.0f32; 4096]);
+        inc.run(&v)
+            .devices(DeviceSelection::Gpus(1))
+            .exec()
+            .unwrap();
+        assert_eq!(v.sizes(), [4096, 0]);
+        let launches = [
+            inc.run(&v)
+                .devices(DeviceSelection::Gpus(1))
+                .scheduler(&scheduler),
+            inc.run(&v)
+                .scheduler(&scheduler)
+                .devices(DeviceSelection::Gpus(1)),
+        ];
+        for launch in launches {
+            v.set_distribution(Distribution::Block).unwrap();
+            launch.exec().unwrap();
+            assert_eq!(v.sizes(), [4096, 0], "device 1 was not selected");
+        }
     }
 }

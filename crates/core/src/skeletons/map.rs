@@ -32,7 +32,6 @@ use crate::kernelgen::{self, StageKind};
 use crate::matrix::Matrix;
 use crate::plan::{run_elementwise, Target};
 use crate::runtime::{DeviceSelection, SkelCl};
-use crate::scheduler::StaticScheduler;
 use crate::skeletons::exec::selection_distribution;
 use crate::skeletons::udf::closure_kernel;
 use crate::skeletons::{run_call, Launch, LaunchConfig, Skeleton, Udf};
@@ -205,8 +204,8 @@ impl DynContainer for IndexRange {
         Ok(())
     }
 
-    fn apply_scheduler(&self, scheduler: &StaticScheduler, cost: CostHint) -> Result<()> {
-        *self.distribution.lock() = scheduler.weighted_block(cost);
+    fn apply_scheduler(&self, weighted: Distribution) -> Result<()> {
+        *self.distribution.lock() = weighted;
         Ok(())
     }
 

@@ -20,7 +20,7 @@
 use std::convert::Infallible;
 use std::sync::Arc;
 
-use oclsim::{CostHint, Pod};
+use oclsim::Pod;
 
 use crate::container::EdgePolicy;
 use crate::distribution::Boundary;
@@ -28,7 +28,6 @@ use crate::error::{Result, SkelError};
 use crate::kernelgen::{StageKind, UdfInfo};
 use crate::matrix::Matrix;
 use crate::plan::{run_on_matrix, Group, Stage};
-use crate::scheduler::PerfModel;
 use crate::skeletons::{Launch, LaunchConfig, Skeleton, Udf};
 
 /// The map-overlap (stencil) skeleton over [`Matrix`] inputs.
@@ -144,11 +143,12 @@ impl<O: Pod> MapOverlap<f32, O> {
     /// with what the runtime already charges — per sweep the host pays the
     /// dispatch overhead plus one enqueue per command (kernels, the edge
     /// rows each device refreshes by itself, and in an exchange sweep one
-    /// read and one forward per neighbour), every device pays its transfers
-    /// ([`PerfModel::predict_transfer`]), edge refreshes and widened kernel
-    /// ([`PerfModel::predict`] at the UDF's cost plus the centre load, the
-    /// `get`s and the store), and parts resident with a shallower ghost zone
-    /// pay the on-device re-pad once.
+    /// read and one forward per neighbour), every device pays what the
+    /// simulator charges on its profile for its transfers
+    /// ([`oclsim::ApiModel::transfer_time`]), edge refreshes and widened
+    /// kernel ([`oclsim::ApiModel::kernel_time`] at the UDF's cost plus the
+    /// centre load, the `get`s and the store), and parts resident with a
+    /// shallower ghost zone pay the on-device re-pad once.
     /// The host never waits inside a run, so `left` sweeps cost the larger of
     /// the host's total and the slowest device's; the smallest `k` with the
     /// lowest total wins, capped by `left` and by the smallest part
@@ -175,10 +175,10 @@ impl<O: Pod> MapOverlap<f32, O> {
         let layout = layout.with_ghost_depth(limit, edge);
         let info = self.plan_udf()?;
         // Per element: the UDF's work; the centre load, the `get`s, the store.
+        let flops = info.cost.flops_equivalent();
         let bytes = 4.0 + info.cost.global_bytes + 4.0;
-        let cost = CostHint::new(info.cost.flops_equivalent(), bytes);
-        let model = PerfModel::analytical(&runtime);
-        let api = runtime.context().api().clone();
+        let context = runtime.context();
+        let api = context.api();
         let secs = |d: oclsim::SimDuration| d.as_secs_f64();
         let (enqueue, cols) = (secs(api.enqueue_overhead), layout.cols());
         let row_bytes = cols * std::mem::size_of::<f32>();
@@ -191,23 +191,24 @@ impl<O: Pod> MapOverlap<f32, O> {
         let mut edge_rows = 0;
         let mut devices = Vec::with_capacity(active.len());
         for &device in &active {
+            let profile = &context.device(device)?.profile;
             let (above, below) = layout.faces_neighbour(device, edge);
             let facing = usize::from(above) + usize::from(below);
             let own_rows = (2 - facing) * self.halo;
             let refresh = match edge {
-                EdgePolicy::Fill => model.predict_transfer(device, row_bytes)?,
-                _ => model.predict(device, cols, CostHint::new(0.0, 8.0))?,
+                EdgePolicy::Fill => api.transfer_time(profile, row_bytes),
+                _ => api.kernel_time(profile, cols, 0.0, 8.0),
             };
             let mut sweeps = 0.0;
             let mut block = vec![0.0];
             for due in 1..=limit {
                 let items = layout.sweep_rows(device, edge, due).1 * cols;
-                sweeps +=
-                    own_rows as f64 * secs(refresh) + secs(model.predict(device, items, cost)?);
-                let exchange = model.predict_transfer(device, due * self.halo * row_bytes)?;
+                let kernel = api.kernel_time(profile, items, flops, bytes);
+                sweeps += own_rows as f64 * secs(refresh) + secs(kernel);
+                let exchange = api.transfer_time(profile, due * self.halo * row_bytes);
                 block.push(2.0 * facing as f64 * secs(exchange) + sweeps);
             }
-            let copy = model.predict(device, layout.core_len(device), CostHint::new(0.0, 8.0))?;
+            let copy = api.kernel_time(profile, layout.core_len(device), 0.0, 8.0);
             neighbours += facing;
             edge_rows += own_rows;
             devices.push((block, secs(copy)));

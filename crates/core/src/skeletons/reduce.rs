@@ -434,6 +434,31 @@ mod tests {
     }
 
     #[test]
+    fn a_scheduler_places_the_final_fold_on_a_selected_device() {
+        use crate::runtime::DeviceSelection;
+        use crate::scheduler::StaticScheduler;
+        use oclsim::DeviceProfile;
+        let rt = crate::runtime::init_profiles(vec![
+            DeviceProfile::generic_small_gpu(),
+            DeviceProfile::tesla_c1060(),
+        ]);
+        let scheduler = StaticScheduler::analytical(&rt);
+        let sum = Reduce::<i32>::new(|a, b| a + b);
+        let v = Vector::from_vec(&rt, (1..=4096).collect());
+        let (value, plan) = sum
+            .run(&v)
+            .devices(DeviceSelection::Gpus(1))
+            .scheduler(&scheduler)
+            .chunks(8)
+            .scalar_with_plan()
+            .unwrap();
+        assert_eq!(value, 4096 * 4097 / 2);
+        assert_eq!(plan.final_device, 0, "device 1 was not selected: {plan:?}");
+        let events = rt.drain_events();
+        assert!(events[1].is_empty(), "device 1 ran {:?}", events[1]);
+    }
+
+    #[test]
     fn scheduler_aware_reduce_with_native_operator_and_single_chunk() {
         use crate::scheduler::StaticScheduler;
         let rt = init_gpus(2);

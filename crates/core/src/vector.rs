@@ -16,14 +16,13 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use oclsim::{Buffer, CostHint, Pod};
+use oclsim::{Buffer, Pod};
 
 pub use crate::container::Residence;
 use crate::container::{Container, DynContainer, EdgePolicy, Storage};
 use crate::distribution::{Combine, Distribution, Partition, RowPartition};
 use crate::error::Result;
 use crate::runtime::{DeviceSelection, SkelCl};
-use crate::scheduler::StaticScheduler;
 
 /// The SkelCL vector: host + multi-device storage with lazy coherence.
 ///
@@ -271,8 +270,8 @@ impl<T: Pod> DynContainer for Vector<T> {
         }
     }
 
-    fn apply_scheduler(&self, scheduler: &StaticScheduler, cost: CostHint) -> Result<()> {
-        self.set_distribution(scheduler.weighted_block(cost))
+    fn apply_scheduler(&self, weighted: Distribution) -> Result<()> {
+        self.set_distribution(weighted)
     }
 
     fn coerce_to_block(&self) -> Result<()> {

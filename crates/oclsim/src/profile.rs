@@ -188,7 +188,7 @@ impl ApiModel {
     }
 
     /// Launch overhead for a device under this API.
-    pub fn launch_overhead(&self, profile: &DeviceProfile) -> SimDuration {
+    fn launch_overhead(&self, profile: &DeviceProfile) -> SimDuration {
         SimDuration::from_secs_f64(
             profile.kernel_launch_overhead.as_secs_f64() * self.launch_overhead_factor,
         )

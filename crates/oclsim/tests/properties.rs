@@ -1,6 +1,7 @@
 //! Property-based tests of the simulated OpenCL runtime: the timing model is
 //! monotone and roofline-shaped, the API-model constants keep the paper's
-//! CUDA/OpenCL/SkelCL relationships for any workload, buffers round-trip
+//! CUDA/OpenCL/SkelCL relationships for any workload, every command lasts
+//! exactly the `ApiModel` price a caller can predict it by, buffers round-trip
 //! arbitrary data, in-order queues keep their commands ordered in virtual
 //! time, and a recorded command buffer behaves exactly like its commands.
 
@@ -70,6 +71,42 @@ proptest! {
             skelcl, opencl,
             "SkelCL device-side execution is plain OpenCL underneath"
         );
+    }
+
+    #[test]
+    fn every_command_lasts_its_api_model_price_and_costs_the_host_one_enqueue(
+        profile in profiles(),
+        api in 0usize..3,
+        n in 1usize..64 * 1024,
+        items in 1usize..1 << 22,
+        flops in 0.0f64..2_000.0,
+        bytes in 0.0f64..256.0,
+    ) {
+        let api = [ApiModel::opencl(), ApiModel::cuda(), ApiModel::skelcl()][api].clone();
+        let ctx = Context::new(vec![profile.clone()], api.clone());
+        let queue = ctx.queue(0).unwrap();
+        let src = ctx.create_buffer::<u8>(0, n).unwrap();
+        let dst = ctx.create_buffer::<u8>(0, n).unwrap();
+        let def = NativeKernelDef::new("priced", CostHint::new(flops, bytes), |_| Ok(()));
+        let kernel = Program::from_native([def]).kernel("priced").unwrap();
+        let mut enqueued = Vec::new();
+        let mut enqueue = |command: &dyn Fn() -> oclsim::Result<EventHandle>| {
+            let before = ctx.host_now();
+            let event = command().unwrap();
+            enqueued.push(ctx.host_now() - before);
+            event
+        };
+        let write = enqueue(&|| queue.enqueue_write_buffer(&src, &vec![7u8; n]));
+        let copy = enqueue(&|| queue.enqueue_copy_buffer_region::<u8>(&src, 0, &dst, 0, n));
+        let args = [KernelArg::Buffer(dst.clone())];
+        let launch = enqueue(&|| queue.enqueue_kernel(&kernel, items, &args));
+        let read = enqueue(&|| queue.enqueue_read_buffer_region_nb::<u8>(&dst, 0, n));
+        prop_assert_eq!(enqueued, vec![api.enqueue_overhead; 4]);
+        let duration = |event: EventHandle| event.wait().unwrap().duration();
+        prop_assert_eq!(duration(write), api.transfer_time(&profile, n));
+        prop_assert_eq!(duration(copy), api.kernel_time(&profile, n.div_ceil(4), 0.0, 8.0));
+        prop_assert_eq!(duration(launch), api.kernel_time(&profile, items, flops, bytes));
+        prop_assert_eq!(duration(read), api.transfer_time(&profile, n));
     }
 
     #[test]
@@ -203,6 +240,21 @@ proptest! {
         let long = time_with(200);
         prop_assert!(long > short, "measured cost must follow the executed work");
     }
+}
+
+/// Device profiles with arbitrary throughput, bandwidth and latency figures.
+fn profiles() -> impl Strategy<Value = DeviceProfile> {
+    let figures = (1.0f64..2_000.0, 1.0f64..500.0, 0.1f64..20.0);
+    (figures, 0u64..100_000, 0u64..100_000).prop_map(|((gflops, memory, pcie), latency, launch)| {
+        DeviceProfile {
+            peak_gflops: gflops,
+            mem_bandwidth_gbs: memory,
+            transfer_bandwidth_gbs: pcie,
+            transfer_latency: SimDuration(latency),
+            kernel_launch_overhead: SimDuration(launch),
+            ..DeviceProfile::tesla_c1060()
+        }
+    })
 }
 
 #[test]

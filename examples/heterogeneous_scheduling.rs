@@ -10,7 +10,7 @@
 //! Run with `cargo run --release --example heterogeneous_scheduling`.
 
 use skelcl::prelude::*;
-use skelcl::{PerfModel, StaticScheduler};
+use skelcl::StaticScheduler;
 
 use oclsim::DeviceProfile;
 
@@ -28,14 +28,14 @@ fn main() -> Result<()> {
     }
 
     // --- 1. Performance prediction -------------------------------------
-    let model = PerfModel::analytical(&rt);
+    let scheduler = StaticScheduler::analytical(&rt);
     println!("\npredicted relative throughput (weights) per user-function cost:");
     for (label, cost) in [
         ("memory-bound (1 flop, 16 B)", CostHint::new(1.0, 16.0)),
         ("balanced (50 flops, 8 B)", CostHint::new(50.0, 8.0)),
         ("compute-bound (500 flops, 4 B)", CostHint::new(500.0, 4.0)),
     ] {
-        let weights = model.weights(cost);
+        let weights = scheduler.weights(cost);
         println!(
             "  {label:32} -> {:?}",
             weights
@@ -48,7 +48,6 @@ fn main() -> Result<()> {
     // --- 2. Even vs weighted block distribution -------------------------
     let n = 400_000;
     let heavy = "float func(float x) {\n  float acc = x;\n  for (int i = 0; i < 64; i++) { acc = acc * 1.0001f + 0.5f; }\n  return acc;\n}";
-    let scheduler = StaticScheduler::analytical(&rt);
     let cost = CostHint::new(130.0, 8.0);
 
     let time_with = |dist: Distribution| -> Result<f64> {
