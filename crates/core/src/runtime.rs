@@ -160,9 +160,11 @@ impl ExecTrace {
         self.tiers().interp_launches
     }
 
-    /// Total kernel-language launches handled by the scalar VM.
+    /// Kept for the repository benchmark, which predates the removal of the
+    /// scalar VM: always 0.
+    #[doc(hidden)]
     pub fn scalar_launches(&self) -> usize {
-        self.tiers().scalar_launches
+        0
     }
 
     /// Kept for the repository benchmark, which predates the removal of the
@@ -194,7 +196,7 @@ impl ExecTrace {
     }
 
     /// Total lane batches the native tier rolled back and replayed through
-    /// the scalar VM.
+    /// the interpreter.
     pub fn replayed_batches(&self) -> u64 {
         self.tiers().replayed_batches
     }
@@ -205,15 +207,15 @@ impl ExecTrace {
     }
 
     /// One line saying which engines ran the launches so far, what the
-    /// native tier gave back to the VM and how many of its batches diverged
+    /// native tier gave back to the interpreter and how many of its batches
+    /// diverged
     /// (rendered by `Plan::explain` and the guarded examples).
     pub fn tier_line(&self) -> String {
         let t = self.tiers();
         format!(
-            "Kernel launches: {} native, {} scalar, {} interp; \
+            "Kernel launches: {} native, {} interp; \
              {} replayed batch(es), {} bailed launch(es), {} masked batch(es)",
             t.native_launches,
-            t.scalar_launches,
             t.interp_launches,
             t.replayed_batches,
             t.bailed_launches,
@@ -321,8 +323,8 @@ impl SkelCl {
 
     /// Pin the kernel-language execution tier for every kernel the runtime
     /// launches from now on — [`Tier::Native`] is the default, which runs
-    /// every native-eligible kernel natively from its first launch; the
-    /// others force the scalar VM or the interpreter. Applies to already-built
+    /// every native-eligible kernel natively from its first launch;
+    /// [`Tier::Interp`] forces the interpreter. Applies to already-built
     /// (cached) programs as well as future builds. All tiers are bit-identical
     /// in results and execution statistics; only throughput differs.
     pub fn set_kernel_tier(&self, tier: Tier) {
@@ -336,7 +338,7 @@ impl SkelCl {
         if let Some(tier) = self.context.kernel_tier() {
             format!("{tier} (pinned via set_kernel_tier)")
         } else {
-            "native by default (from a kernel's first launch; the scalar VM for \
+            "native by default (from a kernel's first launch; the interpreter for \
              native-ineligible kernels)"
                 .to_string()
         }

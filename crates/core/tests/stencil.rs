@@ -614,7 +614,7 @@ fn deep_windows_agree_on_every_kernel_tier_and_keep_the_halo_bound() {
             MapOverlap::<f32, f32>::from_source("float func(float x) { return x + get(0, 2); }")
                 .with_halo(1)
                 .with_boundary(boundary);
-        for tier in [Tier::Interp, Tier::Scalar, Tier::Native] {
+        for tier in [Tier::Interp, Tier::Native] {
             let rt = skelcl::init_gpus(3);
             rt.set_kernel_tier(tier);
             let st = MapOverlap::<f32, f32>::from_source(udf)

@@ -23,11 +23,11 @@ fn run_map(rt: &std::sync::Arc<skelcl::SkelCl>, n: usize) -> Vec<f32> {
 fn forced_native_tier_is_counted_and_bit_identical() {
     let rt = skelcl::init_gpus(1);
 
-    // The scalar VM, pinned, is the baseline.
-    rt.set_kernel_tier(Tier::Scalar);
+    // The interpreter oracle, pinned, is the baseline.
+    rt.set_kernel_tier(Tier::Interp);
     let baseline = run_map(&rt, 100);
     let t = rt.exec_trace();
-    assert_eq!(t.scalar_launches(), 1, "pinned launch uses the VM");
+    assert_eq!(t.interp_launches(), 1, "pinned launch uses the oracle");
     assert_eq!(t.native_launches(), 0);
     assert_eq!(t.native_compiles(), 0);
 
@@ -38,7 +38,7 @@ fn forced_native_tier_is_counted_and_bit_identical() {
     assert_eq!(
         baseline.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
         native.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-        "native tier must be bit-identical to the scalar VM"
+        "native tier must be bit-identical to the oracle"
     );
     let t = rt.exec_trace();
     assert_eq!(t.native_launches(), 1, "pinned launch runs natively");
@@ -64,7 +64,7 @@ fn auto_tier_graduates_large_launches() {
     run_map(&rt, 10_000);
     let t = rt.exec_trace();
     assert_eq!(t.native_launches(), 1, "first launch is native");
-    assert_eq!(t.scalar_launches(), 0);
+    assert_eq!(t.interp_launches(), 0);
     assert_eq!(t.native_compiles(), 1);
 }
 
@@ -108,8 +108,7 @@ fn default_tier_runs_zip_reduce_scan_natively_from_the_first_launch() {
         "same three kernels: {}",
         t.tier_line()
     );
-    let others = t.scalar_launches() + t.interp_launches();
-    assert_eq!(others, 0, "{}", t.tier_line());
+    assert_eq!(t.interp_launches(), 0, "{}", t.tier_line());
     assert_eq!(t.replayed_batches(), 0, "{}", t.tier_line());
     assert_eq!(t.bailed_launches(), 0, "{}", t.tier_line());
 }
@@ -121,7 +120,7 @@ fn interp_tier_pin_and_per_device_counters() {
     run_map(&rt, 64);
     let t = rt.exec_trace();
     assert_eq!(t.interp_launches(), 2, "one launch per device");
-    assert_eq!(t.native_launches() + t.scalar_launches(), 0);
+    assert_eq!(t.native_launches(), 0);
     assert_eq!(t.devices.len(), 2);
     for d in &t.devices {
         assert_eq!(d.tiers.interp_launches, 1);
@@ -143,7 +142,7 @@ fn heat_stencil_sweeps_run_natively_without_replays() {
     heat.run(&plate).run_iter(4).unwrap().to_vec().unwrap();
     let t = rt.exec_trace();
     assert_eq!(t.native_launches(), 4, "{}", t.tier_line());
-    assert_eq!(t.scalar_launches(), 0, "{}", t.tier_line());
+    assert_eq!(t.interp_launches(), 0, "{}", t.tier_line());
     assert_eq!(t.replayed_batches(), 0, "{}", t.tier_line());
     assert_eq!(t.bailed_launches(), 0, "{}", t.tier_line());
     assert_eq!(t.masked_batches(), 0, "straight-line: {}", t.tier_line());
@@ -169,7 +168,7 @@ fn launch_raw(rt: &skelcl::SkelCl, src: &str) {
 #[test]
 fn hazardous_launches_are_counted_as_bailed_not_native() {
     // An in-place shift crosses lanes in the very first batch: nothing ran
-    // natively, so the launch counts as a scalar one.
+    // natively, so the launch counts as an interpreter one.
     let rt = skelcl::init_gpus(1);
     launch_raw(
         &rt,
@@ -177,7 +176,7 @@ fn hazardous_launches_are_counted_as_bailed_not_native() {
     );
     let t = rt.exec_trace();
     assert_eq!(t.native_launches(), 0, "{}", t.tier_line());
-    assert_eq!(t.scalar_launches(), 1, "{}", t.tier_line());
+    assert_eq!(t.interp_launches(), 1, "{}", t.tier_line());
     assert_eq!(t.replayed_batches(), 1, "{}", t.tier_line());
     assert_eq!(t.bailed_launches(), 1, "{}", t.tier_line());
     assert_eq!(t.devices[0].tiers.bailed_launches, 1);
@@ -243,7 +242,7 @@ fn explain_renders_tier_decision() {
         "default explain says what the default means:\n{text}"
     );
     assert!(
-        text.contains("Kernel launches: 0 native, 0 scalar, 0 interp")
+        text.contains("Kernel launches: 0 native, 0 interp")
             && text.contains("0 replayed batch(es), 0 bailed launch(es), 0 masked batch(es)"),
         "the tier counters are rendered:\n{text}"
     );
@@ -320,7 +319,7 @@ fn one_skeleton_instance_builds_and_tiers_on_every_runtime_it_runs_on() {
     for (name, call) in &calls {
         let rt1 = skelcl::init_gpus(1);
         let rt2 = skelcl::init_gpus(1);
-        rt2.set_kernel_tier(Tier::Scalar);
+        rt2.set_kernel_tier(Tier::Interp);
         let build = rt1.context().device(0).unwrap().profile.program_build_time;
         for rt in [&rt1, &rt2] {
             let before = rt.now();
@@ -333,12 +332,12 @@ fn one_skeleton_instance_builds_and_tiers_on_every_runtime_it_runs_on() {
         }
         let (t1, t2) = (rt1.exec_trace(), rt2.exec_trace());
         assert!(
-            t1.native_launches() > 0 && t1.scalar_launches() == 0,
+            t1.native_launches() > 0 && t1.interp_launches() == 0,
             "{name} on rt1: {}",
             t1.tier_line()
         );
         assert!(
-            t2.scalar_launches() > 0 && t2.native_launches() == 0,
+            t2.interp_launches() > 0 && t2.native_launches() == 0,
             "{name} on rt2: {}",
             t2.tier_line()
         );
@@ -369,10 +368,10 @@ fn every_counting_field_of_a_launch_trace_reaches_the_exec_trace() {
             trace(Tier::Interp, 3, false, false),
         ],
         vec![
-            trace(Tier::Scalar, 4, true, true),
-            trace(Tier::Scalar, 5, false, false),
+            trace(Tier::Interp, 4, true, true),
+            trace(Tier::Interp, 5, false, false),
             trace(Tier::Native, 6, true, false),
-            trace(Tier::Scalar, 7, false, false),
+            trace(Tier::Interp, 7, false, false),
         ],
     ];
 
@@ -394,7 +393,6 @@ fn every_counting_field_of_a_launch_trace_reaches_the_exec_trace() {
             } = t.clone();
             match tier {
                 Tier::Interp => want.interp_launches += 1,
-                Tier::Scalar => want.scalar_launches += 1,
                 Tier::Native => want.native_launches += 1,
             }
             // The compile time is repeated on every launch of a compiled
@@ -423,7 +421,6 @@ fn every_counting_field_of_a_launch_trace_reaches_the_exec_trace() {
 
     let TierSnapshot {
         interp_launches,
-        scalar_launches,
         native_launches,
         native_compiles,
         native_compile_ns,
@@ -433,10 +430,7 @@ fn every_counting_field_of_a_launch_trace_reaches_the_exec_trace() {
         bailed_launches,
     } = exec.tiers();
     assert_eq!(exec.tiers(), want);
-    assert_eq!(
-        (interp_launches, scalar_launches, native_launches),
-        (1, 3, 3)
-    );
+    assert_eq!((interp_launches, native_launches), (4, 3));
     assert_eq!((native_compiles, native_compile_ns), (3, 3011));
     assert_eq!(
         (native_batches, masked_batches, replayed_batches),
@@ -445,7 +439,6 @@ fn every_counting_field_of_a_launch_trace_reaches_the_exec_trace() {
     assert_eq!(bailed_launches, 2);
     // The named accessors and the tier line read the same record.
     assert_eq!(exec.interp_launches(), interp_launches);
-    assert_eq!(exec.scalar_launches(), scalar_launches);
     assert_eq!(exec.native_launches(), native_launches);
     assert_eq!(exec.native_compiles(), native_compiles);
     assert_eq!(exec.native_compile_ns(), native_compile_ns);
@@ -454,7 +447,7 @@ fn every_counting_field_of_a_launch_trace_reaches_the_exec_trace() {
     assert_eq!(exec.bailed_launches(), bailed_launches);
     assert_eq!(
         exec.tier_line(),
-        "Kernel launches: 3 native, 3 scalar, 1 interp; \
+        "Kernel launches: 3 native, 4 interp; \
          35 replayed batch(es), 2 bailed launch(es), 49 masked batch(es)"
     );
 }

@@ -1,11 +1,10 @@
 //! Differential tests over the *actual* generated skeleton kernels: every
 //! kernel that `kernelgen` emits (map, index map, zip, reduce, packed reduce,
-//! scan + scan offset) runs through both the bytecode VM and the
+//! scan + scan offset) runs through both the default (native) tier and the
 //! AST-interpreter oracle, asserting identical results and identical measured
 //! ExecStats. The MapOverlap, reduce and packed-reduce templates
-//! additionally run on every engine
-//! (interpreter ≡ scalar ≡ native) over a grid of shapes, and
-//! must never replay a batch on the native tier; so do the divergent
+//! additionally run on both engines pinned (interpreter ≡ native) over a
+//! grid of shapes, and must never replay a batch on the native tier; so do the divergent
 //! kernels of the paper's two applications (the OSEM update `Zip`, the
 //! Mandelbrot index map) and a fused plan kernel with a branchy stage.
 
@@ -16,8 +15,8 @@ use skelcl_kernel::interp::{ArgBinding, BufferView};
 use skelcl_kernel::value::Value;
 use skelcl_kernel::{Program, Tier};
 
-/// Run `kernel_src` through both engines on identical f32 buffers and
-/// assert bit-identical buffers and stats.
+/// Run `kernel_src` on the default tier and on the oracle over identical f32
+/// buffers and assert bit-identical buffers and stats.
 fn assert_generated_kernel_agrees(
     kernel_src: &str,
     kernel_name: &str,
@@ -28,7 +27,7 @@ fn assert_generated_kernel_agrees(
     let p = Program::build(kernel_src).expect("generated kernels always build");
     let k = p.kernel(kernel_name).expect("generated kernel exists");
 
-    let run = |use_vm: bool| {
+    let run = |default_tier: bool| {
         let mut bufs: Vec<Vec<f32>> = buffers.to_vec();
         let mut args: Vec<ArgBinding<'_>> = Vec::new();
         for b in &mut bufs {
@@ -37,7 +36,7 @@ fn assert_generated_kernel_agrees(
         for s in scalars {
             args.push(ArgBinding::Scalar(*s));
         }
-        let stats = if use_vm {
+        let stats = if default_tier {
             p.run_ndrange_measured(&k, global_size, &mut args)
         } else {
             p.run_ndrange_measured_interp(&k, global_size, &mut args)
@@ -47,14 +46,14 @@ fn assert_generated_kernel_agrees(
         (bufs, stats)
     };
 
-    let (vm_bufs, vm_stats) = run(true);
+    let (got_bufs, got_stats) = run(true);
     let (or_bufs, or_stats) = run(false);
-    for (i, (v, o)) in vm_bufs.iter().zip(&or_bufs).enumerate() {
+    for (i, (v, o)) in got_bufs.iter().zip(&or_bufs).enumerate() {
         let vbits: Vec<u32> = v.iter().map(|x| x.to_bits()).collect();
         let obits: Vec<u32> = o.iter().map(|x| x.to_bits()).collect();
         assert_eq!(vbits, obits, "buffer {i} diverged for:\n{kernel_src}");
     }
-    assert_eq!(vm_stats, or_stats, "stats diverged for:\n{kernel_src}");
+    assert_eq!(got_stats, or_stats, "stats diverged for:\n{kernel_src}");
 }
 
 const UDF_UNARY: &str =
@@ -237,7 +236,7 @@ proptest! {
         let src = kernelgen::map_index_kernel(&info).unwrap();
         let p = Program::build(&src).unwrap();
         let k = p.kernel(kernelgen::MAP_INDEX_KERNEL).unwrap();
-        let run = |use_vm: bool| {
+        let run = |default_tier: bool| {
             let mut out = vec![0i32; n];
             let mut args = vec![
                 ArgBinding::Buffer(BufferView::I32(&mut out)),
@@ -245,7 +244,7 @@ proptest! {
                 ArgBinding::Scalar(Value::Int(7)),
                 ArgBinding::Scalar(Value::Int(scale)),
             ];
-            let stats = if use_vm {
+            let stats = if default_tier {
                 p.run_ndrange_measured(&k, n, &mut args)
             } else {
                 p.run_ndrange_measured_interp(&k, n, &mut args)
@@ -254,14 +253,14 @@ proptest! {
             drop(args);
             (out, stats)
         };
-        let (vm_out, vm_stats) = run(true);
+        let (got_out, got_stats) = run(true);
         let (or_out, or_stats) = run(false);
-        prop_assert_eq!(vm_out, or_out);
-        prop_assert_eq!(vm_stats, or_stats);
+        prop_assert_eq!(got_out, or_out);
+        prop_assert_eq!(got_stats, or_stats);
     }
 }
 
-/// The full skeleton pipeline (which now executes through the VM) still
+/// The full skeleton pipeline (on the default tier) still
 /// matches a sequential Rust reference end to end.
 #[test]
 fn skeleton_pipeline_end_to_end_through_vm() {
@@ -299,9 +298,9 @@ impl Buf {
     }
 }
 
-/// Launch a generated kernel on all four engines; every engine must match
-/// the interpreter bit for bit (every buffer and `ExecStats`), and the
-/// native run must complete every batch natively. Returns the native run's
+/// Launch a generated kernel on both engines; the native tier must match
+/// the interpreter bit for bit (every buffer and `ExecStats`) and complete
+/// every batch natively. Returns the native run's
 /// masked-batch count.
 fn assert_stays_native_on_all_engines(
     src: &str,
@@ -332,21 +331,15 @@ fn assert_stays_native_on_all_engines(
         (bits, stats, trace)
     };
     let (oracle_bits, oracle_stats, _) = run(Tier::Interp);
-    let mut masked = 0;
-    for tier in [Tier::Scalar, Tier::Native] {
-        let (bits, stats, trace) = run(tier);
-        assert_eq!(bits, oracle_bits, "output diverged on {tier}: {what}");
-        assert_eq!(stats, oracle_stats, "ExecStats diverged on {tier}: {what}");
-        if tier == Tier::Native {
-            assert_eq!(trace.tier, Tier::Native, "{what}");
-            assert_eq!(trace.fallback, None, "{what}");
-            assert_eq!(trace.replayed_batches, 0, "native replayed: {what}");
-            assert!(!trace.bailed, "native bailed: {what}");
-            assert_eq!(trace.native_batches as usize, global.div_ceil(64), "{what}");
-            masked = trace.masked_batches;
-        }
-    }
-    masked
+    let (bits, stats, trace) = run(Tier::Native);
+    assert_eq!(bits, oracle_bits, "output diverged on native: {what}");
+    assert_eq!(stats, oracle_stats, "ExecStats diverged on native: {what}");
+    assert_eq!(trace.tier, Tier::Native, "{what}");
+    assert_eq!(trace.fallback, None, "{what}");
+    assert_eq!(trace.replayed_batches, 0, "native replayed: {what}");
+    assert!(!trace.bailed, "native bailed: {what}");
+    assert_eq!(trace.native_batches as usize, global.div_ceil(64), "{what}");
+    trace.masked_batches
 }
 
 const HEAT_UDF: &str =
@@ -371,7 +364,7 @@ fn vertical_box_udf(halo: usize) -> String {
     )
 }
 
-/// Launch the generated MapOverlap kernel for `udf` on all four engines:
+/// Launch the generated MapOverlap kernel for `udf` on both engines:
 /// `n` core elements of a `w`-wide part with `halo` padding rows, over
 /// `global` work-items (see [`assert_stays_native_on_all_engines`]).
 fn assert_map_overlap_on_all_engines(
@@ -640,19 +633,15 @@ fn generated_divergent_kernels_stay_native() {
             let what = format!("fused plan, n={n}, {pattern}");
             let (oracle_bits, oracle_time, _) = run(Tier::Interp);
             assert_eq!(oracle_time.len(), 1, "one fused launch: {what}");
-            for tier in [Tier::Scalar, Tier::Native] {
-                let (bits, time, trace) = run(tier);
-                assert_eq!(bits, oracle_bits, "output diverged on {tier}: {what}");
-                assert_eq!(time, oracle_time, "virtual time diverged on {tier}: {what}");
-                if tier == Tier::Native {
-                    assert_eq!(trace.kernels_fused, 1, "{what}");
-                    assert_eq!(trace.native_launches(), 1, "{}: {what}", trace.tier_line());
-                    assert_eq!(trace.replayed_batches(), 0, "{}: {what}", trace.tier_line());
-                    assert_eq!(trace.bailed_launches(), 0, "{}: {what}", trace.tier_line());
-                    let uniform = n == 1 || pattern == "all" || pattern == "none";
-                    assert_eq!(trace.masked_batches() == 0, uniform, "{what}");
-                }
-            }
+            let (bits, time, trace) = run(Tier::Native);
+            assert_eq!(bits, oracle_bits, "output diverged on native: {what}");
+            assert_eq!(time, oracle_time, "virtual time diverged on native: {what}");
+            assert_eq!(trace.kernels_fused, 1, "{what}");
+            assert_eq!(trace.native_launches(), 1, "{}: {what}", trace.tier_line());
+            assert_eq!(trace.replayed_batches(), 0, "{}: {what}", trace.tier_line());
+            assert_eq!(trace.bailed_launches(), 0, "{}: {what}", trace.tier_line());
+            let uniform = n == 1 || pattern == "all" || pattern == "none";
+            assert_eq!(trace.masked_batches() == 0, uniform, "{what}");
         }
     }
 }

@@ -74,7 +74,7 @@ fn main() {
             }
             Err(reason) => {
                 println!("   ineligible: {reason}");
-                println!("   default: every launch runs on the scalar VM");
+                println!("   default: every launch runs on the interpreter");
             }
         }
     }

@@ -6,9 +6,10 @@ use crate::value::Value;
 
 /// Reserved parameter names through which a generated stencil (`MapOverlap`)
 /// kernel provides the execution context of the [`Builtin::StencilGet`]
-/// builtin. Both execution engines (interpreter and VM) recognise these names
-/// in the *kernel* signature at launch-bind time; `get(dx, dy)` called from
-/// any function of the unit then resolves against this per-launch context.
+/// builtin. Both execution engines (interpreter and native) recognise these
+/// names in the *kernel* signature at launch-bind time; `get(dx, dy)` called
+/// from any function of the unit then resolves against this per-launch
+/// context.
 pub mod stencil {
     /// The stencil input buffer (a `__global float*`): the device's part of
     /// the matrix, padded with `halo` rows above and below the core rows.

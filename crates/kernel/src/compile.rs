@@ -1,5 +1,5 @@
 //! Bytecode compiler: lowers a checked [`TranslationUnit`] into flat,
-//! register-based bytecode executed by [`crate::vm::Vm`].
+//! register-based bytecode, the input of the [`crate::native`] tier.
 //!
 //! The tree-walking interpreter ([`crate::interp`]) resolves every variable
 //! through string-keyed hash maps and re-walks the AST for every work-item,
@@ -14,12 +14,16 @@
 //!   interpreter's dynamic by-name buffer binding is preserved),
 //! * the FLOP / global-memory-byte / statement costs that the interpreter
 //!   counts through shared `Cell` counters are attributed to individual
-//!   instructions at compile time ([`InstrCost`]); the VM accumulates them
-//!   as plain per-work-item counters.
+//!   instructions at compile time ([`InstrCost`]); the native tier pre-sums
+//!   them per basic block,
+//! * calls to user functions are inlined into the kernel; a call that is
+//!   not (recursion, a chain deeper than the inline limit) stays an
+//!   [`Op::Call`], which makes the kernel native-ineligible, so it runs on
+//!   the interpreter.
 //!
 //! The attribution mirrors the interpreter's dynamic counting exactly — the
-//! differential property suite asserts that VM and interpreter report
-//! identical [`crate::interp::ExecStats`] for the same launch.
+//! differential suites assert that the native tier and the interpreter
+//! report identical [`crate::interp::ExecStats`] for the same launch.
 
 use std::collections::HashMap;
 
@@ -38,8 +42,8 @@ pub type Reg = u16;
 /// (builtin calls use [`Builtin::flop_cost`]), `bytes` are global-memory
 /// traffic, `ops` are evaluated statements/expressions.
 /// All cost constants (builtin flop costs, element sizes, op counts) are
-/// small integers or halves, exact in `f32`; the VM widens to `f64` when
-/// accumulating, so totals are bit-identical to the interpreter's.
+/// small integers or halves, exact in `f32`; the native tier widens to `f64`
+/// when accumulating, so totals are bit-identical to the interpreter's.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct InstrCost {
     /// Floating-point operations.
@@ -135,17 +139,9 @@ pub enum Op {
     },
     /// Jump when `cond` is true
     JumpIfTrue { cond: Reg, target: u32 },
-    /// Call a user function; `nargs` argument values start at register
-    /// `args`; the result lands in `dst`. `depth` is how many calls deeper
-    /// than the current frame the callee runs: one, plus the calls inlined
-    /// around the call site (the interpreter counts those too).
-    Call {
-        func: u16,
-        dst: Reg,
-        args: Reg,
-        nargs: u16,
-        depth: u16,
-    },
+    /// A call to user function `func` that was not inlined. No engine
+    /// executes it: it makes the kernel native-ineligible.
+    Call { func: u16 },
     /// Call a math builtin over registers `args .. args+nargs`
     CallBuiltin {
         builtin: Builtin,
@@ -179,7 +175,7 @@ pub enum Op {
 /// Parameter metadata of a compiled function.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledParam {
-    /// Parameter name (used in launch-time validation errors).
+    /// Parameter name (used in native ineligibility reasons).
     pub name: String,
     /// Declared type.
     pub ty: Type,
@@ -194,15 +190,13 @@ pub struct CompiledFunction {
     pub name: String,
     /// Whether the function is a `__kernel` entry point.
     pub is_kernel: bool,
-    /// Declared return type.
-    pub return_type: Type,
     /// Parameters in declaration order (parameter `k` occupies register `k`).
     pub params: Vec<CompiledParam>,
     /// Size of the register frame.
     pub num_regs: u16,
-    /// Literal values preloaded into fixed registers once per launch (for
-    /// kernels) or at call entry (for kernels invoked as functions), so
-    /// literals inside loops cost no per-item instruction.
+    /// Literal values preloaded into fixed registers once per launch (empty
+    /// for non-kernel functions), so literals inside loops cost no per-item
+    /// instruction.
     pub const_pool: Vec<(Reg, Value)>,
     /// The instruction stream.
     pub code: Vec<Op>,
@@ -269,10 +263,8 @@ pub fn compile(unit: &TranslationUnit) -> Result<CompiledUnit, KernelError> {
     }
     let mut names = Interner::default();
     let mut functions = Vec::with_capacity(unit.functions.len());
-    let called = called_functions(unit);
     for func in &unit.functions {
-        let inlines = func.is_kernel && !called.contains(func.name.as_str());
-        functions.push(FnCompiler::lower(unit, func, inlines, &mut names)?);
+        functions.push(FnCompiler::lower(unit, func, &mut names)?);
     }
     if names.names.len() > u16::MAX as usize + 1 {
         return Err(KernelError::run(format!(
@@ -354,11 +346,6 @@ struct FnCompiler<'u> {
     inline_ctxs: Vec<InlineCtx>,
     /// Names of functions currently being inlined (recursion guard).
     inline_stack: Vec<String>,
-    /// Whether calls may be inlined at all: only into a kernel no call
-    /// names, which always runs at call depth 0. Every other function is
-    /// entered through [`Op::Call`], so the VM's frames count its calls
-    /// exactly as the interpreter does.
-    inlines: bool,
 }
 
 /// State of one function body being inlined at a call site.
@@ -378,8 +365,9 @@ struct InlineCtx {
 /// Code-size ceiling past which calls are no longer inlined.
 const INLINE_CODE_LIMIT: usize = 8192;
 /// Maximum inline nesting (mirrors the cost estimator's recursion cutoff).
-/// An inlined call can never hit the call-depth limit, which is checked at
-/// [`Op::Call`] only.
+/// A launched kernel runs at call depth 0, so an inlined call can never hit
+/// the interpreter's call-depth limit: the native tier, which runs only
+/// inlined calls, needs no depth check.
 const INLINE_DEPTH_LIMIT: usize = 8;
 const _: () = assert!(INLINE_DEPTH_LIMIT < crate::interp::MAX_CALL_DEPTH);
 
@@ -387,7 +375,6 @@ impl<'u> FnCompiler<'u> {
     fn lower(
         unit: &'u TranslationUnit,
         func: &'u Function,
-        inlines: bool,
         names: &mut Interner,
     ) -> Result<CompiledFunction, KernelError> {
         let mut params = Vec::with_capacity(func.params.len());
@@ -422,7 +409,6 @@ impl<'u> FnCompiler<'u> {
             const_pool: Vec::new(),
             inline_ctxs: Vec::new(),
             inline_stack: Vec::new(),
-            inlines,
         };
         c.func_end = c.new_label();
 
@@ -473,7 +459,6 @@ impl<'u> FnCompiler<'u> {
         Ok(CompiledFunction {
             name: func.name.clone(),
             is_kernel: func.is_kernel,
-            return_type: func.return_type,
             params,
             num_regs: c.max_reg as u16,
             const_pool: c.const_pool,
@@ -1078,30 +1063,33 @@ impl<'u> FnCompiler<'u> {
         names: &mut Interner,
         hint: Option<Reg>,
     ) -> Result<ExprVal, KernelError> {
+        // Inlined user calls skip the argument block entirely: arguments are
+        // evaluated (left to right) straight into the parameter registers.
+        // A call that is not inlined needs no arguments: nothing executes it.
+        let Some(b) = Builtin::from_name(callee) else {
+            let func = self
+                .unit
+                .function_index(callee)
+                .ok_or_else(|| KernelError::run(format!("unknown function `{callee}`")))?;
+            let callee_fn = &self.unit.functions[func];
+            let t = self.result_reg(hint)?;
+            if self.should_inline(callee_fn) && callee_fn.params.len() == args.len() {
+                self.inline_call(callee_fn, args, t, names)?;
+            } else {
+                self.emit(Op::Call { func: func as u16 }, InstrCost::ZERO);
+            }
+            return Ok(ExprVal::temp(t));
+        };
         // Work-item queries whose arguments are plain literals (the
         // universal `get_global_id(0)` pattern) need no argument lowering at
         // all: the values are unused and literals are cost free.
-        if let Some(b) = Builtin::from_name(callee) {
-            let all_literal = args
-                .iter()
-                .all(|a| matches!(a, Expr::IntLit(..) | Expr::FloatLit(..) | Expr::BoolLit(..)));
-            if b.is_work_item_fn() && all_literal {
-                let t = self.result_reg(hint)?;
-                self.emit(Op::WorkItem { dst: t, builtin: b }, InstrCost::op());
-                return Ok(ExprVal::temp(t));
-            }
-        }
-        // Inlined user calls skip the argument block entirely: arguments are
-        // evaluated (left to right) straight into the parameter registers.
-        if Builtin::from_name(callee).is_none() {
-            if let Some(func) = self.unit.function_index(callee) {
-                let callee_fn = &self.unit.functions[func];
-                if self.should_inline(callee_fn) && callee_fn.params.len() == args.len() {
-                    let t = self.result_reg(hint)?;
-                    self.inline_call(callee_fn, args, t, names)?;
-                    return Ok(ExprVal::temp(t));
-                }
-            }
+        let all_literal = args
+            .iter()
+            .all(|a| matches!(a, Expr::IntLit(..) | Expr::FloatLit(..) | Expr::BoolLit(..)));
+        if b.is_work_item_fn() && all_literal {
+            let t = self.result_reg(hint)?;
+            self.emit(Op::WorkItem { dst: t, builtin: b }, InstrCost::op());
+            return Ok(ExprVal::temp(t));
         }
         // Arguments are evaluated left to right into a contiguous block.
         let base = self.next_reg as Reg;
@@ -1112,56 +1100,38 @@ impl<'u> FnCompiler<'u> {
             self.expr_into(a, base + k as Reg, names)?;
         }
         let t = self.result_reg(hint)?;
-        if let Some(b) = Builtin::from_name(callee) {
-            if b.is_work_item_fn() {
-                self.emit(Op::WorkItem { dst: t, builtin: b }, InstrCost::op());
-            } else if b.is_stencil_fn() {
-                // Mirrors the interpreter's dynamic charge exactly: one flop
-                // count for the address arithmetic, one byte count for the
-                // element load — two counted operations.
-                self.emit(
-                    Op::StencilGet { dst: t, args: base },
-                    InstrCost {
-                        flops: b.flop_cost() as f32,
-                        bytes: ScalarType::Float.size_bytes() as f32,
-                        ops: 2.0,
-                    },
-                );
-            } else {
-                self.emit(
-                    Op::CallBuiltin {
-                        builtin: b,
-                        dst: t,
-                        args: base,
-                        nargs: args.len() as u16,
-                    },
-                    InstrCost::flop(b.flop_cost()),
-                );
-            }
-            return Ok(ExprVal::temp(t));
+        if b.is_work_item_fn() {
+            self.emit(Op::WorkItem { dst: t, builtin: b }, InstrCost::op());
+        } else if b.is_stencil_fn() {
+            // Mirrors the interpreter's dynamic charge exactly: one flop
+            // count for the address arithmetic, one byte count for the
+            // element load — two counted operations.
+            self.emit(
+                Op::StencilGet { dst: t, args: base },
+                InstrCost {
+                    flops: b.flop_cost() as f32,
+                    bytes: ScalarType::Float.size_bytes() as f32,
+                    ops: 2.0,
+                },
+            );
+        } else {
+            self.emit(
+                Op::CallBuiltin {
+                    builtin: b,
+                    dst: t,
+                    args: base,
+                    nargs: args.len() as u16,
+                },
+                InstrCost::flop(b.flop_cost()),
+            );
         }
-        let func = self
-            .unit
-            .function_index(callee)
-            .ok_or_else(|| KernelError::run(format!("unknown function `{callee}`")))?;
-        self.emit(
-            Op::Call {
-                func: func as u16,
-                dst: t,
-                args: base,
-                nargs: args.len() as u16,
-                depth: self.inline_stack.len() as u16 + 1,
-            },
-            InstrCost::ZERO,
-        );
         Ok(ExprVal::temp(t))
     }
 
     /// Inline non-recursive calls while the emitted code stays small; deep
-    /// or recursive call chains fall back to real VM frames.
+    /// or recursive call chains stay [`Op::Call`]s.
     fn should_inline(&self, callee: &Function) -> bool {
-        self.inlines
-            && self.inline_stack.len() < INLINE_DEPTH_LIMIT
+        self.inline_stack.len() < INLINE_DEPTH_LIMIT
             && self.code.len() < INLINE_CODE_LIMIT
             && !self.inline_stack.iter().any(|n| n == &callee.name)
             && self.func.name != callee.name
@@ -1593,17 +1563,6 @@ fn collect_literals(unit: &TranslationUnit) -> Vec<Value> {
     out
 }
 
-/// Names of the functions some call in the unit names.
-fn called_functions(unit: &TranslationUnit) -> std::collections::HashSet<&str> {
-    let mut called = std::collections::HashSet::new();
-    visit_exprs(unit, &mut |e| {
-        if let Expr::Call { callee, .. } = e {
-            called.insert(callee.as_str());
-        }
-    });
-    called
-}
-
 /// Call `f` on every expression of the unit, in source order, each after
 /// its operands.
 fn visit_exprs<'a>(unit: &'a TranslationUnit, f: &mut dyn FnMut(&'a Expr)) {
@@ -1811,7 +1770,7 @@ mod tests {
             __kernel void k(__global float* v, int n) { v[0] = f(v[0]); }
         "#,
         );
-        // The recursive self-call inside `f` must stay a VM call.
+        // The recursive self-call inside `f` must stay a call.
         assert!(cu.functions[0]
             .code
             .iter()

@@ -178,7 +178,7 @@ impl<'a> ArgBinding<'a> {
 /// Per-launch context of the stencil neighbour-access builtin
 /// `get(dx, dy)`, detected from the reserved parameter names of the kernel
 /// signature (see [`crate::builtins::stencil`]). Shared by the interpreter
-/// and the bytecode VM so both engines resolve `get` identically.
+/// and the native tier so both engines resolve `get` identically.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct StencilCtx {
     /// Kernel argument slot of the stencil input buffer.
@@ -314,11 +314,6 @@ pub(crate) fn stencil_get(
     }
 }
 
-/// The error reported when `get` is called outside a stencil kernel; one
-/// string so both engines agree verbatim.
-pub(crate) const NO_STENCIL_CONTEXT: &str =
-    "`get` requires a stencil (MapOverlap) kernel: no stencil context parameters are bound";
-
 /// Control-flow signal produced by statement execution.
 enum Flow {
     Normal,
@@ -373,10 +368,12 @@ impl Env {
 /// time from these measured counts.
 pub type ExecStats = CostEstimate;
 
-/// How many helper calls may be active at once in one work-item, on every
-/// engine; the next call fails with `call depth limit (N) exceeded`. OpenCL C
-/// forbids recursion, so real kernels stay far below it. The limit is sized
-/// for this interpreter, which recurses on the host stack: in a debug build
+/// How many helper calls may be active at once in one work-item; the next
+/// call fails with `call depth limit (N) exceeded`. OpenCL C forbids
+/// recursion, so real kernels stay far below it. Only this interpreter runs
+/// calls: the native tier takes a kernel only when every call in it was
+/// inlined, fewer than this many deep. The limit is sized for this
+/// interpreter, which recurses on the host stack: in a debug build
 /// one kernel-language call takes 20–45 KiB of it, more the deeper the call
 /// sits in its function's statements, so at this depth a 2 MiB thread still
 /// has more than half of its stack left.
@@ -386,8 +383,10 @@ pub(crate) const MAX_CALL_DEPTH: usize = 16;
 /// the same launch.
 pub struct Interpreter<'u> {
     unit: &'u TranslationUnit,
-    /// Hard cap on loop iterations per work-item, to turn accidental infinite
-    /// loops in user code into errors instead of hangs.
+    /// Hard cap on the iterations of one execution of a loop statement, to
+    /// turn accidental infinite loops in user code into errors instead of
+    /// hangs. The launch's native batches count their back edges against it
+    /// too (see [`crate::native`]); only this interpreter reports the error.
     pub max_loop_iterations: u64,
     stats: std::cell::Cell<ExecStats>,
 }
@@ -801,7 +800,7 @@ impl<'u> Interpreter<'u> {
                         Value::Float(x) => Value::Float(-x),
                         Value::Double(x) => Value::Double(-x),
                         // Wrapping, like every other integer op of the
-                        // language (and the VM): -INT_MIN is INT_MIN.
+                        // language (and native): -INT_MIN is INT_MIN.
                         Value::Int(x) => Value::Int(x.wrapping_neg()),
                         Value::Uint(x) => Value::Int(-(x as i64) as i32),
                         Value::Bool(_) => unreachable!("checker rejects bool negation"),
@@ -861,9 +860,12 @@ impl<'u> Interpreter<'u> {
                         // same work in both engines.
                         self.count_flops(b.flop_cost());
                         self.count_bytes(ScalarType::Float.size_bytes() as f64);
-                        let ctx = frame
-                            .stencil
-                            .ok_or_else(|| KernelError::run(NO_STENCIL_CONTEXT))?;
+                        let ctx = frame.stencil.ok_or_else(|| {
+                            KernelError::run(
+                                "`get` requires a stencil (MapOverlap) kernel: no stencil \
+                                 context parameters are bound",
+                            )
+                        })?;
                         let (dx, dy) = (values[0].as_i64(), values[1].as_i64());
                         return stencil_get(ctx, frame.args, frame.item.global_id, dx, dy);
                     }
@@ -927,8 +929,9 @@ impl<'u> Interpreter<'u> {
 }
 
 /// Evaluate a (non-short-circuit) binary operator with C-style usual
-/// arithmetic conversions. Shared with the bytecode VM ([`crate::vm`]) so
-/// both engines have identical arithmetic semantics by construction.
+/// arithmetic conversions. Shared with the native tier's dynamically-typed
+/// steps so both engines have identical arithmetic semantics by
+/// construction.
 pub(crate) fn eval_binary(op: BinOp, l: Value, r: Value) -> Result<Value, KernelError> {
     use BinOp::*;
     let unified = l.scalar_type().unify(r.scalar_type());

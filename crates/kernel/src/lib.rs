@@ -14,22 +14,24 @@
 //! * a [`lexer`] and [`parser`] producing an [`ast`],
 //! * a [`sema`] pass (symbol resolution and type checking),
 //! * a [`compile`] stage lowering the checked AST into flat, register-based
-//!   bytecode — names resolved to numbered slots, control flow lowered to
-//!   jumps, FLOP/byte costs attributed per instruction at compile time,
-//! * three engines that run a kernel over its work-items, bit-identical in
+//!   bytecode, the native tier's input — names resolved to numbered slots,
+//!   helper calls inlined, control flow lowered to jumps, FLOP/byte costs
+//!   attributed per instruction at compile time,
+//! * two engines that run a kernel over its work-items, bit-identical in
 //!   results, [`interp::ExecStats`] and error text, selected by [`Tier`]:
-//!   - the [`interp`] tree-walking interpreter — the **oracle** every other
-//!     engine is differentially tested against, kept free of optimisation;
-//!   - the scalar bytecode [`vm`], one work-item at a time — the **replay**
-//!     and **fallback** engine: a lane batch the native tier aborts is rolled
-//!     back and re-run here, and so are the kernels the native tier cannot
-//!     take (`uint` arithmetic, recursion) and the rest of a launch that
-//!     bailed; this engine's results, stats and messages are authoritative;
+//!   - the [`interp`] tree-walking interpreter — the **oracle** the native
+//!     tier is differentially tested against, kept free of optimisation. It
+//!     is also the **replay** and **fallback** engine: a lane batch the
+//!     native tier aborts is rolled back and re-run here, one work-item at a
+//!     time, and so are the kernels the native tier cannot take (`uint`
+//!     arithmetic, recursion, call chains too deep to inline) and the rest
+//!     of a launch that bailed; its results, stats and messages are
+//!     authoritative;
 //!   - the closure-compiled [`native`] tier — the **default**: every eligible
 //!     kernel runs here from its first launch,
 //! * the signature rule of a launch ([`types::check_signature`]), written
-//!   once for every engine below the oracle and for the simulator's
-//!   enqueue-time validation,
+//!   once for the native tier and for the simulator's enqueue-time
+//!   validation (the oracle keeps its own copy),
 //! * a static [`cost`] estimator that counts floating-point and memory
 //!   operations per work-item, used by the simulator's analytical cost model,
 //! * a [`compose`] module with token-level identifier renaming and
@@ -84,7 +86,6 @@ pub mod sema;
 pub mod token;
 pub mod types;
 pub mod value;
-pub mod vm;
 
 use std::sync::Arc;
 
@@ -92,7 +93,6 @@ use crate::ast::TranslationUnit;
 use crate::compile::CompiledUnit;
 use crate::diag::KernelError;
 use crate::interp::{ArgBinding, Interpreter, WorkItem};
-use crate::vm::Vm;
 
 pub use crate::native::Tier;
 
@@ -117,7 +117,7 @@ pub struct Program {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LaunchTrace {
     /// The tier that executed the launch: a [`Tier::Native`] request runs
-    /// on the scalar VM for ineligible bytecode.
+    /// on the interpreter for ineligible bytecode.
     pub tier: Tier,
     /// Whether this launch performed the kernel's native compilation (at
     /// most one launch per kernel reports `true`).
@@ -133,17 +133,17 @@ pub struct LaunchTrace {
     /// kernels.
     pub masked_batches: u64,
     /// Lane batches the native tier aborted, rolled back and replayed
-    /// through the scalar VM: a cross-lane hazard, a runtime error in an
+    /// through the interpreter: a cross-lane hazard, a runtime error in an
     /// active lane, or an exhausted batch-level loop budget. Divergent
     /// control flow alone never replays.
     pub replayed_batches: u64,
     /// Whether a replayed batch retired the native tier for the rest of the
     /// launch: a cross-lane hazard, or a batch of non-linear global ids
     /// under a kernel using the iota fast paths (the remaining work-items
-    /// ran on the scalar VM). A launch that bails before completing a single
-    /// native batch reports [`Tier::Scalar`].
+    /// ran on the interpreter). A launch that bails before completing a
+    /// single native batch reports [`Tier::Interp`].
     pub bailed: bool,
-    /// Why the kernel fell back to the scalar VM despite a native request
+    /// Why the kernel fell back to the interpreter despite a native request
     /// (the bytecode shape is ineligible), if it did.
     pub fallback: Option<String>,
 }
@@ -163,7 +163,7 @@ pub struct KernelHandle {
 impl KernelHandle {
     /// Index of the kernel's function in the translation unit (also valid
     /// into [`compile::CompiledUnit::functions`]), for callers driving the
-    /// [`vm::Vm`] or [`interp::Interpreter`] directly.
+    /// [`interp::Interpreter`] directly.
     pub fn index(&self) -> usize {
         self.index
     }
@@ -288,7 +288,7 @@ impl Program {
 
     /// Execute `kernel` over a one-dimensional NDRange of `global_size`
     /// work-items on the program's selected [`Tier`] — by default the native
-    /// tier, with the scalar VM for kernels it cannot take. Work-items run
+    /// tier, with the interpreter for kernels it cannot take. Work-items run
     /// sequentially on the calling thread: the device simulator (`oclsim`)
     /// models hardware parallelism in virtual time, not in host threads.
     pub fn run_ndrange(
@@ -339,7 +339,6 @@ impl Program {
         };
         let stats = match tier {
             Tier::Interp => self.run_ndrange_measured_interp(kernel, global_size, args)?,
-            Tier::Scalar => self.run_ndrange_measured_scalar(kernel, global_size, args)?,
             Tier::Native => self.run_ndrange_native(kernel, global_size, args, &mut trace)?,
         };
         Ok((stats, trace))
@@ -358,7 +357,20 @@ impl Program {
         self.run_ndrange_measured(kernel, global_size, args)
     }
 
-    /// Run a launch on the native tier, falling back to the scalar VM when
+    /// Kept for the repository benchmark's engine probe, which predates the
+    /// removal of the scalar VM: the same as
+    /// [`Program::run_ndrange_measured`].
+    #[doc(hidden)]
+    pub fn run_ndrange_measured_scalar(
+        &self,
+        kernel: &KernelHandle,
+        global_size: usize,
+        args: &mut [ArgBinding<'_>],
+    ) -> Result<interp::ExecStats, KernelError> {
+        self.run_ndrange_measured(kernel, global_size, args)
+    }
+
+    /// Run a launch on the native tier, falling back to the interpreter when
     /// the kernel's bytecode is ineligible (recorded in `trace.fallback`).
     fn run_ndrange_native(
         &self,
@@ -377,38 +389,44 @@ impl Program {
             Ok(nk) => Arc::clone(nk),
             Err(reason) => {
                 trace.fallback = Some(reason.clone());
-                trace.tier = Tier::Scalar;
-                return self.run_ndrange_measured_scalar(kernel, global_size, args);
+                trace.tier = Tier::Interp;
+                return self.run_ndrange_measured_interp(kernel, global_size, args);
             }
         };
         trace.tier = Tier::Native;
-        let vm = Vm::new(&self.compiled);
-        self.run_native_batches(nk, vm, kernel, global_size, args, trace)
+        let oracle = Interpreter::new(&self.unit);
+        self.run_native_batches(nk, oracle, kernel, global_size, args, trace)
     }
 
     /// The native launch loop. Aborted batches (hazards, runtime errors, an
-    /// exhausted loop budget) are rolled back and replayed through the
-    /// scalar `vm`, which is authoritative for results, stats and error
-    /// messages — and whose `max_loop_iterations` is the launch's budget.
-    /// After a bail the rest of the launch runs on `vm` too.
+    /// exhausted loop budget) are rolled back and replayed item by item
+    /// through the `oracle`, which is authoritative for results, stats and
+    /// error messages — and whose `max_loop_iterations` is the launch's
+    /// budget. After a bail the rest of the launch runs on the `oracle` too.
     fn run_native_batches(
         &self,
         nk: Arc<native::NativeKernel>,
-        mut vm: Vm<'_>,
+        mut oracle: Interpreter<'_>,
         kernel: &KernelHandle,
         global_size: usize,
         args: &mut [ArgBinding<'_>],
         trace: &mut LaunchTrace,
     ) -> Result<interp::ExecStats, KernelError> {
-        vm.bind_kernel(kernel.index, args)?;
-        let stencil = vm.stencil();
+        kernel.check_args::<KernelError>(args.iter().map(ArgBinding::kind))?;
+        let params = kernel.params.iter().map(|p| p.name.as_str());
+        let stencil = interp::StencilCtx::detect(params, args)?;
         let mut exec = native::NativeExec::new(nk);
         let mut native_stats = interp::ExecStats::default();
+        let budget = oracle.max_loop_iterations;
+        let mut replay = |items: &[WorkItem], args: &mut [ArgBinding<'_>]| {
+            items
+                .iter()
+                .try_for_each(|item| oracle.run_kernel(kernel.index, *item, args))
+        };
         for_each_batch(global_size, |items| {
             if trace.bailed {
-                return items.iter().try_for_each(|item| vm.run_item(*item, args));
+                return replay(items, args);
             }
-            let budget = vm.max_loop_iterations;
             match exec.execute_batch(items, args, stencil, budget, &mut native_stats) {
                 Ok(diverged) => {
                     trace.native_batches += 1;
@@ -417,43 +435,22 @@ impl Program {
                 Err(abort) => {
                     exec.rollback(args);
                     trace.replayed_batches += 1;
-                    for item in items {
-                        vm.run_item(*item, args)?;
-                    }
+                    replay(items, args)?;
                     if abort == native::NativeAbort::Bail {
                         // Cross-lane hazard (or non-linear ids): this kernel
-                        // shape won't batch; finish the launch on the VM.
+                        // shape won't batch; finish the launch on the oracle.
                         trace.bailed = true;
                         if trace.native_batches == 0 {
-                            trace.tier = Tier::Scalar;
+                            trace.tier = Tier::Interp;
                         }
                     }
                 }
             }
             Ok(())
         })?;
-        // Both accumulators hold sums of dyadic per-instruction costs well
+        // Both accumulators hold sums of dyadic per-operation costs well
         // below 2^53, so adding them is exact regardless of order.
-        Ok(vm.stats().add(native_stats))
-    }
-
-    /// Execute a launch on the scalar VM unconditionally, one work-item at a
-    /// time — the engine the native tier replays an aborted batch on and
-    /// falls back to. Kept as a public entry point so benchmarks can quantify
-    /// what the native tier wins over it and the differential suites can pin
-    /// it against the oracle.
-    pub fn run_ndrange_measured_scalar(
-        &self,
-        kernel: &KernelHandle,
-        global_size: usize,
-        args: &mut [ArgBinding<'_>],
-    ) -> Result<interp::ExecStats, KernelError> {
-        let mut vm = Vm::new(&self.compiled);
-        vm.bind_kernel(kernel.index, args)?;
-        for gid in 0..global_size {
-            vm.run_item(WorkItem::linear(gid, global_size), args)?;
-        }
-        Ok(vm.stats())
+        Ok(oracle.stats().add(native_stats))
     }
 
     /// Run a *single* work-item of a larger NDRange through the interpreter
@@ -561,19 +558,24 @@ mod tests {
         assert_eq!(out, vec![8.0, 12.0, 16.0, 20.0]);
     }
 
-    /// The loop budget is per work-item and shared by all of the item's
-    /// loops. Even lanes spend theirs in the first loop, odd lanes in the
-    /// second, so a native batch takes `2 × trips` back edges while no item
-    /// takes more than `trips`: the batch-level counter may run out early,
-    /// but only the scalar replay may turn that into an error.
+    /// The loop budget is the oracle's: `max_loop_iterations` per execution
+    /// of a loop statement, in every work-item. A native batch keeps one
+    /// back-edge counter for all of its lanes and loops, so it may run out
+    /// early, but only the oracle's replay may turn that into an error.
+    /// With `split`, even lanes spend their trips in the first loop and odd
+    /// lanes in the second, so a batch takes `2 × trips` back edges while no
+    /// item takes more than `trips`; without it every item runs both loops,
+    /// `2 × trips` back edges of its own and `trips` per loop.
     #[test]
     fn native_loop_budget_never_errors_where_the_scalar_vm_does_not() {
         let src = r#"
-            __kernel void k(__global float* v, int trips) {
+            __kernel void k(__global float* v, int trips, int split) {
                 int gid = get_global_id(0);
-                int a = 0;
-                int b = 0;
-                if (gid % 2 == 0) { a = trips; } else { b = trips; }
+                int a = trips;
+                int b = trips;
+                if (split != 0) {
+                    if (gid % 2 == 0) { b = 0; } else { a = 0; }
+                }
                 float acc = v[gid];
                 for (int i = 0; i < a; i++) { acc += 1.0f; }
                 for (int j = 0; j < b; j++) { acc += 2.0f; }
@@ -585,52 +587,56 @@ mod tests {
         let nk = Arc::clone(p.native_outcome(&k).result.as_ref().unwrap());
         let n = 2 * native::BATCH_LANES + 5;
         let trips = 8;
-        let run = |budget: u64, native: bool| {
+        let run = |budget: u64, split: bool, native: bool| {
             let mut data: Vec<f32> = (0..n).map(|i| i as f32).collect();
             let mut args = vec![
                 ArgBinding::buffer_f32(&mut data),
                 ArgBinding::Scalar(Value::Int(trips)),
+                ArgBinding::Scalar(Value::Int(i32::from(split))),
             ];
-            let mut vm = Vm::new(&p.compiled);
-            vm.max_loop_iterations = budget;
+            let mut oracle = Interpreter::new(&p.unit);
+            oracle.max_loop_iterations = budget;
             let mut trace = LaunchTrace::default();
             let result = if native {
-                p.run_native_batches(Arc::clone(&nk), vm, &k, n, &mut args, &mut trace)
+                p.run_native_batches(Arc::clone(&nk), oracle, &k, n, &mut args, &mut trace)
             } else {
-                vm.bind_kernel(k.index, &args)
-                    .and_then(|()| {
-                        (0..n).try_for_each(|gid| vm.run_item(WorkItem::linear(gid, n), &mut args))
+                (0..n)
+                    .try_for_each(|gid| {
+                        oracle.run_kernel(k.index, WorkItem::linear(gid, n), &mut args)
                     })
-                    .map(|()| vm.stats())
+                    .map(|()| oracle.stats())
             };
             drop(args);
             let bits: Vec<u32> = data.iter().map(|x| x.to_bits()).collect();
             (bits, result.map_err(|e| e.message), trace)
         };
-        for budget in [7, 8, 15, 16, 1000] {
-            let (bits, result, _) = run(budget, false);
-            let (native_bits, native_result, trace) = run(budget, true);
-            assert_eq!(native_result, result, "budget {budget}");
-            assert_eq!(native_bits, bits, "budget {budget}");
-            assert_eq!(result.is_err(), budget < 8, "budget {budget}");
-            assert!(!trace.bailed, "budget {budget}");
-            if budget >= 16 {
-                assert_eq!(trace.replayed_batches, 0, "budget {budget}");
-                assert_eq!(trace.masked_batches, 3, "budget {budget}");
-            } else if budget >= 8 {
-                // Lanes sat in different loops: the shared counter
-                // over-counted, and the replay found nothing wrong.
-                assert_eq!(trace.replayed_batches, 3, "budget {budget}");
+        for split in [true, false] {
+            for budget in [7, 8, 12, 15, 16, 1000] {
+                let case = format!("split {split}, budget {budget}");
+                let (bits, result, _) = run(budget, split, false);
+                let (native_bits, native_result, trace) = run(budget, split, true);
+                assert_eq!(native_result, result, "{case}");
+                assert_eq!(native_bits, bits, "{case}");
+                assert_eq!(result.is_err(), budget < 8, "{case}");
+                assert!(!trace.bailed, "{case}");
+                if budget >= 16 {
+                    assert_eq!(trace.replayed_batches, 0, "{case}");
+                    assert_eq!(trace.masked_batches, if split { 3 } else { 0 }, "{case}");
+                } else if budget >= 8 {
+                    // The batch counter over-counted (lanes sat in different
+                    // loops, or one item ran two), and the replay found
+                    // nothing wrong.
+                    assert_eq!(trace.replayed_batches, 3, "{case}");
+                }
             }
         }
     }
 
-    /// Recursion runs on the interpreter (host stack) and, by default, on
-    /// the scalar VM (native rejects it). Both stop at the same call depth
-    /// with the same error — the VM counting the calls it inlined, too — and
-    /// the interpreter reaches that depth with half of its thread's stack to
-    /// spare, so runaway recursion is an error, never a stack overflow that
-    /// aborts the process.
+    /// Recursion runs on the interpreter (host stack), also on the default
+    /// tier: native rejects it and falls back to the oracle. It stops at one
+    /// call depth with one error, and the interpreter reaches that depth
+    /// with half of its thread's stack to spare, so runaway recursion is an
+    /// error, never a stack overflow that aborts the process.
     #[test]
     fn every_engine_stops_runaway_recursion_at_one_depth() {
         // `depth(d)` keeps d + 1 calls active at once: directly, and through
@@ -677,14 +683,14 @@ mod tests {
             }
             let (out, stats, tier) = run(src, Tier::Interp, MAX_CALL_DEPTH, 2 * MIB).unwrap();
             assert_eq!((out, tier), ([MAX_CALL_DEPTH as i32; 2], Tier::Interp));
-            let (vm_out, vm_stats, vm_tier) =
+            let (default_out, default_stats, default_tier) =
                 run(src, Tier::Native, MAX_CALL_DEPTH, 2 * MIB).unwrap();
             assert_eq!(
-                (vm_out, vm_tier),
-                (out, Tier::Scalar),
-                "recursion runs on the VM"
+                (default_out, default_tier),
+                (out, Tier::Interp),
+                "recursion falls back to the oracle"
             );
-            assert_eq!(vm_stats, stats);
+            assert_eq!(default_stats, stats);
             // Twice the headroom: the deepest legal recursion fits in 1 MiB.
             assert_eq!(
                 run(src, Tier::Interp, MAX_CALL_DEPTH, MIB).unwrap().1,

@@ -1,11 +1,11 @@
 //! Native execution tier: bytecode closure-compiled into pre-linked basic
 //! blocks over a typed, struct-of-arrays register file.
 //!
-//! The scalar VM ([`crate::vm::Vm::run_item`]) runs one work-item at a time,
-//! and every operation goes through the dynamically-typed [`Value`] enum: an
-//! instruction dispatch per item and a discriminant match per operand, with
-//! results that cannot be auto-vectorised. This module runs
-//! [`BATCH_LANES`] work-items at once without either layer:
+//! Interpreting the bytecode one work-item at a time would put every
+//! operation through the dynamically-typed [`Value`] enum: an instruction
+//! dispatch per item and a discriminant match per operand, with results that
+//! cannot be auto-vectorised. This module runs [`BATCH_LANES`] work-items at
+//! once without either layer:
 //!
 //! * a **dataflow typing pass** runs over the basic blocks of the flat
 //!   bytecode and assigns every register *at every program point* one of
@@ -24,18 +24,19 @@
 //!
 //! Execution stays bit-identical to the interpreter oracle. Any shape the
 //! native model cannot reproduce exactly is either rejected at native
-//! compile time (the kernel permanently falls back to the scalar VM, with
+//! compile time (the kernel permanently falls back to the interpreter, with
 //! a human-readable reason) or aborts the batch at runtime: every buffer
 //! store is rolled back through an undo log and the batch is replayed
-//! through the scalar VM, which is the authoritative semantics — results,
-//! [`crate::interp::ExecStats`] and error messages included. What aborts a batch: a runtime error in an active
-//! lane, an exhausted loop budget, and a cross-lane hazard (below).
+//! through the interpreter, which is the authoritative semantics — results,
+//! [`crate::interp::ExecStats`] and error messages included. What aborts a
+//! batch: a runtime error in an active lane, an exhausted loop budget, and a
+//! cross-lane hazard (below).
 //! Divergent control flow does not.
 //!
 //! # When it runs
 //!
 //! [`Tier::Native`], the default, means *native when eligible, compiled at
-//! the kernel's first launch*; an ineligible kernel runs on the scalar VM
+//! the kernel's first launch*; an ineligible kernel runs on the interpreter
 //! (the reason lands in [`crate::LaunchTrace::fallback`]). There is no size or launch-count gate: compiling
 //! a skeleton kernel takes 10–40 µs, less than the `Program::build` that
 //! preceded it, and work-item count stops being a proxy for work the moment
@@ -91,10 +92,11 @@
 //!   support existed. Straight-line kernels therefore pay one integer
 //!   compare per block for it.
 //! * **The loop budget** stays one counter per batch. It counts every back
-//!   edge any lane takes, so it never under-counts a work-item; once lanes
-//!   sit in different loops it can over-count, which is why exhausting it
-//!   is an ordinary abort: the scalar replay decides, per work-item,
-//!   whether there is an error to report.
+//!   edge any lane takes, so it never under-counts a loop of a work-item.
+//!   The interpreter's budget is per execution of a loop statement, so the
+//!   counter over-counts once lanes sit in different loops or a work-item
+//!   runs several loops; that is why exhausting it is an ordinary abort:
+//!   the oracle's replay decides whether there is an error to report.
 //!
 //! # Cross-lane hazards: the lane-private-base rule
 //!
@@ -142,7 +144,7 @@
 //! every non-uniform or non-linear batch, go through the engines' shared
 //! `interp::stencil_get`, so the clamp / wrap / constant policies
 //! and every error message live in one place. Any failed check aborts the
-//! batch and the scalar replay reports the exact error.
+//! batch and the oracle's replay reports the exact error.
 //!
 //! The kernelgen template was deliberately left alone: virtual time is
 //! charged from `ExecStats`, so "simplifying" its index expression would
@@ -156,10 +158,12 @@ use std::sync::{Arc, OnceLock};
 use crate::ast::BinOp;
 use crate::builtins::Builtin;
 use crate::compile::{CompiledUnit, Op};
-use crate::interp::{stencil_get, ArgBinding, BufferView, ExecStats, StencilCtx, WorkItem};
+use crate::diag::KernelError;
+use crate::interp::{
+    eval_binary, stencil_get, ArgBinding, BufferView, ExecStats, StencilCtx, WorkItem,
+};
 use crate::types::{ScalarType, Type};
 use crate::value::Value;
-use crate::vm::vm_eval_binary;
 
 /// Number of work-items a native batch runs at once (one `u64` lane mask);
 /// [`crate::Program::run_ndrange_measured`] hands launches out in batches of
@@ -172,10 +176,8 @@ pub const BATCH_LANES: usize = 64;
 pub enum Tier {
     /// The tree-walking interpreter (the bit-exact oracle; slowest).
     Interp,
-    /// The scalar register VM, one work-item at a time.
-    Scalar,
     /// The closure-compiled native tier (this module), compiled at a
-    /// kernel's first launch; the scalar VM for ineligible bytecode (the
+    /// kernel's first launch; the interpreter for ineligible bytecode (the
     /// reason lands in [`crate::LaunchTrace::fallback`]). Launch size and
     /// launch count play no part: native compilation costs less than the
     /// `Program::build` every program already paid.
@@ -186,11 +188,7 @@ pub enum Tier {
 /// Every tier with its name, in declaration order: what `Display` spells and
 /// what a program's stored selection indexes — the one list (besides the
 /// enum) a tier is added to or removed from.
-const TIERS: [(Tier, &str); 3] = [
-    (Tier::Interp, "interp"),
-    (Tier::Scalar, "scalar"),
-    (Tier::Native, "native"),
-];
+const TIERS: [(Tier, &str); 2] = [(Tier::Interp, "interp"), (Tier::Native, "native")];
 
 impl std::fmt::Display for Tier {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -466,7 +464,7 @@ impl UndoLog {
 }
 
 /// Why a native batch could not complete. The caller rolls back the undo log
-/// and replays the batch through the scalar VM (authoritative for results,
+/// and replays the batch through the interpreter (authoritative for results,
 /// stats and errors); `Bail` additionally retires the native tier for the
 /// launch remainder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -779,7 +777,7 @@ enum Term {
     /// All active lanes return from the kernel.
     Ret,
     /// An unconditional runtime error (missing return, orphan break, …); the
-    /// scalar replay reproduces the exact message.
+    /// oracle's replay reproduces the exact message.
     Abort,
 }
 
@@ -811,7 +809,7 @@ pub struct NativeKernel {
     num_regs: usize,
     /// Whether any step uses the iota fast paths, which require contiguous
     /// global ids with `local_id == global_id` and ids within `i32` range
-    /// (verified per batch; violations bail to the VM).
+    /// (verified per batch; violations bail to the interpreter).
     uses_iota: bool,
     /// Constant pool broadcast once per launch (pool rows are never written
     /// by compiled code).
@@ -879,14 +877,14 @@ impl NativeExec {
     /// batch's exact cost has been added to `stats`, and the value says
     /// whether the lanes diverged (some block ran under a partial mask). On
     /// `Err`, the caller must call [`NativeExec::rollback`] and replay the
-    /// batch through the scalar engine.
+    /// batch through the interpreter.
     ///
-    /// `budget_limit` is the per-work-item back-edge budget. The batch keeps
-    /// one counter for all lanes: it counts every back edge *any* lane
-    /// takes, so it never undercounts a lane, and once lanes sit in
-    /// different loops it may overcount — which is why running out is
-    /// [`NativeAbort::Error`], not an error of its own: the scalar replay
-    /// decides per work-item.
+    /// `budget_limit` is the interpreter's per-loop iteration budget. The
+    /// batch keeps one counter for all lanes and loops: it counts every back
+    /// edge *any* lane takes, so it never undercounts a loop of a lane, and
+    /// it overcounts once lanes sit in different loops or a lane runs
+    /// several — which is why running out is [`NativeAbort::Error`], not an
+    /// error of its own: the oracle's replay decides per work-item.
     pub(crate) fn execute_batch(
         &mut self,
         items: &[WorkItem],
@@ -1202,7 +1200,7 @@ fn transfer(st: &mut [Cell], op: &Op, buffers: &BufferMap) {
 
 /// Reject shapes the native model cannot reproduce bit-exactly, before any
 /// per-block work. The returned string is the (cached) ineligibility reason;
-/// the kernel permanently falls back to the scalar VM.
+/// the kernel permanently falls back to the interpreter.
 fn check_eligible(
     unit: &CompiledUnit,
     func: &crate::compile::CompiledFunction,
@@ -1228,9 +1226,9 @@ fn check_eligible(
                     unit.buffer_names[*name as usize]
                 ));
             }
-            Op::Call { func: callee, .. } => {
+            Op::Call { func: callee } => {
                 return Err(format!(
-                    "calls function `{}` through a VM frame",
+                    "calls function `{}` without inlining it",
                     unit.functions[*callee as usize].name
                 ));
             }
@@ -1367,8 +1365,8 @@ pub(crate) fn compile_kernel(
     let reconv = reconvergence(&succs);
 
     // Entry typing state of block 0: scalar parameters and the preloaded
-    // constant pool are Known, everything else Unset (every read the VM can
-    // execute is dominated by a write; anything the merge cannot prove falls
+    // constant pool are Known, everything else Unset (the compiler makes
+    // every read dominated by a write; anything the merge cannot prove falls
     // back with a reason).
     let mut init = vec![Cell::Unset; func.num_regs as usize];
     for &(slot, s) in &scalar_params {
@@ -1584,8 +1582,8 @@ fn branch_term(
 
 /// If `pc` starts a trivial exit chain — forward `Jump`s and `Nop`s ending in
 /// a `Return`/`ReturnVoid` — return the summed `(flops, bytes, ops)` cost of
-/// executing it, which is what the scalar VM charges a lane that takes this
-/// path. `None` for anything with side effects or backward edges.
+/// executing it, which is what the oracle charges a work-item that takes
+/// this path. `None` for anything with side effects or backward edges.
 fn exit_chain_cost(
     func: &crate::compile::CompiledFunction,
     mut pc: usize,
@@ -1641,7 +1639,51 @@ fn copy_row(k: NKind, s: usize, d: usize) -> StepFn {
     }
 }
 
-/// Per-lane fallback binary op through the VM's exact evaluator (used for
+/// Fast path for the overwhelmingly common operand pairs of the
+/// dynamically-typed per-lane steps, bit-identical to [`eval_binary`] (which
+/// it falls back to): float arithmetic is computed in `f64` and rounded back
+/// exactly like the interpreter, integers fold through `i64` with the same
+/// wrapping and zero-division behaviour.
+#[inline(always)]
+fn fast_eval_binary(op: BinOp, l: Value, r: Value) -> Result<Value, KernelError> {
+    use crate::ast::BinOp::*;
+    match (l, r) {
+        (Value::Float(a), Value::Float(b)) => {
+            let (x, y) = (a as f64, b as f64);
+            Ok(match op {
+                Add => Value::Float((x + y) as f32),
+                Sub => Value::Float((x - y) as f32),
+                Mul => Value::Float((x * y) as f32),
+                Div => Value::Float((x / y) as f32),
+                Eq => Value::Bool(x == y),
+                Ne => Value::Bool(x != y),
+                Lt => Value::Bool(x < y),
+                Le => Value::Bool(x <= y),
+                Gt => Value::Bool(x > y),
+                Ge => Value::Bool(x >= y),
+                _ => return eval_binary(op, l, r),
+            })
+        }
+        (Value::Int(a), Value::Int(b)) => {
+            let (x, y) = (a as i64, b as i64);
+            Ok(match op {
+                Add => Value::Int(x.wrapping_add(y) as i32),
+                Sub => Value::Int(x.wrapping_sub(y) as i32),
+                Mul => Value::Int(x.wrapping_mul(y) as i32),
+                Eq => Value::Bool(x == y),
+                Ne => Value::Bool(x != y),
+                Lt => Value::Bool(x < y),
+                Le => Value::Bool(x <= y),
+                Gt => Value::Bool(x > y),
+                Ge => Value::Bool(x >= y),
+                _ => return eval_binary(op, l, r),
+            })
+        }
+        _ => eval_binary(op, l, r),
+    }
+}
+
+/// Per-lane fallback binary op through [`fast_eval_binary`] (used for
 /// mixed-kind operands and fallible shapes like float `%`); active lanes
 /// only, aborting the batch on the first error.
 fn generic_bin(bop: BinOp, lk: NKind, rk: NKind, d: usize, l: usize, r: usize) -> StepFn {
@@ -1655,7 +1697,7 @@ fn generic_bin(bop: BinOp, lk: NKind, rk: NKind, d: usize, l: usize, r: usize) -
         for li in cx.lanes() {
             let a = read_value(cx.regs, lk, l, li);
             let b = read_value(cx.regs, rk, r, li);
-            match vm_eval_binary(bop, a, b) {
+            match fast_eval_binary(bop, a, b) {
                 Ok(v) => write_value(cx.regs, dk, d, li, v),
                 Err(_) => return Err(NativeAbort::Error),
             }
@@ -1749,7 +1791,7 @@ fn build_truthy_step(st: &[Cell], cond: Reg, scratch: usize) -> Result<StepFn, S
 
 /// Condition step of `BinJumpIfFalse`: evaluate `lhs <op> rhs` and write the
 /// result's truthiness into the scratch bool row. Same-kind comparisons are
-/// monomorphized tight loops; anything else goes through the VM evaluator.
+/// monomorphized tight loops; anything else goes through [`fast_eval_binary`].
 fn build_cmp_step(
     st: &[Cell],
     bop: BinOp,
@@ -1801,7 +1843,7 @@ fn build_cmp_step(
     }
     if bop.is_comparison() {
         // Widening f32 → f64 is exact, so comparing the raw f32s (or i32s)
-        // equals the VM's widened comparisons.
+        // equals the oracle's widened comparisons.
         match (lk, rk) {
             (NKind::F32, NKind::F32) => return Ok(cmp_kind!(f32s)),
             (NKind::F64, NKind::F64) => return Ok(cmp_kind!(f64s)),
@@ -1813,7 +1855,7 @@ fn build_cmp_step(
         for li in cx.lanes() {
             let a = read_value(cx.regs, lk, l, li);
             let b = read_value(cx.regs, rk, r, li);
-            match vm_eval_binary(bop, a, b) {
+            match fast_eval_binary(bop, a, b) {
                 Ok(v) => cx.regs.bools[scratch + li] = v.as_bool(),
                 Err(_) => return Err(NativeAbort::Error),
             }
@@ -2687,8 +2729,8 @@ mod tests {
             Tier::Native,
             "a program starts on the default tier"
         );
-        native.set_tier(Tier::Scalar);
-        assert_eq!(native.tier(), Tier::Scalar);
+        native.set_tier(Tier::Interp);
+        assert_eq!(native.tier(), Tier::Interp);
     }
 
     #[test]
@@ -2712,8 +2754,8 @@ mod tests {
 
     #[test]
     fn vm_frame_calls_are_ineligible() {
-        // Recursion defeats the compiler's inliner, leaving a real
-        // `Op::Call` that only the VM's frame machinery can execute.
+        // Recursion defeats the compiler's inliner, leaving an `Op::Call`
+        // that only the interpreter can execute.
         let p = Program::build(
             r#"
             float fib(float n) {
@@ -2729,7 +2771,7 @@ mod tests {
         .unwrap();
         let idx = p.kernel("k").unwrap().index();
         let err = compile_kernel(p.compiled(), idx).unwrap_err();
-        assert!(err.contains("through a VM frame"), "reason: {err}");
+        assert!(err.contains("without inlining it"), "reason: {err}");
     }
 
     #[test]
@@ -2752,7 +2794,7 @@ mod tests {
     /// A single-lane scan that faults in iteration `k`: the `k` element
     /// stores before the fault are one undo span (not `k` entries), rollback
     /// restores the output bit for bit, and the launch then reports the
-    /// scalar VM's error over the scalar VM's buffers.
+    /// oracle's error over the oracle's buffers.
     #[test]
     fn scan_fault_rolls_every_store_back_before_the_scalar_replay() {
         let p = Program::build(
@@ -2818,10 +2860,10 @@ mod tests {
             drop(args);
             (err.message, bits(&out))
         };
-        let scalar = launch(Tier::Scalar);
-        assert!(scalar.0.contains("out of bounds"), "{}", scalar.0);
-        assert_ne!(scalar.1, original, "the replay redoes the stores");
-        assert_eq!(launch(Tier::Native), scalar);
+        let oracle = launch(Tier::Interp);
+        assert!(oracle.0.contains("out of bounds"), "{}", oracle.0);
+        assert_ne!(oracle.1, original, "the replay redoes the stores");
+        assert_eq!(launch(Tier::Native), oracle);
     }
 
     #[test]

@@ -130,10 +130,10 @@ pub enum ArgKind<E> {
 /// elements of exactly the pointee type. `params` yields each parameter's
 /// name and declared type.
 ///
-/// Every engine below the interpreter and the simulator's enqueue-time
-/// validation call this one function; the interpreter — the oracle — keeps
-/// its own copy of the rule, and `tests/signature_rule.rs` pins the two
-/// texts equal.
+/// The native tier (through [`crate::KernelHandle::check_args`]) and the
+/// simulator's enqueue-time validation call this one function; the
+/// interpreter — the oracle — keeps its own copy of the rule, and
+/// `tests/signature_rule.rs` pins the two texts equal.
 pub fn check_signature<'p, E: From<KernelError>>(
     kernel: &str,
     params: impl ExactSizeIterator<Item = (&'p str, Type)>,

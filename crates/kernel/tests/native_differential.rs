@@ -1,5 +1,5 @@
-//! Differential tests for the native execution tier: native ≡ scalar VM ≡
-//! interpreter, on results (bit for bit), measured [`ExecStats`] and error
+//! Differential tests for the native execution tier: native ≡ interpreter,
+//! on results (bit for bit), measured [`ExecStats`] and error
 //! messages, across control flow, divergence (generated nested branches and
 //! loops under lane masks), cross-lane hazards, division by zero, early exit,
 //! stencil `get(dx, dy)` kernels and the chunked reduce template — plus tests
@@ -20,11 +20,8 @@ type Outcome = (Vec<Vec<f32>>, Result<(ExecStats, LaunchTrace), String>);
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Engine {
     Interp,
-    Scalar,
     Native,
 }
-
-const ENGINES: [Engine; 2] = [Engine::Scalar, Engine::Native];
 
 fn run_engine(
     src: &str,
@@ -52,16 +49,13 @@ fn run_engine(
         Engine::Interp => p
             .run_ndrange_measured_interp(&k, global_size, &mut args)
             .map(untraced),
-        Engine::Scalar => p
-            .run_ndrange_measured_scalar(&k, global_size, &mut args)
-            .map(untraced),
         Engine::Native => p.run_ndrange_traced(&k, global_size, &mut args),
     };
     drop(args);
     (bufs, result.map_err(|e| e.message))
 }
 
-/// Assert every tier produces the interpreter oracle's outcome exactly:
+/// Assert the native tier produces the interpreter oracle's outcome exactly:
 /// bit-identical buffers (after a failed launch too: every aborted native
 /// batch is fully rolled back before its replay), identical stats, identical
 /// error messages. Returns the agreed stats or error.
@@ -75,21 +69,19 @@ fn agreed_outcome(
     let (oracle_bufs, oracle) =
         run_engine(src, kernel, buffers, scalars, global_size, Engine::Interp);
     let oracle = oracle.map(|(stats, _)| stats);
-    for engine in ENGINES {
-        let (bufs, got) = run_engine(src, kernel, buffers, scalars, global_size, engine);
-        let got = got.map(|(stats, _)| stats);
+    let (bufs, got) = run_engine(src, kernel, buffers, scalars, global_size, Engine::Native);
+    let got = got.map(|(stats, _)| stats);
+    assert_eq!(
+        got, oracle,
+        "stats / error diverged on the native tier for kernel:\n{src}"
+    );
+    for (i, (g, o)) in bufs.iter().zip(&oracle_bufs).enumerate() {
+        let gbits: Vec<u32> = g.iter().map(|x| x.to_bits()).collect();
+        let obits: Vec<u32> = o.iter().map(|x| x.to_bits()).collect();
         assert_eq!(
-            got, oracle,
-            "stats / error diverged on {engine:?} for kernel:\n{src}"
+            gbits, obits,
+            "buffer {i} diverged on the native tier for kernel:\n{src}"
         );
-        for (i, (g, o)) in bufs.iter().zip(&oracle_bufs).enumerate() {
-            let gbits: Vec<u32> = g.iter().map(|x| x.to_bits()).collect();
-            let obits: Vec<u32> = o.iter().map(|x| x.to_bits()).collect();
-            assert_eq!(
-                gbits, obits,
-                "buffer {i} diverged on {engine:?} for kernel:\n{src}"
-            );
-        }
     }
     oracle
 }
@@ -414,7 +406,7 @@ proptest! {
 }
 
 /// A single-lane scan that runs off the end of its input in iteration `k`:
-/// the `k` stores already made are rolled back, the scalar replay redoes
+/// the `k` stores already made are rolled back, the oracle's replay redoes
 /// them and reports the oracle's error, so every tier ends with the same
 /// partially written output.
 #[test]
@@ -620,7 +612,7 @@ fn in_place_stencil_bails_and_replays_exactly() {
     assert_tiers_agree(src, "SKELCL_MAP_OVERLAP", &bufs, &scalars, rows * w);
     let trace = native_trace(src, "SKELCL_MAP_OVERLAP", &bufs, &scalars, rows * w);
     assert!(trace.bailed);
-    assert_eq!(trace.tier, Tier::Scalar, "no batch completed natively");
+    assert_eq!(trace.tier, Tier::Interp, "no batch completed natively");
     assert_eq!((trace.native_batches, trace.replayed_batches), (0, 1));
 }
 
@@ -1100,7 +1092,7 @@ fn large_launches_graduate_immediately_and_cache_the_artifact() {
 
 #[test]
 fn forced_native_on_ineligible_kernels_falls_back_with_a_reason() {
-    // Recursion leaves a real `Op::Call`, which only the VM can execute.
+    // Recursion leaves an `Op::Call`, which only the interpreter executes.
     let src = r#"
         float fib(float n) {
             if (n < 2.0f) { return n; }
@@ -1114,17 +1106,36 @@ fn forced_native_on_ineligible_kernels_falls_back_with_a_reason() {
     let p = Program::build(src).unwrap();
     p.set_tier(Tier::Native);
     let trace = traced_launch(&p, 16);
-    assert_eq!(trace.tier, Tier::Scalar, "fell back to the scalar VM");
+    assert_eq!(trace.tier, Tier::Interp, "fell back to the interpreter");
     let reason = trace.fallback.expect("fallback reason recorded");
-    assert!(reason.contains("through a VM frame"), "reason: {reason}");
+    assert!(reason.contains("without inlining it"), "reason: {reason}");
     // And the fallback still computes the right answer.
     assert_tiers_agree(src, "k", &[vec![7.0f32; 16]], &[Value::Int(16)], 16);
+}
+
+/// A kernel that some function of the unit calls still runs at call depth 0
+/// when it is launched, so its own helper calls are inlined and it is
+/// native-eligible like any other kernel.
+#[test]
+fn a_kernel_named_by_a_call_inlines_its_helpers_and_runs_natively() {
+    let src = r#"
+        float twice(float x) { return x * 2.0f; }
+        __kernel void k(float a, int n) { float y = twice(a); y = twice(y); }
+        int user(int n) { k(1.5f, n); return n; }
+        __kernel void m(__global float* v, int n) { v[get_global_id(0)] = user(n); }
+    "#;
+    let n = 70;
+    let scalars = [Value::Float(1.5), Value::Int(n as i32)];
+    assert_tiers_agree(src, "k", &[], &scalars, n);
+    let trace = native_trace(src, "k", &[], &scalars, n);
+    assert_eq!((trace.tier, trace.fallback), (Tier::Native, None));
+    assert_tiers_agree(src, "m", &[vec![0.0; n]], &[Value::Int(n as i32)], n);
 }
 
 #[test]
 fn explicit_tier_override_is_respected_per_program() {
     let p = Program::build(MAP_SRC).unwrap();
-    for tier in [Tier::Interp, Tier::Scalar, Tier::Native] {
+    for tier in [Tier::Interp, Tier::Native] {
         p.set_tier(tier);
         assert_eq!(p.tier(), tier);
         let trace = traced_launch(&p, 64);

@@ -1,6 +1,7 @@
-//! Differential property tests: the scalar bytecode VM against the
-//! tree-walking interpreter oracle, plus the native tier's per-batch stats
-//! accumulation against the oracle's per-item totals.
+//! Differential property tests: the default tier (native, with the
+//! interpreter for what it cannot take) against the tree-walking interpreter
+//! oracle, plus the native tier's per-batch stats accumulation against the
+//! oracle's per-item totals.
 //!
 //! Every kernel here runs through **both** engines on identical inputs; the
 //! suite asserts bit-identical output buffers AND identical measured
@@ -30,7 +31,7 @@ fn run_both_f32(
     let p = Program::build(src).expect("test kernels must build");
     let k = p.kernel(kernel).expect("kernel exists");
 
-    let run = |use_vm: bool| -> Outcome<f32> {
+    let run = |default_tier: bool| -> Outcome<f32> {
         let mut bufs: Vec<Vec<f32>> = buffers.to_vec();
         let mut args: Vec<ArgBinding<'_>> = Vec::new();
         for b in &mut bufs {
@@ -41,7 +42,7 @@ fn run_both_f32(
         for s in scalars {
             args.push(ArgBinding::Scalar(*s));
         }
-        let stats = if use_vm {
+        let stats = if default_tier {
             p.run_ndrange_measured(&k, global_size, &mut args)
         } else {
             p.run_ndrange_measured_interp(&k, global_size, &mut args)
@@ -62,8 +63,8 @@ fn assert_engines_agree_f32(
     scalars: &[Value],
     global_size: usize,
 ) {
-    let (vm, oracle) = run_both_f32(src, kernel, buffers, scalars, global_size);
-    match (vm, oracle) {
+    let (native, oracle) = run_both_f32(src, kernel, buffers, scalars, global_size);
+    match (native, oracle) {
         (Ok((vb, vs)), Ok((ob, os))) => {
             for (i, (v, o)) in vb.iter().zip(&ob).enumerate() {
                 let vbits: Vec<u32> = v.iter().map(|x| x.to_bits()).collect();
@@ -75,9 +76,9 @@ fn assert_engines_agree_f32(
         (Err(ve), Err(oe)) => {
             assert_eq!(ve, oe, "error messages diverged for kernel:\n{src}");
         }
-        (vm, oracle) => panic!(
-            "engines disagree on success for kernel:\n{src}\nvm: {:?}\noracle: {:?}",
-            vm.map(|(_, s)| s),
+        (native, oracle) => panic!(
+            "engines disagree on success for kernel:\n{src}\nnative: {:?}\noracle: {:?}",
+            native.map(|(_, s)| s),
             oracle.map(|(_, s)| s)
         ),
     }
@@ -95,7 +96,7 @@ macro_rules! run_both_typed {
         ) {
             let p = Program::build(src).expect("test kernels must build");
             let k = p.kernel(kernel).expect("kernel exists");
-            let run = |use_vm: bool| -> Outcome<$elem> {
+            let run = |default_tier: bool| -> Outcome<$elem> {
                 let mut bufs: Vec<Vec<$elem>> = buffers.to_vec();
                 let mut args: Vec<ArgBinding<'_>> = Vec::new();
                 for b in &mut bufs {
@@ -106,7 +107,7 @@ macro_rules! run_both_typed {
                 for s in scalars {
                     args.push(ArgBinding::Scalar(*s));
                 }
-                let stats = if use_vm {
+                let stats = if default_tier {
                     p.run_ndrange_measured(&k, global_size, &mut args)
                 } else {
                     p.run_ndrange_measured_interp(&k, global_size, &mut args)
@@ -117,9 +118,9 @@ macro_rules! run_both_typed {
                     Err(e) => Err(e.message),
                 }
             };
-            let vm = run(true);
+            let native = run(true);
             let oracle = run(false);
-            match (vm, oracle) {
+            match (native, oracle) {
                 (Ok((vb, vs)), Ok((ob, os))) => {
                     assert_eq!(vb, ob, "buffers diverged for kernel:\n{src}");
                     assert_eq!(vs, os, "ExecStats diverged for kernel:\n{src}");
@@ -127,9 +128,9 @@ macro_rules! run_both_typed {
                 (Err(ve), Err(oe)) => {
                     assert_eq!(ve, oe, "errors diverged for kernel:\n{src}")
                 }
-                (vm, oracle) => panic!(
-                    "engines disagree on success for kernel:\n{src}\nvm err: {:?}\noracle err: {:?}",
-                    vm.err(),
+                (native, oracle) => panic!(
+                    "engines disagree on success for kernel:\n{src}\nnative err: {:?}\noracle err: {:?}",
+                    native.err(),
                     oracle.err()
                 ),
             }
@@ -494,7 +495,7 @@ proptest! {
 
 /// A launch whose first computed row is not the part's first row after the
 /// halo (the iterative stencil driver's windows into parts stored three halo
-/// widths deep, bound from `halo` rows above the window): the VM agrees with
+/// widths deep, bound from `halo` rows above the window): native agrees with
 /// the oracle — bits and stats — on every window, and `dy = 2` is the
 /// halo-overrun error in both although the row it asks for is stored.
 #[test]
@@ -528,15 +529,16 @@ fn windows_into_deeper_padded_parts_agree_and_keep_the_halo_bound() {
             Value::Float(-1.5),
         ];
         assert_engines_agree_f32(&heat, "SKELCL_MAP_OVERLAP", &bufs, &scalars, rows * w);
-        let (vm, _) = run_both_f32(&heat, "SKELCL_MAP_OVERLAP", &bufs, &scalars, rows * w);
-        let out = &vm.expect("the window runs").0[1];
+        let (native, _) = run_both_f32(&heat, "SKELCL_MAP_OVERLAP", &bufs, &scalars, rows * w);
+        let out = &native.expect("the window runs").0[1];
         let written = |i: usize| out[i] != 7.0e30;
         assert!((0..w).all(|i| !written(i)), "row above the window written");
         assert!((w..(rows + 1) * w).all(written), "window not fully written");
         assert!(((rows + 1) * w..out.len()).all(|i| !written(i)));
-        let (vm, oracle) = run_both_f32(&too_far, "SKELCL_MAP_OVERLAP", &bufs, &scalars, rows * w);
+        let (native, oracle) =
+            run_both_f32(&too_far, "SKELCL_MAP_OVERLAP", &bufs, &scalars, rows * w);
         let expected = "stencil access dy=2 exceeds the declared halo of 1 row(s)";
-        assert_eq!(vm.unwrap_err(), expected);
+        assert_eq!(native.unwrap_err(), expected);
         assert_eq!(oracle.unwrap_err(), expected);
     }
 }
@@ -809,8 +811,8 @@ fn rollback_and_replay_paths_match_the_oracle() {
     }
 }
 
-/// The scalar VM entry point and the native default must agree with each
-/// other (and the oracle) on a data-dependent workload.
+/// The default entry point and the oracle's must agree on a data-dependent
+/// workload.
 #[test]
 fn scalar_and_batched_vm_paths_are_identical() {
     let src = r#"
@@ -839,11 +841,11 @@ fn scalar_and_batched_vm_paths_are_identical() {
         ArgBinding::buffer_f32(&mut b),
         ArgBinding::Scalar(Value::Int(n as i32)),
     ];
-    let sb = p.run_ndrange_measured_scalar(&k, n, &mut args).unwrap();
+    let sb = p.run_ndrange_measured_interp(&k, n, &mut args).unwrap();
     drop(args);
 
-    assert_eq!(sa, sb, "native and scalar stats must be identical");
+    assert_eq!(sa, sb, "native and oracle stats must be identical");
     let ab: Vec<u32> = a.iter().map(|x| x.to_bits()).collect();
     let bb: Vec<u32> = b.iter().map(|x| x.to_bits()).collect();
-    assert_eq!(ab, bb, "native and scalar results must be identical");
+    assert_eq!(ab, bb, "native and oracle results must be identical");
 }

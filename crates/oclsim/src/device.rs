@@ -176,15 +176,13 @@ impl BufferPool {
 /// work. A device folds every launch's [`skelcl_kernel::LaunchTrace`] into
 /// one ([`TierSnapshot::record`], snapshot with [`Device::kernel_tiers`]);
 /// snapshots of several devices add up with `+=`. Native launches that fall
-/// back to the scalar VM — because the kernel is ineligible, or because the
-/// very first batch bailed — count as scalar launches. A tier, or a count,
-/// is added or removed here and in `LaunchTrace`, nowhere else.
+/// back to the interpreter — because the kernel is ineligible, or because
+/// the very first batch bailed — count as interpreter launches. A tier, or a
+/// count, is added or removed here and in `LaunchTrace`, nowhere else.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TierSnapshot {
     /// DSL launches executed by the AST interpreter.
     pub interp_launches: usize,
-    /// DSL launches executed by the scalar (one-item-at-a-time) VM.
-    pub scalar_launches: usize,
     /// DSL launches executed by the closure-compiled native tier.
     pub native_launches: usize,
     /// Kernels compiled to the native tier on this device.
@@ -197,11 +195,11 @@ pub struct TierSnapshot {
     /// masks (zero for straight-line kernels).
     pub masked_batches: u64,
     /// Lane batches the native tier aborted, rolled back and replayed
-    /// through the scalar VM (hazards, runtime errors, loop budget).
+    /// through the interpreter (hazards, runtime errors, loop budget).
     pub replayed_batches: u64,
     /// Launches a replayed batch took off the native tier for their
     /// remainder (a cross-lane hazard); one that bailed on its very first
-    /// batch counts under `scalar_launches`, not `native_launches`.
+    /// batch counts under `interp_launches`, not `native_launches`.
     pub bailed_launches: usize,
 }
 
@@ -211,7 +209,6 @@ impl TierSnapshot {
         use skelcl_kernel::Tier;
         *match trace.tier {
             Tier::Interp => &mut self.interp_launches,
-            Tier::Scalar => &mut self.scalar_launches,
             // The trace's tier is always resolved before execution.
             Tier::Native => &mut self.native_launches,
         } += 1;
@@ -229,7 +226,6 @@ impl TierSnapshot {
 impl std::ops::AddAssign for TierSnapshot {
     fn add_assign(&mut self, other: TierSnapshot) {
         self.interp_launches += other.interp_launches;
-        self.scalar_launches += other.scalar_launches;
         self.native_launches += other.native_launches;
         self.native_compiles += other.native_compiles;
         self.native_compile_ns += other.native_compile_ns;

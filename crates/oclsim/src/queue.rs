@@ -4,10 +4,9 @@
 //! command on the host thread (cheap metadata checks with the same errors as
 //! before), charges the host's virtual clock the enqueue overhead, and hands
 //! the command to the worker, which executes it — real data movement, real
-//! kernel execution through the bytecode VM — and settles its virtual
-//! timestamps. Commands enqueued on the queues of *different* devices
-//! therefore genuinely overlap in real (wall-clock) time, not just in
-//! virtual time.
+//! kernel execution — and settles its virtual timestamps. Commands enqueued
+//! on the queues of *different* devices therefore genuinely overlap in real
+//! (wall-clock) time, not just in virtual time.
 //!
 //! # Virtual-time determinism
 //!
@@ -773,7 +772,7 @@ fn worker_loop(
 }
 
 /// Execute one command, returning its error if it failed. A panic while
-/// processing it (a latent bug in the VM or a panicking native kernel) must
+/// processing it (a latent bug in an engine or a panicking native kernel) must
 /// not strand the host: the eager engine panicked loudly on the host thread,
 /// so the async engine converts the unwind into a failed event + latched
 /// queue error — waiters see the error instead of deadlocking on a worker
@@ -1177,15 +1176,15 @@ mod tests {
 
     #[test]
     fn enqueue_time_validation_matches_the_vm_bind_errors_verbatim() {
-        // `Kernel::validate_args` replicates the bytecode VM's binding
-        // checks so ill-typed launches still fail synchronously at enqueue.
-        // This pins the promised message equality: for each ill-typed
-        // launch, the enqueue error text must equal what `Vm::bind_kernel`
-        // reports for the equivalent bindings — any drift between the two
-        // validators fails here.
+        // `Kernel::validate_args` runs the native tier's binding check so
+        // ill-typed launches still fail synchronously at enqueue. This pins
+        // the promised message equality: for each ill-typed launch, the
+        // enqueue error text must equal what `KernelHandle::check_args`
+        // reports for the equivalent launch-time bindings — any drift
+        // between the two ways of describing the arguments fails here.
+        use skelcl_kernel::diag::KernelError;
         use skelcl_kernel::interp::{ArgBinding, BufferView};
         use skelcl_kernel::value::Value as KValue;
-        use skelcl_kernel::vm::Vm;
 
         let src = "__kernel void k(__global float* v, int n) { v[0] = n; }";
         let ctx = two_gpu_context();
@@ -1198,8 +1197,10 @@ mod tests {
         let kprog = skelcl_kernel::Program::build(src).unwrap();
         let khandle = kprog.kernel("k").unwrap();
         let bind_error = |args: &[ArgBinding<'_>]| -> String {
-            let mut vm = Vm::new(kprog.compiled());
-            vm.bind_kernel(khandle.index(), args).unwrap_err().message
+            khandle
+                .check_args::<KernelError>(args.iter().map(ArgBinding::kind))
+                .unwrap_err()
+                .message
         };
 
         // Wrong argument count.

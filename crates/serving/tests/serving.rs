@@ -52,7 +52,7 @@ fn input(seed: u64, len: usize) -> Vec<f32> {
 }
 
 fn total_launches(trace: &skelcl::ExecTrace) -> usize {
-    trace.interp_launches() + trace.scalar_launches() + trace.native_launches()
+    trace.interp_launches() + trace.native_launches()
 }
 
 proptest! {

@@ -68,7 +68,7 @@ fn main() -> Result<()> {
     );
 
     // The fused reduce must stay on the native tier from its first launch: a
-    // replayed batch means it fell back to scalar speed (CI runs this
+    // replayed batch means it fell back to interpreter speed (CI runs this
     // example).
     println!("{}", trace.tier_line());
     if trace.replayed_batches() > 0 || trace.bailed_launches() > 0 {

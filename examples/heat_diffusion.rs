@@ -58,7 +58,7 @@ fn main() -> Result<()> {
     println!("virtual time: {:?}", rt.now());
 
     // The generated stencil kernel must stay on the native tier: a replayed
-    // batch means it fell back to scalar speed (CI runs this example).
+    // batch means it fell back to interpreter speed (CI runs this example).
     println!("{}", trace.tier_line());
     if trace.replayed_batches() > 0 || trace.bailed_launches() > 0 {
         eprintln!("error: a stencil launch replayed or bailed off the native tier");

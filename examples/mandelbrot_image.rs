@@ -36,7 +36,7 @@ fn main() {
     );
 
     // The escape loop must stay on the native tier under lane masks: a
-    // replayed batch means it fell back to scalar speed (CI runs this
+    // replayed batch means it fell back to interpreter speed (CI runs this
     // example).
     let trace = rt.exec_trace();
     println!("{}", trace.tier_line());

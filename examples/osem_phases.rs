@@ -44,8 +44,8 @@ fn main() {
     );
 
     // The branchy update `Zip` must stay on the native tier under lane
-    // masks: a replayed batch means it fell back to scalar speed (CI runs
-    // this example).
+    // masks: a replayed batch means it fell back to interpreter speed (CI
+    // runs this example).
     let trace = rt.exec_trace();
     println!("{}", trace.tier_line());
     if trace.replayed_batches() > 0 || trace.bailed_launches() > 0 {
