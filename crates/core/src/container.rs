@@ -16,9 +16,9 @@
 //!    layout below. Uploads and gathers cross the host by definition; the
 //!    halo exchange does not — a neighbour's rows go owner read → forwarded
 //!    write, an edge row the device owns itself is an on-device copy, and
-//!    the host only enqueues and then joins the commands in real time
-//!    (errors still surface synchronously; its virtual clock pays enqueue
-//!    overheads only). Padding filled from a neighbour may be stored several
+//!    the host only enqueues the commands and reads their events (errors
+//!    still surface synchronously; its virtual clock pays enqueue overheads
+//!    only). Padding filled from a neighbour may be stored several
 //!    halo widths deep and then exchanged once per that many sweeps
 //!    (`ghost_sweeps` counts what is left), and `Storage::repad` changes how
 //!    deep without the host.
@@ -234,14 +234,10 @@ impl<T: Pod> Storage<T> {
         }
     }
 
-    /// Release every device buffer back to the context. Each owning
-    /// device's queue is quiesced first (a real-time join, no virtual-time
-    /// effect) so no in-flight command of the asynchronous engine still
-    /// references the storage being released.
+    /// Release every device buffer back to the context.
     pub(crate) fn release_buffers(&mut self) {
         for buf in self.buffers.iter_mut() {
             if let Some(b) = buf.take() {
-                self.runtime.queue(b.device()).quiesce();
                 // A failure here would mean the buffer was already released,
                 // which cannot happen while the storage owns it; ignore.
                 let _ = self.runtime.context().release_buffer(&b);
@@ -282,7 +278,6 @@ impl<T: Pod> Storage<T> {
                 Some(b) if b.len() == stored => b.clone(),
                 _ => {
                     if let Some(old) = self.buffers[device].take() {
-                        self.runtime.queue(device).quiesce();
                         let _ = self.runtime.context().release_buffer(&old);
                     }
                     let b = self.runtime.context().create_buffer::<T>(device, stored)?;
@@ -341,14 +336,12 @@ impl<T: Pod> Storage<T> {
         if self.distribution == Distribution::Copy {
             let actives = self.layout.active_devices();
             let first = *actives.first().ok_or(SkelError::EmptyInput)?;
-            // Enqueue the read of every replica before waiting on any, so
-            // the per-device workers execute them concurrently; the merge
-            // then consumes the payloads in device order (the combine
-            // function may be non-commutative). Trade-off: each in-flight
-            // read buffers one replica-sized payload, so the transient peak
-            // is ~(replicas + 2) × len during a combining gather — accepted
-            // for the wall-clock overlap; cap the enqueue window here if a
-            // workload ever replicates containers near device-memory scale.
+            // Enqueue the read of every replica before claiming any, so the
+            // reads overlap in virtual time; the merge then consumes the
+            // payloads in device order (the combine function may be
+            // non-commutative). Trade-off: each unclaimed read holds one
+            // replica-sized payload, so the transient peak is
+            // ~(replicas + 2) × len during a combining gather.
             let merge_all = matches!(self.combine, Combine::Func(_));
             let mut pending = Vec::new();
             for &device in &actives {
@@ -391,9 +384,9 @@ impl<T: Pod> Storage<T> {
             }
             self.host = host;
         } else {
-            // Enqueue every part's read before waiting on any: downloads
-            // from different devices overlap in real time (and in virtual
-            // time — no host-clock sync serialises them any more).
+            // Enqueue every part's read before claiming any: downloads from
+            // different devices overlap in virtual time (no host-clock sync
+            // serialises them).
             let mut pending = Vec::new();
             for device in 0..self.layout.device_count() {
                 let Some((src_offset, dst)) = self.layout.gather_segment(device) else {
@@ -446,9 +439,9 @@ impl<T: Pod> Storage<T> {
     ///
     /// The host's virtual clock advances by the enqueue overheads only; the
     /// next sweep's kernel is ordered behind its halo writes by the in-order
-    /// queue, and the final join is real-time only, so a lost device or a
-    /// transient fault still surfaces here, synchronously, for the recovery
-    /// layer. Halo telemetry: one [`SkelCl::charge_halo_transfer`] per
+    /// queue, and reading the commands' events at the end moves no clock, so
+    /// a lost device or a transient fault still surfaces here, synchronously,
+    /// for the recovery layer. Halo telemetry: one [`SkelCl::charge_halo_transfer`] per
     /// command, on the device that executes it.
     pub(crate) fn refresh_halos(&mut self, sweeps: usize) -> Result<()> {
         debug_assert!(self.devices_valid);
@@ -463,8 +456,8 @@ impl<T: Pod> Storage<T> {
         };
         let mut events = Vec::new();
         let enqueued = self.enqueue_halo_exchange(&mut events, exchanged);
-        // Join whatever was enqueued even if a later enqueue was rejected:
-        // nothing of this exchange may stay in flight or latched.
+        // Read whatever was enqueued even if a later enqueue was rejected:
+        // nothing of this exchange may stay latched.
         let joined = wait_events(&self.runtime, events);
         enqueued?;
         joined?;
@@ -739,7 +732,6 @@ impl<T: Pod> Storage<T> {
             .filter(|b| !new_ids.contains(&b.id()))
             .collect();
         for b in stale {
-            self.runtime.queue(b.device()).quiesce();
             let _ = self.runtime.context().release_buffer(&b);
         }
         self.layout = layout;

@@ -1537,7 +1537,7 @@ impl<T: Pod, K: PlanKind<T>> Plan<T, K> {
     /// the launch and the read are one non-blocking submission of a command
     /// buffer recorded once per lowered shape (`oclsim::CommandBuffer`), so
     /// the host pays one enqueue per batch and many packed launches can be
-    /// in flight at once.
+    /// outstanding at once.
     ///
     /// Every job must share this plan's runtime and
     /// [`coalesce_signature`](Self::coalesce_signature); a single-job pack
@@ -1796,7 +1796,7 @@ fn pack_graphs<T: DeviceScalar, O>(
             read,
         }),
         Err(e) => {
-            // Nothing was submitted, so nothing in flight uses the buffers.
+            // Nothing was submitted, so no command used the buffers.
             for buffer in &buffers {
                 let _ = runtime.context().release_buffer(buffer);
             }
@@ -1809,7 +1809,7 @@ fn pack_graphs<T: DeviceScalar, O>(
 /// output of `work_items` elements, one per work-item, and submit the
 /// shape's recorded packed launch over them: a write per slot, the kernel,
 /// the non-blocking read of the output. Every fallible step comes before the
-/// one submission, so a batch that cannot launch leaves nothing in flight;
+/// one submission, so a batch that cannot launch enqueues nothing;
 /// the dispatch is charged after it. Buffers are recorded in `buffers` as
 /// they are created so the caller can release them on any error.
 fn pack_launch<T: DeviceScalar>(
@@ -1952,21 +1952,20 @@ impl<T: Pod, O> PackedLaunch<T, O> {
         &self.spans
     }
 
-    /// Join the launch: wait (real time) for its commands to settle, advance
-    /// the host's virtual clock to the read's completion time, release the
-    /// packed buffers and return each job's result plus the read's profiling
-    /// event (whose `end` is the virtual completion time of every packed
-    /// job). A reduction's partials are finished here, on the host, with the
+    /// Join the launch: advance the host's virtual clock to the read's
+    /// completion time, release the packed buffers and return each job's
+    /// result plus the read's profiling event (whose `end` is the virtual
+    /// completion time of every packed job). A reduction's partials are finished here, on the host, with the
     /// operator's evaluator — the fold a one-device `scalar()` ends with.
     ///
     /// The launch answers for its own commands: it fails if any of *them*
     /// failed — a failed slot write fails the kernel and the read unexecuted
-    /// — and never for a neighbour's, so launches in flight on one queue
-    /// cannot take each other's errors. Waiting on the read joins them all:
-    /// it is the last command, settled after every other one and failed
-    /// with the first failure. On failure what this launch latched on the
-    /// queue is drained (the same discipline as the internal kernel-event
-    /// join) before the buffers are released.
+    /// — and never for a neighbour's, so launches outstanding on one queue
+    /// cannot take each other's errors. The read answers for them all: it
+    /// is the last command, settled after every other one and failed with
+    /// the first failure. On failure what this launch latched on the queue
+    /// is drained (the same discipline as the internal kernel-event join)
+    /// before the buffers are released.
     pub fn wait(self) -> Result<(Vec<O>, oclsim::Event)>
     where
         T: DeviceScalar,

@@ -18,8 +18,7 @@
 //! **An attempt is over only when every queue it enqueued on is clean.** A
 //! launcher joins its kernels and reads, but the uploads a call triggers are
 //! fire-and-forget. So once the attempt returns, every queue's error latch
-//! is taken (the queue joined first, in real time, where the launcher did
-//! not): a failure latched by one of the attempt's own transfers *is* the
+//! is taken: a failure latched by one of the attempt's own transfers *is* the
 //! attempt's failure, even though every kernel "succeeded" — on a buffer the
 //! data never reached. Otherwise the garbage output is handed on, and the
 //! *next* call trips over the latch and faithfully replays on the garbage.
@@ -41,7 +40,7 @@
 //! `LaunchConfig::checkpoint_every`).
 //!
 //! **Determinism.** Recovery adds zero virtual-time cost on the fault-free
-//! path: joining the queues and reading their latches touches no clock, and
+//! path: reading the queues' latches touches no clock, and
 //! fault state is only consulted *after* an attempt has failed, so a run
 //! with no armed faults is bitwise and virtual-time identical to a run
 //! without the recovery layer.
@@ -78,11 +77,8 @@ pub(crate) fn run_recoverable<T>(
         attempts += 1;
         let outcome = attempt();
         // The queue-clean rule; it also drops what a failed attempt latched
-        // elsewhere, which a replay's reads must not surface as its own. What
-        // a launcher joined has settled: only vector arguments (uploaded also
-        // where the launch does not run) or a failure leave more to join.
-        let join = outcome.is_err() || !args.is_empty();
-        let latched = runtime.take_latched_errors(join).into_iter().next();
+        // elsewhere, which a replay's reads must not surface as its own.
+        let latched = runtime.take_deferred_errors().into_iter().next();
         let e = match (outcome, latched) {
             (Ok(value), None) => {
                 if attempts > 1 {

@@ -68,10 +68,12 @@ pub struct SkelCl {
     repartitions: AtomicUsize,
     /// Bytes gathered to the host by iterative-stencil checkpoints.
     checkpoint_bytes: AtomicUsize,
-    /// Devices the recovery layer knows to be lost. Recorded between the
-    /// attempts of a launch, when every queue is joined — so, unlike
-    /// [`oclsim::Device::is_lost`], which the device's worker thread sets in
-    /// the middle of an attempt, the answer never depends on thread timing.
+    /// Devices the recovery layer has moved work off: a snapshot of
+    /// [`oclsim::Device::is_lost`] taken between the attempts of a launch.
+    /// Uploads read the snapshot, not the live flag: a device lost earlier in
+    /// the same attempt is still in that attempt's partition, and leaving its
+    /// replica out would turn a replayable loss into a non-injected "no data
+    /// on device" error.
     settled_losses: Vec<AtomicBool>,
     /// Every source-UDF kernel of the runtime — eager calls and plan groups
     /// — lowered and built once per distinct shape.
@@ -549,7 +551,7 @@ impl SkelCl {
     }
 
     /// Record the devices lost so far as known to the recovery layer (called
-    /// between attempts, with every queue joined).
+    /// between attempts).
     pub(crate) fn settle_losses(&self) {
         for device in self.lost_devices() {
             self.settled_losses[device].store(true, Ordering::SeqCst);
@@ -590,23 +592,10 @@ impl SkelCl {
     /// read on the same queue. The latched-error *count* stays visible in
     /// [`ExecTrace::deferred_errors`] even after draining.
     pub fn take_deferred_errors(&self) -> Vec<(usize, oclsim::OclError)> {
-        self.take_latched_errors(true)
-    }
-
-    /// Take every queue's latched error; with `join`, each queue is first
-    /// joined in real time ([`oclsim::CommandQueue::take_deferred_error`]),
-    /// which a caller that has itself waited for everything it enqueued —
-    /// the recovery wrapper after a launcher's join — can do without (the
-    /// join is a thread hand-off per queue even when nothing is pending).
-    pub(crate) fn take_latched_errors(&self, join: bool) -> Vec<(usize, oclsim::OclError)> {
-        let take = |q: &CommandQueue| match join {
-            true => q.take_deferred_error(),
-            false => q.take_error(),
-        };
         self.queues
             .iter()
             .enumerate()
-            .filter_map(|(d, q)| take(q).map(|e| (d, e)))
+            .filter_map(|(d, q)| q.take_deferred_error().map(|e| (d, e)))
             .collect()
     }
 

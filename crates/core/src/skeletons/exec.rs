@@ -290,9 +290,6 @@ impl ScratchCopies {
 impl Drop for ScratchCopies {
     fn drop(&mut self) {
         for buffer in &self.buffers {
-            // The launchers joined what they enqueued; the copy itself may
-            // still be in flight when the attempt ended before its launch.
-            self.runtime.queue(buffer.device()).quiesce();
             let _ = self.runtime.context().release_buffer(buffer);
         }
     }
@@ -534,10 +531,8 @@ impl OutputBuffers {
         }
     }
 
-    /// Give back what the launch allocated. A command may still be in flight
-    /// (a later device's enqueue was rejected), so each buffer's queue is
-    /// joined — and the duplicate of the failure it latched dropped — before
-    /// the buffer returns to the pool.
+    /// Give back what the launch allocated, dropping the duplicate of the
+    /// failure each buffer's queue latched.
     fn release(&self, runtime: &SkelCl) {
         for buffer in &self.allocated {
             let _ = runtime.queue(buffer.device()).take_deferred_error();
@@ -573,12 +568,10 @@ pub(crate) fn launch_elementwise(
         .map(|&device| bind(device))
         .collect::<Result<Vec<_>>>()?;
     let out = OutputBuffers::obtain(runtime, out_lens, create, reuse)?;
-    // Enqueue on every device before waiting on any: the non-blocking
-    // enqueues hand the launches to the per-device worker threads, so
-    // N-device calls execute concurrently in real time; the wait then
+    // Enqueue on every device, then read the launches' events: that
     // surfaces any kernel runtime error at the call site. Whatever was
-    // enqueued is joined even if a later enqueue is rejected, so the
-    // buffers of a failed launch can be released.
+    // enqueued is read even if a later enqueue is rejected, so the buffers
+    // of a failed launch can be released.
     let mut events = Vec::with_capacity(active.len());
     let enqueued = active.iter().zip(bound).try_for_each(
         |(&device, (mut kargs, (first, n), n_arg, trailing))| {
@@ -595,10 +588,10 @@ pub(crate) fn launch_elementwise(
         .map(|(buffers, ())| buffers)
 }
 
-/// Join a set of per-device commands — kernel launches, halo transfers —
-/// in real time only (the virtual clocks are untouched) and surface the
-/// first error. The duplicate latched on the failing queue is discarded so
-/// later launches start clean.
+/// Read the events of a set of per-device commands (kernel launches, halo
+/// transfers) and surface the first error; no virtual clock moves. The
+/// duplicate latched on the failing queue is discarded so later launches
+/// start clean.
 pub(crate) fn wait_events(
     runtime: &SkelCl,
     events: Vec<(usize, oclsim::EventHandle)>,
@@ -606,7 +599,7 @@ pub(crate) fn wait_events(
     let mut first_error = None;
     for (device, event) in events {
         if let Err(e) = event.wait() {
-            let _ = runtime.queue(device).take_error();
+            let _ = runtime.queue(device).take_deferred_error();
             if first_error.is_none() {
                 first_error = Some(e);
             }
@@ -630,7 +623,7 @@ pub(crate) fn claim_read<T: Pod>(
     out: &mut [T],
 ) -> Result<()> {
     let result = event.wait_into(out);
-    if let Some(earlier) = runtime.queue(device).take_error() {
+    if let Some(earlier) = runtime.queue(device).take_deferred_error() {
         return Err(earlier.into());
     }
     let record = result?;
@@ -640,10 +633,10 @@ pub(crate) fn claim_read<T: Pod>(
 
 /// Gather small per-device results (reduce partials, scan totals) the way
 /// container parts are gathered: the caller has enqueued one non-blocking
-/// read of `len` elements per entry — on every device before any is waited
-/// on, so the transfers overlap in real and in virtual time — and this
-/// claims them in the given (device) order. Every read is joined and every
-/// queue's error latch drained even after a failure, so the caller may
+/// read of `len` elements per entry — on every device before any is
+/// claimed, so the transfers overlap in virtual time — and this claims them
+/// in the given (device) order. Every read is claimed and every queue's
+/// error latch drained even after a failure, so the caller may
 /// release the buffers and later launches start clean; the first error wins.
 pub(crate) fn claim_reads<T: Pod>(
     runtime: &SkelCl,

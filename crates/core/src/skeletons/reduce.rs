@@ -202,9 +202,8 @@ pub(crate) fn launch_and_gather<T: DeviceScalar>(
     })();
     for (device, out, _) in &launched {
         if gathered.is_err() {
-            // A launch may still be in flight (a later device's enqueue
-            // failed): join it and drop its latched error before its
-            // partials buffer goes back to the pool.
+            // Drop what a failed launch latched before its partials buffer
+            // goes back to the pool.
             let _ = runtime.queue(*device).take_deferred_error();
             let _ = runtime.context().release_buffer(out);
         } else {

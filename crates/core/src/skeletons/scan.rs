@@ -232,7 +232,7 @@ pub(crate) fn launch_scan<T: DeviceScalar>(
         }
 
         // Step 2: download the per-part totals (last element of each local
-        // scan), every device's read in flight before the first is claimed.
+        // scan), every device's read enqueued before the first is claimed.
         let mut reads = Vec::with_capacity(active.len());
         for &device in &active {
             let n = partition.size(device);
@@ -248,8 +248,8 @@ pub(crate) fn launch_scan<T: DeviceScalar>(
 
         // Steps 3 + 4: combine predecessor totals on the host and apply them
         // to each later part via the implicitly created map (offset)
-        // kernels. All offset kernels are enqueued before any is waited on,
-        // so the per-device workers apply them concurrently in real time.
+        // kernels. All offset kernels are enqueued before any event is
+        // read.
         let offset_cost = per_element_cost.map(|cost| CostHint::new(cost.flops_per_item, 8.0));
         let mut offset_events = Vec::new();
         let mut offsets = Vec::with_capacity(active.len());

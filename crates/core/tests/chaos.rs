@@ -759,13 +759,11 @@ fn failed_launches_release_what_they_allocated() {
 }
 
 /// A packed launch that fails *while it is being prepared* — its second
-/// allocation does not fit the device, here with a slow kernel ahead of it
-/// on the queue — submits nothing: it moves no clock and logs no event, and
-/// its buffers go straight back to the pool (once, slot writes already on
-/// the worker were released under them, latched `BufferNotFound` and failed
-/// the next batch on that device). A launch the device rejects after it was
-/// submitted is drained before its buffers are released. Either way the next
-/// batch on the device is correct and nothing stays allocated.
+/// allocation does not fit the device, here with a kernel ahead of it on
+/// the queue — submits nothing: it moves no clock and logs no event, and its
+/// buffers go straight back to the pool. A launch the device rejects after
+/// it was submitted is drained before its buffers are released. Either way
+/// the next batch on the device is correct and nothing stays allocated.
 #[test]
 fn failed_packed_launches_leave_their_queue_clean() {
     use skelcl::oclsim::{CommandKind, CostHint, DeviceProfile, NativeKernelDef, OclError};
@@ -775,11 +773,12 @@ fn failed_packed_launches_leave_their_queue_clean() {
         ..DeviceProfile::tesla_c1060()
     }]);
     let device = rt.context().device(0).unwrap().clone();
-    let slow = NativeKernelDef::new("slow", CostHint::DEFAULT, |_| {
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        Ok(())
-    });
-    let slow = rt.context().native_program([slow]).kernel("slow").unwrap();
+    let ahead = NativeKernelDef::new("ahead", CostHint::DEFAULT, |_| Ok(()));
+    let ahead = rt
+        .context()
+        .native_program([ahead])
+        .kernel("ahead")
+        .unwrap();
     let double = Map::<f32, f32>::from_source(DOUBLE);
     let add = Reduce::<f32>::from_source(ADD);
     let (big, small) = (test_data(200), test_data(40));
@@ -798,7 +797,7 @@ fn failed_packed_launches_leave_their_queue_clean() {
     for reduce in [false, true] {
         let what = format!("second allocation fails, reduce: {reduce}");
         let logged = rt.queue(0).events().len();
-        rt.queue(0).enqueue_kernel(&slow, 1, &[]).unwrap();
+        rt.queue(0).enqueue_kernel(&ahead, 1, &[]).unwrap();
         let host = rt.now();
         let err = if reduce {
             PlanScalar::pack_jobs(&[&big.lazy().reduce(&add)], 0).err()
@@ -819,7 +818,7 @@ fn failed_packed_launches_leave_their_queue_clean() {
         );
         let events = rt.queue(0).events();
         let kinds: Vec<_> = events[logged..].iter().map(|e| &e.kind).collect();
-        assert_eq!(kinds, [&CommandKind::Kernel("slow".into())], "{what}");
+        assert_eq!(kinds, [&CommandKind::Kernel("ahead".into())], "{what}");
         check_clean_batches(&what);
         assert_eq!(rt.queue(0).deferred_error_count(), 0, "{what}");
     }
@@ -832,6 +831,43 @@ fn failed_packed_launches_leave_their_queue_clean() {
     assert!(err.is_injected_fault(), "{err:?}");
     assert!(rt.take_deferred_errors().is_empty(), "latch left behind");
     check_clean_batches("launch rejected");
+}
+
+/// A device lost in the middle of a packed batch. The batch's side input
+/// lives on the device only, so preparing the batch gathers it after the
+/// first slot's allocation: losing the device on that read (op + 1) fails
+/// the batch before its second allocation; losing it on the batch's first
+/// slot write (op + 2) fails the submitted batch. A fault schedule has one
+/// outcome — error, fault count, op count and host clock agree over
+/// repetitions — and nothing stays allocated.
+#[test]
+fn a_device_lost_inside_a_packed_batch_has_one_outcome() {
+    let saxpy = Zip::<f32, f32, f32>::from_source(SAXPY);
+    let double = Map::<f32, f32>::from_source(DOUBLE);
+    for op in [1, 2] {
+        let run = || {
+            let rt = skelcl::init_gpus(1);
+            let device = rt.context().device(0).unwrap().clone();
+            let x = Vector::from_vec(&rt, test_data(64));
+            let y = Vector::from_vec(&rt, test_data(64)).map(&double).unwrap();
+            let lost_at = device.fault_op_count() + op;
+            rt.inject_faults(&FaultPlan::new().device_lost_at_op(0, lost_at));
+            let err = PlanVec::pack_jobs(&[&x.lazy().zip(&y, &saxpy)], 0)
+                .and_then(|packed| packed.wait())
+                .unwrap_err();
+            assert!(err.is_device_lost(), "op + {op}: {err:?}");
+            assert_eq!(device.live_buffers(), 1, "op + {op}: only `y` is left");
+            drop((x, y));
+            assert_eq!(device.live_buffers(), 0, "op + {op}");
+            let trace = rt.exec_trace();
+            let ops = device.fault_op_count();
+            (err.to_string(), trace.faults_injected, ops, rt.now())
+        };
+        let first = run();
+        for rep in 0..3 {
+            assert_eq!(run(), first, "op + {op}, repetition {rep}");
+        }
+    }
 }
 
 /// Packed launches in flight on one queue answer for their own commands. A
@@ -932,11 +968,15 @@ fn fault_free_run_is_bitwise_and_virtual_time_identical_with_recovery_on_or_off(
 // Property: random deterministic fault schedules never corrupt results
 // ---------------------------------------------------------------------------
 
-/// Outcome of one chaos run, comparable across repetitions.
+/// Outcome of one chaos run, comparable across repetitions: the result (or
+/// the injected-fault error's text), the faults that fired, each device's
+/// op count and the host clock.
 #[derive(Debug, Clone, PartialEq)]
-enum Outcome {
-    Ok(Vec<f32>),
-    InjectedFault(String),
+struct Outcome {
+    result: std::result::Result<Vec<f32>, String>,
+    faults_injected: usize,
+    fault_ops: Vec<usize>,
+    host_now: skelcl::oclsim::SimTime,
 }
 
 fn run_chaos(
@@ -1036,15 +1076,21 @@ fn run_chaos(
             plan.scan(&Scan::from_source(ADD)).collect()
         }
     };
-    match result {
-        Ok(out) => Outcome::Ok(out),
-        Err(e) => {
-            assert!(
-                e.is_injected_fault(),
-                "a chaos run may only fail with a typed injected-fault error, got {e:?}"
-            );
-            Outcome::InjectedFault(e.to_string())
-        }
+    let result = result.map_err(|e| {
+        assert!(
+            e.is_injected_fault(),
+            "a chaos run may only fail with a typed injected-fault error, got {e:?}"
+        );
+        e.to_string()
+    });
+    let fault_ops = (0..devices)
+        .map(|d| rt.context().device(d).unwrap().fault_op_count())
+        .collect();
+    Outcome {
+        result,
+        faults_injected: rt.exec_trace().faults_injected,
+        fault_ops,
+        host_now: rt.now(),
     }
 }
 
@@ -1108,7 +1154,7 @@ proptest! {
         let first = run_chaos(skeleton, devices, &data, &specs);
         let second = run_chaos(skeleton, devices, &data, &specs);
         prop_assert_eq!(&first, &second, "chaos runs must be reproducible");
-        if let Outcome::Ok(out) = first {
+        if let Ok(out) = first.result {
             prop_assert_eq!(out, oracle(skeleton, &data));
         }
     }

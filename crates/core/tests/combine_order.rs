@@ -4,7 +4,8 @@
 //! device order, on 1–4 devices. The combines here are deliberately not
 //! commutative (a left projection) or not associative in `f32` (an addition
 //! that cancels), so only that order reproduces the result bit for bit —
-//! the order a device-side reduce-scatter (ROADMAP item 1(b)) must keep.
+//! the order a reduce-scatter that folds the replicas on the devices, not on
+//! the host, must keep.
 //! Twin of `reduce_order.rs`.
 
 use std::sync::Arc;

@@ -1,17 +1,15 @@
-//! Determinism suite for the threaded execution engine.
+//! Determinism suite for the execution engine.
 //!
-//! Since PR 5 every `oclsim` command queue executes on a dedicated worker
-//! thread, so commands of different devices genuinely overlap in real time.
-//! The contract is that this is *observably invisible*: repeated runs of the
-//! same program must produce bit-identical results AND bit-identical
-//! telemetry — `SkelCl::exec_trace()` counters, per-device event logs with
-//! their virtual timestamps, and the host's virtual clock — no matter how
-//! the worker threads interleave.
+//! Repeated runs of the same program must produce bit-identical results AND
+//! bit-identical telemetry — `SkelCl::exec_trace()` counters, per-device
+//! event logs with their virtual timestamps, and the host's virtual clock.
+//! Every `oclsim` command runs inside its enqueue, in program order, so
+//! nothing but the program decides them.
 //!
 //! Each scenario below runs three times on fresh runtimes for every device
 //! count from 1 to 4 and compares full observation snapshots. CI runs this
-//! suite under both `--test-threads=1` and the default parallelism so the
-//! interleavings differ across runs as much as the host allows.
+//! suite under both `--test-threads=1` and the default parallelism, so
+//! other tests running beside it cannot change an outcome.
 
 use oclsim::EventSummary;
 use skelcl::prelude::*;
@@ -54,8 +52,8 @@ fn observe(
     rt.finish_all();
     let events = rt.drain_events();
     // Two telemetry fields are outside the contract: the wall-clock duration
-    // of a kernel's one native compilation, and which device's worker won
-    // the race to perform it (the program is shared). Their total is not.
+    // of a kernel's one native compilation, and which device performed it
+    // (the program is shared). Their total is not.
     let mut trace = rt.exec_trace();
     let compiles = trace.native_compiles();
     for device in &mut trace.devices {

@@ -264,7 +264,7 @@ pub struct Device {
     zero_elisions: AtomicUsize,
     allocated: AtomicUsize,
     next_buffer_id: AtomicU64,
-    /// Folded in by the queue worker after every DSL launch.
+    /// Folded in by the queue after every DSL launch.
     tiers: Mutex<TierSnapshot>,
     /// Armed fault triggers from the context's [`crate::FaultPlan`]
     /// (shared by every queue of the device).
@@ -344,9 +344,8 @@ impl Device {
     }
 
     /// Check a command that is about to execute against the device's armed
-    /// fault triggers. Called by the queue worker with the command's
-    /// prospective virtual `start` (deterministic: only the worker advances
-    /// the queue clock) *before* any side effect is applied, so a replayed
+    /// fault triggers. Called by the queue with the command's virtual
+    /// `start` *before* any side effect is applied, so a replayed
     /// command never executes twice. Bumps the per-device op counter,
     /// fires every due trigger whose kind matches `class`, and returns the
     /// injected error if one fired (or the device is already lost).
@@ -393,7 +392,7 @@ impl Device {
     }
 
     /// Record which execution tier handled one DSL kernel launch (called by
-    /// the queue worker with the launch's [`skelcl_kernel::LaunchTrace`]).
+    /// the queue with the launch's [`skelcl_kernel::LaunchTrace`]).
     pub(crate) fn note_kernel_tier(&self, trace: &skelcl_kernel::LaunchTrace) {
         self.tiers.lock().record(trace);
     }

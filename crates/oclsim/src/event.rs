@@ -1,18 +1,15 @@
 //! Profiling events, mirroring OpenCL's `cl_event` model: an [`EventHandle`]
-//! tracks an asynchronously executing command through its status transitions
-//! (pending → complete/failed) and can be waited on; a completed command
-//! yields an [`Event`] record with its virtual timestamps.
+//! reports an enqueued command's status (complete or failed) and, once
+//! completed, its [`Event`] record with its virtual timestamps.
 //!
-//! The two-type split mirrors the execution engine's split between *real*
-//! and *virtual* time: commands really run on per-device worker threads (so
-//! [`EventHandle::wait`] is a genuine thread join), while their timestamps
-//! are computed on each queue's virtual clock. Waiting on a handle does
+//! A command runs inside its enqueue, so a handle is settled when it is
+//! returned and [`EventHandle::wait`] never blocks. Reading a handle does
 //! **not** advance the host's virtual clock — only virtually-blocking
-//! operations (blocking reads, [`crate::CommandQueue::finish`]) do, exactly
-//! as in the previous eager engine, so all virtual-time numbers are
-//! preserved bit for bit regardless of thread interleaving.
+//! operations (blocking reads, [`crate::CommandQueue::finish`]) do.
 
-use std::sync::{Condvar, Mutex};
+use std::sync::Arc;
+
+use parking_lot::Mutex;
 
 use crate::error::OclError;
 use crate::time::{SimDuration, SimTime};
@@ -92,120 +89,101 @@ impl Event {
     }
 }
 
-/// Execution status of an asynchronously enqueued command, the analogue of
-/// OpenCL's `CL_QUEUED … CL_COMPLETE` execution-status values.
+/// Execution status of a command, the analogue of OpenCL's `CL_COMPLETE`
+/// and error execution-status values. Every command has settled by the time
+/// its enqueue returns, so there is no pending state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventStatus {
-    /// Enqueued; the device worker has not finished it yet.
-    Pending,
     /// The command completed; its [`Event`] record is available.
     Complete,
     /// The command failed; waiting returns the error.
     Failed,
 }
 
-/// Completion state shared between the enqueuing host thread and the
-/// device's worker thread.
-enum Completion {
-    Pending,
-    Done {
-        result: Result<Event, OclError>,
-        /// Device → host payload of non-blocking reads, claimed once by
-        /// [`EventHandle::wait_into`].
-        payload: Option<Vec<u8>>,
-    },
-}
-
 struct EventCore {
-    kind: CommandKind,
-    device: usize,
-    queued: SimTime,
-    state: Mutex<Completion>,
-    done: Condvar,
+    /// The command's record; a failed command's starts and ends when it was
+    /// queued.
+    record: Event,
+    error: Option<OclError>,
+    /// Device → host payload of non-blocking reads, claimed once by
+    /// [`EventHandle::wait_into`] or a forwarded write.
+    payload: Mutex<Option<Vec<u8>>>,
 }
 
-/// Handle to an asynchronously executing command, returned by the
-/// non-blocking `enqueue_*` operations of [`crate::CommandQueue`].
+/// Handle to an enqueued command, returned by the non-blocking `enqueue_*`
+/// operations of [`crate::CommandQueue`]. The command has already run and
+/// settled when the handle is returned.
 ///
 /// Cloning the handle shares the underlying event. [`EventHandle::wait`]
-/// joins the command in *real* time and returns its [`Event`] record (or the
-/// command's error); it never advances the host's virtual clock.
+/// returns its [`Event`] record (or the command's error); it never advances
+/// the host's virtual clock.
 #[derive(Clone)]
 pub struct EventHandle {
-    core: std::sync::Arc<EventCore>,
+    core: Arc<EventCore>,
 }
 
 impl std::fmt::Debug for EventHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventHandle")
-            .field("kind", &self.core.kind)
-            .field("device", &self.core.device)
+            .field("kind", &self.core.record.kind)
+            .field("device", &self.core.record.device)
             .field("status", &self.status())
             .finish()
     }
 }
 
 impl EventHandle {
-    /// Create a pending handle (called by the queue at enqueue time).
-    pub(crate) fn pending(kind: CommandKind, device: usize, queued: SimTime) -> EventHandle {
+    /// Create the handle of a settled command (called by the queue).
+    pub(crate) fn settled(
+        record: Event,
+        error: Option<OclError>,
+        payload: Option<Vec<u8>>,
+    ) -> EventHandle {
         EventHandle {
-            core: std::sync::Arc::new(EventCore {
-                kind,
-                device,
-                queued,
-                state: Mutex::new(Completion::Pending),
-                done: Condvar::new(),
+            core: Arc::new(EventCore {
+                record,
+                error,
+                payload: Mutex::new(payload),
             }),
         }
     }
 
     /// The kind of command the handle tracks.
     pub fn kind(&self) -> &CommandKind {
-        &self.core.kind
+        &self.core.record.kind
     }
 
     /// Device the command was enqueued on.
     pub fn device(&self) -> usize {
-        self.core.device
+        self.core.record.device
     }
 
     /// Virtual time at which the host enqueued the command.
     pub fn queued_at(&self) -> SimTime {
-        self.core.queued
+        self.core.record.queued
     }
 
-    /// Current execution status (non-blocking).
+    /// Whether the command completed or failed.
     pub fn status(&self) -> EventStatus {
-        match &*self.core.state.lock().expect("event mutex poisoned") {
-            Completion::Pending => EventStatus::Pending,
-            Completion::Done { result: Ok(_), .. } => EventStatus::Complete,
-            Completion::Done { result: Err(_), .. } => EventStatus::Failed,
+        match self.core.error {
+            None => EventStatus::Complete,
+            Some(_) => EventStatus::Failed,
         }
     }
 
-    /// Whether the command has finished (successfully or not).
-    pub fn is_done(&self) -> bool {
-        self.status() != EventStatus::Pending
-    }
-
-    /// Block the calling thread (in real time — the virtual host clock is
-    /// untouched) until the command completes; return its [`Event`] record
-    /// or the error the command failed with.
+    /// The command's [`Event`] record, or the error it failed with. The
+    /// virtual host clock is untouched.
     pub fn wait(&self) -> Result<Event, OclError> {
-        let mut state = self.core.state.lock().expect("event mutex poisoned");
-        while matches!(*state, Completion::Pending) {
-            state = self.core.done.wait(state).expect("event mutex poisoned");
-        }
-        match &*state {
-            Completion::Done { result, .. } => result.clone(),
-            Completion::Pending => unreachable!("loop exits only when done"),
+        match &self.core.error {
+            None => Ok(self.core.record.clone()),
+            Some(error) => Err(error.clone()),
         }
     }
 
-    /// Wait for a non-blocking read and copy its payload into `out`. The
-    /// payload is claimed by the first successful call.
+    /// Copy a non-blocking read's payload into `out`. The payload is claimed
+    /// by the first successful call.
     pub fn wait_into<T: crate::pod::Pod>(&self, out: &mut [T]) -> Result<Event, OclError> {
-        let (record, data) = self.wait_take_payload()?;
+        let (record, data) = self.take_payload()?;
         let out_bytes = std::mem::size_of_val(out);
         if data.len() != out_bytes {
             return Err(OclError::SizeMismatch {
@@ -217,30 +195,13 @@ impl EventHandle {
         Ok(record)
     }
 
-    /// Wait for a non-blocking read and take its payload — the worker-side
-    /// claim of a forwarded write (see
-    /// [`crate::CommandQueue::enqueue_write_buffer_from_read`]). Like
+    /// Take a non-blocking read's payload — the claim of a forwarded write
+    /// (see [`crate::CommandQueue::enqueue_write_buffer_from_read`]). Like
     /// [`EventHandle::wait_into`], the payload can be claimed once.
-    pub(crate) fn wait_take_payload(&self) -> Result<(Event, Vec<u8>), OclError> {
-        let mut state = self.core.state.lock().expect("event mutex poisoned");
-        while matches!(*state, Completion::Pending) {
-            state = self.core.done.wait(state).expect("event mutex poisoned");
-        }
-        match &mut *state {
-            Completion::Done { result, payload } => {
-                let record = result.clone()?;
-                let data = payload.take().ok_or_else(no_payload)?;
-                Ok((record, data))
-            }
-            Completion::Pending => unreachable!("loop exits only when done"),
-        }
-    }
-
-    /// Complete the command (called by the device worker).
-    pub(crate) fn complete(&self, result: Result<Event, OclError>, payload: Option<Vec<u8>>) {
-        let mut state = self.core.state.lock().expect("event mutex poisoned");
-        *state = Completion::Done { result, payload };
-        self.core.done.notify_all();
+    pub(crate) fn take_payload(&self) -> Result<(Event, Vec<u8>), OclError> {
+        let record = self.wait()?;
+        let data = self.core.payload.lock().take().ok_or_else(no_payload)?;
+        Ok((record, data))
     }
 }
 

@@ -4,27 +4,24 @@
 //! [`FaultSpec`]s — each naming a device, a [`FaultTrigger`] (an exact
 //! virtual timestamp or a per-device op count, never wall-clock) and a
 //! [`FaultKind`]. The plan is attached to a [`crate::Context`] with
-//! [`crate::Context::inject_faults`]; from then on every command a device
-//! worker is about to execute is checked against the device's armed
-//! triggers *before* it runs (so a replayed command never applies its side
-//! effects twice).
+//! [`crate::Context::inject_faults`]; from then on every command a queue is
+//! about to execute is checked against the device's armed triggers *before*
+//! it runs (so a replayed command never applies its side effects twice).
 //!
 //! Two fault classes exist:
 //!
 //! * [`FaultKind::DeviceLost`] — permanent death. The device refuses the
 //!   triggering command and **every** later command and allocation with
-//!   [`OclError::DeviceLost`](crate::OclError::DeviceLost). In-flight and
-//!   future events fail through the queue's existing deferred-error
-//!   machinery, so waiters observe errors instead of deadlocking.
+//!   [`OclError::DeviceLost`](crate::OclError::DeviceLost). Its commands'
+//!   events fail and latch the queue's deferred error.
 //! * [`FaultKind::TransientTransfer`] / [`FaultKind::TransientLaunch`] —
 //!   one-shot failures of the next matching transfer or kernel launch; the
 //!   device stays healthy and a replay of the command succeeds.
 //!
-//! Determinism: triggers are evaluated against the command's *prospective
-//! virtual start time* (the same `max(queue available-at, queued, deps)`
-//! the settle path uses) and a per-device monotonic op counter, both of
-//! which are interleaving-independent for the one-queue-per-device
-//! arrangement the SkelCL runtime uses. A plan whose triggers never become
+//! Determinism: triggers are evaluated against the command's virtual start
+//! time (`max(queue available-at, queued, deps)`) and a per-device monotonic
+//! op counter; commands run in program order, so both are fixed by the
+//! program. A plan whose triggers never become
 //! due charges **zero** virtual time — a fault-free run with a plan
 //! attached is bit-identical, in results and timestamps, to a run without
 //! one.
@@ -292,7 +289,7 @@ mod tests {
         assert!(err.is_injected_fault() && !err.is_device_lost());
         // The failed launch left the data untouched; the replay succeeds
         // and produces the correct result.
-        q.take_error();
+        q.take_deferred_error();
         let replay = q.enqueue_kernel(&kernel, 4, &args).unwrap();
         assert!(replay.wait().is_ok());
         let mut out = [0.0f32; 4];

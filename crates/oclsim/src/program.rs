@@ -317,12 +317,12 @@ impl Kernel {
     }
 
     /// Validate an argument list against the kernel's signature without
-    /// executing anything — the synchronous half of an asynchronous enqueue.
+    /// executing anything — the enqueue's check before anything is charged.
     /// The rule (and so every error text) is the kernel language's own
     /// [`skelcl_kernel::types::check_signature`], which the engines apply
-    /// again when the launch runs on the device's worker thread. Native
-    /// kernels carry no signature and validate nothing here (their closure
-    /// reports argument problems at execution).
+    /// again when the launch runs. Native kernels carry no signature and
+    /// validate nothing here (their closure reports argument problems at
+    /// execution).
     pub fn validate_args(&self, args: &[KernelArg]) -> Result<()> {
         self.check_kinds(
             args.iter()

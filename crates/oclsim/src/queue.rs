@@ -1,36 +1,24 @@
-//! Asynchronous in-order command queues with virtual-time accounting.
+//! In-order command queues with virtual-time accounting.
 //!
-//! Every queue owns a **dedicated worker thread**: `enqueue_*` validates the
-//! command on the host thread (cheap metadata checks with the same errors as
-//! before), charges the host's virtual clock the enqueue overhead, and hands
-//! the command to the worker, which executes it — real data movement, real
-//! kernel execution — and settles its virtual timestamps. Commands enqueued
-//! on the queues of *different* devices therefore genuinely overlap in real
-//! (wall-clock) time, not just in virtual time.
+//! Every `enqueue_*` call runs its command before it returns: it validates
+//! the command (cheap metadata checks), charges the host's virtual clock the
+//! enqueue overhead, executes it — real data movement, real kernel execution
+//! — and settles its virtual timestamps. The returned [`EventHandle`] is
+//! already settled. Commands therefore run in program order on the host
+//! thread; devices overlap in virtual time, not in wall time.
 //!
-//! # Virtual-time determinism
+//! # Virtual time
 //!
-//! The timestamp arithmetic is split so that no value ever depends on thread
-//! interleaving:
-//!
-//! * `queued` and the enqueue overhead are taken from the **host clock on
-//!   the host thread**, in program order — workers never touch the host
-//!   clock.
+//! * `queued` is the host clock at the enqueue, which then advances by the
+//!   enqueue overhead.
 //! * `start = max(queue available-at, queued, wait list)` and
-//!   `end = start + duration` are computed by the **worker in FIFO order**;
-//!   each queue's `available_at` is only ever advanced by its own worker, and
-//!   a wait-list entry contributes its (already settled, hence fixed) `end`.
-//! * Virtually-blocking operations (blocking reads, [`CommandQueue::finish`])
-//!   join the command in real time first, then advance the host clock to the
-//!   command's end — the same `max` the eager engine computed atomically.
+//!   `end = start + duration`; the queue's `available_at` becomes `end`. A
+//!   wait-list entry contributes its `end`, settled at its own enqueue.
+//! * Virtually-blocking operations (blocking reads,
+//!   [`CommandQueue::finish`]) advance the host clock to the command's end.
 //!
-//! The result: for programs whose commands all succeed, every virtual
-//! timestamp, transfer statistic and event log is bit-identical to the
-//! previous eager, single-threaded engine, for any interleaving of the
-//! workers. The one (deterministic) divergence is on failing commands: the
-//! enqueue overhead is charged at enqueue time — the host did perform the
-//! enqueue — whereas the eager engine returned the error before charging
-//! anything.
+//! A failing command charges the host its enqueue overhead — the host did
+//! perform the enqueue — and no device time.
 //!
 //! # Wait lists and device-side data movement
 //!
@@ -39,21 +27,16 @@
 //! * A **forwarded write**
 //!   ([`CommandQueue::enqueue_write_buffer_from_read`]) takes its payload from
 //!   a non-blocking read enqueued earlier on (usually) another device's queue.
-//!   Like a kernel with a wait list it joins that read in real time on the
-//!   worker, may not start in virtual time before the read's `end`, and — when
-//!   the read failed or its payload was already claimed — fails *without
-//!   executing*: no side effect, no fault-op counted on this device. The host
-//!   pays two enqueue overheads and never waits; the payload never visits a
-//!   host-side staging vector.
+//!   Like a kernel with a wait list it may not start in virtual time before
+//!   the read's `end`, and — when the read failed or its payload was already
+//!   claimed — fails *without executing*: no side effect, no fault-op counted
+//!   on this device. The host pays two enqueue overheads and never waits; the
+//!   payload never visits a host-side staging vector.
 //! * A **device-local copy** ([`CommandQueue::enqueue_copy_buffer_region`],
 //!   the `clEnqueueCopyBuffer` analogue) moves a range within one device's
 //!   memory. It is priced as the copy kernel a program could always have
 //!   launched — launch overhead plus `2 × bytes` at device-memory bandwidth —
 //!   and logged as [`CommandKind::CopyBuffer`], one fault-op.
-//!
-//! Deadlock freedom: a forward can only name a read that was *already
-//! enqueued*, so across all queues the earliest unfinished command never
-//! waits on anything unfinished.
 //!
 //! # Command buffers
 //!
@@ -69,8 +52,8 @@
 //! * **Submitting** validates every command with the errors of the
 //!   per-command `enqueue_*` call it stands for (device, range, aliasing,
 //!   element type), in recording order and before anything is charged; then
-//!   charges **one** enqueue overhead and hands the worker **one** item.
-//!   Every command keeps its own [`Event`] row and its own fault-op; all rows
+//!   charges **one** enqueue overhead and runs the commands in order. Every
+//!   command keeps its own [`Event`] row and its own fault-op; all rows
 //!   share the submission's `queued` time, and start and end follow the
 //!   unchanged rule above.
 //! * **Failure rule:** when command *k* fails, commands *k+1…* fail with its
@@ -86,17 +69,17 @@
 //! # Errors
 //!
 //! Host-side validation errors (wrong device, size mismatches, aliased or
-//! ill-typed kernel arguments) are still returned synchronously from
-//! `enqueue_*`. Errors that can only occur *during* execution — kernel
-//! runtime errors such as out-of-bounds accesses — complete the command's
-//! [`EventHandle`] with the error and are additionally latched as the
-//! queue's *deferred error*, which the next blocking read on the queue
-//! surfaces (so legacy enqueue-then-read code cannot lose them). Runtimes
-//! that want the error at the launch site wait on the kernel's handle.
+//! ill-typed kernel arguments) are returned from `enqueue_*`. Errors that
+//! occur *during* execution — kernel runtime errors such as out-of-bounds
+//! accesses, injected faults — fail the command's [`EventHandle`] and are
+//! additionally latched as the queue's *deferred error*, which the next
+//! blocking read on the queue surfaces (so legacy enqueue-then-read code
+//! cannot lose them). Runtimes that want the error at the launch site read
+//! the kernel's handle.
 
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::borrow::Cow;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use parking_lot::Mutex;
 
@@ -108,95 +91,50 @@ use crate::event::{CommandKind, Event, EventHandle};
 use crate::pod::{self, Pod};
 use crate::profile::ApiModel;
 use crate::program::{Kernel, KernelArg};
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
 
-/// State shared between the host-facing queue object and its worker thread.
-struct QueueShared {
-    /// Virtual time at which the device will have finished all commands
-    /// processed so far (advanced by the worker in FIFO order).
-    available_at: Mutex<SimTime>,
-    /// Completed-command log, in execution (= enqueue) order.
-    log: Mutex<Vec<Event>>,
-    /// First execution-time error that has not been surfaced yet.
-    deferred_error: Mutex<Option<OclError>>,
-    /// Total execution-time errors that ever reached the deferred-error
-    /// latch (monotonic; counts every failing command, not just the first
-    /// unsurfaced one). Surfaced in `ExecTrace` so fire-and-forget callers
-    /// that drop their [`EventHandle`]s still see that launches failed.
-    errors_latched: std::sync::atomic::AtomicUsize,
-    /// Commands enqueued but not yet settled by the worker.
-    pending: std::sync::Mutex<usize>,
-    idle: std::sync::Condvar,
-}
-
-impl QueueShared {
-    /// Record one execution-time command failure: bump the monotonic error
-    /// counter and latch the error if no earlier one is still unsurfaced
-    /// (first error wins, matching OpenCL's sticky queue-error semantics).
-    fn latch_error(&self, error: &OclError) {
-        self.errors_latched
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let mut latch = self.deferred_error.lock();
-        if latch.is_none() {
-            *latch = Some(error.clone());
-        }
-    }
-
-    fn command_enqueued(&self) {
-        *self.pending.lock().expect("queue mutex poisoned") += 1;
-    }
-
-    fn command_settled(&self) {
-        let mut pending = self.pending.lock().expect("queue mutex poisoned");
-        *pending -= 1;
-        if *pending == 0 {
-            self.idle.notify_all();
-        }
-    }
-
-    /// Block (in real time) until the worker has settled every command
-    /// enqueued so far. Purely a thread join: no virtual clock moves.
-    fn quiesce(&self) {
-        let mut pending = self.pending.lock().expect("queue mutex poisoned");
-        while *pending > 0 {
-            pending = self.idle.wait(pending).expect("queue mutex poisoned");
-        }
-    }
-}
-
-/// What one command does, validated and ready for the worker.
-enum Op {
+/// What one command does, validated, on the enqueue's borrowed arguments.
+enum Op<'a> {
     Write {
-        buffer: Buffer,
+        buffer: &'a Buffer,
         offset_bytes: usize,
-        data: WritePayload,
+        data: &'a [u8],
+    },
+    /// A write whose payload is the payload of a non-blocking read — a
+    /// one-entry wait list: it may not start (in virtual time) before the
+    /// read ends, and fails unexecuted if the read failed.
+    Forward {
+        buffer: &'a Buffer,
+        offset_bytes: usize,
+        read: &'a EventHandle,
+        len_bytes: usize,
     },
     Copy {
-        src: Buffer,
+        src: &'a Buffer,
         src_offset_bytes: usize,
-        dst: Buffer,
+        dst: &'a Buffer,
         dst_offset_bytes: usize,
         len_bytes: usize,
     },
     Read {
-        buffer: Buffer,
+        buffer: &'a Buffer,
         offset_bytes: usize,
         len_bytes: usize,
     },
     Kernel {
-        kernel: Box<Kernel>,
+        kernel: &'a Kernel,
         global_size: usize,
-        args: Vec<KernelArg>,
+        args: Cow<'a, [KernelArg]>,
         /// Wait list: the command may not start (in virtual time) before
-        /// these events end, and the worker joins them in real time first.
-        deps: Vec<EventHandle>,
+        /// these events end.
+        deps: &'a [EventHandle],
     },
 }
 
-impl Op {
+impl Op<'_> {
     fn kind(&self) -> CommandKind {
         match self {
-            Op::Write { .. } => CommandKind::WriteBuffer,
+            Op::Write { .. } | Op::Forward { .. } => CommandKind::WriteBuffer,
             Op::Copy { .. } => CommandKind::CopyBuffer,
             Op::Read { .. } => CommandKind::ReadBuffer,
             Op::Kernel { kernel, .. } => CommandKind::Kernel(kernel.name.clone()),
@@ -204,67 +142,45 @@ impl Op {
     }
 }
 
-/// A command in flight to the worker: what it does and the event it settles.
-struct Command {
-    op: Op,
-    event: EventHandle,
+/// An executed command, before its timestamps are settled.
+struct Ran {
+    start: SimTime,
+    duration: SimDuration,
+    bytes: usize,
+    work_items: usize,
+    payload: Option<Vec<u8>>,
 }
 
-/// One item handed to the worker: a single command, or a command buffer's
-/// commands, executed in order under the failure rule (module docs).
-enum Work {
-    One(Command),
-    Buffer(Vec<Command>),
-}
-
-/// Where a write's bytes come from.
-enum WritePayload {
-    /// Handed over by the host at enqueue time.
-    Host(Vec<u8>),
-    /// The payload of a non-blocking read — a one-entry wait list: the
-    /// worker joins `read` in real time, the write may not start (in
-    /// virtual time) before it ends, and fails unexecuted if it failed.
-    Forwarded { read: EventHandle, len_bytes: usize },
-}
-
-/// An in-order command queue bound to one device, executing asynchronously
-/// on a dedicated worker thread.
+/// An in-order command queue bound to one device.
 pub struct CommandQueue {
     device: Arc<Device>,
     api: ApiModel,
     host_clock: Arc<Mutex<SimTime>>,
-    shared: Arc<QueueShared>,
-    sender: Option<Sender<Work>>,
-    worker: Mutex<Option<JoinHandle<()>>>,
+    /// Virtual time at which the device will have finished every command
+    /// enqueued so far. Held while a command runs, so the commands of one
+    /// queue never run at once.
+    available_at: Mutex<SimTime>,
+    /// Completed-command log, in enqueue order.
+    log: Mutex<Vec<Event>>,
+    /// First execution-time error that has not been surfaced yet.
+    deferred_error: Mutex<Option<OclError>>,
+    /// Total execution-time errors that ever reached the deferred-error
+    /// latch (monotonic; counts every failing command, not just the first
+    /// unsurfaced one). Surfaced in `ExecTrace` so fire-and-forget callers
+    /// that drop their [`EventHandle`]s still see that launches failed.
+    errors_latched: AtomicUsize,
 }
 
 impl CommandQueue {
     pub(crate) fn new(device: Arc<Device>, api: ApiModel, host_clock: Arc<Mutex<SimTime>>) -> Self {
-        let shared = Arc::new(QueueShared {
-            available_at: Mutex::new(SimTime::ZERO),
-            log: Mutex::new(Vec::new()),
-            deferred_error: Mutex::new(None),
-            errors_latched: std::sync::atomic::AtomicUsize::new(0),
-            pending: std::sync::Mutex::new(0),
-            idle: std::sync::Condvar::new(),
-        });
-        let (sender, receiver) = channel();
-        let worker = {
-            let device = device.clone();
-            let api = api.clone();
-            let shared = shared.clone();
-            std::thread::Builder::new()
-                .name(format!("oclsim-dev{}", device.id))
-                .spawn(move || worker_loop(&device, &api, &shared, &receiver))
-                .expect("spawning a device worker thread")
-        };
         CommandQueue {
             device,
             api,
             host_clock,
-            shared,
-            sender: Some(sender),
-            worker: Mutex::new(Some(worker)),
+            available_at: Mutex::new(SimTime::ZERO),
+            log: Mutex::new(Vec::new()),
+            deferred_error: Mutex::new(None),
+            errors_latched: AtomicUsize::new(0),
         }
     }
 
@@ -274,60 +190,47 @@ impl CommandQueue {
     }
 
     /// Virtual time at which the device will have finished all commands
-    /// enqueued so far. Joins the worker (in real time) so the answer covers
-    /// every command already enqueued.
+    /// enqueued so far.
     pub fn available_at(&self) -> SimTime {
-        self.shared.quiesce();
-        *self.shared.available_at.lock()
+        *self.available_at.lock()
     }
 
     /// All events recorded on this queue so far (completed commands, in
-    /// enqueue order; the worker is joined first).
+    /// enqueue order).
     pub fn events(&self) -> Vec<Event> {
-        self.shared.quiesce();
-        self.shared.log.lock().clone()
+        self.log.lock().clone()
     }
 
     /// Clear the event log (the virtual clocks are left untouched).
     pub fn clear_events(&self) {
-        self.shared.quiesce();
-        self.shared.log.lock().clear();
-    }
-
-    /// Join the worker in *real* time: returns once every command enqueued
-    /// so far has executed. Unlike [`CommandQueue::finish`], the virtual
-    /// host clock is untouched — use this before releasing buffers that
-    /// in-flight commands may still reference.
-    pub fn quiesce(&self) {
-        self.shared.quiesce();
+        self.log.lock().clear();
     }
 
     /// Take the queue's first unsurfaced execution-time error, if any.
-    /// Blocking reads call this internally; runtimes that wait on kernel
+    /// Blocking reads call this internally; runtimes that read kernel
     /// [`EventHandle`]s directly use it to discard the duplicate latch.
-    pub fn take_error(&self) -> Option<OclError> {
-        self.shared.deferred_error.lock().take()
-    }
-
-    /// Explicit drain of the deferred-error latch: wait (in real time) for
-    /// every command enqueued so far to settle, then take the queue's first
-    /// unsurfaced execution-time error. Unlike [`CommandQueue::take_error`]
-    /// this cannot miss an error whose command is still in flight, and
-    /// unlike [`CommandQueue::finish_checked`] it never advances the
+    /// Unlike [`CommandQueue::finish_checked`] it never advances the
     /// virtual host clock — the drain path for fire-and-forget callers
     /// (e.g. a serving layer) that must not perturb virtual timing.
     pub fn take_deferred_error(&self) -> Option<OclError> {
-        self.shared.quiesce();
-        self.take_error()
+        self.deferred_error.lock().take()
     }
 
     /// Total execution-time errors ever latched on this queue (monotonic),
-    /// whether or not they have been surfaced or taken. Commands still in
-    /// flight are not waited for.
+    /// whether or not they have been surfaced or taken.
     pub fn deferred_error_count(&self) -> usize {
-        self.shared
-            .errors_latched
-            .load(std::sync::atomic::Ordering::Relaxed)
+        self.errors_latched.load(Ordering::Relaxed)
+    }
+
+    /// Record one execution-time command failure: bump the monotonic error
+    /// counter and latch the error if no earlier one is still unsurfaced
+    /// (first error wins, matching OpenCL's sticky queue-error semantics).
+    fn latch_error(&self, error: &OclError) {
+        self.errors_latched.fetch_add(1, Ordering::Relaxed);
+        let mut latch = self.deferred_error.lock();
+        if latch.is_none() {
+            *latch = Some(error.clone());
+        }
     }
 
     fn check_buffer_device(&self, buffer: &Buffer) -> Result<()> {
@@ -354,9 +257,8 @@ impl CommandQueue {
         Ok(())
     }
 
-    /// Host-side half of the former `charge`: reads the `queued` timestamp
-    /// and advances the host clock by the enqueue overhead, in program
-    /// order. The worker computes start/end.
+    /// Read the `queued` timestamp and advance the host clock by the
+    /// enqueue overhead.
     fn charge_enqueue(&self) -> SimTime {
         let mut host = self.host_clock.lock();
         let queued = *host;
@@ -364,39 +266,22 @@ impl CommandQueue {
         queued
     }
 
-    fn submit(&self, work: Work) {
-        self.shared.command_enqueued();
-        self.sender
-            .as_ref()
-            .expect("sender lives as long as the queue")
-            .send(work)
-            .expect("worker thread lives as long as the queue");
-    }
-
-    /// Charge the enqueue and hand one validated command to the worker.
-    fn submit_op(&self, op: Op) -> EventHandle {
+    /// Charge the enqueue of one validated command and run it.
+    fn submit(&self, op: Op<'_>) -> EventHandle {
         let queued = self.charge_enqueue();
-        let event = EventHandle::pending(op.kind(), self.device.id, queued);
-        self.submit(Work::One(Command {
-            op,
-            event: event.clone(),
-        }));
-        event
+        self.run(queued, op)
     }
 
     /// Block the host until every command enqueued on this queue has
-    /// completed: a real-time join of the worker plus the virtual-time
-    /// host-clock synchronisation.
+    /// completed: the host clock moves to the queue's `available_at`.
     ///
     /// `finish` does not inspect the deferred-error latch; callers that end
     /// a program with a sync rather than a blocking read should use
-    /// [`CommandQueue::finish_checked`] (or wait on their kernel
+    /// [`CommandQueue::finish_checked`] (or read their kernel
     /// [`EventHandle`]s) so execution-time errors cannot go unnoticed.
     pub fn finish(&self) -> SimTime {
-        self.shared.quiesce();
         let mut host = self.host_clock.lock();
-        let avail = *self.shared.available_at.lock();
-        *host = host.max(avail);
+        *host = host.max(*self.available_at.lock());
         *host
     }
 
@@ -405,7 +290,7 @@ impl CommandQueue {
     /// that drops its [`EventHandle`]s and never issues a blocking read.
     pub fn finish_checked(&self) -> Result<SimTime> {
         let t = self.finish();
-        match self.take_error() {
+        match self.take_deferred_error() {
             Some(error) => Err(error),
             None => Ok(t),
         }
@@ -428,15 +313,14 @@ impl CommandQueue {
         self.enqueue_write_bytes(
             buffer,
             elem_offset * std::mem::size_of::<T>(),
-            pod::as_bytes(data).to_vec(),
+            pod::as_bytes(data),
         )
     }
 
     /// Non-blocking fill of `count` elements starting at element
     /// `elem_offset` with a repeated value (the `clEnqueueFillBuffer`
     /// analogue, used for policy-filled halo padding). Charged exactly like
-    /// the equivalent host → device transfer of `count` elements; the fill
-    /// payload is materialised once, directly as the worker's owned bytes.
+    /// the equivalent host → device transfer of `count` elements.
     pub fn enqueue_fill_buffer_region<T: Pod>(
         &self,
         buffer: &Buffer,
@@ -449,25 +333,24 @@ impl CommandQueue {
         for chunk in data.chunks_exact_mut(elem) {
             chunk.copy_from_slice(pod::as_bytes(std::slice::from_ref(&value)));
         }
-        self.enqueue_write_bytes(buffer, elem_offset * elem, data)
+        self.enqueue_write_bytes(buffer, elem_offset * elem, &data)
     }
 
     /// Non-blocking host → device transfer of already-serialised bytes into
     /// the buffer starting at byte `offset_bytes` — the validated submit path
     /// every write and fill shares, open to callers that assembled the
-    /// payload themselves (e.g. many inputs packed back to back): `data` is
-    /// handed to the worker as-is (single allocation, single host-side copy).
+    /// payload themselves (e.g. many inputs packed back to back).
     pub fn enqueue_write_bytes(
         &self,
         buffer: &Buffer,
         offset_bytes: usize,
-        data: Vec<u8>,
+        data: &[u8],
     ) -> Result<EventHandle> {
         self.check_range(buffer, offset_bytes, data.len())?;
-        Ok(self.submit_op(Op::Write {
-            buffer: buffer.clone(),
+        Ok(self.submit(Op::Write {
+            buffer,
             offset_bytes,
-            data: WritePayload::Host(data),
+            data,
         }))
     }
 
@@ -476,12 +359,12 @@ impl CommandQueue {
     /// ([`CommandQueue::enqueue_read_buffer_region_nb`]) of the same length
     /// enqueued earlier — normally on another device's queue: the data is
     /// *forwarded* device → device without the host waiting for it. `read`
-    /// acts as a wait list: the worker joins it in real time, the write
-    /// starts no earlier (in virtual time) than the read ends, and if the
-    /// read failed — or its payload was already claimed, or has another
-    /// length — the write fails without executing, counts no fault-op on
-    /// this device and latches the error on this queue. Logged and priced as
-    /// a [`CommandKind::WriteBuffer`] of `len` elements.
+    /// acts as a wait list: the write starts no earlier (in virtual time)
+    /// than the read ends, and if the read failed — or its payload was
+    /// already claimed, or has another length — the write fails without
+    /// executing, counts no fault-op on this device and latches the error on
+    /// this queue. Logged and priced as a [`CommandKind::WriteBuffer`] of
+    /// `len` elements.
     pub fn enqueue_write_buffer_from_read<T: Pod>(
         &self,
         buffer: &Buffer,
@@ -496,13 +379,11 @@ impl CommandQueue {
                 "only a non-blocking read can be forwarded into a write".into(),
             ));
         }
-        Ok(self.submit_op(Op::Write {
-            buffer: buffer.clone(),
+        Ok(self.submit(Op::Forward {
+            buffer,
             offset_bytes: elem_offset * elem,
-            data: WritePayload::Forwarded {
-                read: read.clone(),
-                len_bytes: len * elem,
-            },
+            read,
+            len_bytes: len * elem,
         }))
     }
 
@@ -523,10 +404,10 @@ impl CommandQueue {
         let elem = std::mem::size_of::<T>();
         self.check_range(src, src_elem_offset * elem, len * elem)?;
         self.check_range(dst, dst_elem_offset * elem, len * elem)?;
-        Ok(self.submit_op(Op::Copy {
-            src: src.clone(),
+        Ok(self.submit(Op::Copy {
+            src,
             src_offset_bytes: src_elem_offset * elem,
-            dst: dst.clone(),
+            dst,
             dst_offset_bytes: dst_elem_offset * elem,
             len_bytes: len * elem,
         }))
@@ -538,9 +419,8 @@ impl CommandQueue {
     }
 
     /// Blocking device → host transfer starting at element `elem_offset`:
-    /// joins the command in real time, synchronises the host's virtual clock
-    /// with the transfer's end, and surfaces any earlier execution-time
-    /// error of this queue.
+    /// synchronises the host's virtual clock with the transfer's end, and
+    /// surfaces any earlier execution-time error of this queue.
     pub fn enqueue_read_buffer_region<T: Pod>(
         &self,
         buffer: &Buffer,
@@ -551,7 +431,7 @@ impl CommandQueue {
         let result = handle.wait_into(out);
         // An earlier command's failure is the root cause — surface it first
         // (the in-order queue guarantees it is older than this read).
-        if let Some(earlier) = self.take_error() {
+        if let Some(earlier) = self.take_deferred_error() {
             return Err(earlier);
         }
         let record = result?;
@@ -562,8 +442,7 @@ impl CommandQueue {
 
     /// Non-blocking device → host read of `len` elements starting at element
     /// `elem_offset`. The data travels in the returned [`EventHandle`];
-    /// claim it with [`EventHandle::wait_into`]. Reads enqueued on the
-    /// queues of different devices overlap in real time.
+    /// claim it with [`EventHandle::wait_into`].
     pub fn enqueue_read_buffer_region_nb<T: Pod>(
         &self,
         buffer: &Buffer,
@@ -573,8 +452,8 @@ impl CommandQueue {
         let bytes = len * std::mem::size_of::<T>();
         let offset_bytes = elem_offset * std::mem::size_of::<T>();
         self.check_range(buffer, offset_bytes, bytes)?;
-        Ok(self.submit_op(Op::Read {
-            buffer: buffer.clone(),
+        Ok(self.submit(Op::Read {
+            buffer,
             offset_bytes,
             len_bytes: bytes,
         }))
@@ -585,7 +464,7 @@ impl CommandQueue {
     /// Buffer arguments must live on this queue's device, the same buffer
     /// may not be bound to two arguments of one launch, and the arguments
     /// must match a runtime-compiled kernel's signature — all validated
-    /// synchronously. Execution-time errors complete the returned handle.
+    /// before the launch runs. Execution-time errors fail the returned handle.
     pub fn enqueue_kernel(
         &self,
         kernel: &Kernel,
@@ -597,8 +476,7 @@ impl CommandQueue {
 
     /// Like [`CommandQueue::enqueue_kernel`], with an explicit wait list:
     /// the launch may not start (in virtual time) before every event in
-    /// `wait_list` has ended, mirroring OpenCL's event wait lists. The
-    /// worker joins the dependencies in real time before executing.
+    /// `wait_list` has ended, mirroring OpenCL's event wait lists.
     pub fn enqueue_kernel_after(
         &self,
         kernel: &Kernel,
@@ -607,11 +485,11 @@ impl CommandQueue {
         wait_list: &[EventHandle],
     ) -> Result<EventHandle> {
         self.check_kernel_args(kernel, args)?;
-        Ok(self.submit_op(Op::Kernel {
-            kernel: Box::new(kernel.clone()),
+        Ok(self.submit(Op::Kernel {
+            kernel,
             global_size,
-            args: args.to_vec(),
-            deps: wait_list.to_vec(),
+            args: Cow::Borrowed(args),
+            deps: wait_list,
         }))
     }
 
@@ -649,8 +527,8 @@ impl CommandQueue {
     /// `bindings` as **one** host call: every command is validated first,
     /// in recording order and with the errors of the per-command `enqueue_*`
     /// call it stands for; then the host pays one enqueue overhead and the
-    /// worker receives one item. Returns one event per command, all queued
-    /// at the same instant (see the module docs for the failure rule).
+    /// commands run in order. Returns one event per command, all queued at
+    /// the same instant (see the module docs for the failure rule).
     pub fn enqueue_command_buffer(
         &self,
         buffer: &CommandBuffer,
@@ -668,18 +546,18 @@ impl CommandQueue {
             scalars,
             global_size,
         } = bindings;
-        let mut payloads = payloads.into_iter();
+        let mut payloads = payloads.iter();
         let mut ops = Vec::with_capacity(buffer.commands.len());
         for command in &buffer.commands {
             ops.push(match command {
                 Recorded::Write { buffer } => {
                     // `check_counts` matched the payloads to the writes.
-                    let data = payloads.next().unwrap_or_default();
+                    let data = payloads.next().map_or(&[][..], Vec::as_slice);
                     self.check_range(&buffers[*buffer], 0, data.len())?;
                     Op::Write {
-                        buffer: buffers[*buffer].clone(),
+                        buffer: &buffers[*buffer],
                         offset_bytes: 0,
-                        data: WritePayload::Host(data),
+                        data,
                     }
                 }
                 Recorded::Kernel { kernel, args } => {
@@ -692,17 +570,17 @@ impl CommandQueue {
                         .collect();
                     self.check_kernel_args(kernel, &args)?;
                     Op::Kernel {
-                        kernel: Box::new(kernel.clone()),
+                        kernel,
                         global_size,
-                        args,
-                        deps: Vec::new(),
+                        args: Cow::Owned(args),
+                        deps: &[],
                     }
                 }
                 Recorded::Read { buffer } => {
                     let len_bytes = buffers[*buffer].len_bytes();
                     self.check_range(&buffers[*buffer], 0, len_bytes)?;
                     Op::Read {
-                        buffer: buffers[*buffer].clone(),
+                        buffer: &buffers[*buffer],
                         offset_bytes: 0,
                         len_bytes,
                     }
@@ -710,242 +588,199 @@ impl CommandQueue {
             });
         }
         let queued = self.charge_enqueue();
-        let commands: Vec<Command> = ops
+        let mut failed: Option<OclError> = None;
+        let events = ops
             .into_iter()
-            .map(|op| Command {
-                event: EventHandle::pending(op.kind(), self.device.id, queued),
-                op,
+            .map(|op| match &failed {
+                Some(error) => self.fail(op.kind(), queued, error.clone()),
+                None => {
+                    let event = self.run(queued, op);
+                    failed = event.wait().err();
+                    event
+                }
             })
             .collect();
-        let events = commands.iter().map(|c| c.event.clone()).collect();
-        self.submit(Work::Buffer(commands));
         Ok(Submission::new(events))
     }
-}
 
-impl Drop for CommandQueue {
-    fn drop(&mut self) {
-        // Closing the channel ends the worker loop; join it so no command
-        // outlives the queue.
-        drop(self.sender.take());
-        if let Some(worker) = self.worker.lock().take() {
-            let _ = worker.join();
+    /// Execute one command against the device and settle its event. A
+    /// panic while executing it (a latent bug in an engine or a panicking
+    /// native kernel) becomes a failed event and a latched queue error, so
+    /// the queue stays usable.
+    fn run(&self, queued: SimTime, op: Op<'_>) -> EventHandle {
+        let kind = op.kind();
+        let mut available_at = self.available_at.lock();
+        let ready = available_at.max(queued);
+        let executed =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.execute(ready, op)));
+        match executed.unwrap_or_else(|payload| Err(panic_error(payload.as_ref()))) {
+            Ok(ran) => {
+                let end = ran.start + ran.duration;
+                *available_at = end;
+                let record = Event {
+                    kind,
+                    device: self.device.id,
+                    queued,
+                    start: ran.start,
+                    end,
+                    bytes: ran.bytes,
+                    work_items: ran.work_items,
+                };
+                self.log.lock().push(record.clone());
+                EventHandle::settled(record, None, ran.payload)
+            }
+            Err(error) => self.fail(kind, queued, error),
+        }
+    }
+
+    /// Fail one command: latch the queue's deferred error and return the
+    /// failed event. A failed command charges no *execution* time and never
+    /// advances `available_at` — only the enqueue overhead the host already
+    /// paid (see the module docs).
+    fn fail(&self, kind: CommandKind, queued: SimTime, error: OclError) -> EventHandle {
+        self.latch_error(&error);
+        let record = Event {
+            kind,
+            device: self.device.id,
+            queued,
+            start: queued,
+            end: queued,
+            bytes: 0,
+            work_items: 0,
+        };
+        EventHandle::settled(record, Some(error), None)
+    }
+
+    /// Run one command on the device. `ready` is `max(available-at,
+    /// queued)`; the start adds the wait list, and armed fault triggers are
+    /// evaluated against it before any side effect.
+    fn execute(&self, ready: SimTime, op: Op<'_>) -> Result<Ran> {
+        let device = &self.device;
+        let transfer =
+            |start: SimTime| device.fault_check(start, crate::fault::CommandClass::Transfer);
+        let ran = |start, duration, bytes, work_items, payload| Ran {
+            start,
+            duration,
+            bytes,
+            work_items,
+            payload,
+        };
+        match op {
+            Op::Write {
+                buffer,
+                offset_bytes,
+                data,
+            } => {
+                transfer(ready)?;
+                device.write_buffer_bytes(buffer, offset_bytes, data)?;
+                let dur = self.api.transfer_time(&device.profile, data.len());
+                Ok(ran(ready, dur, data.len(), 0, None))
+            }
+            Op::Forward {
+                buffer,
+                offset_bytes,
+                read,
+                len_bytes,
+            } => {
+                // A failed or unclaimable source fails the write without
+                // executing it (and without bumping the device's fault-op
+                // counter — it never reached the device), exactly like a
+                // kernel behind a failed wait list.
+                let (record, bytes) = read.take_payload()?;
+                if bytes.len() != len_bytes {
+                    return Err(OclError::SizeMismatch {
+                        host_bytes: bytes.len(),
+                        device_bytes: len_bytes,
+                    });
+                }
+                let start = ready.max(record.end);
+                transfer(start)?;
+                device.write_buffer_bytes(buffer, offset_bytes, &bytes)?;
+                let dur = self.api.transfer_time(&device.profile, len_bytes);
+                Ok(ran(start, dur, len_bytes, 0, None))
+            }
+            Op::Copy {
+                src,
+                src_offset_bytes,
+                dst,
+                dst_offset_bytes,
+                len_bytes,
+            } => {
+                transfer(ready)?;
+                device.copy_buffer_bytes(
+                    src,
+                    src_offset_bytes,
+                    dst,
+                    dst_offset_bytes,
+                    len_bytes,
+                )?;
+                // The price of the generated copy kernel: one work-item per
+                // 4 bytes, each reading and writing 4.
+                let dur = self
+                    .api
+                    .kernel_time(&device.profile, len_bytes.div_ceil(4), 0.0, 8.0);
+                Ok(ran(ready, dur, len_bytes, 0, None))
+            }
+            Op::Read {
+                buffer,
+                offset_bytes,
+                len_bytes,
+            } => {
+                transfer(ready)?;
+                let mut payload = vec![0u8; len_bytes];
+                device.read_buffer_bytes(buffer, offset_bytes, &mut payload)?;
+                let dur = self.api.transfer_time(&device.profile, len_bytes);
+                Ok(ran(ready, dur, len_bytes, 0, Some(payload)))
+            }
+            Op::Kernel {
+                kernel,
+                global_size,
+                args,
+                deps,
+            } => {
+                // A failed dependency fails this command without executing
+                // it (and without bumping the device's fault-op counter — it
+                // never reached the device).
+                let mut start = ready;
+                for dep in deps {
+                    start = start.max(dep.wait()?.end);
+                }
+                device.fault_check(start, crate::fault::CommandClass::Launch)?;
+                let dur = execute_kernel(device, &self.api, kernel, global_size, &args)?;
+                Ok(ran(start, dur, 0, global_size, None))
+            }
         }
     }
 }
 
-/// The worker: executes commands in FIFO order against the device, settles
-/// their virtual timestamps on the queue's clock and completes their events.
-/// A command buffer's commands run in order until one fails; the rest then
-/// fail with its error without reaching the device.
-fn worker_loop(
-    device: &Arc<Device>,
-    api: &ApiModel,
-    shared: &Arc<QueueShared>,
-    receiver: &Receiver<Work>,
-) {
-    while let Ok(work) = receiver.recv() {
-        match work {
-            Work::One(command) => {
-                let _ = run_guarded(device, api, shared, command);
-            }
-            Work::Buffer(commands) => {
-                let mut failed: Option<OclError> = None;
-                for command in commands {
-                    match &failed {
-                        None => failed = run_guarded(device, api, shared, command).err(),
-                        Some(error) => {
-                            let _ = settle(
-                                device,
-                                shared,
-                                &command.event,
-                                Err(error.clone()),
-                                SimTime::ZERO,
-                            );
-                        }
-                    }
-                }
-            }
-        }
-        shared.command_settled();
-    }
-}
-
-/// Execute one command, returning its error if it failed. A panic while
-/// processing it (a latent bug in an engine or a panicking native kernel) must
-/// not strand the host: the eager engine panicked loudly on the host thread,
-/// so the async engine converts the unwind into a failed event + latched
-/// queue error — waiters see the error instead of deadlocking on a worker
-/// that died.
-fn run_guarded(
-    device: &Arc<Device>,
-    api: &ApiModel,
-    shared: &Arc<QueueShared>,
-    command: Command,
-) -> Result<()> {
-    let event = command.event.clone();
-    let processed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        process_command(device, api, shared, command)
-    }));
-    processed.unwrap_or_else(|payload| {
-        let msg = payload
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "unknown panic".to_string());
-        let error = OclError::Kernel(skelcl_kernel::diag::KernelError::run(format!(
-            "device worker panicked while executing a command: {msg}"
-        )));
-        if !event.is_done() {
-            shared.latch_error(&error);
-            event.complete(Err(error.clone()), None);
-        }
-        Err(error)
-    })
-}
-
-/// The command's prospective virtual start time, computed *before*
-/// execution: `max(queue available-at, queued, deps)`. Deterministic —
-/// only this worker ever advances the queue's `available_at`, so reading
-/// it ahead of `settle` yields exactly the start the settle path will
-/// compute. Armed fault triggers are evaluated against this instant.
-fn prospective_start(shared: &QueueShared, event: &EventHandle, deps_end: SimTime) -> SimTime {
-    shared
-        .available_at
-        .lock()
-        .max(event.queued_at())
-        .max(deps_end)
-}
-
-/// Execute one command against the device and settle its event.
-fn process_command(
-    device: &Arc<Device>,
-    api: &ApiModel,
-    shared: &Arc<QueueShared>,
-    command: Command,
-) -> Result<()> {
-    let Command { op, event } = command;
-    let mut deps_end = SimTime::ZERO;
-    let outcome = match op {
-        Op::Write {
-            buffer,
-            offset_bytes,
-            data,
-        } => {
-            // Resolve the payload. A forwarded write joins its source read
-            // (real time) and takes the read's end as the virtual lower
-            // bound on its start; a failed or unclaimable source fails the
-            // write without executing it (and without bumping the device's
-            // fault-op counter — it never reached the device), exactly like
-            // a kernel behind a failed wait list.
-            let resolved = match data {
-                WritePayload::Host(bytes) => Ok((SimTime::ZERO, bytes)),
-                WritePayload::Forwarded { read, len_bytes } => {
-                    read.wait_take_payload().and_then(|(record, bytes)| {
-                        if bytes.len() == len_bytes {
-                            Ok((record.end, bytes))
-                        } else {
-                            Err(OclError::SizeMismatch {
-                                host_bytes: bytes.len(),
-                                device_bytes: len_bytes,
-                            })
-                        }
-                    })
-                }
-            };
-            resolved.and_then(|(read_end, bytes)| {
-                deps_end = read_end;
-                let start = prospective_start(shared, &event, deps_end);
-                device
-                    .fault_check(start, crate::fault::CommandClass::Transfer)
-                    .and_then(|()| device.write_buffer_bytes(&buffer, offset_bytes, &bytes))?;
-                let dur = api.transfer_time(&device.profile, bytes.len());
-                Ok((dur, bytes.len(), 0, None))
-            })
-        }
-        Op::Copy {
-            src,
-            src_offset_bytes,
-            dst,
-            dst_offset_bytes,
-            len_bytes,
-        } => {
-            let start = prospective_start(shared, &event, SimTime::ZERO);
-            device
-                .fault_check(start, crate::fault::CommandClass::Transfer)
-                .and_then(|()| {
-                    device.copy_buffer_bytes(
-                        &src,
-                        src_offset_bytes,
-                        &dst,
-                        dst_offset_bytes,
-                        len_bytes,
-                    )
-                })
-                .map(|()| {
-                    // The price of the generated copy kernel: one work-item
-                    // per 4 bytes, each reading and writing 4.
-                    let dur = api.kernel_time(&device.profile, len_bytes.div_ceil(4), 0.0, 8.0);
-                    (dur, len_bytes, 0, None)
-                })
-        }
-        Op::Read {
-            buffer,
-            offset_bytes,
-            len_bytes,
-        } => {
-            let mut payload = vec![0u8; len_bytes];
-            let start = prospective_start(shared, &event, SimTime::ZERO);
-            device
-                .fault_check(start, crate::fault::CommandClass::Transfer)
-                .and_then(|()| device.read_buffer_bytes(&buffer, offset_bytes, &mut payload))
-                .map(|()| {
-                    let dur = api.transfer_time(&device.profile, len_bytes);
-                    (dur, len_bytes, 0, Some(payload))
-                })
-        }
-        Op::Kernel {
-            kernel,
-            global_size,
-            args,
-            deps,
-        } => {
-            // Join the wait list (real time) and collect the virtual lower
-            // bound on the start time. A failed dependency fails this
-            // command without executing it (and without bumping the
-            // device's fault-op counter — it never reached the device).
-            deps.iter()
-                .try_for_each(|dep| {
-                    deps_end = deps_end.max(dep.wait()?.end);
-                    Ok(())
-                })
-                .and_then(|()| {
-                    let start = prospective_start(shared, &event, deps_end);
-                    device.fault_check(start, crate::fault::CommandClass::Launch)?;
-                    execute_kernel(device, api, &kernel, global_size, &args)
-                })
-                .map(|(dur, work_items)| (dur, 0, work_items, None))
-        }
-    };
-    settle(device, shared, &event, outcome, deps_end)
+/// The error a panic while executing a command turns into.
+fn panic_error(payload: &(dyn std::any::Any + Send)) -> OclError {
+    let msg = payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "unknown panic".to_string());
+    OclError::Kernel(skelcl_kernel::diag::KernelError::run(format!(
+        "device panicked while executing a command: {msg}"
+    )))
 }
 
 /// Run a kernel against the device's buffer storage and return its virtual
 /// duration (from the measured cost of runtime-compiled kernels, or the
 /// author-provided hint of native ones).
 fn execute_kernel(
-    device: &Arc<Device>,
+    device: &Device,
     api: &ApiModel,
     kernel: &Kernel,
     global_size: usize,
     args: &[KernelArg],
-) -> Result<(crate::time::SimDuration, usize)> {
+) -> Result<SimDuration> {
     let buffer_ids: Vec<u64> = args
         .iter()
         .filter_map(|arg| arg.buffer().map(|(b, _)| b.id()))
         .collect();
     // Return the taken storage to the device even if the kernel panics
-    // (the worker's panic guard keeps the queue alive; the buffers must
+    // (the queue's panic guard keeps the queue usable; the buffers must
     // survive too).
     struct ReturnOnDrop<'a> {
         device: &'a Device,
@@ -967,55 +802,12 @@ fn execute_kernel(
         device.note_kernel_tier(trace);
     }
     let cost = measured.unwrap_or_else(|| kernel.cost());
-    let dur = api.kernel_time(
+    Ok(api.kernel_time(
         &device.profile,
         global_size,
         cost.flops_per_item,
         cost.bytes_per_item,
-    );
-    Ok((dur, global_size))
-}
-
-/// Settle one executed command: on success compute start/end on the queue's
-/// virtual clock (FIFO order makes this deterministic), advance
-/// `available_at`, log the event and complete the handle; on failure latch
-/// the queue's deferred error and fail the handle. Failed commands charge no
-/// *execution* time and never advance `available_at` — only the enqueue
-/// overhead the host already paid when submitting (see the module docs).
-fn settle(
-    device: &Arc<Device>,
-    shared: &Arc<QueueShared>,
-    event: &EventHandle,
-    outcome: Result<(crate::time::SimDuration, usize, usize, Option<Vec<u8>>)>,
-    deps_end: SimTime,
-) -> Result<()> {
-    match outcome {
-        Ok((duration, bytes, work_items, payload)) => {
-            let record = {
-                let mut avail = shared.available_at.lock();
-                let start = avail.max(event.queued_at()).max(deps_end);
-                let end = start + duration;
-                *avail = end;
-                Event {
-                    kind: event.kind().clone(),
-                    device: device.id,
-                    queued: event.queued_at(),
-                    start,
-                    end,
-                    bytes,
-                    work_items,
-                }
-            };
-            shared.log.lock().push(record.clone());
-            event.complete(Ok(record), payload);
-            Ok(())
-        }
-        Err(error) => {
-            shared.latch_error(&error);
-            event.complete(Err(error.clone()), None);
-            Err(error)
-        }
-    }
+    ))
 }
 
 #[cfg(test)]
@@ -1300,7 +1092,6 @@ mod tests {
         let handle = q.enqueue_write_buffer(&buf, &[0.5f32; 64]).unwrap();
         let record = handle.wait().unwrap();
         assert_eq!(handle.status(), EventStatus::Complete);
-        assert!(handle.is_done());
         assert_eq!(record.bytes, 256);
         assert_eq!(record.device, 0);
         assert!(record.queued <= record.start && record.start <= record.end);
@@ -1332,7 +1123,7 @@ mod tests {
         let err2 = q.enqueue_read_buffer(&buf, &mut out).unwrap_err();
         assert_eq!(format!("{err}"), format!("{err2}"));
         // Once surfaced, the queue is clean again.
-        assert!(q.take_error().is_none());
+        assert!(q.take_deferred_error().is_none());
         assert!(q.enqueue_read_buffer(&buf, &mut out).is_ok());
     }
 
@@ -1349,8 +1140,7 @@ mod tests {
         let handle = q
             .enqueue_kernel(&k, 4, &[KernelArg::Buffer(buf.clone())])
             .unwrap();
-        // Waiters must observe the failure, and the queue must stay usable —
-        // not deadlock on a dead worker.
+        // The event must carry the failure, and the queue must stay usable.
         let err = handle.wait().unwrap_err();
         assert!(format!("{err}").contains("panicked"), "{err}");
         assert!(q.finish_checked().is_err());
@@ -1598,7 +1388,6 @@ mod tests {
             let dst = ctx.create_buffer::<f32>(1, 4).unwrap();
             q0.enqueue_write_buffer(&src, &[1.0f32; 4]).unwrap();
             q1.enqueue_write_buffer(&dst, &[9.0f32; 4]).unwrap();
-            q1.quiesce();
             // Device 0's op 2 — the read — fails.
             ctx.inject_faults(&if lost {
                 FaultPlan::new().device_lost_at_op(0, 2)
@@ -1709,7 +1498,6 @@ mod tests {
 
         q0.enqueue_write_buffer(&a, &[1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
             .unwrap();
-        q0.quiesce();
         let ops_before = ctx.device(0).unwrap().fault_op_count();
         let copy = q0
             .enqueue_copy_buffer_region::<f32>(&a, 4, &b, 2, 3)
@@ -1766,7 +1554,6 @@ mod tests {
         let revive = || {
             let stale = ctx.create_buffer::<f32>(0, 8).unwrap();
             q.enqueue_write_buffer(&stale, &[9.0f32; 8]).unwrap();
-            q.quiesce();
             ctx.release_buffer(&stale).unwrap();
             let hits = dev.pool_hit_count();
             let revived = ctx.create_buffer::<f32>(0, 8).unwrap();

@@ -277,7 +277,10 @@ fn arg_view_type_mismatches_are_errors_not_silent_reinterpretation() {
         .enqueue_kernel(&kernel, 1, &[KernelArg::i32(3)])
         .unwrap();
     assert!(handle.wait().is_err());
-    assert!(queue.take_error().is_some(), "the queue latches the error");
+    assert!(
+        queue.take_deferred_error().is_some(),
+        "the queue latches the error"
+    );
 }
 
 // --- Command buffers -------------------------------------------------------
@@ -396,7 +399,7 @@ fn run_sequence(
             for &(what, slot, offset) in sequence {
                 evs.push(
                     match what {
-                        0 => q.enqueue_write_bytes(&b[slot], 0, payloads.next().unwrap()),
+                        0 => q.enqueue_write_bytes(&b[slot], 0, &payloads.next().unwrap()),
                         1 => {
                             let args = [
                                 KernelArg::Buffer(b[slot].clone()),
@@ -585,7 +588,7 @@ fn bad_bindings_fail_with_the_per_command_errors() {
         ];
         q.enqueue_kernel(&axpy, 4, &args).unwrap_err().to_string()
     };
-    let write = |x: &Buffer, len: usize| q.enqueue_write_bytes(x, 0, vec![0; len]).unwrap_err();
+    let write = |x: &Buffer, len: usize| q.enqueue_write_bytes(x, 0, &vec![0; len]).unwrap_err();
     let host = ctx.host_now();
     let cases = [
         (

@@ -4,10 +4,10 @@
 //! error paths must reject-then-recover, shutdown must drain every admitted
 //! handle, and a fixed submission order must be deterministic across
 //! repetitions and 1–4 devices. Every served job is an asynchronous packed
-//! launch, many in flight per device queue, so CI runs the package's suites
+//! launch, many unresolved per device queue, so CI runs the package's suites
 //! under `--test-threads=1` and the default parallelism: results,
 //! `JobReport`s and the virtual clock must not depend on how the harness
-//! schedules the queue workers.
+//! schedules tests.
 
 use proptest::prelude::*;
 

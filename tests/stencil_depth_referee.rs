@@ -1,7 +1,7 @@
 //! The simulator referees the exchange cadence `Launch::run_iter` chooses
-//! (ROADMAP item 4(c), first fixture): virtual time is deterministic, so
-//! running every forced ghost depth is an exact oracle for "which depth is
-//! fastest". On every fixture row the chosen depth's measured virtual time
+//! (how many sweeps run between two halo exchanges): virtual time is
+//! deterministic, so running every forced ghost depth is an exact oracle
+//! for "which depth is fastest". On every fixture row the chosen depth's measured virtual time
 //! must be within 5 % of the best forced depth's (the *regret*) and never
 //! above depth 1's — the per-sweep exchange of PR 16. The rows sit on both
 //! sides of the choice: few sweeps over host-bound parts, where the deepest
