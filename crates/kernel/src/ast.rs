@@ -1,4 +1,10 @@
 //! Abstract syntax tree of the kernel language.
+//!
+//! The parser builds the tree; [`crate::sema::check`] then records in it
+//! what every later stage reads: each expression's scalar type
+//! ([`Expr::ty`]), each name's slot in its function's frame ([`Name::slot`])
+//! and each function's frame layout ([`Function::locals`]). The interpreter
+//! walks the checked tree, and the native tier compiles it.
 
 use crate::token::Span;
 use crate::types::{ScalarType, Type};
@@ -38,6 +44,10 @@ pub struct Function {
     pub body: Block,
     /// Source location of the function header.
     pub span: Span,
+    /// The frame layout, filled in by [`crate::sema::check`]: the type of
+    /// every slot, the parameters first (slot `k` is parameter `k`), then
+    /// one slot per local declaration in source order.
+    pub locals: Vec<Type>,
 }
 
 /// A function parameter.
@@ -49,6 +59,23 @@ pub struct Param {
     pub ty: Type,
     /// Source location.
     pub span: Span,
+}
+
+/// A variable or buffer name as written, with the frame slot
+/// [`crate::sema::check`] resolved it to (0 until then).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Name {
+    /// The identifier.
+    pub name: String,
+    /// Index into the enclosing function's [`Function::locals`].
+    pub slot: usize,
+}
+
+impl Name {
+    /// An unresolved name.
+    pub fn new(name: String) -> Name {
+        Name { name, slot: 0 }
+    }
 }
 
 /// A `{ ... }` block of statements.
@@ -65,8 +92,8 @@ pub enum Stmt {
     Decl {
         /// Declared scalar type.
         ty: ScalarType,
-        /// Variable name.
-        name: String,
+        /// Variable name and slot.
+        name: Name,
         /// Optional initialiser.
         init: Option<Expr>,
         /// Source location.
@@ -169,11 +196,11 @@ pub enum AssignOp {
 #[derive(Debug, Clone, PartialEq)]
 pub enum LValue {
     /// A named local variable or scalar parameter.
-    Var(String, Span),
+    Var(Name, Span),
     /// An indexed global buffer: `buf[idx]`.
     Index {
-        /// Buffer (pointer parameter) name.
-        base: String,
+        /// Buffer (pointer parameter) name and slot.
+        base: Name,
         /// Index expression.
         index: Box<Expr>,
         /// Source location.
@@ -191,25 +218,132 @@ impl LValue {
     }
 }
 
-/// An expression.
+/// An expression: what it computes, where it was written, and the scalar
+/// type of its value.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Expr {
+pub struct Expr {
+    /// The operation.
+    pub kind: ExprKind,
+    /// Source location.
+    pub span: Span,
+    /// The type of the value, recorded by [`crate::sema::check`] (`int` in
+    /// an unchecked tree). The interpreter's values carry exactly this type,
+    /// which it asserts in debug builds; the native tier allocates its
+    /// registers by it.
+    pub ty: ScalarType,
+}
+
+impl Expr {
+    /// An unchecked expression.
+    pub fn new(kind: ExprKind, span: Span) -> Expr {
+        Expr {
+            kind,
+            span,
+            ty: ScalarType::Int,
+        }
+    }
+
+    /// Call `f` on this expression and every expression nested in it,
+    /// parents first (buffer indices of assignment targets included).
+    pub fn walk(&self, f: &mut impl FnMut(&Expr)) {
+        f(self);
+        match &self.kind {
+            ExprKind::IntLit(_)
+            | ExprKind::FloatLit(_)
+            | ExprKind::BoolLit(_)
+            | ExprKind::Var(_) => {}
+            ExprKind::Index { index, .. } => index.walk(f),
+            ExprKind::Unary { operand, .. } | ExprKind::Cast { operand, .. } => operand.walk(f),
+            ExprKind::Binary { lhs, rhs, .. } => {
+                lhs.walk(f);
+                rhs.walk(f);
+            }
+            ExprKind::Call { args, .. } => args.iter().for_each(|a| a.walk(f)),
+            ExprKind::Ternary {
+                cond,
+                then_expr,
+                else_expr,
+            } => {
+                cond.walk(f);
+                then_expr.walk(f);
+                else_expr.walk(f);
+            }
+            ExprKind::Assign { target, value, .. } => {
+                if let LValue::Index { index, .. } = target {
+                    index.walk(f);
+                }
+                value.walk(f);
+            }
+            ExprKind::IncDec { target, .. } => {
+                if let LValue::Index { index, .. } = target {
+                    index.walk(f);
+                }
+            }
+        }
+    }
+}
+
+impl Block {
+    /// Call `f` on every expression of the block's statements, nested
+    /// blocks included (see [`Expr::walk`]).
+    pub fn walk_exprs(&self, f: &mut impl FnMut(&Expr)) {
+        self.stmts.iter().for_each(|s| s.walk_exprs(f));
+    }
+}
+
+impl Stmt {
+    /// Call `f` on every expression of the statement (see [`Expr::walk`]).
+    pub fn walk_exprs(&self, f: &mut impl FnMut(&Expr)) {
+        match self {
+            Stmt::Decl { init, .. } => init.iter().for_each(|e| e.walk(f)),
+            Stmt::Expr(e) => e.walk(f),
+            Stmt::If {
+                cond,
+                then_block,
+                else_block,
+            } => {
+                cond.walk(f);
+                then_block.walk_exprs(f);
+                else_block.walk_exprs(f);
+            }
+            Stmt::For {
+                init,
+                cond,
+                step,
+                body,
+            } => {
+                init.iter().for_each(|s| s.walk_exprs(f));
+                cond.iter().chain(step).for_each(|e| e.walk(f));
+                body.walk_exprs(f);
+            }
+            Stmt::While { cond, body } => {
+                cond.walk(f);
+                body.walk_exprs(f);
+            }
+            Stmt::Return(e, _) => e.iter().for_each(|e| e.walk(f)),
+            Stmt::Break(_) | Stmt::Continue(_) => {}
+            Stmt::Block(b) => b.walk_exprs(f),
+        }
+    }
+}
+
+/// What an expression computes.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ExprKind {
     /// Integer literal.
-    IntLit(i64, Span),
+    IntLit(i64),
     /// Float literal.
-    FloatLit(f64, Span),
+    FloatLit(f64),
     /// Boolean literal.
-    BoolLit(bool, Span),
+    BoolLit(bool),
     /// Variable reference.
-    Var(String, Span),
+    Var(Name),
     /// Buffer element read: `buf[idx]`.
     Index {
-        /// Buffer (pointer parameter) name.
-        base: String,
+        /// Buffer (pointer parameter) name and slot.
+        base: Name,
         /// Index expression.
         index: Box<Expr>,
-        /// Source location.
-        span: Span,
     },
     /// Binary operation.
     Binary {
@@ -219,8 +353,6 @@ pub enum Expr {
         lhs: Box<Expr>,
         /// Right operand.
         rhs: Box<Expr>,
-        /// Source location.
-        span: Span,
     },
     /// Unary operation.
     Unary {
@@ -228,8 +360,6 @@ pub enum Expr {
         op: UnOp,
         /// Operand.
         operand: Box<Expr>,
-        /// Source location.
-        span: Span,
     },
     /// Function or builtin call.
     Call {
@@ -237,10 +367,9 @@ pub enum Expr {
         callee: String,
         /// Argument expressions.
         args: Vec<Expr>,
-        /// Source location.
-        span: Span,
     },
-    /// Ternary conditional `c ? a : b`.
+    /// Ternary conditional `c ? a : b`; its value is the taken arm's,
+    /// converted to the expression's type.
     Ternary {
         /// Condition.
         cond: Box<Expr>,
@@ -248,10 +377,9 @@ pub enum Expr {
         then_expr: Box<Expr>,
         /// Value when false.
         else_expr: Box<Expr>,
-        /// Source location.
-        span: Span,
     },
-    /// Assignment (also usable as an expression, value is the stored value).
+    /// Assignment; as an expression its value is the stored value, converted
+    /// to the target's type.
     Assign {
         /// Assignment flavour.
         op: AssignOp,
@@ -259,8 +387,6 @@ pub enum Expr {
         target: LValue,
         /// Right-hand side.
         value: Box<Expr>,
-        /// Source location.
-        span: Span,
     },
     /// Pre/post increment or decrement (`++i`, `i++`, `--i`, `i--`).
     IncDec {
@@ -268,10 +394,8 @@ pub enum Expr {
         target: LValue,
         /// +1 or -1.
         delta: i32,
-        /// `true` for prefix form (value is the updated value).
+        /// `true` for prefix form (value is the stored value).
         prefix: bool,
-        /// Source location.
-        span: Span,
     },
     /// Explicit cast `(float) x`.
     Cast {
@@ -279,26 +403,7 @@ pub enum Expr {
         ty: ScalarType,
         /// Operand.
         operand: Box<Expr>,
-        /// Source location.
-        span: Span,
     },
-}
-
-impl Expr {
-    /// Source location of the expression.
-    pub fn span(&self) -> Span {
-        match self {
-            Expr::IntLit(_, s) | Expr::FloatLit(_, s) | Expr::BoolLit(_, s) | Expr::Var(_, s) => *s,
-            Expr::Index { span, .. }
-            | Expr::Binary { span, .. }
-            | Expr::Unary { span, .. }
-            | Expr::Call { span, .. }
-            | Expr::Ternary { span, .. }
-            | Expr::Assign { span, .. }
-            | Expr::IncDec { span, .. }
-            | Expr::Cast { span, .. } => *span,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -322,6 +427,7 @@ mod tests {
             params: vec![],
             body: Block::default(),
             span: Span::default(),
+            locals: vec![],
         };
         let unit = TranslationUnit { functions: vec![f] };
         assert!(unit.function("f").is_some());

@@ -211,6 +211,10 @@ impl Builtin {
                     t => Value::Int(args[0].as_i64().max(args[1].as_i64()) as i32).convert_to(t),
                 }
             }
+            Builtin::Clamp if !result_ty.is_float() => {
+                let (x, lo, hi) = (args[0].as_i64(), args[1].as_i64(), args[2].as_i64());
+                return Value::Int(x.max(lo).min(hi) as i32).convert_to(result_ty);
+            }
             Builtin::Clamp => f(0).clamp(f(1), f(2)),
             _ => unreachable!("work-item builtin passed to eval_math"),
         };

@@ -142,11 +142,12 @@ impl<'u> Estimator<'u> {
             ops: 1.0,
             ..Default::default()
         };
-        match expr {
-            Expr::IntLit(..) | Expr::FloatLit(..) | Expr::BoolLit(..) | Expr::Var(..) => {
-                CostEstimate::default()
-            }
-            Expr::Index { index, .. } => {
+        match &expr.kind {
+            ExprKind::IntLit(_)
+            | ExprKind::FloatLit(_)
+            | ExprKind::BoolLit(_)
+            | ExprKind::Var(_) => CostEstimate::default(),
+            ExprKind::Index { index, .. } => {
                 // One global-memory read of 4 bytes (all supported scalar
                 // buffer element types are 4 bytes except double, which we
                 // cannot distinguish here without a symbol table; 4 is a fair
@@ -157,12 +158,12 @@ impl<'u> Estimator<'u> {
                     ..Default::default()
                 })
             }
-            Expr::Unary { operand, .. } => self.expr(operand).add(CostEstimate {
+            ExprKind::Unary { operand, .. } => self.expr(operand).add(CostEstimate {
                 flops: 1.0,
                 ops: 1.0,
                 ..Default::default()
             }),
-            Expr::Binary { op, lhs, rhs, .. } => {
+            ExprKind::Binary { op, lhs, rhs } => {
                 let flops = if op.is_comparison() { 0.5 } else { 1.0 };
                 self.expr(lhs).add(self.expr(rhs)).add(CostEstimate {
                     flops,
@@ -170,7 +171,7 @@ impl<'u> Estimator<'u> {
                     ..Default::default()
                 })
             }
-            Expr::Call { callee, args, .. } => {
+            ExprKind::Call { callee, args } => {
                 let args_cost = args
                     .iter()
                     .map(|a| self.expr(a))
@@ -202,17 +203,16 @@ impl<'u> Estimator<'u> {
                     None => args_cost.add(one_op),
                 }
             }
-            Expr::Ternary {
+            ExprKind::Ternary {
                 cond,
                 then_expr,
                 else_expr,
-                ..
             } => self
                 .expr(cond)
                 .add(self.expr(then_expr).scale(0.5))
                 .add(self.expr(else_expr).scale(0.5))
                 .add(one_op),
-            Expr::Assign { target, value, .. } => {
+            ExprKind::Assign { target, value, .. } => {
                 let write = match target {
                     LValue::Index { index, .. } => self.expr(index).add(CostEstimate {
                         global_bytes: 4.0,
@@ -223,7 +223,7 @@ impl<'u> Estimator<'u> {
                 };
                 self.expr(value).add(write)
             }
-            Expr::IncDec { target, .. } => match target {
+            ExprKind::IncDec { target, .. } => match target {
                 LValue::Index { index, .. } => self.expr(index).add(CostEstimate {
                     global_bytes: 8.0,
                     flops: 1.0,
@@ -235,7 +235,7 @@ impl<'u> Estimator<'u> {
                     ..Default::default()
                 },
             },
-            Expr::Cast { operand, .. } => self.expr(operand).add(one_op),
+            ExprKind::Cast { operand, .. } => self.expr(operand).add(one_op),
         }
     }
 }
@@ -243,10 +243,10 @@ impl<'u> Estimator<'u> {
 /// Recognise conditions of the form `i < N` / `i <= N` with a literal `N`
 /// and return the implied trip count.
 fn literal_trip_count(cond: &Expr) -> Option<f64> {
-    if let Expr::Binary { op, rhs, .. } = cond {
-        let bound = match rhs.as_ref() {
-            Expr::IntLit(v, _) => *v as f64,
-            Expr::FloatLit(v, _) => *v,
+    if let ExprKind::Binary { op, rhs, .. } = &cond.kind {
+        let bound = match rhs.kind {
+            ExprKind::IntLit(v) => v as f64,
+            ExprKind::FloatLit(v) => v,
             _ => return None,
         };
         return match op {
@@ -265,6 +265,62 @@ fn literal_trip_count(cond: &Expr) -> Option<f64> {
 /// whole program code".
 pub fn estimate_named(unit: &TranslationUnit, name: &str) -> Option<CostEstimate> {
     unit.function(name).map(|f| estimate_function(unit, f))
+}
+
+/// What executing one statement costs on its own (its expressions are
+/// charged separately): one op.
+pub(crate) const STMT_CHARGE: CostEstimate = CostEstimate {
+    flops: 0.0,
+    global_bytes: 0.0,
+    ops: 1.0,
+};
+
+/// What one evaluation of `e` costs on its own, its operands excluded: the
+/// one table of measured costs. The interpreter charges it for every node it
+/// evaluates and the native tier for every node its active lanes run, so
+/// both report the same [`crate::interp::ExecStats`]. Every constant is a
+/// small dyadic number, so sums are exact in any order. `e` must be checked:
+/// buffer traffic is sized by the element type sema recorded.
+pub(crate) fn charge(e: &Expr) -> CostEstimate {
+    let elem = e.ty.size_bytes() as f64;
+    let (flops, global_bytes, ops) = match &e.kind {
+        ExprKind::IntLit(_)
+        | ExprKind::FloatLit(_)
+        | ExprKind::BoolLit(_)
+        | ExprKind::Var(_)
+        | ExprKind::Ternary { .. }
+        | ExprKind::Cast { .. } => (0.0, 0.0, 0.0),
+        ExprKind::Index { .. } => (0.0, elem, 1.0),
+        ExprKind::Unary { .. } => (1.0, 0.0, 1.0),
+        ExprKind::Binary {
+            op: BinOp::And | BinOp::Or,
+            ..
+        } => (0.0, 0.0, 1.0),
+        ExprKind::Binary { op, .. } => (if op.is_comparison() { 0.5 } else { 1.0 }, 0.0, 1.0),
+        ExprKind::Call { callee, .. } => match Builtin::from_name(callee) {
+            Some(b) if b.is_work_item_fn() => (0.0, 0.0, 1.0),
+            // The address arithmetic as flops, the element read as bytes.
+            Some(b) if b.is_stencil_fn() => (b.flop_cost(), 4.0, 2.0),
+            Some(b) => (b.flop_cost(), 0.0, 1.0),
+            None => (0.0, 0.0, 0.0),
+        },
+        // A store; a compound assignment loads the element first.
+        ExprKind::Assign { target, op, .. } => match (target, op) {
+            (LValue::Var(..), _) => (0.0, 0.0, 0.0),
+            (LValue::Index { .. }, AssignOp::Assign) => (0.0, elem, 1.0),
+            (LValue::Index { .. }, _) => (0.0, 2.0 * elem, 2.0),
+        },
+        // The addition, plus a load and a store for a buffer element.
+        ExprKind::IncDec { target, .. } => match target {
+            LValue::Var(..) => (1.0, 0.0, 1.0),
+            LValue::Index { .. } => (1.0, 2.0 * elem, 3.0),
+        },
+    };
+    CostEstimate {
+        flops,
+        global_bytes,
+        ops,
+    }
 }
 
 impl CostEstimate {
@@ -365,5 +421,48 @@ mod tests {
         let inner = estimate_named(&u, "square").unwrap();
         let outer = estimate_named(&u, "f").unwrap();
         assert!(outer.flops >= 2.0 * inner.flops);
+    }
+
+    /// The charge table sizes buffer traffic by the element type sema
+    /// recorded: a `double` load and store cost 8 bytes each.
+    #[test]
+    fn buffer_access_costs_use_the_declared_element_size() {
+        let unit = check(
+            parse(
+                &lex("__kernel void k(__global double* v, int n) { v[0] = v[1]; }").unwrap(),
+                "",
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        let Stmt::Expr(store) = &unit.functions[0].body.stmts[0] else {
+            panic!("a store")
+        };
+        let ExprKind::Assign { value, .. } = &store.kind else {
+            panic!("an assignment")
+        };
+        assert_eq!(charge(store).global_bytes, 8.0);
+        assert_eq!(charge(value).global_bytes, 8.0);
+    }
+
+    /// Every statement is charged one op of its own, on both engines.
+    #[test]
+    fn statement_ops_are_attributed_to_statements() {
+        let p = crate::Program::build(
+            "__kernel void k(__global float* v, int n) { v[0] = 1.0f; { int a = 0; } }",
+        )
+        .unwrap();
+        let k = p.kernel("k").unwrap();
+        for tier in [crate::Tier::Interp, crate::Tier::Native] {
+            p.set_tier(tier);
+            let mut data = [0.0f32];
+            let mut args = [
+                crate::interp::ArgBinding::buffer_f32(&mut data),
+                crate::interp::ArgBinding::Scalar(crate::value::Value::Int(1)),
+            ];
+            let stats = p.run_ndrange_measured(&k, 1, &mut args).unwrap();
+            // Three statements (the block one of them) and one store.
+            assert_eq!((stats.ops, stats.global_bytes), (4.0, 4.0), "{tier}");
+        }
     }
 }

@@ -9,7 +9,7 @@ use std::collections::HashMap;
 
 use crate::ast::*;
 use crate::builtins::{stencil, Builtin};
-use crate::cost::CostEstimate;
+use crate::cost::{self, CostEstimate};
 use crate::diag::KernelError;
 use crate::types::{ArgKind, ScalarType, Type};
 use crate::value::Value;
@@ -348,15 +348,16 @@ impl Env {
         self.scopes.iter().rev().find_map(|s| s.get(name).copied())
     }
 
-    fn set(&mut self, name: &str, value: Value) -> bool {
+    /// Store `value`, converted to the variable's declared type; returns
+    /// the stored value.
+    fn set(&mut self, name: &str, value: Value) -> Option<Value> {
         for scope in self.scopes.iter_mut().rev() {
             if let Some(slot) = scope.get_mut(name) {
-                // Keep the declared type of the variable.
                 *slot = value.convert_to(slot.scalar_type());
-                return true;
+                return Some(*slot);
             }
         }
-        false
+        None
     }
 }
 
@@ -421,27 +422,10 @@ impl<'u> Interpreter<'u> {
         self.stats.get()
     }
 
+    /// Add one node's charge (from the table in [`crate::cost`]).
     #[inline]
-    fn count_flops(&self, flops: f64) {
-        let mut s = self.stats.get();
-        s.flops += flops;
-        s.ops += 1.0;
-        self.stats.set(s);
-    }
-
-    #[inline]
-    fn count_op(&self) {
-        let mut s = self.stats.get();
-        s.ops += 1.0;
-        self.stats.set(s);
-    }
-
-    #[inline]
-    fn count_bytes(&self, bytes: f64) {
-        let mut s = self.stats.get();
-        s.global_bytes += bytes;
-        s.ops += 1.0;
-        self.stats.set(s);
+    fn charge(&self, c: CostEstimate) {
+        self.stats.set(self.stats.get().add(c));
     }
 
     /// Run the kernel with function index `kernel_index` for one work-item.
@@ -570,14 +554,14 @@ impl<'u> Interpreter<'u> {
         env: &mut Env,
         frame: &mut KernelFrame<'_, '_>,
     ) -> Result<Flow, KernelError> {
-        self.count_op();
+        self.charge(cost::STMT_CHARGE);
         match stmt {
             Stmt::Decl { ty, name, init, .. } => {
                 let value = match init {
                     Some(e) => self.eval(e, env, frame)?.convert_to(*ty),
                     None => Value::zero(*ty),
                 };
-                env.declare(name, value);
+                env.declare(&name.name, value);
                 Ok(Flow::Normal)
             }
             Stmt::Expr(e) => {
@@ -672,34 +656,28 @@ impl<'u> Interpreter<'u> {
         frame: &mut KernelFrame<'_, '_>,
     ) -> Result<Value, KernelError> {
         match lv {
-            LValue::Var(name, _) => env
-                .get(name)
-                .ok_or_else(|| KernelError::run(format!("variable `{name}` is not bound"))),
+            LValue::Var(name, _) => env.get(&name.name).ok_or_else(|| unbound(name)),
             LValue::Index { base, index, .. } => {
                 let idx = self.eval(index, env, frame)?.as_i64();
-                self.buffer_load(base, idx, frame)
+                self.buffer_load(&base.name, idx, frame)
             }
         }
     }
 
+    /// Store `value` into `lv`, converted to its type; returns the stored
+    /// value.
     fn write_lvalue(
         &self,
         lv: &LValue,
         value: Value,
         env: &mut Env,
         frame: &mut KernelFrame<'_, '_>,
-    ) -> Result<(), KernelError> {
+    ) -> Result<Value, KernelError> {
         match lv {
-            LValue::Var(name, _) => {
-                if env.set(name, value) {
-                    Ok(())
-                } else {
-                    Err(KernelError::run(format!("variable `{name}` is not bound")))
-                }
-            }
+            LValue::Var(name, _) => env.set(&name.name, value).ok_or_else(|| unbound(name)),
             LValue::Index { base, index, .. } => {
                 let idx = self.eval(index, env, frame)?.as_i64();
-                self.buffer_store(base, idx, value, frame)
+                self.buffer_store(&base.name, idx, value, frame)
             }
         }
     }
@@ -729,15 +707,12 @@ impl<'u> Interpreter<'u> {
         }
         let arg = self.buffer_arg_index(name, frame)?;
         match &frame.args[arg] {
-            ArgBinding::Buffer(view) => {
-                self.count_bytes(view.scalar_type().size_bytes() as f64);
-                view.load(idx as usize).ok_or_else(|| {
-                    KernelError::run(format!(
-                        "index {idx} out of bounds for buffer `{name}` (len {})",
-                        view.len()
-                    ))
-                })
-            }
+            ArgBinding::Buffer(view) => view.load(idx as usize).ok_or_else(|| {
+                KernelError::run(format!(
+                    "index {idx} out of bounds for buffer `{name}` (len {})",
+                    view.len()
+                ))
+            }),
             ArgBinding::Scalar(_) => Err(KernelError::run(format!(
                 "`{name}` is bound to a scalar but used as a buffer"
             ))),
@@ -750,7 +725,7 @@ impl<'u> Interpreter<'u> {
         idx: i64,
         value: Value,
         frame: &mut KernelFrame<'_, '_>,
-    ) -> Result<(), KernelError> {
+    ) -> Result<Value, KernelError> {
         if idx < 0 {
             return Err(KernelError::run(format!(
                 "negative index {idx} into buffer `{name}`"
@@ -759,10 +734,10 @@ impl<'u> Interpreter<'u> {
         let arg = self.buffer_arg_index(name, frame)?;
         match &mut frame.args[arg] {
             ArgBinding::Buffer(view) => {
-                self.count_bytes(view.scalar_type().size_bytes() as f64);
                 let len = view.len();
-                if view.store(idx as usize, value) {
-                    Ok(())
+                let stored = value.convert_to(view.scalar_type());
+                if view.store(idx as usize, stored) {
+                    Ok(stored)
                 } else {
                     Err(KernelError::run(format!(
                         "index {idx} out of bounds for buffer `{name}` (len {len})"
@@ -775,26 +750,42 @@ impl<'u> Interpreter<'u> {
         }
     }
 
+    /// Evaluate `expr`, charging it. Its value has the type sema recorded,
+    /// which debug builds assert at every expression.
     fn eval(
         &self,
         expr: &Expr,
         env: &mut Env,
         frame: &mut KernelFrame<'_, '_>,
     ) -> Result<Value, KernelError> {
-        match expr {
-            Expr::IntLit(v, _) => Ok(Value::Int(*v as i32)),
-            Expr::FloatLit(v, _) => Ok(Value::Float(*v as f32)),
-            Expr::BoolLit(v, _) => Ok(Value::Bool(*v)),
-            Expr::Var(name, _) => env
-                .get(name)
-                .ok_or_else(|| KernelError::run(format!("variable `{name}` is not bound"))),
-            Expr::Index { base, index, .. } => {
+        self.charge(cost::charge(expr));
+        let value = self.eval_kind(expr, env, frame)?;
+        debug_assert_eq!(
+            value.scalar_type(),
+            expr.ty,
+            "sema typed the expression at {:?} differently",
+            expr.span
+        );
+        Ok(value)
+    }
+
+    fn eval_kind(
+        &self,
+        expr: &Expr,
+        env: &mut Env,
+        frame: &mut KernelFrame<'_, '_>,
+    ) -> Result<Value, KernelError> {
+        match &expr.kind {
+            ExprKind::IntLit(v) => Ok(Value::Int(*v as i32)),
+            ExprKind::FloatLit(v) => Ok(Value::Float(*v as f32)),
+            ExprKind::BoolLit(v) => Ok(Value::Bool(*v)),
+            ExprKind::Var(name) => env.get(&name.name).ok_or_else(|| unbound(name)),
+            ExprKind::Index { base, index } => {
                 let idx = self.eval(index, env, frame)?.as_i64();
-                self.buffer_load(base, idx, frame)
+                self.buffer_load(&base.name, idx, frame)
             }
-            Expr::Unary { op, operand, .. } => {
+            ExprKind::Unary { op, operand } => {
                 let v = self.eval(operand, env, frame)?;
-                self.count_flops(1.0);
                 Ok(match op {
                     UnOp::Neg => match v {
                         Value::Float(x) => Value::Float(-x),
@@ -808,91 +799,73 @@ impl<'u> Interpreter<'u> {
                     UnOp::Not => Value::Bool(!v.as_bool()),
                 })
             }
-            Expr::Binary { op, lhs, rhs, .. } => {
-                // Short-circuit logical operators.
-                if *op == BinOp::And {
-                    let l = self.eval(lhs, env, frame)?;
-                    self.count_op();
-                    if !l.as_bool() {
-                        return Ok(Value::Bool(false));
-                    }
-                    return Ok(Value::Bool(self.eval(rhs, env, frame)?.as_bool()));
+            // Short-circuit logical operators.
+            ExprKind::Binary {
+                op: op @ (BinOp::And | BinOp::Or),
+                lhs,
+                rhs,
+            } => {
+                let l = self.eval(lhs, env, frame)?.as_bool();
+                if l == (*op == BinOp::Or) {
+                    return Ok(Value::Bool(l));
                 }
-                if *op == BinOp::Or {
-                    let l = self.eval(lhs, env, frame)?;
-                    self.count_op();
-                    if l.as_bool() {
-                        return Ok(Value::Bool(true));
-                    }
-                    return Ok(Value::Bool(self.eval(rhs, env, frame)?.as_bool()));
-                }
+                Ok(Value::Bool(self.eval(rhs, env, frame)?.as_bool()))
+            }
+            ExprKind::Binary { op, lhs, rhs } => {
                 let l = self.eval(lhs, env, frame)?;
                 let r = self.eval(rhs, env, frame)?;
-                self.count_flops(if op.is_comparison() { 0.5 } else { 1.0 });
                 eval_binary(*op, l, r)
             }
-            Expr::Call { callee, args, .. } => {
+            ExprKind::Call { callee, args } => {
                 let mut values = Vec::with_capacity(args.len());
                 for a in args {
                     values.push(self.eval(a, env, frame)?);
                 }
-                if let Some(b) = Builtin::from_name(callee) {
-                    if b.is_work_item_fn() {
-                        let item = frame.item;
-                        let v = match b {
-                            Builtin::GetGlobalId => item.global_id,
-                            Builtin::GetLocalId => item.local_id,
-                            Builtin::GetGroupId => item.group_id,
-                            Builtin::GetGlobalSize => item.global_size,
-                            Builtin::GetLocalSize => item.local_size,
-                            Builtin::GetNumGroups => {
-                                item.global_size.div_ceil(item.local_size.max(1))
-                            }
-                            _ => unreachable!(),
-                        };
-                        self.count_op();
-                        return Ok(Value::Int(v as i32));
-                    }
-                    if b.is_stencil_fn() {
-                        // Costed like any other load: the address arithmetic
-                        // as flops, the element read as global bytes —
-                        // charged before evaluation so error paths count the
-                        // same work in both engines.
-                        self.count_flops(b.flop_cost());
-                        self.count_bytes(ScalarType::Float.size_bytes() as f64);
-                        let ctx = frame.stencil.ok_or_else(|| {
-                            KernelError::run(
-                                "`get` requires a stencil (MapOverlap) kernel: no stencil \
-                                 context parameters are bound",
-                            )
-                        })?;
-                        let (dx, dy) = (values[0].as_i64(), values[1].as_i64());
-                        return stencil_get(ctx, frame.args, frame.item.global_id, dx, dy);
-                    }
-                    self.count_flops(b.flop_cost());
-                    return Ok(b.eval_math(&values));
+                let Some(b) = Builtin::from_name(callee) else {
+                    let func = self
+                        .unit
+                        .function(callee)
+                        .ok_or_else(|| KernelError::run(format!("unknown function `{callee}`")))?;
+                    return self.call_function(func, values, frame);
+                };
+                if b.is_work_item_fn() {
+                    let item = frame.item;
+                    let v = match b {
+                        Builtin::GetGlobalId => item.global_id,
+                        Builtin::GetLocalId => item.local_id,
+                        Builtin::GetGroupId => item.group_id,
+                        Builtin::GetGlobalSize => item.global_size,
+                        Builtin::GetLocalSize => item.local_size,
+                        Builtin::GetNumGroups => item.global_size.div_ceil(item.local_size.max(1)),
+                        _ => unreachable!(),
+                    };
+                    return Ok(Value::Int(v as i32));
                 }
-                let func = self
-                    .unit
-                    .function(callee)
-                    .ok_or_else(|| KernelError::run(format!("unknown function `{callee}`")))?;
-                self.call_function(func, values, frame)
+                if b.is_stencil_fn() {
+                    let ctx = frame.stencil.ok_or_else(|| {
+                        KernelError::run(
+                            "`get` requires a stencil (MapOverlap) kernel: no stencil \
+                             context parameters are bound",
+                        )
+                    })?;
+                    let (dx, dy) = (values[0].as_i64(), values[1].as_i64());
+                    return stencil_get(ctx, frame.args, frame.item.global_id, dx, dy);
+                }
+                Ok(b.eval_math(&values))
             }
-            Expr::Ternary {
+            ExprKind::Ternary {
                 cond,
                 then_expr,
                 else_expr,
-                ..
             } => {
-                if self.eval(cond, env, frame)?.as_bool() {
-                    self.eval(then_expr, env, frame)
+                let arm = if self.eval(cond, env, frame)?.as_bool() {
+                    then_expr
                 } else {
-                    self.eval(else_expr, env, frame)
-                }
+                    else_expr
+                };
+                Ok(self.eval(arm, env, frame)?.convert_to(expr.ty))
             }
-            Expr::Assign {
-                op, target, value, ..
-            } => {
+            ExprKind::Assign { op, target, value } => {
                 let rhs = self.eval(value, env, frame)?;
                 let new = match op {
                     AssignOp::Assign => rhs,
@@ -908,30 +881,31 @@ impl<'u> Interpreter<'u> {
                         eval_binary(bin, old, rhs)?
                     }
                 };
-                self.write_lvalue(target, new, env, frame)?;
-                Ok(new)
+                self.write_lvalue(target, new, env, frame)
             }
-            Expr::IncDec {
+            ExprKind::IncDec {
                 target,
                 delta,
                 prefix,
-                ..
             } => {
                 let old = self.read_lvalue(target, env, frame)?;
-                self.count_flops(1.0);
                 let new = eval_binary(BinOp::Add, old, Value::Int(*delta))?;
-                self.write_lvalue(target, new, env, frame)?;
-                Ok(if *prefix { new } else { old })
+                let stored = self.write_lvalue(target, new, env, frame)?;
+                Ok(if *prefix { stored } else { old })
             }
-            Expr::Cast { ty, operand, .. } => Ok(self.eval(operand, env, frame)?.convert_to(*ty)),
+            ExprKind::Cast { ty, operand } => Ok(self.eval(operand, env, frame)?.convert_to(*ty)),
         }
     }
 }
 
+/// The error for a name without a binding (sema makes it unreachable).
+fn unbound(name: &Name) -> KernelError {
+    KernelError::run(format!("variable `{}` is not bound", name.name))
+}
+
 /// Evaluate a (non-short-circuit) binary operator with C-style usual
-/// arithmetic conversions. Shared with the native tier's dynamically-typed
-/// steps so both engines have identical arithmetic semantics by
-/// construction.
+/// arithmetic conversions. Shared with the native tier's per-lane steps so
+/// both engines have identical arithmetic semantics by construction.
 pub(crate) fn eval_binary(op: BinOp, l: Value, r: Value) -> Result<Value, KernelError> {
     use BinOp::*;
     let unified = l.scalar_type().unify(r.scalar_type());

@@ -12,11 +12,9 @@
 //! of
 //!
 //! * a [`lexer`] and [`parser`] producing an [`ast`],
-//! * a [`sema`] pass (symbol resolution and type checking),
-//! * a [`compile`] stage lowering the checked AST into flat, register-based
-//!   bytecode, the native tier's input — names resolved to numbered slots,
-//!   helper calls inlined, control flow lowered to jumps, FLOP/byte costs
-//!   attributed per instruction at compile time,
+//! * a [`sema`] pass (symbol resolution and type checking) that records in
+//!   the tree each expression's scalar type and each name's frame slot: the
+//!   one typed AST both engines read,
 //! * two engines that run a kernel over its work-items, bit-identical in
 //!   results, [`interp::ExecStats`] and error text, selected by [`Tier`]:
 //!   - the [`interp`] tree-walking interpreter — the **oracle** the native
@@ -27,8 +25,11 @@
 //!     arithmetic, recursion, call chains too deep to inline) and the rest
 //!     of a launch that bailed; its results, stats and messages are
 //!     authoritative;
-//!   - the closure-compiled [`native`] tier — the **default**: every eligible
-//!     kernel runs here from its first launch,
+//!   - the [`native`] tier — the **default**: the typed AST compiled once
+//!     into closures over 64-lane register rows, helpers inlined, every
+//!     eligible kernel from its first launch,
+//!
+//!   both charging every node from the one table in [`cost`],
 //! * the signature rule of a launch ([`types::check_signature`]), written
 //!   once for the native tier and for the simulator's enqueue-time
 //!   validation (the oracle keeps its own copy),
@@ -39,9 +40,9 @@
 //!   skeleton library's lazy `plan` subsystem.
 //!
 //! The entry point is [`Program::build`], mirroring `clBuildProgram`: it
-//! parses, checks and **compiles to bytecode once**, returning the compiled
-//! program from which [`KernelHandle`]s can be looked up by name; a kernel's
-//! native closures are compiled at its first native launch and cached.
+//! parses and checks **once**, returning the program from which
+//! [`KernelHandle`]s can be looked up by name; a kernel's native closures
+//! are compiled at its first native launch and cached.
 //!
 //! ```
 //! use skelcl_kernel::{Program, value::Value, interp::ArgBinding};
@@ -73,7 +74,6 @@
 
 pub mod ast;
 pub mod builtins;
-pub mod compile;
 pub mod compose;
 pub mod cost;
 pub mod diag;
@@ -90,23 +90,21 @@ pub mod value;
 use std::sync::Arc;
 
 use crate::ast::TranslationUnit;
-use crate::compile::CompiledUnit;
 use crate::diag::KernelError;
 use crate::interp::{ArgBinding, Interpreter, WorkItem};
 
 pub use crate::native::Tier;
 
-/// A compiled kernel program: the checked AST of a translation unit plus its
-/// bytecode lowering and the list of `__kernel` entry points.
+/// A built kernel program: the checked, typed AST of a translation unit and
+/// its `__kernel` entry points.
 ///
 /// This is the analogue of an OpenCL `cl_program` after `clBuildProgram`:
-/// the bytecode is produced once at build time and shared (via `Arc`) by
-/// every clone of the program, so repeated launches pay no per-call
-/// compilation or name-resolution cost.
+/// the tree is checked once at build time and shared (via `Arc`) by every
+/// clone of the program, and so is each kernel's native compilation, made at
+/// its first native launch.
 #[derive(Debug, Clone)]
 pub struct Program {
     unit: Arc<TranslationUnit>,
-    compiled: Arc<CompiledUnit>,
     source: Arc<str>,
     native: Arc<native::NativeState>,
 }
@@ -117,7 +115,7 @@ pub struct Program {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LaunchTrace {
     /// The tier that executed the launch: a [`Tier::Native`] request runs
-    /// on the interpreter for ineligible bytecode.
+    /// on the interpreter for an ineligible kernel.
     pub tier: Tier,
     /// Whether this launch performed the kernel's native compilation (at
     /// most one launch per kernel reports `true`).
@@ -127,10 +125,10 @@ pub struct LaunchTrace {
     pub native_compile_ns: u64,
     /// Lane batches completed by the native tier.
     pub native_batches: u64,
-    /// Of those, the batches whose lanes diverged: at least one block ran
-    /// under a partial lane mask (a suffix retiring through the
-    /// `if (gid < n)` tail guard does not count). Zero for straight-line
-    /// kernels.
+    /// Of those, the batches whose lanes diverged: some code ran under a
+    /// lane mask that is not a prefix of the batch's lanes (a suffix left
+    /// out by the `if (gid < n)` tail guard does not count). Zero for
+    /// straight-line kernels.
     pub masked_batches: u64,
     /// Lane batches the native tier aborted, rolled back and replayed
     /// through the interpreter: a cross-lane hazard, a runtime error in an
@@ -144,7 +142,7 @@ pub struct LaunchTrace {
     /// single native batch reports [`Tier::Interp`].
     pub bailed: bool,
     /// Why the kernel fell back to the interpreter despite a native request
-    /// (the bytecode shape is ineligible), if it did.
+    /// (the kernel is ineligible), if it did.
     pub fallback: Option<String>,
 }
 
@@ -161,9 +159,8 @@ pub struct KernelHandle {
 }
 
 impl KernelHandle {
-    /// Index of the kernel's function in the translation unit (also valid
-    /// into [`compile::CompiledUnit::functions`]), for callers driving the
-    /// [`interp::Interpreter`] directly.
+    /// Index of the kernel's function in the translation unit, for callers
+    /// driving the [`interp::Interpreter`] directly.
     pub fn index(&self) -> usize {
         self.index
     }
@@ -198,11 +195,9 @@ impl Program {
         let tokens = lexer::lex(source)?;
         let unit = parser::parse(&tokens, source)?;
         let unit = sema::check(unit)?;
-        let compiled = compile::compile(&unit)?;
         let num_functions = unit.functions.len();
         Ok(Program {
             unit: Arc::new(unit),
-            compiled: Arc::new(compiled),
             source: Arc::from(source),
             native: Arc::new(native::NativeState::new(num_functions)),
         })
@@ -221,12 +216,12 @@ impl Program {
     }
 
     /// Compile (or fetch the cached) native-tier artifact for `kernel`,
-    /// exposing the closure listing or the ineligibility reason. Used by
-    /// tooling (`examples/dump_bytecode.rs`); launches call this lazily.
+    /// exposing the compile time and the ineligibility reason. Launches call
+    /// this lazily.
     pub fn native_outcome(&self, kernel: &KernelHandle) -> &native::CompileOutcome {
         self.native
             .kernel(kernel.index)
-            .get_or_compile(&self.compiled, kernel.index)
+            .get_or_compile(&self.unit, kernel.index)
             .0
     }
 
@@ -238,11 +233,6 @@ impl Program {
     /// The checked translation unit.
     pub fn unit(&self) -> &TranslationUnit {
         &self.unit
-    }
-
-    /// The bytecode lowering of the translation unit.
-    pub fn compiled(&self) -> &CompiledUnit {
-        &self.compiled
     }
 
     /// Names of all `__kernel` entry points, in declaration order.
@@ -371,7 +361,7 @@ impl Program {
     }
 
     /// Run a launch on the native tier, falling back to the interpreter when
-    /// the kernel's bytecode is ineligible (recorded in `trace.fallback`).
+    /// the kernel is ineligible (recorded in `trace.fallback`).
     fn run_ndrange_native(
         &self,
         kernel: &KernelHandle,
@@ -382,7 +372,7 @@ impl Program {
         let (outcome, first) = self
             .native
             .kernel(kernel.index)
-            .get_or_compile(&self.compiled, kernel.index);
+            .get_or_compile(&self.unit, kernel.index);
         trace.native_compiled = first;
         trace.native_compile_ns = outcome.compile_ns;
         let nk = match &outcome.result {

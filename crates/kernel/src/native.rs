@@ -1,109 +1,96 @@
-//! Native execution tier: bytecode closure-compiled into pre-linked basic
-//! blocks over a typed, struct-of-arrays register file.
+//! Native execution tier: the checked AST closure-compiled into steps over a
+//! typed, struct-of-arrays register file, [`BATCH_LANES`] work-items at once.
 //!
-//! Interpreting the bytecode one work-item at a time would put every
-//! operation through the dynamically-typed [`Value`] enum: an instruction
-//! dispatch per item and a discriminant match per operand, with results that
-//! cannot be auto-vectorised. This module runs [`BATCH_LANES`] work-items at
-//! once without either layer:
+//! Interpreting a kernel one work-item at a time puts every operation
+//! through the dynamically-typed [`Value`] enum and re-walks the tree per
+//! item. This module walks the tree once per kernel instead ("closure
+//! generation"; Feeley & Lapalme, *Computer Languages* 1987):
 //!
-//! * a **dataflow typing pass** runs over the basic blocks of the flat
-//!   bytecode and assigns every register *at every program point* one of
-//!   four concrete kinds (`f32`, `f64`, `i32`, `bool`) — flow-sensitively,
-//!   because the compiler freely reuses temporary registers across types;
-//! * each instruction is then compiled to a **monomorphized closure** over a
-//!   plain struct-of-arrays register file (`Vec<f32>` / `Vec<f64>` /
-//!   `Vec<i32>` / `Vec<bool>`, 64 lanes per register row). Straight-line
-//!   f32/i32 arithmetic becomes tight chunked loops over local fixed-size
-//!   arrays that LLVM auto-vectorises; buffer accesses whose index is the
-//!   work-item's global id (tracked as an *iota* kind) become bounds-checked
-//!   block copies;
-//! * basic blocks are **pre-linked**: jump targets are resolved to block
-//!   indices at compile time and each block's instruction costs are
-//!   pre-summed, charged `cost × active_lanes` once per block entry.
+//! * every expression node becomes a **monomorphized closure** over plain
+//!   register rows (`Vec<f32>` / `Vec<f64>` / `Vec<i32>` / `Vec<bool>`, 64
+//!   lanes per row). A row's kind is the type [`crate::sema::check`]
+//!   recorded for the node or the variable: this tier infers no types of its
+//!   own. Straight-line `f32`/`i32` arithmetic becomes tight chunked loops
+//!   over fixed-size arrays that LLVM auto-vectorises; buffer accesses whose
+//!   index is the work-item's global id (tracked as *iota*) become
+//!   bounds-checked block copies;
+//! * helper calls are inlined at compile time (less deep than the
+//!   interpreter's call-depth limit); a recursive call makes the kernel
+//!   ineligible;
+//! * each node's `(flops, bytes, ops)` charge comes from the one table in
+//!   [`crate::cost`], the interpreter's, and is charged `× active lanes`.
+//!   Charges of straight-line code are summed at compile time and charged
+//!   once, so [`ExecStats`] equal the per-item sum.
 //!
 //! Execution stays bit-identical to the interpreter oracle. Any shape the
 //! native model cannot reproduce exactly is either rejected at native
 //! compile time (the kernel permanently falls back to the interpreter, with
-//! a human-readable reason) or aborts the batch at runtime: every buffer
-//! store is rolled back through an undo log and the batch is replayed
-//! through the interpreter, which is the authoritative semantics — results,
-//! [`crate::interp::ExecStats`] and error messages included. What aborts a
-//! batch: a runtime error in an active lane, an exhausted loop budget, and a
-//! cross-lane hazard (below).
-//! Divergent control flow does not.
+//! a human-readable reason: `uint` values, recursion) or aborts the batch at
+//! runtime: every buffer store is rolled back through an undo log and the
+//! batch is replayed through the interpreter, which is the authoritative
+//! semantics — results, [`crate::interp::ExecStats`] and error messages
+//! included. What aborts a batch: a runtime error in an active lane, an
+//! exhausted loop budget, and a cross-lane hazard (below). Divergent control
+//! flow does not.
 //!
 //! # When it runs
 //!
 //! [`Tier::Native`], the default, means *native when eligible, compiled at
 //! the kernel's first launch*; an ineligible kernel runs on the interpreter
-//! (the reason lands in [`crate::LaunchTrace::fallback`]). There is no size or launch-count gate: compiling
-//! a skeleton kernel takes 10–40 µs, less than the `Program::build` that
-//! preceded it, and work-item count stops being a proxy for work the moment
-//! a kernel has a back edge — the chunked reduce launches at most 64
-//! work-items (one batch) that each fold thousands of elements, and the scan
-//! is a single lane looping over its whole part. Both run here from launch
-//! one. The reduce's 64 lanes load `in[start + k]` at a stride of one chunk,
-//! so its loads take the per-lane path (foreign loads of a read-only slot);
-//! a ragged last chunk leaves its loop early and waits at the loop's
-//! reconvergence block while the other lanes — still a dense prefix —
-//! iterate on.
+//! (the reason lands in [`crate::LaunchTrace::fallback`]). There is no size
+//! or launch-count gate: compiling a skeleton kernel takes microseconds,
+//! less than the `Program::build` that preceded it, and work-item count
+//! stops being a proxy for work the moment a kernel has a loop — the chunked
+//! reduce launches at most 64 work-items (one batch) that each fold
+//! thousands of elements, and the scan is a single lane looping over its
+//! whole part. Both run here from launch one.
 //!
-//! # Divergence: masks and reconvergence
+//! # Divergence: lane masks
 //!
-//! Lanes that disagree at a branch keep running natively, SIMT style.
+//! Lanes that disagree at a branch keep running natively, as in ISPC (Pharr
+//! & Mark, InPar 2012). The executor runs every step under a `u64` lane
+//! mask; structured control flow gives reconvergence for free:
 //!
-//! * **Compile time.** Every conditional branch gets a *reconvergence
-//!   block*: the immediate post-dominator of its block in the block graph,
-//!   with a virtual exit that every `return` leads to (so an early return
-//!   on one side makes the exit the join). The listing prints it as
-//!   `reconverge -> bN`.
-//! * **Run time.** The executor runs one set of lanes — a `u64` mask — from
-//!   a block up to a stop block. When the active lanes disagree at a
-//!   branch, it parks the union at the reconvergence block and the fall
-//!   side at its target on a small stack, runs the taken side until *it*
-//!   reaches the reconvergence block, then pops the fall side, then the
-//!   union. Back edges need nothing extra: lanes leaving a loop wait at the
-//!   loop's reconvergence block while the rest iterate (the parked union is
-//!   reused, so the stack does not grow per iteration). A block's
-//!   pre-summed cost is charged `× popcount(mask)`, which keeps
-//!   [`ExecStats`] identical to the per-item sum.
+//! * `if`, `?:`, `&&` and `||` run each arm (or right-hand side) under the
+//!   lanes that take it, then restore the lanes that are still running;
+//! * a loop runs each iteration under the lanes whose condition holds;
+//!   lanes that leave wait at the loop's exit;
+//! * `return`, `break` and `continue` take the running lanes out of the
+//!   mask: until the end of the inlined call, the loop, or the iteration.
+//!
+//! An `if (gid < n)` tail guard is just a prefix mask. A batch counts as
+//! masked ([`crate::LaunchTrace::masked_batches`]) when some code ran under
+//! a mask that is not a prefix of its lanes.
+//!
 //! * **What runs blended.** Pure register steps — arithmetic, comparisons,
-//!   casts, moves, negation, constants, work-item ids, one- and
-//!   two-argument `float` math — can neither fault nor touch memory. Under
-//!   a partial mask they still run their fixed-width vectorized loop over
-//!   all 64 lanes; the executor saves the destination row first and puts
-//!   the idle lanes' values back afterwards (they may be waiting at a
-//!   reconvergence block with live registers).
+//!   casts, moves, negation, work-item ids, one- and two-argument `float`
+//!   math — can neither fault nor touch memory. Under a mask that is not a
+//!   prefix they compute all 64 lanes with their fixed-width loop; a step
+//!   that writes a variable (or a value several arms write) saves the row
+//!   first and puts the idle lanes' values back afterwards.
 //! * **What runs per active lane.** Everything with a failure path or a
-//!   memory effect: `BufLoad`/`BufStore`, `StencilGet`, integer `/` and
-//!   `%`, `clamp` (panics on inverted bounds), the dynamically-typed
-//!   binary-op and builtin fallbacks. When the active lanes form one
-//!   contiguous run the buffer steps still take the span copies (offset by
-//!   the run's first lane); otherwise they go lane by lane over the mask's
-//!   set bits. So `if (x != 0) a / x` or `if (i < n) v[i]` never faults in
-//!   a lane the oracle would not have executed, and a fault in an *active*
-//!   lane aborts the batch like any other.
-//! * **Why the dense path is kept separate.** The mask is "dense" when it
-//!   is a lane prefix — every uniform batch, and what the `if (gid < n)`
-//!   tail guard leaves after retiring a suffix through its exit chain.
-//!   Dense blocks run the step closures directly: no blending, no mask
-//!   test inside any vectorized loop, the same code as before divergence
-//!   support existed. Straight-line kernels therefore pay one integer
-//!   compare per block for it.
-//! * **The loop budget** stays one counter per batch. It counts every back
-//!   edge any lane takes, so it never under-counts a loop of a work-item.
-//!   The interpreter's budget is per execution of a loop statement, so the
-//!   counter over-counts once lanes sit in different loops or a work-item
-//!   runs several loops; that is why exhausting it is an ordinary abort:
-//!   the oracle's replay decides whether there is an error to report.
+//!   memory effect: buffer loads and stores, `get`, integer `/` and `%`,
+//!   `clamp` (panics on inverted bounds), the mixed-type binary-op and
+//!   builtin fallbacks. When the active lanes form one contiguous run the
+//!   buffer steps still take the span copies (offset by the run's first
+//!   lane); otherwise they go lane by lane over the mask's set bits. So
+//!   `if (x != 0) a / x` or `if (i < n) v[i]` never faults in a lane the
+//!   oracle would not have executed, and a fault in an *active* lane aborts
+//!   the batch like any other.
+//! * **The loop budget** stays one counter per batch. It counts every
+//!   iteration any lane goes around, so it never under-counts a loop of a
+//!   work-item. The interpreter's budget is per execution of a loop
+//!   statement, so the counter over-counts once lanes sit in different loops
+//!   or a work-item runs several loops; that is why exhausting it is an
+//!   ordinary abort: the oracle's replay decides whether there is an error
+//!   to report.
 //!
 //! # Cross-lane hazards: the lane-private-base rule
 //!
-//! A batch runs its lanes in lockstep, instruction by instruction; the
-//! oracle runs the work-items one after another. The two orders agree as
-//! long as no lane observes another lane's store, which the executor
-//! enforces per buffer slot and per batch:
+//! A batch runs its lanes in lockstep, step by step; the oracle runs the
+//! work-items one after another. The two orders agree as long as no lane
+//! observes another lane's store, which the executor enforces per buffer
+//! slot and per batch:
 //!
 //! * an access is *private at base `b`* when lane ℓ touches exactly element
 //!   `b + ℓ`. The slot's first private access fixes its base; own-index
@@ -130,37 +117,37 @@
 //! (`addr[ℓ] = addr[lo] + ℓ - lo` over the active run, one vectorisable
 //! compare): when it holds, the access takes the same bounds-checked span
 //! copy (+ undo-log span) as the iota path; when it does not — or the row
-//! starts negative — it goes lane by lane through the dynamically-typed
-//! path.
+//! starts negative — it goes lane by lane.
 //!
 //! # `get(dx, dy)`: row slices
 //!
-//! `Op::StencilGet` is a foreign load of the stencil input. When `dx` and
-//! `dy` are the same in every lane and the batch's global ids are linear,
-//! the batch is split into matrix-row segments; `dy` is checked against the
-//! halo once, and within a segment the lanes whose column `col + dx` stays
-//! inside the row are one bounds-checked slice copy from input row
-//! `row + halo + dy`. The ≤ |dx| lanes per segment that leave the row, and
-//! every non-uniform or non-linear batch, go through the engines' shared
-//! `interp::stencil_get`, so the clamp / wrap / constant policies
-//! and every error message live in one place. Any failed check aborts the
-//! batch and the oracle's replay reports the exact error.
+//! `get` is a foreign load of the stencil input. When `dx` and `dy` are the
+//! same in every lane and the batch's global ids are linear, the batch is
+//! split into matrix-row segments; `dy` is checked against the halo once,
+//! and within a segment the lanes whose column `col + dx` stays inside the
+//! row are one bounds-checked slice copy from input row `row + halo + dy`.
+//! The ≤ |dx| lanes per segment that leave the row, and every non-uniform or
+//! non-linear batch, go through the engines' shared `interp::stencil_get`,
+//! so the clamp / wrap / constant policies and every error message live in
+//! one place. Any failed check aborts the batch and the oracle's replay
+//! reports the exact error.
 //!
 //! The kernelgen template was deliberately left alone: virtual time is
 //! charged from `ExecStats`, so "simplifying" its index expression would
 //! change every stencil's simulated cost. The native tier adapts to the
-//! bytecode, not the other way round.
+//! kernel, not the other way round.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use crate::ast::BinOp;
+use crate::ast::*;
 use crate::builtins::Builtin;
-use crate::compile::{CompiledUnit, Op};
+use crate::cost::{self, CostEstimate};
 use crate::diag::KernelError;
 use crate::interp::{
     eval_binary, stencil_get, ArgBinding, BufferView, ExecStats, StencilCtx, WorkItem,
+    MAX_CALL_DEPTH,
 };
 use crate::types::{ScalarType, Type};
 use crate::value::Value;
@@ -177,7 +164,7 @@ pub enum Tier {
     /// The tree-walking interpreter (the bit-exact oracle; slowest).
     Interp,
     /// The closure-compiled native tier (this module), compiled at a
-    /// kernel's first launch; the interpreter for ineligible bytecode (the
+    /// kernel's first launch; the interpreter for ineligible kernels (the
     /// reason lands in [`crate::LaunchTrace::fallback`]). Launch size and
     /// launch count play no part: native compilation costs less than the
     /// `Program::build` every program already paid.
@@ -197,7 +184,7 @@ impl std::fmt::Display for Tier {
 }
 
 /// Per-[`crate::Program`] native-tier state, shared across clones of the
-/// program (and across the simulator's per-device worker threads).
+/// program.
 pub(crate) struct NativeState {
     /// The selected [`Tier`], as its index in [`TIERS`].
     tier: AtomicU8,
@@ -255,7 +242,7 @@ impl KernelNativeState {
     /// call performed the compilation.
     pub(crate) fn get_or_compile(
         &self,
-        unit: &CompiledUnit,
+        unit: &TranslationUnit,
         index: usize,
     ) -> (&CompileOutcome, bool) {
         let mut first = false;
@@ -273,10 +260,10 @@ impl KernelNativeState {
 }
 
 // ---------------------------------------------------------------------------
-// Typed register kinds and the dataflow lattice
+// Register rows
 // ---------------------------------------------------------------------------
 
-/// The concrete storage kind of a register at a program point.
+/// The storage kind of a register row: the scalar types the tier models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum NKind {
     F32,
@@ -286,13 +273,14 @@ enum NKind {
 }
 
 impl NKind {
-    fn of(s: ScalarType) -> Option<NKind> {
+    /// The row kind of a checked type; `uint` is not modelled.
+    fn of(s: ScalarType) -> Result<NKind, String> {
         match s {
-            ScalarType::Float => Some(NKind::F32),
-            ScalarType::Double => Some(NKind::F64),
-            ScalarType::Int => Some(NKind::I32),
-            ScalarType::Bool => Some(NKind::Bool),
-            ScalarType::Uint => None,
+            ScalarType::Float => Ok(NKind::F32),
+            ScalarType::Double => Ok(NKind::F64),
+            ScalarType::Int => Ok(NKind::I32),
+            ScalarType::Bool => Ok(NKind::Bool),
+            ScalarType::Uint => Err("computes with uint values".to_string()),
         }
     }
 
@@ -306,50 +294,16 @@ impl NKind {
     }
 }
 
-/// One lattice cell of the flow-sensitive typing pass. `iota` marks an `i32`
-/// register known to hold `first_global_id + lane` in every lane (the value
-/// of `get_global_id(0)` under linear launches), which unlocks contiguous
-/// buffer fast paths.
+/// One register row: `BATCH_LANES` values of one kind, starting at `at` in
+/// that kind's array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Cell {
-    /// Not written on any path seen so far (the lattice bottom; the compiler
-    /// guarantees every *executed* read is dominated by a write).
-    Unset,
-    /// Holds this kind on every path.
-    Known { kind: NKind, iota: bool },
-    /// Holds differently-typed values on merging paths (the lattice top).
-    Conflict,
+struct Row {
+    kind: NKind,
+    at: usize,
 }
 
-impl Cell {
-    fn known(kind: NKind) -> Cell {
-        Cell::Known { kind, iota: false }
-    }
-
-    fn merge(a: Cell, b: Cell) -> Cell {
-        match (a, b) {
-            (Cell::Unset, x) | (x, Cell::Unset) => x,
-            (Cell::Known { kind: k1, iota: i1 }, Cell::Known { kind: k2, iota: i2 })
-                if k1 == k2 =>
-            {
-                Cell::Known {
-                    kind: k1,
-                    iota: i1 && i2,
-                }
-            }
-            _ => Cell::Conflict,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Runtime state: register file, undo log, execution context
-// ---------------------------------------------------------------------------
-
-/// Struct-of-arrays register file: four parallel arrays, each holding
-/// `BATCH_LANES` values per register row. A register's value lives in the
-/// array of its current kind (the dataflow pass guarantees reader and writer
-/// agree at every program point).
+/// Struct-of-arrays register file: one array per kind, `BATCH_LANES` values
+/// per row.
 pub(crate) struct RegFile {
     f32s: Vec<f32>,
     f64s: Vec<f64>,
@@ -358,16 +312,19 @@ pub(crate) struct RegFile {
 }
 
 impl RegFile {
-    fn new(rows: usize) -> RegFile {
-        let n = rows * BATCH_LANES;
+    fn new(rows: [usize; 4]) -> RegFile {
         RegFile {
-            f32s: vec![0.0; n],
-            f64s: vec![0.0; n],
-            i32s: vec![0; n],
-            bools: vec![false; n],
+            f32s: vec![0.0; rows[0] * BATCH_LANES],
+            f64s: vec![0.0; rows[1] * BATCH_LANES],
+            i32s: vec![0; rows[2] * BATCH_LANES],
+            bools: vec![false; rows[3] * BATCH_LANES],
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Runtime state: undo log, hazards, execution context
+// ---------------------------------------------------------------------------
 
 /// Ordered log of buffer mutations, for exact rollback on batch abort.
 /// `f32` stores log spans backed by a flat arena — a whole batch row at once,
@@ -479,100 +436,6 @@ pub(crate) enum NativeAbort {
     Bail,
 }
 
-/// Mutable execution state threaded through every step closure.
-pub(crate) struct ExecCtx<'a, 'b> {
-    regs: &'a mut RegFile,
-    items: &'a [WorkItem],
-    /// Bit ℓ is set when lane ℓ executes the current block.
-    mask: u64,
-    /// `lo..n_active` is the smallest lane range covering `mask`.
-    lo: usize,
-    n_active: usize,
-    /// Number of active lanes (`mask.count_ones()`).
-    count: usize,
-    /// Whether the active lanes are the one contiguous run `lo..n_active`,
-    /// so buffer accesses may take the span copies.
-    run: bool,
-    /// Whether the active lanes are exactly the prefix `0..n_active` — what
-    /// uniform batches and suffix retirement produce. Dense blocks run the
-    /// step closures' vectorized loops as they are.
-    dense: bool,
-    /// Per-lane expansion of `!mask`, for blending pure register steps;
-    /// maintained only outside the dense mode.
-    inactive: [bool; BATCH_LANES],
-    args: &'a mut [ArgBinding<'b>],
-    stencil: Option<StencilCtx>,
-    undo: &'a mut UndoLog,
-    slots: &'a mut [SlotHazard],
-    /// Cross-lane hazard checks; off for single-lane batches, whose
-    /// sequential order is trivially preserved.
-    hazards: bool,
-    /// Whether lane ℓ's global id is `items[0].global_id + ℓ` (what the
-    /// launch loops always produce; verified per batch).
-    linear: bool,
-}
-
-/// The mask of the lanes `0..n`.
-#[inline]
-fn low_bits(n: usize) -> u64 {
-    if n >= BATCH_LANES {
-        u64::MAX
-    } else {
-        (1u64 << n) - 1
-    }
-}
-
-/// Bit ℓ of the result is set when `row[ℓ] == when`.
-#[inline]
-fn lane_bits(row: &[bool], when: bool) -> u64 {
-    let mut bits = 0u64;
-    for (l, b) in row.iter().enumerate() {
-        bits |= u64::from(*b == when) << l;
-    }
-    bits
-}
-
-/// Iterator over the set bits of a lane mask, lowest lane first.
-struct Lanes(u64);
-
-impl Iterator for Lanes {
-    type Item = usize;
-    #[inline(always)]
-    fn next(&mut self) -> Option<usize> {
-        if self.0 == 0 {
-            return None;
-        }
-        let lane = self.0.trailing_zeros() as usize;
-        self.0 &= self.0 - 1;
-        Some(lane)
-    }
-}
-
-impl ExecCtx<'_, '_> {
-    /// Make `mask` (non-empty) the set of executing lanes.
-    fn set_mask(&mut self, mask: u64) {
-        debug_assert!(mask != 0);
-        self.mask = mask;
-        self.lo = mask.trailing_zeros() as usize;
-        self.n_active = BATCH_LANES - mask.leading_zeros() as usize;
-        self.count = mask.count_ones() as usize;
-        self.run = self.count == self.n_active - self.lo;
-        self.dense = self.run && self.lo == 0;
-        if !self.dense {
-            for (l, off) in self.inactive.iter_mut().enumerate() {
-                *off = mask >> l & 1 == 0;
-            }
-        }
-    }
-
-    /// The active lanes, lowest first. Every step that can fault or touch
-    /// memory lane by lane iterates these, never the covering range.
-    #[inline(always)]
-    fn lanes(&self) -> Lanes {
-        Lanes(self.mask)
-    }
-}
-
 /// Per-batch cross-lane hazard state of one buffer slot. Lockstep execution
 /// equals the sequential item order as long as no lane observes another
 /// lane's store, which holds when every slot is either read-only within the
@@ -623,6 +486,137 @@ impl SlotHazard {
     }
 }
 
+/// Mutable execution state threaded through every step closure.
+pub(crate) struct ExecCtx<'a, 'b> {
+    regs: &'a mut RegFile,
+    items: &'a [WorkItem],
+    /// Bit ℓ is set when lane ℓ executes the current step.
+    mask: u64,
+    /// `lo..n_active` is the smallest lane range covering `mask`.
+    lo: usize,
+    n_active: usize,
+    /// Number of active lanes (`mask.count_ones()`).
+    count: usize,
+    /// Whether the active lanes are the one contiguous run `lo..n_active`,
+    /// so buffer accesses may take the span copies.
+    run: bool,
+    /// Whether the active lanes are exactly the prefix `0..n_active`: pure
+    /// steps then compute those lanes and write their rows as they are.
+    dense: bool,
+    /// Lanes a pure step computes: `n_active` when dense, all otherwise.
+    width: usize,
+    /// Per-lane expansion of `!mask`, for blending pure steps into rows
+    /// with live idle lanes; maintained only outside the dense mode.
+    inactive: [bool; BATCH_LANES],
+    args: &'a mut [ArgBinding<'b>],
+    stencil: Option<StencilCtx>,
+    undo: &'a mut UndoLog,
+    slots: &'a mut [SlotHazard],
+    /// Cross-lane hazard checks; off for single-lane batches, whose
+    /// sequential order is trivially preserved.
+    hazards: bool,
+    /// Whether lane ℓ's global id is `items[0].global_id + ℓ` (what the
+    /// launch loops always produce; verified per batch).
+    linear: bool,
+    /// `(flops, bytes, ops)` charged so far.
+    acc: [f64; 3],
+    /// Loop iterations the batch may still start.
+    budget: u64,
+    /// Whether some code ran under a mask that is not a lane prefix.
+    diverged: bool,
+    /// Lanes that left the innermost loop through `break`.
+    brk: u64,
+    /// Lanes that left the current iteration through `continue`.
+    cont: u64,
+}
+
+/// The mask of the lanes `0..n`.
+#[inline]
+fn low_bits(n: usize) -> u64 {
+    if n >= BATCH_LANES {
+        u64::MAX
+    } else {
+        (1u64 << n) - 1
+    }
+}
+
+/// Iterator over the set bits of a lane mask, lowest lane first.
+struct Lanes(u64);
+
+impl Iterator for Lanes {
+    type Item = usize;
+    #[inline(always)]
+    fn next(&mut self) -> Option<usize> {
+        if self.0 == 0 {
+            return None;
+        }
+        let lane = self.0.trailing_zeros() as usize;
+        self.0 &= self.0 - 1;
+        Some(lane)
+    }
+}
+
+impl ExecCtx<'_, '_> {
+    /// Make `mask` the set of executing lanes (none: the running code is
+    /// skipped until a construct restores its lanes).
+    fn set_mask(&mut self, mask: u64) {
+        self.mask = mask;
+        self.count = mask.count_ones() as usize;
+        if mask == 0 {
+            return;
+        }
+        self.lo = mask.trailing_zeros() as usize;
+        self.n_active = BATCH_LANES - mask.leading_zeros() as usize;
+        self.run = self.count == self.n_active - self.lo;
+        self.dense = self.run && self.lo == 0;
+        self.diverged |= !self.dense;
+        if self.dense {
+            self.width = self.n_active;
+        } else {
+            self.width = BATCH_LANES;
+            for (l, off) in self.inactive.iter_mut().enumerate() {
+                *off = mask >> l & 1 == 0;
+            }
+        }
+    }
+
+    /// The active lanes, lowest first. Every step that can fault or touch
+    /// memory lane by lane iterates these, never the covering range.
+    #[inline(always)]
+    fn lanes(&self) -> Lanes {
+        Lanes(self.mask)
+    }
+
+    /// The active lanes whose value in bool row `c` is true.
+    #[inline]
+    fn true_lanes(&self, c: usize) -> u64 {
+        let row = &self.regs.bools[c..c + self.n_active];
+        if self.dense {
+            let t = row.iter().filter(|b| **b).count();
+            if t == self.n_active {
+                return self.mask;
+            }
+            if t == 0 {
+                return 0;
+            }
+        }
+        let mut bits = 0u64;
+        for (l, b) in row.iter().enumerate() {
+            bits |= u64::from(*b) << l;
+        }
+        bits & self.mask
+    }
+
+    /// Charge one pre-summed cost for every active lane.
+    #[inline]
+    fn charge(&mut self, c: [f64; 3]) {
+        let n = self.count as f64;
+        for (a, c) in self.acc.iter_mut().zip(c) {
+            *a += c * n;
+        }
+    }
+}
+
 type StepFn =
     Box<dyn for<'a, 'b> Fn(&mut ExecCtx<'a, 'b>) -> Result<(), NativeAbort> + Send + Sync>;
 
@@ -634,50 +628,57 @@ where
     Box::new(f)
 }
 
-/// One compiled instruction of a block.
+/// One compiled step. `blend` marks a *pure* step writing a row with live
+/// idle lanes (a variable, or a value several arms write): under a mask
+/// that is not a prefix it runs through [`run_blended`].
 struct Step {
     run: StepFn,
-    /// `Some((kind, row))` marks a *pure register step*: it writes lanes
-    /// `0..n_active` of that one destination row and can neither fault nor
-    /// touch memory, so under a partial mask the executor lets it compute
-    /// every lane and puts the inactive lanes' old values back
-    /// ([`run_blended`]). `None` steps restrict themselves to
-    /// [`ExecCtx::lanes`] (or write only the scratch condition row, whose
-    /// inactive lanes nobody reads).
-    blend: Option<(NKind, usize)>,
+    blend: Option<Row>,
 }
 
-impl Step {
-    fn pure(kind: NKind, row: usize, run: StepFn) -> Step {
-        Step {
-            run,
-            blend: Some((kind, row)),
+/// Straight-line steps, charged once for the lanes that start them: only
+/// the last step may change the mask.
+struct Segment {
+    charge: [f64; 3],
+    steps: Vec<Step>,
+}
+
+/// Run `seq` in order while any lane is active.
+#[inline]
+fn run(seq: &[Segment], cx: &mut ExecCtx<'_, '_>) -> Result<(), NativeAbort> {
+    for seg in seq {
+        if cx.mask == 0 {
+            break;
+        }
+        cx.charge(seg.charge);
+        if cx.dense {
+            for s in &seg.steps {
+                (s.run)(cx)?;
+            }
+        } else {
+            for s in &seg.steps {
+                match s.blend {
+                    Some(d) => run_blended(cx, d, &s.run)?,
+                    None => (s.run)(cx)?,
+                }
+            }
         }
     }
-
-    fn masked(run: StepFn) -> Step {
-        Step { run, blend: None }
-    }
+    Ok(())
 }
 
-/// Run a pure register step under a partial mask: the closure computes all
-/// `BATCH_LANES` lanes with its fixed-width vectorized loop (idle lanes hold
-/// stale but initialised values, and nothing pure can fault on them), then
-/// the lanes that are not executing get their previous destination values
-/// back.
-fn run_blended(cx: &mut ExecCtx<'_, '_>, s: &Step) -> Result<(), NativeAbort> {
-    let Some((kind, d)) = s.blend else {
-        return (s.run)(cx);
-    };
+/// Run a pure step writing row `d` under a mask that is not a prefix: it
+/// computes all `BATCH_LANES` lanes with its fixed-width loop (idle lanes
+/// hold stale but initialised values, and nothing pure can fault on them),
+/// then the idle lanes get their previous values back.
+fn run_blended(cx: &mut ExecCtx<'_, '_>, d: Row, f: &StepFn) -> Result<(), NativeAbort> {
     macro_rules! blend {
         ($field:ident, $zero:expr) => {{
+            let at = d.at;
             let mut old = [$zero; BATCH_LANES];
-            old.copy_from_slice(&cx.regs.$field[d..d + BATCH_LANES]);
-            let n_active = std::mem::replace(&mut cx.n_active, BATCH_LANES);
-            let done = (s.run)(cx);
-            cx.n_active = n_active;
-            done?;
-            for ((v, o), off) in cx.regs.$field[d..d + BATCH_LANES]
+            old.copy_from_slice(&cx.regs.$field[at..at + BATCH_LANES]);
+            f(cx)?;
+            for ((v, o), off) in cx.regs.$field[at..at + BATCH_LANES]
                 .iter_mut()
                 .zip(&old)
                 .zip(&cx.inactive)
@@ -687,7 +688,7 @@ fn run_blended(cx: &mut ExecCtx<'_, '_>, s: &Step) -> Result<(), NativeAbort> {
             }
         }};
     }
-    match kind {
+    match d.kind {
         NKind::F32 => blend!(f32s, 0.0f32),
         NKind::F64 => blend!(f64s, 0.0f64),
         NKind::I32 => blend!(i32s, 0i32),
@@ -696,195 +697,163 @@ fn run_blended(cx: &mut ExecCtx<'_, '_>, s: &Step) -> Result<(), NativeAbort> {
     Ok(())
 }
 
-#[inline(always)]
-fn read_value(regs: &RegFile, kind: NKind, row: usize, lane: usize) -> Value {
-    match kind {
-        NKind::F32 => Value::Float(regs.f32s[row + lane]),
-        NKind::F64 => Value::Double(regs.f64s[row + lane]),
-        NKind::I32 => Value::Int(regs.i32s[row + lane]),
-        NKind::Bool => Value::Bool(regs.bools[row + lane]),
+/// Run `seq` under `sub`, a subset of the running lanes, and return the
+/// lanes still running afterwards; the caller restores the mask.
+#[inline]
+fn run_under(seq: &[Segment], sub: u64, cx: &mut ExecCtx<'_, '_>) -> Result<u64, NativeAbort> {
+    if seq.is_empty() {
+        return Ok(sub);
     }
+    if sub != cx.mask {
+        cx.set_mask(sub);
+    }
+    run(seq, cx)?;
+    Ok(cx.mask)
 }
 
-#[inline(always)]
-fn write_value(regs: &mut RegFile, kind: NKind, row: usize, lane: usize, v: Value) {
-    match kind {
-        NKind::F32 => {
-            regs.f32s[row + lane] = match v {
-                Value::Float(x) => x,
-                other => other.as_f64() as f32,
-            }
+/// The running lanes leave: they are done with the function.
+fn end_lanes() -> StepFn {
+    step(|cx| {
+        cx.set_mask(0);
+        Ok(())
+    })
+}
+
+/// An `if`, `?:`, `&&` or `||` on the bool row `c`: each arm runs under
+/// the lanes that take it, then the lanes still running (arms of an `if`
+/// may return or break) run on together.
+fn branch(c: usize, then: Vec<Segment>, els: Vec<Segment>) -> StepFn {
+    step(move |cx| {
+        let m = cx.mask;
+        let t = cx.true_lanes(c);
+        let mut out = 0;
+        if t != 0 {
+            out |= run_under(&then, t, cx)?;
         }
-        NKind::F64 => regs.f64s[row + lane] = v.as_f64(),
-        NKind::I32 => {
-            regs.i32s[row + lane] = match v {
-                Value::Int(x) => x,
-                other => other.as_i64() as i32,
-            }
+        if t != m {
+            out |= run_under(&els, m & !t, cx)?;
         }
-        NKind::Bool => regs.bools[row + lane] = v.as_bool(),
-    }
+        if out != cx.mask {
+            cx.set_mask(out);
+        }
+        Ok(())
+    })
 }
 
-/// The buffer address held in `row` at `lane` (exactly `Value::as_i64` of
-/// the register's typed value).
 #[inline(always)]
-fn addr_of(regs: &RegFile, kind: NKind, row: usize, lane: usize) -> i64 {
-    match kind {
-        NKind::F32 => regs.f32s[row + lane] as i64,
-        NKind::F64 => regs.f64s[row + lane] as i64,
-        NKind::I32 => regs.i32s[row + lane] as i64,
-        NKind::Bool => i64::from(regs.bools[row + lane]),
+fn read_value(regs: &RegFile, r: Row, lane: usize) -> Value {
+    match r.kind {
+        NKind::F32 => Value::Float(regs.f32s[r.at + lane]),
+        NKind::F64 => Value::Double(regs.f64s[r.at + lane]),
+        NKind::I32 => Value::Int(regs.i32s[r.at + lane]),
+        NKind::Bool => Value::Bool(regs.bools[r.at + lane]),
     }
 }
 
-fn broadcast(regs: &mut RegFile, row: usize, v: Value) {
+/// Write `v` (already of the row's type) into lane `lane` of `r`.
+#[inline(always)]
+fn write_value(regs: &mut RegFile, r: Row, lane: usize, v: Value) {
     match v {
-        Value::Float(x) => regs.f32s[row..row + BATCH_LANES].fill(x),
-        Value::Double(x) => regs.f64s[row..row + BATCH_LANES].fill(x),
-        Value::Int(x) => regs.i32s[row..row + BATCH_LANES].fill(x),
-        Value::Bool(x) => regs.bools[row..row + BATCH_LANES].fill(x),
+        Value::Float(x) => regs.f32s[r.at + lane] = x,
+        Value::Double(x) => regs.f64s[r.at + lane] = x,
+        Value::Int(x) => regs.i32s[r.at + lane] = x,
+        Value::Bool(x) => regs.bools[r.at + lane] = x,
+        Value::Uint(_) => unreachable!("uint values are native-ineligible"),
+    }
+}
+
+/// The buffer address held in `r` at `lane` (exactly `Value::as_i64` of the
+/// register's typed value).
+#[inline(always)]
+fn addr_of(regs: &RegFile, r: Row, lane: usize) -> i64 {
+    match r.kind {
+        NKind::F32 => regs.f32s[r.at + lane] as i64,
+        NKind::F64 => regs.f64s[r.at + lane] as i64,
+        NKind::I32 => regs.i32s[r.at + lane] as i64,
+        NKind::Bool => i64::from(regs.bools[r.at + lane]),
+    }
+}
+
+fn broadcast(regs: &mut RegFile, r: Row, v: Value) {
+    let at = r.at;
+    match v {
+        Value::Float(x) => regs.f32s[at..at + BATCH_LANES].fill(x),
+        Value::Double(x) => regs.f64s[at..at + BATCH_LANES].fill(x),
+        Value::Int(x) => regs.i32s[at..at + BATCH_LANES].fill(x),
+        Value::Bool(x) => regs.bools[at..at + BATCH_LANES].fill(x),
         Value::Uint(_) => unreachable!("uint values are native-ineligible"),
     }
 }
 
 // ---------------------------------------------------------------------------
-// Compiled artifact
+// Compiled artifact and per-launch executor
 // ---------------------------------------------------------------------------
 
-/// How a basic block transfers control. Targets are pre-resolved block
-/// indices, so runtime dispatch is a direct index.
-enum Term {
-    /// Unconditional transfer; back edges count against the loop budget.
-    Jump { target: usize, back_edge: bool },
-    /// Conditional transfer on the scratch bool row written by the block's
-    /// final condition step. When the active lanes disagree, the taken side
-    /// runs under its lane mask, then the fall side under the complement,
-    /// and both wait at `reconv` — the branch block's immediate
-    /// post-dominator ([`EXIT`] when a side returns first) — where the union
-    /// resumes. One shape skips the mask stack: outside any divergent region
-    /// a suffix of the dense prefix leaving through a trivial exit chain
-    /// (the `if (gid < n)` tail guard) just retires, charged the chain's
-    /// pre-summed cost.
-    Branch {
-        jump_when: bool,
-        taken: usize,
-        taken_back_edge: bool,
-        exit_chain: Option<(f64, f64, f64)>,
-        fall: usize,
-        reconv: usize,
-    },
-    /// All active lanes return from the kernel.
-    Ret,
-    /// An unconditional runtime error (missing return, orphan break, …); the
-    /// oracle's replay reproduces the exact message.
-    Abort,
-}
-
-/// The virtual exit block: where returning lanes go, and the reconvergence
-/// point of every branch with a side that returns before the sides meet.
-const EXIT: usize = usize::MAX;
-
-/// Lanes parked on the mask stack until the running lanes reach `reconv`.
-struct Pending {
-    block: usize,
-    mask: u64,
-    reconv: usize,
-}
-
-struct Block {
-    steps: Vec<Step>,
-    /// Pre-summed `(flops, bytes, ops)` of every instruction in the block,
-    /// terminator included; charged `× popcount(mask)` at block entry. Exact
-    /// because the mask only changes at terminators and any mid-block abort
-    /// discards the whole batch accumulator.
-    cost: (f64, f64, f64),
-    term: Term,
-}
-
-/// A kernel compiled to closure-threaded native blocks. Immutable and
-/// shared; per-launch mutable state lives in the (private) executor.
+/// A kernel closure-compiled from its checked AST. Immutable and shared;
+/// per-launch mutable state lives in the (private) executor.
 pub struct NativeKernel {
-    blocks: Vec<Block>,
-    num_regs: usize,
+    body: Vec<Segment>,
+    /// Rows per kind (`f32`, `f64`, `i32`, `bool`).
+    rows: [usize; 4],
     /// Whether any step uses the iota fast paths, which require contiguous
     /// global ids with `local_id == global_id` and ids within `i32` range
     /// (verified per batch; violations bail to the interpreter).
     uses_iota: bool,
-    /// Constant pool broadcast once per launch (pool rows are never written
-    /// by compiled code).
-    pool: Vec<(u16, Value)>,
-    /// Scalar parameters `(arg slot == register row, declared type)`,
-    /// re-broadcast every batch (parameters are mutable locals).
-    scalar_params: Vec<(usize, ScalarType)>,
-    listing: String,
+    /// Literal rows, broadcast once per launch and never written.
+    pool: Vec<(Row, Value)>,
+    /// Scalar parameters `(arg slot, row, declared type)`, re-broadcast
+    /// every batch (parameters are mutable locals).
+    scalar_params: Vec<(usize, Row, ScalarType)>,
+    /// The path each buffer access and `get` took, in compile order.
+    paths: Vec<&'static str>,
 }
 
 impl std::fmt::Debug for NativeKernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NativeKernel")
-            .field("blocks", &self.blocks.len())
-            .field("num_regs", &self.num_regs)
+            .field("rows", &self.rows)
             .field("uses_iota", &self.uses_iota)
+            .field("paths", &self.paths)
             .finish()
     }
 }
 
-impl NativeKernel {
-    /// Human-readable block/closure listing (for `dump_bytecode`).
-    pub fn listing(&self) -> &str {
-        &self.listing
-    }
-
-    /// Number of native basic blocks.
-    pub fn block_count(&self) -> usize {
-        self.blocks.len()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Per-launch executor
-// ---------------------------------------------------------------------------
-
 /// Mutable per-launch state for one [`NativeKernel`]: the register file, the
-/// undo log and the hazard flags. Created once per launch so the constant
-/// pool broadcast is paid once.
+/// undo log and the hazard flags. Created once per launch so the literal
+/// broadcast is paid once.
 pub(crate) struct NativeExec {
     kernel: Arc<NativeKernel>,
     regs: RegFile,
     undo: UndoLog,
     slots: Vec<SlotHazard>,
-    /// The mask stack; empty between batches and throughout uniform ones.
-    stack: Vec<Pending>,
 }
 
 impl NativeExec {
     pub(crate) fn new(kernel: Arc<NativeKernel>) -> NativeExec {
-        let mut regs = RegFile::new(kernel.num_regs + 1);
-        for &(reg, v) in &kernel.pool {
-            broadcast(&mut regs, reg as usize * BATCH_LANES, v);
+        let mut regs = RegFile::new(kernel.rows);
+        for &(r, v) in &kernel.pool {
+            broadcast(&mut regs, r, v);
         }
         NativeExec {
             kernel,
             regs,
             undo: UndoLog::default(),
             slots: Vec::new(),
-            stack: Vec::new(),
         }
     }
 
     /// Execute one batch of work-items. On `Ok`, results are committed, the
     /// batch's exact cost has been added to `stats`, and the value says
-    /// whether the lanes diverged (some block ran under a partial mask). On
-    /// `Err`, the caller must call [`NativeExec::rollback`] and replay the
-    /// batch through the interpreter.
+    /// whether the lanes diverged (some code ran under a mask that is not a
+    /// lane prefix). On `Err`, the caller must call [`NativeExec::rollback`]
+    /// and replay the batch through the interpreter.
     ///
     /// `budget_limit` is the interpreter's per-loop iteration budget. The
-    /// batch keeps one counter for all lanes and loops: it counts every back
-    /// edge *any* lane takes, so it never undercounts a loop of a lane, and
-    /// it overcounts once lanes sit in different loops or a lane runs
-    /// several — which is why running out is [`NativeAbort::Error`], not an
-    /// error of its own: the oracle's replay decides per work-item.
+    /// batch keeps one counter for all lanes and loops: it counts every
+    /// iteration *any* lane goes around, so it never undercounts a loop of a
+    /// lane, and it overcounts once lanes sit in different loops or a lane
+    /// runs several — which is why running out is [`NativeAbort::Error`],
+    /// not an error of its own: the oracle's replay decides per work-item.
     pub(crate) fn execute_batch(
         &mut self,
         items: &[WorkItem],
@@ -912,32 +881,21 @@ impl NativeExec {
         self.undo.clear();
         self.slots.clear();
         self.slots.resize(args.len(), SlotHazard::default());
-        self.stack.clear();
-        for &(slot, declared) in &kernel.scalar_params {
+        for &(slot, r, declared) in &kernel.scalar_params {
             if let ArgBinding::Scalar(v) = &args[slot] {
-                broadcast(&mut self.regs, slot * BATCH_LANES, v.convert_to(declared));
+                broadcast(&mut self.regs, r, v.convert_to(declared));
             }
         }
-
-        let scratch = kernel.num_regs * BATCH_LANES;
-        let mut acc = (0.0f64, 0.0f64, 0.0f64);
-        let mut budget = budget_limit;
-        let mut diverged = false;
-        // The running lanes are at `block` and stop at `reconv`.
-        let mut block = 0usize;
-        let mut reconv = EXIT;
-        let stack = &mut self.stack;
-        // One context for the whole batch (rebuilding it per block costs real
-        // time on single-lane sequential kernels); the mask changes in place.
         let mut cx = ExecCtx {
             regs: &mut self.regs,
             items,
-            mask: low_bits(lanes),
+            mask: 0,
             lo: 0,
-            n_active: lanes,
-            count: lanes,
+            n_active: 0,
+            count: 0,
             run: true,
             dense: true,
+            width: 0,
             inactive: [false; BATCH_LANES],
             args,
             stencil,
@@ -945,118 +903,18 @@ impl NativeExec {
             slots: &mut self.slots,
             hazards: lanes >= 2,
             linear,
+            acc: [0.0; 3],
+            budget: budget_limit,
+            diverged: false,
+            brk: 0,
+            cont: 0,
         };
-        loop {
-            if block == reconv {
-                // The running lanes returned or reached their reconvergence
-                // block: resume whoever was parked last.
-                let Some(p) = stack.pop() else { break };
-                block = p.block;
-                reconv = p.reconv;
-                cx.set_mask(p.mask);
-                continue;
-            }
-            let b = &kernel.blocks[block];
-            let na = cx.count as f64;
-            acc.0 += b.cost.0 * na;
-            acc.1 += b.cost.1 * na;
-            acc.2 += b.cost.2 * na;
-            if cx.dense {
-                for s in &b.steps {
-                    (s.run)(&mut cx)?;
-                }
-            } else {
-                for s in &b.steps {
-                    run_blended(&mut cx, s)?;
-                }
-            }
-            match &b.term {
-                Term::Jump { target, back_edge } => {
-                    if *back_edge {
-                        budget = budget.checked_sub(1).ok_or(NativeAbort::Error)?;
-                    }
-                    block = *target;
-                }
-                Term::Ret => {
-                    // A return inside a divergent region makes the exit the
-                    // region's reconvergence block, so these lanes are done.
-                    debug_assert_eq!(reconv, EXIT);
-                    block = reconv;
-                }
-                Term::Abort => return Err(NativeAbort::Error),
-                Term::Branch {
-                    jump_when,
-                    taken,
-                    taken_back_edge,
-                    exit_chain,
-                    fall,
-                    reconv: join,
-                } => {
-                    let n_active = cx.n_active;
-                    let sb = &cx.regs.bools[scratch..scratch + n_active];
-                    // Lanes that jump. The dense count is the uniform fast
-                    // path; the bit row is only built on disagreement.
-                    let jumping = if cx.dense {
-                        let jumpers = sb.iter().filter(|b| **b == *jump_when).count();
-                        if jumpers == n_active {
-                            cx.mask
-                        } else if jumpers == 0 {
-                            0
-                        } else {
-                            lane_bits(sb, *jump_when)
-                        }
-                    } else {
-                        lane_bits(sb, *jump_when) & cx.mask
-                    };
-                    if jumping != 0 && *taken_back_edge {
-                        budget = budget.checked_sub(1).ok_or(NativeAbort::Error)?;
-                    }
-                    let staying = cx.mask & !jumping;
-                    if staying == 0 {
-                        block = *taken;
-                    } else if jumping == 0 {
-                        block = *fall;
-                    } else if let Some(chain) = exit_chain.filter(|_| {
-                        // Outside any divergent region, a lane prefix left.
-                        reconv == EXIT && staying & staying.wrapping_add(1) == 0
-                    }) {
-                        // Tail guard: the leaving suffix only pays the exit
-                        // chain; the prefix stays dense.
-                        let jumpers = jumping.count_ones() as f64;
-                        acc.0 += chain.0 * jumpers;
-                        acc.1 += chain.1 * jumpers;
-                        acc.2 += chain.2 * jumpers;
-                        cx.set_mask(staying);
-                        block = *fall;
-                    } else {
-                        diverged = true;
-                        if *join != reconv {
-                            stack.push(Pending {
-                                block: *join,
-                                mask: cx.mask,
-                                reconv,
-                            });
-                        }
-                        if *fall != *join {
-                            stack.push(Pending {
-                                block: *fall,
-                                mask: staying,
-                                reconv: *join,
-                            });
-                        }
-                        // When `taken` is the join block its lanes simply
-                        // wait there: the loop head resumes the fall side.
-                        block = *taken;
-                        reconv = *join;
-                        cx.set_mask(jumping);
-                    }
-                }
-            }
-        }
-        stats.flops += acc.0;
-        stats.global_bytes += acc.1;
-        stats.ops += acc.2;
-        Ok(diverged)
+        cx.set_mask(low_bits(lanes));
+        run(&kernel.body, &mut cx)?;
+        stats.flops += cx.acc[0];
+        stats.global_bytes += cx.acc[1];
+        stats.ops += cx.acc[2];
+        Ok(cx.diverged)
     }
 
     /// Undo every buffer store of an aborted batch (newest first).
@@ -1066,584 +924,1280 @@ impl NativeExec {
 }
 
 // ---------------------------------------------------------------------------
-// Native compilation: eligibility, dataflow typing, block assembly
+// Compilation: the checked tree to steps
 // ---------------------------------------------------------------------------
 
-use crate::compile::Reg;
+/// Maximum inline nesting. A launched kernel runs at call depth 0, so an
+/// inlined call can never hit the interpreter's call-depth limit: the native
+/// tier, which runs only inlined calls, needs no depth check.
+const INLINE_DEPTH_LIMIT: usize = 8;
+const _: () = assert!(INLINE_DEPTH_LIMIT < MAX_CALL_DEPTH);
+/// Compiled expression nodes past which calls are no longer inlined.
+const INLINE_NODE_LIMIT: usize = 8192;
 
-/// The storage kind of a literal value (`None` for `uint`, which the native
-/// tier does not model).
-fn kind_of_value(v: Value) -> Option<NKind> {
+/// A value's place in the register file.
+#[derive(Debug, Clone, Copy)]
+struct Val {
+    row: Row,
+    /// Holds `first_global_id + lane` in every lane (the value of
+    /// `get_global_id(0)` in a batch the iota check admits).
+    iota: bool,
+    /// The row is a variable's, so a later write can change it.
+    var: bool,
+}
+
+/// Where an expression should leave its value: `masked` rows have live idle
+/// lanes (variables, and values several arms write), so writes under a
+/// partial mask must keep them.
+#[derive(Debug, Clone, Copy)]
+struct Dst {
+    row: Row,
+    masked: bool,
+}
+
+/// A step sequence being built: closed segments, the open one, and the
+/// charge of the code compiled into the open one. Straight-line steps never
+/// change the mask, so a segment's charge is paid once, for the lanes that
+/// start it.
+#[derive(Default)]
+struct Code {
+    segs: Vec<Segment>,
+    steps: Vec<Step>,
+    pending: CostEstimate,
+}
+
+impl Code {
+    /// Push a step that writes only the active lanes, or a temporary.
+    fn push(&mut self, run: StepFn) {
+        self.steps.push(Step { run, blend: None });
+    }
+
+    /// Push a pure step writing `d`.
+    fn pure(&mut self, d: Dst, run: StepFn) {
+        let blend = d.masked.then_some(d.row);
+        self.steps.push(Step { run, blend });
+    }
+
+    /// Leave `s`, converted, in `d`.
+    fn store_row(&mut self, s: Row, d: Dst) {
+        self.pure(d, conv(s, d.row));
+    }
+
+    fn charge(&mut self, c: CostEstimate) {
+        self.pending = self.pending.add(c);
+    }
+
+    /// Push a step that runs code under other masks or changes the mask; it
+    /// ends the segment.
+    fn control(&mut self, run: StepFn) {
+        self.push(run);
+        self.close();
+    }
+
+    fn close(&mut self) {
+        let c = std::mem::take(&mut self.pending);
+        self.segs.push(Segment {
+            charge: [c.flops, c.global_bytes, c.ops],
+            steps: std::mem::take(&mut self.steps),
+        });
+    }
+
+    fn finish(mut self) -> Vec<Segment> {
+        if !self.steps.is_empty() || self.pending != CostEstimate::default() {
+            self.close();
+        }
+        self.segs
+    }
+}
+
+/// A variable's row.
+#[derive(Debug, Clone, Copy)]
+struct Var {
+    row: Row,
+    iota: bool,
+}
+
+/// One function being compiled: the kernel, or a call being inlined.
+struct Frame {
+    func: usize,
+    /// Per frame slot: the variable's row (`None` for buffers).
+    vars: Vec<Option<Var>>,
+    /// Slots some assignment or increment writes.
+    written: Vec<bool>,
+    /// An inlined call's result row (`None` for the kernel and `void`).
+    result: Option<Row>,
+    /// Loops open in this function.
+    loops: usize,
+}
+
+struct Compiler<'u> {
+    unit: &'u TranslationUnit,
+    /// Next free row of each kind: rows below belong to live values.
+    next: [usize; 4],
+    /// Rows of each kind the kernel needs.
+    rows: [usize; 4],
+    pool: HashMap<(u8, u64), Row>,
+    frames: Vec<Frame>,
+    uses_iota: bool,
+    paths: Vec<&'static str>,
+    nodes: usize,
+}
+
+/// Bit-exact hash key of a literal value.
+fn value_key(v: Value) -> (u8, u64) {
     match v {
-        Value::Float(_) => Some(NKind::F32),
-        Value::Double(_) => Some(NKind::F64),
-        Value::Int(_) => Some(NKind::I32),
-        Value::Bool(_) => Some(NKind::Bool),
-        Value::Uint(_) => None,
+        Value::Float(x) => (0, x.to_bits() as u64),
+        Value::Double(x) => (1, x.to_bits()),
+        Value::Int(x) => (2, x as u32 as u64),
+        Value::Uint(x) => (3, x as u64),
+        Value::Bool(x) => (4, x as u64),
     }
 }
 
-/// Buffer parameters of the kernel: interned name id → (argument slot,
-/// pointee type).
-type BufferMap = HashMap<u16, (u16, ScalarType)>;
-
-/// Resolve a register read at a program point: its concrete kind, or the
-/// human-readable reason the kernel is native-ineligible.
-fn read_kind(st: &[Cell], reg: Reg) -> Result<(NKind, bool), String> {
-    match st[reg as usize] {
-        Cell::Known { kind, iota } => Ok((kind, iota)),
-        Cell::Unset => Err(format!(
-            "register r{reg} is read before any write on some path"
-        )),
-        Cell::Conflict => Err(format!(
-            "register r{reg} holds differently-typed values on merging paths"
-        )),
+/// The value of a literal expression.
+fn literal(e: &Expr) -> Option<Value> {
+    match e.kind {
+        ExprKind::IntLit(v) => Some(Value::Int(v as i32)),
+        ExprKind::FloatLit(v) => Some(Value::Float(v as f32)),
+        ExprKind::BoolLit(v) => Some(Value::Bool(v)),
+        _ => None,
     }
 }
 
-/// The abstract write effect of one instruction on the typing state. Reads
-/// are not validated here (the fixpoint visits blocks whose inputs are still
-/// improving); the build pass validates them against the fixed entry states.
-fn transfer(st: &mut [Cell], op: &Op, buffers: &BufferMap) {
-    match op {
-        Op::Const { dst, value } => {
-            st[*dst as usize] =
-                Cell::known(kind_of_value(*value).expect("uint constants are pre-rejected"));
-        }
-        Op::Mov { dst, src } => st[*dst as usize] = st[*src as usize],
-        Op::Cast { dst, src, ty } => {
-            let kind = NKind::of(*ty).expect("uint casts are pre-rejected");
-            let iota = *ty == ScalarType::Int
-                && matches!(
-                    st[*src as usize],
-                    Cell::Known {
-                        kind: NKind::I32,
-                        iota: true
-                    }
-                );
-            st[*dst as usize] = Cell::Known { kind, iota };
-        }
-        Op::Bin { op, dst, lhs, rhs } => {
-            st[*dst as usize] = if op.is_comparison() {
-                Cell::known(NKind::Bool)
-            } else {
-                match (st[*lhs as usize], st[*rhs as usize]) {
-                    (Cell::Conflict, _) | (_, Cell::Conflict) => Cell::Conflict,
-                    (Cell::Unset, _) | (_, Cell::Unset) => Cell::Unset,
-                    (Cell::Known { kind: a, .. }, Cell::Known { kind: b, .. }) => Cell::known(
-                        NKind::of(a.scalar().unify(b.scalar()))
-                            .expect("unifying non-uint kinds never yields uint"),
-                    ),
-                }
-            };
-        }
-        Op::Neg { dst, src } => {
-            st[*dst as usize] = match st[*src as usize] {
-                Cell::Known { kind, .. } => Cell::known(kind),
-                other => other,
-            };
-        }
-        Op::Not { dst, .. } => st[*dst as usize] = Cell::known(NKind::Bool),
-        Op::BufLoad { dst, name, .. } => {
-            let (_, pointee) = buffers[name];
-            st[*dst as usize] =
-                Cell::known(NKind::of(pointee).expect("uint buffers are pre-rejected"));
-        }
-        Op::StencilGet { dst, .. } => st[*dst as usize] = Cell::known(NKind::F32),
-        Op::CallBuiltin {
-            builtin,
-            dst,
-            args,
-            nargs,
-        } => {
-            let mut tys = Vec::with_capacity(*nargs as usize);
-            let mut poison = None;
-            for k in 0..*nargs as usize {
-                match st[*args as usize + k] {
-                    Cell::Known { kind, .. } => tys.push(kind.scalar()),
-                    other => {
-                        poison = Some(other);
-                        break;
-                    }
-                }
+/// Whether evaluating `e` can write a variable, so an operand evaluated
+/// before it must be snapshotted (calls write only their own frames).
+fn writes_var(e: &Expr) -> bool {
+    let mut found = false;
+    e.walk(&mut |e| {
+        found |= matches!(
+            &e.kind,
+            ExprKind::Assign {
+                target: LValue::Var(..),
+                ..
+            } | ExprKind::IncDec {
+                target: LValue::Var(..),
+                ..
             }
-            st[*dst as usize] = poison.unwrap_or_else(|| {
-                Cell::known(
-                    NKind::of(builtin.result_type(&tys))
-                        .expect("math builtins never return uint without uint arguments"),
-                )
-            });
-        }
-        Op::WorkItem { dst, builtin } => {
-            // `get_global_id`/`get_local_id` hold `first_gid + lane` in every
-            // lane of an iota-verified batch (the per-batch check asserts
-            // `local_id == global_id`).
-            st[*dst as usize] = Cell::Known {
-                kind: NKind::I32,
-                iota: matches!(builtin, Builtin::GetGlobalId | Builtin::GetLocalId),
-            };
-        }
-        Op::BufStore { .. }
-        | Op::Jump { .. }
-        | Op::JumpIfFalse { .. }
-        | Op::BinJumpIfFalse { .. }
-        | Op::JumpIfTrue { .. }
-        | Op::Call { .. }
-        | Op::Return { .. }
-        | Op::ReturnVoid
-        | Op::MissingReturn { .. }
-        | Op::OrphanFlow
-        | Op::FailUnbound { .. }
-        | Op::Nop => {}
-    }
+        );
+    });
+    found
 }
 
-/// Reject shapes the native model cannot reproduce bit-exactly, before any
-/// per-block work. The returned string is the (cached) ineligibility reason;
-/// the kernel permanently falls back to the interpreter.
-fn check_eligible(
-    unit: &CompiledUnit,
-    func: &crate::compile::CompiledFunction,
-    buffers: &BufferMap,
-) -> Result<(), String> {
-    for op in &func.code {
-        match op {
-            Op::Const {
-                value: Value::Uint(_),
-                ..
-            } => return Err("uses a uint literal".to_string()),
-            Op::Cast {
-                ty: ScalarType::Uint,
-                ..
-            } => return Err("casts to uint".to_string()),
-            Op::Bin {
-                op: BinOp::And | BinOp::Or,
-                ..
-            } => return Err("carries a non-lowered logical operator".to_string()),
-            Op::BufLoad { name, .. } | Op::BufStore { name, .. } if !buffers.contains_key(name) => {
-                return Err(format!(
-                    "buffer `{}` is resolved dynamically at runtime",
-                    unit.buffer_names[*name as usize]
-                ));
+/// Whether `block` has a `continue` of the loop it is the body of.
+fn continues(block: &Block) -> bool {
+    block.stmts.iter().any(|s| match s {
+        Stmt::Continue(_) => true,
+        Stmt::If {
+            then_block,
+            else_block,
+            ..
+        } => continues(then_block) || continues(else_block),
+        Stmt::Block(b) => continues(b),
+        _ => false,
+    })
+}
+
+/// Which of `f`'s frame slots some assignment or increment writes.
+fn written_slots(f: &Function) -> Vec<bool> {
+    let mut written = vec![false; f.locals.len()];
+    f.body.walk_exprs(&mut |e| {
+        if let ExprKind::Assign { target, .. } | ExprKind::IncDec { target, .. } = &e.kind {
+            if let LValue::Var(name, _) = target {
+                written[name.slot] = true;
             }
-            Op::Call { func: callee } => {
-                return Err(format!(
-                    "calls function `{}` without inlining it",
-                    unit.functions[*callee as usize].name
-                ));
+        }
+    });
+    written
+}
+
+/// Compile one kernel of the checked unit into native steps, or explain why
+/// it is ineligible. Deterministic and side-effect free; the result is
+/// cached per [`crate::Program`] in [`KernelNativeState`].
+pub(crate) fn compile_kernel(
+    unit: &TranslationUnit,
+    kernel_index: usize,
+) -> Result<NativeKernel, String> {
+    let func = &unit.functions[kernel_index];
+    for p in &func.params {
+        match p.ty {
+            Type::GlobalPtr(ScalarType::Uint) => {
+                return Err(format!("buffer `{}` has uint elements", p.name))
             }
-            Op::CallBuiltin { builtin, .. }
-                if builtin.is_work_item_fn() || builtin.is_stencil_fn() =>
-            {
-                return Err("carries a non-math builtin call".to_string())
-            }
-            Op::FailUnbound { name } => {
-                return Err(format!(
-                    "reads unbound name `{}`",
-                    unit.buffer_names[*name as usize]
-                ));
+            Type::Scalar(ScalarType::Uint) => {
+                return Err(format!("scalar parameter `{}` is uint", p.name))
             }
             _ => {}
         }
     }
-    Ok(())
-}
-
-/// Successor blocks of the span `code[start..end]`, resolved through the
-/// leader → block map.
-fn successors(code: &[Op], end: usize, block_at: &HashMap<usize, usize>) -> Vec<usize> {
-    match &code[end - 1] {
-        Op::Jump { target } => vec![block_at[&(*target as usize)]],
-        Op::JumpIfFalse { target, .. }
-        | Op::JumpIfTrue { target, .. }
-        | Op::BinJumpIfFalse { target, .. } => {
-            vec![block_at[&(*target as usize)], block_at[&end]]
-        }
-        Op::Return { .. } | Op::ReturnVoid | Op::MissingReturn { .. } | Op::OrphanFlow => vec![],
-        _ => vec![block_at[&end]],
-    }
-}
-
-/// The reconvergence block of every block: its immediate post-dominator in
-/// the block graph `succs`, with [`EXIT`] as the virtual exit every
-/// successor-less block (return, abort) leads to. Also `EXIT` for blocks
-/// that cannot reach the exit at all (a loop with no way out), which is
-/// always a safe answer: the sides of a branch then never rejoin.
-fn reconvergence(succs: &[Vec<usize>]) -> Vec<usize> {
-    let exit = succs.len();
-    let words = exit / 64 + 1;
-    let bit = |set: &[u64], b: usize| set[b / 64] >> (b % 64) & 1 != 0;
-    // Post-dominator sets as bit rows over `0..=exit`, greatest fixpoint of
-    // `pdom(b) = {b} ∪ ⋂ pdom(succ)`.
-    let mut full = vec![0u64; words];
-    for b in 0..=exit {
-        full[b / 64] |= 1 << (b % 64);
-    }
-    let mut pdom = vec![full; exit + 1];
-    pdom[exit] = vec![0u64; words];
-    pdom[exit][exit / 64] |= 1 << (exit % 64);
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for b in (0..exit).rev() {
-            let mut set = if succs[b].is_empty() {
-                pdom[exit].clone()
-            } else {
-                let mut set = pdom[succs[b][0]].clone();
-                for &s in &succs[b][1..] {
-                    for (w, o) in set.iter_mut().zip(&pdom[s]) {
-                        *w &= *o;
-                    }
-                }
-                set
-            };
-            set[b / 64] |= 1 << (b % 64);
-            if set != pdom[b] {
-                pdom[b] = set;
-                changed = true;
-            }
-        }
-    }
-    // The immediate post-dominator is the strict post-dominator whose own
-    // set is exactly the strict set.
-    (0..exit)
-        .map(|b| {
-            let mut strict = pdom[b].clone();
-            strict[b / 64] &= !(1 << (b % 64));
-            match (0..=exit).find(|&c| bit(&strict, c) && pdom[c] == strict) {
-                Some(c) if c < exit => c,
-                _ => EXIT,
-            }
-        })
-        .collect()
-}
-
-/// Compile one kernel of the unit into closure-threaded native blocks, or
-/// explain why it is ineligible. Deterministic and side-effect free; the
-/// result is cached per [`crate::Program`] in [`KernelNativeState`].
-pub(crate) fn compile_kernel(
-    unit: &CompiledUnit,
-    kernel_index: usize,
-) -> Result<NativeKernel, String> {
-    use std::fmt::Write as _;
-    let func = &unit.functions[kernel_index];
-
-    let mut buffers: BufferMap = HashMap::new();
-    let mut scalar_params = Vec::new();
-    for (slot, p) in func.params.iter().enumerate() {
-        match p.ty {
-            Type::GlobalPtr(s) => {
-                if NKind::of(s).is_none() {
-                    return Err(format!("buffer `{}` has uint elements", p.name));
-                }
-                buffers.insert(p.name_id, (slot as u16, s));
-            }
-            Type::Scalar(s) => {
-                if NKind::of(s).is_none() {
-                    return Err(format!("scalar parameter `{}` is uint", p.name));
-                }
-                scalar_params.push((slot, s));
-            }
-            Type::Void => unreachable!("void parameters rejected by the parser"),
-        }
-    }
-    check_eligible(unit, func, &buffers)?;
-
-    let leaders = func.block_leaders();
-    let block_at: HashMap<usize, usize> =
-        leaders.iter().enumerate().map(|(b, &pc)| (pc, b)).collect();
-    let spans: Vec<(usize, usize)> = leaders
-        .iter()
-        .enumerate()
-        .map(|(b, &s)| (s, leaders.get(b + 1).copied().unwrap_or(func.code.len())))
-        .collect();
-
-    let succs: Vec<Vec<usize>> = spans
-        .iter()
-        .map(|&(_, e)| successors(&func.code, e, &block_at))
-        .collect();
-    let reconv = reconvergence(&succs);
-
-    // Entry typing state of block 0: scalar parameters and the preloaded
-    // constant pool are Known, everything else Unset (the compiler makes
-    // every read dominated by a write; anything the merge cannot prove falls
-    // back with a reason).
-    let mut init = vec![Cell::Unset; func.num_regs as usize];
-    for &(slot, s) in &scalar_params {
-        init[slot] = Cell::known(NKind::of(s).expect("checked above"));
-    }
-    for &(reg, value) in &func.const_pool {
-        init[reg as usize] =
-            Cell::known(kind_of_value(value).ok_or_else(|| "uses a uint literal".to_string())?);
-    }
-
-    // Monotone fixpoint over the block graph (Unset → Known → Conflict, iota
-    // only decays), so the worklist terminates.
-    let mut entry: Vec<Option<Vec<Cell>>> = vec![None; spans.len()];
-    entry[0] = Some(init);
-    let mut work = vec![0usize];
-    while let Some(b) = work.pop() {
-        let mut st = entry[b].clone().expect("worklist blocks have entry states");
-        let (s, e) = spans[b];
-        for op in &func.code[s..e] {
-            transfer(&mut st, op, &buffers);
-        }
-        for &succ in &succs[b] {
-            let merged: Vec<Cell> = match &entry[succ] {
-                None => st.clone(),
-                Some(old) => old
-                    .iter()
-                    .zip(&st)
-                    .map(|(a, b)| Cell::merge(*a, *b))
-                    .collect(),
-            };
-            if entry[succ].as_ref() != Some(&merged) {
-                entry[succ] = Some(merged);
-                work.push(succ);
-            }
-        }
-    }
-
-    // Build pass: validate every read against the fixed entry states and
-    // emit one monomorphized closure per instruction.
-    let scratch = func.num_regs as usize * BATCH_LANES;
-    let mut blocks = Vec::with_capacity(spans.len());
-    let mut uses_iota = false;
-    let mut listing = String::new();
-    for (b, &(s, e)) in spans.iter().enumerate() {
-        let Some(state0) = &entry[b] else {
-            // Unreachable at runtime (e.g. code after an unconditional
-            // return); keep the block index dense.
-            let _ = writeln!(listing, "b{b} @ pc {s}..{}: (unreachable)", e - 1);
-            blocks.push(Block {
-                steps: Vec::new(),
-                cost: (0.0, 0.0, 0.0),
-                term: Term::Abort,
-            });
-            continue;
-        };
-        let mut st = state0.clone();
-        let mut cost = (0.0f64, 0.0f64, 0.0f64);
-        for c in &func.costs[s..e] {
-            cost.0 += c.flops as f64;
-            cost.1 += c.bytes as f64;
-            cost.2 += c.ops as f64;
-        }
-        let _ = writeln!(
-            listing,
-            "b{b} @ pc {s}..{} cost(flops={}, bytes={}, ops={}):",
-            e - 1,
-            cost.0,
-            cost.1,
-            cost.2
-        );
-        let mut steps = Vec::new();
-        let mut term = None;
-        for (pc, op) in func.code[s..e]
-            .iter()
-            .enumerate()
-            .map(|(k, op)| (s + k, op))
-        {
-            match op {
-                Op::Jump { target } => {
-                    let t = *target as usize;
-                    let back = t <= pc;
-                    let _ = writeln!(
-                        listing,
-                        "  {pc:>4}  jump -> b{}{}",
-                        block_at[&t],
-                        if back { " (back edge)" } else { "" }
-                    );
-                    term = Some(Term::Jump {
-                        target: block_at[&t],
-                        back_edge: back,
-                    });
-                }
-                Op::JumpIfFalse { cond, target } => {
-                    steps.push(Step::masked(build_truthy_step(&st, *cond, scratch)?));
-                    term = Some(branch_term(
-                        func,
-                        pc,
-                        *target,
-                        &succs[b],
-                        false,
-                        reconv[b],
-                        &mut listing,
-                    ));
-                }
-                Op::JumpIfTrue { cond, target } => {
-                    steps.push(Step::masked(build_truthy_step(&st, *cond, scratch)?));
-                    term = Some(branch_term(
-                        func,
-                        pc,
-                        *target,
-                        &succs[b],
-                        true,
-                        reconv[b],
-                        &mut listing,
-                    ));
-                }
-                Op::BinJumpIfFalse {
-                    op: bop,
-                    lhs,
-                    rhs,
-                    target,
-                } => {
-                    steps.push(Step::masked(build_cmp_step(
-                        &st, *bop, *lhs, *rhs, scratch,
-                    )?));
-                    term = Some(branch_term(
-                        func,
-                        pc,
-                        *target,
-                        &succs[b],
-                        false,
-                        reconv[b],
-                        &mut listing,
-                    ));
-                }
-                Op::Return { .. } | Op::ReturnVoid => {
-                    let _ = writeln!(listing, "  {pc:>4}  return");
-                    term = Some(Term::Ret);
-                }
-                Op::MissingReturn { .. } | Op::OrphanFlow => {
-                    let _ = writeln!(listing, "  {pc:>4}  abort ({op:?})");
-                    term = Some(Term::Abort);
-                }
-                Op::Nop => {
-                    let _ = writeln!(listing, "  {pc:>4}  nop");
-                }
-                other => {
-                    let (f, note) = build_step(other, &st, &buffers, &mut uses_iota)?;
-                    let _ = writeln!(listing, "  {pc:>4}  {other:?}{note}");
-                    steps.push(f);
-                    transfer(&mut st, other, &buffers);
-                }
-            }
-        }
-        let term = term.unwrap_or_else(|| {
-            let _ = writeln!(listing, "        fall -> b{}", block_at[&e]);
-            Term::Jump {
-                target: block_at[&e],
-                back_edge: false,
+    let mut c = Compiler {
+        unit,
+        next: [0; 4],
+        rows: [0; 4],
+        pool: HashMap::new(),
+        frames: Vec::new(),
+        uses_iota: false,
+        paths: Vec::new(),
+        nodes: 0,
+    };
+    // Literals first: their rows sit below every frame and temporary.
+    let mut pool = Vec::new();
+    for f in &unit.functions {
+        f.body.walk_exprs(&mut |e| {
+            if let Some(v) = literal(e) {
+                pool.push(v);
             }
         });
-        blocks.push(Block { steps, cost, term });
     }
-
+    let mut pool_rows = Vec::new();
+    for v in pool {
+        if !c.pool.contains_key(&value_key(v)) {
+            let r = c.temp(NKind::of(v.scalar_type())?);
+            c.pool.insert(value_key(v), r);
+            pool_rows.push((r, v));
+        }
+    }
+    let params = vec![None; func.params.len()];
+    c.open_frame(kernel_index, params, None)?;
+    let scalar_params = func
+        .params
+        .iter()
+        .enumerate()
+        .filter_map(|(slot, p)| {
+            let var = c.frames[0].vars[slot]?;
+            Some((slot, var.row, p.ty.scalar()))
+        })
+        .collect();
+    let mut code = Code::default();
+    c.block(&func.body, &mut code)?;
     Ok(NativeKernel {
-        blocks,
-        num_regs: func.num_regs as usize,
-        uses_iota,
-        pool: func.const_pool.clone(),
+        body: code.finish(),
+        rows: c.rows,
+        uses_iota: c.uses_iota,
+        pool: pool_rows,
         scalar_params,
-        listing,
+        paths: c.paths,
     })
 }
 
-/// Build a [`Term::Branch`] for a conditional at `pc` jumping to `target`
-/// when the scratch condition equals `jump_when`; `succ` holds the branch
-/// block's `[taken, fall]` successors and `reconv` its reconvergence block.
-fn branch_term(
-    func: &crate::compile::CompiledFunction,
-    pc: usize,
-    target: u32,
-    succ: &[usize],
-    jump_when: bool,
-    reconv: usize,
-    listing: &mut String,
-) -> Term {
-    use std::fmt::Write as _;
-    let t = target as usize;
-    let back = t <= pc;
-    let chain = if back { None } else { exit_chain_cost(func, t) };
-    let join = if reconv == EXIT {
-        "exit".to_string()
-    } else {
-        format!("b{reconv}")
-    };
-    let _ = writeln!(
-        listing,
-        "  {pc:>4}  branch(when {jump_when}) -> b{} else b{}{}{}, reconverge -> {join}",
-        succ[0],
-        succ[1],
-        if back { " (back edge)" } else { "" },
-        if chain.is_some() { " (exit chain)" } else { "" }
-    );
-    Term::Branch {
-        jump_when,
-        taken: succ[0],
-        taken_back_edge: back,
-        exit_chain: chain,
-        fall: succ[1],
-        reconv,
+impl<'u> Compiler<'u> {
+    /// A fresh row of `kind` above every live one.
+    fn temp(&mut self, kind: NKind) -> Row {
+        let k = kind as usize;
+        let at = self.next[k] * BATCH_LANES;
+        self.next[k] += 1;
+        self.rows[k] = self.rows[k].max(self.next[k]);
+        Row { kind, at }
     }
-}
 
-/// If `pc` starts a trivial exit chain — forward `Jump`s and `Nop`s ending in
-/// a `Return`/`ReturnVoid` — return the summed `(flops, bytes, ops)` cost of
-/// executing it, which is what the oracle charges a work-item that takes
-/// this path. `None` for anything with side effects or backward edges.
-fn exit_chain_cost(
-    func: &crate::compile::CompiledFunction,
-    mut pc: usize,
-) -> Option<(f64, f64, f64)> {
-    let mut cost = (0.0f64, 0.0f64, 0.0f64);
-    for _ in 0..64 {
-        let c = func.costs[pc];
-        cost.0 += c.flops as f64;
-        cost.1 += c.bytes as f64;
-        cost.2 += c.ops as f64;
-        match func.code[pc] {
-            Op::Nop => pc += 1,
-            Op::Jump { target } if target as usize > pc => pc = target as usize,
-            // Top-frame returns have no observable effect beyond their cost
-            // (the kernel's return value is discarded).
-            Op::Return { .. } | Op::ReturnVoid => return Some(cost),
-            _ => return None,
+    /// Where a value of `kind` goes: `dst` when it has that kind, else a
+    /// fresh temporary.
+    fn out(&mut self, kind: NKind, dst: Option<Dst>) -> Dst {
+        match dst {
+            Some(d) if d.row.kind == kind => d,
+            _ => Dst {
+                row: self.temp(kind),
+                masked: false,
+            },
         }
     }
-    None
+
+    fn frame(&self) -> &Frame {
+        self.frames.last().expect("a frame is open while compiling")
+    }
+
+    /// Open the frame of function `func`: parameters take `params` (rows
+    /// already holding the arguments; `None` for a fresh row), every other
+    /// scalar local a fresh row.
+    fn open_frame(
+        &mut self,
+        func: usize,
+        params: Vec<Option<Var>>,
+        result: Option<Row>,
+    ) -> Result<(), String> {
+        let f = &self.unit.functions[func];
+        let written = written_slots(f);
+        let mut vars = Vec::with_capacity(f.locals.len());
+        for (slot, ty) in f.locals.iter().enumerate() {
+            vars.push(match (params.get(slot).copied().flatten(), ty) {
+                (Some(var), _) => Some(var),
+                (None, Type::Scalar(s)) => Some(Var {
+                    row: self.temp(NKind::of(*s)?),
+                    iota: false,
+                }),
+                (None, _) => None,
+            });
+        }
+        self.frames.push(Frame {
+            func,
+            vars,
+            written,
+            result,
+            loops: 0,
+        });
+        Ok(())
+    }
+
+    // ---- statements -------------------------------------------------------
+
+    fn block(&mut self, block: &Block, code: &mut Code) -> Result<(), String> {
+        for stmt in &block.stmts {
+            self.stmt(stmt, code)?;
+        }
+        Ok(())
+    }
+
+    /// Compile `block` into a step list of its own (an arm or a loop body).
+    fn sub_block(&mut self, block: &Block) -> Result<Vec<Segment>, String> {
+        let mut code = Code::default();
+        self.block(block, &mut code)?;
+        Ok(code.finish())
+    }
+
+    fn stmt(&mut self, stmt: &Stmt, code: &mut Code) -> Result<(), String> {
+        code.charge(cost::STMT_CHARGE);
+        let mark = self.next;
+        match stmt {
+            Stmt::Decl { ty, name, init, .. } => {
+                let var = self.frame().vars[name.slot].expect("scalar locals have rows");
+                let dst = Dst {
+                    row: var.row,
+                    masked: true,
+                };
+                let iota = match init {
+                    Some(e) => self.value_to(e, code, dst)?.iota,
+                    None => {
+                        code.pure(dst, fill(var.row, Value::zero(*ty)));
+                        false
+                    }
+                };
+                let frame = self.frames.last_mut().expect("a frame is open");
+                if let Some(v) = &mut frame.vars[name.slot] {
+                    v.iota = iota && !frame.written[name.slot];
+                }
+            }
+            Stmt::Expr(e) => self.discard(e, code)?,
+            Stmt::If {
+                cond,
+                then_block,
+                else_block,
+            } => {
+                let c = self.cond(cond, code)?;
+                let then = self.sub_block(then_block)?;
+                let els = self.sub_block(else_block)?;
+                code.control(branch(c, then, els));
+            }
+            Stmt::While { cond, body } => self.for_loop(None, Some(cond), None, body, code)?,
+            Stmt::For {
+                init,
+                cond,
+                step,
+                body,
+            } => self.for_loop(init.as_deref(), cond.as_ref(), step.as_ref(), body, code)?,
+            Stmt::Return(e, _) => {
+                let frame = self.frame();
+                if let (Some(e), Some(result)) = (e, frame.result) {
+                    let dst = Dst {
+                        row: result,
+                        masked: true,
+                    };
+                    self.value_to(e, code, dst)?;
+                }
+                code.control(end_lanes());
+            }
+            Stmt::Break(_) | Stmt::Continue(_) => {
+                let is_break = matches!(stmt, Stmt::Break(_));
+                if self.frame().loops > 0 {
+                    code.control(step(move |cx| {
+                        if is_break {
+                            cx.brk |= cx.mask;
+                        } else {
+                            cx.cont |= cx.mask;
+                        }
+                        cx.set_mask(0);
+                        Ok(())
+                    }));
+                } else if self.frames.len() == 1 {
+                    // Outside any loop of the kernel body the work-item
+                    // simply ends, as in the interpreter.
+                    code.control(end_lanes());
+                } else {
+                    // In a called function it is a runtime error.
+                    code.control(step(|_| Err(NativeAbort::Error)));
+                }
+            }
+            Stmt::Block(b) => self.block(b, code)?,
+        }
+        self.next = mark;
+        Ok(())
+    }
+
+    /// A `while` loop (no `init`, no `step`) or a `for` loop.
+    fn for_loop(
+        &mut self,
+        init: Option<&Stmt>,
+        cond: Option<&Expr>,
+        step_expr: Option<&Expr>,
+        body: &Block,
+        code: &mut Code,
+    ) -> Result<(), String> {
+        if let Some(init) = init {
+            self.stmt(init, code)?;
+        }
+        let cond = match cond {
+            Some(e) => {
+                let mut cc = Code::default();
+                let c = self.cond(e, &mut cc)?;
+                Some((cc.finish(), c))
+            }
+            None => None,
+        };
+        self.frames.last_mut().expect("a frame is open").loops += 1;
+        let mut bc = Code::default();
+        self.block(body, &mut bc)?;
+        self.frames.last_mut().expect("a frame is open").loops -= 1;
+        // Without a `continue`, the lanes that reach the step are the ones
+        // that finish the body: the step joins the body's steps.
+        let mut sc = Code::default();
+        if let Some(e) = step_expr {
+            self.discard(e, if continues(body) { &mut sc } else { &mut bc })?;
+        }
+        let (body, step_code) = (bc.finish(), sc.finish());
+        code.control(step(move |cx| {
+            let (brk, cont) = (cx.brk, cx.cont);
+            cx.brk = 0;
+            let mut out = 0u64;
+            loop {
+                if let Some((cond_code, c)) = &cond {
+                    run(cond_code, cx)?;
+                    let stay = cx.true_lanes(*c);
+                    out |= cx.mask & !stay;
+                    if stay == 0 {
+                        break;
+                    }
+                    if stay != cx.mask {
+                        cx.set_mask(stay);
+                    }
+                }
+                cx.cont = 0;
+                run(&body, cx)?;
+                let next = cx.mask | cx.cont;
+                if next == 0 {
+                    break;
+                }
+                cx.budget = cx.budget.checked_sub(1).ok_or(NativeAbort::Error)?;
+                if next != cx.mask {
+                    cx.set_mask(next);
+                }
+                run(&step_code, cx)?;
+            }
+            out |= cx.brk;
+            (cx.brk, cx.cont) = (brk, cont);
+            if out != cx.mask {
+                cx.set_mask(out);
+            }
+            Ok(())
+        }));
+        Ok(())
+    }
+
+    /// Compile a condition: the offset of a bool row holding its truth.
+    fn cond(&mut self, e: &Expr, code: &mut Code) -> Result<usize, String> {
+        let b = self.temp(NKind::Bool);
+        let dst = Dst {
+            row: b,
+            masked: false,
+        };
+        let v = self.expr(e, code, Some(dst))?;
+        if v.row.kind == NKind::Bool {
+            return Ok(v.row.at);
+        }
+        code.push(conv(v.row, b));
+        Ok(b.at)
+    }
+
+    /// An expression statement (or a `for` step): the value is unused.
+    fn discard(&mut self, e: &Expr, code: &mut Code) -> Result<(), String> {
+        let mark = self.next;
+        match &e.kind {
+            ExprKind::IncDec { target, delta, .. } => {
+                code.charge(cost::charge(e));
+                self.nodes += 1;
+                self.inc_dec(target, *delta, true, code)?;
+            }
+            _ => {
+                self.expr(e, code, None)?;
+            }
+        }
+        self.next = mark;
+        Ok(())
+    }
+
+    /// Compile `e` and leave its value, converted to `dst`'s kind, in `dst`.
+    fn value_to(&mut self, e: &Expr, code: &mut Code, dst: Dst) -> Result<Val, String> {
+        let v = self.expr(e, code, Some(dst))?;
+        if v.row == dst.row {
+            return Ok(v);
+        }
+        code.store_row(v.row, dst);
+        Ok(Val {
+            row: dst.row,
+            iota: v.iota && v.row.kind == dst.row.kind,
+            var: dst.masked,
+        })
+    }
+
+    /// Snapshot `v` if it is a variable that code evaluated after it may
+    /// change (`later_writes`).
+    fn stable(&mut self, v: Val, later_writes: bool, code: &mut Code) -> Val {
+        if !v.var || !later_writes {
+            return v;
+        }
+        let t = self.temp(v.row.kind);
+        code.push(copy_row(v.row, t));
+        Val { row: t, ..v }
+    }
+
+    // ---- expressions ------------------------------------------------------
+
+    /// Compile `e`, preferring to leave its value in `dst`. The result row
+    /// is `dst`, a variable's or literal's row, or a temporary that stays
+    /// live until the caller releases it.
+    fn expr(&mut self, e: &Expr, code: &mut Code, dst: Option<Dst>) -> Result<Val, String> {
+        let kind = NKind::of(e.ty)?;
+        code.charge(cost::charge(e));
+        self.nodes += 1;
+        let plain = |row| Val {
+            row,
+            iota: false,
+            var: false,
+        };
+        Ok(match &e.kind {
+            ExprKind::IntLit(_) | ExprKind::FloatLit(_) | ExprKind::BoolLit(_) => {
+                let v = literal(e).expect("a literal");
+                plain(self.pool[&value_key(v)])
+            }
+            ExprKind::Var(name) => {
+                let var = self.frame().vars[name.slot].expect("sema rejects buffers as values");
+                Val {
+                    row: var.row,
+                    iota: var.iota,
+                    var: true,
+                }
+            }
+            ExprKind::Index { base, index } => {
+                let d = self.out(kind, dst);
+                let mark = self.next;
+                let i = self.expr(index, code, None)?;
+                let s = self.buffer(base)?;
+                let load = self.load(s, i, d.row);
+                code.push(load);
+                self.next = mark;
+                plain(d.row)
+            }
+            ExprKind::Unary { op, operand } => {
+                let d = self.out(kind, dst);
+                let mark = self.next;
+                let v = self.expr(operand, code, None)?;
+                let f = match op {
+                    UnOp::Neg => neg(v.row, d.row)?,
+                    UnOp::Not => not(v.row, d.row),
+                };
+                code.pure(d, f);
+                self.next = mark;
+                plain(d.row)
+            }
+            ExprKind::Binary {
+                op: op @ (BinOp::And | BinOp::Or),
+                lhs,
+                rhs,
+            } => {
+                let d = self.out(NKind::Bool, dst);
+                let mark = self.next;
+                let l = self.expr(lhs, code, None)?;
+                code.pure(d, conv(l.row, d.row));
+                let mut rc = Code::default();
+                let r = self.expr(rhs, &mut rc, None)?;
+                rc.store_row(
+                    r.row,
+                    Dst {
+                        row: d.row,
+                        masked: true,
+                    },
+                );
+                // The right-hand side runs in the lanes it decides.
+                let (rhs_code, none) = (rc.finish(), Vec::new());
+                code.control(match op {
+                    BinOp::And => branch(d.row.at, rhs_code, none),
+                    _ => branch(d.row.at, none, rhs_code),
+                });
+                self.next = mark;
+                plain(d.row)
+            }
+            ExprKind::Binary { op, lhs, rhs } => {
+                let d = self.out(kind, dst);
+                let mark = self.next;
+                let l = self.expr(lhs, code, None)?;
+                let l = self.stable(l, writes_var(rhs), code);
+                let r = self.expr(rhs, code, None)?;
+                push_binary(code, *op, l.row, r.row, d);
+                self.next = mark;
+                plain(d.row)
+            }
+            ExprKind::Call { callee, args } => match Builtin::from_name(callee) {
+                Some(b) => {
+                    let d = self.out(kind, dst);
+                    let mark = self.next;
+                    let iota = self.builtin(b, args, code, d)?;
+                    self.next = mark;
+                    Val {
+                        row: d.row,
+                        iota,
+                        var: false,
+                    }
+                }
+                None => self.call(callee, args, code, kind, dst)?,
+            },
+            ExprKind::Ternary {
+                cond,
+                then_expr,
+                else_expr,
+            } => {
+                let d = Dst {
+                    masked: true,
+                    ..self.out(kind, dst)
+                };
+                let mark = self.next;
+                let c = self.cond(cond, code)?;
+                let (mut then, mut els) = (Code::default(), Code::default());
+                self.value_to(then_expr, &mut then, d)?;
+                self.value_to(else_expr, &mut els, d)?;
+                code.control(branch(c, then.finish(), els.finish()));
+                self.next = mark;
+                plain(d.row)
+            }
+            ExprKind::Assign { op, target, value } => self.assign(*op, target, value, code)?,
+            ExprKind::IncDec {
+                target,
+                delta,
+                prefix,
+            } => self.inc_dec(target, *delta, *prefix, code)?,
+            ExprKind::Cast { operand, .. } => {
+                let v = self.expr(operand, code, dst.filter(|d| d.row.kind == kind))?;
+                if v.row.kind == kind {
+                    return Ok(v);
+                }
+                let d = self.out(kind, dst);
+                code.pure(d, conv(v.row, d.row));
+                plain(d.row)
+            }
+        })
+    }
+
+    /// The argument slot and element kind of buffer `base`. Only kernels
+    /// take buffers, and sema lets no call reach a function that does, so
+    /// buffers are the kernel frame's.
+    fn buffer(&self, base: &Name) -> Result<(usize, NKind), String> {
+        let kernel = &self.unit.functions[self.frames[0].func];
+        match (self.frames.len(), kernel.locals.get(base.slot)) {
+            (1, Some(Type::GlobalPtr(s))) => Ok((base.slot, NKind::of(*s)?)),
+            _ => Err(format!("buffer `{}` is not the kernel's", base.name)),
+        }
+    }
+
+    /// Compile a builtin call into `d`; returns whether the value is iota.
+    fn builtin(
+        &mut self,
+        b: Builtin,
+        args: &[Expr],
+        code: &mut Code,
+        d: Dst,
+    ) -> Result<bool, String> {
+        if b.is_work_item_fn() {
+            // The dimension argument is evaluated for its effects only.
+            for a in args.iter().filter(|a| literal(a).is_none()) {
+                self.expr(a, code, None)?;
+            }
+            code.pure(d, work_item(b, d.row));
+            return Ok(matches!(b, Builtin::GetGlobalId | Builtin::GetLocalId));
+        }
+        let mut rows = Vec::with_capacity(args.len());
+        for (k, a) in args.iter().enumerate() {
+            let v = self.expr(a, code, None)?;
+            let later_writes = args[k + 1..].iter().any(writes_var);
+            rows.push(self.stable(v, later_writes, code).row);
+        }
+        if b.is_stencil_fn() {
+            let ints = rows.iter().all(|r| r.kind == NKind::I32);
+            self.paths.push(if ints {
+                "row slices when uniform"
+            } else {
+                "per lane"
+            });
+            code.push(stencil_step(rows[0], rows[1], d.row, ints));
+        } else {
+            let (f, pure) = math(b, &rows, d.row);
+            if pure {
+                code.pure(d, f);
+            } else {
+                code.push(f);
+            }
+        }
+        Ok(false)
+    }
+
+    /// Inline a call to the user function `callee`.
+    fn call(
+        &mut self,
+        callee: &str,
+        args: &[Expr],
+        code: &mut Code,
+        kind: NKind,
+        dst: Option<Dst>,
+    ) -> Result<Val, String> {
+        let index = self
+            .unit
+            .function_index(callee)
+            .ok_or_else(|| format!("calls unknown function `{callee}`"))?;
+        if self.frames.iter().any(|f| f.func == index)
+            || self.frames.len() > INLINE_DEPTH_LIMIT
+            || self.nodes >= INLINE_NODE_LIMIT
+        {
+            return Err(format!("calls function `{callee}` without inlining it"));
+        }
+        let f = &self.unit.functions[index];
+        let result = Dst {
+            masked: true,
+            ..self.out(kind, dst)
+        };
+        let mark = self.next;
+        // Arguments, left to right, in the caller's frame. A parameter the
+        // callee never writes reads its argument's row directly; any other
+        // gets a row of its own.
+        let written = written_slots(f);
+        let mut params = Vec::with_capacity(args.len());
+        for (k, a) in args.iter().enumerate() {
+            let v = self.expr(a, code, None)?;
+            let later_writes = args[k + 1..].iter().any(writes_var);
+            let pk = NKind::of(f.params[k].ty.scalar())?;
+            let alias = v.row.kind == pk && !written[k] && !(v.var && later_writes);
+            params.push(Some(if alias {
+                Var {
+                    row: v.row,
+                    iota: v.iota,
+                }
+            } else {
+                let r = self.temp(pk);
+                code.push(conv(v.row, r));
+                Var {
+                    row: r,
+                    iota: v.iota && v.row.kind == pk && !written[k],
+                }
+            }));
+        }
+        self.open_frame(
+            index,
+            params,
+            (!f.return_type.is_void()).then_some(result.row),
+        )?;
+        if let [Stmt::Return(Some(e), _)] = f.body.stmts.as_slice() {
+            // The common `{ return e; }` body runs straight in the caller's
+            // steps: no lane leaves, so no mask changes.
+            code.charge(cost::STMT_CHARGE);
+            self.value_to(e, code, result)?;
+        } else {
+            let body = self.sub_block(&f.body)?;
+            let must_return = !f.return_type.is_void();
+            code.control(step(move |cx| {
+                let m = cx.mask;
+                run(&body, cx)?;
+                if must_return && cx.mask != 0 {
+                    // Fell off the end of a non-void function.
+                    return Err(NativeAbort::Error);
+                }
+                if cx.mask != m {
+                    cx.set_mask(m);
+                }
+                Ok(())
+            }));
+        }
+        self.frames.pop();
+        self.next = mark;
+        Ok(Val {
+            row: result.row,
+            iota: false,
+            var: false,
+        })
+    }
+
+    fn assign(
+        &mut self,
+        op: AssignOp,
+        target: &LValue,
+        value: &Expr,
+        code: &mut Code,
+    ) -> Result<Val, String> {
+        let bin = match op {
+            AssignOp::Assign => None,
+            AssignOp::AddAssign => Some(BinOp::Add),
+            AssignOp::SubAssign => Some(BinOp::Sub),
+            AssignOp::MulAssign => Some(BinOp::Mul),
+            AssignOp::DivAssign => Some(BinOp::Div),
+        };
+        match target {
+            LValue::Var(name, _) => {
+                let var = self.frame().vars[name.slot].expect("sema rejects buffer targets");
+                let dst = Dst {
+                    row: var.row,
+                    masked: true,
+                };
+                match bin {
+                    None => {
+                        self.value_to(value, code, dst)?;
+                    }
+                    Some(bop) => {
+                        // The right-hand side first, then the variable.
+                        let mark = self.next;
+                        let v = self.expr(value, code, None)?;
+                        let k = NKind::of(var.row.kind.scalar().unify(v.row.kind.scalar()))?;
+                        let d = self.out(k, Some(dst));
+                        push_binary(code, bop, var.row, v.row, d);
+                        if d.row != var.row {
+                            code.store_row(d.row, dst);
+                        }
+                        self.next = mark;
+                    }
+                }
+                Ok(Val {
+                    row: var.row,
+                    iota: false,
+                    var: true,
+                })
+            }
+            LValue::Index { base, index, .. } => {
+                let (slot, pk) = self.buffer(base)?;
+                // The value: the right-hand side, or its fold with the old
+                // element, converted to the element type.
+                let stored = (bin.is_some() || NKind::of(value.ty)? != pk).then(|| self.temp(pk));
+                let v = self.expr(value, code, None)?;
+                let v = self.stable(v, writes_var(index), code);
+                let mark = self.next;
+                if let Some(bop) = bin {
+                    // Load (the index's first evaluation), fold.
+                    let i = self.expr(index, code, None)?;
+                    let old = self.temp(pk);
+                    let load = self.load((slot, pk), i, old);
+                    code.push(load);
+                    let k = NKind::of(pk.scalar().unify(v.row.kind.scalar()))?;
+                    let d = self.out(k, None);
+                    push_binary(code, bop, old, v.row, d);
+                    code.push(conv(d.row, stored.expect("allocated for a fold")));
+                } else if let Some(stored) = stored {
+                    code.push(conv(v.row, stored));
+                }
+                let value = stored.map_or(v, |row| Val {
+                    row,
+                    iota: false,
+                    var: false,
+                });
+                // Store (the index's last evaluation).
+                let i = self.expr(index, code, None)?;
+                let store = self.store(slot, i, value.row);
+                code.push(store);
+                self.next = mark;
+                Ok(value)
+            }
+        }
+    }
+
+    /// `++`/`--`: the value is the stored one (prefix) or the old one.
+    fn inc_dec(
+        &mut self,
+        target: &LValue,
+        delta: i32,
+        prefix: bool,
+        code: &mut Code,
+    ) -> Result<Val, String> {
+        match target {
+            LValue::Var(name, _) => {
+                let var = self.frame().vars[name.slot].expect("sema rejects buffer targets");
+                let old = if prefix {
+                    var.row
+                } else {
+                    let t = self.temp(var.row.kind);
+                    code.push(copy_row(var.row, t));
+                    t
+                };
+                let dst = Dst {
+                    row: var.row,
+                    masked: true,
+                };
+                code.pure(dst, add_const(var.row, var.row, delta)?);
+                Ok(Val {
+                    row: old,
+                    iota: false,
+                    var: prefix,
+                })
+            }
+            LValue::Index { base, index, .. } => {
+                let (slot, pk) = self.buffer(base)?;
+                let (old, new) = (self.temp(pk), self.temp(pk));
+                let mark = self.next;
+                let i = self.expr(index, code, None)?;
+                let load = self.load((slot, pk), i, old);
+                code.push(load);
+                code.push(add_const(old, new, delta)?);
+                let i = self.expr(index, code, None)?;
+                let store = self.store(slot, i, new);
+                code.push(store);
+                self.next = mark;
+                Ok(Val {
+                    row: if prefix { new } else { old },
+                    iota: false,
+                    var: false,
+                })
+            }
+        }
+    }
+
+    // ---- buffer access paths ----------------------------------------------
+
+    /// `d = buffer[i]`.
+    fn load(&mut self, (slot, pk): (usize, NKind), i: Val, d: Row) -> StepFn {
+        let (ir, dr) = (i.row, d.at);
+        if pk == NKind::F32 && i.iota {
+            self.uses_iota = true;
+            self.paths.push("iota f32 span");
+            // Iota ⇒ the active lanes hold consecutive addresses.
+            step(move |cx| {
+                if cx.run {
+                    load_f32_span(cx, slot, dr, cx.regs.i32s[ir.at + cx.lo] as usize)
+                } else {
+                    load_lanes(cx, slot, ir, d)
+                }
+            })
+        } else if pk == NKind::F32 && ir.kind == NKind::I32 {
+            self.paths.push("f32 span when contiguous");
+            step(move |cx| match contiguous_base(cx, ir.at) {
+                Some(start) => load_f32_span(cx, slot, dr, start),
+                None => load_lanes(cx, slot, ir, d),
+            })
+        } else {
+            self.paths.push("per lane");
+            step(move |cx| load_lanes(cx, slot, ir, d))
+        }
+    }
+
+    /// `buffer[i] = s`, `s` of the element kind.
+    fn store(&mut self, slot: usize, i: Val, s: Row) -> StepFn {
+        let (ir, slot) = (i.row, slot as u16);
+        if s.kind == NKind::F32 && i.iota {
+            self.uses_iota = true;
+            self.paths.push("iota f32 span");
+            step(move |cx| {
+                if cx.run {
+                    store_f32_span(cx, slot, s.at, cx.regs.i32s[ir.at + cx.lo] as usize)
+                } else {
+                    store_lanes(cx, slot, ir, s)
+                }
+            })
+        } else if s.kind == NKind::F32 && ir.kind == NKind::I32 {
+            self.paths.push("f32 span when contiguous");
+            step(move |cx| match contiguous_base(cx, ir.at) {
+                Some(start) => store_f32_span(cx, slot, s.at, start),
+                None => store_lanes(cx, slot, ir, s),
+            })
+        } else {
+            self.paths.push("per lane");
+            step(move |cx| store_lanes(cx, slot, ir, s))
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Step construction
 // ---------------------------------------------------------------------------
 
-/// First lane index of a register's row in the SoA register file.
-#[inline(always)]
-fn row(reg: Reg) -> usize {
-    reg as usize * BATCH_LANES
+/// Pure row copy within one kind.
+fn copy_row(s: Row, d: Row) -> StepFn {
+    debug_assert_eq!(s.kind, d.kind);
+    conv(s, d)
 }
 
-/// Active-prefix row copy within one kind's array (a pure register step of
-/// kind `k` into row `d`).
-fn copy_row(k: NKind, s: usize, d: usize) -> StepFn {
-    match k {
-        NKind::F32 => step(move |cx| {
-            cx.regs.f32s.copy_within(s..s + cx.n_active, d);
-            Ok(())
-        }),
-        NKind::F64 => step(move |cx| {
-            cx.regs.f64s.copy_within(s..s + cx.n_active, d);
-            Ok(())
-        }),
-        NKind::I32 => step(move |cx| {
-            cx.regs.i32s.copy_within(s..s + cx.n_active, d);
-            Ok(())
-        }),
-        NKind::Bool => step(move |cx| {
-            cx.regs.bools.copy_within(s..s + cx.n_active, d);
-            Ok(())
-        }),
+/// Pure conversion of row `s` into row `d` (a copy when the kinds agree).
+/// Each arm mirrors `Value::convert_to` exactly (`as_f64 as f32`,
+/// saturating `as_i64 as i32`, C truthiness).
+fn conv(s: Row, d: Row) -> StepFn {
+    let (sa, da) = (s.at, d.at);
+    macro_rules! copy {
+        ($field:ident) => {
+            step(move |cx| {
+                cx.regs.$field.copy_within(sa..sa + cx.width, da);
+                Ok(())
+            })
+        };
+    }
+    macro_rules! conv {
+        ($srcf:ident, $dstf:ident, |$x:ident| $e:expr) => {
+            step(move |cx| {
+                let n = cx.width;
+                let regs = &mut *cx.regs;
+                for (dv, sv) in regs.$dstf[da..da + n]
+                    .iter_mut()
+                    .zip(&regs.$srcf[sa..sa + n])
+                {
+                    let $x = *sv;
+                    *dv = $e;
+                }
+                Ok(())
+            })
+        };
+    }
+    match (s.kind, d.kind) {
+        (NKind::F32, NKind::F32) => copy!(f32s),
+        (NKind::F64, NKind::F64) => copy!(f64s),
+        (NKind::I32, NKind::I32) => copy!(i32s),
+        (NKind::Bool, NKind::Bool) => copy!(bools),
+        (NKind::I32, NKind::F32) => conv!(i32s, f32s, |x| (x as f64) as f32),
+        (NKind::I32, NKind::F64) => conv!(i32s, f64s, |x| x as f64),
+        (NKind::I32, NKind::Bool) => conv!(i32s, bools, |x| x != 0),
+        (NKind::F32, NKind::I32) => conv!(f32s, i32s, |x| x as i64 as i32),
+        (NKind::F32, NKind::F64) => conv!(f32s, f64s, |x| x as f64),
+        (NKind::F32, NKind::Bool) => conv!(f32s, bools, |x| x != 0.0),
+        (NKind::F64, NKind::I32) => conv!(f64s, i32s, |x| x as i64 as i32),
+        (NKind::F64, NKind::F32) => conv!(f64s, f32s, |x| x as f32),
+        (NKind::F64, NKind::Bool) => conv!(f64s, bools, |x| x != 0.0),
+        (NKind::Bool, NKind::I32) => conv!(bools, i32s, |x| i32::from(x)),
+        (NKind::Bool, NKind::F32) => conv!(bools, f32s, |x| if x { 1.0 } else { 0.0 }),
+        (NKind::Bool, NKind::F64) => conv!(bools, f64s, |x| if x { 1.0 } else { 0.0 }),
     }
 }
 
-/// Fast path for the overwhelmingly common operand pairs of the
-/// dynamically-typed per-lane steps, bit-identical to [`eval_binary`] (which
-/// it falls back to): float arithmetic is computed in `f64` and rounded back
-/// exactly like the interpreter, integers fold through `i64` with the same
-/// wrapping and zero-division behaviour.
+/// Pure fill of row `d` with `v` (of the row's type).
+fn fill(d: Row, v: Value) -> StepFn {
+    let at = d.at;
+    match v {
+        Value::Float(x) => step(move |cx| {
+            cx.regs.f32s[at..at + cx.width].fill(x);
+            Ok(())
+        }),
+        Value::Double(x) => step(move |cx| {
+            cx.regs.f64s[at..at + cx.width].fill(x);
+            Ok(())
+        }),
+        Value::Int(x) => step(move |cx| {
+            cx.regs.i32s[at..at + cx.width].fill(x);
+            Ok(())
+        }),
+        Value::Bool(x) => step(move |cx| {
+            cx.regs.bools[at..at + cx.width].fill(x);
+            Ok(())
+        }),
+        Value::Uint(_) => unreachable!("uint values are native-ineligible"),
+    }
+}
+
+/// Pure elementwise `d = f(s)` over one kind's rows; operands are
+/// snapshotted first, so `s` may be `d`.
+macro_rules! map_row {
+    ($field:ident, $zero:expr, $s:expr, $d:expr, |$x:ident| $e:expr) => {{
+        let (sa, da) = ($s, $d);
+        step(move |cx| {
+            let n = cx.width;
+            let regs = &mut *cx.regs;
+            if n == BATCH_LANES {
+                let mut a = [$zero; BATCH_LANES];
+                a.copy_from_slice(&regs.$field[sa..sa + BATCH_LANES]);
+                for (dv, $x) in regs.$field[da..da + BATCH_LANES]
+                    .iter_mut()
+                    .zip(a.iter().copied())
+                {
+                    *dv = $e;
+                }
+            } else {
+                // Per-lane read-then-write is alias-safe: lane `li` only
+                // ever writes its own element.
+                for li in 0..n {
+                    let $x = regs.$field[sa + li];
+                    regs.$field[da + li] = $e;
+                }
+            }
+            Ok(())
+        })
+    }};
+}
+
+/// Pure negation (`-x` keeps the kind; sema rejects `bool`).
+fn neg(s: Row, d: Row) -> Result<StepFn, String> {
+    Ok(match s.kind {
+        NKind::F32 => map_row!(f32s, 0.0f32, s.at, d.at, |x| -x),
+        NKind::F64 => map_row!(f64s, 0.0f64, s.at, d.at, |x| -x),
+        NKind::I32 => map_row!(i32s, 0i32, s.at, d.at, |x| x.wrapping_neg()),
+        NKind::Bool => return Err("negates a bool value".to_string()),
+    })
+}
+
+/// Pure logical not into a bool row: `!as_bool(x)` ≡ `x == 0` for every
+/// kind, NaN included (NaN is truthy, and `NaN == 0.0` is false).
+fn not(s: Row, d: Row) -> StepFn {
+    let (sa, da) = (s.at, d.at);
+    macro_rules! not_loop {
+        ($field:ident, $zero:expr, |$x:ident| $e:expr) => {
+            step(move |cx| {
+                let n = cx.width;
+                let mut a = [$zero; BATCH_LANES];
+                a[..n].copy_from_slice(&cx.regs.$field[sa..sa + n]);
+                for (dv, $x) in cx.regs.bools[da..da + n].iter_mut().zip(a.iter().copied()) {
+                    *dv = $e;
+                }
+                Ok(())
+            })
+        };
+    }
+    match s.kind {
+        NKind::F32 => not_loop!(f32s, 0.0f32, |x| x == 0.0),
+        NKind::F64 => not_loop!(f64s, 0.0f64, |x| x == 0.0),
+        NKind::I32 => not_loop!(i32s, 0i32, |x| x == 0),
+        NKind::Bool => not_loop!(bools, false, |x| !x),
+    }
+}
+
+/// Pure `d = s + delta` of `++`/`--`, as `eval_binary(Add, s, delta)`
+/// computes it (`unify(kind, int)` is the kind itself).
+fn add_const(s: Row, d: Row, delta: i32) -> Result<StepFn, String> {
+    let k = f64::from(delta);
+    Ok(match s.kind {
+        NKind::F32 => map_row!(f32s, 0.0f32, s.at, d.at, |x| (x as f64 + k) as f32),
+        NKind::F64 => map_row!(f64s, 0.0f64, s.at, d.at, |x| x + k),
+        NKind::I32 => map_row!(i32s, 0i32, s.at, d.at, |x| x.wrapping_add(delta)),
+        NKind::Bool => return Err("increments a bool value".to_string()),
+    })
+}
+
+/// Push `d = l <op> r` (not `&&`/`||`): same-kind arithmetic and
+/// comparisons are pure vectorizable loops, integer `/` and `%` run per
+/// active lane (they can fault), and mixed kinds go through
+/// [`fast_eval_binary`] per active lane.
+fn push_binary(code: &mut Code, op: BinOp, l: Row, r: Row, d: Dst) {
+    let (la, ra, da) = (l.at, r.at, d.row.at);
+    // Operands are snapshotted into fixed-size locals so in-place forms
+    // (`x = x + y`) keep exact per-lane semantics.
+    macro_rules! arith {
+        ($field:ident, $zero:expr, |$a:ident, $b:ident| $e:expr) => {
+            step(move |cx| {
+                let n = cx.width;
+                let regs = &mut *cx.regs;
+                if n == BATCH_LANES {
+                    let mut a = [$zero; BATCH_LANES];
+                    let mut b = [$zero; BATCH_LANES];
+                    a.copy_from_slice(&regs.$field[la..la + BATCH_LANES]);
+                    b.copy_from_slice(&regs.$field[ra..ra + BATCH_LANES]);
+                    for (dv, ($a, $b)) in regs.$field[da..da + BATCH_LANES]
+                        .iter_mut()
+                        .zip(a.iter().copied().zip(b.iter().copied()))
+                    {
+                        *dv = $e;
+                    }
+                } else {
+                    for li in 0..n {
+                        let ($a, $b) = (regs.$field[la + li], regs.$field[ra + li]);
+                        regs.$field[da + li] = $e;
+                    }
+                }
+                Ok(())
+            })
+        };
+    }
+    macro_rules! cmp {
+        ($field:ident, $op:tt) => {
+            step(move |cx| {
+                let n = cx.width;
+                let regs = &mut *cx.regs;
+                if n == BATCH_LANES {
+                    for (dv, (av, bv)) in regs.bools[da..da + BATCH_LANES].iter_mut().zip(
+                        regs.$field[la..la + BATCH_LANES]
+                            .iter()
+                            .zip(&regs.$field[ra..ra + BATCH_LANES]),
+                    ) {
+                        *dv = *av $op *bv;
+                    }
+                } else {
+                    for li in 0..n {
+                        regs.bools[da + li] = regs.$field[la + li] $op regs.$field[ra + li];
+                    }
+                }
+                Ok(())
+            })
+        };
+    }
+    // Widening f32 → f64 is exact, so comparing the raw f32s (or i32s)
+    // equals the oracle's widened comparisons, and f32 arithmetic rounded
+    // from f64 equals the oracle's.
+    macro_rules! cmp_kind {
+        ($field:ident) => {
+            match op {
+                BinOp::Eq => Some(cmp!($field, ==)),
+                BinOp::Ne => Some(cmp!($field, !=)),
+                BinOp::Lt => Some(cmp!($field, <)),
+                BinOp::Le => Some(cmp!($field, <=)),
+                BinOp::Gt => Some(cmp!($field, >)),
+                BinOp::Ge => Some(cmp!($field, >=)),
+                _ => None,
+            }
+        };
+    }
+    let pure = match (l.kind, r.kind, op) {
+        (NKind::F32, NKind::F32, BinOp::Add) => {
+            Some(arith!(f32s, 0.0f32, |a, b| (a as f64 + b as f64) as f32))
+        }
+        (NKind::F32, NKind::F32, BinOp::Sub) => {
+            Some(arith!(f32s, 0.0f32, |a, b| (a as f64 - b as f64) as f32))
+        }
+        (NKind::F32, NKind::F32, BinOp::Mul) => {
+            Some(arith!(f32s, 0.0f32, |a, b| (a as f64 * b as f64) as f32))
+        }
+        (NKind::F32, NKind::F32, BinOp::Div) => {
+            Some(arith!(f32s, 0.0f32, |a, b| (a as f64 / b as f64) as f32))
+        }
+        (NKind::F64, NKind::F64, BinOp::Add) => Some(arith!(f64s, 0.0f64, |a, b| a + b)),
+        (NKind::F64, NKind::F64, BinOp::Sub) => Some(arith!(f64s, 0.0f64, |a, b| a - b)),
+        (NKind::F64, NKind::F64, BinOp::Mul) => Some(arith!(f64s, 0.0f64, |a, b| a * b)),
+        (NKind::F64, NKind::F64, BinOp::Div) => Some(arith!(f64s, 0.0f64, |a, b| a / b)),
+        (NKind::I32, NKind::I32, BinOp::Add) => Some(arith!(i32s, 0i32, |a, b| a.wrapping_add(b))),
+        (NKind::I32, NKind::I32, BinOp::Sub) => Some(arith!(i32s, 0i32, |a, b| a.wrapping_sub(b))),
+        (NKind::I32, NKind::I32, BinOp::Mul) => Some(arith!(i32s, 0i32, |a, b| a.wrapping_mul(b))),
+        (NKind::F32, NKind::F32, _) => cmp_kind!(f32s),
+        (NKind::F64, NKind::F64, _) => cmp_kind!(f64s),
+        (NKind::I32, NKind::I32, BinOp::Div | BinOp::Rem) => {
+            let is_div = op == BinOp::Div;
+            // Can fault, so only the active lanes divide.
+            code.push(step(move |cx| {
+                for li in cx.lanes() {
+                    let (a, b) = (cx.regs.i32s[la + li], cx.regs.i32s[ra + li]);
+                    if b == 0 {
+                        // "integer division by zero" at replay
+                        return Err(NativeAbort::Error);
+                    }
+                    let (a, b) = (a as i64, b as i64);
+                    cx.regs.i32s[da + li] = if is_div { a / b } else { a % b } as i32;
+                }
+                Ok(())
+            }));
+            return;
+        }
+        (NKind::I32, NKind::I32, _) => cmp_kind!(i32s),
+        _ => None,
+    };
+    match pure {
+        Some(f) => code.pure(d, f),
+        None => code.push(generic_bin(op, l, r, d.row)),
+    }
+}
+
+/// Fast path for the overwhelmingly common operand pairs of the per-lane
+/// binary steps, bit-identical to [`eval_binary`] (which it falls back to):
+/// float arithmetic is computed in `f64` and rounded back exactly like the
+/// interpreter, integers fold through `i64` with the same wrapping and
+/// zero-division behaviour.
 #[inline(always)]
 fn fast_eval_binary(op: BinOp, l: Value, r: Value) -> Result<Value, KernelError> {
     use crate::ast::BinOp::*;
@@ -1683,22 +2237,16 @@ fn fast_eval_binary(op: BinOp, l: Value, r: Value) -> Result<Value, KernelError>
     }
 }
 
-/// Per-lane fallback binary op through [`fast_eval_binary`] (used for
-/// mixed-kind operands and fallible shapes like float `%`); active lanes
-/// only, aborting the batch on the first error.
-fn generic_bin(bop: BinOp, lk: NKind, rk: NKind, d: usize, l: usize, r: usize) -> StepFn {
-    let dk = if bop.is_comparison() {
-        NKind::Bool
-    } else {
-        NKind::of(lk.scalar().unify(rk.scalar()))
-            .expect("unifying non-uint kinds never yields uint")
-    };
+/// Per-lane binary op through [`fast_eval_binary`] (mixed-kind operands,
+/// `bool` arithmetic); active lanes only, aborting the batch on the first
+/// error.
+fn generic_bin(op: BinOp, l: Row, r: Row, d: Row) -> StepFn {
     step(move |cx| {
         for li in cx.lanes() {
-            let a = read_value(cx.regs, lk, l, li);
-            let b = read_value(cx.regs, rk, r, li);
-            match fast_eval_binary(bop, a, b) {
-                Ok(v) => write_value(cx.regs, dk, d, li, v),
+            let a = read_value(cx.regs, l, li);
+            let b = read_value(cx.regs, r, li);
+            match fast_eval_binary(op, a, b) {
+                Ok(v) => write_value(cx.regs, d, li, v),
                 Err(_) => return Err(NativeAbort::Error),
             }
         }
@@ -1706,162 +2254,148 @@ fn generic_bin(bop: BinOp, lk: NKind, rk: NKind, d: usize, l: usize, r: usize) -
     })
 }
 
-/// `f64`-domain evaluation of an all-`f32` unary math builtin (exactly
-/// [`Builtin::eval_math`]'s computation).
-fn unary_math(b: Builtin) -> Option<fn(f64) -> f64> {
-    Some(match b {
-        Builtin::Sqrt => f64::sqrt,
-        Builtin::Fabs => f64::abs,
-        Builtin::Exp => f64::exp,
-        Builtin::Log => f64::ln,
-        Builtin::Sin => f64::sin,
-        Builtin::Cos => f64::cos,
-        Builtin::Floor => f64::floor,
-        Builtin::Ceil => f64::ceil,
-        _ => None?,
-    })
-}
-
-/// `f64`-domain evaluation of an all-`f32` binary math builtin.
-fn binary_math(b: Builtin) -> Option<fn(f64, f64) -> f64> {
-    Some(match b {
-        Builtin::Pow => f64::powf,
-        Builtin::Fmin | Builtin::Min => f64::min,
-        Builtin::Fmax | Builtin::Max => f64::max,
-        Builtin::Atan2 => f64::atan2,
-        _ => None?,
-    })
-}
-
-/// `f64`-domain evaluation of an all-`f32` ternary math builtin.
-fn ternary_math(b: Builtin) -> Option<fn(f64, f64, f64) -> f64> {
-    Some(match b {
-        Builtin::Fma => f64::mul_add,
-        Builtin::Clamp => f64::clamp,
-        _ => None?,
-    })
-}
-
-/// Condition step of `JumpIfFalse`/`JumpIfTrue`: C truthiness of the
-/// condition register into the scratch bool row (the dense prefix: the
-/// terminator reads only the active lanes' outcomes).
-fn build_truthy_step(st: &[Cell], cond: Reg, scratch: usize) -> Result<StepFn, String> {
-    let (k, _) = read_kind(st, cond)?;
-    let c = row(cond);
-    Ok(match k {
-        NKind::F32 => step(move |cx| {
-            let n = cx.n_active;
-            let regs = &mut *cx.regs;
-            for (dv, sv) in regs.bools[scratch..scratch + n]
-                .iter_mut()
-                .zip(&regs.f32s[c..c + n])
-            {
-                *dv = *sv != 0.0;
-            }
-            Ok(())
-        }),
-        NKind::F64 => step(move |cx| {
-            let n = cx.n_active;
-            let regs = &mut *cx.regs;
-            for (dv, sv) in regs.bools[scratch..scratch + n]
-                .iter_mut()
-                .zip(&regs.f64s[c..c + n])
-            {
-                *dv = *sv != 0.0;
-            }
-            Ok(())
-        }),
-        NKind::I32 => step(move |cx| {
-            let n = cx.n_active;
-            let regs = &mut *cx.regs;
-            for (dv, sv) in regs.bools[scratch..scratch + n]
-                .iter_mut()
-                .zip(&regs.i32s[c..c + n])
-            {
-                *dv = *sv != 0;
-            }
-            Ok(())
-        }),
-        NKind::Bool => step(move |cx| {
-            cx.regs.bools.copy_within(c..c + cx.n_active, scratch);
-            Ok(())
-        }),
-    })
-}
-
-/// Condition step of `BinJumpIfFalse`: evaluate `lhs <op> rhs` and write the
-/// result's truthiness into the scratch bool row. Same-kind comparisons are
-/// monomorphized tight loops; anything else goes through [`fast_eval_binary`].
-fn build_cmp_step(
-    st: &[Cell],
-    bop: BinOp,
-    lhs: Reg,
-    rhs: Reg,
-    scratch: usize,
-) -> Result<StepFn, String> {
-    let (lk, _) = read_kind(st, lhs)?;
-    let (rk, _) = read_kind(st, rhs)?;
-    let l = row(lhs);
-    let r = row(rhs);
-    macro_rules! cmp_loop {
-        ($field:ident, $op:tt) => {
+/// Pure work-item query into an `i32` row.
+fn work_item(b: Builtin, d: Row) -> StepFn {
+    let da = d.at;
+    macro_rules! wi {
+        (|$it:ident| $e:expr) => {
             step(move |cx| {
-                let n = cx.n_active;
-                let regs = &mut *cx.regs;
-                if n == BATCH_LANES {
-                    for (dv, (av, bv)) in regs.bools[scratch..scratch + BATCH_LANES]
-                        .iter_mut()
-                        .zip(
-                            regs.$field[l..l + BATCH_LANES]
-                                .iter()
-                                .zip(&regs.$field[r..r + BATCH_LANES]),
-                        )
-                    {
-                        *dv = *av $op *bv;
-                    }
-                } else {
-                    for li in 0..n {
-                        regs.bools[scratch + li] = regs.$field[l + li] $op regs.$field[r + li];
-                    }
+                let n = cx.width;
+                for (dv, $it) in cx.regs.i32s[da..da + n].iter_mut().zip(cx.items) {
+                    *dv = ($e) as i32;
                 }
                 Ok(())
             })
         };
     }
-    macro_rules! cmp_kind {
-        ($field:ident) => {
-            match bop {
-                BinOp::Eq => cmp_loop!($field, ==),
-                BinOp::Ne => cmp_loop!($field, !=),
-                BinOp::Lt => cmp_loop!($field, <),
-                BinOp::Le => cmp_loop!($field, <=),
-                BinOp::Gt => cmp_loop!($field, >),
-                BinOp::Ge => cmp_loop!($field, >=),
-                _ => unreachable!("guarded by is_comparison"),
-            }
-        };
+    match b {
+        Builtin::GetGlobalId => wi!(|it| it.global_id),
+        Builtin::GetLocalId => wi!(|it| it.local_id),
+        Builtin::GetGroupId => wi!(|it| it.group_id),
+        Builtin::GetGlobalSize => wi!(|it| it.global_size),
+        Builtin::GetLocalSize => wi!(|it| it.local_size),
+        _ => wi!(|it| it.global_size.div_ceil(it.local_size.max(1))),
     }
-    if bop.is_comparison() {
-        // Widening f32 → f64 is exact, so comparing the raw f32s (or i32s)
-        // equals the oracle's widened comparisons.
-        match (lk, rk) {
-            (NKind::F32, NKind::F32) => return Ok(cmp_kind!(f32s)),
-            (NKind::F64, NKind::F64) => return Ok(cmp_kind!(f64s)),
-            (NKind::I32, NKind::I32) => return Ok(cmp_kind!(i32s)),
-            _ => {}
+}
+
+/// A math builtin over `args` into `d`, and whether the step is pure.
+/// All-`f32` argument lists produce `f32` results, computed in the `f64`
+/// domain exactly like [`Builtin::eval_math`]; everything else calls it per
+/// active lane.
+fn math(b: Builtin, args: &[Row], d: Row) -> (StepFn, bool) {
+    let all_f32 = args.iter().all(|r| r.kind == NKind::F32);
+    let da = d.at;
+    let a0 = args[0].at;
+    let unary: Option<fn(f64) -> f64> = match b {
+        Builtin::Sqrt => Some(f64::sqrt),
+        Builtin::Fabs => Some(f64::abs),
+        Builtin::Exp => Some(f64::exp),
+        Builtin::Log => Some(f64::ln),
+        Builtin::Sin => Some(f64::sin),
+        Builtin::Cos => Some(f64::cos),
+        Builtin::Floor => Some(f64::floor),
+        Builtin::Ceil => Some(f64::ceil),
+        _ => None,
+    };
+    let binary: Option<fn(f64, f64) -> f64> = match b {
+        Builtin::Pow => Some(f64::powf),
+        Builtin::Fmin | Builtin::Min => Some(f64::min),
+        Builtin::Fmax | Builtin::Max => Some(f64::max),
+        Builtin::Atan2 => Some(f64::atan2),
+        _ => None,
+    };
+    let ternary: Option<fn(f64, f64, f64) -> f64> = match b {
+        Builtin::Fma => Some(f64::mul_add),
+        Builtin::Clamp => Some(f64::clamp),
+        _ => None,
+    };
+    if all_f32 {
+        if let (Some(g), 1) = (unary, args.len()) {
+            return (map_row!(f32s, 0.0f32, a0, da, |x| g(x as f64) as f32), true);
+        }
+        if let (Some(g), 2) = (binary, args.len()) {
+            let a1 = args[1].at;
+            return (
+                step(move |cx| {
+                    let n = cx.width;
+                    let mut a = [0.0f32; BATCH_LANES];
+                    let mut c = [0.0f32; BATCH_LANES];
+                    a[..n].copy_from_slice(&cx.regs.f32s[a0..a0 + n]);
+                    c[..n].copy_from_slice(&cx.regs.f32s[a1..a1 + n]);
+                    for (dv, (x, y)) in cx.regs.f32s[da..da + n]
+                        .iter_mut()
+                        .zip(a.iter().copied().zip(c.iter().copied()))
+                    {
+                        *dv = g(x as f64, y as f64) as f32;
+                    }
+                    Ok(())
+                }),
+                true,
+            );
+        }
+        if let (Some(g), 3) = (ternary, args.len()) {
+            let (a1, a2) = (args[1].at, args[2].at);
+            // Active lanes only: `clamp` panics on inverted bounds, which a
+            // guard may keep out of these lanes but not out of an idle
+            // lane's stale registers.
+            return (
+                step(move |cx| {
+                    for li in cx.lanes() {
+                        let r = &cx.regs.f32s;
+                        let v = g(r[a0 + li] as f64, r[a1 + li] as f64, r[a2 + li] as f64);
+                        cx.regs.f32s[da + li] = v as f32;
+                    }
+                    Ok(())
+                }),
+                false,
+            );
         }
     }
-    Ok(step(move |cx| {
-        for li in cx.lanes() {
-            let a = read_value(cx.regs, lk, l, li);
-            let b = read_value(cx.regs, rk, r, li);
-            match fast_eval_binary(bop, a, b) {
-                Ok(v) => cx.regs.bools[scratch + li] = v.as_bool(),
-                Err(_) => return Err(NativeAbort::Error),
+    let args: Vec<Row> = args.to_vec();
+    (
+        step(move |cx| {
+            for li in cx.lanes() {
+                let mut vals = [Value::Int(0); 3];
+                for (v, r) in vals.iter_mut().zip(&args) {
+                    *v = read_value(cx.regs, *r, li);
+                }
+                let res = b.eval_math(&vals[..args.len()]);
+                write_value(cx.regs, d, li, res);
             }
+            Ok(())
+        }),
+        false,
+    )
+}
+
+/// `get(dx, dy)` into the `f32` row `d`: row slices when `dx` and `dy` are
+/// `int`s, the same in every active lane, over linear global ids; per lane
+/// otherwise.
+fn stencil_step(dx: Row, dy: Row, d: Row, ints: bool) -> StepFn {
+    step(move |cx| {
+        let Some(ctx) = cx.stencil else {
+            return Err(NativeAbort::Error);
+        };
+        if cx.hazards {
+            // Neighbour reads cross lanes by design.
+            cx.slots[ctx.in_slot].load(None)?;
+        }
+        let (lo, n) = (cx.lo, cx.n_active);
+        if ints && cx.linear && cx.run {
+            let x = cx.regs.i32s[dx.at + lo];
+            let y = cx.regs.i32s[dy.at + lo];
+            let uniform = cx.regs.i32s[dx.at + lo..dx.at + n].iter().all(|v| *v == x)
+                & cx.regs.i32s[dy.at + lo..dy.at + n].iter().all(|v| *v == y);
+            if uniform {
+                return stencil_get_rows(cx, ctx, d.at, i64::from(x), i64::from(y));
+            }
+        }
+        for li in cx.lanes() {
+            let (x, y) = (addr_of(cx.regs, dx, li), addr_of(cx.regs, dy, li));
+            stencil_get_lane(cx, ctx, d.at, li, x, y)?;
         }
         Ok(())
-    }))
+    })
 }
 
 /// The first active lane's address of an `i32` address row whose active
@@ -1910,13 +2444,12 @@ fn load_f32_span(
     Ok(())
 }
 
-/// Store the active run `lo..n_active` of row `s` to consecutive elements,
-/// `start` being lane `lo`'s address, logging the overwritten span for
-/// rollback.
+/// Store the active run `lo..n_active` of the `f32` row `s` to consecutive
+/// elements, `start` being lane `lo`'s address, logging the overwritten span
+/// for rollback.
 fn store_f32_span(
     cx: &mut ExecCtx<'_, '_>,
     slot: u16,
-    sk: NKind,
     s: usize,
     start: usize,
 ) -> Result<(), NativeAbort> {
@@ -1925,27 +2458,6 @@ fn store_f32_span(
     if cx.hazards {
         cx.slots[slot as usize].store(Some(start as i64 - cx.lo as i64))?;
     }
-    // Convert the source row exactly like `BufferView::store`
-    // (`as_f64() as f32`).
-    let mut vals = [0.0f32; BATCH_LANES];
-    match sk {
-        NKind::F32 => vals[..n].copy_from_slice(&cx.regs.f32s[s..s + n]),
-        NKind::F64 => {
-            for (v, x) in vals[..n].iter_mut().zip(&cx.regs.f64s[s..s + n]) {
-                *v = *x as f32;
-            }
-        }
-        NKind::I32 => {
-            for (v, x) in vals[..n].iter_mut().zip(&cx.regs.i32s[s..s + n]) {
-                *v = (*x as f64) as f32;
-            }
-        }
-        NKind::Bool => {
-            for (v, x) in vals[..n].iter_mut().zip(&cx.regs.bools[s..s + n]) {
-                *v = if *x { 1.0 } else { 0.0 };
-            }
-        }
-    }
     let ArgBinding::Buffer(BufferView::F32(buf)) = &mut cx.args[slot as usize] else {
         return Err(NativeAbort::Error);
     };
@@ -1953,39 +2465,31 @@ fn store_f32_span(
         return Err(NativeAbort::Error);
     };
     cx.undo.push_span(slot, start, dst);
-    dst.copy_from_slice(&vals[..n]);
+    dst.copy_from_slice(&cx.regs.f32s[s..s + n]);
     Ok(())
 }
 
-/// Per-lane buffer load through the dynamically-typed path: any address
-/// kind, any pointee, any address pattern, any lane mask.
-fn load_lanes(
-    cx: &mut ExecCtx<'_, '_>,
-    slot: usize,
-    pk: NKind,
-    ik: NKind,
-    i: usize,
-    d: usize,
-) -> Result<(), NativeAbort> {
+/// Per-lane buffer load: any address kind, any element type, any address
+/// pattern, any lane mask.
+fn load_lanes(cx: &mut ExecCtx<'_, '_>, slot: usize, i: Row, d: Row) -> Result<(), NativeAbort> {
     for li in cx.lanes() {
-        let addr = addr_of(cx.regs, ik, i, li);
+        let addr = addr_of(cx.regs, i, li);
         if addr < 0 {
             return Err(NativeAbort::Error);
         }
         if cx.hazards {
             cx.slots[slot].load(Some(addr - li as i64))?;
         }
-        let addr = addr as usize;
         let ArgBinding::Buffer(view) = &cx.args[slot] else {
             return Err(NativeAbort::Error);
         };
         match view {
-            BufferView::F32(buf) => match buf.get(addr) {
-                Some(v) => cx.regs.f32s[d + li] = *v,
+            BufferView::F32(buf) => match buf.get(addr as usize) {
+                Some(v) => cx.regs.f32s[d.at + li] = *v,
                 None => return Err(NativeAbort::Error),
             },
-            other => match other.load(addr) {
-                Some(v) => write_value(cx.regs, pk, d, li, v),
+            other => match other.load(addr as usize) {
+                Some(v) => write_value(cx.regs, d, li, v),
                 None => return Err(NativeAbort::Error),
             },
         }
@@ -1993,18 +2497,12 @@ fn load_lanes(
     Ok(())
 }
 
-/// Per-lane buffer store, the twin of [`load_lanes`].
-fn store_lanes(
-    cx: &mut ExecCtx<'_, '_>,
-    slot: u16,
-    ik: NKind,
-    i: usize,
-    sk: NKind,
-    s: usize,
-) -> Result<(), NativeAbort> {
+/// Per-lane buffer store of `s` (of the element type), the twin of
+/// [`load_lanes`].
+fn store_lanes(cx: &mut ExecCtx<'_, '_>, slot: u16, i: Row, s: Row) -> Result<(), NativeAbort> {
     let slot_us = slot as usize;
     for li in cx.lanes() {
-        let addr = addr_of(cx.regs, ik, i, li);
+        let addr = addr_of(cx.regs, i, li);
         if addr < 0 {
             return Err(NativeAbort::Error);
         }
@@ -2012,7 +2510,7 @@ fn store_lanes(
             cx.slots[slot_us].store(Some(addr - li as i64))?;
         }
         let addr = addr as usize;
-        let v = read_value(cx.regs, sk, s, li);
+        let v = read_value(cx.regs, s, li);
         let ArgBinding::Buffer(view) = &mut cx.args[slot_us] else {
             return Err(NativeAbort::Error);
         };
@@ -2051,7 +2549,7 @@ fn stencil_get_lane(
 ) -> Result<(), NativeAbort> {
     match stencil_get(ctx, cx.args, cx.items[li].global_id, dx, dy) {
         Ok(v) => {
-            write_value(cx.regs, NKind::F32, d, li, v);
+            cx.regs.f32s[d + li] = v.as_f64() as f32;
             Ok(())
         }
         Err(_) => Err(NativeAbort::Error),
@@ -2105,613 +2603,6 @@ fn stencil_get_rows(
     Ok(())
 }
 
-/// Compile one non-control instruction into a step closure, using the typing
-/// state `st` at its program point. Returns the step plus a listing
-/// annotation for the fast-path shapes.
-#[allow(clippy::too_many_lines)]
-fn build_step(
-    op: &Op,
-    st: &[Cell],
-    buffers: &BufferMap,
-    uses_iota: &mut bool,
-) -> Result<(Step, &'static str), String> {
-    Ok(match op {
-        Op::Const { dst, value } => {
-            let d = row(*dst);
-            let (k, f) = match *value {
-                Value::Float(x) => (
-                    NKind::F32,
-                    step(move |cx| {
-                        cx.regs.f32s[d..d + cx.n_active].fill(x);
-                        Ok(())
-                    }),
-                ),
-                Value::Double(x) => (
-                    NKind::F64,
-                    step(move |cx| {
-                        cx.regs.f64s[d..d + cx.n_active].fill(x);
-                        Ok(())
-                    }),
-                ),
-                Value::Int(x) => (
-                    NKind::I32,
-                    step(move |cx| {
-                        cx.regs.i32s[d..d + cx.n_active].fill(x);
-                        Ok(())
-                    }),
-                ),
-                Value::Bool(x) => (
-                    NKind::Bool,
-                    step(move |cx| {
-                        cx.regs.bools[d..d + cx.n_active].fill(x);
-                        Ok(())
-                    }),
-                ),
-                Value::Uint(_) => return Err("uses a uint literal".to_string()),
-            };
-            (Step::pure(k, d, f), "")
-        }
-        Op::Mov { dst, src } => {
-            let (k, _) = read_kind(st, *src)?;
-            (
-                Step::pure(k, row(*dst), copy_row(k, row(*src), row(*dst))),
-                "",
-            )
-        }
-        Op::Cast { dst, src, ty } => {
-            let tk = NKind::of(*ty).expect("uint casts pre-rejected");
-            let (sk, _) = read_kind(st, *src)?;
-            let d = row(*dst);
-            let s = row(*src);
-            if sk == tk {
-                return Ok((Step::pure(sk, d, copy_row(sk, s, d)), " ; identity"));
-            }
-            macro_rules! conv {
-                ($srcf:ident, $dstf:ident, |$x:ident| $e:expr) => {
-                    step(move |cx| {
-                        let n = cx.n_active;
-                        let regs = &mut *cx.regs;
-                        for (dv, sv) in regs.$dstf[d..d + n].iter_mut().zip(&regs.$srcf[s..s + n]) {
-                            let $x = *sv;
-                            *dv = $e;
-                        }
-                        Ok(())
-                    })
-                };
-            }
-            // Each arm mirrors `Value::convert_to` exactly (`as_f64 as f32`,
-            // saturating `as_i64 as i32`, C truthiness).
-            let f = match (sk, tk) {
-                (NKind::I32, NKind::F32) => conv!(i32s, f32s, |x| (x as f64) as f32),
-                (NKind::I32, NKind::F64) => conv!(i32s, f64s, |x| x as f64),
-                (NKind::I32, NKind::Bool) => conv!(i32s, bools, |x| x != 0),
-                (NKind::F32, NKind::I32) => conv!(f32s, i32s, |x| x as i64 as i32),
-                (NKind::F32, NKind::F64) => conv!(f32s, f64s, |x| x as f64),
-                (NKind::F32, NKind::Bool) => conv!(f32s, bools, |x| x != 0.0),
-                (NKind::F64, NKind::I32) => conv!(f64s, i32s, |x| x as i64 as i32),
-                (NKind::F64, NKind::F32) => conv!(f64s, f32s, |x| x as f32),
-                (NKind::F64, NKind::Bool) => conv!(f64s, bools, |x| x != 0.0),
-                (NKind::Bool, NKind::I32) => conv!(bools, i32s, |x| i32::from(x)),
-                (NKind::Bool, NKind::F32) => conv!(bools, f32s, |x| if x { 1.0 } else { 0.0 }),
-                (NKind::Bool, NKind::F64) => conv!(bools, f64s, |x| if x { 1.0 } else { 0.0 }),
-                _ => unreachable!("identity casts handled above"),
-            };
-            (Step::pure(tk, d, f), "")
-        }
-        Op::Bin {
-            op: bop,
-            dst,
-            lhs,
-            rhs,
-        } => {
-            let bop = *bop;
-            let (lk, _) = read_kind(st, *lhs)?;
-            let (rk, _) = read_kind(st, *rhs)?;
-            let d = row(*dst);
-            let l = row(*lhs);
-            let r = row(*rhs);
-            // Vectorizable same-kind loops; operands are snapshotted into
-            // fixed-size locals so in-place forms (`x = x + y`) borrow-check
-            // and keep exact per-lane semantics.
-            macro_rules! f32_arith {
-                ($op:tt) => {{
-                    step(move |cx| {
-                        let n = cx.n_active;
-                        let regs = &mut *cx.regs;
-                        if n == BATCH_LANES {
-                            let mut a = [0.0f32; BATCH_LANES];
-                            let mut b = [0.0f32; BATCH_LANES];
-                            a.copy_from_slice(&regs.f32s[l..l + BATCH_LANES]);
-                            b.copy_from_slice(&regs.f32s[r..r + BATCH_LANES]);
-                            for (dv, (av, bv)) in regs.f32s[d..d + BATCH_LANES]
-                                .iter_mut()
-                                .zip(a.iter().zip(b.iter()))
-                            {
-                                *dv = ((*av as f64) $op (*bv as f64)) as f32;
-                            }
-                        } else {
-                            // Per-lane read-then-write is alias-safe: lane
-                            // `li` only ever writes its own element.
-                            for li in 0..n {
-                                let av = regs.f32s[l + li];
-                                let bv = regs.f32s[r + li];
-                                regs.f32s[d + li] = ((av as f64) $op (bv as f64)) as f32;
-                            }
-                        }
-                        Ok(())
-                    })
-                }};
-            }
-            macro_rules! f64_arith {
-                ($op:tt) => {{
-                    step(move |cx| {
-                        let n = cx.n_active;
-                        let regs = &mut *cx.regs;
-                        if n == BATCH_LANES {
-                            let mut a = [0.0f64; BATCH_LANES];
-                            let mut b = [0.0f64; BATCH_LANES];
-                            a.copy_from_slice(&regs.f64s[l..l + BATCH_LANES]);
-                            b.copy_from_slice(&regs.f64s[r..r + BATCH_LANES]);
-                            for (dv, (av, bv)) in regs.f64s[d..d + BATCH_LANES]
-                                .iter_mut()
-                                .zip(a.iter().zip(b.iter()))
-                            {
-                                *dv = *av $op *bv;
-                            }
-                        } else {
-                            for li in 0..n {
-                                let av = regs.f64s[l + li];
-                                let bv = regs.f64s[r + li];
-                                regs.f64s[d + li] = av $op bv;
-                            }
-                        }
-                        Ok(())
-                    })
-                }};
-            }
-            macro_rules! i32_arith {
-                ($op:tt) => {{
-                    step(move |cx| {
-                        let n = cx.n_active;
-                        let regs = &mut *cx.regs;
-                        if n == BATCH_LANES {
-                            let mut a = [0i32; BATCH_LANES];
-                            let mut b = [0i32; BATCH_LANES];
-                            a.copy_from_slice(&regs.i32s[l..l + BATCH_LANES]);
-                            b.copy_from_slice(&regs.i32s[r..r + BATCH_LANES]);
-                            for (dv, (av, bv)) in regs.i32s[d..d + BATCH_LANES]
-                                .iter_mut()
-                                .zip(a.iter().zip(b.iter()))
-                            {
-                                *dv = ((*av as i64) $op (*bv as i64)) as i32;
-                            }
-                        } else {
-                            for li in 0..n {
-                                let av = regs.i32s[l + li];
-                                let bv = regs.i32s[r + li];
-                                regs.i32s[d + li] = ((av as i64) $op (bv as i64)) as i32;
-                            }
-                        }
-                        Ok(())
-                    })
-                }};
-            }
-            macro_rules! cmp_bin {
-                ($field:ident, $op:tt) => {
-                    step(move |cx| {
-                        let n = cx.n_active;
-                        let regs = &mut *cx.regs;
-                        if n == BATCH_LANES {
-                            for (dv, (av, bv)) in regs.bools[d..d + BATCH_LANES].iter_mut().zip(
-                                regs.$field[l..l + BATCH_LANES]
-                                    .iter()
-                                    .zip(&regs.$field[r..r + BATCH_LANES]),
-                            ) {
-                                *dv = *av $op *bv;
-                            }
-                        } else {
-                            for li in 0..n {
-                                regs.bools[d + li] = regs.$field[l + li] $op regs.$field[r + li];
-                            }
-                        }
-                        Ok(())
-                    })
-                };
-            }
-            macro_rules! cmp_kind {
-                ($field:ident) => {
-                    match bop {
-                        BinOp::Eq => cmp_bin!($field, ==),
-                        BinOp::Ne => cmp_bin!($field, !=),
-                        BinOp::Lt => cmp_bin!($field, <),
-                        BinOp::Le => cmp_bin!($field, <=),
-                        BinOp::Gt => cmp_bin!($field, >),
-                        BinOp::Ge => cmp_bin!($field, >=),
-                        _ => unreachable!("guarded by is_comparison"),
-                    }
-                };
-            }
-            let pure = |k: NKind, f: StepFn| Step::pure(k, d, f);
-            let generic = || Step::masked(generic_bin(bop, lk, rk, d, l, r));
-            let f = match (lk, rk) {
-                (NKind::F32, NKind::F32) => match bop {
-                    BinOp::Add => pure(NKind::F32, f32_arith!(+)),
-                    BinOp::Sub => pure(NKind::F32, f32_arith!(-)),
-                    BinOp::Mul => pure(NKind::F32, f32_arith!(*)),
-                    BinOp::Div => pure(NKind::F32, f32_arith!(/)),
-                    b if b.is_comparison() => pure(NKind::Bool, cmp_kind!(f32s)),
-                    _ => generic(),
-                },
-                (NKind::F64, NKind::F64) => match bop {
-                    BinOp::Add => pure(NKind::F64, f64_arith!(+)),
-                    BinOp::Sub => pure(NKind::F64, f64_arith!(-)),
-                    BinOp::Mul => pure(NKind::F64, f64_arith!(*)),
-                    BinOp::Div => pure(NKind::F64, f64_arith!(/)),
-                    b if b.is_comparison() => pure(NKind::Bool, cmp_kind!(f64s)),
-                    _ => generic(),
-                },
-                (NKind::I32, NKind::I32) => match bop {
-                    BinOp::Add => pure(NKind::I32, i32_arith!(+)),
-                    BinOp::Sub => pure(NKind::I32, i32_arith!(-)),
-                    BinOp::Mul => pure(NKind::I32, i32_arith!(*)),
-                    BinOp::Div | BinOp::Rem => {
-                        let is_div = bop == BinOp::Div;
-                        // Can fault, so only the active lanes divide.
-                        Step::masked(step(move |cx| {
-                            let n = cx.n_active;
-                            let mut a = [0i32; BATCH_LANES];
-                            let mut b = [0i32; BATCH_LANES];
-                            a[..n].copy_from_slice(&cx.regs.i32s[l..l + n]);
-                            b[..n].copy_from_slice(&cx.regs.i32s[r..r + n]);
-                            for li in cx.lanes() {
-                                let (av, bv) = (a[li], b[li]);
-                                if bv == 0 {
-                                    // "integer division by zero" at replay
-                                    return Err(NativeAbort::Error);
-                                }
-                                let v = if is_div {
-                                    (av as i64) / (bv as i64)
-                                } else {
-                                    (av as i64) % (bv as i64)
-                                };
-                                cx.regs.i32s[d + li] = v as i32;
-                            }
-                            Ok(())
-                        }))
-                    }
-                    b if b.is_comparison() => pure(NKind::Bool, cmp_kind!(i32s)),
-                    _ => generic(),
-                },
-                _ => generic(),
-            };
-            (f, "")
-        }
-        Op::Neg { dst, src } => {
-            let (k, _) = read_kind(st, *src)?;
-            let d = row(*dst);
-            let s = row(*src);
-            let f = match k {
-                NKind::F32 => step(move |cx| {
-                    let n = cx.n_active;
-                    let regs = &mut *cx.regs;
-                    regs.f32s.copy_within(s..s + n, d);
-                    for v in &mut regs.f32s[d..d + n] {
-                        *v = -*v;
-                    }
-                    Ok(())
-                }),
-                NKind::F64 => step(move |cx| {
-                    let n = cx.n_active;
-                    let regs = &mut *cx.regs;
-                    regs.f64s.copy_within(s..s + n, d);
-                    for v in &mut regs.f64s[d..d + n] {
-                        *v = -*v;
-                    }
-                    Ok(())
-                }),
-                NKind::I32 => step(move |cx| {
-                    let n = cx.n_active;
-                    let regs = &mut *cx.regs;
-                    regs.i32s.copy_within(s..s + n, d);
-                    for v in &mut regs.i32s[d..d + n] {
-                        *v = v.wrapping_neg();
-                    }
-                    Ok(())
-                }),
-                NKind::Bool => return Err("negates a bool value".to_string()),
-            };
-            (Step::pure(k, d, f), "")
-        }
-        Op::Not { dst, src } => {
-            let (k, _) = read_kind(st, *src)?;
-            let d = row(*dst);
-            let s = row(*src);
-            macro_rules! not_loop {
-                ($field:ident, |$x:ident| $e:expr) => {
-                    step(move |cx| {
-                        let n = cx.n_active;
-                        let regs = &mut *cx.regs;
-                        for (dv, sv) in regs.bools[d..d + n].iter_mut().zip(&regs.$field[s..s + n])
-                        {
-                            let $x = *sv;
-                            *dv = $e;
-                        }
-                        Ok(())
-                    })
-                };
-            }
-            // `!as_bool(x)` ≡ `x == 0` for every kind, NaN included (NaN is
-            // truthy, so its negation is false — and `NaN == 0.0` is false).
-            let f = match k {
-                NKind::F32 => not_loop!(f32s, |x| x == 0.0),
-                NKind::F64 => not_loop!(f64s, |x| x == 0.0),
-                NKind::I32 => not_loop!(i32s, |x| x == 0),
-                NKind::Bool => step(move |cx| {
-                    let n = cx.n_active;
-                    let regs = &mut *cx.regs;
-                    regs.bools.copy_within(s..s + n, d);
-                    for v in &mut regs.bools[d..d + n] {
-                        *v = !*v;
-                    }
-                    Ok(())
-                }),
-            };
-            (Step::pure(NKind::Bool, d, f), "")
-        }
-        Op::BufLoad { dst, name, idx } => {
-            let (slot, pointee) = buffers[name];
-            let pk = NKind::of(pointee).expect("uint buffers pre-rejected");
-            let (ik, iota) = read_kind(st, *idx)?;
-            let d = row(*dst);
-            let i = row(*idx);
-            let slot = slot as usize;
-            if iota && pointee == ScalarType::Float {
-                *uses_iota = true;
-                (
-                    // Iota ⇒ the active lanes hold consecutive addresses.
-                    Step::masked(step(move |cx| {
-                        if cx.run {
-                            load_f32_span(cx, slot, d, cx.regs.i32s[i + cx.lo] as usize)
-                        } else {
-                            load_lanes(cx, slot, pk, ik, i, d)
-                        }
-                    })),
-                    " ; iota f32 span",
-                )
-            } else if ik == NKind::I32 && pointee == ScalarType::Float {
-                (
-                    Step::masked(step(move |cx| match contiguous_base(cx, i) {
-                        Some(start) => load_f32_span(cx, slot, d, start),
-                        None => load_lanes(cx, slot, pk, ik, i, d),
-                    })),
-                    " ; f32 span when contiguous",
-                )
-            } else {
-                (
-                    Step::masked(step(move |cx| load_lanes(cx, slot, pk, ik, i, d))),
-                    "",
-                )
-            }
-        }
-        Op::BufStore { name, idx, src } => {
-            let (slot, pointee) = buffers[name];
-            let (ik, iota) = read_kind(st, *idx)?;
-            let (sk, _) = read_kind(st, *src)?;
-            let i = row(*idx);
-            let s = row(*src);
-            if iota && pointee == ScalarType::Float {
-                *uses_iota = true;
-                (
-                    Step::masked(step(move |cx| {
-                        if cx.run {
-                            store_f32_span(cx, slot, sk, s, cx.regs.i32s[i + cx.lo] as usize)
-                        } else {
-                            store_lanes(cx, slot, ik, i, sk, s)
-                        }
-                    })),
-                    " ; iota f32 span",
-                )
-            } else if ik == NKind::I32 && pointee == ScalarType::Float {
-                (
-                    Step::masked(step(move |cx| match contiguous_base(cx, i) {
-                        Some(start) => store_f32_span(cx, slot, sk, s, start),
-                        None => store_lanes(cx, slot, ik, i, sk, s),
-                    })),
-                    " ; f32 span when contiguous",
-                )
-            } else {
-                (
-                    Step::masked(step(move |cx| store_lanes(cx, slot, ik, i, sk, s))),
-                    "",
-                )
-            }
-        }
-        Op::CallBuiltin {
-            builtin,
-            dst,
-            args,
-            nargs,
-        } => {
-            let builtin = *builtin;
-            let n = *nargs as usize;
-            if n > 4 {
-                return Err("builtin call with more than four arguments".to_string());
-            }
-            let mut akinds = [NKind::I32; 4];
-            let mut all_f32 = true;
-            for (k, ak) in akinds.iter_mut().enumerate().take(n) {
-                let (kk, _) = read_kind(st, *args + k as Reg)?;
-                *ak = kk;
-                all_f32 &= kk == NKind::F32;
-            }
-            let d = row(*dst);
-            let a0 = row(*args);
-            // All-f32 argument lists always produce f32 results, computed in
-            // the f64 domain exactly like `eval_math`.
-            if all_f32 && n == 1 {
-                if let Some(g) = unary_math(builtin) {
-                    return Ok((
-                        Step::pure(
-                            NKind::F32,
-                            d,
-                            step(move |cx| {
-                                let na = cx.n_active;
-                                let mut a = [0.0f32; BATCH_LANES];
-                                a[..na].copy_from_slice(&cx.regs.f32s[a0..a0 + na]);
-                                for (dv, av) in cx.regs.f32s[d..d + na].iter_mut().zip(a.iter()) {
-                                    *dv = g(*av as f64) as f32;
-                                }
-                                Ok(())
-                            }),
-                        ),
-                        " ; f32 math",
-                    ));
-                }
-            }
-            if all_f32 && n == 2 {
-                if let Some(g) = binary_math(builtin) {
-                    let a1 = a0 + BATCH_LANES;
-                    return Ok((
-                        Step::pure(
-                            NKind::F32,
-                            d,
-                            step(move |cx| {
-                                let na = cx.n_active;
-                                let mut a = [0.0f32; BATCH_LANES];
-                                let mut b = [0.0f32; BATCH_LANES];
-                                a[..na].copy_from_slice(&cx.regs.f32s[a0..a0 + na]);
-                                b[..na].copy_from_slice(&cx.regs.f32s[a1..a1 + na]);
-                                for (dv, (av, bv)) in cx.regs.f32s[d..d + na]
-                                    .iter_mut()
-                                    .zip(a.iter().zip(b.iter()))
-                                {
-                                    *dv = g(*av as f64, *bv as f64) as f32;
-                                }
-                                Ok(())
-                            }),
-                        ),
-                        " ; f32 math",
-                    ));
-                }
-            }
-            if all_f32 && n == 3 {
-                if let Some(g) = ternary_math(builtin) {
-                    let a1 = a0 + BATCH_LANES;
-                    let a2 = a0 + 2 * BATCH_LANES;
-                    return Ok((
-                        // Active lanes only: `clamp` panics on inverted
-                        // bounds, which a guard may keep out of these lanes
-                        // but not out of an idle lane's stale registers.
-                        Step::masked(step(move |cx| {
-                            let na = cx.n_active;
-                            let mut a = [0.0f32; BATCH_LANES];
-                            let mut b = [0.0f32; BATCH_LANES];
-                            let mut c = [0.0f32; BATCH_LANES];
-                            a[..na].copy_from_slice(&cx.regs.f32s[a0..a0 + na]);
-                            b[..na].copy_from_slice(&cx.regs.f32s[a1..a1 + na]);
-                            c[..na].copy_from_slice(&cx.regs.f32s[a2..a2 + na]);
-                            for li in cx.lanes() {
-                                cx.regs.f32s[d + li] =
-                                    g(a[li] as f64, b[li] as f64, c[li] as f64) as f32;
-                            }
-                            Ok(())
-                        })),
-                        " ; f32 math",
-                    ));
-                }
-            }
-            let dk = {
-                let tys: Vec<ScalarType> = akinds[..n].iter().map(|k| k.scalar()).collect();
-                NKind::of(builtin.result_type(&tys))
-                    .ok_or_else(|| "builtin returns uint".to_string())?
-            };
-            (
-                Step::masked(step(move |cx| {
-                    for li in cx.lanes() {
-                        let mut vals = [Value::Int(0); 4];
-                        for (k, v) in vals.iter_mut().enumerate().take(n) {
-                            *v = read_value(cx.regs, akinds[k], a0 + k * BATCH_LANES, li);
-                        }
-                        let res = builtin.eval_math(&vals[..n]);
-                        write_value(cx.regs, dk, d, li, res);
-                    }
-                    Ok(())
-                })),
-                "",
-            )
-        }
-        Op::WorkItem { dst, builtin } => {
-            let d = row(*dst);
-            macro_rules! wi {
-                (|$it:ident| $e:expr) => {
-                    step(move |cx| {
-                        let n = cx.n_active;
-                        for (dv, $it) in cx.regs.i32s[d..d + n].iter_mut().zip(cx.items) {
-                            *dv = ($e) as i32;
-                        }
-                        Ok(())
-                    })
-                };
-            }
-            let f = match builtin {
-                Builtin::GetGlobalId => wi!(|it| it.global_id),
-                Builtin::GetLocalId => wi!(|it| it.local_id),
-                Builtin::GetGroupId => wi!(|it| it.group_id),
-                Builtin::GetGlobalSize => wi!(|it| it.global_size),
-                Builtin::GetLocalSize => wi!(|it| it.local_size),
-                Builtin::GetNumGroups => wi!(|it| it.global_size.div_ceil(it.local_size.max(1))),
-                other => return Err(format!("work-item op carries {other:?}")),
-            };
-            (Step::pure(NKind::I32, d, f), "")
-        }
-        Op::StencilGet { dst, args } => {
-            let (dxk, _) = read_kind(st, *args)?;
-            let (dyk, _) = read_kind(st, *args + 1)?;
-            let d = row(*dst);
-            let dx_row = row(*args);
-            let dy_row = row(*args + 1);
-            let int_offsets = dxk == NKind::I32 && dyk == NKind::I32;
-            (
-                Step::masked(step(move |cx| {
-                    let Some(ctx) = cx.stencil else {
-                        return Err(NativeAbort::Error);
-                    };
-                    if cx.hazards {
-                        // Neighbour reads cross lanes by design.
-                        cx.slots[ctx.in_slot].load(None)?;
-                    }
-                    let (lo, n) = (cx.lo, cx.n_active);
-                    if int_offsets && cx.linear && cx.run {
-                        let dx = cx.regs.i32s[dx_row + lo];
-                        let dy = cx.regs.i32s[dy_row + lo];
-                        let uniform = cx.regs.i32s[dx_row + lo..dx_row + n]
-                            .iter()
-                            .all(|v| *v == dx)
-                            & cx.regs.i32s[dy_row + lo..dy_row + n]
-                                .iter()
-                                .all(|v| *v == dy);
-                        if uniform {
-                            return stencil_get_rows(cx, ctx, d, i64::from(dx), i64::from(dy));
-                        }
-                    }
-                    for li in cx.lanes() {
-                        let dx = addr_of(cx.regs, dxk, dx_row, li);
-                        let dy = addr_of(cx.regs, dyk, dy_row, li);
-                        stencil_get_lane(cx, ctx, d, li, dx, dy)?;
-                    }
-                    Ok(())
-                })),
-                if int_offsets {
-                    " ; row slices when uniform"
-                } else {
-                    ""
-                },
-            )
-        }
-        other => return Err(format!("unsupported instruction {other:?}")),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2733,30 +2624,67 @@ mod tests {
         assert_eq!(native.tier(), Tier::Interp);
     }
 
+    /// Compile `kernel` of `src` natively.
+    fn native(src: &str, kernel: &str) -> Result<NativeKernel, String> {
+        let p = Program::build(src).unwrap();
+        compile_kernel(p.unit(), p.kernel(kernel).unwrap().index())
+    }
+
+    /// Run one batch of `lanes` linear work-items natively over a copy of
+    /// `data`, next to the oracle: returns the native buffer bits and
+    /// whether the batch diverged, after asserting bits and stats equal the
+    /// oracle's.
+    fn batch(src: &str, data: &[f32], scalars: &[Value], lanes: usize) -> (Vec<u32>, bool) {
+        let p = Program::build(src).unwrap();
+        let k = p.kernel("k").unwrap();
+        let nk = Arc::new(compile_kernel(p.unit(), k.index()).unwrap());
+        fn bind<'a>(v: &'a mut [f32], scalars: &[Value]) -> Vec<ArgBinding<'a>> {
+            let mut args = vec![ArgBinding::buffer_f32(v)];
+            args.extend(scalars.iter().map(|s| ArgBinding::Scalar(*s)));
+            args
+        }
+        let items: Vec<WorkItem> = (0..lanes).map(|g| WorkItem::linear(g, lanes)).collect();
+        let mut native_data = data.to_vec();
+        let mut stats = ExecStats::default();
+        let diverged = NativeExec::new(nk)
+            .execute_batch(
+                &items,
+                &mut bind(&mut native_data, scalars),
+                None,
+                u64::MAX,
+                &mut stats,
+            )
+            .expect("the batch completes natively");
+        let mut oracle_data = data.to_vec();
+        let oracle = p
+            .run_ndrange_measured_interp(&k, lanes, &mut bind(&mut oracle_data, scalars))
+            .unwrap();
+        let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
+        assert_eq!(bits(&native_data), bits(&oracle_data), "{src}");
+        assert_eq!(stats, oracle, "{src}");
+        (bits(&native_data), diverged)
+    }
+
     #[test]
     fn map_kernel_compiles_with_iota_fast_paths() {
-        let p = Program::build(
+        let nk = native(
             r#"
             __kernel void k(__global float* v, int n) {
                 int i = get_global_id(0);
                 if (i < n) { v[i] = v[i] * 2.0f; }
             }
         "#,
+            "k",
         )
         .unwrap();
-        let idx = p.kernel("k").unwrap().index();
-        let nk = compile_kernel(p.compiled(), idx).unwrap();
-        assert!(nk.block_count() >= 2);
         assert!(nk.uses_iota);
-        assert!(nk.listing().contains("iota f32 span"));
-        assert!(nk.listing().contains("exit chain") || nk.listing().contains("branch"));
+        assert_eq!(nk.paths, ["iota f32 span", "iota f32 span"]);
     }
 
     #[test]
     fn vm_frame_calls_are_ineligible() {
-        // Recursion defeats the compiler's inliner, leaving an `Op::Call`
-        // that only the interpreter can execute.
-        let p = Program::build(
+        // Recursion cannot be inlined, and only the interpreter runs calls.
+        let err = native(
             r#"
             float fib(float n) {
                 if (n < 2.0f) { return n; }
@@ -2767,13 +2695,33 @@ mod tests {
                 if (i < n) { v[i] = fib(v[i]); }
             }
         "#,
+            "k",
         )
-        .unwrap();
-        let idx = p.kernel("k").unwrap().index();
-        let err = compile_kernel(p.compiled(), idx).unwrap_err();
+        .unwrap_err();
         assert!(err.contains("without inlining it"), "reason: {err}");
     }
 
+    /// Helper calls are inlined at compile time, a helper inside a helper
+    /// included, and compute what the oracle computes.
+    #[test]
+    fn small_helper_calls_are_inlined() {
+        let src = r#"
+            float square(float x) { return x * x; }
+            float norm2(float a, float b) { float s = square(a); s += square(b); return s; }
+            __kernel void k(__global float* v, int n) {
+                int i = get_global_id(0);
+                v[i] = norm2(v[i], 3.0f) + square(1.5f);
+            }
+        "#;
+        assert!(native(src, "k").is_ok());
+        let data: Vec<f32> = (0..40).map(|i| i as f32 * 0.25 - 3.0).collect();
+        let (bits, diverged) = batch(src, &data, &[Value::Int(40)], 40);
+        assert_eq!(f32::from_bits(bits[12]), 9.0 + 2.25);
+        assert!(!diverged);
+    }
+
+    /// A loop's iterations count against the batch budget: one per
+    /// iteration any lane goes around.
     #[test]
     fn loop_kernel_compiles_with_back_edges() {
         let p = Program::build(
@@ -2786,9 +2734,24 @@ mod tests {
         "#,
         )
         .unwrap();
-        let idx = p.kernel("k").unwrap().index();
-        let nk = compile_kernel(p.compiled(), idx).unwrap();
-        assert!(nk.listing().contains("back edge"));
+        let nk = Arc::new(compile_kernel(p.unit(), 0).unwrap());
+        let run = |budget: u64| {
+            let mut data = vec![1.0f32; 8];
+            let mut args = vec![
+                ArgBinding::buffer_f32(&mut data),
+                ArgBinding::Scalar(Value::Int(8)),
+            ];
+            let mut stats = ExecStats::default();
+            NativeExec::new(Arc::clone(&nk)).execute_batch(
+                &[WorkItem::linear(0, 1)],
+                &mut args,
+                None,
+                budget,
+                &mut stats,
+            )
+        };
+        assert_eq!(run(7), Err(NativeAbort::Error), "8 iterations, 7 allowed");
+        assert_eq!(run(8), Ok(false));
     }
 
     /// A single-lane scan that faults in iteration `k`: the `k` element
@@ -2811,7 +2774,7 @@ mod tests {
         )
         .unwrap();
         let handle = p.kernel("scan").unwrap();
-        let nk = Arc::new(compile_kernel(p.compiled(), handle.index()).unwrap());
+        let nk = Arc::new(compile_kernel(p.unit(), handle.index()).unwrap());
         let k = 1000;
         let input: Vec<f32> = (0..k).map(|i| (i % 11) as f32 * 0.25).collect();
         // NaN payloads: only an exact restore brings these bits back.
@@ -2897,90 +2860,81 @@ mod tests {
         assert_eq!(SlotHazard::default().store(None), Err(Bail));
     }
 
-    /// `reconvergence` over hand-built block graphs, one per control-flow
-    /// shape the compiler emits (`succs[b]` empty = the block returns).
+    /// Every structured control-flow shape reconverges where it ends: the
+    /// lanes that took either side run the code after it together (the
+    /// final store happens in every lane that did not return), with the
+    /// oracle's bits and stats.
     #[test]
     fn reconvergence_table_per_shape() {
-        // Diamond: 0 ? 1 : 2, both to 3.
-        let r = reconvergence(&[vec![2, 1], vec![3], vec![3], vec![]]);
-        assert_eq!(r, [3, 3, 3, EXIT]);
-        // If without else: the taken side *is* the join block.
-        let r = reconvergence(&[vec![2, 1], vec![2], vec![]]);
-        assert_eq!(r, [2, 2, EXIT]);
-        // Early return: one side returns before the sides meet.
-        let r = reconvergence(&[vec![2, 1], vec![], vec![3], vec![]]);
-        assert_eq!(r[0], EXIT);
-        assert_eq!(r[2], 3);
-        // Loop with break: header 1, body 2 breaks to 4 or goes on to the
-        // latch 3; everything rejoins at the loop exit 4.
-        let r = reconvergence(&[vec![1], vec![4, 2], vec![4, 3], vec![1], vec![]]);
-        assert_eq!(r, [1, 4, 4, 1, EXIT]);
-        // Nested loops: outer header 1 / exit 6, inner header 3 / exit 5.
-        let r = reconvergence(&[
-            vec![1],
-            vec![6, 2],
-            vec![3],
-            vec![5, 4],
-            vec![3],
-            vec![1],
-            vec![],
-        ]);
-        assert_eq!(r, [1, 6, 3, 5, 3, 1, EXIT]);
-        // A return inside the loop body moves the loop's join to the exit.
-        let r = reconvergence(&[vec![1], vec![4, 2], vec![3, 5], vec![1], vec![], vec![]]);
-        assert_eq!(r[1], EXIT);
-        assert_eq!(r[2], EXIT);
-        // A loop with no way out never rejoins.
-        let r = reconvergence(&[vec![1], vec![1, 2], vec![1]]);
-        assert_eq!(r, [EXIT, EXIT, EXIT]);
+        let shapes = [
+            // Diamond.
+            ("if (g % 3 == 0) { x = 1.0f; } else { x = 2.0f; }", true),
+            // If without else, taken by a prefix: no divergence.
+            ("if (g < 40) { x = 3.0f; }", false),
+            // If without else, taken by scattered lanes.
+            ("if (g % 2 == 1) { x = 3.0f; }", true),
+            // Early return: only the lanes that stay store.
+            ("if (g % 5 == 0) { return; }", true),
+            // Loop with break and continue.
+            ("for (int i = 0; i < 9; i++) { if (i == g % 4) { continue; } if (i > g % 7) { break; } x += 1.0f; }", true),
+            // Nested loops.
+            ("for (int i = 0; i < g % 3; i++) { for (int j = 0; j <= i; j++) { x += 0.5f; } }", true),
+            // A return inside a loop.
+            ("while (x < 100.0f) { x = x * 2.0f + 1.0f; if (x > 40.0f + (float) g) { return; } }", true),
+            // Short circuits and a ternary.
+            ("x = (g > 3 && g % 2 == 0) || g == 1 ? x + 1.0f : x - 1.0f;", true),
+        ];
+        for (shape, diverges) in shapes {
+            let src = format!(
+                "__kernel void k(__global float* v, int n) {{\n\
+                 int g = get_global_id(0); float x = v[g];\n\
+                 {shape}\n\
+                 v[g] = x + 1000.0f;\n\
+                 }}"
+            );
+            let data: Vec<f32> = (0..64).map(|i| i as f32).collect();
+            let (bits, diverged) = batch(&src, &data, &[Value::Int(64)], 64);
+            assert_eq!(diverged, diverges, "{shape}");
+            let stored = bits.iter().filter(|b| f32::from_bits(**b) >= 900.0).count();
+            let returned = if shape.contains("return") {
+                bits.iter()
+                    .enumerate()
+                    .filter(|(g, b)| f32::from_bits(**b) == *g as f32)
+                    .count()
+            } else {
+                0
+            };
+            assert_eq!(stored + returned, 64, "{shape}");
+        }
     }
 
+    /// The OSEM update: the tail guard is a prefix mask, so a batch whose
+    /// guarded lanes all take the UDF's early return does not diverge, and
+    /// one whose lanes disagree does and rejoins at the store.
     #[test]
     fn listing_names_every_branch_reconvergence_block() {
-        // The OSEM update: the tail guard rejoins at the return block, the
-        // UDF's early return at the store.
-        let p = Program::build(
-            r#"
-            float func(float f, float c) { if (c > 0.0f) { return f * c; } return f; }
-            __kernel void k(__global float* l, __global float* r, __global float* out, int n) {
-                int gid = get_global_id(0);
-                if (gid < n) { out[gid] = func(l[gid], r[gid]); }
-            }
-        "#,
-        )
-        .unwrap();
-        let nk = compile_kernel(p.compiled(), p.kernel("k").unwrap().index()).unwrap();
-        let branches: Vec<&str> = nk
-            .listing()
-            .lines()
-            .filter(|l| l.contains("branch("))
-            .collect();
-        assert_eq!(branches.len(), 2, "{}", nk.listing());
-        assert!(branches[0].ends_with("(exit chain), reconverge -> b6"));
-        assert!(branches[1].ends_with("-> b3 else b2, reconverge -> b5"));
-
-        // A kernel-level early return: nothing rejoins before the exit.
-        let p = Program::build(
-            r#"
+        let src = r#"
+            float func(float f) { if (f > 10.0f) { return f * 0.5f; } return f; }
             __kernel void k(__global float* v, int n) {
-                int i = get_global_id(0);
-                if (v[i] < 0.0f) { return; }
-                v[i] = sqrt(v[i]);
+                int gid = get_global_id(0);
+                if (gid < n) { v[gid] = func(v[gid]) + 1.0f; }
             }
-        "#,
-        )
-        .unwrap();
-        let nk = compile_kernel(p.compiled(), p.kernel("k").unwrap().index()).unwrap();
-        assert!(
-            nk.listing().contains("reconverge -> exit"),
-            "{}",
-            nk.listing()
-        );
+        "#;
+        let uniform: Vec<f32> = (0..64).map(|i| 20.0 + i as f32).collect();
+        let (bits, diverged) = batch(src, &uniform, &[Value::Int(50)], 64);
+        assert!(!diverged);
+        assert_eq!(f32::from_bits(bits[49]), 35.5);
+        assert_eq!(f32::from_bits(bits[50]), 70.0, "the guard left lane 50 out");
+        let mixed: Vec<f32> = (0..64).map(|i| i as f32 * 0.5).collect();
+        let (bits, diverged) = batch(src, &mixed, &[Value::Int(50)], 64);
+        assert!(diverged);
+        assert_eq!(f32::from_bits(bits[10]), 6.0);
+        assert_eq!(f32::from_bits(bits[30]), 8.5);
     }
 
     #[test]
     fn shifted_index_stencil_kernel_compiles_with_span_and_row_paths() {
-        let p = Program::build(
+        let nk = native(
             r#"
             float func(float u) { return u + get(-1, 0) + get(0, 1); }
             __kernel void SKELCL_MAP_OVERLAP(__global float* skelcl_stencil_in,
@@ -2994,13 +2948,12 @@ mod tests {
                 }
             }
         "#,
+            "SKELCL_MAP_OVERLAP",
         )
         .unwrap();
-        let idx = p.kernel("SKELCL_MAP_OVERLAP").unwrap().index();
-        let nk = compile_kernel(p.compiled(), idx).unwrap();
-        let listing = nk.listing();
-        assert_eq!(listing.matches("f32 span when contiguous").count(), 2);
-        assert_eq!(listing.matches("row slices when uniform").count(), 2);
-        assert!(!listing.contains("iota f32 span"));
+        let count = |p: &str| nk.paths.iter().filter(|x| **x == p).count();
+        assert_eq!(count("f32 span when contiguous"), 2);
+        assert_eq!(count("row slices when uniform"), 2);
+        assert_eq!(count("iota f32 span"), 0);
     }
 }

@@ -15,6 +15,11 @@ pub fn parse(tokens: &[Token], source: &str) -> Result<TranslationUnit, KernelEr
     parser.translation_unit()
 }
 
+fn binary(op: BinOp, lhs: Expr, rhs: Expr, span: Span) -> Expr {
+    let (lhs, rhs) = (Box::new(lhs), Box::new(rhs));
+    Expr::new(ExprKind::Binary { op, lhs, rhs }, span)
+}
+
 struct Parser<'a> {
     tokens: &'a [Token],
     pos: usize,
@@ -189,6 +194,7 @@ impl<'a> Parser<'a> {
             params,
             body,
             span: start,
+            locals: Vec::new(),
         })
     }
 
@@ -271,7 +277,7 @@ impl<'a> Parser<'a> {
         };
         Ok(Stmt::Decl {
             ty,
-            name,
+            name: Name::new(name),
             init,
             span,
         })
@@ -369,25 +375,27 @@ impl<'a> Parser<'a> {
         let opspan = self.bump().span;
         let value = self.assignment()?;
         let target = Self::expr_to_lvalue(&lhs)?;
-        Ok(Expr::Assign {
-            op,
-            target,
-            value: Box::new(value),
-            span: lhs.span().to(opspan),
-        })
+        Ok(Expr::new(
+            ExprKind::Assign {
+                op,
+                target,
+                value: Box::new(value),
+            },
+            lhs.span.to(opspan),
+        ))
     }
 
     fn expr_to_lvalue(e: &Expr) -> Result<LValue, KernelError> {
-        match e {
-            Expr::Var(name, span) => Ok(LValue::Var(name.clone(), *span)),
-            Expr::Index { base, index, span } => Ok(LValue::Index {
+        match &e.kind {
+            ExprKind::Var(name) => Ok(LValue::Var(name.clone(), e.span)),
+            ExprKind::Index { base, index } => Ok(LValue::Index {
                 base: base.clone(),
                 index: index.clone(),
-                span: *span,
+                span: e.span,
             }),
-            other => Err(KernelError::parse(
+            _ => Err(KernelError::parse(
                 "left-hand side of assignment must be a variable or buffer element",
-                other.span(),
+                e.span,
             )),
         }
     }
@@ -398,13 +406,15 @@ impl<'a> Parser<'a> {
             let then_expr = self.expression()?;
             self.expect(&TokenKind::Colon)?;
             let else_expr = self.ternary()?;
-            let span = cond.span().to(else_expr.span());
-            Ok(Expr::Ternary {
-                cond: Box::new(cond),
-                then_expr: Box::new(then_expr),
-                else_expr: Box::new(else_expr),
+            let span = cond.span.to(else_expr.span);
+            Ok(Expr::new(
+                ExprKind::Ternary {
+                    cond: Box::new(cond),
+                    then_expr: Box::new(then_expr),
+                    else_expr: Box::new(else_expr),
+                },
                 span,
-            })
+            ))
         } else {
             Ok(cond)
         }
@@ -415,12 +425,7 @@ impl<'a> Parser<'a> {
         while self.at(&TokenKind::OrOr) {
             let span = self.bump().span;
             let rhs = self.logical_and()?;
-            lhs = Expr::Binary {
-                op: BinOp::Or,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
+            lhs = binary(BinOp::Or, lhs, rhs, span);
         }
         Ok(lhs)
     }
@@ -430,12 +435,7 @@ impl<'a> Parser<'a> {
         while self.at(&TokenKind::AndAnd) {
             let span = self.bump().span;
             let rhs = self.equality()?;
-            lhs = Expr::Binary {
-                op: BinOp::And,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
+            lhs = binary(BinOp::And, lhs, rhs, span);
         }
         Ok(lhs)
     }
@@ -450,12 +450,7 @@ impl<'a> Parser<'a> {
             };
             let span = self.bump().span;
             let rhs = self.relational()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
+            lhs = binary(op, lhs, rhs, span);
         }
         Ok(lhs)
     }
@@ -472,12 +467,7 @@ impl<'a> Parser<'a> {
             };
             let span = self.bump().span;
             let rhs = self.additive()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
+            lhs = binary(op, lhs, rhs, span);
         }
         Ok(lhs)
     }
@@ -492,12 +482,7 @@ impl<'a> Parser<'a> {
             };
             let span = self.bump().span;
             let rhs = self.multiplicative()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
+            lhs = binary(op, lhs, rhs, span);
         }
         Ok(lhs)
     }
@@ -513,12 +498,7 @@ impl<'a> Parser<'a> {
             };
             let span = self.bump().span;
             let rhs = self.unary()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
+            lhs = binary(op, lhs, rhs, span);
         }
         Ok(lhs)
     }
@@ -529,20 +509,24 @@ impl<'a> Parser<'a> {
             TokenKind::Minus => {
                 self.bump();
                 let operand = self.unary()?;
-                Ok(Expr::Unary {
-                    op: UnOp::Neg,
-                    operand: Box::new(operand),
+                Ok(Expr::new(
+                    ExprKind::Unary {
+                        op: UnOp::Neg,
+                        operand: Box::new(operand),
+                    },
                     span,
-                })
+                ))
             }
             TokenKind::Not => {
                 self.bump();
                 let operand = self.unary()?;
-                Ok(Expr::Unary {
-                    op: UnOp::Not,
-                    operand: Box::new(operand),
+                Ok(Expr::new(
+                    ExprKind::Unary {
+                        op: UnOp::Not,
+                        operand: Box::new(operand),
+                    },
                     span,
-                })
+                ))
             }
             TokenKind::PlusPlus | TokenKind::MinusMinus => {
                 let delta = if matches!(self.peek_kind(), TokenKind::PlusPlus) {
@@ -553,12 +537,14 @@ impl<'a> Parser<'a> {
                 self.bump();
                 let operand = self.unary()?;
                 let target = Self::expr_to_lvalue(&operand)?;
-                Ok(Expr::IncDec {
-                    target,
-                    delta,
-                    prefix: true,
+                Ok(Expr::new(
+                    ExprKind::IncDec {
+                        target,
+                        delta,
+                        prefix: true,
+                    },
                     span,
-                })
+                ))
             }
             // Cast expression: `(float) expr`
             TokenKind::LParen
@@ -580,11 +566,13 @@ impl<'a> Parser<'a> {
                     let ty = self.scalar_type()?;
                     self.expect(&TokenKind::RParen)?;
                     let operand = self.unary()?;
-                    Ok(Expr::Cast {
-                        ty,
-                        operand: Box::new(operand),
+                    Ok(Expr::new(
+                        ExprKind::Cast {
+                            ty,
+                            operand: Box::new(operand),
+                        },
                         span,
-                    })
+                    ))
                 } else {
                     self.postfix()
                 }
@@ -601,20 +589,22 @@ impl<'a> Parser<'a> {
                     let span = self.bump().span;
                     let index = self.expression()?;
                     self.expect(&TokenKind::RBracket)?;
-                    let base = match &expr {
-                        Expr::Var(name, _) => name.clone(),
-                        other => {
+                    let base = match &expr.kind {
+                        ExprKind::Var(name) => name.clone(),
+                        _ => {
                             return Err(KernelError::parse(
                                 "only named buffers can be indexed",
-                                other.span(),
+                                expr.span,
                             ))
                         }
                     };
-                    expr = Expr::Index {
-                        base,
-                        index: Box::new(index),
+                    expr = Expr::new(
+                        ExprKind::Index {
+                            base,
+                            index: Box::new(index),
+                        },
                         span,
-                    };
+                    );
                 }
                 TokenKind::PlusPlus | TokenKind::MinusMinus => {
                     let delta = if matches!(self.peek_kind(), TokenKind::PlusPlus) {
@@ -624,12 +614,14 @@ impl<'a> Parser<'a> {
                     };
                     let span = self.bump().span;
                     let target = Self::expr_to_lvalue(&expr)?;
-                    expr = Expr::IncDec {
-                        target,
-                        delta,
-                        prefix: false,
+                    expr = Expr::new(
+                        ExprKind::IncDec {
+                            target,
+                            delta,
+                            prefix: false,
+                        },
                         span,
-                    };
+                    );
                 }
                 _ => break,
             }
@@ -640,10 +632,10 @@ impl<'a> Parser<'a> {
     fn primary(&mut self) -> Result<Expr, KernelError> {
         let t = self.bump();
         match t.kind {
-            TokenKind::IntLit(v) => Ok(Expr::IntLit(v, t.span)),
-            TokenKind::FloatLit(v) => Ok(Expr::FloatLit(v, t.span)),
-            TokenKind::Keyword(Keyword::True) => Ok(Expr::BoolLit(true, t.span)),
-            TokenKind::Keyword(Keyword::False) => Ok(Expr::BoolLit(false, t.span)),
+            TokenKind::IntLit(v) => Ok(Expr::new(ExprKind::IntLit(v), t.span)),
+            TokenKind::FloatLit(v) => Ok(Expr::new(ExprKind::FloatLit(v), t.span)),
+            TokenKind::Keyword(Keyword::True) => Ok(Expr::new(ExprKind::BoolLit(true), t.span)),
+            TokenKind::Keyword(Keyword::False) => Ok(Expr::new(ExprKind::BoolLit(false), t.span)),
             TokenKind::LParen => {
                 let e = self.expression()?;
                 self.expect(&TokenKind::RParen)?;
@@ -662,13 +654,9 @@ impl<'a> Parser<'a> {
                         }
                     }
                     self.expect(&TokenKind::RParen)?;
-                    Ok(Expr::Call {
-                        callee: name,
-                        args,
-                        span: t.span,
-                    })
+                    Ok(Expr::new(ExprKind::Call { callee: name, args }, t.span))
                 } else {
-                    Ok(Expr::Var(name, t.span))
+                    Ok(Expr::new(ExprKind::Var(Name::new(name)), t.span))
                 }
             }
             other => Err(KernelError::parse(

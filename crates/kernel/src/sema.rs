@@ -5,12 +5,24 @@
 //!
 //! * every referenced variable, parameter or function exists,
 //! * buffer indexing is only applied to pointer parameters and indices are
-//!   integers,
+//!   integers, and a buffer is never used as a value,
 //! * operand types of arithmetic/logical operators are compatible,
-//! * call arities match (user functions and builtins),
+//! * call arities match (user functions and builtins), and only functions
+//!   without buffer parameters are called,
 //! * assignments target lvalues of scalar type,
 //! * non-void functions return a value on the paths that have a `return`,
+//!   and a `void` call is used only as a statement,
 //! * kernels return `void` and do not have pointer-typed local declarations.
+//!
+//! It also types the tree: every expression gets the scalar type of its
+//! value ([`Expr::ty`]), following the language's C-style conversions (the
+//! usual arithmetic conversions of [`ScalarType::unify`], comparisons and
+//! logic yield `bool`, `-` on a `uint` yields `int`, a builtin's type follows
+//! from its argument types, a `?:` has the unified type of its arms, an
+//! assignment or increment has its target's type). Every name gets its slot
+//! in the function's frame ([`Name::slot`], [`Function::locals`]). The
+//! interpreter's values carry exactly these types, and the native tier
+//! compiles from them; neither re-derives them.
 //!
 //! The language is implicitly-converting (C style), so the checker mostly
 //! rejects structural errors rather than narrowing conversions.
@@ -23,8 +35,9 @@ use crate::diag::KernelError;
 use crate::token::Span;
 use crate::types::{ScalarType, Type};
 
-/// Type-check a translation unit, returning it unchanged on success.
-pub fn check(unit: TranslationUnit) -> Result<TranslationUnit, KernelError> {
+/// Type-check a translation unit, returning it with its types and slots
+/// recorded.
+pub fn check(mut unit: TranslationUnit) -> Result<TranslationUnit, KernelError> {
     let mut signatures: HashMap<String, (Vec<Type>, Type)> = HashMap::new();
     for f in &unit.functions {
         if Builtin::from_name(&f.name).is_some() {
@@ -47,7 +60,7 @@ pub fn check(unit: TranslationUnit) -> Result<TranslationUnit, KernelError> {
         }
     }
 
-    for f in &unit.functions {
+    for f in &mut unit.functions {
         if f.is_kernel && !f.return_type.is_void() {
             return Err(KernelError::check(
                 format!("__kernel function `{}` must return void", f.name),
@@ -57,56 +70,84 @@ pub fn check(unit: TranslationUnit) -> Result<TranslationUnit, KernelError> {
         let mut checker = Checker {
             signatures: &signatures,
             scopes: vec![HashMap::new()],
-            function: f,
+            locals: Vec::new(),
+            name: &f.name,
+            return_type: f.return_type,
         };
         for p in &f.params {
             checker.declare(&p.name, p.ty, p.span)?;
         }
-        checker.check_block(&f.body)?;
+        checker.check_block(&mut f.body)?;
+        f.locals = checker.locals;
     }
     Ok(unit)
 }
 
 struct Checker<'a> {
     signatures: &'a HashMap<String, (Vec<Type>, Type)>,
-    scopes: Vec<HashMap<String, Type>>,
-    function: &'a Function,
+    /// Name → (type, slot), innermost scope last.
+    scopes: Vec<HashMap<String, (Type, usize)>>,
+    /// The frame layout so far: the type of every slot.
+    locals: Vec<Type>,
+    name: &'a str,
+    return_type: Type,
 }
 
 impl<'a> Checker<'a> {
-    fn declare(&mut self, name: &str, ty: Type, span: Span) -> Result<(), KernelError> {
+    /// Declare `name` in the innermost scope, in a fresh slot.
+    fn declare(&mut self, name: &str, ty: Type, span: Span) -> Result<usize, KernelError> {
+        let slot = self.locals.len();
         let scope = self.scopes.last_mut().expect("scope stack never empty");
-        if scope.insert(name.to_string(), ty).is_some() {
+        if scope.insert(name.to_string(), (ty, slot)).is_some() {
             return Err(KernelError::check(
                 format!("`{name}` is declared twice in the same scope"),
                 span,
             ));
         }
-        Ok(())
+        self.locals.push(ty);
+        Ok(slot)
     }
 
-    fn lookup(&self, name: &str, span: Span) -> Result<Type, KernelError> {
+    /// Resolve `name`, recording its slot.
+    fn lookup(&self, name: &mut Name, span: Span) -> Result<Type, KernelError> {
         for scope in self.scopes.iter().rev() {
-            if let Some(ty) = scope.get(name) {
+            if let Some((ty, slot)) = scope.get(&name.name) {
+                name.slot = *slot;
                 return Ok(*ty);
             }
         }
         Err(KernelError::check(
-            format!("unknown variable `{name}`"),
+            format!("unknown variable `{}`", name.name),
             span,
         ))
     }
 
-    fn check_block(&mut self, block: &Block) -> Result<(), KernelError> {
+    fn check_block(&mut self, block: &mut Block) -> Result<(), KernelError> {
         self.scopes.push(HashMap::new());
-        for stmt in &block.stmts {
+        for stmt in &mut block.stmts {
             self.check_stmt(stmt)?;
         }
         self.scopes.pop();
         Ok(())
     }
 
-    fn check_stmt(&mut self, stmt: &Stmt) -> Result<(), KernelError> {
+    /// Check an expression whose value is used: it must be a scalar, not a
+    /// buffer or the result of a `void` call.
+    fn value(&mut self, e: &mut Expr) -> Result<ScalarType, KernelError> {
+        let ty = self.check_expr(e)?;
+        scalar_value(ty, e.span)
+    }
+
+    /// Check an expression statement: its value is discarded, so a `void`
+    /// call is fine, but a bare buffer is not.
+    fn discard(&mut self, e: &mut Expr) -> Result<(), KernelError> {
+        match self.check_expr(e)? {
+            Type::Void => Ok(()),
+            ty => scalar_value(ty, e.span).map(|_| ()),
+        }
+    }
+
+    fn check_stmt(&mut self, stmt: &mut Stmt) -> Result<(), KernelError> {
         match stmt {
             Stmt::Decl {
                 ty,
@@ -115,17 +156,18 @@ impl<'a> Checker<'a> {
                 span,
             } => {
                 if let Some(init) = init {
-                    self.check_expr(init)?;
+                    self.value(init)?;
                 }
-                self.declare(name, Type::Scalar(*ty), *span)
+                name.slot = self.declare(&name.name, Type::Scalar(*ty), *span)?;
+                Ok(())
             }
-            Stmt::Expr(e) => self.check_expr(e).map(|_| ()),
+            Stmt::Expr(e) => self.discard(e),
             Stmt::If {
                 cond,
                 then_block,
                 else_block,
             } => {
-                self.check_expr(cond)?;
+                self.value(cond)?;
                 self.check_block(then_block)?;
                 self.check_block(else_block)
             }
@@ -140,136 +182,143 @@ impl<'a> Checker<'a> {
                     self.check_stmt(init)?;
                 }
                 if let Some(cond) = cond {
-                    self.check_expr(cond)?;
+                    self.value(cond)?;
                 }
                 if let Some(step) = step {
-                    self.check_expr(step)?;
+                    self.discard(step)?;
                 }
                 self.check_block(body)?;
                 self.scopes.pop();
                 Ok(())
             }
             Stmt::While { cond, body } => {
-                self.check_expr(cond)?;
+                self.value(cond)?;
                 self.check_block(body)
             }
-            Stmt::Return(expr, span) => {
-                let ret = self.function.return_type;
-                match (expr, ret) {
-                    (None, Type::Void) => Ok(()),
-                    (Some(_), Type::Void) => Err(KernelError::check(
-                        format!("void function `{}` returns a value", self.function.name),
-                        *span,
-                    )),
-                    (Some(e), _) => {
-                        let ety = self.check_expr(e)?;
-                        if ety.is_pointer() {
-                            Err(KernelError::check("cannot return a pointer", *span))
-                        } else {
-                            Ok(())
-                        }
-                    }
-                    (None, _) => Err(KernelError::check(
-                        format!(
-                            "non-void function `{}` must return a value",
-                            self.function.name
-                        ),
-                        *span,
-                    )),
-                }
-            }
+            Stmt::Return(expr, span) => match (expr, self.return_type) {
+                (None, Type::Void) => Ok(()),
+                (Some(_), Type::Void) => Err(KernelError::check(
+                    format!("void function `{}` returns a value", self.name),
+                    *span,
+                )),
+                (Some(e), _) => match self.check_expr(e)? {
+                    Type::GlobalPtr(_) => Err(KernelError::check("cannot return a pointer", *span)),
+                    ty => scalar_value(ty, e.span).map(|_| ()),
+                },
+                (None, _) => Err(KernelError::check(
+                    format!("non-void function `{}` must return a value", self.name),
+                    *span,
+                )),
+            },
             Stmt::Break(_) | Stmt::Continue(_) => Ok(()),
             Stmt::Block(b) => self.check_block(b),
         }
     }
 
-    fn check_lvalue(&mut self, lv: &LValue) -> Result<ScalarType, KernelError> {
+    fn check_lvalue(&mut self, lv: &mut LValue) -> Result<ScalarType, KernelError> {
         match lv {
-            LValue::Var(name, span) => {
-                let ty = self.lookup(name, *span)?;
-                match ty {
-                    Type::Scalar(s) => Ok(s),
-                    _ => Err(KernelError::check(
-                        format!("cannot assign to pointer `{name}` directly; index it"),
-                        *span,
-                    )),
-                }
-            }
-            LValue::Index { base, index, span } => {
-                let base_ty = self.lookup(base, *span)?;
-                let idx_ty = self.check_expr(index)?;
-                if !matches!(idx_ty, Type::Scalar(s) if s.is_integer() || s == ScalarType::Bool) {
-                    return Err(KernelError::check(
-                        "buffer index must be an integer expression",
-                        index.span(),
-                    ));
-                }
-                match base_ty {
-                    Type::GlobalPtr(s) => Ok(s),
-                    _ => Err(KernelError::check(
-                        format!("`{base}` is not a buffer and cannot be indexed"),
-                        *span,
-                    )),
-                }
-            }
+            LValue::Var(name, span) => match self.lookup(name, *span)? {
+                Type::Scalar(s) => Ok(s),
+                _ => Err(KernelError::check(
+                    format!(
+                        "cannot assign to pointer `{}` directly; index it",
+                        name.name
+                    ),
+                    *span,
+                )),
+            },
+            LValue::Index { base, index, span } => self.check_index(base, index, *span),
         }
     }
 
-    fn check_expr(&mut self, expr: &Expr) -> Result<Type, KernelError> {
-        match expr {
-            Expr::IntLit(..) => Ok(Type::Scalar(ScalarType::Int)),
-            Expr::FloatLit(..) => Ok(Type::Scalar(ScalarType::Float)),
-            Expr::BoolLit(..) => Ok(Type::Scalar(ScalarType::Bool)),
-            Expr::Var(name, span) => self.lookup(name, *span),
-            Expr::Index { base, index, span } => {
-                let s = self.check_lvalue(&LValue::Index {
-                    base: base.clone(),
-                    index: index.clone(),
-                    span: *span,
-                })?;
-                Ok(Type::Scalar(s))
-            }
-            Expr::Unary { op, operand, span } => {
-                let ty = self.check_expr(operand)?;
-                match ty {
-                    Type::Scalar(s) => match op {
-                        UnOp::Neg if s != ScalarType::Bool => Ok(Type::Scalar(s)),
-                        UnOp::Neg => Err(KernelError::check("cannot negate a bool", *span)),
-                        UnOp::Not => Ok(Type::Scalar(ScalarType::Bool)),
-                    },
-                    _ => Err(KernelError::check(
+    /// `base[index]`: the element type of the buffer `base`.
+    fn check_index(
+        &mut self,
+        base: &mut Name,
+        index: &mut Expr,
+        span: Span,
+    ) -> Result<ScalarType, KernelError> {
+        let base_ty = self.lookup(base, span)?;
+        let idx_ty = self.check_expr(index)?;
+        if !matches!(idx_ty, Type::Scalar(s) if s.is_integer() || s == ScalarType::Bool) {
+            return Err(KernelError::check(
+                "buffer index must be an integer expression",
+                index.span,
+            ));
+        }
+        match base_ty {
+            Type::GlobalPtr(s) => Ok(s),
+            _ => Err(KernelError::check(
+                format!("`{}` is not a buffer and cannot be indexed", base.name),
+                span,
+            )),
+        }
+    }
+
+    /// Type `expr` and record its scalar type in it.
+    fn check_expr(&mut self, expr: &mut Expr) -> Result<Type, KernelError> {
+        let ty = self.expr_type(expr)?;
+        if let Type::Scalar(s) = ty {
+            expr.ty = s;
+        }
+        Ok(ty)
+    }
+
+    fn expr_type(&mut self, expr: &mut Expr) -> Result<Type, KernelError> {
+        let span = expr.span;
+        let scalar = |s| Ok(Type::Scalar(s));
+        match &mut expr.kind {
+            ExprKind::IntLit(_) => scalar(ScalarType::Int),
+            ExprKind::FloatLit(_) => scalar(ScalarType::Float),
+            ExprKind::BoolLit(_) => scalar(ScalarType::Bool),
+            ExprKind::Var(name) => self.lookup(name, span),
+            ExprKind::Index { base, index } => scalar(self.check_index(base, index, span)?),
+            ExprKind::Unary { op, operand } => {
+                let Type::Scalar(s) = self.check_expr(operand)? else {
+                    return Err(KernelError::check(
                         "unary operator needs a scalar operand",
-                        *span,
-                    )),
+                        span,
+                    ));
+                };
+                match (op, s) {
+                    (UnOp::Neg, ScalarType::Bool) => {
+                        Err(KernelError::check("cannot negate a bool", span))
+                    }
+                    // Negating a `uint` yields an `int` (as in the interpreter).
+                    (UnOp::Neg, ScalarType::Uint) => scalar(ScalarType::Int),
+                    (UnOp::Neg, s) => scalar(s),
+                    (UnOp::Not, _) => scalar(ScalarType::Bool),
                 }
             }
-            Expr::Binary { op, lhs, rhs, span } => {
+            ExprKind::Binary { op, lhs, rhs } => {
                 let lt = self.check_expr(lhs)?;
                 let rt = self.check_expr(rhs)?;
                 let (Type::Scalar(ls), Type::Scalar(rs)) = (lt, rt) else {
                     return Err(KernelError::check(
                         "binary operators need scalar operands (did you forget to index a buffer?)",
-                        *span,
+                        span,
                     ));
                 };
                 if *op == BinOp::Rem && (ls.is_float() || rs.is_float()) {
-                    return Err(KernelError::check("`%` requires integer operands", *span));
+                    return Err(KernelError::check("`%` requires integer operands", span));
                 }
                 if op.is_comparison() {
-                    Ok(Type::Scalar(ScalarType::Bool))
+                    scalar(ScalarType::Bool)
                 } else {
-                    Ok(Type::Scalar(ls.unify(rs)))
+                    scalar(ls.unify(rs))
                 }
             }
-            Expr::Call { callee, args, span } => {
-                for a in args {
+            ExprKind::Call { callee, args } => {
+                let mut arg_types = Vec::with_capacity(args.len());
+                for a in args.iter_mut() {
                     let ty = self.check_expr(a)?;
                     if ty.is_pointer() {
                         return Err(KernelError::check(
                             "pointers cannot be passed to functions in this language subset",
-                            a.span(),
+                            a.span,
                         ));
                     }
+                    arg_types.push(scalar_value(ty, a.span)?);
                 }
                 if let Some(b) = Builtin::from_name(callee) {
                     if args.len() != b.arity() {
@@ -279,87 +328,100 @@ impl<'a> Checker<'a> {
                                 b.arity(),
                                 args.len()
                             ),
-                            *span,
+                            span,
                         ));
                     }
-                    return Ok(Type::Scalar(b.result_type(
-                        &args.iter().map(|_| ScalarType::Float).collect::<Vec<_>>(),
-                    )));
+                    return scalar(b.result_type(&arg_types));
                 }
-                match self.signatures.get(callee) {
-                    Some((params, ret)) => {
-                        if params.len() != args.len() {
-                            return Err(KernelError::check(
-                                format!(
-                                    "function `{callee}` expects {} argument(s), got {}",
-                                    params.len(),
-                                    args.len()
-                                ),
-                                *span,
-                            ));
-                        }
-                        Ok(*ret)
-                    }
-                    None => Err(KernelError::check(
+                let Some((params, ret)) = self.signatures.get(callee.as_str()) else {
+                    return Err(KernelError::check(
                         format!("call to unknown function `{callee}`"),
-                        *span,
-                    )),
+                        span,
+                    ));
+                };
+                if params.len() != args.len() {
+                    return Err(KernelError::check(
+                        format!(
+                            "function `{callee}` expects {} argument(s), got {}",
+                            params.len(),
+                            args.len()
+                        ),
+                        span,
+                    ));
                 }
+                if params.iter().any(|p| p.is_pointer()) {
+                    return Err(KernelError::check(
+                        format!("function `{callee}` takes a buffer, so it cannot be called"),
+                        span,
+                    ));
+                }
+                // A `void` call keeps the unchecked `int` type: it evaluates
+                // to int 0, and only in statement position.
+                Ok(*ret)
             }
-            Expr::Ternary {
+            ExprKind::Ternary {
                 cond,
                 then_expr,
                 else_expr,
-                ..
             } => {
-                self.check_expr(cond)?;
+                self.value(cond)?;
                 let t = self.check_expr(then_expr)?;
                 let e = self.check_expr(else_expr)?;
                 match (t, e) {
-                    (Type::Scalar(a), Type::Scalar(b)) => Ok(Type::Scalar(a.unify(b))),
+                    (Type::Scalar(a), Type::Scalar(b)) => scalar(a.unify(b)),
                     _ => Err(KernelError::check(
                         "ternary arms must be scalar expressions",
-                        then_expr.span(),
+                        then_expr.span,
                     )),
                 }
             }
-            Expr::Assign {
-                target,
-                value,
-                op,
-                span,
-            } => {
+            ExprKind::Assign { target, value, op } => {
                 let tgt = self.check_lvalue(target)?;
-                let vty = self.check_expr(value)?;
-                if vty.is_pointer() {
-                    return Err(KernelError::check("cannot assign a pointer value", *span));
+                let ty = self.check_expr(value)?;
+                if ty.is_pointer() {
+                    return Err(KernelError::check("cannot assign a pointer value", span));
                 }
-                if matches!(op, AssignOp::Assign) {
-                    Ok(Type::Scalar(tgt))
-                } else if tgt == ScalarType::Bool {
-                    Err(KernelError::check(
+                scalar_value(ty, value.span)?;
+                if *op != AssignOp::Assign && tgt == ScalarType::Bool {
+                    return Err(KernelError::check(
                         "compound assignment not supported on bool",
-                        *span,
-                    ))
-                } else {
-                    Ok(Type::Scalar(tgt))
+                        span,
+                    ));
                 }
+                scalar(tgt)
             }
-            Expr::IncDec { target, span, .. } => {
+            ExprKind::IncDec { target, .. } => {
                 let tgt = self.check_lvalue(target)?;
                 if tgt == ScalarType::Bool {
-                    return Err(KernelError::check("cannot increment a bool", *span));
+                    return Err(KernelError::check("cannot increment a bool", span));
                 }
-                Ok(Type::Scalar(tgt))
+                scalar(tgt)
             }
-            Expr::Cast { ty, operand, span } => {
+            ExprKind::Cast { ty, operand } => {
                 let oty = self.check_expr(operand)?;
                 if oty.is_pointer() {
-                    return Err(KernelError::check("cannot cast a pointer", *span));
+                    return Err(KernelError::check("cannot cast a pointer", span));
                 }
-                Ok(Type::Scalar(*ty))
+                scalar_value(oty, operand.span)?;
+                scalar(*ty)
             }
         }
+    }
+}
+
+/// The scalar type of a used value, or the error for a buffer or a `void`
+/// call's result in value position.
+fn scalar_value(ty: Type, span: Span) -> Result<ScalarType, KernelError> {
+    match ty {
+        Type::Scalar(s) => Ok(s),
+        Type::GlobalPtr(_) => Err(KernelError::check(
+            "a buffer cannot be used as a value; index it",
+            span,
+        )),
+        Type::Void => Err(KernelError::check(
+            "a void function's result cannot be used as a value",
+            span,
+        )),
     }
 }
 
@@ -479,5 +541,104 @@ mod tests {
         let err =
             check_src("__kernel void k(__global float* v) { v[0] = 1.5f % 2.0f; }").unwrap_err();
         assert!(err.message.contains("integer operands"));
+    }
+
+    /// The type of the value of `float x = <expr>;` in the first statement
+    /// of the only function.
+    fn init_type(src: &str) -> ScalarType {
+        let unit = check_src(src).unwrap();
+        match &unit.functions[0].body.stmts[0] {
+            Stmt::Decl {
+                init: Some(init), ..
+            } => init.ty,
+            other => panic!("not a declaration: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn builtins_are_typed_from_their_argument_types() {
+        let int_min = "__kernel void k(__global int* v, int n) { int g = get_global_id(0); \
+                       v[g] = min(g, n) % 3; }";
+        assert!(check_src(int_min).is_ok(), "`min` of ints is an int");
+        let typed = |decl: &str| {
+            init_type(&format!(
+                "__kernel void k(double d, int i, float f) {{ {decl} }}"
+            ))
+        };
+        assert_eq!(typed("double x = sqrt(d);"), ScalarType::Double);
+        assert_eq!(typed("float x = sqrt(f);"), ScalarType::Float);
+        assert_eq!(typed("float x = sqrt(i);"), ScalarType::Float);
+        assert_eq!(typed("int x = clamp(i, 0, 9);"), ScalarType::Int);
+        assert_eq!(typed("float x = max(i, f);"), ScalarType::Float);
+        assert_eq!(typed("float x = get_global_id(0);"), ScalarType::Int);
+    }
+
+    #[test]
+    fn rejects_buffers_used_as_values() {
+        for body in [
+            "float x = v;",
+            "if (v) { v[0] = 1.0f; }",
+            "while (v) { }",
+            "for (; v; ) { }",
+            "v;",
+            "v[0] = v ? 1.0f : 0.0f;",
+        ] {
+            let src = format!("__kernel void k(__global float* v) {{ {body} }}");
+            let err = check_src(&src).unwrap_err();
+            assert!(
+                err.message.contains("buffer cannot be used as a value"),
+                "{body}: {err}"
+            );
+            let span = err.span.expect("a span");
+            assert_eq!(&src[span.start..span.end], "v", "{body}");
+        }
+    }
+
+    #[test]
+    fn rejects_void_results_and_calls_of_buffer_functions() {
+        let void = "void f(float x) { } __kernel void k(__global float* v) { f(1.0f); float y = f(2.0f); }";
+        let err = check_src(void).unwrap_err();
+        assert!(err.message.contains("void function's result"), "{err}");
+        let buffers = "float f(__global float* p) { return p[0]; } __kernel void k(__global float* v) { v[0] = f(1.0f); }";
+        let err = check_src(buffers).unwrap_err();
+        assert!(err.message.contains("takes a buffer"), "{err}");
+    }
+
+    #[test]
+    fn records_slots_and_expression_types() {
+        let unit = check_src(
+            "__kernel void k(__global float* v, int n) { int a = n; { float a = 1.5f; v[a] = a; } }",
+        )
+        .unwrap_err();
+        assert!(unit.message.contains("integer"), "a float index: {unit}");
+        let unit = check_src(
+            "__kernel void k(__global float* v, int n) { int a = n; { float b = a; v[a] = b * 2; } }",
+        )
+        .unwrap();
+        let f = &unit.functions[0];
+        let int = Type::Scalar(ScalarType::Int);
+        let float = Type::Scalar(ScalarType::Float);
+        assert_eq!(
+            f.locals,
+            [Type::GlobalPtr(ScalarType::Float), int, int, float]
+        );
+        let Stmt::Block(inner) = &f.body.stmts[1] else {
+            panic!("a block")
+        };
+        let Stmt::Expr(store) = &inner.stmts[1] else {
+            panic!("a store")
+        };
+        let ExprKind::Assign {
+            target: LValue::Index { base, .. },
+            value,
+            ..
+        } = &store.kind
+        else {
+            panic!("an assignment")
+        };
+        assert_eq!(
+            (base.slot, store.ty, value.ty),
+            (0, ScalarType::Float, ScalarType::Float)
+        );
     }
 }

@@ -894,6 +894,107 @@ fn generated_kernel(genes: &[u32]) -> String {
     )
 }
 
+/// One token-level mutation of a generated kernel: drop a statement, swap a
+/// literal's type, put a buffer name in value position, or wrap a name or
+/// call in `min`. `pick` chooses the mutation and the token.
+fn mutate(src: &str, kind: u32, pick: usize) -> String {
+    use skelcl_kernel::token::TokenKind;
+    let tokens = skelcl_kernel::lexer::lex(src).expect("generated kernels lex");
+    let splice =
+        |start: usize, end: usize, with: &str| format!("{}{with}{}", &src[..start], &src[end..]);
+    let nth = |candidates: Vec<(usize, usize)>| candidates[pick % candidates.len()];
+    match kind % 4 {
+        // A statement: from a `;` or brace to the next `;`. Loop counters'
+        // decrements stay, so no mutant loops forever.
+        0 => {
+            let ends: Vec<(usize, usize)> = tokens
+                .windows(2)
+                .enumerate()
+                .filter(|(_, w)| w[1].kind == TokenKind::Semicolon)
+                .map(|(i, w)| {
+                    let start = tokens[..=i]
+                        .iter()
+                        .rev()
+                        .find(|t| {
+                            matches!(
+                                t.kind,
+                                TokenKind::Semicolon | TokenKind::LBrace | TokenKind::RBrace
+                            )
+                        })
+                        .map_or(0, |t| t.span.end);
+                    (start, w[1].span.end)
+                })
+                .filter(|&(a, b)| !src[a..b].contains("- 1;"))
+                .collect();
+            let (a, b) = nth(ends);
+            splice(a, b, "")
+        }
+        1 => {
+            let lits: Vec<(usize, usize)> = tokens
+                .iter()
+                .filter(|t| matches!(t.kind, TokenKind::IntLit(_) | TokenKind::FloatLit(_)))
+                .map(|t| (t.span.start, t.span.end))
+                .collect();
+            let (a, b) = nth(lits);
+            let text = &src[a..b];
+            let swapped = match text.strip_suffix('f') {
+                Some(float) => format!("{}", float.parse::<f64>().unwrap_or(1.0) as i64),
+                None => format!("{text}.0f"),
+            };
+            splice(a, b, &swapped)
+        }
+        2 | 3 => {
+            let names: Vec<(usize, usize)> = tokens
+                .iter()
+                .filter(|t| matches!(&t.kind, TokenKind::Ident(n) if ["x", "acc", "q", "t", "gid", "get_global_id"].contains(&n.as_str())))
+                .map(|t| (t.span.start, t.span.end))
+                .collect();
+            let (a, b) = nth(names);
+            if kind % 4 == 2 {
+                return splice(a, b, ["a", "out", "out2"][pick % 3]);
+            }
+            // A call: its name through the closing parenthesis.
+            let end = if &src[a..b] == "get_global_id" {
+                b + 3
+            } else {
+                b
+            };
+            splice(a, end, &format!("min({}, q)", &src[a..end]))
+        }
+        _ => unreachable!(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The new compiler under fire: mutants of generated kernels either
+    /// fail to build or compile natively (to a kernel or an ineligibility
+    /// reason) without a panic, and every mutant that runs agrees with the
+    /// oracle on bits, stats and error text.
+    #[test]
+    fn mutated_generated_kernels_build_or_agree(
+        genes in prop::collection::vec(0u32..1_000_000, 24..48),
+        values in prop::collection::vec(-6i32..7, 1..100),
+        mutations in prop::collection::vec((0u32..4, 0usize..10_000), 1..4),
+    ) {
+        let mut src = generated_kernel(&genes);
+        for (kind, pick) in mutations {
+            src = mutate(&src, kind, pick);
+        }
+        let Ok(p) = Program::build(&src) else {
+            return Ok(());
+        };
+        let Ok(k) = p.kernel("k") else {
+            return Ok(());
+        };
+        let _ = &p.native_outcome(&k).result;
+        let n = values.len();
+        let bufs = [divergent_input(&values), vec![-1.0f32; n], vec![-2.0f32; n]];
+        let _ = agreed_outcome(&src, "k", &bufs, &[Value::Int(n as i32)], n + 3);
+    }
+}
+
 /// Inputs whose integer parts cover `-6..=6` with plenty of exact zeros, so
 /// every guard has lanes on both sides in most batches.
 fn divergent_input(values: &[i32]) -> Vec<f32> {

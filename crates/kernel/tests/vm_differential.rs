@@ -652,11 +652,54 @@ fn work_item_geometry_functions_agree() {
 
 #[test]
 fn buffer_parameter_read_as_value_is_the_same_error() {
-    let src = "__kernel void k(__global float* v, int n) { float x = v + 0.0f; v[0] = x; }";
-    // Sema actually rejects binary ops on pointers, so use a bare statement.
-    let src2 = "__kernel void k(__global float* v, int n) { v; v[0] = 1.0f; }";
-    let _ = src;
-    assert_engines_agree_f32(src2, "k", &[vec![0.0f32; 2]], &[Value::Int(2)], 1);
+    // A buffer in value position is a check error with a span, so no engine
+    // ever runs it: as an initialiser, a condition or a bare statement.
+    for src in [
+        "__kernel void k(__global float* v, int n) { float x = v; v[0] = x; }",
+        "__kernel void k(__global float* v, int n) { if (v) { v[0] = 1.0f; } }",
+        "__kernel void k(__global float* v, int n) { while (v) { } }",
+        "__kernel void k(__global float* v, int n) { v; v[0] = 1.0f; }",
+        "__kernel void k(__global float* v, int n) { v[0] = v ? 1.0f : 2.0f; }",
+    ] {
+        let err = Program::build(src).unwrap_err();
+        assert!(
+            err.message.contains("buffer cannot be used as a value"),
+            "{src}: {err}"
+        );
+        assert!(err.span.is_some(), "{src}: {err}");
+    }
+}
+
+/// The value of `=`, `op=` and prefix `++`/`--` is the stored value,
+/// converted to the target's type, on both engines.
+#[test]
+fn assignment_values_are_the_stored_values() {
+    let src = r#"
+        __kernel void k(__global float* v, int n) {
+            int x = 0;
+            v[0] = (x = 2.5f);
+            v[1] = (x += 1.75f);
+            float f = 0.5f;
+            int i = 7;
+            v[2] = (i = f * 5.0f) + 0.25f;
+            v[3] = ++x + 0.5f;
+            v[4] = (v[5] = 3.75f) * 2.0f;
+        }
+    "#;
+    let p = Program::build(src).unwrap();
+    let k = p.kernel("k").unwrap();
+    for tier in [skelcl_kernel::Tier::Interp, skelcl_kernel::Tier::Native] {
+        p.set_tier(tier);
+        let mut out = vec![0.0f32; 6];
+        let mut args = vec![
+            ArgBinding::buffer_f32(&mut out),
+            ArgBinding::Scalar(Value::Int(6)),
+        ];
+        let (_, trace) = p.run_ndrange_traced(&k, 1, &mut args).unwrap();
+        drop(args);
+        assert_eq!(trace.tier, tier);
+        assert_eq!(out, [2.0, 3.0, 2.25, 4.5, 7.5, 3.75], "{tier}");
+    }
 }
 
 // ---------------------------------------------------------------------------

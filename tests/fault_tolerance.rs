@@ -220,3 +220,35 @@ fn node_death_inside_a_block_of_sweeps_rolls_back_and_recovers_bit_identically()
         assert_eq!(out.ghost_depth(), 3, "{what}");
     }
 }
+
+/// One dOpenCL node-loss schedule has exactly one outcome: two runs of the
+/// same schedule agree on the result bits (or the error text), the faults
+/// that fired, every device's op count and the host clock.
+#[test]
+fn a_dopencl_node_loss_has_one_outcome() {
+    let (rows, cols, sweeps) = (48, 16, 8);
+    let run = |op: usize| {
+        let tier = ClusterTier::launch_gpus(&Cluster::lab_cluster());
+        tier.fail_node("small-server-1", FaultTrigger::AtOpCount(op));
+        let rt = tier.runtime();
+        let m = Matrix::from_vec(rt, rows, cols, test_data(rows * cols)).unwrap();
+        let result = heat()
+            .run(&m)
+            .checkpoint_every(2)
+            .run_iter(sweeps)
+            .and_then(|out| out.to_vec())
+            .map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>())
+            .map_err(|e| e.to_string());
+        let ops: Vec<usize> = (0..rt.device_count())
+            .map(|d| rt.context().device(d).unwrap().fault_op_count())
+            .collect();
+        (result, rt.exec_trace().faults_injected, ops, rt.now())
+    };
+    let reference = run(usize::MAX).0;
+    for op in [1, 2, 7, 20] {
+        let first = run(op);
+        assert_eq!(run(op), first, "node loss at op {op}");
+        assert_eq!(first.0, reference, "node loss at op {op} recovers");
+        assert_eq!(first.1, 2, "node loss at op {op}: both GPUs died");
+    }
+}

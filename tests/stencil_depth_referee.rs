@@ -285,8 +285,9 @@ fn a_shallower_depth_is_chosen_where_the_redundant_rows_outgrow_the_exchanges() 
 
 /// The steps `d − 1 → d` devices known to take longer, as `(workload, halo,
 /// d, virtual ms on d)`: all three are host-bound (the host's enqueues outlast
-/// the busiest device), so only cheaper commands (ROADMAP item 4) remove
-/// them. Any other slower step, or one of these above its listed time,
+/// the busiest device), so only cheaper host submissions remove them — a
+/// sweep's refresh and kernel recorded once and replayed as one command
+/// buffer. Any other slower step, or one of these above its listed time,
 /// fails the scaling test below.
 const KNOWN_SLOWER_STEPS: [(&str, usize, usize, f64); 3] = [
     ("stencil_iter", 1, 3, 0.177),
