@@ -2,10 +2,12 @@
 //!
 //! The parser builds the tree; [`crate::sema::check`] then records in it
 //! what every later stage reads: each expression's scalar type
-//! ([`Expr::ty`]), each name's slot in its function's frame ([`Name::slot`])
-//! and each function's frame layout ([`Function::locals`]). The interpreter
-//! walks the checked tree, and the native tier compiles it.
+//! ([`Expr::ty`]), each name's slot in its function's frame ([`Name::slot`]),
+//! each call's target ([`Callee`]) and each function's frame layout
+//! ([`Function::locals`]). The interpreter walks the checked tree, and the
+//! native tier compiles it.
 
+use crate::builtins::Builtin;
 use crate::token::Span;
 use crate::types::{ScalarType, Type};
 
@@ -21,11 +23,6 @@ impl TranslationUnit {
     /// Find a function definition by name.
     pub fn function(&self, name: &str) -> Option<&Function> {
         self.functions.iter().find(|f| f.name == name)
-    }
-
-    /// Index of a function by name.
-    pub fn function_index(&self, name: &str) -> Option<usize> {
-        self.functions.iter().position(|f| f.name == name)
     }
 }
 
@@ -76,6 +73,17 @@ impl Name {
     pub fn new(name: String) -> Name {
         Name { name, slot: 0 }
     }
+}
+
+/// What a call's name refers to, as [`crate::sema::check`] resolved it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Callee {
+    /// Not checked yet.
+    Unresolved,
+    /// A builtin function.
+    Builtin(Builtin),
+    /// The user function at this index of [`TranslationUnit::functions`].
+    Function(usize),
 }
 
 /// A `{ ... }` block of statements.
@@ -365,6 +373,8 @@ pub enum ExprKind {
     Call {
         /// Callee name.
         callee: String,
+        /// What `callee` refers to.
+        target: Callee,
         /// Argument expressions.
         args: Vec<Expr>,
     },
@@ -431,7 +441,6 @@ mod tests {
         };
         let unit = TranslationUnit { functions: vec![f] };
         assert!(unit.function("f").is_some());
-        assert_eq!(unit.function_index("f"), Some(0));
         assert!(unit.function("g").is_none());
     }
 }

@@ -171,7 +171,7 @@ impl<'u> Estimator<'u> {
                     ..Default::default()
                 })
             }
-            ExprKind::Call { callee, args } => {
+            ExprKind::Call { callee, args, .. } => {
                 let args_cost = args
                     .iter()
                     .map(|a| self.expr(a))
@@ -297,12 +297,12 @@ pub(crate) fn charge(e: &Expr) -> CostEstimate {
             ..
         } => (0.0, 0.0, 1.0),
         ExprKind::Binary { op, .. } => (if op.is_comparison() { 0.5 } else { 1.0 }, 0.0, 1.0),
-        ExprKind::Call { callee, .. } => match Builtin::from_name(callee) {
-            Some(b) if b.is_work_item_fn() => (0.0, 0.0, 1.0),
+        ExprKind::Call { target, .. } => match *target {
+            Callee::Builtin(b) if b.is_work_item_fn() => (0.0, 0.0, 1.0),
             // The address arithmetic as flops, the element read as bytes.
-            Some(b) if b.is_stencil_fn() => (b.flop_cost(), 4.0, 2.0),
-            Some(b) => (b.flop_cost(), 0.0, 1.0),
-            None => (0.0, 0.0, 0.0),
+            Callee::Builtin(b) if b.is_stencil_fn() => (b.flop_cost(), 4.0, 2.0),
+            Callee::Builtin(b) => (b.flop_cost(), 0.0, 1.0),
+            Callee::Function(_) | Callee::Unresolved => (0.0, 0.0, 0.0),
         },
         // A store; a compound assignment loads the element first.
         ExprKind::Assign { target, op, .. } => match (target, op) {

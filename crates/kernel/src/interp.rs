@@ -3,9 +3,9 @@
 //! The interpreter binds kernel parameters to [`ArgBinding`]s: scalars bind to
 //! a [`Value`], buffers bind to a mutable typed slice view. The `oclsim`
 //! device simulator owns the buffer storage and constructs the bindings for
-//! every launch.
-
-use std::collections::HashMap;
+//! every launch. Variables live in a frame indexed by the slots sema
+//! resolved, and calls go to the targets it resolved: nothing is looked up
+//! by name at run time.
 
 use crate::ast::*;
 use crate::builtins::{stencil, Builtin};
@@ -322,43 +322,11 @@ enum Flow {
     Return(Option<Value>),
 }
 
-/// Variable environment: a stack of scopes.
-#[derive(Default)]
-struct Env {
-    scopes: Vec<HashMap<String, Value>>,
-}
-
-impl Env {
-    fn push(&mut self) {
-        self.scopes.push(HashMap::new());
-    }
-
-    fn pop(&mut self) {
-        self.scopes.pop();
-    }
-
-    fn declare(&mut self, name: &str, value: Value) {
-        self.scopes
-            .last_mut()
-            .expect("environment always has a scope")
-            .insert(name.to_string(), value);
-    }
-
-    fn get(&self, name: &str) -> Option<Value> {
-        self.scopes.iter().rev().find_map(|s| s.get(name).copied())
-    }
-
-    /// Store `value`, converted to the variable's declared type; returns
-    /// the stored value.
-    fn set(&mut self, name: &str, value: Value) -> Option<Value> {
-        for scope in self.scopes.iter_mut().rev() {
-            if let Some(slot) = scope.get_mut(name) {
-                *slot = value.convert_to(slot.scalar_type());
-                return Some(*slot);
-            }
-        }
-        None
-    }
+/// A fresh frame of `f`'s variables, indexed by [`Name::slot`]: every slot
+/// holds a value of its declared type from the start (a buffer's slot is
+/// unused).
+fn new_frame(f: &Function) -> Vec<Value> {
+    f.locals.iter().map(|t| Value::zero(t.scalar())).collect()
 }
 
 /// Dynamic execution statistics accumulated while running kernel code: the
@@ -393,11 +361,10 @@ pub struct Interpreter<'u> {
 }
 
 /// Buffer bindings are identified by the parameter index of the *kernel*
-/// entry point; helper functions only receive scalar values (enforced by the
-/// checker), so the buffers stay attached to their kernel parameter names.
+/// entry point, which is the buffer's slot; helper functions only receive
+/// scalar values (enforced by the checker), so only the kernel indexes
+/// buffers.
 struct KernelFrame<'a, 'b> {
-    /// Maps a kernel parameter name to an index into `args`.
-    buffer_params: HashMap<String, usize>,
     args: &'a mut [ArgBinding<'b>],
     item: WorkItem,
     /// Stencil context of the launch, when the kernel declares the reserved
@@ -445,9 +412,7 @@ impl<'u> Interpreter<'u> {
             )));
         }
 
-        let mut env = Env::default();
-        env.push();
-        let mut buffer_params = HashMap::new();
+        let mut vars = new_frame(func);
         for (i, (param, arg)) in func.params.iter().zip(args.iter()).enumerate() {
             match (&param.ty, arg) {
                 (Type::GlobalPtr(want), ArgBinding::Buffer(view)) => {
@@ -458,11 +423,8 @@ impl<'u> Interpreter<'u> {
                             param.name, func.name
                         )));
                     }
-                    buffer_params.insert(param.name.clone(), i);
                 }
-                (Type::Scalar(want), ArgBinding::Scalar(v)) => {
-                    env.declare(&param.name, v.convert_to(*want));
-                }
+                (Type::Scalar(want), ArgBinding::Scalar(v)) => vars[i] = v.convert_to(*want),
                 (Type::GlobalPtr(_), ArgBinding::Scalar(_)) => {
                     return Err(KernelError::run(format!(
                         "argument `{}` of kernel `{}` is a buffer but a scalar was bound",
@@ -481,13 +443,12 @@ impl<'u> Interpreter<'u> {
 
         let stencil = StencilCtx::detect(func.params.iter().map(|p| p.name.as_str()), args)?;
         let mut frame = KernelFrame {
-            buffer_params,
             args,
             item,
             stencil,
             depth: 0,
         };
-        self.exec_block(&func.body, &mut env, &mut frame)?;
+        self.exec_block(&func.body, &mut vars, &mut frame)?;
         Ok(())
     }
 
@@ -502,13 +463,12 @@ impl<'u> Interpreter<'u> {
                 "call depth limit ({MAX_CALL_DEPTH}) exceeded"
             )));
         }
-        let mut env = Env::default();
-        env.push();
-        for (param, value) in func.params.iter().zip(arg_values) {
-            env.declare(&param.name, value.convert_to(param.ty.scalar()));
+        let mut vars = new_frame(func);
+        for ((var, param), value) in vars.iter_mut().zip(&func.params).zip(arg_values) {
+            *var = value.convert_to(param.ty.scalar());
         }
         frame.depth += 1;
-        let flow = self.exec_block(&func.body, &mut env, frame);
+        let flow = self.exec_block(&func.body, &mut vars, frame);
         frame.depth -= 1;
         match flow? {
             Flow::Return(Some(v)) => Ok(v.convert_to(func.return_type.scalar())),
@@ -531,41 +491,36 @@ impl<'u> Interpreter<'u> {
     fn exec_block(
         &self,
         block: &Block,
-        env: &mut Env,
+        vars: &mut [Value],
         frame: &mut KernelFrame<'_, '_>,
     ) -> Result<Flow, KernelError> {
-        env.push();
         for stmt in &block.stmts {
-            match self.exec_stmt(stmt, env, frame)? {
+            match self.exec_stmt(stmt, vars, frame)? {
                 Flow::Normal => {}
-                other => {
-                    env.pop();
-                    return Ok(other);
-                }
+                other => return Ok(other),
             }
         }
-        env.pop();
         Ok(Flow::Normal)
     }
 
     fn exec_stmt(
         &self,
         stmt: &Stmt,
-        env: &mut Env,
+        vars: &mut [Value],
         frame: &mut KernelFrame<'_, '_>,
     ) -> Result<Flow, KernelError> {
         self.charge(cost::STMT_CHARGE);
         match stmt {
             Stmt::Decl { ty, name, init, .. } => {
                 let value = match init {
-                    Some(e) => self.eval(e, env, frame)?.convert_to(*ty),
+                    Some(e) => self.eval(e, vars, frame)?.convert_to(*ty),
                     None => Value::zero(*ty),
                 };
-                env.declare(&name.name, value);
+                vars[name.slot] = value;
                 Ok(Flow::Normal)
             }
             Stmt::Expr(e) => {
-                self.eval(e, env, frame)?;
+                self.eval(e, vars, frame)?;
                 Ok(Flow::Normal)
             }
             Stmt::If {
@@ -573,19 +528,19 @@ impl<'u> Interpreter<'u> {
                 then_block,
                 else_block,
             } => {
-                if self.eval(cond, env, frame)?.as_bool() {
-                    self.exec_block(then_block, env, frame)
+                if self.eval(cond, vars, frame)?.as_bool() {
+                    self.exec_block(then_block, vars, frame)
                 } else {
-                    self.exec_block(else_block, env, frame)
+                    self.exec_block(else_block, vars, frame)
                 }
             }
             Stmt::While { cond, body } => {
                 let mut iterations = 0u64;
                 loop {
-                    if !self.eval(cond, env, frame)?.as_bool() {
+                    if !self.eval(cond, vars, frame)?.as_bool() {
                         break;
                     }
-                    match self.exec_block(body, env, frame)? {
+                    match self.exec_block(body, vars, frame)? {
                         Flow::Break => break,
                         Flow::Return(v) => return Ok(Flow::Return(v)),
                         Flow::Normal | Flow::Continue => {}
@@ -603,63 +558,57 @@ impl<'u> Interpreter<'u> {
                 step,
                 body,
             } => {
-                env.push();
                 if let Some(init) = init {
-                    self.exec_stmt(init, env, frame)?;
+                    self.exec_stmt(init, vars, frame)?;
                 }
                 let mut iterations = 0u64;
                 loop {
                     let keep_going = match cond {
-                        Some(c) => self.eval(c, env, frame)?.as_bool(),
+                        Some(c) => self.eval(c, vars, frame)?.as_bool(),
                         None => true,
                     };
                     if !keep_going {
                         break;
                     }
-                    match self.exec_block(body, env, frame)? {
+                    match self.exec_block(body, vars, frame)? {
                         Flow::Break => break,
-                        Flow::Return(v) => {
-                            env.pop();
-                            return Ok(Flow::Return(v));
-                        }
+                        Flow::Return(v) => return Ok(Flow::Return(v)),
                         Flow::Normal | Flow::Continue => {}
                     }
                     if let Some(step) = step {
-                        self.eval(step, env, frame)?;
+                        self.eval(step, vars, frame)?;
                     }
                     iterations += 1;
                     if iterations > self.max_loop_iterations {
-                        env.pop();
                         return Err(KernelError::run("loop iteration limit exceeded"));
                     }
                 }
-                env.pop();
                 Ok(Flow::Normal)
             }
             Stmt::Return(expr, _) => {
                 let v = match expr {
-                    Some(e) => Some(self.eval(e, env, frame)?),
+                    Some(e) => Some(self.eval(e, vars, frame)?),
                     None => None,
                 };
                 Ok(Flow::Return(v))
             }
             Stmt::Break(_) => Ok(Flow::Break),
             Stmt::Continue(_) => Ok(Flow::Continue),
-            Stmt::Block(b) => self.exec_block(b, env, frame),
+            Stmt::Block(b) => self.exec_block(b, vars, frame),
         }
     }
 
     fn read_lvalue(
         &self,
         lv: &LValue,
-        env: &mut Env,
+        vars: &mut [Value],
         frame: &mut KernelFrame<'_, '_>,
     ) -> Result<Value, KernelError> {
         match lv {
-            LValue::Var(name, _) => env.get(&name.name).ok_or_else(|| unbound(name)),
+            LValue::Var(name, _) => Ok(vars[name.slot]),
             LValue::Index { base, index, .. } => {
-                let idx = self.eval(index, env, frame)?.as_i64();
-                self.buffer_load(&base.name, idx, frame)
+                let idx = self.eval(index, vars, frame)?.as_i64();
+                self.buffer_load(base, idx, frame)
             }
         }
     }
@@ -670,43 +619,35 @@ impl<'u> Interpreter<'u> {
         &self,
         lv: &LValue,
         value: Value,
-        env: &mut Env,
+        vars: &mut [Value],
         frame: &mut KernelFrame<'_, '_>,
     ) -> Result<Value, KernelError> {
         match lv {
-            LValue::Var(name, _) => env.set(&name.name, value).ok_or_else(|| unbound(name)),
+            LValue::Var(name, _) => {
+                let var = &mut vars[name.slot];
+                *var = value.convert_to(var.scalar_type());
+                Ok(*var)
+            }
             LValue::Index { base, index, .. } => {
-                let idx = self.eval(index, env, frame)?.as_i64();
-                self.buffer_store(&base.name, idx, value, frame)
+                let idx = self.eval(index, vars, frame)?.as_i64();
+                self.buffer_store(base, idx, value, frame)
             }
         }
     }
 
-    fn buffer_arg_index(
-        &self,
-        name: &str,
-        frame: &KernelFrame<'_, '_>,
-    ) -> Result<usize, KernelError> {
-        frame
-            .buffer_params
-            .get(name)
-            .copied()
-            .ok_or_else(|| KernelError::run(format!("`{name}` is not a buffer parameter")))
-    }
-
     fn buffer_load(
         &self,
-        name: &str,
+        base: &Name,
         idx: i64,
         frame: &mut KernelFrame<'_, '_>,
     ) -> Result<Value, KernelError> {
+        let name = &base.name;
         if idx < 0 {
             return Err(KernelError::run(format!(
                 "negative index {idx} into buffer `{name}`"
             )));
         }
-        let arg = self.buffer_arg_index(name, frame)?;
-        match &frame.args[arg] {
+        match &frame.args[base.slot] {
             ArgBinding::Buffer(view) => view.load(idx as usize).ok_or_else(|| {
                 KernelError::run(format!(
                     "index {idx} out of bounds for buffer `{name}` (len {})",
@@ -721,18 +662,18 @@ impl<'u> Interpreter<'u> {
 
     fn buffer_store(
         &self,
-        name: &str,
+        base: &Name,
         idx: i64,
         value: Value,
         frame: &mut KernelFrame<'_, '_>,
     ) -> Result<Value, KernelError> {
+        let name = &base.name;
         if idx < 0 {
             return Err(KernelError::run(format!(
                 "negative index {idx} into buffer `{name}`"
             )));
         }
-        let arg = self.buffer_arg_index(name, frame)?;
-        match &mut frame.args[arg] {
+        match &mut frame.args[base.slot] {
             ArgBinding::Buffer(view) => {
                 let len = view.len();
                 let stored = value.convert_to(view.scalar_type());
@@ -755,11 +696,11 @@ impl<'u> Interpreter<'u> {
     fn eval(
         &self,
         expr: &Expr,
-        env: &mut Env,
+        vars: &mut [Value],
         frame: &mut KernelFrame<'_, '_>,
     ) -> Result<Value, KernelError> {
         self.charge(cost::charge(expr));
-        let value = self.eval_kind(expr, env, frame)?;
+        let value = self.eval_kind(expr, vars, frame)?;
         debug_assert_eq!(
             value.scalar_type(),
             expr.ty,
@@ -772,20 +713,20 @@ impl<'u> Interpreter<'u> {
     fn eval_kind(
         &self,
         expr: &Expr,
-        env: &mut Env,
+        vars: &mut [Value],
         frame: &mut KernelFrame<'_, '_>,
     ) -> Result<Value, KernelError> {
         match &expr.kind {
             ExprKind::IntLit(v) => Ok(Value::Int(*v as i32)),
             ExprKind::FloatLit(v) => Ok(Value::Float(*v as f32)),
             ExprKind::BoolLit(v) => Ok(Value::Bool(*v)),
-            ExprKind::Var(name) => env.get(&name.name).ok_or_else(|| unbound(name)),
+            ExprKind::Var(name) => Ok(vars[name.slot]),
             ExprKind::Index { base, index } => {
-                let idx = self.eval(index, env, frame)?.as_i64();
-                self.buffer_load(&base.name, idx, frame)
+                let idx = self.eval(index, vars, frame)?.as_i64();
+                self.buffer_load(base, idx, frame)
             }
             ExprKind::Unary { op, operand } => {
-                let v = self.eval(operand, env, frame)?;
+                let v = self.eval(operand, vars, frame)?;
                 Ok(match op {
                     UnOp::Neg => match v {
                         Value::Float(x) => Value::Float(-x),
@@ -805,28 +746,28 @@ impl<'u> Interpreter<'u> {
                 lhs,
                 rhs,
             } => {
-                let l = self.eval(lhs, env, frame)?.as_bool();
+                let l = self.eval(lhs, vars, frame)?.as_bool();
                 if l == (*op == BinOp::Or) {
                     return Ok(Value::Bool(l));
                 }
-                Ok(Value::Bool(self.eval(rhs, env, frame)?.as_bool()))
+                Ok(Value::Bool(self.eval(rhs, vars, frame)?.as_bool()))
             }
             ExprKind::Binary { op, lhs, rhs } => {
-                let l = self.eval(lhs, env, frame)?;
-                let r = self.eval(rhs, env, frame)?;
+                let l = self.eval(lhs, vars, frame)?;
+                let r = self.eval(rhs, vars, frame)?;
                 eval_binary(*op, l, r)
             }
-            ExprKind::Call { callee, args } => {
+            ExprKind::Call { target, args, .. } => {
                 let mut values = Vec::with_capacity(args.len());
                 for a in args {
-                    values.push(self.eval(a, env, frame)?);
+                    values.push(self.eval(a, vars, frame)?);
                 }
-                let Some(b) = Builtin::from_name(callee) else {
-                    let func = self
-                        .unit
-                        .function(callee)
-                        .ok_or_else(|| KernelError::run(format!("unknown function `{callee}`")))?;
-                    return self.call_function(func, values, frame);
+                let b = match *target {
+                    Callee::Builtin(b) => b,
+                    Callee::Function(index) => {
+                        return self.call_function(&self.unit.functions[index], values, frame)
+                    }
+                    Callee::Unresolved => unreachable!("sema resolves every call"),
                 };
                 if b.is_work_item_fn() {
                     let item = frame.item;
@@ -858,19 +799,19 @@ impl<'u> Interpreter<'u> {
                 then_expr,
                 else_expr,
             } => {
-                let arm = if self.eval(cond, env, frame)?.as_bool() {
+                let arm = if self.eval(cond, vars, frame)?.as_bool() {
                     then_expr
                 } else {
                     else_expr
                 };
-                Ok(self.eval(arm, env, frame)?.convert_to(expr.ty))
+                Ok(self.eval(arm, vars, frame)?.convert_to(expr.ty))
             }
             ExprKind::Assign { op, target, value } => {
-                let rhs = self.eval(value, env, frame)?;
+                let rhs = self.eval(value, vars, frame)?;
                 let new = match op {
                     AssignOp::Assign => rhs,
                     _ => {
-                        let old = self.read_lvalue(target, env, frame)?;
+                        let old = self.read_lvalue(target, vars, frame)?;
                         let bin = match op {
                             AssignOp::AddAssign => BinOp::Add,
                             AssignOp::SubAssign => BinOp::Sub,
@@ -881,26 +822,21 @@ impl<'u> Interpreter<'u> {
                         eval_binary(bin, old, rhs)?
                     }
                 };
-                self.write_lvalue(target, new, env, frame)
+                self.write_lvalue(target, new, vars, frame)
             }
             ExprKind::IncDec {
                 target,
                 delta,
                 prefix,
             } => {
-                let old = self.read_lvalue(target, env, frame)?;
+                let old = self.read_lvalue(target, vars, frame)?;
                 let new = eval_binary(BinOp::Add, old, Value::Int(*delta))?;
-                let stored = self.write_lvalue(target, new, env, frame)?;
+                let stored = self.write_lvalue(target, new, vars, frame)?;
                 Ok(if *prefix { stored } else { old })
             }
-            ExprKind::Cast { ty, operand } => Ok(self.eval(operand, env, frame)?.convert_to(*ty)),
+            ExprKind::Cast { ty, operand } => Ok(self.eval(operand, vars, frame)?.convert_to(*ty)),
         }
     }
-}
-
-/// The error for a name without a binding (sema makes it unreachable).
-fn unbound(name: &Name) -> KernelError {
-    KernelError::run(format!("variable `{}` is not bound", name.name))
 }
 
 /// Evaluate a (non-short-circuit) binary operator with C-style usual

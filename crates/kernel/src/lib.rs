@@ -13,8 +13,8 @@
 //!
 //! * a [`lexer`] and [`parser`] producing an [`ast`],
 //! * a [`sema`] pass (symbol resolution and type checking) that records in
-//!   the tree each expression's scalar type and each name's frame slot: the
-//!   one typed AST both engines read,
+//!   the tree each expression's scalar type, each name's frame slot and each
+//!   call's target: the one typed AST both engines read,
 //! * two engines that run a kernel over its work-items, bit-identical in
 //!   results, [`interp::ExecStats`] and error text, selected by [`Tier`]:
 //!   - the [`interp`] tree-walking interpreter — the **oracle** the native

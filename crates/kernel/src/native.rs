@@ -805,6 +805,7 @@ pub struct NativeKernel {
     /// every batch (parameters are mutable locals).
     scalar_params: Vec<(usize, Row, ScalarType)>,
     /// The path each buffer access and `get` took, in compile order.
+    #[cfg(test)]
     paths: Vec<&'static str>,
 }
 
@@ -813,7 +814,6 @@ impl std::fmt::Debug for NativeKernel {
         f.debug_struct("NativeKernel")
             .field("rows", &self.rows)
             .field("uses_iota", &self.uses_iota)
-            .field("paths", &self.paths)
             .finish()
     }
 }
@@ -1039,6 +1039,7 @@ struct Compiler<'u> {
     pool: HashMap<(u8, u64), Row>,
     frames: Vec<Frame>,
     uses_iota: bool,
+    #[cfg(test)]
     paths: Vec<&'static str>,
     nodes: usize,
 }
@@ -1136,6 +1137,7 @@ pub(crate) fn compile_kernel(
         pool: HashMap::new(),
         frames: Vec::new(),
         uses_iota: false,
+        #[cfg(test)]
         paths: Vec::new(),
         nodes: 0,
     };
@@ -1175,6 +1177,7 @@ pub(crate) fn compile_kernel(
         uses_iota: c.uses_iota,
         pool: pool_rows,
         scalar_params,
+        #[cfg(test)]
         paths: c.paths,
     })
 }
@@ -1511,19 +1514,18 @@ impl<'u> Compiler<'u> {
                 lhs,
                 rhs,
             } => {
-                let d = self.out(NKind::Bool, dst);
+                // A fresh row, never `dst`: the right-hand side may read the
+                // variable `dst` is (`b = x && b`), and must see its old value.
+                let d = Dst {
+                    row: self.temp(NKind::Bool),
+                    masked: true,
+                };
                 let mark = self.next;
                 let l = self.expr(lhs, code, None)?;
-                code.pure(d, conv(l.row, d.row));
+                code.push(conv(l.row, d.row));
                 let mut rc = Code::default();
                 let r = self.expr(rhs, &mut rc, None)?;
-                rc.store_row(
-                    r.row,
-                    Dst {
-                        row: d.row,
-                        masked: true,
-                    },
-                );
+                rc.store_row(r.row, d);
                 // The right-hand side runs in the lanes it decides.
                 let (rhs_code, none) = (rc.finish(), Vec::new());
                 code.control(match op {
@@ -1543,8 +1545,8 @@ impl<'u> Compiler<'u> {
                 self.next = mark;
                 plain(d.row)
             }
-            ExprKind::Call { callee, args } => match Builtin::from_name(callee) {
-                Some(b) => {
+            ExprKind::Call { target, args, .. } => match *target {
+                Callee::Builtin(b) => {
                     let d = self.out(kind, dst);
                     let mark = self.next;
                     let iota = self.builtin(b, args, code, d)?;
@@ -1555,7 +1557,8 @@ impl<'u> Compiler<'u> {
                         var: false,
                     }
                 }
-                None => self.call(callee, args, code, kind, dst)?,
+                Callee::Function(index) => self.call(index, args, code, kind, dst)?,
+                Callee::Unresolved => unreachable!("sema resolves every call"),
             },
             ExprKind::Ternary {
                 cond,
@@ -1628,7 +1631,7 @@ impl<'u> Compiler<'u> {
         }
         if b.is_stencil_fn() {
             let ints = rows.iter().all(|r| r.kind == NKind::I32);
-            self.paths.push(if ints {
+            self.path(if ints {
                 "row slices when uniform"
             } else {
                 "per lane"
@@ -1645,26 +1648,22 @@ impl<'u> Compiler<'u> {
         Ok(false)
     }
 
-    /// Inline a call to the user function `callee`.
+    /// Inline a call to the user function `index`.
     fn call(
         &mut self,
-        callee: &str,
+        index: usize,
         args: &[Expr],
         code: &mut Code,
         kind: NKind,
         dst: Option<Dst>,
     ) -> Result<Val, String> {
-        let index = self
-            .unit
-            .function_index(callee)
-            .ok_or_else(|| format!("calls unknown function `{callee}`"))?;
-        if self.frames.iter().any(|f| f.func == index)
+        let f = &self.unit.functions[index];
+        if self.frames.iter().any(|frame| frame.func == index)
             || self.frames.len() > INLINE_DEPTH_LIMIT
             || self.nodes >= INLINE_NODE_LIMIT
         {
-            return Err(format!("calls function `{callee}` without inlining it"));
+            return Err(format!("calls function `{}` without inlining it", f.name));
         }
-        let f = &self.unit.functions[index];
         let result = Dst {
             masked: true,
             ..self.out(kind, dst)
@@ -1861,12 +1860,18 @@ impl<'u> Compiler<'u> {
 
     // ---- buffer access paths ----------------------------------------------
 
+    /// Record the path a buffer access or `get` takes, for the unit tests.
+    fn path(&mut self, _path: &'static str) {
+        #[cfg(test)]
+        self.paths.push(_path);
+    }
+
     /// `d = buffer[i]`.
     fn load(&mut self, (slot, pk): (usize, NKind), i: Val, d: Row) -> StepFn {
         let (ir, dr) = (i.row, d.at);
         if pk == NKind::F32 && i.iota {
             self.uses_iota = true;
-            self.paths.push("iota f32 span");
+            self.path("iota f32 span");
             // Iota ⇒ the active lanes hold consecutive addresses.
             step(move |cx| {
                 if cx.run {
@@ -1876,13 +1881,13 @@ impl<'u> Compiler<'u> {
                 }
             })
         } else if pk == NKind::F32 && ir.kind == NKind::I32 {
-            self.paths.push("f32 span when contiguous");
+            self.path("f32 span when contiguous");
             step(move |cx| match contiguous_base(cx, ir.at) {
                 Some(start) => load_f32_span(cx, slot, dr, start),
                 None => load_lanes(cx, slot, ir, d),
             })
         } else {
-            self.paths.push("per lane");
+            self.path("per lane");
             step(move |cx| load_lanes(cx, slot, ir, d))
         }
     }
@@ -1892,7 +1897,7 @@ impl<'u> Compiler<'u> {
         let (ir, slot) = (i.row, slot as u16);
         if s.kind == NKind::F32 && i.iota {
             self.uses_iota = true;
-            self.paths.push("iota f32 span");
+            self.path("iota f32 span");
             step(move |cx| {
                 if cx.run {
                     store_f32_span(cx, slot, s.at, cx.regs.i32s[ir.at + cx.lo] as usize)
@@ -1901,13 +1906,13 @@ impl<'u> Compiler<'u> {
                 }
             })
         } else if s.kind == NKind::F32 && ir.kind == NKind::I32 {
-            self.paths.push("f32 span when contiguous");
+            self.path("f32 span when contiguous");
             step(move |cx| match contiguous_base(cx, ir.at) {
                 Some(start) => store_f32_span(cx, slot, s.at, start),
                 None => store_lanes(cx, slot, ir, s),
             })
         } else {
-            self.paths.push("per lane");
+            self.path("per lane");
             step(move |cx| store_lanes(cx, slot, ir, s))
         }
     }

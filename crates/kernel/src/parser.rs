@@ -654,7 +654,14 @@ impl<'a> Parser<'a> {
                         }
                     }
                     self.expect(&TokenKind::RParen)?;
-                    Ok(Expr::new(ExprKind::Call { callee: name, args }, t.span))
+                    Ok(Expr::new(
+                        ExprKind::Call {
+                            callee: name,
+                            target: Callee::Unresolved,
+                            args,
+                        },
+                        t.span,
+                    ))
                 } else {
                     Ok(Expr::new(ExprKind::Var(Name::new(name)), t.span))
                 }

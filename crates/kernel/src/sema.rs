@@ -20,9 +20,9 @@
 //! logic yield `bool`, `-` on a `uint` yields `int`, a builtin's type follows
 //! from its argument types, a `?:` has the unified type of its arms, an
 //! assignment or increment has its target's type). Every name gets its slot
-//! in the function's frame ([`Name::slot`], [`Function::locals`]). The
-//! interpreter's values carry exactly these types, and the native tier
-//! compiles from them; neither re-derives them.
+//! in the function's frame ([`Name::slot`], [`Function::locals`]), and every
+//! call its target ([`Callee`]). The interpreter's values carry exactly these
+//! types, and the native tier compiles from them; neither re-derives them.
 //!
 //! The language is implicitly-converting (C style), so the checker mostly
 //! rejects structural errors rather than narrowing conversions.
@@ -38,8 +38,8 @@ use crate::types::{ScalarType, Type};
 /// Type-check a translation unit, returning it with its types and slots
 /// recorded.
 pub fn check(mut unit: TranslationUnit) -> Result<TranslationUnit, KernelError> {
-    let mut signatures: HashMap<String, (Vec<Type>, Type)> = HashMap::new();
-    for f in &unit.functions {
+    let mut signatures: HashMap<String, Signature> = HashMap::new();
+    for (index, f) in unit.functions.iter().enumerate() {
         if Builtin::from_name(&f.name).is_some() {
             return Err(KernelError::check(
                 format!("function `{}` shadows a builtin", f.name),
@@ -49,7 +49,11 @@ pub fn check(mut unit: TranslationUnit) -> Result<TranslationUnit, KernelError> 
         if signatures
             .insert(
                 f.name.clone(),
-                (f.params.iter().map(|p| p.ty).collect(), f.return_type),
+                (
+                    f.params.iter().map(|p| p.ty).collect(),
+                    f.return_type,
+                    index,
+                ),
             )
             .is_some()
         {
@@ -83,8 +87,11 @@ pub fn check(mut unit: TranslationUnit) -> Result<TranslationUnit, KernelError> 
     Ok(unit)
 }
 
+/// A user function's parameter types, return type and index.
+type Signature = (Vec<Type>, Type, usize);
+
 struct Checker<'a> {
-    signatures: &'a HashMap<String, (Vec<Type>, Type)>,
+    signatures: &'a HashMap<String, Signature>,
     /// Name → (type, slot), innermost scope last.
     scopes: Vec<HashMap<String, (Type, usize)>>,
     /// The frame layout so far: the type of every slot.
@@ -308,7 +315,11 @@ impl<'a> Checker<'a> {
                     scalar(ls.unify(rs))
                 }
             }
-            ExprKind::Call { callee, args } => {
+            ExprKind::Call {
+                callee,
+                target,
+                args,
+            } => {
                 let mut arg_types = Vec::with_capacity(args.len());
                 for a in args.iter_mut() {
                     let ty = self.check_expr(a)?;
@@ -331,9 +342,10 @@ impl<'a> Checker<'a> {
                             span,
                         ));
                     }
+                    *target = Callee::Builtin(b);
                     return scalar(b.result_type(&arg_types));
                 }
-                let Some((params, ret)) = self.signatures.get(callee.as_str()) else {
+                let Some((params, ret, index)) = self.signatures.get(callee.as_str()) else {
                     return Err(KernelError::check(
                         format!("call to unknown function `{callee}`"),
                         span,
@@ -355,6 +367,7 @@ impl<'a> Checker<'a> {
                         span,
                     ));
                 }
+                *target = Callee::Function(*index);
                 // A `void` call keeps the unchecked `int` type: it evaluates
                 // to int 0, and only in statement position.
                 Ok(*ret)

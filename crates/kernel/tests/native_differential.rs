@@ -769,7 +769,8 @@ fn negative_store_index_errors_agree_across_all_tiers() {
 // ---------------------------------------------------------------------------
 
 /// Renders a random, depth-limited kernel body from a gene string: nested
-/// `if`/`else`, `&&` / `||` / `!` / ternaries, `while` and `for` loops with
+/// `if`/`else`, `&&` / `||` / `!` / ternaries, `&&` / `||` results assigned
+/// to a bool their right-hand side reads, `while` and `for` loops with
 /// data-dependent trip counts and `break`, early `return`, stores in both
 /// arms of a branch and inside loops, and the two guarded shapes that fault
 /// if an idle lane executes them (`100 / q` under `q != 0`, `a[q]` under
@@ -796,7 +797,8 @@ impl BodyGen<'_> {
             "q > 1",
             "t < 3",
             "x <= -1.0f",
-        ][self.pick(7) as usize]
+            "b",
+        ][self.pick(8) as usize]
     }
 
     fn cond(&mut self) -> String {
@@ -822,7 +824,7 @@ impl BodyGen<'_> {
         let mut out = String::new();
         for _ in 0..1 + self.pick(3) {
             let leaf = depth == 0;
-            let s = match self.pick(if leaf { 5 } else { 11 }) {
+            let s = match self.pick(if leaf { 6 } else { 12 }) {
                 0 => format!("acc = acc + {};", self.fexpr()),
                 1 => "t = t + q % 3;".to_string(),
                 2 => "if (q != 0) { t = t + 100 / q + 7 % q; }".to_string(),
@@ -833,18 +835,24 @@ impl BodyGen<'_> {
                     self.fexpr(),
                     self.fexpr()
                 ),
-                5 | 6 => format!(
+                // The right-hand side reads the variable the result goes to.
+                5 => match self.pick(3) {
+                    0 => format!("b = {} && b;", self.atom()),
+                    1 => format!("b = {} || b;", self.atom()),
+                    _ => format!("b = ({}) ? ({} && b) : b;", self.cond(), self.atom()),
+                },
+                6 | 7 => format!(
                     "if ({}) {{ {} }} else {{ {} }}",
                     self.cond(),
                     self.stmts(depth - 1, in_loop),
                     self.stmts(depth - 1, in_loop)
                 ),
-                7 => format!(
+                8 => format!(
                     "if ({}) {{ {} }}",
                     self.cond(),
                     self.stmts(depth - 1, in_loop)
                 ),
-                8 => {
+                9 => {
                     self.loops += 1;
                     let c = format!("w{}", self.loops);
                     format!(
@@ -854,7 +862,7 @@ impl BodyGen<'_> {
                         self.cond()
                     )
                 }
-                9 => {
+                10 => {
                     self.loops += 1;
                     let c = format!("c{}", self.loops);
                     format!(
@@ -887,8 +895,9 @@ fn generated_kernel(genes: &[u32]) -> String {
          int q = (int) x;\n\
          float acc = 0.0f;\n\
          int t = 0;\n\
+         bool b = gid % 2 == 0;\n\
          {body}\
-         out[gid] = acc + (float) t;\n\
+         out[gid] = acc + (float) t + (b ? 0.5f : 0.0f);\n\
          }}\n\
          }}\n"
     )

@@ -702,6 +702,62 @@ fn assignment_values_are_the_stored_values() {
     }
 }
 
+/// `&&` and `||` assigned to a variable their right-hand side reads — also
+/// through a `?:` arm and an inlined helper whose parameter is that
+/// variable — see its old value, under divergent lanes.
+#[test]
+fn short_circuit_results_assigned_to_an_operand() {
+    let src = r#"
+        bool both(bool p, bool q) { return p && q; }
+        bool either(bool p, bool q) { return p || q; }
+        __kernel void k(__global float* v, int n) {
+            int gid = get_global_id(0);
+            bool x = gid % 2 == 0;
+            bool y = gid % 3 == 0;
+            bool b = gid % 4 < 2;
+            b = x && b;
+            float r = b ? 1.0f : 0.0f;
+            b = gid % 5 < 3;
+            b = y || b;
+            r += b ? 2.0f : 0.0f;
+            b = gid % 7 < 4;
+            b = both(x, b);
+            r += b ? 4.0f : 0.0f;
+            b = gid % 6 < 3;
+            b = either(y, b);
+            r += b ? 8.0f : 0.0f;
+            b = gid % 9 < 5;
+            b = y ? b : (x && b);
+            r += b ? 16.0f : 0.0f;
+            v[gid] = r;
+        }
+    "#;
+    let n = 150;
+    let expected: Vec<f32> = (0..n)
+        .map(|gid| {
+            let (x, y) = (gid % 2 == 0, gid % 3 == 0);
+            let bit = |b: bool, w: f32| if b { w } else { 0.0 };
+            bit(x && gid % 4 < 2, 1.0)
+                + bit(y || gid % 5 < 3, 2.0)
+                + bit(x && gid % 7 < 4, 4.0)
+                + bit(y || gid % 6 < 3, 8.0)
+                + bit(if y { gid % 9 < 5 } else { x && gid % 9 < 5 }, 16.0)
+        })
+        .collect();
+    assert_engines_agree_f32(src, "k", &[vec![0.0f32; n]], &[Value::Int(n as i32)], n);
+    let p = Program::build(src).unwrap();
+    let k = p.kernel("k").unwrap();
+    let mut out = vec![0.0f32; n];
+    let mut args = vec![
+        ArgBinding::buffer_f32(&mut out),
+        ArgBinding::Scalar(Value::Int(n as i32)),
+    ];
+    let (_, trace) = p.run_ndrange_traced(&k, n, &mut args).unwrap();
+    drop(args);
+    assert_eq!(trace.tier, skelcl_kernel::Tier::Native);
+    assert_eq!(out, expected);
+}
+
 // ---------------------------------------------------------------------------
 // Native per-batch accumulation vs the oracle's per-item totals
 // ---------------------------------------------------------------------------
