@@ -201,7 +201,7 @@ mod tests {
         assert!(sb.source.contains("skelcl_s1_offset"));
         // The concatenation is a valid translation unit with distinct names,
         // and the renderer reports the same diagnostics.
-        let group = render_group(&[(StageKind::Map, &a), (StageKind::Map, &b)]).unwrap();
+        let group = render_group(&[(StageKind::Map, &a), (StageKind::Map, &b)], false).unwrap();
         assert_eq!(group.collisions, sb.collisions);
         let program = skelcl_kernel::Program::build(&group.source).unwrap();
         assert!(program.kernel(FUSED_MAP_KERNEL).is_ok());
@@ -211,7 +211,8 @@ mod tests {
     fn fused_map_kernel_inlines_the_chain_and_extras() {
         let scale = info("float func(float x, float a) { return x * a; }", 1);
         let add = info("float func(float l, float r) { return l + r; }", 2);
-        let group = render_group(&[(StageKind::Map, &scale), (StageKind::Zip, &add)]).unwrap();
+        let group =
+            render_group(&[(StageKind::Map, &scale), (StageKind::Zip, &add)], false).unwrap();
         let src = &group.source;
         assert!(
             src.contains(

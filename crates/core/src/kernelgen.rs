@@ -30,13 +30,20 @@
 //! ([`packed_reduce_kernel`]) folds the chunks of many equal-length inputs
 //! laid back to back in one launch. The scan kernel is a single work-item
 //! over its whole part.
+//!
+//! A *packed* group (many serving jobs in one launch) takes its chain's
+//! additional arguments per job, from a job table the launch appends to an
+//! input it already uploads, instead of as kernel parameters.
 
 use std::hash::{Hash, Hasher};
+use std::sync::{Arc, OnceLock};
 
 use oclsim::CostHint;
 use skelcl_kernel::ast::Function;
+use skelcl_kernel::compose;
 use skelcl_kernel::cost::CostEstimate;
 use skelcl_kernel::types::{ScalarType, Type};
+use skelcl_kernel::value::Value;
 
 use crate::error::{Result, SkelError};
 use crate::fusion::{FExpr, Hygiene, HygienicStage};
@@ -66,6 +73,32 @@ pub struct UdfInfo {
     /// figure behind the scheduler's cost hint and the stencil's exchange
     /// cadence.
     pub cost: CostEstimate,
+    /// The packed form, computed at its first use.
+    lifted: LiftCache,
+}
+
+/// A UDF as a packed launch takes it: its source with every `float`
+/// literal lifted into a trailing parameter
+/// ([`skelcl_kernel::compose::lift_float_literals`]) and analysed, plus the
+/// literals' values, which the launch binds per job. UDFs that differ only
+/// in their literals lift to one text, so they share one packed shape.
+#[derive(Debug)]
+pub(crate) struct LiftedUdf {
+    /// The lifted UDF; `None` when the source has no `float` literal.
+    pub info: Option<Arc<UdfInfo>>,
+    /// The literals' values, in parameter order.
+    pub values: Vec<Value>,
+}
+
+/// [`UdfInfo::lifted`]'s cache. It is not part of a UDF's identity: every
+/// cache state compares equal.
+#[derive(Debug, Clone, Default)]
+struct LiftCache(OnceLock<Arc<LiftedUdf>>);
+
+impl PartialEq for LiftCache {
+    fn eq(&self, _: &LiftCache) -> bool {
+        true
+    }
 }
 
 /// Resolve the user-defined function within a parsed translation unit — the
@@ -182,7 +215,28 @@ impl UdfInfo {
             source_hash: hasher.finish(),
             defined_functions: unit.functions.iter().map(|f| f.name.clone()).collect(),
             cost: skelcl_kernel::cost::estimate_function(&unit, func),
+            lifted: LiftCache::default(),
         })
+    }
+
+    /// The UDF's packed form, lifted at the first call and kept.
+    pub(crate) fn lifted(&self) -> Result<&Arc<LiftedUdf>> {
+        if let Some(lifted) = self.lifted.0.get() {
+            return Ok(lifted);
+        }
+        let lifted = compose::lift_float_literals(&self.source).map_err(SkelError::Udf)?;
+        let info = match lifted.values.is_empty() {
+            true => None,
+            false => Some(Arc::new(UdfInfo::analyze(
+                &lifted.source,
+                self.main_params.len(),
+            )?)),
+        };
+        let values = lifted.values.into_iter().map(Value::Float).collect();
+        Ok(self
+            .lifted
+            .0
+            .get_or_init(|| Arc::new(LiftedUdf { info, values })))
     }
 
     /// The per-element cost hint used for scheduler-weighted partitioning
@@ -223,15 +277,13 @@ pub(crate) const FUSED_SCAN_OFFSET_KERNEL: &str = "SKELCL_FUSED_SCAN_OFFSET";
 
 /// What a stage contributes to a group's *shape*, next to its UDF. A group
 /// is any number of `Map` / `Zip` stages, optionally closed by one `Reduce`
-/// (`PackedReduce` when the launch folds many jobs) or `Scan`; `IndexMap`
-/// may only open a group (its element is the index, not a load) and
-/// `MapOverlap` stands alone.
+/// or `Scan`; `IndexMap` may only open a group (its element is the index,
+/// not a load) and `MapOverlap` stands alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum StageKind {
     Map,
     Zip,
     Reduce,
-    PackedReduce,
     Scan,
     IndexMap,
     MapOverlap,
@@ -243,7 +295,7 @@ impl StageKind {
         match self {
             StageKind::Map => "map",
             StageKind::Zip => "zip",
-            StageKind::Reduce | StageKind::PackedReduce => "reduce",
+            StageKind::Reduce => "reduce",
             StageKind::Scan => "scan",
             StageKind::IndexMap => "index map",
             StageKind::MapOverlap => "map_overlap",
@@ -265,6 +317,172 @@ pub(crate) struct RenderedGroup {
     pub inputs: Vec<ScalarType>,
     /// Diagnostics for helper names that collided across stages.
     pub collisions: Vec<String>,
+    /// A packed group's per-job values, when its chain takes any.
+    pub table: Option<JobTable>,
+}
+
+/// Where a packed launch keeps its jobs' values — the chain's additional
+/// arguments, lifted literals included, which a packed group takes per job
+/// rather than as kernel parameters — and, for an elementwise frame, the
+/// job boundaries it finds each work-item's job by.
+///
+/// The values travel as bits. The 32-bit ones (and the job starts) are
+/// *words*, appended after the `n` elements of the first input slot of a
+/// 32-bit type and read back with `as_float` / `as_int` / `as_uint`; the
+/// `double`s follow the elements of the first `double` slot. So the table
+/// rides in a write the launch already makes. Only a kind without such a
+/// slot gets a buffer, and a write, of its own (`skelcl_words`, `int`;
+/// `skelcl_doubles`), bound after the output.
+///
+/// Word layout, per launch of `J` jobs: for an elementwise frame first the
+/// `J` job starts, then per job its word entries; the `double` part holds
+/// per job its `double` entries. A packed reduce knows its job
+/// (work-item `g` serves job `g / P`) and has no starts. An elementwise
+/// work-item divides its index by the jobs' length when they share one,
+/// and otherwise binary-searches the starts: `⌈log2 J⌉` one-word loads from
+/// device memory, where a per-element job index would add four bytes per
+/// element to the upload.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct JobTable {
+    /// The type of every per-job value, in kernel order (stage by stage:
+    /// declared additional arguments, then lifted literals).
+    pub entries: Vec<ScalarType>,
+    /// Whether the words open with the job starts (an elementwise frame).
+    pub starts: bool,
+    /// The input slot carrying the words, or `None`: `skelcl_words`.
+    pub words_in: Option<usize>,
+    /// The input slot carrying the doubles, or `None`: `skelcl_doubles`.
+    pub doubles_in: Option<usize>,
+}
+
+impl JobTable {
+    fn is_word(ty: ScalarType) -> bool {
+        ty != ScalarType::Double
+    }
+
+    /// Word entries per job.
+    fn words_per_job(&self) -> usize {
+        self.entries.iter().filter(|t| Self::is_word(**t)).count()
+    }
+
+    /// Whether the table has a part of words (`true`) or doubles (`false`).
+    fn has(&self, words: bool) -> bool {
+        (words && self.starts) || self.entries.iter().any(|t| Self::is_word(*t) == words)
+    }
+
+    /// The element types of the table buffers of its own, in binding order
+    /// (after the output).
+    pub(crate) fn own_buffers(&self) -> Vec<ScalarType> {
+        let mut own = Vec::new();
+        if self.has(true) && self.words_in.is_none() {
+            own.push(ScalarType::Int);
+        }
+        if self.has(false) && self.doubles_in.is_none() {
+            own.push(ScalarType::Double);
+        }
+        own
+    }
+
+    /// The table of a launch of `jobs.len()` jobs, each its values in
+    /// [`JobTable::entries`] order and its first element in the packed
+    /// inputs: the word bytes and the double bytes.
+    pub(crate) fn encode(&self, jobs: &[(usize, Vec<Value>)]) -> (Vec<u8>, Vec<u8>) {
+        let (mut words, mut doubles) = (Vec::new(), Vec::new());
+        if self.starts {
+            for (start, _) in jobs {
+                words.extend_from_slice(&(*start as u32).to_ne_bytes());
+            }
+        }
+        for (_, values) in jobs {
+            for (value, &ty) in values.iter().zip(&self.entries) {
+                let word = match value.convert_to(ty) {
+                    Value::Double(v) => {
+                        doubles.extend_from_slice(&v.to_ne_bytes());
+                        continue;
+                    }
+                    Value::Float(v) => v.to_bits(),
+                    Value::Int(v) => v as u32,
+                    Value::Uint(v) => v,
+                    Value::Bool(v) => u32::from(v),
+                };
+                words.extend_from_slice(&word.to_ne_bytes());
+            }
+        }
+        (words, doubles)
+    }
+
+    /// The words' array, the offset of the first word in it and the type
+    /// it stores them as; `inputs` are the input slots' types.
+    fn words(&self, inputs: &[ScalarType]) -> (String, &'static str, ScalarType) {
+        match self.words_in {
+            Some(slot) => (format!("skelcl_in{slot}"), "skelcl_n + ", inputs[slot]),
+            None => ("skelcl_words".to_string(), "", ScalarType::Int),
+        }
+    }
+
+    /// The declarations of the per-job values, named `names`, for the job
+    /// in `skelcl_job`.
+    fn declarations(&self, names: &[String], inputs: &[ScalarType]) -> String {
+        let (words, base, stored) = self.words(inputs);
+        let starts = if self.starts { "skelcl_jobs + " } else { "" };
+        let doubles = match self.doubles_in {
+            Some(slot) => format!("skelcl_in{slot}[skelcl_n + "),
+            None => "skelcl_doubles[".to_string(),
+        };
+        let per_word = self.words_per_job();
+        let per_double = self.entries.len() - per_word;
+        let (mut w, mut d) = (0, 0);
+        let mut out = String::new();
+        for (name, &ty) in names.iter().zip(&self.entries) {
+            let read = if Self::is_word(ty) {
+                w += 1;
+                let at = format!("{words}[{base}{starts}skelcl_job * {per_word} + {}]", w - 1);
+                reinterpret(&at, stored, ty)
+            } else {
+                d += 1;
+                format!("{doubles}skelcl_job * {per_double} + {}]", d - 1)
+            };
+            out.push_str(&format!("\x20       {ty} {name} = {read};\n"));
+        }
+        out
+    }
+
+    /// The job of `skelcl_gid`: a division when the batch's jobs share
+    /// one length `skelcl_len`, a binary search of the job starts when
+    /// `skelcl_len` is 0.
+    fn search(&self, inputs: &[ScalarType]) -> String {
+        let (words, base, stored) = self.words(inputs);
+        let start = reinterpret(
+            &format!("{words}[{base}skelcl_mid]"),
+            stored,
+            ScalarType::Int,
+        );
+        format!(
+            "\x20       int skelcl_job = 0;\n\
+             \x20       if (skelcl_len > 0) {{\n\
+             \x20           skelcl_job = skelcl_gid / skelcl_len;\n\
+             \x20       }} else {{\n\
+             \x20           int skelcl_last = skelcl_jobs - 1;\n\
+             \x20           while (skelcl_job < skelcl_last) {{\n\
+             \x20               int skelcl_mid = (skelcl_job + skelcl_last + 1) / 2;\n\
+             \x20               if ({start} <= skelcl_gid) {{\n\
+             \x20                   skelcl_job = skelcl_mid;\n\
+             \x20               }} else {{\n\
+             \x20                   skelcl_last = skelcl_mid - 1;\n\
+             \x20               }}\n\
+             \x20           }}\n\
+             \x20       }}\n"
+        )
+    }
+}
+
+/// `word`, a 32-bit value stored as `stored`, read back as a `ty`.
+fn reinterpret(word: &str, stored: ScalarType, ty: ScalarType) -> String {
+    match ty {
+        _ if ty == stored => word.to_string(),
+        ScalarType::Bool => format!("({} != 0)", reinterpret(word, stored, ScalarType::Int)),
+        _ => format!("as_{ty}({word})"),
+    }
 }
 
 /// The signature a stage of `kind` needs from its user function.
@@ -277,9 +495,7 @@ fn check_stage(kind: StageKind, udf: &UdfInfo) -> Result<()> {
             1,
         ),
         StageKind::Zip => ("zip expects a binary user function", 2),
-        StageKind::Reduce | StageKind::PackedReduce | StageKind::Scan => {
-            return check_binary_op(udf, kind.name())
-        }
+        StageKind::Reduce | StageKind::Scan => return check_binary_op(udf, kind.name()),
     };
     if udf.main_params.len() != arity {
         return Err(SkelError::UdfSignature(format!(
@@ -307,7 +523,10 @@ fn check_stage(kind: StageKind, udf: &UdfInfo) -> Result<()> {
 }
 
 /// Render a group of stages — the one place kernel text is written. A pure
-/// function of the stages' kinds and UDFs.
+/// function of the stages' kinds and UDFs and of `packed`: whether the
+/// launch runs many jobs, each with its own values of the chain's additional
+/// arguments ([`JobTable`]; without any, an elementwise packed group is
+/// rendered like any other).
 ///
 /// The UDF sources are concatenated ahead of the kernel: verbatim for a lone
 /// stage, through [`Hygiene`] when several stages share the program. The
@@ -322,9 +541,12 @@ fn check_stage(kind: StageKind, udf: &UdfInfo) -> Result<()> {
 ///   exists and nothing is uploaded,
 /// * **reduce** — see [`reduce_kernel`]; same argument layout, `out` holding
 ///   one partial per work-item,
-/// * **packed reduce** — see [`packed_reduce_kernel`]; the reduce frame over
-///   jobs of `len` elements laid back to back, `len` the first argument
-///   after `n`,
+/// * **packed reduce** (`Reduce` last, `packed`) — see
+///   [`packed_reduce_kernel`]; the reduce frame over jobs of `len` elements
+///   laid back to back, `len` the first argument after `n`,
+/// * **packed elementwise with a table** — the elementwise frame over jobs
+///   laid back to back, `jobs` the argument after `n`; each work-item finds
+///   its job before it reads the job's values,
 /// * **scan** — the sequential inclusive scan of `expr` over the device's
 ///   part (one work-item), plus the offset kernel `[data, n, offset]` that
 ///   combines the predecessors' total into a part: the "map skeletons
@@ -337,7 +559,10 @@ fn check_stage(kind: StageKind, udf: &UdfInfo) -> Result<()> {
 /// the chunk end is the start plus `min(chunk, n - start)`. The packed frame
 /// is the same arithmetic within one job (`len` for `n`), offset by the
 /// job's start `job · len < n`.
-pub(crate) fn render_group(stages: &[(StageKind, &UdfInfo)]) -> Result<RenderedGroup> {
+pub(crate) fn render_group(
+    stages: &[(StageKind, &UdfInfo)],
+    packed: bool,
+) -> Result<RenderedGroup> {
     let (first_kind, last_kind) = match (stages.first(), stages.last()) {
         (Some(first), Some(last)) => (first.0, last.0),
         _ => return Err(SkelError::Internal("a kernel group has no stage".into())),
@@ -366,7 +591,7 @@ pub(crate) fn render_group(stages: &[(StageKind, &UdfInfo)]) -> Result<RenderedG
         collisions.append(&mut stage.collisions);
         out_ty = udf.return_type;
         match kind {
-            StageKind::Reduce | StageKind::PackedReduce | StageKind::Scan => op = Some(stage),
+            StageKind::Reduce | StageKind::Scan => op = Some(stage),
             _ => {
                 let mut call_args = vec![expr];
                 if kind == StageKind::Zip {
@@ -383,16 +608,50 @@ pub(crate) fn render_group(stages: &[(StageKind, &UdfInfo)]) -> Result<RenderedG
         .enumerate()
         .map(|(i, ty)| format!("__global {ty}* skelcl_in{i}, "))
         .collect();
+    let packed_reduce = packed && last_kind == StageKind::Reduce;
+    let (names, types): (Vec<String>, Vec<ScalarType>) =
+        chain.iter().flat_map(|s| s.extras.iter().cloned()).unzip();
+    let table = (packed && !types.is_empty()).then(|| {
+        let slot = |fits: fn(ScalarType) -> bool| inputs.iter().position(|t| fits(*t));
+        JobTable {
+            starts: !packed_reduce,
+            words_in: slot(|t| t.size_bytes() == 4),
+            doubles_in: slot(|t| t == ScalarType::Double),
+            entries: types.clone(),
+        }
+    });
     let mut extras = String::new();
     if first_kind == StageKind::IndexMap {
         extras.push_str(", int skelcl_offset");
     }
-    if last_kind == StageKind::PackedReduce {
+    if packed_reduce {
         extras.push_str(", int skelcl_len");
     }
-    for (name, ty) in chain.iter().flat_map(|s| &s.extras) {
-        extras.push_str(&format!(", {ty} {name}"));
+    // The per-job values: declared locals (from the job's table row), or
+    // kernel parameters.
+    let mut values = String::new();
+    match &table {
+        Some(table) => {
+            if table.starts {
+                extras.push_str(", int skelcl_jobs, int skelcl_len");
+                values.push_str(&table.search(&inputs));
+            }
+            values.push_str(&table.declarations(&names, &inputs));
+        }
+        None => {
+            for (name, ty) in names.iter().zip(&types) {
+                extras.push_str(&format!(", {ty} {name}"));
+            }
+        }
     }
+    let own: String = table
+        .iter()
+        .flat_map(JobTable::own_buffers)
+        .map(|ty| match ty {
+            ScalarType::Double => ", __global double* skelcl_doubles".to_string(),
+            _ => ", __global int* skelcl_words".to_string(),
+        })
+        .collect();
     // The group's element at iteration index `idx`.
     let elem = |idx: &str| {
         expr.code(&chain, &|slot| match first_kind {
@@ -408,18 +667,19 @@ pub(crate) fn render_group(stages: &[(StageKind, &UdfInfo)]) -> Result<RenderedG
         (StageKind::IndexMap, _) => (MAP_INDEX_KERNEL, None),
         (StageKind::Map | StageKind::Zip, true) => (FUSED_MAP_KERNEL, None),
         (StageKind::MapOverlap, _) => (MAP_OVERLAP_KERNEL, None),
+        (StageKind::Reduce, _) if packed => (PACKED_REDUCE_KERNEL, None),
         (StageKind::Reduce, false) => (REDUCE_KERNEL, None),
         (StageKind::Reduce, true) => (FUSED_REDUCE_KERNEL, None),
-        (StageKind::PackedReduce, _) => (PACKED_REDUCE_KERNEL, None),
         (StageKind::Scan, false) => (SCAN_KERNEL, Some(SCAN_OFFSET_KERNEL)),
         (StageKind::Scan, true) => (FUSED_SCAN_KERNEL, Some(FUSED_SCAN_OFFSET_KERNEL)),
     };
     let source = match last_kind {
         StageKind::Map | StageKind::Zip | StageKind::IndexMap => format!(
             "{preamble}\
-             __kernel void {kernel}({ins}__global {out_ty}* skelcl_out, int skelcl_n{extras}) {{\n\
+             __kernel void {kernel}({ins}__global {out_ty}* skelcl_out{own}, int skelcl_n{extras}) {{\n\
              \x20   int skelcl_gid = get_global_id(0);\n\
              \x20   if (skelcl_gid < skelcl_n) {{\n\
+             {values}\
              \x20       skelcl_out[skelcl_gid] = {expr};\n\
              \x20   }}\n\
              }}\n",
@@ -438,7 +698,7 @@ pub(crate) fn render_group(stages: &[(StageKind, &UdfInfo)]) -> Result<RenderedG
              }}\n",
             expr = elem("skelcl_idx"),
         ),
-        StageKind::Reduce => format!(
+        StageKind::Reduce if !packed => format!(
             "{preamble}\
              __kernel void {kernel}({ins}__global {out_ty}* skelcl_out, int skelcl_n{extras}) {{\n\
              \x20   int skelcl_gid = get_global_id(0);\n\
@@ -456,14 +716,16 @@ pub(crate) fn render_group(stages: &[(StageKind, &UdfInfo)]) -> Result<RenderedG
             first = elem("skelcl_start"),
             step = elem("skelcl_i"),
         ),
-        StageKind::PackedReduce => format!(
+        StageKind::Reduce => format!(
             "{preamble}\
-             __kernel void {kernel}({ins}__global {out_ty}* skelcl_out, int skelcl_n{extras}) {{\n\
+             __kernel void {kernel}({ins}__global {out_ty}* skelcl_out{own}, int skelcl_n{extras}) {{\n\
              \x20   int skelcl_gid = get_global_id(0);\n\
              \x20   int skelcl_parts = get_global_size(0) / (skelcl_n / skelcl_len);\n\
              \x20   int skelcl_chunk = (skelcl_len - 1) / skelcl_parts + 1;\n\
              \x20   int skelcl_part = skelcl_gid % skelcl_parts;\n\
              \x20   if (skelcl_part <= (skelcl_len - 1) / skelcl_chunk) {{\n\
+             {job}\
+             {values}\
              \x20       int skelcl_first = skelcl_part * skelcl_chunk;\n\
              \x20       int skelcl_start = skelcl_gid / skelcl_parts * skelcl_len + skelcl_first;\n\
              \x20       int skelcl_end = skelcl_start + min(skelcl_chunk, skelcl_len - skelcl_first);\n\
@@ -474,6 +736,11 @@ pub(crate) fn render_group(stages: &[(StageKind, &UdfInfo)]) -> Result<RenderedG
              \x20       skelcl_out[skelcl_gid] = skelcl_acc;\n\
              \x20   }}\n\
              }}\n",
+            job = if table.is_some() {
+                "\x20       int skelcl_job = skelcl_gid / skelcl_parts;\n"
+            } else {
+                ""
+            },
             first = elem("skelcl_start"),
             step = elem("skelcl_i"),
         ),
@@ -504,17 +771,19 @@ pub(crate) fn render_group(stages: &[(StageKind, &UdfInfo)]) -> Result<RenderedG
         offset_kernel,
         inputs,
         collisions,
+        table,
     })
 }
 
-/// The rendered source of the single-stage group `(kind, udf)`.
-fn single_stage(kind: StageKind, udf: &UdfInfo) -> Result<String> {
-    Ok(render_group(&[(kind, udf)])?.source)
+/// The rendered source of the single-stage group `(kind, udf)`, packed or
+/// not.
+fn single_stage(kind: StageKind, packed: bool, udf: &UdfInfo) -> Result<String> {
+    Ok(render_group(&[(kind, udf)], packed)?.source)
 }
 
 /// Generate the map kernel: `out[i] = f(in[i], extra...)`.
 pub fn map_kernel(udf: &UdfInfo) -> Result<String> {
-    single_stage(StageKind::Map, udf)
+    single_stage(StageKind::Map, false, udf)
 }
 
 /// Generate the index-map kernel: `out[i] = f(offset + i, extra...)`, with
@@ -527,7 +796,7 @@ pub fn map_kernel(udf: &UdfInfo) -> Result<String> {
 /// is how index-based workloads such as the Mandelbrot benchmark avoid paying
 /// for an input upload.
 pub fn map_index_kernel(udf: &UdfInfo) -> Result<String> {
-    single_stage(StageKind::IndexMap, udf)
+    single_stage(StageKind::IndexMap, false, udf)
 }
 
 /// Generate the map-overlap (stencil) kernel:
@@ -544,12 +813,12 @@ pub fn map_index_kernel(udf: &UdfInfo) -> Result<String> {
 /// way, so iterative stencils can flip output to input with a halo-only
 /// exchange; its halo rows are left untouched by the kernel.
 pub fn map_overlap_kernel(udf: &UdfInfo) -> Result<String> {
-    single_stage(StageKind::MapOverlap, udf)
+    single_stage(StageKind::MapOverlap, false, udf)
 }
 
 /// Generate the zip kernel: `out[i] = f(left[i], right[i], extra...)`.
 pub fn zip_kernel(udf: &UdfInfo) -> Result<String> {
-    single_stage(StageKind::Zip, udf)
+    single_stage(StageKind::Zip, false, udf)
 }
 
 /// A reduce or scan operator is a `(T, T) -> T` function without additional
@@ -591,7 +860,7 @@ pub(crate) fn check_binary_op(udf: &UdfInfo, skeleton: &str) -> Result<()> {
 /// in, so the geometry has one source of truth (the work-item count); see
 /// [`crate::reduce_partials`] for the count the skeletons pick.
 pub fn reduce_kernel(udf: &UdfInfo) -> Result<String> {
-    single_stage(StageKind::Reduce, udf)
+    single_stage(StageKind::Reduce, false, udf)
 }
 
 /// Generate the packed reduce kernel: [`reduce_kernel`] over many jobs in one
@@ -606,7 +875,7 @@ pub fn reduce_kernel(udf: &UdfInfo) -> Result<String> {
 /// `P` is derived from the launch size (`global size / jobs`), as the chunk
 /// length is in [`reduce_kernel`]: the geometry keeps one source of truth.
 pub fn packed_reduce_kernel(udf: &UdfInfo) -> Result<String> {
-    single_stage(StageKind::PackedReduce, udf)
+    single_stage(StageKind::Reduce, true, udf)
 }
 
 /// Generate the per-device scan kernel (inclusive prefix) plus the offset
@@ -614,7 +883,7 @@ pub fn packed_reduce_kernel(udf: &UdfInfo) -> Result<String> {
 /// the "map skeletons \[that\] are created automatically" in Figure 2 of the
 /// paper. Both kernels live in one program.
 pub fn scan_kernels(udf: &UdfInfo) -> Result<String> {
-    single_stage(StageKind::Scan, udf)
+    single_stage(StageKind::Scan, false, udf)
 }
 
 #[cfg(test)]
@@ -904,37 +1173,47 @@ mod tests {
         let index = UdfInfo::analyze("int f(int i, int w) { return i % w; }", 1).unwrap();
         let binary = UdfInfo::analyze(SAXPY, 2).unwrap();
         let op = UdfInfo::analyze(ADD, 2).unwrap();
-        let cases: [(Template, StageKind, &UdfInfo, &[&str]); 7] = [
-            (map_kernel, StageKind::Map, &unary, &[MAP_KERNEL]),
+        let cases: [(Template, StageKind, bool, &UdfInfo, &[&str]); 7] = [
+            (map_kernel, StageKind::Map, false, &unary, &[MAP_KERNEL]),
             (
                 map_index_kernel,
                 StageKind::IndexMap,
+                false,
                 &index,
                 &[MAP_INDEX_KERNEL],
             ),
             (
                 map_overlap_kernel,
                 StageKind::MapOverlap,
+                false,
                 &unary,
                 &[MAP_OVERLAP_KERNEL],
             ),
-            (zip_kernel, StageKind::Zip, &binary, &[ZIP_KERNEL]),
-            (reduce_kernel, StageKind::Reduce, &op, &[REDUCE_KERNEL]),
+            (zip_kernel, StageKind::Zip, false, &binary, &[ZIP_KERNEL]),
+            (
+                reduce_kernel,
+                StageKind::Reduce,
+                false,
+                &op,
+                &[REDUCE_KERNEL],
+            ),
             (
                 packed_reduce_kernel,
-                StageKind::PackedReduce,
+                StageKind::Reduce,
+                true,
                 &op,
                 &[PACKED_REDUCE_KERNEL],
             ),
             (
                 scan_kernels,
                 StageKind::Scan,
+                false,
                 &op,
                 &[SCAN_KERNEL, SCAN_OFFSET_KERNEL],
             ),
         ];
-        for (template, kind, udf, names) in cases {
-            let group = render_group(&[(kind, udf)]).unwrap();
+        for (template, kind, packed, udf, names) in cases {
+            let group = render_group(&[(kind, udf)], packed).unwrap();
             assert_eq!(template(udf).unwrap(), group.source, "{kind:?}");
             // A lone stage's UDF is merged as written.
             assert!(group.source.starts_with(&udf.source), "{kind:?}");

@@ -64,7 +64,7 @@ use crate::container::{Container, DynContainer};
 use crate::distribution::{Boundary, Distribution};
 use crate::error::{Result, SkelError};
 use crate::fusion::FusionPolicy;
-use crate::kernelgen::{render_group, RenderedGroup, StageKind, UdfInfo};
+use crate::kernelgen::{self, render_group, RenderedGroup, StageKind, UdfInfo};
 use crate::matrix::Matrix;
 use crate::runtime::SkelCl;
 use crate::skeletons::exec::{buffer_arg, Bound, CreateBuffer};
@@ -332,7 +332,7 @@ impl<'a> Group<'a> {
             StageFn::Closure(kernels) if self.stages.len() == 1 => {
                 GroupKernels::Closure(kernels.clone())
             }
-            _ => GroupKernels::Memo(runtime.lowerings().lowered(&self.shapes()?)?),
+            _ => GroupKernels::Memo(runtime.lowerings().lowered(&self.shapes()?, false)?),
         };
         Ok(self.bind(kernels))
     }
@@ -422,6 +422,8 @@ pub(crate) struct LoweredShape {
     /// The shape this lowering was computed from, kept to verify a memo hit
     /// by content.
     stages: Vec<(StageKind, Arc<UdfInfo>)>,
+    /// Whether the shape is a packed launch's (see `render_group`).
+    packed: bool,
     /// The rendered program, its kernel names and element types.
     pub(crate) rendered: RenderedGroup,
     /// The group's kernel and, for a scan, its offset kernel: built on the
@@ -429,19 +431,20 @@ pub(crate) struct LoweredShape {
     kernels: OnceLock<Arc<StageKernels>>,
     /// The group's packed launch as one command buffer, recorded on the
     /// runtime's context at the first packed launch of the shape.
-    packed: parking_lot::Mutex<Option<Arc<PackedCommands>>>,
+    recorded: parking_lot::Mutex<Option<Arc<PackedCommands>>>,
 }
 
 /// A shape's packed launch, recorded once and submitted per batch with the
-/// batch's buffers, payloads and scalars.
+/// batch's buffers, payloads (its job table among them) and scalars.
 struct PackedCommands {
     buffer: oclsim::CommandBuffer,
     read: oclsim::ReadId,
 }
 
 impl LoweredShape {
-    fn matches(&self, stages: &[(StageKind, &Arc<UdfInfo>)]) -> bool {
-        self.stages.len() == stages.len()
+    fn matches(&self, stages: &[(StageKind, &Arc<UdfInfo>)], packed: bool) -> bool {
+        self.packed == packed
+            && self.stages.len() == stages.len()
             && self
                 .stages
                 .iter()
@@ -476,26 +479,26 @@ impl LoweredShape {
     }
 
     /// The shape's recorded packed launch, shaped like `bindings` — the
-    /// input slots' buffers then the output's, then the scalars: a write
-    /// per input slot, the kernel over every buffer and scalar, the read of
-    /// the output. Recorded (and its commands charged to the host) on
-    /// `runtime`'s context at the shape's first packed launch; every queue
-    /// of that context runs it.
+    /// input slots' buffers, the output's, the job table's own (if any),
+    /// then the scalars: a write per buffer but the output, the kernel over
+    /// every buffer and scalar, the read of the output. Recorded (and its
+    /// commands charged to the host) on `runtime`'s context at the shape's
+    /// first packed launch; every queue of that context runs it.
     fn packed_commands(
         &self,
         runtime: &SkelCl,
         bindings: &oclsim::Bindings,
     ) -> Result<Arc<PackedCommands>> {
-        let mut packed = self.packed.lock();
+        let mut packed = self.recorded.lock();
         if let Some(commands) = &*packed {
             return Ok(commands.clone());
         }
         let kernel = &self.kernels(runtime)?.kernel;
         let kinds: Vec<_> = bindings.buffers.iter().map(Buffer::kind).collect();
         let scalars = bindings.scalars.len();
-        let out = kinds.len().saturating_sub(1);
+        let out = self.rendered.inputs.len();
         let mut buffer = runtime.context().command_buffer(&kinds, scalars);
-        for slot in 0..out {
+        for slot in (0..kinds.len()).filter(|&slot| slot != out) {
             buffer.write(slot)?;
         }
         let args: Vec<_> = (0..kinds.len())
@@ -513,7 +516,11 @@ impl LoweredShape {
 /// Lower one group of stages through the one renderer
 /// ([`crate::kernelgen::render_group`]); `id` numbers the result. The miss
 /// path of the [`LoweringMemo`], its only caller.
-fn lower_group(stages: &[(StageKind, &Arc<UdfInfo>)], id: usize) -> Result<LoweredShape> {
+fn lower_group(
+    stages: &[(StageKind, &Arc<UdfInfo>)],
+    packed: bool,
+    id: usize,
+) -> Result<LoweredShape> {
     let borrowed: Vec<(StageKind, &UdfInfo)> =
         stages.iter().map(|&(kind, udf)| (kind, &**udf)).collect();
     Ok(LoweredShape {
@@ -522,15 +529,16 @@ fn lower_group(stages: &[(StageKind, &Arc<UdfInfo>)], id: usize) -> Result<Lower
             .iter()
             .map(|&(kind, udf)| (kind, udf.clone()))
             .collect(),
-        rendered: render_group(&borrowed)?,
+        packed,
+        rendered: render_group(&borrowed, packed)?,
         kernels: OnceLock::new(),
-        packed: parking_lot::Mutex::default(),
+        recorded: parking_lot::Mutex::default(),
     })
 }
 
 /// The runtime's lowering memo — the only kernel cache: one [`LoweredShape`]
-/// per distinct group shape, keyed by content — per stage the kind and the
-/// UDF source text — never by pointer, so two skeletons built from the same
+/// per distinct group shape, keyed by content — whether it is packed and,
+/// per stage, the kind and the UDF source text — never by pointer, so two skeletons built from the same
 /// source share an entry, and an eager call shares its entry with the
 /// one-stage plan group of the same skeleton. It lives and grows exactly
 /// like the program cache (one entry per distinct kernel, for the life of
@@ -568,25 +576,27 @@ impl LoweringMemo {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// The lowering of the group `stages`, computed on first sight of its
-    /// shape.
+    /// The lowering of the group `stages`, packed or not, computed on first
+    /// sight of its shape.
     pub(crate) fn lowered(
         &self,
         stages: &[(StageKind, &Arc<UdfInfo>)],
+        packed: bool,
     ) -> Result<Arc<LoweredShape>> {
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
+        packed.hash(&mut hasher);
         for (kind, udf) in stages {
             (kind, udf.source_hash).hash(&mut hasher);
         }
         let mut entries = self.entries.lock();
         let bucket = entries.entry(hasher.finish()).or_default();
-        if let Some(shape) = bucket.iter().find(|s| s.matches(stages)) {
+        if let Some(shape) = bucket.iter().find(|s| s.matches(stages, packed)) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(shape.clone());
         }
         // Lowered under the lock, so racing callers of one shape lower once.
         let id = self.lowerings.load(Ordering::Relaxed);
-        let shape = Arc::new(lower_group(stages, id)?);
+        let shape = Arc::new(lower_group(stages, packed, id)?);
         self.lowerings.store(id + 1, Ordering::Relaxed);
         bucket.push(shape.clone());
         Ok(shape)
@@ -1150,7 +1160,7 @@ impl PlanGraph {
         let _ = writeln!(out, "After fusion: {} launch group(s)", groups.len());
         for (gi, group) in groups.iter().enumerate() {
             let members: Vec<String> = group.stages.iter().map(|(i, _)| format!("%{i}")).collect();
-            let shape = runtime.lowerings().lowered(&group.shapes()?)?;
+            let shape = runtime.lowerings().lowered(&group.shapes()?, false)?;
             let _ = writeln!(
                 out,
                 "  group {gi}: {} over {} ({} stage(s) fused)",
@@ -1174,9 +1184,10 @@ impl PlanGraph {
 
     /// The plan at `tip` as one packed launch over many jobs: its stages,
     /// when they are an elementwise chain optionally closed by a reduce, and
-    /// their memo entry — the entry every plan of these stages uses, except
-    /// that a closing reduce is lowered through its packed frame. `None` for
-    /// a plan without stages, with a scan or with a stencil.
+    /// their packed memo entry — keyed by the chain's *lifted* UDFs
+    /// ([`UdfInfo::lifted`]), so chains that differ only in their `float`
+    /// literals share it. `None` for a plan without stages, with a scan or
+    /// with a stencil.
     fn packed_group(&self, tip: usize) -> Result<Option<(Group<'_>, Arc<LoweredShape>)>> {
         self.built()?;
         let group = Group::of(self.stages(tip));
@@ -1190,11 +1201,16 @@ impl PlanGraph {
         if !packs {
             return Ok(None);
         }
-        let mut shapes = group.shapes()?;
-        if let Some((kind @ StageKind::Reduce, _)) = shapes.last_mut() {
-            *kind = StageKind::PackedReduce;
+        let mut lifted = Vec::with_capacity(group.stages.len());
+        for (kind, udf) in group.shapes()? {
+            let packed = match kind {
+                StageKind::Reduce => None,
+                _ => udf.lifted()?.info.clone(),
+            };
+            lifted.push((kind, packed.unwrap_or_else(|| udf.clone())));
         }
-        let shape = self.runtime.lowerings().lowered(&shapes)?;
+        let shapes: Vec<_> = lifted.iter().map(|(kind, udf)| (*kind, udf)).collect();
+        let shape = self.runtime.lowerings().lowered(&shapes, true)?;
         Ok(Some((group, shape)))
     }
 
@@ -1203,10 +1219,23 @@ impl PlanGraph {
         CoalesceSignature {
             memo: self.runtime.lowerings().id,
             shape: shape.id,
-            args: group.arg_values().map(arg_bits).collect(),
             reduce_len: (group.last().kind == StageKind::Reduce)
                 .then(|| self.sources[0].elem_count()),
         }
+    }
+
+    /// What a packed launch binds for the plan at `tip` as one job: per
+    /// chain stage its scalar arguments, then its lifted literals — the
+    /// packed shape's extra parameters, in order.
+    fn job_values(&self, tip: usize) -> Result<Vec<Value>> {
+        let mut values = Vec::new();
+        for (_, stage) in self.stages(tip) {
+            values.extend(stage.arg_values());
+            if let (true, Some(info)) = (stage.elementwise(), stage.info()) {
+                values.extend_from_slice(&info.lifted()?.values);
+            }
+        }
+        Ok(values)
     }
 
     /// See [`Plan::coalesce_signature`].
@@ -1521,10 +1550,12 @@ impl<T: Pod, K: PlanKind<T>> Plan<T, K> {
     /// a reduce, and therefore packable into one launch with other plans of
     /// the same signature via [`Plan::pack_jobs`]. `Ok(None)` means the plan
     /// contains a scan (or a stencil) and must run on its own. Beyond the
-    /// lowered shape — chain *and* reduce, one memo entry — and the scalar
-    /// argument bits, the signature of a reduction includes the input
-    /// length: reductions of different lengths never share a launch. See
-    /// [`CoalesceSignature`] for what equal signatures promise.
+    /// packed shape — chain *and* reduce, one memo entry, keyed by the
+    /// chain's UDFs with their `float` literals lifted — the signature of a
+    /// reduction includes the input length: reductions of different lengths
+    /// never share a launch. Scalar arguments and literal values are not
+    /// part of it: they are per-job data. See [`CoalesceSignature`] for
+    /// what equal signatures promise.
     pub fn coalesce_signature(&self) -> Result<Option<CoalesceSignature>> {
         self.graph.coalesce_signature(self.tip)
     }
@@ -1533,7 +1564,11 @@ impl<T: Pod, K: PlanKind<T>> Plan<T, K> {
     /// each job's input elements are laid back to back in one buffer per
     /// kernel argument (one write each), the fused kernel runs once over all
     /// of them, and the returned [`PackedLaunch`] slices each job's result
-    /// back out of the packed output (one non-blocking read). The writes,
+    /// back out of the packed output (one non-blocking read). Each job's
+    /// scalar arguments and `float` literals travel as bits in a per-job
+    /// table appended to an input the launch writes anyway (a kind of value
+    /// no input can carry gets a buffer and a write of its own), so the
+    /// jobs may differ in them. The writes,
     /// the launch and the read are one non-blocking submission of a command
     /// buffer recorded once per lowered shape (`oclsim::CommandBuffer`), so
     /// the host pays one enqueue per batch and many packed launches can be
@@ -1750,7 +1785,7 @@ fn pack_graphs<T: DeviceScalar, O>(
         }
         if job.coalesce_signature(tip)?.as_ref() != Some(&signature) {
             return Err(SkelError::Plan(
-                "jobs with different kernels, arguments or reduction lengths cannot pack into one launch"
+                "jobs with different kernels or reduction lengths cannot pack into one launch"
                     .into(),
             ));
         }
@@ -1805,13 +1840,15 @@ fn pack_graphs<T: DeviceScalar, O>(
     }
 }
 
-/// Allocate the packed input buffers — `total` elements per slot — and the
-/// output of `work_items` elements, one per work-item, and submit the
-/// shape's recorded packed launch over them: a write per slot, the kernel,
-/// the non-blocking read of the output. Every fallible step comes before the
-/// one submission, so a batch that cannot launch enqueues nothing;
-/// the dispatch is charged after it. Buffers are recorded in `buffers` as
-/// they are created so the caller can release them on any error.
+/// Allocate the packed input buffers — `total` elements per slot, plus the
+/// job table where a slot carries it — the output of `work_items` elements,
+/// one per work-item, and the table's own buffers, and submit the shape's
+/// recorded packed launch over them: a write per buffer but the output, the
+/// kernel, the non-blocking read of the output. Every fallible step comes
+/// before the one submission, so a batch that cannot launch enqueues
+/// nothing; the dispatch is charged after it. Buffers are recorded in
+/// `buffers` as they are created so the caller can release them on any
+/// error.
 fn pack_launch<T: DeviceScalar>(
     runtime: &Arc<SkelCl>,
     device: usize,
@@ -1827,6 +1864,17 @@ fn pack_launch<T: DeviceScalar>(
             "a packed launch lowers through the memo".into(),
         ));
     };
+    let table = shape.rendered.table.as_ref();
+    // Per job, its first element and its values.
+    let mut rows = Vec::with_capacity(jobs.len());
+    if table.is_some() {
+        let mut start = 0;
+        for &(job, tip) in jobs {
+            rows.push((start, job.job_values(tip)?));
+            start += job.sources[0].elem_count();
+        }
+    }
+    let (words, doubles) = table.map(|t| t.encode(&rows)).unwrap_or_default();
     let mut payloads = Vec::new();
     // Slot 0 is the chain (source 0 of every job), then the side inputs.
     let sources = std::iter::once(0).chain(lowered.side_sources.iter().copied());
@@ -1842,18 +1890,51 @@ fn pack_launch<T: DeviceScalar>(
                 bytes.len()
             )));
         }
+        if let Some(table) = table {
+            for (carried, part) in [(table.words_in, &words), (table.doubles_in, &doubles)] {
+                if carried == Some(slot) {
+                    bytes.extend_from_slice(part);
+                }
+            }
+        }
+        let len = bytes.len() / ty.size_bytes();
         buffers.push(with_scalar!(ty, S, {
-            context.create_buffer::<S>(device, total)?
+            context.create_buffer::<S>(device, len)?
         }));
         payloads.push(bytes);
     }
     buffers.push(context.create_buffer::<T>(device, work_items)?);
+    for ty in table
+        .map(kernelgen::JobTable::own_buffers)
+        .unwrap_or_default()
+    {
+        let part = if ty == ScalarType::Double {
+            &doubles
+        } else {
+            &words
+        };
+        let len = part.len() / ty.size_bytes();
+        buffers.push(with_scalar!(ty, S, {
+            context.create_buffer::<S>(device, len)?
+        }));
+        payloads.push(part.clone());
+    }
     let mut scalars = vec![kernel_int(total)?];
     if lowered.host_op.is_some() {
         // The packed reduce frame's job length, equal across the batch.
         scalars.push(kernel_int(total / jobs.len())?);
+    } else if table.is_some() {
+        // The elementwise frame finds a work-item's job among this many,
+        // by a division when they share one length (else 0: a search).
+        let len = total / jobs.len();
+        let shared = len * jobs.len() == total
+            && rows
+                .iter()
+                .enumerate()
+                .all(|(j, &(start, _))| start == j * len);
+        scalars.push(kernel_int(jobs.len())?);
+        scalars.push(kernel_int(if shared { len } else { 0 })?);
     }
-    scalars.extend_from_slice(&lowered.extra_args);
     let bindings = oclsim::Bindings {
         buffers: buffers.clone(),
         payloads,
@@ -1868,41 +1949,30 @@ fn pack_launch<T: DeviceScalar>(
     Ok((submission, packed.read))
 }
 
-/// The identity of what a packable plan computes per job: the plan's lowered
+/// The identity of what a packable plan computes per job: the plan's packed
 /// *shape* — an entry of its runtime's lowering memo, named by the memo's
-/// and the entry's numbers, so plans built from equal UDF text over equal
-/// element types share it however many skeleton instances were involved —
-/// plus the bit patterns of its scalar additional arguments and, for a plan
-/// closed by a reduce, its input length (the packed reduce cuts every job of
-/// a launch into the same chunks). Two plans with equal signatures belong to
-/// one runtime and run the exact same kernel with the exact same arguments,
-/// so [`Plan::pack_jobs`] may run them as one launch. Cheap to clone, compare
+/// and the entry's numbers, keyed by the UDF text with its `float` literals
+/// lifted into parameters, so plans whose UDFs differ only in those
+/// literals, over equal element types, share it however many skeleton
+/// instances were involved — plus, for a plan closed by a reduce, its input
+/// length (the packed reduce cuts every job of a launch into the same
+/// chunks). The types of the scalar arguments are part of the shape; their
+/// values, like the literals', are each job's own and travel as bits in
+/// the launch's job table, so `-0.0` stays `-0.0`. Two plans with equal
+/// signatures belong to one runtime and run the same kernel, so
+/// [`Plan::pack_jobs`] may run them as one launch. Cheap to clone, compare
 /// and hash.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct CoalesceSignature {
     memo: usize,
     shape: usize,
-    /// The scalar additional arguments as `(type, bits)`, so that `-0.0`
-    /// and `0.0`, or two NaN payloads, never coalesce.
-    args: Vec<(ScalarType, u64)>,
     /// Input length of a plan closed by a reduce (`None`: all-elementwise).
     reduce_len: Option<usize>,
 }
 
-fn arg_bits(value: Value) -> (ScalarType, u64) {
-    let bits = match value {
-        Value::Float(v) => u64::from(v.to_bits()),
-        Value::Double(v) => v.to_bits(),
-        Value::Int(v) => u64::from(v as u32),
-        Value::Uint(v) => u64::from(v),
-        Value::Bool(v) => u64::from(v),
-    };
-    (value.scalar_type(), bits)
-}
-
 impl std::fmt::Debug for CoalesceSignature {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "shape#{}{:?}", self.shape, self.args)?;
+        write!(f, "shape#{}", self.shape)?;
         match self.reduce_len {
             Some(len) => write!(f, "/{len}"),
             None => Ok(()),
@@ -2081,7 +2151,7 @@ mod tests {
             let rt = crate::runtime::init_gpus(1);
             let (graph, tip) = build(&rt, &stages, terminal);
             let group = forced(&graph, tip);
-            let fresh = lower_group(&group.shapes().unwrap(), 0).unwrap();
+            let fresh = lower_group(&group.shapes().unwrap(), false, 0).unwrap();
             let fresh = group.bind(GroupKernels::Memo(Arc::new(fresh)));
             let memoised = lowered(&graph, &group);
             prop_assert_eq!(&shape(&memoised).rendered.source, &shape(&fresh).rendered.source);

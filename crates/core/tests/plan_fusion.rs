@@ -817,11 +817,23 @@ fn coalesce_signatures_identify_packable_plans() {
     let c = sig(&v.lazy().map_with(&af, args![2.0f32, 1.0f32]));
     let d = sig(&v.lazy().map_with(&af, args![3.0f32, 1.0f32]));
     assert_ne!(a, c, "different kernels differ");
-    assert_ne!(c, d, "different scalar arguments differ");
+    assert_eq!(c, d, "scalar arguments are per-job data");
     assert_eq!(c, sig(&w.lazy().map_with(&af, args![2.0f32, 1.0f32])));
     let zero = sig(&v.lazy().map_with(&af, args![0.0f32, 1.0f32]));
     let neg_zero = sig(&v.lazy().map_with(&af, args![-0.0f32, 1.0f32]));
-    assert_ne!(zero, neg_zero, "arguments compare by bit pattern");
+    assert_eq!(zero, neg_zero, "-0.0 is a value of the job's, not a kernel");
+
+    // Float literals are lifted: UDFs that differ only in them share.
+    let scaled = |k: f32| {
+        Map::<f32, f32>::from_source(&format!("float func(float x) {{ return x * {k:?}f; }}"))
+    };
+    let f = sig(&v.lazy().map(&scaled(2.5)));
+    assert_eq!(
+        f,
+        sig(&w.lazy().map(&scaled(0.0))),
+        "literal values are per-job data"
+    );
+    assert_ne!(a, f, "another lifted text");
 
     let ints = Vector::from_vec(&rt, vec![1i32, 2]);
     let isq = Map::<i32, i32>::from_source("int func(int x) { return x * x; }");
@@ -833,8 +845,9 @@ fn coalesce_signatures_identify_packable_plans() {
     assert_ne!(a, sig(&foreign.lazy().map(&square())), "other runtime");
 
     // Equal signatures hash alike: they key the serving layer's tallies.
-    let set: std::collections::HashSet<_> = [a, b, c, d, zero, neg_zero, e].into_iter().collect();
-    assert_eq!(set.len(), 6);
+    let set: std::collections::HashSet<_> =
+        [a, b, c, d, zero, neg_zero, e, f].into_iter().collect();
+    assert_eq!(set.len(), 4);
 
     assert!(
         v.lazy().map(&square()).reduce(&sum()).scalar().is_ok(),
@@ -845,12 +858,13 @@ fn coalesce_signatures_identify_packable_plans() {
         None,
         "folds never coalesce"
     );
-    // Three elementwise shapes (square, affine, int square) and the fused
-    // map∘reduce were lowered on `rt`; every other request hit the memo.
-    // (No eager call above: those would count too, as one-stage shapes.)
+    // Four packed elementwise shapes (square, affine, int square, the
+    // lifted scale) and the fused map∘reduce were lowered on `rt`; every
+    // other request hit the memo. (No eager call above: those would count
+    // too, as one-stage shapes.)
     let trace = rt.exec_trace();
-    assert_eq!(trace.plan_lowerings, 4);
-    assert_eq!(trace.plan_lowering_hits, 6);
+    assert_eq!(trace.plan_lowerings, 5);
+    assert_eq!(trace.plan_lowering_hits, 7);
 }
 
 /// A reduction's signature is a vector plan's — shape and argument bits —
@@ -887,7 +901,7 @@ fn reduction_signatures_add_the_length() {
         .lazy()
         .map_with(&af, args![-0.0f32, 1.0f32])
         .reduce(&sum()));
-    assert_ne!(c, d, "arguments compare by bit pattern");
+    assert_eq!(c, d, "argument values are per-job data");
     let scanned = v.lazy().scan(&psum()).map(&square()).reduce(&sum());
     assert_eq!(scanned.coalesce_signature().unwrap(), None);
 
@@ -899,6 +913,71 @@ fn reduction_signatures_add_the_length() {
         0,
         "signatures build nothing"
     );
+}
+
+/// Every job of `plans` packed into one launch gives the bits its plan
+/// collects alone.
+fn packs_like_collect<T: skelcl::DeviceScalar>(plans: &[PlanVec<T>], bits: fn(&T) -> u64) {
+    let expected: Vec<Vec<u64>> = plans
+        .iter()
+        .map(|p| p.collect().unwrap().iter().map(bits).collect())
+        .collect();
+    let refs: Vec<_> = plans.iter().collect();
+    let (got, _) = PlanVec::pack_jobs(&refs, 1).unwrap().wait().unwrap();
+    let got: Vec<Vec<u64>> = got.iter().map(|j| j.iter().map(bits).collect()).collect();
+    assert_eq!(got, expected);
+}
+
+/// A packed launch binds each job's scalar arguments and lifted literals
+/// from its job table, whatever their types and wherever the table rides:
+/// `int` and `float` values in the `float` input, a `float` literal in the
+/// `int` input, `double` arguments in the `double` input and that input's
+/// `float` literal in a table buffer of its own — over jobs of unequal
+/// lengths (the job search) and of one length (the division).
+#[test]
+fn packed_jobs_bind_each_jobs_values_whatever_their_types() {
+    let rt = skelcl::init_gpus(2);
+    let f32_bits = |x: &f32| u64::from(x.to_bits());
+    let scaled = Map::<f32, f32>::from_source(
+        "float func(float x, int k, float s) { return x * (float) k + s * 0.25f; }",
+    );
+    for lens in [[3usize, 5, 1, 4], [4, 4, 4, 4]] {
+        let plans: Vec<_> = lens
+            .iter()
+            .zip([(2, -0.0f32), (-7, 1.5), (0, f32::MAX), (3, -2.0)])
+            .map(|(&len, (k, s))| {
+                let v = Vector::from_vec(&rt, (0..len).map(|i| i as f32 - 1.5).collect());
+                v.lazy().map_with(&scaled, args![k, s])
+            })
+            .collect();
+        packs_like_collect(&plans, f32_bits);
+    }
+    let ints: Vec<_> = (0..3)
+        .map(|k| {
+            Map::<i32, i32>::from_source(&format!(
+                "int func(int x) {{ return (int) (x * {k}.5f) + 1; }}"
+            ))
+        })
+        .collect();
+    let plans: Vec<_> = (0..3)
+        .map(|j| {
+            Vector::from_vec(&rt, vec![j - 3, 7, j])
+                .lazy()
+                .map(&ints[j as usize])
+        })
+        .collect();
+    packs_like_collect(&plans, |x: &i32| u64::from(*x as u32));
+    let doubles =
+        Map::<f64, f64>::from_source("double func(double x, double s) { return x * s + 0.1; }");
+    let plans: Vec<_> = [0.1f64, -0.0, 1e300]
+        .into_iter()
+        .enumerate()
+        .map(|(j, s)| {
+            let v = Vector::from_vec(&rt, vec![1.0 / 3.0, j as f64, -2.5][..j + 1].to_vec());
+            v.lazy().map_with(&doubles, args![s])
+        })
+        .collect();
+    packs_like_collect(&plans, |x: &f64| x.to_bits());
 }
 
 /// A packed launch of reductions gives every job the bits `scalar()` gives

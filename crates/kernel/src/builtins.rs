@@ -62,6 +62,10 @@ pub enum Builtin {
     // Math, ternary
     Fma,
     Clamp,
+    // Reinterpretation of a 32-bit value's bits (OpenCL's `as_type`)
+    AsFloat,
+    AsInt,
+    AsUint,
     /// Indexed neighbour access `get(dx, dy)` inside a stencil (`MapOverlap`)
     /// kernel: reads the stencil input at column offset `dx` and row offset
     /// `dy` from the current work-item's element. Requires the stencil
@@ -96,6 +100,9 @@ impl Builtin {
             "atan2" => Builtin::Atan2,
             "fma" | "mad" => Builtin::Fma,
             "clamp" => Builtin::Clamp,
+            "as_float" => Builtin::AsFloat,
+            "as_int" => Builtin::AsInt,
+            "as_uint" => Builtin::AsUint,
             "get" => Builtin::StencilGet,
             _ => return None,
         })
@@ -131,7 +138,10 @@ impl Builtin {
             | Builtin::Sin
             | Builtin::Cos
             | Builtin::Floor
-            | Builtin::Ceil => 1,
+            | Builtin::Ceil
+            | Builtin::AsFloat
+            | Builtin::AsInt
+            | Builtin::AsUint => 1,
             Builtin::Pow
             | Builtin::Fmin
             | Builtin::Fmax
@@ -150,10 +160,24 @@ impl Builtin {
         matches!(self, Builtin::StencilGet)
     }
 
+    /// The type whose bits an `as_type` reinterpretation yields, or `None`
+    /// for every other builtin. Its argument must be a 32-bit scalar.
+    pub fn reinterprets_as(self) -> Option<ScalarType> {
+        match self {
+            Builtin::AsFloat => Some(ScalarType::Float),
+            Builtin::AsInt => Some(ScalarType::Int),
+            Builtin::AsUint => Some(ScalarType::Uint),
+            _ => None,
+        }
+    }
+
     /// The scalar type this builtin returns, given its argument types.
     pub fn result_type(self, args: &[ScalarType]) -> ScalarType {
         if self.is_work_item_fn() {
             return ScalarType::Int;
+        }
+        if let Some(ty) = self.reinterprets_as() {
+            return ty;
         }
         match self {
             // The stencil input buffer is always a float buffer, so `get`
@@ -183,6 +207,19 @@ impl Builtin {
             !self.is_stencil_fn(),
             "get() needs the stencil context and is evaluated by the engines"
         );
+        if let Some(ty) = self.reinterprets_as() {
+            let bits = match args[0] {
+                Value::Float(v) => v.to_bits(),
+                Value::Int(v) => v as u32,
+                Value::Uint(v) => v,
+                other => unreachable!("sema admits only 32-bit `as_type` arguments: {other:?}"),
+            };
+            return match ty {
+                ScalarType::Float => Value::Float(f32::from_bits(bits)),
+                ScalarType::Int => Value::Int(bits as i32),
+                _ => Value::Uint(bits),
+            };
+        }
         let f = |i: usize| args[i].as_f64();
         let result_ty = self.result_type(&args.iter().map(|v| v.scalar_type()).collect::<Vec<_>>());
         let r = match self {
@@ -215,7 +252,9 @@ impl Builtin {
                 let (x, lo, hi) = (args[0].as_i64(), args[1].as_i64(), args[2].as_i64());
                 return Value::Int(x.max(lo).min(hi) as i32).convert_to(result_ty);
             }
-            Builtin::Clamp => f(0).clamp(f(1), f(2)),
+            // OpenCL's `fmin(fmax(x, lo), hi)`: inverted or NaN bounds give
+            // a value, never a panic.
+            Builtin::Clamp => f(0).max(f(1)).min(f(2)),
             _ => unreachable!("work-item builtin passed to eval_math"),
         };
         match result_ty {
@@ -228,7 +267,7 @@ impl Builtin {
     /// cost estimator.
     pub fn flop_cost(self) -> f64 {
         match self {
-            b if b.is_work_item_fn() => 0.0,
+            b if b.is_work_item_fn() || b.reinterprets_as().is_some() => 0.0,
             Builtin::Fabs | Builtin::Floor | Builtin::Ceil | Builtin::Min | Builtin::Max => 1.0,
             Builtin::Fmin | Builtin::Fmax | Builtin::Clamp => 1.0,
             Builtin::Fma => 2.0,
@@ -287,6 +326,35 @@ mod tests {
         assert_eq!(
             Builtin::Clamp.eval_math(&[Value::Float(7.0), Value::Float(0.0), Value::Float(1.0)]),
             Value::Float(1.0)
+        );
+    }
+
+    #[test]
+    fn clamp_with_inverted_or_nan_bounds_is_fmin_of_fmax() {
+        let clamp = |x: f32, lo: f32, hi: f32| {
+            Builtin::Clamp.eval_math(&[Value::Float(x), Value::Float(lo), Value::Float(hi)])
+        };
+        assert_eq!(clamp(0.5, 1.0, 0.0), Value::Float(0.0));
+        assert_eq!(clamp(0.5, f32::NAN, 2.0), Value::Float(0.5));
+        assert_eq!(clamp(3.0, 1.0, f32::NAN), Value::Float(3.0));
+    }
+
+    #[test]
+    fn as_type_reinterprets_the_bits() {
+        let bits = (-0.0f32).to_bits();
+        assert_eq!(
+            Builtin::AsInt.eval_math(&[Value::Float(-0.0)]),
+            Value::Int(bits as i32)
+        );
+        let back = Builtin::AsFloat.eval_math(&[Value::Int(bits as i32)]);
+        assert_eq!(back.as_f64().to_bits(), (-0.0f64).to_bits());
+        assert_eq!(
+            Builtin::AsUint.eval_math(&[Value::Int(-1)]),
+            Value::Uint(u32::MAX)
+        );
+        assert_eq!(
+            Builtin::AsFloat.result_type(&[ScalarType::Int]),
+            ScalarType::Float
         );
     }
 

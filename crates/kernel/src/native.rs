@@ -63,14 +63,14 @@
 //! a mask that is not a prefix of its lanes.
 //!
 //! * **What runs blended.** Pure register steps — arithmetic, comparisons,
-//!   casts, moves, negation, work-item ids, one- and two-argument `float`
-//!   math — can neither fault nor touch memory. Under a mask that is not a
-//!   prefix they compute all 64 lanes with their fixed-width loop; a step
+//!   casts, moves, negation, work-item ids, `float` math, `as_int` and
+//!   `as_float` — can neither fault nor touch memory. Under a mask that is
+//!   not a prefix they compute all 64 lanes with their fixed-width loop; a step
 //!   that writes a variable (or a value several arms write) saves the row
 //!   first and puts the idle lanes' values back afterwards.
 //! * **What runs per active lane.** Everything with a failure path or a
 //!   memory effect: buffer loads and stores, `get`, integer `/` and `%`,
-//!   `clamp` (panics on inverted bounds), the mixed-type binary-op and
+//!   the mixed-type binary-op and
 //!   builtin fallbacks. When the active lanes form one contiguous run the
 //!   buffer steps still take the span copies (offset by the run's first
 //!   lane); otherwise they go lane by lane over the mask's set bits. So
@@ -2003,6 +2003,25 @@ fn fill(d: Row, v: Value) -> StepFn {
 
 /// Pure elementwise `d = f(s)` over one kind's rows; operands are
 /// snapshotted first, so `s` may be `d`.
+/// A pure step from row `$s` of one register file to row `$d` of another.
+macro_rules! conv_row {
+    ($srcf:ident, $dstf:ident, $s:expr, $d:expr, |$x:ident| $e:expr) => {{
+        let (sa, da) = ($s, $d);
+        step(move |cx| {
+            let n = cx.width;
+            let regs = &mut *cx.regs;
+            for (dv, sv) in regs.$dstf[da..da + n]
+                .iter_mut()
+                .zip(&regs.$srcf[sa..sa + n])
+            {
+                let $x = *sv;
+                *dv = $e;
+            }
+            Ok(())
+        })
+    }};
+}
+
 macro_rules! map_row {
     ($field:ident, $zero:expr, $s:expr, $d:expr, |$x:ident| $e:expr) => {{
         let (sa, da) = ($s, $d);
@@ -2311,9 +2330,22 @@ fn math(b: Builtin, args: &[Row], d: Row) -> (StepFn, bool) {
     };
     let ternary: Option<fn(f64, f64, f64) -> f64> = match b {
         Builtin::Fma => Some(f64::mul_add),
-        Builtin::Clamp => Some(f64::clamp),
+        Builtin::Clamp => Some(|x, lo, hi| x.max(lo).min(hi)),
         _ => None,
     };
+    match (b.reinterprets_as(), args[0].kind) {
+        (Some(ScalarType::Float), NKind::I32) => {
+            return (
+                conv_row!(i32s, f32s, a0, da, |x| f32::from_bits(x as u32)),
+                true,
+            )
+        }
+        (Some(ScalarType::Int), NKind::F32) => {
+            return (conv_row!(f32s, i32s, a0, da, |x| x.to_bits() as i32), true)
+        }
+        (Some(_), kind) if kind == d.kind => return (conv(args[0], d), true),
+        _ => {}
+    }
     if all_f32 {
         if let (Some(g), 1) = (unary, args.len()) {
             return (map_row!(f32s, 0.0f32, a0, da, |x| g(x as f64) as f32), true);
@@ -2340,19 +2372,16 @@ fn math(b: Builtin, args: &[Row], d: Row) -> (StepFn, bool) {
         }
         if let (Some(g), 3) = (ternary, args.len()) {
             let (a1, a2) = (args[1].at, args[2].at);
-            // Active lanes only: `clamp` panics on inverted bounds, which a
-            // guard may keep out of these lanes but not out of an idle
-            // lane's stale registers.
             return (
                 step(move |cx| {
-                    for li in cx.lanes() {
-                        let r = &cx.regs.f32s;
-                        let v = g(r[a0 + li] as f64, r[a1 + li] as f64, r[a2 + li] as f64);
-                        cx.regs.f32s[da + li] = v as f32;
+                    let r = &mut cx.regs.f32s;
+                    for li in 0..cx.width {
+                        r[da + li] =
+                            g(r[a0 + li] as f64, r[a1 + li] as f64, r[a2 + li] as f64) as f32;
                     }
                     Ok(())
                 }),
-                false,
+                true,
             );
         }
     }

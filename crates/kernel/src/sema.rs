@@ -342,6 +342,15 @@ impl<'a> Checker<'a> {
                             span,
                         ));
                     }
+                    if b.reinterprets_as().is_some() && arg_types[0].size_bytes() != 4 {
+                        return Err(KernelError::check(
+                            format!(
+                                "builtin `{callee}` reinterprets a 32-bit value, not `{}`",
+                                arg_types[0]
+                            ),
+                            span,
+                        ));
+                    }
                     *target = Callee::Builtin(b);
                     return scalar(b.result_type(&arg_types));
                 }

@@ -811,11 +811,20 @@ impl BodyGen<'_> {
     }
 
     fn fexpr(&mut self) -> String {
-        match self.pick(5) {
+        match self.pick(7) {
             0 => "x".to_string(),
             1 => "acc * 0.5f".to_string(),
             2 => "(float) q".to_string(),
             3 => "x + 1.5f".to_string(),
+            // Literals in every spelling: unsuffixed (a `float` here too),
+            // exponents, `-0.0`, in a cast to `int` and through a builtin.
+            4 => [
+                "x * 0.75 - 2.5e-1f",
+                "fmax(acc, -0.0f) * 3e0",
+                "(float) ((int) (x * 2.5f))",
+            ][self.pick(3) as usize]
+                .to_string(),
+            5 => format!("clamp(x, {}.25f, 2.0)", self.pick(3)),
             _ => format!("(({}) ? x : acc - 1.0f)", self.cond()),
         }
     }
@@ -971,6 +980,77 @@ fn mutate(src: &str, kind: u32, pick: usize) -> String {
             splice(a, end, &format!("min({}, q)", &src[a..end]))
         }
         _ => unreachable!(),
+    }
+}
+
+/// `src` with its `float` literals lifted into trailing kernel parameters,
+/// then those parameters turned into loads of a `__global float*` table —
+/// at the top of the kernel, one per lifted literal — as a packed launch
+/// reads its jobs' values; plus the values the table holds.
+fn tabled_kernel(src: &str) -> (String, String, Vec<f32>) {
+    let lifted = skelcl_kernel::compose::lift_float_literals(src).unwrap();
+    let params: String = (0..lifted.values.len())
+        .map(|i| format!(", float skelcl_lit{i}"))
+        .collect();
+    let loads: String = (0..lifted.values.len())
+        .map(|i| format!("float skelcl_lit{i} = skelcl_tab[{i}];\n"))
+        .collect();
+    let tabled = lifted.source.replacen(
+        &format!("int n{params}) {{\n"),
+        &format!("__global float* skelcl_tab, int n) {{\n{loads}"),
+        1,
+    );
+    (lifted.source, tabled, lifted.values)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Lifted ≡ inline: a generated kernel with its `float` literals lifted
+    /// into parameters and bound to their values gives the inline kernel's
+    /// buffers, stats and error text on the oracle and on native — a
+    /// literal and a variable read cost nothing, and no engine folds a
+    /// constant across one. Read from a table instead, the values cost
+    /// exactly their loads: per lifted literal and work-item one 4-byte
+    /// global read and two ops (the load and the declaration), nothing else.
+    #[test]
+    fn lifted_literals_agree_with_inline_ones_on_every_engine(
+        genes in prop::collection::vec(0u32..1_000_000, 24..48),
+        values in prop::collection::vec(-6i32..7, 1..120),
+        extra in 0usize..5,
+    ) {
+        let src = generated_kernel(&genes);
+        let (lifted, tabled, lits) = tabled_kernel(&src);
+        prop_assert!(!lits.is_empty());
+        let n = values.len();
+        let global = n + extra;
+        let bufs = [divergent_input(&values), vec![-1.0f32; n], vec![-2.0f32; n]];
+        let mut scalars = vec![Value::Int(n as i32)];
+        let inline = agreed_outcome(&src, "k", &bufs, &scalars, global);
+        scalars.extend(lits.iter().map(|v| Value::Float(*v)));
+        let bound = agreed_outcome(&lifted, "k", &bufs, &scalars, global);
+        prop_assert_eq!(&bound, &inline, "{}", lifted);
+        let mut with_table = bufs.to_vec();
+        with_table.push(lits.clone());
+        let from_table = agreed_outcome(&tabled, "k", &with_table, &scalars[..1], global);
+        let loads = (lits.len() * global) as f64;
+        let expected = inline.map(|stats| ExecStats {
+            global_bytes: stats.global_bytes + 4.0 * loads,
+            ops: stats.ops + 2.0 * loads,
+            ..stats
+        });
+        prop_assert_eq!(from_table, expected, "{}", tabled);
+        for (engine, kernel, bufs, scalars) in [
+            (Engine::Interp, &lifted, &bufs[..], &scalars[..]),
+            (Engine::Native, &lifted, &bufs[..], &scalars[..]),
+            (Engine::Interp, &tabled, &with_table[..], &scalars[..1]),
+            (Engine::Native, &tabled, &with_table[..], &scalars[..1]),
+        ] {
+            let (got, _) = run_engine(kernel, "k", bufs, scalars, global, engine);
+            let (want, _) = run_engine(&src, "k", &bufs[..3], &scalars[..1], global, engine);
+            let bits = |b: &[Vec<f32>]| b[..3].iter().flatten().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&got), bits(&want), "{:?}: {}", engine, kernel);
+        }
     }
 }
 

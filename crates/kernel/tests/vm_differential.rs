@@ -650,6 +650,31 @@ fn work_item_geometry_functions_agree() {
     assert_engines_agree_i32(src, "k", &[vec![0i32; 6]], &[Value::Int(6)], 6);
 }
 
+/// A float `clamp` is OpenCL's `fmin(fmax(x, lo), hi)` on both engines:
+/// inverted or NaN bounds give a value, never a panic — in every lane, also
+/// when a branch is divergent.
+#[test]
+fn clamp_with_inverted_or_nan_bounds_is_fmin_of_fmax() {
+    let src = r#"
+        __kernel void k(__global float* v, __global float* lo, __global float* hi, int n) {
+            int g = get_global_id(0);
+            if (g < n) {
+                v[g] = clamp(v[g], lo[g], hi[g]);
+                if (g % 2 == 0) { v[g] = v[g] + clamp(1.5f, 1.0f, 0.0f); }
+            }
+        }
+    "#;
+    let nan = f32::NAN;
+    let v = vec![0.5, -3.0, 7.0, 0.25, nan, 2.0];
+    let lo = vec![1.0, nan, 1.0, nan, 0.0, 1.0];
+    let hi = vec![0.0, 2.0, nan, nan, 1.0, 0.0];
+    let buffers = [v, lo, hi];
+    assert_engines_agree_f32(src, "k", &buffers, &[Value::Int(6)], 6);
+    let (native, _) = run_both_f32(src, "k", &buffers, &[Value::Int(6)], 6);
+    let (out, _) = native.unwrap();
+    assert_eq!(out[0], [0.0, -3.0, 7.0, 0.25, 0.0, 0.0]);
+}
+
 #[test]
 fn buffer_parameter_read_as_value_is_the_same_error() {
     // A buffer in value position is a check error with a span, so no engine

@@ -211,11 +211,19 @@ fn served_reductions_match_a_one_device_scalar_bitwise() {
     assert!(differs, "the data must show the association order");
 }
 
-/// Reductions of different length, or whose scalar arguments differ in one
-/// bit, never share a launch; equal ones do.
+/// Reductions of different length never share a launch. Equal-length ones
+/// do, whatever their scalar arguments: those are per-job data, so each job
+/// keeps its own bits (`-0.0` stays `-0.0`) and one shape is lowered and
+/// built.
 #[test]
-fn different_lengths_or_argument_bits_never_share_a_batch() {
-    let (rt, server) = server_on(2, true);
+fn different_lengths_never_share_a_batch_but_argument_bits_do() {
+    let rt = skelcl::init_gpus(2);
+    let config = ServerConfig {
+        coalesce_cap: 4,
+        ..ServerConfig::default()
+    };
+    let server = Server::with_config(rt.clone(), config);
+    server.add_tenant("t", TenantConfig::default()).unwrap();
     let session = server.session("t").unwrap();
     let scale = Map::<f32, f32>::from_source("float func(float x, float s) { return x * s; }");
     let sum = Reduce::<f32>::from_source("float func(float a, float b) { return a + b; }");
@@ -227,11 +235,11 @@ fn different_lengths_or_argument_bits_never_share_a_batch() {
         session.submit_scalar(&plan).unwrap()
     };
     let jobs = [
-        (submit(64, 2.0), 128.0f32, 2),
+        (submit(64, 2.0), 128.0f32, 4),
         (submit(65, 2.0), 130.0, 1),
-        (submit(64, 0.0), 0.0, 1),
-        (submit(64, -0.0), -0.0, 1),
-        (submit(64, 2.0), 128.0, 2),
+        (submit(64, 0.0), 0.0, 4),
+        (submit(64, -0.0), -0.0, 4),
+        (submit(64, 2.0), 128.0, 4),
     ];
     server.flush();
     for (handle, value, batch) in jobs {
@@ -240,8 +248,8 @@ fn different_lengths_or_argument_bits_never_share_a_batch() {
         assert_eq!(report.batch_jobs, batch);
     }
     let trace = server.trace();
-    assert_eq!((trace.batches, trace.packed_batches), (4, 4));
-    assert_eq!(trace.coalesced_jobs, 2);
+    assert_eq!((trace.batches, trace.packed_batches), (2, 2));
+    assert_eq!(trace.coalesced_jobs, 4);
     // One shape, whatever the lengths and arguments.
     assert_eq!(rt.exec_trace().plan_lowerings, 1);
     assert_eq!(rt.exec_trace().programs_built, 1);

@@ -600,6 +600,90 @@ fn a_wave_of_three_shapes_lowers_three_times() {
     assert_eq!(server.trace().jobs_completed, 4096);
 }
 
+/// A `serving_mix`-shaped wave: 2 048 jobs from 4 weighted tenants on 2
+/// devices — 1 536 of one map, 384 maps and 128 map → reduce jobs over 64
+/// variants of a second map that differ only in a `float` literal. The
+/// literals are per-job data, so
+/// the wave lowers and builds three packed shapes and takes at most 64
+/// packed batches; every job gets its own bits; a second wave lowers
+/// nothing.
+#[test]
+fn a_wave_of_literal_variants_builds_three_programs() {
+    let rt = skelcl::init_gpus(2);
+    let one = skelcl::init_gpus(1);
+    let server = Server::new(rt.clone());
+    let sessions: Vec<_> = (0..4u32)
+        .map(|t| {
+            let name = format!("t{t}");
+            server
+                .add_tenant(&name, TenantConfig::weighted(t + 1))
+                .unwrap();
+            server.session(&name).unwrap()
+        })
+        .collect();
+    let shared = Map::<f32, f32>::from_source("float func(float x) { return 2.0f * x + 0.5f; }");
+    let variants: Vec<Map<f32, f32>> = (0..64)
+        .map(|k| {
+            Map::from_source(&format!(
+                "float func(float x) {{ return x * {k}.5f + 1.0f; }}"
+            ))
+        })
+        .collect();
+    let sum = fsum();
+    let wave = || {
+        let before = server.trace().packed_batches;
+        let (mut vecs, mut scalars) = (Vec::new(), Vec::new());
+        for i in 0..2048usize {
+            let data = input(i as u64, 64);
+            let v = Vector::from_vec(&rt, data.clone());
+            let k = i * 37 % 64;
+            let session = &sessions[i * 5 / 3 % 4];
+            match i % 16 {
+                15 => {
+                    let plan = v.lazy().map(&variants[k]).reduce(&sum);
+                    scalars.push((k, data, session.submit_scalar(&plan).unwrap()));
+                }
+                3 | 7 | 11 => {
+                    let want = data.iter().map(|x| x * (k as f32 + 0.5) + 1.0).collect();
+                    vecs.push((
+                        want,
+                        session.submit_vec(&v.lazy().map(&variants[k])).unwrap(),
+                    ));
+                }
+                _ => {
+                    let want = data.iter().map(|x| 2.0 * x + 0.5).collect();
+                    vecs.push((want, session.submit_vec(&v.lazy().map(&shared)).unwrap()));
+                }
+            }
+        }
+        server.flush();
+        for (want, handle) in vecs {
+            let want: Vec<f32> = want;
+            assert_eq!(bits(&handle.wait().unwrap().0), bits(&want));
+        }
+        for (k, data, handle) in scalars {
+            let alone = Vector::from_vec(&one, data)
+                .lazy()
+                .map(&variants[k])
+                .reduce(&sum);
+            let got = handle.wait().unwrap().0;
+            assert_eq!(got.to_bits(), alone.scalar().unwrap().to_bits());
+        }
+        server.trace().packed_batches - before
+    };
+    let batches = wave();
+    assert!(batches <= 64, "{batches} packed batches");
+    let first = rt.exec_trace();
+    assert_eq!((first.plan_lowerings, first.programs_built), (3, 3));
+    wave();
+    let second = rt.exec_trace();
+    assert_eq!(
+        (second.plan_lowerings, second.programs_built),
+        (3, 3),
+        "a warm wave lowers nothing"
+    );
+}
+
 /// The dispatch history is a window, not a log: 10 000 batches leave the
 /// most recent 1 024 in the trace while the counters keep the full tally.
 #[test]

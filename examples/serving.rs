@@ -2,8 +2,9 @@
 //! [`skelcl_serving::Server`]. An interactive tenant runs at high priority,
 //! two batch tenants split the remaining capacity 3:1 by fair-share weight,
 //! one of them under a memory quota. Same-kernel jobs coalesce into packed
-//! launches; the serving trace at the end shows how many launches that
-//! saved.
+//! launches — also jobs whose maps differ only in their `float` literals,
+//! which are per-job data — and the serving trace at the end shows how
+//! many launches that saved.
 //!
 //! Run with `cargo run --example serving`.
 
@@ -42,18 +43,22 @@ fn main() -> skelcl_serving::Result<()> {
 
     let normalize =
         Map::<f32, f32>::from_source("float func(float x) { return (x - 0.5f) * 2.0f; }");
+    // The best-effort tenant's variant differs only in its literals: one
+    // packed shape with `normalize`, so one program.
+    let rescale =
+        Map::<f32, f32>::from_source("float func(float x) { return (x - 0.25f) * 4.0f; }");
     let sum = Reduce::<f32>::from_source("float func(float a, float b) { return a + b; }");
 
     // Batch tenants enqueue a backlog of small same-kernel jobs...
     let mut batch_jobs = Vec::new();
-    for tenant in ["nightly-etl", "best-effort"] {
+    for (tenant, map) in [("nightly-etl", &normalize), ("best-effort", &rescale)] {
         let session = server.session(tenant)?;
         for i in 0..24u32 {
             let v = Vector::from_vec(
                 &rt,
                 (0..256).map(|k| ((k + i) % 97) as f32 / 97.0).collect(),
             );
-            match session.try_submit_vec(&v.lazy().map(&normalize)) {
+            match session.try_submit_vec(&v.lazy().map(map)) {
                 Ok(handle) => batch_jobs.push(handle),
                 Err(ServeError::WouldBlock) | Err(ServeError::QuotaExceeded { .. }) => {
                     // Backpressure: this tenant is at its watermark or
@@ -109,13 +114,18 @@ fn main() -> skelcl_serving::Result<()> {
     }
     server.shutdown();
 
-    // Two plan shapes were submitted (the normalize map and the bare
-    // reduction), however many jobs carried them: each lowers once. (Eager
-    // source calls would count as well; every job here is a plan.)
+    // Two plan shapes were submitted (the map, in two literal variants,
+    // and the bare reduction), however many jobs carried them: each lowers
+    // and builds once. (Eager source calls would count as well; every job
+    // here is a plan.)
     let exec = rt.exec_trace();
     println!("{}", exec.lowering_line());
-    if exec.plan_lowerings > 2 {
-        eprintln!("error: 2 distinct plan shapes were submitted, but more were lowered");
+    println!("Programs built: {}", exec.programs_built);
+    if exec.plan_lowerings > 2 || exec.programs_built > 2 {
+        eprintln!(
+            "error: 2 distinct plan shapes were submitted, but more were lowered or built \
+             (do the two literal variants of the map build two programs?)"
+        );
         std::process::exit(1);
     }
     Ok(())
