@@ -2,22 +2,28 @@
 //!
 //! The scheduler is **cooperative and synchronous**: there is no scheduler
 //! thread. Jobs are admitted into a queue; dispatch happens under the core
-//! lock when a trigger fires (the coalesce cap fills, a blocking submit
-//! needs room, a handle waits, or the server flushes or shuts down). All
-//! host-virtual-clock charges therefore happen in deterministic program
-//! order — given a fixed submission order, results and virtual time are
-//! bit-identical across repetitions.
+//! lock when a trigger fires (an admission fills a batch, a submit finds
+//! the queue full, a blocking submit cannot be admitted otherwise, a handle
+//! waits, or the server flushes or shuts down). All host-virtual-clock
+//! charges therefore happen in deterministic program order — given a fixed
+//! submission order, results and virtual time are bit-identical across
+//! repetitions.
 //!
-//! Dispatch picks jobs by **weighted fair queuing within strict priority
+//! Jobs are ordered by **weighted fair queuing within strict priority
 //! bands**: each tenant carries a virtual time that advances by
-//! `footprint / weight` per admitted job, and the queued job with the
-//! smallest `(band, tag, admission#)` key dispatches first. If the picked
-//! job is *coalescible* — an elementwise chain, or one closed by a reduce —
-//! every queued job with the same [`CoalesceSignature`] joins it — up to the
-//! coalesce cap — in **one** packed launch ([`Plan::pack_jobs`]) on the
-//! least-loaded device (in virtual time). Plans that contain a scan are
-//! *opaque*: they run through the ordinary plan executor, synchronously, at
-//! dispatch.
+//! `footprint / weight` per admitted job, and a job's sort key is its
+//! `(band, tag, admission#)`. A *coalescible* job — an elementwise chain, or
+//! one closed by a reduce — packs with queued jobs of the same
+//! [`CoalesceSignature`], up to the coalesce cap, in **one** packed launch
+//! ([`Plan::pack_jobs`]) on the least-loaded device (in virtual time). A
+//! batch that fills dispatches at the admission that fills it, after any
+//! higher band's. A partial batch dispatches in leader order (the queued
+//! job with the smallest key, with its signature's smallest keys), and only
+//! at a drain, when a submit finds the queue full, when a blocking submit
+//! cannot be admitted otherwise ([`Core::make_room`]), or — while a queued
+//! job has a deadline — beside each batch that fills. Plans that
+//! contain a scan are *opaque*: they run through the ordinary plan executor,
+//! synchronously, at dispatch.
 
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
@@ -114,8 +120,10 @@ impl BatchMember {
 /// jobs, quota kept charged) and terminal failure (quota credited).
 type ResolveOutcome = std::result::Result<(), (ServeError, Vec<BatchMember>)>;
 
-/// Type-erased view of a coalescible job.
-trait ErasedPackable: Send {
+/// Type-erased view of a queued job's plan. Whether the job packs or runs
+/// alone is its coalescing signature's say, not the plan's type's: every
+/// job can do both.
+trait ErasedJob: Send {
     /// The job's plan as `Any` (downcast by the batch leader).
     fn plan_any(&self) -> &(dyn Any + Send);
 
@@ -124,26 +132,34 @@ trait ErasedPackable: Send {
     /// the leader's signature and therefore its plan type.
     fn launch(
         &self,
-        peers: &[&dyn ErasedPackable],
+        peers: &[&dyn ErasedJob],
         device: usize,
         members: Vec<BatchMember>,
         runtime: Arc<SkelCl>,
         counters: Counters,
     ) -> std::result::Result<Box<dyn FnOnce() -> ResolveOutcome + Send>, SkelError>;
+
+    /// Run the plan alone through the plan executor, synchronously (a plan
+    /// without a signature: it contains a scan).
+    fn collect(&self) -> std::result::Result<Box<dyn Any + Send>, SkelError>;
+
+    /// Re-establish a trustworthy device image of the plan's input
+    /// containers before a replay (see [`Plan::refresh_for_replay`]).
+    fn refresh(&self) -> std::result::Result<(), SkelError>;
 }
 
-struct TypedPackable<T: DeviceScalar, K: PlanKind<T>> {
+struct TypedJob<T: DeviceScalar, K: PlanKind<T>> {
     plan: Plan<T, K>,
 }
 
-impl<T: DeviceScalar, K: PlanKind<T>> ErasedPackable for TypedPackable<T, K> {
+impl<T: DeviceScalar, K: PlanKind<T>> ErasedJob for TypedJob<T, K> {
     fn plan_any(&self) -> &(dyn Any + Send) {
         &self.plan
     }
 
     fn launch(
         &self,
-        peers: &[&dyn ErasedPackable],
+        peers: &[&dyn ErasedJob],
         device: usize,
         members: Vec<BatchMember>,
         runtime: Arc<SkelCl>,
@@ -169,16 +185,16 @@ impl<T: DeviceScalar, K: PlanKind<T>> ErasedPackable for TypedPackable<T, K> {
             Err(e) => Err((ServeError::from(e), members)),
         }))
     }
-}
 
-/// How a queued job executes at dispatch. Both forms are re-runnable, so a
-/// job that fails with an injected fault can be replayed after backoff.
-enum JobWork {
-    /// Coalescible job (elementwise chain or reduction): joins a packed
-    /// launch.
-    Packable(Box<dyn ErasedPackable>),
-    /// A plan with a scan: runs through the plan executor synchronously.
-    Opaque(Box<dyn Fn() -> std::result::Result<Box<dyn Any + Send>, SkelError> + Send>),
+    fn collect(&self) -> std::result::Result<Box<dyn Any + Send>, SkelError> {
+        self.plan
+            .collect()
+            .map(|v| Box::new(v) as Box<dyn Any + Send>)
+    }
+
+    fn refresh(&self) -> std::result::Result<(), SkelError> {
+        self.plan.refresh_for_replay()
+    }
 }
 
 /// One admitted, not-yet-dispatched job.
@@ -202,10 +218,9 @@ struct QueuedJob {
     fault_chain: Vec<String>,
     slot: Arc<JobSlot>,
     pending: Arc<AtomicUsize>,
-    work: JobWork,
-    /// Re-establishes a trustworthy device image of the job's input
-    /// containers before a replay (see [`Plan::refresh_for_replay`]).
-    refresh: Box<dyn Fn() -> std::result::Result<(), SkelError> + Send>,
+    /// Re-runnable, so a job that fails with an injected fault can be
+    /// replayed after backoff.
+    work: Box<dyn ErasedJob>,
 }
 
 impl QueuedJob {
@@ -412,19 +427,8 @@ impl Core {
     ) -> Result<JobHandle<K::Job>> {
         let signature = plan.coalesce_signature().map_err(ServeError::from)?;
         let footprint = plan.footprint_bytes();
-        let work = if signature.is_some() {
-            JobWork::Packable(Box::new(TypedPackable { plan: plan.clone() }))
-        } else {
-            let plan = plan.clone();
-            JobWork::Opaque(Box::new(move || {
-                plan.collect().map(|v| Box::new(v) as Box<dyn Any + Send>)
-            }))
-        };
-        let refresh = {
-            let plan = plan.clone();
-            Box::new(move || plan.refresh_for_replay())
-        };
-        let slot = self.admit(tenant, signature, footprint, work, refresh, options)?;
+        let work = Box::new(TypedJob { plan: plan.clone() });
+        let slot = self.admit(tenant, signature, footprint, work, options)?;
         Ok(JobHandle {
             slot,
             core: self.clone(),
@@ -437,8 +441,7 @@ impl Core {
         tenant: &Arc<str>,
         signature: Option<CoalesceSignature>,
         footprint: usize,
-        work: JobWork,
-        refresh: Box<dyn Fn() -> std::result::Result<(), SkelError> + Send>,
+        work: Box<dyn ErasedJob>,
         options: JobOptions,
     ) -> Result<Arc<JobSlot>> {
         let mut state = self.state.lock();
@@ -452,10 +455,14 @@ impl Core {
         else {
             return Err(ServeError::UnknownTenant(tenant.to_string()));
         };
-        if pending.load(Ordering::Relaxed) >= max_pending
-            || state.queue.jobs.len() >= self.config.max_queue_depth.max(1)
-        {
+        let queue_full = state.queue.jobs.len() >= self.config.max_queue_depth.max(1);
+        if pending.load(Ordering::Relaxed) >= max_pending || queue_full {
             state.stats.would_blocks += 1;
+            // A queue full of batches waiting to fill admits nothing until
+            // one leaves: send the leader's, so the next submit finds room.
+            if queue_full {
+                self.dispatch_one_locked(&mut state, None);
+            }
             return Err(ServeError::WouldBlock);
         }
         self.runtime
@@ -475,6 +482,7 @@ impl Core {
         state.next_job += 1;
         let slot = JobSlot::new();
         let submit_virt = self.runtime.now();
+        let filled = signature.clone();
         let same = state.queue.push(QueuedJob {
             id,
             tenant: tenant.clone(),
@@ -491,15 +499,22 @@ impl Core {
             slot: slot.clone(),
             pending,
             work,
-            refresh,
         });
         state.stats.jobs_submitted += 1;
         let depth = state.queue.jobs.len();
         state.stats.max_queue_depth_seen = state.stats.max_queue_depth_seen.max(depth);
-        // Coalesce-cap trigger: once a full batch of one signature is
-        // queued, dispatch it eagerly — waiting longer cannot grow it.
+        // Coalesce-cap trigger: the admission that fills a batch of its
+        // signature dispatches that batch — waiting longer cannot grow it —
+        // after any higher band's batches (one per call). A partial batch
+        // waits for a drain, a full queue or a blocked submit (`make_room`);
+        // while a queued job has a deadline, each trigger also sends the
+        // leader's, so partial batches keep leaving, in leader order, and
+        // that job is not held for its own batch to fill.
         if self.config.coalescing && same >= self.config.coalesce_cap.max(1) {
-            self.dispatch_one_locked(&mut state);
+            while self.dispatch_one_locked(&mut state, filled.as_ref()) {}
+            if state.queue.deadlines > 0 {
+                self.dispatch_one_locked(&mut state, None);
+            }
         }
         Ok(slot)
     }
@@ -539,38 +554,62 @@ impl Core {
         }
     }
 
-    /// Dispatch the best queued batch, if any. Packed launches go in
-    /// flight (resolved later, in dispatch order); opaque jobs complete
-    /// before this returns. Jobs backing off after a fault (`not_before`
-    /// in the virtual future) are not eligible; the drain loop advances
-    /// the clock when only those remain.
-    fn dispatch_one_locked(&self, state: &mut CoreState) -> bool {
+    /// Dispatch one batch: the WFQ leader's — the queued job with the
+    /// smallest sort key and, coalescing on, every queued job with its
+    /// signature, up to the cap — or, with `filled`, a full batch of that
+    /// signature (nothing if fewer than the cap are eligible). Bands stay
+    /// strict: while the leader sits in a higher band than every job of the
+    /// full batch, the leader's batch goes instead. Either way a batch
+    /// truncated to the cap keeps its signature's smallest keys.
+    /// Packed launches go in flight (resolved later, in dispatch order); a
+    /// job without a signature runs alone and completes before this
+    /// returns. Jobs backing off after a fault (`not_before` in the virtual
+    /// future) are not eligible; the drain loop advances the clock when
+    /// only those remain.
+    fn dispatch_one_locked(
+        &self,
+        state: &mut CoreState,
+        filled: Option<&CoalesceSignature>,
+    ) -> bool {
         self.sweep_deadlines_locked(state);
         let now = self.runtime.now();
-        let eligible = |job: &QueuedJob| job.not_before <= now;
+        let cap = self.config.coalesce_cap.max(1);
         let queue = &state.queue.jobs;
+        let eligible = |i: &usize| queue[*i].not_before <= now;
+        let batch_of = |signature: &CoalesceSignature| {
+            let mut same: Vec<usize> = (0..queue.len())
+                .filter(|i| eligible(i) && queue[*i].signature.as_ref() == Some(signature))
+                .collect();
+            if same.len() > cap {
+                same.sort_unstable_by_key(|&i| queue[i].sort_key());
+                same.truncate(cap);
+                same.sort_unstable();
+            }
+            same
+        };
         let Some(leader) = (0..queue.len())
-            .filter(|&i| eligible(&queue[i]))
+            .filter(eligible)
             .min_by_key(|&i| queue[i].sort_key())
         else {
             return false;
         };
-        let cap = self.config.coalesce_cap.max(1);
-        let picked: Vec<usize> = match (&queue[leader].signature, self.config.coalescing) {
-            (Some(signature), true) => {
-                let mut same: Vec<usize> = (0..queue.len())
-                    .filter(|&i| {
-                        eligible(&queue[i]) && queue[i].signature.as_ref() == Some(signature)
-                    })
-                    .collect();
-                if same.len() > cap {
-                    same.sort_unstable_by_key(|&i| queue[i].sort_key());
-                    same.truncate(cap);
-                    same.sort_unstable();
-                }
-                same
-            }
+        let leader_batch = || match &queue[leader].signature {
+            Some(signature) if self.config.coalescing => batch_of(signature),
             _ => vec![leader],
+        };
+        let picked: Vec<usize> = match filled {
+            None => leader_batch(),
+            Some(signature) => {
+                let full = batch_of(signature);
+                if full.len() < cap {
+                    return false;
+                }
+                if full.iter().all(|&i| queue[leader].band < queue[i].band) {
+                    leader_batch()
+                } else {
+                    full
+                }
+            }
         };
         let batch = state.queue.take(&picked);
         state.vclock = state.vclock.max(batch[0].tag);
@@ -594,88 +633,85 @@ impl Core {
                 ledger_ctx.note_launch(&job.tenant);
             }
         }
-        match &batch[0].work {
-            JobWork::Packable(_) => {
-                state.stats.packed_batches += 1;
-                let device = self.pick_device();
-                let members: Vec<BatchMember> = batch
-                    .iter()
-                    .map(|j| BatchMember {
-                        slot: j.slot.clone(),
-                        tenant: j.tenant.clone(),
-                        footprint: j.footprint,
-                        pending: j.pending.clone(),
-                        report: JobReport {
-                            job_id: j.id,
-                            tenant: j.tenant.to_string(),
-                            device: Some(device),
-                            batch_jobs: batch.len(),
-                            submit_virt: j.submit_virt,
-                            complete_virt: SimTime::ZERO,
-                        },
-                    })
-                    .collect();
-                let launched = {
-                    let packables: Vec<&dyn ErasedPackable> = batch
-                        .iter()
-                        .map(|j| match &j.work {
-                            JobWork::Packable(p) => p.as_ref(),
-                            JobWork::Opaque(_) => {
-                                unreachable!("a signature match implies a packable job")
-                            }
-                        })
-                        .collect();
-                    packables[0].launch(
-                        &packables,
-                        device,
-                        members,
-                        self.runtime.clone(),
-                        self.counters.clone(),
-                    )
-                };
-                match launched {
-                    Ok(resolve) => state.inflight.push(InFlight {
-                        resolve,
-                        jobs: batch,
-                    }),
-                    Err(e) => {
-                        let error = ServeError::from(e);
-                        for job in batch {
-                            self.settle_failed_job(state, job, error.clone());
-                        }
-                    }
-                }
-            }
-            JobWork::Opaque(_) => {
-                state.stats.opaque_jobs += 1;
-                let job = batch
-                    .into_iter()
-                    .next()
-                    .expect("opaque batches hold one job");
-                let outcome = match &job.work {
-                    JobWork::Opaque(run) => run(),
-                    JobWork::Packable(_) => unreachable!("matched opaque above"),
-                };
-                match outcome {
-                    Ok(payload) => {
-                        ledger_ctx.credit(&job.tenant, job.footprint);
-                        job.pending.fetch_sub(1, Ordering::Relaxed);
-                        let report = JobReport {
-                            job_id: job.id,
-                            tenant: job.tenant.to_string(),
-                            device: None,
-                            batch_jobs: 1,
-                            submit_virt: job.submit_virt,
-                            complete_virt: self.runtime.now(),
-                        };
-                        job.slot.complete(payload, report);
-                        self.counters.completed.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(e) => self.settle_failed_job(state, job, ServeError::from(e)),
-                }
+        if batch[0].signature.is_some() {
+            self.launch_packed_locked(state, batch);
+        } else {
+            // Picked alone: a job without a signature is its own batch.
+            for job in batch {
+                self.run_alone_locked(state, job);
             }
         }
         true
+    }
+
+    /// Pack `batch` (one signature, dispatch order) into one launch on the
+    /// least-loaded device and put it in flight.
+    fn launch_packed_locked(&self, state: &mut CoreState, batch: Vec<QueuedJob>) {
+        state.stats.packed_batches += 1;
+        let device = self.pick_device();
+        let members: Vec<BatchMember> = batch
+            .iter()
+            .map(|j| BatchMember {
+                slot: j.slot.clone(),
+                tenant: j.tenant.clone(),
+                footprint: j.footprint,
+                pending: j.pending.clone(),
+                report: JobReport {
+                    job_id: j.id,
+                    tenant: j.tenant.to_string(),
+                    device: Some(device),
+                    batch_jobs: batch.len(),
+                    submit_virt: j.submit_virt,
+                    complete_virt: SimTime::ZERO,
+                },
+            })
+            .collect();
+        let peers: Vec<&dyn ErasedJob> = batch.iter().map(|j| j.work.as_ref()).collect();
+        let launched = peers[0].launch(
+            &peers,
+            device,
+            members,
+            self.runtime.clone(),
+            self.counters.clone(),
+        );
+        match launched {
+            Ok(resolve) => state.inflight.push(InFlight {
+                resolve,
+                jobs: batch,
+            }),
+            Err(e) => {
+                let error = ServeError::from(e);
+                for job in batch {
+                    self.settle_failed_job(state, job, error.clone());
+                }
+            }
+        }
+    }
+
+    /// Run an opaque job (its plan contains a scan) through the plan
+    /// executor, synchronously.
+    fn run_alone_locked(&self, state: &mut CoreState, job: QueuedJob) {
+        state.stats.opaque_jobs += 1;
+        match job.work.collect() {
+            Ok(payload) => {
+                self.runtime
+                    .context()
+                    .ledger()
+                    .credit(&job.tenant, job.footprint);
+                job.pending.fetch_sub(1, Ordering::Relaxed);
+                let report = JobReport {
+                    job_id: job.id,
+                    tenant: job.tenant.to_string(),
+                    device: None,
+                    batch_jobs: 1,
+                    submit_virt: job.submit_virt,
+                    complete_virt: self.runtime.now(),
+                };
+                job.slot.complete(payload, report);
+                self.counters.completed.fetch_add(1, Ordering::Relaxed);
+            }
+            Err(e) => self.settle_failed_job(state, job, ServeError::from(e)),
+        }
     }
 
     /// Decide between replay and terminal failure for a job whose attempt
@@ -696,7 +732,7 @@ impl Core {
             // the replay re-uploads instead of trusting a stale buffer. If
             // the authoritative copy itself is gone (it lived on a lost
             // device), degrade gracefully to a typed terminal failure.
-            if let Err(refresh_err) = (job.refresh)() {
+            if let Err(refresh_err) = job.work.refresh() {
                 job.fail_now(&self.runtime, ServeError::Skel(refresh_err), &self.counters);
                 return;
             }
@@ -779,20 +815,36 @@ impl Core {
         true
     }
 
-    /// Make one unit of progress (used by blocking submits to free a
-    /// watermark): dispatch one batch, else resolve the oldest in-flight
-    /// launch. Returns false when there is nothing left to drive.
-    pub(crate) fn make_room(&self) -> bool {
+    /// Make one unit of progress for `tenant`'s blocking submit, refused at
+    /// a watermark, splitting no batch that settling can spare. A refusal at
+    /// a full queue has already sent the leader's batch (`Core::admit`),
+    /// so this has nothing to do unless a watermark still holds. The
+    /// tenant's `max_pending` counts in-flight jobs too: settle the oldest
+    /// in-flight launch; only when nothing is in flight, dispatch the WFQ
+    /// leader's (possibly partial) batch; else advance the clock to a
+    /// backing-off job's release. Returns false when there is nothing left
+    /// to drive.
+    pub(crate) fn make_room(&self, tenant: &str) -> bool {
         let mut state = self.state.lock();
-        if self.dispatch_one_locked(&mut state) {
-            return true;
+        let at_max_pending = state
+            .tenants
+            .get(tenant)
+            .is_some_and(|t| t.pending.load(Ordering::Relaxed) >= t.config.max_pending.max(1));
+        let queue_full = state.queue.jobs.len() >= self.config.max_queue_depth.max(1);
+        !(at_max_pending || queue_full)
+            || self.settle_oldest_locked(&mut state)
+            || self.dispatch_one_locked(&mut state, None)
+            || self.advance_to_backoff_locked(&mut state)
+    }
+
+    /// Resolve the oldest in-flight launch; false when none is in flight.
+    fn settle_oldest_locked(&self, state: &mut CoreState) -> bool {
+        if state.inflight.is_empty() {
+            return false;
         }
-        if !state.inflight.is_empty() {
-            let batch = state.inflight.remove(0);
-            self.settle_resolved(&mut state, batch);
-            return true;
-        }
-        self.advance_to_backoff_locked(&mut state)
+        let batch = state.inflight.remove(0);
+        self.settle_resolved(state, batch);
+        true
     }
 
     /// Dispatch everything queued and resolve every in-flight launch, in
@@ -804,7 +856,7 @@ impl Core {
 
     fn drain_locked(&self, state: &mut CoreState) {
         loop {
-            while self.dispatch_one_locked(state) {}
+            while self.dispatch_one_locked(state, None) {}
             if !state.inflight.is_empty() {
                 let resolvers: Vec<InFlight> = state.inflight.drain(..).collect();
                 for batch in resolvers {

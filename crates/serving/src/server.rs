@@ -17,12 +17,16 @@ pub struct ServerConfig {
     /// coalescing off every job dispatches as a batch of one through the
     /// same packed path, so results are bit-identical either way.
     pub coalescing: bool,
-    /// Maximum jobs per packed launch; reaching it triggers an eager
-    /// dispatch at admission. Clamped to at least 1.
+    /// Maximum jobs per packed launch. The admission that queues the
+    /// cap-th job of one signature dispatches those jobs at once (after any
+    /// higher priority band's); a smaller batch waits for a drain, a full
+    /// queue or a blocked submit — or, while a queued job has a deadline,
+    /// leaves beside the next batch that fills. Clamped to at least 1.
     pub coalesce_cap: usize,
     /// Server-wide backpressure watermark on admitted-but-undispatched
-    /// jobs; submissions past it return [`ServeError::WouldBlock`] (or
-    /// make room, for blocking submits). Clamped to at least 1.
+    /// jobs; a submission past it dispatches the leader's batch, partial or
+    /// not, and returns [`ServeError::WouldBlock`] (a blocking submit then
+    /// retries). Clamped to at least 1.
     pub max_queue_depth: usize,
     /// Replays granted to a job whose attempt dies with an *injected*
     /// fault, unless overridden per job through
@@ -205,8 +209,8 @@ impl Session {
         self.core.admit_plan(&self.tenant, plan, options)
     }
 
-    /// Submit a vector pipeline job, making room (dispatching queued
-    /// batches and resolving in-flight launches) until admission succeeds.
+    /// Submit a vector pipeline job, making room (resolving in-flight
+    /// launches, dispatching queued batches) until admission succeeds.
     pub fn submit_vec<T: DeviceScalar>(&self, plan: &PlanVec<T>) -> Result<JobHandle<Vec<T>>> {
         self.submit_vec_with(plan, JobOptions::default())
     }
@@ -220,8 +224,11 @@ impl Session {
         self.submit(plan, options)
     }
 
-    /// Admit `plan`, making room — dispatching queued batches and resolving
-    /// in-flight launches — whenever a watermark is hit.
+    /// Admit `plan`, making room whenever a watermark is hit: at the
+    /// server's `max_queue_depth` the refusal has already dispatched the
+    /// leader's batch; at the tenant's `max_pending`, settle the oldest
+    /// in-flight launch, or dispatch the leader's batch, partial or not,
+    /// when nothing is in flight.
     fn submit<T: DeviceScalar, K: PlanKind<T>>(
         &self,
         plan: &Plan<T, K>,
@@ -230,7 +237,7 @@ impl Session {
         loop {
             match self.core.admit_plan(&self.tenant, plan, options) {
                 Err(ServeError::WouldBlock) => {
-                    if !self.core.make_room() {
+                    if !self.core.make_room(&self.tenant) {
                         return Err(ServeError::WouldBlock);
                     }
                 }

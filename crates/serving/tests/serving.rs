@@ -12,7 +12,9 @@
 use proptest::prelude::*;
 
 use skelcl::prelude::*;
-use skelcl_serving::{JobReport, Priority, ServeError, Server, ServerConfig, TenantConfig};
+use skelcl_serving::{
+    JobOptions, JobReport, Priority, ServeError, Server, ServerConfig, TenantConfig,
+};
 
 fn double() -> Map<f32, f32> {
     Map::from_source("float func(float x) { return 2.0f * x; }")
@@ -59,14 +61,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Every coalesced job's result is bit-identical to running the same
-    /// plan sequentially through the ordinary executor.
+    /// plan sequentially through the ordinary executor. Lengths are ragged
+    /// and none is a multiple of 64, so no job but the first starts on a
+    /// 64-lane boundary of the packed launch; past the cap (64), the first
+    /// 64 jobs dispatch full and the rest at the flush.
     #[test]
     fn coalesced_jobs_match_sequential_bitwise(
         devices in 1usize..=3,
-        lens in prop::collection::vec(1usize..48, 2..8),
+        lens in prop::collection::vec(
+            (1usize..200).prop_map(|len| if len % 64 == 0 { len + 1 } else { len }),
+            2..96,
+        ),
         seed in 0u64..1_000,
     ) {
         let rt = skelcl::init_gpus(devices);
+        let ref_rt = skelcl::init_gpus(devices);
         let server = Server::new(rt.clone());
         server.add_tenant("t", TenantConfig::default()).unwrap();
         let session = server.session("t").unwrap();
@@ -83,20 +92,23 @@ proptest! {
             let plan = v.lazy().zip(&w, &m).map(&d);
             handles.push(session.submit_vec(&plan).unwrap());
 
-            let ref_rt = skelcl::init_gpus(devices);
             let rv = Vector::from_vec(&ref_rt, xs);
             let rw = Vector::from_vec(&ref_rt, ys);
             expected.push(rv.lazy().zip(&rw, &m).map(&d).collect().unwrap());
         }
         server.flush();
-        for (handle, expect) in handles.into_iter().zip(expected) {
+        let sizes: Vec<usize> = lens.chunks(64).map(<[usize]>::len).collect();
+        for (i, (handle, expect)) in handles.into_iter().zip(expected).enumerate() {
             let (got, report) = handle.wait().unwrap();
-            prop_assert_eq!(bits(&got), bits(&expect));
-            prop_assert_eq!(report.batch_jobs, lens.len());
+            prop_assert_eq!(bits(&got), bits(&expect), "job {} (len {})", i, lens[i]);
+            prop_assert_eq!(report.batch_jobs, sizes[i / 64]);
         }
         let trace = server.trace();
-        prop_assert_eq!(trace.packed_batches, 1);
-        prop_assert_eq!(trace.coalesced_jobs, lens.len());
+        prop_assert_eq!(trace.packed_batches, sizes.len());
+        prop_assert_eq!(
+            trace.coalesced_jobs,
+            sizes.iter().filter(|&&n| n > 1).sum::<usize>()
+        );
     }
 }
 
@@ -600,59 +612,87 @@ fn a_wave_of_three_shapes_lowers_three_times() {
     assert_eq!(server.trace().jobs_completed, 4096);
 }
 
-/// A `serving_mix`-shaped wave: 2 048 jobs from 4 weighted tenants on 2
-/// devices — 1 536 of one map, 384 maps and 128 map → reduce jobs over 64
-/// variants of a second map that differ only in a `float` literal. The
-/// literals are per-job data, so
-/// the wave lowers and builds three packed shapes and takes at most 64
-/// packed batches; every job gets its own bits; a second wave lowers
-/// nothing.
-#[test]
-fn a_wave_of_literal_variants_builds_three_programs() {
-    let rt = skelcl::init_gpus(2);
-    let one = skelcl::init_gpus(1);
-    let server = Server::new(rt.clone());
-    let sessions: Vec<_> = (0..4u32)
-        .map(|t| {
-            let name = format!("t{t}");
-            server
-                .add_tenant(&name, TenantConfig::weighted(t + 1))
-                .unwrap();
-            server.session(&name).unwrap()
-        })
-        .collect();
-    let shared = Map::<f32, f32>::from_source("float func(float x) { return 2.0f * x + 0.5f; }");
-    let variants: Vec<Map<f32, f32>> = (0..64)
-        .map(|k| {
-            Map::from_source(&format!(
-                "float func(float x) {{ return x * {k}.5f + 1.0f; }}"
-            ))
-        })
-        .collect();
-    let sum = fsum();
-    let wave = || {
-        let before = server.trace().packed_batches;
+/// Packed batches in one literal-variant wave: 1 536 / 64 + 384 / 64 +
+/// 128 / 64, every batch full.
+const WAVE_BATCHES: usize = 32;
+
+/// Virtual nanoseconds of a warm four-tenant literal-variant wave on 2
+/// devices, from its first submit until its last result is claimed. A
+/// batch that dispatches part-full, or a launch that costs one command
+/// more, moves it.
+const WAVE_VIRT_NS: u64 = 737_228;
+
+/// A `serving_mix`-shaped wave: 2 048 jobs on 2 devices — 1 536 of one
+/// map, 384 maps and 128 map → reduce jobs over 64 variants of a second map
+/// that differ only in a `float` literal. The literals are per-job data, so
+/// the wave lowers and builds three packed shapes.
+struct LiteralWave {
+    rt: std::sync::Arc<skelcl::SkelCl>,
+    one: std::sync::Arc<skelcl::SkelCl>,
+    server: Server,
+    sessions: Vec<skelcl_serving::Session>,
+    shared: Map<f32, f32>,
+    variants: Vec<Map<f32, f32>>,
+    sum: Reduce<f32>,
+}
+
+impl LiteralWave {
+    /// `tenants` tenants of weights 1, 2, …, at the default `max_pending`
+    /// (1 024): one tenant reaches it halfway through a wave.
+    fn new(tenants: u32) -> LiteralWave {
+        let rt = skelcl::init_gpus(2);
+        let server = Server::new(rt.clone());
+        let sessions = (0..tenants)
+            .map(|t| {
+                let name = format!("t{t}");
+                server
+                    .add_tenant(&name, TenantConfig::weighted(t + 1))
+                    .unwrap();
+                server.session(&name).unwrap()
+            })
+            .collect();
+        LiteralWave {
+            rt,
+            one: skelcl::init_gpus(1),
+            server,
+            sessions,
+            shared: Map::from_source("float func(float x) { return 2.0f * x + 0.5f; }"),
+            variants: (0..64)
+                .map(|k| {
+                    Map::from_source(&format!(
+                        "float func(float x) {{ return x * {k}.5f + 1.0f; }}"
+                    ))
+                })
+                .collect(),
+            sum: fsum(),
+        }
+    }
+
+    /// Run one wave, checking every job's bits; returns its packed batches
+    /// and its virtual nanoseconds.
+    fn run(&self) -> (usize, u64) {
+        let (rt, server) = (&self.rt, &self.server);
+        let before = (server.trace().packed_batches, rt.now());
         let (mut vecs, mut scalars) = (Vec::new(), Vec::new());
         for i in 0..2048usize {
             let data = input(i as u64, 64);
-            let v = Vector::from_vec(&rt, data.clone());
+            let v = Vector::from_vec(rt, data.clone());
             let k = i * 37 % 64;
-            let session = &sessions[i * 5 / 3 % 4];
+            let session = &self.sessions[i * 5 / 3 % self.sessions.len()];
             match i % 16 {
                 15 => {
-                    let plan = v.lazy().map(&variants[k]).reduce(&sum);
+                    let plan = v.lazy().map(&self.variants[k]).reduce(&self.sum);
                     scalars.push((k, data, session.submit_scalar(&plan).unwrap()));
                 }
                 3 | 7 | 11 => {
                     let want = data.iter().map(|x| x * (k as f32 + 0.5) + 1.0).collect();
-                    vecs.push((
-                        want,
-                        session.submit_vec(&v.lazy().map(&variants[k])).unwrap(),
-                    ));
+                    let plan = v.lazy().map(&self.variants[k]);
+                    vecs.push((want, session.submit_vec(&plan).unwrap()));
                 }
                 _ => {
                     let want = data.iter().map(|x| 2.0 * x + 0.5).collect();
-                    vecs.push((want, session.submit_vec(&v.lazy().map(&shared)).unwrap()));
+                    let plan = v.lazy().map(&self.shared);
+                    vecs.push((want, session.submit_vec(&plan).unwrap()));
                 }
             }
         }
@@ -662,26 +702,232 @@ fn a_wave_of_literal_variants_builds_three_programs() {
             assert_eq!(bits(&handle.wait().unwrap().0), bits(&want));
         }
         for (k, data, handle) in scalars {
-            let alone = Vector::from_vec(&one, data)
+            let alone = Vector::from_vec(&self.one, data)
                 .lazy()
-                .map(&variants[k])
-                .reduce(&sum);
+                .map(&self.variants[k])
+                .reduce(&self.sum);
             let got = handle.wait().unwrap().0;
             assert_eq!(got.to_bits(), alone.scalar().unwrap().to_bits());
         }
-        server.trace().packed_batches - before
-    };
-    let batches = wave();
-    assert!(batches <= 64, "{batches} packed batches");
-    let first = rt.exec_trace();
+        (
+            server.trace().packed_batches - before.0,
+            (rt.now() - before.1).as_nanos(),
+        )
+    }
+}
+
+/// Four weighted tenants, as in `serving_mix`: every batch dispatches full,
+/// the wave's virtual time is pinned, and a second wave lowers nothing.
+#[test]
+fn a_wave_of_literal_variants_builds_three_programs() {
+    let wave = LiteralWave::new(4);
+    assert_eq!(wave.run().0, WAVE_BATCHES);
+    let first = wave.rt.exec_trace();
     assert_eq!((first.plan_lowerings, first.programs_built), (3, 3));
-    wave();
-    let second = rt.exec_trace();
+    assert_eq!(wave.run(), (WAVE_BATCHES, WAVE_VIRT_NS));
+    let second = wave.rt.exec_trace();
     assert_eq!(
         (second.plan_lowerings, second.programs_built),
         (3, 3),
         "a warm wave lowers nothing"
     );
+    assert_eq!(wave.server.trace().would_blocks, 0);
+}
+
+/// One tenant submits the whole wave and reaches its `max_pending` halfway:
+/// the blocking submit settles in-flight batches to make room instead of
+/// dispatching part-full ones, so the wave takes as many batches as four
+/// tenants' does.
+#[test]
+fn a_single_tenant_wave_takes_as_many_batches() {
+    let wave = LiteralWave::new(1);
+    for _ in 0..2 {
+        assert_eq!(wave.run().0, WAVE_BATCHES);
+    }
+    assert!(wave.server.trace().would_blocks > 0);
+}
+
+/// The coalesce-cap trigger dispatches the batch that filled, not the WFQ
+/// leader's: one queued job of signature B leads the queue, then four jobs
+/// of signature A fill a batch of four. The four A jobs go out at once, led
+/// by the smallest WFQ key among them — `heavy`'s second job, not `light`'s
+/// first admitted — and B waits for the drain.
+#[test]
+fn the_cap_trigger_dispatches_the_batch_that_filled() {
+    let rt = skelcl::init_gpus(2);
+    let server = Server::with_config(
+        rt.clone(),
+        ServerConfig {
+            coalesce_cap: 4,
+            ..ServerConfig::default()
+        },
+    );
+    server
+        .add_tenant("heavy", TenantConfig::weighted(2))
+        .unwrap();
+    server
+        .add_tenant("light", TenantConfig::weighted(1))
+        .unwrap();
+    let heavy = server.session("heavy").unwrap();
+    let light = server.session("light").unwrap();
+    let (a, b) = (double(), square());
+
+    // B first, from `heavy`: the smallest key of all.
+    let data_b = input(0, 4);
+    let job_b = heavy
+        .submit_vec(&Vector::from_vec(&rt, data_b.clone()).lazy().map(&b))
+        .unwrap();
+    // `light`'s first A job is long, so its key sorts after `heavy`'s.
+    let a_jobs: Vec<_> = [(&light, 64), (&heavy, 4), (&light, 4), (&heavy, 4)]
+        .into_iter()
+        .enumerate()
+        .map(|(i, (session, len))| {
+            let data = input(1 + i as u64, len);
+            let plan = Vector::from_vec(&rt, data.clone()).lazy().map(&a);
+            (data, session.submit_vec(&plan).unwrap())
+        })
+        .collect();
+    let trace = server.trace();
+    assert_eq!(trace.batch_sizes, [4]);
+    assert_eq!(trace.dispatch_tenants, ["heavy"]);
+    assert_eq!((trace.jobs_queued, trace.batches_inflight), (1, 1));
+
+    server.flush();
+    let trace = server.trace();
+    assert_eq!(trace.batch_sizes, [4, 1]);
+    assert_eq!(trace.dispatch_tenants, ["heavy", "heavy"]);
+    for (data, handle) in a_jobs {
+        let (got, report) = handle.wait().unwrap();
+        let want: Vec<f32> = data.iter().map(|x| 2.0 * x).collect();
+        assert_eq!(bits(&got), bits(&want));
+        assert_eq!(report.batch_jobs, 4);
+    }
+    let (got, report) = job_b.wait().unwrap();
+    let want: Vec<f32> = data_b.iter().map(|x| x * x).collect();
+    assert_eq!(bits(&got), bits(&want));
+    assert_eq!(report.batch_jobs, 1);
+}
+
+/// Bands stay strict when a batch fills: a high-priority job of signature
+/// B is queued, then a low-priority tenant fills a batch of signature A.
+/// The admission that fills it sends B first, then the full A batch.
+#[test]
+fn a_filled_batch_waits_for_a_higher_band() {
+    let rt = skelcl::init_gpus(2);
+    let server = Server::with_config(
+        rt.clone(),
+        ServerConfig {
+            coalesce_cap: 4,
+            ..ServerConfig::default()
+        },
+    );
+    for (name, priority) in [("high", Priority::High), ("low", Priority::Low)] {
+        let config = TenantConfig {
+            priority,
+            ..TenantConfig::default()
+        };
+        server.add_tenant(name, config).unwrap();
+    }
+    let (a, b) = (double(), square());
+    let plan = |seed: u64, f: &Map<f32, f32>| Vector::from_vec(&rt, input(seed, 8)).lazy().map(f);
+    let high = server.session("high").unwrap();
+    let low = server.session("low").unwrap();
+    let mut handles = vec![high.submit_vec(&plan(0, &b)).unwrap()];
+    for seed in 1..4 {
+        handles.push(low.submit_vec(&plan(seed, &a)).unwrap());
+        assert_eq!(server.trace().batches, 0);
+    }
+    handles.push(low.submit_vec(&plan(4, &a)).unwrap());
+    let trace = server.trace();
+    assert_eq!(trace.dispatch_tenants, ["high", "low"]);
+    assert_eq!(trace.batch_sizes, [1, 4]);
+    assert_eq!(trace.jobs_queued, 0);
+    for handle in handles {
+        handle.wait().unwrap();
+    }
+}
+
+/// While a job with a deadline is queued, partial batches do not wait to
+/// fill: the admission that fills another signature's batch also sends the
+/// leader's partial batch — here the deadline job's own.
+#[test]
+fn a_deadline_job_leaves_beside_the_batch_that_fills() {
+    let rt = skelcl::init_gpus(2);
+    let server = Server::with_config(
+        rt.clone(),
+        ServerConfig {
+            coalesce_cap: 4,
+            ..ServerConfig::default()
+        },
+    );
+    server.add_tenant("t", TenantConfig::default()).unwrap();
+    let session = server.session("t").unwrap();
+    let (a, b) = (double(), square());
+    let plan = |seed: u64, f: &Map<f32, f32>| Vector::from_vec(&rt, input(seed, 8)).lazy().map(f);
+    let deadline = JobOptions::with_deadline(rt.now() + oclsim::SimDuration::from_secs_f64(1.0));
+    let job_b = session.submit_vec_with(&plan(0, &b), deadline).unwrap();
+    let a_jobs: Vec<_> = (1..5)
+        .map(|seed| session.submit_vec(&plan(seed, &a)).unwrap())
+        .collect();
+    let trace = server.trace();
+    assert_eq!(trace.batch_sizes, [4, 1]);
+    assert_eq!(trace.jobs_queued, 0);
+    assert_eq!(job_b.wait().unwrap().1.batch_jobs, 1);
+    for handle in a_jobs {
+        handle.wait().unwrap();
+    }
+    assert_eq!(server.trace().jobs_deadline_failed, 0);
+}
+
+/// A client that only calls `try_submit_*` and never waits: partial batches
+/// of four slow signatures fill the queue between the fast signature's full
+/// batches. A refusal at the full queue sends the leader's batch, so every
+/// refused job is admitted when it retries, and every job gets its bits.
+#[test]
+fn a_try_submit_stream_over_several_signatures_keeps_moving() {
+    let rt = skelcl::init_gpus(2);
+    let one = skelcl::init_gpus(1);
+    let server = Server::with_config(
+        rt.clone(),
+        ServerConfig {
+            coalesce_cap: 4,
+            max_queue_depth: 8,
+            ..ServerConfig::default()
+        },
+    );
+    server.add_tenant("t", TenantConfig::default()).unwrap();
+    let session = server.session("t").unwrap();
+    let fast = double();
+    let slow: Vec<Map<f32, f32>> = ["x * x", "x + x * x", "-x", "x * x * x"]
+        .iter()
+        .map(|body| Map::from_source(&format!("float func(float x) {{ return {body}; }}")))
+        .collect();
+    let mut jobs = Vec::new();
+    for i in 0..96u64 {
+        let map = if i % 2 == 0 {
+            &fast
+        } else {
+            &slow[(i / 2 % 4) as usize]
+        };
+        let data = input(i, 8 + i as usize % 5);
+        let plan = Vector::from_vec(&rt, data.clone()).lazy().map(map);
+        let handle = match session.try_submit_vec(&plan) {
+            Err(ServeError::WouldBlock) => session.try_submit_vec(&plan).unwrap(),
+            admitted => admitted.unwrap(),
+        };
+        jobs.push((map, data, handle));
+    }
+    let trace = server.trace();
+    assert!(trace.would_blocks > 0, "the queue never filled");
+    assert!(trace.max_queue_depth_seen <= 8);
+    for (map, data, handle) in jobs {
+        let want = Vector::from_vec(&one, data)
+            .lazy()
+            .map(map)
+            .collect()
+            .unwrap();
+        assert_eq!(bits(&handle.wait().unwrap().0), bits(&want));
+    }
 }
 
 /// The dispatch history is a window, not a log: 10 000 batches leave the
