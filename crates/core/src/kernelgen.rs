@@ -69,9 +69,9 @@ pub struct UdfInfo {
     /// Every function the source defines, in definition order (what fusion
     /// renames when it concatenates stages into one kernel).
     pub defined_functions: Vec<String>,
-    /// Static per-invocation cost estimate of the user function — the one
-    /// figure behind the scheduler's cost hint and the stencil's exchange
-    /// cadence.
+    /// Static per-invocation cost estimate of the user function
+    /// ([`skelcl_kernel::cost::estimate_function`]) — the one figure behind
+    /// the scheduler's cost hint and the stencil's exchange cadence.
     pub cost: CostEstimate,
     /// The packed form, computed at its first use.
     lifted: LiftCache,
@@ -153,6 +153,9 @@ impl UdfInfo {
     /// * Its first `main_inputs` parameters are the skeleton's element
     ///   inputs; the rest are additional arguments, which must be scalars
     ///   (vector additional arguments require a native UDF, see DESIGN.md).
+    /// * The source is type-checked on its own, so an ill-typed UDF is
+    ///   reported here (by the skeleton's first call), and its cost is
+    ///   estimated from the checked tree with the engines' cost table.
     pub fn analyze(source: &str, main_inputs: usize) -> Result<UdfInfo> {
         let tokens = skelcl_kernel::lexer::lex(source)?;
         let unit = skelcl_kernel::parser::parse(&tokens, source)?;
@@ -204,17 +207,23 @@ impl UdfInfo {
                 Type::Void => unreachable!("void parameters are rejected by the parser"),
             }
         }
+        let name = func.name.clone();
+        // The estimate charges the engines' table, which needs the types and
+        // callees the checker records.
+        let unit = skelcl_kernel::sema::check(unit)?;
+        let udf = resolve_udf(&unit, "user function source")?;
+        let cost = skelcl_kernel::cost::estimate_function(&unit, udf);
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
         source.hash(&mut hasher);
         Ok(UdfInfo {
-            name: func.name.clone(),
+            name,
             main_params,
             extra_params,
             return_type,
             source: source.to_string(),
             source_hash: hasher.finish(),
             defined_functions: unit.functions.iter().map(|f| f.name.clone()).collect(),
-            cost: skelcl_kernel::cost::estimate_function(&unit, func),
+            cost,
             lifted: LiftCache::default(),
         })
     }
@@ -941,6 +950,32 @@ mod tests {
             info.source_hash,
             UdfInfo::analyze(ADD, 2).unwrap().source_hash
         );
+    }
+
+    /// The estimate charges the engines' table on the checked tree: the
+    /// heat stencil's four `get`s and two negations, and a helper's body
+    /// inlined at both of its calls (an unchecked tree would leave both
+    /// calls and `sqrt` unresolved, at no cost).
+    #[test]
+    fn analyze_estimates_the_checked_udf() {
+        let cost = |src| {
+            let c = UdfInfo::analyze(src, 1).unwrap().cost;
+            (c.flops, c.global_bytes, c.ops)
+        };
+        let heat = "float func(float u) { return u + 0.2f * (get(0, -1) + get(0, 1) \
+                    + get(-1, 0) + get(1, 0) - 4.0f * u); }";
+        assert_eq!(cost(heat), (25.0, 16.0, 18.0));
+        let helper = "float sq(float x) { return x * x; }\n\
+                      float func(float x, float y) { return sqrt(sq(x) + sq(y)); }";
+        assert_eq!(cost(helper), (7.0, 0.0, 7.0));
+    }
+
+    /// An ill-typed UDF is rejected by its analysis, before any kernel is
+    /// rendered around it.
+    #[test]
+    fn analyze_type_checks_the_udf() {
+        let err = UdfInfo::analyze("float func(float x) { return x + y; }", 1).unwrap_err();
+        assert!(matches!(err, SkelError::Udf(_)), "{err:?}");
     }
 
     #[test]

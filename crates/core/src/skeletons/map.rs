@@ -78,16 +78,19 @@ impl<I: Pod, O: Pod> Map<I, O> {
     where
         F: Fn(&I, &mut ArgAccess<'_, '_>) -> O + Send + Sync + 'static,
     {
-        Map {
-            udf: Udf::closure(Arc::new(f)),
-        }
+        Map::with_cost(f, CostHint::DEFAULT)
     }
 
-    /// Override the per-element cost hint used by the virtual-time model
-    /// (native UDFs only; source UDFs are estimated statically).
-    pub fn with_cost(mut self, cost: CostHint) -> Self {
-        self.udf = self.udf.with_cost(cost);
-        self
+    /// [`Map::new`] with the closure's per-element cost hint, which the
+    /// virtual-time model charges and the scheduler weighs. Only a closure
+    /// takes a hint: source text is estimated statically.
+    pub fn with_cost<F>(f: F, cost: CostHint) -> Map<I, O>
+    where
+        F: Fn(&I, &mut ArgAccess<'_, '_>) -> O + Send + Sync + 'static,
+    {
+        Map {
+            udf: Udf::closure(Arc::new(f), cost),
+        }
     }
 
     /// Begin a launch of this skeleton over `input` — a [`Vector`] or a

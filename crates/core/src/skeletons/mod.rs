@@ -269,7 +269,8 @@ mod tests {
         assert_eq!(fold(&udf, &mut [1.5f32, 2.0, 4.0]), 7.5);
         assert_eq!(fold(&udf, &mut [3.0f32]), 3.0);
         // A closure has no source to fuse; the one error names the stage.
-        let closure = Udf::<BinaryOp<f32>>::closure(Arc::new(|a, b| a + b));
+        let closure =
+            Udf::<BinaryOp<f32>>::closure(Arc::new(|a, b| a + b), oclsim::CostHint::DEFAULT);
         assert_eq!(fold(&closure, &mut [1.5f32, 2.0, 4.0]), 7.5);
         match closure.plan_operator("scan") {
             Err(SkelError::Plan(msg)) => assert!(msg.starts_with("scan stage uses"), "{msg}"),

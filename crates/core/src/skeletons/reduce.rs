@@ -260,14 +260,8 @@ impl<T: DeviceScalar> Reduce<T> {
         F: Fn(T, T) -> T + Send + Sync + 'static,
     {
         Reduce {
-            udf: Udf::closure(Arc::new(f)),
+            udf: Udf::closure(Arc::new(f), CostHint::DEFAULT),
         }
-    }
-
-    /// Override the per-element cost hint (native operators).
-    pub fn with_cost(mut self, cost: CostHint) -> Self {
-        self.udf = self.udf.with_cost(cost);
-        self
     }
 
     /// Begin a launch of this skeleton over `input` — a [`Vector`] or a

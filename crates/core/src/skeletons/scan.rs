@@ -82,14 +82,8 @@ impl<T: DeviceScalar> Scan<T> {
         F: Fn(T, T) -> T + Send + Sync + 'static,
     {
         Scan {
-            udf: Udf::closure(Arc::new(f)),
+            udf: Udf::closure(Arc::new(f), CostHint::DEFAULT),
         }
-    }
-
-    /// Override the per-element cost hint (native operators).
-    pub fn with_cost(mut self, cost: CostHint) -> Self {
-        self.udf = self.udf.with_cost(cost);
-        self
     }
 
     /// Begin a launch of this skeleton over `input`:

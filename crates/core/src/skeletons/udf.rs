@@ -69,24 +69,13 @@ impl<F: ?Sized> Udf<F> {
         }
     }
 
-    pub(crate) fn closure(f: Arc<F>) -> Udf<F> {
+    /// A closure with its per-element cost hint (source text is estimated
+    /// statically, so only a closure takes one).
+    pub(crate) fn closure(f: Arc<F>, cost: CostHint) -> Udf<F> {
         Udf::Closure {
             f,
-            cost: CostHint::DEFAULT,
+            cost,
             kernels: Default::default(),
-        }
-    }
-
-    /// Override a closure's per-element cost hint (source text is estimated
-    /// statically, so it keeps its estimate).
-    pub(crate) fn with_cost(self, cost: CostHint) -> Udf<F> {
-        match self {
-            Udf::Closure { f, .. } => Udf::Closure {
-                f,
-                cost,
-                kernels: Default::default(),
-            },
-            source => source,
         }
     }
 
@@ -261,7 +250,8 @@ mod tests {
     /// runtime a call runs on gets the same kernels.
     #[test]
     fn closure_kernels_are_built_once_per_instance_and_kind() {
-        let udf = Udf::<BinaryOp<i32>>::closure(Arc::new(|a, b| a + b));
+        let f: Arc<BinaryOp<i32>> = Arc::new(|a, b| a + b);
+        let udf = Udf::closure(f.clone(), CostHint::DEFAULT);
         let builds = std::cell::Cell::new(0);
         let stage = |udf: &Udf<BinaryOp<i32>>, kind| {
             let stage = udf.stage::<i32>(kind, |_, cost| {
@@ -292,13 +282,11 @@ mod tests {
             2,
             "one build per kind, none per call or runtime"
         );
-        // `with_cost` re-costs the closure, so its kernels are built anew.
-        let udf = udf.with_cost(CostHint::new(9.0, 9.0));
-        let Udf::Closure { kernels, .. } = &udf else {
-            unreachable!()
-        };
-        assert!(kernels.iter().all(|slot| slot.get().is_none()));
+        // Another instance of the closure with another cost builds its own
+        // kernels, launched at that cost.
+        let udf = Udf::closure(f, CostHint::new(9.0, 9.0));
         assert_eq!(stage(&udf, StageKind::Map).cost().flops_per_item, 9.0);
+        assert_eq!(builds.get(), 3);
     }
 
     /// N calls of one closure skeleton instance launch the kernel(s) it built

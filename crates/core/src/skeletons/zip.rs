@@ -64,14 +64,8 @@ impl<A: Pod, B: Pod, O: Pod> Zip<A, B, O> {
         F: Fn(&A, &B, &mut ArgAccess<'_, '_>) -> O + Send + Sync + 'static,
     {
         Zip {
-            udf: Udf::closure(Arc::new(f)),
+            udf: Udf::closure(Arc::new(f), CostHint::DEFAULT),
         }
-    }
-
-    /// Override the per-element cost hint (native UDFs).
-    pub fn with_cost(mut self, cost: CostHint) -> Self {
-        self.udf = self.udf.with_cost(cost);
-        self
     }
 
     /// Begin a launch of this skeleton over the element pairs of `left` and

@@ -1,31 +1,43 @@
-//! Static per-work-item cost estimation.
+//! The one per-node cost table, and the static walk that predicts with it.
 //!
-//! The device simulator (`oclsim`) and SkelCL's static scheduler (paper,
-//! Section V) need an *analytical* model of how expensive one work-item of a
-//! kernel is. SkelCL's advantage over raw OpenCL — as argued in the paper —
-//! is that the skeleton structure is known, so only the user-defined function
-//! needs to be analysed. This module walks a function's AST and counts
+//! `charge` prices one evaluation of an expression node and
+//! `STMT_CHARGE` one statement, in
 //!
 //! * floating point operations (`flops`),
 //! * global-memory traffic in bytes (`global_bytes`),
-//! * an estimate of executed statements (`ops`), used as a proxy for integer
-//!   and control-flow work.
+//! * node and statement evaluations (`ops`), a proxy for integer and
+//!   control-flow work.
 //!
-//! Branches are averaged (both sides weighted 0.5); loops with a
-//! statically-recognisable trip count of the form `for (i = 0; i < N; i++)`
-//! where `N` is a literal are multiplied out, otherwise a default trip count
-//! is assumed. This is deliberately simple — it is a *prediction* model, and
-//! its accuracy is evaluated against measured virtual time in the scheduler
-//! benchmarks.
+//! Both engines charge this table for every node they run, which is the
+//! measured [`crate::interp::ExecStats`] the device simulator turns into
+//! virtual time. SkelCL's static scheduler (paper, Section V) needs the
+//! cost *before* anything runs: [`estimate_function`] walks a checked
+//! function and charges the same table, a node's cost being its own charge
+//! plus its children's. Where the tree alone does not say what runs, the
+//! walk assumes exactly three things:
+//!
+//! * an `if` branch, a ternary arm and the right side of `&&` / `||` each
+//!   run half the time;
+//! * a `for (i = a; i < N; i++)` loop with literal `a` and `N` (also `<=`,
+//!   `++i`, `i += 1`) runs `N − a` times; every other loop runs
+//!   [`DEFAULT_TRIP_COUNT`] times;
+//! * a call to a user function runs its body, inlined up to depth 8.
+//!
+//! Straight-line code (helper calls included) and literal-trip loops over it
+//! are predicted exactly.
 
 use crate::ast::*;
-use crate::builtins::Builtin;
 
 /// Default assumed trip count for loops whose bounds are not literal.
 pub const DEFAULT_TRIP_COUNT: f64 = 16.0;
 
-/// The cost of kernel code: estimated per work-item by this module, or
-/// measured while running (as [`crate::interp::ExecStats`]).
+/// How deep [`estimate_function`] inlines user-function calls; deeper calls
+/// add only their arguments.
+const MAX_INLINE_DEPTH: usize = 8;
+
+/// The cost of kernel code: estimated per work-item by
+/// [`estimate_function`], or measured while running (as
+/// [`crate::interp::ExecStats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CostEstimate {
     /// Floating-point operations per work-item.
@@ -67,140 +79,102 @@ impl CostEstimate {
     }
 }
 
-/// Estimate the per-invocation cost of `func` within `unit` (callees are
-/// resolved within the same unit; recursion is cut off at depth 8).
+/// Estimate the per-invocation cost of `func`, a function of the checked
+/// `unit`, by charging `charge` and `STMT_CHARGE` for every node it
+/// runs under the module's three assumptions. An unchecked unit has no
+/// resolved callees and no element types, so its estimate is too low.
 pub fn estimate_function(unit: &TranslationUnit, func: &Function) -> CostEstimate {
-    let mut est = Estimator { unit, depth: 0 };
-    est.block(&func.body)
+    Walk { unit, depth: 0 }.block(&func.body)
 }
 
-struct Estimator<'u> {
+/// The static walk: each method returns the node's own charge plus its
+/// children's, weighted by how often they run.
+struct Walk<'u> {
     unit: &'u TranslationUnit,
+    /// User-function calls inlined around the node being walked.
     depth: usize,
 }
 
-impl<'u> Estimator<'u> {
+impl Walk<'_> {
     fn block(&mut self, block: &Block) -> CostEstimate {
         block
             .stmts
             .iter()
-            .map(|s| self.stmt(s))
-            .fold(CostEstimate::default(), CostEstimate::add)
+            .fold(CostEstimate::default(), |sum, s| sum.add(self.stmt(s)))
     }
 
     fn stmt(&mut self, stmt: &Stmt) -> CostEstimate {
-        let base = CostEstimate {
-            ops: 1.0,
-            ..Default::default()
-        };
-        match stmt {
-            Stmt::Decl { init, .. } => match init {
-                Some(e) => base.add(self.expr(e)),
-                None => base,
-            },
-            Stmt::Expr(e) => base.add(self.expr(e)),
+        let children = match stmt {
+            Stmt::Decl { init: Some(e), .. } | Stmt::Expr(e) | Stmt::Return(Some(e), _) => {
+                self.expr(e)
+            }
+            Stmt::Decl { init: None, .. }
+            | Stmt::Return(None, _)
+            | Stmt::Break(_)
+            | Stmt::Continue(_) => CostEstimate::default(),
             Stmt::If {
                 cond,
                 then_block,
                 else_block,
-            } => base
-                .add(self.expr(cond))
-                .add(self.block(then_block).scale(0.5))
-                .add(self.block(else_block).scale(0.5)),
+            } => self.expr(cond).add(
+                self.block(then_block)
+                    .add(self.block(else_block))
+                    .scale(0.5),
+            ),
             Stmt::For {
                 init,
                 cond,
                 step,
                 body,
             } => {
-                let trips = cond
-                    .as_ref()
-                    .and_then(literal_trip_count)
+                let trips = literal_trips(init.as_deref(), cond.as_ref(), step.as_ref())
                     .unwrap_or(DEFAULT_TRIP_COUNT);
-                let mut per_iter = self.block(body);
-                if let Some(c) = cond {
-                    per_iter = per_iter.add(self.expr(c));
-                }
-                if let Some(s) = step {
-                    per_iter = per_iter.add(self.expr(s));
-                }
-                let init_cost = init.as_ref().map(|s| self.stmt(s)).unwrap_or_default();
-                base.add(init_cost).add(per_iter.scale(trips))
+                let init = init
+                    .as_ref()
+                    .map_or_else(CostEstimate::default, |s| self.stmt(s));
+                let [cond, step] = [cond, step].map(|e| {
+                    e.as_ref()
+                        .map_or_else(CostEstimate::default, |e| self.expr(e))
+                });
+                let trip = self.block(body).add(step);
+                init.add(cond.scale(trips + 1.0)).add(trip.scale(trips))
             }
-            Stmt::While { cond, body } => {
-                let per_iter = self.block(body).add(self.expr(cond));
-                base.add(per_iter.scale(DEFAULT_TRIP_COUNT))
-            }
-            Stmt::Return(Some(e), _) => base.add(self.expr(e)),
-            Stmt::Return(None, _) | Stmt::Break(_) | Stmt::Continue(_) => base,
-            Stmt::Block(b) => base.add(self.block(b)),
-        }
+            Stmt::While { cond, body } => self
+                .expr(cond)
+                .scale(DEFAULT_TRIP_COUNT + 1.0)
+                .add(self.block(body).scale(DEFAULT_TRIP_COUNT)),
+            Stmt::Block(b) => self.block(b),
+        };
+        STMT_CHARGE.add(children)
     }
 
     fn expr(&mut self, expr: &Expr) -> CostEstimate {
-        let one_op = CostEstimate {
-            ops: 1.0,
-            ..Default::default()
-        };
-        match &expr.kind {
+        let children = match &expr.kind {
             ExprKind::IntLit(_)
             | ExprKind::FloatLit(_)
             | ExprKind::BoolLit(_)
             | ExprKind::Var(_) => CostEstimate::default(),
-            ExprKind::Index { index, .. } => {
-                // One global-memory read of 4 bytes (all supported scalar
-                // buffer element types are 4 bytes except double, which we
-                // cannot distinguish here without a symbol table; 4 is a fair
-                // lower bound for the model).
-                self.expr(index).add(CostEstimate {
-                    global_bytes: 4.0,
-                    ops: 1.0,
-                    ..Default::default()
-                })
-            }
-            ExprKind::Unary { operand, .. } => self.expr(operand).add(CostEstimate {
-                flops: 1.0,
-                ops: 1.0,
-                ..Default::default()
-            }),
-            ExprKind::Binary { op, lhs, rhs } => {
-                let flops = if op.is_comparison() { 0.5 } else { 1.0 };
-                self.expr(lhs).add(self.expr(rhs)).add(CostEstimate {
-                    flops,
-                    ops: 1.0,
-                    ..Default::default()
-                })
-            }
-            ExprKind::Call { callee, args, .. } => {
-                let args_cost = args
+            ExprKind::Index { index: e, .. }
+            | ExprKind::Unary { operand: e, .. }
+            | ExprKind::Cast { operand: e, .. } => self.expr(e),
+            ExprKind::Binary {
+                op: BinOp::And | BinOp::Or,
+                lhs,
+                rhs,
+            } => self.expr(lhs).add(self.expr(rhs).scale(0.5)),
+            ExprKind::Binary { lhs, rhs, .. } => self.expr(lhs).add(self.expr(rhs)),
+            ExprKind::Call { target, args, .. } => {
+                let args = args
                     .iter()
-                    .map(|a| self.expr(a))
-                    .fold(CostEstimate::default(), CostEstimate::add);
-                if let Some(b) = Builtin::from_name(callee) {
-                    // The stencil neighbour access is a global load of one
-                    // 4-byte element plus its address arithmetic.
-                    let (global_bytes, ops) = if b.is_stencil_fn() {
-                        (4.0, 2.0)
-                    } else {
-                        (0.0, 1.0)
-                    };
-                    return args_cost.add(CostEstimate {
-                        flops: b.flop_cost(),
-                        global_bytes,
-                        ops,
-                    });
-                }
-                if self.depth >= 8 {
-                    return args_cost.add(one_op);
-                }
-                match self.unit.function(callee) {
-                    Some(f) => {
+                    .fold(CostEstimate::default(), |sum, a| sum.add(self.expr(a)));
+                match *target {
+                    Callee::Function(index) if self.depth < MAX_INLINE_DEPTH => {
                         self.depth += 1;
-                        let inner = self.block(&f.body);
+                        let body = self.block(&self.unit.functions[index].body);
                         self.depth -= 1;
-                        args_cost.add(inner).add(one_op)
+                        args.add(body)
                     }
-                    None => args_cost.add(one_op),
+                    _ => args,
                 }
             }
             ExprKind::Ternary {
@@ -209,62 +183,75 @@ impl<'u> Estimator<'u> {
                 else_expr,
             } => self
                 .expr(cond)
-                .add(self.expr(then_expr).scale(0.5))
-                .add(self.expr(else_expr).scale(0.5))
-                .add(one_op),
-            ExprKind::Assign { target, value, .. } => {
-                let write = match target {
-                    LValue::Index { index, .. } => self.expr(index).add(CostEstimate {
-                        global_bytes: 4.0,
-                        ops: 1.0,
-                        ..Default::default()
-                    }),
-                    LValue::Var(..) => one_op,
-                };
-                self.expr(value).add(write)
+                .add(self.expr(then_expr).add(self.expr(else_expr)).scale(0.5)),
+            // A buffer target's index is evaluated once to store and, when
+            // the old value is read first, once more to load.
+            ExprKind::Assign { op, target, value } => {
+                let index_runs = if *op == AssignOp::Assign { 1.0 } else { 2.0 };
+                self.expr(value).add(self.target(target).scale(index_runs))
             }
-            ExprKind::IncDec { target, .. } => match target {
-                LValue::Index { index, .. } => self.expr(index).add(CostEstimate {
-                    global_bytes: 8.0,
-                    flops: 1.0,
-                    ops: 1.0,
-                }),
-                LValue::Var(..) => CostEstimate {
-                    flops: 1.0,
-                    ops: 1.0,
-                    ..Default::default()
-                },
-            },
-            ExprKind::Cast { operand, .. } => self.expr(operand).add(one_op),
+            ExprKind::IncDec { target, .. } => self.target(target).scale(2.0),
+        };
+        charge(expr).add(children)
+    }
+
+    /// An assignment target's index, evaluated once.
+    fn target(&mut self, target: &LValue) -> CostEstimate {
+        match target {
+            LValue::Var(..) => CostEstimate::default(),
+            LValue::Index { index, .. } => self.expr(index),
         }
     }
 }
 
-/// Recognise conditions of the form `i < N` / `i <= N` with a literal `N`
-/// and return the implied trip count.
-fn literal_trip_count(cond: &Expr) -> Option<f64> {
-    if let ExprKind::Binary { op, rhs, .. } = &cond.kind {
-        let bound = match rhs.kind {
-            ExprKind::IntLit(v) => v as f64,
-            ExprKind::FloatLit(v) => v,
-            _ => return None,
-        };
-        return match op {
-            BinOp::Lt => Some(bound.max(0.0)),
-            BinOp::Le => Some((bound + 1.0).max(0.0)),
-            _ => None,
-        };
-    }
-    None
-}
-
-/// Estimate the cost of the function named `name` inside a parsed unit;
-/// convenience wrapper used by SkelCL to analyse user-defined functions
-/// (not whole kernels), mirroring the paper's statement that performance
-/// prediction "is only used for the user-defined functions rather than the
-/// whole program code".
-pub fn estimate_named(unit: &TranslationUnit, name: &str) -> Option<CostEstimate> {
-    unit.function(name).map(|f| estimate_function(unit, f))
+/// How often the body of `for (init; cond; step)` runs if the header says
+/// so: `N − a` for a literal start `a`, a bound `i < N` (`N + 1 − a` for
+/// `i <= N`) and a unit step, all on one variable.
+fn literal_trips(init: Option<&Stmt>, cond: Option<&Expr>, step: Option<&Expr>) -> Option<f64> {
+    let int = |e: &Expr| match e.kind {
+        ExprKind::IntLit(v) => Some(v),
+        _ => None,
+    };
+    let (var, start) = match init? {
+        Stmt::Decl {
+            name,
+            init: Some(e),
+            ..
+        } => (name.slot, int(e)?),
+        Stmt::Expr(Expr {
+            kind:
+                ExprKind::Assign {
+                    op: AssignOp::Assign,
+                    target: LValue::Var(name, _),
+                    value,
+                },
+            ..
+        }) => (name.slot, int(value)?),
+        _ => return None,
+    };
+    let is_var = |e: &Expr| matches!(&e.kind, ExprKind::Var(name) if name.slot == var);
+    let ExprKind::Binary { op, lhs, rhs } = &cond?.kind else {
+        return None;
+    };
+    let end = match op {
+        BinOp::Lt if is_var(lhs) => int(rhs)?,
+        BinOp::Le if is_var(lhs) => int(rhs)?.saturating_add(1),
+        _ => return None,
+    };
+    let unit_step = match &step?.kind {
+        ExprKind::IncDec {
+            target: LValue::Var(name, _),
+            delta: 1,
+            ..
+        } => name.slot == var,
+        ExprKind::Assign {
+            op: AssignOp::AddAssign,
+            target: LValue::Var(name, _),
+            value,
+        } => name.slot == var && int(value) == Some(1),
+        _ => false,
+    };
+    unit_step.then(|| end.saturating_sub(start).max(0) as f64)
 }
 
 /// What executing one statement costs on its own (its expressions are
@@ -276,11 +263,12 @@ pub(crate) const STMT_CHARGE: CostEstimate = CostEstimate {
 };
 
 /// What one evaluation of `e` costs on its own, its operands excluded: the
-/// one table of measured costs. The interpreter charges it for every node it
+/// one per-node table. The interpreter charges it for every node it
 /// evaluates and the native tier for every node its active lanes run, so
-/// both report the same [`crate::interp::ExecStats`]. Every constant is a
-/// small dyadic number, so sums are exact in any order. `e` must be checked:
-/// buffer traffic is sized by the element type sema recorded.
+/// both report the same [`crate::interp::ExecStats`]; [`estimate_function`]
+/// charges it statically. Every constant is a small dyadic number, so sums
+/// are exact in any order. `e` must be checked: buffer traffic is sized by
+/// the element type sema recorded.
 pub(crate) fn charge(e: &Expr) -> CostEstimate {
     let elem = e.ty.size_bytes() as f64;
     let (flops, global_bytes, ops) = match &e.kind {
@@ -304,14 +292,18 @@ pub(crate) fn charge(e: &Expr) -> CostEstimate {
             Callee::Builtin(b) => (b.flop_cost(), 0.0, 1.0),
             Callee::Function(_) | Callee::Unresolved => (0.0, 0.0, 0.0),
         },
-        // A store; a compound assignment loads the element first.
-        ExprKind::Assign { target, op, .. } => match (target, op) {
-            (LValue::Var(..), _) => (0.0, 0.0, 0.0),
-            (LValue::Index { .. }, AssignOp::Assign) => (0.0, elem, 1.0),
-            (LValue::Index { .. }, _) => (0.0, 2.0 * elem, 2.0),
+        // A store.
+        ExprKind::Assign {
+            op: AssignOp::Assign,
+            target,
+            ..
+        } => match target {
+            LValue::Var(..) => (0.0, 0.0, 0.0),
+            LValue::Index { .. } => (0.0, elem, 1.0),
         },
-        // The addition, plus a load and a store for a buffer element.
-        ExprKind::IncDec { target, .. } => match target {
+        // `x op= y` and `x++` cost their spelled-out form `x = x op y`: the
+        // operation, plus a load and a store for a buffer element.
+        ExprKind::Assign { target, .. } | ExprKind::IncDec { target, .. } => match target {
             LValue::Var(..) => (1.0, 0.0, 1.0),
             LValue::Index { .. } => (1.0, 2.0 * elem, 3.0),
         },
@@ -327,9 +319,9 @@ impl CostEstimate {
     /// Collapse the estimate to a single FLOP-equivalent figure, weighting
     /// non-floating-point statement work (`ops`) at a quarter FLOP each.
     /// This is the only place the weight is written: the simulated OpenCL
-    /// runtime turns estimates and measured statement counts into per-item
-    /// cost hints with it, and the fusion pass compares fused vs split
-    /// pipeline stages on this one axis.
+    /// runtime turns measured statement counts into per-item costs with it,
+    /// and the fusion pass compares fused vs split pipeline stages on this
+    /// one axis.
     pub fn flops_equivalent(&self) -> f64 {
         self.flops + 0.25 * self.ops
     }
@@ -338,18 +330,39 @@ impl CostEstimate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interp::ArgBinding;
     use crate::lexer::lex;
     use crate::parser::parse;
     use crate::sema::check;
+    use crate::value::Value;
+    use crate::{Program, Tier};
 
     fn unit(src: &str) -> TranslationUnit {
         check(parse(&lex(src).unwrap(), src).unwrap()).unwrap()
     }
 
+    fn estimate(u: &TranslationUnit, name: &str) -> CostEstimate {
+        estimate_function(u, u.function(name).unwrap())
+    }
+
+    /// The measured cost of one work-item of `k(__global float* o, int n)`
+    /// on `tier`, with `o = [3, 4]` and `n = 5`.
+    fn measure(src: &str, tier: Tier) -> CostEstimate {
+        let p = Program::build(src).unwrap();
+        p.set_tier(tier);
+        let mut data = [3.0f32, 4.0];
+        let mut args = [
+            ArgBinding::buffer_f32(&mut data),
+            ArgBinding::Scalar(Value::Int(5)),
+        ];
+        p.run_ndrange_measured(&p.kernel("k").unwrap(), 1, &mut args)
+            .unwrap()
+    }
+
     #[test]
     fn saxpy_udf_costs_two_flops() {
         let u = unit("float func(float x, float y, float a) { return a * x + y; }");
-        let c = estimate_named(&u, "func").unwrap();
+        let c = estimate(&u, "func");
         assert!((c.flops - 2.0).abs() < 1e-9, "flops = {}", c.flops);
         assert_eq!(c.global_bytes, 0.0);
     }
@@ -365,7 +378,7 @@ mod tests {
             }
         "#,
         );
-        let c = estimate_named(&u, "f").unwrap();
+        let c = estimate(&u, "f");
         // Each iteration has at least 2 flops (mul + add-assign contributes
         // via the binary op inside), times 100 iterations.
         assert!(c.flops >= 150.0, "flops = {}", c.flops);
@@ -383,7 +396,7 @@ mod tests {
             }
         "#,
         );
-        let c = estimate_named(&u, "f").unwrap();
+        let c = estimate(&u, "f");
         assert!(c.flops >= DEFAULT_TRIP_COUNT);
     }
 
@@ -397,8 +410,7 @@ mod tests {
             }
         "#,
         );
-        let f = u.function("copy").unwrap();
-        let c = estimate_function(&u, f);
+        let c = estimate(&u, "copy");
         // One read + one write, branch-averaged at 0.5 each -> 4 bytes total.
         assert!(c.global_bytes >= 4.0 - 1e-9, "bytes = {}", c.global_bytes);
     }
@@ -406,7 +418,7 @@ mod tests {
     #[test]
     fn builtin_costs_flow_through_calls() {
         let u = unit("float f(float x) { return exp(x) + sqrt(x); }");
-        let c = estimate_named(&u, "f").unwrap();
+        let c = estimate(&u, "f");
         assert!(c.flops >= 14.0);
     }
 
@@ -418,23 +430,121 @@ mod tests {
             float f(float x) { return square(x) + square(x); }
         "#,
         );
-        let inner = estimate_named(&u, "square").unwrap();
-        let outer = estimate_named(&u, "f").unwrap();
+        let inner = estimate(&u, "square");
+        let outer = estimate(&u, "f");
         assert!(outer.flops >= 2.0 * inner.flops);
+    }
+
+    /// Straight-line kernels — a helper call, builtins, a cast, a compound
+    /// store — are predicted exactly: the walk charges what both engines
+    /// measure, node for node.
+    #[test]
+    fn straight_line_estimates_equal_the_measured_cost() {
+        let cases = [
+            (
+                "float func(float a, float b) { return a + b; }
+                 __kernel void k(__global float* o, int n) { o[0] = func(o[0], o[1]); }",
+                (1.0, 12.0, 6.0),
+            ),
+            (
+                "float sq(float x) { return x * x; }
+                 __kernel void k(__global float* o, int n) {
+                     o[0] = sqrt(sq(o[0]) + sq(o[1])) + (float)n;
+                 }",
+                (8.0, 12.0, 11.0),
+            ),
+            (
+                "__kernel void k(__global float* o, int n) { o[0] += o[1]; }",
+                (1.0, 12.0, 5.0),
+            ),
+        ];
+        for (src, (flops, global_bytes, ops)) in cases {
+            let u = unit(src);
+            let want = CostEstimate {
+                flops,
+                global_bytes,
+                ops,
+            };
+            assert_eq!(estimate(&u, "k"), want, "{src}");
+            for tier in [Tier::Interp, Tier::Native] {
+                assert_eq!(measure(src, tier), want, "{src} on {tier}");
+            }
+        }
+    }
+
+    /// Steps other than `+1` on the loop variable, and bounds on another
+    /// variable, are not read as literal trip counts.
+    #[test]
+    fn only_unit_steps_on_the_loop_variable_count_literally() {
+        let trips = |header: &str| {
+            let src = format!("float f(float x) {{ int j = 0; {header} {{ }} return x; }}");
+            let u = unit(&src);
+            let Stmt::For {
+                init, cond, step, ..
+            } = &u.functions[0].body.stmts[1]
+            else {
+                panic!("a for loop")
+            };
+            literal_trips(init.as_deref(), cond.as_ref(), step.as_ref())
+        };
+        assert_eq!(trips("for (int i = 2; i < 10; i++)"), Some(8.0));
+        assert_eq!(trips("for (int i = 2; i < 10; ++i)"), Some(8.0));
+        assert_eq!(trips("for (int i = 2; i < 10; i += 1)"), Some(8.0));
+        assert_eq!(trips("for (int i = 2; i <= 10; i++)"), Some(9.0));
+        assert_eq!(trips("for (j = 3; j < 10; j++)"), Some(7.0));
+        assert_eq!(trips("for (int i = 12; i < 10; i++)"), Some(0.0));
+        for other in [
+            "for (int i = 0; i < 10; i += 2)",
+            "for (int i = 0; i < 10; i--)",
+            "for (int i = 0; i < 10; j++)",
+            "for (int i = 0; j < 10; i++)",
+            "for (int i = j; i < 10; i++)",
+            "for (int i = 0; i < j; i++)",
+            "for (int i = 0; i > 10; i++)",
+            "for (; j < 10; j++)",
+        ] {
+            assert_eq!(trips(other), None, "{other}");
+        }
+    }
+
+    /// `x op= y` costs what `x = x op y` costs, on both engines, for a
+    /// variable and for a buffer element.
+    #[test]
+    fn compound_assignments_cost_their_spelled_out_form() {
+        for (compound, spelled) in [
+            (
+                "float x = o[0]; x += o[1];",
+                "float x = o[0]; x = x + o[1];",
+            ),
+            (
+                "float x = o[0]; x /= o[1];",
+                "float x = o[0]; x = x / o[1];",
+            ),
+            ("o[0] -= o[1];", "o[0] = o[0] - o[1];"),
+            ("o[n - 5] *= 2.0f;", "o[n - 5] = o[n - 5] * 2.0f;"),
+        ] {
+            let kernel =
+                |body: &str| format!("__kernel void k(__global float* o, int n) {{ {body} }}");
+            let (compound, spelled) = (kernel(compound), kernel(spelled));
+            assert_eq!(
+                estimate(&unit(&compound), "k"),
+                estimate(&unit(&spelled), "k")
+            );
+            for tier in [Tier::Interp, Tier::Native] {
+                assert_eq!(
+                    measure(&compound, tier),
+                    measure(&spelled, tier),
+                    "{compound} on {tier}"
+                );
+            }
+        }
     }
 
     /// The charge table sizes buffer traffic by the element type sema
     /// recorded: a `double` load and store cost 8 bytes each.
     #[test]
     fn buffer_access_costs_use_the_declared_element_size() {
-        let unit = check(
-            parse(
-                &lex("__kernel void k(__global double* v, int n) { v[0] = v[1]; }").unwrap(),
-                "",
-            )
-            .unwrap(),
-        )
-        .unwrap();
+        let unit = unit("__kernel void k(__global double* v, int n) { v[0] = v[1]; }");
         let Stmt::Expr(store) = &unit.functions[0].body.stmts[0] else {
             panic!("a store")
         };
@@ -448,17 +558,17 @@ mod tests {
     /// Every statement is charged one op of its own, on both engines.
     #[test]
     fn statement_ops_are_attributed_to_statements() {
-        let p = crate::Program::build(
+        let p = Program::build(
             "__kernel void k(__global float* v, int n) { v[0] = 1.0f; { int a = 0; } }",
         )
         .unwrap();
         let k = p.kernel("k").unwrap();
-        for tier in [crate::Tier::Interp, crate::Tier::Native] {
+        for tier in [Tier::Interp, Tier::Native] {
             p.set_tier(tier);
             let mut data = [0.0f32];
             let mut args = [
-                crate::interp::ArgBinding::buffer_f32(&mut data),
-                crate::interp::ArgBinding::Scalar(crate::value::Value::Int(1)),
+                ArgBinding::buffer_f32(&mut data),
+                ArgBinding::Scalar(Value::Int(1)),
             ];
             let stats = p.run_ndrange_measured(&k, 1, &mut args).unwrap();
             // Three statements (the block one of them) and one store.

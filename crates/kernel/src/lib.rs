@@ -269,13 +269,6 @@ impl Program {
         })
     }
 
-    /// Estimate the per-work-item cost of a kernel (floating point operations
-    /// and bytes of global memory traffic). Used by the simulator's
-    /// analytical device model and by SkelCL's scheduler (paper, Section V).
-    pub fn cost_estimate(&self, kernel: &KernelHandle) -> cost::CostEstimate {
-        cost::estimate_function(&self.unit, &self.unit.functions[kernel.index])
-    }
-
     /// Execute `kernel` over a one-dimensional NDRange of `global_size`
     /// work-items on the program's selected [`Tier`] — by default the native
     /// tier, with the interpreter for kernels it cannot take. Work-items run
@@ -294,9 +287,10 @@ impl Program {
     /// Execute `kernel` over a one-dimensional NDRange like
     /// [`Program::run_ndrange`], and additionally return the *measured*
     /// execution statistics (flops, global-memory bytes, statement count)
-    /// summed over all work-items. The device simulator uses these measured
-    /// counts — rather than the static [`Program::cost_estimate`] — to charge
-    /// virtual time, so data-dependent loops are accounted for exactly.
+    /// summed over all work-items. The device simulator charges virtual time
+    /// from these measured counts, not from the static
+    /// [`cost::estimate_function`], so data-dependent loops are accounted
+    /// for exactly.
     ///
     /// Which engine runs is the program's [`Tier`]; the choice is
     /// semantically invisible — results, stats and errors are those of the
@@ -699,7 +693,7 @@ mod tests {
         "#;
         let p = Program::build(src).unwrap();
         let k = p.kernel("scale").unwrap();
-        let c = p.cost_estimate(&k);
+        let c = cost::estimate_function(&p.unit, &p.unit.functions[k.index]);
         // The `if` branch is weighted 0.5 by the estimator, so the two flops
         // and two 4-byte accesses inside it count half.
         assert!(c.flops >= 1.0);

@@ -1155,6 +1155,63 @@ proptest! {
     }
 }
 
+/// The straight-line statements of generated leaf bodies (no `if`, loop,
+/// ternary, `&&` or `||`), in a kernel with no guard: code the static walk
+/// predicts exactly.
+fn straight_line_kernel(genes: &[u32]) -> String {
+    let mut gen = BodyGen {
+        genes,
+        pos: 0,
+        loops: 0,
+    };
+    let body: String = (0..4)
+        .flat_map(|_| {
+            gen.stmts(0, false)
+                .lines()
+                .map(str::to_string)
+                .collect::<Vec<_>>()
+        })
+        .filter(|s| {
+            !["if", "while", "for", "?", "&&", "||"]
+                .iter()
+                .any(|k| s.contains(k))
+        })
+        .map(|s| s + "\n")
+        .collect();
+    format!(
+        "__kernel void k(__global float* a, __global float* out, __global float* out2, int n) {{\n\
+         int gid = get_global_id(0);\n\
+         float x = a[gid]; int q = (int) x; float acc = 0.0f; int t = 0;\n\
+         bool b = gid % 2 == 0;\n\
+         {body}\
+         out[gid] = acc + (float) t;\n\
+         }}\n"
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// One table: the static estimate of a straight-line kernel is the cost
+    /// one work-item of it measures, exactly, on the interpreter and on
+    /// native.
+    #[test]
+    fn straight_line_estimates_equal_measured_stats(
+        genes in prop::collection::vec(0u32..1_000_000, 24..48),
+        values in prop::collection::vec(-6i32..7, 1..8),
+    ) {
+        let src = straight_line_kernel(&genes);
+        let tokens = skelcl_kernel::lexer::lex(&src).unwrap();
+        let unit = skelcl_kernel::sema::check(skelcl_kernel::parser::parse(&tokens, &src).unwrap())
+            .unwrap();
+        let estimate = skelcl_kernel::cost::estimate_function(&unit, &unit.functions[0]);
+        let n = values.len();
+        let bufs = [divergent_input(&values), vec![-1.0f32; n], vec![-2.0f32; n]];
+        let measured = agreed_outcome(&src, "k", &bufs, &[Value::Int(n as i32)], 1);
+        prop_assert_eq!(measured, Ok(estimate), "{}", src);
+    }
+}
+
 /// Divergence does not weaken the hazard rule: one arm reads the element
 /// the other arm's neighbour lane stores, so the batch bails and replays.
 #[test]

@@ -120,10 +120,44 @@ proptest! {
         let tokens = skelcl_kernel::lexer::lex(&src).unwrap();
         let unit = skelcl_kernel::parser::parse(&tokens, &src).unwrap();
         let unit = skelcl_kernel::sema::check(unit).unwrap();
-        let est = skelcl_kernel::cost::estimate_named(&unit, "f").unwrap();
+        let est = skelcl_kernel::cost::estimate_function(&unit, &unit.functions[0]);
         // At least two flops per iteration.
         prop_assert!(est.flops >= 2.0 * n as f64);
         prop_assert!(est.flops.is_finite() && est.global_bytes >= 0.0 && est.ops > 0.0);
+    }
+
+    /// A literal-trip loop is predicted exactly: `N − a` trips of its body
+    /// and step, `N − a + 1` tests of its condition (one if `a ≥ N`), on
+    /// every step spelling the walk reads.
+    #[test]
+    fn static_estimate_of_a_literal_trip_loop_equals_its_measured_cost(
+        start in 0i32..80,
+        end in 0i32..80,
+        inclusive in any::<bool>(),
+        step in 0usize..3,
+    ) {
+        let cmp = if inclusive { "<=" } else { "<" };
+        let step = ["i++", "++i", "i += 1"][step];
+        let src = format!(
+            "__kernel void k(__global float* o, int n) {{
+                 float acc = o[0];
+                 for (int i = {start}; i {cmp} {end}; {step}) {{ acc = acc * 0.5f + o[1]; }}
+                 o[0] = acc;
+             }}"
+        );
+        let tokens = skelcl_kernel::lexer::lex(&src).unwrap();
+        let unit = skelcl_kernel::sema::check(skelcl_kernel::parser::parse(&tokens, &src).unwrap())
+            .unwrap();
+        let estimate = skelcl_kernel::cost::estimate_function(&unit, &unit.functions[0]);
+        let p = Program::build(&src).unwrap();
+        let k = p.kernel("k").unwrap();
+        for tier in [skelcl_kernel::Tier::Interp, skelcl_kernel::Tier::Native] {
+            p.set_tier(tier);
+            let mut o = [1.0f32, 2.0];
+            let mut args = [ArgBinding::buffer_f32(&mut o), ArgBinding::Scalar(Value::Int(2))];
+            let measured = p.run_ndrange_measured(&k, 1, &mut args).unwrap();
+            prop_assert_eq!(measured, estimate, "{} on {}", src, tier);
+        }
     }
 
     #[test]

@@ -15,8 +15,9 @@ use crate::error::{OclError, Result};
 use crate::pod::Pod;
 use crate::Value;
 
-/// Per-work-item cost hint used by the virtual-time model for kernels whose
-/// cost cannot be derived statically (native Rust kernels).
+/// Per-work-item cost in the virtual-time model's two axes. A native Rust
+/// kernel is charged the hint its author provides; a kernel-language launch
+/// is charged what it measured, in this form.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostHint {
     /// Floating-point operations per work-item.
@@ -260,23 +261,17 @@ impl Program {
     /// Look up a kernel by name.
     pub fn kernel(&self, name: &str) -> Result<Kernel> {
         match &self.inner {
-            ProgramInner::Dsl(p) => {
-                let handle = p.kernel(name)?;
-                let est = p.cost_estimate(&handle);
-                Ok(Kernel {
-                    name: name.to_string(),
-                    cost: CostHint::new(est.flops_equivalent(), est.global_bytes),
-                    inner: KernelInner::Dsl {
-                        program: p.clone(),
-                        handle,
-                    },
-                })
-            }
+            ProgramInner::Dsl(p) => Ok(Kernel {
+                name: name.to_string(),
+                inner: KernelInner::Dsl {
+                    program: p.clone(),
+                    handle: p.kernel(name)?,
+                },
+            }),
             ProgramInner::Native(map) => map
                 .get(name)
                 .map(|def| Kernel {
                     name: name.to_string(),
-                    cost: def.cost,
                     inner: KernelInner::Native(def.clone()),
                 })
                 .ok_or_else(|| OclError::NoSuchKernel(name.to_string())),
@@ -298,21 +293,27 @@ enum KernelInner {
 pub struct Kernel {
     /// Kernel name.
     pub name: String,
-    cost: CostHint,
     inner: KernelInner,
 }
 
 impl Kernel {
-    /// Per-work-item cost (estimated statically for DSL kernels, provided by
-    /// the author for native kernels).
-    pub fn cost(&self) -> CostHint {
-        self.cost
+    /// The per-work-item cost hint a native kernel is charged by, as its
+    /// author provided it. A kernel-language kernel has none: it is charged
+    /// what it measures.
+    pub fn cost(&self) -> Option<CostHint> {
+        match &self.inner {
+            KernelInner::Native(def) => Some(def.cost),
+            KernelInner::Dsl { .. } => None,
+        }
     }
 
-    /// Override the cost hint (useful when the static estimate is known to be
-    /// off, e.g. data-dependent loop bounds).
+    /// Replace a native kernel's cost hint (e.g. when its per-item cost
+    /// depends on runtime data). A kernel-language kernel is charged what it
+    /// measures, so it has no hint to replace and is returned unchanged.
     pub fn with_cost(mut self, cost: CostHint) -> Self {
-        self.cost = cost;
+        if let KernelInner::Native(def) = &mut self.inner {
+            def.cost = cost;
+        }
         self
     }
 
@@ -350,17 +351,17 @@ impl Kernel {
     /// contain exactly the buffers referenced by `args` (enforced by the
     /// queue, which took them from the device).
     ///
-    /// Returns the *measured* per-work-item cost for runtime-compiled (DSL)
-    /// kernels — the interpreter counts the floating-point operations and
-    /// global-memory bytes it actually executed — plus the launch's
-    /// execution-tier trace, or `(None, None)` for native kernels, whose
-    /// author-provided [`CostHint`] is used instead.
+    /// Returns the per-work-item cost the launch is charged: what a
+    /// runtime-compiled (DSL) kernel *measured* — the floating-point
+    /// operations and global-memory bytes it actually executed — with the
+    /// launch's execution-tier trace, or a native kernel's author-provided
+    /// [`CostHint`] with no trace.
     pub(crate) fn execute(
         &self,
         global_size: usize,
         args: &[KernelArg],
         taken: &mut [(u64, BufferData)],
-    ) -> Result<(Option<CostHint>, Option<skelcl_kernel::LaunchTrace>)> {
+    ) -> Result<(CostHint, Option<skelcl_kernel::LaunchTrace>)> {
         // Map buffer id -> &mut BufferData, consumed as the arguments are
         // resolved so each buffer is borrowed exactly once.
         let mut by_id: HashMap<u64, &mut BufferData> =
@@ -393,10 +394,7 @@ impl Kernel {
                     program.run_ndrange_traced(handle, global_size, &mut bindings)?;
                 let per_item = stats.per_item(global_size);
                 Ok((
-                    Some(CostHint::new(
-                        per_item.flops_equivalent(),
-                        per_item.global_bytes,
-                    )),
+                    CostHint::new(per_item.flops_equivalent(), per_item.global_bytes),
                     Some(trace),
                 ))
             }
@@ -418,7 +416,7 @@ impl Kernel {
                     args: views,
                 };
                 (def.func)(&mut ctx).map_err(OclError::InvalidKernelArg)?;
-                Ok((None, None))
+                Ok((def.cost, None))
             }
         }
     }
@@ -491,7 +489,8 @@ mod tests {
         .unwrap();
         assert_eq!(p.kernel_names(), vec!["scale".to_string()]);
         let k = p.kernel("scale").unwrap();
-        assert!(k.cost().flops_per_item > 0.0);
+        assert_eq!(k.cost(), None, "a DSL kernel is charged what it measures");
+        assert_eq!(k.with_cost(CostHint::DEFAULT).cost(), None);
         assert!(p.kernel("missing").is_err());
     }
 
@@ -500,7 +499,9 @@ mod tests {
         let def = NativeKernelDef::new("noop", CostHint::DEFAULT, |_ctx| Ok(()));
         let p = Program::from_native([def]);
         let k = p.kernel("noop").unwrap();
-        assert_eq!(k.cost(), CostHint::DEFAULT);
+        assert_eq!(k.cost(), Some(CostHint::DEFAULT));
+        let hint = CostHint::new(9.0, 9.0);
+        assert_eq!(k.with_cost(hint).cost(), Some(hint));
         assert!(p.kernel("other").is_err());
     }
 

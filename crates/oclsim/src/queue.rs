@@ -509,9 +509,10 @@ impl CommandQueue {
         kernel.validate_args(args)
     }
 
-    /// Enqueue a kernel whose cost hint is overridden for this launch (used
-    /// when the per-item cost depends on runtime data, e.g. the average LOR
-    /// path length in the OSEM study).
+    /// Enqueue a native kernel whose cost hint is overridden for this launch
+    /// (used when the per-item cost depends on runtime data, e.g. the
+    /// elements one work-item of a fold covers). A kernel-language kernel
+    /// is charged what it measures, whatever `cost` says.
     pub fn enqueue_kernel_with_cost(
         &self,
         kernel: &Kernel,
@@ -797,11 +798,10 @@ fn execute_kernel(
     };
     let result = kernel.execute(global_size, args, &mut guard.taken);
     drop(guard);
-    let (measured, trace) = result?;
+    let (cost, trace) = result?;
     if let Some(trace) = &trace {
         device.note_kernel_tier(trace);
     }
-    let cost = measured.unwrap_or_else(|| kernel.cost());
     Ok(api.kernel_time(
         &device.profile,
         global_size,

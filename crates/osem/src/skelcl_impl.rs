@@ -19,7 +19,7 @@ use skelcl::SkelCl;
 
 use crate::config::ReconstructionConfig;
 use crate::events::Event;
-use crate::kernels::{step1_cost, step2_cost};
+use crate::kernels::step1_cost;
 use crate::siddon::compute_path_into;
 
 /// Virtual-time breakdown of one subset iteration, mirroring the five phases
@@ -61,33 +61,34 @@ impl SkelclOsem {
         // reconstruction image (read) and the error image (written) are
         // passed as additional vector arguments, like `mapComputeC` in
         // Listing 3 of the paper.
-        let map_compute_c = Map::<Event, f32>::new(move |event, args| {
-            let mut path = Vec::new();
-            compute_path_into(&volume, event, &mut path);
-            if path.is_empty() {
-                return 0.0;
-            }
-            let fp: f32 = {
-                let f = args.slice_f32(0);
-                path.iter().map(|el| f[el.coord] * el.len).sum()
-            };
-            if fp <= 0.0 {
-                return 0.0;
-            }
-            let c = args.slice_mut_f32(1);
-            for el in &path {
-                c[el.coord] += el.len / fp;
-            }
-            0.0
-        })
-        .with_cost(step1_cost(&volume));
+        let map_compute_c = Map::<Event, f32>::with_cost(
+            move |event, args| {
+                let mut path = Vec::new();
+                compute_path_into(&volume, event, &mut path);
+                if path.is_empty() {
+                    return 0.0;
+                }
+                let fp: f32 = {
+                    let f = args.slice_f32(0);
+                    path.iter().map(|el| f[el.coord] * el.len).sum()
+                };
+                if fp <= 0.0 {
+                    return 0.0;
+                }
+                let c = args.slice_mut_f32(1);
+                for el in &path {
+                    c[el.coord] += el.len / fp;
+                }
+                0.0
+            },
+            step1_cost(&volume),
+        );
 
         // Step 2 as a zip skeleton with a source-string user function —
         // `zipUpdate` in Listing 3.
         let zip_update = Zip::<f32, f32, f32>::from_source(
             "float func(float f, float c) { if (c > 0.0f) { return f * c; } return f; }",
-        )
-        .with_cost(step2_cost());
+        );
 
         SkelclOsem {
             runtime,

@@ -36,14 +36,6 @@ count() {
     non_test "$1" | grep -c -- "$2" || true
 }
 
-# No per-skeleton kernel cache, no second UDF composer.
-if grep -rn "ensure_built\|BuiltSource" "$src"; then
-    complain "a per-skeleton kernel cache is back (the LoweringMemo is the only one)"
-fi
-if grep -rn "compose_unary_source" crates; then
-    complain "compose_unary_source is back (matrix plans lower through the memo)"
-fi
-
 # Kernel text lives in kernelgen.rs only, each frame once: elementwise (map,
 # zip, index map, fused chains), map-overlap, reduce, packed reduce (the
 # reduce frame over many jobs, rendered for packed launches only), scan,
@@ -131,11 +123,6 @@ if [ "$(echo "$handles" | grep -c .)" != 1 ] || ! echo "$handles" | grep -q "^pu
     echo "$handles" >&2
     complain "plan.rs must hold exactly one plan-handle struct (pub struct Plan<T, K>)"
 fi
-for gone in "enum GroupKind" "MatStage" "trait ServedPlan"; do
-    if grep -rn "$gone" crates --include=*.rs; then
-        complain "$gone is back (a stage is one record, a group asks its last stage, serving is generic over PlanKind)"
-    fi
-done
 
 # One fusion accounting: the runtime's counters are charged from one place
 # (Group::account_fusion), whoever ran the group.
@@ -169,9 +156,6 @@ if [ "$(grep -rEn "enum \w*Udf" "$src" | wc -l)" != 1 ]; then
 fi
 if [ "$(grep -rn "Ok(PreparedCall {" "$src" | wc -l)" != 1 ]; then
     complain "PreparedCall must be constructed in exactly one place (PreparedCall::prepare)"
-fi
-if grep -rn "closure_cost\|fn launch_sweep\|fn execute_single\|PreparedCall::single\|PreparedCall::pair\|trait ErasedSource\|too_many_arguments" "$skel" "$src/plan.rs"; then
-    complain "a forked call-path piece is back (see the matches above)"
 fi
 
 # Closure kernels are built by the per-skeleton closure-kernel constructors —
@@ -239,10 +223,6 @@ for name in launch_elementwise launch_and_gather launch_scan; do
         complain "plan::run_group no longer calls $name"
     fi
 done
-# What only a second launch path needed stays gone.
-if grep -rnE "CallSpec|fn (launch_elementwise|no_args|input_args)\(&self|fn from_stage\b" "$src"; then
-    complain "a second launch path is back: CallSpec, PreparedCall::launch_elementwise or MapOverlap::from_stage (see the matches above)"
-fi
 
 # --- One exchange cadence -------------------------------------------------
 
@@ -265,11 +245,8 @@ fi
 # --- One distribution vocabulary ------------------------------------------
 
 # A matrix is distributed by `Distribution` over its rows and its halo is a
-# property of the stored layout: no second distribution enum, no trait
-# bridging two, and the coherence core is generic over the element type only.
-if grep -rnE "MatrixDistribution|trait (Partitioning|PartLayout)\b" crates; then
-    complain "a second distribution vocabulary is back (Distribution over rows, RowPartition stores it)"
-fi
+# property of the stored layout: the coherence core is generic over the
+# element type only.
 storage=$(grep -rhE "struct Storage<" "$src" || true)
 if [ "$(echo "$storage" | grep -c .)" != 1 ] || echo "$storage" | grep -q "struct Storage<[^>]*,"; then
     complain "Storage must be declared once with one type parameter, found: $storage"
