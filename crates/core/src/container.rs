@@ -14,10 +14,12 @@
 //!    (`Storage::refresh_halos`). `Storage` never looks at what kind of
 //!    container it backs: everything geometric is delegated to the stored
 //!    layout below. Uploads and gathers cross the host by definition; the
-//!    halo exchange does not — a neighbour's rows go owner read → forwarded
-//!    write, an edge row the device owns itself is an on-device copy, and
-//!    the host only enqueues the commands and reads their events (errors
-//!    still surface synchronously; its virtual clock pays enqueue overheads
+//!    halo exchange reads nothing back to it — a neighbour's rows are
+//!    written from the host copy when that is valid too (as a checkpoint's
+//!    gather leaves it) and go owner read → forwarded write otherwise, an
+//!    edge row the device owns itself is an on-device copy, and the host
+//!    only enqueues the commands and reads their events (errors still
+//!    surface synchronously; its virtual clock pays enqueue overheads
 //!    only). Padding filled from a neighbour may be stored several
 //!    halo widths deep and then exchanged once per that many sweeps
 //!    (`ghost_sweeps` counts what is left), and `Storage::repad` changes how
@@ -418,16 +420,20 @@ impl<T: Pod> Storage<T> {
 
     /// Halo-only re-coherence: re-fill the padding regions of every stored
     /// part from the owners' current core data (and the edge policy at the
-    /// container edges) without touching any core data — and without the
-    /// host in the loop. Everything is enqueued first, then joined:
+    /// container edges) without touching any core data. Everything is
+    /// enqueued first, then joined:
     ///
-    /// 1. every cross-device [`HaloSegment::Remote`] becomes a non-blocking
-    ///    read on its owner's queue (all reads before any forward, so the
-    ///    owners' transfers run side by side);
-    /// 2. a segment whose owner *is* the destination device (the `Clamp` /
+    /// 1. a segment whose owner *is* the destination device (the `Clamp` /
     ///    `Wrap` edge rows) is one device-local copy, a
-    ///    [`HaloSegment::Fill`] one fill;
-    /// 3. each read is forwarded into a write on the destination's queue,
+    ///    [`HaloSegment::Fill`] one fill — every device's own refreshes
+    ///    first, so none of them queues behind the writes of the others;
+    /// 2. every cross-device [`HaloSegment::Remote`] is one write into the
+    ///    destination's padding. While the host copy is valid too (the state
+    ///    a checkpoint's gather or any `to_vec` leaves) the host holds the
+    ///    owner's rows, and the write is sent straight from them. Otherwise
+    ///    the rows live on the owner only: each becomes a non-blocking read
+    ///    on the owner's queue (all reads enqueued before anything else, so
+    ///    the owners' transfers run side by side), forwarded into the write,
     ///    which waits for it on the device side (see
     ///    [`oclsim::CommandQueue::enqueue_write_buffer_from_read`]).
     ///
@@ -435,14 +441,15 @@ impl<T: Pod> Storage<T> {
     /// filled from neighbouring devices are exchanged that many halo widths
     /// deep (at most as deep as the layout stores them) and then left alone
     /// for that many sweeps — while they still hold a sweep's worth, only
-    /// step 2 runs.
+    /// step 1 runs.
     ///
     /// The host's virtual clock advances by the enqueue overheads only; the
     /// next sweep's kernel is ordered behind its halo writes by the in-order
     /// queue, and reading the commands' events at the end moves no clock, so
     /// a lost device or a transient fault still surfaces here, synchronously,
     /// for the recovery layer. Halo telemetry: one [`SkelCl::charge_halo_transfer`] per
-    /// command, on the device that executes it.
+    /// command, on the device that executes it, and each cross-device write
+    /// counted as host-written or forwarded ([`SkelCl::charge_ghost_write`]).
     pub(crate) fn refresh_halos(&mut self, sweeps: usize) -> Result<()> {
         debug_assert!(self.devices_valid);
         if self.halos_valid || self.layout.halo() == 0 {
@@ -495,8 +502,13 @@ impl<T: Pod> Storage<T> {
             self.runtime.charge_halo_transfer(device, len * elem);
             events.push((device, event));
         };
-        // (destination device, its buffer, offset in it, len, the owner's read)
-        let mut reads = Vec::new();
+        // Where a cross-device ghost write takes its rows from.
+        enum Ghost<'h, T> {
+            Host(&'h [T]),
+            Forwarded(oclsim::EventHandle),
+        }
+        // (destination device, its buffer, offset in it, len, rows)
+        let mut writes = Vec::new();
         for (device, dst, segments) in &exchange {
             for segment in segments {
                 match *segment {
@@ -506,16 +518,21 @@ impl<T: Pod> Storage<T> {
                         src_offset,
                         len,
                     } if len > 0 && owner != *device => {
-                        let read = self
-                            .runtime
-                            .queue(owner)
-                            .enqueue_read_buffer_region_nb::<T>(
-                                buffer_of(owner)?,
-                                src_offset,
-                                len,
-                            )?;
-                        enqueued(owner, len, read.clone());
-                        reads.push((*device, *dst, dst_offset, len, read));
+                        let rows = if self.host_valid {
+                            Ghost::Host(self.host_rows(owner, src_offset, len)?)
+                        } else {
+                            let read = self
+                                .runtime
+                                .queue(owner)
+                                .enqueue_read_buffer_region_nb::<T>(
+                                    buffer_of(owner)?,
+                                    src_offset,
+                                    len,
+                                )?;
+                            enqueued(owner, len, read.clone());
+                            Ghost::Forwarded(read)
+                        };
+                        writes.push((*device, *dst, dst_offset, len, rows));
                     }
                     _ => {}
                 }
@@ -549,14 +566,38 @@ impl<T: Pod> Storage<T> {
                 }
             }
         }
-        for (device, dst, dst_offset, len, read) in reads {
-            let forward = self
-                .runtime
-                .queue(device)
-                .enqueue_write_buffer_from_read::<T>(dst, dst_offset, len, &read)?;
-            enqueued(device, len, forward);
+        for (device, dst, dst_offset, len, rows) in writes {
+            let queue = self.runtime.queue(device);
+            let write = match &rows {
+                Ghost::Host(host) => queue.enqueue_write_buffer_region(dst, dst_offset, host)?,
+                Ghost::Forwarded(read) => {
+                    queue.enqueue_write_buffer_from_read::<T>(dst, dst_offset, len, read)?
+                }
+            };
+            self.runtime
+                .charge_ghost_write(device, matches!(rows, Ghost::Host(_)));
+            enqueued(device, len, write);
         }
         Ok(())
+    }
+
+    /// The host copy of the `len` elements at `src_offset` of `owner`'s
+    /// stored part — rows of its core, which the host holds while it is
+    /// valid. Borrowed, never copied.
+    fn host_rows(&self, owner: usize, src_offset: usize, len: usize) -> Result<&[T]> {
+        self.layout
+            .gather_segment(owner)
+            .and_then(|(core_offset, core)| {
+                let start = core.start + src_offset.checked_sub(core_offset)?;
+                (start + len <= core.end).then_some(start..start + len)
+            })
+            .and_then(|range| self.host.get(range))
+            .ok_or_else(|| {
+                SkelError::Internal(format!(
+                    "halo refresh: elements {src_offset}..+{len} of device {owner}'s part \
+                     are not its core rows"
+                ))
+            })
     }
 
     /// Prepare the container for device use: upload if the host holds the

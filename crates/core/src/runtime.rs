@@ -44,6 +44,10 @@ pub struct SkelCl {
     halo_transfers: Vec<AtomicUsize>,
     /// Per-device halo-exchange bytes moved.
     halo_bytes: Vec<AtomicUsize>,
+    /// Per-device cross-device ghost writes sent from the host copy.
+    halo_host_writes: Vec<AtomicUsize>,
+    /// Per-device cross-device ghost writes forwarded from an owner's read.
+    halo_forwards: Vec<AtomicUsize>,
     /// Pipeline stages merged into another stage's kernel by plan fusion.
     kernels_fused: AtomicUsize,
     /// Per-device kernel launches avoided by plan fusion.
@@ -145,6 +149,17 @@ impl ExecTrace {
     /// Total halo-exchange bytes across all devices.
     pub fn halo_bytes(&self) -> usize {
         self.devices.iter().map(|d| d.halo_bytes).sum()
+    }
+
+    /// Total ghost segments written from the host copy across all devices.
+    pub fn halo_host_writes(&self) -> usize {
+        self.devices.iter().map(|d| d.halo_host_writes).sum()
+    }
+
+    /// Total ghost segments forwarded from an owner's read across all
+    /// devices (each one read, on the owner, and one write).
+    pub fn halo_forwards(&self) -> usize {
+        self.devices.iter().map(|d| d.halo_forwards).sum()
     }
 
     /// The kernel-tier counts summed over all devices; the accessors below
@@ -249,13 +264,20 @@ pub struct DeviceTrace {
     /// Device index within the runtime.
     pub device: usize,
     /// Halo-exchange commands this device executed: one per row segment it
-    /// *read* for a neighbour, one per segment *forwarded* into its own
-    /// halo, one per edge segment it copied on-device or filled. A segment
-    /// that crosses devices therefore counts twice (once on the owner, once
-    /// on the destination); a device-local edge copy counts once.
+    /// *read* for a neighbour, one per segment *written* into its own halo
+    /// (from the host copy or forwarded from the owner's read), one per edge
+    /// segment it copied on-device or filled. A forwarded segment therefore
+    /// counts twice (once on the owner, once on the destination), a
+    /// host-written one and a device-local edge copy once.
     pub halo_transfers: usize,
     /// Bytes those commands moved (a local copy's length counts once).
     pub halo_bytes: usize,
+    /// Segments from another device's rows written into this device's halo
+    /// straight from the host copy (the exchange of a host-valid container).
+    pub halo_host_writes: usize,
+    /// Segments from another device's rows forwarded into this device's halo
+    /// from a read on the owner's queue (the exchange of device-only data).
+    pub halo_forwards: usize,
     /// Allocations served from this device's buffer pool.
     pub pool_hits: usize,
     /// Bytes of storage parked in this device's buffer pool.
@@ -303,6 +325,8 @@ impl SkelCl {
             vector_ids: AtomicU64::new(1),
             halo_transfers: (0..devices).map(|_| AtomicUsize::new(0)).collect(),
             halo_bytes: (0..devices).map(|_| AtomicUsize::new(0)).collect(),
+            halo_host_writes: (0..devices).map(|_| AtomicUsize::new(0)).collect(),
+            halo_forwards: (0..devices).map(|_| AtomicUsize::new(0)).collect(),
             kernels_fused: AtomicUsize::new(0),
             launches_elided: AtomicUsize::new(0),
             intermediate_buffers_elided: AtomicUsize::new(0),
@@ -389,11 +413,22 @@ impl SkelCl {
     /// Record one halo-exchange command of `bytes` bytes on `device`. The
     /// halo machinery calls it once per command it enqueues: on the owner
     /// for the read of a forwarded segment, on the destination for the
-    /// forward, and once for a device-local edge copy or fill (which, before
-    /// device-side copies existed, was a read *and* a write — two charges).
+    /// write of a host-written or forwarded one, and once for a device-local
+    /// edge copy or fill.
     pub(crate) fn charge_halo_transfer(&self, device: usize, bytes: usize) {
         self.halo_transfers[device].fetch_add(1, Ordering::Relaxed);
         self.halo_bytes[device].fetch_add(bytes, Ordering::Relaxed);
+    }
+
+    /// Record where one cross-device ghost write on `device` took its rows
+    /// from: the host copy, or a forwarded read on the owner's queue.
+    pub(crate) fn charge_ghost_write(&self, device: usize, from_host: bool) {
+        let counter = if from_host {
+            &self.halo_host_writes
+        } else {
+            &self.halo_forwards
+        };
+        counter[device].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record the effect of one fused plan group: `stages_merged` pipeline
@@ -437,6 +472,8 @@ impl SkelCl {
                     device: d,
                     halo_transfers: self.halo_transfers[d].load(Ordering::Relaxed),
                     halo_bytes: self.halo_bytes[d].load(Ordering::Relaxed),
+                    halo_host_writes: self.halo_host_writes[d].load(Ordering::Relaxed),
+                    halo_forwards: self.halo_forwards[d].load(Ordering::Relaxed),
                     pool_hits: dev.pool_hit_count(),
                     pooled_bytes: dev.pooled_bytes(),
                     tiers: dev.kernel_tiers(),

@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use oclsim::Pod;
 
-use crate::container::EdgePolicy;
+use crate::container::{EdgePolicy, Residence};
 use crate::distribution::Boundary;
 use crate::error::{Result, SkelError};
 use crate::kernelgen::{StageKind, UdfInfo};
@@ -143,7 +143,9 @@ impl<O: Pod> MapOverlap<f32, O> {
     /// with what the runtime already charges — per sweep the host pays the
     /// dispatch overhead plus one enqueue per command (kernels, the edge
     /// rows each device refreshes by itself, and in an exchange sweep one
-    /// read and one forward per neighbour), every device pays what the
+    /// read and one forward per neighbour — in the first block's exchange
+    /// over resident parts whose host copy is valid too, as after a
+    /// checkpoint, only the write from the host), every device pays what the
     /// simulator charges on its profile for its transfers
     /// ([`oclsim::ApiModel::transfer_time`]), edge refreshes and widened
     /// kernel ([`oclsim::ApiModel::kernel_time`] at the UDF's cost plus the
@@ -157,13 +159,28 @@ impl<O: Pod> MapOverlap<f32, O> {
     /// the exchanges they save (`tests/stencil_depth_referee.rs` holds both).
     /// One active device has nobody to exchange with: 1.
     fn exchange_cadence(&self, input: &Matrix<f32>, left: usize) -> Result<usize> {
+        let mut best = (f64::INFINITY, 1);
+        for (k, (host, slowest)) in (1..).zip(self.block_prices(input, left)?) {
+            let total = host.max(slowest);
+            if total < best.0 {
+                best = (total, k);
+            }
+        }
+        Ok(best.1)
+    }
+
+    /// What `left` sweeps over `input` cost in blocks of `k`, for every
+    /// candidate `k` from 1 up: the host's total and the slowest device's,
+    /// in seconds (see [`MapOverlap::exchange_cadence`]). Empty when there
+    /// is no choice to make.
+    fn block_prices(&self, input: &Matrix<f32>, left: usize) -> Result<Vec<(f64, f64)>> {
         let runtime = input.runtime();
         let (edge, _) = crate::matrix::boundary_parts(&self.boundary);
         let (layout, resident) = input.overlap_layout(self.halo);
         let active = layout.active_devices();
         let limit = left.min(layout.max_ghost_depth());
         if active.len() < 2 || limit < 2 || self.halo == 0 {
-            return Ok(1);
+            return Ok(Vec::new());
         }
         // Depths the resident parts already store need no re-pad; the
         // candidates' kernels are sized on the deepest layout.
@@ -173,6 +190,15 @@ impl<O: Pod> MapOverlap<f32, O> {
             limit
         };
         let layout = layout.with_ghost_depth(limit, edge);
+        // The first block's exchange over resident parts sends the
+        // neighbours' rows from the host copy when that is valid too: per
+        // neighbour one transfer and one enqueue fewer than a read plus a
+        // forward.
+        let host_fed = if resident && input.residence() == Residence::Shared {
+            1.0
+        } else {
+            0.0
+        };
         let info = self.plan_udf()?;
         // Per element: the UDF's work; the centre load, the `get`s, the store.
         let flops = info.cost.flops_equivalent();
@@ -186,7 +212,8 @@ impl<O: Pod> MapOverlap<f32, O> {
         // Per device, by block depth `k`: what a block costs it — the exchange
         // with its neighbours, and `k` sweeps of edge refreshes and kernels,
         // the kernel of the sweep with `due` sweeps to go `due − 1` halo
-        // widths wider per neighbour.
+        // widths wider per neighbour — and one transfer per neighbour of the
+        // exchange.
         let mut neighbours = 0;
         let mut edge_rows = 0;
         let mut devices = Vec::with_capacity(active.len());
@@ -200,18 +227,19 @@ impl<O: Pod> MapOverlap<f32, O> {
                 _ => api.kernel_time(profile, cols, 0.0, 8.0),
             };
             let mut sweeps = 0.0;
-            let mut block = vec![0.0];
+            let (mut block, mut transfer) = (vec![0.0], vec![0.0]);
             for due in 1..=limit {
                 let items = layout.sweep_rows(device, edge, due).1 * cols;
                 let kernel = api.kernel_time(profile, items, flops, bytes);
                 sweeps += own_rows as f64 * secs(refresh) + secs(kernel);
                 let exchange = api.transfer_time(profile, due * self.halo * row_bytes);
-                block.push(2.0 * facing as f64 * secs(exchange) + sweeps);
+                transfer.push(facing as f64 * secs(exchange));
+                block.push(2.0 * transfer[due] + sweeps);
             }
             let copy = api.kernel_time(profile, layout.core_len(device), 0.0, 8.0);
             neighbours += facing;
             edge_rows += own_rows;
-            devices.push((block, secs(copy)));
+            devices.push((block, transfer, secs(copy)));
         }
         let sweep_host = secs(api.dispatch_overhead) + enqueue * (active.len() + edge_rows) as f64;
         let block_host = |k: usize| match k {
@@ -219,23 +247,22 @@ impl<O: Pod> MapOverlap<f32, O> {
             _ => 2.0 * enqueue * neighbours as f64 + k as f64 * sweep_host,
         };
 
-        let mut best = (f64::INFINITY, 1);
-        for k in 1..=limit {
+        let price = |k: usize| {
             // `left` sweeps are `full` blocks of `k` and one of `rest`.
             let (full, rest) = ((left / k) as f64, left % k);
             let repad = if k > stored { 1.0 } else { 0.0 };
-            let host =
-                full * block_host(k) + block_host(rest) + repad * enqueue * active.len() as f64;
+            let host = full * block_host(k) + block_host(rest)
+                - host_fed * enqueue * neighbours as f64
+                + repad * enqueue * active.len() as f64;
             let slowest = devices
                 .iter()
-                .map(|(block, copy)| full * block[k] + block[rest] + repad * copy)
+                .map(|(block, transfer, copy)| {
+                    full * block[k] + block[rest] - host_fed * transfer[k] + repad * copy
+                })
                 .fold(0.0, f64::max);
-            let total = host.max(slowest);
-            if total < best.0 {
-                best = (total, k);
-            }
-        }
-        Ok(best.1)
+            (host, slowest)
+        };
+        Ok((1..=limit).map(price).collect())
     }
 }
 
@@ -268,7 +295,9 @@ impl Launch<'_, MapOverlap<f32, f32>, Matrix<f32>> {
     /// Sweeps run in blocks of `k` between halo exchanges. A part stores
     /// `k · halo` *ghost* rows towards each neighbouring device's part; one
     /// exchange — per neighbour one read and one forwarded write of
-    /// `k · halo` rows, no host in the loop — fills them, and sweep `j` of
+    /// `k · halo` rows, no host in the loop, or for a block that follows a
+    /// checkpoint only the write, sent from the host copy the checkpoint
+    /// gathered — fills them, and sweep `j` of
     /// the block computes, besides its core rows, the `(k − 1 − j) · halo`
     /// ghost rows per neighbour that the later sweeps of the block read
     /// (redundantly: the neighbour computes them too, to the same bits).
@@ -293,7 +322,9 @@ impl Launch<'_, MapOverlap<f32, f32>, Matrix<f32>> {
     /// [`Launch::checkpoint_every`] set, the driver then rolls back to the
     /// most recent host-side checkpoint and re-runs the sweeps from there —
     /// without checkpoints it restarts from the original input. Either way
-    /// the result is bitwise identical to a fault-free run.
+    /// the result is bitwise identical to a fault-free run. A checkpoint is
+    /// not only insurance: the host copy it leaves valid feeds the next
+    /// block's exchange, which then reads nothing back from the devices.
     pub fn run_iter(self, sweeps: usize) -> Result<Matrix<f32>> {
         self.run_blocks(sweeps, None)
     }
@@ -592,6 +623,40 @@ mod tests {
             g, e,
             "5 iterative sweeps must match 5 host sweeps bit for bit"
         );
+    }
+
+    /// The cadence prices the exchange that opens a host-valid input's first
+    /// block as what runs: per neighbour one write from the host copy, one
+    /// transfer and one enqueue less than the read and forward device-only
+    /// data needs. Every later block is priced alike.
+    #[test]
+    fn a_host_valid_first_exchange_is_priced_as_one_write_per_neighbour() {
+        let rt = init_gpus(2);
+        let st = MapOverlap::<f32, f32>::from_source(FIVE_POINT_AVG);
+        let (rows, cols, left) = (64, 32, 4);
+        let m = Matrix::from_fn(&rt, rows, cols, |r, c| ((r * c) % 7) as f32);
+        // The warm sweep leaves `m` resident with its host copy valid, and
+        // its output resident with the same layout but device-only.
+        let device_only = st.run(&m).exec().unwrap();
+        assert_eq!(m.residence(), Residence::Shared);
+        assert_eq!(device_only.residence(), Residence::DevicesOnly);
+        let host_fed = st.block_prices(&m, left).unwrap();
+        let forwarded = st.block_prices(&device_only, left).unwrap();
+        assert_eq!((host_fed.len(), forwarded.len()), (left, left));
+        let context = rt.context();
+        let api = context.api();
+        let profile = &context.device(0).unwrap().profile;
+        assert_eq!(profile, &context.device(1).unwrap().profile);
+        let enqueue = api.enqueue_overhead.as_secs_f64();
+        for (k, (fed, fwd)) in (1..).zip(host_fed.iter().zip(&forwarded)) {
+            // Two devices, each facing the other once.
+            assert!(
+                (fwd.0 - fed.0 - 2.0 * enqueue).abs() < 1e-12,
+                "k = {k}: host"
+            );
+            let write = api.transfer_time(profile, k * cols * 4).as_secs_f64();
+            assert!((fwd.1 - fed.1 - write).abs() < 1e-12, "k = {k}: device");
+        }
     }
 
     #[test]

@@ -573,6 +573,8 @@ fn a_deeper_stored_ghost_zone_is_not_a_host_round_trip() {
 
     // Another run over that output, at the stored depth: one exchange of two
     // rows per side pays for both sweeps, and nothing else crosses a bus.
+    // `to_vec` above left the host copy valid, so each side's rows are
+    // written from it: no owner reads them back.
     rt.finish_all();
     rt.drain_events();
     let again = heat.run(&once).arg(0.1f32).run_iter_at_depth(2, 2).unwrap();
@@ -582,7 +584,8 @@ fn a_deeper_stored_ghost_zone_is_not_a_host_round_trip() {
         .filter(|e| e.is_read() || e.is_write())
         .map(|e| e.bytes)
         .collect();
-    assert_eq!(moved, vec![2 * row_bytes; 8]);
+    assert_eq!(moved, vec![2 * row_bytes; 4]);
+    assert!(events.iter().all(|e| !e.is_read()));
     for _ in 0..2 {
         expected = host_stencil(&expected, rows, cols, Boundary::Clamp, heat_ref(0.1));
     }

@@ -80,10 +80,11 @@ fn node_death_mid_run_iter_recovers_bit_identically_on_the_lab_cluster() {
     );
 
     // Same computation, but one dual-GPU server drops off the network
-    // mid-run: its two devices die at their 20th op, well inside the sweep
-    // loop.
+    // mid-run: its two devices die at their 16th op, well inside the sweep
+    // loop — the second ghost write of the halo exchange that follows the
+    // third checkpoint.
     let tier = ClusterTier::launch_gpus(&Cluster::lab_cluster());
-    let armed = tier.fail_node("small-server-1", FaultTrigger::AtOpCount(20));
+    let armed = tier.fail_node("small-server-1", FaultTrigger::AtOpCount(16));
     assert_eq!(armed, 2, "the node failure arms both of the server's GPUs");
     let survived = run_heat(&tier, rows, cols, sweeps);
     assert_eq!(
@@ -145,7 +146,10 @@ fn losing_two_of_three_nodes_still_recovers() {
         expected = host_heat(&expected, rows, cols);
     }
     let tier = ClusterTier::launch_gpus(&Cluster::lab_cluster());
-    tier.fail_node("small-server-1", FaultTrigger::AtOpCount(8));
+    // small-server-1 dies on its second ghost write after the first
+    // checkpoint; small-server-2's second GPU on its ghost write after the
+    // second, and its first GPU in the replay of that sweep.
+    tier.fail_node("small-server-1", FaultTrigger::AtOpCount(6));
     tier.fail_node("small-server-2", FaultTrigger::AtOpCount(14));
     let out = run_heat(&tier, rows, cols, sweeps);
     assert_eq!(
@@ -245,7 +249,9 @@ fn a_dopencl_node_loss_has_one_outcome() {
         (result, rt.exec_trace().faults_injected, ops, rt.now())
     };
     let reference = run(usize::MAX).0;
-    for op in [1, 2, 7, 20] {
+    // The upload, the first sweep, the first ghost write after the first
+    // checkpoint and the second after the third.
+    for op in [1, 2, 5, 16] {
         let first = run(op);
         assert_eq!(run(op), first, "node loss at op {op}");
         assert_eq!(first.0, reference, "node loss at op {op} recovers");
